@@ -23,7 +23,6 @@ package repro
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -355,9 +354,8 @@ func BenchmarkExperimentSim(b *testing.B) {
 // hold ~10 links/guest, and the big fabrics use 10G/1ms trunks — the
 // same parameters exp.ScaleScenarios uses, without which the aggregate
 // virtual bandwidth saturates the physical fabric and mapping correctly
-// fails). The large cases report allocations and exercise the parallel
-// Networking stage via RouteWorkers. Compare against the map_seconds
-// series of BENCH_scale_seed1.json.
+// fails). Compare against the map_seconds series of
+// BENCH_scale_seed1.json.
 func BenchmarkMap(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -366,12 +364,10 @@ func BenchmarkMap(b *testing.B) {
 		density float64
 		linkBW  float64
 		linkLat float64
-		workers int
 	}{
-		{"2000g_40h", 40, 2000, 0.01, workload.PhysLinkBW, workload.PhysLinkLat, 0},
-		{"5000g_100h", 100, 5000, 0.004, 10000, 1, 0},
-		{"10000g_200h", 200, 10000, 0.002, 10000, 1, 0},
-		{"10000g_200h_par", 200, 10000, 0.002, 10000, 1, runtime.GOMAXPROCS(0)},
+		{"2000g_40h", 40, 2000, 0.01, workload.PhysLinkBW, workload.PhysLinkLat},
+		{"5000g_100h", 100, 5000, 0.004, 10000, 1},
+		{"10000g_200h", 200, 10000, 0.002, 10000, 1},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -387,7 +383,7 @@ func BenchmarkMap(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (&core.HMN{RouteWorkers: tc.workers}).Map(c, env); err != nil {
+				if _, err := (&core.HMN{}).Map(c, env); err != nil {
 					b.Fatal(err)
 				}
 			}

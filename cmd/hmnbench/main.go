@@ -52,7 +52,6 @@ func main() {
 		reservations = flag.Bool("reservations", false, "run the bandwidth-reservation ablation (reserved vs best-effort transfers)")
 		churn        = flag.Bool("churn", false, "run the admission churn benchmark, bare vs background rebalancer")
 		churnOps     = flag.Int("churn-ops", 200, "churn operations for the -churn benchmark")
-		routeWorkers = flag.Int("route-workers", 0, "HMN parallel Networking workers (<= 1 = serial; objectives are bit-identical, only timings move)")
 		fedShards    = flag.Int("shards", 0, "run the federation aggregate-throughput benchmark: -hosts total hosts as one cluster vs partitioned across this many shards")
 		fedOps       = flag.Int("fed-ops", 120, "admissions per federation run (needs -shards)")
 		fedGateway   = flag.Float64("gateway-bw", 0, "inter-shard gateway budget in Mbps for the federation benchmark (0 = splits disabled)")
@@ -120,7 +119,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.MaxTries = *maxTries
 	cfg.Workers = *workers
-	cfg.RouteWorkers = *routeWorkers
 	if *quick {
 		cfg.Scenarios = exp.QuickScenarios()
 	}

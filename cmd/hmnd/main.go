@@ -60,11 +60,6 @@
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/allocs
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/mutex
 //
-// Parallel routing: -route-workers N routes each admission's virtual
-// links on N worker goroutines with a deterministic in-order merge —
-// mapping output is bit-identical to the serial stage for any worker
-// count, so the flag is purely a throughput knob.
-//
 // Federation: -shards N switches the daemon into sharded multi-cluster
 // mode — N fully independent shards (each its own session, ledger, WAL
 // directory and rebalance scheduler) behind a router that places each
@@ -102,44 +97,56 @@ import (
 )
 
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "admission queue depth")
-		batch     = flag.Int("batch", 1, "map requests a worker may admit per wakeup as one batched round (1 = no batching)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request timeout (queue wait included)")
-		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-		dataDir   = flag.String("data-dir", "", "durability directory: WAL + snapshots (empty = in-memory only)")
-		snapEvery = flag.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot interval when -data-dir is set (0 = shutdown snapshot only)")
-		replay    = flag.Bool("replay", false, "verify every recovered session against a recompute before serving (needs -data-dir)")
-		rebEvery  = flag.Duration("rebalance-interval", 0, "background rebalancing round interval per session (0 = disabled; one-shot endpoint always available)")
-		rebMoves  = flag.Int("rebalance-max-moves", 8, "guest moves per rebalancing round, swaps counting two (0 = unbounded)")
-		routeWkrs = flag.Int("route-workers", 0, "parallel Networking stage workers per admission (<= 1 = serial; output is bit-identical either way)")
-		mutexFrac = flag.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction for /debug/pprof/mutex (0 = disabled)")
-		blockRate = flag.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns for /debug/pprof/block (0 = disabled)")
-		shards    = flag.Int("shards", 0, "federation mode: independent shard count (0 = single-session daemon)")
-		gatewayBW = flag.Float64("gateway-bw", 0, "inter-shard gateway bandwidth budget in Mbps for split admissions (needs -shards; 0 = splits disabled)")
-		shardSpec = flag.String("shard-cluster", "", "cluster spec JSON instantiated once per shard (needs -shards; optional when -data-dir holds recoverable state)")
-	)
-	flag.Parse()
+	serve, err := configure(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
+		os.Exit(2)
+	}
+	if err := serve(); err != nil {
+		fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// configure parses and validates the command line and returns the
+// daemon to run, classic or federation. An error is a usage error: the
+// caller exits 2 before anything listens.
+func configure(args []string) (func() error, error) {
+	fs := flag.NewFlagSet("hmnd", flag.ExitOnError)
+	var (
+		addr      = fs.String("addr", ":8080", "listen address")
+		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		queue     = fs.Int("queue", 64, "admission queue depth")
+		batch     = fs.Int("batch", 1, "map requests a worker may admit per wakeup as one batched round (1 = no batching)")
+		timeout   = fs.Duration("timeout", 30*time.Second, "per-request timeout (queue wait included)")
+		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget")
+		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
+		dataDir   = fs.String("data-dir", "", "durability directory: WAL + snapshots (empty = in-memory only)")
+		snapEvery = fs.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot interval when -data-dir is set (0 = shutdown snapshot only)")
+		replay    = fs.Bool("replay", false, "verify every recovered session against a recompute before serving (needs -data-dir)")
+		rebEvery  = fs.Duration("rebalance-interval", 0, "background rebalancing round interval per session (0 = disabled; one-shot endpoint always available)")
+		rebMoves  = fs.Int("rebalance-max-moves", 8, "guest moves per rebalancing round, swaps counting two (0 = unbounded)")
+		mutexFrac = fs.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction for /debug/pprof/mutex (0 = disabled)")
+		blockRate = fs.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns for /debug/pprof/block (0 = disabled)")
+		shards    = fs.Int("shards", 0, "federation mode: independent shard count (0 = single-session daemon)")
+		gatewayBW = fs.Float64("gateway-bw", 0, "inter-shard gateway bandwidth budget in Mbps for split admissions (needs -shards; 0 = splits disabled)")
+		shardSpec = fs.String("shard-cluster", "", "cluster spec JSON instantiated once per shard (needs -shards; optional when -data-dir holds recoverable state)")
+	)
+	fs.Parse(args) // ExitOnError: a malformed command line never returns
+
+	if err := profileConfig(*mutexFrac, *blockRate); err != nil {
+		return nil, err
+	}
 	if *shards > 0 {
 		fedCfg, err := federationConfig(*shards, *gatewayBW, *shardSpec, *timeout,
-			*dataDir, *snapEvery, *replay, *rebEvery, *rebMoves, *routeWkrs, *queue)
+			*dataDir, *snapEvery, *replay, *rebEvery, *rebMoves, *queue)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
-			os.Exit(2)
+			return nil, err
 		}
-		if err := runFederation(*addr, fedCfg, *drain, *pprofAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return func() error { return runFederation(*addr, fedCfg, *drain, *pprofAddr) }, nil
 	}
 	if *gatewayBW != 0 || *shardSpec != "" {
-		fmt.Fprintln(os.Stderr, "hmnd: -gateway-bw and -shard-cluster need -shards")
-		os.Exit(2)
+		return nil, errors.New("-gateway-bw and -shard-cluster need -shards")
 	}
 
 	cfg, err := buildConfig(*workers, *queue, *batch, *timeout)
@@ -149,17 +156,10 @@ func main() {
 	if err == nil {
 		err = rebalanceConfig(&cfg, *rebEvery, *rebMoves)
 	}
-	if err == nil {
-		err = profileConfig(&cfg, *routeWkrs, *mutexFrac, *blockRate)
-	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
-		os.Exit(2)
+		return nil, err
 	}
-	if err := run(*addr, cfg, *drain, *pprofAddr); err != nil {
-		fmt.Fprintf(os.Stderr, "hmnd: %v\n", err)
-		os.Exit(1)
-	}
+	return func() error { return run(*addr, cfg, *drain, *pprofAddr) }, nil
 }
 
 // buildConfig validates the flag values into a server config.
@@ -209,21 +209,17 @@ func rebalanceConfig(cfg *server.Config, interval time.Duration, maxMoves int) e
 	return nil
 }
 
-// profileConfig validates the routing/profiling flags and arms the
-// runtime's contention profilers. The rates take effect process-wide
-// immediately; the profiles themselves are only reachable when
-// -pprof-addr serves them.
-func profileConfig(cfg *server.Config, routeWorkers, mutexFrac, blockRate int) error {
-	if routeWorkers < 0 {
-		return fmt.Errorf("-route-workers must be >= 0, got %d", routeWorkers)
-	}
+// profileConfig validates the profiling flags and arms the runtime's
+// contention profilers. The rates take effect process-wide immediately,
+// classic and federation mode alike; the profiles themselves are only
+// reachable when -pprof-addr serves them.
+func profileConfig(mutexFrac, blockRate int) error {
 	if mutexFrac < 0 {
 		return fmt.Errorf("-mutex-profile-fraction must be >= 0, got %d", mutexFrac)
 	}
 	if blockRate < 0 {
 		return fmt.Errorf("-block-profile-rate must be >= 0, got %d", blockRate)
 	}
-	cfg.RouteWorkers = routeWorkers
 	if mutexFrac > 0 {
 		runtime.SetMutexProfileFraction(mutexFrac)
 	}
@@ -239,7 +235,7 @@ func profileConfig(cfg *server.Config, routeWorkers, mutexFrac, blockRate int) e
 // federation state.
 func federationConfig(shards int, gatewayBW float64, specPath string, timeout time.Duration,
 	dataDir string, snapEvery time.Duration, replay bool,
-	rebEvery time.Duration, rebMoves, routeWorkers, queue int) (server.FedConfig, error) {
+	rebEvery time.Duration, rebMoves, queue int) (server.FedConfig, error) {
 	var cfg server.FedConfig
 	if gatewayBW < 0 {
 		return cfg, fmt.Errorf("-gateway-bw must be >= 0, got %g", gatewayBW)
@@ -258,9 +254,6 @@ func federationConfig(shards int, gatewayBW float64, specPath string, timeout ti
 	}
 	if rebMoves < 0 {
 		return cfg, fmt.Errorf("-rebalance-max-moves must be >= 0, got %d", rebMoves)
-	}
-	if routeWorkers < 0 {
-		return cfg, fmt.Errorf("-route-workers must be >= 0, got %d", routeWorkers)
 	}
 	recoverable := dataDir != "" && shard.HasState(dataDir)
 	if specPath == "" && !recoverable {
@@ -287,7 +280,6 @@ func federationConfig(shards int, gatewayBW float64, specPath string, timeout ti
 	cfg.VerifyReplay = replay
 	cfg.RebalanceInterval = rebEvery
 	cfg.RebalanceMaxMoves = rebMoves
-	cfg.RouteWorkers = routeWorkers
 	cfg.RequestTimeout = timeout
 	cfg.QueueDepth = queue
 	return cfg, nil

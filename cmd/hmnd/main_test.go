@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -28,6 +29,22 @@ func TestBuildConfig(t *testing.T) {
 	} {
 		if _, err := buildConfig(bad.workers, bad.queue, bad.batch, bad.timeout); err == nil {
 			t.Fatalf("buildConfig(%+v) must error", bad)
+		}
+	}
+}
+
+// TestProfileFlagsValidatedInFederationMode pins the profiling flags to
+// both modes: with -shards they used to be accepted and ignored.
+func TestProfileFlagsValidatedInFederationMode(t *testing.T) {
+	for _, mode := range [][]string{
+		nil,
+		{"-shards", "2", "-shard-cluster", "cluster.json"},
+	} {
+		for _, bad := range []string{"-block-profile-rate", "-mutex-profile-fraction"} {
+			_, err := configure(append(append([]string{}, mode...), bad, "-1"))
+			if err == nil || !strings.Contains(err.Error(), bad+" must be >= 0, got -1") {
+				t.Fatalf("configure(%v %s -1) = %v, want the usage error", mode, bad, err)
+			}
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/mapping"
 	"repro/internal/wal"
 )
 
@@ -140,12 +139,10 @@ func verify(dir string) error {
 	sort.Strings(sids)
 	for _, sid := range sids {
 		cs := sessions[sid]
-		inc := cs.ObjectiveStdDev()
-		re := mapping.Objective(cs.ResidualProc())
-		if diff := inc - re; diff > 1e-9 || diff < -1e-9 {
-			return fmt.Errorf("session %s: incremental objective %.17g diverges from recomputed %.17g", sid, inc, re)
+		if err := wal.VerifyObjective(cs); err != nil {
+			return fmt.Errorf("session %s: %w", sid, err)
 		}
-		fmt.Printf("session %s: ok (active=%d objective=%.6g)\n", sid, cs.Active(), inc)
+		fmt.Printf("session %s: ok (active=%d objective=%.6g)\n", sid, cs.Active(), cs.ObjectiveStdDev())
 	}
 	fmt.Printf("verified: %d session(s), %d record(s) replayed", len(sessions), replayed)
 	if rec.TruncatedBytes > 0 {

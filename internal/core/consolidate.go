@@ -27,9 +27,6 @@ type Consolidator struct {
 	// MaxPasses caps consolidation sweeps; 0 means run until no host can
 	// be emptied.
 	MaxPasses int
-	// RouteWorkers > 1 parallelises the Networking stage, bit-identically
-	// (see HMN.RouteWorkers).
-	RouteWorkers int
 }
 
 // Name implements Mapper.
@@ -50,7 +47,7 @@ func (x *Consolidator) Map(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping
 		return nil, fmt.Errorf("HMN-C hosting stage: %w", err)
 	}
 	consolidateIndexed(led, v, m.GuestHost, x.MaxPasses, hi)
-	if err := network(led, v, m.GuestHost, m.LinkPath, OrderDescendingBW, x.AStar, nil, nil, x.RouteWorkers, nil); err != nil {
+	if err := network(led, v, m.GuestHost, m.LinkPath, OrderDescendingBW, x.AStar, nil, nil, nil); err != nil {
 		return nil, fmt.Errorf("HMN-C networking stage: %w", err)
 	}
 	return m, nil

@@ -116,12 +116,6 @@ type HMN struct {
 	// termination rule ("while the load balance factor improves").
 	MaxMigrations int
 
-	// RouteWorkers > 1 routes the Networking stage's inter-host links
-	// speculatively on that many goroutines with a deterministic
-	// in-order merge (parroute.go); results are bit-identical to the
-	// sequential stage for any worker count. 0 or 1 routes sequentially.
-	RouteWorkers int
-
 	// ExactObjective makes every Migration what-if recompute the Eq. (10)
 	// objective from scratch (population stddev over all residuals)
 	// instead of using the ledger's O(1) running-sum delta — a debug mode
@@ -180,7 +174,7 @@ func (h *HMN) MapWithStats(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping
 	}
 
 	t2 := time.Now() //hmn:wallclock
-	if err := network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, nil, h.RouteWorkers, nil); err != nil {
+	if err := network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, nil, nil); err != nil {
 		st.NetworkingSeconds = time.Since(t2).Seconds() //hmn:wallclock
 		return nil, st, fmt.Errorf("HMN networking stage: %w", err)
 	}

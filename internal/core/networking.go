@@ -28,11 +28,9 @@ import (
 // tractable without changing any result.
 // arc may be nil (one-shot mappers); a session passes its AR cache so
 // repeated admissions on an unchanged topology skip the Dijkstra sweep.
-// workers > 1 routes inter-host links speculatively on that many
-// goroutines with a deterministic in-order merge (parroute.go); results
-// are bit-identical for any worker count. ms may be nil (one-shot
-// mappers), which allocates the stage's buffers per call.
-func network(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, order LinkOrder, astar graph.AStarPruneOptions, rng *rand.Rand, arc *arCache, workers int, ms *mapScratch) error {
+// ms may be nil (one-shot mappers), which allocates the stage's buffers
+// per call.
+func network(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, order LinkOrder, astar graph.AStarPruneOptions, rng *rand.Rand, arc *arCache, ms *mapScratch) error {
 	var ids []int
 	if ms != nil {
 		ms.ids = intsFor(ms.ids, v.NumLinks())
@@ -43,7 +41,7 @@ func network(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths [
 	for i := range ids {
 		ids[i] = i
 	}
-	return routeLinks(led, v, assign, paths, ids, order, astar, rng, arc, workers, ms)
+	return routeLinks(led, v, assign, paths, ids, order, astar, rng, arc, ms)
 }
 
 // routeLinks routes the subset of v's virtual links named by linkIDs,
@@ -52,7 +50,7 @@ func network(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths [
 // of links outside the subset — are respected. It is the whole
 // Networking stage when linkIDs covers every link, and the repair
 // engine's cheap path when it covers only the links a failure broke.
-func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, order LinkOrder, astar graph.AStarPruneOptions, rng *rand.Rand, arc *arCache, workers int, ms *mapScratch) error {
+func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, order LinkOrder, astar graph.AStarPruneOptions, rng *rand.Rand, arc *arCache, ms *mapScratch) error {
 	net := led.Cluster().Net()
 	bw := led.BandwidthFunc()
 
@@ -113,13 +111,6 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 		}
 		tables[dest] = ar
 		return ar
-	}
-
-	// With workers > 1 the routing loop itself runs speculatively on
-	// worker goroutines with a deterministic in-order merge; the results
-	// are bit-identical to the sequential loop below for any count.
-	if workers > 1 && len(links) >= minParallelLinks {
-		return routeLinksParallel(led, v, links, assign, paths, astar, arTo, workers, ms)
 	}
 
 	// One scratch serves the whole stage: routing is sequential, so every

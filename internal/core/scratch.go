@@ -36,10 +36,6 @@ type mapScratch struct {
 	astar *graph.AStarScratch
 	arena *graph.PathArena
 
-	// par is the parallel Networking stage's per-worker state, created
-	// on first use by a mapper with RouteWorkers > 1.
-	par *parScratch
-
 	// Migration stage working sets: host node list, per-host guest
 	// rosters (dense, keyed by cluster host index), the per-round donor
 	// worklist and the live-order snapshot destinations() copies.

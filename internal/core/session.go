@@ -124,7 +124,7 @@ func (h *HMN) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mappin
 	if !h.DisableMigration {
 		migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, h.ExactObjective, nil, ms)
 	}
-	if err := network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, arc, h.RouteWorkers, ms); err != nil {
+	if err := network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, arc, ms); err != nil {
 		return fmt.Errorf("HMN networking stage: %w", err)
 	}
 	return nil
@@ -132,7 +132,7 @@ func (h *HMN) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mappin
 
 // rerouteOnLedger re-routes a link subset with HMN's Networking options.
 func (h *HMN) rerouteOnLedger(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
-	return routeLinks(led, v, assign, paths, linkIDs, h.NetworkOrder, h.AStar, h.Rand, arc, h.RouteWorkers, ms)
+	return routeLinks(led, v, assign, paths, linkIDs, h.NetworkOrder, h.AStar, h.Rand, arc, ms)
 }
 
 // mapOnLedger runs Hosting, consolidation and Networking against an
@@ -144,7 +144,7 @@ func (x *Consolidator) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mappi
 		return fmt.Errorf("HMN-C hosting stage: %w", err)
 	}
 	consolidateIndexed(led, v, m.GuestHost, x.MaxPasses, hi)
-	if err := network(led, v, m.GuestHost, m.LinkPath, OrderDescendingBW, x.AStar, nil, arc, x.RouteWorkers, ms); err != nil {
+	if err := network(led, v, m.GuestHost, m.LinkPath, OrderDescendingBW, x.AStar, nil, arc, ms); err != nil {
 		return fmt.Errorf("HMN-C networking stage: %w", err)
 	}
 	return nil
@@ -152,7 +152,7 @@ func (x *Consolidator) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mappi
 
 // rerouteOnLedger re-routes a link subset with HMN-C's Networking options.
 func (x *Consolidator) rerouteOnLedger(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
-	return routeLinks(led, v, assign, paths, linkIDs, OrderDescendingBW, x.AStar, nil, arc, x.RouteWorkers, ms)
+	return routeLinks(led, v, assign, paths, linkIDs, OrderDescendingBW, x.AStar, nil, arc, ms)
 }
 
 // NewSession opens a session on c with the VMM overhead deducted once.
@@ -204,21 +204,6 @@ func sessionMapperFor(mapper Mapper, overhead cluster.VMMOverhead) (sessionMappe
 		return m, nil
 	default:
 		return nil, fmt.Errorf("session: mapper %s cannot run incrementally (needs a ledger-driven mapper such as HMN or HMN-C)", mapper.Name())
-	}
-}
-
-// SetRouteWorkers sets the parallel Networking stage's worker count on
-// the session's mapper (see HMN.RouteWorkers); values <= 1 keep the
-// serial stage. Call it before serving admissions. Because the parallel
-// stage is bit-identical to the serial one, a recovered session may
-// apply a different worker count than it originally ran with — replay
-// itself never runs the mapper at all.
-func (s *Session) SetRouteWorkers(workers int) {
-	switch m := s.mapper.(type) {
-	case *HMN:
-		m.RouteWorkers = workers
-	case *Consolidator:
-		m.RouteWorkers = workers
 	}
 }
 

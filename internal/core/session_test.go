@@ -144,6 +144,37 @@ func TestSessionFailedMapLeavesStateUntouched(t *testing.T) {
 	}
 }
 
+// TestSessionMidRouteFailureLeavesStateUntouched fails an admission in
+// the middle of the Networking stage — hosting succeeds, then the
+// aggregate link demand cannot fit the switched fabric's 1000Mbps
+// trunks — after earlier links already reserved bandwidth on the
+// attempt's ledger.
+func TestSessionMidRouteFailureLeavesStateUntouched(t *testing.T) {
+	specs := workload.GenerateHosts(workload.PaperClusterParams(), rand.New(rand.NewSource(7)))
+	c, err := topology.Switched(specs, workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(c, cluster.VMMOverhead{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := workload.HighLevelParams(140, 0.04)
+	p.BWMin, p.BWMax = 150, 500
+	env := workload.GenerateEnv(p, rand.New(rand.NewSource(11)))
+
+	before := s.ResidualProc()
+	if _, err := s.Map(env); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("want ErrNoPath, got %v", err)
+	}
+	after := s.ResidualProc()
+	for i := range before {
+		if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
+			t.Fatalf("failed admission changed residual[%d]: %v -> %v", i, before[i], after[i])
+		}
+	}
+}
+
 func TestSessionReleaseUnknownMapping(t *testing.T) {
 	c, s := sessionFixture(t)
 	stray := mapping.New(c, smallEnv(5, 10))

@@ -38,12 +38,6 @@ type Config struct {
 	// Workers bounds the number of concurrent repetitions; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// RouteWorkers is HMN's parallel Networking worker count (see
-	// core.HMN.RouteWorkers). <= 1 routes serially. Objectives and
-	// mappings are bit-identical for any value; only map_seconds moves,
-	// so sweeps with different RouteWorkers remain comparable on every
-	// gated metric.
-	RouteWorkers int
 	// Scenarios and Topologies select the matrix (defaults: the paper's).
 	Scenarios  []Scenario
 	Topologies []Topology
@@ -238,7 +232,7 @@ func execute(cfg Config, sc Scenario, topo Topology, name string, rep int, c *cl
 
 	start := time.Now() //hmn:wallclock
 	if name == "HMN" {
-		h := &core.HMN{Overhead: cfg.Overhead, RouteWorkers: cfg.RouteWorkers}
+		h := &core.HMN{Overhead: cfg.Overhead}
 		m, st, err := h.MapWithStats(c, env)
 		r.MapSeconds = time.Since(start).Seconds() //hmn:wallclock
 		r.Stages = st

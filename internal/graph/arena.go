@@ -15,8 +15,7 @@ package graph
 // route speculatively and discard (what-if evaluation) should prefer a
 // short-lived arena so discarded chunks get collected.
 //
-// A PathArena is not safe for concurrent use; parallel routing workers
-// each hold their own.
+// A PathArena is not safe for concurrent use.
 type PathArena struct {
 	nodes []NodeID
 	edges []int

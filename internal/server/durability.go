@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -26,14 +24,6 @@ import (
 //     returns 503 "replaying" until it finishes;
 //   - a background loop (and graceful shutdown, after the queue drains)
 //     takes full-state snapshots that truncate the log.
-
-// objectiveTolerance is the acceptable gap between a recovered
-// session's incremental Eq. (10) objective and a two-pass recompute
-// from its residual vector — the same band the core property tests use.
-// The residual vectors themselves are compared bit-exactly by the WAL
-// tests; the objective accumulators are rebuilt on restore (see
-// cluster.LedgerState) and may differ in the last few ulps.
-const objectiveTolerance = 1e-9
 
 // logf reports durability housekeeping through the configured logger.
 func (s *Server) logf(format string, args ...interface{}) {
@@ -137,7 +127,7 @@ func (s *Server) Recover() error {
 	// silently swallow the new session's low-index records.
 	maxSession := 0
 	noteSID := func(sid string) {
-		if n, ok := sessionOrdinal(sid); ok && n > maxSession {
+		if n, ok := wal.SessionOrdinal(sid); ok && n > maxSession {
 			maxSession = n
 		}
 	}
@@ -152,7 +142,6 @@ func (s *Server) Recover() error {
 			if err != nil {
 				return err
 			}
-			cs.SetRouteWorkers(s.cfg.RouteWorkers)
 			sess := s.sessionShell(sn.SID, sn.Cluster, sn.Mapper, cs)
 			sess.overhead.Proc, sess.overhead.Mem, sess.overhead.Stor = sn.Proc, sn.Mem, sn.Stor
 			sess.nextEnv = int(sn.NextEnv)
@@ -178,7 +167,6 @@ func (s *Server) Recover() error {
 			if err != nil {
 				return err
 			}
-			cs.SetRouteWorkers(s.cfg.RouteWorkers)
 			restoring[rec.SID] = s.sessionShell(rec.SID, rec.Open.Cluster, rec.Open.Mapper, cs)
 			restoring[rec.SID].overhead.Proc = rec.Open.Proc
 			restoring[rec.SID].overhead.Mem = rec.Open.Mem
@@ -202,7 +190,7 @@ func (s *Server) Recover() error {
 				return err
 			}
 			s.mReplayRecords.Inc()
-			noteEnvOrdinals(sess, rec)
+			rec.EachTag(sess.noteEnvOrdinal)
 		}
 	}
 
@@ -226,9 +214,7 @@ func (s *Server) Recover() error {
 			// replayed-record bumps: no live environment's ID is ever
 			// handed out again, even against a snapshot whose counter
 			// lagged its active set.
-			if n, ok := envOrdinal(a.Tag); ok && n > sess.nextEnv {
-				sess.nextEnv = n
-			}
+			sess.noteEnvOrdinal(a.Tag)
 		}
 		totalEnvs += len(sess.envs)
 		if s.cfg.VerifyReplay {
@@ -270,10 +256,8 @@ func (s *Server) Recover() error {
 //
 //hmn:locked mu
 func verifySession(sess *session) error {
-	inc := sess.core.ObjectiveStdDev()
-	re := mapping.Objective(sess.core.ResidualProc())
-	if diff := inc - re; diff > objectiveTolerance || diff < -objectiveTolerance {
-		return fmt.Errorf("server: session %s recovered objective %.17g diverges from recomputed %.17g", sess.id, inc, re)
+	if err := wal.VerifyObjective(sess.core); err != nil {
+		return fmt.Errorf("server: session %s %w", sess.id, err)
 	}
 	if got, want := len(sess.envs), sess.core.Active(); got != want {
 		return fmt.Errorf("server: session %s recovered %d environment records for %d active environments", sess.id, got, want)
@@ -296,54 +280,17 @@ func (s *Server) sessionShell(sid string, cs spec.ClusterSpec, mapperName string
 	}
 }
 
-// noteEnvOrdinals advances the session's environment-ID counter past
-// every ID a replayed record names, so a recovered daemon never hands
-// out an ID twice. The session is not yet published (recovery runs
-// before the listener), so no handler can race it.
+// noteEnvOrdinal advances the session's environment-ID counter past
+// the ID a replayed record or a recovered active set names, so a
+// recovered daemon never hands out an ID twice. The session is not yet
+// published (recovery runs before the listener), so no handler can
+// race it.
 //
 //hmn:locked mu
-func noteEnvOrdinals(sess *session, rec *wal.Record) {
-	bump := func(tag string) {
-		if n, ok := envOrdinal(tag); ok && n > sess.nextEnv {
-			sess.nextEnv = n
-		}
+func (sess *session) noteEnvOrdinal(tag string) {
+	if n, ok := wal.EnvOrdinal(tag); ok && n > sess.nextEnv {
+		sess.nextEnv = n
 	}
-	switch rec.Kind {
-	case wal.KindAdmit:
-		bump(rec.Admit.Tag)
-	case wal.KindBatch:
-		for i := range rec.Batch {
-			bump(rec.Batch[i].Tag)
-		}
-	case wal.KindFail:
-		for _, rr := range rec.Fail.Repairs {
-			bump(rr.Tag)
-		}
-	}
-}
-
-// envOrdinal parses hmnd's environment IDs ("e7" → 7).
-func envOrdinal(tag string) (int, bool) {
-	if !strings.HasPrefix(tag, "e") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(tag[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// sessionOrdinal parses hmnd's session IDs ("s3" → 3).
-func sessionOrdinal(sid string) (int, bool) {
-	if !strings.HasPrefix(sid, "s") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(sid[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // exportAll captures every open session for a snapshot, in session-ID

@@ -40,8 +40,6 @@ type FedConfig struct {
 	// rebalancer, as in Config.
 	RebalanceInterval time.Duration
 	RebalanceMaxMoves int
-	// RouteWorkers is the parallel Networking stage width per shard.
-	RouteWorkers int
 	// RequestTimeout bounds each request; MaxBodyBytes each body.
 	RequestTimeout time.Duration
 	MaxBodyBytes   int64
@@ -126,7 +124,6 @@ func (s *FedServer) shardConfig() shard.Config {
 	return shard.Config{
 		Mapper:            s.cfg.Mapper,
 		Overhead:          s.cfg.Overhead,
-		RouteWorkers:      s.cfg.RouteWorkers,
 		GatewayBW:         s.cfg.GatewayBW,
 		DataDir:           s.cfg.DataDir,
 		SnapshotInterval:  s.cfg.SnapshotInterval,

@@ -110,10 +110,6 @@ type Config struct {
 	// destination swap counts as two). <= 0 means unbounded: a round
 	// plans until no move improves the objective.
 	RebalanceMaxMoves int
-	// RouteWorkers is the parallel Networking stage's worker count,
-	// applied to every session's mapper (opened or recovered). <= 1
-	// routes serially. Mapping output is bit-identical either way.
-	RouteWorkers int
 	// Logf receives durability warnings and recovery progress; nil
 	// discards them.
 	Logf func(format string, args ...interface{})
@@ -589,7 +585,6 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	cs.SetRouteWorkers(s.cfg.RouteWorkers)
 
 	s.admitMu.RLock()
 	draining := s.draining

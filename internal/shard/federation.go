@@ -163,7 +163,6 @@ func (f *Federation) buildShard(k int, c *cluster.Cluster) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess.SetRouteWorkers(f.cfg.RouteWorkers)
 	sh := &Shard{
 		Index:       k,
 		c:           c,
@@ -641,35 +640,11 @@ func sortedEnvIDs(t *tenant) []string {
 		out = append(out, eid)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		a, _ := envOrdinal(out[i])
-		b, _ := envOrdinal(out[j])
+		a, _ := wal.EnvOrdinal(out[i])
+		b, _ := wal.EnvOrdinal(out[j])
 		return a < b
 	})
 	return out
-}
-
-// envOrdinal parses environment IDs ("e7" → 7).
-func envOrdinal(eid string) (int, bool) {
-	if !strings.HasPrefix(eid, "e") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(eid[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// sessionOrdinal parses tenant session IDs ("s3" → 3).
-func sessionOrdinal(sid string) (int, bool) {
-	if !strings.HasPrefix(sid, "s") {
-		return 0, false
-	}
-	n, err := strconv.Atoi(sid[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }
 
 // CloseTenant releases every environment of sid and retires the ID.

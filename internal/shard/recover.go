@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mapping"
 	"repro/internal/wal"
 )
 
@@ -25,10 +24,6 @@ const metaName = "federation.json"
 
 // metaTmp is the atomic-rename staging name for metaName.
 const metaTmp = "federation.json.tmp"
-
-// objectiveTolerance bounds the incremental-vs-recomputed objective
-// drift VerifyReplay accepts, matching the single-daemon verifier.
-const objectiveTolerance = 1e-9
 
 // fedMeta is the durable tenant registry. It changes only on tenant
 // open and close — environment membership is recovered from the
@@ -206,7 +201,7 @@ func Recover(cfg Config) (*Federation, error) {
 	f.nextSID = meta.NextSession
 	for _, sid := range meta.Tenants {
 		f.tenants[sid] = &tenant{id: sid, envs: make(map[string]*envRec)}
-		if n, ok := sessionOrdinal(sid); ok && n > f.nextSID {
+		if n, ok := wal.SessionOrdinal(sid); ok && n > f.nextSID {
 			f.nextSID = n
 		}
 	}
@@ -230,9 +225,9 @@ func Recover(cfg Config) (*Federation, error) {
 	}
 	for k, sh := range f.shards {
 		if f.cfg.VerifyReplay {
-			if err := verifyShard(sh); err != nil {
+			if err := wal.VerifyObjective(sh.sess); err != nil {
 				f.abortBuild()
-				return nil, err
+				return nil, fmt.Errorf("shard: shard %d %w", sh.Index, err)
 			}
 		}
 		f.attachWAL(sh)
@@ -288,6 +283,13 @@ func (f *Federation) recoverShard(k int) (*Shard, int, error) {
 		boundary = sn.OpCount
 		envHigh = int(sn.NextEnv)
 	}
+	noteEnvHigh := func(tag string) {
+		if _, eid, _, _, _, ok := parseTag(tag); ok {
+			if n, ok := wal.EnvOrdinal(eid); ok && n > envHigh {
+				envHigh = n
+			}
+		}
+	}
 	for i := range recovered.Records {
 		rec := &recovered.Records[i]
 		if rec.SID != sid {
@@ -318,43 +320,14 @@ func (f *Federation) recoverShard(k int) (*Shard, int, error) {
 			if f.cfg.Hooks.OnReplay != nil {
 				f.cfg.Hooks.OnReplay()
 			}
-			if high := recordEnvHigh(rec); high > envHigh {
-				envHigh = high
-			}
+			rec.EachTag(noteEnvHigh)
 		}
 	}
 	if sh.sess == nil {
 		return fail(fmt.Errorf("shard: %s directory holds no session state", sid))
 	}
-	sh.sess.SetRouteWorkers(f.cfg.RouteWorkers)
 	f.attachRebalance(sh)
 	return sh, envHigh, nil
-}
-
-// recordEnvHigh extracts the highest environment ordinal a replayed
-// record's tags name.
-func recordEnvHigh(rec *wal.Record) int {
-	high := 0
-	bump := func(tag string) {
-		if _, eid, _, _, _, ok := parseTag(tag); ok {
-			if n, ok := envOrdinal(eid); ok && n > high {
-				high = n
-			}
-		}
-	}
-	switch rec.Kind {
-	case wal.KindAdmit:
-		bump(rec.Admit.Tag)
-	case wal.KindBatch:
-		for i := range rec.Batch {
-			bump(rec.Batch[i].Tag)
-		}
-	case wal.KindFail:
-		for _, rr := range rec.Fail.Repairs {
-			bump(rr.Tag)
-		}
-	}
-	return high
 }
 
 // rebuildRegistry reconstructs every tenant's environment records from
@@ -393,15 +366,15 @@ func (f *Federation) rebuildRegistry() error {
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].sid != order[j].sid {
-			a, aok := sessionOrdinal(order[i].sid)
-			b, bok := sessionOrdinal(order[j].sid)
+			a, aok := wal.SessionOrdinal(order[i].sid)
+			b, bok := wal.SessionOrdinal(order[j].sid)
 			if aok && bok && a != b {
 				return a < b
 			}
 			return order[i].sid < order[j].sid
 		}
-		a, _ := envOrdinal(order[i].eid)
-		b, _ := envOrdinal(order[j].eid)
+		a, _ := wal.EnvOrdinal(order[i].eid)
+		b, _ := wal.EnvOrdinal(order[j].eid)
 		return a < b
 	})
 
@@ -487,15 +460,4 @@ func (f *Federation) seedRouterEnvs() {
 	for k, sh := range f.shards {
 		f.router.resync(k, sh.sess.ResidualSummary())
 	}
-}
-
-// verifyShard cross-checks a recovered shard before it serves: the
-// incremental objective must match a two-pass recompute.
-func verifyShard(sh *Shard) error {
-	inc := sh.sess.ObjectiveStdDev()
-	re := mapping.Objective(sh.sess.ResidualProc())
-	if diff := inc - re; diff > objectiveTolerance || diff < -objectiveTolerance {
-		return fmt.Errorf("shard: shard %d recovered objective %.17g diverges from recomputed %.17g", sh.Index, inc, re)
-	}
-	return nil
 }

@@ -69,9 +69,6 @@ type Config struct {
 	Mapper string
 	// Overhead is the per-host VMM overhead, applied to every shard.
 	Overhead cluster.VMMOverhead
-	// RouteWorkers is the parallel Networking stage's worker count per
-	// shard session (see core.Session.SetRouteWorkers).
-	RouteWorkers int
 	// GatewayBW is the inter-shard gateway bandwidth budget in Mbps.
 	// Zero disables split admissions: an environment that fits no
 	// single shard is rejected with ErrNoShardFits.

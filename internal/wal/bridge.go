@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -245,6 +246,61 @@ func ReplayRecord(cs *core.Session, rec *Record) error {
 	default:
 		return fmt.Errorf("wal: session %s: unknown record kind %q", rec.SID, rec.Kind)
 	}
+}
+
+// EachTag calls fn with every caller tag an operation record introduces
+// (admit, batch and fail-repair records; the other kinds name no tag
+// the session has not seen), so recovery can advance its ID counters
+// past them.
+func (rec *Record) EachTag(fn func(tag string)) {
+	switch rec.Kind {
+	case KindAdmit:
+		fn(rec.Admit.Tag)
+	case KindBatch:
+		for i := range rec.Batch {
+			fn(rec.Batch[i].Tag)
+		}
+	case KindFail:
+		for _, rr := range rec.Fail.Repairs {
+			fn(rr.Tag)
+		}
+	}
+}
+
+// objectiveTolerance is the acceptable gap between a recovered
+// session's incremental Eq. (10) objective and a two-pass recompute
+// from its residual vector — the same band the core property tests use.
+// The residual vectors themselves are compared bit-exactly by the WAL
+// tests; the objective accumulators are rebuilt on restore (see
+// cluster.LedgerState) and may differ in the last few ulps.
+const objectiveTolerance = 1e-9
+
+// VerifyObjective cross-checks a recovered session before it serves:
+// the incremental objective must match a two-pass recompute.
+func VerifyObjective(cs *core.Session) error {
+	inc := cs.ObjectiveStdDev()
+	re := mapping.Objective(cs.ResidualProc())
+	if diff := inc - re; diff > objectiveTolerance || diff < -objectiveTolerance {
+		return fmt.Errorf("recovered objective %.17g diverges from recomputed %.17g", inc, re)
+	}
+	return nil
+}
+
+// EnvOrdinal parses hmnd's environment IDs ("e7" → 7).
+func EnvOrdinal(eid string) (int, bool) { return ordinal(eid, 'e') }
+
+// SessionOrdinal parses hmnd's session IDs ("s3" → 3).
+func SessionOrdinal(sid string) (int, bool) { return ordinal(sid, 's') }
+
+func ordinal(id string, prefix byte) (int, bool) {
+	if id == "" || id[0] != prefix {
+		return 0, false
+	}
+	n, err := strconv.Atoi(id[1:])
+	if err != nil || n < 0 {
+		return 0, false
+	}
+	return n, true
 }
 
 func decodeAdmit(c *cluster.Cluster, a *AdmitRec) (*virtual.Env, *mapping.Mapping, error) {
