@@ -283,27 +283,116 @@ func BenchmarkAblationAStarDominance(b *testing.B) {
 	})
 }
 
-// BenchmarkAStarPrune measures the raw modified A*Prune search between
-// random host pairs on the torus with paper-typical constraints.
+// BenchmarkAStarPrune measures the modified A*Prune search in the regimes
+// the Networking stage runs it in, and in the one a casual caller gets.
+//
+//   - torus8x8_loaded is hmnperf's torus_route seen from inside: the 8x8
+//     10 Gbps / 1 ms torus with the reservations of some 8000 routed
+//     links on it, so that every edge has its own residual and
+//     bottlenecks rarely tie; low-level demands (0.087-0.175 Mbps within
+//     30-60 ms); and what core.routeLinks holds across searches — one
+//     scratch, one path arena, the ar[] tables from the session cache.
+//   - switched40 is the same on the paper's switched cluster, where
+//     nearly every neighbour of the switch is a dead-end leaf.
+//   - cold_nil_opts passes nil options on the unloaded paper torus: each
+//     search computes its own Dijkstra table, borrows a pooled scratch
+//     and allocates its path, and every bottleneck ties at 1 Gbps.
 func BenchmarkAStarPrune(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
-	c, err := topology.Torus2D(specs, 8, 5, workload.PhysLinkBW, workload.PhysLinkLat)
-	if err != nil {
-		b.Fatal(err)
+	b.Run("torus8x8_loaded", func(b *testing.B) {
+		p := workload.PaperClusterParams()
+		p.Hosts = 64
+		c, err := topology.Torus2D(workload.GenerateHosts(p, rand.New(rand.NewSource(5))), 8, 8, 10000, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchAStarLoaded(b, c)
+	})
+	b.Run("switched40", func(b *testing.B) {
+		specs := workload.GenerateHosts(workload.PaperClusterParams(), rand.New(rand.NewSource(5)))
+		c, err := topology.Switched(specs, workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchAStarLoaded(b, c)
+	})
+	b.Run("cold_nil_opts", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(5))
+		specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
+		c, err := topology.Torus2D(specs, 8, 5, workload.PhysLinkBW, workload.PhysLinkLat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := c.Net()
+		bw := g.NominalBandwidth()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			src := graph.NodeID(i % 40)
+			dst := graph.NodeID((i*7 + 13) % 40)
+			if src == dst {
+				continue
+			}
+			if _, ok := graph.AStarPrune(g, src, dst, 1.0, 45, bw, nil); !ok {
+				b.Fatal("torus pair should be routable")
+			}
+		}
+	})
+}
+
+// benchAStarLoaded times warmed-up searches between the hosts of c
+// against residuals a seeded pass of routed-and-reserved links has left
+// uneven. The residuals stay put while the clock runs, so every
+// iteration does the same work.
+func benchAStarLoaded(b *testing.B, c *Cluster) {
+	type query struct {
+		src, dst graph.NodeID
+		bw, lat  float64
 	}
 	g := c.Net()
-	bw := g.NominalBandwidth()
+	hosts := c.HostNodes()
+	rng := rand.New(rand.NewSource(7))
+	low := workload.LowLevelParams(0, 0)
+	draw := func() query {
+		q := query{
+			src: hosts[rng.Intn(len(hosts))],
+			bw:  low.BWMin + (low.BWMax-low.BWMin)*rng.Float64(),
+			lat: low.LatMin + (low.LatMax-low.LatMin)*rng.Float64(),
+		}
+		for q.dst = q.src; q.dst == q.src; {
+			q.dst = hosts[rng.Intn(len(hosts))]
+		}
+		return q
+	}
+	ar := make(map[graph.NodeID][]float64, len(hosts))
+	for _, h := range hosts {
+		ar[h] = graph.DijkstraLatency(g, h)
+	}
+	residual := make([]float64, g.NumEdges())
+	for e := range residual {
+		residual[e] = g.Edge(e).Bandwidth
+	}
+	bw := func(e int) float64 { return residual[e] }
+	opts := &graph.AStarPruneOptions{Scratch: graph.NewAStarScratch(), Arena: graph.NewPathArena()}
+	for i := 0; i < 8000; i++ {
+		q := draw()
+		opts.AR = ar[q.dst]
+		if path, ok := graph.AStarPrune(g, q.src, q.dst, q.bw, q.lat, bw, opts); ok {
+			for _, e := range path.Edges {
+				residual[e] -= q.bw
+			}
+		}
+	}
+	queries := make([]query, 1024)
+	for i := range queries {
+		queries[i] = draw()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := graph.NodeID(i % 40)
-		dst := graph.NodeID((i*7 + 13) % 40)
-		if src == dst {
-			continue
-		}
-		if _, ok := graph.AStarPrune(g, src, dst, 1.0, 45, bw, nil); !ok {
-			b.Fatal("torus pair should be routable")
+		q := queries[i%len(queries)]
+		opts.AR = ar[q.dst]
+		if _, ok := graph.AStarPrune(g, q.src, q.dst, q.bw, q.lat, bw, opts); !ok {
+			b.Fatalf("query %d (%d->%d, %.3f Mbps within %.1f ms) should be routable", i, q.src, q.dst, q.bw, q.lat)
 		}
 	}
 }

@@ -323,3 +323,36 @@ func TestReplayMigrateDiverged(t *testing.T) {
 		t.Fatalf("unrecorded relocation: got %v, want ErrReplayDiverged", err)
 	}
 }
+
+// ReleaseTagged names an environment the way that survives a migrate: by
+// tag, resolved under the session lock. The pointer a caller kept from
+// admission is ErrNotActive by then.
+func TestReleaseTaggedAfterMigrate(t *testing.T) {
+	s, h, _ := pileSession(t, 4)
+	oldM := s.MappingBySeq(1)
+	if _, err := s.MigrateGuests([]GuestMove{{Seq: 1, Guest: 1, From: h[0], To: h[1]}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release(oldM); !errors.Is(err, ErrNotActive) {
+		t.Fatalf("release of the retired pointer: %v, want ErrNotActive", err)
+	}
+	for _, tag := range []string{"", "e2"} {
+		if err := s.ReleaseTagged(tag); !errors.Is(err, ErrNotActive) {
+			t.Fatalf("ReleaseTagged(%q): %v, want ErrNotActive", tag, err)
+		}
+	}
+	var events []Event
+	s.SetCommitHook(func(ev Event) { events = append(events, ev) })
+	if err := s.ReleaseTagged("e1"); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 || events[0].Type != EventRelease || events[0].ReleaseSeq != 1 {
+		t.Fatalf("events: %+v, want one release of seq 1", events)
+	}
+	if s.Active() != 0 || s.ObjectiveStdDev() > 1e-9 {
+		t.Fatalf("after release: %d active, stddev %g", s.Active(), s.ObjectiveStdDev())
+	}
+	if err := s.ReleaseTagged("e1"); !errors.Is(err, ErrNotActive) {
+		t.Fatalf("second ReleaseTagged: %v, want ErrNotActive", err)
+	}
+}

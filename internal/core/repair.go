@@ -52,6 +52,9 @@ func (o RepairOutcome) String() string {
 type RepairResult struct {
 	// Env is the environment the repair concerned.
 	Env *virtual.Env
+	// Tag is the tag the environment was admitted under and, unless
+	// unrecoverable, stays active under; empty from a standalone Repair.
+	Tag string
 	// Old is the evicted mapping (no longer active).
 	Old *mapping.Mapping
 	// New is the active replacement mapping; nil when unrecoverable.
@@ -161,7 +164,7 @@ func (s *Session) repairLocked(ms []*mapping.Mapping, evicted []activeEntry) []R
 //
 //hmn:locked mu
 func (s *Session) repairOne(old *mapping.Mapping, tag string) RepairResult {
-	res := RepairResult{Env: old.Env, Old: old}
+	res := RepairResult{Env: old.Env, Tag: tag, Old: old}
 	if nm, ok := s.tryReroute(old, tag); ok {
 		res.New, res.Outcome = nm, RepairRepaired
 		return res

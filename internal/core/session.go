@@ -738,6 +738,30 @@ func (s *Session) Release(m *mapping.Mapping) error {
 	return nil
 }
 
+// ReleaseTagged tears down the environment admitted under tag, whatever
+// mapping currently stands for it. A migrate or a repair replaces an
+// environment's *mapping.Mapping while its tag and seq stay, so a caller
+// that other goroutines' commits can overtake — a daemon with a
+// background rebalancer — must name what it releases by tag: a pointer
+// it read a moment ago may already be ErrNotActive. The lookup happens
+// under the session lock, atomically with the release. Callers keep
+// their tags unique; the empty tag, which untagged admissions share,
+// names nothing.
+func (s *Session) ReleaseTagged(tag string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if tag != "" {
+		for m, entry := range s.active {
+			if entry.tag == tag {
+				s.releaseLocked(m)
+				s.emitLocked(Event{Type: EventRelease, ReleaseSeq: entry.seq})
+				return nil
+			}
+		}
+	}
+	return ErrNotActive
+}
+
 //hmn:locked mu
 func (s *Session) releaseLocked(m *mapping.Mapping) {
 	for g, node := range m.GuestHost {

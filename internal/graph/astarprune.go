@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 )
@@ -34,7 +33,7 @@ type AStarPruneOptions struct {
 	AR []float64
 
 	// Scratch optionally supplies reusable search state (candidate heap,
-	// partial-path arena, dominance sets), so a caller routing many links
+	// partial-path array, dominance sets), so a caller routing many links
 	// in sequence — the Networking stage — allocates it once instead of
 	// per search. When nil a scratch is borrowed from an internal
 	// sync.Pool. A scratch is NOT safe for concurrent use.
@@ -49,19 +48,33 @@ type AStarPruneOptions struct {
 	Arena *PathArena
 }
 
-// AStarScratch is the reusable allocation state of AStarPrune: the typed
-// candidate max-heap, a chunked arena for partial-path states, and the
-// epoch-stamped Pareto-dominance sets. Reusing one across sequential
-// searches removes nearly every allocation from the routing hot path.
-// The zero value is ready to use; a scratch must not be shared between
-// goroutines running searches concurrently.
+// AStarScratch is the reusable allocation state of AStarPrune: the
+// candidate max-heap, the flat array of partial-path nodes the heap
+// entries index, and the epoch-stamped Pareto-dominance sets. Reusing one
+// across sequential searches removes every allocation from the routing
+// hot path. The zero value is ready to use; a scratch must not be shared
+// between goroutines running searches concurrently.
 type AStarScratch struct {
-	heap   []*apState
-	chunks [][]apState
-	chunk  int // chunk the next state comes from
-	used   int // states handed out of chunks[chunk]
-	dom    []paretoSet
-	epoch  uint64
+	heap  []apCand
+	nodes []apNode
+	dom   []paretoSet
+	epoch uint64
+}
+
+// apNode is one node of a partial path: the graph node, the edge taken
+// to arrive at it (-1 at the origin) and the index in AStarScratch.nodes
+// of the node before it (-1 at the origin). Partial paths share prefixes,
+// so extending one appends a single apNode.
+type apNode struct {
+	node, edge, parent int32
+}
+
+// apCand is one entry of the candidate heap: the ordering key by value —
+// a comparison reads the heap array and nothing else — and idx, the
+// partial path's last apNode.
+type apCand struct {
+	bottleneck, accLat float64
+	hops, idx          int32
 }
 
 // NewAStarScratch returns an empty scratch. Equivalent to &AStarScratch{};
@@ -71,14 +84,12 @@ func NewAStarScratch() *AStarScratch { return &AStarScratch{} }
 // scratchPool recycles scratches for callers that do not hold one.
 var scratchPool = sync.Pool{New: func() interface{} { return &AStarScratch{} }}
 
-const apChunkSize = 256
-
 // begin resets the scratch for one search over a graph of n nodes.
 // Dominance sets are invalidated by epoch stamping, not cleared, so reuse
 // is O(1) in the graph size.
 func (sc *AStarScratch) begin(n int, dominance bool) {
 	sc.heap = sc.heap[:0]
-	sc.chunk, sc.used = 0, 0
+	sc.nodes = sc.nodes[:0]
 	if dominance {
 		if len(sc.dom) < n {
 			sc.dom = make([]paretoSet, n)
@@ -93,71 +104,67 @@ func (sc *AStarScratch) begin(n int, dominance bool) {
 	}
 }
 
-// newState hands out one arena-backed partial-path state. Chunks are kept
-// across searches, so a warmed-up scratch allocates nothing; pointers into
-// earlier chunks stay valid when a new chunk is added.
-func (sc *AStarScratch) newState(node NodeID, edge int, parent *apState, bottleneck, accLat float64, hops int) *apState {
-	if sc.chunk == len(sc.chunks) {
-		sc.chunks = append(sc.chunks, make([]apState, apChunkSize))
-	}
-	s := &sc.chunks[sc.chunk][sc.used]
-	sc.used++
-	if sc.used == apChunkSize {
-		sc.chunk++
-		sc.used = 0
-	}
-	*s = apState{node: node, edge: edge, parent: parent, bottleneck: bottleneck, accLat: accLat, hops: hops}
-	return s
+// extend records the partial path that reaches node over edge from the
+// partial path ending at apNode parent, and adds it to the candidate set.
+func (sc *AStarScratch) extend(node, edge, parent int32, bottleneck, accLat float64, hops int32) {
+	idx := int32(len(sc.nodes))
+	sc.nodes = append(sc.nodes, apNode{node: node, edge: edge, parent: parent})
+	sc.push(apCand{bottleneck: bottleneck, accLat: accLat, hops: hops, idx: idx})
 }
 
-// push adds a state to the typed candidate max-heap (no interface{}
-// boxing, unlike container/heap).
-func (sc *AStarScratch) push(s *apState) {
-	h := append(sc.heap, s)
+// push adds a candidate to the max-heap. Both sifts move a hole instead
+// of swapping, but make the comparisons a swapping binary heap makes, in
+// the same order: candidates with equal keys leave the heap in the order
+// AStarPruneK's container/heap releases them, which is what lets the
+// differential test demand the same path edge for edge.
+func (sc *AStarScratch) push(c apCand) {
+	h := append(sc.heap, c)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !apLess(h[i], h[p]) {
+		if !apLess(&c, &h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = c
 	sc.heap = h
 }
 
 // pop removes and returns the best candidate.
-func (sc *AStarScratch) pop() *apState {
+func (sc *AStarScratch) pop() apCand {
 	h := sc.heap
 	n := len(h) - 1
-	top := h[0]
-	h[0] = h[n]
-	h[n] = nil
+	top, c := h[0], h[n]
 	h = h[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && apLess(h[l], h[best]) {
-			best = l
+		best, bc := i, &c
+		if l < n && apLess(&h[l], bc) {
+			best, bc = l, &h[l]
 		}
-		if r < n && apLess(h[r], h[best]) {
+		if r < n && apLess(&h[r], bc) {
 			best = r
 		}
 		if best == i {
 			break
 		}
-		h[i], h[best] = h[best], h[i]
+		h[i] = h[best]
 		i = best
+	}
+	if n > 0 {
+		h[i] = c
 	}
 	sc.heap = h
 	return top
 }
 
-// apLess orders states by descending bottleneck bandwidth; ties prefer
-// lower accumulated latency, then fewer hops, for deterministic results.
-// It is the single ordering shared by the typed heap and apHeap.
-func apLess(a, b *apState) bool {
+// apLess orders candidates by descending bottleneck bandwidth; ties
+// prefer lower accumulated latency, then fewer hops, for deterministic
+// results. apStateLess is the same order on AStarPruneK's states.
+func apLess(a, b *apCand) bool {
 	if a.bottleneck != b.bottleneck {
 		return a.bottleneck > b.bottleneck
 	}
@@ -165,6 +172,40 @@ func apLess(a, b *apState) bool {
 		return a.accLat < b.accLat
 	}
 	return a.hops < b.hops
+}
+
+// onPath reports whether graph node n lies on the partial path ending at
+// apNode idx.
+func (sc *AStarScratch) onPath(idx, n int32) bool {
+	for ; idx >= 0; idx = sc.nodes[idx].parent {
+		if sc.nodes[idx].node == n {
+			return true
+		}
+	}
+	return false
+}
+
+// pathIn materialises the partial path of hops edges ending at apNode
+// idx, carving the backing arrays from arena when one is supplied.
+func (sc *AStarScratch) pathIn(idx, hops int32, arena *PathArena) Path {
+	var nodes []NodeID
+	var edges []int
+	if arena != nil {
+		nodes, edges = arena.alloc(int(hops))
+	} else {
+		nodes = make([]NodeID, hops+1)
+		edges = make([]int, hops)
+	}
+	for i := hops; ; i-- {
+		at := sc.nodes[idx]
+		nodes[i] = NodeID(at.node)
+		if at.parent < 0 {
+			break
+		}
+		edges[i-1] = int(at.edge)
+		idx = at.parent
+	}
+	return Path{Nodes: nodes, Edges: edges}
 }
 
 // AStarPrune implements the paper's modified 1-constrained A*Prune
@@ -177,11 +218,12 @@ func apLess(a, b *apState) bool {
 //
 // The search keeps a set of feasible partial paths ordered by bottleneck
 // bandwidth (a max-heap). Extensions are pruned when the extending edge
-// lacks residual bandwidth, when the node is already on the path (Eq. 7),
-// or when the accumulated latency plus the edge latency plus the Dijkstra
-// lower bound ar[h] to the destination exceeds the latency budget — the
-// admissibility test. (The paper's pseudo-code writes the test as
-// lat((d,h)) + ar[h] <= latency, omitting the accumulated term; that form
+// lacks residual bandwidth, when the node is already on the path (Eq. 7
+// — a test dominance pruning makes implicit, see where the search is
+// seeded), or when the accumulated latency plus the edge latency plus
+// the Dijkstra lower bound ar[h] to the destination exceeds the latency
+// budget — the admissibility test. (The paper's pseudo-code writes the
+// test as lat((d,h)) + ar[h] <= latency, omitting the accumulated term; that form
 // would admit latency-violating paths, so we include the accumulated
 // latency, which is also what the original A*Prune of Liu & Ramakrishnan
 // prescribes.)
@@ -210,26 +252,41 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 		defer scratchPool.Put(sc)
 	}
 	dominance := !opts.DisableDominance
-	sc.begin(g.NumNodes(), dominance)
+	sc.begin(g.n, dominance)
+	if dominance {
+		// Eq. 7 for free. Along a partial path the bottleneck never
+		// rises and the accumulated latency never falls (edge latencies
+		// are non-negative numbers), and every node on it put its own
+		// (bottleneck, latency) pair into its Pareto set — the origin
+		// here, the others when they were pushed — where it stays until
+		// a pair that dominates it replaces it. So an extension that
+		// returns to a node of its own path always finds a dominating
+		// pair there: insert rejects it, before changing anything, and
+		// the walk back along the path that Eq. 7 would cost is only
+		// needed with dominance off.
+		sc.dom[origin].insert(math.Inf(1), 0, sc.epoch)
+	}
 
-	sc.push(sc.newState(origin, -1, nil, math.Inf(1), 0, 0))
+	half := g.half
+	dst := int32(dest)
+	sc.extend(int32(origin), -1, -1, math.Inf(1), 0, 0)
 	expansions := 0
 	for len(sc.heap) > 0 {
 		best := sc.pop()
-		if best.node == dest {
-			return best.pathIn(g, opts.Arena), true
+		at := sc.nodes[best.idx].node
+		if at == dst {
+			return sc.pathIn(best.idx, best.hops, opts.Arena), true
 		}
 		expansions++
 		if opts.MaxExpansions > 0 && expansions > opts.MaxExpansions {
 			return Path{}, false
 		}
-		for _, eid := range g.Incident(best.node) {
-			e := g.Edge(eid)
-			h := e.Other(best.node)
-			if best.contains(h) {
+		for _, e := range half[at] {
+			h := e.to
+			if !dominance && sc.onPath(best.idx, h) {
 				continue // Eq. 7: no loops
 			}
-			if h != dest && len(g.Incident(h)) == 1 {
+			if h != dst && len(half[h]) == 1 {
 				// Dead end: h's only edge is the one we would arrive by, so
 				// no simple path can continue through it. Leaf hosts hanging
 				// off a switch are the common case — on switched, cascaded
@@ -239,11 +296,11 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 				// node.
 				continue
 			}
-			r := residual(eid)
+			r := residual(int(e.eid))
 			if r < bandwidth {
 				continue // Eq. 9: not enough spare bandwidth
 			}
-			accLat := best.accLat + e.Latency
+			accLat := best.accLat + e.lat
 			if accLat+ar[h] > latency {
 				continue // admissibility: cannot reach dest within budget
 			}
@@ -252,148 +309,12 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 				bn = r
 			}
 			if dominance && !sc.dom[h].insert(bn, accLat, sc.epoch) {
-				continue // dominated by an already-seen partial path
+				continue // dominated by an already-seen partial path, or a loop
 			}
-			sc.push(sc.newState(h, eid, best, bn, accLat, best.hops+1))
+			sc.extend(h, e.eid, best.idx, bn, accLat, best.hops+1)
 		}
 	}
 	return Path{}, false
-}
-
-// AStarPruneK generalises AStarPrune to the original formulation of Liu &
-// Ramakrishnan ("A*Prune: an algorithm for finding K shortest paths
-// subject to multiple constraints"): it returns up to k feasible
-// loop-free paths in descending bottleneck-bandwidth order (ties broken
-// by lower latency, then fewer hops). AStarPrune is exactly
-// AStarPruneK(..., 1). The candidate set is shared across the k
-// extractions, so the cost is one search, not k.
-//
-// Dominance pruning is forced off when k > 1: a dominated partial path
-// may still complete into one of the k best paths, so the optimisation is
-// only sound for the single-path query.
-func AStarPruneK(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual BandwidthFunc, k int, opts *AStarPruneOptions) []Path {
-	if k <= 0 {
-		return nil
-	}
-	if opts == nil {
-		opts = &AStarPruneOptions{}
-	}
-	if origin == dest {
-		return []Path{TrivialPath(origin)}
-	}
-	ar := opts.AR
-	if ar == nil {
-		ar = DijkstraLatency(g, dest)
-	}
-	if ar[origin] > latency {
-		return nil
-	}
-
-	var dom []paretoSet
-	if k == 1 && !opts.DisableDominance {
-		dom = make([]paretoSet, g.NumNodes())
-	}
-
-	var found []Path
-	start := &apState{node: origin, edge: -1, bottleneck: math.Inf(1)}
-	pq := &apHeap{start}
-	expansions := 0
-	for pq.Len() > 0 && len(found) < k {
-		best := heap.Pop(pq).(*apState)
-		if best.node == dest {
-			found = append(found, best.path(g))
-			continue
-		}
-		expansions++
-		if opts.MaxExpansions > 0 && expansions > opts.MaxExpansions {
-			break
-		}
-		for _, eid := range g.Incident(best.node) {
-			e := g.Edge(eid)
-			h := e.Other(best.node)
-			if best.contains(h) {
-				continue
-			}
-			if residual(eid) < bandwidth {
-				continue
-			}
-			accLat := best.accLat + e.Latency
-			if accLat+ar[h] > latency {
-				continue
-			}
-			bn := best.bottleneck
-			if r := residual(eid); r < bn {
-				bn = r
-			}
-			next := &apState{node: h, edge: eid, parent: best, bottleneck: bn, accLat: accLat, hops: best.hops + 1}
-			if dom != nil && !dom[h].insert(bn, accLat, 0) {
-				continue
-			}
-			heap.Push(pq, next)
-		}
-	}
-	return found
-}
-
-// apState is one feasible partial path, stored as a parent-linked list so
-// that extending a path costs O(1) instead of copying node slices.
-type apState struct {
-	node       NodeID
-	edge       int // edge taken to arrive at node; -1 at the origin
-	parent     *apState
-	bottleneck float64
-	accLat     float64
-	hops       int
-}
-
-func (s *apState) contains(n NodeID) bool {
-	for at := s; at != nil; at = at.parent {
-		if at.node == n {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *apState) path(g *Graph) Path { return s.pathIn(g, nil) }
-
-// pathIn materialises the parent-linked partial path, carving the
-// backing arrays from arena when one is supplied.
-func (s *apState) pathIn(g *Graph, arena *PathArena) Path {
-	var nodes []NodeID
-	var edges []int
-	if arena != nil {
-		nodes, edges = arena.alloc(s.hops)
-	} else {
-		nodes = make([]NodeID, s.hops+1)
-		edges = make([]int, s.hops)
-	}
-	at := s
-	for i := s.hops; at != nil; at = at.parent {
-		nodes[i] = at.node
-		if at.edge >= 0 {
-			edges[i-1] = at.edge
-		}
-		i--
-	}
-	return Path{Nodes: nodes, Edges: edges}
-}
-
-// apHeap orders states with apLess through container/heap; kept for the
-// K-path search, whose candidate set outlives single extractions.
-type apHeap []*apState
-
-func (h apHeap) Len() int            { return len(h) }
-func (h apHeap) Less(i, j int) bool  { return apLess(h[i], h[j]) }
-func (h apHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *apHeap) Push(x interface{}) { *h = append(*h, x.(*apState)) }
-func (h *apHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
 }
 
 // paretoSet keeps the non-dominated (bottleneck, latency) pairs seen at a

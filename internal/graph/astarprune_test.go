@@ -144,18 +144,21 @@ func TestAStarPruneAcceptsPrecomputedAR(t *testing.T) {
 }
 
 func TestAStarPruneMaxExpansions(t *testing.T) {
-	// A graph where reaching the destination requires several expansions;
-	// MaxExpansions=1 must abort.
+	// MaxExpansions counts the candidates popped that are not at the
+	// destination. On the chain those are nodes 0..3, so four expansions
+	// reach node 4 and three do not.
 	g := New(5)
 	g.AddEdge(0, 1, 10, 1)
 	g.AddEdge(1, 2, 10, 1)
 	g.AddEdge(2, 3, 10, 1)
 	g.AddEdge(3, 4, 10, 1)
-	if _, ok := AStarPrune(g, 0, 4, 1, 100, g.NominalBandwidth(), &AStarPruneOptions{MaxExpansions: 1}); ok {
-		t.Fatal("MaxExpansions=1 cannot reach node 4")
-	}
-	if _, ok := AStarPrune(g, 0, 4, 1, 100, g.NominalBandwidth(), &AStarPruneOptions{MaxExpansions: 1000}); !ok {
-		t.Fatal("generous budget should find the path")
+	for _, dominance := range []bool{true, false} {
+		for limit, want := range map[int]bool{1: false, 3: false, 4: true, 1000: true} {
+			opts := &AStarPruneOptions{MaxExpansions: limit, DisableDominance: !dominance}
+			if _, ok := AStarPrune(g, 0, 4, 1, 100, g.NominalBandwidth(), opts); ok != want {
+				t.Fatalf("MaxExpansions=%d (dominance %v): found=%v, want %v", limit, dominance, ok, want)
+			}
+		}
 	}
 }
 

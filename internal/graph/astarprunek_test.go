@@ -19,28 +19,6 @@ func TestAStarPruneKZeroAndTrivial(t *testing.T) {
 	}
 }
 
-func TestAStarPruneKMatchesSinglePathSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 30; trial++ {
-		g := randomConnectedGraph(rng, 3+rng.Intn(6), rng.Intn(8))
-		a, b := NodeID(0), NodeID(g.NumNodes()-1)
-		demand := rng.Float64() * 5
-		budget := 2 + rng.Float64()*12
-		p1, ok := AStarPrune(g, a, b, demand, budget, g.NominalBandwidth(), nil)
-		ps := AStarPruneK(g, a, b, demand, budget, g.NominalBandwidth(), 1, nil)
-		if ok != (len(ps) == 1) {
-			t.Fatalf("trial %d: K=1 feasibility mismatch", trial)
-		}
-		if ok {
-			b1 := p1.Bottleneck(g, g.NominalBandwidth())
-			b2 := ps[0].Bottleneck(g, g.NominalBandwidth())
-			if math.Abs(b1-b2) > 1e-9 {
-				t.Fatalf("trial %d: K=1 bottleneck %v vs single %v", trial, b2, b1)
-			}
-		}
-	}
-}
-
 func TestAStarPruneKOrderingAndFeasibility(t *testing.T) {
 	// Diamond with distinct widths: 0-1-3 (bw 10), 0-2-3 (bw 5), 0-3 (bw 2).
 	g := New(4)

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // DijkstraLatency returns, for every node, the smallest accumulated
 // latency of any path from src to that node, ignoring bandwidth.
@@ -28,21 +25,19 @@ func DijkstraLatencyAvoiding(g *Graph, src NodeID, avoid func(edgeID int) bool) 
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	pq := &distHeap{{node: src, dist: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
+	pq := distHeap{{dist: 0, node: int32(src)}}
+	for len(pq) > 0 {
+		item := pq.pop()
 		if item.dist > dist[item.node] {
 			continue // stale entry
 		}
-		for _, eid := range g.Incident(item.node) {
-			if avoid != nil && avoid(eid) {
+		for _, e := range g.half[item.node] {
+			if avoid != nil && avoid(int(e.eid)) {
 				continue
 			}
-			e := g.Edge(eid)
-			v := e.Other(item.node)
-			if nd := item.dist + e.Latency; nd < dist[v] {
-				dist[v] = nd
-				heap.Push(pq, distItem{node: v, dist: nd})
+			if nd := item.dist + e.lat; nd < dist[e.to] {
+				dist[e.to] = nd
+				pq.push(distItem{dist: nd, node: e.to})
 			}
 		}
 	}
@@ -60,22 +55,20 @@ func DijkstraLatencyPath(g *Graph, src, dst NodeID) (Path, bool) {
 		prevEdge[i] = -1
 	}
 	dist[src] = 0
-	pq := &distHeap{{node: src, dist: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
+	pq := distHeap{{dist: 0, node: int32(src)}}
+	for len(pq) > 0 {
+		item := pq.pop()
 		if item.dist > dist[item.node] {
 			continue
 		}
-		if item.node == dst {
+		if NodeID(item.node) == dst {
 			break
 		}
-		for _, eid := range g.Incident(item.node) {
-			e := g.Edge(eid)
-			v := e.Other(item.node)
-			if nd := item.dist + e.Latency; nd < dist[v] {
-				dist[v] = nd
-				prevEdge[v] = eid
-				heap.Push(pq, distItem{node: v, dist: nd})
+		for _, e := range g.half[item.node] {
+			if nd := item.dist + e.lat; nd < dist[e.to] {
+				dist[e.to] = nd
+				prevEdge[e.to] = int(e.eid)
+				pq.push(distItem{dist: nd, node: e.to})
 			}
 		}
 	}
@@ -107,21 +100,57 @@ func DijkstraLatencyPath(g *Graph, src, dst NodeID) (Path, bool) {
 	return p, true
 }
 
+// distItem is one tentative distance in Dijkstra's frontier.
 type distItem struct {
-	node NodeID
 	dist float64
+	node int32
 }
 
+// distHeap is a typed binary min-heap on dist: no interface{} box per
+// push, unlike container/heap. Its sifts move a hole and make the
+// comparisons container/heap makes, so nodes at equal distance are
+// settled in the order they always were — which is what keeps
+// DijkstraLatencyPath's choice among equal-latency paths stable.
 type distHeap []distItem
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *distHeap) push(it distItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(it.dist < q[p].dist) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = it
+	*h = q
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	n := len(q) - 1
+	top, it := q[0], q[n]
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].dist < q[c].dist {
+			c = r
+		}
+		if !(q[c].dist < it.dist) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = it
+	}
+	*h = q
+	return top
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,6 +164,98 @@ func TestDijkstraTriangleInequality(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// refHeap and refDijkstra are the implementation the typed heap and the
+// half-edge adjacency replaced — container/heap over
+// Graph.Incident/Edge/Other — kept as the reference the tables and the
+// tie-breaking of the current one are held to.
+type refItem struct {
+	node NodeID
+	dist float64
+}
+
+type refHeap []refItem
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// refDijkstra returns the latency table from src and the edge each node
+// was last improved over; it stops at dst when dst >= 0.
+func refDijkstra(g *Graph, src, dst NodeID, avoid func(int) bool) ([]float64, []int) {
+	dist := make([]float64, g.NumNodes())
+	prev := make([]int, g.NumNodes())
+	for i := range dist {
+		dist[i], prev[i] = math.Inf(1), -1
+	}
+	dist[src] = 0
+	pq := &refHeap{{node: src}}
+	for pq.Len() > 0 {
+		item := heap.Pop(pq).(refItem)
+		if item.dist > dist[item.node] {
+			continue
+		}
+		if item.node == dst {
+			break
+		}
+		for _, eid := range g.Incident(item.node) {
+			if avoid != nil && avoid(eid) {
+				continue
+			}
+			e := g.Edge(eid)
+			v := e.Other(item.node)
+			if nd := item.dist + e.Latency; nd < dist[v] {
+				dist[v], prev[v] = nd, eid
+				heap.Push(pq, refItem{node: v, dist: nd})
+			}
+		}
+	}
+	return dist, prev
+}
+
+// The tables are bit-identical to the reference's, with and without
+// avoided edges, and DijkstraLatencyPath picks the reference's path among
+// equal-latency ones — on multigraphs whose small integer latencies make
+// such ties the rule.
+func TestDijkstraMatchesReferenceBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(30)
+		g, res := randomMultigraph(rng, n, trial%2 == 0)
+		var avoid func(int) bool
+		if trial%3 == 0 {
+			avoid = func(e int) bool { return res[e] < 1 }
+		}
+		src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+
+		want, _ := refDijkstra(g, src, -1, avoid)
+		got := DijkstraLatencyAvoiding(g, src, avoid)
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("trial %d: dist[%d] = %v, reference %v", trial, v, got[v], want[v])
+			}
+		}
+
+		dist, prev := refDijkstra(g, src, dst, nil)
+		p, ok := DijkstraLatencyPath(g, src, dst)
+		if ok != !math.IsInf(dist[dst], 1) {
+			t.Fatalf("trial %d: found=%v, reference distance %v", trial, ok, dist[dst])
+		}
+		for at, i := dst, len(p.Edges)-1; ok && at != src; i-- {
+			if i < 0 || p.Edges[i] != prev[at] {
+				t.Fatalf("trial %d: path %v leaves the reference's tree at node %d (edge %d)", trial, p, at, prev[at])
+			}
+			at = g.Edge(prev[at]).Other(at)
 		}
 	}
 }

@@ -59,7 +59,18 @@ type BandwidthFunc func(edgeID int) float64
 type Graph struct {
 	n     int
 	edges []Edge
-	adj   [][]int // node -> indices into edges
+	adj   [][]int      // node -> indices into edges
+	half  [][]halfEdge // node -> one entry per incident edge, in adj order
+}
+
+// halfEdge is one end of an edge as the search kernels want it: the
+// latency, the far endpoint and the edge ID in 16 contiguous bytes, so
+// that expanding a node reads one array and neither copies an Edge nor
+// works out which endpoint is the other one. half[n][i] describes edge
+// adj[n][i].
+type halfEdge struct {
+	lat     float64
+	to, eid int32
 }
 
 // New returns a graph with n nodes and no edges.
@@ -67,7 +78,10 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Graph{n: n, adj: make([][]int, n)}
+	if n > math.MaxInt32 {
+		panic("graph: node count overflows the int32 half-edge index")
+	}
+	return &Graph{n: n, adj: make([][]int, n), half: make([][]halfEdge, n)}
 }
 
 // NumNodes returns the number of nodes.
@@ -87,16 +101,23 @@ func (g *Graph) AddEdge(a, b NodeID, bandwidth, latency float64) int {
 	}
 	g.checkNode(a)
 	g.checkNode(b)
-	if bandwidth < 0 {
-		panic(fmt.Sprintf("graph: negative bandwidth %v on edge %d-%d", bandwidth, a, b))
+	// Negated so that NaN is refused too: the searches' orderings and
+	// A*Prune's dominance argument need latencies that are numbers.
+	if !(bandwidth >= 0) {
+		panic(fmt.Sprintf("graph: negative or NaN bandwidth %v on edge %d-%d", bandwidth, a, b))
 	}
-	if latency < 0 {
-		panic(fmt.Sprintf("graph: negative latency %v on edge %d-%d", latency, a, b))
+	if !(latency >= 0) {
+		panic(fmt.Sprintf("graph: negative or NaN latency %v on edge %d-%d", latency, a, b))
 	}
 	id := len(g.edges)
+	if id == math.MaxInt32 {
+		panic("graph: edge count overflows the int32 half-edge index")
+	}
 	g.edges = append(g.edges, Edge{ID: id, A: a, B: b, Bandwidth: bandwidth, Latency: latency})
 	g.adj[a] = append(g.adj[a], id)
 	g.adj[b] = append(g.adj[b], id)
+	g.half[a] = append(g.half[a], halfEdge{lat: latency, to: int32(b), eid: int32(id)})
+	g.half[b] = append(g.half[b], halfEdge{lat: latency, to: int32(a), eid: int32(id)})
 	return id
 }
 

@@ -56,6 +56,8 @@ func TestAddEdgePanics(t *testing.T) {
 	mustPanic(t, "negative node", func() { g.AddEdge(-1, 0, 1, 1) })
 	mustPanic(t, "negative bandwidth", func() { g.AddEdge(0, 1, -1, 1) })
 	mustPanic(t, "negative latency", func() { g.AddEdge(0, 1, 1, -1) })
+	mustPanic(t, "NaN bandwidth", func() { g.AddEdge(0, 1, math.NaN(), 1) })
+	mustPanic(t, "NaN latency", func() { g.AddEdge(0, 1, 1, math.NaN()) })
 }
 
 func TestEdgeOther(t *testing.T) {

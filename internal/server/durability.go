@@ -209,7 +209,7 @@ func (s *Server) Recover() error {
 			if a.Tag == "" {
 				continue
 			}
-			sess.envs[a.Tag] = &envRecord{env: a.M.Env, m: a.M}
+			sess.envs[a.Tag] = struct{}{}
 			// Belt and braces on top of the snapshotted NextEnv and the
 			// replayed-record bumps: no live environment's ID is ever
 			// handed out again, even against a snapshot whose counter
@@ -276,7 +276,7 @@ func (s *Server) sessionShell(sid string, cs spec.ClusterSpec, mapperName string
 		stddev: s.reg.Gauge(
 			fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", sid),
 			"Stddev of residual CPU per host (the Eq. 10 objective) per session."),
-		envs: make(map[string]*envRecord),
+		envs: make(map[string]struct{}),
 	}
 }
 

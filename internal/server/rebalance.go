@@ -49,16 +49,6 @@ func (s *Server) attachRebalance(sess *session) {
 			if d := res.ObjectiveBefore - res.ObjectiveAfter; d > 0 {
 				s.mRebalImprovement.Add(d)
 			}
-			// A migrate replaces the touched environments' mappings in
-			// core; the registry must follow, or a later release/repair
-			// would release stale reservations. Tags are the registry keys.
-			sess.mu.Lock()
-			for _, e := range res.Envs {
-				if rec := sess.envs[e.Tag]; rec != nil {
-					rec.m = e.New
-				}
-			}
-			sess.mu.Unlock()
 			sess.stddev.Set(mapping.Objective(sess.core.ResidualProc()))
 		},
 		AfterRound: s.ackBarrier,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rebalance"
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/virtual"
@@ -250,6 +251,76 @@ func TestRebalanceKillRestart(t *testing.T) {
 	}
 	if sd := residualStdDev(t, client2, base2); sd > 1e-9 {
 		t.Fatalf("releasing the migrated env did not restore the baseline: stddev %v", sd)
+	}
+}
+
+// overtakenByMigrateCommit leaves a session whose one environment, ID
+// pair, has just been migrated inside core with no scheduler hook run.
+func overtakenByMigrateCommit(t *testing.T) (client *http.Client, base, pair string, sess *session) {
+	t.Helper()
+	cs := rebalanceTestbed(t)
+	s, ts := startServer(t, Config{Workers: 2, QueueDepth: 16})
+	client = ts.Client()
+	sid := openSession(t, client, ts.URL, cs, "")
+	base = ts.URL + "/v1/sessions/" + sid
+	pair = unbalance(t, client, base)
+
+	s.mu.Lock()
+	sess = s.sessions[sid]
+	s.mu.Unlock()
+	units := rebalance.Plan(sess.core.PlanSnapshot(), 0)
+	if len(units) != 1 {
+		t.Fatalf("planner proposed %d units on the unbalanced fixture, want 1", len(units))
+	}
+	if _, err := sess.core.MigrateGuests(units[0].Moves); err != nil {
+		t.Fatalf("migrate commit: %v", err)
+	}
+	return client, base, pair, sess
+}
+
+// TestReleaseOvertakenByMigrateCommit parks a DELETE in the window the
+// background rebalancer opens on every commit: core has already swapped
+// the environment's mapping for the migrated one, and the scheduler's
+// OnCommit has not run yet. The test holds that window open for good by
+// committing the planner's unit straight into core, as the scheduler's
+// goroutine does before it calls any hook. A registry that remembered the
+// mapping it was handed at admission asked core to release a pointer no
+// longer active: the client got 404, the ID was forgotten, and the
+// reservations stayed in the ledger with nothing left to name them.
+func TestReleaseOvertakenByMigrateCommit(t *testing.T) {
+	client, base, pair, sess := overtakenByMigrateCommit(t)
+	if code, raw, _ := doJSON(t, client, "DELETE", base+"/envs/"+pair, nil); code != http.StatusNoContent {
+		t.Fatalf("release overtaken by a migrate commit: %d %s", code, raw)
+	}
+	if n := sess.core.Active(); n != 0 {
+		t.Fatalf("core still holds %d environments after the release", n)
+	}
+	if sd := residualStdDev(t, client, base); sd > 1e-9 {
+		t.Fatalf("release did not return the migrated reservations: stddev %v, want 0", sd)
+	}
+	if code, _, _ := doJSON(t, client, "DELETE", base+"/envs/"+pair, nil); code != http.StatusNotFound {
+		t.Fatalf("second release: %d, want 404", code)
+	}
+}
+
+// TestFailOvertakenByMigrateCommit is the same window seen from the fail
+// endpoint: the eviction report must still name the environment by its
+// ID, and keep it registered when the repair succeeds.
+func TestFailOvertakenByMigrateCommit(t *testing.T) {
+	client, base, pair, _ := overtakenByMigrateCommit(t)
+	code, raw, _ := doJSON(t, client, "POST", base+"/hosts/2/fail", nil)
+	if code != http.StatusOK {
+		t.Fatalf("fail host 2: %d %s", code, raw)
+	}
+	var out FailTargetResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 1 || out.Results[0].Env != pair || out.Results[0].Mapping == nil {
+		t.Fatalf("eviction report %s, want environment %s repaired", raw, pair)
+	}
+	if code, raw, _ := doJSON(t, client, "DELETE", base+"/envs/"+pair, nil); code != http.StatusNoContent {
+		t.Fatalf("release of the repaired environment: %d %s", code, raw)
 	}
 }
 

@@ -172,12 +172,6 @@ type mapJob struct {
 	cancel func(err error)
 }
 
-// envRecord is one deployed environment inside a session.
-type envRecord struct {
-	env *virtual.Env
-	m   *mapping.Mapping
-}
-
 // session is a named core.Session plus the server-side bookkeeping.
 type session struct {
 	id         string
@@ -194,10 +188,15 @@ type session struct {
 	// its state.
 	rebal *rebalance.Scheduler
 
-	mu      sync.Mutex
-	envs    map[string]*envRecord //hmn:guardedby mu
-	nextEnv int                   //hmn:guardedby mu
-	closed  bool                  //hmn:guardedby mu
+	mu sync.Mutex
+	// envs holds the IDs of the deployed environments. An ID is the tag
+	// its environment was admitted under, and that is all the registry
+	// keeps: core owns the mappings, which a rebalance or a repair
+	// replaces without asking, so every call into core names an
+	// environment by tag.
+	envs    map[string]struct{} //hmn:guardedby mu
+	nextEnv int                 //hmn:guardedby mu
+	closed  bool                //hmn:guardedby mu
 }
 
 // Server is the hmnd daemon: session store, admission queue, worker
@@ -609,7 +608,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		stddev: s.reg.Gauge(
 			fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", id),
 			"Stddev of residual CPU per host (the Eq. 10 objective) per session."),
-		envs: make(map[string]*envRecord),
+		envs: make(map[string]struct{}),
 	}
 	s.attachWAL(sess)
 	s.attachRebalance(sess)
@@ -719,7 +718,7 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		if sess.closed {
 			sess.mu.Unlock()
-			_ = sess.core.Release(m)
+			_ = sess.core.ReleaseTagged(envID)
 			failed.Inc()
 			mapErr = fmt.Errorf("session %s closed", sess.id)
 			return
@@ -728,12 +727,12 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 			// Mapped, but the request timed out mid-flight: roll back so
 			// no orphan environment holds resources.
 			sess.mu.Unlock()
-			_ = sess.core.Release(m)
+			_ = sess.core.ReleaseTagged(envID)
 			failed.Inc()
 			mapErr = ctx.Err()
 			return
 		}
-		sess.envs[envID] = &envRecord{env: env, m: m}
+		sess.envs[envID] = struct{}{}
 		sess.mu.Unlock()
 
 		succeeded.Inc()
@@ -805,18 +804,23 @@ func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
 	var relErr error
 	submitErr := s.submit(r.Context(), func() {
 		sess.mu.Lock()
-		rec := sess.envs[envID]
-		if rec == nil {
-			sess.mu.Unlock()
+		_, known := sess.envs[envID]
+		sess.mu.Unlock()
+		if !known {
 			relErr = fmt.Errorf("no environment %q in session %s", envID, sess.id)
 			return
 		}
-		delete(sess.envs, envID)
-		sess.mu.Unlock()
-		if err := sess.core.Release(rec.m); err != nil {
+		// By ID, which is the tag it was admitted under: the rebalancer
+		// may have replaced the environment's mapping a moment ago. And
+		// the registry entry goes only once core has let go, so an ID is
+		// never forgotten while it still holds reservations.
+		if err := sess.core.ReleaseTagged(envID); err != nil {
 			relErr = err
 			return
 		}
+		sess.mu.Lock()
+		delete(sess.envs, envID)
+		sess.mu.Unlock()
 		s.mEnvs.Dec()
 		sess.stddev.Set(mapping.Objective(sess.core.ResidualProc()))
 	})
@@ -854,10 +858,10 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	sess.closed = true
 	envs := sess.envs
-	sess.envs = make(map[string]*envRecord)
+	sess.envs = make(map[string]struct{})
 	sess.mu.Unlock()
-	for _, rec := range envs {
-		if err := sess.core.Release(rec.m); err == nil {
+	for eid := range envs {
+		if err := sess.core.ReleaseTagged(eid); err == nil {
 			s.mEnvs.Dec()
 		}
 	}
@@ -957,25 +961,17 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request, kind, pathKe
 		// outcomes: repaired/replaced environments keep their IDs under
 		// the new mapping, unrecoverable ones are gone.
 		sess.mu.Lock()
-		idOf := make(map[*mapping.Mapping]string, len(sess.envs))
-		for eid, rec := range sess.envs {
-			idOf[rec.m] = eid
-		}
 		lost := 0
 		reports := make([]RepairReport, 0, len(results))
 		for _, res := range results {
-			eid := idOf[res.Old]
-			rep := RepairReport{Env: eid, Outcome: res.Outcome.String()}
+			rep := RepairReport{Env: res.Tag, Outcome: res.Outcome.String()}
 			if res.Outcome == core.RepairUnrecoverable {
 				if res.Err != nil {
 					rep.Error = res.Err.Error()
 				}
-				delete(sess.envs, eid)
+				delete(sess.envs, res.Tag)
 				lost++
 			} else {
-				if rec := sess.envs[eid]; rec != nil {
-					rec.m = res.New
-				}
 				ms := spec.FromMapping(res.New, sess.overhead)
 				rep.Mapping = &ms
 			}

@@ -521,10 +521,13 @@ func (f *Federation) submitFragRelease(fr *frag, errs chan<- error) {
 	f.router.releaseSubmitted(fr.shard, fr.proc)
 	sh := f.shards[fr.shard]
 	sh.enqueue(func() {
-		f.mu.Lock()
-		m := f.fragMappingLocked(fr)
-		f.mu.Unlock()
-		err := releaseByTag(sh.sess, m, fr.tag)
+		// By tag: a rebalance commit may have replaced fr.m since the
+		// registry last heard. A fragment no longer active — an
+		// unrecoverable repair evicted it — counts as released.
+		err := sh.sess.ReleaseTagged(fr.tag)
+		if errors.Is(err, core.ErrNotActive) {
+			err = nil
+		}
 		if err == nil {
 			err = sh.barrier()
 		}
@@ -533,28 +536,6 @@ func (f *Federation) submitFragRelease(fr *frag, errs chan<- error) {
 			errs <- err
 		}
 	})
-}
-
-// fragMappingLocked reads a fragment's live mapping pointer; the
-// federation lock guards it against concurrent migration updates.
-//
-//hmn:locked mu
-func (f *Federation) fragMappingLocked(fr *frag) *mapping.Mapping { return fr.m }
-
-// releaseByTag releases m, re-resolving the mapping by tag when a
-// concurrent migration swapped the pointer. A mapping that vanished
-// entirely (an unrecoverable repair evicted it) counts as released.
-func releaseByTag(sess *core.Session, m *mapping.Mapping, tag string) error {
-	for {
-		if m == nil {
-			return nil
-		}
-		err := sess.Release(m)
-		if err == nil || !errors.Is(err, core.ErrNotActive) {
-			return err
-		}
-		m = findByTag(sess, tag)
-	}
 }
 
 // findByTag scans the session's active set for the mapping carrying
