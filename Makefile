@@ -19,12 +19,12 @@ lint:
 	go install ./cmd/hmnlint
 	go vet -vettool="$(GOPATH_BIN)/hmnlint" ./...
 
-## lint-fix-check asserts the repo-wide sweep stays clean: all eight
+## lint-fix-check asserts the repo-wide sweep stays clean: all seven
 ## analyzers must report zero diagnostics over ./... . There is no
-## autofixer — annotations (//hmn:guardedby, //hmn:noalloc,
-## //hmn:journaled, ...) and justified escapes (//hmn:allocok <reason>)
-## are the fix mechanism, so any output here is a missing annotation or
-## a real violation.
+## autofixer — annotations (//hmn:guardedby, //hmn:noalloc, ...) and
+## justified escapes (//hmn:allocok <reason>) are the fix mechanism, so
+## any output here is a missing annotation, a misspelt directive name
+## or a real violation.
 lint-fix-check:
 	@out="$$(go run ./cmd/hmnlint ./... 2>&1)"; \
 	if [ -n "$$out" ]; then \

@@ -20,9 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
-	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -81,68 +79,25 @@ func dump(dir string) error {
 	return nil
 }
 
-// verify replays the directory the way the daemon's Recover does —
-// snapshot sessions first, then the log suffix with the per-session
-// boundary skip — and cross-checks each surviving session's incremental
+// verify replays the directory with the daemon's own recovery loop
+// (wal.Replay) and cross-checks each surviving session's incremental
 // objective against a two-pass recompute.
 func verify(dir string) error {
 	rec, err := wal.Scan(dir, wal.Hooks{Logf: warnf})
 	if err != nil {
 		return err
 	}
-	sessions := make(map[string]*core.Session)
-	boundary := make(map[string]uint64)
-	if snap := rec.Snapshot; snap != nil {
-		for _, sn := range snap.Sessions {
-			cs, _, err := wal.RestoreSnap(sn)
-			if err != nil {
-				return err
-			}
-			sessions[sn.SID] = cs
-			boundary[sn.SID] = sn.OpCount
-		}
-	}
 	replayed := 0
-	for i := range rec.Records {
-		r := &rec.Records[i]
-		switch r.Kind {
-		case wal.KindOpen:
-			if _, ok := sessions[r.SID]; ok {
-				continue // session predates the snapshot covering it
-			}
-			cs, _, err := wal.OpenSession(r)
-			if err != nil {
-				return err
-			}
-			sessions[r.SID] = cs
-		case wal.KindClose:
-			delete(sessions, r.SID)
-			delete(boundary, r.SID)
-		default:
-			cs, ok := sessions[r.SID]
-			if !ok {
-				return fmt.Errorf("record %d names unknown session %s", i, r.SID)
-			}
-			if r.Index <= boundary[r.SID] {
-				continue // already folded into the snapshot
-			}
-			if err := wal.ReplayRecord(cs, r); err != nil {
-				return err
-			}
-			replayed++
-		}
+	sessions, _, err := wal.Replay(rec, func(*wal.Replayed, *wal.Record) { replayed++ })
+	if err != nil {
+		return err
 	}
-	sids := make([]string, 0, len(sessions))
-	for sid := range sessions {
-		sids = append(sids, sid)
-	}
-	sort.Strings(sids)
-	for _, sid := range sids {
-		cs := sessions[sid]
+	for _, rs := range sessions {
+		cs := rs.Session
 		if err := wal.VerifyObjective(cs); err != nil {
-			return fmt.Errorf("session %s: %w", sid, err)
+			return fmt.Errorf("session %s: %w", rs.SID, err)
 		}
-		fmt.Printf("session %s: ok (active=%d objective=%.6g)\n", sid, cs.Active(), cs.ObjectiveStdDev())
+		fmt.Printf("session %s: ok (active=%d objective=%.6g)\n", rs.SID, cs.Active(), cs.ObjectiveStdDev())
 	}
 	fmt.Printf("verified: %d session(s), %d record(s) replayed", len(sessions), replayed)
 	if rec.TruncatedBytes > 0 {

@@ -32,22 +32,16 @@ var ErrOverheadExceedsCapacity = errors.New("cluster: VMM overhead exceeds a hos
 type Ledger struct {
 	c *Cluster
 	// residual CPU per host index (may go negative)
-	//hmn:journaled
 	proc []float64 //hmn:guardedby session
 	// residual memory per host index
-	//hmn:journaled
 	mem []int64 //hmn:guardedby session
 	// residual storage per host index
-	//hmn:journaled
 	stor []float64 //hmn:guardedby session
 	// residual bandwidth per edge ID
-	//hmn:journaled
 	bw []float64 //hmn:guardedby session
 	// per host index: no new guests accepted
-	//hmn:journaled
 	quarantined []bool //hmn:guardedby session
 	// per edge ID: carries no new traffic
-	//hmn:journaled
 	cutEdges []bool //hmn:guardedby session
 	// moved by CutEdge/RestoreEdge; keys derived caches. Zero is reserved
 	// for the canonical no-cuts topology so restoring the last cut edge
@@ -69,25 +63,6 @@ type Ledger struct {
 	// stage's incremental host order hangs off it. Clones drop the hook:
 	// it closes over state owned by this ledger's consumer.
 	procHook func(host int) //hmn:guardedby session
-
-	// Write journal backing copy-on-write snapshots (snapshot.go). When
-	// enabled, every per-host and per-edge mutation appends a packed
-	// entry so SyncFrom can re-point a stale snapshot at this ledger by
-	// copying only the rows that changed instead of every row. jGen
-	// counts journal truncations: a snapshot pinned before a truncation
-	// can no longer trust the journal and falls back to a full CopyFrom.
-	jEnabled bool    //hmn:guardedby session
-	jGen     uint64  //hmn:guardedby session
-	jEntries []int32 //hmn:guardedby session
-	// jOverflow records that this ledger's own journal truncated since
-	// its last sync, losing the record of its own speculative writes.
-	jOverflow bool //hmn:guardedby session
-	// syncGen/syncOff pin a snapshot ledger to a position in its source
-	// ledger's journal: entries at or past syncOff (while the source is
-	// still on generation syncGen) are exactly the rows the source
-	// changed since this snapshot last matched it.
-	syncGen uint64 //hmn:guardedby session
-	syncOff int    //hmn:guardedby session
 }
 
 // kahanSum is a compensated float64 accumulator: it keeps the running
@@ -141,7 +116,6 @@ func NewLedger(c *Cluster, overhead VMMOverhead) (*Ledger, error) {
 // and any attached host order can never drift from the ledger.
 //
 //hmn:locked session
-//hmn:journalmutator
 //hmn:noalloc
 func (l *Ledger) applyProc(i int, delta float64) {
 	old := l.proc[i]
@@ -149,7 +123,6 @@ func (l *Ledger) applyProc(i int, delta float64) {
 	l.proc[i] = nw
 	l.sumProc.add(delta)
 	l.sumProcSq.add(nw*nw - old*old)
-	l.jHost(i)
 	if l.procHook != nil {
 		l.procHook(i)
 	}
@@ -306,11 +279,9 @@ func (l *Ledger) Fits(node graph.NodeID, mem int64, stor float64) bool {
 // released on the same host.
 //
 //hmn:locked session
-//hmn:journalmutator
 func (l *Ledger) Quarantine(node graph.NodeID) {
 	i := l.c.hostIdx(node)
 	l.quarantined[i] = true
-	l.jHost(i)
 }
 
 // Quarantined reports whether the host at node is quarantined.
@@ -323,11 +294,9 @@ func (l *Ledger) Quarantined(node graph.NodeID) bool {
 // Unquarantine readmits the host at node.
 //
 //hmn:locked session
-//hmn:journalmutator
 func (l *Ledger) Unquarantine(node graph.NodeID) {
 	i := l.c.hostIdx(node)
 	l.quarantined[i] = false
-	l.jHost(i)
 }
 
 // ReserveGuest deducts a guest's demands from the host at node. It returns
@@ -335,7 +304,6 @@ func (l *Ledger) Unquarantine(node graph.NodeID) {
 // negative; residual CPU is allowed to go negative.
 //
 //hmn:locked session
-//hmn:journalmutator
 func (l *Ledger) ReserveGuest(node graph.NodeID, proc float64, mem int64, stor float64) error {
 	i := l.c.hostIdx(node)
 	if l.quarantined[i] {
@@ -358,7 +326,6 @@ func (l *Ledger) ReserveGuest(node graph.NodeID, proc float64, mem int64, stor f
 // guest away.
 //
 //hmn:locked session
-//hmn:journalmutator
 func (l *Ledger) ReleaseGuest(node graph.NodeID, proc float64, mem int64, stor float64) {
 	i := l.c.hostIdx(node)
 	l.applyProc(i, proc)
@@ -408,7 +375,6 @@ func (l *Ledger) ResidualBandwidth(edgeID int) float64 {
 // and maintenance. Cutting an already-cut edge is a no-op.
 //
 //hmn:locked session
-//hmn:journalmutator
 func (l *Ledger) CutEdge(edgeID int) {
 	if l.cutEdges[edgeID] {
 		return
@@ -417,7 +383,6 @@ func (l *Ledger) CutEdge(edgeID int) {
 	l.cutCount++
 	l.genSeq++
 	l.topoGen = l.genSeq
-	l.jEdge(edgeID)
 }
 
 // EdgeCut reports whether the edge is currently cut.
@@ -431,14 +396,12 @@ func (l *Ledger) EdgeCut(edgeID int) bool { return l.cutEdges[edgeID] }
 // warmed before the failure become valid again instead of being rebuilt.
 //
 //hmn:locked session
-//hmn:journalmutator
 func (l *Ledger) RestoreEdge(edgeID int) {
 	if !l.cutEdges[edgeID] {
 		return
 	}
 	l.cutEdges[edgeID] = false
 	l.cutCount--
-	l.jEdge(edgeID)
 	if l.cutCount == 0 {
 		l.topoGen = 0
 		return
@@ -482,7 +445,6 @@ func (l *Ledger) BandwidthFunc() graph.BandwidthFunc {
 // untouched. The trivial (intra-host) path reserves nothing.
 //
 //hmn:locked session
-//hmn:journalmutator
 func (l *Ledger) ReserveBandwidth(path graph.Path, bw float64) error {
 	for _, eid := range path.Edges {
 		if l.cutEdges[eid] {
@@ -494,7 +456,6 @@ func (l *Ledger) ReserveBandwidth(path graph.Path, bw float64) error {
 	}
 	for _, eid := range path.Edges {
 		l.bw[eid] -= bw
-		l.jEdge(eid)
 	}
 	return nil
 }
@@ -503,10 +464,8 @@ func (l *Ledger) ReserveBandwidth(path graph.Path, bw float64) error {
 // ReserveBandwidth.
 //
 //hmn:locked session
-//hmn:journalmutator
 func (l *Ledger) ReleaseBandwidth(path graph.Path, bw float64) {
 	for _, eid := range path.Edges {
 		l.bw[eid] += bw
-		l.jEdge(eid)
 	}
 }

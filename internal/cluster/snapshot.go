@@ -1,148 +1,35 @@
 package cluster
 
-// Copy-on-write ledger snapshots for the optimistic admission pipeline.
-//
-// Session.Map used to deep-clone the whole ledger per attempt: six O(H)
-// or O(E) slice copies and six allocations every admission, even when
-// the admission touches a dozen hosts on a ten-thousand-edge cluster.
-// This file replaces that with a write journal: a ledger with the
-// journal enabled appends one packed int32 per mutated host or edge,
-// and a snapshot ledger pinned at a journal position can re-match the
-// source by copying only the rows either side wrote since the pin —
-// its own speculative reservations (reverted) plus the source's
-// committed admissions (picked up). The arrays of a snapshot are sized
-// once and reused forever, so the steady-state admission path stops
-// allocating entirely.
-//
-// Journal entries pack both entity kinds into one int32: v >= 0 is the
-// dense host index v (row: proc/mem/stor/quarantined), v < 0 is the
-// edge ID ^v (row: bw/cutEdges). Scalar state — topoGen, cutCount,
-// genSeq and the Kahan objective sums — is always copied whole on
-// sync; copying every journaled proc row alongside the source's sums
-// keeps vector and sums exactly consistent because any row absent from
-// both journals is bit-identical in both ledgers by induction.
-//
-// The journal is bounded: at jCap entries it truncates and bumps jGen
-// (and flags jOverflow on the writer itself). Snapshots detect either
-// condition and fall back to CopyFrom, a full-width copy into the
-// already-sized arrays — still allocation-free, just O(H+E) again. Big
-// admissions therefore degrade to exactly the old clone cost while
-// small ones pay only for what they touched.
+// Recycled flat-copy ledger snapshots for the optimistic admission
+// pipeline. A snapshot is a Clone whose six arrays are sized once and
+// then overwritten in place by SyncFrom, so the steady-state admission
+// path never allocates. Every resync copies the whole ledger: O(H+E),
+// which on every committed workload is less copying than the write
+// journal this replaced (DESIGN §12, audit verdict of PR 16).
 
-// jCap bounds the write journal. 8192 int32 entries (32 KiB) cover any
-// realistic incremental admission; a mapping that writes more rows than
-// this is wholesale rebuilding the ledger and is better served by the
-// full-copy fallback than by replaying a journal of comparable length.
-const jCap = 8192
+// EnableJournal does nothing. Its one caller is
+// benchmark/hmnperf/layers.go, which this repo's benchmark rules freeze;
+// the method goes with the next [benchmark] PR.
+func (l *Ledger) EnableJournal() {}
 
-// jHost journals a mutation of host row i.
+// Snapshot returns an independent copy of the ledger that SyncFrom can
+// later refresh in place. Like Clone, the proc hook is not inherited.
 //
 //hmn:locked session
-//hmn:noalloc
-func (l *Ledger) jHost(i int) {
-	if !l.jEnabled {
-		return
-	}
-	l.jAppend(int32(i))
-}
+func (l *Ledger) Snapshot() *Ledger { return l.Clone() }
 
-// jEdge journals a mutation of edge row e.
-//
-//hmn:locked session
-//hmn:noalloc
-func (l *Ledger) jEdge(e int) {
-	if !l.jEnabled {
-		return
-	}
-	l.jAppend(^int32(e))
-}
-
-//hmn:locked session
-//hmn:noalloc
-func (l *Ledger) jAppend(v int32) {
-	if len(l.jEntries) >= jCap {
-		l.jGen++
-		l.jOverflow = true
-		l.jEntries = l.jEntries[:0]
-	}
-	l.jEntries = append(l.jEntries, v) //hmn:allocok capacity is jCap from EnableJournal; the truncation above keeps len under it
-}
-
-// EnableJournal turns on write journaling so snapshots of this ledger
-// can resynchronise incrementally. Sessions call it once on their live
-// ledger; it is idempotent. Ledgers without a journal behave exactly as
-// before (snapshots of them always full-copy).
-//
-//hmn:locked session
-func (l *Ledger) EnableJournal() {
-	if l.jEnabled {
-		return
-	}
-	l.jEnabled = true
-	if cap(l.jEntries) < jCap {
-		l.jEntries = make([]int32, 0, jCap)
-	}
-}
-
-// Snapshot returns an independent journaling copy of the ledger, pinned
-// to the source's current journal position so a later SyncFrom against
-// the same source copies only the rows that changed. Like Clone, the
-// proc hook is not inherited.
-//
-//hmn:locked session
-func (l *Ledger) Snapshot() *Ledger {
-	s := l.Clone()
-	s.EnableJournal()
-	s.syncGen = l.jGen
-	s.syncOff = len(l.jEntries)
-	return s
-}
-
-// SyncFrom makes the snapshot bit-identical to src again, copying only
-// the host and edge rows written since the snapshot last matched src —
-// the snapshot's own speculative writes plus src's committed ones —
-// when both journals are intact, and falling back to a full CopyFrom
-// otherwise. Either way it never allocates and re-pins the snapshot at
-// src's current journal position. The caller must own both ledgers
-// (hold the session lock): the snapshot must not be mid-mapping and src
-// must not be mutating concurrently.
+// SyncFrom makes the snapshot bit-identical to src again by overwriting
+// every row and scalar of l with src's, reusing l's arrays — the
+// allocation-free equivalent of Clone into existing storage. The proc
+// hook of l is preserved. The caller must own both ledgers (hold the
+// session lock): the snapshot must not be mid-mapping and src must not
+// be mutating concurrently.
 //
 //hmn:locked session
 //hmn:noalloc
 func (l *Ledger) SyncFrom(src *Ledger) {
 	if l.c != src.c {
 		panic("cluster: SyncFrom across clusters")
-	}
-	if !l.jEnabled || !src.jEnabled || l.jOverflow || l.syncGen != src.jGen {
-		l.CopyFrom(src)
-		return
-	}
-	for _, v := range l.jEntries {
-		l.copyRow(src, v)
-	}
-	for _, v := range src.jEntries[l.syncOff:] {
-		l.copyRow(src, v)
-	}
-	l.copyScalars(src)
-	l.jEntries = l.jEntries[:0]
-	l.syncGen = src.jGen
-	l.syncOff = len(src.jEntries)
-}
-
-// CopyFrom overwrites every row and scalar of l with src's, reusing l's
-// arrays — the allocation-free equivalent of Clone into existing
-// storage. The proc hook and journal enablement of l are preserved; the
-// snapshot is re-pinned at src's current journal position. It needs no
-// journal entries of its own: the overwritten values belonged to a
-// stale snapshot nobody reads through, and l's journal is reset to the
-// new pin in the same breath.
-//
-//hmn:locked session
-//hmn:journalmutator
-//hmn:noalloc
-func (l *Ledger) CopyFrom(src *Ledger) {
-	if l.c != src.c {
-		panic("cluster: CopyFrom across clusters")
 	}
 	copy(l.proc, src.proc)
 	copy(l.mem, src.mem)
@@ -151,32 +38,6 @@ func (l *Ledger) CopyFrom(src *Ledger) {
 	copy(l.quarantined, src.quarantined)
 	copy(l.cutEdges, src.cutEdges)
 	l.copyScalars(src)
-	l.jEntries = l.jEntries[:0]
-	l.jOverflow = false
-	l.syncGen = src.jGen
-	l.syncOff = len(src.jEntries)
-}
-
-// copyRow overwrites one journaled row of l (host index for v >= 0,
-// edge index for v = ^e) with src's current value. It is the replay
-// side of the journal: SyncFrom drives it from src's journal entries,
-// so the write is the recorded change, not a new one to record.
-//
-//hmn:locked session
-//hmn:journalmutator
-//hmn:noalloc
-func (l *Ledger) copyRow(src *Ledger, v int32) {
-	if v >= 0 {
-		i := int(v)
-		l.proc[i] = src.proc[i]
-		l.mem[i] = src.mem[i]
-		l.stor[i] = src.stor[i]
-		l.quarantined[i] = src.quarantined[i]
-		return
-	}
-	e := int(^v)
-	l.bw[e] = src.bw[e]
-	l.cutEdges[e] = src.cutEdges[e]
 }
 
 //hmn:locked session

@@ -31,10 +31,11 @@ func snapshotFixture(t *testing.T) *Cluster {
 }
 
 // mutateLedger applies one random mutation to led. The operation mix
-// covers every journaled row kind: guest reserve/release, path
-// reserve/release, quarantine flips and edge cut/restore.
+// covers every row kind and both write paths: direct guest
+// reserve/release, path reserve/release, quarantine flips, edge
+// cut/restore, and a Txn commit of a guest plus a path.
 func mutateLedger(rng *rand.Rand, led *Ledger) {
-	switch rng.Intn(8) {
+	switch rng.Intn(9) {
 	case 0, 1, 2:
 		_ = led.ReserveGuest(graph.NodeID(rng.Intn(5)), rng.Float64()*300, int64(rng.Intn(256)), rng.Float64()*200)
 	case 3:
@@ -56,6 +57,12 @@ func mutateLedger(rng *rand.Rand, led *Ledger) {
 		led.CutEdge(rng.Intn(5))
 	case 7:
 		led.RestoreEdge(rng.Intn(5))
+	case 8:
+		e := rng.Intn(5)
+		txn := led.NewTxn()
+		txn.AddGuest(graph.NodeID(rng.Intn(5)), rng.Float64()*200, int64(rng.Intn(128)), rng.Float64()*100)
+		txn.AddPath(graph.Path{Nodes: []graph.NodeID{graph.NodeID(e), graph.NodeID((e + 1) % 5)}, Edges: []int{e}}, rng.Float64()*80)
+		_ = led.Commit(txn) // a refused commit leaves the ledger untouched
 	}
 }
 
@@ -78,7 +85,6 @@ func TestQuickSnapshotSyncFromMatchesClone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		live.EnableJournal()
 		snap := live.Snapshot()
 		cycles := 1 + int(cyclesRaw)%4
 		for cy := 0; cy < cycles; cy++ {
@@ -104,53 +110,14 @@ func TestQuickSnapshotSyncFromMatchesClone(t *testing.T) {
 	}
 }
 
-// A journal overflow on either side must degrade to a correct full
-// copy, never to a wrong incremental sync.
-func TestSnapshotSyncFromSurvivesJournalOverflow(t *testing.T) {
-	c := snapshotFixture(t)
-	for _, side := range []string{"live", "snapshot"} {
-		live, err := NewLedger(c, VMMOverhead{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		live.EnableJournal()
-		snap := live.Snapshot()
-		rng := rand.New(rand.NewSource(7))
-		target := live
-		if side == "snapshot" {
-			target = snap
-		}
-		for i := 0; i < jCap+100; i++ { // well past the truncation point
-			mutateLedger(rng, target)
-		}
-		mutateLedger(rng, snap)
-		mutateLedger(rng, live)
-		snap.SyncFrom(live)
-		if !ledgersIdentical(snap, live) {
-			t.Fatalf("overflow on %s side: snapshot diverged from source after SyncFrom", side)
-		}
-		// The fallback must also re-pin correctly: further incremental
-		// cycles after the overflow stay exact.
-		for i := 0; i < 10; i++ {
-			mutateLedger(rng, snap)
-			mutateLedger(rng, live)
-		}
-		snap.SyncFrom(live)
-		if !ledgersIdentical(snap, live) {
-			t.Fatalf("overflow on %s side: incremental sync after fallback diverged", side)
-		}
-	}
-}
-
-// SyncFrom steady state must not allocate: that is the point of the
-// copy-on-write snapshots.
+// SyncFrom steady state must not allocate: that is the point of
+// recycling snapshots instead of cloning.
 func TestSnapshotSyncFromDoesNotAllocate(t *testing.T) {
 	c := snapshotFixture(t)
 	live, err := NewLedger(c, VMMOverhead{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live.EnableJournal()
 	snap := live.Snapshot()
 	rng := rand.New(rand.NewSource(11))
 	// Pre-built operands: the measured loop must only exercise ledger

@@ -121,12 +121,8 @@ func (t *Txn) Edges() int { return len(t.edgeList) }
 // admission pipeline: callers hold the owning session's lock (or own
 // the ledger outright), as on every other ledger mutation. It sorts the
 // touched-row lists in place but does not Reset the transaction.
-// Journal discipline: proc changes flow through applyProc (which
-// journals the host row) and every edge write is followed by jEdge, so
-// copy-on-write snapshots observe the whole commit.
 //
 //hmn:locked session
-//hmn:journalmutator
 func (l *Ledger) Commit(t *Txn) error {
 	if t.c != l.c {
 		return fmt.Errorf("cluster: transaction built for a different cluster")
@@ -164,7 +160,6 @@ func (l *Ledger) Commit(t *Txn) error {
 	for _, ei := range t.edgeList {
 		e := int(ei)
 		l.bw[e] -= t.ebw[e]
-		l.jEdge(e)
 	}
 	return nil
 }

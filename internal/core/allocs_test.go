@@ -36,8 +36,8 @@ func allocsCluster(t *testing.T) *cluster.Cluster {
 // TestAdmissionAllocsBudget pins the steady-state admission path: after
 // warm-up, a Map+Release cycle on a live session must stay within
 // admissionAllocBudget allocations. This is the regression gate for the
-// zero-allocation admission work — the snapshot free-list, the journal
-// resync, the reusable Txn and the pooled mapping scratch. A failure
+// zero-allocation admission work — the snapshot free-list and its
+// in-place resync, the reusable Txn and the pooled mapping scratch. A failure
 // here means some per-admission allocation came back.
 func TestAdmissionAllocsBudget(t *testing.T) {
 	if raceEnabled {
@@ -60,7 +60,7 @@ func TestAdmissionAllocsBudget(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		cycle() // grow the free-list, scratch pool and journal to steady state
+		cycle() // grow the free-list and scratch pool to steady state
 	}
 	avg := testing.AllocsPerRun(200, cycle)
 	t.Logf("admission steady state: %.1f allocs per Map+Release (budget %d)", avg, admissionAllocBudget)

@@ -16,7 +16,7 @@ import (
 // process-wide mapScratch buffers and each session's snapshot free
 // list — so under -race this pins the isolation contracts: a pooled
 // scratch or recycled snapshot ledger that served one admission must
-// never leak reservations, journal state or residuals into the next,
+// never leak reservations or residuals into the next,
 // least of all across sessions, and each ledger must return exactly to
 // its baseline once everything the stress admitted is released.
 func TestMapBatchConcurrentSessionsStress(t *testing.T) {

@@ -95,7 +95,6 @@ func RestoreSession(c *cluster.Cluster, overhead cluster.VMMOverhead, mapper Map
 	if err != nil {
 		return nil, err
 	}
-	led.EnableJournal()
 	s := &Session{
 		c:                 c,
 		led:               led,
@@ -269,19 +268,6 @@ func (s *Session) ReplayRestore(kind string, target int) error {
 		return fmt.Errorf("%w: restore record has kind %q", ErrReplayDiverged, kind)
 	}
 	return nil
-}
-
-// Tags returns the active environments' caller tags by admission
-// sequence number — how a recovered daemon re-binds its environment IDs
-// after a restore-plus-replay.
-func (s *Session) Tags() map[uint64]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[uint64]string, len(s.active))
-	for _, e := range s.active {
-		out[e.seq] = e.tag
-	}
-	return out
 }
 
 // MappingBySeq returns the active mapping admitted under seq, or nil.

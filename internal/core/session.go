@@ -63,10 +63,9 @@ type Session struct {
 	optimisticRetries int
 	// ar caches Dijkstra latency tables across admissions; see arCache.
 	ar *arCache
-	// snapFree recycles attempt snapshots: each is a journal-enabled
-	// copy-on-write ledger (cluster.Ledger.Snapshot) that SyncFrom
-	// refreshes by replaying only the rows touched since it was last in
-	// sync, instead of a full O(hosts+edges) clone per admission.
+	// snapFree recycles attempt snapshots: each is a cluster.Ledger.Snapshot
+	// whose arrays SyncFrom overwrites in place, so an admission copies
+	// the ledger without allocating a clone.
 	snapFree []*cluster.Ledger //hmn:guardedby mu
 	// txn is the reusable admission transaction every commit funnels
 	// through; epoch-stamped reset makes reuse O(touched), not O(state).
@@ -167,7 +166,6 @@ func NewSession(c *cluster.Cluster, overhead cluster.VMMOverhead, mapper Mapper)
 	if err != nil {
 		return nil, err
 	}
-	led.EnableJournal()
 	return &Session{
 		c:                 c,
 		led:               led,
@@ -266,11 +264,10 @@ func (s *Session) MapWithStats(v *virtual.Env) (*mapping.Mapping, AdmitStats, er
 }
 
 // snapshotLocked hands out an attempt snapshot of the live ledger:
-// a recycled one refreshed in place by the copy-on-write journal
-// (SyncFrom replays only the rows committed since the snapshot was
-// last in sync), or a fresh cluster.Ledger.Snapshot when the pool is
-// empty. Callers hold s.mu and must return the snapshot with
-// freeSnapshotLocked once the attempt is over.
+// a recycled one overwritten in place by SyncFrom (a flat copy of
+// every row, no allocation), or a fresh cluster.Ledger.Snapshot when
+// the pool is empty. Callers hold s.mu and must return the snapshot
+// with freeSnapshotLocked once the attempt is over.
 //
 //hmn:locked mu
 //hmn:noalloc

@@ -1,7 +1,7 @@
 // Package lint is hmnlint: a static-analysis suite that enforces the
 // repo's determinism, lock-discipline, sentinel-mapping, metrics
-// hygiene, WAL/replay coverage, hot-path allocation, lock-order and
-// journal-discipline invariants at compile time (DESIGN.md §11).
+// hygiene, WAL/replay coverage, hot-path allocation and lock-order
+// invariants at compile time (DESIGN.md §11).
 //
 // The suite is modelled on golang.org/x/tools/go/analysis — each check
 // is an *Analyzer with a Run(*Pass) function and the drivers feed it
@@ -72,7 +72,6 @@ func Analyzers() []*Analyzer {
 		WALCoverageAnalyzer,
 		HotPathAllocAnalyzer,
 		LockOrderAnalyzer,
-		JournalDisciplineAnalyzer,
 	}
 }
 
@@ -109,9 +108,22 @@ func analyzerNames(as []*Analyzer) string {
 // findings sorted by position. Diagnostics inside _test.go files are
 // dropped: the invariants the suite guards (seeded replay, lock
 // discipline, stable exposition names) bind production code; tests are
-// free to read the wall clock or build ad-hoc registries.
+// free to read the wall clock or build ad-hoc registries. Whatever the
+// analyzer selection, a //hmn: directive no analyzer knows is reported
+// once per package.
 func runAnalyzers(pkg *Package, as []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	reportAs := func(name string) func(Diagnostic) {
+		return func(d Diagnostic) {
+			file := pkg.Fset.Position(d.Pos).Filename
+			if strings.HasSuffix(file, "_test.go") {
+				return
+			}
+			d.Message = fmt.Sprintf("%s [%s]", d.Message, name)
+			diags = append(diags, d)
+		}
+	}
+	reportUnknownDirectives(pkg.Files, reportAs("directives"))
 	for _, a := range as {
 		pass := &Pass{
 			Analyzer:  a,
@@ -119,15 +131,7 @@ func runAnalyzers(pkg *Package, as []*Analyzer) ([]Diagnostic, error) {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-		}
-		name := a.Name
-		pass.Report = func(d Diagnostic) {
-			file := pkg.Fset.Position(d.Pos).Filename
-			if strings.HasSuffix(file, "_test.go") {
-				return
-			}
-			d.Message = fmt.Sprintf("%s [%s]", d.Message, name)
-			diags = append(diags, d)
+			Report:    reportAs(a.Name),
 		}
 		if _, err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %v", pkg.Path, a.Name, err)

@@ -19,8 +19,6 @@ import (
 //	//hmn:noalloc                   function must not heap-allocate (hotpathalloc)
 //	//hmn:allocok <reason>          deliberate allocation inside a noalloc function
 //	//hmn:lockorder <first> <second> declared acquisition order: first before second
-//	//hmn:journaled                 field writes must flow through journal mutators
-//	//hmn:journalmutator            approved journal-recording write funnel
 //
 // A directive written on its own line annotates the line below it; a
 // trailing directive annotates its own line. <mutex> is either a sibling
@@ -38,9 +36,17 @@ const (
 	dirNoAlloc        = "noalloc"
 	dirAllocOK        = "allocok"
 	dirLockOrder      = "lockorder"
-	dirJournaled      = "journaled"
-	dirJournalMutator = "journalmutator"
 )
+
+// knownDirectives is every name above: a //hmn: comment with any other
+// name is a typo or a leftover of a deleted analyzer, and would
+// otherwise annotate nothing without anyone noticing.
+var knownDirectives = map[string]bool{
+	dirWallclock: true, dirOrderInvariant: true, dirGuardedBy: true,
+	dirLocked: true, dirSentinelTable: true, dirExactObjective: true,
+	dirWALEncoder: true, dirWALReplayer: true, dirNoAlloc: true,
+	dirAllocOK: true, dirLockOrder: true,
+}
 
 // directive is one parsed //hmn: comment.
 type directive struct {
@@ -61,6 +67,20 @@ func parseDirective(c *ast.Comment) (directive, bool) {
 	}
 	name, arg, _ := strings.Cut(strings.TrimSpace(text), " ")
 	return directive{name: name, arg: strings.TrimSpace(arg), pos: c.Pos()}, true
+}
+
+// reportUnknownDirectives reports every //hmn: comment in files whose
+// name is not in knownDirectives.
+func reportUnknownDirectives(files []*ast.File, report func(Diagnostic)) {
+	for _, file := range files {
+		for _, cg := range file.Comments {
+			for _, c := range cg.List {
+				if d, ok := parseDirective(c); ok && !knownDirectives[d.name] {
+					report(Diagnostic{Pos: d.pos, Message: "unknown directive //hmn:" + d.name})
+				}
+			}
+		}
+	}
 }
 
 // directivesFor builds (and caches) the directive index of file. Files

@@ -11,6 +11,9 @@ type box struct {
 	mu sync.Mutex
 	n  int //hmn:guardedby mu
 	ok bool
+	// typo is what a misspelt annotation looks like: it guards nothing,
+	// so the shared directive parser reports the name.
+	typo int //hmn:gaurdedby mu // want `unknown directive //hmn:gaurdedby`
 }
 
 // readBare touches n with no lock.

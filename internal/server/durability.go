@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mapping"
-	"repro/internal/spec"
 	"repro/internal/wal"
 )
 
@@ -120,91 +119,33 @@ func (s *Server) Recover() error {
 		s.logf("hmnd: recovery truncated a torn log tail (%d bytes); the records were never acknowledged", recovered.TruncatedBytes)
 	}
 
-	// maxSession tracks the highest session ordinal the directory has
-	// ever named — snapshotted, opened, or closed — so a restarted
-	// daemon never reuses a session ID. A reused ID would alias the
-	// retired session's snapshot boundary at the *next* recovery and
-	// silently swallow the new session's low-index records.
-	maxSession := 0
-	noteSID := func(sid string) {
-		if n, ok := wal.SessionOrdinal(sid); ok && n > maxSession {
-			maxSession = n
+	// past advances an environment-ID counter beyond the ID tag names,
+	// so a recovered daemon never hands out an ID twice.
+	past := func(cur int, tag string) int {
+		if n, ok := wal.EnvOrdinal(tag); ok && n > cur {
+			return n
 		}
+		return cur
+	}
+	// Replayed records can name environment IDs the final active sets
+	// no longer hold (admitted and released since the snapshot); the
+	// counter must still move past them.
+	envHigh := make(map[*wal.Replayed]int)
+	replayed, maxSession, err := wal.Replay(recovered, func(rs *wal.Replayed, rec *wal.Record) {
+		s.mReplayRecords.Inc()
+		rec.EachTag(func(tag string) { envHigh[rs] = past(envHigh[rs], tag) })
+	})
+	if err != nil {
+		return err
 	}
 
-	// Phase 1: sessions from the snapshot, each restored at its own
-	// operation boundary.
-	restoring := make(map[string]*session)
-	boundary := make(map[string]uint64)
-	if snap := recovered.Snapshot; snap != nil {
-		for _, sn := range snap.Sessions {
-			cs, _, err := wal.RestoreSnap(sn)
-			if err != nil {
-				return err
-			}
-			sess := s.sessionShell(sn.SID, sn.Cluster, sn.Mapper, cs)
-			sess.overhead.Proc, sess.overhead.Mem, sess.overhead.Stor = sn.Proc, sn.Mem, sn.Stor
-			sess.nextEnv = int(sn.NextEnv)
-			restoring[sn.SID] = sess
-			boundary[sn.SID] = sn.OpCount
-			noteSID(sn.SID)
-		}
-	}
-
-	// Phase 2: the log suffix, in append order. Operation records at or
-	// below the owning session's snapshot boundary were already applied
-	// by the snapshot; open records for snapshotted sessions and close
-	// records for unknown ones are idempotent no-ops.
-	for i := range recovered.Records {
-		rec := &recovered.Records[i]
-		noteSID(rec.SID)
-		switch rec.Kind {
-		case wal.KindOpen:
-			if restoring[rec.SID] != nil {
-				continue
-			}
-			cs, _, err := wal.OpenSession(rec)
-			if err != nil {
-				return err
-			}
-			restoring[rec.SID] = s.sessionShell(rec.SID, rec.Open.Cluster, rec.Open.Mapper, cs)
-			restoring[rec.SID].overhead.Proc = rec.Open.Proc
-			restoring[rec.SID].overhead.Mem = rec.Open.Mem
-			restoring[rec.SID].overhead.Stor = rec.Open.Stor
-		case wal.KindClose:
-			// The boundary entry must die with the session: a later open
-			// record for the same SID starts a fresh session at index 0,
-			// and a stale boundary would skip its records as if the old
-			// snapshot had covered them.
-			delete(restoring, rec.SID)
-			delete(boundary, rec.SID)
-		default:
-			sess := restoring[rec.SID]
-			if sess == nil {
-				return fmt.Errorf("server: wal record %q for unknown session %s", rec.Kind, rec.SID)
-			}
-			if rec.Index <= boundary[rec.SID] {
-				continue
-			}
-			if err := wal.ReplayRecord(sess.core, rec); err != nil {
-				return err
-			}
-			s.mReplayRecords.Inc()
-			rec.EachTag(sess.noteEnvOrdinal)
-		}
-	}
-
-	// Phase 3: install. The environment registry is rebuilt from each
-	// session's final active set — tags are hmnd's environment IDs, and
-	// they survive snapshots, admissions and repairs.
-	ids := make([]string, 0, len(restoring))
-	for sid := range restoring {
-		ids = append(ids, sid)
-	}
-	sort.Strings(ids)
+	// Install. The environment registry is rebuilt from each session's
+	// final active set — tags are hmnd's environment IDs, and they
+	// survive snapshots, admissions and repairs.
 	totalEnvs := 0
-	for _, sid := range ids {
-		sess := restoring[sid]
+	for _, rs := range replayed {
+		sess := s.newSession(rs.SID, rs.Session, rs.Overhead, rs.Mapper, rs.ClusterSpec)
+		sess.nextEnv = max(int(rs.NextEnv), envHigh[rs])
 		for _, a := range sess.core.Export().Active {
 			if a.Tag == "" {
 				continue
@@ -214,7 +155,7 @@ func (s *Server) Recover() error {
 			// replayed-record bumps: no live environment's ID is ever
 			// handed out again, even against a snapshot whose counter
 			// lagged its active set.
-			sess.noteEnvOrdinal(a.Tag)
+			sess.nextEnv = past(sess.nextEnv, a.Tag)
 		}
 		totalEnvs += len(sess.envs)
 		if s.cfg.VerifyReplay {
@@ -226,7 +167,7 @@ func (s *Server) Recover() error {
 		s.attachRebalance(sess)
 		sess.stddev.Set(mapping.Objective(sess.core.ResidualProc()))
 		s.mu.Lock()
-		s.sessions[sid] = sess
+		s.sessions[sess.id] = sess
 		s.mu.Unlock()
 		// The session is fully replayed and durable; the background loop
 		// (if configured) may migrate its guests from here on.
@@ -237,10 +178,10 @@ func (s *Server) Recover() error {
 		s.nextSession = maxSession
 	}
 	s.mu.Unlock()
-	s.mSessions.Set(float64(len(ids)))
+	s.mSessions.Set(float64(len(replayed)))
 	s.mEnvs.Set(float64(totalEnvs))
 	s.logf("hmnd: recovered %d sessions, %d environments, replayed %d records",
-		len(ids), totalEnvs, int(s.mReplayRecords.Value()))
+		len(replayed), totalEnvs, int(s.mReplayRecords.Value()))
 
 	if s.cfg.SnapshotInterval > 0 {
 		s.snapStop = make(chan struct{})
@@ -263,34 +204,6 @@ func verifySession(sess *session) error {
 		return fmt.Errorf("server: session %s recovered %d environment records for %d active environments", sess.id, got, want)
 	}
 	return nil
-}
-
-// sessionShell builds the server-side wrapper for a recovered core
-// session (metrics gauge included; the env registry starts empty).
-func (s *Server) sessionShell(sid string, cs spec.ClusterSpec, mapperName string, core *core.Session) *session {
-	return &session{
-		id:          sid,
-		core:        core,
-		clusterSpec: cs,
-		mapperName:  mapperName,
-		stddev: s.reg.Gauge(
-			fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", sid),
-			"Stddev of residual CPU per host (the Eq. 10 objective) per session."),
-		envs: make(map[string]struct{}),
-	}
-}
-
-// noteEnvOrdinal advances the session's environment-ID counter past
-// the ID a replayed record or a recovered active set names, so a
-// recovered daemon never hands out an ID twice. The session is not yet
-// published (recovery runs before the listener), so no handler can
-// race it.
-//
-//hmn:locked mu
-func (sess *session) noteEnvOrdinal(tag string) {
-	if n, ok := wal.EnvOrdinal(tag); ok && n > sess.nextEnv {
-		sess.nextEnv = n
-	}
 }
 
 // exportAll captures every open session for a snapshot, in session-ID

@@ -65,6 +65,30 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 }
 
+// TestFederationHealthzDraining: like the classic server, a federation
+// daemon stops reporting itself ready once Close has begun, so a load
+// balancer takes it out of rotation while the shards drain.
+func TestFederationHealthzDraining(t *testing.T) {
+	s := NewFederation(FedConfig{ClusterSpecs: fedSpecs(t, 2)})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	client := ts.Client()
+	code, raw, _ := doJSON(t, client, "GET", ts.URL+"/v1/healthz", nil)
+	if code != http.StatusOK || !strings.Contains(string(raw), "serving") {
+		t.Fatalf("healthz before Close: %d %q, want 200 serving", code, raw)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, raw, _ = doJSON(t, client, "GET", ts.URL+"/healthz", nil)
+	if code != http.StatusServiceUnavailable || !strings.Contains(string(raw), "draining") {
+		t.Fatalf("healthz after Close began: %d %q, want 503 draining", code, raw)
+	}
+}
+
 // TestAckAfterLog checks the durability contract at the API edge: by
 // the time a mutating request is acknowledged, its records are on disk
 // and visible to a concurrent read-only Scan.

@@ -70,6 +70,7 @@ type FedServer struct {
 	fed *shard.Federation
 
 	replaying atomic.Bool
+	draining  atomic.Bool // set when Close begins; /healthz turns 503
 
 	mAdmitLatency *metrics.Histogram
 	mWALRecords   *metrics.Counter
@@ -228,6 +229,7 @@ func (s *FedServer) Handler() http.Handler {
 // final snapshots taken, WALs closed. Call after the HTTP listener has
 // shut down so no admission is in flight.
 func (s *FedServer) Close() error {
+	s.draining.Store(true)
 	if s.fed == nil {
 		return nil
 	}
@@ -266,6 +268,10 @@ func writeFedError(w http.ResponseWriter, err error) {
 func (s *FedServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.replaying.Load() {
 		writeError(w, http.StatusServiceUnavailable, "replaying")
+		return
+	}
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -450,19 +456,10 @@ func (s *FedServer) handleShardFail(w http.ResponseWriter, r *http.Request, kind
 		writeFedError(w, err)
 		return
 	}
-	resp := FailTargetResponse{Kind: kind, Target: target, Evicted: len(results)}
-	for _, res := range results {
-		rep := RepairReport{Outcome: res.Outcome.String()}
-		if res.Err != nil {
-			rep.Error = res.Err.Error()
-		}
-		if res.New != nil {
-			ms := spec.FromMapping(res.New, s.cfg.Overhead)
-			rep.Mapping = &ms
-		}
-		resp.Results = append(resp.Results, rep)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, FailTargetResponse{
+		Kind: kind, Target: target, Evicted: len(results),
+		Results: repairReports(results, s.cfg.Overhead),
+	})
 }
 
 func (s *FedServer) handleShardRestoreHost(w http.ResponseWriter, r *http.Request) {

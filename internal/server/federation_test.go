@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -141,8 +144,13 @@ func TestFederationHTTPRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &failed); err != nil {
 		t.Fatal(err)
 	}
-	if failed.Evicted != 1 {
+	if failed.Evicted != 1 || len(failed.Results) != 1 {
 		t.Fatalf("fail response: %+v", failed)
+	}
+	// A shard hosts many tenants, so a report names its environment by
+	// the full tag: tenant, then environment ID.
+	if want := opened.ID + "/" + admitted.ID; failed.Results[0].Env != want {
+		t.Fatalf("fail report names env %q, want %q", failed.Results[0].Env, want)
 	}
 	code, raw, _ = doJSON(t, client, "POST",
 		ts.URL+"/v1/shards/"+strconv.Itoa(home)+"/hosts/"+strconv.Itoa(node)+"/restore", nil)
@@ -323,5 +331,74 @@ func TestFederationHTTPRecover(t *testing.T) {
 	}
 	if len(ids) != 3 {
 		t.Fatalf("recovered %d envs, want 3", len(ids))
+	}
+}
+
+// TestClassicAndOneShardFederationAgree is the safety net under the
+// ROADMAP's "one daemon" collapse: a classic Server session and a
+// 1-shard FedServer over the same cluster, fed the same seeded
+// admit/release stream over HTTP, must place every guest of every
+// environment on the same host and answer byte-identical residuals
+// after every operation. At most four 4–12-guest environments are live
+// on the 40-host paper cluster, so the router's CPU-headroom view never
+// rejects what the classic session (where CPU is no constraint) admits.
+func TestClassicAndOneShardFederationAgree(t *testing.T) {
+	_, cs := testbed(t)
+	_, cts := startServer(t, Config{Workers: 1, QueueDepth: 8})
+	_, fts := startFedServer(t, FedConfig{ClusterSpecs: []spec.ClusterSpec{cs}})
+	client := cts.Client()
+
+	classic := cts.URL + "/v1/sessions/" + openSession(t, client, cts.URL, cs, "")
+	code, raw, _ := doJSON(t, client, "POST", fts.URL+"/v1/sessions", nil)
+	if code != http.StatusCreated {
+		t.Fatalf("open tenant: status %d: %s", code, raw)
+	}
+	var tenant OpenTenantResponse
+	if err := json.Unmarshal(raw, &tenant); err != nil {
+		t.Fatal(err)
+	}
+	fed := fts.URL + "/v1/sessions/" + tenant.ID
+
+	type envIDs struct{ classic, fed string }
+	var live []envIDs
+	rng := rand.New(rand.NewSource(16))
+	for op := 0; op < 60; op++ {
+		if len(live) < 4 && (len(live) == 0 || rng.Intn(3) > 0) {
+			req := MapEnvRequest{Env: spec.FromEnv(smallEnv(rng.Int63(), 4+rng.Intn(9)))}
+			code, raw, _ := doJSON(t, client, "POST", classic+"/envs", req)
+			if code != http.StatusOK {
+				t.Fatalf("op %d: classic admit: status %d: %s", op, code, raw)
+			}
+			var c MapEnvResponse
+			if err := json.Unmarshal(raw, &c); err != nil {
+				t.Fatal(err)
+			}
+			code, raw, _ = doJSON(t, client, "POST", fed+"/envs", req)
+			if code != http.StatusCreated {
+				t.Fatalf("op %d: federation admit: status %d: %s", op, code, raw)
+			}
+			var f FedMapEnvResponse
+			if err := json.Unmarshal(raw, &f); err != nil {
+				t.Fatal(err)
+			}
+			if len(f.Fragments) != 1 || !reflect.DeepEqual(f.Fragments[0].Mapping.GuestHost, c.Mapping.GuestHost) {
+				t.Fatalf("op %d: placements differ:\nclassic    %v\nfederation %+v", op, c.Mapping.GuestHost, f.Fragments)
+			}
+			live = append(live, envIDs{classic: c.ID, fed: f.ID})
+		} else {
+			i := rng.Intn(len(live))
+			if code, raw, _ := doJSON(t, client, "DELETE", classic+"/envs/"+live[i].classic, nil); code != http.StatusNoContent {
+				t.Fatalf("op %d: classic release: status %d: %s", op, code, raw)
+			}
+			if code, raw, _ := doJSON(t, client, "DELETE", fed+"/envs/"+live[i].fed, nil); code != http.StatusNoContent {
+				t.Fatalf("op %d: federation release: status %d: %s", op, code, raw)
+			}
+			live = append(live[:i], live[i+1:]...)
+		}
+		ccode, cres, _ := doJSON(t, client, "GET", classic+"/residuals", nil)
+		fcode, fres, _ := doJSON(t, client, "GET", fts.URL+"/v1/shards/0/residuals", nil)
+		if ccode != http.StatusOK || fcode != http.StatusOK || !bytes.Equal(cres, fres) {
+			t.Fatalf("op %d: residuals differ:\nclassic    %s\nfederation %s", op, cres, fres)
+		}
 	}
 }

@@ -199,6 +199,22 @@ type session struct {
 	closed  bool                //hmn:guardedby mu
 }
 
+// newSession builds the server-side wrapper of a core session, opened
+// or recovered: its metrics gauge and an empty environment registry.
+func (s *Server) newSession(id string, cs *core.Session, overhead cluster.VMMOverhead, mapperName string, clusterSpec spec.ClusterSpec) *session {
+	return &session{
+		id:          id,
+		core:        cs,
+		overhead:    overhead,
+		mapperName:  mapperName,
+		clusterSpec: clusterSpec,
+		stddev: s.reg.Gauge(
+			fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", id),
+			"Stddev of residual CPU per host (the Eq. 10 objective) per session."),
+		envs: make(map[string]struct{}),
+	}
+}
+
 // Server is the hmnd daemon: session store, admission queue, worker
 // pool and metrics. Create with New, serve Handler(), stop with Close.
 type Server struct {
@@ -599,17 +615,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.nextSession++
 	id := fmt.Sprintf("s%d", s.nextSession)
-	sess := &session{
-		id:          id,
-		core:        cs,
-		overhead:    overhead,
-		mapperName:  mapperName,
-		clusterSpec: req.Cluster,
-		stddev: s.reg.Gauge(
-			fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", id),
-			"Stddev of residual CPU per host (the Eq. 10 objective) per session."),
-		envs: make(map[string]struct{}),
-	}
+	sess := s.newSession(id, cs, overhead, mapperName, req.Cluster)
 	s.attachWAL(sess)
 	s.attachRebalance(sess)
 	s.appendOpenLocked(sess)
@@ -921,6 +927,25 @@ func (s *Server) handleFailLink(w http.ResponseWriter, r *http.Request) {
 	s.handleFail(w, r, "link", "edge")
 }
 
+// repairReports renders the repair outcomes of a failure for the wire,
+// one report per evicted environment, labelled with the tag it was
+// admitted under. Both servers' fail handlers answer with it.
+func repairReports(results []core.RepairResult, overhead cluster.VMMOverhead) []RepairReport {
+	reports := make([]RepairReport, 0, len(results))
+	for _, res := range results {
+		rep := RepairReport{Env: res.Tag, Outcome: res.Outcome.String()}
+		if res.Err != nil {
+			rep.Error = res.Err.Error()
+		}
+		if res.New != nil {
+			ms := spec.FromMapping(res.New, overhead)
+			rep.Mapping = &ms
+		}
+		reports = append(reports, rep)
+	}
+	return reports
+}
+
 // handleFail fails a host or link and runs the repair engine in one
 // atomic step, answering with the per-environment repair outcomes.
 func (s *Server) handleFail(w http.ResponseWriter, r *http.Request, kind, pathKey string) {
@@ -962,20 +987,11 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request, kind, pathKe
 		// the new mapping, unrecoverable ones are gone.
 		sess.mu.Lock()
 		lost := 0
-		reports := make([]RepairReport, 0, len(results))
 		for _, res := range results {
-			rep := RepairReport{Env: res.Tag, Outcome: res.Outcome.String()}
 			if res.Outcome == core.RepairUnrecoverable {
-				if res.Err != nil {
-					rep.Error = res.Err.Error()
-				}
 				delete(sess.envs, res.Tag)
 				lost++
-			} else {
-				ms := spec.FromMapping(res.New, sess.overhead)
-				rep.Mapping = &ms
 			}
-			reports = append(reports, rep)
 			s.repairCounter(res.Outcome.String()).Inc()
 		}
 		sess.mu.Unlock()
@@ -983,7 +999,7 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request, kind, pathKe
 			s.mEnvs.Dec()
 		}
 		sess.stddev.Set(mapping.Objective(sess.core.ResidualProc()))
-		resp = FailTargetResponse{Kind: kind, Target: target, Evicted: len(results), Results: reports}
+		resp = FailTargetResponse{Kind: kind, Target: target, Evicted: len(results), Results: repairReports(results, sess.overhead)}
 	})
 	if code, msg, ok := failureStatus(submitErr, failErr); !ok {
 		if code == http.StatusServiceUnavailable {

@@ -22,9 +22,6 @@ import (
 // metaName is the tenant registry file inside the data directory.
 const metaName = "federation.json"
 
-// metaTmp is the atomic-rename staging name for metaName.
-const metaTmp = "federation.json.tmp"
-
 // fedMeta is the durable tenant registry. It changes only on tenant
 // open and close — environment membership is recovered from the
 // fragment tags in the shard WALs, never duplicated here.
@@ -47,15 +44,9 @@ func HasState(dir string) bool {
 	return err == nil
 }
 
-// metaPath is the registry file's location under the data directory.
-func (f *Federation) metaPath() string {
-	return filepath.Join(f.cfg.DataDir, metaName)
-}
-
-// writeMetaLocked lands the tenant registry atomically: temp file,
-// fsync, rename, directory fsync — a crash leaves the old registry or
-// the new one, never a torn file. Caller holds f.mu; a federation
-// without a data directory is a no-op.
+// writeMetaLocked lands the tenant registry atomically — a crash leaves
+// the old registry or the new one, never a torn file. Caller holds
+// f.mu; a federation without a data directory is a no-op.
 //
 //hmn:locked mu
 func (f *Federation) writeMetaLocked() error {
@@ -76,26 +67,7 @@ func (f *Federation) writeMetaLocked() error {
 	if err != nil {
 		return fmt.Errorf("shard: encode federation meta: %w", err)
 	}
-	tmp := filepath.Join(f.cfg.DataDir, metaTmp)
-	file, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("shard: create federation meta: %w", err)
-	}
-	if _, err := file.Write(buf); err != nil {
-		file.Close()
-		return fmt.Errorf("shard: write federation meta: %w", err)
-	}
-	if err := file.Sync(); err != nil {
-		file.Close()
-		return fmt.Errorf("shard: sync federation meta: %w", err)
-	}
-	if err := file.Close(); err != nil {
-		return fmt.Errorf("shard: close federation meta: %w", err)
-	}
-	if err := os.Rename(tmp, f.metaPath()); err != nil {
-		return fmt.Errorf("shard: publish federation meta: %w", err)
-	}
-	return syncDir(f.cfg.DataDir)
+	return wal.PublishFile(f.cfg.DataDir, metaName, buf)
 }
 
 // readMeta loads the registry file.
@@ -112,19 +84,6 @@ func readMeta(dataDir string) (*fedMeta, error) {
 		return nil, fmt.Errorf("shard: federation meta names %d shards", meta.Shards)
 	}
 	return &meta, nil
-}
-
-// syncDir fsyncs a directory so a rename into it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
 }
 
 // snapshotShard takes one full-state snapshot of sh and truncates its
@@ -244,10 +203,10 @@ func Recover(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// recoverShard rebuilds shard k from its WAL directory: the snapshot
-// session restored at its operation boundary, then the log suffix
-// replayed in append order. envHigh is the highest environment ordinal
-// the shard's state names, for the global ID counter.
+// recoverShard rebuilds shard k from its WAL directory, which must
+// replay to exactly one session, the shard's own. envHigh is the
+// highest environment ordinal the shard's state names, for the global
+// ID counter.
 func (f *Federation) recoverShard(k int) (*Shard, int, error) {
 	sid := shardSID(k)
 	w, recovered, err := wal.Open(filepath.Join(f.cfg.DataDir, sid), f.walHooks())
@@ -262,27 +221,7 @@ func (f *Federation) recoverShard(k int) (*Shard, int, error) {
 		f.logf("shard %d: recovery truncated a torn log tail (%d bytes); the records were never acknowledged", k, recovered.TruncatedBytes)
 	}
 
-	sh := &Shard{
-		Index: k,
-		w:     w,
-		ops:   make(chan func(), f.cfg.QueueDepth),
-		done:  make(chan struct{}),
-	}
-	var boundary uint64
 	envHigh := 0
-	if snap := recovered.Snapshot; snap != nil {
-		if len(snap.Sessions) != 1 || snap.Sessions[0].SID != sid {
-			return fail(fmt.Errorf("shard: %s snapshot holds %d sessions (want exactly %q)", sid, len(snap.Sessions), sid))
-		}
-		sn := snap.Sessions[0]
-		cs, c, err := wal.RestoreSnap(sn)
-		if err != nil {
-			return fail(err)
-		}
-		sh.sess, sh.c, sh.clusterSpec = cs, c, sn.Cluster
-		boundary = sn.OpCount
-		envHigh = int(sn.NextEnv)
-	}
 	noteEnvHigh := func(tag string) {
 		if _, eid, _, _, _, ok := parseTag(tag); ok {
 			if n, ok := wal.EnvOrdinal(eid); ok && n > envHigh {
@@ -290,41 +229,28 @@ func (f *Federation) recoverShard(k int) (*Shard, int, error) {
 			}
 		}
 	}
-	for i := range recovered.Records {
-		rec := &recovered.Records[i]
-		if rec.SID != sid {
-			return fail(fmt.Errorf("shard: %s log names session %s", sid, rec.SID))
+	replayed, _, err := wal.Replay(recovered, func(_ *wal.Replayed, rec *wal.Record) {
+		if f.cfg.Hooks.OnReplay != nil {
+			f.cfg.Hooks.OnReplay()
 		}
-		switch rec.Kind {
-		case wal.KindOpen:
-			if sh.sess != nil {
-				continue
-			}
-			cs, c, err := wal.OpenSession(rec)
-			if err != nil {
-				return fail(err)
-			}
-			sh.sess, sh.c, sh.clusterSpec = cs, c, rec.Open.Cluster
-		case wal.KindClose:
-			return fail(fmt.Errorf("shard: %s log holds a close record; shards never close", sid))
-		default:
-			if sh.sess == nil {
-				return fail(fmt.Errorf("shard: %s record %q precedes the open record", sid, rec.Kind))
-			}
-			if rec.Index <= boundary {
-				continue
-			}
-			if err := wal.ReplayRecord(sh.sess, rec); err != nil {
-				return fail(err)
-			}
-			if f.cfg.Hooks.OnReplay != nil {
-				f.cfg.Hooks.OnReplay()
-			}
-			rec.EachTag(noteEnvHigh)
-		}
+		rec.EachTag(noteEnvHigh)
+	})
+	if err != nil {
+		return fail(err)
 	}
-	if sh.sess == nil {
-		return fail(fmt.Errorf("shard: %s directory holds no session state", sid))
+	if len(replayed) != 1 || replayed[0].SID != sid {
+		return fail(fmt.Errorf("shard: %s directory recovers %d sessions (want exactly %q)", sid, len(replayed), sid))
+	}
+	rs := replayed[0]
+	envHigh = max(envHigh, int(rs.NextEnv))
+	sh := &Shard{
+		Index:       k,
+		c:           rs.Cluster,
+		clusterSpec: rs.ClusterSpec,
+		sess:        rs.Session,
+		w:           w,
+		ops:         make(chan func(), f.cfg.QueueDepth),
+		done:        make(chan struct{}),
 	}
 	f.attachRebalance(sh)
 	return sh, envHigh, nil

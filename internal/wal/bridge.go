@@ -169,9 +169,9 @@ func OpenSession(rec *Record) (*core.Session, *cluster.Cluster, error) {
 }
 
 // ReplayRecord re-applies one operation record against its session.
-// Callers dispatch open/close records themselves (they create and
-// retire sessions) and skip records whose Index is at or below the
-// session's snapshot OpCount.
+// Replay is the recovery loop around it: open/close records create and
+// retire sessions there, and records whose Index is at or below the
+// session's snapshot OpCount never reach this function.
 //
 //hmn:walreplayer
 func ReplayRecord(cs *core.Session, rec *Record) error {

@@ -11,10 +11,11 @@ import (
 )
 
 // snapshotName is the snapshot file inside the data directory; writes
-// go through snapshotTmp and an atomic rename.
+// go through PublishFile, which stages at snapshotTmp.
 const (
 	snapshotName = "snapshot.json"
-	snapshotTmp  = "snapshot.json.tmp"
+	snapshotTmp  = snapshotName + tmpSuffix
+	tmpSuffix    = ".tmp"
 )
 
 // Snapshot is the full daemon state at one log boundary: every open
@@ -80,33 +81,29 @@ func loadSnapshot(dir string) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// writeSnapshotFile lands snap atomically: write to a temporary file,
-// fsync it, rename over the live snapshot, fsync the directory. A crash
-// at any point leaves either the old snapshot or the new one, never a
-// partial file.
-func writeSnapshotFile(dir string, snap *Snapshot) error {
-	buf, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("wal: encode snapshot: %w", err)
-	}
-	tmp := filepath.Join(dir, snapshotTmp)
+// PublishFile lands data as dir/name atomically: write to name.tmp,
+// fsync it, rename over the live file, fsync the directory. A crash at
+// any point leaves either the old file or the new one, never a partial
+// one.
+func PublishFile(dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+tmpSuffix)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: create snapshot tmp: %w", err)
+		return fmt.Errorf("wal: create %s staging file: %w", name, err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: write snapshot: %w", err)
+		return fmt.Errorf("wal: write %s: %w", name, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: sync snapshot: %w", err)
+		return fmt.Errorf("wal: sync %s: %w", name, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close snapshot tmp: %w", err)
+		return fmt.Errorf("wal: close %s staging file: %w", name, err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotName)); err != nil {
-		return fmt.Errorf("wal: publish snapshot: %w", err)
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return fmt.Errorf("wal: publish %s: %w", name, err)
 	}
 	return syncDir(dir)
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -125,8 +126,11 @@ func (w *WAL) WriteSnapshot(export func() ([]SessionSnap, error)) error {
 	if err != nil {
 		return fmt.Errorf("wal: export for snapshot: %w", err)
 	}
-	snap := &Snapshot{FirstSeg: sealed + 1, Sessions: sessions}
-	if err := writeSnapshotFile(w.dir, snap); err != nil {
+	buf, err := json.Marshal(&Snapshot{FirstSeg: sealed + 1, Sessions: sessions})
+	if err != nil {
+		return fmt.Errorf("wal: encode snapshot: %w", err)
+	}
+	if err := PublishFile(w.dir, snapshotName, buf); err != nil {
 		return err
 	}
 	// The snapshot is durable; the sealed segments are now redundant.

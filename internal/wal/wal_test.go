@@ -131,49 +131,16 @@ func activeSummary(s *core.Session) []string {
 	return out
 }
 
-// rebuild replays a Recovered the way the daemon does: snapshot
-// sessions first, then the log suffix with the per-session operation
-// boundary skip.
+// rebuild replays a Recovered the way the daemon does.
 func rebuild(t *testing.T, rec *Recovered) map[string]*core.Session {
 	t.Helper()
-	sessions := make(map[string]*core.Session)
-	boundary := make(map[string]uint64)
-	if snap := rec.Snapshot; snap != nil {
-		for _, sn := range snap.Sessions {
-			cs, _, err := RestoreSnap(sn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sessions[sn.SID] = cs
-			boundary[sn.SID] = sn.OpCount
-		}
+	replayed, _, err := Replay(rec, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range rec.Records {
-		r := &rec.Records[i]
-		switch r.Kind {
-		case KindOpen:
-			if _, ok := sessions[r.SID]; ok {
-				continue
-			}
-			cs, _, err := OpenSession(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sessions[r.SID] = cs
-		case KindClose:
-			delete(sessions, r.SID)
-		default:
-			cs, ok := sessions[r.SID]
-			if !ok {
-				t.Fatalf("record %d names unknown session %s", i, r.SID)
-			}
-			if r.Index <= boundary[r.SID] {
-				continue
-			}
-			if err := ReplayRecord(cs, r); err != nil {
-				t.Fatal(err)
-			}
-		}
+	sessions := make(map[string]*core.Session, len(replayed))
+	for _, rs := range replayed {
+		sessions[rs.SID] = rs.Session
 	}
 	return sessions
 }
