@@ -38,15 +38,21 @@ vet:
 	go vet ./...
 
 ## fuzz explores the strict spec decoder, seeded with the link_edges
-## exact-edge replay corpus alongside the cluster/env shapes.
+## exact-edge replay corpus alongside the cluster/env shapes, then the
+## two differentials that hold the hand-written codec to encoding/json:
+## DecodeStrict's fast path against a plain strict json.Decoder, and the
+## WAL's readFrame against json.Unmarshal.
 fuzz:
-	go test -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 45s ./internal/spec
+	go test -run '^$$' -fuzz 'FuzzDecodeSpec$$' -fuzztime 45s ./internal/spec
+	go test -run '^$$' -fuzz 'FuzzDecodeStrictDifferential$$' -fuzztime 20s ./internal/spec
+	go test -run '^$$' -fuzz 'FuzzWALDecode$$' -fuzztime 20s ./internal/wal
 
-## bench-allocs gates the zero-allocation admission path: the steady-state
-## Map+Release cycle and the failure-repair reroute cycle must stay within
-## the allocs/op budgets of internal/core/allocs_test.go.
+## bench-allocs gates the allocation budgets of one admission: the
+## steady-state Map+Release cycle and the failure-repair reroute cycle
+## (internal/core/allocs_test.go), and the JSON around them — request
+## decode, reply and WAL-record encode (internal/server/codec_test.go).
 bench-allocs:
-	go test -run 'AllocsBudget' -v ./internal/core/
+	go test -run 'AllocsBudget' -v ./internal/core/ ./internal/server/
 
 ## bench-baselines regenerates the committed benchmark baselines. Run it
 ## when a change legitimately moves the seeded sweep (new scenarios, new

@@ -21,6 +21,8 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -34,9 +36,12 @@ import (
 	"repro/internal/exp"
 	"repro/internal/ga"
 	"repro/internal/graph"
+	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/virtual"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -736,4 +741,95 @@ func BenchmarkGAMapper(b *testing.B) {
 		obj = m.Objective(VMMOverhead{})
 	}
 	b.ReportMetric(obj, "objective")
+}
+
+// BenchmarkSpecCodec measures the JSON on the admit path at the two
+// gated hmnperf workloads' body sizes — a 40-guest high-level
+// environment on the switched paper cluster and a 500-guest low-level
+// one on the 8x8 torus: decoding the POST body (spec.DecodeStrict
+// against the plain strict json.Decoder it falls back to), encoding the
+// reply (spec.AppendJSON against the compact and the formerly indented
+// json.Encoder) and encoding the admit record's WAL payload
+// ((*wal.Record).AppendJSON against json.Marshal). It regenerates the
+// codec table of DESIGN.md §12; MB/s is over the JSON bytes.
+func BenchmarkSpecCodec(b *testing.B) {
+	cases := []struct {
+		name  string
+		build func(rng *rand.Rand) (*Cluster, *virtual.Env, error)
+	}{
+		{"switched_40g", func(rng *rand.Rand) (*Cluster, *virtual.Env, error) {
+			c, err := topology.Switched(workload.GenerateHosts(workload.PaperClusterParams(), rng), workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
+			return c, workload.GenerateEnv(workload.HighLevelParams(40, 0.02), rng), err
+		}},
+		{"torus_500g", func(rng *rand.Rand) (*Cluster, *virtual.Env, error) {
+			p := workload.PaperClusterParams()
+			p.Hosts = 64
+			c, err := topology.Torus2D(workload.GenerateHosts(p, rng), 8, 8, 10000, 1)
+			return c, workload.GenerateEnv(workload.LowLevelParams(500, 0.02), rng), err
+		}},
+	}
+	for _, tc := range cases {
+		c, env, err := tc.build(rand.New(rand.NewSource(9)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := (&core.HMN{}).Map(c, env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := server.MapEnvRequest{Env: spec.FromEnv(env)}
+		resp := server.MapEnvResponse{ID: "e1", Mapping: spec.FromMapping(m, VMMOverhead{})}
+		rec := &wal.Record{Kind: wal.KindAdmit, SID: "s1", Index: 1,
+			Admit: &wal.AdmitRec{Seq: 1, Tag: "e1", Env: req.Env, M: resp.Mapping}}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := func(name string, size int, op func() error) {
+			b.Run(tc.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := op(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		rd := bytes.NewReader(nil)
+		run("decode/std", len(body), func() error {
+			rd.Reset(body)
+			dec := json.NewDecoder(rd)
+			dec.DisallowUnknownFields()
+			return dec.Decode(new(server.MapEnvRequest))
+		})
+		run("decode/fast", len(body), func() error {
+			rd.Reset(body)
+			return spec.DecodeStrict(rd, new(server.MapEnvRequest))
+		})
+		var out bytes.Buffer
+		reply, _ := spec.AppendJSON(nil, resp)
+		run("encode/std_indent", len(reply), func() error {
+			out.Reset()
+			return spec.WriteIndentedJSON(&out, resp)
+		})
+		run("encode/std", len(reply), func() error {
+			out.Reset()
+			return json.NewEncoder(&out).Encode(resp)
+		})
+		run("encode/fast", len(reply), func() error {
+			var err error
+			reply, err = spec.AppendJSON(reply[:0], resp)
+			return err
+		})
+		payload, _ := rec.AppendJSON(nil)
+		run("wal_record/std", len(payload), func() error {
+			_, err := json.Marshal(rec)
+			return err
+		})
+		run("wal_record/fast", len(payload), func() error {
+			payload, _ = rec.AppendJSON(payload[:0])
+			return nil
+		})
+	}
 }

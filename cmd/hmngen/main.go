@@ -125,10 +125,11 @@ func buildTopology(kind string, specs []topology.HostSpec, ports, fanout, extra 
 	}
 }
 
-// saveOutput writes a spec to a file, or to stdout when path is "-".
+// saveOutput writes a spec to a file, or to stdout when path is "-";
+// indented either way, unlike hmnd's one-line replies.
 func saveOutput(path string, v interface{}) error {
 	if path == "-" {
-		return spec.WriteJSON(os.Stdout, v)
+		return spec.WriteIndentedJSON(os.Stdout, v)
 	}
 	return spec.SaveJSON(path, v)
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"io"
 	"math/rand"
+	"os"
 	"testing"
 
+	"repro/internal/spec"
 	"repro/internal/topology"
 )
 
@@ -59,5 +62,30 @@ func TestBuildTopologyFatTree(t *testing.T) {
 	specs8 := make([]topology.HostSpec, 8)
 	if _, err := buildTopology("fattree", specs8, 16, 4, 5, nil); err == nil {
 		t.Fatal("8 hosts match no fat-tree arity")
+	}
+}
+
+// TestSaveOutputStdoutIsIndented pins the "-" path to the indented
+// writer: `hmngen -cluster -` / `-env -` is read by people and piped into files, and must
+// not follow hmnd's replies to one-line JSON.
+func TestSaveOutputStdoutIsIndented(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	err = saveOutput("-", spec.MappingSpec{GuestHost: []int{3}, Objective: 1.5})
+	os.Stdout = old
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\n  \"guest_host\": [\n    3\n  ],\n  \"link_paths\": null,\n  \"objective\": 1.5\n}\n"; string(got) != want {
+		t.Fatalf("stdout document:\n got %q\nwant %q", got, want)
 	}
 }

@@ -118,15 +118,13 @@ func main() {
 		fmt.Fprintf(infoW, "  emulated experiment makespan: %.3fs (%d events)\n", res.Makespan, res.Events)
 	}
 
-	if *outPath == "-" {
-		if err := spec.WriteJSON(os.Stdout, spec.FromMapping(m, overhead)); err != nil {
+	if *outPath != "" {
+		if err := saveOutput(*outPath, spec.FromMapping(m, overhead)); err != nil {
 			fatal(err)
 		}
-	} else if *outPath != "" {
-		if err := spec.SaveJSON(*outPath, spec.FromMapping(m, overhead)); err != nil {
-			fatal(err)
+		if *outPath != "-" {
+			fmt.Fprintf(infoW, "hmnmap: wrote %s\n", *outPath)
 		}
-		fmt.Fprintf(infoW, "hmnmap: wrote %s\n", *outPath)
 	}
 
 	if *dotPath != "" {
@@ -175,6 +173,15 @@ func newMapper(name string, overhead cluster.VMMOverhead, seed int64, maxTries i
 		return &baseline.HostingSearch{Overhead: overhead, Rand: rng, MaxTries: maxTries}, nil
 	}
 	return nil, fmt.Errorf("unknown -heuristic %q (want HMN, HMN-C, R, RA or HS)", name)
+}
+
+// saveOutput writes a spec to a file, or to stdout when path is "-";
+// indented either way, unlike hmnd's one-line replies.
+func saveOutput(path string, v interface{}) error {
+	if path == "-" {
+		return spec.WriteIndentedJSON(os.Stdout, v)
+	}
+	return spec.SaveJSON(path, v)
 }
 
 // loadInput reads a spec from a file, or from stdin when path is "-".

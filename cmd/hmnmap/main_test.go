@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"testing"
 
@@ -41,5 +42,30 @@ func TestLoadInputStdin(t *testing.T) {
 	}
 	if len(es.Guests) != 1 || es.Guests[0].Name != "g0" {
 		t.Fatalf("decoded %+v", es)
+	}
+}
+
+// TestSaveOutputStdoutIsIndented pins the "-" path to the indented
+// writer: `hmnmap -out -` is read by people and piped into files, and must
+// not follow hmnd's replies to one-line JSON.
+func TestSaveOutputStdoutIsIndented(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	err = saveOutput("-", spec.MappingSpec{GuestHost: []int{3}, Objective: 1.5})
+	os.Stdout = old
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\n  \"guest_host\": [\n    3\n  ],\n  \"link_paths\": null,\n  \"objective\": 1.5\n}\n"; string(got) != want {
+		t.Fatalf("stdout document:\n got %q\nwant %q", got, want)
 	}
 }

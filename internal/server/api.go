@@ -2,6 +2,7 @@ package server
 
 import (
 	"repro/internal/deploy"
+	"repro/internal/jsonx"
 	"repro/internal/spec"
 )
 
@@ -95,4 +96,54 @@ type RebalanceResponse struct {
 // ErrorResponse is the body of every non-2xx response.
 type ErrorResponse struct {
 	Error string `json:"error"`
+}
+
+// ScanJSON is MapEnvRequest's decoding fast path (see
+// spec.DecodeStrict): the whole request or nothing.
+func (r *MapEnvRequest) ScanJSON(s *jsonx.Scanner) bool {
+	var v MapEnvRequest
+	if r.Env.Guests != nil || r.Env.Links != nil || r.Plan || r.PlanShell {
+		return false
+	}
+	var seen uint
+	for s.Open('{'); s.More('}'); {
+		switch string(s.Key()) {
+		case "env":
+			s.Once(&seen, 1)
+			if !v.Env.ScanJSON(s) {
+				s.Fail()
+			}
+		case "plan":
+			s.Once(&seen, 2)
+			v.Plan = s.Bool()
+		case "plan_shell":
+			s.Once(&seen, 4)
+			v.PlanShell = s.Bool()
+		default:
+			s.Fail()
+		}
+	}
+	if !s.OK() {
+		return false
+	}
+	*r = v
+	return true
+}
+
+// AppendJSON implements jsonx.Appender. A reply carrying a deployment
+// plan is left to encoding/json.
+func (r MapEnvResponse) AppendJSON(dst []byte) ([]byte, bool) {
+	if r.Plan != nil {
+		return dst, false
+	}
+	ok := true
+	dst = append(dst, `{"id":`...)
+	dst = jsonx.AppendString(dst, r.ID, &ok)
+	dst = append(dst, `,"mapping":`...)
+	dst, mok := r.Mapping.AppendJSON(dst)
+	if r.PlanShell != "" {
+		dst = append(dst, `,"plan_shell":`...)
+		dst = jsonx.AppendString(dst, r.PlanShell, &ok)
+	}
+	return append(dst, '}'), ok && mok
 }

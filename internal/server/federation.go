@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/jsonx"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/shard"
@@ -319,6 +320,48 @@ type FedMapEnvResponse struct {
 	CutBW     float64          `json:"cut_bw,omitempty"`
 	Split     bool             `json:"split,omitempty"`
 	Fallback  bool             `json:"fallback,omitempty"`
+}
+
+// AppendJSON implements jsonx.Appender.
+func (r FedMapEnvResponse) AppendJSON(dst []byte) ([]byte, bool) {
+	ok := true
+	dst = append(dst, `{"id":`...)
+	dst = jsonx.AppendString(dst, r.ID, &ok)
+	dst = append(dst, `,"fragments":`...)
+	if r.Fragments == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range r.Fragments {
+			fr := &r.Fragments[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"shard":`...)
+			dst = strconv.AppendInt(dst, int64(fr.Shard), 10)
+			if len(fr.Guests) > 0 {
+				dst = append(dst, `,"guests":`...)
+				dst = jsonx.AppendInts(dst, fr.Guests)
+			}
+			dst = append(dst, `,"mapping":`...)
+			var mok bool
+			dst, mok = fr.Mapping.AppendJSON(dst)
+			ok = ok && mok
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if r.CutBW != 0 {
+		dst = append(dst, `,"cut_bw":`...)
+		dst = jsonx.AppendFloat(dst, r.CutBW, &ok)
+	}
+	if r.Split {
+		dst = append(dst, `,"split":true`...)
+	}
+	if r.Fallback {
+		dst = append(dst, `,"fallback":true`...)
+	}
+	return append(dst, '}'), ok
 }
 
 func (s *FedServer) handleAdmit(w http.ResponseWriter, r *http.Request) {

@@ -60,6 +60,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/graph"
+	"repro/internal/jsonx"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/rebalance"
@@ -182,6 +183,9 @@ type session struct {
 	// WAL snapshots (a snapshot must be self-contained).
 	clusterSpec spec.ClusterSpec
 	stddev      *metrics.Gauge
+	// The session's hmnd_maps_*_total{mapper} series, resolved once:
+	// handleMapEnv used to format and look up all four per request.
+	attempted, succeeded, failed, rejected *metrics.Counter
 
 	// rebal is the session's background rebalancer. Set before the
 	// session is published and never reassigned; its own mutex guards
@@ -211,7 +215,11 @@ func (s *Server) newSession(id string, cs *core.Session, overhead cluster.VMMOve
 		stddev: s.reg.Gauge(
 			fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", id),
 			"Stddev of residual CPU per host (the Eq. 10 objective) per session."),
-		envs: make(map[string]struct{}),
+		attempted: s.mapCounter("attempted", mapperName),
+		succeeded: s.mapCounter("succeeded", mapperName),
+		failed:    s.mapCounter("failed", mapperName),
+		rejected:  s.mapCounter("rejected", mapperName),
+		envs:      make(map[string]struct{}),
 	}
 }
 
@@ -684,10 +692,7 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	attempted := s.mapCounter("attempted", sess.mapperName)
-	succeeded := s.mapCounter("succeeded", sess.mapperName)
-	failed := s.mapCounter("failed", sess.mapperName)
-	rejected := s.mapCounter("rejected", sess.mapperName)
+	attempted, succeeded, failed, rejected := sess.attempted, sess.succeeded, sess.failed, sess.rejected
 
 	// The environment ID is assigned before the admission runs, because
 	// it is the admission's tag: it rides the WAL record, so a logged
@@ -1133,10 +1138,26 @@ func (s *Server) mapCounter(outcome, mapper string) *metrics.Counter {
 
 // --- response helpers ---
 
+// writeJSON answers with v as one line of compact JSON. The body is
+// encoded before the status line is committed, so a value that does not
+// encode (a NaN objective, say) is a well-formed 500 instead of a 200
+// with a truncated body, and every reply goes out in one Write with its
+// Content-Length rather than chunked. Both servers answer through it.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	buf := jsonx.GetBuffer()
+	defer buf.Put()
+	var err error
+	if buf.B, err = spec.AppendJSON(buf.B, v); err != nil {
+		code = http.StatusInternalServerError
+		// An ErrorResponse is one string; it always encodes.
+		buf.B, _ = spec.AppendJSON(buf.B[:0], ErrorResponse{Error: "encoding response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(buf.B)))
 	w.WriteHeader(code)
-	_ = spec.WriteJSON(w, v)
+	// A failed Write means the client hung up; there is no one to tell.
+	_, _ = w.Write(buf.B)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

@@ -7,6 +7,7 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
+	"repro/internal/jsonx"
 	"repro/internal/mapping"
 	"repro/internal/virtual"
 )
@@ -124,11 +126,19 @@ func (s ClusterSpec) ToCluster() (*cluster.Cluster, error) {
 	return cluster.New(g, hosts)
 }
 
-// FromEnv converts a virtual environment into its JSON form.
+// FromEnv converts a virtual environment into its JSON form. An
+// environment without guests or without links keeps the nil slice, and
+// with it the "null" the WAL has always written for it.
 func FromEnv(v *virtual.Env) EnvSpec {
 	out := EnvSpec{}
+	if n := v.NumGuests(); n > 0 {
+		out.Guests = make([]GuestSpec, 0, n)
+	}
 	for _, g := range v.Guests() {
 		out.Guests = append(out.Guests, GuestSpec{Name: g.Name, Proc: g.Proc, Mem: g.Mem, Stor: g.Stor})
+	}
+	if n := v.NumLinks(); n > 0 {
+		out.Links = make([]VLinkSpec, 0, n)
 	}
 	for _, l := range v.Links() {
 		out.Links = append(out.Links, VLinkSpec{From: int(l.From), To: int(l.To), BW: l.BW, Lat: l.Lat})
@@ -172,13 +182,24 @@ func FromMapping(m *mapping.Mapping, overhead cluster.VMMOverhead) MappingSpec {
 	for g, n := range m.GuestHost {
 		out.GuestHost[g] = int(n)
 	}
+	// Every path's nodes and edges share one backing array: two small
+	// slices per virtual link were a quarter of all the allocations of an
+	// admission, which renders its mapping twice (WAL record and reply).
+	// Each path is capped at its length, so appending to one copies it.
+	total := 0
+	for _, p := range m.LinkPath {
+		total += len(p.Nodes) + len(p.Edges)
+	}
+	arena := make([]int, 0, total)
 	for l, p := range m.LinkPath {
-		nodes := make([]int, len(p.Nodes))
-		for i, n := range p.Nodes {
-			nodes[i] = int(n)
+		start := len(arena)
+		for _, n := range p.Nodes {
+			arena = append(arena, int(n))
 		}
-		out.LinkPaths[l] = nodes
-		out.LinkEdges[l] = append([]int{}, p.Edges...)
+		out.LinkPaths[l] = arena[start:len(arena):len(arena)]
+		start = len(arena)
+		arena = append(arena, p.Edges...)
+		out.LinkEdges[l] = arena[start:len(arena):len(arena)]
 	}
 	return out
 }
@@ -253,8 +274,39 @@ func (s MappingSpec) ToMapping(c *cluster.Cluster, v *virtual.Env) (*mapping.Map
 	return m, nil
 }
 
-// WriteJSON writes v to w as indented JSON.
+// AppendJSON appends v's compact JSON and a newline to dst — the bytes
+// json.Encoder.Encode writes. A jsonx.Appender inside the plain subset
+// is encoded by hand; every other value, and any the appender declines,
+// goes through encoding/json.
+func AppendJSON(dst []byte, v interface{}) ([]byte, error) {
+	if a, ok := v.(jsonx.Appender); ok {
+		if out, ok := a.AppendJSON(dst); ok {
+			return append(out, '\n'), nil
+		}
+	}
+	buf := bytes.NewBuffer(dst)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return dst, err
+	}
+	return buf.Bytes(), nil
+}
+
+// WriteJSON writes v to w as one line of compact JSON: the wire form of
+// every hmnd reply. Nothing is written when v does not encode.
 func WriteJSON(w io.Writer, v interface{}) error {
+	buf := jsonx.GetBuffer()
+	defer buf.Put()
+	var err error
+	if buf.B, err = AppendJSON(buf.B, v); err != nil {
+		return err
+	}
+	_, err = w.Write(buf.B)
+	return err
+}
+
+// WriteIndentedJSON writes v to w as indented JSON: the form of the
+// files and stdout documents testers read and edit (§1).
+func WriteIndentedJSON(w io.Writer, v interface{}) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
@@ -267,26 +319,65 @@ func SaveJSON(path string, v interface{}) error {
 		return err
 	}
 	defer f.Close()
-	if err := WriteJSON(f, v); err != nil {
+	if err := WriteIndentedJSON(f, v); err != nil {
 		return fmt.Errorf("spec: encoding %s: %w", path, err)
 	}
 	return f.Close()
 }
 
+// scanner is the decoding fast path: a target with a hand-written
+// decoder for its fixed schema (EnvSpec, MappingSpec, hmnd's
+// MapEnvRequest). ScanJSON either decodes the whole value exactly as
+// encoding/json with DisallowUnknownFields would, or reports false and
+// leaves the target untouched.
+type scanner interface {
+	ScanJSON(s *jsonx.Scanner) bool
+}
+
 // DecodeStrict decodes one JSON value from r into out, rejecting fields
-// the target type does not declare. Specs are written by hand (§1's
-// "tester describes the exact configuration"), where a misspelled
-// "proc_mips" silently ignored means an experiment runs with default
-// demands — strictness turns the typo into an immediate error. The hmnd
-// service decodes request bodies through the same path.
+// the target type does not declare; bytes after that first value are
+// ignored. Specs are written by hand (§1's "tester describes the exact
+// configuration"), where a misspelled "proc_mips" silently ignored
+// means an experiment runs with default demands — strictness turns the
+// typo into an immediate error. The hmnd service decodes request bodies
+// through the same path.
+//
+// encoding/json decides what is accepted and what every error says. A
+// target that implements the fast path is first offered the buffered
+// input; it accepts only a plain subset of valid documents (see package
+// jsonx), and anything it declines is decoded again from the same bytes
+// by json.Decoder, with a read error re-attached where it occurred.
 func DecodeStrict(r io.Reader, out interface{}) error {
+	fast, ok := out.(scanner)
+	if !ok {
+		return decodeStd(r, out)
+	}
+	buf := jsonx.GetBuffer()
+	defer buf.Put()
+	body := bytes.NewBuffer(buf.B)
+	_, rerr := body.ReadFrom(r)
+	buf.B = body.Bytes()
+	if rerr != nil {
+		return decodeStd(io.MultiReader(body, failingReader{rerr}), out)
+	}
+	var s jsonx.Scanner
+	s.Reset(buf.B)
+	if fast.ScanJSON(&s) {
+		return nil
+	}
+	return decodeStd(body, out)
+}
+
+func decodeStd(r io.Reader, out interface{}) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(out); err != nil {
-		return err
-	}
-	return nil
+	return dec.Decode(out)
 }
+
+// failingReader replays the error that cut a body short.
+type failingReader struct{ err error }
+
+func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 
 // LoadJSON reads a JSON file into out, rejecting unknown fields (see
 // DecodeStrict).

@@ -224,15 +224,25 @@ func TestDecodeStrict(t *testing.T) {
 	}
 }
 
-func TestWriteJSONIsIndented(t *testing.T) {
+// TestWriteIndentedJSONIsIndented pins the split between the two
+// writers: files and stdout documents stay indented for the testers who
+// read them, every hmnd reply is one compact line.
+func TestWriteIndentedJSONIsIndented(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, map[string]int{"a": 1}); err != nil {
+	if err := WriteIndentedJSON(&buf, map[string]int{"a": 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("output is not valid JSON")
 	}
-	if !bytes.Contains(buf.Bytes(), []byte("\n")) {
-		t.Fatal("output should be indented")
+	if !bytes.Contains(buf.Bytes(), []byte("\n  \"a\": 1\n")) {
+		t.Fatalf("output should be indented, got %q", buf.Bytes())
+	}
+	buf.Reset()
+	if err := WriteJSON(&buf, map[string]int{"a": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "{\"a\":1}\n" {
+		t.Fatalf("wire output should be one compact line, got %q", got)
 	}
 }

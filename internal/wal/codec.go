@@ -1,0 +1,186 @@
+package wal
+
+import (
+	"strconv"
+
+	"repro/internal/jsonx"
+)
+
+// This file is the hand-written codec for the records an admission
+// workload writes and recovery reads back: admit, batch, release and
+// migrate out, admit and release in (all but the open record of a churn
+// log). It changes no byte on disk — AppendJSON emits json.Marshal's
+// exact payload or declines, scanJSON accepts a subset of what
+// json.Unmarshal accepts or declines — and appendFrame/readFrame answer
+// a decline with encoding/json, which also still owns open, close, fail
+// and restore records.
+
+// AppendJSON implements jsonx.Appender.
+func (r *Record) AppendJSON(dst []byte) ([]byte, bool) {
+	if r.Open != nil || r.Fail != nil || r.Restore != nil {
+		return dst, false
+	}
+	ok := true
+	dst = append(dst, `{"kind":`...)
+	dst = jsonx.AppendString(dst, r.Kind, &ok)
+	dst = append(dst, `,"sid":`...)
+	dst = jsonx.AppendString(dst, r.SID, &ok)
+	if r.Index != 0 {
+		dst = append(dst, `,"index":`...)
+		dst = strconv.AppendUint(dst, r.Index, 10)
+	}
+	if r.Admit != nil {
+		dst = append(dst, `,"admit":`...)
+		dst = r.Admit.appendJSON(dst, &ok)
+	}
+	if len(r.Batch) > 0 {
+		dst = append(dst, `,"batch":[`...)
+		for i := range r.Batch {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = r.Batch[i].appendJSON(dst, &ok)
+		}
+		dst = append(dst, ']')
+	}
+	if r.Release != nil {
+		dst = append(dst, `,"release":{"seq":`...)
+		dst = strconv.AppendUint(dst, r.Release.Seq, 10)
+		dst = append(dst, '}')
+	}
+	if r.Migrate != nil {
+		dst = append(dst, `,"migrate":`...)
+		dst = r.Migrate.appendJSON(dst, &ok)
+	}
+	return append(dst, '}'), ok
+}
+
+// appendTagged appends the `{"seq":N,"tag":"T",` opening that admit
+// records and migrated environments share (tag omitted when empty).
+func appendTagged(dst []byte, seq uint64, tag string, ok *bool) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	if tag != "" {
+		dst = append(dst, `,"tag":`...)
+		dst = jsonx.AppendString(dst, tag, ok)
+	}
+	return append(dst, ',')
+}
+
+func (a *AdmitRec) appendJSON(dst []byte, ok *bool) []byte {
+	dst = appendTagged(dst, a.Seq, a.Tag, ok)
+	dst = append(dst, `"env":`...)
+	dst, eok := a.Env.AppendJSON(dst)
+	dst = append(dst, `,"mapping":`...)
+	dst, mok := a.M.AppendJSON(dst)
+	*ok = *ok && eok && mok
+	return append(dst, '}')
+}
+
+func (m *MigrateRec) appendJSON(dst []byte, ok *bool) []byte {
+	dst = append(dst, `{"moves":`...)
+	if m.Moves == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, mv := range m.Moves {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"seq":`...)
+			dst = strconv.AppendUint(dst, mv.Seq, 10)
+			dst = append(dst, `,"guest":`...)
+			dst = strconv.AppendInt(dst, int64(mv.Guest), 10)
+			dst = append(dst, `,"from":`...)
+			dst = strconv.AppendInt(dst, int64(mv.From), 10)
+			dst = append(dst, `,"to":`...)
+			dst = strconv.AppendInt(dst, int64(mv.To), 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"envs":`...)
+	if m.Envs == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range m.Envs {
+			e := &m.Envs[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendTagged(dst, e.Seq, e.Tag, ok)
+			dst = append(dst, `"mapping":`...)
+			var mok bool
+			dst, mok = e.M.AppendJSON(dst)
+			*ok = *ok && mok
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// scanJSON decodes an admit or release record into the zero Record r.
+// It reports false, leaving r half-filled, for any other kind of record
+// and for any input outside the scanner's plain subset.
+func (r *Record) scanJSON(s *jsonx.Scanner) bool {
+	var seen uint
+	for s.Open('{'); s.More('}'); {
+		switch string(s.Key()) {
+		case "kind":
+			s.Once(&seen, 1)
+			r.Kind = s.String()
+		case "sid":
+			s.Once(&seen, 2)
+			r.SID = s.String()
+		case "index":
+			s.Once(&seen, 4)
+			r.Index = s.Uint64()
+		case "admit":
+			s.Once(&seen, 8)
+			r.Admit = new(AdmitRec)
+			r.Admit.scanJSON(s)
+		case "release":
+			s.Once(&seen, 16)
+			r.Release = new(ReleaseRec)
+			var rseen uint
+			for s.Open('{'); s.More('}'); {
+				if string(s.Key()) != "seq" {
+					s.Fail()
+				}
+				s.Once(&rseen, 1)
+				r.Release.Seq = s.Uint64()
+			}
+		default:
+			s.Fail()
+		}
+	}
+	return s.End()
+}
+
+func (a *AdmitRec) scanJSON(s *jsonx.Scanner) {
+	var seen uint
+	for s.Open('{'); s.More('}'); {
+		switch string(s.Key()) {
+		case "seq":
+			s.Once(&seen, 1)
+			a.Seq = s.Uint64()
+		case "tag":
+			s.Once(&seen, 2)
+			a.Tag = s.String()
+		case "env":
+			s.Once(&seen, 4)
+			if !a.Env.ScanJSON(s) {
+				s.Fail()
+			}
+		case "mapping":
+			s.Once(&seen, 8)
+			if !a.M.ScanJSON(s) {
+				s.Fail()
+			}
+		default:
+			s.Fail()
+		}
+	}
+}

@@ -1,0 +1,299 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/jsonx"
+	"repro/internal/spec"
+)
+
+// frameOf wraps an arbitrary payload in a valid frame.
+func frameOf(payload []byte) []byte {
+	var hdr [frameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return append(hdr[:], payload...)
+}
+
+// readAgrees holds readFrame to json.Unmarshal on one payload: same
+// verdict, same error text, same record.
+func readAgrees(t *testing.T, payload []byte) {
+	t.Helper()
+	var want Record
+	wantErr := json.Unmarshal(payload, &want)
+	got, next, gotErr := readFrame(frameOf(payload), 0)
+	if wantErr != nil {
+		if gotErr == nil || gotErr.Error() != "wal: decode record: "+wantErr.Error() {
+			t.Fatalf("payload %q:\n    readFrame: %v\nencoding/json: %v", payload, gotErr, wantErr)
+		}
+		return
+	}
+	if gotErr != nil || next != frameHeaderSize+len(payload) || !reflect.DeepEqual(*got, want) {
+		t.Fatalf("payload %q:\n    readFrame: %#v (%v)\nencoding/json: %#v", payload, got, gotErr, want)
+	}
+}
+
+// parentSegment is a log written by the commit before the hand-written
+// codec (0e50542, encoding/json on both sides): an open record, two
+// admissions, a release, a migrate, a batch with a linkless, nameless
+// environment and a name encoding/json escapes, a host failure with a
+// repair, the restore, and a close.
+const parentSegment = "testdata/segment-0e50542"
+
+// TestParentSegmentRoundTrips is the on-disk compatibility proof in
+// both directions: the parent's bytes decode to what encoding/json
+// makes of them and replay cleanly, and re-encoding the decoded records
+// reproduces the parent's file byte for byte — so a directory written
+// by either commit recovers under the other.
+func TestParentSegmentRoundTrips(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join(parentSegment, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Scan(parentSegment, testHooks(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.TruncatedBytes != 0 || len(rec.Records) != 9 {
+		t.Fatalf("scanned %d records, %d torn bytes; want 9, 0", len(rec.Records), rec.TruncatedBytes)
+	}
+	var got []byte
+	kinds := map[string]int{}
+	for i := range rec.Records {
+		r := &rec.Records[i]
+		kinds[r.Kind]++
+		start := len(got)
+		if got, err = appendFrame(got, r); err != nil {
+			t.Fatal(err)
+		}
+		readAgrees(t, got[start+frameHeaderSize:])
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-encoded segment differs from the parent's bytes:\n got %q\nwant %q", got, want)
+	}
+	if len(kinds) != 8 {
+		t.Fatalf("segment covers kinds %v, want all eight", kinds)
+	}
+	// The close record retires the session, so stop one short of it.
+	rec.Records = rec.Records[:8]
+	sess := rebuild(t, rec)[testSID]
+	if sess == nil || sess.Active() != 3 {
+		t.Fatalf("replaying the parent's log: session %v", sess)
+	}
+	if err := VerifyObjective(sess); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// churnRecords runs the chaos schedule against a logged session and
+// returns the records it wrote.
+func churnRecords(t *testing.T, ops int) []Record {
+	t.Helper()
+	c, _ := testCluster(t)
+	s, err := core.NewSession(c, cluster.VMMOverhead{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	s.SetCommitHook(func(ev core.Event) {
+		recs = append(recs, *RecordFromEvent(testSID, cluster.VMMOverhead{}, ev))
+	})
+	for i := 0; i < ops; i++ {
+		applyOp(t, s, c, i)
+	}
+	return recs
+}
+
+// TestFastPathTakesChurnRecords keeps the WAL fast path from quietly
+// degrading into always-decline: every admit, batch and release record
+// of a churn schedule is encoded by hand, and every admit and release
+// is decoded by hand.
+func TestFastPathTakesChurnRecords(t *testing.T) {
+	counts := map[string]int{}
+	for _, rec := range churnRecords(t, 48) {
+		rec := rec
+		want, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := rec.AppendJSON(nil)
+		if hand := rec.Kind == KindAdmit || rec.Kind == KindBatch || rec.Kind == KindRelease; ok != hand {
+			t.Fatalf("%s record: AppendJSON accepted=%v", rec.Kind, ok)
+		}
+		if ok && !bytes.Equal(got, want) {
+			t.Fatalf("%s record:\n got %s\nwant %s", rec.Kind, got, want)
+		}
+		var back Record
+		var s jsonx.Scanner
+		s.Reset(want)
+		if hand := rec.Kind == KindAdmit || rec.Kind == KindRelease; back.scanJSON(&s) != hand {
+			t.Fatalf("%s record: scanJSON accepted=%v: %s", rec.Kind, !hand, want)
+		} else if hand && !reflect.DeepEqual(back, rec) {
+			t.Fatalf("%s record decoded to %#v, want %#v", rec.Kind, back, rec)
+		}
+		counts[rec.Kind]++
+	}
+	for _, k := range []string{KindAdmit, KindBatch, KindRelease, KindFail, KindRestore} {
+		if counts[k] == 0 {
+			t.Fatalf("schedule wrote no %s record: %v", k, counts)
+		}
+	}
+}
+
+// FuzzWALDecode feeds readFrame arbitrary checksummed payloads: it must
+// never panic and must equal json.Unmarshal — on the error and on the
+// record — whether the hand-written scanner or the fallback decoded it.
+func FuzzWALDecode(f *testing.F) {
+	seg, err := os.ReadFile(filepath.Join(parentSegment, segName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for off := 0; off < len(seg); {
+		n := int(binary.LittleEndian.Uint32(seg[off:]))
+		f.Add(seg[off+frameHeaderSize : off+frameHeaderSize+n])
+		off += frameHeaderSize + n
+	}
+	for _, s := range []string{
+		`{"kind":"release","sid":"s1","index":3,"release":{"seq":1}} `,
+		`{"kind":"release","sid":"s1","index":3,"release":{"seq":1}}x`,
+		`{"kind":"release","sid":"s1","index":-3,"release":{"seq":1.0}}`,
+		`{"kind":"release","sid":"s1","release":{"seq":18446744073709551615}}`,
+		`{"kind":"release","sid":"s1","release":{"seq":1,"seq":2},"release":{}}`,
+		`{"kind":"release","sid":"s1","release":null,"unknown":[{"a":1}]}`,
+		`{"KIND":"release","Sid":"s\u0031","release":{"SEQ":1}}`,
+		`{"kind":"admit","sid":"s1","index":1,"admit":{"seq":1,"env":{"guests":[],"links":[]},"mapping":{"guest_host":[],"link_paths":[],"objective":0}}}`,
+		`{"kind":"admit","admit":{"env":{"guests":[{"bogus":1}]}}}`,
+		`{"kind":"admit","admit":{"mapping":{"objective":1e999}}}`,
+		`{"kind":7}`, `[]`, `null`, ``, `{`, "{\"kind\":\"\xff\"}",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		readAgrees(t, payload)
+	})
+}
+
+// quickRecord draws records of the kinds the codec encodes by hand (and
+// a few it must decline) around the values that separate a careless
+// encoder from encoding/json's.
+type quickRecord struct{ R Record }
+
+func (quickRecord) Generate(r *rand.Rand, _ int) reflect.Value {
+	floats := []float64{0, math.Copysign(0, -1), 1e21, 1e-7, 5e-324, -123.456, 1e20, 999999.9999999999, math.MaxFloat64}
+	strs := []string{"", "e12", "s1/e3#1of2@12.5", `<>&"\ `, "caf\u00e9", "\xff", "new\nline"}
+	ints := func() []int {
+		if r.Intn(5) == 0 {
+			return nil
+		}
+		out := make([]int, r.Intn(4))
+		for i := range out {
+			out[i] = r.Intn(100) - 1
+		}
+		return out
+	}
+	lists := func() [][]int {
+		if r.Intn(5) == 0 {
+			return nil
+		}
+		out := make([][]int, r.Intn(3))
+		for i := range out {
+			out[i] = ints()
+		}
+		return out
+	}
+	str := func() string { return strs[r.Intn(len(strs))] }
+	flt := func() float64 { return floats[r.Intn(len(floats))] / float64(1+r.Intn(3)) }
+	m := func() spec.MappingSpec {
+		return spec.MappingSpec{GuestHost: ints(), LinkPaths: lists(), LinkEdges: lists(), Objective: flt()}
+	}
+	admit := func() AdmitRec {
+		a := AdmitRec{Seq: r.Uint64() >> uint(r.Intn(64)), Tag: str(), M: m()}
+		if r.Intn(4) > 0 {
+			a.Env.Guests = make([]spec.GuestSpec, r.Intn(3))
+			for i := range a.Env.Guests {
+				a.Env.Guests[i] = spec.GuestSpec{Name: str(), Proc: flt(), Mem: math.MaxInt64 >> uint(r.Intn(64)), Stor: flt()}
+			}
+			a.Env.Links = make([]spec.VLinkSpec, r.Intn(3))
+			for i := range a.Env.Links {
+				a.Env.Links[i] = spec.VLinkSpec{From: r.Intn(5), To: -r.Intn(5), BW: flt(), Lat: flt()}
+			}
+		}
+		return a
+	}
+	rec := Record{SID: str(), Index: r.Uint64() >> uint(r.Intn(65))}
+	switch r.Intn(6) {
+	case 0:
+		a := admit()
+		rec.Kind, rec.Admit = KindAdmit, &a
+	case 1:
+		rec.Kind = KindBatch
+		for i := r.Intn(3); i > 0; i-- {
+			rec.Batch = append(rec.Batch, admit())
+		}
+	case 2:
+		rec.Kind, rec.Release = KindRelease, &ReleaseRec{Seq: r.Uint64()}
+	case 3:
+		mr := &MigrateRec{}
+		if r.Intn(4) > 0 {
+			mr.Moves = make([]MoveRec, r.Intn(3))
+			for i := range mr.Moves {
+				mr.Moves[i] = MoveRec{Seq: r.Uint64(), Guest: r.Intn(9), From: r.Intn(9), To: -r.Intn(9)}
+			}
+			mr.Envs = make([]MigrateEnvRec, r.Intn(3))
+			for i := range mr.Envs {
+				mr.Envs[i] = MigrateEnvRec{Seq: r.Uint64(), Tag: str(), M: m()}
+			}
+		}
+		rec.Kind, rec.Migrate = KindMigrate, mr
+	case 4:
+		rec.Kind = KindClose
+	case 5:
+		rec.Kind, rec.Restore = KindRestore, &RestoreRec{Kind: "host", Target: r.Intn(9)}
+	}
+	return reflect.ValueOf(quickRecord{rec})
+}
+
+// TestQuickFramePayloadIsJSONMarshal is the "same bytes on disk" half
+// of the codec's contract: whichever encoder appendFrame used, the
+// payload is json.Marshal(rec), and reading it back gives what
+// json.Unmarshal gives.
+func TestQuickFramePayloadIsJSONMarshal(t *testing.T) {
+	err := quick.Check(func(q quickRecord) bool {
+		want, err := json.Marshal(&q.R)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := appendFrame([]byte("earlier frames"), &q.R)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame, append([]byte("earlier frames"), frameOf(want)...)) {
+			t.Errorf("frame of %#v:\n got %q\nwant %q", q.R, frame[len("earlier frames")+frameHeaderSize:], want)
+			return false
+		}
+		readAgrees(t, want)
+		return true
+	}, &quick.Config{MaxCount: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What encoding/json refuses, appendFrame refuses in its words.
+	bad := &Record{Kind: KindAdmit, Admit: &AdmitRec{M: spec.MappingSpec{Objective: math.NaN()}}}
+	_, wantErr := json.Marshal(bad)
+	if _, err := appendFrame(nil, bad); err == nil || errors.Unwrap(err).Error() != wantErr.Error() {
+		t.Fatalf("NaN objective: appendFrame %v, json.Marshal %v", err, wantErr)
+	}
+}

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/jsonx"
 )
 
 // Hooks are the WAL's observation points. All fields are optional; hmnd
@@ -142,7 +144,10 @@ func (l *log) faultBarrier(err error) error {
 // holds an operation the log does not, so barriers fail from then on
 // and the lost record can never be acknowledged as durable.
 func (l *log) append(rec *Record) error {
-	frame, err := appendFrame(nil, rec)
+	buf := jsonx.GetBuffer()
+	defer buf.Put()
+	frame, err := appendFrame(buf.B, rec)
+	buf.B = frame
 	if err != nil {
 		l.mu.Lock()
 		l.faultLocked(err)

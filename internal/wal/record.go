@@ -36,6 +36,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"repro/internal/jsonx"
 	"repro/internal/spec"
 )
 
@@ -186,20 +187,26 @@ const frameHeaderSize = 8
 const maxFrameSize = 64 << 20
 
 // appendFrame encodes rec and appends its frame to buf, returning the
-// extended slice.
+// extended slice. The payload is json.Marshal(rec), byte for byte,
+// whichever encoder wrote it.
 func appendFrame(buf []byte, rec *Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return buf, fmt.Errorf("wal: encode %s record: %w", rec.Kind, err)
+	start := len(buf)
+	var hdr [frameHeaderSize]byte
+	out, ok := rec.AppendJSON(append(buf, hdr[:]...))
+	if !ok {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return buf, fmt.Errorf("wal: encode %s record: %w", rec.Kind, err)
+		}
+		out = append(append(buf, hdr[:]...), payload...)
 	}
+	payload := out[start+frameHeaderSize:]
 	if len(payload) > maxFrameSize {
 		return buf, fmt.Errorf("wal: %s record is %d bytes (limit %d)", rec.Kind, len(payload), maxFrameSize)
 	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...), nil
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[start+4:], crc32.Checksum(payload, castagnoli))
+	return out, nil
 }
 
 // errTorn marks an invalid frame: a partial header, a length beyond the
@@ -232,12 +239,17 @@ func readFrame(buf []byte, off int) (*Record, int, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != sum {
 		return nil, off, errTorn{fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", sum, got)}
 	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		// The checksum matched, so these are the bytes that were
-		// written: a decode failure is corruption at write time, not a
-		// torn tail.
-		return nil, off, fmt.Errorf("wal: decode record: %w", err)
+	rec := new(Record)
+	var s jsonx.Scanner
+	s.Reset(payload)
+	if !rec.scanJSON(&s) {
+		*rec = Record{}
+		if err := json.Unmarshal(payload, rec); err != nil {
+			// The checksum matched, so these are the bytes that were
+			// written: a decode failure is corruption at write time, not a
+			// torn tail.
+			return nil, off, fmt.Errorf("wal: decode record: %w", err)
+		}
 	}
-	return &rec, off + frameHeaderSize + n, nil
+	return rec, off + frameHeaderSize + n, nil
 }
