@@ -10,7 +10,7 @@ import (
 )
 
 // Steady-state allocation budgets for the two hot paths. The measured
-// numbers on the reference workloads are ~9 allocs per Map+Release
+// numbers on the reference workloads are ~6 allocs per Map+Release
 // (the mapping.Mapping result and its slices, which escape to the
 // caller by design, plus the active-set bookkeeping) and ~1 per
 // snapshot-and-reroute cycle (amortised path-arena chunk growth). The

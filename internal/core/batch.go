@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/virtual"
 )
@@ -23,6 +24,9 @@ type BatchStats struct {
 	// the snapshot clone plus the single commit pass (including any
 	// serialized fallback re-maps inside it).
 	CommitSeconds float64
+	// Route counts the A*Prune work of every mapping the batch ran,
+	// fallback re-maps included: searches, candidates popped and pushed.
+	Route graph.SearchStats
 }
 
 // MapBatch deploys several environments in one admission round: one
@@ -83,6 +87,7 @@ func (s *Session) MapBatchTagged(envs []*virtual.Env, tags []string) (maps []*ma
 	}
 	attempts := make([]*mapping.Mapping, n)
 	attemptErr := make([]error, n)
+	routes := make([]graph.SearchStats, n)
 	var wg sync.WaitGroup
 	for i := range envs {
 		wg.Add(1)
@@ -91,6 +96,7 @@ func (s *Session) MapBatchTagged(envs []*virtual.Env, tags []string) (maps []*ma
 			m := mapping.New(s.c, envs[i])
 			ms := getMapScratch()
 			err := s.mapper.mapOnLedger(leds[i], envs[i], m, s.ar, ms)
+			routes[i] = ms.route
 			putMapScratch(ms)
 			if err != nil {
 				attemptErr[i] = err
@@ -100,6 +106,9 @@ func (s *Session) MapBatchTagged(envs []*virtual.Env, tags []string) (maps []*ma
 		}(i)
 	}
 	wg.Wait()
+	for _, r := range routes {
+		bst.Route.Add(r)
+	}
 
 	start = time.Now() //hmn:wallclock
 	s.mu.Lock()
@@ -134,6 +143,7 @@ func (s *Session) MapBatchTagged(envs []*virtual.Env, tags []string) (maps []*ma
 		m := mapping.New(s.c, envs[i])
 		ms := getMapScratch()
 		err := s.mapper.mapOnLedger(attempt, envs[i], m, s.ar, ms)
+		bst.Route.Add(ms.route)
 		putMapScratch(ms)
 		s.freeSnapshotLocked(attempt)
 		if err != nil {

@@ -53,6 +53,15 @@ var ErrNoHostFits = errors.New("core: no host fits guest")
 // found, the heuristic fails").
 var ErrNoPath = errors.New("core: no feasible path for virtual link")
 
+// ErrNoPathBandwidth and ErrNoPathLatency are the two ways a link ends
+// in ErrNoPath (errors.Is matches both against it): no path between the
+// two hosts has the link's bandwidth to spare, whatever its latency; or
+// some do, and none of those meets the latency budget.
+var (
+	ErrNoPathBandwidth = fmt.Errorf("%w: no path has the bandwidth to spare", ErrNoPath)
+	ErrNoPathLatency   = fmt.Errorf("%w: no path with the bandwidth meets the latency budget", ErrNoPath)
+)
+
 // LinkOrder selects the order the Networking stage maps virtual links in.
 // The paper prescribes descending bandwidth; the alternatives exist for
 // the ablation benchmarks.
@@ -143,6 +152,9 @@ type StageStats struct {
 	MigrationSeconds  float64
 	NetworkingSeconds float64
 	Migration         MigrationStats
+	// Route counts the Networking stage's A*Prune work: searches run,
+	// candidates popped and pushed. Unlike the times it repeats exactly.
+	Route graph.SearchStats
 }
 
 // MapWithStats is Map plus per-stage wall times and migration counters.
@@ -173,12 +185,17 @@ func (h *HMN) MapWithStats(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping
 		st.MigrationSeconds = time.Since(t1).Seconds() //hmn:wallclock
 	}
 
+	// A scratch of the attempt's own, empty but for the A*Prune state:
+	// the stage allocates its buffers as a one-shot mapper always has,
+	// and leaves its search counts where they can be read.
+	ms := &mapScratch{astar: graph.NewAStarScratch()}
 	t2 := time.Now() //hmn:wallclock
-	if err := network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, nil, nil); err != nil {
-		st.NetworkingSeconds = time.Since(t2).Seconds() //hmn:wallclock
+	err = network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, nil, ms)
+	st.NetworkingSeconds = time.Since(t2).Seconds() //hmn:wallclock
+	st.Route = ms.route
+	if err != nil {
 		return nil, st, fmt.Errorf("HMN networking stage: %w", err)
 	}
-	st.NetworkingSeconds = time.Since(t2).Seconds() //hmn:wallclock
 	return m, st, nil
 }
 

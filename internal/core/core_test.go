@@ -319,9 +319,13 @@ func TestNetworkingFailsOnImpossibleLink(t *testing.T) {
 	v.AddGuest("b", 10, 400, 10)
 	v.AddLink(0, 1, 5000, 60) // 5Gbps over 1Gbps links
 
-	_, err := (&HMN{}).Map(c, v)
-	if !errors.Is(err, ErrNoPath) {
-		t.Fatalf("want ErrNoPath, got %v", err)
+	_, st, err := (&HMN{}).MapWithStats(c, v)
+	if !errors.Is(err, ErrNoPath) || !errors.Is(err, ErrNoPathBandwidth) || errors.Is(err, ErrNoPathLatency) {
+		t.Fatalf("want ErrNoPath for want of bandwidth, got %v", err)
+	}
+	// The widest-path bound answers before anything is expanded.
+	if st.Route != (graph.SearchStats{Searches: 1}) {
+		t.Fatalf("route stats %+v, want one search and no pops", st.Route)
 	}
 }
 
@@ -347,8 +351,8 @@ func TestNetworkingFailsOnLatencyBudget(t *testing.T) {
 	v2.AddGuest("b", 10, 400, 10)
 	v2.AddLink(0, 1, 1, 1) // 1ms budget, minimum hop costs 5ms
 	_, err = (&HMN{}).Map(c, v2)
-	if !errors.Is(err, ErrNoPath) {
-		t.Fatalf("want ErrNoPath, got %v", err)
+	if !errors.Is(err, ErrNoPath) || !errors.Is(err, ErrNoPathLatency) || errors.Is(err, ErrNoPathBandwidth) {
+		t.Fatalf("want ErrNoPath for want of latency budget, got %v", err)
 	}
 	_ = v
 }

@@ -88,9 +88,9 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 	// the next search must see — so this is the stage's only safe
 	// parallelism, and it covers the cost §5.2 identifies as dominant.
 	// With a session AR cache the sweep shrinks to the cache misses.
-	tables := arTables(led, links, assign, arc)
+	tables := arTables(led, links, assign, arc, ms)
 	arTo := func(dest graph.NodeID) []float64 {
-		if ar, ok := tables[dest]; ok {
+		if ar := tables[dest]; ar != nil {
 			return ar
 		}
 		// Only reachable if assign changed after precompute — keep a
@@ -128,6 +128,12 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 	if arena == nil && ms != nil {
 		arena = ms.arena
 	}
+	if ms != nil {
+		// The scratch counts its searches in plain fields; the stage
+		// folds what it added into the attempt's tally on every exit.
+		before := scratch.Stats()
+		defer func() { ms.route.Add(scratch.Stats().Sub(before)) }()
+	}
 
 	for _, link := range links {
 		src, dst := assign[link.From], assign[link.To]
@@ -142,8 +148,8 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 		p, ok := graph.AStarPrune(net, src, dst, link.BW, link.Lat, bw, &opts)
 		if !ok {
 			return fmt.Errorf("%w: link %d (%s-%s, %.3fMbps within %.1fms) between hosts %d and %d",
-				ErrNoPath, link.ID, v.Guest(link.From).Name, v.Guest(link.To).Name,
-				link.BW, link.Lat, src, dst)
+				noPathCause(net, src, dst, link.BW, bw, astar.MaxExpansions), link.ID,
+				v.Guest(link.From).Name, v.Guest(link.To).Name, link.BW, link.Lat, src, dst)
 		}
 		if err := led.ReserveBandwidth(p, link.BW); err != nil {
 			// A*Prune only returns paths whose every edge clears the
@@ -153,6 +159,22 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 		paths[link.ID] = p
 	}
 	return nil
+}
+
+// noPathCause says why A*Prune found nothing for a link, on the failure
+// path only: if even the widest src-dst path under the current residuals
+// is narrower than the demand, no latency budget would have helped;
+// otherwise the bandwidth is there and the budget ruled it out — unless
+// an expansion cap was set, which may have ended the search first, and
+// then the cause stays open.
+func noPathCause(net *graph.Graph, src, dst graph.NodeID, demand float64, bw graph.BandwidthFunc, maxExpansions int) error {
+	switch {
+	case graph.WidestBottleneck(net, src, dst, bw) < demand:
+		return ErrNoPathBandwidth
+	case maxExpansions > 0:
+		return ErrNoPath
+	}
+	return ErrNoPathLatency
 }
 
 // arTables gathers the Dijkstra latency table for every distinct
@@ -166,42 +188,48 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 // cut edges, as they always have: a missing edge only makes the static
 // table a looser — still admissible — bound. Cached tables are computed
 // cut-aware via DijkstraLatencyAvoiding so an entry is exact for the
-// generation that keys it.
-func arTables(led *cluster.Ledger, links []virtual.Link, assign []graph.NodeID, arc *arCache) map[graph.NodeID][]float64 {
+// generation that keys it. The tables come back indexed by node, in a
+// slice ms keeps between attempts (nil allocates it per call).
+func arTables(led *cluster.Ledger, links []virtual.Link, assign []graph.NodeID, arc *arCache, ms *mapScratch) [][]float64 {
 	net := led.Cluster().Net()
-	distinct := make(map[graph.NodeID]bool)
-	for _, link := range links {
-		src, dst := assign[link.From], assign[link.To]
-		if src != dst {
-			distinct[dst] = true
+	n := net.NumNodes()
+	var out [][]float64 // by destination node; nil where no link ends
+	var want []bool
+	if ms != nil {
+		if cap(ms.arOut) < n {
+			ms.arOut, ms.arWant = make([][]float64, n), make([]bool, n)
 		}
+		out, want = ms.arOut[:n], ms.arWant[:n]
+		clear(out) // drop the last attempt's tables
+		clear(want)
+	} else {
+		out, want = make([][]float64, n), make([]bool, n)
 	}
-	out := make(map[graph.NodeID][]float64, len(distinct))
-	if len(distinct) == 0 {
-		return out
+	for _, link := range links {
+		if src, dst := assign[link.From], assign[link.To]; src != dst {
+			want[dst] = true
+		}
 	}
 
+	// Destinations are visited in node order: the misses are computed and
+	// stored in the same sequence on every run.
 	var gen uint64
-	dests := make([]graph.NodeID, 0, len(distinct))
 	if arc != nil {
 		gen = led.TopoGen()
-		// Tables are pure per-destination; the visit order cannot leak
-		// into out, the cache, or the hit/miss totals.
-		//hmn:orderinvariant
-		for d := range distinct {
-			if t := arc.lookup(gen, d); t != nil {
-				out[d] = t
+	}
+	var dests []graph.NodeID
+	for d, wanted := range want {
+		if !wanted {
+			continue
+		}
+		if arc != nil {
+			if out[d] = arc.lookup(gen, graph.NodeID(d)); out[d] != nil {
 				arc.hits.Add(1)
-			} else {
-				dests = append(dests, d)
-				arc.misses.Add(1)
+				continue
 			}
+			arc.misses.Add(1)
 		}
-	} else {
-		//hmn:orderinvariant
-		for d := range distinct {
-			dests = append(dests, d)
-		}
+		dests = append(dests, graph.NodeID(d))
 	}
 	if len(dests) == 0 {
 		return out

@@ -36,6 +36,13 @@ type mapScratch struct {
 	astar *graph.AStarScratch
 	arena *graph.PathArena
 
+	// arTables' result and worklist, both indexed by node, and the
+	// A*Prune work the attempt's Networking stages did (routeLinks adds,
+	// getMapScratch zeroes).
+	arOut  [][]float64
+	arWant []bool
+	route  graph.SearchStats
+
 	// Migration stage working sets: host node list, per-host guest
 	// rosters (dense, keyed by cluster host index), the per-round donor
 	// worklist and the live-order snapshot destinations() copies.
@@ -52,7 +59,12 @@ var mapScratchPool = sync.Pool{New: func() interface{} {
 	}
 }}
 
-func getMapScratch() *mapScratch   { return mapScratchPool.Get().(*mapScratch) }
+func getMapScratch() *mapScratch {
+	ms := mapScratchPool.Get().(*mapScratch)
+	ms.route = graph.SearchStats{}
+	return ms
+}
+
 func putMapScratch(ms *mapScratch) { mapScratchPool.Put(ms) }
 
 // intsFor returns buf resized to n, reallocating only on growth.

@@ -245,6 +245,9 @@ type AdmitStats struct {
 	// the snapshot clone plus every validate-and-commit (or, on the
 	// fallback, the whole serialized mapping).
 	CommitSeconds float64
+	// Route counts the A*Prune work of every attempt the admission made,
+	// lost races included: searches, candidates popped and pushed.
+	Route graph.SearchStats
 }
 
 // Map deploys v against the session's current residual resources. On
@@ -316,6 +319,7 @@ func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, Admit
 		m := mapping.New(s.c, v)
 		ms := getMapScratch()
 		mapErr := s.mapper.mapOnLedger(snap, v, m, s.ar, ms)
+		st.Route.Add(ms.route)
 		putMapScratch(ms)
 
 		start = time.Now() //hmn:wallclock
@@ -374,6 +378,7 @@ func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, Admit
 	m := mapping.New(s.c, v)
 	ms := getMapScratch()
 	err := s.mapper.mapOnLedger(attempt, v, m, s.ar, ms)
+	st.Route.Add(ms.route)
 	putMapScratch(ms)
 	s.freeSnapshotLocked(attempt)
 	if err == nil {

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -49,17 +51,52 @@ type AStarPruneOptions struct {
 }
 
 // AStarScratch is the reusable allocation state of AStarPrune: the
-// candidate max-heap, the flat array of partial-path nodes the heap
-// entries index, and the epoch-stamped Pareto-dominance sets. Reusing one
-// across sequential searches removes every allocation from the routing
-// hot path. The zero value is ready to use; a scratch must not be shared
-// between goroutines running searches concurrently.
+// candidate heap, the flat array of partial-path nodes the heap entries
+// index, the epoch-stamped Pareto-dominance sets and the workspace of the
+// widest-path bound. Reusing one across sequential searches removes every
+// allocation from the routing hot path. The zero value is ready to use; a
+// scratch must not be shared between goroutines running searches
+// concurrently.
 type AStarScratch struct {
 	heap  []apCand
 	nodes []apNode
 	dom   []paretoSet
 	epoch uint64
+
+	// Widest-path bound (see widest): every edge ID in descending order
+	// of the residuals the previous search read — a warm start the next
+	// search re-sorts, never trusts — those residuals in the same order,
+	// and the union-find forest over the nodes.
+	order []int32
+	res   []float64
+	uf    []int32
+
+	stats SearchStats
 }
+
+// SearchStats counts the work of the searches a scratch has served:
+// AStarPrune calls that got past the trivial origin == dest case, and the
+// candidates they popped from and pushed onto the candidate set. Plain
+// counters — a scratch has one owner — that the Networking stage folds
+// into its stage statistics once per stage.
+type SearchStats struct {
+	Searches, Pops, Pushes uint64
+}
+
+// Add accumulates d into s.
+func (s *SearchStats) Add(d SearchStats) {
+	s.Searches += d.Searches
+	s.Pops += d.Pops
+	s.Pushes += d.Pushes
+}
+
+// Sub returns s minus an earlier reading of the same counters.
+func (s SearchStats) Sub(earlier SearchStats) SearchStats {
+	return SearchStats{s.Searches - earlier.Searches, s.Pops - earlier.Pops, s.Pushes - earlier.Pushes}
+}
+
+// Stats returns the scratch's running totals.
+func (sc *AStarScratch) Stats() SearchStats { return sc.stats }
 
 // apNode is one node of a partial path: the graph node, the edge taken
 // to arrive at it (-1 at the origin) and the index in AStarScratch.nodes
@@ -70,11 +107,14 @@ type apNode struct {
 }
 
 // apCand is one entry of the candidate heap: the ordering key by value —
-// a comparison reads the heap array and nothing else — and idx, the
-// partial path's last apNode.
+// a comparison reads the heap array and nothing else. bottleneck is the
+// partial path's bottleneck capped at the widest-path bound, accLat its
+// latency so far, projLat = accLat + ar[node] the least latency any
+// completion of it can have, and idx its last apNode, which doubles as
+// the push index: apNodes are appended one per push.
 type apCand struct {
-	bottleneck, accLat float64
-	hops, idx          int32
+	bottleneck, projLat, accLat float64
+	hops, idx                   int32
 }
 
 // NewAStarScratch returns an empty scratch. Equivalent to &AStarScratch{};
@@ -106,17 +146,16 @@ func (sc *AStarScratch) begin(n int, dominance bool) {
 
 // extend records the partial path that reaches node over edge from the
 // partial path ending at apNode parent, and adds it to the candidate set.
-func (sc *AStarScratch) extend(node, edge, parent int32, bottleneck, accLat float64, hops int32) {
-	idx := int32(len(sc.nodes))
+func (sc *AStarScratch) extend(c apCand, node, edge, parent int32) {
+	sc.stats.Pushes++
 	sc.nodes = append(sc.nodes, apNode{node: node, edge: edge, parent: parent})
-	sc.push(apCand{bottleneck: bottleneck, accLat: accLat, hops: hops, idx: idx})
+	sc.push(c)
 }
 
-// push adds a candidate to the max-heap. Both sifts move a hole instead
-// of swapping, but make the comparisons a swapping binary heap makes, in
-// the same order: candidates with equal keys leave the heap in the order
-// AStarPruneK's container/heap releases them, which is what lets the
-// differential test demand the same path edge for edge.
+// push adds a candidate to the heap. apLess is a strict total order, so
+// which candidate pop returns next is a function of the set's contents
+// alone: the heap is an implementation detail (the reference selector of
+// the tests uses a linear scan) and both sifts just move a hole.
 func (sc *AStarScratch) push(c apCand) {
 	h := append(sc.heap, c)
 	i := len(h) - 1
@@ -134,6 +173,7 @@ func (sc *AStarScratch) push(c apCand) {
 
 // pop removes and returns the best candidate.
 func (sc *AStarScratch) pop() apCand {
+	sc.stats.Pops++
 	h := sc.heap
 	n := len(h) - 1
 	top, c := h[0], h[n]
@@ -161,17 +201,28 @@ func (sc *AStarScratch) pop() apCand {
 	return top
 }
 
-// apLess orders candidates by descending bottleneck bandwidth; ties
-// prefer lower accumulated latency, then fewer hops, for deterministic
-// results. apStateLess is the same order on AStarPruneK's states.
+// apLess is the candidate order: widest capped bottleneck first; among
+// equals the least projected latency — the A* look-ahead, which walks the
+// search towards the destination instead of flooding every node as wide
+// as the answer; then the partial path that has already spent the most of
+// that latency, then the most hops, then the latest push, so that ties go
+// depth-first. No two candidates share a push index, which makes this a
+// strict total order and the pop sequence a function of the query, not of
+// how a heap happens to sift.
 func apLess(a, b *apCand) bool {
 	if a.bottleneck != b.bottleneck {
 		return a.bottleneck > b.bottleneck
 	}
-	if a.accLat != b.accLat {
-		return a.accLat < b.accLat
+	if a.projLat != b.projLat {
+		return a.projLat < b.projLat
 	}
-	return a.hops < b.hops
+	if a.accLat != b.accLat {
+		return a.accLat > b.accLat
+	}
+	if a.hops != b.hops {
+		return a.hops > b.hops
+	}
+	return a.idx > b.idx
 }
 
 // onPath reports whether graph node n lies on the partial path ending at
@@ -208,25 +259,127 @@ func (sc *AStarScratch) pathIn(idx, hops int32, arena *PathArena) Path {
 	return Path{Nodes: nodes, Edges: edges}
 }
 
+// widest returns the greatest bottleneck any origin-dest path can have
+// under residual, latency ignored: -Inf when the two are disconnected. It
+// is Kruskal's maximum spanning forest stopped early — edges join a
+// union-find forest in descending residual order until origin and dest
+// meet, and the edge that joins them is the bound. The order kept from the
+// previous search is only a warm start: every call re-reads every
+// residual and finishes sorting before it joins anything, so the result
+// never depends on what the scratch served before. A search's
+// reservation moves a path's worth of edges, which is what makes an
+// insertion pass cheap.
+func (sc *AStarScratch) widest(g *Graph, origin, dest int32, residual BandwidthFunc) float64 {
+	m := len(g.edges)
+	if len(sc.order) != m { // first use, or another graph: nothing to warm-start from
+		res := make([]float64, m)
+		sc.order, sc.res = make([]int32, m), res
+		for e := range res {
+			sc.order[e], res[e] = int32(e), residual(e)
+		}
+		// The pass below would be quadratic from an arbitrary order. (res
+		// is by edge ID for this sort only; the pass rewrites it.)
+		slices.SortStableFunc(sc.order, func(a, b int32) int { return cmp.Compare(res[b], res[a]) })
+	}
+	// order[i] is an edge and res[i] the residual it has now; positions
+	// below i are sorted, descending.
+	order, res := sc.order, sc.res
+	for i, e := range order {
+		r := residual(int(e))
+		j := i
+		for ; j > 0 && res[j-1] < r; j-- {
+			order[j], res[j] = order[j-1], res[j-1]
+		}
+		order[j], res[j] = e, r
+	}
+
+	if len(sc.uf) < g.n {
+		sc.uf = make([]int32, g.n)
+	}
+	uf := sc.uf[:g.n]
+	for i := range uf {
+		uf[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for uf[x] != x {
+			uf[x] = uf[uf[x]] // path halving
+			x = uf[x]
+		}
+		return x
+	}
+	// ro and rd are the roots of origin's and dest's trees, kept current
+	// as trees merge, so that "have they met" costs nothing per edge.
+	ro, rd := origin, dest
+	for i, e := range order {
+		a, b := find(int32(g.edges[e].A)), find(int32(g.edges[e].B))
+		if a == b {
+			continue
+		}
+		uf[a] = b
+		if ro == a {
+			ro = b
+		}
+		if rd == a {
+			rd = b
+		}
+		if ro == rd {
+			return res[i]
+		}
+	}
+	return math.Inf(-1)
+}
+
+// WidestBottleneck returns the greatest bottleneck bandwidth any path
+// from origin to dest can have under residual, whatever its latency, and
+// -Inf when there is none. A virtual link asking for more than this is
+// unroutable for want of bandwidth; one asking for no more, and still
+// unroutable, for want of latency budget.
+func WidestBottleneck(g *Graph, origin, dest NodeID, residual BandwidthFunc) float64 {
+	if origin == dest {
+		return math.Inf(1)
+	}
+	sc := scratchPool.Get().(*AStarScratch)
+	defer scratchPool.Put(sc)
+	return sc.widest(g, int32(origin), int32(dest), residual)
+}
+
 // AStarPrune implements the paper's modified 1-constrained A*Prune
 // (Algorithm 1, after Liu & Ramakrishnan): it finds a loop-free path from
 // origin to dest whose every edge has residual bandwidth of at least
 // bandwidth and whose total latency does not exceed latency, and among all
 // such paths returns one with the greatest bottleneck (minimum residual)
-// bandwidth. The rationale (§4.3) is to keep the links with the largest
-// spare capacity available for the virtual links still to be mapped.
+// bandwidth — and, among those, the least latency. The rationale (§4.3)
+// is to keep the links with the largest spare capacity available for the
+// virtual links still to be mapped.
 //
-// The search keeps a set of feasible partial paths ordered by bottleneck
-// bandwidth (a max-heap). Extensions are pruned when the extending edge
-// lacks residual bandwidth, when the node is already on the path (Eq. 7
-// — a test dominance pruning makes implicit, see where the search is
-// seeded), or when the accumulated latency plus the edge latency plus
-// the Dijkstra lower bound ar[h] to the destination exceeds the latency
-// budget — the admissibility test. (The paper's pseudo-code writes the
-// test as lat((d,h)) + ar[h] <= latency, omitting the accumulated term; that form
-// would admit latency-violating paths, so we include the accumulated
-// latency, which is also what the original A*Prune of Liu & Ramakrishnan
-// prescribes.)
+// The search keeps a set of feasible partial paths ordered by apLess.
+// Algorithm 1 orders them by the bottleneck so far and nothing else, so
+// before it can stop it expands every node reachable by a path wider than
+// the answer. Liu & Ramakrishnan's A*Prune orders by a projection — the
+// metric so far combined with an admissible bound on the rest — and this
+// search restores that for bandwidth: no origin-dest walk is wider than
+// the widest-path bound U (see widest), so a partial path's bottleneck is
+// capped at U from the origin on. The cap is an admissible key (a path's
+// final bottleneck never exceeds min(so far, U)) and a sufficient
+// statistic for dominance (two prefixes at a node with equal capped
+// bottlenecks complete to equally wide paths), every partial path that
+// can still be optimal ties at U, and the tie is broken by projected
+// latency. Some prefix of an optimal path — or of one that dominates it —
+// is always in the set with a key no worse than the optimum's, so the
+// first destination popped is optimal; when the budget excludes every
+// path of width U the set simply runs on into narrower candidates. The
+// look-ahead is skipped (U = +Inf) on a graph with fewer edges than
+// nodes: a forest's paths are unique, so there is no choice to inform.
+//
+// Extensions are pruned when the extending edge lacks residual bandwidth,
+// when the node is already on the path (Eq. 7 — a test dominance pruning
+// makes implicit, see where the search is seeded), or when the
+// accumulated latency plus the edge latency plus the Dijkstra lower bound
+// ar[h] to the destination exceeds the latency budget — the admissibility
+// test. (The paper's pseudo-code writes the test as lat((d,h)) + ar[h] <=
+// latency, omitting the accumulated term; that form would admit
+// latency-violating paths, so we include the accumulated latency, which
+// is also what the original A*Prune of Liu & Ramakrishnan prescribes.)
 //
 // It returns the path and true on success. If origin == dest the trivial
 // path is returned. On failure (no feasible path, or MaxExpansions hit)
@@ -238,6 +391,12 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 	if origin == dest {
 		return TrivialPath(origin), true
 	}
+	sc := opts.Scratch
+	if sc == nil {
+		sc = scratchPool.Get().(*AStarScratch)
+		defer scratchPool.Put(sc)
+	}
+	sc.stats.Searches++
 	ar := opts.AR
 	if ar == nil {
 		ar = DijkstraLatency(g, dest)
@@ -245,31 +404,40 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 	if ar[origin] > latency {
 		return Path{}, false // even the latency-optimal path busts the budget
 	}
-
-	sc := opts.Scratch
-	if sc == nil {
-		sc = scratchPool.Get().(*AStarScratch)
-		defer scratchPool.Put(sc)
+	src, dst := int32(origin), int32(dest)
+	widest := math.Inf(1)
+	if len(g.edges) >= g.n {
+		if widest = sc.widest(g, src, dst, residual); widest < bandwidth {
+			return Path{}, false // no path has the spare bandwidth, whatever its latency
+		}
 	}
+
 	dominance := !opts.DisableDominance
 	sc.begin(g.n, dominance)
 	if dominance {
-		// Eq. 7 for free. Along a partial path the bottleneck never
-		// rises and the accumulated latency never falls (edge latencies
-		// are non-negative numbers), and every node on it put its own
-		// (bottleneck, latency) pair into its Pareto set — the origin
-		// here, the others when they were pushed — where it stays until
-		// a pair that dominates it replaces it. So an extension that
-		// returns to a node of its own path always finds a dominating
-		// pair there: insert rejects it, before changing anything, and
-		// the walk back along the path that Eq. 7 would cost is only
-		// needed with dominance off.
-		sc.dom[origin].insert(math.Inf(1), 0, sc.epoch)
+		// Eq. 7 for free. Along a partial path the capped bottleneck
+		// never rises and the accumulated latency never falls (edge
+		// latencies are non-negative numbers), and every node on it put
+		// its own (bottleneck, latency) pair into its Pareto set — the
+		// origin here, the others when they were pushed — where it stays
+		// until a pair that dominates it replaces it. So an extension
+		// that returns to a node of its own path always finds a
+		// dominating pair there: insert rejects it, before changing
+		// anything, and the walk back along the path that Eq. 7 would
+		// cost is only needed with dominance off.
+		sc.dom[origin].insert(widest, 0, sc.epoch)
 	}
 
 	half := g.half
-	dst := int32(dest)
-	sc.extend(int32(origin), -1, -1, math.Inf(1), 0, 0)
+	sc.extend(apCand{bottleneck: widest, projLat: ar[origin]}, src, -1, -1)
+	// goal is the best destination candidate pushed so far. The search
+	// ends when it is popped, and under a strict total order everything
+	// popped before it is less than it: a candidate that is not will
+	// never be expanded, so it is not pushed. (It has still gone through
+	// the dominance test, so the Pareto sets, and with them the result,
+	// are those of a search that pushes everything.)
+	var goal apCand
+	reached := false
 	expansions := 0
 	for len(sc.heap) > 0 {
 		best := sc.pop()
@@ -300,18 +468,24 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 			if r < bandwidth {
 				continue // Eq. 9: not enough spare bandwidth
 			}
-			accLat := best.accLat + e.lat
-			if accLat+ar[h] > latency {
+			c := apCand{bottleneck: best.bottleneck, accLat: best.accLat + e.lat, hops: best.hops + 1, idx: int32(len(sc.nodes))}
+			c.projLat = c.accLat + ar[h]
+			if c.projLat > latency {
 				continue // admissibility: cannot reach dest within budget
 			}
-			bn := best.bottleneck
-			if r < bn {
-				bn = r
+			if r < c.bottleneck {
+				c.bottleneck = r
 			}
-			if dominance && !sc.dom[h].insert(bn, accLat, sc.epoch) {
+			if dominance && !sc.dom[h].insert(c.bottleneck, c.accLat, sc.epoch) {
 				continue // dominated by an already-seen partial path, or a loop
 			}
-			sc.extend(h, e.eid, best.idx, bn, accLat, best.hops+1)
+			if reached && !apLess(&c, &goal) {
+				continue // would leave the set after the search has ended
+			}
+			if h == dst {
+				goal, reached = c, true
+			}
+			sc.extend(c, h, e.eid, best.idx)
 		}
 	}
 	return Path{}, false

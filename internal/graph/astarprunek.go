@@ -9,22 +9,23 @@ import (
 // Ramakrishnan ("A*Prune: an algorithm for finding K shortest paths
 // subject to multiple constraints"): it returns up to k feasible
 // loop-free paths in descending bottleneck-bandwidth order (ties broken
-// by lower latency, then fewer hops). AStarPrune is exactly
-// AStarPruneK(..., 1). The candidate set is shared across the k
-// extractions, so the cost is one search, not k.
+// by lower latency, then fewer hops). The candidate set is shared across
+// the k extractions, so the cost is one search, not k.
 //
 // Dominance pruning is forced off when k > 1: a dominated partial path
 // may still complete into one of the k best paths, so the optimisation is
 // only sound for the single-path query.
 //
 // Nothing but tests and examples calls it, and it is deliberately left
-// on the plain data structures AStarPrune started from — one heap-
-// allocated, parent-linked apState per candidate behind container/heap,
-// Graph.Incident/Edge/Other per edge, an explicit walk for Eq. 7 — so
-// that it shares no code with AStarPrune's flat-array kernel beyond the
-// Pareto sets. It makes the same pushes in the same order, which makes
-// AStarPruneK(..., 1, opts) the oracle of the differential test: same
-// path, edge for edge, ties included.
+// as the paper's Algorithm 1 on the plain data structures AStarPrune
+// started from — candidates ordered by the bottleneck so far with no
+// look-ahead, one heap-allocated, parent-linked apState per candidate
+// behind container/heap, Graph.Incident/Edge/Other per edge, an explicit
+// walk for Eq. 7 — so that it shares no code with AStarPrune's kernel
+// beyond the Pareto sets. That makes AStarPruneK(..., 1, opts) the oracle
+// of the differential test: the same found flag, bottleneck and latency
+// as AStarPrune on every query, though not always the same path among
+// several of that value.
 func AStarPruneK(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual BandwidthFunc, k int, opts *AStarPruneOptions) []Path {
 	if k <= 0 {
 		return nil
@@ -127,7 +128,8 @@ func (s *apState) path() Path {
 	return Path{Nodes: nodes, Edges: edges}
 }
 
-// apStateLess is apLess on pointer-linked states.
+// apStateLess is Algorithm 1's candidate order: widest bottleneck so
+// far, then lower accumulated latency, then fewer hops.
 func apStateLess(a, b *apState) bool {
 	if a.bottleneck != b.bottleneck {
 		return a.bottleneck > b.bottleneck

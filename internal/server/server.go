@@ -261,6 +261,8 @@ type Server struct {
 	mOptimistic    *metrics.Counter
 	mBatches       *metrics.Counter
 	mBatchedEnvs   *metrics.Counter
+	mRouteSearches *metrics.Counter
+	mRoutePops     *metrics.Counter
 
 	mWALRecords      *metrics.Counter
 	mReplayRecords   *metrics.Counter
@@ -301,6 +303,10 @@ func New(cfg Config) *Server {
 			"Batched admission rounds (two or more map requests admitted per wakeup)."),
 		mBatchedEnvs: reg.Counter("hmnd_map_batched_envs_total",
 			"Map requests admitted through batched rounds."),
+		mRouteSearches: reg.Counter("hmnd_route_searches_total",
+			"A*Prune searches run by map attempts (one per inter-host virtual link routed)."),
+		mRoutePops: reg.Counter("hmnd_route_pops_total",
+			"Candidates A*Prune searches popped; divided by the searches, the work one search takes."),
 		mQueue: reg.Gauge("hmnd_queue_depth",
 			"Requests waiting in the admission queue."),
 		mEnvs: reg.Gauge("hmnd_active_envs",
@@ -515,6 +521,8 @@ func (s *Server) runMapBatch(batch []*task) {
 	s.mBatchedEnvs.Add(uint64(len(live)))
 	s.mOptimistic.Add(uint64(bst.Committed))
 	s.mFallbacks.Add(uint64(bst.Fallbacks))
+	s.mRouteSearches.Add(bst.Route.Searches)
+	s.mRoutePops.Add(bst.Route.Pops)
 	// The batch held the lock once for everyone; attribute the lock time
 	// to the round, and the round's wall time to each attempt it served.
 	s.mCommitLatency.Observe(bst.CommitSeconds)
@@ -773,6 +781,8 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 		s.mLatency.Observe(time.Since(t0).Seconds())
 		s.mCommitLatency.Observe(admit.CommitSeconds)
 		s.mConflicts.Add(uint64(admit.Conflicts))
+		s.mRouteSearches.Add(admit.Route.Searches)
+		s.mRoutePops.Add(admit.Route.Pops)
 		if admit.Fallback {
 			s.mFallbacks.Inc()
 		} else {
@@ -1095,8 +1105,8 @@ func failureStatus(submitErr, opErr error) (code int, msg string, ok bool) {
 		// (guest relocated, or the plan stopped improving) before the
 		// commit validated. Retry against fresh state.
 		return http.StatusConflict, opErr.Error(), false
-	case errors.Is(opErr, core.ErrNoHostFits), errors.Is(opErr, core.ErrNoPath),
-		errors.Is(opErr, core.ErrEmptyPool):
+	case errors.Is(opErr, core.ErrNoHostFits), errors.Is(opErr, core.ErrEmptyPool), errors.Is(opErr, core.ErrNoPath),
+		errors.Is(opErr, core.ErrNoPathBandwidth), errors.Is(opErr, core.ErrNoPathLatency): // ErrNoPath's two causes
 		// Mapping infeasible against the current residuals: the request
 		// conflicts with testbed state, not with its own syntax.
 		return http.StatusConflict, opErr.Error(), false

@@ -256,6 +256,23 @@ func TestEndToEnd(t *testing.T) {
 	if misses := metricValue(t, text, "hmnd_ar_cache_misses_total"); misses <= 0 {
 		t.Fatalf("AR cache misses = %v, want > 0", misses)
 	}
+	// Every committed inter-host link cost at least one A*Prune search,
+	// and a search that finds a path pops its origin and its destination.
+	routed := 0
+	for _, r := range results {
+		for _, edges := range r.ms.LinkEdges {
+			if len(edges) > 0 {
+				routed++
+			}
+		}
+	}
+	searches := metricValue(t, text, "hmnd_route_searches_total")
+	if routed == 0 || int(searches) < routed {
+		t.Fatalf("route searches = %v for %d routed links", searches, routed)
+	}
+	if pops := metricValue(t, text, "hmnd_route_pops_total"); pops < 2*float64(routed) {
+		t.Fatalf("route pops = %v for %d routed links", pops, routed)
+	}
 
 	// Release everything concurrently.
 	wg = sync.WaitGroup{}
@@ -615,5 +632,8 @@ func TestBatchedAdmission(t *testing.T) {
 	fallbacks := metricValue(t, text, "hmnd_admit_fallbacks_total")
 	if int(optimistic+fallbacks) != n {
 		t.Fatalf("optimistic %v + fallbacks %v != %d", optimistic, fallbacks, n)
+	}
+	if got := metricValue(t, text, "hmnd_route_searches_total"); got <= 0 {
+		t.Fatalf("route searches = %v: the batch's A*Prune work went uncounted", got)
 	}
 }

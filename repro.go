@@ -145,6 +145,11 @@ var (
 	ErrNoHostFits = core.ErrNoHostFits
 	// ErrNoPath: some virtual link admits no feasible physical path.
 	ErrNoPath = core.ErrNoPath
+	// ErrNoPathBandwidth and ErrNoPathLatency are ErrNoPath's two causes
+	// (errors.Is matches either against ErrNoPath too): no path has the
+	// bandwidth to spare, or none that does meets the latency budget.
+	ErrNoPathBandwidth = core.ErrNoPathBandwidth
+	ErrNoPathLatency   = core.ErrNoPathLatency
 	// ErrRetriesExhausted: a random baseline ran out of retries.
 	ErrRetriesExhausted = baseline.ErrRetriesExhausted
 )
