@@ -117,7 +117,6 @@ func configure(args []string) (func() error, error) {
 		addr      = fs.String("addr", ":8080", "listen address")
 		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 64, "admission queue depth")
-		batch     = fs.Int("batch", 1, "map requests a worker may admit per wakeup as one batched round (1 = no batching)")
 		timeout   = fs.Duration("timeout", 30*time.Second, "per-request timeout (queue wait included)")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -138,6 +137,9 @@ func configure(args []string) (func() error, error) {
 		return nil, err
 	}
 	if *shards > 0 {
+		if flagSet(fs, "workers") {
+			return nil, errors.New("-workers does not apply with -shards: each shard runs one worker")
+		}
 		fedCfg, err := federationConfig(*shards, *gatewayBW, *shardSpec, *timeout,
 			*dataDir, *snapEvery, *replay, *rebEvery, *rebMoves, *queue)
 		if err != nil {
@@ -149,7 +151,7 @@ func configure(args []string) (func() error, error) {
 		return nil, errors.New("-gateway-bw and -shard-cluster need -shards")
 	}
 
-	cfg, err := buildConfig(*workers, *queue, *batch, *timeout)
+	cfg, err := buildConfig(*workers, *queue, *timeout)
 	if err == nil {
 		err = durabilityConfig(&cfg, *dataDir, *snapEvery, *replay)
 	}
@@ -162,21 +164,26 @@ func configure(args []string) (func() error, error) {
 	return func() error { return run(*addr, cfg, *drain, *pprofAddr) }, nil
 }
 
+// flagSet reports whether the command line named the flag, whatever
+// value it gave it.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
 // buildConfig validates the flag values into a server config.
-func buildConfig(workers, queue, batch int, timeout time.Duration) (server.Config, error) {
+func buildConfig(workers, queue int, timeout time.Duration) (server.Config, error) {
 	if workers < 0 {
 		return server.Config{}, fmt.Errorf("-workers must be >= 0, got %d", workers)
 	}
 	if queue <= 0 {
 		return server.Config{}, fmt.Errorf("-queue must be positive, got %d", queue)
 	}
-	if batch <= 0 {
-		return server.Config{}, fmt.Errorf("-batch must be positive, got %d", batch)
-	}
 	if timeout <= 0 {
 		return server.Config{}, fmt.Errorf("-timeout must be positive, got %v", timeout)
 	}
-	return server.Config{Workers: workers, QueueDepth: queue, BatchSize: batch, RequestTimeout: timeout}, nil
+	return server.Config{Workers: workers, QueueDepth: queue, RequestTimeout: timeout}, nil
 }
 
 // durabilityConfig validates the WAL flags into cfg.

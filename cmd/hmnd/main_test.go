@@ -7,29 +7,53 @@ import (
 )
 
 func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig(4, 16, 8, 5*time.Second)
+	cfg, err := buildConfig(4, 16, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 4 || cfg.QueueDepth != 16 || cfg.BatchSize != 8 || cfg.RequestTimeout != 5*time.Second {
+	if cfg.Workers != 4 || cfg.QueueDepth != 16 || cfg.RequestTimeout != 5*time.Second {
 		t.Fatalf("config = %+v", cfg)
 	}
 	// 0 workers means "default" (GOMAXPROCS), resolved by server.New.
-	if _, err := buildConfig(0, 16, 1, time.Second); err != nil {
+	if _, err := buildConfig(0, 16, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []struct {
-		workers, queue, batch int
-		timeout               time.Duration
+		workers, queue int
+		timeout        time.Duration
 	}{
-		{-1, 16, 1, time.Second},
-		{4, 0, 1, time.Second},
-		{4, 16, 0, time.Second},
-		{4, 16, 1, 0},
+		{-1, 16, time.Second},
+		{4, 0, time.Second},
+		{4, 16, 0},
 	} {
-		if _, err := buildConfig(bad.workers, bad.queue, bad.batch, bad.timeout); err == nil {
+		if _, err := buildConfig(bad.workers, bad.queue, bad.timeout); err == nil {
 			t.Fatalf("buildConfig(%+v) must error", bad)
 		}
+	}
+}
+
+// TestFlagsOfTheOtherModeAreUsageErrors pins the flags that mean
+// nothing in one of the two modes: given there, they used to be accepted
+// and ignored. -workers sizes the classic pool only (each federation
+// shard runs one worker), whatever value it is given; -gateway-bw and
+// -shard-cluster need -shards.
+func TestFlagsOfTheOtherModeAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shards", "2", "-shard-cluster", "cluster.json", "-workers", "4"}, "-workers does not apply with -shards"},
+		{[]string{"-shards", "2", "-shard-cluster", "cluster.json", "-workers", "0"}, "-workers does not apply with -shards"},
+		{[]string{"-gateway-bw", "50"}, "-gateway-bw and -shard-cluster need -shards"},
+		{[]string{"-shard-cluster", "cluster.json"}, "-gateway-bw and -shard-cluster need -shards"},
+	} {
+		if _, err := configure(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("configure(%v) = %v, want the usage error %q", tc.args, err, tc.want)
+		}
+	}
+	// Without -shards, -workers is the pool size it always was.
+	if _, err := configure([]string{"-workers", "4"}); err != nil {
+		t.Errorf("configure(-workers 4) = %v", err)
 	}
 }
 

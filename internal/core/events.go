@@ -31,9 +31,6 @@ type Event struct {
 
 	// Admit is set for EventAdmit.
 	Admit *AdmitInfo
-	// Batch is set for EventBatch: the admissions one MapBatch round
-	// committed, in commit order, as a single atomic entry.
-	Batch []AdmitInfo
 	// ReleaseSeq is set for EventRelease: the admission sequence number
 	// of the released environment.
 	ReleaseSeq uint64
@@ -51,9 +48,6 @@ type EventType int
 const (
 	// EventAdmit is one environment admitted by Map.
 	EventAdmit EventType = iota
-	// EventBatch is one MapBatch round: several admissions committed
-	// under a single lock acquisition, logged as one atomic entry.
-	EventBatch
 	// EventRelease is one environment released.
 	EventRelease
 	// EventFail is a host failure or link cut, together with the
@@ -73,8 +67,6 @@ func (t EventType) String() string {
 	switch t {
 	case EventAdmit:
 		return "admit"
-	case EventBatch:
-		return "batch"
 	case EventRelease:
 		return "release"
 	case EventFail:

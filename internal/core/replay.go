@@ -144,29 +144,23 @@ func (s *Session) replayAdmitLocked(v *virtual.Env, m *mapping.Mapping, tag stri
 	return nil
 }
 
-// BatchReplayAdmit is one admission of a logged batch entry.
-type BatchReplayAdmit struct {
-	Seq uint64
-	Tag string
-	Env *virtual.Env
-	M   *mapping.Mapping
-}
-
-// ReplayBatch re-applies one logged MapBatch entry: every recorded
-// admission commits in record order under a single lock acquisition,
-// mirroring the live batch's single commit pass.
-func (s *Session) ReplayBatch(admits []BatchReplayAdmit) error {
+// ReplayBatch re-applies one logged batch entry, a record kind only
+// daemons up to PR 18 wrote (hmnd -batch K > 1 committed several
+// admissions under one lock acquisition and logged them as one
+// operation). The recorded admissions commit in record order and the
+// entry advances the operation index once, as it did live, so every
+// later record and snapshot boundary still lines up. No event is
+// emitted: nothing writes the kind any more.
+func (s *Session) ReplayBatch(admits []AdmitInfo) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	infos := make([]AdmitInfo, 0, len(admits))
 	for _, a := range admits {
 		if err := s.replayAdmitLocked(a.Env, a.M, a.Tag, a.Seq); err != nil {
 			return err
 		}
-		infos = append(infos, AdmitInfo{Seq: a.Seq, Tag: a.Tag, Env: a.Env, M: a.M})
 	}
-	if len(infos) > 0 {
-		s.emitLocked(Event{Type: EventBatch, Batch: infos})
+	if len(admits) > 0 {
+		s.opCount++
 	}
 	return nil
 }

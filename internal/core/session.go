@@ -30,11 +30,11 @@ import (
 // A Session is safe for concurrent use. Map admits optimistically: it
 // clones the residual state under a brief lock, runs the full HMN
 // pipeline on the private snapshot with no lock held, then re-acquires
-// the lock and either swaps the snapshot in (nothing changed meanwhile)
-// or validates every reservation against the live residuals and commits
-// them atomically. A bounded number of conflicts falls back to the fully
-// serialized path, so contention can cost retries but never an admission
-// that serial execution would have accepted.
+// the lock, validates every reservation against the live residuals and
+// commits them atomically. A bounded number of conflicts falls back to
+// the same attempt with the lock held throughout, so contention can cost
+// retries but never an admission that serial execution would have
+// accepted.
 type Session struct {
 	mu sync.Mutex
 	// c is the immutable cluster, readable without the lock; s.led is
@@ -298,89 +298,78 @@ func (s *Session) freeSnapshotLocked(snap *cluster.Ledger) {
 // the tag rides the commit event and the session snapshot (hmnd passes
 // its environment ID), and repairs carry it to replacement mappings.
 //
-// The admission loop itself is annotated allocation-free: the per-attempt
-// allocations live in the designated constructors it calls (mapping.New,
-// the scratch pools), so any new allocating construct added here is a
-// hotpathalloc diagnostic.
+// It is a retry loop around admitOnce, the session's one admission
+// attempt: up to optimisticRetries attempts map with no lock held, and
+// the one after them holds the lock across the mapping, so its verdict
+// is the serial path's — contention can never reject an environment the
+// residuals can hold.
+//
+// The loop and the attempt are annotated allocation-free: the
+// per-attempt allocations live in the designated constructors they call
+// (mapping.New, the scratch pools), so any new allocating construct
+// added here is a hotpathalloc diagnostic.
 //
 //hmn:noalloc
 func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, AdmitStats, error) {
 	var st AdmitStats
-	for try := 0; try < s.optimisticRetries; try++ {
-		start := time.Now() //hmn:wallclock
-		s.mu.Lock()
-		snap := s.snapshotLocked()
-		ver := s.version
-		s.mu.Unlock()
-		st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
-
-		// The expensive part — hosting, migration and every A*Prune
-		// search — runs on the private snapshot with no lock held.
-		m := mapping.New(s.c, v)
-		ms := getMapScratch()
-		mapErr := s.mapper.mapOnLedger(snap, v, m, s.ar, ms)
-		st.Route.Add(ms.route)
-		putMapScratch(ms)
-
-		start = time.Now() //hmn:wallclock
-		s.mu.Lock()
-		s.freeSnapshotLocked(snap)
-		if s.version == ver {
-			// Nothing committed since the snapshot was taken, so it IS
-			// the live state: committing the mapping's net effect is
-			// the serialized semantics, including this attempt's error.
-			if mapErr != nil {
-				s.mu.Unlock()
-				return nil, st, mapErr
-			}
-			if seq, err := s.commitTxnLocked(v, m, tag); err == nil {
-				s.emitAdmitLocked(seq, tag, v, m)
-				s.mu.Unlock()
-				s.optimisticCommits.Add(1)
-				st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
-				return m, st, nil
-			}
-			// A commit against the unchanged snapshot state cannot be
-			// rejected (the attempt reserved the same demands); treat a
-			// refusal as a conflict and retry defensively.
-		} else if mapErr == nil {
-			// The state moved while we mapped. The snapshot's residuals
-			// are stale, but the mapping is still admissible if its net
-			// demands — final placements and path bandwidths — fit the
-			// live residuals; Commit validates exactly that and applies
-			// atomically, or rejects without touching the ledger.
-			if seq, err := s.commitTxnLocked(v, m, tag); err == nil {
-				s.emitAdmitLocked(seq, tag, v, m)
-				s.mu.Unlock()
-				s.optimisticCommits.Add(1)
-				st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
-				return m, st, nil
-			}
+	for try := 0; ; try++ {
+		if try >= s.optimisticRetries {
+			st.Fallback = true
+			s.fallbacks.Add(1)
+		}
+		m, final, err := s.admitOnce(v, tag, st.Fallback, &st)
+		if final {
+			return m, st, err
 		}
 		// A conflicting commit, or a mapping failure on residuals that
 		// have since changed (the failure may be stale): retry against a
 		// fresh snapshot.
-		s.mu.Unlock()
-		st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
 		st.Conflicts++
 		s.conflicts.Add(1)
 	}
+}
 
-	// Retries exhausted (or disabled): serialize. Holding the lock for
-	// the whole mapping guarantees admission whenever the serial path
-	// would admit — contention can never reject an environment the
-	// residuals can hold.
-	st.Fallback = true
-	s.fallbacks.Add(1)
+// admitOnce is one admission attempt: pin a snapshot of the live ledger
+// under the lock, run the mapper on it, then — under the lock again —
+// validate the mapping's net demands against the live residuals, commit
+// them atomically and emit the admit event. held keeps the lock across
+// the mapping (the serialized attempt); otherwise the expensive part —
+// hosting, migration and every A*Prune search — runs with no lock held
+// and other commits may land meanwhile.
+//
+// final reports whether the outcome stands. A success always does. A
+// failure does only if nothing committed since the snapshot was taken,
+// because then the snapshot IS the live state and the failure is the
+// serialized semantics; once the state has moved, a mapping error may be
+// stale and a refused commit is a lost validation race (the mapping
+// would still have been admissible had its final placements and path
+// bandwidths fitted the live residuals — Commit checks exactly that and
+// applies atomically, or rejects without touching the ledger), so the
+// caller retries. A held attempt never sees the state move.
+//
+//hmn:noalloc
+func (s *Session) admitOnce(v *virtual.Env, tag string, held bool, st *AdmitStats) (m *mapping.Mapping, final bool, err error) {
 	start := time.Now() //hmn:wallclock
 	s.mu.Lock()
-	attempt := s.snapshotLocked()
-	m := mapping.New(s.c, v)
+	snap := s.snapshotLocked()
+	ver := s.version
+	if !held {
+		s.mu.Unlock()
+		st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
+	}
+
+	m = mapping.New(s.c, v)
 	ms := getMapScratch()
-	err := s.mapper.mapOnLedger(attempt, v, m, s.ar, ms)
+	err = s.mapper.mapOnLedger(snap, v, m, s.ar, ms)
 	st.Route.Add(ms.route)
 	putMapScratch(ms)
-	s.freeSnapshotLocked(attempt)
+
+	if !held {
+		start = time.Now() //hmn:wallclock
+		s.mu.Lock()
+	}
+	s.freeSnapshotLocked(snap)
+	live := s.version == ver
 	if err == nil {
 		var seq uint64
 		if seq, err = s.commitTxnLocked(v, m, tag); err == nil {
@@ -390,9 +379,12 @@ func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, Admit
 	s.mu.Unlock()
 	st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
 	if err != nil {
-		return nil, st, err
+		return nil, live, err
 	}
-	return m, st, nil
+	if !held {
+		s.optimisticCommits.Add(1)
+	}
+	return m, true, nil
 }
 
 // admissionTxn collapses a finished mapping into its net effect on the
@@ -426,8 +418,8 @@ func fillAdmissionTxn(txn *cluster.Txn, v *virtual.Env, m *mapping.Mapping) {
 // applies it atomically (cluster.Ledger.Commit applies per-host
 // aggregates in ascending host order, then per-edge aggregates in
 // ascending edge order), then registers m as active under the next
-// sequence number. Every admission — optimistic, serialized, batched or
-// repair — commits through here, so the live ledger evolves as a
+// sequence number. Every admission — optimistic, serialized, repaired
+// or replayed — commits through here, so the live ledger evolves as a
 // deterministic sequence of canonical applications keyed by the
 // admission sequence; replaying the same sequence (internal/wal)
 // reproduces the residual vectors bit-for-bit. Callers hold s.mu.

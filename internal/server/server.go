@@ -65,7 +65,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rebalance"
 	"repro/internal/spec"
-	"repro/internal/virtual"
 	"repro/internal/wal"
 )
 
@@ -77,11 +76,10 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// 503. Defaults to 64.
 	QueueDepth int
-	// BatchSize lets a worker drain up to this many queued map requests
-	// for the same session in one wakeup and admit them as one
-	// core.Session.MapBatch round: one snapshot, concurrent off-lock
-	// mapping, one locked commit pass. 1 (and 0) disables batching;
-	// per-request admission outcomes are unchanged either way.
+	// BatchSize is ignored. It sized the batched admission rounds PR 20
+	// deleted and survives only because the frozen benchmark harness
+	// still sets it (to 1, which never batched); the next PR allowed to
+	// touch benchmark/ removes the field with that assignment.
 	BatchSize int
 	// RequestTimeout bounds each request end to end (queue wait
 	// included). Defaults to 30s.
@@ -123,9 +121,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 1
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
@@ -142,35 +137,10 @@ var errOverloaded = errors.New("server: admission queue full")
 var errDraining = errors.New("server: draining")
 
 // task is one unit of queued work. run executes on a worker; the
-// submitter waits on done (or its context). Map-environment tasks also
-// carry an mj descriptor so a worker can coalesce several of them into
-// one batched admission; for those, run is the single-request execution
-// the worker uses when it does not batch.
+// submitter waits on done (or its context).
 type task struct {
-	ctx  context.Context
 	run  func()
 	done chan struct{}
-	mj   *mapJob
-}
-
-// mapJob is the batchable description of one queued map request. The
-// callbacks run on the worker goroutine; exactly one of finish or cancel
-// is called per job.
-type mapJob struct {
-	sess *session
-	env  *virtual.Env
-	// eid is the pre-assigned environment ID — the admission's tag in
-	// the session and the WAL.
-	eid string
-	ctx context.Context
-	// begin counts the attempt, right before mapping starts.
-	begin func()
-	// finish performs the request's bookkeeping (outcome counters,
-	// environment registration, response rendering).
-	finish func(m *mapping.Mapping, err error)
-	// cancel completes a request whose client gave up in the queue,
-	// without counting an attempt.
-	cancel func(err error)
 }
 
 // session is a named core.Session plus the server-side bookkeeping.
@@ -259,8 +229,6 @@ type Server struct {
 	mConflicts     *metrics.Counter
 	mFallbacks     *metrics.Counter
 	mOptimistic    *metrics.Counter
-	mBatches       *metrics.Counter
-	mBatchedEnvs   *metrics.Counter
 	mRouteSearches *metrics.Counter
 	mRoutePops     *metrics.Counter
 
@@ -299,10 +267,6 @@ func New(cfg Config) *Server {
 			"Admissions that exhausted optimistic retries and ran serialized."),
 		mOptimistic: reg.Counter("hmnd_admit_optimistic_total",
 			"Admissions committed optimistically (mapping ran with no lock held)."),
-		mBatches: reg.Counter("hmnd_map_batches_total",
-			"Batched admission rounds (two or more map requests admitted per wakeup)."),
-		mBatchedEnvs: reg.Counter("hmnd_map_batched_envs_total",
-			"Map requests admitted through batched rounds."),
 		mRouteSearches: reg.Counter("hmnd_route_searches_total",
 			"A*Prune searches run by map attempts (one per inter-host virtual link routed)."),
 		mRoutePops: reg.Counter("hmnd_route_pops_total",
@@ -439,96 +403,12 @@ func (s *Server) Close() {
 	}
 }
 
-// worker drains the admission queue until Close. With BatchSize > 1, a
-// wakeup that pops a map task keeps draining the queue — without
-// blocking — for more map tasks on the same session, up to BatchSize,
-// and admits the group as one core.Session.MapBatch round. The first
-// task of any other kind stops the drain and runs after the batch; the
-// queue never reorders beyond that one overtake, and an idle queue
-// batches nothing (a lone request is admitted exactly as before).
+// worker drains the admission queue until Close, one task per wakeup.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for t := range s.queue {
 		s.mQueue.Set(float64(len(s.queue)))
-		if t.mj == nil || s.cfg.BatchSize <= 1 {
-			t.run()
-			close(t.done)
-			continue
-		}
-		batch := []*task{t}
-		var deferred *task
-	drain:
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case t2, ok := <-s.queue:
-				if !ok {
-					break drain
-				}
-				if t2.mj != nil && t2.mj.sess == t.mj.sess {
-					batch = append(batch, t2)
-				} else {
-					deferred = t2
-					break drain
-				}
-			default:
-				break drain
-			}
-		}
-		s.mQueue.Set(float64(len(s.queue)))
-		s.runMapBatch(batch)
-		if deferred != nil {
-			deferred.run()
-			close(deferred.done)
-		}
-	}
-}
-
-// runMapBatch admits a group of same-session map tasks in one batched
-// round and finishes each request. Tasks whose client already gave up
-// are completed without mapping, like the single-request path does; a
-// group that shrinks to one request takes the ordinary path.
-func (s *Server) runMapBatch(batch []*task) {
-	var live []*task
-	for _, t := range batch {
-		if err := t.mj.ctx.Err(); err != nil {
-			t.mj.cancel(err)
-			close(t.done)
-			continue
-		}
-		live = append(live, t)
-	}
-	if len(live) == 0 {
-		return
-	}
-	if len(live) == 1 {
-		live[0].run()
-		close(live[0].done)
-		return
-	}
-
-	sess := live[0].mj.sess
-	envs := make([]*virtual.Env, len(live))
-	tags := make([]string, len(live))
-	for i, t := range live {
-		envs[i] = t.mj.env
-		tags[i] = t.mj.eid
-		t.mj.begin()
-	}
-	t0 := time.Now()
-	maps, errs, bst := sess.core.MapBatchTagged(envs, tags)
-	dur := time.Since(t0).Seconds()
-	s.mBatches.Inc()
-	s.mBatchedEnvs.Add(uint64(len(live)))
-	s.mOptimistic.Add(uint64(bst.Committed))
-	s.mFallbacks.Add(uint64(bst.Fallbacks))
-	s.mRouteSearches.Add(bst.Route.Searches)
-	s.mRoutePops.Add(bst.Route.Pops)
-	// The batch held the lock once for everyone; attribute the lock time
-	// to the round, and the round's wall time to each attempt it served.
-	s.mCommitLatency.Observe(bst.CommitSeconds)
-	for i, t := range live {
-		s.mLatency.Observe(dur)
-		t.mj.finish(maps[i], errs[i])
+		t.run()
 		close(t.done)
 	}
 }
@@ -538,16 +418,7 @@ func (s *Server) runMapBatch(batch []*task) {
 // context error if ctx expires while the task waits (the task itself
 // checks ctx and becomes a no-op, or rolls back, when it finally runs).
 func (s *Server) submit(ctx context.Context, fn func()) error {
-	return s.enqueue(&task{ctx: ctx, run: fn, done: make(chan struct{})})
-}
-
-// submitMap queues a map request that workers may coalesce into a
-// batched admission round; run is its single-request execution.
-func (s *Server) submitMap(mj *mapJob, run func()) error {
-	return s.enqueue(&task{ctx: mj.ctx, run: run, done: make(chan struct{}), mj: mj})
-}
-
-func (s *Server) enqueue(t *task) error {
+	t := &task{run: fn, done: make(chan struct{})}
 	s.admitMu.RLock()
 	if s.draining {
 		s.admitMu.RUnlock()
@@ -564,8 +435,8 @@ func (s *Server) enqueue(t *task) error {
 	select {
 	case <-t.done:
 		return nil
-	case <-t.ctx.Done():
-		return t.ctx.Err()
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -722,13 +593,25 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 		resp   MapEnvResponse
 		mapErr error
 	)
-	mj := &mapJob{sess: sess, env: env, eid: envID, ctx: ctx}
-	mj.begin = func() { attempted.Inc() }
-	mj.cancel = func(err error) {
-		// The client gave up while we sat in the queue: do no work.
-		mapErr = err
-	}
-	mj.finish = func(m *mapping.Mapping, err error) {
+	submitErr := s.submit(ctx, func() {
+		if err := ctx.Err(); err != nil {
+			// The client gave up while we sat in the queue: do no work.
+			mapErr = err
+			return
+		}
+		attempted.Inc()
+		t0 := time.Now()
+		m, admit, err := sess.core.MapTagged(env, envID)
+		s.mLatency.Observe(time.Since(t0).Seconds())
+		s.mCommitLatency.Observe(admit.CommitSeconds)
+		s.mConflicts.Add(uint64(admit.Conflicts))
+		s.mRouteSearches.Add(admit.Route.Searches)
+		s.mRoutePops.Add(admit.Route.Pops)
+		if admit.Fallback {
+			s.mFallbacks.Inc()
+		} else {
+			s.mOptimistic.Inc()
+		}
 		if err != nil {
 			failed.Inc()
 			mapErr = err
@@ -769,26 +652,6 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-	}
-	submitErr := s.submitMap(mj, func() {
-		if err := ctx.Err(); err != nil {
-			mj.cancel(err)
-			return
-		}
-		mj.begin()
-		t0 := time.Now()
-		m, admit, err := sess.core.MapTagged(env, envID)
-		s.mLatency.Observe(time.Since(t0).Seconds())
-		s.mCommitLatency.Observe(admit.CommitSeconds)
-		s.mConflicts.Add(uint64(admit.Conflicts))
-		s.mRouteSearches.Add(admit.Route.Searches)
-		s.mRoutePops.Add(admit.Route.Pops)
-		if admit.Fallback {
-			s.mFallbacks.Inc()
-		} else {
-			s.mOptimistic.Inc()
-		}
-		mj.finish(m, err)
 	})
 	switch {
 	case errors.Is(submitErr, errOverloaded), errors.Is(submitErr, errDraining):

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/virtual"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -544,14 +546,19 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached within 5s")
 }
 
-// TestBatchedAdmission forces a real batched round: one worker is pinned
-// on a blocker task while several map requests for the same session queue
-// up behind it, so the wakeup that follows must drain them into a single
-// core.Session.MapBatch call. Every request still gets its own correct
-// response, and the batch metrics record exactly one round.
+// TestBatchedAdmission piles a batch of map requests up behind a pinned
+// worker. Nothing coalesces them: the worker admits the queued requests
+// one at a time, each gets its own correct response, and the log holds
+// one admit record per request under consecutive sequence numbers.
+// Environment IDs are assigned before queuing, so which request got
+// which seq is not asserted.
 func TestBatchedAdmission(t *testing.T) {
 	c, cs := testbed(t)
-	srv, ts := startServer(t, Config{Workers: 1, QueueDepth: 32, BatchSize: 8})
+	dir := t.TempDir()
+	srv, ts := startServer(t, Config{Workers: 1, QueueDepth: 32, DataDir: dir, Logf: t.Logf})
+	if err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 
@@ -610,16 +617,33 @@ func TestBatchedAdmission(t *testing.T) {
 			t.Fatalf("request %d: ToMapping: %v", i, err)
 		}
 		if err := m.Validate(cluster.VMMOverhead{}); err != nil {
-			t.Fatalf("request %d: batched mapping invalid: %v", i, err)
+			t.Fatalf("request %d: queued mapping invalid: %v", i, err)
 		}
 	}
 
-	text := scrape(t, client, ts.URL)
-	if got := metricValue(t, text, "hmnd_map_batches_total"); got != 1 {
-		t.Fatalf("map batches = %v, want 1", got)
+	// Every request was acknowledged, so every record is durable: one
+	// admit per request, seqs 1..n with no gap, and no other kind.
+	rec, err := wal.Scan(dir, wal.Hooks{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := metricValue(t, text, "hmnd_map_batched_envs_total"); int(got) != n {
-		t.Fatalf("batched envs = %v, want %d", got, n)
+	var seqs []uint64
+	for i := range rec.Records {
+		switch r := &rec.Records[i]; r.Kind {
+		case wal.KindOpen:
+		case wal.KindAdmit:
+			seqs = append(seqs, r.Admit.Seq)
+		default:
+			t.Fatalf("record %d is a %s record; a burst of maps writes admits only", i, r.Kind)
+		}
+	}
+	if want := []uint64{1, 2, 3, 4, 5}; !reflect.DeepEqual(seqs, want) {
+		t.Fatalf("admit records carry seqs %v, want %v", seqs, want)
+	}
+
+	text := scrape(t, client, ts.URL)
+	if strings.Contains(text, "hmnd_map_batch") {
+		t.Fatal("a hmnd_map_batch* series is still registered")
 	}
 	if got := metricValue(t, text, `hmnd_maps_succeeded_total{mapper="HMN"}`); int(got) != n {
 		t.Fatalf("succeeded = %v, want %d", got, n)
@@ -627,13 +651,13 @@ func TestBatchedAdmission(t *testing.T) {
 	if got := metricValue(t, text, "hmnd_active_envs"); int(got) != n {
 		t.Fatalf("active envs = %v, want %d", got, n)
 	}
-	// Admission accounting covers the whole batch.
+	// Admission accounting covers the whole burst.
 	optimistic := metricValue(t, text, "hmnd_admit_optimistic_total")
 	fallbacks := metricValue(t, text, "hmnd_admit_fallbacks_total")
 	if int(optimistic+fallbacks) != n {
 		t.Fatalf("optimistic %v + fallbacks %v != %d", optimistic, fallbacks, n)
 	}
 	if got := metricValue(t, text, "hmnd_route_searches_total"); got <= 0 {
-		t.Fatalf("route searches = %v: the batch's A*Prune work went uncounted", got)
+		t.Fatalf("route searches = %v: the burst's A*Prune work went uncounted", got)
 	}
 }

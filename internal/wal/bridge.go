@@ -34,12 +34,6 @@ func RecordFromEvent(sid string, overhead cluster.VMMOverhead, ev core.Event) *R
 	case core.EventAdmit:
 		rec.Kind = KindAdmit
 		rec.Admit = admitRec(*ev.Admit, overhead)
-	case core.EventBatch:
-		rec.Kind = KindBatch
-		rec.Batch = make([]AdmitRec, len(ev.Batch))
-		for i, a := range ev.Batch {
-			rec.Batch[i] = *admitRec(a, overhead)
-		}
 	case core.EventRelease:
 		rec.Kind = KindRelease
 		rec.Release = &ReleaseRec{Seq: ev.ReleaseSeq}
@@ -184,14 +178,14 @@ func ReplayRecord(cs *core.Session, rec *Record) error {
 		}
 		return cs.ReplayAdmit(env, m, rec.Admit.Tag, rec.Admit.Seq)
 	case KindBatch:
-		admits := make([]core.BatchReplayAdmit, 0, len(rec.Batch))
+		admits := make([]core.AdmitInfo, 0, len(rec.Batch))
 		for i := range rec.Batch {
 			a := &rec.Batch[i]
 			env, m, err := decodeAdmit(c, a)
 			if err != nil {
 				return fmt.Errorf("wal: session %s batch seq %d: %w", rec.SID, a.Seq, err)
 			}
-			admits = append(admits, core.BatchReplayAdmit{Seq: a.Seq, Tag: a.Tag, Env: env, M: m})
+			admits = append(admits, core.AdmitInfo{Seq: a.Seq, Tag: a.Tag, Env: env, M: m})
 		}
 		return cs.ReplayBatch(admits)
 	case KindRelease:

@@ -7,8 +7,9 @@ import (
 )
 
 // This file is the hand-written codec for the records an admission
-// workload writes and recovery reads back: admit, batch, release and
-// migrate out, admit and release in (all but the open record of a churn
+// workload writes and recovery reads back: admit, release and migrate
+// out (and the legacy batch kind, which only a re-encoded old log still
+// carries), admit and release in (all but the open record of a churn
 // log). It changes no byte on disk — AppendJSON emits json.Marshal's
 // exact payload or declines, scanJSON accepts a subset of what
 // json.Unmarshal accepts or declines — and appendFrame/readFrame answer

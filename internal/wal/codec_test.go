@@ -118,9 +118,8 @@ func churnRecords(t *testing.T, ops int) []Record {
 }
 
 // TestFastPathTakesChurnRecords keeps the WAL fast path from quietly
-// degrading into always-decline: every admit, batch and release record
-// of a churn schedule is encoded by hand, and every admit and release
-// is decoded by hand.
+// degrading into always-decline: every admit and release record of a
+// churn schedule is encoded and decoded by hand.
 func TestFastPathTakesChurnRecords(t *testing.T) {
 	counts := map[string]int{}
 	for _, rec := range churnRecords(t, 48) {
@@ -130,7 +129,8 @@ func TestFastPathTakesChurnRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, ok := rec.AppendJSON(nil)
-		if hand := rec.Kind == KindAdmit || rec.Kind == KindBatch || rec.Kind == KindRelease; ok != hand {
+		hand := rec.Kind == KindAdmit || rec.Kind == KindRelease
+		if ok != hand {
 			t.Fatalf("%s record: AppendJSON accepted=%v", rec.Kind, ok)
 		}
 		if ok && !bytes.Equal(got, want) {
@@ -139,14 +139,14 @@ func TestFastPathTakesChurnRecords(t *testing.T) {
 		var back Record
 		var s jsonx.Scanner
 		s.Reset(want)
-		if hand := rec.Kind == KindAdmit || rec.Kind == KindRelease; back.scanJSON(&s) != hand {
+		if back.scanJSON(&s) != hand {
 			t.Fatalf("%s record: scanJSON accepted=%v: %s", rec.Kind, !hand, want)
 		} else if hand && !reflect.DeepEqual(back, rec) {
 			t.Fatalf("%s record decoded to %#v, want %#v", rec.Kind, back, rec)
 		}
 		counts[rec.Kind]++
 	}
-	for _, k := range []string{KindAdmit, KindBatch, KindRelease, KindFail, KindRestore} {
+	for _, k := range []string{KindAdmit, KindRelease, KindFail, KindRestore} {
 		if counts[k] == 0 {
 			t.Fatalf("schedule wrote no %s record: %v", k, counts)
 		}

@@ -52,8 +52,10 @@ const (
 	KindClose = "close"
 	// KindAdmit is one committed admission.
 	KindAdmit = "admit"
-	// KindBatch is one MapBatch commit pass: several admissions as one
-	// atomic entry.
+	// KindBatch is a legacy kind, read but never written: several
+	// admissions committed as one operation by a daemon run with the
+	// since-deleted hmnd -batch K > 1. Replay re-applies it under its
+	// one operation index (core.Session.ReplayBatch).
 	KindBatch = "batch"
 	// KindRelease is one environment teardown.
 	KindRelease = "release"

@@ -70,8 +70,8 @@ func loggedSession(t *testing.T, w *WAL, c *cluster.Cluster, cs spec.ClusterSpec
 }
 
 // applyOp applies operation i of the deterministic chaos schedule: a
-// mix of single admissions, batches, releases of the oldest tenant, and
-// host fail/repair/restore pairs. The schedule is a pure function of i
+// mix of admissions, releases of the oldest tenant, and host
+// fail/repair/restore pairs. The schedule is a pure function of i
 // and the session state, so a reference run and a crash-recovered run
 // fed the same indices perform identical operations.
 func applyOp(t *testing.T, s *core.Session, c *cluster.Cluster, i int) {
@@ -98,11 +98,6 @@ func applyOp(t *testing.T, s *core.Session, c *cluster.Cluster, i int) {
 			}
 			return
 		}
-	case 6:
-		envs := []*virtual.Env{testEnv(int64(1000 + i)), testEnv(int64(2000 + i))}
-		tags := []string{fmt.Sprintf("e%d-a", i), fmt.Sprintf("e%d-b", i)}
-		s.MapBatchTagged(envs, tags)
-		return
 	}
 	if _, _, err := s.MapTagged(testEnv(int64(i)), fmt.Sprintf("e%d", i)); err != nil &&
 		!errors.Is(err, core.ErrNoHostFits) && !errors.Is(err, core.ErrNoPath) {
@@ -410,6 +405,121 @@ func TestSnapshotSuffixEquivalence(t *testing.T) {
 	if le.NextSeq != re.NextSeq || le.OpCount != re.OpCount {
 		t.Errorf("counters diverge: live seq=%d op=%d, recovered seq=%d op=%d",
 			le.NextSeq, le.OpCount, re.NextSeq, re.OpCount)
+	}
+}
+
+// legacyBatchLog is a log as a daemon run with the since-deleted
+// hmnd -batch K > 1 left it (the cluster is the checked-in parent
+// segment's): admit(1) · batch(2, two admissions) · release(3), then the
+// admit(4) a current daemon appends after recovering it. The batch
+// record occupies ONE operation index, so the admissions around it are
+// indices 1, 2, 3, 4 while their seqs run 1, 2–3, –, 4.
+var legacyBatchLog = []string{
+	`{"kind":"open","sid":"s1","open":{"cluster":{"nodes":4,"hosts":[{"node":0,"name":"host-0","proc_mips":1000,"mem_mb":1024,"stor_gb":1000},{"node":1,"name":"host-1","proc_mips":1000,"mem_mb":1024,"stor_gb":1000},{"node":2,"name":"host-2","proc_mips":1000,"mem_mb":1024,"stor_gb":1000},{"node":3,"name":"host-3","proc_mips":1000,"mem_mb":256,"stor_gb":1000}],"links":[{"a":0,"b":1,"bw_mbps":1000,"lat_ms":5},{"a":0,"b":2,"bw_mbps":1000,"lat_ms":5},{"a":1,"b":3,"bw_mbps":1000,"lat_ms":5},{"a":2,"b":3,"bw_mbps":1000,"lat_ms":5}]},"mapper":"HMN","overhead_proc":0,"overhead_mem":0,"overhead_stor":0}}`,
+	`{"kind":"admit","sid":"s1","index":1,"admit":{"seq":1,"tag":"e1","env":{"guests":[{"name":"a0","proc_mips":300.5,"mem_mb":512,"stor_gb":10}],"links":[]},"mapping":{"guest_host":[0],"link_paths":[],"objective":130.12176557920656}}}`,
+	`{"kind":"batch","sid":"s1","index":2,"batch":[{"seq":2,"tag":"e2","env":{"guests":[{"name":"b0","proc_mips":10,"mem_mb":16,"stor_gb":1}],"links":[]},"mapping":{"guest_host":[1],"link_paths":[],"objective":127.65}},{"seq":3,"tag":"e3","env":{"guests":[{"name":"w0","proc_mips":20,"mem_mb":16,"stor_gb":1},{"name":"w1","proc_mips":20.25,"mem_mb":16,"stor_gb":1}],"links":[{"from":0,"to":1,"bw_mbps":1.5,"lat_ms":100}]},"mapping":{"guest_host":[3,1],"link_paths":[[3,1]],"link_edges":[[2]],"objective":121.5}}]}`,
+	`{"kind":"release","sid":"s1","index":3,"release":{"seq":1}}`,
+	`{"kind":"admit","sid":"s1","index":4,"admit":{"seq":4,"tag":"e4","env":{"guests":[{"name":"c0","proc_mips":400.125,"mem_mb":128,"stor_gb":2.5}],"links":[]},"mapping":{"guest_host":[2],"link_paths":[],"objective":170.3}}}`,
+}
+
+// TestLegacyBatchRecordKeepsItsOneIndex is the read side of the deleted
+// batch kind under the condition that makes its index matter: a
+// snapshot boundary after it. The legacy prefix is recovered from disk,
+// snapshotted at operation 3, extended with admit(4) and recovered
+// again; had the batch record advanced the operation index once per
+// admission, the snapshot would sit at 4 and recovery would skip the
+// admit as already applied. The result must equal a straight replay of
+// all five records, and so must a recovery that meets the snapshot
+// together with the whole log (a crash between publishing a snapshot
+// and pruning the segments it covers).
+func TestLegacyBatchRecordKeepsItsOneIndex(t *testing.T) {
+	recs := make([]Record, len(legacyBatchLog))
+	for i, raw := range legacyBatchLog {
+		if err := json.Unmarshal([]byte(raw), &recs[i]); err != nil {
+			t.Fatalf("fixture record %d: %v", i, err)
+		}
+	}
+	straight := rebuild(t, &Recovered{Records: recs})[testSID]
+	if straight == nil {
+		t.Fatal("straight replay lost the session")
+	}
+	if got, want := activeSummary(straight), []string{"2:e2", "3:e3", "4:e4"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("straight replay holds %v, want %v", got, want)
+	}
+
+	dir := t.TempDir()
+	w, _, err := Open(dir, testHooks(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs[:4] {
+		if err := w.Append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, rec, err := Open(dir, testHooks(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, _, err := Replay(rec, nil)
+	if err != nil || len(replayed) != 1 {
+		t.Fatalf("replaying the legacy prefix: %d sessions, %v", len(replayed), err)
+	}
+	rs := replayed[0]
+	if exp := rs.Session.Export(); exp.OpCount != 3 || exp.NextSeq != 3 {
+		t.Fatalf("after admit·batch·release: op=%d seq=%d, want 3 and 3", exp.OpCount, exp.NextSeq)
+	}
+	err = w.WriteSnapshot(func() ([]SessionSnap, error) {
+		return []SessionSnap{ExportSession(rs.SID, rs.ClusterSpec, rs.Mapper, rs.Overhead, 0, rs.Session)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(&recs[4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w, rec, err = Open(dir, testHooks(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if rec.Snapshot == nil || len(rec.Records) != 1 {
+		t.Fatalf("recovery: snapshot=%v, %d records; want the snapshot and the one admit", rec.Snapshot != nil, len(rec.Records))
+	}
+	for name, from := range map[string]*Recovered{
+		"snapshot+suffix":    rec,
+		"snapshot+whole log": {Snapshot: rec.Snapshot, Records: recs},
+	} {
+		got := rebuild(t, from)[testSID]
+		if got == nil {
+			t.Fatalf("%s: session not recovered", name)
+		}
+		if g, want := ledgerJSON(t, got), ledgerJSON(t, straight); !bytes.Equal(g, want) {
+			t.Errorf("%s: ledger diverges from the straight replay:\n got %s\nwant %s", name, g, want)
+		}
+		if g, want := activeSummary(got), activeSummary(straight); !reflect.DeepEqual(g, want) {
+			t.Errorf("%s: active set %v, want %v", name, g, want)
+		}
+		ge, se := got.Export(), straight.Export()
+		if ge.NextSeq != se.NextSeq || ge.OpCount != se.OpCount || se.OpCount != 4 {
+			t.Errorf("%s: counters seq=%d op=%d, straight replay seq=%d op=%d, want op 4",
+				name, ge.NextSeq, ge.OpCount, se.NextSeq, se.OpCount)
+		}
+	}
+
+	// EachTag still walks the legacy kind, so a recovering daemon
+	// advances its environment-ID counter past a batch's tags.
+	var tags []string
+	recs[2].EachTag(func(tag string) { tags = append(tags, tag) })
+	if want := []string{"e2", "e3"}; !reflect.DeepEqual(tags, want) {
+		t.Errorf("batch record names tags %v, want %v", tags, want)
 	}
 }
 
