@@ -116,7 +116,7 @@ func configure(args []string) (func() error, error) {
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
 		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue     = fs.Int("queue", 64, "admission queue depth")
+		queue     = fs.Int("queue", 64, "admission queue depth (with -shards: each shard's operation queue)")
 		timeout   = fs.Duration("timeout", 30*time.Second, "per-request timeout (queue wait included)")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -133,35 +133,30 @@ func configure(args []string) (func() error, error) {
 	)
 	fs.Parse(args) // ExitOnError: a malformed command line never returns
 
-	if err := profileConfig(*mutexFrac, *blockRate); err != nil {
-		return nil, err
+	err := profileConfig(*mutexFrac, *blockRate)
+	var cfg server.Config
+	if err == nil {
+		cfg, err = buildConfig(*workers, *queue, *timeout)
 	}
-	if *shards > 0 {
-		if flagSet(fs, "workers") {
-			return nil, errors.New("-workers does not apply with -shards: each shard runs one worker")
-		}
-		fedCfg, err := federationConfig(*shards, *gatewayBW, *shardSpec, *timeout,
-			*dataDir, *snapEvery, *replay, *rebEvery, *rebMoves, *queue)
-		if err != nil {
-			return nil, err
-		}
-		return func() error { return runFederation(*addr, fedCfg, *drain, *pprofAddr) }, nil
-	}
-	if *gatewayBW != 0 || *shardSpec != "" {
-		return nil, errors.New("-gateway-bw and -shard-cluster need -shards")
-	}
-
-	cfg, err := buildConfig(*workers, *queue, *timeout)
 	if err == nil {
 		err = durabilityConfig(&cfg, *dataDir, *snapEvery, *replay)
 	}
 	if err == nil {
 		err = rebalanceConfig(&cfg, *rebEvery, *rebMoves)
 	}
+	switch {
+	case err != nil:
+	case *shards <= 0 && (*gatewayBW != 0 || *shardSpec != ""):
+		err = errors.New("-gateway-bw and -shard-cluster need -shards")
+	case *shards > 0 && flagSet(fs, "workers"):
+		err = errors.New("-workers does not apply with -shards: each shard runs one worker")
+	case *shards > 0:
+		err = federationConfig(&cfg, *shards, *gatewayBW, *shardSpec)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return func() error { return run(*addr, cfg, *drain, *pprofAddr) }, nil
+	return func() error { return run(*addr, cfg, *shards > 0, *drain, *pprofAddr) }, nil
 }
 
 // flagSet reports whether the command line named the flag, whatever
@@ -236,120 +231,34 @@ func profileConfig(mutexFrac, blockRate int) error {
 	return nil
 }
 
-// federationConfig validates the federation flags into a FedConfig,
-// loading the per-shard cluster spec when one was named. The spec may
-// be omitted only when the data directory already holds recoverable
-// federation state.
-func federationConfig(shards int, gatewayBW float64, specPath string, timeout time.Duration,
-	dataDir string, snapEvery time.Duration, replay bool,
-	rebEvery time.Duration, rebMoves, queue int) (server.FedConfig, error) {
-	var cfg server.FedConfig
+// federationConfig validates the federation flags into cfg, loading the
+// per-shard cluster spec when one was named. The spec may be omitted
+// only when the data directory already holds recoverable federation
+// state.
+func federationConfig(cfg *server.Config, shards int, gatewayBW float64, specPath string) error {
 	if gatewayBW < 0 {
-		return cfg, fmt.Errorf("-gateway-bw must be >= 0, got %g", gatewayBW)
-	}
-	if timeout <= 0 {
-		return cfg, fmt.Errorf("-timeout must be positive, got %v", timeout)
-	}
-	if snapEvery < 0 {
-		return cfg, fmt.Errorf("-snapshot-interval must be >= 0, got %v", snapEvery)
-	}
-	if replay && dataDir == "" {
-		return cfg, fmt.Errorf("-replay needs -data-dir")
-	}
-	if rebEvery < 0 {
-		return cfg, fmt.Errorf("-rebalance-interval must be >= 0, got %v", rebEvery)
-	}
-	if rebMoves < 0 {
-		return cfg, fmt.Errorf("-rebalance-max-moves must be >= 0, got %d", rebMoves)
-	}
-	recoverable := dataDir != "" && shard.HasState(dataDir)
-	if specPath == "" && !recoverable {
-		return cfg, fmt.Errorf("-shards needs -shard-cluster (no recoverable state in %q)", dataDir)
-	}
-	if specPath != "" && !recoverable {
-		raw, err := os.Open(specPath)
-		if err != nil {
-			return cfg, fmt.Errorf("-shard-cluster: %w", err)
-		}
-		defer raw.Close()
-		var cs spec.ClusterSpec
-		if err := spec.DecodeStrict(raw, &cs); err != nil {
-			return cfg, fmt.Errorf("-shard-cluster %s: %w", specPath, err)
-		}
-		cfg.ClusterSpecs = make([]spec.ClusterSpec, shards)
-		for k := range cfg.ClusterSpecs {
-			cfg.ClusterSpecs[k] = cs
-		}
+		return fmt.Errorf("-gateway-bw must be >= 0, got %g", gatewayBW)
 	}
 	cfg.GatewayBW = gatewayBW
-	cfg.DataDir = dataDir
-	cfg.SnapshotInterval = snapEvery
-	cfg.VerifyReplay = replay
-	cfg.RebalanceInterval = rebEvery
-	cfg.RebalanceMaxMoves = rebMoves
-	cfg.RequestTimeout = timeout
-	cfg.QueueDepth = queue
-	return cfg, nil
-}
-
-// runFederation serves the sharded daemon until SIGINT/SIGTERM, then
-// drains: listener first (no admission left in flight), shards after.
-func runFederation(addr string, cfg server.FedConfig, drain time.Duration, pprofAddr string) error {
-	logger := log.New(os.Stderr, "hmnd: ", log.LstdFlags)
-	cfg.Logf = logger.Printf
-	srv := server.NewFederation(cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	var pprofSrv *http.Server
-	if pprofAddr != "" {
-		pprofSrv = &http.Server{Addr: pprofAddr, Handler: pprofHandler()}
-		go func() {
-			logger.Printf("pprof listening on %s", pprofAddr)
-			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Printf("pprof server: %v", err)
-			}
-		}()
-		defer pprofSrv.Close()
+	if cfg.DataDir != "" && shard.HasState(cfg.DataDir) {
+		return nil
 	}
-
-	errc := make(chan error, 1)
-	go func() {
-		logger.Printf("federation listening on %s", addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	// Recover with the listener already up, exactly as the classic mode:
-	// /v1 answers 503 "replaying" until every shard is rebuilt.
-	if err := srv.Recover(); err != nil {
-		httpSrv.Close()
-		return fmt.Errorf("recover: %w", err)
+	if specPath == "" {
+		return fmt.Errorf("-shards needs -shard-cluster (no recoverable state in %q)", cfg.DataDir)
 	}
-	logger.Printf("federation serving (%d shards, gateway %g Mbps)",
-		srv.Federation().Shards(), srv.Federation().Stats().GatewayBudget)
-
-	select {
-	case err := <-errc:
-		srv.Close()
-		return err
-	case <-ctx.Done():
+	raw, err := os.Open(specPath)
+	if err != nil {
+		return fmt.Errorf("-shard-cluster: %w", err)
 	}
-
-	logger.Printf("signal received, draining (budget %v)", drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	// The listener must be fully down before the shards stop: an
-	// admission enqueued on a stopped shard worker would be lost.
-	err := httpSrv.Shutdown(shutdownCtx)
-	if cerr := srv.Close(); err == nil {
-		err = cerr
+	defer raw.Close()
+	var cs spec.ClusterSpec
+	if err := spec.DecodeStrict(raw, &cs); err != nil {
+		return fmt.Errorf("-shard-cluster %s: %w", specPath, err)
 	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("shutdown: %w", err)
+	cfg.ClusterSpecs = make([]spec.ClusterSpec, shards)
+	for k := range cfg.ClusterSpecs {
+		cfg.ClusterSpecs[k] = cs
 	}
-	logger.Printf("drained, exiting")
 	return nil
 }
 
@@ -366,19 +275,24 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
-// run serves until SIGINT/SIGTERM, then drains.
-func run(addr string, cfg server.Config, drain time.Duration, pprofAddr string) error {
+// run serves the daemon, classic or federation, until SIGINT/SIGTERM,
+// then drains: listener first, so no handler is left waiting on an
+// operation, the lock domains after.
+func run(addr string, cfg server.Config, federation bool, drain time.Duration, pprofAddr string) error {
 	logger := log.New(os.Stderr, "hmnd: ", log.LstdFlags)
 	cfg.Logf = logger.Printf
-	srv := server.New(cfg)
+	build := server.New
+	if federation {
+		build = server.NewFederation
+	}
+	srv := build(cfg)
 	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	var pprofSrv *http.Server
 	if pprofAddr != "" {
-		pprofSrv = &http.Server{Addr: pprofAddr, Handler: pprofHandler()}
+		pprofSrv := &http.Server{Addr: pprofAddr, Handler: pprofHandler()}
 		go func() {
 			logger.Printf("pprof listening on %s", pprofAddr)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -390,22 +304,25 @@ func run(addr string, cfg server.Config, drain time.Duration, pprofAddr string) 
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (workers=%d queue=%d timeout=%v)",
-			addr, cfg.Workers, cfg.QueueDepth, cfg.RequestTimeout)
+		logger.Printf("listening on %s (queue=%d timeout=%v)", addr, cfg.QueueDepth, cfg.RequestTimeout)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
 	// Recover with the listener already up: /healthz answers 503
-	// "replaying" while the snapshot and log suffix are applied, and the
-	// /v1 API opens the moment Recover returns.
+	// "replaying" while the state is built or rebuilt, and the /v1 API
+	// opens the moment Recover returns.
 	if cfg.DataDir != "" {
 		logger.Printf("recovering from %s", cfg.DataDir)
-		if err := srv.Recover(); err != nil {
-			httpSrv.Close()
-			srv.Close()
-			return fmt.Errorf("recover: %w", err)
-		}
-		logger.Printf("recovery complete, serving")
+	}
+	if err := srv.Recover(); err != nil {
+		httpSrv.Close()
+		srv.Close()
+		return fmt.Errorf("recover: %w", err)
+	}
+	if fed := srv.Federation(); fed != nil {
+		logger.Printf("federation serving (%d shards, gateway %g Mbps)", fed.Shards(), fed.Stats().GatewayBudget)
+	} else {
+		logger.Printf("serving")
 	}
 
 	select {
@@ -418,10 +335,10 @@ func run(addr string, cfg server.Config, drain time.Duration, pprofAddr string) 
 	logger.Printf("signal received, draining (budget %v)", drain)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
-	// Stop the listener and wait for in-flight handlers first — they
-	// hold queued tasks — then drain the worker pool.
 	err := httpSrv.Shutdown(shutdownCtx)
-	srv.Close()
+	if cerr := srv.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return fmt.Errorf("shutdown: %w", err)
 	}

@@ -72,3 +72,27 @@ func TestProfileFlagsValidatedInFederationMode(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedFlagsValidateTheSameInBothModes: the durability, rebalance
+// and timeout flags mean the same thing with and without -shards, so a
+// bad value is the same usage error in both modes — raised before the
+// federation's cluster spec (a file that does not exist here) is read.
+func TestSharedFlagsValidateTheSameInBothModes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-timeout", "0s"}, "-timeout must be positive, got 0s"},
+		{[]string{"-queue", "0"}, "-queue must be positive, got 0"},
+		{[]string{"-replay"}, "-replay needs -data-dir"},
+		{[]string{"-data-dir", "x", "-snapshot-interval", "-1s"}, "-snapshot-interval must be >= 0, got -1s"},
+		{[]string{"-rebalance-interval", "-1s"}, "-rebalance-interval must be >= 0, got -1s"},
+		{[]string{"-rebalance-max-moves", "-1"}, "-rebalance-max-moves must be >= 0, got -1"},
+	} {
+		_, classic := configure(tc.args)
+		_, fed := configure(append([]string{"-shards", "2", "-shard-cluster", "cluster.json"}, tc.args...))
+		if classic == nil || fed == nil || classic.Error() != tc.want || fed.Error() != tc.want {
+			t.Errorf("configure(%v) = %v, with -shards %v; want the usage error %q from both", tc.args, classic, fed, tc.want)
+		}
+	}
+}

@@ -12,15 +12,15 @@ import (
 //
 //  1. exactly one function is annotated //hmn:sentineltable — the
 //     single place sentinel errors become statuses;
-//  2. every exported Err* sentinel of the imported core and cluster
-//     packages is referenced inside that table, so a new sentinel
-//     cannot ship without an explicit status decision;
+//  2. every exported Err* sentinel of the imported core, cluster and
+//     shard packages is referenced inside that table, so a new
+//     sentinel cannot ship without an explicit status decision;
 //  3. no other function in the package references those sentinels —
 //     handlers route errors through the table instead of inline
 //     errors.Is comparisons that silently disagree with it.
 var SentinelHTTPAnalyzer = &Analyzer{
 	Name: "sentinelhttp",
-	Doc:  "require every core/cluster error sentinel to map to an HTTP status in the package's one //hmn:sentineltable",
+	Doc:  "require every core/cluster/shard error sentinel to map to an HTTP status in the package's one //hmn:sentineltable",
 	Run:  runSentinelHTTP,
 }
 
@@ -32,9 +32,10 @@ var sentinelHTTPPkgs = map[string]bool{
 
 // sentinelSourcePkg reports whether imported package path defines the
 // sentinels this analyzer tracks. Fixture packages ending in
-// "/sentinels" stand in for core/cluster under testdata.
+// "/sentinels" stand in for them under testdata.
 func sentinelSourcePkg(path string) bool {
-	if path == "repro/internal/core" || path == "repro/internal/cluster" {
+	switch path {
+	case "repro/internal/core", "repro/internal/cluster", "repro/internal/shard":
 		return true
 	}
 	return strings.HasPrefix(path, fixturePrefix) && strings.HasSuffix(path, "/sentinels")

@@ -13,5 +13,7 @@ func TestSentinelHTTP(t *testing.T) {
 		"./testdata/src/sentinelhttp/flagged",
 		"./testdata/src/sentinelhttp/clean",
 		"./testdata/src/sentinelhttp/notable",
+		"./testdata/src/sentinelhttp/fed/sentinels",
+		"./testdata/src/sentinelhttp/twosources",
 	)
 }

@@ -52,17 +52,18 @@ type Scheduler struct {
 }
 
 // New returns a stopped scheduler. interval is the period between
-// planning rounds; maxMoves caps guest-level moves per round (<= 0:
-// unbounded).
+// planning rounds (<= 0: no background loop, rounds run only through
+// RunOnce); maxMoves caps guest-level moves per round (<= 0: unbounded).
 func New(c Committer, interval time.Duration, maxMoves int, hooks Hooks) *Scheduler {
 	return &Scheduler{committer: c, interval: interval, maxMoves: maxMoves, hooks: hooks}
 }
 
-// Start launches the background loop. It is a no-op if already running.
+// Start launches the background loop. It is a no-op if already running
+// or if the scheduler has no interval.
 func (s *Scheduler) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.running {
+	if s.running || s.interval <= 0 {
 		return
 	}
 	s.running = true

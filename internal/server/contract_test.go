@@ -1,0 +1,247 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/spec"
+)
+
+// contractFamilies are the metric families both modes register once and
+// feed: the admission, repair, rebalance and durability families, and
+// the scrape-time degradation and occupancy gauges.
+var contractFamilies = []string{
+	"hmnd_map_latency_seconds", "hmnd_commit_latency_seconds",
+	"hmnd_admit_conflicts_total", "hmnd_admit_fallbacks_total", "hmnd_admit_optimistic_total",
+	"hmnd_route_searches_total", "hmnd_route_pops_total",
+	"hmnd_repair_latency_seconds", "hmnd_evictions_total", "hmnd_repairs_total",
+	"hmnd_rebalance_rounds_total", "hmnd_rebalance_planned_units_total", "hmnd_rebalance_moves_total",
+	"hmnd_rebalance_aborts_total", "hmnd_rebalance_objective_improvement", "hmnd_rebalance_round_seconds",
+	"hmnd_quarantined_hosts", "hmnd_cut_links", "hmnd_ar_cache_hits_total", "hmnd_ar_cache_misses_total",
+	"hmnd_active_envs",
+	"hmnd_wal_records_total", "hmnd_replay_records_total", "hmnd_wal_fsync_seconds", "hmnd_snapshot_seconds",
+}
+
+// contractStep is one request of the contract script as the client saw
+// it answered: the status and, for an error reply, its "error" string.
+type contractStep struct {
+	name string
+	code int
+	err  string
+}
+
+// TestBothModesHTTPContract runs one request script against a classic
+// daemon and a 1-shard federation on the same cluster. The two URL
+// shapes differ only by the prefix naming the lock domain —
+// /v1/sessions/{sid} or /v1/shards/{k} — so the two transcripts must
+// agree on every status and every error string, apart from the two
+// places the modes differ by design: how an unknown domain is named, and
+// the success status of an admission (200 with a mapping, 201 with a
+// fragment list).
+func TestBothModesHTTPContract(t *testing.T) {
+	_, cs := testbed(t)
+	modes := []struct {
+		name  string
+		build func(Config) *Server
+		// open opens a session and returns the prefix of the daemon's one
+		// lock domain; nowhere is a prefix naming no domain.
+		open     func(t *testing.T, client *http.Client, base string) (session, domain string)
+		nowhere  string
+		admitted int
+	}{
+		{"classic", New, func(t *testing.T, client *http.Client, base string) (string, string) {
+			sid := openSession(t, client, base, cs, "")
+			return "/v1/sessions/" + sid, "/v1/sessions/" + sid
+		}, "/v1/sessions/nope", http.StatusOK},
+		{"federation", NewFederation, func(t *testing.T, client *http.Client, base string) (string, string) {
+			code, raw, _ := doJSON(t, client, "POST", base+"/v1/sessions", nil)
+			if code != http.StatusCreated {
+				t.Fatalf("open tenant: status %d: %s", code, raw)
+			}
+			var out OpenTenantResponse
+			if err := json.Unmarshal(raw, &out); err != nil {
+				t.Fatal(err)
+			}
+			return "/v1/sessions/" + out.ID, "/v1/shards/0"
+		}, "/v1/shards/9", http.StatusCreated},
+	}
+	transcripts := make([][]contractStep, len(modes))
+	for i, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			s := mode.build(Config{
+				Workers: 2, QueueDepth: 8, MaxBodyBytes: 16 << 10,
+				DataDir: t.TempDir(), ClusterSpecs: []spec.ClusterSpec{cs}, Logf: t.Logf,
+			})
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(func() {
+				ts.Close()
+				s.Close()
+			})
+			client := ts.Client()
+			var steps []contractStep
+			// do sends one scripted request, requires the status want and
+			// records how it was answered.
+			do := func(name, method, path string, body interface{}, want int) ([]byte, http.Header) {
+				t.Helper()
+				code, raw, hdr := doJSON(t, client, method, ts.URL+path, body)
+				if code != want {
+					t.Fatalf("%s: status %d, want %d: %s", name, code, want, raw)
+				}
+				step := contractStep{name: name, code: code}
+				if code >= 400 {
+					var e ErrorResponse
+					if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+						t.Fatalf("%s: status %d with no error body: %s", name, code, raw)
+					}
+					step.err = e.Error
+				}
+				steps = append(steps, step)
+				return raw, hdr
+			}
+			last := func() contractStep { return steps[len(steps)-1] }
+
+			// Replaying: /healthz says so, /v1 is shut with Retry-After,
+			// /metrics answers.
+			do("healthz while replaying", "GET", "/healthz", nil, http.StatusServiceUnavailable)
+			if last().err != "replaying" {
+				t.Fatalf("healthz before Recover: %+v, want replaying", last())
+			}
+			_, hdr := do("open while replaying", "POST", "/v1/sessions", nil, http.StatusServiceUnavailable)
+			if last().err != "replaying" || hdr.Get("Retry-After") == "" {
+				t.Fatalf("/v1 before Recover: %+v (Retry-After %q), want replaying", last(), hdr.Get("Retry-After"))
+			}
+			if code, _, _ := doJSON(t, client, "GET", ts.URL+"/metrics", nil); code != http.StatusOK {
+				t.Fatalf("metrics while replaying: status %d", code)
+			}
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if code, raw, _ := doJSON(t, client, "GET", ts.URL+"/v1/healthz", nil); code != http.StatusOK || !strings.Contains(string(raw), "serving") {
+				t.Fatalf("healthz after Recover: %d %q, want 200 serving", code, raw)
+			}
+			session, domain := mode.open(t, client, ts.URL)
+
+			// Bad names: 400 for a target that is not a number, 404 for a
+			// host, a link or a domain that does not exist.
+			do("non-numeric host", "POST", domain+"/hosts/zero/fail", nil, http.StatusBadRequest)
+			do("non-numeric link", "POST", domain+"/links/x/restore", nil, http.StatusBadRequest)
+			do("unknown host", "POST", domain+"/hosts/99999/fail", nil, http.StatusNotFound)
+			do("unknown link", "POST", domain+"/links/99999/fail", nil, http.StatusNotFound)
+			for _, path := range []string{"/residuals", "/hosts/0/fail", "/links/0/restore", "/rebalance"} {
+				method := "POST"
+				if path == "/residuals" {
+					method = "GET"
+				}
+				if code, raw, _ := doJSON(t, client, method, ts.URL+mode.nowhere+path, nil); code != http.StatusNotFound {
+					t.Fatalf("%s on an unknown domain: status %d: %s", path, code, raw)
+				}
+			}
+
+			// Environments the daemon must refuse: no guests and an oversize
+			// body are the request's fault (400), a guest no host can hold
+			// conflicts with the testbed's state (409).
+			do("zero-guest env", "POST", session+"/envs", MapEnvRequest{}, http.StatusBadRequest)
+			if last().err != "environment has no guests" {
+				t.Fatalf("zero-guest env: %+v", last())
+			}
+			do("oversize body", "POST", session+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(1, 300))}, http.StatusBadRequest)
+			if !strings.Contains(last().err, "request body too large") {
+				t.Fatalf("oversize body: %+v", last())
+			}
+			// Small in CPU, which is all a router looks at, and far too
+			// large in memory for any host.
+			do("infeasible env", "POST", session+"/envs",
+				MapEnvRequest{Env: spec.EnvSpec{Guests: []spec.GuestSpec{{Name: "huge", Proc: 1, Mem: 1 << 40, Stor: 1}}}},
+				http.StatusConflict)
+
+			// One admission, then the fail/restore state machine on a host
+			// it uses: failing a failed host and restoring a healthy one
+			// are conflicts.
+			code, raw, _ := doJSON(t, client, "POST", ts.URL+session+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(7, 8))})
+			if code != mode.admitted {
+				t.Fatalf("admit: status %d: %s", code, raw)
+			}
+			var admitted struct {
+				Mapping   *spec.MappingSpec `json:"mapping"`
+				Fragments []FragmentReport  `json:"fragments"`
+			}
+			if err := json.Unmarshal(raw, &admitted); err != nil {
+				t.Fatal(err)
+			}
+			if admitted.Mapping == nil {
+				admitted.Mapping = &admitted.Fragments[0].Mapping
+			}
+			host := domain + "/hosts/" + strconv.Itoa(admitted.Mapping.GuestHost[0])
+			raw, _ = do("fail host", "POST", host+"/fail", nil, http.StatusOK)
+			var failed FailTargetResponse
+			if err := json.Unmarshal(raw, &failed); err != nil {
+				t.Fatal(err)
+			}
+			if failed.Evicted != 1 || len(failed.Results) != 1 {
+				t.Fatalf("fail host: %s", raw)
+			}
+			do("fail host twice", "POST", host+"/fail", nil, http.StatusConflict)
+
+			// One admit and one fail later every shared family is exposed
+			// and fed, under its one name.
+			text := scrape(t, client, ts.URL)
+			for _, family := range contractFamilies {
+				if !strings.Contains(text, "# TYPE "+family+" ") {
+					t.Errorf("family %s missing from /metrics", family)
+				}
+			}
+			if strings.Contains(text, "hmnd_shard_wal_") || strings.Contains(text, "hmnd_shard_replay_") || strings.Contains(text, "hmnd_shard_snapshot_") {
+				t.Error("a per-shard duplicate of a durability family is still registered")
+			}
+			survivors := 1.0
+			if failed.Results[0].Outcome == "unrecoverable" {
+				survivors = 0
+			}
+			for series, want := range map[string]float64{
+				"hmnd_map_latency_seconds_count":                                  2, // the infeasible attempt and the admission
+				"hmnd_commit_latency_seconds_count":                               2,
+				"hmnd_repair_latency_seconds_count":                               1,
+				`hmnd_evictions_total{kind="host"}`:                               1,
+				`hmnd_repairs_total{outcome="` + failed.Results[0].Outcome + `"}`: 1,
+				"hmnd_quarantined_hosts":                                          1,
+				"hmnd_active_envs":                                                survivors,
+			} {
+				if got := metricValue(t, text, series); got != want {
+					t.Errorf("%s = %v, want %v", series, got, want)
+				}
+			}
+			if got := metricValue(t, text, "hmnd_admit_optimistic_total") + metricValue(t, text, "hmnd_admit_fallbacks_total"); got != 2 {
+				t.Errorf("optimistic + fallbacks = %v, want 2", got)
+			}
+			if metricValue(t, text, "hmnd_wal_records_total") == 0 || metricValue(t, text, "hmnd_wal_fsync_seconds_count") == 0 {
+				t.Error("the admission and the failure reached the log uncounted")
+			}
+
+			do("restore host", "POST", host+"/restore", nil, http.StatusNoContent)
+			do("restore healthy host", "POST", host+"/restore", nil, http.StatusConflict)
+
+			// Draining: Close has begun, /healthz says so.
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			do("healthz while draining", "GET", "/healthz", nil, http.StatusServiceUnavailable)
+			if last().err != "draining" {
+				t.Fatalf("healthz after Close: %+v, want draining", last())
+			}
+			transcripts[i] = steps
+		})
+	}
+	classic, fed := transcripts[0], transcripts[1]
+	if len(classic) == 0 || len(classic) != len(fed) {
+		t.Fatalf("transcripts of %d and %d steps", len(classic), len(fed))
+	}
+	for i := range classic {
+		if classic[i] != fed[i] {
+			t.Errorf("the modes disagree:\nclassic    %+v\nfederation %+v", classic[i], fed[i])
+		}
+	}
+}

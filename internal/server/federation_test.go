@@ -188,6 +188,23 @@ func TestFederationHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFederationKeepsShardQueueDefault: the classic admission queue's
+// default depth (64) belongs to New; a federation built from a zero
+// Config leaves the depth to the shard layer, whose default is 256.
+func TestFederationKeepsShardQueueDefault(t *testing.T) {
+	if got := NewFederation(Config{}).domainCfg.QueueDepth; got != 0 {
+		t.Fatalf("a zero Config hands the shards a queue depth of %d; the shard layer's own default must apply", got)
+	}
+	if got := New(Config{Workers: 1}); cap(got.queue) != 64 {
+		t.Fatalf("classic admission queue defaults to %d, want 64", cap(got.queue))
+	} else {
+		got.Close()
+	}
+}
+
+// TestFederationHTTPErrors covers the errors only a federation can
+// answer; the ones it shares with the classic daemon are in
+// TestBothModesHTTPContract.
 func TestFederationHTTPErrors(t *testing.T) {
 	_, ts := startFedServer(t, FedConfig{ClusterSpecs: fedSpecs(t, 2)})
 	client := ts.Client()
@@ -196,10 +213,6 @@ func TestFederationHTTPErrors(t *testing.T) {
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(1, 4))})
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown tenant admit: status %d", code)
-	}
-	code, _, _ = doJSON(t, client, "GET", ts.URL+"/v1/shards/9/residuals", nil)
-	if code != http.StatusNotFound {
-		t.Fatalf("bad shard: status %d", code)
 	}
 	code, _, _ = doJSON(t, client, "GET", ts.URL+"/v1/shards/x/residuals", nil)
 	if code != http.StatusBadRequest {
@@ -233,43 +246,6 @@ func TestFederationHTTPErrors(t *testing.T) {
 	}
 	if !strings.Contains(errResp.Error, "no shard") {
 		t.Fatalf("oversize admit error: %q", errResp.Error)
-	}
-}
-
-func TestFederationHTTPReplayGate(t *testing.T) {
-	s := NewFederation(FedConfig{ClusterSpecs: fedSpecs(t, 2)})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	client := ts.Client()
-
-	// Before Recover the API answers 503 with Retry-After; health
-	// endpoints and metrics stay reachable.
-	code, _, hdr := doJSON(t, client, "GET", ts.URL+"/v1/shards", nil)
-	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
-		t.Fatalf("pre-recover status %d (Retry-After %q)", code, hdr.Get("Retry-After"))
-	}
-	code, _, _ = doJSON(t, client, "GET", ts.URL+"/healthz", nil)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("pre-recover healthz status %d", code)
-	}
-	resp, err := client.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pre-recover metrics status %d", resp.StatusCode)
-	}
-
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	code, _, _ = doJSON(t, client, "GET", ts.URL+"/v1/shards", nil)
-	if code != http.StatusOK {
-		t.Fatalf("post-recover status %d", code)
 	}
 }
 

@@ -268,11 +268,11 @@ func overtakenByMigrateCommit(t *testing.T) (client *http.Client, base, pair str
 	s.mu.Lock()
 	sess = s.sessions[sid]
 	s.mu.Unlock()
-	units := rebalance.Plan(sess.core.PlanSnapshot(), 0)
+	units := rebalance.Plan(sess.Session().PlanSnapshot(), 0)
 	if len(units) != 1 {
 		t.Fatalf("planner proposed %d units on the unbalanced fixture, want 1", len(units))
 	}
-	if _, err := sess.core.MigrateGuests(units[0].Moves); err != nil {
+	if _, err := sess.Session().MigrateGuests(units[0].Moves); err != nil {
 		t.Fatalf("migrate commit: %v", err)
 	}
 	return client, base, pair, sess
@@ -292,7 +292,7 @@ func TestReleaseOvertakenByMigrateCommit(t *testing.T) {
 	if code, raw, _ := doJSON(t, client, "DELETE", base+"/envs/"+pair, nil); code != http.StatusNoContent {
 		t.Fatalf("release overtaken by a migrate commit: %d %s", code, raw)
 	}
-	if n := sess.core.Active(); n != 0 {
+	if n := sess.Session().Active(); n != 0 {
 		t.Fatalf("core still holds %d environments after the release", n)
 	}
 	if sd := residualStdDev(t, client, base); sd > 1e-9 {

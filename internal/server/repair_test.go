@@ -131,23 +131,14 @@ func TestFailRepairEndpoints(t *testing.T) {
 		t.Fatalf("active_envs gauge = %v, want %d", got, len(envs))
 	}
 
-	// Double-failing the host is a 409, not a silent zero-eviction 200.
-	code, _, _ = doJSON(t, client, "POST", base+hostPath(victim, "fail"), nil)
-	if code != http.StatusConflict {
-		t.Fatalf("double fail: %d, want 409", code)
-	}
-
-	// Restore: healthy again, gauge drops; restoring twice is a 409.
+	// Restore: healthy again, gauge drops. (Failing twice, restoring
+	// twice and every bad target are in TestBothModesHTTPContract.)
 	code, raw, _ = doJSON(t, client, "POST", base+hostPath(victim, "restore"), nil)
 	if code != http.StatusNoContent {
 		t.Fatalf("restore host: %d %s", code, raw)
 	}
 	if got := metricValue(t, scrape(t, client, ts.URL), "hmnd_quarantined_hosts"); got != 0 {
 		t.Fatalf("quarantined_hosts = %v after restore, want 0", got)
-	}
-	code, _, _ = doJSON(t, client, "POST", base+hostPath(victim, "restore"), nil)
-	if code != http.StatusConflict {
-		t.Fatalf("restore of healthy host: %d, want 409", code)
 	}
 
 	// Link failure surface: cut edge 0, watch the gauge, restore.
@@ -161,24 +152,6 @@ func TestFailRepairEndpoints(t *testing.T) {
 	code, _, _ = doJSON(t, client, "POST", base+"/links/0/restore", nil)
 	if code != http.StatusNoContent {
 		t.Fatalf("restore link: %d, want 204", code)
-	}
-
-	// Bad targets: unknown host/edge 404, non-numeric 400, no session 404.
-	code, _, _ = doJSON(t, client, "POST", base+"/hosts/99999/fail", nil)
-	if code != http.StatusNotFound {
-		t.Fatalf("unknown host: %d, want 404", code)
-	}
-	code, _, _ = doJSON(t, client, "POST", base+"/links/99999/fail", nil)
-	if code != http.StatusNotFound {
-		t.Fatalf("unknown link: %d, want 404", code)
-	}
-	code, _, _ = doJSON(t, client, "POST", base+"/hosts/zero/fail", nil)
-	if code != http.StatusBadRequest {
-		t.Fatalf("non-numeric host: %d, want 400", code)
-	}
-	code, _, _ = doJSON(t, client, "POST", ts.URL+"/v1/sessions/nope/hosts/0/fail", nil)
-	if code != http.StatusNotFound {
-		t.Fatalf("unknown session: %d, want 404", code)
 	}
 
 	// Surviving tenants kept their IDs: release them all and the ledger

@@ -441,6 +441,9 @@ func TestGracefulShutdown(t *testing.T) {
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseGoroutines+2 })
 }
 
+// TestHandlerErrors covers the errors only a classic daemon can answer;
+// the ones it shares with the federation (empty and infeasible
+// environments among them) are in TestBothModesHTTPContract.
 func TestHandlerErrors(t *testing.T) {
 	_, cs := testbed(t)
 	_, ts := startServer(t, Config{Workers: 2, QueueDepth: 8})
@@ -475,21 +478,6 @@ func TestHandlerErrors(t *testing.T) {
 	code, _, _ = doJSON(t, client, "DELETE", ts.URL+"/v1/sessions/"+sid+"/envs/e99", nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown env: status %d, want 404", code)
-	}
-
-	// Infeasible environment: one guest larger than any host.
-	huge := spec.EnvSpec{Guests: []spec.GuestSpec{{Name: "huge", Proc: 1e9, Mem: 1 << 40, Stor: 1e9}}}
-	code, _, _ = doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
-		MapEnvRequest{Env: huge})
-	if code != http.StatusConflict {
-		t.Fatalf("infeasible env: status %d, want 409", code)
-	}
-
-	// Empty environment.
-	code, _, _ = doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
-		MapEnvRequest{Env: spec.EnvSpec{}})
-	if code != http.StatusBadRequest {
-		t.Fatalf("empty env: status %d, want 400", code)
 	}
 }
 

@@ -1,0 +1,599 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"runtime"
+	"sort"
+	"sync"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/deploy"
+	"repro/internal/mapping"
+	"repro/internal/metrics"
+	"repro/internal/shard"
+	"repro/internal/spec"
+	"repro/internal/wal"
+)
+
+// This file is the classic mode: clients open sessions that each bring
+// their own cluster, every session is a lock domain on the daemon's one
+// WAL, and mutating requests pass a bounded admission queue.
+
+// New builds a classic daemon and starts its worker pool. With a data
+// directory the /v1 API answers 503 until Recover has run.
+func New(cfg Config) *Server {
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 64
+	}
+	s := newServer(cfg)
+	s.replaying.Store(cfg.DataDir != "")
+	s.queue = make(chan *task, cfg.QueueDepth)
+	s.mQueue = s.reg.Gauge("hmnd_queue_depth",
+		"Requests waiting in the admission queue.")
+	s.mSessions = s.reg.Gauge("hmnd_active_sessions",
+		"Sessions currently open.")
+	s.rebuild, s.domains, s.envs = s.recoverSessions, s.sessionDomains, s.sessionEnvs
+
+	s.mux.HandleFunc("POST /v1/sessions", s.handleOpenSession)
+	s.mux.HandleFunc("DELETE /v1/sessions/{sid}", s.handleCloseSession)
+	s.mux.HandleFunc("POST /v1/sessions/{sid}/envs", s.handleMapEnv)
+	s.mux.HandleFunc("DELETE /v1/sessions/{sid}/envs/{eid}", s.handleReleaseEnv)
+	s.routeDomains("/v1/sessions/{sid}", s.sessionDomain)
+
+	for i := 0; i < cfg.Workers; i++ {
+		s.wg.Add(1)
+		go s.worker()
+	}
+	return s
+}
+
+// session is a lock domain a client opened, plus the registry of the
+// environments deployed on it.
+type session struct {
+	*shard.Shard
+	// The session's hmnd_maps_*_total{mapper} series, resolved once:
+	// handleMapEnv used to format and look up all four per request.
+	attempted, succeeded, failed, rejected *metrics.Counter
+
+	mu sync.Mutex
+	// envs holds the IDs of the deployed environments. An ID is the tag
+	// its environment was admitted under, and that is all the registry
+	// keeps: core owns the mappings, which a rebalance or a repair
+	// replaces without asking, so every call into core names an
+	// environment by tag.
+	envs    map[string]struct{} //hmn:guardedby mu
+	nextEnv int                 //hmn:guardedby mu
+	closed  bool                //hmn:guardedby mu
+}
+
+// newSession wraps a domain, opened or recovered, as a session: its
+// metrics series and an empty environment registry.
+func (s *Server) newSession(sh *shard.Shard) *session {
+	s.reg.GaugeFunc(fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", sh.SID()),
+		"Stddev of residual CPU per host (the Eq. 10 objective) per session.",
+		func() float64 { return mapping.Objective(sh.Session().ResidualProc()) })
+	return &session{
+		Shard:     sh,
+		attempted: s.mapCounter("attempted", sh.Mapper()),
+		succeeded: s.mapCounter("succeeded", sh.Mapper()),
+		failed:    s.mapCounter("failed", sh.Mapper()),
+		rejected:  s.mapCounter("rejected", sh.Mapper()),
+		envs:      make(map[string]struct{}),
+	}
+}
+
+// mapCounter returns the per-mapper counter for one outcome.
+func (s *Server) mapCounter(outcome, mapper string) *metrics.Counter {
+	return s.reg.Counter(
+		fmt.Sprintf("hmnd_maps_%s_total{mapper=%q}", outcome, mapper),
+		fmt.Sprintf("Environment maps %s, per mapper.", outcome))
+}
+
+// openSessions copies the session table.
+func (s *Server) openSessions() []*session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sessions := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		sessions = append(sessions, sess)
+	}
+	return sessions
+}
+
+// sessionDomains lists the open sessions' lock domains.
+func (s *Server) sessionDomains() []*shard.Shard {
+	sessions := s.openSessions()
+	domains := make([]*shard.Shard, len(sessions))
+	for i, sess := range sessions {
+		domains[i] = sess.Shard
+	}
+	return domains
+}
+
+// sessionEnvs counts the environments registered across the sessions.
+func (s *Server) sessionEnvs() int {
+	envs := 0
+	for _, sess := range s.openSessions() {
+		sess.mu.Lock()
+		envs += len(sess.envs)
+		sess.mu.Unlock()
+	}
+	return envs
+}
+
+// --- the admission queue ---
+
+// task is one unit of queued work. run executes on a worker; the
+// submitter waits on done (or its context).
+type task struct {
+	run  func()
+	done chan struct{}
+}
+
+// worker drains the admission queue until Close, one task per wakeup.
+func (s *Server) worker() {
+	defer s.wg.Done()
+	for t := range s.queue {
+		s.mQueue.Set(float64(len(s.queue)))
+		t.run()
+		close(t.done)
+	}
+}
+
+// submit queues fn and waits for it to run. It returns errOverloaded /
+// errDraining without queuing when the daemon has no room, and
+// errTimedOut if ctx expires while the task waits (the task itself
+// checks ctx and becomes a no-op, or rolls back, when it finally runs).
+func (s *Server) submit(ctx context.Context, fn func()) error {
+	t := &task{run: fn, done: make(chan struct{})}
+	s.admitMu.RLock()
+	if s.draining {
+		s.admitMu.RUnlock()
+		return errDraining
+	}
+	select {
+	case s.queue <- t:
+		s.mQueue.Set(float64(len(s.queue)))
+		s.admitMu.RUnlock()
+	default:
+		s.admitMu.RUnlock()
+		return errOverloaded
+	}
+	select {
+	case <-t.done:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("%w: %w", errTimedOut, ctx.Err())
+	}
+}
+
+// queued runs op through the admission queue — unless the client gave
+// up while it waited — and then passes the ack barrier, here on the
+// handler's goroutine, so that concurrent requests share an fsync.
+func (s *Server) queued(ctx context.Context, op func() error) error {
+	var opErr error
+	if err := s.submit(ctx, func() {
+		if opErr = ctx.Err(); opErr == nil {
+			opErr = op()
+		}
+	}); err != nil {
+		return err
+	}
+	if opErr != nil {
+		return opErr
+	}
+	return s.ackBarrier()
+}
+
+// ackBarrier makes every WAL record appended so far durable. Mutating
+// handlers pass it after their operation commits and before they write
+// a success response; with no data directory it is free.
+func (s *Server) ackBarrier() error {
+	if s.wal == nil {
+		return nil
+	}
+	if err := s.wal.Barrier(); err != nil {
+		return fmt.Errorf("%w: %w", errNotDurable, err)
+	}
+	return nil
+}
+
+// --- handlers ---
+
+func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
+	var req OpenSessionRequest
+	if err := spec.DecodeStrict(r.Body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	c, err := req.Cluster.ToCluster()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	cfg := s.domainCfg
+	cfg.Overhead = cluster.VMMOverhead{Proc: req.Overhead.Proc, Mem: req.Overhead.Mem, Stor: req.Overhead.Stor}
+	if cfg.Mapper = req.Mapper; cfg.Mapper == "" {
+		cfg.Mapper = "HMN"
+	}
+	if s.isDraining() {
+		writeFailure(w, http.StatusServiceUnavailable, errDraining.Error())
+		return
+	}
+
+	// The domain is opened — its open record appended, its commit hook
+	// attached — under the lock that publishes it, with the ID it will
+	// be published under: no operation can reach the log ahead of the
+	// record that declares its session, and a request the domain layer
+	// refuses burns no ID.
+	s.mu.Lock()
+	id := fmt.Sprintf("s%d", s.nextSession+1)
+	sh, err := shard.Open(cfg, id, c, req.Cluster, s.wal)
+	if err != nil {
+		s.mu.Unlock()
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	s.nextSession++
+	sess := s.newSession(sh)
+	s.sessions[id] = sess
+	s.mu.Unlock()
+	s.mSessions.Inc()
+
+	if err := s.ackBarrier(); err != nil {
+		// The open was never made durable, so the client was never told
+		// the session exists: tear it back down rather than leak a
+		// serving session a 500-retrying client will never address. The
+		// close record is best-effort (the barrier just failed), but if
+		// the open did reach disk it keeps a later replay consistent.
+		s.mu.Lock()
+		delete(s.sessions, id)
+		s.mu.Unlock()
+		sess.mu.Lock()
+		sess.closed = true
+		sess.mu.Unlock()
+		s.retire(sess)
+		refused(w, err)
+		return
+	}
+	// The session is durable; the background loop (if configured) may
+	// migrate its guests from here on.
+	sess.Start()
+	writeJSON(w, http.StatusCreated, OpenSessionResponse{
+		ID:     id,
+		Mapper: cfg.Mapper,
+		Hosts:  c.NumHosts(),
+		Nodes:  c.Net().NumNodes(),
+	})
+}
+
+// retire finishes off a closed session already taken out of the table:
+// its close record lands after whatever its teardown logged — so a
+// replayed log tears the session down the same way before retiring it —
+// and its series leave /metrics.
+func (s *Server) retire(sess *session) {
+	if s.wal != nil {
+		if err := s.wal.Append(&wal.Record{Kind: wal.KindClose, SID: sess.SID()}); err != nil {
+			s.logf("hmnd: wal append (close %s): %v", sess.SID(), err)
+		}
+	}
+	s.mSessions.Dec()
+	s.reg.Unregister(fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", sess.SID()))
+}
+
+// lookupSession resolves {sid} or writes a 404.
+func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session {
+	id := r.PathValue("sid")
+	s.mu.Lock()
+	sess := s.sessions[id]
+	s.mu.Unlock()
+	if sess == nil {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
+	}
+	return sess
+}
+
+// sessionDomain resolves /v1/sessions/{sid}/… to the session's domain:
+// operations run through the admission queue, and a failure's
+// unrecoverable environments leave the session's registry.
+func (s *Server) sessionDomain(w http.ResponseWriter, r *http.Request) (domain, bool) {
+	sess := s.lookupSession(w, r)
+	if sess == nil {
+		return domain{}, false
+	}
+	return domain{
+		Shard: sess.Shard,
+		mutate: func(ctx context.Context, op func(*core.Session) ([]core.RepairResult, error)) ([]core.RepairResult, error) {
+			var results []core.RepairResult
+			err := s.queued(ctx, func() error {
+				var err error
+				if results, err = op(sess.Session()); err != nil {
+					return err
+				}
+				// Repaired and replaced environments keep their IDs under
+				// the new mapping; unrecoverable ones are gone.
+				sess.mu.Lock()
+				for _, res := range results {
+					if res.Outcome == core.RepairUnrecoverable {
+						delete(sess.envs, res.Tag)
+					}
+				}
+				sess.mu.Unlock()
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			return results, nil
+		},
+		rebalance: func() (moves int, before, after float64, err error) {
+			if s.isDraining() {
+				return 0, 0, 0, errDraining
+			}
+			moves, before, after = sess.Rebalance()
+			// The round already passed the barrier if it committed
+			// anything; this one covers the moves == 0 path for free.
+			return moves, before, after, s.ackBarrier()
+		},
+	}, true
+}
+
+func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
+	sess := s.lookupSession(w, r)
+	if sess == nil {
+		return
+	}
+	req, env, ok := decodeMapEnv(w, r)
+	if !ok {
+		return
+	}
+
+	// The environment ID is assigned before the admission runs, because
+	// it is the admission's tag: it rides the WAL record, so a logged
+	// admission the daemon died before acknowledging recovers under the
+	// ID the response would have carried. A failed admission burns the
+	// ID (IDs are not dense).
+	sess.mu.Lock()
+	if sess.closed {
+		sess.mu.Unlock()
+		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", sess.SID()))
+		return
+	}
+	sess.nextEnv++
+	envID := fmt.Sprintf("e%d", sess.nextEnv)
+	sess.mu.Unlock()
+
+	ctx := r.Context()
+	var resp MapEnvResponse
+	err := s.queued(ctx, func() error {
+		sess.attempted.Inc()
+		t0 := time.Now()
+		m, admit, err := sess.Session().MapTagged(env, envID)
+		s.observeAdmit(admit, time.Since(t0).Seconds())
+		if err == nil {
+			if err = sess.register(ctx, envID); err != nil {
+				// Mapped, but nobody is left to own it: roll back so no
+				// orphan environment holds resources.
+				_ = sess.Session().ReleaseTagged(envID)
+			}
+		}
+		if err != nil {
+			sess.failed.Inc()
+			return err
+		}
+		sess.succeeded.Inc()
+
+		resp = MapEnvResponse{ID: envID, Mapping: spec.FromMapping(m, sess.Overhead())}
+		if req.Plan || req.PlanShell {
+			if plan, err := deploy.Build(m, sess.Overhead()); err == nil {
+				if req.Plan {
+					resp.Plan = plan
+				}
+				if req.PlanShell {
+					resp.PlanShell = plan.RenderShell()
+				}
+			}
+		}
+		return nil
+	})
+	if code, msg, ok := failureStatus(err); !ok {
+		if code == http.StatusServiceUnavailable {
+			sess.rejected.Inc()
+		}
+		writeFailure(w, code, msg)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// register records a freshly admitted environment, unless the session
+// closed or the request timed out while it was being mapped.
+func (sess *session) register(ctx context.Context, envID string) error {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.closed {
+		return fmt.Errorf("session %s closed", sess.SID())
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	sess.envs[envID] = struct{}{}
+	return nil
+}
+
+func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
+	sess := s.lookupSession(w, r)
+	if sess == nil {
+		return
+	}
+	envID := r.PathValue("eid")
+	err := s.queued(r.Context(), func() error {
+		sess.mu.Lock()
+		_, known := sess.envs[envID]
+		sess.mu.Unlock()
+		if !known {
+			return errNotFound(fmt.Sprintf("no environment %q in session %s", envID, sess.SID()))
+		}
+		// By ID, which is the tag it was admitted under: the rebalancer
+		// may have replaced the environment's mapping a moment ago. And
+		// the registry entry goes only once core has let go, so an ID is
+		// never forgotten while it still holds reservations.
+		if err := sess.Session().ReleaseTagged(envID); err != nil {
+			return err
+		}
+		sess.mu.Lock()
+		delete(sess.envs, envID)
+		sess.mu.Unlock()
+		return nil
+	})
+	if refused(w, err) {
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("sid")
+	s.mu.Lock()
+	sess := s.sessions[id]
+	delete(s.sessions, id)
+	s.mu.Unlock()
+	if sess == nil {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
+		return
+	}
+	// Stop the rebalancer first: its commits would race the teardown's
+	// releases, and a migrate record after the close record would poison
+	// a later replay.
+	sess.Stop()
+	sess.mu.Lock()
+	sess.closed = true
+	envs := sess.envs
+	sess.envs = make(map[string]struct{})
+	sess.mu.Unlock()
+	for eid := range envs {
+		_ = sess.Session().ReleaseTagged(eid)
+	}
+	s.retire(sess)
+	if refused(w, s.ackBarrier()) {
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// --- durability ---
+
+// recoverSessions opens the data directory, if there is one, rebuilds
+// every session from the latest snapshot plus the log suffix, and starts
+// the snapshot cadence. With Config.VerifyReplay every recovered session is checked
+// before it serves: the incremental objective against a recompute, the
+// environment registry against the session's active count.
+func (s *Server) recoverSessions() error {
+	if s.cfg.DataDir == "" {
+		return nil
+	}
+	w, domains, maxSession, err := shard.Replay(s.domainCfg, s.cfg.DataDir)
+	if err != nil {
+		return err
+	}
+	s.wal = w
+
+	// The environment registry is rebuilt from each session's final
+	// active set — tags are hmnd's environment IDs, and they survive
+	// snapshots, admissions and repairs.
+	totalEnvs := 0
+	for _, sh := range domains {
+		sess := s.newSession(sh)
+		sess.nextEnv = sh.EnvHigh
+		for _, a := range sh.Session().Export().Active {
+			if a.Tag != "" {
+				sess.envs[a.Tag] = struct{}{}
+			}
+		}
+		if got, want := len(sess.envs), sh.Session().Active(); s.cfg.VerifyReplay && got != want {
+			return fmt.Errorf("server: session %s recovered %d environment records for %d active environments", sh.SID(), got, want)
+		}
+		totalEnvs += len(sess.envs)
+		s.mu.Lock()
+		s.sessions[sh.SID()] = sess
+		s.mu.Unlock()
+		// The session is fully replayed and durable; the background loop
+		// (if configured) may migrate its guests from here on.
+		sess.Start()
+	}
+	s.mu.Lock()
+	s.nextSession = max(s.nextSession, maxSession)
+	s.mu.Unlock()
+	s.mSessions.Set(float64(len(domains)))
+	s.logf("hmnd: recovered %d sessions, %d environments, replayed %d records",
+		len(domains), totalEnvs, int(s.mReplayRecords.Value()))
+
+	if s.cfg.SnapshotInterval > 0 {
+		s.stopSnapshots = shard.Every(s.cfg.SnapshotInterval, func() {
+			if err := s.writeSnapshot(); err != nil {
+				s.logf("hmnd: periodic snapshot: %v", err)
+			}
+		})
+	}
+	return nil
+}
+
+// writeSnapshot takes one full-state snapshot and truncates the log.
+func (s *Server) writeSnapshot() error { return s.wal.WriteSnapshot(s.exportAll) }
+
+// exportAll captures every open session for a snapshot, in session-ID
+// order for deterministic snapshot bytes.
+func (s *Server) exportAll() ([]wal.SessionSnap, error) {
+	sessions := s.openSessions()
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].SID() < sessions[j].SID() })
+	out := make([]wal.SessionSnap, 0, len(sessions))
+	for _, sess := range sessions {
+		// The export runs under sess.mu so NextEnv and the core state are
+		// one consistent cut: an admission assigns its environment ID
+		// under sess.mu *before* it commits in core, so any admission the
+		// core export captures already bumped the counter we snapshot.
+		// (Lock order is sess.mu → core's lock; the commit hook, which
+		// runs under core's lock, never takes sess.mu.)
+		sess.mu.Lock()
+		if !sess.closed {
+			out = append(out, sess.Snap(sess.nextEnv))
+		}
+		sess.mu.Unlock()
+	}
+	return out, nil
+}
+
+// closeSessions is the classic half of Close, after the queue closed.
+func (s *Server) closeSessions() error {
+	// Rebalancing stops for good during drain: stop every scheduler
+	// (waiting out in-flight rounds) before the queue empties and the
+	// final snapshot exports state.
+	for _, sh := range s.sessionDomains() {
+		sh.Stop()
+	}
+	s.wg.Wait()
+	if s.wal == nil {
+		return nil
+	}
+	if s.stopSnapshots != nil {
+		s.stopSnapshots()
+	}
+	err := s.writeSnapshot()
+	if err != nil {
+		s.logf("hmnd: shutdown snapshot: %v", err)
+	}
+	if cerr := s.wal.Close(); cerr != nil {
+		s.logf("hmnd: wal close: %v", cerr)
+		if err == nil {
+			err = cerr
+		}
+	}
+	return err
+}

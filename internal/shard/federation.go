@@ -12,9 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/mapping"
-	"repro/internal/rebalance"
 	"repro/internal/spec"
 	"repro/internal/virtual"
 	"repro/internal/wal"
@@ -38,8 +36,7 @@ type Federation struct {
 	nextEnv int                //hmn:guardedby mu
 	closed  bool               //hmn:guardedby mu
 
-	snapStop chan struct{}
-	snapDone chan struct{}
+	stopSnapshots func() // nil without a snapshot cadence
 }
 
 // tenant is one tenant session. closing blocks new admissions while
@@ -53,17 +50,15 @@ type tenant struct {
 // envRec locates one deployed environment: its fragments (one for a
 // whole admission) and the gateway bandwidth it charged.
 type envRec struct {
-	frags []*frag
+	frags []frag
 	cutBW float64
-	split bool
 }
 
-// frag is one fragment on one shard. m is kept current across
-// migrations (the rebalance hook) and repairs; tag is the durable
-// identity and the fallback lookup key when m went stale anyway.
+// frag is one fragment on one shard, named by the tag it was admitted
+// under. That is all the registry keeps: the shard's session owns the
+// mapping, which a rebalance or a repair replaces without asking.
 type frag struct {
 	shard int
-	m     *mapping.Mapping //hmn:guardedby mu
 	tag   string
 	proc  float64
 }
@@ -76,7 +71,8 @@ type Fragment struct {
 	// fragment, ascending; nil when the whole environment was admitted
 	// unsplit.
 	Guests []virtual.GuestID
-	// Env is the admitted (sub-)environment and M its mapping.
+	// Env is the admitted (sub-)environment and M the mapping it
+	// committed under.
 	Env *virtual.Env
 	M   *mapping.Mapping
 	// Tag is the fragment's WAL identity.
@@ -92,13 +88,6 @@ type Placement struct {
 	// reports a cross-shard admission.
 	Fallback bool
 	Split    bool
-}
-
-// AdmitResult is an asynchronous admission's outcome.
-type AdmitResult struct {
-	EnvID     string
-	Placement Placement
-	Err       error
 }
 
 // fragOutcome is one fragment admission's outcome on its shard worker.
@@ -122,145 +111,71 @@ func New(clusters []*cluster.Cluster, cfg Config) (*Federation, error) {
 	if cfg.GatewayBW > 0 {
 		f.gw = NewGateway(cfg.GatewayBW)
 	}
-	sums := make([]core.ResidualSummary, len(clusters))
 	for k, c := range clusters {
-		sh, err := f.buildShard(k, c)
-		if err != nil {
+		if err := f.openShard(k, c); err != nil {
 			f.abortBuild()
 			return nil, err
 		}
-		f.shards = append(f.shards, sh)
-		if cfg.DataDir != "" {
-			if err := f.freshWAL(sh); err != nil {
-				f.abortBuild()
-				return nil, err
-			}
-		}
-		sums[k] = sh.sess.ResidualSummary()
 	}
-	f.router = newRouter(sums, f.gw)
-	if cfg.DataDir != "" {
-		f.mu.Lock()
-		err := f.writeMetaLocked()
-		f.mu.Unlock()
-		if err != nil {
-			f.abortBuild()
-			return nil, err
-		}
+	f.mu.Lock()
+	err := f.writeMetaLocked()
+	f.mu.Unlock()
+	if err != nil {
+		f.abortBuild()
+		return nil, err
 	}
 	f.start()
 	return f, nil
 }
 
-// buildShard assembles one shard's session, scheduler and worker
-// plumbing (the worker goroutine starts in start()).
-func (f *Federation) buildShard(k int, c *cluster.Cluster) (*Shard, error) {
-	mapper, err := core.MapperByName(f.cfg.Mapper, f.cfg.Overhead)
-	if err != nil {
-		return nil, err
+// openShard opens shard k on c, logging to its own empty WAL directory
+// when the federation is durable. A directory that already recovers a
+// session means the caller wanted Recover.
+func (f *Federation) openShard(k int, c *cluster.Cluster) error {
+	var w *wal.WAL
+	if f.cfg.DataDir != "" {
+		opened, found, _, err := Replay(f.cfg, filepath.Join(f.cfg.DataDir, shardSID(k)))
+		if err != nil {
+			return err
+		}
+		if len(found) > 0 {
+			opened.Close()
+			return fmt.Errorf("shard: data dir already holds shard %d state; recover instead of creating", k)
+		}
+		w = opened
 	}
-	sess, err := core.NewSession(c, f.cfg.Overhead, mapper)
-	if err != nil {
-		return nil, err
-	}
-	sh := &Shard{
-		Index:       k,
-		c:           c,
-		clusterSpec: spec.FromCluster(c),
-		sess:        sess,
-		ops:         make(chan func(), f.cfg.QueueDepth),
-		done:        make(chan struct{}),
-	}
-	f.attachRebalance(sh)
-	return sh, nil
-}
-
-// attachRebalance gives the shard its scheduler (stopped; start()
-// launches it only when a cadence is configured).
-func (f *Federation) attachRebalance(sh *Shard) {
-	interval := f.cfg.RebalanceInterval
-	if interval <= 0 {
-		interval = time.Hour // never started; New insists on a positive period
-	}
-	k := sh.Index
-	sh.reb = rebalance.New(sh.sess, interval, f.cfg.RebalanceMaxMoves, rebalance.Hooks{
-		OnCommit: func(_ rebalance.Unit, res *core.MigrateResult, err error) {
-			if err != nil || res == nil {
-				return
-			}
-			f.noteMigrate(k, res)
-		},
-		AfterRound: sh.barrier,
-		Logf:       f.cfg.Logf,
-	})
-}
-
-// freshWAL opens shard sh's empty WAL directory and logs its open
-// record. Pre-existing state means the caller wanted Recover.
-func (f *Federation) freshWAL(sh *Shard) error {
-	w, recovered, err := wal.Open(filepath.Join(f.cfg.DataDir, shardSID(sh.Index)), f.walHooks())
-	if err != nil {
-		return err
-	}
-	if recovered.Snapshot != nil || len(recovered.Records) > 0 {
+	sh, err := Open(f.cfg, shardSID(k), c, spec.FromCluster(c), w)
+	if err == nil {
+		f.shards = append(f.shards, sh)
+		err = sh.barrier()
+	} else if w != nil {
 		w.Close()
-		return fmt.Errorf("shard: data dir already holds shard %d state; recover instead of creating", sh.Index)
 	}
-	sh.w = w
-	rec := &wal.Record{Kind: wal.KindOpen, SID: shardSID(sh.Index), Open: &wal.OpenRec{
-		Cluster: sh.clusterSpec,
-		Mapper:  f.cfg.Mapper,
-		Proc:    f.cfg.Overhead.Proc,
-		Mem:     f.cfg.Overhead.Mem,
-		Stor:    f.cfg.Overhead.Stor,
-	}}
-	if err := w.Append(rec); err != nil {
-		return err
-	}
-	if err := w.Barrier(); err != nil {
-		return err
-	}
-	f.attachWAL(sh)
-	return nil
+	return err
 }
 
-// attachWAL installs the shard session's commit hook; it runs under
-// the session lock and buffers one record per committed operation.
-func (f *Federation) attachWAL(sh *Shard) {
-	sid, overhead, w := shardSID(sh.Index), f.cfg.Overhead, sh.w
-	sh.sess.SetCommitHook(func(ev core.Event) {
-		if err := w.Append(wal.RecordFromEvent(sid, overhead, ev)); err != nil {
-			// Already committed in memory; the fault is sticky, so the
-			// ack-path barrier fails too and no client is ever told the
-			// lost operation is durable.
-			f.logf("shard %d: wal append: %v", sh.Index, err)
-		}
-	})
-}
-
-// walHooks adapts the federation hooks for wal.Open.
-func (f *Federation) walHooks() wal.Hooks {
-	return wal.Hooks{
-		OnAppend:   f.cfg.Hooks.OnWALRecord,
-		OnFsync:    f.cfg.Hooks.OnFsync,
-		OnSnapshot: f.cfg.Hooks.OnSnapshot,
-		Logf:       f.cfg.Logf,
-	}
-}
-
-// start launches the workers, the configured rebalancers and the
-// snapshot loop. Called once by New/Recover.
+// start builds the router over the shards as they stand, launches the
+// workers and the configured rebalancers, and starts the snapshot
+// cadence. Called once by New/Recover.
 func (f *Federation) start() {
-	for _, sh := range f.shards {
+	sums := make([]core.ResidualSummary, len(f.shards))
+	for k, sh := range f.shards {
+		sums[k] = sh.sess.ResidualSummary()
+		sh.Index = k
+		sh.ops = make(chan func(), f.cfg.QueueDepth)
+		sh.done = make(chan struct{})
 		go sh.loop()
-		if f.cfg.RebalanceInterval > 0 {
-			sh.reb.Start()
-		}
+		sh.Start()
 	}
+	f.router = newRouter(sums, f.gw)
 	if f.cfg.DataDir != "" && f.cfg.SnapshotInterval > 0 {
-		f.snapStop = make(chan struct{})
-		f.snapDone = make(chan struct{})
-		go f.snapshotLoop()
+		f.stopSnapshots = Every(f.cfg.SnapshotInterval, func() {
+			for _, sh := range f.shards {
+				if err := f.snapshotShard(sh); err != nil {
+					f.cfg.logf("shard %d: snapshot: %v", sh.Index, err)
+				}
+			}
+		})
 	}
 }
 
@@ -270,13 +185,6 @@ func (f *Federation) abortBuild() {
 		if sh.w != nil {
 			sh.w.Close()
 		}
-	}
-}
-
-// logf reports through the configured logger.
-func (f *Federation) logf(format string, args ...interface{}) {
-	if f.cfg.Logf != nil {
-		f.cfg.Logf(format, args...)
 	}
 }
 
@@ -351,21 +259,6 @@ func (f *Federation) OpenTenant() (string, error) {
 	return sid, nil
 }
 
-// Tenants returns the open tenant IDs, sorted.
-func (f *Federation) Tenants() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.tenants))
-	//hmn:orderinvariant
-	for sid, t := range f.tenants {
-		if !t.closing {
-			out = append(out, sid)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // HasTenant reports whether sid is an open tenant session.
 func (f *Federation) HasTenant(sid string) bool {
 	f.mu.Lock()
@@ -374,25 +267,22 @@ func (f *Federation) HasTenant(sid string) bool {
 	return t != nil && !t.closing
 }
 
-// AdmitAsync routes v for tenant sid and submits the admission to its
-// shard worker(s). The environment ID is assigned immediately (and
-// never reused, even if the admission fails); the result arrives on
-// the returned channel once every fragment committed — or the plan was
-// rolled back. Routing runs on the calling goroutine: callers that
+// Admit routes v for tenant sid, admits its fragments on their shard
+// workers and waits for every one. The environment ID is assigned
+// first (and never reused, even if the admission fails); the plan
+// settles all-or-nothing: every fragment committed registers the
+// environment, any failure releases the committed siblings and refunds
+// the gateway. Routing runs on the calling goroutine: callers that
 // need deterministic placement submit from one goroutine.
-func (f *Federation) AdmitAsync(sid string, v *virtual.Env) (string, <-chan AdmitResult) {
-	ch := make(chan AdmitResult, 1)
+func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		ch <- AdmitResult{Err: ErrClosed}
-		return "", ch
+		return "", Placement{}, ErrClosed
 	}
-	t := f.tenants[sid]
-	if t == nil || t.closing {
+	if t := f.tenants[sid]; t == nil || t.closing {
 		f.mu.Unlock()
-		ch <- AdmitResult{Err: fmt.Errorf("%w: %s", ErrUnknownTenant, sid)}
-		return "", ch
+		return "", Placement{}, fmt.Errorf("%w: %s", ErrUnknownTenant, sid)
 	}
 	f.nextEnv++
 	eid := fmt.Sprintf("e%d", f.nextEnv)
@@ -400,130 +290,80 @@ func (f *Federation) AdmitAsync(sid string, v *virtual.Env) (string, <-chan Admi
 
 	pl, err := f.router.route(sid, v)
 	if err != nil {
-		ch <- AdmitResult{EnvID: eid, Err: err}
-		return eid, ch
+		return eid, Placement{}, err
 	}
 	n := len(pl.groups)
-	tags := make([]string, n)
+	frags := make([]frag, n)
 	results := make(chan fragOutcome, n)
 	for i := range pl.groups {
 		g := pl.groups[i]
+		tag := envTag(sid, eid)
 		if pl.split {
-			tags[i] = fragTag(sid, eid, i+1, n, pl.cutBW)
-		} else {
-			tags[i] = envTag(sid, eid)
+			tag = fragTag(sid, eid, i+1, n, pl.cutBW)
 		}
-		idx, tag, sh := i, tags[i], f.shards[g.shard]
-		proc := g.proc
+		frags[i] = frag{shard: g.shard, tag: tag, proc: g.proc}
+		idx, sh := i, f.shards[g.shard]
 		sh.enqueue(func() {
-			m, _, err := sh.sess.MapTagged(g.env, tag)
+			start := time.Now() //hmn:wallclock
+			m, st, err := sh.sess.MapTagged(g.env, tag)
+			if f.cfg.Hooks.OnAdmit != nil {
+				f.cfg.Hooks.OnAdmit(st, time.Since(start).Seconds()) //hmn:wallclock
+			}
 			if err == nil {
 				if berr := sh.barrier(); berr != nil {
 					// Committed but not durable: undo, never acknowledge.
-					_ = sh.sess.Release(m)
+					_ = sh.sess.ReleaseTagged(tag)
 					m, err = nil, fmt.Errorf("shard %d durability barrier: %w", sh.Index, berr)
 				}
 			}
-			f.router.commit(sh.Index, err == nil, proc, sh.sess.ResidualSummary())
+			f.router.commit(sh.Index, err == nil, g.proc, sh.sess.ResidualSummary())
 			results <- fragOutcome{i: idx, m: m, err: err}
 		})
 	}
-	go f.gather(sid, eid, pl, tags, results, ch)
-	return eid, ch
-}
 
-// Admit is the blocking form of AdmitAsync.
-func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error) {
-	_, ch := f.AdmitAsync(sid, v)
-	res := <-ch
-	return res.EnvID, res.Placement, res.Err
-}
-
-// gather collects an admission's fragment outcomes and settles the
-// plan all-or-nothing: every fragment committed registers the
-// environment; any failure releases the committed siblings and refunds
-// the gateway.
-func (f *Federation) gather(sid, eid string, pl plan, tags []string, results chan fragOutcome, ch chan AdmitResult) {
-	n := len(pl.groups)
-	frags := make([]*frag, n)
+	p := Placement{Fragments: make([]Fragment, n), CutBW: pl.cutBW, Fallback: pl.fallback, Split: pl.split}
 	var firstErr error
-	for i := 0; i < n; i++ {
+	for range pl.groups {
 		o := <-results
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			continue
+		if o.err != nil && firstErr == nil {
+			firstErr = o.err
 		}
 		g := pl.groups[o.i]
-		frags[o.i] = &frag{shard: g.shard, m: o.m, tag: tags[o.i], proc: g.proc}
+		p.Fragments[o.i] = Fragment{Shard: g.shard, Guests: g.orig, Env: g.env, M: o.m, Tag: frags[o.i].tag}
 	}
-
 	if firstErr == nil {
 		f.mu.Lock()
-		if t := f.tenants[sid]; t != nil && !t.closing {
-			rec := &envRec{frags: compactFrags(frags), cutBW: pl.cutBW, split: pl.split}
-			t.envs[eid] = rec
+		t := f.tenants[sid]
+		if t != nil && !t.closing {
+			t.envs[eid] = &envRec{frags: frags, cutBW: pl.cutBW}
 			f.mu.Unlock()
-			ch <- AdmitResult{EnvID: eid, Placement: f.placementOf(pl, rec)}
-			return
+			return eid, p, nil
 		}
 		f.mu.Unlock()
 		// The tenant closed while the admission was in flight; the
 		// commit is rolled back below like any other failure.
 		firstErr = fmt.Errorf("%w: %s", ErrUnknownTenant, sid)
 	}
-
-	for _, fr := range frags {
-		if fr != nil {
+	for i, fr := range frags {
+		if p.Fragments[i].M != nil {
 			f.submitFragRelease(fr, nil)
 		}
 	}
 	if pl.cutBW > 0 && f.gw != nil {
 		f.gw.Release(pl.cutBW)
 	}
-	ch <- AdmitResult{EnvID: eid, Err: firstErr}
-}
-
-// compactFrags drops the nil slots of a partially failed gather (all
-// slots are set on the success path, but keep the invariant local).
-func compactFrags(frags []*frag) []*frag {
-	out := frags[:0]
-	for _, fr := range frags {
-		if fr != nil {
-			out = append(out, fr)
-		}
-	}
-	return out
-}
-
-// placementOf renders the public placement. Caller must not hold f.mu.
-func (f *Federation) placementOf(pl plan, rec *envRec) Placement {
-	p := Placement{CutBW: pl.cutBW, Fallback: pl.fallback, Split: pl.split}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, fr := range rec.frags {
-		p.Fragments = append(p.Fragments, Fragment{
-			Shard:  fr.shard,
-			Guests: pl.groups[i].orig,
-			Env:    pl.groups[i].env,
-			M:      fr.m,
-			Tag:    fr.tag,
-		})
-	}
-	return p
+	return eid, Placement{}, firstErr
 }
 
 // submitFragRelease refunds the fragment's reservation and enqueues
 // its teardown on the owning shard. errs, when non-nil, receives the
 // release outcome.
-func (f *Federation) submitFragRelease(fr *frag, errs chan<- error) {
+func (f *Federation) submitFragRelease(fr frag, errs chan<- error) {
 	f.router.releaseSubmitted(fr.shard, fr.proc)
 	sh := f.shards[fr.shard]
 	sh.enqueue(func() {
-		// By tag: a rebalance commit may have replaced fr.m since the
-		// registry last heard. A fragment no longer active — an
-		// unrecoverable repair evicted it — counts as released.
+		// A fragment no longer active — an unrecoverable repair evicted
+		// it — counts as released.
 		err := sh.sess.ReleaseTagged(fr.tag)
 		if errors.Is(err, core.ErrNotActive) {
 			err = nil
@@ -538,66 +378,42 @@ func (f *Federation) submitFragRelease(fr *frag, errs chan<- error) {
 	})
 }
 
-// findByTag scans the session's active set for the mapping carrying
-// tag; nil when none does.
-func findByTag(sess *core.Session, tag string) *mapping.Mapping {
-	for _, a := range sess.Export().Active {
-		if a.Tag == tag {
-			return a.M
-		}
-	}
-	return nil
-}
-
-// ReleaseAsync tears an environment down: every fragment released on
-// its shard, the gateway refunded. The registry entry is removed
-// immediately, so a second release reports ErrUnknownEnv.
-func (f *Federation) ReleaseAsync(sid, eid string) <-chan error {
-	ch := make(chan error, 1)
+// Release tears an environment down: every fragment released on its
+// shard, the gateway refunded. The registry entry is removed first, so
+// a second release reports ErrUnknownEnv.
+func (f *Federation) Release(sid, eid string) error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		ch <- ErrClosed
-		return ch
+		return ErrClosed
 	}
 	t := f.tenants[sid]
 	if t == nil {
 		f.mu.Unlock()
-		ch <- fmt.Errorf("%w: %s", ErrUnknownTenant, sid)
-		return ch
+		return fmt.Errorf("%w: %s", ErrUnknownTenant, sid)
 	}
 	rec := t.envs[eid]
 	if rec == nil {
 		f.mu.Unlock()
-		ch <- fmt.Errorf("%w: %s/%s", ErrUnknownEnv, sid, eid)
-		return ch
+		return fmt.Errorf("%w: %s/%s", ErrUnknownEnv, sid, eid)
 	}
 	delete(t.envs, eid)
-	frags := append([]*frag(nil), rec.frags...)
 	f.mu.Unlock()
 
-	errs := make(chan error, len(frags))
-	for _, fr := range frags {
+	errs := make(chan error, len(rec.frags))
+	for _, fr := range rec.frags {
 		f.submitFragRelease(fr, errs)
 	}
-	go func() {
-		var first error
-		for range frags {
-			if err := <-errs; err != nil && first == nil {
-				first = err
-			}
+	var first error
+	for range rec.frags {
+		if err := <-errs; err != nil && first == nil {
+			first = err
 		}
-		if rec.cutBW > 0 && f.gw != nil {
-			f.gw.Release(rec.cutBW)
-		}
-		ch <- first
-	}()
-	return ch
-}
-
-// Release is the blocking form of ReleaseAsync.
-func (f *Federation) Release(sid, eid string) error {
-	return <-f.ReleaseAsync(sid, eid)
+	}
+	if rec.cutBW > 0 && f.gw != nil {
+		f.gw.Release(rec.cutBW)
+	}
+	return first
 }
 
 // EnvIDs returns a tenant's deployed environment IDs, ordinal-sorted.
@@ -660,166 +476,80 @@ func (f *Federation) CloseTenant(sid string) error {
 	return firstErr
 }
 
-// noteMigrate keeps the registry's mapping pointers current across a
-// shard's rebalance commits (tags are stable; pointers are not).
-func (f *Federation) noteMigrate(k int, res *core.MigrateResult) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, e := range res.Envs {
-		sid, eid, _, _, _, ok := parseTag(e.Tag)
-		if !ok {
-			continue
-		}
-		t := f.tenants[sid]
-		if t == nil {
-			continue
-		}
-		rec := t.envs[eid]
-		if rec == nil {
-			continue
-		}
-		for _, fr := range rec.frags {
-			if fr.shard == k && fr.tag == e.Tag {
-				fr.m = e.New
-			}
-		}
+// Mutate runs op — a failure, a restore — against shard k's session on
+// the shard worker, makes it durable, then reconciles the registry with
+// the repair results op returned and re-centers the router on the
+// shard's new capacity: repaired and replaced fragments keep their
+// identity; an unrecoverable fragment takes its whole environment down
+// (the sibling fragments are released and the gateway refunded),
+// preserving the all-or-nothing contract.
+func (f *Federation) Mutate(k int, op func(*core.Session) ([]core.RepairResult, error)) ([]core.RepairResult, error) {
+	sh, err := f.Shard(k)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// FailHost fails a host on shard k and repairs the evictions, then
-// reconciles the registry: repaired/replaced fragments keep their
-// identity under the new mapping; an unrecoverable fragment takes its
-// whole environment down (the sibling fragments are released and the
-// gateway refunded), preserving the all-or-nothing contract.
-func (f *Federation) FailHost(k int, node graph.NodeID) ([]core.RepairResult, error) {
-	return f.failTarget(k, func(sh *Shard) ([]core.RepairResult, error) {
-		return sh.sess.FailHostAndRepair(node)
-	})
-}
-
-// FailLink fails a physical link on shard k; see FailHost.
-func (f *Federation) FailLink(k, edgeID int) ([]core.RepairResult, error) {
-	return f.failTarget(k, func(sh *Shard) ([]core.RepairResult, error) {
-		return sh.sess.FailLinkAndRepair(edgeID)
-	})
-}
-
-// failTarget runs one fail-and-repair on the shard worker, then
-// reconciles and re-centers the router.
-func (f *Federation) failTarget(k int, op func(*Shard) ([]core.RepairResult, error)) ([]core.RepairResult, error) {
-	if k < 0 || k >= len(f.shards) {
-		return nil, ErrBadShard
-	}
-	sh := f.shards[k]
-	var (
-		results []core.RepairResult
-		opErr   error
-	)
+	var results []core.RepairResult
 	sh.run(func() {
-		results, opErr = op(sh)
-		if opErr == nil {
-			opErr = sh.barrier()
+		if results, err = op(sh.sess); err == nil {
+			err = sh.barrier()
 		}
 	})
-	if opErr != nil {
-		return nil, opErr
+	if err != nil {
+		return nil, err
 	}
 	f.reconcileRepairs(k, results)
 	f.router.resync(k, sh.sess.ResidualSummary())
 	return results, nil
 }
 
-// RestoreHost readmits a failed host on shard k.
-func (f *Federation) RestoreHost(k int, node graph.NodeID) error {
-	return f.restoreTarget(k, func(sh *Shard) error { return sh.sess.RestoreHost(node) })
-}
-
-// RestoreLink readmits a cut link on shard k.
-func (f *Federation) RestoreLink(k, edgeID int) error {
-	return f.restoreTarget(k, func(sh *Shard) error { return sh.sess.RestoreLink(edgeID) })
-}
-
-func (f *Federation) restoreTarget(k int, op func(*Shard) error) error {
-	if k < 0 || k >= len(f.shards) {
-		return ErrBadShard
-	}
-	sh := f.shards[k]
-	var opErr error
-	sh.run(func() {
-		opErr = op(sh)
-		if opErr == nil {
-			opErr = sh.barrier()
-		}
-	})
-	if opErr != nil {
-		return opErr
-	}
-	f.router.resync(k, sh.sess.ResidualSummary())
-	return nil
-}
-
-// RebalanceOnce runs one planning round on shard k and returns the
-// units committed with the objective before/after.
+// RebalanceOnce runs one planning round on shard k, on its worker, and
+// returns the guest moves committed with the objective before/after.
 func (f *Federation) RebalanceOnce(k int) (moves int, before, after float64, err error) {
-	if k < 0 || k >= len(f.shards) {
-		return 0, 0, 0, ErrBadShard
+	sh, err := f.Shard(k)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	sh := f.shards[k]
 	sh.run(func() {
-		before = sh.sess.ObjectiveStdDev()
-		moves = sh.reb.RunOnce()
-		after = sh.sess.ObjectiveStdDev()
+		moves, before, after = sh.Rebalance()
 		err = sh.barrier()
 	})
 	return moves, before, after, err
 }
 
 // reconcileRepairs applies one shard's repair outcomes to the registry.
+// A result names its fragment by tag, which names its environment.
 func (f *Federation) reconcileRepairs(k int, results []core.RepairResult) {
-	if len(results) == 0 {
-		return
-	}
-	f.mu.Lock()
-	// Locate each repaired mapping's fragment by pointer; iteration is
-	// over sorted IDs so the (rare) diagnostic order is stable.
 	type victim struct {
 		sid, eid string
 		rec      *envRec
 	}
 	var dead []victim
-	for _, sid := range sortedTenantIDsLocked(f.tenants) {
-		t := f.tenants[sid]
-		for _, eid := range sortedEnvIDs(t) {
-			rec := t.envs[eid]
-			for _, fr := range rec.frags {
-				if fr.shard != k {
-					continue
-				}
-				for i := range results {
-					res := &results[i]
-					if res.Old != fr.m && (res.New == nil || res.New != fr.m) {
-						continue
-					}
-					if res.Outcome == core.RepairUnrecoverable {
-						dead = append(dead, victim{sid: sid, eid: eid, rec: rec})
-					} else if fr.m == res.Old {
-						fr.m = res.New
-					}
-					break
-				}
-			}
+	gone := make(map[string]bool)
+	f.mu.Lock()
+	for _, res := range results {
+		if res.Outcome != core.RepairUnrecoverable {
+			continue
+		}
+		gone[res.Tag] = true
+		sid, eid, _, _, _, _ := parseTag(res.Tag)
+		if t := f.tenants[sid]; t != nil && t.envs[eid] != nil {
+			dead = append(dead, victim{sid: sid, eid: eid, rec: t.envs[eid]})
+			delete(t.envs, eid)
 		}
 	}
-	for _, v := range dead {
-		t := f.tenants[v.sid]
-		delete(t.envs, v.eid)
-	}
 	f.mu.Unlock()
-
+	// Tenant, then environment ordinal: the order sibling releases reach
+	// their shards in is part of what a fixed submission order pins.
+	sort.Slice(dead, func(i, j int) bool {
+		if dead[i].sid != dead[j].sid {
+			return dead[i].sid < dead[j].sid
+		}
+		return envOrdinal(dead[i].eid) < envOrdinal(dead[j].eid)
+	})
 	for _, v := range dead {
 		lost := 0
 		for _, fr := range v.rec.frags {
-			if fr.shard == k && fragIsGone(f.shards[k].sess, fr.tag) {
+			if fr.shard == k && gone[fr.tag] {
 				// The evicted fragment itself: nothing to release; the
 				// resync after reconciliation re-centers the headroom.
 				lost++
@@ -832,11 +562,6 @@ func (f *Federation) reconcileRepairs(k int, results []core.RepairResult) {
 			f.gw.Release(v.rec.cutBW)
 		}
 	}
-}
-
-// fragIsGone reports that no active mapping carries tag anymore.
-func fragIsGone(sess *core.Session, tag string) bool {
-	return findByTag(sess, tag) == nil
 }
 
 // sortedTenantIDsLocked lists the tenant IDs sorted; caller holds f.mu.
@@ -859,7 +584,11 @@ type Stats struct {
 	SplitAdmissions uint64
 	GatewayInUse    float64
 	GatewayBudget   float64
-	Tenants         int
+	// Tenants counts the open tenant sessions and Envs the environments
+	// deployed across them — registry entries, however many fragments
+	// each was split into.
+	Tenants int
+	Envs    int
 }
 
 // ShardStats is one shard's slice of Stats.
@@ -884,6 +613,9 @@ func (f *Federation) Stats() Stats {
 	}
 	f.mu.Lock()
 	st.Tenants = len(f.tenants)
+	for _, t := range f.tenants {
+		st.Envs += len(t.envs)
+	}
 	f.mu.Unlock()
 	return st
 }
@@ -899,13 +631,12 @@ func (f *Federation) Close() error {
 	}
 	f.closed = true
 	f.mu.Unlock()
-	if f.snapStop != nil {
-		close(f.snapStop)
-		<-f.snapDone
+	if f.stopSnapshots != nil {
+		f.stopSnapshots()
 	}
 	var firstErr error
 	for _, sh := range f.shards {
-		sh.stop()
+		sh.Stop()
 		if sh.w != nil {
 			if err := f.snapshotShard(sh); err != nil && firstErr == nil {
 				firstErr = err

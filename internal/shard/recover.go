@@ -7,9 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -95,38 +93,14 @@ func (f *Federation) snapshotShard(sh *Shard) error {
 		f.mu.Lock()
 		nextEnv := f.nextEnv
 		f.mu.Unlock()
-		sn := wal.ExportSession(shardSID(sh.Index), sh.clusterSpec, f.cfg.Mapper, f.cfg.Overhead, uint64(nextEnv), sh.sess)
-		return []wal.SessionSnap{sn}, nil
+		return []wal.SessionSnap{sh.Snap(nextEnv)}, nil
 	})
-}
-
-// snapshotLoop snapshots every shard on the configured cadence until
-// Close stops it.
-func (f *Federation) snapshotLoop() {
-	defer close(f.snapDone)
-	ticker := time.NewTicker(f.cfg.SnapshotInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			for _, sh := range f.shards {
-				if sh.w == nil {
-					continue
-				}
-				if err := f.snapshotShard(sh); err != nil {
-					f.logf("shard %d: snapshot: %v", sh.Index, err)
-				}
-			}
-		case <-f.snapStop:
-			return
-		}
-	}
 }
 
 // pendingEnv accumulates one environment's fragments during recovery
 // until the set is known complete or orphaned.
 type pendingEnv struct {
-	frags map[int]*frag // by fragment ordinal (1-based)
+	frags map[int]frag // by fragment ordinal (1-based)
 	fragN int
 	cutBW float64
 }
@@ -165,95 +139,27 @@ func Recover(cfg Config) (*Federation, error) {
 		}
 	}
 
-	sums := make([]core.ResidualSummary, meta.Shards)
-	maxEnv := 0
 	for k := 0; k < meta.Shards; k++ {
-		sh, envHigh, err := f.recoverShard(k)
+		// Shard k's directory must replay to exactly one session, its own.
+		sid := shardSID(k)
+		w, found, _, err := Replay(cfg, filepath.Join(cfg.DataDir, sid))
+		if err == nil && (len(found) != 1 || found[0].sid != sid) {
+			w.Close()
+			err = fmt.Errorf("shard: %s directory recovers %d sessions (want exactly %q)", sid, len(found), sid)
+		}
 		if err != nil {
 			f.abortBuild()
 			return nil, err
 		}
-		f.shards = append(f.shards, sh)
-		if envHigh > maxEnv {
-			maxEnv = envHigh
-		}
+		f.shards = append(f.shards, found[0])
+		f.nextEnv = max(f.nextEnv, found[0].EnvHigh)
 	}
 	if err := f.rebuildRegistry(); err != nil {
 		f.abortBuild()
 		return nil, err
 	}
-	for k, sh := range f.shards {
-		if f.cfg.VerifyReplay {
-			if err := wal.VerifyObjective(sh.sess); err != nil {
-				f.abortBuild()
-				return nil, fmt.Errorf("shard: shard %d %w", sh.Index, err)
-			}
-		}
-		f.attachWAL(sh)
-		sums[k] = sh.sess.ResidualSummary()
-	}
-	f.mu.Lock()
-	if maxEnv > f.nextEnv {
-		f.nextEnv = maxEnv
-	}
-	f.mu.Unlock()
-	f.router = newRouter(sums, f.gw)
-	f.seedRouterEnvs()
 	f.start()
 	return f, nil
-}
-
-// recoverShard rebuilds shard k from its WAL directory, which must
-// replay to exactly one session, the shard's own. envHigh is the
-// highest environment ordinal the shard's state names, for the global
-// ID counter.
-func (f *Federation) recoverShard(k int) (*Shard, int, error) {
-	sid := shardSID(k)
-	w, recovered, err := wal.Open(filepath.Join(f.cfg.DataDir, sid), f.walHooks())
-	if err != nil {
-		return nil, 0, err
-	}
-	fail := func(err error) (*Shard, int, error) {
-		w.Close()
-		return nil, 0, err
-	}
-	if recovered.TruncatedBytes > 0 {
-		f.logf("shard %d: recovery truncated a torn log tail (%d bytes); the records were never acknowledged", k, recovered.TruncatedBytes)
-	}
-
-	envHigh := 0
-	noteEnvHigh := func(tag string) {
-		if _, eid, _, _, _, ok := parseTag(tag); ok {
-			if n, ok := wal.EnvOrdinal(eid); ok && n > envHigh {
-				envHigh = n
-			}
-		}
-	}
-	replayed, _, err := wal.Replay(recovered, func(_ *wal.Replayed, rec *wal.Record) {
-		if f.cfg.Hooks.OnReplay != nil {
-			f.cfg.Hooks.OnReplay()
-		}
-		rec.EachTag(noteEnvHigh)
-	})
-	if err != nil {
-		return fail(err)
-	}
-	if len(replayed) != 1 || replayed[0].SID != sid {
-		return fail(fmt.Errorf("shard: %s directory recovers %d sessions (want exactly %q)", sid, len(replayed), sid))
-	}
-	rs := replayed[0]
-	envHigh = max(envHigh, int(rs.NextEnv))
-	sh := &Shard{
-		Index:       k,
-		c:           rs.Cluster,
-		clusterSpec: rs.ClusterSpec,
-		sess:        rs.Session,
-		w:           w,
-		ops:         make(chan func(), f.cfg.QueueDepth),
-		done:        make(chan struct{}),
-	}
-	f.attachRebalance(sh)
-	return sh, envHigh, nil
 }
 
 // rebuildRegistry reconstructs every tenant's environment records from
@@ -280,14 +186,14 @@ func (f *Federation) rebuildRegistry() error {
 			key := envKey{sid: sid, eid: eid}
 			p := pending[key]
 			if p == nil {
-				p = &pendingEnv{frags: make(map[int]*frag), fragN: fragN, cutBW: cut}
+				p = &pendingEnv{frags: make(map[int]frag), fragN: fragN, cutBW: cut}
 				pending[key] = p
 				order = append(order, key)
 			}
-			if p.fragN != fragN || p.frags[fragI] != nil {
+			if _, dup := p.frags[fragI]; dup || p.fragN != fragN {
 				return fmt.Errorf("shard: environment %s/%s has conflicting fragment sets", sid, eid)
 			}
-			p.frags[fragI] = &frag{shard: k, m: a.M, tag: a.Tag, proc: a.M.Env.TotalProc()}
+			p.frags[fragI] = frag{shard: k, tag: a.Tag, proc: a.M.Env.TotalProc()}
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
@@ -310,15 +216,13 @@ func (f *Federation) rebuildRegistry() error {
 		if len(p.frags) < p.fragN {
 			// The crash interrupted a split admission mid-commit: the
 			// router never acknowledged it, so the committed fragments are
-			// orphans. Release them through their sessions (the attached-
-			// later WAL hook is not needed — release here is pre-serving,
-			// logged explicitly below via the shard barrier path).
-			f.logf("shard: releasing %d orphan fragments of %s/%s (split never completed)", len(p.frags), key.sid, key.eid)
+			// orphans. Release them through their sessions — the commit
+			// hook logs each release, and the barrier below makes the
+			// cleanup itself durable.
+			f.cfg.logf("shard: releasing %d orphan fragments of %s/%s (split never completed)", len(p.frags), key.sid, key.eid)
 			for _, i := range sortedFragOrdinals(p.frags) {
 				fr := p.frags[i]
-				sh := f.shards[fr.shard]
-				f.appendReleaseFor(sh, fr)
-				if err := sh.sess.Release(fr.m); err != nil {
+				if err := f.shards[fr.shard].sess.ReleaseTagged(fr.tag); err != nil {
 					return fmt.Errorf("shard: release orphan fragment %s: %w", fr.tag, err)
 				}
 				touched[fr.shard] = true
@@ -333,7 +237,7 @@ func (f *Federation) rebuildRegistry() error {
 				return fmt.Errorf("shard: environment %s/%s cut (%g Mbps): %w", key.sid, key.eid, p.cutBW, err)
 			}
 		}
-		rec := &envRec{cutBW: p.cutBW, split: p.fragN > 1}
+		rec := &envRec{cutBW: p.cutBW}
 		for _, i := range sortedFragOrdinals(p.frags) {
 			rec.frags = append(rec.frags, p.frags[i])
 		}
@@ -350,25 +254,8 @@ func (f *Federation) rebuildRegistry() error {
 	return nil
 }
 
-// appendReleaseFor logs an orphan fragment's release. The commit hook
-// is not attached yet during registry rebuild, so the record is
-// appended by hand — exactly what the hook would have written.
-func (f *Federation) appendReleaseFor(sh *Shard, fr *frag) {
-	var seq uint64
-	for _, a := range sh.sess.Export().Active {
-		if a.Tag == fr.tag {
-			seq = a.Seq
-			break
-		}
-	}
-	rec := &wal.Record{Kind: wal.KindRelease, SID: shardSID(sh.Index), Release: &wal.ReleaseRec{Seq: seq}}
-	if err := sh.w.Append(rec); err != nil {
-		f.logf("shard %d: wal append (orphan release %s): %v", sh.Index, fr.tag, err)
-	}
-}
-
 // sortedFragOrdinals lists a fragment map's keys ascending.
-func sortedFragOrdinals(frags map[int]*frag) []int {
+func sortedFragOrdinals(frags map[int]frag) []int {
 	out := make([]int, 0, len(frags))
 	//hmn:orderinvariant
 	for i := range frags {
@@ -376,14 +263,4 @@ func sortedFragOrdinals(frags map[int]*frag) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// seedRouterEnvs aligns the router's per-shard occupancy with the
-// recovered registry (newRouter seeded it from the summaries, which
-// count fragments the same way — this re-read is belt and braces after
-// orphan cleanup).
-func (f *Federation) seedRouterEnvs() {
-	for k, sh := range f.shards {
-		f.router.resync(k, sh.sess.ResidualSummary())
-	}
 }

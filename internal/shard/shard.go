@@ -26,6 +26,15 @@
 // introspection endpoints, never a routing decision — which is exactly
 // what keeps routing deterministic while commits complete in the
 // background.
+//
+// The package also owns the lock domain as such. A Shard is a session,
+// the WAL its commits are logged to and its rebalance scheduler; Open
+// creates one, Replay recovers the ones a WAL directory holds, Snap
+// exports one for a snapshot. A federation's shards are domains with a
+// WAL directory and a worker each; the sessions of a classic daemon
+// (internal/server) are domains too, sharing the daemon's one WAL —
+// there is one copy of the commit hook, the open record, the scheduler
+// wiring and the recovery step, whoever asks.
 package shard
 
 import (
@@ -62,7 +71,9 @@ var (
 	ErrBadShard = errors.New("shard: no such shard")
 )
 
-// Config parameterizes a federation.
+// Config parameterizes a federation, and the lock domains of either
+// daemon mode (Open and Replay read Mapper, Overhead, the rebalance
+// pair, VerifyReplay, Logf and Hooks).
 type Config struct {
 	// Mapper is the session mapper wire name ("", "HMN" or "HMN-C"),
 	// applied to every shard.
@@ -96,16 +107,23 @@ type Config struct {
 	Hooks Hooks
 }
 
-// Hooks observe the federation's durability machinery, mirroring
-// wal.Hooks across all shards.
+// Hooks observe the lock domains' machinery for the metrics layer.
+// All fields are optional.
 type Hooks struct {
 	// OnWALRecord fires per appended record, OnFsync per fsync with its
-	// latency in seconds, OnSnapshot per shard snapshot with its
-	// latency in seconds, OnReplay per replayed record during Recover.
+	// latency in seconds, OnSnapshot per snapshot with its latency in
+	// seconds, OnReplay per replayed record during recovery.
 	OnWALRecord func()
 	OnFsync     func(seconds float64)
 	OnSnapshot  func(seconds float64)
 	OnReplay    func()
+	// OnAdmit fires on a shard worker after every fragment admission
+	// attempt, committed or not, with the attempt's funnel counters and
+	// the wall time of its MapTagged call.
+	OnAdmit func(st core.AdmitStats, seconds float64)
+	// Rebalance observes every domain's scheduler (OnRound, OnCommit);
+	// AfterRound and Logf are the domain's own barrier and logger.
+	Rebalance rebalance.Hooks
 }
 
 // withDefaults fills the zero values.
@@ -116,34 +134,223 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// logf reports through the configured logger.
+func (cfg Config) logf(format string, args ...interface{}) {
+	if cfg.Logf != nil {
+		cfg.Logf(format, args...)
+	}
+}
+
+// walHooks adapts the durability hooks for wal.Open.
+func (cfg Config) walHooks() wal.Hooks {
+	return wal.Hooks{
+		OnAppend:   cfg.Hooks.OnWALRecord,
+		OnFsync:    cfg.Hooks.OnFsync,
+		OnSnapshot: cfg.Hooks.OnSnapshot,
+		Logf:       cfg.Logf,
+	}
+}
+
 // shardSID is the WAL session ID a shard's operations are logged
 // under; it never collides with tenant IDs ("s1", "s2", ...).
 func shardSID(k int) string { return fmt.Sprintf("shard-%d", k) }
 
-// Shard is one lock domain of the federation: a session on its own
-// cluster, its own WAL, its own rebalance scheduler, and one worker
-// goroutine that executes the shard's operations in submission order.
+// Shard is one lock domain: a session on its own cluster, the WAL its
+// commits are logged to and its rebalance scheduler. A federation shard
+// logs to a WAL of its own and runs one worker goroutine that executes
+// its operations in submission order; the sessions of a classic daemon
+// are domains too, sharing one WAL and the daemon's admission queue.
 type Shard struct {
 	// Index is the shard's position in the federation, in [0, Shards).
 	Index int
+	// EnvHigh is the highest environment ordinal recovery found the
+	// domain naming — in its snapshot entry, a replayed record or an
+	// active tag — so an ID counter seeded past it never reissues one.
+	// Zero for a domain opened fresh.
+	EnvHigh int
 
+	sid         string
 	c           *cluster.Cluster
 	clusterSpec spec.ClusterSpec
+	mapper      string
+	overhead    cluster.VMMOverhead
 	sess        *core.Session
 	w           *wal.WAL // nil without a data directory
 	reb         *rebalance.Scheduler
 
+	// The worker plumbing of a federation shard; nil for a domain whose
+	// owner serializes its operations itself.
 	ops  chan func()
 	done chan struct{}
 }
 
-// Session exposes the shard's core session for read-side introspection
-// (residuals, summaries). Mutating it directly bypasses the worker's
-// FIFO and the router's accounting; use the Federation methods.
+// Open creates a lock domain: a fresh session for cfg.Mapper and
+// cfg.Overhead on c, its open record appended to w (nil: no log) ahead
+// of anything its commit hook will write, and its scheduler, stopped.
+// clusterSpec is c as it goes into the log. The caller makes the open
+// record durable with a barrier on w before it tells anyone the domain
+// exists.
+func Open(cfg Config, sid string, c *cluster.Cluster, clusterSpec spec.ClusterSpec, w *wal.WAL) (*Shard, error) {
+	mapper, err := core.MapperByName(cfg.Mapper, cfg.Overhead)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := core.NewSession(c, cfg.Overhead, mapper)
+	if err != nil {
+		return nil, err
+	}
+	if w != nil {
+		rec := &wal.Record{Kind: wal.KindOpen, SID: sid, Open: &wal.OpenRec{
+			Cluster: clusterSpec,
+			Mapper:  cfg.Mapper,
+			Proc:    cfg.Overhead.Proc,
+			Mem:     cfg.Overhead.Mem,
+			Stor:    cfg.Overhead.Stor,
+		}}
+		if err := w.Append(rec); err != nil {
+			// The fault is sticky: the caller's barrier reports it.
+			cfg.logf("hmnd: wal append (open %s): %v", sid, err)
+		}
+	}
+	return adopt(cfg, &wal.Replayed{
+		SID: sid, Session: sess, Cluster: c, ClusterSpec: clusterSpec,
+		Mapper: cfg.Mapper, Overhead: cfg.Overhead,
+	}, w), nil
+}
+
+// adopt wraps a session, fresh or replayed, as a lock domain logging
+// to w: the commit hook that turns every committed operation into a
+// record, and the scheduler.
+func adopt(cfg Config, rs *wal.Replayed, w *wal.WAL) *Shard {
+	sh := &Shard{
+		sid: rs.SID, c: rs.Cluster, clusterSpec: rs.ClusterSpec,
+		mapper: rs.Mapper, overhead: rs.Overhead, sess: rs.Session, w: w,
+	}
+	if w != nil {
+		// The hook runs under the session lock: it serializes the event
+		// and buffers it — the fsync is paid once per acknowledged
+		// request, not per operation.
+		sh.sess.SetCommitHook(func(ev core.Event) {
+			if err := w.Append(wal.RecordFromEvent(sh.sid, sh.overhead, ev)); err != nil {
+				// Already committed in memory; the fault is sticky, so the
+				// ack-path barrier fails too and no client is ever told the
+				// lost operation is durable.
+				cfg.logf("hmnd: wal append (%s): %v", sh.sid, err)
+			}
+		})
+	}
+	hooks := cfg.Hooks.Rebalance
+	hooks.AfterRound, hooks.Logf = sh.barrier, cfg.logf
+	sh.reb = rebalance.New(sh.sess, cfg.RebalanceInterval, cfg.RebalanceMaxMoves, hooks)
+	return sh
+}
+
+// envOrdinal is the environment ordinal a tag names: a classic
+// session's tags are its environment IDs ("e7"), a federation's carry
+// the tenant and fragment around one ("s1/e7#1of2@5").
+func envOrdinal(tag string) int {
+	if _, eid, _, _, _, ok := parseTag(tag); ok {
+		tag = eid
+	}
+	n, _ := wal.EnvOrdinal(tag)
+	return n
+}
+
+// Replay is the recovery step of one WAL directory: it opens (or
+// initializes) dir and rebuilds every session the snapshot plus log
+// suffix hold as a lock domain logging to the returned WAL, in SID
+// order, EnvHigh set. maxSession is the highest session ordinal the
+// directory ever named. With cfg.VerifyReplay each domain's incremental
+// objective is cross-checked against a recompute.
+func Replay(cfg Config, dir string) (w *wal.WAL, domains []*Shard, maxSession int, err error) {
+	w, recovered, err := wal.Open(dir, cfg.walHooks())
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if recovered.TruncatedBytes > 0 {
+		cfg.logf("hmnd: %s: recovery truncated a torn log tail (%d bytes); the records were never acknowledged", dir, recovered.TruncatedBytes)
+	}
+	// Replayed records can name environment IDs the final active sets no
+	// longer hold (admitted and released since the snapshot); the ID
+	// counters must still move past them.
+	high := make(map[*wal.Replayed]int)
+	replayed, maxSession, err := wal.Replay(recovered, func(rs *wal.Replayed, rec *wal.Record) {
+		if cfg.Hooks.OnReplay != nil {
+			cfg.Hooks.OnReplay()
+		}
+		rec.EachTag(func(tag string) { high[rs] = max(high[rs], envOrdinal(tag)) })
+	})
+	if err != nil {
+		w.Close()
+		return nil, nil, 0, err
+	}
+	for _, rs := range replayed {
+		if cfg.VerifyReplay {
+			if err := wal.VerifyObjective(rs.Session); err != nil {
+				w.Close()
+				return nil, nil, 0, fmt.Errorf("shard: session %s %w", rs.SID, err)
+			}
+		}
+		sh := adopt(cfg, rs, w)
+		sh.EnvHigh = max(int(rs.NextEnv), high[rs])
+		// Belt and braces on top of the snapshotted counter and the
+		// replayed-record bumps: no live environment's ID is ever handed
+		// out again, even against a snapshot whose counter lagged its
+		// active set.
+		for _, a := range rs.Session.Export().Active {
+			sh.EnvHigh = max(sh.EnvHigh, envOrdinal(a.Tag))
+		}
+		domains = append(domains, sh)
+	}
+	return w, domains, maxSession, nil
+}
+
+// SID is the session ID the domain's operations are logged under.
+func (sh *Shard) SID() string { return sh.sid }
+
+// Session exposes the domain's core session. Mutating a federation
+// shard's directly bypasses the worker's FIFO and the router's
+// accounting; use the Federation methods.
 func (sh *Shard) Session() *core.Session { return sh.sess }
 
-// Cluster returns the shard's physical cluster.
+// Cluster returns the domain's physical cluster.
 func (sh *Shard) Cluster() *cluster.Cluster { return sh.c }
+
+// Mapper is the wire name of the session's mapper and Overhead the
+// per-host VMM overhead it was opened with.
+func (sh *Shard) Mapper() string                { return sh.mapper }
+func (sh *Shard) Overhead() cluster.VMMOverhead { return sh.overhead }
+
+// Snap exports the domain for a snapshot; nextEnv is its owner's
+// environment-ID counter, which the session does not know about.
+func (sh *Shard) Snap(nextEnv int) wal.SessionSnap {
+	return wal.ExportSession(sh.sid, sh.clusterSpec, sh.mapper, sh.overhead, uint64(nextEnv), sh.sess)
+}
+
+// Start launches the background rebalancer when a cadence is
+// configured. Call it once the domain is durable, so the loop never
+// migrates guests of a domain a crash would un-create.
+func (sh *Shard) Start() { sh.reb.Start() }
+
+// Rebalance runs one planning round now, whether or not the background
+// loop is on, and returns the guest moves committed with the objective
+// before and after. The scheduler's after-round barrier has made them
+// durable by the time it returns.
+func (sh *Shard) Rebalance() (moves int, before, after float64) {
+	before = sh.sess.ObjectiveStdDev()
+	moves = sh.reb.RunOnce()
+	return moves, before, sh.sess.ObjectiveStdDev()
+}
+
+// Stop stops the rebalancer, waiting out a round in flight, and drains
+// and stops the worker if the domain runs one. Safe once.
+func (sh *Shard) Stop() {
+	sh.reb.Stop()
+	if sh.ops != nil {
+		close(sh.ops)
+		<-sh.done
+	}
+}
 
 // loop is the shard's worker goroutine: operations run one at a time,
 // in submission order — the property the router's reservation ledger
@@ -170,7 +377,7 @@ func (sh *Shard) run(fn func()) {
 	<-done
 }
 
-// barrier makes the shard's appended records durable; free without a
+// barrier makes the domain's appended records durable; free without a
 // data directory.
 func (sh *Shard) barrier() error {
 	if sh.w == nil {
@@ -179,11 +386,26 @@ func (sh *Shard) barrier() error {
 	return sh.w.Barrier()
 }
 
-// stop drains and stops the worker and the rebalancer. Safe once.
-func (sh *Shard) stop() {
-	if sh.reb != nil {
-		sh.reb.Stop()
+// Every runs fn on a fixed cadence on its own goroutine until the
+// returned stop is called; stop waits for the goroutine to exit. It is
+// the snapshot loop of both daemon modes.
+func Every(interval time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ticker.C:
+				fn()
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
-	close(sh.ops)
-	<-sh.done
 }

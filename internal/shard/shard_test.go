@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/rebalance"
 	"repro/internal/topology"
 	"repro/internal/virtual"
 	"repro/internal/workload"
@@ -297,6 +299,11 @@ func TestCloseTenantReleasesEverything(t *testing.T) {
 	}
 }
 
+// failHost fails node on shard k the way the daemon's fail endpoint does.
+func failHost(f *Federation, k int, node graph.NodeID) ([]core.RepairResult, error) {
+	return f.Mutate(k, func(cs *core.Session) ([]core.RepairResult, error) { return cs.FailHostAndRepair(node) })
+}
+
 func TestFailHostRepairsAndResyncs(t *testing.T) {
 	f := newTestFederation(t, 2, Config{})
 	sid, _ := f.OpenTenant()
@@ -307,7 +314,7 @@ func TestFailHostRepairsAndResyncs(t *testing.T) {
 	k := pl.Fragments[0].Shard
 	sh, _ := f.Shard(k)
 	node := sh.Cluster().HostNodes()[pl.Fragments[0].M.GuestHost[0]]
-	results, err := f.FailHost(k, node)
+	results, err := failHost(f, k, node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,12 +330,96 @@ func TestFailHostRepairsAndResyncs(t *testing.T) {
 	if err := f.Release(sid, eid); err != nil {
 		t.Fatalf("release after repair: %v", err)
 	}
-	if err := f.RestoreHost(k, node); err != nil {
+	if _, err := f.Mutate(k, func(cs *core.Session) ([]core.RepairResult, error) { return nil, cs.RestoreHost(node) }); err != nil {
 		t.Fatal(err)
 	}
 	sh.run(func() {})
 	if sh.Session().Active() != 0 {
 		t.Fatalf("shard %d active = %d after release", k, sh.Session().Active())
+	}
+}
+
+// TestFailOvertakenByMigrateCommit is the shard twin of the server test
+// of the same name: a rebalance commit replaces the mapping of a
+// deployed fragment inside core, then the host one of its guests still
+// sits on fails. The registry holds the fragment's tag, not the mapping
+// it was admitted under, so the repair result finds its environment, the
+// router's census and the gateway stay as they were, and the environment
+// releases cleanly afterwards.
+func TestFailOvertakenByMigrateCommit(t *testing.T) {
+	// The server test's fixture: h0..h2 hold 1024 MB, h3 only 256, so the
+	// pins fill h0 and h1, both pair guests land on h2, and releasing the
+	// pins leaves exactly one improving migration (a pair guest to h0).
+	clusters := make([]*cluster.Cluster, 2)
+	for k := range clusters {
+		c, err := topology.Torus2D([]topology.HostSpec{
+			{Proc: 1000, Mem: 1024, Stor: 1000},
+			{Proc: 1000, Mem: 1024, Stor: 1000},
+			{Proc: 1000, Mem: 1024, Stor: 1000},
+			{Proc: 1000, Mem: 256, Stor: 1000},
+		}, 2, 2, 1000, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters[k] = c
+	}
+	f, err := New(clusters, Config{GatewayBW: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	sid, _ := f.OpenTenant()
+	pins, pair := virtual.NewEnv(), virtual.NewEnv()
+	pins.AddGuest("pin0", 50, 1024, 10)
+	pins.AddGuest("pin1", 50, 1024, 10)
+	pair.AddGuest("b0", 400, 512, 10)
+	pair.AddGuest("b1", 400, 512, 10)
+	pinned, _, err := f.Admit(sid, pins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eid, pl, err := f.Admit(sid, pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Release(sid, pinned); err != nil {
+		t.Fatal(err)
+	}
+	k := pl.Fragments[0].Shard
+	sh, _ := f.Shard(k)
+
+	// Commit the planner's unit straight into core, as a scheduler round
+	// does before it calls any hook.
+	var units []rebalance.Unit
+	sh.run(func() {
+		units = rebalance.Plan(sh.sess.PlanSnapshot(), 0)
+		if len(units) == 1 {
+			_, err = sh.sess.MigrateGuests(units[0].Moves)
+		}
+	})
+	if len(units) != 1 || err != nil {
+		t.Fatalf("planner proposed %d units on the unbalanced fixture (commit: %v), want 1", len(units), err)
+	}
+
+	results, err := failHost(f, k, sh.Cluster().HostNodes()[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Tag != pl.Fragments[0].Tag || results[0].New == nil {
+		t.Fatalf("repair results %+v, want fragment %s repaired", results, pl.Fragments[0].Tag)
+	}
+	if ids, _ := f.EnvIDs(sid); len(ids) != 1 || ids[0] != eid {
+		t.Fatalf("registry holds %v after the repair, want [%s]", ids, eid)
+	}
+	if st := f.Stats(); st.Shards[k].ActiveEnvs != 1 || st.Envs != 1 || st.GatewayInUse != 0 {
+		t.Fatalf("census after the repair: %+v", st)
+	}
+	if err := f.Release(sid, eid); err != nil {
+		t.Fatalf("release of the migrated, repaired environment: %v", err)
+	}
+	sh.run(func() {})
+	if st := f.Stats(); sh.Session().Active() != 0 || st.Shards[k].ActiveEnvs != 0 || st.Envs != 0 {
+		t.Fatalf("shard %d keeps %d fragments after the release (census %+v)", k, sh.Session().Active(), st)
 	}
 }
 
