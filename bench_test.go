@@ -36,6 +36,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/ga"
 	"repro/internal/graph"
+	"repro/internal/mapping"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -601,72 +602,153 @@ func BenchmarkSessionMapRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionConcurrentAdmit measures admission throughput when
-// several testers hammer one session at once — the scenario the
-// optimistic snapshot/validate/commit pipeline exists for. Each op is a
-// full Map+Release of a small environment on the switched cluster;
-// subbenchmarks scale the worker count, and conflicts/op and
-// fallbacks/op report how often optimistic attempts lost their
-// validation race. Compare ns/op across worker counts: with the old
-// whole-mapping lock the numbers were flat; now they should drop until
-// commit serialisation or the host's cores saturate.
+// BenchmarkSessionConcurrentAdmit measures one session under N
+// closed-loop admitters on both hmnperf testbeds — switched 20–60-guest
+// environments with 6 live, and 500-guest low-level environments on an
+// 8×8 torus with 4 live. A concurrency mechanism is judged on the
+// objective it leaves behind as well as on throughput (DESIGN.md §12,
+// "optimistic admission"), so next to admits/s it reports eq10_mips, the
+// mean Eq. (10) objective after each admission commit, and
+// eq10_serial_mips, the same mean had the recorded commit order been
+// executed one operation at a time. Both are computed after the clock
+// stops, by re-executing the order a commit hook recorded: once
+// committing the recorded mappings, once mapping afresh. The two columns
+// see identical live sets, so any gap is placement quality alone.
+//
+// Lifetimes are keyed by index, not by client: environment i is
+// released by whoever submits i+live, once i has committed. The live
+// set is then the same for every admitter count, which per-client FIFOs
+// do not give (N clients × a FIFO each holds N× the environments). Pin
+// the op count with -benchtime <n>x when comparing two builds.
 func BenchmarkSessionConcurrentAdmit(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
-	c, err := topology.Switched(specs, workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
+	testbeds := []struct {
+		name    string
+		live    int
+		pool    int
+		cluster func(rng *rand.Rand) (*Cluster, error)
+		env     func(rng *rand.Rand) *virtual.Env
+	}{
+		{"switched", 6, 256,
+			func(rng *rand.Rand) (*Cluster, error) {
+				specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
+				return topology.Switched(specs, workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
+			},
+			func(rng *rand.Rand) *virtual.Env {
+				return workload.GenerateEnv(workload.HighLevelParams(20+rng.Intn(41), 0.02), rng)
+			}},
+		{"torus", 4, 32,
+			func(rng *rand.Rand) (*Cluster, error) {
+				p := workload.PaperClusterParams()
+				p.Hosts = 64
+				return topology.Torus2D(workload.GenerateHosts(p, rng), 8, 8, 10000, 1)
+			},
+			func(rng *rand.Rand) *virtual.Env {
+				return workload.GenerateEnv(workload.LowLevelParams(500, 0.02), rng)
+			}},
+	}
+	for _, tb := range testbeds {
+		rng := rand.New(rand.NewSource(21))
+		c, err := tb.cluster(rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		envs := make([]*virtual.Env, tb.pool)
+		for i := range envs {
+			envs[i] = tb.env(rng)
+		}
+		for _, admitters := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/admitters_%d", tb.name, admitters), func(b *testing.B) {
+				sess, err := core.NewSession(c, VMMOverhead{}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// committed[i] closes once admission i has returned;
+				// maps[i] is then its mapping, nil if it was rejected.
+				maps := make([]*mapping.Mapping, b.N)
+				committed := make([]chan struct{}, b.N)
+				for i := range committed {
+					committed[i] = make(chan struct{})
+				}
+				var history []core.Event
+				sess.SetCommitHook(func(ev core.Event) { history = append(history, ev) })
+				var next, admitted atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for w := 0; w < admitters; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for {
+							i := int(next.Add(1) - 1)
+							if i >= b.N {
+								return
+							}
+							if old := i - tb.live; old >= 0 {
+								<-committed[old]
+								if maps[old] != nil {
+									if err := sess.Release(maps[old]); err != nil {
+										b.Error(err)
+									}
+								}
+							}
+							if m, err := sess.Map(envs[i%len(envs)]); err == nil {
+								maps[i] = m
+								admitted.Add(1)
+							}
+							close(committed[i])
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				n := admitted.Load()
+				if n == 0 {
+					b.Fatal("no admission succeeded")
+				}
+				b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "admits/s")
+				b.ReportMetric(meanEq10(b, c, history, func(s *core.Session, a *core.AdmitInfo) *mapping.Mapping {
+					if err := s.ReplayAdmit(a.Env, a.M, a.Tag, a.Seq); err != nil {
+						b.Fatal(err)
+					}
+					return a.M
+				}), "eq10_mips")
+				b.ReportMetric(meanEq10(b, c, history, func(s *core.Session, a *core.AdmitInfo) *mapping.Mapping {
+					m, _ := s.Map(a.Env) // a serial rejection only shrinks the sample
+					return m
+				}), "eq10_serial_mips")
+				b.ReportMetric(float64(n)/float64(b.N), "accept_ratio")
+			})
+		}
+	}
+}
+
+// meanEq10 re-executes a recorded commit order on a fresh session and
+// returns the mean Eq. (10) objective after each admission. admit
+// applies one recorded admission and returns the mapping it deployed.
+func meanEq10(b *testing.B, c *Cluster, history []core.Event, admit func(*core.Session, *core.AdmitInfo) *mapping.Mapping) float64 {
+	s, err := core.NewSession(c, VMMOverhead{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A pool of distinct small environments: every subset of them fits
-	// the cluster at once, so no admission can legitimately fail.
-	envs := make([]*virtual.Env, 16)
-	for i := range envs {
-		envs[i] = workload.GenerateEnv(workload.HighLevelParams(16, 0.02),
-			rand.New(rand.NewSource(int64(1000+i))))
+	deployed := make(map[uint64]*mapping.Mapping)
+	sum, n := 0.0, 0
+	for _, ev := range history {
+		switch ev.Type {
+		case core.EventAdmit:
+			if m := admit(s, ev.Admit); m != nil {
+				deployed[ev.Admit.Seq] = m
+				sum += s.ObjectiveStdDev()
+				n++
+			}
+		case core.EventRelease:
+			if m := deployed[ev.ReleaseSeq]; m != nil {
+				if err := s.Release(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			sess, err := core.NewSession(c, VMMOverhead{}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			before := sess.AdmissionStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var next atomic.Int64
-			var failed atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := next.Add(1) - 1
-						if i >= int64(b.N) {
-							return
-						}
-						m, err := sess.Map(envs[int(i)%len(envs)])
-						if err != nil {
-							failed.Add(1)
-							return
-						}
-						if err := sess.Release(m); err != nil {
-							failed.Add(1)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			if failed.Load() > 0 {
-				b.Fatalf("%d admissions failed on a cluster that fits every environment", failed.Load())
-			}
-			after := sess.AdmissionStats()
-			b.ReportMetric(float64(after.Conflicts-before.Conflicts)/float64(b.N), "conflicts/op")
-			b.ReportMetric(float64(after.Fallbacks-before.Fallbacks)/float64(b.N), "fallbacks/op")
-		})
-	}
+	return sum / float64(n)
 }
 
 // BenchmarkFatTreeMapping measures HMN on a k=8 fat-tree (128 hosts) —

@@ -38,9 +38,9 @@
 // Rebalancing: -rebalance-interval starts a background scheduler per
 // session that periodically plans improving guest migrations off the
 // live residual-CPU vector (single moves and pairwise destination
-// swaps, ordered for migration headroom) and commits them through the
-// same optimistic funnel admissions use — mapping requests are never
-// blocked, and every committed plan is WAL-logged like any other
+// swaps, ordered for migration headroom) and commits them under the
+// session lock like any admission — planning itself runs off-lock on a
+// snapshot — and every committed plan is WAL-logged like any other
 // operation. -rebalance-max-moves caps each round. The one-shot
 // POST /v1/sessions/{id}/rebalance endpoint runs a round on demand even
 // with the background loop disabled:

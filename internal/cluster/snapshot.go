@@ -1,7 +1,7 @@
 package cluster
 
-// Recycled flat-copy ledger snapshots for the optimistic admission
-// pipeline. A snapshot is a Clone whose six arrays are sized once and
+// The flat-copy ledger snapshot a session's attempts speculate on. A
+// snapshot is a Clone whose six arrays are sized once and
 // then overwritten in place by SyncFrom, so the steady-state admission
 // path never allocates. Every resync copies the whole ledger: O(H+E),
 // which on every committed workload is less copying than the write

@@ -8,12 +8,14 @@ import (
 )
 
 // Txn accumulates the net reservations of one mapping attempt — guest
-// demands per host and path bandwidth per edge — computed off-lock
-// against a snapshot ledger, so a session can validate them against the
-// live residuals and apply them atomically. It is the commit half of the
-// optimistic admission pipeline (snapshot → map → validate-and-commit):
-// the mapping speculates on a private clone, and Commit decides whether
-// the speculation still fits reality.
+// demands per host and path bandwidth per edge — computed against a
+// snapshot ledger, so a session can validate them against the live
+// residuals and apply them atomically. It is the commit half of the
+// admission pipeline (snapshot → map → validate-and-commit): the
+// mapping speculates on a private copy, so a failed attempt leaves the
+// live ledger untouched, and Commit applies the survivor's net effect —
+// live, and again at WAL replay, where it decides whether a recorded
+// mapping still fits the restored state.
 //
 // A Txn aggregates: adding two guests on the same host or two paths over
 // the same edge accumulates their demands, exactly as the serialized
@@ -117,8 +119,8 @@ func (t *Txn) Edges() int { return len(t.edgeList) }
 // given conflict always produces the same error, and applied in the same
 // order so WAL replay reproduces the floating-point results bit for bit.
 //
-// Commit is the validate-and-apply entry point of the optimistic
-// admission pipeline: callers hold the owning session's lock (or own
+// Commit is the validate-and-apply entry point of the admission
+// pipeline: callers hold the owning session's lock (or own
 // the ledger outright), as on every other ledger mutation. It sorts the
 // touched-row lists in place but does not Reset the transaction.
 //

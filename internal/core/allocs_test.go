@@ -36,9 +36,9 @@ func allocsCluster(t *testing.T) *cluster.Cluster {
 // TestAdmissionAllocsBudget pins the steady-state admission path: after
 // warm-up, a Map+Release cycle on a live session must stay within
 // admissionAllocBudget allocations. This is the regression gate for the
-// zero-allocation admission work — the snapshot free-list and its
-// in-place resync, the reusable Txn and the pooled mapping scratch. A failure
-// here means some per-admission allocation came back.
+// zero-allocation admission work — the session's scratch snapshot and
+// its in-place resync, the reusable Txn and the pooled mapping scratch. A
+// failure here means some per-admission allocation came back.
 func TestAdmissionAllocsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not apply to the race detector's instrumented allocator")
@@ -60,7 +60,7 @@ func TestAdmissionAllocsBudget(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		cycle() // grow the free-list and scratch pool to steady state
+		cycle() // create the scratch snapshot and fill the scratch pool
 	}
 	avg := testing.AllocsPerRun(200, cycle)
 	t.Logf("admission steady state: %.1f allocs per Map+Release (budget %d)", avg, admissionAllocBudget)
@@ -71,10 +71,10 @@ func TestAdmissionAllocsBudget(t *testing.T) {
 
 // TestRerouteAllocsBudget pins the repair/migrate reroute hot path: one
 // snapshot-release-reroute cycle — the exact shape tryReroute and
-// migrateAttempt pay per optimistic attempt — must stay within
-// rerouteAllocBudget allocations once warm. The cycle takes a pooled
-// snapshot, releases a set of inter-host paths on it, re-routes them
-// through the mapper with pooled scratch, and returns the snapshot.
+// MigrateGuests pay per attempt — must stay within rerouteAllocBudget
+// allocations once warm. The cycle syncs the session's scratch
+// snapshot, releases a set of inter-host paths on it and re-routes them
+// through the mapper with pooled scratch.
 func TestRerouteAllocsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not apply to the race detector's instrumented allocator")
@@ -105,8 +105,8 @@ func TestRerouteAllocsBudget(t *testing.T) {
 
 	cycle := func() {
 		s.mu.Lock()
-		snap := s.snapshotLocked()
-		s.mu.Unlock()
+		defer s.mu.Unlock()
+		snap := s.scratchLocked()
 		copy(paths, m.LinkPath)
 		for _, l := range links {
 			snap.ReleaseBandwidth(m.LinkPath[l], env.Link(l).BW)
@@ -117,9 +117,6 @@ func TestRerouteAllocsBudget(t *testing.T) {
 		if rErr != nil {
 			t.Fatal(rErr)
 		}
-		s.mu.Lock()
-		s.freeSnapshotLocked(snap)
-		s.mu.Unlock()
 	}
 	for i := 0; i < 20; i++ {
 		cycle()

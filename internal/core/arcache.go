@@ -17,11 +17,11 @@ import (
 // tables — the cost the paper's §5.2 identifies as dominating mapping
 // time — becomes a map lookup instead of a per-admission Dijkstra sweep.
 //
-// The cache is safe for concurrent use by optimistic admissions running
-// on snapshots of different ages. Staleness is harmless by construction:
-// a snapshot's generation either matches the cache (tables are exact for
-// that snapshot's topology) or it doesn't (the snapshot computes its own
-// tables and store discards writes from superseded generations).
+// The cache is safe for concurrent use, and a lookup names the topology
+// generation of the ledger it routes on: it either matches the cache
+// (tables are exact for that topology) or it doesn't (the caller
+// computes its own tables and store discards writes from superseded
+// generations).
 type arCache struct {
 	mu  sync.Mutex
 	gen uint64                     //hmn:guardedby mu

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // TestARCacheHitsOnRepeatRouting is the regression test for the AR-table
@@ -64,5 +66,84 @@ func TestARCacheHitsOnRepeatRouting(t *testing.T) {
 	if third.ARCacheMisses != second.ARCacheMisses {
 		t.Fatalf("FailLink/RestoreLink flushed the pristine tables: misses %d -> %d",
 			second.ARCacheMisses, third.ARCacheMisses)
+	}
+}
+
+// TestSessionARCacheInvalidation checks that repeated admissions reuse
+// the cached Dijkstra tables, that FailLink invalidates them via the
+// topology generation, and that RestoreLink returns to the permanently
+// warm generation-0 tables.
+func TestSessionARCacheInvalidation(t *testing.T) {
+	c, s := sessionFixture(t)
+	v := smallEnv(42, 24)
+
+	m, err := s.Map(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st0 := s.AdmissionStats()
+	if st0.ARCacheMisses == 0 {
+		t.Fatal("first admission recorded no AR cache misses")
+	}
+	if err := s.Release(m); err != nil {
+		t.Fatal(err)
+	}
+
+	// Same environment, same topology: the tables must come from cache.
+	m, err = s.Map(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1 := s.AdmissionStats()
+	if st1.ARCacheMisses != st0.ARCacheMisses {
+		t.Fatalf("warm admission recomputed tables: misses %d -> %d", st0.ARCacheMisses, st1.ARCacheMisses)
+	}
+	if st1.ARCacheHits <= st0.ARCacheHits {
+		t.Fatalf("warm admission recorded no AR cache hits: %d -> %d", st0.ARCacheHits, st1.ARCacheHits)
+	}
+	if err := s.Release(m); err != nil {
+		t.Fatal(err)
+	}
+
+	// Nothing is deployed, so failing any link evicts nothing — but the
+	// generation bump must still flush the cache.
+	const failed = 0
+	if c.Net().NumEdges() == 0 {
+		t.Fatal("fixture has no physical links")
+	}
+	if _, err := s.FailLink(failed); err != nil {
+		t.Fatal(err)
+	}
+	m, err = s.Map(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2 := s.AdmissionStats()
+	if st2.ARCacheMisses <= st1.ARCacheMisses {
+		t.Fatalf("post-FailLink admission served stale tables: misses %d -> %d", st1.ARCacheMisses, st2.ARCacheMisses)
+	}
+	if err := s.Release(m); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restoring the link returns the topology to generation 0, whose
+	// tables survive failure epochs permanently: the next admission must
+	// hit the pristine cache, not rebuild it.
+	if err := s.RestoreLink(failed); err != nil {
+		t.Fatal(err)
+	}
+	m, err = s.Map(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st3 := s.AdmissionStats()
+	if st3.ARCacheMisses != st2.ARCacheMisses {
+		t.Fatalf("post-RestoreLink admission rebuilt pristine tables: misses %d -> %d", st2.ARCacheMisses, st3.ARCacheMisses)
+	}
+	if st3.ARCacheHits <= st2.ARCacheHits {
+		t.Fatalf("post-RestoreLink admission recorded no cache hits: %d -> %d", st2.ARCacheHits, st3.ARCacheHits)
+	}
+	if err := m.Validate(cluster.VMMOverhead{}); err != nil {
+		t.Fatalf("mapping after restore invalid: %v", err)
 	}
 }

@@ -124,13 +124,6 @@ type HMN struct {
 	// MaxMigrations caps stage 2's accepted moves; 0 means the natural
 	// termination rule ("while the load balance factor improves").
 	MaxMigrations int
-
-	// ExactObjective makes every Migration what-if recompute the Eq. (10)
-	// objective from scratch (population stddev over all residuals)
-	// instead of using the ledger's O(1) running-sum delta — a debug mode
-	// for cross-checking the incremental objective, cross-validated by
-	// the property tests.
-	ExactObjective bool
 }
 
 // Name implements Mapper.
@@ -180,7 +173,7 @@ func (h *HMN) MapWithStats(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping
 	if !h.DisableMigration {
 		t1 := time.Now() //hmn:wallclock
 		st.Migration.ObjectiveBefore = mapping.Objective(led.ResidualProcAll())
-		st.Migration.Moves = migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, h.ExactObjective, nil, nil)
+		st.Migration.Moves = migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, false, nil, nil)
 		st.Migration.ObjectiveAfter = mapping.Objective(led.ResidualProcAll())
 		st.MigrationSeconds = time.Since(t1).Seconds() //hmn:wallclock
 	}

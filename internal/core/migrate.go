@@ -14,12 +14,12 @@ import (
 // This file is the commit funnel for post-admission guest migrations —
 // the primitive the background rebalancer (internal/rebalance) drives.
 // A migrate plan relocates one or more guests of already-deployed
-// environments and commits atomically through cluster.Txn, following the
-// same optimistic shape as MapTagged: a brief lock to validate the plan
-// against the live state and clone the residuals, path re-routing on the
-// private snapshot with no lock held, then a validate-and-commit that
-// either applies the plan's net effect to the live ledger or rejects it
-// untouched. Admissions are never blocked by a migration in flight.
+// environments and commits atomically through cluster.Txn, in the same
+// one lock-hold as MapTagged: validate the plan against the live state,
+// re-route the affected paths on the session's scratch snapshot, then
+// apply the plan's net effect to the live ledger or reject it untouched.
+// What can go stale is the plan, which its author drew on an off-lock
+// PlanSnapshot — hence the plan-versus-live checks.
 //
 // Committed mappings are immutable repo-wide (the HTTP layer and the
 // snapshot writer read them off-lock), so a migration never mutates the
@@ -30,7 +30,7 @@ import (
 // ErrMigrateConflict is returned by MigrateGuests when the live state no
 // longer matches the plan — an environment was released, repaired or
 // migrated since the plan was drawn, or a destination lost the resources
-// the plan counted on and retries were exhausted.
+// the plan counted on.
 var ErrMigrateConflict = errors.New("core: migrate plan conflicts with the live state")
 
 // ErrNotImproving is returned by MigrateGuests when, at commit time, the
@@ -70,12 +70,9 @@ type MigrateResult struct {
 	// is the realized Eq. (10) change (negative: improved).
 	ObjectiveBefore float64
 	ObjectiveAfter  float64
-	// Conflicts is how many optimistic attempts lost their validation
-	// race before the plan committed.
-	Conflicts int
 }
 
-// migrateEnvState is the per-environment working state of one attempt.
+// migrateEnvState is the per-environment working state of one plan.
 type migrateEnvState struct {
 	seq   uint64
 	tag   string
@@ -90,9 +87,7 @@ type migrateEnvState struct {
 // objective by more than the shared stage-2 epsilon at commit time
 // (ErrNotImproving otherwise), and every named guest must still sit on
 // its From host (ErrMigrateConflict otherwise). Affected virtual links
-// are re-routed on a private snapshot off-lock; a destination or path
-// conflict with a concurrent admission retries against fresh residuals a
-// bounded number of times before giving up.
+// are re-routed on the scratch snapshot, under the lock.
 //
 // On success the touched environments' mappings are replaced — same seq,
 // same tag, new placements and paths — and one EventMigrate is emitted
@@ -118,42 +113,22 @@ func (s *Session) MigrateGuests(moves []GuestMove) (*MigrateResult, error) {
 		}
 	}
 
-	conflicts := 0
-	for try := 0; ; try++ {
-		res, retry, err := s.migrateAttempt(norm)
-		if err == nil {
-			res.Conflicts = conflicts
-			return res, nil
-		}
-		if !retry || try >= s.optimisticRetries {
-			return nil, err
-		}
-		conflicts++
-	}
-}
-
-// migrateAttempt runs one optimistic attempt. retry reports whether the
-// error is a validation race worth retrying against fresh residuals.
-func (s *Session) migrateAttempt(norm []GuestMove) (res *MigrateResult, retry bool, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	envs, err := s.migrateEnvsLocked(norm)
 	if err != nil {
-		s.mu.Unlock()
-		return nil, false, err
+		return nil, err
 	}
-	snap := s.snapshotLocked()
-	ver := s.version
-	s.mu.Unlock()
-	freeSnap := func() {
-		s.mu.Lock()
-		s.freeSnapshotLocked(snap)
-		s.mu.Unlock()
+	hosts, deltas := migrateShift(envs)
+	cur := s.led.ObjectiveStdDev()
+	if s.led.DeltaStdDevShift(hosts, deltas) >= -ImprovementEps(cur) {
+		return nil, ErrNotImproving
 	}
 
-	// Speculate on the private snapshot: free the moving guests and the
-	// affected links' bandwidth, re-reserve at the destinations, and
-	// re-route the affected links — every A*Prune search runs here, with
-	// no lock held.
+	// The plan still holds and still pays, so route it: on the scratch
+	// snapshot, free the moving guests and the affected links' bandwidth,
+	// re-reserve at the destinations and re-route the affected links.
+	snap := s.scratchLocked()
 	for _, es := range envs {
 		env := es.old.Env
 		nm := es.old.Clone()
@@ -165,8 +140,7 @@ func (s *Session) migrateAttempt(norm []GuestMove) (res *MigrateResult, retry bo
 			g := env.Guest(mv.Guest)
 			snap.ReleaseGuest(mv.From, g.Proc, g.Mem, g.Stor)
 			if rerr := snap.ReserveGuest(mv.To, g.Proc, g.Mem, g.Stor); rerr != nil {
-				freeSnap()
-				return nil, true, fmt.Errorf("%w: destination %d rejected guest %d of seq %d: %v",
+				return nil, fmt.Errorf("%w: destination %d rejected guest %d of seq %d: %v",
 					ErrMigrateConflict, mv.To, mv.Guest, mv.Seq, rerr)
 			}
 			nm.GuestHost[mv.Guest] = mv.To
@@ -176,39 +150,20 @@ func (s *Session) migrateAttempt(norm []GuestMove) (res *MigrateResult, retry bo
 			rerr := s.mapper.rerouteOnLedger(snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms)
 			putMapScratch(ms)
 			if rerr != nil {
-				freeSnap()
-				return nil, true, fmt.Errorf("core: migrate re-route for seq %d: %w", es.seq, rerr)
+				return nil, fmt.Errorf("core: migrate re-route for seq %d: %w", es.seq, rerr)
 			}
 		}
 		es.nm = nm
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.freeSnapshotLocked(snap)
-	if s.version != ver {
-		// The state moved while we routed. Committed mappings are
-		// immutable and every state change that touches an environment
-		// swaps its pointer out of the active set, so pointer equality
-		// re-validates all placement assumptions at once.
-		for _, es := range envs {
-			if s.bySeqLocked(es.seq) != es.old {
-				return nil, false, fmt.Errorf("%w: environment seq %d changed during planning", ErrMigrateConflict, es.seq)
-			}
-		}
-	}
-	hosts, deltas := migrateShift(envs)
-	cur := s.led.ObjectiveStdDev()
-	if s.led.DeltaStdDevShift(hosts, deltas) >= -ImprovementEps(cur) {
-		return nil, false, ErrNotImproving
-	}
 	if cerr := s.led.Commit(migrateTxn(s.led, envs)); cerr != nil {
-		// The snapshot's paths or destinations no longer fit the live
-		// residuals: a concurrent admission won the race.
-		return nil, true, fmt.Errorf("%w: %v", ErrMigrateConflict, cerr)
+		// Cannot happen — the plan was routed on a copy of the ledger
+		// taken under the lock we still hold — but a refusal must not
+		// commit silently.
+		return nil, fmt.Errorf("%w: %v", ErrMigrateConflict, cerr)
 	}
 	after := s.led.ObjectiveStdDev()
-	res = &MigrateResult{
+	res := &MigrateResult{
 		Moves:           norm,
 		Envs:            make([]MigrateEnvResult, 0, len(envs)),
 		ObjectiveBefore: cur,
@@ -223,7 +178,7 @@ func (s *Session) migrateAttempt(norm []GuestMove) (res *MigrateResult, retry bo
 	}
 	s.version++
 	s.emitLocked(Event{Type: EventMigrate, Migrate: info})
-	return res, false, nil
+	return res, nil
 }
 
 // migrateEnvsLocked resolves a normalized plan against the live active
@@ -427,7 +382,7 @@ type PlanEnv struct {
 // ascending. The view shares nothing mutable with the session — the
 // rebalancer scores candidates on it at leisure while admissions
 // proceed, then submits its plan through MigrateGuests, which
-// re-validates everything against the live state.
+// re-validates it against the live state.
 type PlanView struct {
 	Ledger *cluster.Ledger
 	Envs   []PlanEnv

@@ -57,9 +57,6 @@ func TestMigrateGuestsCommitsAtomically(t *testing.T) {
 			t.Fatalf("result moves not in canonical order: %v", res.Moves)
 		}
 	}
-	if res.Conflicts != 0 {
-		t.Fatalf("uncontended commit reported %d conflicts", res.Conflicts)
-	}
 	if res.ObjectiveBefore != before || res.ObjectiveAfter >= res.ObjectiveBefore {
 		t.Fatalf("objective bracket %g -> %g (session was at %g)",
 			res.ObjectiveBefore, res.ObjectiveAfter, before)

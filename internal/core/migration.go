@@ -74,14 +74,14 @@ func migrate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric 
 
 // migrateScoped is migrate with a selectable donor scope (see
 // MigrationScope), an optional live host index from the Hosting stage
-// (hi may be nil), and an exact-objective debug mode.
+// (hi may be nil), and an exact-objective reference mode.
 //
 // The Eq. (10) objective is evaluated from the ledger's running Σx/Σx²:
 // each what-if is a single DeltaStdDev call — O(1), no ledger mutation —
 // instead of the seed's release/reserve/full-recompute/undo dance (O(H)
-// per candidate, O(H²) per round). With exact set, every what-if
-// recomputes the population stddev from scratch; the property tests
-// cross-check both modes against each other.
+// per candidate, O(H²) per round). With exact set — by the property
+// tests only, which cross-check both modes against each other — every
+// what-if recomputes the population stddev from scratch.
 //
 // Under the paper's LoadResidualMIPS metric, "ascending load" is exactly
 // the host index's (residual desc, node asc) order, so a live tracking

@@ -16,9 +16,9 @@ import (
 // no longer tenable. Environments the degraded cluster cannot hold stay
 // evicted and are reported as unrecoverable.
 //
-// Every attempt runs on a cloned ledger and commits atomically, exactly
-// like Map, so a failed repair leaves the session untouched and a
-// concurrent reader never observes partial reservations.
+// Every attempt runs on the session's scratch snapshot and commits
+// atomically, exactly like Map — the full re-map IS Map's attempt,
+// mapLocked — so a failed repair leaves the session untouched.
 
 // RepairOutcome classifies what the repair engine did with one evicted
 // environment.
@@ -169,19 +169,9 @@ func (s *Session) repairOne(old *mapping.Mapping, tag string) RepairResult {
 		res.New, res.Outcome = nm, RepairRepaired
 		return res
 	}
-	attempt := s.snapshotLocked()
-	nm := mapping.New(s.led.Cluster(), old.Env)
-	ms := getMapScratch()
-	err := s.mapper.mapOnLedger(attempt, old.Env, nm, s.ar, ms)
-	putMapScratch(ms)
-	s.freeSnapshotLocked(attempt)
+	var st AdmitStats
+	nm, _, err := s.mapLocked(old.Env, tag, &st)
 	if err != nil {
-		res.Outcome, res.Err = RepairUnrecoverable, err
-		return res
-	}
-	if _, err := s.commitTxnLocked(old.Env, nm, tag); err != nil {
-		// Cannot happen — the attempt mapped on a clone taken under the
-		// lock we still hold — but a refusal must not admit silently.
 		res.Outcome, res.Err = RepairUnrecoverable, err
 		return res
 	}
@@ -200,8 +190,7 @@ func (s *Session) repairOne(old *mapping.Mapping, tag string) RepairResult {
 //hmn:locked mu
 func (s *Session) tryReroute(old *mapping.Mapping, tag string) (*mapping.Mapping, bool) {
 	env := old.Env
-	attempt := s.snapshotLocked()
-	defer s.freeSnapshotLocked(attempt)
+	attempt := s.scratchLocked()
 	nm := mapping.New(s.led.Cluster(), env)
 	copy(nm.GuestHost, old.GuestHost)
 

@@ -14,13 +14,13 @@ import (
 // This file is the recovery half of the durability boundary (see
 // events.go): Export captures a session's state at a snapshot point, and
 // the Replay* methods re-apply logged operations against a restored
-// session. Replay never re-runs the mapper — an optimistic admission
-// committed against residuals a serial re-map would not see, so the log
-// records *effects* (the committed mapping), and replay commits the
-// recorded mapping through the same canonical funnel (commitTxnLocked)
-// the live run used. Identical canonical applications in identical order
-// from identical starting state reproduce the residual vectors
-// bit-for-bit.
+// session. Replay never re-runs the mapper — a later build may break a
+// tie differently, and logs written before admission was serialized hold
+// placements a re-map would not reproduce — so the log records *effects*
+// (the committed mapping), and replay commits the recorded mapping
+// through the same canonical funnel (commitTxnLocked) the live run used.
+// Identical canonical applications in identical order from identical
+// starting state reproduce the residual vectors bit-for-bit.
 //
 // Every Replay* method verifies the sequence numbers it assigns against
 // the ones the log recorded and refuses to diverge: a mismatch means the
@@ -96,15 +96,13 @@ func RestoreSession(c *cluster.Cluster, overhead cluster.VMMOverhead, mapper Map
 		return nil, err
 	}
 	s := &Session{
-		c:                 c,
-		led:               led,
-		mapper:            sm,
-		overhead:          overhead,
-		active:            make(map[*mapping.Mapping]activeEntry, len(exp.Active)),
-		nextSeq:           exp.NextSeq,
-		opCount:           exp.OpCount,
-		optimisticRetries: defaultOptimisticRetries,
-		ar:                newARCache(),
+		c:       c,
+		led:     led,
+		mapper:  sm,
+		active:  make(map[*mapping.Mapping]activeEntry, len(exp.Active)),
+		nextSeq: exp.NextSeq,
+		opCount: exp.OpCount,
+		ar:      newARCache(),
 	}
 	for _, a := range exp.Active {
 		if a.Seq == 0 || a.Seq > exp.NextSeq {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -27,22 +26,21 @@ import (
 // mapped by a plain Mapper — HMN by default — against a ledger primed
 // with the current residuals.
 //
-// A Session is safe for concurrent use. Map admits optimistically: it
-// clones the residual state under a brief lock, runs the full HMN
-// pipeline on the private snapshot with no lock held, then re-acquires
-// the lock, validates every reservation against the live residuals and
-// commits them atomically. A bounded number of conflicts falls back to
-// the same attempt with the lock held throughout, so contention can cost
-// retries but never an admission that serial execution would have
-// accepted.
+// A Session is safe for concurrent use, one lock-hold per operation: Map,
+// Repair and MigrateGuests each take the session lock, copy the live
+// residuals into the session's scratch snapshot, run the mapper or the
+// router on that copy, and commit the net effect to the live ledger
+// atomically before unlocking. Every concurrent history of a session is
+// therefore the serial execution of its commit order — the paper's one
+// environment at a time (§3.2) — and a failed attempt leaves the ledger
+// untouched. Concurrency is across sessions, each with its own lock.
 type Session struct {
 	mu sync.Mutex
 	// c is the immutable cluster, readable without the lock; s.led is
 	// guarded state and must not be touched off-lock.
-	c        *cluster.Cluster
-	led      *cluster.Ledger //hmn:guardedby mu
-	mapper   sessionMapper
-	overhead cluster.VMMOverhead
+	c      *cluster.Cluster
+	led    *cluster.Ledger //hmn:guardedby mu
+	mapper sessionMapper
 	// active maps each deployed environment to its admission sequence
 	// number and caller tag. The sequence is the session's only ordering
 	// authority: eviction and repair process environments oldest-first,
@@ -54,19 +52,16 @@ type Session struct {
 	active  map[*mapping.Mapping]activeEntry //hmn:guardedby mu
 	nextSeq uint64                           //hmn:guardedby mu
 	// version counts committed state changes (admissions, releases,
-	// failures, restorations). An optimistic attempt records it at
-	// snapshot time; an unchanged version at commit time proves the
-	// snapshot is still the live state.
+	// failures, restorations, migrations): the epoch a ResidualSummary is
+	// stamped with.
 	version uint64 //hmn:guardedby mu
-	// optimisticRetries bounds the optimistic attempts before Map falls
-	// back to mapping under the lock; 0 forces the serialized path.
-	optimisticRetries int
 	// ar caches Dijkstra latency tables across admissions; see arCache.
 	ar *arCache
-	// snapFree recycles attempt snapshots: each is a cluster.Ledger.Snapshot
-	// whose arrays SyncFrom overwrites in place, so an admission copies
-	// the ledger without allocating a clone.
-	snapFree []*cluster.Ledger //hmn:guardedby mu
+	// snap is the scratch copy of led every attempt speculates on: a
+	// cluster.Ledger.Snapshot made on first use, whose arrays SyncFrom
+	// then overwrites in place, so an attempt copies the ledger without
+	// allocating a clone. One suffices — attempts never overlap.
+	snap *cluster.Ledger //hmn:guardedby mu
 	// txn is the reusable admission transaction every commit funnels
 	// through; epoch-stamped reset makes reuse O(touched), not O(state).
 	txn *cluster.Txn //hmn:guardedby mu
@@ -76,10 +71,6 @@ type Session struct {
 	// index the events are stamped with.
 	hook    func(Event) //hmn:guardedby mu
 	opCount uint64      //hmn:guardedby mu
-
-	optimisticCommits atomic.Uint64
-	conflicts         atomic.Uint64
-	fallbacks         atomic.Uint64
 }
 
 // activeEntry is the session-side bookkeeping of one deployed
@@ -88,13 +79,6 @@ type activeEntry struct {
 	seq uint64
 	tag string
 }
-
-// defaultOptimisticRetries is how many optimistic attempts Map makes
-// before serializing. Conflicts need the live residuals to move during
-// the few milliseconds a mapping takes, so first retries usually land;
-// by the third failure the session is contended enough that the
-// serialized path is cheaper than another wasted pipeline run.
-const defaultOptimisticRetries = 3
 
 // sessionMapper is the subset of mappers a session can drive
 // incrementally: they must accept a pre-primed ledger. HMN and its
@@ -121,7 +105,7 @@ func (h *HMN) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mappin
 		return fmt.Errorf("HMN hosting stage: %w", err)
 	}
 	if !h.DisableMigration {
-		migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, h.ExactObjective, nil, ms)
+		migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, false, nil, ms)
 	}
 	if err := network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, arc, ms); err != nil {
 		return fmt.Errorf("HMN networking stage: %w", err)
@@ -167,13 +151,11 @@ func NewSession(c *cluster.Cluster, overhead cluster.VMMOverhead, mapper Mapper)
 		return nil, err
 	}
 	return &Session{
-		c:                 c,
-		led:               led,
-		mapper:            sm,
-		overhead:          overhead,
-		active:            make(map[*mapping.Mapping]activeEntry),
-		optimisticRetries: defaultOptimisticRetries,
-		ar:                newARCache(),
+		c:      c,
+		led:    led,
+		mapper: sm,
+		active: make(map[*mapping.Mapping]activeEntry),
+		ar:     newARCache(),
 	}, nil
 }
 
@@ -235,172 +217,110 @@ func (s *Session) ObjectiveStdDev() float64 {
 
 // AdmitStats reports how one Map call was admitted.
 type AdmitStats struct {
-	// Conflicts is how many optimistic attempts lost their validation
-	// race and were retried.
-	Conflicts int
-	// Fallback reports that the admission exhausted its optimistic
-	// retries and ran fully serialized under the session lock.
-	Fallback bool
-	// CommitSeconds is the total time spent holding the session lock —
-	// the snapshot clone plus every validate-and-commit (or, on the
-	// fallback, the whole serialized mapping).
+	// CommitSeconds is the admission's share of the lock-hold that is not
+	// the mapper: syncing the scratch snapshot, then validate-and-commit
+	// and the commit hook.
 	CommitSeconds float64
-	// Route counts the A*Prune work of every attempt the admission made,
-	// lost races included: searches, candidates popped and pushed.
+	// Route counts the admission's A*Prune work: searches, candidates
+	// popped and pushed.
 	Route graph.SearchStats
 }
 
 // Map deploys v against the session's current residual resources. On
-// failure the residuals are left exactly as they were (every attempt
-// runs on a private snapshot and commits atomically).
+// failure the residuals are left exactly as they were (the attempt runs
+// on the scratch snapshot and commits atomically).
 func (s *Session) Map(v *virtual.Env) (*mapping.Mapping, error) {
 	m, _, err := s.MapTagged(v, "")
 	return m, err
 }
 
-// MapWithStats is Map, also reporting how the admission went: how many
-// optimistic attempts conflicted, whether the serialized fallback ran,
-// and the time spent holding the session lock. The mapping result is
-// identical either way.
+// MapWithStats is Map, also reporting the admission's commit time and
+// routing work.
 func (s *Session) MapWithStats(v *virtual.Env) (*mapping.Mapping, AdmitStats, error) {
 	return s.MapTagged(v, "")
 }
 
-// snapshotLocked hands out an attempt snapshot of the live ledger:
-// a recycled one overwritten in place by SyncFrom (a flat copy of
-// every row, no allocation), or a fresh cluster.Ledger.Snapshot when
-// the pool is empty. Callers hold s.mu and must return the snapshot
-// with freeSnapshotLocked once the attempt is over.
+// scratchLocked overwrites the session's scratch snapshot with the live
+// ledger (SyncFrom: a flat copy of every row, no allocation) and returns
+// it, for one attempt to speculate on. Callers hold s.mu until they are
+// done with it.
 //
 //hmn:locked mu
 //hmn:noalloc
-func (s *Session) snapshotLocked() *cluster.Ledger {
-	if n := len(s.snapFree); n > 0 {
-		snap := s.snapFree[n-1]
-		s.snapFree[n-1] = nil
-		s.snapFree = s.snapFree[:n-1]
-		snap.SyncFrom(s.led)
-		return snap
+func (s *Session) scratchLocked() *cluster.Ledger {
+	if s.snap == nil {
+		s.snap = s.led.Snapshot() //hmn:allocok once per session
 	}
-	return s.led.Snapshot()
-}
-
-// freeSnapshotLocked recycles an attempt snapshot. Callers hold s.mu
-// and must not touch snap afterwards.
-//
-//hmn:locked mu
-//hmn:noalloc
-func (s *Session) freeSnapshotLocked(snap *cluster.Ledger) {
-	s.snapFree = append(s.snapFree, snap) //hmn:allocok grows to the high-water snapshot count, then recycles
+	s.snap.SyncFrom(s.led)
+	return s.snap
 }
 
 // MapTagged is MapWithStats with a caller tag attached to the admission:
 // the tag rides the commit event and the session snapshot (hmnd passes
 // its environment ID), and repairs carry it to replacement mappings.
 //
-// It is a retry loop around admitOnce, the session's one admission
-// attempt: up to optimisticRetries attempts map with no lock held, and
-// the one after them holds the lock across the mapping, so its verdict
-// is the serial path's — contention can never reject an environment the
-// residuals can hold.
-//
-// The loop and the attempt are annotated allocation-free: the
-// per-attempt allocations live in the designated constructors they call
-// (mapping.New, the scratch pools), so any new allocating construct
-// added here is a hotpathalloc diagnostic.
+// It is one lock-hold around mapLocked, so its verdict is the serial
+// execution's: contention can never reject an environment the residuals
+// can hold, nor admit one onto hosts Hosting would no longer choose.
 //
 //hmn:noalloc
 func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, AdmitStats, error) {
 	var st AdmitStats
-	for try := 0; ; try++ {
-		if try >= s.optimisticRetries {
-			st.Fallback = true
-			s.fallbacks.Add(1)
-		}
-		m, final, err := s.admitOnce(v, tag, st.Fallback, &st)
-		if final {
-			return m, st, err
-		}
-		// A conflicting commit, or a mapping failure on residuals that
-		// have since changed (the failure may be stale): retry against a
-		// fresh snapshot.
-		st.Conflicts++
-		s.conflicts.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, seq, err := s.mapLocked(v, tag, &st)
+	if err != nil {
+		return nil, st, err
 	}
+	start := time.Now() //hmn:wallclock
+	s.emitAdmitLocked(seq, tag, v, m)
+	st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
+	return m, st, nil
 }
 
-// admitOnce is one admission attempt: pin a snapshot of the live ledger
-// under the lock, run the mapper on it, then — under the lock again —
-// validate the mapping's net demands against the live residuals, commit
-// them atomically and emit the admit event. held keeps the lock across
-// the mapping (the serialized attempt); otherwise the expensive part —
-// hosting, migration and every A*Prune search — runs with no lock held
-// and other commits may land meanwhile.
+// mapLocked is the session's one mapping attempt, shared by admission
+// and repair: sync the scratch snapshot from the live ledger, run the
+// mapper on it — never on the live ledger, so a mapping that fails
+// half-way leaves no reservation behind — then collapse the finished
+// mapping into the reusable transaction and commit it. The snapshot is
+// the live state for the whole attempt (the caller holds s.mu), so a
+// mapper error is final and the commit cannot lose a race.
 //
-// final reports whether the outcome stands. A success always does. A
-// failure does only if nothing committed since the snapshot was taken,
-// because then the snapshot IS the live state and the failure is the
-// serialized semantics; once the state has moved, a mapping error may be
-// stale and a refused commit is a lost validation race (the mapping
-// would still have been admissible had its final placements and path
-// bandwidths fitted the live residuals — Commit checks exactly that and
-// applies atomically, or rejects without touching the ledger), so the
-// caller retries. A held attempt never sees the state move.
+// Annotated allocation-free: the per-attempt allocations live in the
+// designated constructors it calls (mapping.New, the scratch pools), so
+// any new allocating construct added here is a hotpathalloc diagnostic.
 //
+//hmn:locked mu
 //hmn:noalloc
-func (s *Session) admitOnce(v *virtual.Env, tag string, held bool, st *AdmitStats) (m *mapping.Mapping, final bool, err error) {
+func (s *Session) mapLocked(v *virtual.Env, tag string, st *AdmitStats) (*mapping.Mapping, uint64, error) {
 	start := time.Now() //hmn:wallclock
-	s.mu.Lock()
-	snap := s.snapshotLocked()
-	ver := s.version
-	if !held {
-		s.mu.Unlock()
-		st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
-	}
+	snap := s.scratchLocked()
+	st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
 
-	m = mapping.New(s.c, v)
+	m := mapping.New(s.c, v)
 	ms := getMapScratch()
-	err = s.mapper.mapOnLedger(snap, v, m, s.ar, ms)
+	err := s.mapper.mapOnLedger(snap, v, m, s.ar, ms)
 	st.Route.Add(ms.route)
 	putMapScratch(ms)
+	if err != nil {
+		return nil, 0, err
+	}
 
-	if !held {
-		start = time.Now() //hmn:wallclock
-		s.mu.Lock()
-	}
-	s.freeSnapshotLocked(snap)
-	live := s.version == ver
-	if err == nil {
-		var seq uint64
-		if seq, err = s.commitTxnLocked(v, m, tag); err == nil {
-			s.emitAdmitLocked(seq, tag, v, m)
-		}
-	}
-	s.mu.Unlock()
+	start = time.Now() //hmn:wallclock
+	seq, err := s.commitTxnLocked(v, m, tag)
 	st.CommitSeconds += time.Since(start).Seconds() //hmn:wallclock
 	if err != nil {
-		return nil, live, err
+		return nil, 0, err
 	}
-	if !held {
-		s.optimisticCommits.Add(1)
-	}
-	return m, true, nil
+	return m, seq, nil
 }
 
-// admissionTxn collapses a finished mapping into its net effect on the
-// ledger: each guest's demands on its final host and each path's
-// bandwidth. Intermediate moves the Migration stage made cancel out by
+// fillAdmissionTxn collapses a finished mapping into its net effect on
+// the ledger — each guest's demands on its final host and each path's
+// bandwidth — accumulated into txn, which must be fresh or Reset.
+// Intermediate moves the Migration stage made cancel out by
 // construction, so validating the transaction is validating Eq. (2),
 // (3) and (9) for the mapping as committed.
-func admissionTxn(led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping) *cluster.Txn {
-	txn := led.NewTxn()
-	fillAdmissionTxn(txn, v, m)
-	return txn
-}
-
-// fillAdmissionTxn accumulates m's net effect into txn, which must be
-// fresh or Reset. Split from admissionTxn so the session's commit funnel
-// can reuse one transaction across admissions.
 //
 //hmn:noalloc
 func fillAdmissionTxn(txn *cluster.Txn, v *virtual.Env, m *mapping.Mapping) {
@@ -418,8 +338,8 @@ func fillAdmissionTxn(txn *cluster.Txn, v *virtual.Env, m *mapping.Mapping) {
 // applies it atomically (cluster.Ledger.Commit applies per-host
 // aggregates in ascending host order, then per-edge aggregates in
 // ascending edge order), then registers m as active under the next
-// sequence number. Every admission — optimistic, serialized, repaired
-// or replayed — commits through here, so the live ledger evolves as a
+// sequence number. Every admission — mapped, repaired or replayed —
+// commits through here, so the live ledger evolves as a
 // deterministic sequence of canonical applications keyed by the
 // admission sequence; replaying the same sequence (internal/wal)
 // reproduces the residual vectors bit-for-bit. Callers hold s.mu.
@@ -467,13 +387,11 @@ func (s *Session) admitLocked(m *mapping.Mapping, tag string) uint64 {
 
 // SessionStats are monotonic totals over a session's lifetime.
 type SessionStats struct {
-	// OptimisticCommits counts admissions committed without holding the
-	// lock during mapping.
-	OptimisticCommits uint64
-	// Conflicts counts optimistic attempts that lost their validation
-	// race (each conflicted Map can contribute several).
+	// Conflicts and Fallbacks are always zero: they counted the lost
+	// races and serialized retries of optimistic admission, which is
+	// gone. They survive only because the frozen benchmark/hmnperf reads
+	// them; the next [benchmark] PR deletes both (ROADMAP item 8).
 	Conflicts uint64
-	// Fallbacks counts admissions that ran on the serialized path.
 	Fallbacks uint64
 	// ARCacheHits and ARCacheMisses count Dijkstra latency-table
 	// lookups served from, respectively filled into, the session cache.
@@ -484,11 +402,8 @@ type SessionStats struct {
 // AdmissionStats returns the session's admission counters.
 func (s *Session) AdmissionStats() SessionStats {
 	return SessionStats{
-		OptimisticCommits: s.optimisticCommits.Load(),
-		Conflicts:         s.conflicts.Load(),
-		Fallbacks:         s.fallbacks.Load(),
-		ARCacheHits:       s.ar.hits.Load(),
-		ARCacheMisses:     s.ar.misses.Load(),
+		ARCacheHits:   s.ar.hits.Load(),
+		ARCacheMisses: s.ar.misses.Load(),
 	}
 }
 

@@ -100,19 +100,19 @@ func runDeterminism(pass *Pass) (interface{}, error) {
 			return true
 		})
 		if hotPath {
-			checkExactObjective(pass, file)
+			checkExactRecompute(pass, file)
 		}
 	}
 	return nil, nil
 }
 
-// checkExactObjective flags stats.PopStdDev calls that sit inside a
+// checkExactRecompute flags stats.PopStdDev calls that sit inside a
 // loop or a closure (migration and consolidation evaluate candidates
 // through closures called per attempt): each such call recomputes the
 // Eq. (10) objective in O(hosts) where Ledger.ObjectiveStdDev and
 // Ledger.DeltaStdDev are O(1). The debug cross-check's deliberate
 // recompute is admitted by //hmn:exactobjective.
-func checkExactObjective(pass *Pass, file *ast.File) {
+func checkExactRecompute(pass *Pass, file *ast.File) {
 	var spans [][2]token.Pos
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n.(type) {
@@ -141,7 +141,7 @@ func checkExactObjective(pass *Pass, file *ast.File) {
 		if !inSpan(call.Pos()) {
 			return true
 		}
-		if _, ok := pass.annotated(file, call.Pos(), dirExactObjective); ok {
+		if _, ok := pass.annotated(file, call.Pos(), dirExactRecompute); ok {
 			return true
 		}
 		pass.Reportf(call.Pos(),

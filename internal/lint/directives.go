@@ -30,7 +30,7 @@ const (
 	dirGuardedBy      = "guardedby"
 	dirLocked         = "locked"
 	dirSentinelTable  = "sentineltable"
-	dirExactObjective = "exactobjective"
+	dirExactRecompute = "exactobjective"
 	dirWALEncoder     = "walencoder"
 	dirWALReplayer    = "walreplayer"
 	dirNoAlloc        = "noalloc"
@@ -43,7 +43,7 @@ const (
 // otherwise annotate nothing without anyone noticing.
 var knownDirectives = map[string]bool{
 	dirWallclock: true, dirOrderInvariant: true, dirGuardedBy: true,
-	dirLocked: true, dirSentinelTable: true, dirExactObjective: true,
+	dirLocked: true, dirSentinelTable: true, dirExactRecompute: true,
 	dirWALEncoder: true, dirWALReplayer: true, dirNoAlloc: true,
 	dirAllocOK: true, dirLockOrder: true,
 }

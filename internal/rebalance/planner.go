@@ -21,9 +21,9 @@
 // runs on both hosts while state copies), so the plan greedily schedules
 // the move whose destination has the largest memory slack at its turn,
 // updating simulated residuals as it goes. Commits go through
-// core.Session.MigrateGuests — optimistic snapshot, validate-and-commit
-// via cluster.Txn, bounded retry — so admissions are never blocked, and
-// every committed plan is logged by the session's commit hook as a WAL
+// core.Session.MigrateGuests — one lock-hold: re-validate the plan,
+// re-route on the session's scratch snapshot, commit via cluster.Txn —
+// and every committed plan is logged by the session's commit hook as a WAL
 // migrate record with a matching ReplayMigrate.
 package rebalance
 

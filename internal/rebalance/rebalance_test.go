@@ -249,24 +249,6 @@ func TestSchedulerRunOnceRebalancesSession(t *testing.T) {
 	}
 }
 
-func TestSchedulerPauseSuppressesRounds(t *testing.T) {
-	s, _ := sessionWithPile(t)
-	sched := New(s, time.Hour, 0, Hooks{})
-	sched.Pause()
-	if moved := sched.RunOnce(); moved != 0 {
-		t.Fatalf("paused scheduler moved %d guests", moved)
-	}
-	sched.Pause() // pauses nest
-	sched.Resume()
-	if moved := sched.RunOnce(); moved != 0 {
-		t.Fatalf("still-paused scheduler moved %d guests", moved)
-	}
-	sched.Resume()
-	if moved := sched.RunOnce(); moved == 0 {
-		t.Fatal("resumed scheduler planned nothing on an unbalanced session")
-	}
-}
-
 func TestSchedulerBackgroundLoop(t *testing.T) {
 	s, _ := sessionWithPile(t)
 	done := make(chan struct{}, 16)

@@ -34,10 +34,10 @@ type Hooks struct {
 
 // Scheduler runs the rebalancing loop for one session: every interval it
 // takes a plan snapshot, plans up to maxMoves guest moves, and submits
-// each unit through the committer. A unit that fails its optimistic
-// commit (the cluster changed under it) is dropped — the next round
-// plans against fresh residuals anyway — so the loop never blocks or
-// retries against admissions.
+// each unit through the committer. A unit the live state has overtaken
+// (the cluster changed since the snapshot) is dropped — the next round
+// plans against fresh residuals anyway — so the loop never retries
+// against admissions.
 type Scheduler struct {
 	committer Committer
 	interval  time.Duration
@@ -45,7 +45,6 @@ type Scheduler struct {
 	hooks     Hooks
 
 	mu      sync.Mutex
-	paused  int           //hmn:guardedby mu
 	running bool          //hmn:guardedby mu
 	stop    chan struct{} //hmn:guardedby mu
 	done    chan struct{} //hmn:guardedby mu
@@ -87,25 +86,6 @@ func (s *Scheduler) Stop() {
 	<-done
 }
 
-// Pause suspends planning without stopping the loop; rounds firing while
-// paused do nothing. Pauses nest: every Pause needs a matching Resume.
-// hmnd pauses rebalancing during drain so shutdown races no in-flight
-// migrations.
-func (s *Scheduler) Pause() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.paused++
-}
-
-// Resume undoes one Pause.
-func (s *Scheduler) Resume() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.paused > 0 {
-		s.paused--
-	}
-}
-
 // loop is the background ticker. The scheduler deliberately ticks at a
 // fixed interval rather than planning continuously: a round against a
 // quiescent session proposes nothing and costs one snapshot.
@@ -125,17 +105,11 @@ func (s *Scheduler) loop(stop, done chan struct{}) {
 
 // RunOnce executes one planning round synchronously: snapshot, plan,
 // submit each unit in headroom order. It returns the number of guest
-// moves committed. Safe to call concurrently with the background loop —
-// rounds serialize through the session's own lock — and it is what the
-// one-shot POST /v1/sessions/{sid}/rebalance endpoint calls.
+// moves committed. Safe to call concurrently with the background loop:
+// planning runs off-lock on each round's own snapshot, and the commits
+// serialize through the session's lock, each a whole MigrateGuests. It
+// is what the one-shot POST /v1/sessions/{sid}/rebalance endpoint calls.
 func (s *Scheduler) RunOnce() int {
-	s.mu.Lock()
-	paused := s.paused > 0
-	s.mu.Unlock()
-	if paused {
-		return 0
-	}
-
 	start := time.Now() //hmn:wallclock
 	view := s.committer.PlanSnapshot()
 	units := Plan(view, s.maxMoves)

@@ -16,7 +16,6 @@ import (
 // the scrape-time degradation and occupancy gauges.
 var contractFamilies = []string{
 	"hmnd_map_latency_seconds", "hmnd_commit_latency_seconds",
-	"hmnd_admit_conflicts_total", "hmnd_admit_fallbacks_total", "hmnd_admit_optimistic_total",
 	"hmnd_route_searches_total", "hmnd_route_pops_total",
 	"hmnd_repair_latency_seconds", "hmnd_evictions_total", "hmnd_repairs_total",
 	"hmnd_rebalance_rounds_total", "hmnd_rebalance_planned_units_total", "hmnd_rebalance_moves_total",
@@ -213,9 +212,6 @@ func TestBothModesHTTPContract(t *testing.T) {
 				if got := metricValue(t, text, series); got != want {
 					t.Errorf("%s = %v, want %v", series, got, want)
 				}
-			}
-			if got := metricValue(t, text, "hmnd_admit_optimistic_total") + metricValue(t, text, "hmnd_admit_fallbacks_total"); got != 2 {
-				t.Errorf("optimistic + fallbacks = %v, want 2", got)
 			}
 			if metricValue(t, text, "hmnd_wal_records_total") == 0 || metricValue(t, text, "hmnd_wal_fsync_seconds_count") == 0 {
 				t.Error("the admission and the failure reached the log uncounted")

@@ -124,8 +124,8 @@ type Config struct {
 	VerifyReplay bool
 	// RebalanceInterval enables the background rebalancer: every lock
 	// domain's scheduler periodically plans improving guest migrations
-	// off the live residuals and commits them through the optimistic
-	// migrate funnel. 0 disables the loop; the one-shot rebalance
+	// off the live residuals and commits them through
+	// core.Session.MigrateGuests. 0 disables the loop; the one-shot rebalance
 	// endpoint works either way.
 	RebalanceInterval time.Duration
 	// RebalanceMaxMoves caps guest moves per rebalancing round (a
@@ -212,9 +212,6 @@ type Server struct {
 	mLatency       *metrics.Histogram
 	mRepairLatency *metrics.Histogram
 	mCommitLatency *metrics.Histogram
-	mConflicts     *metrics.Counter
-	mFallbacks     *metrics.Counter
-	mOptimistic    *metrics.Counter
 	mRouteSearches *metrics.Counter
 	mRoutePops     *metrics.Counter
 	mReplayRecords *metrics.Counter
@@ -242,13 +239,7 @@ func newServer(cfg Config) *Server {
 		mRepairLatency: reg.Histogram("hmnd_repair_latency_seconds",
 			"Wall time of fail-and-repair operations (eviction plus re-mapping).", nil),
 		mCommitLatency: reg.Histogram("hmnd_commit_latency_seconds",
-			"Time an admission held the session lock (snapshot plus validate-and-commit; the whole mapping on the serialized fallback).", nil),
-		mConflicts: reg.Counter("hmnd_admit_conflicts_total",
-			"Optimistic admission attempts that lost their validation race and retried."),
-		mFallbacks: reg.Counter("hmnd_admit_fallbacks_total",
-			"Admissions that exhausted optimistic retries and ran serialized."),
-		mOptimistic: reg.Counter("hmnd_admit_optimistic_total",
-			"Admissions committed optimistically (mapping ran with no lock held)."),
+			"Time an admission spent outside the mapper while holding the session lock (snapshot + validate-and-commit).", nil),
 		mRouteSearches: reg.Counter("hmnd_route_searches_total",
 			"A*Prune searches run by map attempts (one per inter-host virtual link routed)."),
 		mRoutePops: reg.Counter("hmnd_route_pops_total",
@@ -270,7 +261,7 @@ func newServer(cfg Config) *Server {
 		rebalMoves = reg.Counter("hmnd_rebalance_moves_total",
 			"Guest migrations committed by the rebalancer.")
 		rebalAborts = reg.Counter("hmnd_rebalance_aborts_total",
-			"Planned units dropped because their optimistic commit lost its validation race.")
+			"Planned units dropped because the live state had moved on since the plan's snapshot.")
 		rebalImprovement = reg.Gauge("hmnd_rebalance_objective_improvement",
 			"Cumulative Eq. (10) objective reduction realized by committed rebalancing plans.")
 		rebalLatency = reg.Histogram("hmnd_rebalance_round_seconds",
@@ -456,14 +447,8 @@ func (s *Server) isDraining() bool {
 func (s *Server) observeAdmit(admit core.AdmitStats, seconds float64) {
 	s.mLatency.Observe(seconds)
 	s.mCommitLatency.Observe(admit.CommitSeconds)
-	s.mConflicts.Add(uint64(admit.Conflicts))
 	s.mRouteSearches.Add(admit.Route.Searches)
 	s.mRoutePops.Add(admit.Route.Pops)
-	if admit.Fallback {
-		s.mFallbacks.Inc()
-	} else {
-		s.mOptimistic.Inc()
-	}
 }
 
 // decodeMapEnv reads the body of POST /v1/sessions/{sid}/envs, in
@@ -535,7 +520,7 @@ func failureStatus(err error) (code int, msg string, ok bool) {
 	case errors.Is(err, core.ErrMigrateConflict), errors.Is(err, core.ErrNotImproving):
 		// A migrate plan drawn on a stale snapshot: the cluster moved on
 		// (guest relocated, or the plan stopped improving) before the
-		// commit validated. Retry against fresh state.
+		// commit. Retry against fresh state.
 		return http.StatusConflict, err.Error(), false
 	case errors.Is(err, core.ErrNoHostFits), errors.Is(err, core.ErrEmptyPool), errors.Is(err, core.ErrNoPath),
 		errors.Is(err, core.ErrNoPathBandwidth), errors.Is(err, core.ErrNoPathLatency), // ErrNoPath's two causes

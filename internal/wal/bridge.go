@@ -17,8 +17,9 @@ import (
 // direction (RecordFromEvent) captures *effects* — the exact committed
 // mapping, down to the physical edge IDs — and the reverse direction
 // (ReplayRecord) applies those effects through the session's canonical
-// commit funnel without ever re-running the mapper. An optimistic
-// admission commits against residuals no serial re-map would see, so
+// commit funnel without ever re-running the mapper. A newer build may
+// break a tie differently, and logs from daemons that admitted
+// optimistically hold placements no serial re-map would produce, so
 // re-deriving mappings at replay time could diverge; re-applying
 // recorded net transactions in recorded order cannot.
 

@@ -102,8 +102,8 @@ type OpenRec struct {
 
 // AdmitRec is one committed admission: the environment, the mapping the
 // session committed (its effect, not a recipe — replay must not re-run
-// the mapper, because optimistic admissions commit against residuals a
-// serial re-map would never see), the sequence number it received and
+// the mapper, whose tie-breaks may differ from the build that wrote the
+// record), the sequence number it received and
 // the caller tag (hmnd's environment ID).
 type AdmitRec struct {
 	Seq uint64           `json:"seq"`
