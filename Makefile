@@ -47,7 +47,7 @@ vet:
 ## exact-edge replay corpus alongside the cluster/env shapes, then the
 ## two differentials that hold the hand-written codec to encoding/json:
 ## DecodeStrict's fast path against a plain strict json.Decoder, and the
-## WAL's readFrame against json.Unmarshal.
+## WAL's frame decoder against json.Unmarshal.
 fuzz:
 	go test -run '^$$' -fuzz 'FuzzDecodeSpec$$' -fuzztime 45s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzDecodeStrictDifferential$$' -fuzztime 20s ./internal/spec
@@ -56,9 +56,12 @@ fuzz:
 ## bench-allocs gates the allocation budgets of one admission: the
 ## steady-state Map+Release cycle and the failure-repair reroute cycle
 ## (internal/core/allocs_test.go), and the JSON around them — request
-## decode, reply and WAL-record encode (internal/server/codec_test.go).
+## decode, reply and WAL-record encode (internal/server/codec_test.go) —
+## and the memory budget of recovery: live heap independent of the log's
+## length, bytes per record within a constant of the Env and Mapping it
+## builds (internal/wal/recover_test.go).
 bench-allocs:
-	go test -run 'AllocsBudget' -v ./internal/core/ ./internal/server/
+	go test -run 'AllocsBudget|TestRecoverMemoryIndependentOfLogLength' -v ./internal/core/ ./internal/server/ ./internal/wal/
 
 ## bench-baselines regenerates the committed benchmark baselines. Run it
 ## when a change legitimately moves the seeded sweep (new scenarios, new

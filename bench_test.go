@@ -825,6 +825,25 @@ func BenchmarkGAMapper(b *testing.B) {
 	b.ReportMetric(obj, "objective")
 }
 
+// codecTestbeds are the two hmnperf shapes the serialization benchmarks
+// run on: a 40-guest high-level environment on the switched paper
+// cluster and a 500-guest low-level one (≈ 2.5 k links) on an 8x8 torus.
+var codecTestbeds = []struct {
+	name  string
+	build func(rng *rand.Rand) (*Cluster, *virtual.Env, error)
+}{
+	{"switched_40g", func(rng *rand.Rand) (*Cluster, *virtual.Env, error) {
+		c, err := topology.Switched(workload.GenerateHosts(workload.PaperClusterParams(), rng), workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
+		return c, workload.GenerateEnv(workload.HighLevelParams(40, 0.02), rng), err
+	}},
+	{"torus_500g", func(rng *rand.Rand) (*Cluster, *virtual.Env, error) {
+		p := workload.PaperClusterParams()
+		p.Hosts = 64
+		c, err := topology.Torus2D(workload.GenerateHosts(p, rng), 8, 8, 10000, 1)
+		return c, workload.GenerateEnv(workload.LowLevelParams(500, 0.02), rng), err
+	}},
+}
+
 // BenchmarkSpecCodec measures the JSON on the admit path at the two
 // gated hmnperf workloads' body sizes — a 40-guest high-level
 // environment on the switched paper cluster and a 500-guest low-level
@@ -835,22 +854,7 @@ func BenchmarkGAMapper(b *testing.B) {
 // ((*wal.Record).AppendJSON against json.Marshal). It regenerates the
 // codec table of DESIGN.md §12; MB/s is over the JSON bytes.
 func BenchmarkSpecCodec(b *testing.B) {
-	cases := []struct {
-		name  string
-		build func(rng *rand.Rand) (*Cluster, *virtual.Env, error)
-	}{
-		{"switched_40g", func(rng *rand.Rand) (*Cluster, *virtual.Env, error) {
-			c, err := topology.Switched(workload.GenerateHosts(workload.PaperClusterParams(), rng), workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
-			return c, workload.GenerateEnv(workload.HighLevelParams(40, 0.02), rng), err
-		}},
-		{"torus_500g", func(rng *rand.Rand) (*Cluster, *virtual.Env, error) {
-			p := workload.PaperClusterParams()
-			p.Hosts = 64
-			c, err := topology.Torus2D(workload.GenerateHosts(p, rng), 8, 8, 10000, 1)
-			return c, workload.GenerateEnv(workload.LowLevelParams(500, 0.02), rng), err
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range codecTestbeds {
 		c, env, err := tc.build(rand.New(rand.NewSource(9)))
 		if err != nil {
 			b.Fatal(err)
@@ -912,6 +916,73 @@ func BenchmarkSpecCodec(b *testing.B) {
 		run("wal_record/fast", len(payload), func() error {
 			payload, _ = rec.AppendJSON(payload[:0])
 			return nil
+		})
+	}
+}
+
+// BenchmarkRecover measures the daemon's recovery pass (wal.Verify: the
+// pass of wal.Recover, minus the repairs, so every iteration reads the
+// same directory) over a churn log of each hmnperf shape, written once:
+// the same environment admitted and released over and over with four
+// live, as a commit hook logged it. Next to B/op and allocs/op it reports
+// records/s and MB/s of log. B/op stays near the Env and Mapping each
+// admit record must build — the log itself is never held.
+func BenchmarkRecover(b *testing.B) {
+	const live = 4
+	for _, tc := range codecTestbeds {
+		c, env, err := tc.build(rand.New(rand.NewSource(9)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		admits := 200_000 / (env.NumGuests() + env.NumLinks()) // ≈ 20 MB of log either way
+		dir := b.TempDir()
+		w, _, err := wal.Recover(dir, wal.Hooks{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sess, err := core.NewSession(c, VMMOverhead{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		open := &wal.Record{Kind: wal.KindOpen, SID: "s1", Open: &wal.OpenRec{Cluster: spec.FromCluster(c)}}
+		if err := w.Append(open); err != nil {
+			b.Fatal(err)
+		}
+		sess.SetCommitHook(func(ev core.Event) {
+			if err := w.Append(wal.RecordFromEvent("s1", VMMOverhead{}, ev)); err != nil {
+				b.Error(err)
+			}
+		})
+		var held []*mapping.Mapping
+		for i := 0; i < admits; i++ {
+			if len(held) == live {
+				if err := sess.Release(held[0]); err != nil {
+					b.Fatal(err)
+				}
+				held = held[1:]
+			}
+			m, err := sess.Map(env)
+			if err != nil {
+				b.Fatal(err)
+			}
+			held = append(held, m)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var rec *wal.Recovery
+			for i := 0; i < b.N; i++ {
+				if rec, err = wal.Verify(dir, wal.Hooks{}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if len(rec.Sessions) != 1 || rec.Sessions[0].Session.Active() != live {
+				b.Fatalf("recovered %d sessions, want one with %d live", len(rec.Sessions), live)
+			}
+			b.SetBytes(rec.Bytes)
+			b.ReportMetric(float64(rec.Records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})
 	}
 }

@@ -1,7 +1,8 @@
 // Command hmnwal inspects an hmnd data directory (write-ahead log +
-// snapshot) without mutating it. It reads through wal.Scan, which never
-// truncates torn tails or prunes segments, so pointing it at a live or
-// crashed directory is always safe.
+// snapshot) without mutating it. It reads through wal.Each and
+// wal.Verify, which never truncate torn tails or prune segments, so
+// pointing it at a live or crashed directory is always safe; both stream
+// the log, so its size does not matter either.
 //
 // Usage:
 //
@@ -51,13 +52,17 @@ func usage() {
 }
 
 // dump prints the directory contents: a one-line snapshot summary per
-// session, then each log record as a JSON object.
+// session, then each log record as a JSON object. The record count is
+// printed ahead of the records and nothing is held in memory, so the log
+// is read twice: once to count, once to print (and to warn of a torn
+// tail — once).
 func dump(dir string) error {
-	rec, err := wal.Scan(dir, wal.Hooks{Logf: warnf})
+	records := 0
+	snap, _, err := wal.Each(dir, wal.Hooks{}, func(*wal.Record) error { records++; return nil })
 	if err != nil {
 		return err
 	}
-	if snap := rec.Snapshot; snap != nil {
+	if snap != nil {
 		fmt.Printf("snapshot: %d session(s), log resumes at segment %d\n", len(snap.Sessions), snap.FirstSeg)
 		for _, sn := range snap.Sessions {
 			fmt.Printf("  session %s: mapper=%s active=%d next_seq=%d op_count=%d\n",
@@ -66,40 +71,36 @@ func dump(dir string) error {
 	} else {
 		fmt.Println("snapshot: none")
 	}
-	fmt.Printf("log: %d record(s)\n", len(rec.Records))
+	fmt.Printf("log: %d record(s)\n", records)
 	enc := json.NewEncoder(os.Stdout)
-	for i := range rec.Records {
-		if err := enc.Encode(&rec.Records[i]); err != nil {
-			return err
-		}
+	_, truncated, err := wal.Each(dir, wal.Hooks{Logf: warnf}, func(r *wal.Record) error { return enc.Encode(r) })
+	if err != nil {
+		return err
 	}
-	if rec.TruncatedBytes > 0 {
-		fmt.Printf("torn tail: %d byte(s) after the last valid record (unacknowledged; recovery will truncate)\n", rec.TruncatedBytes)
+	if truncated > 0 {
+		fmt.Printf("torn tail: %d byte(s) after the last valid record (unacknowledged; recovery will truncate)\n", truncated)
 	}
 	return nil
 }
 
-// verify replays the directory with the daemon's own recovery loop
-// (wal.Replay) and cross-checks each surviving session's incremental
-// objective against a two-pass recompute.
+// verify replays the directory with the daemon's own recovery pass
+// (wal.Verify: wal.Recover without the repairs) and cross-checks each
+// surviving session's incremental objective against a two-pass
+// recompute.
 func verify(dir string) error {
-	rec, err := wal.Scan(dir, wal.Hooks{Logf: warnf})
-	if err != nil {
-		return err
-	}
 	replayed := 0
-	sessions, _, err := wal.Replay(rec, func(*wal.Replayed, *wal.Record) { replayed++ })
+	rec, err := wal.Verify(dir, wal.Hooks{Logf: warnf}, func(*wal.Replayed, *wal.Record) { replayed++ })
 	if err != nil {
 		return err
 	}
-	for _, rs := range sessions {
+	for _, rs := range rec.Sessions {
 		cs := rs.Session
 		if err := wal.VerifyObjective(cs); err != nil {
 			return fmt.Errorf("session %s: %w", rs.SID, err)
 		}
 		fmt.Printf("session %s: ok (active=%d objective=%.6g)\n", rs.SID, cs.Active(), cs.ObjectiveStdDev())
 	}
-	fmt.Printf("verified: %d session(s), %d record(s) replayed", len(sessions), replayed)
+	fmt.Printf("verified: %d session(s), %d record(s) replayed", len(rec.Sessions), replayed)
 	if rec.TruncatedBytes > 0 {
 		fmt.Printf(", torn tail of %d byte(s) would be truncated on recovery", rec.TruncatedBytes)
 	}

@@ -22,7 +22,8 @@ var contractFamilies = []string{
 	"hmnd_rebalance_aborts_total", "hmnd_rebalance_objective_improvement", "hmnd_rebalance_round_seconds",
 	"hmnd_quarantined_hosts", "hmnd_cut_links", "hmnd_ar_cache_hits_total", "hmnd_ar_cache_misses_total",
 	"hmnd_active_envs",
-	"hmnd_wal_records_total", "hmnd_replay_records_total", "hmnd_wal_fsync_seconds", "hmnd_snapshot_seconds",
+	"hmnd_wal_records_total", "hmnd_replay_records_total", "hmnd_recovery_seconds",
+	"hmnd_wal_fsync_seconds", "hmnd_snapshot_seconds",
 }
 
 // contractStep is one request of the contract script as the client saw

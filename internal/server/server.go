@@ -215,6 +215,7 @@ type Server struct {
 	mRouteSearches *metrics.Counter
 	mRoutePops     *metrics.Counter
 	mReplayRecords *metrics.Counter
+	mRecovery      *metrics.Gauge
 
 	// Mode-specific series: the classic queue's depth and open-session
 	// count (a federation reports its tenants with the shard census), the
@@ -246,6 +247,8 @@ func newServer(cfg Config) *Server {
 			"Candidates A*Prune searches popped; divided by the searches, the work one search takes."),
 		mReplayRecords: reg.Counter("hmnd_replay_records_total",
 			"Operation records replayed from the log during recovery."),
+		mRecovery: reg.Gauge("hmnd_recovery_seconds",
+			"Wall time Recover took to rebuild the daemon's state before it began serving."),
 	}
 	var (
 		walRecords = reg.Counter("hmnd_wal_records_total",
@@ -380,9 +383,11 @@ func (s *Server) Handler() http.Handler {
 // (or concurrently with) serving traffic. A classic daemon without a
 // data directory has nothing to recover and serves from the start.
 func (s *Server) Recover() error {
+	start := time.Now() //hmn:wallclock
 	if err := s.rebuild(); err != nil {
 		return err
 	}
+	s.mRecovery.Set(time.Since(start).Seconds()) //hmn:wallclock
 	s.replaying.Store(false)
 	return nil
 }

@@ -360,16 +360,25 @@ func TestGracefulShutdown(t *testing.T) {
 	sid := openSession(t, client, ts.URL, cs, "")
 
 	// Pin both workers so the next map stays in the queue when Close
-	// begins: it is the in-flight work the drain must finish.
+	// begins: it is the in-flight work the drain must finish. Each
+	// blocker reports from inside its task, and the map is posted only
+	// once both have: a request that reached the queue ahead of a blocker
+	// would be mapped by the free worker and never wait.
 	block := make(chan struct{})
+	pinned := make(chan struct{}, 2) // one send per blocker
 	var blockers sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		blockers.Add(1)
 		go func() {
 			defer blockers.Done()
-			_ = s.submit(context.Background(), func() { <-block })
+			_ = s.submit(context.Background(), func() {
+				pinned <- struct{}{}
+				<-block
+			})
 		}()
 	}
+	<-pinned
+	<-pinned
 	env := smallEnv(42, 10)
 	type mapResult struct {
 		code int

@@ -257,34 +257,28 @@ func envOrdinal(tag string) int {
 }
 
 // Replay is the recovery step of one WAL directory: it opens (or
-// initializes) dir and rebuilds every session the snapshot plus log
-// suffix hold as a lock domain logging to the returned WAL, in SID
-// order, EnvHigh set. maxSession is the highest session ordinal the
-// directory ever named. With cfg.VerifyReplay each domain's incremental
-// objective is cross-checked against a recompute.
+// initializes) dir and, in one pass over its log (wal.Recover), rebuilds
+// every session the snapshot plus log suffix hold as a lock domain
+// logging to the returned WAL, in SID order, EnvHigh set. maxSession is
+// the highest session ordinal the directory ever named. With
+// cfg.VerifyReplay each domain's incremental objective is cross-checked
+// against a recompute.
 func Replay(cfg Config, dir string) (w *wal.WAL, domains []*Shard, maxSession int, err error) {
-	w, recovered, err := wal.Open(dir, cfg.walHooks())
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if recovered.TruncatedBytes > 0 {
-		cfg.logf("hmnd: %s: recovery truncated a torn log tail (%d bytes); the records were never acknowledged", dir, recovered.TruncatedBytes)
-	}
+	start := time.Now() //hmn:wallclock
 	// Replayed records can name environment IDs the final active sets no
 	// longer hold (admitted and released since the snapshot); the ID
 	// counters must still move past them.
 	high := make(map[*wal.Replayed]int)
-	replayed, maxSession, err := wal.Replay(recovered, func(rs *wal.Replayed, rec *wal.Record) {
+	w, rec, err := wal.Recover(dir, cfg.walHooks(), func(rs *wal.Replayed, r *wal.Record) {
 		if cfg.Hooks.OnReplay != nil {
 			cfg.Hooks.OnReplay()
 		}
-		rec.EachTag(func(tag string) { high[rs] = max(high[rs], envOrdinal(tag)) })
+		r.EachTag(func(tag string) { high[rs] = max(high[rs], envOrdinal(tag)) })
 	})
 	if err != nil {
-		w.Close()
 		return nil, nil, 0, err
 	}
-	for _, rs := range replayed {
+	for _, rs := range rec.Sessions {
 		if cfg.VerifyReplay {
 			if err := wal.VerifyObjective(rs.Session); err != nil {
 				w.Close()
@@ -302,7 +296,10 @@ func Replay(cfg Config, dir string) (w *wal.WAL, domains []*Shard, maxSession in
 		}
 		domains = append(domains, sh)
 	}
-	return w, domains, maxSession, nil
+	// Torn bytes were a write the crash interrupted: never acknowledged.
+	cfg.logf("hmnd: %s: recovered %d sessions from %d log records (%d bytes) in %.3fs, %d torn bytes truncated",
+		dir, len(domains), rec.Records, rec.Bytes, time.Since(start).Seconds(), rec.TruncatedBytes) //hmn:wallclock
+	return w, domains, rec.MaxSession, nil
 }
 
 // SID is the session ID the domain's operations are logged under.

@@ -18,36 +18,53 @@ import (
 // fast path does not imitate that. It reports whether it accepted the
 // input; when it did not, e is untouched.
 func (e *EnvSpec) ScanJSON(s *jsonx.Scanner) bool {
-	var v EnvSpec
 	if e.Guests != nil || e.Links != nil {
 		return false
 	}
+	var v EnvSpec
+	if !v.ScanReuse(s) {
+		return false
+	}
+	*e = v
+	return true
+}
+
+// ScanReuse is ScanJSON for a decoder that reads many environments
+// through one target, one after the other (WAL recovery): whatever e
+// holds is overwritten, its slices truncated and refilled in place, so
+// the result is valid only until the next scan into e. When it reports
+// false, e holds garbage.
+func (e *EnvSpec) ScanReuse(s *jsonx.Scanner) bool {
+	guests, links := e.Guests[:0], e.Links[:0]
+	*e = EnvSpec{}
 	var seen uint
 	for s.Open('{'); s.More('}'); {
 		switch string(s.Key()) {
 		case "guests":
 			s.Once(&seen, 1)
-			v.Guests = []GuestSpec{}
-			for s.Open('['); s.More(']'); {
-				v.Guests = append(v.Guests, GuestSpec{})
-				scanGuest(s, &v.Guests[len(v.Guests)-1])
+			if guests == nil {
+				guests = []GuestSpec{}
 			}
+			for s.Open('['); s.More(']'); {
+				guests = append(guests, GuestSpec{})
+				scanGuest(s, &guests[len(guests)-1])
+			}
+			e.Guests = guests
 		case "links":
 			s.Once(&seen, 2)
-			v.Links = []VLinkSpec{}
-			for s.Open('['); s.More(']'); {
-				v.Links = append(v.Links, VLinkSpec{})
-				scanVLink(s, &v.Links[len(v.Links)-1])
+			if links == nil {
+				links = []VLinkSpec{}
 			}
+			for s.Open('['); s.More(']'); {
+				links = append(links, VLinkSpec{})
+				scanVLink(s, &links[len(links)-1])
+			}
+			e.Links = links
 		default:
 			s.Fail()
 		}
 	}
-	if !s.OK() {
-		return false
-	}
-	*e = v
-	return true
+	return s.OK()
 }
 
 func scanGuest(s *jsonx.Scanner, g *GuestSpec) {
@@ -97,58 +114,80 @@ func scanVLink(s *jsonx.Scanner, l *VLinkSpec) {
 // ScanJSON decodes one MappingSpec into m under EnvSpec.ScanJSON's
 // contract.
 func (m *MappingSpec) ScanJSON(s *jsonx.Scanner) bool {
-	var v MappingSpec
 	if m.GuestHost != nil || m.LinkPaths != nil || m.LinkEdges != nil || m.Objective != 0 {
 		return false
 	}
-	var seen uint
-	for s.Open('{'); s.More('}'); {
-		switch string(s.Key()) {
-		case "guest_host":
-			s.Once(&seen, 1)
-			v.GuestHost = scanInts(s)
-		case "link_paths":
-			s.Once(&seen, 2)
-			v.LinkPaths = scanIntLists(s)
-		case "link_edges":
-			s.Once(&seen, 4)
-			v.LinkEdges = scanIntLists(s)
-		case "objective":
-			s.Once(&seen, 8)
-			v.Objective = s.Float64()
-		default:
-			s.Fail()
-		}
-	}
-	if !s.OK() {
+	var v MappingSpec
+	if !v.ScanReuse(s, new(PathArena)) {
 		return false
 	}
 	*m = v
 	return true
 }
 
-func scanInts(s *jsonx.Scanner) []int {
-	out := []int{}
-	for s.Open('['); s.More(']'); {
-		out = append(out, s.Int())
-	}
-	return out
+// PathArena is the backing store of the link_paths and link_edges of
+// one decoded mapping: every path's ints share one array per list
+// rather than owning a small slice each. A decoder that reads many
+// mappings one after the other hands the same arena to every ScanReuse.
+type PathArena struct {
+	paths, edges, ends []int
 }
 
-// scanIntLists decodes an array of int arrays into slices of one shared
-// backing array, each capped at its length: a mapping carries two lists
-// per virtual link, and recovery decodes one mapping per admission.
-func scanIntLists(s *jsonx.Scanner) [][]int {
-	arena, ends := []int{}, []int{}
+// ScanReuse decodes one MappingSpec into m under EnvSpec.ScanReuse's
+// contract, its two path lists backed by a.
+func (m *MappingSpec) ScanReuse(s *jsonx.Scanner, a *PathArena) bool {
+	hosts, paths, edges := m.GuestHost[:0], m.LinkPaths[:0], m.LinkEdges[:0]
+	*m = MappingSpec{}
+	var seen uint
+	for s.Open('{'); s.More('}'); {
+		switch string(s.Key()) {
+		case "guest_host":
+			s.Once(&seen, 1)
+			if hosts == nil {
+				hosts = []int{}
+			}
+			for s.Open('['); s.More(']'); {
+				hosts = append(hosts, s.Int())
+			}
+			m.GuestHost = hosts
+		case "link_paths":
+			s.Once(&seen, 2)
+			m.LinkPaths = a.scanIntLists(s, &a.paths, paths)
+		case "link_edges":
+			s.Once(&seen, 4)
+			m.LinkEdges = a.scanIntLists(s, &a.edges, edges)
+		case "objective":
+			s.Once(&seen, 8)
+			m.Objective = s.Float64()
+		default:
+			s.Fail()
+		}
+	}
+	return s.OK()
+}
+
+// scanIntLists decodes an array of int arrays into out, as slices of
+// the one backing array *arena, each capped at its length: a mapping
+// carries two lists per virtual link, and recovery decodes one mapping
+// per admission.
+func (a *PathArena) scanIntLists(s *jsonx.Scanner, arena *[]int, out [][]int) [][]int {
+	ints, ends := (*arena)[:0], a.ends[:0]
+	if ints == nil {
+		ints = []int{} // an empty path is [], never null
+	}
 	for s.Open('['); s.More(']'); {
 		for s.Open('['); s.More(']'); {
-			arena = append(arena, s.Int())
+			ints = append(ints, s.Int())
 		}
-		ends = append(ends, len(arena))
+		ends = append(ends, len(ints))
 	}
-	out, start := make([][]int, len(ends)), 0
-	for i, end := range ends {
-		out[i] = arena[start:end:end]
+	*arena, a.ends = ints, ends
+	if out == nil {
+		out = make([][]int, 0, len(ends))
+	}
+	start := 0
+	for _, end := range ends {
+		out = append(out, ints[start:end:end])
 		start = end
 	}
 	return out

@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"encoding/json"
+	"fmt"
 	"strconv"
 
 	"repro/internal/jsonx"
+	"repro/internal/spec"
 )
 
 // This file is the hand-written codec for the records an admission
@@ -11,9 +14,9 @@ import (
 // out (and the legacy batch kind, which only a re-encoded old log still
 // carries), admit and release in (all but the open record of a churn
 // log). It changes no byte on disk — AppendJSON emits json.Marshal's
-// exact payload or declines, scanJSON accepts a subset of what
-// json.Unmarshal accepts or declines — and appendFrame/readFrame answer
-// a decline with encoding/json, which also still owns open, close, fail
+// exact payload or declines, decoder.scan accepts a subset of what
+// json.Unmarshal accepts or declines — and appendFrame/decode answer a
+// decline with encoding/json, which also still owns open, close, fail
 // and restore records.
 
 // AppendJSON implements jsonx.Appender.
@@ -122,10 +125,43 @@ func (m *MigrateRec) appendJSON(dst []byte, ok *bool) []byte {
 	return append(dst, '}')
 }
 
-// scanJSON decodes an admit or release record into the zero Record r.
-// It reports false, leaving r half-filled, for any other kind of record
-// and for any input outside the scanner's plain subset.
-func (r *Record) scanJSON(s *jsonx.Scanner) bool {
+// decoder decodes one record at a time into storage it owns. A pass
+// that hands each record on and forgets it keeps one decoder for the
+// whole log, and every admit record refills the same AdmitRec, guest,
+// link and path arrays; a collector takes a fresh decoder per record
+// and may keep what it returns.
+type decoder struct {
+	rec     Record
+	admit   AdmitRec
+	release ReleaseRec
+	arena   spec.PathArena
+}
+
+// decode decodes one frame payload. The record is valid until the next
+// decode on d. The payload is not aliased: the scanner copies strings
+// out, and encoding/json, which answers a decline with a zeroed record
+// of its own, does too.
+func (d *decoder) decode(payload []byte) (*Record, error) {
+	var s jsonx.Scanner
+	s.Reset(payload)
+	if !d.scan(&s) {
+		d.rec = Record{}
+		if err := json.Unmarshal(payload, &d.rec); err != nil {
+			// The checksum matched, so these are the bytes that were
+			// written: a decode failure is corruption at write time, not a
+			// torn tail.
+			return nil, fmt.Errorf("wal: decode record: %w", err)
+		}
+	}
+	return &d.rec, nil
+}
+
+// scan decodes an admit or release record into d.rec. It reports false,
+// leaving d.rec half-filled, for any other kind of record and for any
+// input outside the scanner's plain subset.
+func (d *decoder) scan(s *jsonx.Scanner) bool {
+	r := &d.rec
+	*r = Record{}
 	var seen uint
 	for s.Open('{'); s.More('}'); {
 		switch string(s.Key()) {
@@ -140,11 +176,12 @@ func (r *Record) scanJSON(s *jsonx.Scanner) bool {
 			r.Index = s.Uint64()
 		case "admit":
 			s.Once(&seen, 8)
-			r.Admit = new(AdmitRec)
-			r.Admit.scanJSON(s)
+			r.Admit = &d.admit
+			d.scanAdmit(s)
 		case "release":
 			s.Once(&seen, 16)
-			r.Release = new(ReleaseRec)
+			r.Release = &d.release
+			d.release = ReleaseRec{}
 			var rseen uint
 			for s.Open('{'); s.More('}'); {
 				if string(s.Key()) != "seq" {
@@ -160,7 +197,10 @@ func (r *Record) scanJSON(s *jsonx.Scanner) bool {
 	return s.End()
 }
 
-func (a *AdmitRec) scanJSON(s *jsonx.Scanner) {
+func (d *decoder) scanAdmit(s *jsonx.Scanner) {
+	a := &d.admit
+	a.Seq, a.Tag = 0, ""
+	env, m := false, false
 	var seen uint
 	for s.Open('{'); s.More('}'); {
 		switch string(s.Key()) {
@@ -172,16 +212,25 @@ func (a *AdmitRec) scanJSON(s *jsonx.Scanner) {
 			a.Tag = s.String()
 		case "env":
 			s.Once(&seen, 4)
-			if !a.Env.ScanJSON(s) {
+			env = true
+			if !a.Env.ScanReuse(s) {
 				s.Fail()
 			}
 		case "mapping":
 			s.Once(&seen, 8)
-			if !a.M.ScanJSON(s) {
+			m = true
+			if !a.M.ScanReuse(s, &d.arena) {
 				s.Fail()
 			}
 		default:
 			s.Fail()
 		}
+	}
+	// A missing key leaves the zero value, not the last record's.
+	if !env {
+		a.Env = spec.EnvSpec{}
+	}
+	if !m {
+		a.M = spec.MappingSpec{}
 	}
 }

@@ -28,6 +28,23 @@ func frameOf(payload []byte) []byte {
 	return append(hdr[:], payload...)
 }
 
+// readFrame reads the frame at buf[off] the way a pass over a segment
+// does — the frame reader, then a fresh decoder — and returns the record
+// with the offset of the next frame.
+func readFrame(buf []byte, off int) (*Record, int, error) {
+	var fr frameReader
+	fr.reset(bytes.NewReader(buf[off:]), int64(len(buf)-off))
+	payload, err := fr.next()
+	if err != nil {
+		return nil, off, err
+	}
+	rec, err := new(decoder).decode(payload)
+	if err != nil {
+		return nil, off, err
+	}
+	return rec, off + int(fr.off), nil
+}
+
 // readAgrees holds readFrame to json.Unmarshal on one payload: same
 // verdict, same error text, same record.
 func readAgrees(t *testing.T, payload []byte) {
@@ -44,7 +61,16 @@ func readAgrees(t *testing.T, payload []byte) {
 	if gotErr != nil || next != frameHeaderSize+len(payload) || !reflect.DeepEqual(*got, want) {
 		t.Fatalf("payload %q:\n    readFrame: %#v (%v)\nencoding/json: %#v", payload, got, gotErr, want)
 	}
+	// The decoder recovery keeps for a whole log: whatever the records
+	// before left in it, this one decodes to the same value.
+	if got, err := reused.decode(payload); err != nil || !reflect.DeepEqual(*got, want) {
+		t.Fatalf("payload %q after other records:\nreused decoder: %#v (%v)\n encoding/json: %#v", payload, got, err, want)
+	}
 }
+
+// reused is the one decoder every readAgrees call of the test binary
+// shares, in whatever order tests and fuzz inputs come.
+var reused decoder
 
 // parentSegment is a log written by the commit before the hand-written
 // codec (0e50542, encoding/json on both sides): an open record, two
@@ -136,13 +162,13 @@ func TestFastPathTakesChurnRecords(t *testing.T) {
 		if ok && !bytes.Equal(got, want) {
 			t.Fatalf("%s record:\n got %s\nwant %s", rec.Kind, got, want)
 		}
-		var back Record
+		var back decoder
 		var s jsonx.Scanner
 		s.Reset(want)
-		if back.scanJSON(&s) != hand {
-			t.Fatalf("%s record: scanJSON accepted=%v: %s", rec.Kind, !hand, want)
-		} else if hand && !reflect.DeepEqual(back, rec) {
-			t.Fatalf("%s record decoded to %#v, want %#v", rec.Kind, back, rec)
+		if back.scan(&s) != hand {
+			t.Fatalf("%s record: scan accepted=%v: %s", rec.Kind, !hand, want)
+		} else if hand && !reflect.DeepEqual(back.rec, rec) {
+			t.Fatalf("%s record decoded to %#v, want %#v", rec.Kind, back.rec, rec)
 		}
 		counts[rec.Kind]++
 	}

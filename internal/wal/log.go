@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -284,54 +283,96 @@ func listSegments(dir string) ([]uint64, error) {
 	return segs, nil
 }
 
-// readSegment decodes every record in segment n. final marks the log's
-// last segment: there, an invalid frame with nothing after it is a torn
-// tail — when repair is set the segment is truncated to the last valid
-// record, and either way the number of dropped bytes is returned. An
-// invalid frame in a non-final segment, or a record that fails to
-// decode anywhere, is corruption and returns an error.
-func readSegment(dir string, n uint64, final, repair bool, hooks Hooks) ([]Record, int64, error) {
-	path := filepath.Join(dir, segName(n))
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wal: read segment: %w", err)
+// logPass is one pass over a data directory's log: every record of
+// every segment, in append order, handed to fn as it is decoded.
+type logPass struct {
+	dir   string
+	hooks Hooks
+	// repair truncates a torn tail (recovery); without it the tail is
+	// only measured (inspection).
+	repair bool
+	// reuse decodes every record into the same storage, so fn's record is
+	// valid only until fn returns; without it each record is fn's to keep.
+	reuse bool
+	fn    func(*Record) error
+
+	fr  frameReader
+	dec *decoder
+
+	// bytes counts the valid frames read, truncated the torn tail
+	// dropped or measured.
+	bytes     int64
+	truncated int64
+}
+
+// run walks segs, which is the directory's whole log, ascending.
+func (p *logPass) run(segs []uint64) error {
+	for i, n := range segs {
+		if err := p.segment(n, i == len(segs)-1); err != nil {
+			return err
+		}
 	}
-	var recs []Record
-	off := 0
+	return nil
+}
+
+// segment walks segment n. final marks the log's last segment: there,
+// an invalid frame with nothing after it is a torn tail — truncated to
+// the last valid record when repair is set, measured either way. An
+// invalid frame in a non-final segment, or a record that fails to
+// decode anywhere, is corruption and returns an error; so does fn.
+func (p *logPass) segment(n uint64, final bool) error {
+	path := filepath.Join(p.dir, segName(n))
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("wal: read segment: %w", err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: read segment: %w", err)
+	}
+	p.fr.reset(f, st.Size())
 	for {
-		rec, next, err := readFrame(buf, off)
+		off := p.fr.off
+		payload, err := p.fr.next()
+		var rec *Record
 		if err == nil {
-			recs = append(recs, *rec)
-			off = next
+			if p.dec == nil || !p.reuse {
+				p.dec = new(decoder)
+			}
+			rec, err = p.dec.decode(payload)
+		}
+		if err == nil {
+			p.bytes += int64(frameHeaderSize + len(payload))
+			if err := p.fn(rec); err != nil {
+				return err
+			}
 			continue
 		}
-		if errors.Is(err, io.EOF) {
-			return recs, 0, nil
+		if err == io.EOF {
+			return nil
 		}
 		torn, ok := err.(errTorn)
 		if !ok || !final {
-			return nil, 0, fmt.Errorf("wal: segment %s at offset %d: %w", segName(n), off, err)
+			return fmt.Errorf("wal: segment %s at offset %d: %w", segName(n), off, err)
 		}
 		// Torn tail on the final segment: the crash interrupted the last
 		// write. Truncate to the last valid record and carry on — every
 		// record past this point was never acknowledged (acks barrier
 		// first), so dropping the tail loses nothing a client was
 		// promised.
-		dropped := int64(len(buf) - off)
-		if !repair {
-			hooks.logf("wal: torn tail in %s: %d bytes after offset %d (%s)",
-				segName(n), dropped, off, torn.reason)
-			return recs, dropped, nil
+		p.truncated = st.Size() - off
+		if !p.repair {
+			p.hooks.logf("wal: torn tail in %s: %d bytes after offset %d (%s)",
+				segName(n), p.truncated, off, torn.reason)
+			return nil
 		}
-		hooks.logf("wal: truncating torn tail of %s: %d bytes after offset %d (%s)",
-			segName(n), dropped, off, torn.reason)
-		if err := os.Truncate(path, int64(off)); err != nil {
-			return nil, 0, fmt.Errorf("wal: truncate torn tail: %w", err)
+		p.hooks.logf("wal: truncating torn tail of %s: %d bytes after offset %d (%s)",
+			segName(n), p.truncated, off, torn.reason)
+		if err := os.Truncate(path, off); err != nil {
+			return fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
-		if err := syncFile(path); err != nil {
-			return nil, 0, err
-		}
-		return recs, dropped, nil
+		return syncFile(path)
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"repro/internal/jsonx"
 	"repro/internal/spec"
 )
 
@@ -219,39 +218,90 @@ type errTorn struct{ reason string }
 
 func (e errTorn) Error() string { return "wal: invalid frame: " + e.reason }
 
-// readFrame decodes the frame starting at buf[off]. It returns the
-// record and the offset of the next frame, or an errTorn describing why
-// the bytes at off are not a valid frame. io.EOF signals a clean end.
-func readFrame(buf []byte, off int) (*Record, int, error) {
-	if off == len(buf) {
-		return nil, off, io.EOF
+// frameWindow is the read-ahead a frameReader starts with. The window
+// grows to the largest frame the walk meets, never to the segment.
+const frameWindow = 1 << 16
+
+// frameReader walks the frames of one segment through a bounded window,
+// so a pass over the log holds one frame, not the file. It is the only
+// reader of the frame layout.
+type frameReader struct {
+	r io.Reader
+	// size is the segment's length when the walk began; bytes a live
+	// daemon appends later are not this walk's.
+	size int64
+	// off is the offset of the next frame: every byte before it belongs
+	// to a valid frame.
+	off int64
+	// buf is the window; buf[lo:hi] is read and not yet consumed.
+	buf    []byte
+	lo, hi int
+}
+
+// reset points the reader at the start of a segment of the given size,
+// keeping the window.
+func (fr *frameReader) reset(r io.Reader, size int64) {
+	if fr.buf == nil {
+		fr.buf = make([]byte, frameWindow)
 	}
-	if len(buf)-off < frameHeaderSize {
-		return nil, off, errTorn{fmt.Sprintf("%d trailing bytes, header needs %d", len(buf)-off, frameHeaderSize)}
+	fr.r, fr.size, fr.off, fr.lo, fr.hi = io.LimitReader(r, size), size, 0, 0, 0
+}
+
+// fill reads ahead until n unconsumed bytes are in the window. The
+// caller has checked that the segment holds them.
+func (fr *frameReader) fill(n int) error {
+	if fr.hi-fr.lo >= n {
+		return nil
 	}
-	n := int(binary.LittleEndian.Uint32(buf[off : off+4]))
-	sum := binary.LittleEndian.Uint32(buf[off+4 : off+8])
-	if n > maxFrameSize {
-		return nil, off, errTorn{fmt.Sprintf("frame claims %d bytes (limit %d)", n, maxFrameSize)}
-	}
-	if len(buf)-off-frameHeaderSize < n {
-		return nil, off, errTorn{fmt.Sprintf("frame claims %d bytes, %d remain", n, len(buf)-off-frameHeaderSize)}
-	}
-	payload := buf[off+frameHeaderSize : off+frameHeaderSize+n]
-	if got := crc32.Checksum(payload, castagnoli); got != sum {
-		return nil, off, errTorn{fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", sum, got)}
-	}
-	rec := new(Record)
-	var s jsonx.Scanner
-	s.Reset(payload)
-	if !rec.scanJSON(&s) {
-		*rec = Record{}
-		if err := json.Unmarshal(payload, rec); err != nil {
-			// The checksum matched, so these are the bytes that were
-			// written: a decode failure is corruption at write time, not a
-			// torn tail.
-			return nil, off, fmt.Errorf("wal: decode record: %w", err)
+	if fr.lo+n > len(fr.buf) {
+		buf := fr.buf
+		if n > len(buf) {
+			// A quarter of headroom: frames that creep upwards do not
+			// reallocate the window one by one.
+			buf = make([]byte, n+n/4)
 		}
+		fr.hi = copy(buf, fr.buf[fr.lo:fr.hi])
+		fr.lo, fr.buf = 0, buf
 	}
-	return rec, off + frameHeaderSize + n, nil
+	m, err := io.ReadAtLeast(fr.r, fr.buf[fr.hi:], fr.lo+n-fr.hi)
+	fr.hi += m
+	if err != nil {
+		return fmt.Errorf("wal: read segment: %w", err)
+	}
+	return nil
+}
+
+// next returns the payload of the frame at off, checksum verified, and
+// steps past it. The payload aliases the window and is valid until the
+// next call. io.EOF signals a clean end; an errTorn describes why the
+// bytes at off are not a valid frame.
+func (fr *frameReader) next() ([]byte, error) {
+	left := fr.size - fr.off
+	if left == 0 {
+		return nil, io.EOF
+	}
+	if left < frameHeaderSize {
+		return nil, errTorn{fmt.Sprintf("%d trailing bytes, header needs %d", left, frameHeaderSize)}
+	}
+	if err := fr.fill(frameHeaderSize); err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(fr.buf[fr.lo:]))
+	sum := binary.LittleEndian.Uint32(fr.buf[fr.lo+4:])
+	if n > maxFrameSize {
+		return nil, errTorn{fmt.Sprintf("frame claims %d bytes (limit %d)", n, maxFrameSize)}
+	}
+	if left -= frameHeaderSize; int64(n) > left {
+		return nil, errTorn{fmt.Sprintf("frame claims %d bytes, %d remain", n, left)}
+	}
+	if err := fr.fill(frameHeaderSize + n); err != nil {
+		return nil, err
+	}
+	payload := fr.buf[fr.lo+frameHeaderSize : fr.lo+frameHeaderSize+n]
+	if got := crc32.Checksum(payload, castagnoli); got != sum {
+		return nil, errTorn{fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", sum, got)}
+	}
+	fr.lo += frameHeaderSize + n
+	fr.off += int64(frameHeaderSize + n)
+	return payload, nil
 }

@@ -30,17 +30,20 @@ type Recovered struct {
 	TruncatedBytes int64
 }
 
-// Open opens (or initializes) the data directory and recovers its
-// contents. The returned WAL appends to a fresh segment, so recovery
-// artifacts are never mixed with new records mid-segment.
-func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("wal: create data dir: %w", err)
-	}
-	// A crash during snapshot writing can leave the tmp file; it was
-	// never published, so it is garbage.
-	if err := os.Remove(filepath.Join(dir, snapshotTmp)); err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("wal: remove stale snapshot tmp: %w", err)
+// load reads the directory's snapshot and lists the segments that hold
+// its log suffix. With repair set — recovery, not inspection — it first
+// creates the directory, removes a snapshot temp file a crash left and
+// prunes the segments the snapshot supersedes.
+func load(dir string, hooks Hooks, repair bool) (*Snapshot, []uint64, error) {
+	if repair {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, nil, fmt.Errorf("wal: create data dir: %w", err)
+		}
+		// A crash during snapshot writing can leave the tmp file; it was
+		// never published, so it is garbage.
+		if err := os.Remove(filepath.Join(dir, snapshotTmp)); err != nil && !os.IsNotExist(err) {
+			return nil, nil, fmt.Errorf("wal: remove stale snapshot tmp: %w", err)
+		}
 	}
 	snap, err := loadSnapshot(dir)
 	if err != nil {
@@ -54,7 +57,7 @@ func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
 	// it covers leaves stale segments behind; prune them now. (Replay
 	// would skip their records anyway — indices at or below the
 	// snapshot boundary — but unbounded stale segments are a disk leak.)
-	if snap != nil {
+	if repair && snap != nil {
 		kept := segs[:0]
 		for _, n := range segs {
 			if n < snap.FirstSeg {
@@ -73,18 +76,14 @@ func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
 		}
 		segs = kept
 	}
-	rec := &Recovered{Snapshot: snap}
-	for i, n := range segs {
-		recs, dropped, err := readSegment(dir, n, i == len(segs)-1, true, hooks)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec.Records = append(rec.Records, recs...)
-		rec.TruncatedBytes += dropped
-	}
-	// Append to a fresh segment numbered after everything on disk (and
-	// after the snapshot boundary, when the directory holds only a
-	// snapshot).
+	return snap, segs, nil
+}
+
+// resume opens the log for appending, on a fresh segment numbered after
+// everything on disk (and after the snapshot boundary, when the
+// directory holds only a snapshot), so recovery artifacts are never
+// mixed with new records mid-segment.
+func resume(dir string, hooks Hooks, snap *Snapshot, segs []uint64) (*WAL, error) {
 	next := uint64(1)
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
@@ -93,12 +92,70 @@ func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
 	}
 	l := &log{dir: dir, hooks: hooks}
 	if err := l.openSegment(next); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := syncDir(dir); err != nil {
+		return nil, err
+	}
+	return &WAL{dir: dir, hooks: hooks, log: l}, nil
+}
+
+// collect reads the whole log into a Recovered: the materialising form
+// of the pass, for callers that want the records themselves.
+func collect(dir string, hooks Hooks, snap *Snapshot, segs []uint64, repair bool) (*Recovered, error) {
+	rec := &Recovered{Snapshot: snap}
+	p := logPass{dir: dir, hooks: hooks, repair: repair, fn: func(r *Record) error {
+		rec.Records = append(rec.Records, *r)
+		return nil
+	}}
+	if err := p.run(segs); err != nil {
+		return nil, err
+	}
+	rec.TruncatedBytes = p.truncated
+	return rec, nil
+}
+
+// Open opens (or initializes) the data directory and reads its contents
+// into memory; the returned WAL appends to a fresh segment. A daemon
+// recovers through Recover, which never holds the log.
+func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
+	snap, segs, err := load(dir, hooks, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	return &WAL{dir: dir, hooks: hooks, log: l}, rec, nil
+	rec, err := collect(dir, hooks, snap, segs, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := resume(dir, hooks, snap, segs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w, rec, nil
+}
+
+// Recover opens (or initializes) the data directory and rebuilds its
+// sessions in one pass: each log record is decoded, replayed and
+// forgotten as it is read, and a torn tail is truncated on the way.
+// onRecord, when non-nil, is called after each operation record actually
+// re-applied; its record is valid only until it returns. On any error —
+// a corrupt sealed segment, a record that diverges — nothing is
+// returned and no segment is created.
+func Recover(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*WAL, *Recovery, error) {
+	snap, segs, err := load(dir, hooks, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := logPass{dir: dir, hooks: hooks, repair: true}
+	res, err := p.replay(snap, segs, onRecord)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := resume(dir, hooks, snap, segs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w, res, nil
 }
 
 // Append buffers rec into the log. The record becomes durable at the
@@ -161,28 +218,43 @@ func (w *WAL) WriteSnapshot(export func() ([]SessionSnap, error)) error {
 // Close seals the log. The WAL must not be used afterwards.
 func (w *WAL) Close() error { return w.log.close() }
 
-// Scan reads a data directory without mutating it: the snapshot, every
-// decodable record, and the size of any torn tail (reported, not
-// truncated). The hmnwal inspector runs on Scan so that inspecting a
-// live or crashed directory never races the daemon or destroys
-// evidence.
+// Scan reads a data directory into memory without mutating it: the
+// snapshot, every decodable record, and the size of any torn tail
+// (reported, not truncated).
 func Scan(dir string, hooks Hooks) (*Recovered, error) {
-	snap, err := loadSnapshot(dir)
+	snap, segs, err := load(dir, hooks, false)
 	if err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
+	return collect(dir, hooks, snap, segs, false)
+}
+
+// Verify is Recover's dry run: the same one pass over the same bytes,
+// but nothing is created, pruned or truncated — a torn tail is measured
+// and left. The hmnwal inspector runs on Verify and Each so that
+// inspecting a live or crashed directory never races the daemon or
+// destroys evidence.
+func Verify(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*Recovery, error) {
+	snap, segs, err := load(dir, hooks, false)
 	if err != nil {
 		return nil, err
 	}
-	rec := &Recovered{Snapshot: snap}
-	for i, n := range segs {
-		recs, dropped, err := readSegment(dir, n, i == len(segs)-1, false, hooks)
-		if err != nil {
-			return nil, err
-		}
-		rec.Records = append(rec.Records, recs...)
-		rec.TruncatedBytes += dropped
+	p := logPass{dir: dir, hooks: hooks}
+	return p.replay(snap, segs, onRecord)
+}
+
+// Each reads a data directory without mutating it, handing fn every log
+// record in append order; the record is valid only until fn returns, and
+// an error from fn ends the pass. It returns the snapshot and the size
+// of any torn tail.
+func Each(dir string, hooks Hooks, fn func(*Record) error) (*Snapshot, int64, error) {
+	snap, segs, err := load(dir, hooks, false)
+	if err != nil {
+		return nil, 0, err
 	}
-	return rec, nil
+	p := logPass{dir: dir, hooks: hooks, reuse: true, fn: fn}
+	if err := p.run(segs); err != nil {
+		return nil, 0, err
+	}
+	return snap, p.truncated, nil
 }

@@ -50,19 +50,26 @@ func testHooks(t *testing.T) Hooks {
 // per committed operation.
 func loggedSession(t *testing.T, w *WAL, c *cluster.Cluster, cs spec.ClusterSpec) *core.Session {
 	t.Helper()
+	s := loggedSessionAs(t, w, c, cs, testSID)
+	if err := w.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// loggedSessionAs is loggedSession under a session ID of the caller's
+// choosing, its open record appended but not yet durable.
+func loggedSessionAs(t *testing.T, w *WAL, c *cluster.Cluster, cs spec.ClusterSpec, sid string) *core.Session {
+	t.Helper()
 	s, err := core.NewSession(c, cluster.VMMOverhead{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &Record{Kind: KindOpen, SID: testSID, Open: &OpenRec{Cluster: cs}}
-	if err := w.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Barrier(); err != nil {
+	if err := w.Append(&Record{Kind: KindOpen, SID: sid, Open: &OpenRec{Cluster: cs}}); err != nil {
 		t.Fatal(err)
 	}
 	s.SetCommitHook(func(ev core.Event) {
-		if err := w.Append(RecordFromEvent(testSID, cluster.VMMOverhead{}, ev)); err != nil {
+		if err := w.Append(RecordFromEvent(sid, cluster.VMMOverhead{}, ev)); err != nil {
 			t.Errorf("append: %v", err)
 		}
 	})
@@ -299,6 +306,12 @@ func TestCorruptSealedSegmentRejected(t *testing.T) {
 	}
 	if _, err := Scan(dir, testHooks(t)); err == nil {
 		t.Fatal("Scan accepted a corrupt sealed segment")
+	}
+	if _, _, err := Recover(dir, testHooks(t), nil); err == nil {
+		t.Fatal("Recover accepted a corrupt sealed segment")
+	}
+	if _, err := Verify(dir, testHooks(t), nil); err == nil {
+		t.Fatal("Verify accepted a corrupt sealed segment")
 	}
 }
 
