@@ -298,28 +298,41 @@ func BenchmarkAblationAStarDominance(b *testing.B) {
 //     bottlenecks rarely tie; low-level demands (0.087-0.175 Mbps within
 //     30-60 ms); and what core.routeLinks holds across searches — one
 //     scratch, one path arena, the ar[] tables from the session cache.
+//   - torus8x8_churn is the same with the residuals moving as they do in
+//     the Networking stage: every path found is reserved, and the one
+//     found 4000 searches earlier released. torus8x8_loaded holds the
+//     residuals still, so its sweep's insertion pass never moves an
+//     element and it under-reports the widest-path bound; this row is the
+//     one to read a change to the bound on. It also reports the counts
+//     the kernel's gates are written in, per search.
 //   - switched40 is the same on the paper's switched cluster, where
 //     nearly every neighbour of the switch is a dead-end leaf.
 //   - cold_nil_opts passes nil options on the unloaded paper torus: each
 //     search computes its own Dijkstra table, borrows a pooled scratch
 //     and allocates its path, and every bottleneck ties at 1 Gbps.
 func BenchmarkAStarPrune(b *testing.B) {
-	b.Run("torus8x8_loaded", func(b *testing.B) {
-		p := workload.PaperClusterParams()
-		p.Hosts = 64
-		c, err := topology.Torus2D(workload.GenerateHosts(p, rand.New(rand.NewSource(5))), 8, 8, 10000, 1)
-		if err != nil {
-			b.Fatal(err)
+	for _, churn := range []bool{false, true} {
+		name := "torus8x8_loaded"
+		if churn {
+			name = "torus8x8_churn"
 		}
-		benchAStarLoaded(b, c)
-	})
+		b.Run(name, func(b *testing.B) {
+			p := workload.PaperClusterParams()
+			p.Hosts = 64
+			c, err := topology.Torus2D(workload.GenerateHosts(p, rand.New(rand.NewSource(5))), 8, 8, 10000, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchAStarLoaded(b, c, churn)
+		})
+	}
 	b.Run("switched40", func(b *testing.B) {
 		specs := workload.GenerateHosts(workload.PaperClusterParams(), rand.New(rand.NewSource(5)))
 		c, err := topology.Switched(specs, workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchAStarLoaded(b, c)
+		benchAStarLoaded(b, c, false)
 	})
 	b.Run("cold_nil_opts", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(5))
@@ -347,9 +360,12 @@ func BenchmarkAStarPrune(b *testing.B) {
 
 // benchAStarLoaded times warmed-up searches between the hosts of c
 // against residuals a seeded pass of routed-and-reserved links has left
-// uneven. The residuals stay put while the clock runs, so every
-// iteration does the same work.
-func benchAStarLoaded(b *testing.B, c *Cluster) {
+// uneven. Without churn the residuals stay put while the clock runs, so
+// every iteration does the same work; with it each path found is reserved
+// and the one found 4000 searches earlier released, so the load stays
+// that of the seeded pass while every search sees residuals the last one
+// moved, and the work per search is reported in counts as well.
+func benchAStarLoaded(b *testing.B, c *Cluster, churn bool) {
 	type query struct {
 		src, dst graph.NodeID
 		bw, lat  float64
@@ -378,28 +394,64 @@ func benchAStarLoaded(b *testing.B, c *Cluster) {
 		residual[e] = g.Edge(e).Bandwidth
 	}
 	bw := func(e int) float64 { return residual[e] }
+	// reserve takes a path's bandwidth and, given a slot to remember it in,
+	// first gives back the reservation the slot held. The arena never
+	// reuses a path's storage, so the slot keeps its own copy of the edges.
+	type reservation struct {
+		edges []int
+		bw    float64
+	}
+	reserve := func(path graph.Path, demand float64, slot *reservation) {
+		if slot != nil {
+			for _, e := range slot.edges {
+				residual[e] += slot.bw
+			}
+			slot.edges, slot.bw = append(slot.edges[:0], path.Edges...), demand
+		}
+		for _, e := range path.Edges {
+			residual[e] -= demand
+		}
+	}
+	const seeded, window = 8000, 4000
+	var held []reservation // the last window searches' reservations, oldest overwritten
+	if churn {
+		held = make([]reservation, window)
+	}
 	opts := &graph.AStarPruneOptions{Scratch: graph.NewAStarScratch(), Arena: graph.NewPathArena()}
-	for i := 0; i < 8000; i++ {
+	for i := 0; i < seeded; i++ {
 		q := draw()
 		opts.AR = ar[q.dst]
 		if path, ok := graph.AStarPrune(g, q.src, q.dst, q.bw, q.lat, bw, opts); ok {
-			for _, e := range path.Edges {
-				residual[e] -= q.bw
+			var slot *reservation
+			if churn && i >= seeded-window {
+				slot = &held[i%window]
 			}
+			reserve(path, q.bw, slot)
 		}
 	}
 	queries := make([]query, 1024)
 	for i := range queries {
 		queries[i] = draw()
 	}
+	before := opts.Scratch.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
 		opts.AR = ar[q.dst]
-		if _, ok := graph.AStarPrune(g, q.src, q.dst, q.bw, q.lat, bw, opts); !ok {
+		path, ok := graph.AStarPrune(g, q.src, q.dst, q.bw, q.lat, bw, opts)
+		if !ok {
 			b.Fatalf("query %d (%d->%d, %.3f Mbps within %.1f ms) should be routable", i, q.src, q.dst, q.bw, q.lat)
 		}
+		if churn {
+			reserve(path, q.bw, &held[i%window])
+		}
+	}
+	if churn {
+		st := opts.Scratch.Stats().Sub(before)
+		b.ReportMetric(float64(st.Pops)/float64(b.N), "pops/op")
+		b.ReportMetric(float64(st.Pushes)/float64(b.N), "pushes/op")
+		b.ReportMetric(float64(st.Sweeps)/float64(b.N), "sweeps/op")
 	}
 }
 

@@ -25,12 +25,19 @@ import (
 // of any pruning rule does.
 const goldenTorusRouteDigest uint64 = 0xf81a7a3c6c061358
 
-// torusRoutePopsBudget bounds the candidates one A*Prune search of the
-// golden run pops, on average. The paper-order kernel popped 48.3 — every
-// node reachable by a path wider than the answer — and the look-ahead
-// pops 13.3 for paths averaging 7 hops; the count repeats exactly, so the
-// gate has no noise to allow for, only honest drift.
-const torusRoutePopsBudget = 20
+// The work one A*Prune search of the golden run may do, on average. The
+// paper-order kernel popped 48.3 candidates — every node reachable by a
+// path wider than the answer — and the look-ahead pops 13.1 for paths
+// averaging 7 hops. Wide-first expansion pops the same 13.1 and pushes
+// 18.7 where a single pass with the demand as the floor pushed 28.1; the
+// probe of the cheap bound spares 35.9 % of the sweeps over every edge
+// (0.641 per search, from 1.0). The counts repeat exactly, so the gates
+// have no noise to allow for, only honest drift.
+const (
+	torusRoutePopsBudget   = 20
+	torusRoutePushesBudget = 22
+	torusRouteSweepsBudget = 0.70
+)
 
 var goldenTorusRun struct {
 	once   sync.Once
@@ -113,17 +120,28 @@ func TestGoldenTorusRouteDigest(t *testing.T) {
 	}
 }
 
-// TestTorusRoutePopsBudget gates the mechanism the look-ahead works by —
-// fewer pops, not faster pops — on a count instead of a timing.
+// TestTorusRoutePopsBudget gates the mechanisms the search kernel works
+// by — fewer pops, fewer pushes, fewer sweeps, not faster ones — on counts
+// instead of timings. No admission of the golden run has its widest paths
+// excluded by the latency budget, so the second pass must never run.
 func TestTorusRoutePopsBudget(t *testing.T) {
 	_, edges, route := runGoldenTorusRoute(t)
 	if route.Searches == 0 {
 		t.Fatal("the golden run counted no searches")
 	}
 	per := func(n uint64) float64 { return float64(n) / float64(route.Searches) }
-	t.Logf("%d searches, %.1f pops and %.1f pushes each, for paths of %.1f hops",
-		route.Searches, per(route.Pops), per(route.Pushes), per(uint64(edges)))
+	t.Logf("%d searches: %.1f pops, %.1f pushes, %.3f sweeps each and %d restarts, for paths of %.1f hops",
+		route.Searches, per(route.Pops), per(route.Pushes), per(route.Sweeps), route.Restarts, per(uint64(edges)))
 	if per(route.Pops) > torusRoutePopsBudget {
-		t.Fatalf("%.1f pops per search, budget %d", per(route.Pops), torusRoutePopsBudget)
+		t.Errorf("%.1f pops per search, budget %d", per(route.Pops), torusRoutePopsBudget)
+	}
+	if per(route.Pushes) > torusRoutePushesBudget {
+		t.Errorf("%.1f pushes per search, budget %d", per(route.Pushes), torusRoutePushesBudget)
+	}
+	if per(route.Sweeps) > torusRouteSweepsBudget {
+		t.Errorf("%.3f sweeps per search, budget %.2f", per(route.Sweeps), torusRouteSweepsBudget)
+	}
+	if route.Restarts != 0 {
+		t.Errorf("%d searches ran a second pass, want 0", route.Restarts)
 	}
 }

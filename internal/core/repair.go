@@ -63,6 +63,10 @@ type RepairResult struct {
 	Outcome RepairOutcome
 	// Err is the mapper's error for unrecoverable environments.
 	Err error
+	// Route counts the repair's A*Prune work — the reroute attempt's and,
+	// when that failed, the full re-map's as well — in the terms
+	// AdmitStats.Route counts an admission's.
+	Route graph.SearchStats
 }
 
 // Repair re-maps evicted environments against the session's current
@@ -165,12 +169,13 @@ func (s *Session) repairLocked(ms []*mapping.Mapping, evicted []activeEntry) []R
 //hmn:locked mu
 func (s *Session) repairOne(old *mapping.Mapping, tag string) RepairResult {
 	res := RepairResult{Env: old.Env, Tag: tag, Old: old}
-	if nm, ok := s.tryReroute(old, tag); ok {
+	if nm, ok := s.tryReroute(old, tag, &res.Route); ok {
 		res.New, res.Outcome = nm, RepairRepaired
 		return res
 	}
 	var st AdmitStats
 	nm, _, err := s.mapLocked(old.Env, tag, &st)
+	res.Route.Add(st.Route)
 	if err != nil {
 		res.Outcome, res.Err = RepairUnrecoverable, err
 		return res
@@ -185,10 +190,11 @@ func (s *Session) repairOne(old *mapping.Mapping, tag string) RepairResult {
 // ones. It fails — without touching the session — when some original
 // host no longer accepts its guests (quarantined, or its resources went
 // to another tenant) or some broken path cannot be routed around the
-// failure. Callers hold s.mu.
+// failure. The A*Prune work it did, either way, is added to route.
+// Callers hold s.mu.
 //
 //hmn:locked mu
-func (s *Session) tryReroute(old *mapping.Mapping, tag string) (*mapping.Mapping, bool) {
+func (s *Session) tryReroute(old *mapping.Mapping, tag string, route *graph.SearchStats) (*mapping.Mapping, bool) {
 	env := old.Env
 	attempt := s.scratchLocked()
 	nm := mapping.New(s.led.Cluster(), env)
@@ -213,6 +219,7 @@ func (s *Session) tryReroute(old *mapping.Mapping, tag string) (*mapping.Mapping
 	if len(broken) > 0 {
 		ms := getMapScratch()
 		err := s.mapper.rerouteOnLedger(attempt, env, nm.GuestHost, nm.LinkPath, broken, s.ar, ms)
+		route.Add(ms.route)
 		putMapScratch(ms)
 		if err != nil {
 			return nil, false

@@ -71,6 +71,9 @@ func TestRepairLinkFailureKeepsPlacements(t *testing.T) {
 		if res.Outcome != RepairRepaired {
 			t.Fatalf("link failure on a ring must be repairable in place, got %v (%v)", res.Outcome, res.Err)
 		}
+		if res.Route.Searches == 0 || res.Route.Pops < 2*res.Route.Searches {
+			t.Fatalf("a path was re-routed around the cut edge, and the result counts %+v", res.Route)
+		}
 		for g := range res.New.GuestHost {
 			if res.New.GuestHost[g] != res.Old.GuestHost[g] {
 				t.Fatalf("guest %d moved during a repaired outcome", g)
@@ -116,6 +119,9 @@ func TestRepairHostFailureReplaces(t *testing.T) {
 	for _, res := range results {
 		if res.Outcome != RepairReplaced {
 			t.Fatalf("host failure must force a full re-map, got %v (%v)", res.Outcome, res.Err)
+		}
+		if res.Route.Searches == 0 {
+			t.Fatal("the re-map routed its inter-host links, and the result counts no search")
 		}
 		for g, node := range res.New.GuestHost {
 			if node == victim {

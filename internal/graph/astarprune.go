@@ -71,16 +71,27 @@ type AStarScratch struct {
 	res   []float64
 	uf    []int32
 
+	// Probe of the cheap bound (see probe): the flood's stack and its
+	// visited stamps, invalidated like the dominance sets by bumping a
+	// counter instead of clearing.
+	stack []int32
+	seen  []uint64
+	flood uint64
+
 	stats SearchStats
 }
 
 // SearchStats counts the work of the searches a scratch has served:
-// AStarPrune calls that got past the trivial origin == dest case, and the
-// candidates they popped from and pushed onto the candidate set. Plain
-// counters — a scratch has one owner — that the Networking stage folds
-// into its stage statistics once per stage.
+// AStarPrune calls that got past the trivial origin == dest case, the
+// candidates they popped from and pushed onto the candidate set, the
+// sweeps over every edge that computed an exact widest-path bound (one
+// per search on a graph with cycles, less the searches whose cheap bound
+// the probe proved exact), and the second passes run because the latency
+// budget excluded every path as wide as the bound. Plain counters — a
+// scratch has one owner — that the Networking stage folds into its stage
+// statistics once per stage.
 type SearchStats struct {
-	Searches, Pops, Pushes uint64
+	Searches, Pops, Pushes, Sweeps, Restarts uint64
 }
 
 // Add accumulates d into s.
@@ -88,11 +99,14 @@ func (s *SearchStats) Add(d SearchStats) {
 	s.Searches += d.Searches
 	s.Pops += d.Pops
 	s.Pushes += d.Pushes
+	s.Sweeps += d.Sweeps
+	s.Restarts += d.Restarts
 }
 
 // Sub returns s minus an earlier reading of the same counters.
 func (s SearchStats) Sub(earlier SearchStats) SearchStats {
-	return SearchStats{s.Searches - earlier.Searches, s.Pops - earlier.Pops, s.Pushes - earlier.Pushes}
+	return SearchStats{s.Searches - earlier.Searches, s.Pops - earlier.Pops, s.Pushes - earlier.Pushes,
+		s.Sweeps - earlier.Sweeps, s.Restarts - earlier.Restarts}
 }
 
 // Stats returns the scratch's running totals.
@@ -260,16 +274,76 @@ func (sc *AStarScratch) pathIn(idx, hops int32, arena *PathArena) Path {
 }
 
 // widest returns the greatest bottleneck any origin-dest path can have
-// under residual, latency ignored: -Inf when the two are disconnected. It
-// is Kruskal's maximum spanning forest stopped early — edges join a
+// under residual, latency ignored: -Inf when the two are disconnected. The
+// cheap bound is tried first (see probe), and the sweep over every edge
+// runs only when the probe cannot prove it exact.
+func (sc *AStarScratch) widest(g *Graph, origin, dest int32, residual BandwidthFunc) float64 {
+	if w, exact := sc.probe(g, origin, dest, residual); exact {
+		return w
+	}
+	return sc.sweep(g, origin, dest, residual)
+}
+
+// probe computes the cheap bound on the widest origin-dest bottleneck and
+// tries to prove it exact. Every origin-dest path leaves over an edge at
+// origin and arrives over one at dest, so none is wider than w, the lesser
+// of the widest edge at either end. A flood from the end that sets w —
+// where only the edges tied at w lead anywhere, so a miss usually dies
+// within a few nodes — over the edges at least w wide either reaches the
+// other end, and then a path of width w exists and w is the bound, or
+// proves nothing. It reads residuals and writes only its own stack and
+// stamps: the edge order the sweep keeps goes stale for a search longer,
+// which that order, a warm start, is allowed to be.
+func (sc *AStarScratch) probe(g *Graph, origin, dest int32, residual BandwidthFunc) (w float64, exact bool) {
+	half := g.half
+	wo, wd := math.Inf(-1), math.Inf(-1)
+	for _, e := range half[origin] {
+		wo = max(wo, residual(int(e.eid)))
+	}
+	for _, e := range half[dest] {
+		wd = max(wd, residual(int(e.eid)))
+	}
+	w, from, to := wo, origin, dest
+	if wd < wo {
+		w, from, to = wd, dest, origin
+	}
+
+	if len(sc.seen) < g.n {
+		sc.seen = make([]uint64, g.n)
+	}
+	sc.flood++ // never 0, the stamp of a node no flood has seen; 2^64 probes do not happen
+	seen, mark := sc.seen, sc.flood
+	seen[from] = mark
+	stack := append(sc.stack[:0], from)
+	for len(stack) > 0 && !exact {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range half[u] {
+			if seen[e.to] == mark || residual(int(e.eid)) < w {
+				continue
+			}
+			if e.to == to {
+				exact = true
+				break
+			}
+			seen[e.to] = mark
+			stack = append(stack, e.to)
+		}
+	}
+	sc.stack = stack
+	return w, exact
+}
+
+// sweep computes the widest origin-dest bottleneck exactly. It is
+// Kruskal's maximum spanning forest stopped early — edges join a
 // union-find forest in descending residual order until origin and dest
 // meet, and the edge that joins them is the bound. The order kept from the
-// previous search is only a warm start: every call re-reads every
-// residual and finishes sorting before it joins anything, so the result
-// never depends on what the scratch served before. A search's
-// reservation moves a path's worth of edges, which is what makes an
-// insertion pass cheap.
-func (sc *AStarScratch) widest(g *Graph, origin, dest int32, residual BandwidthFunc) float64 {
+// previous sweep is only a warm start: every call re-reads every residual
+// and finishes sorting before it joins anything, so the result never
+// depends on what the scratch served before. A search's reservation moves
+// a path's worth of edges, which is what makes an insertion pass cheap.
+func (sc *AStarScratch) sweep(g *Graph, origin, dest int32, residual BandwidthFunc) float64 {
+	sc.stats.Sweeps++
 	m := len(g.edges)
 	if len(sc.order) != m { // first use, or another graph: nothing to warm-start from
 		res := make([]float64, m)
@@ -371,6 +445,28 @@ func WidestBottleneck(g *Graph, origin, dest NodeID, residual BandwidthFunc) flo
 // look-ahead is skipped (U = +Inf) on a graph with fewer edges than
 // nodes: a forest's paths are unique, so there is no choice to inform.
 //
+// The search is wide-first. A candidate narrower than U sorts after every
+// U-wide one, so it is popped only once no U-wide candidate is left —
+// once every U-wide path has bust the budget, which a loaded torus sees
+// almost never. So the first pass of the expansion loop (see expand) runs
+// with a floor of U instead of the demand: an edge with less residual
+// than U is not extended at all. Only if that pass empties the set
+// without popping the destination does a second pass run the same loop
+// from the origin with the demand as the floor. The path returned is the
+// one a single pass with the demand as the floor returns, edge for edge,
+// because the first pass pops exactly the prefix of that pass's pop
+// sequence that precedes its first narrow pop: (1) apLess puts every
+// candidate whose capped bottleneck is U before every narrower one, and
+// among the U-wide ones compares push indices only for their order, which
+// leaving out the narrow pushes in between does not change; (2) a
+// narrower (bottleneck, latency) pair never dominates a U-wide pair in a
+// Pareto set, so no U-wide extension is rejected for a narrow one's sake;
+// (3) a narrow destination candidate held as the goal never suppresses a
+// U-wide push, which is less than it, and is replaced by the first U-wide
+// destination candidate; (4) MaxExpansions counts pops, the same pops in
+// the same order, so a capped search gives up at the same pop — the
+// second pass counts from zero, being the whole single-pass search.
+//
 // Extensions are pruned when the extending edge lacks residual bandwidth,
 // when the node is already on the path (Eq. 7 — a test dominance pruning
 // makes implicit, see where the search is seeded), or when the
@@ -405,13 +501,28 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 		return Path{}, false // even the latency-optimal path busts the budget
 	}
 	src, dst := int32(origin), int32(dest)
-	widest := math.Inf(1)
+	widest, floor := math.Inf(1), bandwidth
 	if len(g.edges) >= g.n {
 		if widest = sc.widest(g, src, dst, residual); widest < bandwidth {
 			return Path{}, false // no path has the spare bandwidth, whatever its latency
 		}
+		floor = widest
 	}
+	p, ok, exhausted := sc.expand(g, src, dst, floor, latency, widest, residual, ar, opts)
+	if exhausted && floor > bandwidth {
+		sc.stats.Restarts++
+		p, ok, _ = sc.expand(g, src, dst, bandwidth, latency, widest, residual, ar, opts)
+	}
+	return p, ok
+}
 
+// expand is AStarPrune's one expansion loop: from the origin alone in the
+// candidate set, pop the apLess-least candidate and extend it over every
+// edge with at least floor of residual, until the destination is popped
+// (its path and true), MaxExpansions is exceeded, or the set is empty —
+// exhausted, which with a floor above the demand proves only that no path
+// that wide meets the budget.
+func (sc *AStarScratch) expand(g *Graph, src, dst int32, floor, latency, widest float64, residual BandwidthFunc, ar []float64, opts *AStarPruneOptions) (p Path, ok, exhausted bool) {
 	dominance := !opts.DisableDominance
 	sc.begin(g.n, dominance)
 	if dominance {
@@ -425,11 +536,11 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 		// dominating pair there: insert rejects it, before changing
 		// anything, and the walk back along the path that Eq. 7 would
 		// cost is only needed with dominance off.
-		sc.dom[origin].insert(widest, 0, sc.epoch)
+		sc.dom[src].insert(widest, 0, sc.epoch)
 	}
 
 	half := g.half
-	sc.extend(apCand{bottleneck: widest, projLat: ar[origin]}, src, -1, -1)
+	sc.extend(apCand{bottleneck: widest, projLat: ar[src]}, src, -1, -1)
 	// goal is the best destination candidate pushed so far. The search
 	// ends when it is popped, and under a strict total order everything
 	// popped before it is less than it: a candidate that is not will
@@ -443,11 +554,11 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 		best := sc.pop()
 		at := sc.nodes[best.idx].node
 		if at == dst {
-			return sc.pathIn(best.idx, best.hops, opts.Arena), true
+			return sc.pathIn(best.idx, best.hops, opts.Arena), true, false
 		}
 		expansions++
 		if opts.MaxExpansions > 0 && expansions > opts.MaxExpansions {
-			return Path{}, false
+			return Path{}, false, false
 		}
 		for _, e := range half[at] {
 			h := e.to
@@ -465,8 +576,8 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 				continue
 			}
 			r := residual(int(e.eid))
-			if r < bandwidth {
-				continue // Eq. 9: not enough spare bandwidth
+			if r < floor {
+				continue // Eq. 9: not enough spare bandwidth — or, wide-first, narrower than the bound
 			}
 			c := apCand{bottleneck: best.bottleneck, accLat: best.accLat + e.lat, hops: best.hops + 1, idx: int32(len(sc.nodes))}
 			c.projLat = c.accLat + ar[h]
@@ -488,7 +599,7 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 			sc.extend(c, h, e.eid, best.idx)
 		}
 	}
-	return Path{}, false
+	return Path{}, false, true
 }
 
 // paretoSet keeps the non-dominated (bottleneck, latency) pairs seen at a

@@ -116,6 +116,7 @@ func TestQuickAStarPruneMatchesOracle(t *testing.T) {
 	scratch := NewAStarScratch()
 	arena := NewPathArena()
 	var same, equalValue, neither, capped int
+	var bounded uint64 // searches that got as far as asking for the widest-path bound
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		discrete := rng.Intn(2) == 0
@@ -142,6 +143,9 @@ func TestQuickAStarPruneMatchesOracle(t *testing.T) {
 			}
 			if rng.Intn(3) == 0 {
 				fast.MaxExpansions = 1 + rng.Intn(12)
+			}
+			if asksForBound(g, a, b, budget) {
+				bounded++
 			}
 			p, ok := AStarPrune(g, a, b, demand, budget, bw, &fast)
 			switch {
@@ -178,6 +182,30 @@ func TestQuickAStarPruneMatchesOracle(t *testing.T) {
 	t.Logf("%d identical paths, %d different paths of equal value, %d both not-found, %d gave up at the cap", same, equalValue, neither, capped)
 	if equalValue == 0 || neither == 0 || capped == 0 {
 		t.Fatal("the generator no longer reaches every outcome")
+	}
+	requireBothBranches(t, scratch.Stats(), bounded)
+}
+
+// asksForBound reports whether AStarPrune gets as far as computing the
+// widest-path bound for a query: not on a forest, not for a trivial path,
+// and not when the latency-optimal route already busts the budget.
+func asksForBound(g *Graph, a, b NodeID, budget float64) bool {
+	return g.NumEdges() >= g.NumNodes() && a != b && DijkstraLatency(g, b)[a] <= budget
+}
+
+// requireBothBranches fails unless the searches a differential's scratch
+// served took both branches the golden torus run cannot hold open: second
+// passes (its budgets never exclude the widest paths; the tight third of
+// randomQuery's do) and probe hits, which show as fewer sweeps than
+// searches that asked for the bound.
+func requireBothBranches(t *testing.T, st SearchStats, bounded uint64) {
+	t.Helper()
+	t.Logf("%d searches: %d asked for the bound, %d swept for it, %d ran a second pass", st.Searches, bounded, st.Sweeps, st.Restarts)
+	if st.Restarts == 0 {
+		t.Fatal("no search ran a second pass: the generator no longer excludes the widest paths by budget")
+	}
+	if st.Sweeps >= bounded {
+		t.Fatalf("%d sweeps for %d bounds: the probe never proved the cheap bound exact", st.Sweeps, bounded)
 	}
 }
 
@@ -272,6 +300,7 @@ func linearScanPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, 
 // shortcut, nor what the scratch served before can be seen in a result.
 func TestQuickAStarPruneMatchesLinearScan(t *testing.T) {
 	scratch := NewAStarScratch()
+	var bounded uint64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		discrete := rng.Intn(4) != 0
@@ -292,6 +321,9 @@ func TestQuickAStarPruneMatchesLinearScan(t *testing.T) {
 				opts.MaxExpansions = 1 + rng.Intn(12)
 			}
 			want, wantOK := linearScanPrune(g, a, b, demand, budget, res, opts)
+			if asksForBound(g, a, b, budget) {
+				bounded++
+			}
 			fast := opts
 			fast.Scratch = scratch
 			p, ok := AStarPrune(g, a, b, demand, budget, bw, &fast)
@@ -309,6 +341,47 @@ func TestQuickAStarPruneMatchesLinearScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 6}); err != nil {
 		t.Fatal(err)
+	}
+	requireBothBranches(t, scratch.Stats(), bounded)
+}
+
+// The second pass, on a case small enough to follow by hand. The widest
+// 0-5 path, 0-1-2-5 at 10 Mbps, takes 22 ms; the 10 ms budget admits
+// 0-3-4-5 (4 Mbps, 9 ms) and 0-1-2-4-5 (3 Mbps, 6 ms). The first pass pops
+// 0, 1 and 2 — the 10 Mbps prefixes the admissibility test lets through
+// because a narrow completion fits — and runs dry; the second pass pops 0,
+// 1, 2, 3 and 4 before the destination, as a single pass with the demand
+// as the floor always did. An expansion cap therefore bites where it did:
+// under 3 in the first pass, with no second; under 5 in the second pass,
+// which counts from zero.
+func TestAStarPruneSecondPass(t *testing.T) {
+	g := New(6)
+	res := []float64{10, 10, 10, 4, 4, 4, 3}
+	g.AddEdge(0, 1, 10, 1)
+	g.AddEdge(1, 2, 10, 1)
+	g.AddEdge(2, 5, 10, 20)
+	g.AddEdge(0, 3, 10, 3)
+	g.AddEdge(3, 4, 10, 3)
+	g.AddEdge(4, 5, 10, 3)
+	g.AddEdge(2, 4, 10, 1)
+	bw := func(e int) float64 { return res[e] }
+	for _, tc := range []struct {
+		cap      int
+		found    bool
+		restarts uint64
+	}{{0, true, 1}, {5, true, 1}, {4, false, 1}, {3, false, 1}, {2, false, 0}} {
+		opts := AStarPruneOptions{MaxExpansions: tc.cap, Scratch: NewAStarScratch()}
+		p, ok := AStarPrune(g, 0, 5, 2, 10, bw, &opts)
+		want, wantOK := linearScanPrune(g, 0, 5, 2, 10, res, opts)
+		if ok != wantOK || !samePath(p, want) {
+			t.Fatalf("cap %d: %v %v, linear scan %v %v", tc.cap, p, ok, want, wantOK)
+		}
+		if ok != tc.found || ok && !slices.Equal(p.Nodes, []NodeID{0, 3, 4, 5}) {
+			t.Fatalf("cap %d: %v %v, want 0-3-4-5 found = %v", tc.cap, p, ok, tc.found)
+		}
+		if st := opts.Scratch.Stats(); st.Restarts != tc.restarts || st.Sweeps != 0 {
+			t.Fatalf("cap %d: %d second passes and %d sweeps, want %d and 0 (the probe reaches 5 from 0 at 10 Mbps)", tc.cap, st.Restarts, st.Sweeps, tc.restarts)
+		}
 	}
 }
 

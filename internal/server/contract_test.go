@@ -16,7 +16,7 @@ import (
 // the scrape-time degradation and occupancy gauges.
 var contractFamilies = []string{
 	"hmnd_map_latency_seconds", "hmnd_commit_latency_seconds",
-	"hmnd_route_searches_total", "hmnd_route_pops_total",
+	"hmnd_route_searches_total", "hmnd_route_pops_total", "hmnd_route_sweeps_total",
 	"hmnd_repair_latency_seconds", "hmnd_evictions_total", "hmnd_repairs_total",
 	"hmnd_rebalance_rounds_total", "hmnd_rebalance_planned_units_total", "hmnd_rebalance_moves_total",
 	"hmnd_rebalance_aborts_total", "hmnd_rebalance_objective_improvement", "hmnd_rebalance_round_seconds",

@@ -52,6 +52,7 @@ func TestFailRepairEndpoints(t *testing.T) {
 
 	// Fail the host the first tenant uses; the repair engine runs
 	// atomically with the eviction.
+	searchesBefore := metricValue(t, scrape(t, client, ts.URL), "hmnd_route_searches_total")
 	code, raw, _ := doJSON(t, client, "POST", base+hostPath(victim, "fail"), nil)
 	if code != http.StatusOK {
 		t.Fatalf("fail host: %d %s", code, raw)
@@ -126,6 +127,10 @@ func TestFailRepairEndpoints(t *testing.T) {
 	}
 	if got := metricValue(t, text, "hmnd_repair_latency_seconds_count"); got != 1 {
 		t.Fatalf("repair latency count = %v, want 1", got)
+	}
+	// A repair's routing is counted where an admission's is.
+	if got := metricValue(t, text, "hmnd_route_searches_total"); outcomes["repaired"]+outcomes["replaced"] > 0 && got <= searchesBefore {
+		t.Fatalf("route searches = %v after the repair, %v before it: the repair's A*Prune work went uncounted", got, searchesBefore)
 	}
 	if got := metricValue(t, text, "hmnd_active_envs"); int(got) != len(envs) {
 		t.Fatalf("active_envs gauge = %v, want %d", got, len(envs))

@@ -78,6 +78,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/jsonx"
 	"repro/internal/metrics"
 	"repro/internal/rebalance"
@@ -214,6 +215,7 @@ type Server struct {
 	mCommitLatency *metrics.Histogram
 	mRouteSearches *metrics.Counter
 	mRoutePops     *metrics.Counter
+	mRouteSweeps   *metrics.Counter
 	mReplayRecords *metrics.Counter
 	mRecovery      *metrics.Gauge
 
@@ -242,9 +244,11 @@ func newServer(cfg Config) *Server {
 		mCommitLatency: reg.Histogram("hmnd_commit_latency_seconds",
 			"Time an admission spent outside the mapper while holding the session lock (snapshot + validate-and-commit).", nil),
 		mRouteSearches: reg.Counter("hmnd_route_searches_total",
-			"A*Prune searches run by map attempts (one per inter-host virtual link routed)."),
+			"A*Prune searches run by map and repair attempts (one per inter-host virtual link routed)."),
 		mRoutePops: reg.Counter("hmnd_route_pops_total",
-			"Candidates A*Prune searches popped; divided by the searches, the work one search takes."),
+			"Candidates A*Prune searches popped, by map and repair attempts; divided by the searches, the work one search takes."),
+		mRouteSweeps: reg.Counter("hmnd_route_sweeps_total",
+			"Exact widest-path bounds A*Prune searches computed by a sweep over every edge, by map and repair attempts; the searches without one ran on a tree or had their cheap bound proved exact."),
 		mReplayRecords: reg.Counter("hmnd_replay_records_total",
 			"Operation records replayed from the log during recovery."),
 		mRecovery: reg.Gauge("hmnd_recovery_seconds",
@@ -452,8 +456,15 @@ func (s *Server) isDraining() bool {
 func (s *Server) observeAdmit(admit core.AdmitStats, seconds float64) {
 	s.mLatency.Observe(seconds)
 	s.mCommitLatency.Observe(admit.CommitSeconds)
-	s.mRouteSearches.Add(admit.Route.Searches)
-	s.mRoutePops.Add(admit.Route.Pops)
+	s.observeRoute(admit.Route)
+}
+
+// observeRoute adds the A*Prune work of one map or repair attempt to the
+// routing counters.
+func (s *Server) observeRoute(route graph.SearchStats) {
+	s.mRouteSearches.Add(route.Searches)
+	s.mRoutePops.Add(route.Pops)
+	s.mRouteSweeps.Add(route.Sweeps)
 }
 
 // decodeMapEnv reads the body of POST /v1/sessions/{sid}/envs, in
