@@ -654,6 +654,80 @@ func BenchmarkSessionMapRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkRebalanceRound measures one unbounded Session.Rebalance round
+// on a quiescent session of each hmnperf testbed — 20–60-guest
+// environments on the switched paper cluster, 6 live of 60 admitted
+// FIFO; 500-guest low-level environments on the 8×8 torus, 4 live of 12
+// — restored to the same fragmented state before every iteration.
+// moves/op and searches/op repeat exactly (a round is a pure function of
+// the state it starts from); ns/op is the round's lock-holds, roster
+// rebuilds and re-routes included.
+func BenchmarkRebalanceRound(b *testing.B) {
+	testbeds := []struct {
+		name     string
+		live, n  int
+		cluster  func(rng *rand.Rand) (*Cluster, error)
+		generate func(rng *rand.Rand) *virtual.Env
+	}{
+		{"switched", 6, 60,
+			func(rng *rand.Rand) (*Cluster, error) {
+				return topology.Switched(workload.GenerateHosts(workload.PaperClusterParams(), rng),
+					workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
+			},
+			func(rng *rand.Rand) *virtual.Env {
+				return workload.GenerateEnv(workload.HighLevelParams(20+rng.Intn(41), 0.02), rng)
+			}},
+		{"torus8x8", 4, 12,
+			func(rng *rand.Rand) (*Cluster, error) {
+				p := workload.PaperClusterParams()
+				p.Hosts = 64
+				return topology.Torus2D(workload.GenerateHosts(p, rng), 8, 8, 10000, 1)
+			},
+			func(rng *rand.Rand) *virtual.Env {
+				return workload.GenerateEnv(workload.LowLevelParams(500, 0.02), rng)
+			}},
+	}
+	for _, tb := range testbeds {
+		b.Run(tb.name, func(b *testing.B) {
+			c, err := tb.cluster(rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess, err := core.NewSession(c, VMMOverhead{}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < tb.n; i++ {
+				if _, err := sess.Map(tb.generate(rand.New(rand.NewSource(int64(1000 + i))))); err != nil {
+					b.Fatal(err)
+				}
+				for sess.Active() > tb.live {
+					if err := sess.Release(sess.Export().Active[0].M); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			fragmented := sess.Export()
+			var res core.RebalanceResult
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sess, err = core.RestoreSession(c, VMMOverhead{}, nil, fragmented)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res = sess.Rebalance(0)
+			}
+			if res.Scored != res.Moves+res.Skipped {
+				b.Fatalf("round: %+v; every scored move commits or is a counted skip", res)
+			}
+			b.ReportMetric(float64(res.Moves), "moves/op")
+			b.ReportMetric(float64(res.Route.Searches), "searches/op")
+		})
+	}
+}
+
 // BenchmarkSessionConcurrentAdmit measures one session under N
 // closed-loop admitters on both hmnperf testbeds — switched 20–60-guest
 // environments with 6 live, and 500-guest low-level environments on an

@@ -9,7 +9,7 @@
 //	hmnbench -table 3 -reps 30        # Table 3 with the paper's 30 reps
 //	hmnbench -figure 1                # Figure 1 series (torus by default)
 //	hmnbench -correlation             # pooled Pearson r
-//	hmnbench -churn -churn-ops 500    # admission churn, bare vs rebalanced
+//	hmnbench -churn -churn-ops 500    # admission churn, bare vs rebalanced (deterministic)
 //	hmnbench -all -reps 5 -quick      # everything on the reduced matrix
 //
 // The retry budget of the random baselines defaults to 300 (the paper
@@ -50,7 +50,7 @@ func main() {
 		gap          = flag.Bool("gap", false, "measure HMN's optimality gap against the exact solver on tiny instances")
 		gapN         = flag.Int("gap-instances", 30, "instances for the -gap experiment")
 		reservations = flag.Bool("reservations", false, "run the bandwidth-reservation ablation (reserved vs best-effort transfers)")
-		churn        = flag.Bool("churn", false, "run the admission churn benchmark, bare vs background rebalancer")
+		churn        = flag.Bool("churn", false, "run the admission churn benchmark, bare vs a rebalancing round after every second operation; with -json its block joins the document")
 		churnOps     = flag.Int("churn-ops", 200, "churn operations for the -churn benchmark")
 		fedShards    = flag.Int("shards", 0, "run the federation aggregate-throughput benchmark: -hosts total hosts as one cluster vs partitioned across this many shards")
 		fedOps       = flag.Int("fed-ops", 120, "admissions per federation run (needs -shards)")
@@ -90,8 +90,15 @@ func main() {
 	if !*all && *table == 0 && *figure == 0 && !*correlation && !*gap && !*reservations && !*churn {
 		*all = true
 	}
+	var churnRes *exp.ChurnResult
 	if *churn {
-		fmt.Print(exp.RunChurn(exp.ChurnConfig{Hosts: *hosts, Ops: *churnOps, Seed: *seed}))
+		r := exp.RunChurn(exp.ChurnConfig{Hosts: *hosts, Ops: *churnOps, Seed: *seed})
+		churnRes = &r
+		if *jsonPath == "-" {
+			fmt.Fprint(os.Stderr, r) // '-json -' promises pure JSON on stdout
+		} else {
+			fmt.Print(r)
+		}
 		if !*all && *table == 0 && *figure == 0 && !*correlation && !*gap && !*reservations {
 			return
 		}
@@ -153,6 +160,7 @@ func main() {
 		len(cfg.Scenarios), cfg.Reps, len(cfg.Topologies), len(cfg.Heuristics), cfg.Seed, cfg.MaxTries)
 	start := time.Now()
 	res := exp.RunSweep(cfg)
+	res.Churn = churnRes // with -churn, the JSON document carries its block
 	fmt.Fprintf(os.Stderr, "hmnbench: sweep finished in %.1fs (%d runs)\n",
 		time.Since(start).Seconds(), len(res.Runs))
 

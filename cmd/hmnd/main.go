@@ -35,15 +35,16 @@
 //	hmnd -addr :8080 -data-dir /var/lib/hmnd
 //	hmnd -addr :8080 -data-dir /var/lib/hmnd -replay
 //
-// Rebalancing: -rebalance-interval starts a background scheduler per
-// session that periodically plans improving guest migrations off the
-// live residual-CPU vector (single moves and pairwise destination
-// swaps, ordered for migration headroom) and commits them under the
-// session lock like any admission — planning itself runs off-lock on a
-// snapshot — and every committed plan is WAL-logged like any other
-// operation. -rebalance-max-moves caps each round. The one-shot
+// Rebalancing: -rebalance-interval runs, per session and on that
+// cadence, a round of the paper's Migration stage (§4.2) over every
+// deployed environment against the live residual-CPU vector: cheapest
+// victim off the most loaded host, least loaded destination first, one
+// move scored and committed per hold of the session lock — so an
+// admission waits behind one move at most, and no move is ever stale —
+// and every committed move is WAL-logged like any other operation.
+// -rebalance-max-moves caps each round. The one-shot
 // POST /v1/sessions/{id}/rebalance endpoint runs a round on demand even
-// with the background loop disabled:
+// with the background rounds disabled:
 //
 //	hmnd -addr :8080 -rebalance-interval 5s -rebalance-max-moves 8
 //
@@ -62,7 +63,7 @@
 //
 // Federation: -shards N switches the daemon into sharded multi-cluster
 // mode — N fully independent shards (each its own session, ledger, WAL
-// directory and rebalance scheduler) behind a router that places each
+// directory and rebalance cadence) behind a router that places each
 // environment by consistent hashing with a best-fit fallback, admitting
 // on per-shard workers so unrelated environments never contend on a
 // lock or an fsync. -shard-cluster names a cluster-spec JSON file
@@ -124,7 +125,7 @@ func configure(args []string) (func() error, error) {
 		snapEvery = fs.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot interval when -data-dir is set (0 = shutdown snapshot only)")
 		replay    = fs.Bool("replay", false, "verify every recovered session against a recompute before serving (needs -data-dir)")
 		rebEvery  = fs.Duration("rebalance-interval", 0, "background rebalancing round interval per session (0 = disabled; one-shot endpoint always available)")
-		rebMoves  = fs.Int("rebalance-max-moves", 8, "guest moves per rebalancing round, swaps counting two (0 = unbounded)")
+		rebMoves  = fs.Int("rebalance-max-moves", 8, "guest moves per rebalancing round (0 = unbounded)")
 		mutexFrac = fs.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction for /debug/pprof/mutex (0 = disabled)")
 		blockRate = fs.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns for /debug/pprof/block (0 = disabled)")
 		shards    = fs.Int("shards", 0, "federation mode: independent shard count (0 = single-session daemon)")

@@ -165,28 +165,13 @@ func (l *Ledger) DeltaStdDev(origin, dest graph.NodeID, mips float64) float64 {
 	return l.stdDevFromSums(after) - l.stdDevFromSums(sumSq)
 }
 
-// DeltaStdDevSwap returns the change the Eq. (10) objective would
-// undergo if a guest demanding mipsA CPU on host a and a guest demanding
-// mipsB CPU on host b exchanged hosts: negative means the swap improves
-// load balance. An exchange shifts a net mipsA−mipsB of demand from a to
-// b — a gains back mipsA and gives up mipsB, b the reverse — so it
-// reduces to the single-move what-if. O(1), no mutation: destination-
-// swap candidate scoring (Avin/Dunay/Schmid, arXiv:1309.5826) calls
-// this once per pair.
-//
-//hmn:locked session
-//hmn:noalloc
-func (l *Ledger) DeltaStdDevSwap(a, b graph.NodeID, mipsA, mipsB float64) float64 {
-	return l.DeltaStdDev(a, b, mipsA-mipsB)
-}
-
 // DeltaStdDevShift returns the change the Eq. (10) objective would
 // undergo if the residual CPU of each hosts[i] shifted by deltas[i]
 // MIPS. Hosts must be distinct; a single guest move contributes its
 // demand as a positive delta on the origin and the same negative delta
-// on the destination. O(len(hosts)), no mutation — the migrate commit
-// funnel scores a whole multi-move plan with one call before deciding
-// whether it still improves the live ledger.
+// on the destination. O(len(hosts)), no mutation — MigrateGuests scores
+// a caller's whole multi-move plan with one call before deciding
+// whether it improves the live ledger.
 //
 //hmn:locked session
 //hmn:noalloc

@@ -173,7 +173,7 @@ func (h *HMN) MapWithStats(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping
 	if !h.DisableMigration {
 		t1 := time.Now() //hmn:wallclock
 		st.Migration.ObjectiveBefore = mapping.Objective(led.ResidualProcAll())
-		st.Migration.Moves = migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, false, nil, nil)
+		st.Migration.Moves = migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, nil)
 		st.Migration.ObjectiveAfter = mapping.Objective(led.ResidualProcAll())
 		st.MigrationSeconds = time.Since(t1).Seconds() //hmn:wallclock
 	}
@@ -208,7 +208,7 @@ func HostingStage(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID) er
 func MigrationStage(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID) int {
 	hi := newHostIndex(led, true)
 	defer led.SetProcHook(nil)
-	return migrateScoped(led, v, assign, LoadResidualMIPS, 0, ScopeMostLoaded, hi, false, nil, nil)
+	return migrateScoped(led, v, assign, LoadResidualMIPS, 0, ScopeMostLoaded, hi, nil)
 }
 
 var _ Mapper = (*HMN)(nil)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -11,15 +12,14 @@ import (
 	"repro/internal/virtual"
 )
 
-// This file is the commit funnel for post-admission guest migrations —
-// the primitive the background rebalancer (internal/rebalance) drives.
-// A migrate plan relocates one or more guests of already-deployed
-// environments and commits atomically through cluster.Txn, in the same
-// one lock-hold as MapTagged: validate the plan against the live state,
-// re-route the affected paths on the session's scratch snapshot, then
-// apply the plan's net effect to the live ledger or reject it untouched.
-// What can go stale is the plan, which its author drew on an off-lock
-// PlanSnapshot — hence the plan-versus-live checks.
+// This file is post-admission guest migration: Rebalance, the §4.2
+// descent (migration.go) run over every deployed environment against
+// the live residuals, one committed move per lock-hold, and
+// MigrateGuests, which commits a plan of the caller's. Both commit
+// through one body, in the same one lock-hold as MapTagged: re-route the
+// affected paths on the session's scratch snapshot, then apply the
+// plan's net effect to the live ledger through cluster.Txn or reject it
+// untouched.
 //
 // Committed mappings are immutable repo-wide (the HTTP layer and the
 // snapshot writer read them off-lock), so a migration never mutates the
@@ -27,18 +27,16 @@ import (
 // in the active set, and keeps the admission seq and caller tag — the
 // environment's identity survives its guests moving.
 
-// ErrMigrateConflict is returned by MigrateGuests when the live state no
-// longer matches the plan — an environment was released, repaired or
-// migrated since the plan was drawn, or a destination lost the resources
-// the plan counted on.
+// ErrMigrateConflict is returned by MigrateGuests when the live state
+// does not match the plan — a named guest is not on its From host, or a
+// destination lacks the resources the plan counts on.
 var ErrMigrateConflict = errors.New("core: migrate plan conflicts with the live state")
 
-// ErrNotImproving is returned by MigrateGuests when, at commit time, the
-// plan no longer lowers the Eq. (10) objective by more than the shared
-// stage-2 epsilon. The residuals the plan was scored against have
-// drifted; committing anyway would let FP-noise "improvements" churn
-// guests for nothing.
-var ErrNotImproving = errors.New("core: migrate plan no longer improves the objective")
+// ErrNotImproving is returned by MigrateGuests when the plan does not
+// lower the live Eq. (10) objective by more than ImprovementEps:
+// committing it would let FP-noise "improvements" churn guests for
+// nothing.
+var ErrNotImproving = errors.New("core: migrate plan does not improve the objective")
 
 // GuestMove is one guest relocation in a migrate plan: move Guest of the
 // environment admitted under Seq from host From to host To.
@@ -70,6 +68,9 @@ type MigrateResult struct {
 	// is the realized Eq. (10) change (negative: improved).
 	ObjectiveBefore float64
 	ObjectiveAfter  float64
+	// Route counts the A*Prune work of re-routing the moved guests' links,
+	// as AdmitStats.Route counts an admission's.
+	Route graph.SearchStats
 }
 
 // migrateEnvState is the per-environment working state of one plan.
@@ -83,11 +84,11 @@ type migrateEnvState struct {
 }
 
 // MigrateGuests commits a migrate plan: every move in moves is applied
-// atomically, or none is. The plan must still improve the live Eq. (10)
-// objective by more than the shared stage-2 epsilon at commit time
-// (ErrNotImproving otherwise), and every named guest must still sit on
-// its From host (ErrMigrateConflict otherwise). Affected virtual links
-// are re-routed on the scratch snapshot, under the lock.
+// atomically, or none is. The plan must improve the live Eq. (10)
+// objective by more than ImprovementEps (ErrNotImproving otherwise), and
+// every named guest must sit on its From host (ErrMigrateConflict
+// otherwise). Affected virtual links are re-routed on the scratch
+// snapshot, under the lock.
 //
 // On success the touched environments' mappings are replaced — same seq,
 // same tag, new placements and paths — and one EventMigrate is emitted
@@ -120,14 +121,30 @@ func (s *Session) MigrateGuests(moves []GuestMove) (*MigrateResult, error) {
 		return nil, err
 	}
 	hosts, deltas := migrateShift(envs)
-	cur := s.led.ObjectiveStdDev()
-	if s.led.DeltaStdDevShift(hosts, deltas) >= -ImprovementEps(cur) {
+	if !improves(s.led.ObjectiveStdDev(), s.led.DeltaStdDevShift(hosts, deltas)) {
 		return nil, ErrNotImproving
 	}
+	ms := getMapScratch()
+	res, err := s.commitMigrateLocked(norm, envs, ms)
+	if err == nil {
+		res.Route = ms.route
+	}
+	putMapScratch(ms)
+	return res, err
+}
 
-	// The plan still holds and still pays, so route it: on the scratch
-	// snapshot, free the moving guests and the affected links' bandwidth,
-	// re-reserve at the destinations and re-route the affected links.
+// commitMigrateLocked routes and commits a plan migrateEnvsLocked has
+// resolved against the live state: on the scratch snapshot, free the
+// moving guests and the affected links' bandwidth, re-reserve at the
+// destinations and re-route the affected links; then commit the net
+// effect to the live ledger, swap the mapping pointers and emit one
+// EventMigrate. A re-route that fails returns its error with the live
+// ledger untouched. The A*Prune work is added to ms.route either way.
+// Callers hold s.mu.
+//
+//hmn:locked mu
+func (s *Session) commitMigrateLocked(norm []GuestMove, envs []*migrateEnvState, ms *mapScratch) (*MigrateResult, error) {
+	cur := s.led.ObjectiveStdDev()
 	snap := s.scratchLocked()
 	for _, es := range envs {
 		env := es.old.Env
@@ -146,10 +163,7 @@ func (s *Session) MigrateGuests(moves []GuestMove) (*MigrateResult, error) {
 			nm.GuestHost[mv.Guest] = mv.To
 		}
 		if len(es.links) > 0 {
-			ms := getMapScratch()
-			rerr := s.mapper.rerouteOnLedger(snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms)
-			putMapScratch(ms)
-			if rerr != nil {
+			if rerr := s.mapper.rerouteOnLedger(snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms); rerr != nil {
 				return nil, fmt.Errorf("core: migrate re-route for seq %d: %w", es.seq, rerr)
 			}
 		}
@@ -179,6 +193,111 @@ func (s *Session) MigrateGuests(moves []GuestMove) (*MigrateResult, error) {
 	s.version++
 	s.emitLocked(Event{Type: EventMigrate, Migrate: info})
 	return res, nil
+}
+
+// RebalanceResult reports one Rebalance round.
+type RebalanceResult struct {
+	// Scored counts the moves the descent scored improving and tried:
+	// Moves of them committed, Skipped of them could not be re-routed and
+	// left the ledger as it was.
+	Scored, Moves, Skipped int
+	// ObjectiveBefore and ObjectiveAfter are the Eq. (10) objective as the
+	// round's first lock-hold found it and as its last one left it. Gain
+	// sums the drop of the round's own commits; the two differ when other
+	// operations commit between the round's lock-holds.
+	ObjectiveBefore float64
+	ObjectiveAfter  float64
+	Gain            float64
+	// Route counts the A*Prune work of the round's re-routes, skipped
+	// moves' included.
+	Route graph.SearchStats
+	// Seconds is the time the round held the session lock, all its
+	// lock-holds together.
+	Seconds float64
+}
+
+// Rebalance runs one round of the §4.2 descent over every deployed
+// environment, against the live residuals: cheapest victim off the most
+// loaded host, least loaded destination first, accepted only if Eq. (10)
+// drops by more than ImprovementEps — and, when the most loaded host has
+// no such move, the next most loaded (ScopeAllHosts). It ends when no
+// host has one, or after maxMoves commits (<= 0: unbounded).
+//
+// The round takes the session lock once per move: rebuild the roster
+// from the active set, score the next improving move, re-route its links
+// and commit it like a MigrateGuests plan of one, unlock. Nothing scored
+// under one lock-hold is used under another, so no move can be stale;
+// every intermediate state is a committed, Txn-validated ledger; and an
+// admission never waits behind more than one move. A scored move whose
+// re-route fails is skipped with the ledger untouched — the scan goes on
+// to the next destination, then the next donor, within the lock-hold —
+// and is not proposed again this round.
+func (s *Session) Rebalance(maxMoves int) RebalanceResult {
+	var res RebalanceResult
+	skipped := make(map[skippedMove]bool)
+	for first := true; maxMoves <= 0 || res.Moves < maxMoves; first = false {
+		if !s.rebalanceStep(&res, skipped, first) {
+			break
+		}
+	}
+	return res
+}
+
+// skippedMove names a (guest, destination) a round could not route.
+type skippedMove struct {
+	seq   uint64
+	guest virtual.GuestID
+	to    graph.NodeID
+}
+
+// rebalanceStep is one lock-hold of a Rebalance round; it reports
+// whether it committed a move.
+func (s *Session) rebalanceStep(res *RebalanceResult, skipped map[skippedMove]bool, first bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	start := time.Now() //hmn:wallclock
+	if first {
+		res.ObjectiveBefore = s.led.ObjectiveStdDev()
+	}
+	ms := getMapScratch()
+	d := &ms.mig
+	d.envs = d.envs[:0]
+	//hmn:orderinvariant
+	for m, e := range s.active {
+		d.envs = append(d.envs, descentEnv{seq: e.seq, v: m.Env, assign: m.GuestHost})
+	}
+	sort.Slice(d.envs, func(i, j int) bool { return d.envs[i].seq < d.envs[j].seq })
+	d.begin(s.led, LoadResidualMIPS, ScopeAllHosts, nil)
+	moved := d.step(func(c candidate) bool {
+		// The roster aliases the committed mappings' placements, which are
+		// immutable: the move is committed as a replacement mapping, and
+		// the next lock-hold rebuilds the roster from it.
+		norm := []GuestMove{{Seq: d.envs[c.ref.env].seq, Guest: c.ref.guest, From: c.from, To: c.to}}
+		key := skippedMove{seq: norm[0].Seq, guest: c.ref.guest, to: c.to}
+		if skipped[key] {
+			return false
+		}
+		res.Scored++
+		envs, err := s.migrateEnvsLocked(norm)
+		var mr *MigrateResult
+		if err == nil {
+			mr, err = s.commitMigrateLocked(norm, envs, ms)
+		}
+		if err != nil {
+			skipped[key] = true
+			res.Skipped++
+			return false
+		}
+		res.Moves++
+		res.Gain += mr.ObjectiveBefore - mr.ObjectiveAfter
+		return true
+	})
+	d.end()
+	res.Route.Add(ms.route)
+	putMapScratch(ms)
+	res.ObjectiveAfter = s.led.ObjectiveStdDev()
+	res.Seconds += time.Since(start).Seconds() //hmn:wallclock
+	return moved
 }
 
 // migrateEnvsLocked resolves a normalized plan against the live active
@@ -298,7 +417,7 @@ type ReplayMigrateEnv struct {
 }
 
 // ReplayMigrate re-applies one logged migrate plan: the recorded
-// replacement mappings — not a re-run of the planner or router — are
+// replacement mappings — not a re-run of the descent or the router — are
 // committed through the same canonical transaction the live run built,
 // so the residual vectors replay bit-for-bit. moves and envs must be in
 // the canonical order the event recorded (seq ascending, guests
@@ -365,46 +484,4 @@ func (s *Session) ReplayMigrate(moves []GuestMove, envs []ReplayMigrateEnv) erro
 	s.version++
 	s.emitLocked(Event{Type: EventMigrate, Migrate: info})
 	return nil
-}
-
-// PlanEnv is one deployed environment in a planning snapshot: the
-// environment, its current guest placements (a private copy) and its
-// session identity.
-type PlanEnv struct {
-	Seq       uint64
-	Tag       string
-	Env       *virtual.Env
-	GuestHost []graph.NodeID
-}
-
-// PlanView is a point-in-time view for external re-optimizers: a private
-// ledger clone plus every deployed environment's placements, seq
-// ascending. The view shares nothing mutable with the session — the
-// rebalancer scores candidates on it at leisure while admissions
-// proceed, then submits its plan through MigrateGuests, which
-// re-validates it against the live state.
-type PlanView struct {
-	Ledger *cluster.Ledger
-	Envs   []PlanEnv
-}
-
-// PlanSnapshot captures a PlanView under a brief lock.
-func (s *Session) PlanSnapshot() PlanView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pv := PlanView{
-		Ledger: s.led.Clone(),
-		Envs:   make([]PlanEnv, 0, len(s.active)),
-	}
-	//hmn:orderinvariant
-	for m, e := range s.active {
-		pv.Envs = append(pv.Envs, PlanEnv{
-			Seq:       e.seq,
-			Tag:       e.tag,
-			Env:       m.Env,
-			GuestHost: append([]graph.NodeID(nil), m.GuestHost...),
-		})
-	}
-	sort.Slice(pv.Envs, func(i, j int) bool { return pv.Envs[i].Seq < pv.Envs[j].Seq })
-	return pv
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
-	"repro/internal/stats"
 	"repro/internal/virtual"
 )
 
@@ -25,16 +25,12 @@ const (
 	ScopeAllHosts
 )
 
-// improvementEps returns the shared stage-2 acceptance threshold: a
-// candidate move is accepted only when it lowers the Eq. (10) objective
-// by more than this margin. Exact and incremental modes share the one
-// threshold so FP noise near zero — where a full recompute and the
-// running Σx/Σx² evaluation disagree in the last few ulps — cannot make
-// the two modes diverge in move count or final assignment. The margin
-// scales with the current objective and is floored at an absolute 1e-9
-// for objectives under 1. The migrate commit funnel applies the same
-// threshold, so a background rebalancer cannot accept a move the
-// admission-time stage would reject.
+// ImprovementEps returns the descent's acceptance threshold: a candidate
+// move is accepted only when it lowers the Eq. (10) objective by more
+// than this margin, so FP noise near zero — where a full recompute and
+// the running Σx/Σx² evaluation disagree in the last few ulps — cannot
+// churn guests for nothing. The margin scales with the current objective
+// and is floored at an absolute 1e-9 for objectives under 1.
 func ImprovementEps(current float64) float64 {
 	const rel = 1e-9
 	if current > 1 {
@@ -43,259 +39,270 @@ func ImprovementEps(current float64) float64 {
 	return rel
 }
 
-// moveStep records one accepted stage-2 migration. The property tests
-// pass a trace to pin exact and incremental mode to identical move
-// *sequences*, not merely final objectives within a tolerance.
-type moveStep struct {
-	guest    virtual.GuestID
+// improves is the one acceptance test of §4.2: delta, the change a
+// candidate would make to the Eq. (10) objective standing at current,
+// must be a drop of more than ImprovementEps. The descent applies it to
+// every single-guest move; MigrateGuests applies it to a caller's plan.
+//
+//hmn:noalloc
+func improves(current, delta float64) bool {
+	return delta < -ImprovementEps(current)
+}
+
+// descentEnv is one environment whose guests the descent may move: its
+// admission sequence number (the victim tie-break), the environment and
+// its current placements, indexed by guest.
+type descentEnv struct {
+	seq    uint64
+	v      *virtual.Env
+	assign []graph.NodeID
+}
+
+// rosterRef names one guest on a host's roster: guest of envs[env].
+type rosterRef struct {
+	env   int
+	guest virtual.GuestID
+}
+
+// candidate is one move the descent scored improving: ref leaves from
+// for to.
+type candidate struct {
+	ref      rosterRef
 	from, to graph.NodeID
 }
 
-// migrate is HMN stage 2 (§4.2): it improves load balance by reassigning
-// guests away from the most loaded host. At every iteration:
+// descent is the paper's Migration stage (§4.2) as one step function
+// over a roster of (environment, guest) per host. At every step:
 //
-//   - the most loaded host is selected as the migration origin;
-//   - the guest chosen to move is the one on that host with the smallest
-//     total bandwidth of virtual links to co-located guests (moving it
-//     internalises the least traffic, minimising later physical-link use);
+//   - the most loaded host holding a guest is the migration origin;
+//   - the victim is the guest on it with the smallest total bandwidth of
+//     virtual links to co-located guests (moving it internalises the
+//     least traffic, minimising later physical-link use), ties to the
+//     lower (seq, guest);
 //   - candidate destinations are tried from the least loaded host upward;
-//     the first host that fits the guest *and* lowers the load-balance
-//     factor (Eq. 10) receives it.
+//     the first host that fits the victim *and* lowers the load-balance
+//     factor (Eq. 10) by more than ImprovementEps is offered to the
+//     caller, which moves the reservation or refuses.
 //
-// The process repeats while the load-balance factor improves; when no
-// move from the most loaded host helps, the stage ends. maxMoves > 0 caps
-// the number of accepted migrations (ablation); 0 means unbounded.
+// Stage 2 of an admission hands it the one environment being mapped and
+// relocates on the attempt's scratch ledger; Session.Rebalance hands it
+// the active set in seq order and commits on the live one. There is no
+// other copy of the donor order, the victim rule, the destination order
+// or the acceptance test.
+//
+// Every what-if is one Ledger.DeltaStdDev call — O(1), no mutation —
+// against the ledger's running Σx/Σx². A descent is single-owner scratch
+// (mapScratch.mig): begin re-sizes its buffers in place, so the admission
+// hot path allocates none of them once warm.
+type descent struct {
+	led    *cluster.Ledger
+	metric LoadMetric
+	scope  MigrationScope
+	// hi, when it tracks the paper's residual-MIPS order, already holds
+	// "ascending load" as (residual desc, node asc) and replaces the
+	// per-step destination sort outright.
+	hi *hostIndex
+
+	// envs is the roster's environments, seq ascending; callers fill it
+	// before begin.
+	envs []descentEnv
+	// hosts is the cluster's host nodes by dense host index, onHost the
+	// guests each currently holds, donors and dests the per-step worklists.
+	hosts  []graph.NodeID
+	onHost [][]rosterRef
+	donors []graph.NodeID
+	dests  []graph.NodeID
+}
+
+// begin points the descent at led and builds the per-host rosters from
+// d.envs.
+func (d *descent) begin(led *cluster.Ledger, metric LoadMetric, scope MigrationScope, hi *hostIndex) {
+	c := led.Cluster()
+	nh := c.NumHosts()
+	d.led, d.metric, d.scope, d.hi = led, metric, scope, nil
+	if hi != nil && hi.track && metric != LoadUtilization {
+		d.hi = hi
+	}
+	d.hosts = nodesFor(d.hosts, nh)
+	for i, h := range c.Hosts() {
+		d.hosts[i] = h.Node
+	}
+	if cap(d.onHost) < nh {
+		d.onHost = make([][]rosterRef, nh)
+	}
+	d.onHost = d.onHost[:nh]
+	for i := range d.onHost {
+		d.onHost[i] = d.onHost[i][:0]
+	}
+	for e := range d.envs {
+		for g, node := range d.envs[e].assign {
+			i := c.HostIdx(node)
+			d.onHost[i] = append(d.onHost[i], rosterRef{env: e, guest: virtual.GuestID(g)})
+		}
+	}
+}
+
+// end drops the descent's references into the caller's state, so a
+// pooled scratch keeps no environment or ledger alive.
+func (d *descent) end() {
+	clear(d.envs)
+	d.envs = d.envs[:0]
+	d.led, d.hi = nil, nil
+}
+
+// load is a host's load under the descent's metric; larger means more
+// loaded under both.
+//
+//hmn:noalloc
+func (d *descent) load(node graph.NodeID) float64 {
+	if d.metric == LoadUtilization {
+		h, _ := d.led.Cluster().HostAt(node)
+		if h.Proc <= 0 {
+			return 0
+		}
+		return 1 - d.led.ResidualProc(node)/h.Proc
+	}
+	// Most loaded == least residual CPU.
+	return -d.led.ResidualProc(node)
+}
+
+// step scores the next improving move and offers it to try, which moves
+// the reservation and reports true, or refuses (the move cannot be made
+// after all) and reports false — the scan then goes on to the next
+// destination, then the next donor. It returns whether a move was made;
+// false ends the descent: no donor in scope has an improving move left.
+//
+//hmn:noalloc
+func (d *descent) step(try func(candidate) bool) bool {
+	current := d.led.ObjectiveStdDev()
+	for _, origin := range d.order() {
+		ref := d.victim(origin)
+		guest := d.envs[ref.env].v.Guest(ref.guest)
+		for _, dest := range d.dests {
+			if dest == origin || !d.led.Fits(dest, guest.Mem, guest.Stor) {
+				continue
+			}
+			if improves(current, d.led.DeltaStdDev(origin, dest, guest.Proc)) &&
+				try(candidate{ref: ref, from: origin, to: dest}) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// order fills the step's two worklists, in buffers that grow to the
+// cluster's host count once and are reused from then on, and returns the
+// donors in scope: the hosts holding a guest, most loaded first, node ID
+// ascending on ties (hosts without guests are skipped — on a
+// heterogeneous cluster a weak host may have the least residual CPU
+// while running nothing, and it offers no guest to migrate). d.dests
+// gets every host, least loaded first, node ID ascending on ties.
+//
+// The destination order is a copy taken once per step, never the live
+// index itself: a refused move may release and re-reserve its victim,
+// and each of those mutations re-sorts hi.order in place through the
+// ledger's proc hook. A range over the live slice would then continue at
+// the same position in a permuted array — skipping hosts it has not
+// tried or revisiting ones it has.
+func (d *descent) order() []graph.NodeID {
+	d.donors = d.donors[:0]
+	for i, n := range d.hosts {
+		if len(d.onHost[i]) > 0 {
+			d.donors = append(d.donors, n)
+		}
+	}
+	if d.hi != nil {
+		d.dests = append(d.dests[:0], d.hi.order...)
+	} else {
+		d.dests = append(d.dests[:0], d.hosts...)
+		slices.SortFunc(d.dests, func(a, b graph.NodeID) int {
+			return cmp.Or(cmp.Compare(d.load(a), d.load(b)), int(a)-int(b))
+		})
+	}
+	mostLoadedFirst := func(a, b graph.NodeID) int {
+		return cmp.Or(cmp.Compare(d.load(b), d.load(a)), int(a)-int(b))
+	}
+	if d.scope == ScopeMostLoaded && len(d.donors) > 0 {
+		// The order's head is all the paper's scope reads: no sort.
+		d.donors[0] = slices.MinFunc(d.donors, mostLoadedFirst)
+		return d.donors[:1]
+	}
+	slices.SortFunc(d.donors, mostLoadedFirst)
+	return d.donors
+}
+
+// victim picks §4.2's migration victim on origin: the guest with the
+// smallest total bandwidth to co-located guests of its environment,
+// ties to the lower (seq, guest) — envs is seq ascending, so the lower
+// env index.
+//
+//hmn:noalloc
+func (d *descent) victim(origin graph.NodeID) rosterRef {
+	refs := d.onHost[d.led.Cluster().HostIdx(origin)]
+	e := &d.envs[refs[0].env]
+	best, bestBW := refs[0], coLocatedBW(e.v, e.assign, refs[0].guest)
+	for _, r := range refs[1:] {
+		e = &d.envs[r.env]
+		w := coLocatedBW(e.v, e.assign, r.guest)
+		if w < bestBW || (w == bestBW && (r.env < best.env || (r.env == best.env && r.guest < best.guest))) {
+			best, bestBW = r, w
+		}
+	}
+	return best
+}
+
+// relocate is stage 2's try: it moves c's reservation on the descent's
+// ledger and records the move in the roster. A destination that refuses
+// after its Fits check passed — only a mutation racing the scan could
+// make it — gets the victim restored to its origin and the move refused.
+func (d *descent) relocate(c candidate) bool {
+	guest := d.envs[c.ref.env].v.Guest(c.ref.guest)
+	d.led.ReleaseGuest(c.from, guest.Proc, guest.Mem, guest.Stor)
+	if err := d.led.ReserveGuest(c.to, guest.Proc, guest.Mem, guest.Stor); err != nil {
+		mustReserve(d.led, c.from, guest)
+		return false
+	}
+	d.envs[c.ref.env].assign[c.ref.guest] = c.to
+	cl := d.led.Cluster()
+	oi, di := cl.HostIdx(c.from), cl.HostIdx(c.to)
+	d.onHost[oi] = removeRef(d.onHost[oi], c.ref)
+	d.onHost[di] = append(d.onHost[di], c.ref)
+	return true
+}
+
+// migrate is HMN stage 2 (§4.2) with the paper's donor scope: the descent
+// over the one environment being admitted, repeated while the
+// load-balance factor improves; when no move from the most loaded host
+// helps, the stage ends. maxMoves > 0 caps the number of accepted
+// migrations (ablation); 0 means unbounded.
 //
 // The function mutates assign and the ledger in place. It cannot fail:
 // a migration either strictly improves the objective or is not performed.
 func migrate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric LoadMetric, maxMoves int) int {
-	return migrateScoped(led, v, assign, metric, maxMoves, ScopeMostLoaded, nil, false, nil, nil)
+	return migrateScoped(led, v, assign, metric, maxMoves, ScopeMostLoaded, nil, nil)
 }
 
 // migrateScoped is migrate with a selectable donor scope (see
-// MigrationScope), an optional live host index from the Hosting stage
-// (hi may be nil), and an exact-objective reference mode.
-//
-// The Eq. (10) objective is evaluated from the ledger's running Σx/Σx²:
-// each what-if is a single DeltaStdDev call — O(1), no ledger mutation —
-// instead of the seed's release/reserve/full-recompute/undo dance (O(H)
-// per candidate, O(H²) per round). With exact set — by the property
-// tests only, which cross-check both modes against each other — every
-// what-if recomputes the population stddev from scratch.
-//
-// Under the paper's LoadResidualMIPS metric, "ascending load" is exactly
-// the host index's (residual desc, node asc) order, so a live tracking
-// index replaces the per-attempt destination sort outright.
-func migrateScoped(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric LoadMetric, maxMoves int, scope MigrationScope, hi *hostIndex, exact bool, trace *[]moveStep, ms *mapScratch) int {
-	c := led.Cluster()
-	nh := c.NumHosts()
-	if nh < 2 {
+// MigrationScope) and an optional live host index from the Hosting stage
+// (hi may be nil). The descent's working sets come from ms when a session
+// threads one through; nil allocates per call.
+func migrateScoped(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric LoadMetric, maxMoves int, scope MigrationScope, hi *hostIndex, ms *mapScratch) int {
+	if led.Cluster().NumHosts() < 2 {
 		return 0
 	}
-
-	// The stage's working sets — host node list, per-host guest rosters,
-	// the donor worklist and the live-order snapshot — come from ms when
-	// a session threads one through, so the admission hot path reuses
-	// them; nil allocates per call as before. Rosters are keyed by dense
-	// host index (the map the seed kept allocated one bucket chain plus
-	// one growing slice per host per admission).
-	var hosts, donors, liveSnap []graph.NodeID
-	var onHost [][]virtual.GuestID
+	d := &descent{}
 	if ms != nil {
-		ms.migHosts = nodesFor(ms.migHosts, nh)
-		hosts = ms.migHosts
-		if cap(ms.migOnHost) < nh {
-			ms.migOnHost = make([][]virtual.GuestID, nh)
-		}
-		ms.migOnHost = ms.migOnHost[:nh]
-		onHost = ms.migOnHost
-		for i := range onHost {
-			onHost[i] = onHost[i][:0]
-		}
-		ms.migDonors = nodesFor(ms.migDonors, nh)
-		donors = ms.migDonors[:0]
-		ms.migLive = nodesFor(ms.migLive, nh)
-		liveSnap = ms.migLive[:0]
-	} else {
-		hosts = make([]graph.NodeID, nh)
-		onHost = make([][]virtual.GuestID, nh)
+		d = &ms.mig
 	}
-	for i, h := range c.Hosts() {
-		hosts[i] = h.Node
-	}
-
-	// Guests per host, maintained incrementally.
-	for g, node := range assign {
-		onHost[c.HostIdx(node)] = append(onHost[c.HostIdx(node)], virtual.GuestID(g))
-	}
-
-	load := func(node graph.NodeID) float64 {
-		switch metric {
-		case LoadUtilization:
-			h, _ := c.HostAt(node)
-			if h.Proc <= 0 {
-				return 0
-			}
-			return 1 - led.ResidualProc(node)/h.Proc
-		default:
-			// Most loaded == least residual CPU; negate so that larger
-			// means more loaded under both metrics.
-			return -led.ResidualProc(node)
-		}
-	}
-
-	objective := func() float64 {
-		if exact {
-			//hmn:exactobjective
-			return stats.PopStdDev(led.ResidualProcAll())
-		}
-		return led.ObjectiveStdDev()
-	}
-
-	// destinations returns the candidate hosts in ascending load order.
-	// With a live index under the residual-MIPS metric that order already
-	// exists; otherwise it is built per attempt. Exact mode keeps the
-	// per-attempt copy: its what-ifs mutate the ledger, which would
-	// reorder a live index mid-iteration.
-	//
-	// The live order is snapshotted per attempt, never aliased: the
-	// failed-reserve path below releases and re-reserves the victim,
-	// and each of those mutations re-sorts hi.order in place through
-	// the ledger's proc hook. A range over the live slice would then
-	// continue at the same position in a permuted array — skipping
-	// hosts it has not tried or revisiting ones it has. One scratch
-	// buffer is reused across attempts, so the snapshot costs a copy,
-	// not an allocation.
-	liveIndex := hi != nil && hi.track && metric != LoadUtilization && !exact
-	destinations := func() []graph.NodeID {
-		if liveIndex {
-			liveSnap = append(liveSnap[:0], hi.order...)
-			return liveSnap
-		}
-		cand := append([]graph.NodeID(nil), hosts...)
-		slices.SortFunc(cand, func(a, b graph.NodeID) int {
-			la, lb := load(a), load(b)
-			if la != lb {
-				if la < lb {
-					return -1
-				}
-				return 1
-			}
-			return int(a) - int(b)
-		})
-		return cand
-	}
-
-	// tryMoveFrom attempts the paper's move from one donor host: pick the
-	// cheapest victim (smallest co-located bandwidth) and the first
-	// destination, least loaded first, that fits it and lowers the
-	// objective. Reports whether a move was committed.
-	tryMoveFrom := func(origin graph.NodeID, current float64) bool {
-		eps := ImprovementEps(current)
-		guests := onHost[c.HostIdx(origin)]
-		// Victim: guest with the smallest total vbw to co-located guests.
-		victim := guests[0]
-		best := coLocatedBW(v, assign, victim)
-		for _, g := range guests[1:] {
-			if w := coLocatedBW(v, assign, g); w < best || (w == best && g < victim) {
-				victim, best = g, w
-			}
-		}
-		guest := v.Guest(victim)
-
-		for _, dest := range destinations() {
-			if dest == origin {
-				continue
-			}
-			if !led.Fits(dest, guest.Mem, guest.Stor) {
-				continue
-			}
-			improves := false
-			if exact {
-				// What-if by mutation: only origin and dest residuals
-				// change, recompute the objective in full, undo unless it
-				// improved.
-				led.ReleaseGuest(origin, guest.Proc, guest.Mem, guest.Stor)
-				if err := led.ReserveGuest(dest, guest.Proc, guest.Mem, guest.Stor); err != nil {
-					// Fits was checked; only a racing mutation could land
-					// here. Restore and skip.
-					mustReserve(led, origin, guest)
-					continue
-				}
-				if objective()-current < -eps {
-					improves = true
-				} else {
-					led.ReleaseGuest(dest, guest.Proc, guest.Mem, guest.Stor)
-					mustReserve(led, origin, guest)
-				}
-			} else if led.DeltaStdDev(origin, dest, guest.Proc) < -eps {
-				led.ReleaseGuest(origin, guest.Proc, guest.Mem, guest.Stor)
-				if err := led.ReserveGuest(dest, guest.Proc, guest.Mem, guest.Stor); err != nil {
-					mustReserve(led, origin, guest)
-					continue
-				}
-				improves = true
-			}
-			if improves {
-				assign[victim] = dest
-				oi, di := c.HostIdx(origin), c.HostIdx(dest)
-				onHost[oi] = removeGuest(onHost[oi], victim)
-				onHost[di] = append(onHost[di], victim)
-				if trace != nil {
-					*trace = append(*trace, moveStep{guest: victim, from: origin, to: dest})
-				}
-				return true
-			}
-		}
-		return false
-	}
-
+	d.envs = append(d.envs[:0], descentEnv{v: v, assign: assign})
+	d.begin(led, metric, scope, hi)
 	moves := 0
-	for {
-		if maxMoves > 0 && moves >= maxMoves {
-			return moves
-		}
-		current := objective()
-
-		// Donors: hosts with guests, most loaded first (ties by node ID
-		// for determinism). Hosts without guests are skipped — on a
-		// heterogeneous cluster a weak host may have the least residual
-		// CPU while running nothing, and it offers no guest to migrate.
-		donors = donors[:0]
-		for i, n := range hosts {
-			if len(onHost[i]) > 0 {
-				donors = append(donors, n)
-			}
-		}
-		if len(donors) == 0 {
-			return moves
-		}
-		slices.SortFunc(donors, func(a, b graph.NodeID) int {
-			la, lb := load(a), load(b)
-			if la != lb {
-				if la > lb {
-					return -1
-				}
-				return 1
-			}
-			return int(a) - int(b)
-		})
-		if scope == ScopeMostLoaded {
-			donors = donors[:1]
-		}
-
-		moved := false
-		for _, origin := range donors {
-			if tryMoveFrom(origin, current) {
-				moves++
-				moved = true
-				break
-			}
-		}
-		if !moved {
-			return moves
-		}
+	for (maxMoves <= 0 || moves < maxMoves) && d.step(d.relocate) {
+		moves++
 	}
+	d.end()
+	return moves
 }
 
 func mustReserve(led *cluster.Ledger, node graph.NodeID, g virtual.Guest) {
@@ -306,6 +313,8 @@ func mustReserve(led *cluster.Ledger, node graph.NodeID, g virtual.Guest) {
 
 // coLocatedBW sums the bandwidth of g's virtual links whose other
 // endpoint currently shares g's host — the migration cost metric of §4.2.
+//
+//hmn:noalloc
 func coLocatedBW(v *virtual.Env, assign []graph.NodeID, g virtual.GuestID) float64 {
 	node := assign[g]
 	total := 0.0
@@ -318,13 +327,11 @@ func coLocatedBW(v *virtual.Env, assign []graph.NodeID, g virtual.GuestID) float
 	return total
 }
 
-func removeGuest(gs []virtual.GuestID, g virtual.GuestID) []virtual.GuestID {
-	for i, x := range gs {
-		if x == g {
-			return append(gs[:i], gs[i+1:]...)
-		}
+func removeRef(refs []rosterRef, r rosterRef) []rosterRef {
+	if i := slices.Index(refs, r); i >= 0 {
+		return slices.Delete(refs, i, i+1)
 	}
-	return gs
+	return refs
 }
 
 // MigrationStats reports what stage 2 did; exposed for the ablation

@@ -43,13 +43,10 @@ type mapScratch struct {
 	arWant []bool
 	route  graph.SearchStats
 
-	// Migration stage working sets: host node list, per-host guest
-	// rosters (dense, keyed by cluster host index), the per-round donor
-	// worklist and the live-order snapshot destinations() copies.
-	migHosts  []graph.NodeID
-	migOnHost [][]virtual.GuestID
-	migDonors []graph.NodeID
-	migLive   []graph.NodeID
+	// The §4.2 descent with its working sets: per-host guest rosters and
+	// the per-step donor and destination worklists. Stage 2 of an
+	// admission and Session.Rebalance both run it from here.
+	mig descent
 }
 
 var mapScratchPool = sync.Pool{New: func() interface{} {

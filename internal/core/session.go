@@ -105,7 +105,7 @@ func (h *HMN) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mappin
 		return fmt.Errorf("HMN hosting stage: %w", err)
 	}
 	if !h.DisableMigration {
-		migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, false, nil, ms)
+		migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, ms)
 	}
 	if err := network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, arc, ms); err != nil {
 		return fmt.Errorf("HMN networking stage: %w", err)

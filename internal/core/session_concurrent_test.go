@@ -141,12 +141,15 @@ func TestSessionConcurrentNoSpuriousRejection(t *testing.T) {
 // a theorem with a test: whatever N goroutines do to one session, the
 // outcome is the serial execution of the order their operations
 // committed in. Admitters churn environments on a small switched
-// cluster while a commit hook records the event order; a fresh session
-// then replays that order one operation at a time through plain Map and
-// Release, and must place every guest on the same host, route every
-// link over the same path and end on bit-identical residual CPU. An
-// admission that commits a placement computed on residuals another
-// commit has since changed breaks the first equality.
+// cluster and a rebalancer runs round after round beside them, while a
+// commit hook records the event order; a fresh session then replays that
+// order one operation at a time — plain Map and Release, and the
+// recorded effect of every migrate — and must place every guest on the
+// same host, route every link over the same path and end on
+// bit-identical residual CPU. An admission that commits a placement
+// computed on residuals another commit has since changed breaks the
+// first equality; so does a migration scored under one lock-hold and
+// committed under another.
 func TestConcurrentHistoryEqualsItsCommitOrder(t *testing.T) {
 	params := workload.PaperClusterParams()
 	params.Hosts = 24
@@ -170,15 +173,18 @@ func TestConcurrentHistoryEqualsItsCommitOrder(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					var held []*mapping.Mapping
+					// By tag: a migrate replaces the mapping an admission
+					// returned.
+					var held []string
 					for i := 0; i < perAdmitter; i++ {
 						// A full cluster rejects; the history then simply
 						// has no admit for this environment.
-						if m, err := live.Map(smallEnv(int64(w*1000+i), 6+i%5)); err == nil {
-							held = append(held, m)
+						tag := fmt.Sprintf("w%d-%d", w, i)
+						if _, _, err := live.MapTagged(smallEnv(int64(w*1000+i), 6+i%5), tag); err == nil {
+							held = append(held, tag)
 						}
 						if len(held) > 1 {
-							if err := live.Release(held[0]); err != nil {
+							if err := live.ReleaseTagged(held[0]); err != nil {
 								t.Error(err)
 							}
 							held = held[1:]
@@ -186,13 +192,29 @@ func TestConcurrentHistoryEqualsItsCommitOrder(t *testing.T) {
 					}
 				}(w)
 			}
+			admitting := make(chan struct{})
+			rebalanced := make(chan struct{})
+			go func() {
+				defer close(rebalanced)
+				for {
+					live.Rebalance(4)
+					select {
+					case <-admitting:
+						live.Rebalance(0) // at least one round sees the final state
+						return
+					default:
+					}
+				}
+			}()
 			wg.Wait()
+			close(admitting)
+			<-rebalanced
 
 			serial, err := NewSession(c, cluster.VMMOverhead{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			admits := 0
+			admits, migrates := 0, 0
 			for _, ev := range history {
 				switch ev.Type {
 				case EventAdmit:
@@ -209,12 +231,25 @@ func TestConcurrentHistoryEqualsItsCommitOrder(t *testing.T) {
 					if err := serial.Release(serial.MappingBySeq(ev.ReleaseSeq)); err != nil {
 						t.Fatalf("op %d: release of seq %d: %v", ev.Index, ev.ReleaseSeq, err)
 					}
+				case EventMigrate:
+					envs := make([]ReplayMigrateEnv, len(ev.Migrate.Envs))
+					for i, e := range ev.Migrate.Envs {
+						// The serial session admitted untagged.
+						envs[i] = ReplayMigrateEnv{Seq: e.Seq, M: e.M}
+					}
+					if err := serial.ReplayMigrate(ev.Migrate.Moves, envs); err != nil {
+						t.Fatalf("op %d: migrate %v: %v", ev.Index, ev.Migrate.Moves, err)
+					}
+					migrates++
 				default:
 					t.Fatalf("op %d: unexpected %v event", ev.Index, ev.Type)
 				}
 			}
 			if admits < admitters*perAdmitter/2 {
 				t.Fatalf("only %d of %d admissions committed; the cluster is too small to exercise contention", admits, admitters*perAdmitter)
+			}
+			if migrates == 0 {
+				t.Fatal("the rebalancer committed nothing; the history exercises no migrate")
 			}
 			got, want := live.ResidualProc(), serial.ResidualProc()
 			for i := range want {

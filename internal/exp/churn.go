@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/rebalance"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -17,58 +16,69 @@ import (
 // ChurnConfig parameterises the admission-under-rebalancing benchmark:
 // a long tenant churn (map a fresh environment, release the oldest once
 // the pool is full) runs twice on identical clusters — once bare, once
-// with the background rebalancer migrating guests between admissions.
-// The comparison quantifies both sides of the rebalancer's bargain: how
-// much of the Eq. (10) objective the moves claw back after releases
-// punch holes in the packing, and what the concurrent migrate commits
-// cost the admission path's tail latency.
+// with a rebalancing round after every Every-th operation. The
+// comparison quantifies both sides of the rebalancer's bargain: how much
+// of the Eq. (10) objective the moves claw back after releases punch
+// holes in the packing, and what the rounds cost per operation. The
+// rounds run on the submitting goroutine, between operations, so every
+// number but the latencies is a pure function of the seed.
 type ChurnConfig struct {
 	Hosts  int   // cluster size; default 40
 	Ops    int   // churn operations; default 200
 	Guests int   // guests per environment; default 20
 	Active int   // live tenants the churn sustains; default 10
 	Seed   int64 // default 1
-	// Interval is the background rebalancing cadence; default 200µs, so
-	// rounds genuinely overlap the admissions they contend with.
-	Interval time.Duration
+	// Every is the rebalancing cadence in operations: one round after
+	// every Every-th; default 2.
+	Every int
 	// MaxMoves caps guest moves per round; default 8.
 	MaxMoves int
 }
 
-// ChurnResult aggregates both churn runs.
+// ChurnResult aggregates both churn runs. Everything but the four
+// latencies repeats exactly from the seed.
 type ChurnResult struct {
-	Ops, Failed int
+	Ops    int `json:"ops"`
+	Failed int `json:"failed"`
 	// Moves and Rounds count the rebalancer's committed migrations and
-	// its committing rounds during the churn (the final drain included).
-	Moves, Rounds int
+	// its committing rounds during the churn (the final drain included),
+	// Aborted the scored moves it skipped because their links could not
+	// be re-routed.
+	Moves   int `json:"moves"`
+	Rounds  int `json:"rounds"`
+	Aborted int `json:"aborted"`
 	// ImprovementPerMove is the realized Eq. (10) objective drop per
 	// committed guest move, averaged over every commit.
-	ImprovementPerMove float64
+	ImprovementPerMove float64 `json:"improvement_per_move"`
 	// Objective trajectories: the mean over per-op samples and the final
 	// value, bare vs rebalanced (the rebalanced run is drained to a local
 	// optimum after the churn ends).
-	ObjectiveMeanBase, ObjectiveMeanReb   float64
-	ObjectiveFinalBase, ObjectiveFinalReb float64
-	// Admission latency percentiles in seconds, bare vs with the
-	// rebalancer running.
-	AdmitP50Base, AdmitP99Base float64
-	AdmitP50Reb, AdmitP99Reb   float64
+	ObjectiveMeanBase  float64 `json:"objective_mean_bare"`
+	ObjectiveMeanReb   float64 `json:"objective_mean_rebalanced"`
+	ObjectiveFinalBase float64 `json:"objective_final_bare"`
+	ObjectiveFinalReb  float64 `json:"objective_final_rebalanced"`
+	// Latency percentiles of one operation — the admission plus, when one
+	// is due, the round behind it — in seconds, bare vs rebalanced.
+	OpP50Base float64 `json:"op_p50_seconds_bare"`
+	OpP99Base float64 `json:"op_p99_seconds_bare"`
+	OpP50Reb  float64 `json:"op_p50_seconds_rebalanced"`
+	OpP99Reb  float64 `json:"op_p99_seconds_rebalanced"`
 }
 
 // String renders the result for the CLI.
 func (r ChurnResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Churn benchmark: %d ops (%d infeasible), rebalancer committed %d moves in %d rounds\n",
-		r.Ops, r.Failed, r.Moves, r.Rounds)
+	fmt.Fprintf(&b, "Churn benchmark: %d ops (%d infeasible), rebalancer committed %d moves in %d rounds (%d scored moves skipped)\n",
+		r.Ops, r.Failed, r.Moves, r.Rounds, r.Aborted)
 	fmt.Fprintf(&b, "  Eq. (10) objective      bare      rebalanced\n")
 	fmt.Fprintf(&b, "    mean over ops     %9.2f   %11.2f\n", r.ObjectiveMeanBase, r.ObjectiveMeanReb)
 	fmt.Fprintf(&b, "    final             %9.2f   %11.2f\n", r.ObjectiveFinalBase, r.ObjectiveFinalReb)
 	fmt.Fprintf(&b, "  objective improvement per migration: %.3f\n", r.ImprovementPerMove)
-	fmt.Fprintf(&b, "  admission latency (ms)  bare      rebalanced\n")
-	fmt.Fprintf(&b, "    p50               %9.3f   %11.3f\n", 1e3*r.AdmitP50Base, 1e3*r.AdmitP50Reb)
-	fmt.Fprintf(&b, "    p99               %9.3f   %11.3f\n", 1e3*r.AdmitP99Base, 1e3*r.AdmitP99Reb)
-	if r.AdmitP99Base > 0 {
-		fmt.Fprintf(&b, "    p99 ratio         %9.2fx\n", r.AdmitP99Reb/r.AdmitP99Base)
+	fmt.Fprintf(&b, "  operation latency (ms)  bare      rebalanced\n")
+	fmt.Fprintf(&b, "    p50               %9.3f   %11.3f\n", 1e3*r.OpP50Base, 1e3*r.OpP50Reb)
+	fmt.Fprintf(&b, "    p99               %9.3f   %11.3f\n", 1e3*r.OpP99Base, 1e3*r.OpP99Reb)
+	if r.OpP99Base > 0 {
+		fmt.Fprintf(&b, "    p99 ratio         %9.2fx\n", r.OpP99Reb/r.OpP99Base)
 	}
 	return b.String()
 }
@@ -95,8 +105,8 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 200 * time.Microsecond
+	if cfg.Every <= 0 {
+		cfg.Every = 2
 	}
 	if cfg.MaxMoves == 0 {
 		cfg.MaxMoves = 8
@@ -110,14 +120,15 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 		Failed:             base.failed,
 		Moves:              reb.moves,
 		Rounds:             reb.rounds,
+		Aborted:            reb.aborted,
 		ObjectiveMeanBase:  stats.Mean(base.objectives),
 		ObjectiveMeanReb:   stats.Mean(reb.objectives),
 		ObjectiveFinalBase: base.final,
 		ObjectiveFinalReb:  reb.final,
-		AdmitP50Base:       stats.Percentile(base.admitSecs, 50),
-		AdmitP99Base:       stats.Percentile(base.admitSecs, 99),
-		AdmitP50Reb:        stats.Percentile(reb.admitSecs, 50),
-		AdmitP99Reb:        stats.Percentile(reb.admitSecs, 99),
+		OpP50Base:          stats.Percentile(base.opSecs, 50),
+		OpP99Base:          stats.Percentile(base.opSecs, 99),
+		OpP50Reb:           stats.Percentile(reb.opSecs, 50),
+		OpP99Reb:           stats.Percentile(reb.opSecs, 99),
 	}
 	if reb.moves > 0 {
 		r.ImprovementPerMove = reb.improvement / float64(reb.moves)
@@ -127,20 +138,21 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 
 // churnOutcome is one run's raw measurements.
 type churnOutcome struct {
-	admitSecs   []float64
+	opSecs      []float64
 	objectives  []float64
 	final       float64
 	failed      int
 	moves       int
 	rounds      int
+	aborted     int
 	improvement float64
 }
 
 // churnRun plays the deterministic churn schedule on a fresh session.
 // The schedule is a pure function of cfg.Seed: environment i comes from
 // (Seed, churnStream, i) and the release order is FIFO, so both runs
-// submit the same tenants in the same order; only the rebalancer's
-// interleaving differs.
+// submit the same tenants in the same order; the rebalanced one runs a
+// round behind every cfg.Every-th operation.
 func churnRun(cfg ChurnConfig, rebalanced bool) churnOutcome {
 	specs := workload.GenerateHosts(clusterParams(cfg.Hosts),
 		rand.New(rand.NewSource(deriveSeed(cfg.Seed, churnStream))))
@@ -154,26 +166,14 @@ func churnRun(cfg ChurnConfig, rebalanced bool) churnOutcome {
 	}
 
 	var out churnOutcome
-	var sched *rebalance.Scheduler
-	if rebalanced {
-		// The hook fields are written on the scheduler goroutine only;
-		// Stop() synchronizes with the loop's exit, so reading them after
-		// Stop is race-free.
-		sched = rebalance.New(s, cfg.Interval, cfg.MaxMoves, rebalance.Hooks{
-			OnCommit: func(u rebalance.Unit, res *core.MigrateResult, err error) {
-				if err != nil || res == nil {
-					return
-				}
-				out.moves += len(res.Moves)
-				out.improvement += res.ObjectiveBefore - res.ObjectiveAfter
-			},
-			OnRound: func(units int, elapsed float64) {
-				if units > 0 {
-					out.rounds++
-				}
-			},
-		})
-		sched.Start()
+	round := func(maxMoves int) {
+		res := s.Rebalance(maxMoves)
+		out.moves += res.Moves
+		out.aborted += res.Skipped
+		out.improvement += res.Gain
+		if res.Moves > 0 {
+			out.rounds++
+		}
 	}
 
 	for i := 0; i < cfg.Ops; i++ {
@@ -181,7 +181,6 @@ func churnRun(cfg ChurnConfig, rebalanced bool) churnOutcome {
 			rand.New(rand.NewSource(deriveSeed(cfg.Seed, churnStream, int64(i)))))
 		start := time.Now() //hmn:wallclock
 		_, _, err := s.MapTagged(env, fmt.Sprintf("e%d", i))
-		out.admitSecs = append(out.admitSecs, time.Since(start).Seconds()) //hmn:wallclock
 		if err != nil {
 			if !errors.Is(err, core.ErrNoHostFits) && !errors.Is(err, core.ErrNoPath) {
 				panic(err)
@@ -189,37 +188,23 @@ func churnRun(cfg ChurnConfig, rebalanced bool) churnOutcome {
 			out.failed++
 		}
 		for s.Active() > cfg.Active {
-			releaseOldest(s)
+			if err := s.Release(s.Export().Active[0].M); err != nil {
+				panic(err)
+			}
 		}
+		if rebalanced && (i+1)%cfg.Every == 0 {
+			round(cfg.MaxMoves)
+		}
+		out.opSecs = append(out.opSecs, time.Since(start).Seconds()) //hmn:wallclock
 		out.objectives = append(out.objectives, s.ObjectiveStdDev())
 	}
 
 	if rebalanced {
-		sched.Stop()
 		// Drain to a local optimum so the final objective is the best the
-		// planner can make of the end state, not whatever the last timed
-		// round happened to reach.
-		for sched.RunOnce() > 0 {
-		}
+		// descent can make of the end state, not where the last capped
+		// round happened to stop.
+		round(0)
 	}
 	out.final = s.ObjectiveStdDev()
 	return out
-}
-
-// releaseOldest releases the lowest-seq active environment. The mapping
-// pointer is re-read on a conflict: a rebalance commit may swap it
-// between the export and the release.
-func releaseOldest(s *core.Session) {
-	for {
-		exp := s.Export()
-		if len(exp.Active) == 0 {
-			return
-		}
-		if err := s.Release(exp.Active[0].M); err == nil || !errors.Is(err, core.ErrNotActive) {
-			if err != nil {
-				panic(err)
-			}
-			return
-		}
-	}
 }

@@ -143,7 +143,51 @@ func CompareDocs(base, cur JSONDocument, thresholdPct float64) CompareReport {
 		problem("series %s present in the current run but missing from the baseline", k)
 	}
 	compareFederation(base.Federation, cur.Federation, &rep)
+	compareChurn(base.Churn, cur.Churn, thresholdPct, &rep)
 	return rep
+}
+
+// compareChurn gates the churn block: the counts must not move and the
+// objective statistics must agree within thresholdPct — the rounds run
+// between the operations, so all of them are pure functions of the seed
+// — while the operation latencies are advisory timing. A baseline
+// without the block gates nothing.
+func compareChurn(base, cur *ChurnResult, thresholdPct float64, rep *CompareReport) {
+	if base == nil {
+		return
+	}
+	problem := func(format string, args ...interface{}) {
+		rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
+	}
+	if cur == nil {
+		problem("churn block present in the baseline but missing from the current run")
+		return
+	}
+	if base.Ops != cur.Ops || base.Failed != cur.Failed || base.Moves != cur.Moves ||
+		base.Rounds != cur.Rounds || base.Aborted != cur.Aborted {
+		problem("churn: ops/failed/moves/rounds/aborted %d/%d/%d/%d/%d -> %d/%d/%d/%d/%d (deterministic counts must not move)",
+			base.Ops, base.Failed, base.Moves, base.Rounds, base.Aborted,
+			cur.Ops, cur.Failed, cur.Moves, cur.Rounds, cur.Aborted)
+	}
+	for _, f := range []struct {
+		name      string
+		base, cur float64
+	}{
+		{"objective mean, bare", base.ObjectiveMeanBase, cur.ObjectiveMeanBase},
+		{"objective mean, rebalanced", base.ObjectiveMeanReb, cur.ObjectiveMeanReb},
+		{"objective final, bare", base.ObjectiveFinalBase, cur.ObjectiveFinalBase},
+		{"objective final, rebalanced", base.ObjectiveFinalReb, cur.ObjectiveFinalReb},
+		{"improvement per move", base.ImprovementPerMove, cur.ImprovementPerMove},
+	} {
+		if d := relDeltaPct(f.base, f.cur); d > thresholdPct {
+			problem("churn: %s %.6g -> %.6g (%.3f%% > %.3f%%)", f.name, f.base, f.cur, d, thresholdPct)
+		}
+	}
+	if base.OpP99Reb > 0 {
+		rep.Timing = append(rep.Timing, fmt.Sprintf(
+			"timing (advisory): churn op p50 bare %.4fs -> %.4fs, rebalanced %.4fs -> %.4fs; p99 rebalanced %.4fs -> %.4fs",
+			base.OpP50Base, cur.OpP50Base, base.OpP50Reb, cur.OpP50Reb, base.OpP99Reb, cur.OpP99Reb))
+	}
 }
 
 // compareFederation gates the federation block's deterministic fields —

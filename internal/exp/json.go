@@ -73,6 +73,10 @@ type JSONDocument struct {
 	// the bench ran with -shards. Committed baselines without the block
 	// stay valid: CompareDocs gates it only when the baseline carries it.
 	Federation *FederationResult `json:"federation,omitempty"`
+	// Churn holds the admission churn, bare vs rebalanced, when the bench
+	// ran with -churn; gated like Federation, only against a baseline that
+	// carries it.
+	Churn *ChurnResult `json:"churn,omitempty"`
 }
 
 // JSON assembles the document for a sweep. Runs keep the deterministic
@@ -83,6 +87,7 @@ func (r *Results) JSON() JSONDocument {
 		Reps:     r.Config.Reps,
 		Seed:     r.Config.Seed,
 		MaxTries: r.Config.MaxTries,
+		Churn:    r.Churn,
 	}
 	for _, t := range r.Config.Topologies {
 		doc.Topologies = append(doc.Topologies, t.String())

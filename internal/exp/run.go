@@ -91,6 +91,9 @@ type Run struct {
 type Results struct {
 	Config Config
 	Runs   []Run
+	// Churn, when the caller also ran the churn benchmark on the sweep's
+	// hosts and seed, rides into the JSON document beside the series.
+	Churn *ChurnResult
 }
 
 // Run executes the sweep described by cfg. Repetitions execute in

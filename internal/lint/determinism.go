@@ -28,8 +28,9 @@ import (
 // the Eq. (10) objective incrementally (Ledger.ObjectiveStdDev,
 // Ledger.DeltaStdDev, both O(1)), so an O(hosts) recompute per
 // migration or consolidation candidate is a quadratic regression
-// waiting to happen. The deliberate exact recompute of the debug
-// cross-check carries //hmn:exactobjective.
+// waiting to happen. There is no escape: the one deliberate exact
+// recompute left is the test-side reference of the migration tests,
+// which computes it in a function of its own.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "flag unseeded randomness, wall-clock reads and map-order dependent " +
@@ -110,8 +111,7 @@ func runDeterminism(pass *Pass) (interface{}, error) {
 // loop or a closure (migration and consolidation evaluate candidates
 // through closures called per attempt): each such call recomputes the
 // Eq. (10) objective in O(hosts) where Ledger.ObjectiveStdDev and
-// Ledger.DeltaStdDev are O(1). The debug cross-check's deliberate
-// recompute is admitted by //hmn:exactobjective.
+// Ledger.DeltaStdDev are O(1). No directive admits one.
 func checkExactRecompute(pass *Pass, file *ast.File) {
 	var spans [][2]token.Pos
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -141,12 +141,9 @@ func checkExactRecompute(pass *Pass, file *ast.File) {
 		if !inSpan(call.Pos()) {
 			return true
 		}
-		if _, ok := pass.annotated(file, call.Pos(), dirExactRecompute); ok {
-			return true
-		}
 		pass.Reportf(call.Pos(),
 			"stats.PopStdDev recomputes the Eq. (10) objective in O(hosts) inside a loop or closure; "+
-				"use Ledger.ObjectiveStdDev/DeltaStdDev, or annotate a deliberate exact recompute with //hmn:exactobjective")
+				"use Ledger.ObjectiveStdDev/DeltaStdDev")
 		return true
 	})
 }

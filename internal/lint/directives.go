@@ -13,7 +13,6 @@ import (
 //	//hmn:guardedby <mutex>         struct field guarded by the named mutex
 //	//hmn:locked <mutex>            function requires the caller to hold <mutex>
 //	//hmn:sentineltable             the package's one sentinel→HTTP-status table
-//	//hmn:exactobjective            deliberate O(H) Eq. (10) recompute (debug path)
 //	//hmn:walencoder                the one event→record conversion (walcoverage)
 //	//hmn:walreplayer               the one record→Replay* dispatch (walcoverage)
 //	//hmn:noalloc                   function must not heap-allocate (hotpathalloc)
@@ -30,7 +29,6 @@ const (
 	dirGuardedBy      = "guardedby"
 	dirLocked         = "locked"
 	dirSentinelTable  = "sentineltable"
-	dirExactRecompute = "exactobjective"
 	dirWALEncoder     = "walencoder"
 	dirWALReplayer    = "walreplayer"
 	dirNoAlloc        = "noalloc"
@@ -43,9 +41,9 @@ const (
 // otherwise annotate nothing without anyone noticing.
 var knownDirectives = map[string]bool{
 	dirWallclock: true, dirOrderInvariant: true, dirGuardedBy: true,
-	dirLocked: true, dirSentinelTable: true, dirExactRecompute: true,
-	dirWALEncoder: true, dirWALReplayer: true, dirNoAlloc: true,
-	dirAllocOK: true, dirLockOrder: true,
+	dirLocked: true, dirSentinelTable: true, dirWALEncoder: true,
+	dirWALReplayer: true, dirNoAlloc: true, dirAllocOK: true,
+	dirLockOrder: true,
 }
 
 // directive is one parsed //hmn: comment.

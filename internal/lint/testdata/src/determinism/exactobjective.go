@@ -22,15 +22,6 @@ func exactInClosure(residuals []float64) func() float64 {
 	}
 }
 
-// annotatedExact is the debug cross-check: the deliberate recompute is
-// admitted by the directive.
-func annotatedExact(residuals []float64) func() float64 {
-	return func() float64 {
-		//hmn:exactobjective
-		return stats.PopStdDev(residuals)
-	}
-}
-
 // exactOnce computes the objective a single time at top level — no loop,
 // no closure, nothing to amortise.
 func exactOnce(residuals []float64) float64 {

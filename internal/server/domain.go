@@ -31,7 +31,7 @@ type domain struct {
 	mutate func(ctx context.Context, op func(*core.Session) ([]core.RepairResult, error)) ([]core.RepairResult, error)
 	// rebalance runs one synchronous rebalancing round, durable when it
 	// returns.
-	rebalance func() (moves int, before, after float64, err error)
+	rebalance func() (core.RebalanceResult, error)
 }
 
 // resolver finds the domain a request's path names, or writes the
@@ -166,10 +166,10 @@ func (s *Server) handleRebalance(resolve resolver) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		moves, before, after, err := d.rebalance()
+		res, err := d.rebalance()
 		if refused(w, err) {
 			return
 		}
-		writeJSON(w, http.StatusOK, RebalanceResponse{Moves: moves, StdDevBefore: before, StdDevAfter: after})
+		writeJSON(w, http.StatusOK, RebalanceResponse{Moves: res.Moves, StdDevBefore: res.ObjectiveBefore, StdDevAfter: res.ObjectiveAfter})
 	}
 }

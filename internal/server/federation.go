@@ -135,7 +135,7 @@ func (s *Server) shardDomain(w http.ResponseWriter, r *http.Request) (domain, bo
 		mutate: func(_ context.Context, op func(*core.Session) ([]core.RepairResult, error)) ([]core.RepairResult, error) {
 			return s.fed.Mutate(k, op)
 		},
-		rebalance: func() (int, float64, float64, error) { return s.fed.RebalanceOnce(k) },
+		rebalance: func() (core.RebalanceResult, error) { return s.fed.RebalanceOnce(k) },
 	}, true
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/rebalance"
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/virtual"
@@ -152,7 +151,45 @@ func TestRebalanceEndpoint(t *testing.T) {
 	}
 }
 
-// TestRebalanceBackgroundLoop runs the continuous scheduler: after the
+// TestRebalanceCountsItsRouting: the A*Prune work of a round's re-routes
+// lands in the routing counters admissions and repairs feed. The pair's
+// guests are linked; admission co-locates them on h2 (a trivial path, no
+// search), and the round's one move pulls the link across the fabric.
+func TestRebalanceCountsItsRouting(t *testing.T) {
+	cs := rebalanceTestbed(t)
+	_, ts := startServer(t, Config{Workers: 2, QueueDepth: 16})
+	client := ts.Client()
+	sid := openSession(t, client, ts.URL, cs, "")
+	base := ts.URL + "/v1/sessions/" + sid
+	pinned := mapOne(t, client, base, pinEnv())
+	linked := pairEnv()
+	linked.AddLink(0, 1, 10, 100)
+	mapOne(t, client, base, linked)
+	if code, raw, _ := doJSON(t, client, "DELETE", base+"/envs/"+pinned, nil); code != http.StatusNoContent {
+		t.Fatalf("release pins: %d %s", code, raw)
+	}
+	before := scrape(t, client, ts.URL)
+
+	code, raw, _ := doJSON(t, client, "POST", base+"/rebalance", nil)
+	var out RebalanceResponse
+	if err := json.Unmarshal(raw, &out); err != nil || code != http.StatusOK || out.Moves != 1 {
+		t.Fatalf("rebalance: %d %s (%v), want one move", code, raw, err)
+	}
+	after := scrape(t, client, ts.URL)
+	for _, name := range []string{"hmnd_route_searches_total", "hmnd_route_pops_total"} {
+		if was, is := metricValue(t, before, name), metricValue(t, after, name); is <= was {
+			t.Errorf("%s went %v -> %v across a round that re-routed a link", name, was, is)
+		}
+	}
+	if got := metricValue(t, after, "hmnd_rebalance_planned_units_total"); got != 1 {
+		t.Errorf("hmnd_rebalance_planned_units_total = %v, want the 1 move scored", got)
+	}
+	if got := metricValue(t, after, "hmnd_rebalance_aborts_total"); got != 0 {
+		t.Errorf("hmnd_rebalance_aborts_total = %v, want 0", got)
+	}
+}
+
+// TestRebalanceBackgroundLoop runs the background cadence: after the
 // release unbalances the session, the loop must converge it without any
 // endpoint call, and the environment registry must follow the moved
 // mapping (releasing B afterwards restores the primed baseline).
@@ -255,7 +292,7 @@ func TestRebalanceKillRestart(t *testing.T) {
 }
 
 // overtakenByMigrateCommit leaves a session whose one environment, ID
-// pair, has just been migrated inside core with no scheduler hook run.
+// pair, has just been migrated inside core, behind the daemon's back.
 func overtakenByMigrateCommit(t *testing.T) (client *http.Client, base, pair string, sess *session) {
 	t.Helper()
 	cs := rebalanceTestbed(t)
@@ -268,22 +305,17 @@ func overtakenByMigrateCommit(t *testing.T) (client *http.Client, base, pair str
 	s.mu.Lock()
 	sess = s.sessions[sid]
 	s.mu.Unlock()
-	units := rebalance.Plan(sess.Session().PlanSnapshot(), 0)
-	if len(units) != 1 {
-		t.Fatalf("planner proposed %d units on the unbalanced fixture, want 1", len(units))
-	}
-	if _, err := sess.Session().MigrateGuests(units[0].Moves); err != nil {
-		t.Fatalf("migrate commit: %v", err)
+	if res := sess.Session().Rebalance(0); res.Moves != 1 {
+		t.Fatalf("a round on the unbalanced fixture committed %d moves, want 1: %+v", res.Moves, res)
 	}
 	return client, base, pair, sess
 }
 
-// TestReleaseOvertakenByMigrateCommit parks a DELETE in the window the
-// background rebalancer opens on every commit: core has already swapped
-// the environment's mapping for the migrated one, and the scheduler's
-// OnCommit has not run yet. The test holds that window open for good by
-// committing the planner's unit straight into core, as the scheduler's
-// goroutine does before it calls any hook. A registry that remembered the
+// TestReleaseOvertakenByMigrateCommit parks a DELETE behind a background
+// round's commit: core has already swapped the environment's mapping for
+// the migrated one, and nothing has told the daemon. The test gets there
+// by running the round straight on the core session, as the background
+// cadence's goroutine does. A registry that remembered the
 // mapping it was handed at admission asked core to release a pointer no
 // longer active: the client got 404, the ID was forgotten, and the
 // reservations stayed in the ledger with nothing left to name them.

@@ -9,7 +9,7 @@
 //     HMN-C mapper incrementally; it is the only layer that mutates
 //     testbed state.
 //   - shard.Shard is one lock domain: a session, the write-ahead log its
-//     commits go to and its rebalance scheduler. Creating one, adopting
+//     commits go to and its rebalance cadence. Creating one, adopting
 //     one from a replayed log and snapshotting one are shard functions;
 //     this package never touches a commit hook or a scheduler.
 //   - Server is the one daemon type. New serves clients who bring their
@@ -81,7 +81,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/jsonx"
 	"repro/internal/metrics"
-	"repro/internal/rebalance"
 	"repro/internal/shard"
 	"repro/internal/spec"
 	"repro/internal/virtual"
@@ -123,15 +122,14 @@ type Config struct {
 	// (incremental objective vs recompute, environment registry vs
 	// active set) before the daemon serves.
 	VerifyReplay bool
-	// RebalanceInterval enables the background rebalancer: every lock
-	// domain's scheduler periodically plans improving guest migrations
-	// off the live residuals and commits them through
-	// core.Session.MigrateGuests. 0 disables the loop; the one-shot rebalance
-	// endpoint works either way.
+	// RebalanceInterval enables background rebalancing: every lock domain
+	// periodically runs a round of the §4.2 descent over its deployed
+	// environments (core.Session.Rebalance), one committed move per
+	// lock-hold. 0 disables it; the one-shot rebalance endpoint works
+	// either way.
 	RebalanceInterval time.Duration
-	// RebalanceMaxMoves caps guest moves per rebalancing round (a
-	// destination swap counts as two). <= 0 means unbounded: a round
-	// plans until no move improves the objective.
+	// RebalanceMaxMoves caps guest moves per rebalancing round. <= 0 means
+	// unbounded: a round runs until no move improves the objective.
 	RebalanceMaxMoves int
 	// Logf receives durability warnings and recovery progress; nil
 	// discards them.
@@ -244,11 +242,11 @@ func newServer(cfg Config) *Server {
 		mCommitLatency: reg.Histogram("hmnd_commit_latency_seconds",
 			"Time an admission spent outside the mapper while holding the session lock (snapshot + validate-and-commit).", nil),
 		mRouteSearches: reg.Counter("hmnd_route_searches_total",
-			"A*Prune searches run by map and repair attempts (one per inter-host virtual link routed)."),
+			"A*Prune searches run by map and repair attempts and rebalancing rounds (one per inter-host virtual link routed)."),
 		mRoutePops: reg.Counter("hmnd_route_pops_total",
-			"Candidates A*Prune searches popped, by map and repair attempts; divided by the searches, the work one search takes."),
+			"Candidates A*Prune searches popped, by map and repair attempts and rebalancing rounds; divided by the searches, the work one search takes."),
 		mRouteSweeps: reg.Counter("hmnd_route_sweeps_total",
-			"Exact widest-path bounds A*Prune searches computed by a sweep over every edge, by map and repair attempts; the searches without one ran on a tree or had their cheap bound proved exact."),
+			"Exact widest-path bounds A*Prune searches computed by a sweep over every edge, by map and repair attempts and rebalancing rounds; the searches without one ran on a tree or had their cheap bound proved exact."),
 		mReplayRecords: reg.Counter("hmnd_replay_records_total",
 			"Operation records replayed from the log during recovery."),
 		mRecovery: reg.Gauge("hmnd_recovery_seconds",
@@ -264,15 +262,15 @@ func newServer(cfg Config) *Server {
 		rebalRounds = reg.Counter("hmnd_rebalance_rounds_total",
 			"Rebalancing rounds executed (background and one-shot).")
 		rebalPlanned = reg.Counter("hmnd_rebalance_planned_units_total",
-			"Migration units (single moves and swaps) proposed by the planner.")
+			"Guest moves rebalancing rounds scored improving against the live residuals and tried to commit.")
 		rebalMoves = reg.Counter("hmnd_rebalance_moves_total",
-			"Guest migrations committed by the rebalancer.")
+			"Guest migrations committed by rebalancing rounds.")
 		rebalAborts = reg.Counter("hmnd_rebalance_aborts_total",
-			"Planned units dropped because the live state had moved on since the plan's snapshot.")
+			"Scored moves skipped because their links could not be re-routed; the ledger is left as it was.")
 		rebalImprovement = reg.Gauge("hmnd_rebalance_objective_improvement",
-			"Cumulative Eq. (10) objective reduction realized by committed rebalancing plans.")
+			"Cumulative Eq. (10) objective reduction realized by committed rebalancing moves.")
 		rebalLatency = reg.Histogram("hmnd_rebalance_round_seconds",
-			"Wall time of rebalancing rounds (snapshot plus planning).", nil)
+			"Time a rebalancing round held its session's lock, all its one-move lock-holds together.", nil)
 	)
 	s.domainCfg = shard.Config{
 		Mapper:            cfg.Mapper,
@@ -291,22 +289,14 @@ func newServer(cfg Config) *Server {
 			OnSnapshot:  snapshotLatency.Observe,
 			OnReplay:    s.mReplayRecords.Inc,
 			OnAdmit:     s.observeAdmit,
-			Rebalance: rebalance.Hooks{
-				OnRound: func(units int, elapsed float64) {
-					rebalRounds.Inc()
-					rebalPlanned.Add(uint64(units))
-					rebalLatency.Observe(elapsed)
-				},
-				OnCommit: func(_ rebalance.Unit, res *core.MigrateResult, err error) {
-					if err != nil {
-						rebalAborts.Inc()
-						return
-					}
-					rebalMoves.Add(uint64(len(res.Moves)))
-					if d := res.ObjectiveBefore - res.ObjectiveAfter; d > 0 {
-						rebalImprovement.Add(d)
-					}
-				},
+			OnRebalance: func(res core.RebalanceResult) {
+				rebalRounds.Inc()
+				rebalPlanned.Add(uint64(res.Scored))
+				rebalMoves.Add(uint64(res.Moves))
+				rebalAborts.Add(uint64(res.Skipped))
+				rebalImprovement.Add(res.Gain)
+				rebalLatency.Observe(res.Seconds)
+				s.observeRoute(res.Route)
 			},
 		},
 	}
@@ -459,8 +449,8 @@ func (s *Server) observeAdmit(admit core.AdmitStats, seconds float64) {
 	s.observeRoute(admit.Route)
 }
 
-// observeRoute adds the A*Prune work of one map or repair attempt to the
-// routing counters.
+// observeRoute adds the A*Prune work of one map or repair attempt, or of
+// one rebalancing round, to the routing counters.
 func (s *Server) observeRoute(route graph.SearchStats) {
 	s.mRouteSearches.Add(route.Searches)
 	s.mRoutePops.Add(route.Pops)

@@ -333,14 +333,13 @@ func (s *Server) sessionDomain(w http.ResponseWriter, r *http.Request) (domain, 
 			}
 			return results, nil
 		},
-		rebalance: func() (moves int, before, after float64, err error) {
+		rebalance: func() (core.RebalanceResult, error) {
 			if s.isDraining() {
-				return 0, 0, 0, errDraining
+				return core.RebalanceResult{}, errDraining
 			}
-			moves, before, after = sess.Rebalance()
 			// The round already passed the barrier if it committed
-			// anything; this one covers the moves == 0 path for free.
-			return moves, before, after, s.ackBarrier()
+			// anything; this one covers the zero-move path for free.
+			return sess.Rebalance(), s.ackBarrier()
 		},
 	}, true
 }

@@ -502,18 +502,18 @@ func (f *Federation) Mutate(k int, op func(*core.Session) ([]core.RepairResult, 
 	return results, nil
 }
 
-// RebalanceOnce runs one planning round on shard k, on its worker, and
-// returns the guest moves committed with the objective before/after.
-func (f *Federation) RebalanceOnce(k int) (moves int, before, after float64, err error) {
+// RebalanceOnce runs one rebalancing round on shard k, on its worker,
+// and returns what it did.
+func (f *Federation) RebalanceOnce(k int) (res core.RebalanceResult, err error) {
 	sh, err := f.Shard(k)
 	if err != nil {
-		return 0, 0, 0, err
+		return res, err
 	}
 	sh.run(func() {
-		moves, before, after = sh.Rebalance()
+		res = sh.Rebalance()
 		err = sh.barrier()
 	})
-	return moves, before, after, err
+	return res, err
 }
 
 // reconcileRepairs applies one shard's repair outcomes to the registry.

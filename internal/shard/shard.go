@@ -1,6 +1,6 @@
 // Package shard is the federation layer: N fully independent shards —
 // each its own core.Session, ledger, WAL directory and rebalance
-// scheduler — behind a front-end router that places every incoming
+// cadence — behind a front-end router that places every incoming
 // environment on a shard. Unrelated environments therefore never
 // contend on a lock, a snapshot or an fsync: each shard serializes its
 // own operations on one worker goroutine, and the only shared state is
@@ -28,13 +28,13 @@
 // background.
 //
 // The package also owns the lock domain as such. A Shard is a session,
-// the WAL its commits are logged to and its rebalance scheduler; Open
+// the WAL its commits are logged to and its rebalance cadence; Open
 // creates one, Replay recovers the ones a WAL directory holds, Snap
 // exports one for a snapshot. A federation's shards are domains with a
 // WAL directory and a worker each; the sessions of a classic daemon
 // (internal/server) are domains too, sharing the daemon's one WAL —
-// there is one copy of the commit hook, the open record, the scheduler
-// wiring and the recovery step, whoever asks.
+// there is one copy of the commit hook, the open record, the rebalance
+// round and the recovery step, whoever asks.
 package shard
 
 import (
@@ -44,7 +44,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/rebalance"
 	"repro/internal/spec"
 	"repro/internal/wal"
 )
@@ -92,9 +91,9 @@ type Config struct {
 	// every shard on this cadence; a final snapshot is always taken on
 	// a clean Close.
 	SnapshotInterval time.Duration
-	// RebalanceInterval, when positive, runs each shard's background
-	// rebalancer on this cadence. RebalanceMaxMoves caps guest moves
-	// per round (0 = the scheduler's default).
+	// RebalanceInterval, when positive, runs a rebalancing round on every
+	// domain on this cadence. RebalanceMaxMoves caps guest moves per
+	// round (0 = unbounded).
 	RebalanceInterval time.Duration
 	RebalanceMaxMoves int
 	// VerifyReplay cross-checks every recovered shard before serving.
@@ -121,9 +120,9 @@ type Hooks struct {
 	// attempt, committed or not, with the attempt's funnel counters and
 	// the wall time of its MapTagged call.
 	OnAdmit func(st core.AdmitStats, seconds float64)
-	// Rebalance observes every domain's scheduler (OnRound, OnCommit);
-	// AfterRound and Logf are the domain's own barrier and logger.
-	Rebalance rebalance.Hooks
+	// OnRebalance fires after every rebalancing round, background or
+	// one-shot, with what it did.
+	OnRebalance func(res core.RebalanceResult)
 }
 
 // withDefaults fills the zero values.
@@ -156,7 +155,7 @@ func (cfg Config) walHooks() wal.Hooks {
 func shardSID(k int) string { return fmt.Sprintf("shard-%d", k) }
 
 // Shard is one lock domain: a session on its own cluster, the WAL its
-// commits are logged to and its rebalance scheduler. A federation shard
+// commits are logged to and its rebalance cadence. A federation shard
 // logs to a WAL of its own and runs one worker goroutine that executes
 // its operations in submission order; the sessions of a classic daemon
 // are domains too, sharing one WAL and the daemon's admission queue.
@@ -176,7 +175,9 @@ type Shard struct {
 	overhead    cluster.VMMOverhead
 	sess        *core.Session
 	w           *wal.WAL // nil without a data directory
-	reb         *rebalance.Scheduler
+	cfg         Config
+	// stopRebalance stops the background rounds; nil while they are off.
+	stopRebalance func()
 
 	// The worker plumbing of a federation shard; nil for a domain whose
 	// owner serializes its operations itself.
@@ -186,7 +187,8 @@ type Shard struct {
 
 // Open creates a lock domain: a fresh session for cfg.Mapper and
 // cfg.Overhead on c, its open record appended to w (nil: no log) ahead
-// of anything its commit hook will write, and its scheduler, stopped.
+// of anything its commit hook will write; background rebalancing waits
+// for Start.
 // clusterSpec is c as it goes into the log. The caller makes the open
 // record durable with a barrier on w before it tells anyone the domain
 // exists.
@@ -220,11 +222,11 @@ func Open(cfg Config, sid string, c *cluster.Cluster, clusterSpec spec.ClusterSp
 
 // adopt wraps a session, fresh or replayed, as a lock domain logging
 // to w: the commit hook that turns every committed operation into a
-// record, and the scheduler.
+// record.
 func adopt(cfg Config, rs *wal.Replayed, w *wal.WAL) *Shard {
 	sh := &Shard{
 		sid: rs.SID, c: rs.Cluster, clusterSpec: rs.ClusterSpec,
-		mapper: rs.Mapper, overhead: rs.Overhead, sess: rs.Session, w: w,
+		mapper: rs.Mapper, overhead: rs.Overhead, sess: rs.Session, w: w, cfg: cfg,
 	}
 	if w != nil {
 		// The hook runs under the session lock: it serializes the event
@@ -239,9 +241,6 @@ func adopt(cfg Config, rs *wal.Replayed, w *wal.WAL) *Shard {
 			}
 		})
 	}
-	hooks := cfg.Hooks.Rebalance
-	hooks.AfterRound, hooks.Logf = sh.barrier, cfg.logf
-	sh.reb = rebalance.New(sh.sess, cfg.RebalanceInterval, cfg.RebalanceMaxMoves, hooks)
 	return sh
 }
 
@@ -324,25 +323,37 @@ func (sh *Shard) Snap(nextEnv int) wal.SessionSnap {
 	return wal.ExportSession(sh.sid, sh.clusterSpec, sh.mapper, sh.overhead, uint64(nextEnv), sh.sess)
 }
 
-// Start launches the background rebalancer when a cadence is
-// configured. Call it once the domain is durable, so the loop never
+// Start launches the background rebalancing rounds when a cadence is
+// configured. Call it once, when the domain is durable, so a round never
 // migrates guests of a domain a crash would un-create.
-func (sh *Shard) Start() { sh.reb.Start() }
-
-// Rebalance runs one planning round now, whether or not the background
-// loop is on, and returns the guest moves committed with the objective
-// before and after. The scheduler's after-round barrier has made them
-// durable by the time it returns.
-func (sh *Shard) Rebalance() (moves int, before, after float64) {
-	before = sh.sess.ObjectiveStdDev()
-	moves = sh.reb.RunOnce()
-	return moves, before, sh.sess.ObjectiveStdDev()
+func (sh *Shard) Start() {
+	if sh.cfg.RebalanceInterval > 0 {
+		sh.stopRebalance = Every(sh.cfg.RebalanceInterval, func() { sh.Rebalance() })
+	}
 }
 
-// Stop stops the rebalancer, waiting out a round in flight, and drains
-// and stops the worker if the domain runs one. Safe once.
+// Rebalance runs one rebalancing round now (core.Session.Rebalance),
+// whether or not the background rounds are on. The moves it committed
+// are durable by the time it returns.
+func (sh *Shard) Rebalance() core.RebalanceResult {
+	res := sh.sess.Rebalance(sh.cfg.RebalanceMaxMoves)
+	if res.Moves > 0 {
+		if err := sh.barrier(); err != nil {
+			sh.cfg.logf("hmnd: wal barrier after a rebalancing round (%s): %v", sh.sid, err)
+		}
+	}
+	if sh.cfg.Hooks.OnRebalance != nil {
+		sh.cfg.Hooks.OnRebalance(res)
+	}
+	return res
+}
+
+// Stop stops the background rounds, waiting out one in flight, and
+// drains and stops the worker if the domain runs one. Safe once.
 func (sh *Shard) Stop() {
-	sh.reb.Stop()
+	if sh.stopRebalance != nil {
+		sh.stopRebalance()
+	}
 	if sh.ops != nil {
 		close(sh.ops)
 		<-sh.done
@@ -385,7 +396,8 @@ func (sh *Shard) barrier() error {
 
 // Every runs fn on a fixed cadence on its own goroutine until the
 // returned stop is called; stop waits for the goroutine to exit. It is
-// the snapshot loop of both daemon modes.
+// the snapshot loop of both daemon modes and every domain's rebalance
+// cadence.
 func Every(interval time.Duration, fn func()) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {

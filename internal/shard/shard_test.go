@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/rebalance"
 	"repro/internal/topology"
 	"repro/internal/virtual"
 	"repro/internal/workload"
@@ -388,17 +387,12 @@ func TestFailOvertakenByMigrateCommit(t *testing.T) {
 	k := pl.Fragments[0].Shard
 	sh, _ := f.Shard(k)
 
-	// Commit the planner's unit straight into core, as a scheduler round
-	// does before it calls any hook.
-	var units []rebalance.Unit
-	sh.run(func() {
-		units = rebalance.Plan(sh.sess.PlanSnapshot(), 0)
-		if len(units) == 1 {
-			_, err = sh.sess.MigrateGuests(units[0].Moves)
-		}
-	})
-	if len(units) != 1 || err != nil {
-		t.Fatalf("planner proposed %d units on the unbalanced fixture (commit: %v), want 1", len(units), err)
+	// Run a round straight on the core session, as the background cadence
+	// does: nothing tells the federation's registry.
+	var res core.RebalanceResult
+	sh.run(func() { res = sh.sess.Rebalance(0) })
+	if res.Moves != 1 {
+		t.Fatalf("a round on the unbalanced fixture committed %d moves, want 1: %+v", res.Moves, res)
 	}
 
 	results, err := failHost(f, k, sh.Cluster().HostNodes()[2])

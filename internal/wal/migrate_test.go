@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/mapping"
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/virtual"
@@ -146,6 +148,103 @@ func TestMigrateRecordRecovery(t *testing.T) {
 	for i, r := range s2.ResidualProc() {
 		if r != 1000 {
 			t.Fatalf("host %d residual %v after final release, want 1000", i, r)
+		}
+	}
+}
+
+// TestTwoMoveMigrateRecordRecovery is the swap-shaped record old logs
+// hold: one plan, two guests of two environments exchanging hosts, one of
+// them dragging a link across the fabric. Rounds no longer draw such
+// plans, but MigrateGuests still commits one, the log still carries it
+// as one migrate record, and recovery replays it to a byte-identical
+// ledger.
+func TestTwoMoveMigrateRecordRecovery(t *testing.T) {
+	dir := t.TempDir()
+	specs := make([]topology.HostSpec, 4)
+	for i := range specs {
+		specs[i] = topology.HostSpec{Proc: 1000, Mem: 1024, Stor: 1000}
+	}
+	c, err := topology.Torus2D(specs, 2, 2, 1000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := spec.FromCluster(c)
+	h := c.HostNodes()
+	w, _, err := Open(dir, testHooks(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := loggedSession(t, w, c, cs)
+
+	// h0 holds x (500) and z (300), linked; h1 holds y (100): exchanging x
+	// and y takes the residuals from {200, 900} to {600, 500}.
+	xz := virtual.NewEnv()
+	xz.AddGuest("x", 500, 128, 10)
+	xz.AddGuest("z", 300, 128, 10)
+	xz.AddLink(0, 1, 10, 100)
+	y := virtual.NewEnv()
+	y.AddGuest("y", 100, 128, 10)
+	for i, a := range []struct {
+		env *virtual.Env
+		tag string
+		at  []graph.NodeID
+	}{{xz, "xz", []graph.NodeID{h[0], h[0]}}, {y, "y", []graph.NodeID{h[1]}}} {
+		m := &mapping.Mapping{Cluster: c, Env: a.env, GuestHost: a.at}
+		for range a.env.NumLinks() {
+			m.LinkPath = append(m.LinkPath, graph.TrivialPath(a.at[0])) // both of xz's guests share a host
+		}
+		if err := s.ReplayAdmit(a.env, m, a.tag, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.MigrateGuests([]core.GuestMove{
+		{Seq: 2, Guest: 0, From: h[1], To: h[0]},
+		{Seq: 1, Guest: 0, From: h[0], To: h[1]},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Envs) != 2 || res.Envs[0].New.LinkPath[0].Len() == 0 || res.Route.Searches == 0 {
+		t.Fatalf("swap result %+v: want two environments replaced and the x-z link routed across the fabric", res)
+	}
+	if err := w.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, rec, err := Open(dir, testHooks(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	var mrec *Record
+	for i := range rec.Records {
+		if rec.Records[i].Kind == KindMigrate {
+			mrec = &rec.Records[i]
+		}
+	}
+	wantMoves := []MoveRec{
+		{Seq: 1, Guest: 0, From: int(h[0]), To: int(h[1])},
+		{Seq: 2, Guest: 0, From: int(h[1]), To: int(h[0])},
+	}
+	if mrec == nil || !reflect.DeepEqual(mrec.Migrate.Moves, wantMoves) || len(mrec.Migrate.Envs) != 2 {
+		t.Fatalf("logged migrate record %+v, want one record with moves %+v over two environments", mrec, wantMoves)
+	}
+	s2, ok := rebuild(t, rec)[testSID]
+	if !ok {
+		t.Fatal("session not recovered")
+	}
+	if got, want := ledgerJSON(t, s2), ledgerJSON(t, s); !bytes.Equal(got, want) {
+		t.Errorf("recovered ledger diverges:\n got %s\nwant %s", got, want)
+	}
+	if got, want := activeSummary(s2), activeSummary(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered active set %v, want %v", got, want)
+	}
+	for seq := uint64(1); seq <= 2; seq++ {
+		if got, want := s2.MappingBySeq(seq).GuestHost, s.MappingBySeq(seq).GuestHost; !reflect.DeepEqual(got, want) {
+			t.Errorf("seq %d recovered on %v, want %v", seq, got, want)
 		}
 	}
 }
