@@ -538,46 +538,6 @@ func BenchmarkMap(b *testing.B) {
 	}
 }
 
-// BenchmarkMigration isolates the Migration stage (§4.2) at 2000 guests
-// on a 500-host cluster: one Hosting pass prepares the assignment, then
-// every iteration replays stage 2 alone on a cloned ledger. The stage
-// never touches links, so the large host count exercises the what-if
-// kernel (candidate scans × objective evaluations) without the latency
-// feasibility limits routing would impose at this scale.
-func BenchmarkMigration(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	params := workload.PaperClusterParams()
-	params.Hosts = 500
-	specs := workload.GenerateHosts(params, rng)
-	c, err := topology.Switched(specs, 64, workload.PhysLinkBW, workload.PhysLinkLat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := workload.GenerateEnv(workload.LowLevelParams(2000, 0.01), rng)
-	led, err := NewLedger(c, VMMOverhead{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	assign := make([]graph.NodeID, env.NumGuests())
-	for i := range assign {
-		assign[i] = Unassigned
-	}
-	if err := core.HostingStage(led, env, assign); err != nil {
-		b.Fatal(err)
-	}
-	moves := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		led2 := led.Clone()
-		assign2 := append([]graph.NodeID(nil), assign...)
-		b.StartTimer()
-		moves = core.MigrationStage(led2, env, assign2)
-	}
-	b.ReportMetric(float64(moves), "moves")
-}
-
 // BenchmarkExactSolver measures the branch-and-bound optimum on the
 // optimality-gap instance size (8 guests, 5 hosts).
 func BenchmarkExactSolver(b *testing.B) {

@@ -165,27 +165,6 @@ func (l *Ledger) DeltaStdDev(origin, dest graph.NodeID, mips float64) float64 {
 	return l.stdDevFromSums(after) - l.stdDevFromSums(sumSq)
 }
 
-// DeltaStdDevShift returns the change the Eq. (10) objective would
-// undergo if the residual CPU of each hosts[i] shifted by deltas[i]
-// MIPS. Hosts must be distinct; a single guest move contributes its
-// demand as a positive delta on the origin and the same negative delta
-// on the destination. O(len(hosts)), no mutation — MigrateGuests scores
-// a caller's whole multi-move plan with one call before deciding
-// whether it improves the live ledger.
-//
-//hmn:locked session
-//hmn:noalloc
-func (l *Ledger) DeltaStdDevShift(hosts []graph.NodeID, deltas []float64) float64 {
-	sum, sumSq := l.sumProc.s, l.sumProcSq.s
-	for i, n := range hosts {
-		p := l.proc[l.c.hostIdx(n)]
-		d := deltas[i]
-		sum += d
-		sumSq += 2*p*d + d*d
-	}
-	return l.stdDevFromSumPair(sum, sumSq) - l.ObjectiveStdDev()
-}
-
 // stdDevFromSums evaluates the population standard deviation from Σx²,
 // using the ledger's running Σx. Negative variances from floating-point
 // cancellation clamp to zero.
@@ -193,22 +172,11 @@ func (l *Ledger) DeltaStdDevShift(hosts []graph.NodeID, deltas []float64) float6
 //hmn:locked session
 //hmn:noalloc
 func (l *Ledger) stdDevFromSums(sumSq float64) float64 {
-	return l.stdDevFromSumPair(l.sumProc.s, sumSq)
-}
-
-// stdDevFromSumPair evaluates the population standard deviation from an
-// explicit (Σx, Σx²) pair, for what-ifs where the total residual is not
-// invariant. Negative variances from floating-point cancellation clamp
-// to zero.
-//
-//hmn:locked session
-//hmn:noalloc
-func (l *Ledger) stdDevFromSumPair(sum, sumSq float64) float64 {
 	n := float64(len(l.proc))
 	if n == 0 {
 		return 0
 	}
-	mean := sum / n
+	mean := l.sumProc.s / n
 	v := sumSq/n - mean*mean
 	if v < 0 {
 		v = 0

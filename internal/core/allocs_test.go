@@ -70,8 +70,8 @@ func TestAdmissionAllocsBudget(t *testing.T) {
 }
 
 // TestRerouteAllocsBudget pins the repair/migrate reroute hot path: one
-// snapshot-release-reroute cycle — the exact shape tryReroute and
-// MigrateGuests pay per attempt — must stay within rerouteAllocBudget
+// snapshot-release-reroute cycle — the exact shape tryReroute and a
+// committed migration pay per attempt — must stay within rerouteAllocBudget
 // allocations once warm. The cycle syncs the session's scratch
 // snapshot, releases a set of inter-host paths on it and re-routes them
 // through the mapper with pooled scratch.
@@ -112,7 +112,7 @@ func TestRerouteAllocsBudget(t *testing.T) {
 			snap.ReleaseBandwidth(m.LinkPath[l], env.Link(l).BW)
 		}
 		ms := getMapScratch()
-		rErr := s.mapper.rerouteOnLedger(snap, env, m.GuestHost, paths, links, s.ar, ms)
+		rErr := reroute(s.mapper, snap, env, m.GuestHost, paths, links, s.ar, ms)
 		putMapScratch(ms)
 		if rErr != nil {
 			t.Fatal(rErr)

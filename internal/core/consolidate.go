@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/cluster"
@@ -36,21 +35,19 @@ func (x *Consolidator) Name() string { return "HMN-C" }
 // as few hosts as possible, and routes the virtual links with the
 // Networking stage.
 func (x *Consolidator) Map(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping, error) {
-	led, err := cluster.NewLedger(c, x.Overhead)
-	if err != nil {
-		return nil, fmt.Errorf("HMN-C: %w", err)
-	}
-	m := mapping.New(c, v)
-	hi := newHostIndex(led, true)
-	defer led.SetProcHook(nil)
-	if err := hostingIndexed(led, v, m.GuestHost, hi); err != nil {
-		return nil, fmt.Errorf("HMN-C hosting stage: %w", err)
-	}
-	consolidateIndexed(led, v, m.GuestHost, x.MaxPasses, hi)
-	if err := network(led, v, m.GuestHost, m.LinkPath, OrderDescendingBW, x.AStar, nil, nil, nil); err != nil {
-		return nil, fmt.Errorf("HMN-C networking stage: %w", err)
-	}
-	return m, nil
+	m, _, err := mapOnce(x, x.Overhead, c, v, newARCache())
+	return m, err
+}
+
+// stageOptions implements stagedMapper: the paper's Hosting and
+// Networking, with the caller's A*Prune tuning.
+func (x *Consolidator) stageOptions() stageOptions {
+	return stageOptions{hostResort: true, order: OrderDescendingBW, astar: x.AStar}
+}
+
+// stage2 is the consolidation stage; st.Moves counts the hosts emptied.
+func (x *Consolidator) stage2(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, hi *hostIndex, _ *mapScratch, st *MigrationStats) {
+	st.Moves = consolidate(led, v, assign, x.MaxPasses, hi)
 }
 
 // consolidate empties hosts one at a time: it repeatedly selects the
@@ -60,16 +57,11 @@ func (x *Consolidator) Map(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping
 // emptied atomically — if any of its guests fits nowhere else, the host
 // keeps all of them. The sweep repeats until no host can be emptied (or
 // maxPasses is hit). Returns the number of hosts emptied.
-func consolidate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, maxPasses int) int {
-	return consolidateIndexed(led, v, assign, maxPasses, nil)
-}
-
-// consolidateIndexed is consolidate reusing the Hosting stage's live
-// host index, when one is attached: the ledger hook keeps it consistent
-// through every repack move, and receiver scans walk its deterministic
-// slice instead of ranging a map. hi may be nil (standalone callers).
-func consolidateIndexed(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, maxPasses int, hi *hostIndex) int {
-	c := led.Cluster()
+//
+// hi is the Hosting stage's live host index: the ledger hook keeps it
+// consistent through every repack move, and receiver scans walk its
+// deterministic slice instead of ranging a map.
+func consolidate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, maxPasses int, hi *hostIndex) int {
 	onHost := make(map[graph.NodeID][]virtual.GuestID)
 	for g, node := range assign {
 		onHost[node] = append(onHost[node], virtual.GuestID(g))
@@ -101,7 +93,7 @@ func consolidateIndexed(led *cluster.Ledger, v *virtual.Env, assign []graph.Node
 
 		movedAny := false
 		for _, donor := range donors {
-			if tryEmptyHost(led, v, assign, onHost, donor, c, hi) {
+			if tryEmptyHost(led, v, assign, onHost, donor, hi) {
 				emptied++
 				movedAny = true
 				break // donor set changed; re-rank
@@ -115,10 +107,10 @@ func consolidateIndexed(led *cluster.Ledger, v *virtual.Env, assign []graph.Node
 
 // tryEmptyHost attempts to move every guest off donor onto other
 // non-empty hosts. The relocation is atomic: on any failure all tentative
-// moves are rolled back. With a live host index the receiver scan walks
-// its slice; the best-fit winner is identical either way because the
-// (slack, node) selection key is a total order.
-func tryEmptyHost(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, onHost map[graph.NodeID][]virtual.GuestID, donor graph.NodeID, c *cluster.Cluster, hi *hostIndex) bool {
+// moves are rolled back. The receiver scan walks the host index's slice;
+// the best-fit winner does not depend on its order because the (slack,
+// node) selection key is a total order.
+func tryEmptyHost(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, onHost map[graph.NodeID][]virtual.GuestID, donor graph.NodeID, hi *hostIndex) bool {
 	guests := append([]virtual.GuestID(nil), onHost[donor]...)
 	// Biggest guests first: the standard best-fit-decreasing order.
 	sort.Slice(guests, func(i, j int) bool {
@@ -146,28 +138,15 @@ func tryEmptyHost(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, on
 		guest := v.Guest(gid)
 		// Receivers: other non-empty hosts, tightest fitting memory
 		// first (best fit).
-		consider := func(node graph.NodeID, best graph.NodeID, bestSlack int64) (graph.NodeID, int64) {
-			if node == donor || len(onHost[node]) == 0 {
-				return best, bestSlack
-			}
-			if !led.Fits(node, guest.Mem, guest.Stor) {
-				return best, bestSlack
+		var best graph.NodeID = -1
+		var bestSlack int64
+		for _, node := range hi.order {
+			if node == donor || len(onHost[node]) == 0 || !led.Fits(node, guest.Mem, guest.Stor) {
+				continue
 			}
 			slack := led.ResidualMem(node) - guest.Mem
 			if best == -1 || slack < bestSlack || (slack == bestSlack && node < best) {
-				return node, slack
-			}
-			return best, bestSlack
-		}
-		var best graph.NodeID = -1
-		var bestSlack int64
-		if hi != nil {
-			for _, node := range hi.order {
-				best, bestSlack = consider(node, best, bestSlack)
-			}
-		} else {
-			for node := range onHost {
-				best, bestSlack = consider(node, best, bestSlack)
+				best, bestSlack = node, slack
 			}
 		}
 		if best == -1 {
@@ -189,7 +168,6 @@ func tryEmptyHost(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, on
 		onHost[mv.dest] = append(onHost[mv.dest], mv.g)
 	}
 	onHost[donor] = onHost[donor][:0]
-	_ = c
 	return true
 }
 
@@ -204,4 +182,4 @@ func HostsUsed(assign []graph.NodeID) int {
 	return len(used)
 }
 
-var _ Mapper = (*Consolidator)(nil)
+var _ stagedMapper = (*Consolidator)(nil)

@@ -78,7 +78,7 @@ func TestConsolidateEmptiesObviousHost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	emptied := consolidate(led, v, assign, 0)
+	emptied := consolidate(led, v, assign, 0, testIndex(led))
 	if emptied != 1 {
 		t.Fatalf("emptied %d hosts, want 1", emptied)
 	}
@@ -119,7 +119,7 @@ func TestConsolidateAtomicRollback(t *testing.T) {
 		}
 	}
 	memBefore := []int64{led.ResidualMem(0), led.ResidualMem(1)}
-	if emptied := consolidate(led, v, assign, 0); emptied != 0 {
+	if emptied := consolidate(led, v, assign, 0, testIndex(led)); emptied != 0 {
 		t.Fatalf("emptied %d hosts, want 0", emptied)
 	}
 	if assign[0] != 0 || assign[1] != 0 || assign[2] != 1 {
@@ -148,7 +148,7 @@ func TestConsolidateMaxPasses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if emptied := consolidate(led, v, assign, 1); emptied > 1 {
+	if emptied := consolidate(led, v, assign, 1, testIndex(led)); emptied > 1 {
 		t.Fatalf("MaxPasses=1 emptied %d hosts", emptied)
 	}
 }

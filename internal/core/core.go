@@ -153,43 +153,117 @@ type StageStats struct {
 // MapWithStats is Map plus per-stage wall times and migration counters.
 // On error the stats cover the stages that ran before the failure.
 func (h *HMN) MapWithStats(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping, StageStats, error) {
+	return mapOnce(h, h.Overhead, c, v, newARCache())
+}
+
+// stagedMapper is what differs between the mappers that run the paper's
+// pipeline — HMN and HMN-C: the second stage and the options of the
+// other two. stages is the pipeline; a Session drives it incrementally
+// through this interface, so only these mappers can run in one (the
+// retrying baselines rebuild their ledgers internally).
+type stagedMapper interface {
+	Mapper
+	// stageOptions returns the Hosting and Networking options.
+	stageOptions() stageOptions
+	// stage2 runs the mapper's second stage on the placements Hosting
+	// left in assign — HMN's Migration (§4.2), HMN-C's consolidation —
+	// moving the reservations on led with them. hi is the attempt's live
+	// host index. It cannot fail: a move that does not help is not made.
+	stage2(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, hi *hostIndex, ms *mapScratch, st *MigrationStats)
+}
+
+// stageOptions are the knobs of stages 1 and 3 a stagedMapper sets.
+type stageOptions struct {
+	// hostResort keeps the Hosting stage's host order live across
+	// placements (the paper's rule; false is the DisableHostResort
+	// ablation).
+	hostResort bool
+	// skipStage2 goes from Hosting straight to Networking.
+	skipStage2 bool
+	// order, astar and rng are the Networking stage's link order, A*Prune
+	// tuning and randomness (OrderRandom only).
+	order LinkOrder
+	astar graph.AStarPruneOptions
+	rng   *rand.Rand
+}
+
+// mapOnce is a one-shot Mapper.Map: the pipeline on a fresh ledger of
+// c's full capacity less the VMM overhead. arc is a fresh cache; on the
+// uncut ledger it fills with exactly graph.DijkstraLatency's tables.
+func mapOnce(mp stagedMapper, overhead cluster.VMMOverhead, c *cluster.Cluster, v *virtual.Env, arc *arCache) (*mapping.Mapping, StageStats, error) {
 	var st StageStats
-	led, err := cluster.NewLedger(c, h.Overhead)
+	led, err := cluster.NewLedger(c, overhead)
 	if err != nil {
-		return nil, st, fmt.Errorf("HMN: %w", err)
+		return nil, st, fmt.Errorf("%s: %w", mp.Name(), err)
 	}
 	m := mapping.New(c, v)
-
-	hi := newHostIndex(led, !h.DisableHostResort)
-	defer led.SetProcHook(nil)
-
-	t0 := time.Now() //hmn:wallclock
-	if err := hostingIndexed(led, v, m.GuestHost, hi); err != nil {
-		st.HostingSeconds = time.Since(t0).Seconds() //hmn:wallclock
-		return nil, st, fmt.Errorf("HMN hosting stage: %w", err)
-	}
-	st.HostingSeconds = time.Since(t0).Seconds() //hmn:wallclock
-
-	if !h.DisableMigration {
-		t1 := time.Now() //hmn:wallclock
-		st.Migration.ObjectiveBefore = mapping.Objective(led.ResidualProcAll())
-		st.Migration.Moves = migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, nil)
-		st.Migration.ObjectiveAfter = mapping.Objective(led.ResidualProcAll())
-		st.MigrationSeconds = time.Since(t1).Seconds() //hmn:wallclock
-	}
-
-	// A scratch of the attempt's own, empty but for the A*Prune state:
-	// the stage allocates its buffers as a one-shot mapper always has,
-	// and leaves its search counts where they can be read.
-	ms := &mapScratch{astar: graph.NewAStarScratch()}
-	t2 := time.Now() //hmn:wallclock
-	err = network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, nil, ms)
-	st.NetworkingSeconds = time.Since(t2).Seconds() //hmn:wallclock
-	st.Route = ms.route
+	ms := getMapScratch()
+	err = stages(mp, led, v, m, arc, ms, &st)
+	putMapScratch(ms)
 	if err != nil {
-		return nil, st, fmt.Errorf("HMN networking stage: %w", err)
+		return nil, st, err
 	}
 	return m, st, nil
+}
+
+// stages is the paper's §4 pipeline — Hosting, the mapper's second
+// stage, Networking — on led, which carries the reservations of whatever
+// is already deployed: guest placements go into m.GuestHost, paths into
+// m.LinkPath, the reservations behind both onto led. It is the only
+// function that sequences the stages and the only one that reads the
+// clock for them: a one-shot Map, a session admission and a repair's
+// full re-map all run this body, and st is where Figure 1, hmnbench's
+// JSON and hmnd's /metrics get their stage times. On error st covers the
+// stages that ran before the failure, and led holds a partial mapping
+// the caller discards with it.
+//
+// One host index serves the first two stages; its ledger hook is
+// detached before returning so the ledger outlives the attempt hook-free.
+// Hosting and Networking walk the links in the same strict order
+// (bandwidth descending, ID ascending), so they are sorted once unless
+// an ablation routes in another.
+func stages(mp stagedMapper, led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc *arCache, ms *mapScratch, st *StageStats) error {
+	o := mp.stageOptions()
+	t0 := time.Now() //hmn:wallclock
+	hi := newHostIndex(led, o.hostResort, ms)
+	defer led.SetProcHook(nil)
+	links := sortLinksByBW(v, nil, true, ms)
+	err := hosting(led, v, m.GuestHost, hi, links)
+	t1 := time.Now() //hmn:wallclock
+	st.HostingSeconds = t1.Sub(t0).Seconds()
+	if err != nil {
+		return fmt.Errorf("%s hosting stage: %w", mp.Name(), err)
+	}
+
+	t2 := t1
+	if !o.skipStage2 {
+		mp.stage2(led, v, m.GuestHost, hi, ms, &st.Migration)
+		t2 = time.Now() //hmn:wallclock
+		st.MigrationSeconds = t2.Sub(t1).Seconds()
+	}
+
+	if o.order != OrderDescendingBW {
+		links = orderLinks(v, nil, o.order, o.rng, ms)
+	}
+	before := ms.route
+	err = routeLinks(led, v, m.GuestHost, m.LinkPath, links, o.astar, arc, ms)
+	st.NetworkingSeconds = time.Since(t2).Seconds() //hmn:wallclock
+	st.Route = ms.route.Sub(before)
+	if err != nil {
+		return fmt.Errorf("%s networking stage: %w", mp.Name(), err)
+	}
+	return nil
+}
+
+// stageOptions implements stagedMapper.
+func (h *HMN) stageOptions() stageOptions {
+	return stageOptions{
+		hostResort: !h.DisableHostResort,
+		skipStage2: h.DisableMigration,
+		order:      h.NetworkOrder,
+		astar:      h.AStar,
+		rng:        h.Rand,
+	}
 }
 
 // HostingStage runs HMN's Hosting stage (§4.1) alone on an existing
@@ -198,17 +272,11 @@ func (h *HMN) MapWithStats(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping
 // exists for the HS baseline, which combines the paper's hosting with a
 // DFS link search, and for tests that exercise the stage in isolation.
 func HostingStage(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID) error {
-	return hosting(led, v, assign, true)
-}
-
-// MigrationStage runs HMN's Migration stage (§4.2) alone on an existing
-// ledger carrying the reservations behind assign, with the paper's load
-// metric and donor scope. It returns the number of accepted moves, and
-// exists for benchmarks and tests that isolate the stage.
-func MigrationStage(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID) int {
-	hi := newHostIndex(led, true)
+	ms := getMapScratch()
+	defer putMapScratch(ms)
+	hi := newHostIndex(led, true, ms)
 	defer led.SetProcHook(nil)
-	return migrateScoped(led, v, assign, LoadResidualMIPS, 0, ScopeMostLoaded, hi, nil)
+	return hosting(led, v, assign, hi, sortLinksByBW(v, nil, true, ms))
 }
 
-var _ Mapper = (*HMN)(nil)
+var _ stagedMapper = (*HMN)(nil)

@@ -23,6 +23,25 @@ func uniformSpecs(n int, proc float64, mem int64, stor float64) []topology.HostS
 	return out
 }
 
+// testIndex attaches a live host index to led, as the Hosting stage
+// leaves one for the stage after it.
+func testIndex(led *cluster.Ledger) *hostIndex {
+	return newHostIndex(led, true, &mapScratch{})
+}
+
+// migrationStage runs HMN's Migration stage (§4.2) alone on a ledger
+// carrying the reservations behind assign, with the paper's load metric
+// and donor scope, and returns the number of accepted moves.
+func migrationStage(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID) int {
+	ms := getMapScratch()
+	defer putMapScratch(ms)
+	hi := newHostIndex(led, true, ms)
+	defer led.SetProcHook(nil)
+	var st MigrationStats
+	(&HMN{}).stage2(led, v, assign, hi, ms, &st)
+	return st.Moves
+}
+
 func mustTorus(t *testing.T, specs []topology.HostSpec, rows, cols int) *cluster.Cluster {
 	t.Helper()
 	c, err := topology.Torus2D(specs, rows, cols, 1000, 5)
@@ -79,7 +98,7 @@ func TestHostingCoLocatesHighBandwidthPairs(t *testing.T) {
 	for i := range assign {
 		assign[i] = mapping.Unassigned
 	}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	if assign[0] != assign[1] {
@@ -98,7 +117,7 @@ func TestHostingSplitsWhenPairDoesNotFit(t *testing.T) {
 
 	led, _ := cluster.NewLedger(c, cluster.VMMOverhead{})
 	assign := []graph.NodeID{mapping.Unassigned, mapping.Unassigned}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	if assign[0] == assign[1] {
@@ -122,7 +141,7 @@ func TestHostingPullsPartnerToAssignedHost(t *testing.T) {
 
 	led, _ := cluster.NewLedger(c, cluster.VMMOverhead{})
 	assign := []graph.NodeID{mapping.Unassigned, mapping.Unassigned, mapping.Unassigned}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	if assign[0] != assign[1] || assign[1] != assign[2] {
@@ -140,7 +159,7 @@ func TestHostingPlacesIsolatedGuests(t *testing.T) {
 
 	led, _ := cluster.NewLedger(c, cluster.VMMOverhead{})
 	assign := []graph.NodeID{mapping.Unassigned, mapping.Unassigned, mapping.Unassigned}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	if assign[2] == mapping.Unassigned {
@@ -157,7 +176,7 @@ func TestHostingFailsWhenNothingFits(t *testing.T) {
 
 	led, _ := cluster.NewLedger(c, cluster.VMMOverhead{})
 	assign := []graph.NodeID{mapping.Unassigned, mapping.Unassigned}
-	err := hosting(led, v, assign, true)
+	err := HostingStage(led, v, assign)
 	if !errors.Is(err, ErrNoHostFits) {
 		t.Fatalf("want ErrNoHostFits, got %v", err)
 	}
@@ -175,7 +194,7 @@ func TestHostingRespectsCapacities(t *testing.T) {
 	for i := range assign {
 		assign[i] = mapping.Unassigned
 	}
-	if err := hosting(led, v, assign, true); err != nil {
+	if err := HostingStage(led, v, assign); err != nil {
 		t.Fatal(err)
 	}
 	m := mapping.New(c, v)
@@ -280,7 +299,7 @@ func TestMigrationSingleHostNoop(t *testing.T) {
 	if err := led.ReserveGuest(assign[0], 100, 256, 100); err != nil {
 		t.Fatal(err)
 	}
-	if moves := migrate(led, v, assign, LoadResidualMIPS, 0); moves != 0 {
+	if moves := migrationStage(led, v, assign); moves != 0 {
 		t.Fatalf("single host cannot migrate, got %d moves", moves)
 	}
 }

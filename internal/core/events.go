@@ -57,8 +57,8 @@ const (
 	// EventRestore is a host or link readmission.
 	EventRestore
 	// EventMigrate is one committed rebalance plan: one or more guests
-	// relocated atomically by MigrateGuests, with their environments'
-	// mappings replaced in place (same seq, same tag).
+	// relocated atomically, with their environments' mappings replaced in
+	// place (same seq, same tag).
 	EventMigrate
 )
 

@@ -80,7 +80,7 @@ func runGoldenTorusRoute(t *testing.T) (digest uint64, edges int, route graph.Se
 		var live []*mapping.Mapping
 		for i := 0; i < 220; i++ {
 			env := workload.GenerateEnv(workload.LowLevelParams(500, 0.02), rand.New(rand.NewSource(int64(1000+i))))
-			m, st, mErr := s.MapWithStats(env)
+			m, st, mErr := s.MapTagged(env, "")
 			if mErr != nil {
 				r.err = fmt.Errorf("admission %d: %w", i, mErr)
 				return

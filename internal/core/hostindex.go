@@ -42,36 +42,19 @@ type hostIndex struct {
 }
 
 // newHostIndex builds the order from the ledger's current residuals and,
-// when track is true, attaches the index to the ledger's proc hook.
-func newHostIndex(led *cluster.Ledger, track bool) *hostIndex {
-	return newHostIndexIn(led, track, nil)
-}
-
-// newHostIndexIn is newHostIndex drawing the order/pos/nodeOf arrays
-// from ms so repeated admissions reuse them. The hostIndex struct
-// itself is stack-like (one per attempt, small) and still allocated;
-// ms may be nil, which allocates the arrays per call as before.
-func newHostIndexIn(led *cluster.Ledger, track bool, ms *mapScratch) *hostIndex {
+// when track is true, attaches the index to the ledger's proc hook. The
+// order/pos/nodeOf arrays come from ms, so repeated admissions reuse
+// them; the hostIndex struct itself is one small allocation per attempt.
+func newHostIndex(led *cluster.Ledger, track bool, ms *mapScratch) *hostIndex {
 	c := led.Cluster()
-	var hi *hostIndex
-	if ms != nil {
-		ms.hiOrder = nodesFor(ms.hiOrder, c.NumHosts())
-		ms.hiPos = intsFor(ms.hiPos, c.NumHosts())
-		ms.hiNode = nodesFor(ms.hiNode, c.NumHosts())
-		for i, h := range c.Hosts() {
-			ms.hiOrder[i] = h.Node
-			ms.hiNode[i] = h.Node
-		}
-		hi = &hostIndex{led: led, order: ms.hiOrder, pos: ms.hiPos, nodeOf: ms.hiNode, track: track}
-	} else {
-		hi = &hostIndex{
-			led:    led,
-			order:  c.HostNodes(),
-			pos:    make([]int, c.NumHosts()),
-			nodeOf: c.HostNodes(),
-			track:  track,
-		}
+	ms.hiOrder = sized(ms.hiOrder, c.NumHosts())
+	ms.hiPos = sized(ms.hiPos, c.NumHosts())
+	ms.hiNode = sized(ms.hiNode, c.NumHosts())
+	for i, h := range c.Hosts() {
+		ms.hiOrder[i] = h.Node
+		ms.hiNode[i] = h.Node
 	}
+	hi := &hostIndex{led: led, order: ms.hiOrder, pos: ms.hiPos, nodeOf: ms.hiNode, track: track}
 	slices.SortFunc(hi.order, func(a, b graph.NodeID) int {
 		ra, rb := led.ResidualProc(a), led.ResidualProc(b)
 		if ra != rb {

@@ -9,45 +9,16 @@ import (
 	"repro/internal/virtual"
 )
 
-// hosting is HMN stage 1 (§4.1) behind a self-contained entry point: it
-// builds its own host index and detaches it before returning. Callers
-// that run later stages on the same ledger (mapOnLedger, Consolidator)
-// use hostingIndexed directly so Migration and consolidation inherit a
-// live index instead of rebuilding one.
-func hosting(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, resort bool) error {
-	hi := newHostIndex(led, resort)
-	defer led.SetProcHook(nil)
-	return hostingIndexed(led, v, assign, hi)
-}
-
-// hostingIndexed is HMN stage 1 (§4.1): a preliminary assignment of
-// guests to hosts that co-locates the endpoints of high-bandwidth virtual
-// links. Virtual links are processed in descending bandwidth order; the
-// host index keeps the hosts in descending residual-CPU order across
-// every placement (frozen at the initial order under the
-// DisableHostResort ablation). Guests touched by no virtual link are
-// placed afterwards by the same first-fit rule. assign entries must start
-// as mapping.Unassigned; on success every entry holds a host node and the
-// ledger reflects all reservations.
-func hostingIndexed(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, hi *hostIndex) error {
-	return hostingIndexedIn(led, v, assign, hi, nil)
-}
-
-// hostingIndexedIn is hostingIndexed drawing its link buffer from ms
-// (nil allocates per call).
-func hostingIndexedIn(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, hi *hostIndex, ms *mapScratch) error {
-	var links []virtual.Link
-	if ms != nil {
-		ms.links = linksFor(ms.links, len(v.Links()))
-		links = ms.links
-		copy(links, v.Links())
-	} else {
-		links = append([]virtual.Link(nil), v.Links()...)
-	}
-	// (BW desc, ID asc) is a strict total order, so the packed-key sort
-	// yields the same permutation the seed's stable sort did.
-	sortLinksByBWIn(links, true, ms)
-
+// hosting is HMN stage 1 (§4.1): a preliminary assignment of guests to
+// hosts that co-locates the endpoints of high-bandwidth virtual links.
+// links is every virtual link of v in descending bandwidth order
+// (sortLinksByBW); the host index keeps the hosts in descending
+// residual-CPU order across every placement (frozen at the initial order
+// under the DisableHostResort ablation). Guests touched by no virtual
+// link are placed afterwards by the same first-fit rule. assign entries
+// must start as mapping.Unassigned; on success every entry holds a host
+// node and the ledger reflects all reservations.
+func hosting(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, hi *hostIndex, links []virtual.Link) error {
 	for _, link := range links {
 		a, b := v.Guest(link.From), v.Guest(link.To)
 		aDone := assign[a.ID] != mapping.Unassigned

@@ -7,50 +7,41 @@ import (
 	"repro/internal/virtual"
 )
 
-// sortLinksByBW orders links by bandwidth — descending when desc, else
-// ascending — with ID-ascending tie-breaks: the strict total orders the
-// Hosting and Networking stages process links in. It sorts compact
-// (packed key, ID) pairs and gathers once instead of comparing and
-// swapping the multi-word Link structs directly; at 2000 guests the two
-// per-Map link sorts were ~40% of the whole mapping in profiles. The
-// sign-adjusted IEEE-754 bit pattern is order-isomorphic to the float
-// order, so the pair key realises exactly the comparator's total order
-// and the resulting permutation is unchanged.
-func sortLinksByBW(links []virtual.Link, desc bool) {
-	sortLinksByBWIn(links, desc, nil)
-}
-
-// linkKV is the packed (key, ID, position) triple sortLinksByBWIn sorts
-// instead of the multi-word Link structs.
+// linkKV is the packed (key, ID) pair sortLinksByBW sorts instead of the
+// multi-word Link structs.
 type linkKV struct {
 	key uint64
 	id  int32
-	idx int32
 }
 
-// sortLinksByBWIn is sortLinksByBW drawing its key and gather buffers
-// from ms, so the admission hot path sorts without allocating. ms may
-// be nil (one-shot callers), which allocates per call as before.
-func sortLinksByBWIn(links []virtual.Link, desc bool, ms *mapScratch) {
-	var kvs []linkKV
-	var out []virtual.Link
-	if ms != nil {
-		if cap(ms.kvs) < len(links) {
-			ms.kvs = make([]linkKV, len(links))
-		}
-		ms.kvs = ms.kvs[:len(links)]
-		ms.gather = linksFor(ms.gather, len(links))
-		kvs, out = ms.kvs, ms.gather
-	} else {
-		kvs = make([]linkKV, len(links))
-		out = make([]virtual.Link, len(links))
+// sortLinksByBW returns the links of v named by ids — every link when
+// ids is nil — ordered by bandwidth, descending when desc, else
+// ascending, with ID-ascending tie-breaks: the strict total orders the
+// Hosting and Networking stages process links in. It sorts compact
+// (packed key, ID) pairs and gathers once instead of comparing and
+// swapping the multi-word Link structs directly; at 2000 guests the
+// per-Map link sorts were ~40% of the whole mapping in profiles. The
+// sign-adjusted IEEE-754 bit pattern is order-isomorphic to the float
+// order, so the pair key realises exactly the comparator's total order
+// and the resulting permutation is the one a stable sort of the structs
+// gives. The result lives in ms.links until the next call.
+func sortLinksByBW(v *virtual.Env, ids []int, desc bool, ms *mapScratch) []virtual.Link {
+	n := len(ids)
+	if ids == nil {
+		n = v.NumLinks()
 	}
-	for i, l := range links {
-		k := floatOrderKey(l.BW)
+	ms.kvs = sized(ms.kvs, n)
+	kvs := ms.kvs
+	for i := range kvs {
+		id := i
+		if ids != nil {
+			id = ids[i]
+		}
+		k := floatOrderKey(v.Link(id).BW)
 		if desc {
 			k = ^k
 		}
-		kvs[i] = linkKV{key: k, id: int32(l.ID), idx: int32(i)}
+		kvs[i] = linkKV{key: k, id: int32(id)}
 	}
 	slices.SortFunc(kvs, func(a, b linkKV) int {
 		if a.key != b.key {
@@ -61,10 +52,11 @@ func sortLinksByBWIn(links []virtual.Link, desc bool, ms *mapScratch) {
 		}
 		return int(a.id) - int(b.id)
 	})
+	ms.links = sized(ms.links, n)
 	for i, p := range kvs {
-		out[i] = links[p.idx]
+		ms.links[i] = v.Link(int(p.id))
 	}
-	copy(links, out)
+	return ms.links
 }
 
 // floatOrderKey maps a float64 to a uint64 whose unsigned order matches

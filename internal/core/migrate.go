@@ -15,9 +15,9 @@ import (
 // This file is post-admission guest migration: Rebalance, the §4.2
 // descent (migration.go) run over every deployed environment against
 // the live residuals, one committed move per lock-hold, and
-// MigrateGuests, which commits a plan of the caller's. Both commit
-// through one body, in the same one lock-hold as MapTagged: re-route the
-// affected paths on the session's scratch snapshot, then apply the
+// ReplayMigrate, which re-applies a logged plan of one move or several.
+// A scored move commits in the same one lock-hold as MapTagged: re-route
+// the affected paths on the session's scratch snapshot, then apply the
 // plan's net effect to the live ledger through cluster.Txn or reject it
 // untouched.
 //
@@ -27,16 +27,10 @@ import (
 // in the active set, and keeps the admission seq and caller tag — the
 // environment's identity survives its guests moving.
 
-// ErrMigrateConflict is returned by MigrateGuests when the live state
-// does not match the plan — a named guest is not on its From host, or a
-// destination lacks the resources the plan counts on.
+// ErrMigrateConflict is returned when the live state does not match a
+// migrate plan — a named guest is not on its From host, or a destination
+// lacks the resources the plan counts on.
 var ErrMigrateConflict = errors.New("core: migrate plan conflicts with the live state")
-
-// ErrNotImproving is returned by MigrateGuests when the plan does not
-// lower the live Eq. (10) objective by more than ImprovementEps:
-// committing it would let FP-noise "improvements" churn guests for
-// nothing.
-var ErrNotImproving = errors.New("core: migrate plan does not improve the objective")
 
 // GuestMove is one guest relocation in a migrate plan: move Guest of the
 // environment admitted under Seq from host From to host To.
@@ -45,32 +39,6 @@ type GuestMove struct {
 	Guest virtual.GuestID
 	From  graph.NodeID
 	To    graph.NodeID
-}
-
-// MigrateEnvResult reports one environment whose mapping a migration
-// replaced: Old is retired, New carries the environment under the same
-// admission seq and tag.
-type MigrateEnvResult struct {
-	Seq uint64
-	Tag string
-	Old *mapping.Mapping
-	New *mapping.Mapping
-}
-
-// MigrateResult reports one committed migrate plan.
-type MigrateResult struct {
-	// Moves is the plan in canonical commit order (seq ascending, guest
-	// ascending within an environment).
-	Moves []GuestMove
-	// Envs lists the replaced mappings, seq ascending.
-	Envs []MigrateEnvResult
-	// ObjectiveBefore and ObjectiveAfter bracket the commit; After−Before
-	// is the realized Eq. (10) change (negative: improved).
-	ObjectiveBefore float64
-	ObjectiveAfter  float64
-	// Route counts the A*Prune work of re-routing the moved guests' links,
-	// as AdmitStats.Route counts an admission's.
-	Route graph.SearchStats
 }
 
 // migrateEnvState is the per-environment working state of one plan.
@@ -83,67 +51,17 @@ type migrateEnvState struct {
 	links []int // link IDs whose endpoints move, ascending
 }
 
-// MigrateGuests commits a migrate plan: every move in moves is applied
-// atomically, or none is. The plan must improve the live Eq. (10)
-// objective by more than ImprovementEps (ErrNotImproving otherwise), and
-// every named guest must sit on its From host (ErrMigrateConflict
-// otherwise). Affected virtual links are re-routed on the scratch
-// snapshot, under the lock.
-//
-// On success the touched environments' mappings are replaced — same seq,
-// same tag, new placements and paths — and one EventMigrate is emitted
-// under the lock, so a WAL subscriber logs the committed effect in
-// commit order.
-func (s *Session) MigrateGuests(moves []GuestMove) (*MigrateResult, error) {
-	if len(moves) == 0 {
-		return nil, errors.New("core: migrate plan is empty")
-	}
-	norm := append([]GuestMove(nil), moves...)
-	sort.Slice(norm, func(i, j int) bool {
-		if norm[i].Seq != norm[j].Seq {
-			return norm[i].Seq < norm[j].Seq
-		}
-		return norm[i].Guest < norm[j].Guest
-	})
-	for i, mv := range norm {
-		if mv.From == mv.To {
-			return nil, fmt.Errorf("core: migrate plan moves guest %d of seq %d onto its own host %d", mv.Guest, mv.Seq, mv.From)
-		}
-		if i > 0 && norm[i-1].Seq == mv.Seq && norm[i-1].Guest == mv.Guest {
-			return nil, fmt.Errorf("core: migrate plan names guest %d of seq %d twice", mv.Guest, mv.Seq)
-		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	envs, err := s.migrateEnvsLocked(norm)
-	if err != nil {
-		return nil, err
-	}
-	hosts, deltas := migrateShift(envs)
-	if !improves(s.led.ObjectiveStdDev(), s.led.DeltaStdDevShift(hosts, deltas)) {
-		return nil, ErrNotImproving
-	}
-	ms := getMapScratch()
-	res, err := s.commitMigrateLocked(norm, envs, ms)
-	if err == nil {
-		res.Route = ms.route
-	}
-	putMapScratch(ms)
-	return res, err
-}
-
 // commitMigrateLocked routes and commits a plan migrateEnvsLocked has
 // resolved against the live state: on the scratch snapshot, free the
 // moving guests and the affected links' bandwidth, re-reserve at the
 // destinations and re-route the affected links; then commit the net
 // effect to the live ledger, swap the mapping pointers and emit one
-// EventMigrate. A re-route that fails returns its error with the live
-// ledger untouched. The A*Prune work is added to ms.route either way.
-// Callers hold s.mu.
+// EventMigrate, and return the drop in the Eq. (10) objective. A re-route
+// that fails returns its error with the live ledger untouched. The
+// A*Prune work is added to ms.route either way. Callers hold s.mu.
 //
 //hmn:locked mu
-func (s *Session) commitMigrateLocked(norm []GuestMove, envs []*migrateEnvState, ms *mapScratch) (*MigrateResult, error) {
+func (s *Session) commitMigrateLocked(norm []GuestMove, envs []*migrateEnvState, ms *mapScratch) (float64, error) {
 	cur := s.led.ObjectiveStdDev()
 	snap := s.scratchLocked()
 	for _, es := range envs {
@@ -157,15 +75,13 @@ func (s *Session) commitMigrateLocked(norm []GuestMove, envs []*migrateEnvState,
 			g := env.Guest(mv.Guest)
 			snap.ReleaseGuest(mv.From, g.Proc, g.Mem, g.Stor)
 			if rerr := snap.ReserveGuest(mv.To, g.Proc, g.Mem, g.Stor); rerr != nil {
-				return nil, fmt.Errorf("%w: destination %d rejected guest %d of seq %d: %v",
+				return 0, fmt.Errorf("%w: destination %d rejected guest %d of seq %d: %v",
 					ErrMigrateConflict, mv.To, mv.Guest, mv.Seq, rerr)
 			}
 			nm.GuestHost[mv.Guest] = mv.To
 		}
-		if len(es.links) > 0 {
-			if rerr := s.mapper.rerouteOnLedger(snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms); rerr != nil {
-				return nil, fmt.Errorf("core: migrate re-route for seq %d: %w", es.seq, rerr)
-			}
+		if rerr := reroute(s.mapper, snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms); rerr != nil {
+			return 0, fmt.Errorf("core: migrate re-route for seq %d: %w", es.seq, rerr)
 		}
 		es.nm = nm
 	}
@@ -174,25 +90,18 @@ func (s *Session) commitMigrateLocked(norm []GuestMove, envs []*migrateEnvState,
 		// Cannot happen — the plan was routed on a copy of the ledger
 		// taken under the lock we still hold — but a refusal must not
 		// commit silently.
-		return nil, fmt.Errorf("%w: %v", ErrMigrateConflict, cerr)
+		return 0, fmt.Errorf("%w: %v", ErrMigrateConflict, cerr)
 	}
 	after := s.led.ObjectiveStdDev()
-	res := &MigrateResult{
-		Moves:           norm,
-		Envs:            make([]MigrateEnvResult, 0, len(envs)),
-		ObjectiveBefore: cur,
-		ObjectiveAfter:  after,
-	}
 	info := &MigrateInfo{Moves: norm, Delta: after - cur}
 	for _, es := range envs {
 		delete(s.active, es.old)
 		s.active[es.nm] = activeEntry{seq: es.seq, tag: es.tag}
-		res.Envs = append(res.Envs, MigrateEnvResult{Seq: es.seq, Tag: es.tag, Old: es.old, New: es.nm})
 		info.Envs = append(info.Envs, MigrateEnvInfo{Seq: es.seq, Tag: es.tag, Env: es.old.Env, M: es.nm})
 	}
 	s.version++
 	s.emitLocked(Event{Type: EventMigrate, Migrate: info})
-	return res, nil
+	return cur - after, nil
 }
 
 // RebalanceResult reports one Rebalance round.
@@ -225,7 +134,7 @@ type RebalanceResult struct {
 //
 // The round takes the session lock once per move: rebuild the roster
 // from the active set, score the next improving move, re-route its links
-// and commit it like a MigrateGuests plan of one, unlock. Nothing scored
+// and commit it as a plan of one, unlock. Nothing scored
 // under one lock-hold is used under another, so no move can be stale;
 // every intermediate state is a committed, Txn-validated ledger; and an
 // admission never waits behind more than one move. A scored move whose
@@ -279,9 +188,9 @@ func (s *Session) rebalanceStep(res *RebalanceResult, skipped map[skippedMove]bo
 		}
 		res.Scored++
 		envs, err := s.migrateEnvsLocked(norm)
-		var mr *MigrateResult
+		var gain float64
 		if err == nil {
-			mr, err = s.commitMigrateLocked(norm, envs, ms)
+			gain, err = s.commitMigrateLocked(norm, envs, ms)
 		}
 		if err != nil {
 			skipped[key] = true
@@ -289,7 +198,7 @@ func (s *Session) rebalanceStep(res *RebalanceResult, skipped map[skippedMove]bo
 			return false
 		}
 		res.Moves++
-		res.Gain += mr.ObjectiveBefore - mr.ObjectiveAfter
+		res.Gain += gain
 		return true
 	})
 	d.end()
@@ -355,31 +264,6 @@ func affectedLinks(env *virtual.Env, moves []GuestMove) []int {
 		}
 	}
 	return out
-}
-
-// migrateShift aggregates a plan's net residual-CPU change per host, for
-// the O(len(moves)) commit-time improvement check. Hosts are returned
-// ascending by node ID, each exactly once.
-func migrateShift(envs []*migrateEnvState) ([]graph.NodeID, []float64) {
-	agg := make(map[graph.NodeID]float64)
-	for _, es := range envs {
-		for _, mv := range es.moves {
-			p := es.old.Env.Guest(mv.Guest).Proc
-			agg[mv.From] += p // guest leaves: residual grows
-			agg[mv.To] -= p   // guest arrives: residual shrinks
-		}
-	}
-	hosts := make([]graph.NodeID, 0, len(agg))
-	//hmn:orderinvariant
-	for n := range agg {
-		hosts = append(hosts, n)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	deltas := make([]float64, len(hosts))
-	for i, n := range hosts {
-		deltas[i] = agg[n]
-	}
-	return hosts, deltas
 }
 
 // migrateTxn collapses a migrate plan into its net effect on the ledger:

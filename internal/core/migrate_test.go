@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // pileSession builds a session on a 4-host uniform torus holding one
 // environment (seq 1, tag "e1") whose guests all sit on the first host —
-// the worst-balanced placement MigrateGuests can only improve. Admitted
+// the worst-balanced placement a migration can only improve. Admitted
 // through the replay path so no mapper interferes with the fixture.
 func pileSession(t *testing.T, guests int) (*Session, []graph.NodeID, *virtual.Env) {
 	t.Helper()
@@ -36,6 +37,27 @@ func pileSession(t *testing.T, guests int) (*Session, []graph.NodeID, *virtual.E
 	return s, hosts, env
 }
 
+// migratePlan commits a plan of the test's own choosing — several moves,
+// several environments, improving or not — the way a Rebalance round
+// commits a move it scored: put the moves in canonical order (seq, then
+// guest, ascending), resolve them against the live state, re-route and
+// commit, all in one lock-hold. It returns the drop in the objective.
+func (s *Session) migratePlan(moves []GuestMove) (float64, error) {
+	norm := slices.Clone(moves)
+	slices.SortFunc(norm, func(a, b GuestMove) int {
+		return cmp.Or(cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Guest, b.Guest))
+	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	envs, err := s.migrateEnvsLocked(norm)
+	if err != nil {
+		return 0, err
+	}
+	ms := getMapScratch()
+	defer putMapScratch(ms)
+	return s.commitMigrateLocked(norm, envs, ms)
+}
+
 func TestMigrateGuestsCommitsAtomically(t *testing.T) {
 	s, h, _ := pileSession(t, 4)
 	var events []Event
@@ -43,8 +65,8 @@ func TestMigrateGuestsCommitsAtomically(t *testing.T) {
 	oldM := s.MappingBySeq(1)
 	before := s.ObjectiveStdDev()
 
-	// Deliberately unsorted input: the result must come back normalized.
-	res, err := s.MigrateGuests([]GuestMove{
+	// Deliberately unsorted input: the event must carry it normalized.
+	gain, err := s.migratePlan([]GuestMove{
 		{Seq: 1, Guest: 3, From: h[0], To: h[3]},
 		{Seq: 1, Guest: 1, From: h[0], To: h[1]},
 		{Seq: 1, Guest: 2, From: h[0], To: h[2]},
@@ -52,26 +74,19 @@ func TestMigrateGuestsCommitsAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, mv := range res.Moves {
-		if want := virtual.GuestID(i + 1); mv.Guest != want {
-			t.Fatalf("result moves not in canonical order: %v", res.Moves)
-		}
+	after := s.ObjectiveStdDev()
+	if gain <= 0 || gain != before-after {
+		t.Fatalf("gain %g for an objective that went %g -> %g", gain, before, after)
 	}
-	if res.ObjectiveBefore != before || res.ObjectiveAfter >= res.ObjectiveBefore {
-		t.Fatalf("objective bracket %g -> %g (session was at %g)",
-			res.ObjectiveBefore, res.ObjectiveAfter, before)
-	}
-	if res.ObjectiveAfter > 1e-9 {
-		t.Fatalf("one guest per uniform host should balance exactly, got %g", res.ObjectiveAfter)
+	if after > 1e-9 {
+		t.Fatalf("one guest per uniform host should balance exactly, got %g", after)
 	}
 
 	// The old mapping is retired untouched; the replacement carries the
 	// environment under the same seq.
-	if len(res.Envs) != 1 || res.Envs[0].Seq != 1 || res.Envs[0].Tag != "e1" {
-		t.Fatalf("envs: %+v", res.Envs)
-	}
-	if res.Envs[0].Old != oldM {
-		t.Fatal("Old should be the retired mapping pointer")
+	newM := s.MappingBySeq(1)
+	if newM == oldM {
+		t.Fatal("session did not swap the active mapping pointer")
 	}
 	for _, node := range oldM.GuestHost {
 		if node != h[0] {
@@ -79,11 +94,8 @@ func TestMigrateGuestsCommitsAtomically(t *testing.T) {
 		}
 	}
 	want := []graph.NodeID{h[0], h[1], h[2], h[3]}
-	if !slices.Equal(res.Envs[0].New.GuestHost, want) {
-		t.Fatalf("new placements %v, want %v", res.Envs[0].New.GuestHost, want)
-	}
-	if got := s.MappingBySeq(1); got != res.Envs[0].New {
-		t.Fatal("session did not swap the active mapping pointer")
+	if !slices.Equal(newM.GuestHost, want) {
+		t.Fatalf("new placements %v, want %v", newM.GuestHost, want)
 	}
 	for _, r := range s.ResidualProc() {
 		if r != 1600 {
@@ -97,16 +109,21 @@ func TestMigrateGuestsCommitsAtomically(t *testing.T) {
 		t.Fatalf("events: %+v", events)
 	}
 	info := events[0].Migrate
-	if !slices.Equal(info.Moves, res.Moves) || len(info.Envs) != 1 || info.Envs[0].M != res.Envs[0].New {
-		t.Fatalf("event payload diverges from result: %+v", info)
+	for i, mv := range info.Moves {
+		if want := virtual.GuestID(i + 1); mv.Guest != want {
+			t.Fatalf("event moves not in canonical order: %v", info.Moves)
+		}
 	}
-	if info.Delta >= 0 {
-		t.Fatalf("event delta %g, want negative", info.Delta)
+	if len(info.Moves) != 3 || len(info.Envs) != 1 || info.Envs[0].Seq != 1 || info.Envs[0].Tag != "e1" || info.Envs[0].M != newM {
+		t.Fatalf("event payload diverges from the committed state: %+v", info)
+	}
+	if info.Delta != -gain {
+		t.Fatalf("event delta %g, want %g", info.Delta, -gain)
 	}
 
 	// Releasing the migrated environment by its current mapping restores
 	// the primed baseline — the swap kept the registry coherent.
-	if err := s.Release(res.Envs[0].New); err != nil {
+	if err := s.Release(newM); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range s.ResidualProc() {
@@ -124,19 +141,13 @@ func TestMigrateGuestsRejectsMalformedPlans(t *testing.T) {
 		moves []GuestMove
 		want  error // nil: any error
 	}{
-		{"empty plan", nil, nil},
-		{"self move", []GuestMove{{Seq: 1, Guest: 0, From: h[0], To: h[0]}}, nil},
-		{"duplicate guest", []GuestMove{
-			{Seq: 1, Guest: 0, From: h[0], To: h[1]},
-			{Seq: 1, Guest: 0, From: h[0], To: h[2]},
-		}, nil},
 		{"unknown seq", []GuestMove{{Seq: 9, Guest: 0, From: h[0], To: h[1]}}, ErrNotActive},
 		{"stale origin", []GuestMove{{Seq: 1, Guest: 0, From: h[1], To: h[2]}}, ErrMigrateConflict},
 		{"not a host", []GuestMove{{Seq: 1, Guest: 0, From: h[0], To: 999}}, ErrUnknownTarget},
 		{"guest out of range", []GuestMove{{Seq: 1, Guest: 7, From: h[0], To: h[1]}}, nil},
 	}
 	for _, tc := range cases {
-		_, err := s.MigrateGuests(tc.moves)
+		_, err := s.migratePlan(tc.moves)
 		if err == nil {
 			t.Fatalf("%s: committed", tc.name)
 		}
@@ -146,26 +157,6 @@ func TestMigrateGuestsRejectsMalformedPlans(t *testing.T) {
 	}
 	if !slices.Equal(s.ResidualProc(), before) {
 		t.Fatalf("rejected plans touched the ledger: %v vs %v", s.ResidualProc(), before)
-	}
-}
-
-func TestMigrateGuestsRejectsNonImproving(t *testing.T) {
-	s, h, _ := pileSession(t, 4)
-	// Balance first, then try to unbalance: the funnel must refuse.
-	if _, err := s.MigrateGuests([]GuestMove{
-		{Seq: 1, Guest: 1, From: h[0], To: h[1]},
-		{Seq: 1, Guest: 2, From: h[0], To: h[2]},
-		{Seq: 1, Guest: 3, From: h[0], To: h[3]},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cur := s.MappingBySeq(1)
-	_, err := s.MigrateGuests([]GuestMove{{Seq: 1, Guest: 1, From: h[1], To: h[0]}})
-	if !errors.Is(err, ErrNotImproving) {
-		t.Fatalf("worsening plan: got %v, want ErrNotImproving", err)
-	}
-	if s.MappingBySeq(1) != cur {
-		t.Fatal("rejected plan replaced the mapping")
 	}
 }
 
@@ -193,11 +184,10 @@ func TestMigrateGuestsReroutesLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := s.MigrateGuests([]GuestMove{{Seq: 1, Guest: 1, From: h[0], To: h[1]}})
-	if err != nil {
+	if _, err := s.migratePlan([]GuestMove{{Seq: 1, Guest: 1, From: h[0], To: h[1]}}); err != nil {
 		t.Fatal(err)
 	}
-	nm := res.Envs[0].New
+	nm := s.MappingBySeq(1)
 	if nm.LinkPath[0].Len() == 0 {
 		t.Fatal("split pair kept a trivial path")
 	}
@@ -228,7 +218,7 @@ func TestReplayMigrateRoundTrip(t *testing.T) {
 			info = ev.Migrate
 		}
 	})
-	if _, err := live.MigrateGuests([]GuestMove{
+	if _, err := live.migratePlan([]GuestMove{
 		{Seq: 1, Guest: 1, From: h[0], To: h[1]},
 		{Seq: 1, Guest: 2, From: h[0], To: h[2]},
 	}); err != nil {
@@ -277,7 +267,7 @@ func TestReplayMigrateDiverged(t *testing.T) {
 			info = ev.Migrate
 		}
 	})
-	if _, err := live.MigrateGuests([]GuestMove{{Seq: 1, Guest: 1, From: h[0], To: h[1]}}); err != nil {
+	if _, err := live.migratePlan([]GuestMove{{Seq: 1, Guest: 1, From: h[0], To: h[1]}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -327,7 +317,7 @@ func TestReplayMigrateDiverged(t *testing.T) {
 func TestReleaseTaggedAfterMigrate(t *testing.T) {
 	s, h, _ := pileSession(t, 4)
 	oldM := s.MappingBySeq(1)
-	if _, err := s.MigrateGuests([]GuestMove{{Seq: 1, Guest: 1, From: h[0], To: h[1]}}); err != nil {
+	if _, err := s.migratePlan([]GuestMove{{Seq: 1, Guest: 1, From: h[0], To: h[1]}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Release(oldM); !errors.Is(err, ErrNotActive) {

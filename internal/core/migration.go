@@ -39,16 +39,6 @@ func ImprovementEps(current float64) float64 {
 	return rel
 }
 
-// improves is the one acceptance test of §4.2: delta, the change a
-// candidate would make to the Eq. (10) objective standing at current,
-// must be a drop of more than ImprovementEps. The descent applies it to
-// every single-guest move; MigrateGuests applies it to a caller's plan.
-//
-//hmn:noalloc
-func improves(current, delta float64) bool {
-	return delta < -ImprovementEps(current)
-}
-
 // descentEnv is one environment whose guests the descent may move: its
 // admission sequence number (the victim tie-break), the environment and
 // its current placements, indexed by guest.
@@ -123,14 +113,11 @@ func (d *descent) begin(led *cluster.Ledger, metric LoadMetric, scope MigrationS
 	if hi != nil && hi.track && metric != LoadUtilization {
 		d.hi = hi
 	}
-	d.hosts = nodesFor(d.hosts, nh)
+	d.hosts = sized(d.hosts, nh)
 	for i, h := range c.Hosts() {
 		d.hosts[i] = h.Node
 	}
-	if cap(d.onHost) < nh {
-		d.onHost = make([][]rosterRef, nh)
-	}
-	d.onHost = d.onHost[:nh]
+	d.onHost = sized(d.onHost, nh)
 	for i := range d.onHost {
 		d.onHost[i] = d.onHost[i][:0]
 	}
@@ -182,7 +169,7 @@ func (d *descent) step(try func(candidate) bool) bool {
 			if dest == origin || !d.led.Fits(dest, guest.Mem, guest.Stor) {
 				continue
 			}
-			if improves(current, d.led.DeltaStdDev(origin, dest, guest.Proc)) &&
+			if d.led.DeltaStdDev(origin, dest, guest.Proc) < -ImprovementEps(current) &&
 				try(candidate{ref: ref, from: origin, to: dest}) {
 				return true
 			}
@@ -271,38 +258,28 @@ func (d *descent) relocate(c candidate) bool {
 	return true
 }
 
-// migrate is HMN stage 2 (§4.2) with the paper's donor scope: the descent
-// over the one environment being admitted, repeated while the
-// load-balance factor improves; when no move from the most loaded host
-// helps, the stage ends. maxMoves > 0 caps the number of accepted
-// migrations (ablation); 0 means unbounded.
+// stage2 is HMN's Migration stage (§4.2): the descent over the one
+// environment being admitted, repeated while the load-balance factor
+// improves; under the paper's donor scope (see MigrationScope) the stage
+// ends when no move from the most loaded host helps. MaxMigrations > 0
+// caps the number of accepted moves (ablation). hi is the Hosting stage's
+// live host index; the descent's working sets are ms.mig.
 //
-// The function mutates assign and the ledger in place. It cannot fail:
-// a migration either strictly improves the objective or is not performed.
-func migrate(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric LoadMetric, maxMoves int) int {
-	return migrateScoped(led, v, assign, metric, maxMoves, ScopeMostLoaded, nil, nil)
-}
-
-// migrateScoped is migrate with a selectable donor scope (see
-// MigrationScope) and an optional live host index from the Hosting stage
-// (hi may be nil). The descent's working sets come from ms when a session
-// threads one through; nil allocates per call.
-func migrateScoped(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, metric LoadMetric, maxMoves int, scope MigrationScope, hi *hostIndex, ms *mapScratch) int {
+// The stage mutates assign and the ledger in place. It cannot fail: a
+// migration either strictly improves the objective or is not performed.
+func (h *HMN) stage2(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, hi *hostIndex, ms *mapScratch, st *MigrationStats) {
 	if led.Cluster().NumHosts() < 2 {
-		return 0
+		return
 	}
-	d := &descent{}
-	if ms != nil {
-		d = &ms.mig
-	}
+	st.ObjectiveBefore = led.ObjectiveStdDev()
+	d := &ms.mig
 	d.envs = append(d.envs[:0], descentEnv{v: v, assign: assign})
-	d.begin(led, metric, scope, hi)
-	moves := 0
-	for (maxMoves <= 0 || moves < maxMoves) && d.step(d.relocate) {
-		moves++
+	d.begin(led, h.Metric, h.Scope, hi)
+	for (h.MaxMigrations <= 0 || st.Moves < h.MaxMigrations) && d.step(d.relocate) {
+		st.Moves++
 	}
 	d.end()
-	return moves
+	st.ObjectiveAfter = led.ObjectiveStdDev()
 }
 
 func mustReserve(led *cluster.Ledger, node graph.NodeID, g virtual.Guest) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
+	"repro/internal/mapping"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/virtual"
@@ -189,7 +190,7 @@ func TestMigrateSnapshotSurvivesMidScanReserveFailure(t *testing.T) {
 	// gMem 600 with only 214 MB free on h3 keeps h3 out of every scan, so
 	// the outcome is a single pinned move.
 	led, v, assign, h := migrationFixture(t, 600, 800)
-	hi := newHostIndex(led, true)
+	hi := testIndex(led)
 	defer led.SetProcHook(nil)
 	led.SetProcHook(sabotageHook(t, led, hi.fix, h[1], h[2]))
 
@@ -229,7 +230,7 @@ func TestMigrateLiveIndexMatchesUnindexedUnderMidScanChurn(t *testing.T) {
 	// gMem 100 fits everywhere: after the injected failure the move
 	// cascades (h0→h2, then h2→h3), exercising the scan across rounds.
 	ledA, v, assignA, h := migrationFixture(t, 100, 10)
-	hiA := newHostIndex(ledA, true)
+	hiA := testIndex(ledA)
 	defer ledA.SetProcHook(nil)
 	ledA.SetProcHook(sabotageHook(t, ledA, hiA.fix, h[1], h[2]))
 	traceA := runDescent(ledA, v, assignA, ScopeMostLoaded, hiA)
@@ -327,8 +328,10 @@ func TestQuickMigrateExactMatchesIncrementalSequences(t *testing.T) {
 				seed, len(incTrace), incTrace, len(exactTrace), exactTrace)
 			return false
 		}
-		if moves := migrateScoped(ledC, v, assignC, LoadResidualMIPS, 0, scope, nil, nil); moves != len(exactTrace) {
-			t.Logf("seed %d: stage 2 made %d moves, reference %d", seed, moves, len(exactTrace))
+		var st MigrationStats
+		(&HMN{Scope: scope}).stage2(ledC, v, assignC, nil, &mapScratch{}, &st)
+		if st.Moves != len(exactTrace) {
+			t.Logf("seed %d: stage 2 made %d moves, reference %d", seed, st.Moves, len(exactTrace))
 			return false
 		}
 		return slices.Equal(assignA, assignB) && slices.Equal(assignC, assignB)
@@ -339,12 +342,13 @@ func TestQuickMigrateExactMatchesIncrementalSequences(t *testing.T) {
 	}
 }
 
-// TestQuickConsolidateIndexedMatchesNil checks that consolidation with a
-// live host index attached reaches the same assignments, emptied count
-// and residuals as the hi == nil path on random workloads: the best-fit
-// receiver key (slack, node) is a total order, so walking the index's
-// slice instead of ranging the onHost map must not change the winner.
-func TestQuickConsolidateIndexedMatchesNil(t *testing.T) {
+// TestQuickConsolidateLiveIndexMatchesFrozen checks that consolidation
+// reaches the same assignments, emptied count and residuals whatever
+// order its receiver scan walks the hosts in — the live host index,
+// re-sorted by every repack move, against one frozen at its initial
+// order — on random workloads: the best-fit receiver key (slack, node) is
+// a total order, so the walk's order must not change the winner.
+func TestQuickConsolidateLiveIndexMatchesFrozen(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nHosts := 3 + rng.Intn(6)
@@ -395,13 +399,12 @@ func TestQuickConsolidateIndexedMatchesNil(t *testing.T) {
 		ledB := ledA.Clone()
 		assignB := slices.Clone(assignA)
 
-		hi := newHostIndex(ledA, true)
-		emptiedA := consolidateIndexed(ledA, v, assignA, 0, hi)
+		emptiedA := consolidate(ledA, v, assignA, 0, testIndex(ledA))
 		ledA.SetProcHook(nil)
-		emptiedB := consolidateIndexed(ledB, v, assignB, 0, nil)
+		emptiedB := consolidate(ledB, v, assignB, 0, newHostIndex(ledB, false, &mapScratch{}))
 
 		if emptiedA != emptiedB || !slices.Equal(assignA, assignB) {
-			t.Logf("seed %d: indexed emptied %d -> %v, nil emptied %d -> %v",
+			t.Logf("seed %d: live index emptied %d -> %v, frozen emptied %d -> %v",
 				seed, emptiedA, assignA, emptiedB, assignB)
 			return false
 		}
@@ -411,4 +414,44 @@ func TestQuickConsolidateIndexedMatchesNil(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkMigration isolates the Migration stage (§4.2) at 2000 guests
+// on a 500-host cluster: one Hosting pass prepares the assignment, then
+// every iteration replays stage 2 alone on a cloned ledger. The stage
+// never touches links, so the large host count exercises the what-if
+// kernel (candidate scans × objective evaluations) without the latency
+// feasibility limits routing would impose at this scale.
+func BenchmarkMigration(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	params := workload.PaperClusterParams()
+	params.Hosts = 500
+	specs := workload.GenerateHosts(params, rng)
+	c, err := topology.Switched(specs, 64, workload.PhysLinkBW, workload.PhysLinkLat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := workload.GenerateEnv(workload.LowLevelParams(2000, 0.01), rng)
+	led, err := cluster.NewLedger(c, cluster.VMMOverhead{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	assign := make([]graph.NodeID, env.NumGuests())
+	for i := range assign {
+		assign[i] = mapping.Unassigned
+	}
+	if err := HostingStage(led, env, assign); err != nil {
+		b.Fatal(err)
+	}
+	moves := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		led2 := led.Clone()
+		assign2 := slices.Clone(assign)
+		b.StartTimer()
+		moves = migrationStage(led2, env, assign2)
+	}
+	b.ReportMetric(float64(moves), "moves")
 }

@@ -3,148 +3,86 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/virtual"
 )
 
-// network is HMN stage 3 (§4.3): it routes every virtual link over a
-// physical path. Links are processed in descending bandwidth order (the
-// paper's choice — overridable for the ablations); each is routed with
-// the modified 1-constrained A*Prune, which maximises bottleneck
-// bandwidth subject to the latency budget, and its bandwidth is reserved
-// before the next link is considered. Links whose guests share a host are
-// handled inside the host (§5.2) and consume nothing.
+// orderLinks returns the links of v named by ids (nil: every link) in
+// the order Networking routes them: descending bandwidth is the paper's
+// choice (§4.3) — and the order Hosting walks them in (§4.1) — the other
+// two exist for the ablations. (BW, ID) is a strict total order, so the
+// packed-key sorts produce the permutations a stable sort would. The
+// result lives in ms.links until the next call.
+func orderLinks(v *virtual.Env, ids []int, order LinkOrder, rng *rand.Rand, ms *mapScratch) []virtual.Link {
+	switch order {
+	case OrderAscendingBW:
+		return sortLinksByBW(v, ids, false, ms)
+	case OrderRandom:
+		if ids == nil {
+			ms.links = append(ms.links[:0], v.Links()...)
+		} else {
+			ms.links = sized(ms.links, len(ids))
+			for i, id := range ids {
+				ms.links[i] = v.Link(id)
+			}
+		}
+		links := ms.links
+		if rng == nil {
+			rng = rand.New(rand.NewSource(1))
+		}
+		rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+		return links
+	}
+	return sortLinksByBW(v, ids, true, ms)
+}
+
+// routeLinks is HMN stage 3 (§4.3) over links, in the order given
+// (orderLinks): each is routed with the modified 1-constrained A*Prune,
+// which maximises bottleneck bandwidth subject to the latency budget,
+// its path written into paths[link.ID] and its bandwidth reserved before
+// the next link is considered. Links whose guests share a host are
+// handled inside the host (§5.2) and consume nothing. Guest placements
+// (assign) are fixed; reservations already on led — including the paths
+// of links not being routed — are respected. It is the whole Networking
+// stage when links is every link of v, and the cheap path of a repair or
+// a migration when it is only the links a failure broke or a move drags.
 //
 // The Dijkstra latency table towards each destination host (the ar[]
-// array of Algorithm 1) is computed once per distinct destination and
-// cached: the paper observes that "most part of mapping time is spent in
+// array of Algorithm 1) is gathered once per distinct destination, from
+// arc: the paper observes that "most part of mapping time is spent in
 // the Networking stage to calculate the shortest path of each host to the
 // link destination", and the cache is what keeps large instances
 // tractable without changing any result.
-// arc may be nil (one-shot mappers); a session passes its AR cache so
-// repeated admissions on an unchanged topology skip the Dijkstra sweep.
-// ms may be nil (one-shot mappers), which allocates the stage's buffers
-// per call.
-func network(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, order LinkOrder, astar graph.AStarPruneOptions, rng *rand.Rand, arc *arCache, ms *mapScratch) error {
-	var ids []int
-	if ms != nil {
-		ms.ids = intsFor(ms.ids, v.NumLinks())
-		ids = ms.ids
-	} else {
-		ids = make([]int, v.NumLinks())
-	}
-	for i := range ids {
-		ids[i] = i
-	}
-	return routeLinks(led, v, assign, paths, ids, order, astar, rng, arc, ms)
-}
-
-// routeLinks routes the subset of v's virtual links named by linkIDs,
-// writing each computed path into paths[link.ID]. Guest placements
-// (assign) are fixed; reservations already on led — including the paths
-// of links outside the subset — are respected. It is the whole
-// Networking stage when linkIDs covers every link, and the repair
-// engine's cheap path when it covers only the links a failure broke.
-func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, order LinkOrder, astar graph.AStarPruneOptions, rng *rand.Rand, arc *arCache, ms *mapScratch) error {
+func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, links []virtual.Link, astar graph.AStarPruneOptions, arc *arCache, ms *mapScratch) error {
 	net := led.Cluster().Net()
 	bw := led.BandwidthFunc()
-
-	var links []virtual.Link
-	if ms != nil {
-		ms.links = linksFor(ms.links, len(linkIDs))
-		links = ms.links
-	} else {
-		links = make([]virtual.Link, len(linkIDs))
-	}
-	for i, id := range linkIDs {
-		links[i] = v.Link(id)
-	}
-	// (BW, ID) is a strict total order, so the packed-key sorts produce
-	// the permutations the seed's stable sorts did — minus the struct
-	// comparator and swap machinery the profiles showed dominating the
-	// stage's fixed costs at 2000 guests.
-	switch order {
-	case OrderAscendingBW:
-		sortLinksByBWIn(links, false, ms)
-	case OrderRandom:
-		r := rng
-		if r == nil {
-			r = rand.New(rand.NewSource(1))
-		}
-		r.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-	default: // OrderDescendingBW — the paper's order
-		sortLinksByBWIn(links, true, ms)
-	}
-
-	// The Dijkstra ar[] tables only depend on the topology, never on the
-	// reservations made while routing, so the tables for every distinct
-	// destination can be computed concurrently up front. Routing itself
-	// stays sequential — each reservation changes the residual bandwidth
-	// the next search must see — so this is the stage's only safe
-	// parallelism, and it covers the cost §5.2 identifies as dominant.
-	// With a session AR cache the sweep shrinks to the cache misses.
 	tables := arTables(led, links, assign, arc, ms)
-	arTo := func(dest graph.NodeID) []float64 {
-		if ar := tables[dest]; ar != nil {
-			return ar
-		}
-		// Only reachable if assign changed after precompute — keep a
-		// correct fallback anyway, and let it consult and feed the
-		// session cache like the precompute sweep does.
-		var ar []float64
-		if arc != nil {
-			gen := led.TopoGen()
-			if ar = arc.lookup(gen, dest); ar != nil {
-				arc.hits.Add(1)
-			} else {
-				arc.misses.Add(1)
-				ar = graph.DijkstraLatencyAvoiding(net, dest, led.EdgeCut)
-				arc.store(gen, dest, ar)
-			}
-		} else {
-			ar = graph.DijkstraLatency(net, dest)
-		}
-		tables[dest] = ar
-		return ar
-	}
 
-	// One scratch serves the whole stage: routing is sequential, so every
-	// A*Prune search reuses the same open/closed structures instead of
-	// allocating per link.
-	scratch := astar.Scratch
-	if scratch == nil {
-		if ms != nil {
-			scratch = ms.astar
-		} else {
-			scratch = graph.NewAStarScratch()
-		}
+	// One scratch serves the whole stage: routing is sequential — each
+	// reservation changes the residual bandwidth the next search must
+	// see — so every A*Prune search reuses the same open/closed
+	// structures instead of allocating per link.
+	opts := astar
+	if opts.Scratch == nil {
+		opts.Scratch = ms.astar
 	}
-	arena := astar.Arena
-	if arena == nil && ms != nil {
-		arena = ms.arena
+	if opts.Arena == nil {
+		opts.Arena = ms.arena
 	}
-	if ms != nil {
-		// The scratch counts its searches in plain fields; the stage
-		// folds what it added into the attempt's tally on every exit.
-		before := scratch.Stats()
-		defer func() { ms.route.Add(scratch.Stats().Sub(before)) }()
-	}
+	// The scratch counts its searches in plain fields; the stage folds
+	// what it added into the attempt's tally on every exit.
+	before := opts.Scratch.Stats()
+	defer func() { ms.route.Add(opts.Scratch.Stats().Sub(before)) }()
 
 	for _, link := range links {
 		src, dst := assign[link.From], assign[link.To]
 		if src == dst {
-			paths[link.ID] = graph.TrivialPathIn(src, arena)
+			paths[link.ID] = graph.TrivialPathIn(src, opts.Arena)
 			continue
 		}
-		opts := astar
-		opts.AR = arTo(dst)
-		opts.Scratch = scratch
-		opts.Arena = arena
+		opts.AR = tables[dst]
 		p, ok := graph.AStarPrune(net, src, dst, link.BW, link.Lat, bw, &opts)
 		if !ok {
 			return fmt.Errorf("%w: link %d (%s-%s, %.3fMbps within %.1fms) between hosts %d and %d",
@@ -159,6 +97,18 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 		paths[link.ID] = p
 	}
 	return nil
+}
+
+// reroute re-runs only the Networking stage, with mp's options, for the
+// virtual links named by linkIDs, keeping guest placements fixed — the
+// repair engine's cheap path after a link failure, and what a committed
+// migration does for the links its guests drag along.
+func reroute(mp stagedMapper, led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
+	if len(linkIDs) == 0 {
+		return nil
+	}
+	o := mp.stageOptions()
+	return routeLinks(led, v, assign, paths, orderLinks(v, linkIDs, o.order, o.rng, ms), o.astar, arc, ms)
 }
 
 // noPathCause says why A*Prune found nothing for a link, on the failure
@@ -177,103 +127,34 @@ func noPathCause(net *graph.Graph, src, dst graph.NodeID, demand float64, bw gra
 	return ErrNoPathLatency
 }
 
-// arTables gathers the Dijkstra latency table for every distinct
-// destination host of the inter-host links: from arc when it holds the
-// snapshot's topology generation, computing only the misses — in
-// parallel across GOMAXPROCS workers — and filling the cache for the
-// admissions that follow. Tables are pure functions of the topology, so
-// neither the computation order nor the cache state can affect results.
-//
-// With arc == nil (the one-shot Mapper entry points) the tables ignore
-// cut edges, as they always have: a missing edge only makes the static
-// table a looser — still admissible — bound. Cached tables are computed
-// cut-aware via DijkstraLatencyAvoiding so an entry is exact for the
-// generation that keys it. The tables come back indexed by node, in a
-// slice ms keeps between attempts (nil allocates it per call).
+// arTables gathers the Dijkstra latency table towards every distinct
+// destination host of the inter-host links, indexed by node, in a slice
+// ms keeps between attempts: from arc when it holds the table for the
+// ledger's topology generation, computing and storing it otherwise — at
+// most once per host per generation, so the steady state only looks up.
+// Tables are computed cut-aware, so an entry is exact for the generation
+// that keys it; on an uncut ledger (generation 0, every one-shot mapping)
+// that is graph.DijkstraLatency's table. They are pure functions of the
+// topology: neither the order of computation nor the cache's state can
+// affect a result.
 func arTables(led *cluster.Ledger, links []virtual.Link, assign []graph.NodeID, arc *arCache, ms *mapScratch) [][]float64 {
 	net := led.Cluster().Net()
-	n := net.NumNodes()
-	var out [][]float64 // by destination node; nil where no link ends
-	var want []bool
-	if ms != nil {
-		if cap(ms.arOut) < n {
-			ms.arOut, ms.arWant = make([][]float64, n), make([]bool, n)
-		}
-		out, want = ms.arOut[:n], ms.arWant[:n]
-		clear(out) // drop the last attempt's tables
-		clear(want)
-	} else {
-		out, want = make([][]float64, n), make([]bool, n)
-	}
+	ms.arOut = sized(ms.arOut, net.NumNodes())
+	out := ms.arOut
+	clear(out) // drop the last attempt's tables
+	gen := led.TopoGen()
 	for _, link := range links {
-		if src, dst := assign[link.From], assign[link.To]; src != dst {
-			want[dst] = true
-		}
-	}
-
-	// Destinations are visited in node order: the misses are computed and
-	// stored in the same sequence on every run.
-	var gen uint64
-	if arc != nil {
-		gen = led.TopoGen()
-	}
-	var dests []graph.NodeID
-	for d, wanted := range want {
-		if !wanted {
+		src, dst := assign[link.From], assign[link.To]
+		if src == dst || out[dst] != nil {
 			continue
 		}
-		if arc != nil {
-			if out[d] = arc.lookup(gen, graph.NodeID(d)); out[d] != nil {
-				arc.hits.Add(1)
-				continue
-			}
-			arc.misses.Add(1)
+		if out[dst] = arc.lookup(gen, dst); out[dst] != nil {
+			arc.hits.Add(1)
+			continue
 		}
-		dests = append(dests, graph.NodeID(d))
-	}
-	if len(dests) == 0 {
-		return out
-	}
-
-	compute := func(d graph.NodeID) []float64 {
-		if arc == nil {
-			return graph.DijkstraLatency(net, d)
-		}
-		return graph.DijkstraLatencyAvoiding(net, d, led.EdgeCut)
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(dests) {
-		workers = len(dests)
-	}
-	tables := make([][]float64, len(dests))
-	if workers <= 1 {
-		for i, d := range dests {
-			tables[i] = compute(d)
-		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(dests) {
-						return
-					}
-					tables[i] = compute(dests[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, d := range dests {
-		out[d] = tables[i]
-		if arc != nil {
-			arc.store(gen, d, tables[i])
-		}
+		arc.misses.Add(1)
+		out[dst] = graph.DijkstraLatencyAvoiding(net, dst, led.EdgeCut)
+		arc.store(gen, dst, out[dst])
 	}
 	return out
 }

@@ -92,7 +92,7 @@ func saturatedStar(t *testing.T, n int) (*Session, []graph.NodeID) {
 	// B goes in co-located and is pulled apart through the router, which
 	// is what puts its 95 Mbps on both access links.
 	admit(2, b, h[1], h[1])
-	if _, err := s.MigrateGuests([]GuestMove{{Seq: 2, Guest: 1, From: h[1], To: h[2]}}); err != nil {
+	if _, err := s.migratePlan([]GuestMove{{Seq: 2, Guest: 1, From: h[1], To: h[2]}}); err != nil {
 		t.Fatal(err)
 	}
 	if n > 3 {

@@ -67,6 +67,9 @@ type RepairResult struct {
 	// when that failed, the full re-map's as well — in the terms
 	// AdmitStats.Route counts an admission's.
 	Route graph.SearchStats
+	// Stages is the full re-map's stage times, as AdmitStats.Stages; zero
+	// when re-routing sufficed.
+	Stages StageStats
 }
 
 // Repair re-maps evicted environments against the session's current
@@ -176,6 +179,7 @@ func (s *Session) repairOne(old *mapping.Mapping, tag string) RepairResult {
 	var st AdmitStats
 	nm, _, err := s.mapLocked(old.Env, tag, &st)
 	res.Route.Add(st.Route)
+	res.Stages = st.Stages
 	if err != nil {
 		res.Outcome, res.Err = RepairUnrecoverable, err
 		return res
@@ -218,7 +222,7 @@ func (s *Session) tryReroute(old *mapping.Mapping, tag string, route *graph.Sear
 	}
 	if len(broken) > 0 {
 		ms := getMapScratch()
-		err := s.mapper.rerouteOnLedger(attempt, env, nm.GuestHost, nm.LinkPath, broken, s.ar, ms)
+		err := reroute(s.mapper, attempt, env, nm.GuestHost, nm.LinkPath, broken, s.ar, ms)
 		route.Add(ms.route)
 		putMapScratch(ms)
 		if err != nil {

@@ -8,22 +8,18 @@ import (
 )
 
 // mapScratch carries every reusable buffer one mapping attempt needs —
-// the link-sort workspace, the host index arrays, the Networking
-// stage's link and ID buffers, the A*Prune scratch and the path arena —
-// so the steady-state admission path allocates none of them. Attempts
-// borrow one from mapScratchPool (getMapScratch/putMapScratch) for the
-// duration of the attempt; buffers grow to the largest cluster and
+// the link-sort workspace, the host index arrays, the A*Prune scratch,
+// the path arena and the §4.2 descent — so the steady-state admission
+// path allocates none of them. Every attempt, a one-shot Mapper.Map's
+// included, borrows one from mapScratchPool (getMapScratch/putMapScratch)
+// for its duration; buffers grow to the largest cluster and
 // environment they have served and are then reused as-is. A mapScratch
 // is single-owner state: never shared between concurrent attempts.
 type mapScratch struct {
-	// Networking stage: link-ID worklist and the canonical-order copy of
-	// the links being routed.
-	ids   []int
+	// sortLinksByBW's packed sort keys and its result: the links Hosting
+	// walks and Networking routes, in the order they do.
+	kvs   []linkKV
 	links []virtual.Link
-
-	// sortLinksByBW workspace: packed sort keys and the gather buffer.
-	kvs    []linkKV
-	gather []virtual.Link
 
 	// Host index arrays (hostIndex.order/pos/nodeOf).
 	hiOrder []graph.NodeID
@@ -36,12 +32,11 @@ type mapScratch struct {
 	astar *graph.AStarScratch
 	arena *graph.PathArena
 
-	// arTables' result and worklist, both indexed by node, and the
-	// A*Prune work the attempt's Networking stages did (routeLinks adds,
-	// getMapScratch zeroes).
-	arOut  [][]float64
-	arWant []bool
-	route  graph.SearchStats
+	// arTables' result, indexed by node, and the A*Prune work the
+	// attempt's Networking stages did (routeLinks adds, getMapScratch
+	// zeroes).
+	arOut [][]float64
+	route graph.SearchStats
 
 	// The §4.2 descent with its working sets: per-host guest rosters and
 	// the per-step donor and destination worklists. Stage 2 of an
@@ -64,26 +59,11 @@ func getMapScratch() *mapScratch {
 
 func putMapScratch(ms *mapScratch) { mapScratchPool.Put(ms) }
 
-// intsFor returns buf resized to n, reallocating only on growth.
-func intsFor(buf []int, n int) []int {
+// sized returns buf resized to n, reallocating only on growth; what it
+// holds is left for the caller to overwrite.
+func sized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-// nodesFor returns buf resized to n, reallocating only on growth.
-func nodesFor(buf []graph.NodeID, n int) []graph.NodeID {
-	if cap(buf) < n {
-		return make([]graph.NodeID, n)
-	}
-	return buf[:n]
-}
-
-// linksFor returns buf resized to n, reallocating only on growth.
-func linksFor(buf []virtual.Link, n int) []virtual.Link {
-	if cap(buf) < n {
-		return make([]virtual.Link, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

@@ -27,7 +27,7 @@ import (
 // with the current residuals.
 //
 // A Session is safe for concurrent use, one lock-hold per operation: Map,
-// Repair and MigrateGuests each take the session lock, copy the live
+// Repair and Rebalance's moves each take the session lock, copy the live
 // residuals into the session's scratch snapshot, run the mapper or the
 // router on that copy, and commit the net effect to the live ledger
 // atomically before unlocking. Every concurrent history of a session is
@@ -40,7 +40,7 @@ type Session struct {
 	// guarded state and must not be touched off-lock.
 	c      *cluster.Cluster
 	led    *cluster.Ledger //hmn:guardedby mu
-	mapper sessionMapper
+	mapper stagedMapper
 	// active maps each deployed environment to its admission sequence
 	// number and caller tag. The sequence is the session's only ordering
 	// authority: eviction and repair process environments oldest-first,
@@ -78,64 +78,6 @@ type Session struct {
 type activeEntry struct {
 	seq uint64
 	tag string
-}
-
-// sessionMapper is the subset of mappers a session can drive
-// incrementally: they must accept a pre-primed ledger. HMN and its
-// variants qualify; the retrying baselines do not (they rebuild ledgers
-// internally).
-type sessionMapper interface {
-	// arc is the session's Dijkstra-table cache; one-shot callers pass
-	// nil and recompute per mapping. ms carries the attempt's reusable
-	// buffers (may be nil, which allocates per call).
-	mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc *arCache, ms *mapScratch) error
-	// rerouteOnLedger re-runs only the Networking stage for the named
-	// virtual links, keeping guest placements fixed — the repair
-	// engine's cheap path after a link failure.
-	rerouteOnLedger(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error
-}
-
-// mapOnLedger runs the three HMN stages against an existing ledger. One
-// host index serves Hosting and Migration; its ledger hook is detached
-// before returning so the ledger outlives the attempt hook-free.
-func (h *HMN) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc *arCache, ms *mapScratch) error {
-	hi := newHostIndexIn(led, !h.DisableHostResort, ms)
-	defer led.SetProcHook(nil)
-	if err := hostingIndexedIn(led, v, m.GuestHost, hi, ms); err != nil {
-		return fmt.Errorf("HMN hosting stage: %w", err)
-	}
-	if !h.DisableMigration {
-		migrateScoped(led, v, m.GuestHost, h.Metric, h.MaxMigrations, h.Scope, hi, ms)
-	}
-	if err := network(led, v, m.GuestHost, m.LinkPath, h.NetworkOrder, h.AStar, h.Rand, arc, ms); err != nil {
-		return fmt.Errorf("HMN networking stage: %w", err)
-	}
-	return nil
-}
-
-// rerouteOnLedger re-routes a link subset with HMN's Networking options.
-func (h *HMN) rerouteOnLedger(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
-	return routeLinks(led, v, assign, paths, linkIDs, h.NetworkOrder, h.AStar, h.Rand, arc, ms)
-}
-
-// mapOnLedger runs Hosting, consolidation and Networking against an
-// existing ledger.
-func (x *Consolidator) mapOnLedger(led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc *arCache, ms *mapScratch) error {
-	hi := newHostIndexIn(led, true, ms)
-	defer led.SetProcHook(nil)
-	if err := hostingIndexedIn(led, v, m.GuestHost, hi, ms); err != nil {
-		return fmt.Errorf("HMN-C hosting stage: %w", err)
-	}
-	consolidateIndexed(led, v, m.GuestHost, x.MaxPasses, hi)
-	if err := network(led, v, m.GuestHost, m.LinkPath, OrderDescendingBW, x.AStar, nil, arc, ms); err != nil {
-		return fmt.Errorf("HMN-C networking stage: %w", err)
-	}
-	return nil
-}
-
-// rerouteOnLedger re-routes a link subset with HMN-C's Networking options.
-func (x *Consolidator) rerouteOnLedger(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
-	return routeLinks(led, v, assign, paths, linkIDs, OrderDescendingBW, x.AStar, nil, arc, ms)
 }
 
 // NewSession opens a session on c with the VMM overhead deducted once.
@@ -176,11 +118,11 @@ func MapperByName(name string, overhead cluster.VMMOverhead) (Mapper, error) {
 
 // sessionMapperFor validates that mapper can drive a session
 // incrementally; nil selects the default HMN.
-func sessionMapperFor(mapper Mapper, overhead cluster.VMMOverhead) (sessionMapper, error) {
+func sessionMapperFor(mapper Mapper, overhead cluster.VMMOverhead) (stagedMapper, error) {
 	switch m := mapper.(type) {
 	case nil:
 		return &HMN{Overhead: overhead}, nil
-	case sessionMapper:
+	case stagedMapper:
 		return m, nil
 	default:
 		return nil, fmt.Errorf("session: mapper %s cannot run incrementally (needs a ledger-driven mapper such as HMN or HMN-C)", mapper.Name())
@@ -224,6 +166,9 @@ type AdmitStats struct {
 	// Route counts the admission's A*Prune work: searches, candidates
 	// popped and pushed.
 	Route graph.SearchStats
+	// Stages is the mapper's share of the lock-hold by stage — the three
+	// times Figure 1 is drawn from — with stage 2's counters.
+	Stages StageStats
 }
 
 // Map deploys v against the session's current residual resources. On
@@ -232,12 +177,6 @@ type AdmitStats struct {
 func (s *Session) Map(v *virtual.Env) (*mapping.Mapping, error) {
 	m, _, err := s.MapTagged(v, "")
 	return m, err
-}
-
-// MapWithStats is Map, also reporting the admission's commit time and
-// routing work.
-func (s *Session) MapWithStats(v *virtual.Env) (*mapping.Mapping, AdmitStats, error) {
-	return s.MapTagged(v, "")
 }
 
 // scratchLocked overwrites the session's scratch snapshot with the live
@@ -255,7 +194,8 @@ func (s *Session) scratchLocked() *cluster.Ledger {
 	return s.snap
 }
 
-// MapTagged is MapWithStats with a caller tag attached to the admission:
+// MapTagged is Map reporting how the admission went (AdmitStats), with a
+// caller tag attached to it:
 // the tag rides the commit event and the session snapshot (hmnd passes
 // its environment ID), and repairs carry it to replacement mappings.
 //
@@ -299,8 +239,8 @@ func (s *Session) mapLocked(v *virtual.Env, tag string, st *AdmitStats) (*mappin
 
 	m := mapping.New(s.c, v)
 	ms := getMapScratch()
-	err := s.mapper.mapOnLedger(snap, v, m, s.ar, ms)
-	st.Route.Add(ms.route)
+	err := stages(s.mapper, snap, v, m, s.ar, ms, &st.Stages)
+	st.Route.Add(st.Stages.Route)
 	putMapScratch(ms)
 	if err != nil {
 		return nil, 0, err

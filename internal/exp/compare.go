@@ -131,6 +131,12 @@ func CompareDocs(base, cur JSONDocument, thresholdPct float64) CompareReport {
 				(cs.MapSecondsMean-bs.MapSecondsMean)/bs.MapSecondsMean*100,
 				bs.MapSecondsP99, cs.MapSecondsP99))
 		}
+		if bs.NetworkingSecondsMean > 0 {
+			rep.Timing = append(rep.Timing, fmt.Sprintf(
+				"timing (advisory): %s stage seconds mean hosting %.4fs -> %.4fs, migration %.4fs -> %.4fs, networking %.4fs -> %.4fs, networking share %.3f -> %.3f",
+				k, bs.HostingSecondsMean, cs.HostingSecondsMean, bs.MigrationSecondsMean, cs.MigrationSecondsMean,
+				bs.NetworkingSecondsMean, cs.NetworkingSecondsMean, bs.NetworkingShare, cs.NetworkingShare))
+		}
 	}
 	var extra []string
 	for k := range curBy {

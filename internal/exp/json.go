@@ -57,6 +57,16 @@ type JSONSeries struct {
 	MapSecondsP99  float64 `json:"map_seconds_p99"`
 	MapSecondsMean float64 `json:"map_seconds_mean"`
 	MapSecondsMax  float64 `json:"map_seconds_max"`
+
+	// Stage times in seconds, HMN series only (the baselines have no
+	// stages): the means of the three times core.StageStats took over the
+	// same runs, and Networking's share of the mean mapping time — the
+	// ratio Figure 1 plots, from the struct the CSV prints. Timing, like
+	// map_seconds: advisory in comparisons.
+	HostingSecondsMean    float64 `json:"hosting_seconds_mean,omitempty"`
+	MigrationSecondsMean  float64 `json:"migration_seconds_mean,omitempty"`
+	NetworkingSecondsMean float64 `json:"networking_seconds_mean,omitempty"`
+	NetworkingShare       float64 `json:"networking_share,omitempty"`
 }
 
 // JSONDocument is the top-level structure WriteJSON emits.
@@ -99,11 +109,14 @@ func (r *Results) JSON() JSONDocument {
 		topo Topology
 		heur string
 	}
-	acc := make(map[seriesKey]*struct {
+	type seriesAcc struct {
 		objectives []float64
 		mapTimes   []float64
 		valid      int
-	})
+		// Stage times, summed over the runs (zero for the baselines).
+		hosting, migration, networking float64
+	}
+	acc := make(map[seriesKey]*seriesAcc)
 	var keys []seriesKey
 	for _, run := range r.Runs {
 		doc.Runs = append(doc.Runs, JSONRun{
@@ -126,15 +139,14 @@ func (r *Results) JSON() JSONDocument {
 		k := seriesKey{run.Scenario.Label(), run.Topology, run.Heuristic}
 		a := acc[k]
 		if a == nil {
-			a = &struct {
-				objectives []float64
-				mapTimes   []float64
-				valid      int
-			}{}
+			a = &seriesAcc{}
 			acc[k] = a
 			keys = append(keys, k)
 		}
 		a.mapTimes = append(a.mapTimes, run.MapSeconds)
+		a.hosting += run.Stages.HostingSeconds
+		a.migration += run.Stages.MigrationSeconds
+		a.networking += run.Stages.NetworkingSeconds
 		if run.OK {
 			a.valid++
 			a.objectives = append(a.objectives, run.Objective)
@@ -151,6 +163,11 @@ func (r *Results) JSON() JSONDocument {
 	})
 	for _, k := range keys {
 		a := acc[k]
+		n := float64(len(a.mapTimes))
+		mapMean, netMean, share := stats.Mean(a.mapTimes), a.networking/n, 0.0
+		if mapMean > 0 {
+			share = netMean / mapMean
+		}
 		doc.Series = append(doc.Series, JSONSeries{
 			Scenario:       k.scen,
 			Topology:       k.topo.String(),
@@ -162,8 +179,13 @@ func (r *Results) JSON() JSONDocument {
 			MapSecondsP50:  stats.Percentile(a.mapTimes, 50),
 			MapSecondsP90:  stats.Percentile(a.mapTimes, 90),
 			MapSecondsP99:  stats.Percentile(a.mapTimes, 99),
-			MapSecondsMean: stats.Mean(a.mapTimes),
+			MapSecondsMean: mapMean,
 			MapSecondsMax:  stats.Max(a.mapTimes),
+
+			HostingSecondsMean:    a.hosting / n,
+			MigrationSecondsMean:  a.migration / n,
+			NetworkingSecondsMean: netMean,
+			NetworkingShare:       share,
 		})
 	}
 	return doc

@@ -49,6 +49,16 @@ func TestWriteJSON(t *testing.T) {
 		if s.MapSecondsP99 > s.MapSecondsMax {
 			t.Fatalf("series %s/%s: p99 %v exceeds max %v", s.Topology, s.Heuristic, s.MapSecondsP99, s.MapSecondsMax)
 		}
+		// HMN series, and only they, break the mapping time down by stage.
+		staged := s.HostingSecondsMean + s.MigrationSecondsMean + s.NetworkingSecondsMean
+		switch {
+		case s.Heuristic != "HMN" && (staged != 0 || s.NetworkingShare != 0):
+			t.Fatalf("series %s/%s carries stage times", s.Topology, s.Heuristic)
+		case s.Heuristic == "HMN" && (s.HostingSecondsMean <= 0 || staged > s.MapSecondsMean ||
+			s.NetworkingShare != s.NetworkingSecondsMean/s.MapSecondsMean):
+			t.Fatalf("series %s/HMN: stage means %v + %v + %v of %v, share %v", s.Topology,
+				s.HostingSecondsMean, s.MigrationSecondsMean, s.NetworkingSecondsMean, s.MapSecondsMean, s.NetworkingShare)
+		}
 	}
 
 	// The per-run rows must echo the deterministic sweep order and carry

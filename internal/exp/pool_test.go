@@ -53,8 +53,8 @@ func TestRunReservationsParallelMatchesSerial(t *testing.T) {
 // TestRunSweepParallelJSONByteIdentical asserts the strongest form of the
 // harness guarantee: the full serialized sweep output — every run, every
 // metric except wall-clock timings — is byte-identical between a serial
-// and a saturated pool. (MapSeconds is wall time and so excluded by
-// zeroing before encoding.)
+// and a saturated pool. (MapSeconds and the stage times are wall time and
+// so excluded by zeroing before encoding.)
 func TestRunSweepParallelJSONByteIdentical(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Reps = 2
@@ -63,6 +63,8 @@ func TestRunSweepParallelJSONByteIdentical(t *testing.T) {
 		res := RunSweep(cfg)
 		for i := range res.Runs {
 			res.Runs[i].MapSeconds = 0
+			st := &res.Runs[i].Stages
+			st.HostingSeconds, st.MigrationSeconds, st.NetworkingSeconds = 0, 0, 0
 		}
 		var buf bytes.Buffer
 		if err := res.WriteJSON(&buf); err != nil {

@@ -180,13 +180,3 @@ func (p *Pass) packageDirectives(name string) []directive {
 	}
 	return out
 }
-
-// fileOf returns the *ast.File containing pos.
-func (p *Pass) fileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}

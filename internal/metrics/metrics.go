@@ -326,6 +326,16 @@ func withLabel(name, key, val string) string {
 	return name + `{` + key + `="` + val + `"}`
 }
 
+// withSuffix appends a histogram's series suffix to the family part of a
+// name, ahead of an inline label set: withSuffix(`h{a="b"}`, `_sum`) ->
+// `h_sum{a="b"}`.
+func withSuffix(name, suffix string) string {
+	if i := strings.IndexByte(name, '{'); i >= 0 {
+		return name[:i] + suffix + name[i:]
+	}
+	return name + suffix
+}
+
 func formatFloat(v float64) string {
 	if math.IsInf(v, 1) {
 		return "+Inf"
@@ -381,8 +391,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 		cum += h.counts[len(h.bounds)].Load()
 		fo.samples = append(fo.samples, fmt.Sprintf("%s %d", withLabel(name, "le", "+Inf"), cum))
-		fo.samples = append(fo.samples, fmt.Sprintf("%s_sum %s", name, formatFloat(h.Sum())))
-		fo.samples = append(fo.samples, fmt.Sprintf("%s_count %d", name, h.Count()))
+		fo.samples = append(fo.samples, fmt.Sprintf("%s %s", withSuffix(name, "_sum"), formatFloat(h.Sum())))
+		fo.samples = append(fo.samples, fmt.Sprintf("%s %d", withSuffix(name, "_count"), h.Count()))
 	}
 	r.mu.Unlock()
 

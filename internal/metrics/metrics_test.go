@@ -101,6 +101,7 @@ func TestExpositionFormat(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(2)
+	r.Histogram(`stage_seconds{stage="hosting"}`, "per stage", []float64{1}).Observe(0.25)
 
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
@@ -108,6 +109,11 @@ func TestExpositionFormat(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
+		// A labelled histogram's suffixes go on the family, ahead of the
+		// labels.
+		`stage_seconds{stage="hosting",le="1"} 1`,
+		`stage_seconds_sum{stage="hosting"} 0.25`,
+		`stage_seconds_count{stage="hosting"} 1`,
 		"# TYPE maps_total counter",
 		`maps_total{mapper="HMN"} 3`,
 		`maps_total{mapper="HMN-C"} 1`,

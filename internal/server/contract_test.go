@@ -15,7 +15,7 @@ import (
 // feed: the admission, repair, rebalance and durability families, and
 // the scrape-time degradation and occupancy gauges.
 var contractFamilies = []string{
-	"hmnd_map_latency_seconds", "hmnd_commit_latency_seconds",
+	"hmnd_map_latency_seconds", "hmnd_map_stage_seconds", "hmnd_commit_latency_seconds",
 	"hmnd_route_searches_total", "hmnd_route_pops_total", "hmnd_route_sweeps_total",
 	"hmnd_repair_latency_seconds", "hmnd_evictions_total", "hmnd_repairs_total",
 	"hmnd_rebalance_rounds_total", "hmnd_rebalance_planned_units_total", "hmnd_rebalance_moves_total",
@@ -201,9 +201,16 @@ func TestBothModesHTTPContract(t *testing.T) {
 			if failed.Results[0].Outcome == "unrecoverable" {
 				survivors = 0
 			}
+			pipelines := 2.0 // the infeasible attempt and the admission
+			if failed.Results[0].Outcome != "repaired" {
+				pipelines++ // the repair's full re-map
+			}
 			for series, want := range map[string]float64{
 				"hmnd_map_latency_seconds_count":                                  2, // the infeasible attempt and the admission
 				"hmnd_commit_latency_seconds_count":                               2,
+				`hmnd_map_stage_seconds_count{stage="hosting"}`:                   pipelines,
+				`hmnd_map_stage_seconds_count{stage="migration"}`:                 pipelines,
+				`hmnd_map_stage_seconds_count{stage="networking"}`:                pipelines,
 				"hmnd_repair_latency_seconds_count":                               1,
 				`hmnd_evictions_total{kind="host"}`:                               1,
 				`hmnd_repairs_total{outcome="` + failed.Results[0].Outcome + `"}`: 1,

@@ -101,14 +101,17 @@ func failAndRepair(cs *core.Session, kind string, target int) ([]core.RepairResu
 
 // observeRepair feeds one fail-and-repair — its wall time, eviction
 // plus re-mapping and nothing around them, and its outcomes — into the
-// repair families, and the routing work of its reroutes and re-maps into
-// the counters admissions feed.
+// repair families, and the routing work of its reroutes and re-maps, and
+// the stage times of its full re-maps, into the families admissions feed.
 func (s *Server) observeRepair(elapsed time.Duration, kind string, results []core.RepairResult) {
 	s.mRepairLatency.Observe(elapsed.Seconds())
 	s.evictionCounter(kind).Add(uint64(len(results)))
 	for _, res := range results {
 		s.repairCounter(res.Outcome.String()).Inc()
 		s.observeRoute(res.Route)
+		if res.Outcome != core.RepairRepaired {
+			s.observeStages(res.Stages) // the cheap path failed: a full re-map ran
+		}
 	}
 }
 

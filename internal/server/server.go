@@ -209,6 +209,7 @@ type Server struct {
 	stopSnapshots func()
 
 	mLatency       *metrics.Histogram
+	mStage         [3]*metrics.Histogram // hosting, migration, networking
 	mRepairLatency *metrics.Histogram
 	mCommitLatency *metrics.Histogram
 	mRouteSearches *metrics.Counter
@@ -251,6 +252,10 @@ func newServer(cfg Config) *Server {
 			"Operation records replayed from the log during recovery."),
 		mRecovery: reg.Gauge("hmnd_recovery_seconds",
 			"Wall time Recover took to rebuild the daemon's state before it began serving."),
+	}
+	for i, stage := range [...]string{"hosting", "migration", "networking"} {
+		s.mStage[i] = reg.Histogram(fmt.Sprintf("hmnd_map_stage_seconds{stage=%q}", stage),
+			"Wall time of the mapper's three stages (Hosting, the mapper's second stage, Networking) within map attempts and repairs' full re-maps, from the one set of timers Figure 1 is drawn from.", nil)
 	}
 	var (
 		walRecords = reg.Counter("hmnd_wal_records_total",
@@ -446,7 +451,17 @@ func (s *Server) isDraining() bool {
 func (s *Server) observeAdmit(admit core.AdmitStats, seconds float64) {
 	s.mLatency.Observe(seconds)
 	s.mCommitLatency.Observe(admit.CommitSeconds)
+	s.observeStages(admit.Stages)
 	s.observeRoute(admit.Route)
+}
+
+// observeStages adds the stage times of one run of the mapper's pipeline
+// — a map attempt's, or a repair's full re-map's — to the per-stage
+// histograms. A stage the attempt never reached counts as zero.
+func (s *Server) observeStages(st core.StageStats) {
+	s.mStage[0].Observe(st.HostingSeconds)
+	s.mStage[1].Observe(st.MigrationSeconds)
+	s.mStage[2].Observe(st.NetworkingSeconds)
 }
 
 // observeRoute adds the A*Prune work of one map or repair attempt, or of
@@ -523,10 +538,9 @@ func failureStatus(err error) (code int, msg string, ok bool) {
 		return http.StatusNotFound, err.Error(), false
 	case errors.Is(err, core.ErrAlreadyFailed), errors.Is(err, core.ErrNotFailed):
 		return http.StatusConflict, err.Error(), false
-	case errors.Is(err, core.ErrMigrateConflict), errors.Is(err, core.ErrNotImproving):
-		// A migrate plan drawn on a stale snapshot: the cluster moved on
-		// (guest relocated, or the plan stopped improving) before the
-		// commit. Retry against fresh state.
+	case errors.Is(err, core.ErrMigrateConflict):
+		// A migrate plan that does not match the live state (a guest is
+		// not where the plan says). Retry against fresh state.
 		return http.StatusConflict, err.Error(), false
 	case errors.Is(err, core.ErrNoHostFits), errors.Is(err, core.ErrEmptyPool), errors.Is(err, core.ErrNoPath),
 		errors.Is(err, core.ErrNoPathBandwidth), errors.Is(err, core.ErrNoPathLatency), // ErrNoPath's two causes

@@ -236,6 +236,18 @@ func TestEndToEnd(t *testing.T) {
 	if inf := metricValue(t, text, `hmnd_map_latency_seconds{le="+Inf"}`); inf != hCount {
 		t.Fatalf("+Inf bucket = %v, want %v", inf, hCount)
 	}
+	// The three stage histograms saw the same attempts, and their times
+	// are parts of the attempts' wall time.
+	var stageSum float64
+	for _, stage := range []string{"hosting", "migration", "networking"} {
+		if n := metricValue(t, text, fmt.Sprintf("hmnd_map_stage_seconds_count{stage=%q}", stage)); n != hCount {
+			t.Fatalf("%s stage count = %v, want %v", stage, n, hCount)
+		}
+		stageSum += metricValue(t, text, fmt.Sprintf("hmnd_map_stage_seconds_sum{stage=%q}", stage))
+	}
+	if hSum := metricValue(t, text, "hmnd_map_latency_seconds_sum"); stageSum <= 0 || stageSum > hSum {
+		t.Fatalf("stage times sum to %v of %v s of map latency", stageSum, hSum)
+	}
 	if got := metricValue(t, text, "hmnd_active_envs"); int(got) != succeeded {
 		t.Fatalf("active_envs gauge = %v, want %d", got, succeeded)
 	}

@@ -44,10 +44,6 @@ func (e *Engine) Now() float64 { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() int { return e.count }
 
-// Pending returns the number of events still scheduled (including
-// cancelled ones not yet reaped).
-func (e *Engine) Pending() int { return e.events.Len() }
-
 // Schedule registers fn to run delay seconds from now. A negative delay
 // panics — the past is immutable in a DES. Events scheduled for the same
 // instant fire in scheduling order.

@@ -81,12 +81,9 @@ func TestMigrateRecordRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.MigrateGuests([]core.GuestMove{{Seq: 2, Guest: 0, From: h[2], To: h[0]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ObjectiveAfter >= res.ObjectiveBefore {
-		t.Fatalf("fixture migration did not improve: %g -> %g", res.ObjectiveBefore, res.ObjectiveAfter)
+	// The one improving move: guest 0 of the pair, off h2 onto h0.
+	if res := s.Rebalance(1); res.Moves != 1 || res.ObjectiveAfter >= res.ObjectiveBefore {
+		t.Fatalf("fixture round: %d moves, %g -> %g", res.Moves, res.ObjectiveBefore, res.ObjectiveAfter)
 	}
 	if err := w.Barrier(); err != nil {
 		t.Fatal(err)
@@ -155,9 +152,9 @@ func TestMigrateRecordRecovery(t *testing.T) {
 // TestTwoMoveMigrateRecordRecovery is the swap-shaped record old logs
 // hold: one plan, two guests of two environments exchanging hosts, one of
 // them dragging a link across the fabric. Rounds no longer draw such
-// plans, but MigrateGuests still commits one, the log still carries it
-// as one migrate record, and recovery replays it to a byte-identical
-// ledger.
+// plans, so the test writes the plan's effect itself and commits it the
+// way a log does (ReplayMigrate): the log still carries it as one
+// migrate record, and recovery replays it to a byte-identical ledger.
 func TestTwoMoveMigrateRecordRecovery(t *testing.T) {
 	dir := t.TempDir()
 	specs := make([]topology.HostSpec, 4)
@@ -197,15 +194,21 @@ func TestTwoMoveMigrateRecordRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.MigrateGuests([]core.GuestMove{
-		{Seq: 2, Guest: 0, From: h[1], To: h[0]},
+	xz2, y2 := s.MappingBySeq(1).Clone(), s.MappingBySeq(2).Clone()
+	xz2.GuestHost[0], y2.GuestHost[0] = h[1], h[0]
+	var routed bool
+	if xz2.LinkPath[0], routed = graph.DijkstraLatencyPath(c.Net(), h[1], h[0]); !routed || xz2.LinkPath[0].Len() == 0 {
+		t.Fatalf("no route for the x-z link across the fabric: %v", xz2.LinkPath[0])
+	}
+	err = s.ReplayMigrate([]core.GuestMove{
 		{Seq: 1, Guest: 0, From: h[0], To: h[1]},
-	})
+		{Seq: 2, Guest: 0, From: h[1], To: h[0]},
+	}, []core.ReplayMigrateEnv{{Seq: 1, Tag: "xz", M: xz2}, {Seq: 2, Tag: "y", M: y2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Envs) != 2 || res.Envs[0].New.LinkPath[0].Len() == 0 || res.Route.Searches == 0 {
-		t.Fatalf("swap result %+v: want two environments replaced and the x-z link routed across the fabric", res)
+	if got := s.ResidualProc(); got[0] != 600 || got[1] != 500 {
+		t.Fatalf("residuals %v after the swap, want 600 and 500 on the first two hosts", got)
 	}
 	if err := w.Barrier(); err != nil {
 		t.Fatal(err)

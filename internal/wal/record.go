@@ -146,7 +146,8 @@ type RestoreRec struct {
 	Target int    `json:"target"`
 }
 
-// MigrateRec is one committed migrate plan (core.MigrateGuests): the
+// MigrateRec is one committed migrate plan (a core.Session.Rebalance
+// move, or the multi-move plan of an older log): the
 // guest-level moves in canonical commit order and, per touched
 // environment, the replacement mapping — again its *effect*, with the
 // exact physical edges, so replay reserves the same bandwidth on the

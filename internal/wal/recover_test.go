@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/spec"
 	"repro/internal/topology"
-	"repro/internal/virtual"
 	"repro/internal/workload"
 )
 
@@ -296,29 +295,6 @@ func TestOnePassAgreesOnParentSegment(t *testing.T) {
 	}
 }
 
-// migrateOne commits the first single-guest move onto the emptiest host
-// that the session accepts as improving, if there is one.
-func migrateOne(s *core.Session, c *cluster.Cluster) {
-	hosts, res := c.HostNodes(), s.ResidualProc()
-	best := 0
-	for i := range res {
-		if res[i] > res[best] {
-			best = i
-		}
-	}
-	for _, a := range s.Export().Active {
-		for g, from := range a.M.GuestHost {
-			if from == hosts[best] {
-				continue
-			}
-			mv := core.GuestMove{Seq: a.Seq, Guest: virtual.GuestID(g), From: from, To: hosts[best]}
-			if _, err := s.MigrateGuests([]core.GuestMove{mv}); err == nil {
-				return
-			}
-		}
-	}
-}
-
 // TestOnePassAgreesOnChurnLog runs the differential on a seeded 440-op
 // log of two sessions — admit, release, fail with repairs, restore and
 // migrate records — with a snapshot in the middle, a session closed and
@@ -339,7 +315,7 @@ func TestOnePassAgreesOnChurnLog(t *testing.T) {
 	for i := 0; i < 440; i++ {
 		s := sess[sids[i%2]]
 		if i%16 >= 14 {
-			migrateOne(s, c)
+			s.Rebalance(1) // at most one migrate record
 		} else {
 			applyOp(t, s, c, i/2)
 		}
