@@ -47,11 +47,14 @@ vet:
 ## exact-edge replay corpus alongside the cluster/env shapes, then the
 ## two differentials that hold the hand-written codec to encoding/json:
 ## DecodeStrict's fast path against a plain strict json.Decoder, and the
-## WAL's frame decoder against json.Unmarshal.
+## WAL's frame decoder against json.Unmarshal; then the admit record that
+## carries a request's own bytes: whatever the fast path accepted
+## replays as the environment that was mapped.
 fuzz:
 	go test -run '^$$' -fuzz 'FuzzDecodeSpec$$' -fuzztime 45s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzDecodeStrictDifferential$$' -fuzztime 20s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzWALDecode$$' -fuzztime 20s ./internal/wal
+	go test -run '^$$' -fuzz 'FuzzAdmitEnvBytesReplay$$' -fuzztime 20s ./internal/wal
 
 ## bench-allocs gates the allocation budgets of one admission: the
 ## steady-state Map+Release cycle and the failure-repair reroute cycle
@@ -84,8 +87,9 @@ bench-compare:
 	go run ./cmd/hmncompare -threshold $(BENCH_THRESHOLD) BENCH_scale_seed1.json "$$tmp/scale.json"
 
 ## replay-smoke is the end-to-end crash/recovery check: boot hmnd with a
-## data directory, kill -9 mid-session, verify the WAL with hmnwal, and
-## restart with -replay asserting byte-identical residuals.
+## data directory, admit one indented and one compact body (a rendered
+## and a verbatim admit record), kill -9 mid-session, verify the WAL with
+## hmnwal, and restart with -replay asserting byte-identical residuals.
 replay-smoke:
 	./scripts/replay_smoke.sh
 

@@ -937,8 +937,10 @@ var codecTestbeds = []struct {
 // against the plain strict json.Decoder it falls back to), encoding the
 // reply (spec.AppendJSON against the compact and the formerly indented
 // json.Encoder) and encoding the admit record's WAL payload
-// ((*wal.Record).AppendJSON against json.Marshal). It regenerates the
-// codec table of DESIGN.md §12; MB/s is over the JSON bytes.
+// ((*wal.Record).AppendJSON against json.Marshal, and the record of an
+// environment that still carries the compact bytes it arrived in, which
+// appends them instead of rendering). It regenerates the codec table of
+// DESIGN.md §12; MB/s is over the JSON bytes.
 func BenchmarkSpecCodec(b *testing.B) {
 	for _, tc := range codecTestbeds {
 		c, env, err := tc.build(rand.New(rand.NewSource(9)))
@@ -979,6 +981,14 @@ func BenchmarkSpecCodec(b *testing.B) {
 			rd.Reset(body)
 			return spec.DecodeStrict(rd, new(server.MapEnvRequest))
 		})
+		var arrived server.MapEnvRequest
+		if err := spec.DecodeStrict(bytes.NewReader(body), &arrived); err != nil {
+			b.Fatal(err)
+		}
+		run("decode/to_env", len(body), func() error {
+			_, err := arrived.Env.ToEnv()
+			return err
+		})
 		var out bytes.Buffer
 		reply, _ := spec.AppendJSON(nil, resp)
 		run("encode/std_indent", len(reply), func() error {
@@ -1001,6 +1011,19 @@ func BenchmarkSpecCodec(b *testing.B) {
 		})
 		run("wal_record/fast", len(payload), func() error {
 			payload, _ = rec.AppendJSON(payload[:0])
+			return nil
+		})
+		admitted, err := arrived.Env.ToEnv()
+		if err != nil {
+			b.Fatal(err)
+		}
+		vrec := *rec
+		vrec.Admit = &wal.AdmitRec{Seq: 1, Tag: "e1", Env: spec.FromEnv(admitted), M: resp.Mapping}
+		if got, _ := vrec.AppendJSON(nil); admitted.Source() == nil || !bytes.Equal(got, payload) {
+			b.Fatalf("%s: the record of a compact json.Marshal body is not the rendered record", tc.name)
+		}
+		run("wal_record/verbatim", len(payload), func() error {
+			payload, _ = vrec.AppendJSON(payload[:0])
 			return nil
 		})
 	}

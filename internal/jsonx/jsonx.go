@@ -123,6 +123,8 @@ type Scanner struct {
 	// where no comma is due.
 	first bool
 	bad   bool
+	// blank is set by every skipped whitespace byte and cleared by Mark.
+	blank bool
 }
 
 // Reset points the scanner at the start of b.
@@ -155,11 +157,27 @@ func (s *Scanner) peek() byte {
 		switch c := s.buf[s.pos]; c {
 		case ' ', '\t', '\r', '\n':
 			s.pos++
+			s.blank = true
 		default:
 			return c
 		}
 	}
 	return 0
+}
+
+// Mark skips to the next value and returns its offset, for Since. One
+// mark is live at a time: a second one forgets the blanks the first saw.
+func (s *Scanner) Mark() int {
+	s.peek()
+	s.blank = false
+	return s.pos
+}
+
+// Since returns the input from mark to the end of the value just
+// scanned, aliasing it, and whether that span is compact: accepted so
+// far and free of whitespace between its tokens.
+func (s *Scanner) Since(mark int) (span []byte, compact bool) {
+	return s.buf[mark:s.pos], !s.bad && !s.blank
 }
 
 // expect consumes c, which must be the next non-blank byte.

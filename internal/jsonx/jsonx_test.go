@@ -94,3 +94,41 @@ func TestScannerNumbers(t *testing.T) {
 		}
 	}
 }
+
+// TestMarkSince: Since returns exactly the bytes of the value scanned
+// after Mark, and calls it compact only when no whitespace was skipped
+// inside it — blanks before the mark, after the value or inside a string
+// do not count.
+func TestMarkSince(t *testing.T) {
+	for _, tc := range []struct {
+		in, span string
+		compact  bool
+	}{
+		{`{"k":[1,2.5e3,"a b"]}`, `[1,2.5e3,"a b"]`, true},
+		{"{\"k\" : \t[1,2.5e3,\"a b\"] \n}", `[1,2.5e3,"a b"]`, true},
+		{`{"k":[1, 2]}`, `[1, 2]`, false},
+		{`{"k":[ 1,2]}`, `[ 1,2]`, false},
+		{`{"k":[1,2 ]}`, `[1,2 ]`, false},
+		{"{\"k\":[1,\n2]}", "[1,\n2]", false},
+		{`{"k":[]}`, `[]`, true},
+		{`{"k":[1,,2]}`, ``, false},
+	} {
+		var s Scanner
+		s.Reset([]byte(tc.in))
+		s.Open('{')
+		s.More('}')
+		s.Key()
+		mark := s.Mark()
+		for s.Open('['); s.More(']'); {
+			if s.peek() == '"' {
+				s.str()
+			} else {
+				s.Float64()
+			}
+		}
+		span, compact := s.Since(mark)
+		if compact != tc.compact || (s.OK() && string(span) != tc.span) {
+			t.Errorf("%q: Since = %q, %v; want %q, %v", tc.in, span, compact, tc.span, tc.compact)
+		}
+	}
+}

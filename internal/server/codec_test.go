@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/jsonx"
 	"repro/internal/spec"
+	"repro/internal/virtual"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -94,13 +95,18 @@ func TestMapCountersResolvedWithSession(t *testing.T) {
 }
 
 // Allocation budgets for the JSON of one admission at the gated
-// switched_churn size (a 40-guest environment): decoding the request,
-// and encoding the reply plus the admit record's WAL frame. The decode
-// budget is the 40 guest names, the two slices' growth steps and the
-// scanner; encoding/json took 70 allocations / 25 KB for the same body.
-// The encode budget is the reply's trip through interface{}.
+// switched_churn size (a 40-guest environment): decoding the request
+// into the environment the mapper sees, as decodeMapEnv does, and
+// encoding the reply plus the admit record's WAL frame. The decode
+// budget is the 40 guest names, the two lists' growth steps, the private
+// copy of the compact "env" bytes, the scanner's buffer and the five
+// arrays of virtual.Build; encoding/json took 70 allocations / 25 KB for
+// the body alone, and an AddGuest per guest and AddLink per link 93 for
+// the environment. The encode budget is
+// the reply's trip through interface{} — the record, which carries the
+// request's bytes, allocates nothing.
 const (
-	decodeAllocBudget = 60
+	decodeAllocBudget = 56
 	encodeAllocBudget = 2
 )
 
@@ -119,9 +125,7 @@ func TestAdmitCodecAllocsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := MapEnvResponse{ID: "e1", Mapping: spec.FromMapping(m, cluster.VMMOverhead{})}
-	rec := &wal.Record{Kind: wal.KindAdmit, SID: "s1", Index: 1,
-		Admit: &wal.AdmitRec{Seq: 1, Tag: "e1", Env: spec.FromEnv(env), M: resp.Mapping}}
-
+	var admitted *virtual.Env
 	rd := bytes.NewReader(nil)
 	decode := testing.AllocsPerRun(200, func() {
 		var req MapEnvRequest
@@ -129,7 +133,12 @@ func TestAdmitCodecAllocsBudget(t *testing.T) {
 		if err := spec.DecodeStrict(rd, &req); err != nil || len(req.Env.Guests) != 40 {
 			t.Fatalf("decode: %v", err)
 		}
+		if admitted, err = req.Env.ToEnv(); err != nil || admitted.Source() == nil {
+			t.Fatalf("decoded environment: %v, carried verbatim: %v", err, err == nil && admitted.Source() != nil)
+		}
 	})
+	rec := &wal.Record{Kind: wal.KindAdmit, SID: "s1", Index: 1,
+		Admit: &wal.AdmitRec{Seq: 1, Tag: "e1", Env: spec.FromEnv(admitted), M: resp.Mapping}}
 	var out bytes.Buffer
 	encode := testing.AllocsPerRun(200, func() {
 		out.Reset()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +16,7 @@ import (
 // feed: the admission, repair, rebalance and durability families, and
 // the scrape-time degradation and occupancy gauges.
 var contractFamilies = []string{
-	"hmnd_map_latency_seconds", "hmnd_map_stage_seconds", "hmnd_commit_latency_seconds",
+	"hmnd_map_latency_seconds", "hmnd_map_stage_seconds", "hmnd_commit_latency_seconds", "hmnd_admit_env_verbatim_total",
 	"hmnd_route_searches_total", "hmnd_route_pops_total", "hmnd_route_sweeps_total",
 	"hmnd_repair_latency_seconds", "hmnd_evictions_total", "hmnd_repairs_total",
 	"hmnd_rebalance_rounds_total", "hmnd_rebalance_planned_units_total", "hmnd_rebalance_moves_total",
@@ -208,6 +209,7 @@ func TestBothModesHTTPContract(t *testing.T) {
 			for series, want := range map[string]float64{
 				"hmnd_map_latency_seconds_count":                                  2, // the infeasible attempt and the admission
 				"hmnd_commit_latency_seconds_count":                               2,
+				"hmnd_admit_env_verbatim_total":                                   1, // the admission's body was compact
 				`hmnd_map_stage_seconds_count{stage="hosting"}`:                   pipelines,
 				`hmnd_map_stage_seconds_count{stage="migration"}`:                 pipelines,
 				`hmnd_map_stage_seconds_count{stage="networking"}`:                pipelines,
@@ -227,6 +229,25 @@ func TestBothModesHTTPContract(t *testing.T) {
 
 			do("restore host", "POST", host+"/restore", nil, http.StatusNoContent)
 			do("restore healthy host", "POST", host+"/restore", nil, http.StatusConflict)
+
+			// The same environment indented, as a tester writes it by hand:
+			// admitted all the same, but its bytes are not what goes to the
+			// log, so it does not count as verbatim.
+			var indented bytes.Buffer
+			if err := spec.WriteIndentedJSON(&indented, MapEnvRequest{Env: spec.FromEnv(smallEnv(7, 8))}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Post(ts.URL+session+"/envs", "application/json", &indented)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			text = scrape(t, client, ts.URL)
+			if resp.StatusCode != mode.admitted || metricValue(t, text, "hmnd_map_latency_seconds_count") != 3 ||
+				metricValue(t, text, "hmnd_admit_env_verbatim_total") != 1 {
+				t.Errorf("indented admission: status %d, %v map attempts, %v verbatim; want %d, 3, 1", resp.StatusCode,
+					metricValue(t, text, "hmnd_map_latency_seconds_count"), metricValue(t, text, "hmnd_admit_env_verbatim_total"), mode.admitted)
+			}
 
 			// Draining: Close has begun, /healthz says so.
 			if err := s.Close(); err != nil {

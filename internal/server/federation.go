@@ -233,6 +233,8 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if refused(w, err) {
 		return
 	}
+	// A split admission's fragments are built in code: none is verbatim.
+	s.observeVerbatim(pl.Fragments[0].Env)
 	resp := FedMapEnvResponse{ID: eid, CutBW: pl.CutBW, Split: pl.Split, Fallback: pl.Fallback}
 	for _, fr := range pl.Fragments {
 		sh, _ := s.fed.Shard(fr.Shard)

@@ -212,6 +212,7 @@ type Server struct {
 	mStage         [3]*metrics.Histogram // hosting, migration, networking
 	mRepairLatency *metrics.Histogram
 	mCommitLatency *metrics.Histogram
+	mEnvVerbatim   *metrics.Counter
 	mRouteSearches *metrics.Counter
 	mRoutePops     *metrics.Counter
 	mRouteSweeps   *metrics.Counter
@@ -242,6 +243,8 @@ func newServer(cfg Config) *Server {
 			"Wall time of fail-and-repair operations (eviction plus re-mapping).", nil),
 		mCommitLatency: reg.Histogram("hmnd_commit_latency_seconds",
 			"Time an admission spent outside the mapper while holding the session lock (snapshot + validate-and-commit).", nil),
+		mEnvVerbatim: reg.Counter("hmnd_admit_env_verbatim_total",
+			"Admissions whose environment went to the log as the bytes the request carried, not rendered again; divided by the successful admissions, the share of traffic that arrives as compact JSON."),
 		mRouteSearches: reg.Counter("hmnd_route_searches_total",
 			"A*Prune searches run by map and repair attempts and rebalancing rounds (one per inter-host virtual link routed)."),
 		mRoutePops: reg.Counter("hmnd_route_pops_total",
@@ -453,6 +456,17 @@ func (s *Server) observeAdmit(admit core.AdmitStats, seconds float64) {
 	s.mCommitLatency.Observe(admit.CommitSeconds)
 	s.observeStages(admit.Stages)
 	s.observeRoute(admit.Route)
+}
+
+// observeVerbatim counts a successful admission of admitted — the
+// request's environment, or the fragment a federation mapped in its
+// place — if it still carries the bytes it arrived in
+// (spec.EnvSpec.ScanJSON), which its admit record then holds instead of
+// a rendering.
+func (s *Server) observeVerbatim(admitted *virtual.Env) {
+	if admitted.Source() != nil {
+		s.mEnvVerbatim.Inc()
+	}
 }
 
 // observeStages adds the stage times of one run of the mapper's pipeline

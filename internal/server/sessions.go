@@ -388,6 +388,7 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 			return err
 		}
 		sess.succeeded.Inc()
+		s.observeVerbatim(env)
 
 		resp = MapEnvResponse{ID: envID, Mapping: spec.FromMapping(m, sess.Overhead())}
 		if req.Plan || req.PlanShell {

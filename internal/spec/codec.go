@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"bytes"
 	"strconv"
 
 	"repro/internal/jsonx"
@@ -17,15 +18,24 @@ import (
 // encoding/json merges into whatever the target already holds, and the
 // fast path does not imitate that. It reports whether it accepted the
 // input; when it did not, e is untouched.
+//
+// An accepted value that arrived compact — no whitespace between its
+// tokens — also keeps a private copy of its own bytes, which ToEnv hands
+// to the environment and AppendJSON appends in place of a rendering: the
+// admit record of a request logs the description the tester sent. The
+// bytes decode, by this scanner or by encoding/json, to exactly e.
 func (e *EnvSpec) ScanJSON(s *jsonx.Scanner) bool {
-	if e.Guests != nil || e.Links != nil {
+	if e.Guests != nil || e.Links != nil || e.src != nil {
 		return false
 	}
-	var v EnvSpec
-	if !v.ScanReuse(s) {
+	mark := s.Mark()
+	if !e.ScanReuse(s) {
+		*e = EnvSpec{} // as it was: ScanReuse leaves garbage behind a decline
 		return false
 	}
-	*e = v
+	if span, compact := s.Since(mark); compact {
+		e.src, e.sum = bytes.Clone(span), e.fingerprint()
+	}
 	return true
 }
 
@@ -43,7 +53,7 @@ func (e *EnvSpec) ScanReuse(s *jsonx.Scanner) bool {
 		case "guests":
 			s.Once(&seen, 1)
 			if guests == nil {
-				guests = []GuestSpec{}
+				guests = make([]GuestSpec, 0, firstCap)
 			}
 			for s.Open('['); s.More(']'); {
 				guests = append(guests, GuestSpec{})
@@ -53,7 +63,7 @@ func (e *EnvSpec) ScanReuse(s *jsonx.Scanner) bool {
 		case "links":
 			s.Once(&seen, 2)
 			if links == nil {
-				links = []VLinkSpec{}
+				links = make([]VLinkSpec, 0, firstCap)
 			}
 			for s.Open('['); s.More(']'); {
 				links = append(links, VLinkSpec{})
@@ -66,6 +76,10 @@ func (e *EnvSpec) ScanReuse(s *jsonx.Scanner) bool {
 	}
 	return s.OK()
 }
+
+// firstCap is the capacity a one-shot decode starts its guest and link
+// lists at: appending from nothing reallocates four times on the way.
+const firstCap = 16
 
 func scanGuest(s *jsonx.Scanner, g *GuestSpec) {
 	var seen uint
@@ -193,8 +207,12 @@ func (a *PathArena) scanIntLists(s *jsonx.Scanner, arena *[]int, out [][]int) []
 	return out
 }
 
-// AppendJSON implements jsonx.Appender.
+// AppendJSON implements jsonx.Appender. A value still carrying the
+// compact JSON it was decoded from appends that.
 func (e EnvSpec) AppendJSON(dst []byte) ([]byte, bool) {
+	if e.verbatim() {
+		return append(dst, e.src...), true
+	}
 	ok := true
 	dst = append(dst, `{"guests":`...)
 	if e.Guests == nil {

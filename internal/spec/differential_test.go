@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
@@ -28,6 +29,20 @@ func stdDecode(r io.Reader, out interface{}) error {
 	return dec.Decode(out)
 }
 
+// exported is v without the bytes an EnvSpec the fast path decoded keeps
+// of its compact input: what encoding/json, which decodes into exported
+// fields only, can be held to.
+func exported(v interface{}) interface{} {
+	switch v := v.(type) {
+	case spec.EnvSpec:
+		return spec.EnvSpec{Guests: v.Guests, Links: v.Links}
+	case server.MapEnvRequest:
+		v.Env = spec.EnvSpec{Guests: v.Env.Guests, Links: v.Env.Links}
+		return v
+	}
+	return v
+}
+
 // decodeAgrees holds DecodeStrict to encoding/json on one input and one
 // target type: same verdict, same error text, and the same target
 // afterwards — nil against empty slices included, and also after a
@@ -40,7 +55,7 @@ func decodeAgrees[T any](t *testing.T, data []byte) {
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("%T from %q:\n DecodeStrict: %v\nencoding/json: %v", got, data, gotErr, wantErr)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(exported(got), exported(want)) {
 		t.Fatalf("%T from %q:\n DecodeStrict: %#v\nencoding/json: %#v", got, data, got, want)
 	}
 }
@@ -132,6 +147,150 @@ func TestFastPathAcceptsGeneratedSpecs(t *testing.T) {
 	}
 }
 
+// envBytes returns the "env" value of a request body as it stands there.
+func envBytes(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var raw struct {
+		Env json.RawMessage `json:"env"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	return raw.Env
+}
+
+// TestCompactEnvIsCarriedVerbatim: an environment the fast path decoded
+// from compact JSON is rendered, for as long as nothing changes it, as
+// the bytes it arrived in — however the client spelled them — through
+// ToEnv and FromEnv and into AppendJSON; the short cut fires for every
+// body the workload generator and a json.Encoder produce (hmnperf, the
+// smoke scripts), where those bytes are json.Marshal's own; and
+// everything else is rendered from its fields as before.
+func TestCompactEnvIsCarriedVerbatim(t *testing.T) {
+	carried := func(body string) (server.MapEnvRequest, []byte) {
+		t.Helper()
+		var req server.MapEnvRequest
+		if err := spec.DecodeStrict(strings.NewReader(body), &req); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		env, err := req.Env.ToEnv()
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		got, err := spec.AppendJSON(nil, spec.FromEnv(env))
+		got = bytes.TrimSuffix(got, []byte("\n"))
+		if src := env.Source(); err != nil || (src != nil && !bytes.Equal(src, got)) {
+			t.Fatalf("%s: environment carries %s but its record renders %s", body, src, got)
+		}
+		if direct, _ := req.Env.AppendJSON(nil); env.Source() != nil && !bytes.Equal(got, direct) {
+			t.Fatalf("%s: record renders %s, the decoded spec %s", body, got, direct)
+		}
+		return req, got
+	}
+	for _, body := range generatedRequests(t, 32, 40) {
+		var line bytes.Buffer
+		var req server.MapEnvRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(&line).Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		req, got := carried(line.String())
+		want, _ := json.Marshal(req.Env)
+		if env, _ := req.Env.ToEnv(); env.Source() == nil || !bytes.Equal(got, want) {
+			t.Fatalf("a generated request's environment was not carried verbatim:\n got %s\nwant %s", got, want)
+		}
+	}
+	for _, body := range []string{
+		// Spellings json.Marshal never writes, keys out of order or
+		// missing, a name it would escape: all compact, all kept.
+		`{"plan":false,"env":{"links":[{"to":1,"from":0,"lat_ms":0.50,"bw_mbps":1e2}],"guests":[{"stor_gb":-0,"name":"a<b&c","proc_mips":1E0},{"mem_mb":123456789012345678}]}}`,
+		` { "plan_shell" : false , "env" :{"guests":[{"proc_mips":1e-400,"mem_mb":-0}]} } `,
+		`{"env":{"guests":[{"name":"two words"}]}}`,
+		`{"env":{}}`,
+	} {
+		if _, got := carried(body); !bytes.Equal(got, envBytes(t, []byte(body))) {
+			t.Errorf("%s: compact environment rendered as %s", body, got)
+		}
+	}
+	for _, body := range []string{
+		// A blank between tokens, an escape the scanner declines, a body
+		// the scanner declines elsewhere: rendered from the fields.
+		`{"env":{"guests":[{"proc_mips":1.50}], "links":[]}}`,
+		"{\"env\":{\"guests\":[{\"proc_mips\":1.50}]\n}}",
+		`{"env":{"guests":[{"name":"caf\u00e9","proc_mips":1.50}]}}`,
+		`{"env":{"guests":[{"proc_mips":1.50}]},"plan":null}`,
+	} {
+		req, got := carried(body)
+		env, _ := req.Env.ToEnv()
+		if want, _ := json.Marshal(spec.FromEnv(env)); env.Source() != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: rendered as %s, want json.Marshal's %s", body, got, want)
+		}
+	}
+	// Recovery's decoder reads every record through one target and keeps
+	// nothing of the log.
+	var es spec.EnvSpec
+	var s jsonx.Scanner
+	s.Reset([]byte(`{"guests":[{"proc_mips":1.50}],"links":[]}`))
+	if !es.ScanReuse(&s) {
+		t.Fatal("ScanReuse declined a plain environment")
+	}
+	if env, err := es.ToEnv(); err != nil || env.Source() != nil {
+		t.Errorf("ScanReuse kept the bytes it scanned (%v)", err)
+	}
+}
+
+// TestStaleEnvBytesAreNeverEmitted: once any field of a decoded
+// environment changes, the bytes it arrived in are dropped everywhere —
+// the environment ToEnv builds does not carry them and AppendJSON renders
+// the fields.
+func TestStaleEnvBytesAreNeverEmitted(t *testing.T) {
+	const body = `{"env":{"guests":[{"name":"g0","proc_mips":1.50,"mem_mb":2,"stor_gb":3},{"name":"g1"}],"links":[{"from":0,"to":1,"bw_mbps":4,"lat_ms":5}]}}`
+	for name, mutate := range map[string]func(*spec.EnvSpec){
+		"proc":        func(e *spec.EnvSpec) { e.Guests[0].Proc = 2 },
+		"mem":         func(e *spec.EnvSpec) { e.Guests[0].Mem++ },
+		"stor":        func(e *spec.EnvSpec) { e.Guests[1].Stor = math.Copysign(0, -1) },
+		"name":        func(e *spec.EnvSpec) { e.Guests[1].Name = "g2" },
+		"endpoints":   func(e *spec.EnvSpec) { e.Links[0].From, e.Links[0].To = 1, 0 },
+		"bandwidth":   func(e *spec.EnvSpec) { e.Links[0].BW = 4.000000000000001 },
+		"latency":     func(e *spec.EnvSpec) { e.Links[0].Lat = 0 },
+		"guest added": func(e *spec.EnvSpec) { e.Guests = append(e.Guests, spec.GuestSpec{}) },
+		"links nil":   func(e *spec.EnvSpec) { e.Links = nil },
+		"links empty": func(e *spec.EnvSpec) { e.Links = e.Links[:0] },
+		"swapped":     func(e *spec.EnvSpec) { e.Guests[0], e.Guests[1] = e.Guests[1], e.Guests[0] },
+	} {
+		for _, stage := range []string{"decoded", "converted back"} {
+			var req server.MapEnvRequest
+			if err := spec.DecodeStrict(strings.NewReader(body), &req); err != nil {
+				t.Fatal(err)
+			}
+			es := req.Env
+			if stage == "converted back" {
+				env, err := es.ToEnv()
+				if err != nil || env.Source() == nil {
+					t.Fatalf("unchanged environment lost its bytes (%v)", err)
+				}
+				es = spec.FromEnv(env)
+			}
+			if got, _ := es.AppendJSON(nil); !bytes.Equal(got, envBytes(t, []byte(body))) {
+				t.Fatalf("unchanged %s spec rendered as %s", stage, got)
+			}
+			mutate(&es)
+			want, err := json.Marshal(es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := es.AppendJSON(nil); !ok || !bytes.Equal(got, want) {
+				t.Errorf("%s changed on the %s spec: rendered %s, want %s", name, stage, got, want)
+			}
+			if env, err := es.ToEnv(); err != nil || env.Source() != nil {
+				t.Errorf("%s changed on the %s spec: ToEnv still vouches for %s (%v)", name, stage, env.Source(), err)
+			}
+		}
+	}
+}
+
 // FuzzDecodeStrictDifferential is the proof the hand-written decoder
 // ships with: on arbitrary bytes, DecodeStrict into each fast-path
 // target and a plain json.Decoder with DisallowUnknownFields agree on
@@ -218,7 +377,7 @@ func TestDecodeStrictReadErrors(t *testing.T) {
 		if (n < len(body)) != (wantErr != nil) {
 			t.Fatalf("oracle at cut %d/%d: %v", n, len(body), wantErr)
 		}
-		if !errors.Is(gotErr, wantErr) || !reflect.DeepEqual(got, want) {
+		if !errors.Is(gotErr, wantErr) || !reflect.DeepEqual(exported(got), exported(want)) {
 			t.Fatalf("cut %d/%d: DecodeStrict %v, encoding/json %v", n, len(body), gotErr, wantErr)
 		}
 	}

@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 
 	"repro/internal/cluster"
@@ -50,6 +52,14 @@ type LinkSpec struct {
 type EnvSpec struct {
 	Guests []GuestSpec `json:"guests"`
 	Links  []VLinkSpec `json:"links"`
+
+	// src is the JSON this value was decoded from, when it arrived
+	// compact (see ScanJSON), and sum the fingerprint of Guests and Links
+	// as decoded. ToEnv, FromEnv and AppendJSON carry src along in place
+	// of a second rendering, each only while the fingerprint still holds:
+	// a value changed since it was decoded is rendered from its fields.
+	src []byte
+	sum uint64
 }
 
 // GuestSpec is one guest and its demands.
@@ -66,6 +76,37 @@ type VLinkSpec struct {
 	To   int     `json:"to"`
 	BW   float64 `json:"bw_mbps"`
 	Lat  float64 `json:"lat_ms"`
+}
+
+// fingerprint digests every field of every guest and link, in order,
+// and which of the two slices are nil. Changing any one field changes
+// it: a field enters its guest's or link's word times an odd constant,
+// and each step is a bijection of the running value. Any other edit
+// goes unnoticed once in 2^64. One multiply chain per guest or link, not
+// per field, keeps a pass under a hundredth of the decode it guards.
+func (e *EnvSpec) fingerprint() uint64 {
+	const k0, k1, k2, k3 = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb, 0xd6e8feb86659fd93
+	mix := func(h, w uint64) uint64 { return bits.RotateLeft64(h^w, 29) * k0 }
+	var h uint64
+	if e.Guests != nil {
+		h = mix(h, uint64(len(e.Guests))+1)
+	}
+	if e.Links != nil {
+		h = mix(h, uint64(len(e.Links))+1<<32)
+	}
+	for i := range e.Guests {
+		g := &e.Guests[i]
+		name := uint64(len(g.Name))
+		for j := 0; j < len(g.Name); j++ {
+			name = name*131 + uint64(g.Name[j])
+		}
+		h = mix(h, name*k0+math.Float64bits(g.Proc)*k1+uint64(g.Mem)*k2+math.Float64bits(g.Stor)*k3)
+	}
+	for i := range e.Links {
+		l := &e.Links[i]
+		h = mix(h, uint64(l.From)*k0+uint64(l.To)*k1+math.Float64bits(l.BW)*k2+math.Float64bits(l.Lat)*k3)
+	}
+	return h
 }
 
 // MappingSpec is the JSON form of a computed mapping.
@@ -128,9 +169,10 @@ func (s ClusterSpec) ToCluster() (*cluster.Cluster, error) {
 
 // FromEnv converts a virtual environment into its JSON form. An
 // environment without guests or without links keeps the nil slice, and
-// with it the "null" the WAL has always written for it.
+// with it the "null" the WAL has always written for it; one that still
+// knows the JSON it was decoded from hands it on.
 func FromEnv(v *virtual.Env) EnvSpec {
-	out := EnvSpec{}
+	out := EnvSpec{src: v.Source()}
 	if n := v.NumGuests(); n > 0 {
 		out.Guests = make([]GuestSpec, 0, n)
 	}
@@ -143,19 +185,23 @@ func FromEnv(v *virtual.Env) EnvSpec {
 	for _, l := range v.Links() {
 		out.Links = append(out.Links, VLinkSpec{From: int(l.From), To: int(l.To), BW: l.BW, Lat: l.Lat})
 	}
+	if out.src != nil {
+		out.sum = out.fingerprint()
+	}
 	return out
 }
 
 // ToEnv builds a virtual environment from its JSON form.
 func (s EnvSpec) ToEnv() (*virtual.Env, error) {
-	env := virtual.NewEnv()
+	guests := make([]virtual.Guest, len(s.Guests))
 	for i, g := range s.Guests {
 		if g.Proc < 0 || g.Mem < 0 || g.Stor < 0 {
 			return nil, fmt.Errorf("spec: guest %d has negative demands", i)
 		}
-		env.AddGuest(g.Name, g.Proc, g.Mem, g.Stor)
+		guests[i] = virtual.Guest{Name: g.Name, Proc: g.Proc, Mem: g.Mem, Stor: g.Stor}
 	}
 	n := len(s.Guests)
+	links := make([]virtual.Link, len(s.Links))
 	for i, l := range s.Links {
 		if l.From < 0 || l.From >= n || l.To < 0 || l.To >= n {
 			return nil, fmt.Errorf("spec: virtual link %d endpoints (%d,%d) outside %d guests", i, l.From, l.To, n)
@@ -166,10 +212,17 @@ func (s EnvSpec) ToEnv() (*virtual.Env, error) {
 		if l.BW < 0 || l.Lat < 0 {
 			return nil, fmt.Errorf("spec: virtual link %d has negative requirements", i)
 		}
-		env.AddLink(virtual.GuestID(l.From), virtual.GuestID(l.To), l.BW, l.Lat)
+		links[i] = virtual.Link{From: virtual.GuestID(l.From), To: virtual.GuestID(l.To), BW: l.BW, Lat: l.Lat}
+	}
+	env := virtual.Build(guests, links)
+	if s.verbatim() {
+		env.SetSource(s.src)
 	}
 	return env, nil
 }
+
+// verbatim reports whether s still is what src was decoded to.
+func (s *EnvSpec) verbatim() bool { return s.src != nil && s.sum == s.fingerprint() }
 
 // FromMapping converts a mapping into its JSON form.
 func FromMapping(m *mapping.Mapping, overhead cluster.VMMOverhead) MappingSpec {

@@ -46,23 +46,69 @@ func (l Link) Other(g GuestID) GuestID {
 }
 
 // Env is a virtual environment: a set of guests plus the virtual links
-// between them. Build one with New, AddGuest and AddLink. Envs are not
-// safe for concurrent mutation but are safe for concurrent reads once
-// built.
+// between them. Build one with NewEnv, AddGuest and AddLink, or all at
+// once with Build. Envs are not safe for concurrent mutation but are
+// safe for concurrent reads once built.
 type Env struct {
 	guests []Guest
 	links  []Link
 	adj    [][]int // guest -> indices into links
+	// source is the serialized description this environment was built
+	// from, when its builder kept one (SetSource); any mutation drops it.
+	source []byte
 }
 
 // NewEnv returns an empty virtual environment.
 func NewEnv() *Env { return &Env{} }
 
+// Build returns the environment of the given guests and links, taking
+// ownership of both slices and numbering them in order. It is NewEnv
+// followed by an AddGuest per guest and an AddLink per link — the same
+// panics on the same misuse, the same LinksOf order — with the adjacency
+// lists counted first and laid out in one array.
+func Build(guests []Guest, links []Link) *Env {
+	e := &Env{guests: guests, links: links, adj: make([][]int, len(guests))}
+	for i := range guests {
+		g := &guests[i]
+		checkDemands(g.Name, g.Proc, g.Mem, g.Stor)
+		g.ID = GuestID(i)
+	}
+	// One array: a degree per guest, then every guest's list.
+	degree := make([]int, len(guests)+2*len(links))
+	for i := range links {
+		l := &links[i]
+		e.checkLink(l.From, l.To, l.BW, l.Lat)
+		l.ID = i
+		degree[l.From]++
+		degree[l.To]++
+	}
+	// Each list is capped at its length: an AddLink after Build copies
+	// the list it grows instead of writing into its neighbour's.
+	lists := degree[len(guests):]
+	for g, n := range degree[:len(guests)] {
+		e.adj[g], lists = lists[:0:n], lists[n:]
+	}
+	for i := range links {
+		l := &links[i]
+		e.adj[l.From] = append(e.adj[l.From], i)
+		e.adj[l.To] = append(e.adj[l.To], i)
+	}
+	return e
+}
+
+// SetSource records the serialized description e was built from, for
+// Source. The caller vouches that src describes exactly this
+// environment and never changes it afterwards.
+func (e *Env) SetSource(src []byte) { e.source = src }
+
+// Source returns what SetSource recorded, nil once AddGuest or AddLink
+// has changed the environment since. The bytes are read-only.
+func (e *Env) Source() []byte { return e.source }
+
 // AddGuest appends a guest with the given demands and returns its ID.
 func (e *Env) AddGuest(name string, proc float64, mem int64, stor float64) GuestID {
-	if proc < 0 || mem < 0 || stor < 0 {
-		panic(fmt.Sprintf("virtual: guest %q has negative demand", name))
-	}
+	checkDemands(name, proc, mem, stor)
+	e.source = nil
 	id := GuestID(len(e.guests))
 	e.guests = append(e.guests, Guest{ID: id, Name: name, Proc: proc, Mem: mem, Stor: stor})
 	e.adj = append(e.adj, nil)
@@ -73,6 +119,25 @@ func (e *Env) AddGuest(name string, proc float64, mem int64, stor float64) Guest
 // its ID. Self-links are rejected: a guest communicating with itself needs
 // no network resources in the model of §3.2.
 func (e *Env) AddLink(from, to GuestID, bw, lat float64) int {
+	e.checkLink(from, to, bw, lat)
+	e.source = nil
+	id := len(e.links)
+	e.links = append(e.links, Link{ID: id, From: from, To: to, BW: bw, Lat: lat})
+	e.adj[from] = append(e.adj[from], id)
+	e.adj[to] = append(e.adj[to], id)
+	return id
+}
+
+// checkDemands panics on a guest that demands less than nothing.
+func checkDemands(name string, proc float64, mem int64, stor float64) {
+	if proc < 0 || mem < 0 || stor < 0 {
+		panic(fmt.Sprintf("virtual: guest %q has negative demand", name))
+	}
+}
+
+// checkLink panics unless a link with these endpoints and requirements
+// may join e.
+func (e *Env) checkLink(from, to GuestID, bw, lat float64) {
 	if from == to {
 		panic(fmt.Sprintf("virtual: self-link on guest %d", from))
 	}
@@ -84,11 +149,6 @@ func (e *Env) AddLink(from, to GuestID, bw, lat float64) int {
 	if lat < 0 {
 		panic(fmt.Sprintf("virtual: negative latency on link %d-%d", from, to))
 	}
-	id := len(e.links)
-	e.links = append(e.links, Link{ID: id, From: from, To: to, BW: bw, Lat: lat})
-	e.adj[from] = append(e.adj[from], id)
-	e.adj[to] = append(e.adj[to], id)
-	return id
 }
 
 func (e *Env) checkGuest(g GuestID) {
@@ -106,15 +166,15 @@ func (e *Env) NumLinks() int { return len(e.links) }
 // Guest returns the guest with the given ID.
 func (e *Env) Guest(id GuestID) Guest { return e.guests[id] }
 
-// Guests returns all guests in ID order. The slice is owned by the
-// environment and must not be modified.
+// Guests returns all guests in ID order. The slice is read-only: it is
+// the environment's own, and Source vouches for its contents.
 func (e *Env) Guests() []Guest { return e.guests }
 
 // Link returns the link with the given ID.
 func (e *Env) Link(id int) Link { return e.links[id] }
 
-// Links returns all virtual links in ID order. The slice is owned by the
-// environment and must not be modified.
+// Links returns all virtual links in ID order. The slice is read-only:
+// it is the environment's own, and Source vouches for its contents.
 func (e *Env) Links() []Link { return e.links }
 
 // LinksOf returns the IDs of the links incident to guest g. The slice is

@@ -1,6 +1,11 @@
 package virtual
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func mustPanic(t *testing.T, name string, f func()) {
 	t.Helper()
@@ -118,5 +123,72 @@ func TestTotals(t *testing.T) {
 	}
 	if e.TotalStor() != 115 {
 		t.Fatalf("TotalStor = %v", e.TotalStor())
+	}
+}
+
+// TestBuildEqualsIncremental: Build is NewEnv + AddGuest + AddLink —
+// same IDs, same LinksOf order (Hosting walks it) — and an AddLink
+// afterwards grows one guest's list without touching its neighbour's,
+// though Build lays all lists out in one array.
+func TestBuildEqualsIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 30
+	inc := NewEnv()
+	guests := make([]Guest, n)
+	for i := range guests {
+		guests[i] = Guest{Name: fmt.Sprint("g", i), Proc: rng.Float64(), Mem: rng.Int63n(99), Stor: rng.Float64()}
+		inc.AddGuest(guests[i].Name, guests[i].Proc, guests[i].Mem, guests[i].Stor)
+	}
+	links := make([]Link, 80)
+	for i := range links {
+		from := GuestID(rng.Intn(n))
+		to := (from + 1 + GuestID(rng.Intn(n-1))) % n
+		links[i] = Link{From: from, To: to, BW: rng.Float64(), Lat: rng.Float64()}
+		inc.AddLink(from, to, links[i].BW, links[i].Lat)
+	}
+	built := Build(guests, links)
+	same := func() {
+		t.Helper()
+		if !reflect.DeepEqual(built.Guests(), inc.Guests()) || !reflect.DeepEqual(built.Links(), inc.Links()) {
+			t.Fatalf("Build differs from AddGuest/AddLink:\n%v\n%v", built.Links(), inc.Links())
+		}
+		for g := GuestID(0); g < n; g++ {
+			if got, want := built.LinksOf(g), inc.LinksOf(g); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("LinksOf(%d) = %v, want %v", g, got, want)
+			}
+		}
+	}
+	same()
+	for g := GuestID(0); g+1 < n; g++ {
+		built.AddLink(g, g+1, 1, 1)
+		inc.AddLink(g, g+1, 1, 1)
+	}
+	same()
+
+	mustPanic(t, "Build self-link", func() { Build(make([]Guest, 2), []Link{{From: 1, To: 1}}) })
+	mustPanic(t, "Build endpoint out of range", func() { Build(make([]Guest, 2), []Link{{From: 0, To: 2}}) })
+	mustPanic(t, "Build negative demand", func() { Build([]Guest{{Mem: -1}}, nil) })
+	mustPanic(t, "Build negative bandwidth", func() { Build(make([]Guest, 2), []Link{{From: 0, To: 1, BW: -1}}) })
+}
+
+// TestMutationDropsSource: the bytes SetSource vouched for describe the
+// environment as it was; AddGuest and AddLink each forget them.
+func TestMutationDropsSource(t *testing.T) {
+	for name, mutate := range map[string]func(*Env){
+		"AddGuest": func(e *Env) { e.AddGuest("x", 1, 1, 1) },
+		"AddLink":  func(e *Env) { e.AddLink(0, 2, 1, 1) },
+	} {
+		e := threeGuestEnv(t)
+		if e.Source() != nil {
+			t.Fatal("an environment built in code has a source")
+		}
+		e.SetSource([]byte(`{"guests":[]}`))
+		if string(e.Source()) != `{"guests":[]}` {
+			t.Fatalf("Source() = %q", e.Source())
+		}
+		mutate(e)
+		if e.Source() != nil {
+			t.Fatalf("%s kept the source of the environment it changed", name)
+		}
 	}
 }

@@ -52,6 +52,14 @@ curl -fsS -X POST "$base/v1/sessions" \
 curl -fsS -X POST "$base/v1/sessions/s1/envs" \
     -d "{\"env\": $(cat "$workdir/env.json")}" |
     grep -q '"id": *"e1"'
+# The same environment again as a marshalling client sends it, compact:
+# its admit record carries these bytes verbatim (e1's, indented, was
+# rendered), so the crash image below holds one record of each kind.
+curl -fsS -X POST "$base/v1/sessions/s1/envs" \
+    -d "{\"env\":$(tr -d ' \n' <"$workdir/env.json")}" |
+    grep -q '"id": *"e2"'
+curl -fsS "$base/metrics" >"$workdir/metrics"
+grep -q '^hmnd_admit_env_verbatim_total 1$' "$workdir/metrics"
 curl -fsS "$base/v1/sessions/s1/residuals" >"$workdir/residuals.before"
 
 echo "--- kill -9, then inspect the directory read-only"
@@ -67,7 +75,7 @@ curl -fsS "$base/v1/sessions/s1/residuals" >"$workdir/residuals.after"
 cmp "$workdir/residuals.before" "$workdir/residuals.after"
 curl -fsS -X POST "$base/v1/sessions/s1/envs" \
     -d "{\"env\": $(cat "$workdir/env.json")}" |
-    grep -q '"id": *"e2"'
+    grep -q '"id": *"e3"'
 code=$(curl -sS -X DELETE "$base/v1/sessions/s1/envs/e1" -o /dev/null -w '%{http_code}')
 [ "$code" = "204" ] || { echo "release of recovered e1: HTTP $code" >&2; exit 1; }
 
