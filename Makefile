@@ -1,6 +1,6 @@
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test loc lint lint-fix-check vet fuzz clean bench-allocs bench-baselines bench-compare replay-smoke rebalance-smoke federation-smoke
+.PHONY: build test loc lint lint-fix-check vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase replay-smoke rebalance-smoke federation-smoke
 
 # Relative drift (percent) bench-compare tolerates on deterministic
 # metrics before failing. Timings never gate.
@@ -49,12 +49,14 @@ vet:
 ## DecodeStrict's fast path against a plain strict json.Decoder, and the
 ## WAL's frame decoder against json.Unmarshal; then the admit record that
 ## carries a request's own bytes: whatever the fast path accepted
-## replays as the environment that was mapped.
+## replays as the environment that was mapped; then the scanner's own
+## number conversion against json.Unmarshal into a float64.
 fuzz:
 	go test -run '^$$' -fuzz 'FuzzDecodeSpec$$' -fuzztime 45s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzDecodeStrictDifferential$$' -fuzztime 20s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzWALDecode$$' -fuzztime 20s ./internal/wal
 	go test -run '^$$' -fuzz 'FuzzAdmitEnvBytesReplay$$' -fuzztime 20s ./internal/wal
+	go test -run '^$$' -fuzz 'FuzzScannerFloat64$$' -fuzztime 20s ./internal/jsonx
 
 ## bench-allocs gates the allocation budgets of one admission: the
 ## steady-state Map+Release cycle and the failure-repair reroute cycle
@@ -85,6 +87,15 @@ bench-compare:
 	go run ./cmd/hmnbench -scale -heuristics HMN -reps 3 -json "$$tmp/scale.json" -table 2 >/dev/null && \
 	go run ./cmd/hmncompare -threshold $(BENCH_THRESHOLD) BENCH_quick_seed1.json "$$tmp/quick.json" && \
 	go run ./cmd/hmncompare -threshold $(BENCH_THRESHOLD) BENCH_scale_seed1.json "$$tmp/scale.json"
+
+## bench-phase builds hmnperf for the working tree and for REV (default
+## HEAD) and exits non-zero unless the reference kernel and the
+## container/heap code it calls sit at the same addresses mod 64 in
+## both: otherwise the kernel runs at a different speed and every
+## reference-time delta between the two is off by as much.
+REV ?= HEAD
+bench-phase:
+	./scripts/bench_phase.sh $(REV)
 
 ## replay-smoke is the end-to-end crash/recovery check: boot hmnd with a
 ## data directory, admit one indented and one compact body (a rendered

@@ -12,6 +12,12 @@
 //     null, string escapes, bytes outside 0x20..0x7f inside strings and
 //     malformed syntax decline. Schema rules (unknown, duplicate or
 //     differently-cased keys) are the caller's, through Fail and Once.
+//     Who converts a number changes nothing in that set: Int64 and
+//     Uint64 accumulate the digits they check, and Float64 rounds a
+//     plain decimal of at most 19 significant digits itself, exactly,
+//     in the pass that checks its grammar, leaving strconv.ParseFloat
+//     every literal with an exponent part or more digits — so every
+//     accepted number has strconv's bits.
 //   - The Append helpers emit what json.Marshal emits for finite floats
 //     and for strings it would not escape; NaN, ±Inf and any other
 //     string decline.
@@ -23,6 +29,7 @@ package jsonx
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 )
@@ -270,35 +277,26 @@ func (s *Scanner) Bool() bool {
 	return false
 }
 
-// digits consumes a run of decimal digits, at least one.
-func (s *Scanner) digits() {
-	start := s.pos
-	for s.pos < len(s.buf) && s.buf[s.pos]-'0' <= 9 {
-		s.pos++
-	}
-	if s.pos == start {
-		s.bad = true
-	}
-}
-
-// integer consumes -?(0|[1-9][0-9]*) and returns the literal.
+// natural consumes 0|[1-9][0-9]* where the scanner stands and returns
+// its value; more than 18 digits decline.
 //
 //hmn:noalloc
-func (s *Scanner) integer() []byte {
-	if s.peek() == 0 {
+func (s *Scanner) natural() uint64 {
+	b, i := s.buf, s.pos
+	if i < len(b) && b[i] == '0' {
+		s.pos++
+		return 0
+	}
+	var n uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		n = n*10 + uint64(b[i]-'0')
+	}
+	if d := i - s.pos; d == 0 || d > 18 {
 		s.bad = true
-		return nil
+		return 0
 	}
-	start := s.pos
-	if s.buf[s.pos] == '-' {
-		s.pos++
-	}
-	if s.pos < len(s.buf) && s.buf[s.pos] == '0' {
-		s.pos++
-	} else {
-		s.digits()
-	}
-	return s.buf[start:s.pos]
+	s.pos = i
+	return n
 }
 
 // Uint64 scans a non-negative integer literal of at most 18 digits.
@@ -307,42 +305,26 @@ func (s *Scanner) integer() []byte {
 //
 //hmn:noalloc
 func (s *Scanner) Uint64() uint64 {
-	lit := s.integer()
-	if s.bad || lit[0] == '-' || len(lit) > 18 {
+	if c := s.peek(); c == 0 || c == '-' {
 		s.bad = true
 		return 0
 	}
-	var n uint64
-	for _, c := range lit {
-		n = n*10 + uint64(c-'0')
-	}
-	return n
+	return s.natural()
 }
 
 // Int64 scans an integer literal of at most 18 digits.
 //
 //hmn:noalloc
 func (s *Scanner) Int64() int64 {
-	lit := s.integer()
-	if s.bad {
-		return 0
-	}
-	neg := lit[0] == '-'
-	if neg {
-		lit = lit[1:]
-	}
-	if len(lit) > 18 {
+	switch s.peek() {
+	case 0:
 		s.bad = true
 		return 0
+	case '-':
+		s.pos++
+		return -int64(s.natural())
 	}
-	var n int64
-	for _, c := range lit {
-		n = n*10 + int64(c-'0')
-	}
-	if neg {
-		n = -n
-	}
-	return n
+	return int64(s.natural())
 }
 
 // Int scans an integer literal that fits an int.
@@ -354,31 +336,135 @@ func (s *Scanner) Int() int {
 	return int(n)
 }
 
-// Float64 scans a JSON number literal and converts it with
-// strconv.ParseFloat, as encoding/json does; a range error declines.
+// Float64 scans a JSON number literal and returns the float64 nearest
+// to it, ties to even — strconv.ParseFloat's result, as encoding/json
+// uses, bit for bit. A literal with no exponent part, at most 19
+// significant digits and at most 19 digits after the point (22 when its
+// digits fit in 53 bits) is converted in the same pass that scans it,
+// by round; every other one goes to strconv.ParseFloat over the same
+// bytes, and a range error declines.
+//
+//hmn:noalloc
 func (s *Scanner) Float64() float64 {
-	lit := s.integer()
-	if s.bad {
+	c := s.peek()
+	if c == 0 {
+		s.bad = true
 		return 0
 	}
-	start := s.pos - len(lit)
-	if s.pos < len(s.buf) && s.buf[s.pos] == '.' {
-		s.pos++
-		s.digits()
+	b, i := s.buf, s.pos
+	if c == '-' {
+		i++
 	}
-	if s.pos < len(s.buf) && s.buf[s.pos]|0x20 == 'e' {
-		s.pos++
-		if s.pos < len(s.buf) && (s.buf[s.pos] == '+' || s.buf[s.pos] == '-') {
-			s.pos++
+	// mant takes every digit after the leading zeros; past 19 it wraps,
+	// and sig > 19 sends the literal to strconv. pow is 10^k while the k
+	// fraction digits are at most 19.
+	var mant uint64
+	pow := uint64(1)
+	sig, k := 0, 0
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else {
+		j := i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
 		}
-		s.digits()
+		if sig = i - j; sig == 0 {
+			s.bad = true
+			return 0
+		}
 	}
-	if s.bad {
-		return 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		j := i
+		if sig == 0 {
+			for ; i < len(b) && b[i] == '0'; i++ {
+				pow *= 10
+			}
+		}
+		z := i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+			pow *= 10
+		}
+		if k = i - j; k == 0 {
+			s.bad = true
+			return 0
+		}
+		sig += i - z
 	}
-	f, err := strconv.ParseFloat(string(s.buf[start:s.pos]), 64)
+	exp := i < len(b) && b[i]|0x20 == 'e'
+	if exp {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := i
+		for i < len(b) && b[i]-'0' <= 9 {
+			i++
+		}
+		if i == j {
+			s.bad = true
+			return 0
+		}
+	}
+	lit := b[s.pos:i]
+	s.pos = i
+	if !exp && sig <= 19 {
+		if f, ok := round(mant, pow, k); ok {
+			if c == '-' {
+				f = -f
+			}
+			return f
+		}
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
 		s.bad = true
 	}
 	return f
+}
+
+// round returns mant / 10^k rounded to the nearest float64, ties to
+// even, for mant < 10^19; pow is 10^k when k ≤ 19. It reports false when
+// neither exact method applies and strconv must decide.
+//
+//hmn:noalloc
+func round(mant, pow uint64, k int) (float64, bool) {
+	switch {
+	case mant < 1<<53 && k <= 22:
+		// Clinger: both operands are exact, so the quotient is rounded
+		// once. 10^20..10^22 are exact products of exact factors.
+		p := float64(pow)
+		if k > 19 {
+			p = 1e19
+			for ; k > 19; k-- {
+				p *= 10
+			}
+		}
+		return float64(mant) / p, true
+	case k <= 19:
+		// q = ⌊mant·2^sh / 10^k⌋ lies in [2^62, 2^64), so it holds the
+		// 53 bits kept, the rounding bit and more; the remainder r is
+		// the sticky bit below them.
+		sh := uint(63 - bits.Len64(mant) + bits.Len64(pow))
+		var hi, lo uint64
+		if sh < 64 {
+			hi, lo = mant>>(64-sh), mant<<sh
+		} else {
+			hi = mant << (sh - 64)
+		}
+		q, r := bits.Div64(hi, lo, pow)
+		drop := uint(bits.Len64(q) - 53)
+		m, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+		if rest > half || rest == half && (r != 0 || m&1 != 0) {
+			m++
+		}
+		// The value is m·2^(drop−sh), m in [2^52, 2^53]: always a normal
+		// float64, since 10^-19 ≤ mant / 10^k < 10^19. m's leading bit
+		// adds one to the exponent field, two when rounding carried it
+		// to 2^53.
+		e := uint64(int(drop) - int(sh) + 52 + 1022)
+		return math.Float64frombits(e<<52 + m), true
+	}
+	return 0, false
 }
