@@ -50,13 +50,15 @@ vet:
 ## WAL's frame decoder against json.Unmarshal; then the admit record that
 ## carries a request's own bytes: whatever the fast path accepted
 ## replays as the environment that was mapped; then the scanner's own
-## number conversion against json.Unmarshal into a float64.
+## number conversion against json.Unmarshal into a float64, and its
+## one-loop int arrays against json.Unmarshal into a []int.
 fuzz:
 	go test -run '^$$' -fuzz 'FuzzDecodeSpec$$' -fuzztime 45s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzDecodeStrictDifferential$$' -fuzztime 20s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzWALDecode$$' -fuzztime 20s ./internal/wal
 	go test -run '^$$' -fuzz 'FuzzAdmitEnvBytesReplay$$' -fuzztime 20s ./internal/wal
 	go test -run '^$$' -fuzz 'FuzzScannerFloat64$$' -fuzztime 20s ./internal/jsonx
+	go test -run '^$$' -fuzz 'FuzzScannerInts$$' -fuzztime 20s ./internal/jsonx
 
 ## bench-allocs gates the allocation budgets of one admission: the
 ## steady-state Map+Release cycle and the failure-repair reroute cycle
@@ -64,9 +66,11 @@ fuzz:
 ## decode, reply and WAL-record encode (internal/server/codec_test.go) —
 ## and the memory budget of recovery: live heap independent of the log's
 ## length, bytes per record within a constant of the Env and Mapping it
-## builds (internal/wal/recover_test.go).
+## builds (internal/wal/recover_test.go), the Mapping in a constant
+## number of allocations whatever its link count
+## (internal/spec/spec_test.go).
 bench-allocs:
-	go test -run 'AllocsBudget|TestRecoverMemoryIndependentOfLogLength' -v ./internal/core/ ./internal/server/ ./internal/wal/
+	go test -run 'AllocsBudget|TestRecoverMemoryIndependentOfLogLength' -v ./internal/core/ ./internal/server/ ./internal/wal/ ./internal/spec/
 
 ## bench-baselines regenerates the committed benchmark baselines. Run it
 ## when a change legitimately moves the seeded sweep (new scenarios, new

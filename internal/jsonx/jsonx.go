@@ -10,14 +10,19 @@
 //     integer literals of at most 18 digits, number literals
 //     strconv.ParseFloat takes without a range error, true and false.
 //     null, string escapes, bytes outside 0x20..0x7f inside strings and
-//     malformed syntax decline. Schema rules (unknown, duplicate or
-//     differently-cased keys) are the caller's, through Fail and Once.
-//     Who converts a number changes nothing in that set: Int64 and
-//     Uint64 accumulate the digits they check, and Float64 rounds a
-//     plain decimal of at most 19 significant digits itself, exactly,
-//     in the pass that checks its grammar, leaving strconv.ParseFloat
-//     every literal with an exponent part or more digits — so every
-//     accepted number has strconv's bits.
+//     malformed syntax decline. Schema rules are the caller's: a decoder
+//     reads every key through Field against its type's Keys, which
+//     declines an unknown, repeated or differently-cased key, and a
+//     value it cannot use through Fail. Who scans a key or converts a
+//     number changes nothing in that set: Field first compares the
+//     input with the literal the key order json.Marshal writes predicts
+//     and scans the key in general only when that misses; AppendInts
+//     reads a whole int array in one loop; Int64 and Uint64 accumulate
+//     the digits they check, and Float64 rounds a plain decimal of at
+//     most 19 significant digits itself, exactly, in the pass that
+//     checks its grammar, leaving strconv.ParseFloat every literal with
+//     an exponent part or more digits — so every accepted number has
+//     strconv's bits.
 //   - The Append helpers emit what json.Marshal emits for finite floats
 //     and for strings it would not escape; NaN, ±Inf and any other
 //     string decline.
@@ -28,6 +33,7 @@
 package jsonx
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"strconv"
@@ -143,20 +149,23 @@ func (s *Scanner) OK() bool { return !s.bad }
 // Fail declines the input on the caller's behalf.
 func (s *Scanner) Fail() { s.bad = true }
 
-// Once declines a key seen before: encoding/json lets the last
-// duplicate win, merging into the first, which is not worth imitating.
-func (s *Scanner) Once(seen *uint, bit uint) {
-	if *seen&bit != 0 {
-		s.bad = true
-	}
-	*seen |= bit
-}
-
 // peek skips whitespace and returns the next byte without consuming it;
 // 0 at the end of the input or when the scanner is bad.
 //
 //hmn:noalloc
 func (s *Scanner) peek() byte {
+	if s.pos < len(s.buf) && !s.bad {
+		if c := s.buf[s.pos]; c > ' ' {
+			return c
+		}
+	}
+	return s.skip()
+}
+
+// skip is peek once the next byte may be a blank.
+//
+//hmn:noalloc
+func (s *Scanner) skip() byte {
 	if s.bad {
 		return 0
 	}
@@ -208,6 +217,29 @@ func (s *Scanner) Open(c byte) {
 //
 //hmn:noalloc
 func (s *Scanner) More(end byte) bool {
+	if s.pos < len(s.buf) && !s.bad {
+		switch c := s.buf[s.pos]; {
+		case c == end:
+			s.pos++
+			s.first = false
+			return false
+		case s.first:
+			if c > ' ' {
+				s.first = false
+				return true
+			}
+		case c == ',':
+			s.pos++
+			return true
+		}
+	}
+	return s.more(end)
+}
+
+// more is More once the next byte may be a blank or out of place.
+//
+//hmn:noalloc
+func (s *Scanner) more(end byte) bool {
 	c := s.peek()
 	first := s.first
 	s.first = false
@@ -228,8 +260,95 @@ func (s *Scanner) More(end byte) bool {
 // End reports whether the scan succeeded and only whitespace is left.
 func (s *Scanner) End() bool { return s.peek() == 0 && !s.bad && s.pos == len(s.buf) }
 
-// Key scans an object key and its colon. The result aliases the input.
-func (s *Scanner) Key() []byte {
+// Keys is the key list of one object type in the order json.Marshal
+// writes it, each kept as the literal that spells it with its colon.
+type Keys struct{ lits []string }
+
+// NewKeys returns the Keys of an object type whose fields json.Marshal
+// writes under names, in that order: at most 64 names, each one the
+// scanner reads unescaped.
+func NewKeys(names ...string) *Keys {
+	if len(names) > 64 {
+		panic("jsonx: more than 64 keys")
+	}
+	k := &Keys{lits: make([]string, len(names))}
+	for i, n := range names {
+		// Field may take a literal in place of scanning the key only if
+		// scanning it gives the key back.
+		lit := `"` + n + `":`
+		var s Scanner
+		s.Reset([]byte(lit))
+		if string(s.key()) != n || !s.End() {
+			panic("jsonx: key " + strconv.Quote(n) + " does not scan as itself")
+		}
+		k.lits[i] = lit
+	}
+	return k
+}
+
+// Fields is what Field knows of one object being scanned: the keys seen
+// so far and the one expected next. The zero value starts an object.
+type Fields struct {
+	seen uint64
+	next int
+}
+
+// Field scans the key of the object member the scanner stands at, and
+// its colon, and returns the key's index in k. A key that is not in k —
+// differently cased included — or that f has seen before declines the
+// input and returns -1: encoding/json matches keys case-insensitively
+// and lets the last duplicate win, merging into the first, which is not
+// worth imitating.
+//
+// The key json.Marshal writes next costs one compare: the literals of k
+// are tried against the input as it stands, from the one f expects
+// next, and only when none is there — a blank before the colon, a key
+// not in k — is the key scanned and looked up.
+//
+//hmn:noalloc
+func (s *Scanner) Field(k *Keys, f *Fields) int {
+	if s.peek() == '"' {
+		rest := s.buf[s.pos:]
+		for j, i := 0, f.next; j < len(k.lits); j, i = j+1, i+1 {
+			if i == len(k.lits) {
+				i = 0
+			}
+			if lit := k.lits[i]; len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
+				s.pos += len(lit)
+				return f.take(s, i)
+			}
+		}
+	}
+	key := s.key()
+	if s.bad {
+		return -1
+	}
+	for i, lit := range k.lits {
+		if len(lit) == len(key)+3 && lit[1:len(lit)-2] == string(key) {
+			return f.take(s, i)
+		}
+	}
+	s.bad = true
+	return -1
+}
+
+// take records key i as seen and returns it, or declines a repeat.
+//
+//hmn:noalloc
+func (f *Fields) take(s *Scanner, i int) int {
+	if f.seen&(1<<i) != 0 {
+		s.bad = true
+		return -1
+	}
+	f.seen |= 1 << i
+	f.next = i + 1
+	return i
+}
+
+// key scans an object key and its colon. The result aliases the input.
+//
+//hmn:noalloc
+func (s *Scanner) key() []byte {
 	k := s.str()
 	s.expect(':')
 	return k
@@ -238,7 +357,25 @@ func (s *Scanner) Key() []byte {
 // String scans a string value, copied out of the input.
 func (s *Scanner) String() string { return string(s.str()) }
 
+// StringOf is String returning the first of known the value spells
+// instead of a copy: a decoder that reads the same strings record after
+// record — a log's kinds and session IDs, the guest names of one
+// environment admitted again and again — hands them on without copying
+// each once more.
+//
+//hmn:noalloc
+func (s *Scanner) StringOf(known ...string) string {
+	b := s.str()
+	for _, k := range known {
+		if string(b) == k {
+			return k
+		}
+	}
+	return string(b) //hmn:allocok a string not seen before is copied out, as String does
+}
+
 // str scans a string and returns its contents, which alias the input.
+// It looks for the closing quote eight bytes at a time.
 //
 //hmn:noalloc
 func (s *Scanner) str() []byte {
@@ -246,19 +383,37 @@ func (s *Scanner) str() []byte {
 	if s.bad {
 		return nil
 	}
-	start := s.pos
-	for i := start; i < len(s.buf); i++ {
-		switch c := s.buf[i]; {
-		case c == '"':
-			s.pos = i + 1
-			return s.buf[start:i]
-		case c < 0x20, c >= 0x80, c == '\\':
-			s.bad = true
-			return nil
+	b, start := s.buf, s.pos
+	i := start
+	for ; i+8 <= len(b); i += 8 {
+		if m := special(binary.LittleEndian.Uint64(b[i:])); m != 0 {
+			i += bits.TrailingZeros64(m) >> 3
+			break
 		}
+	}
+	for ; i < len(b); i++ {
+		if c := b[i]; c == '"' || c == '\\' || c < 0x20 || c >= 0x80 {
+			break
+		}
+	}
+	if i < len(b) && b[i] == '"' {
+		s.pos = i + 1
+		return b[start:i]
 	}
 	s.bad = true
 	return nil
+}
+
+// special sets the top bit of every byte of w, read little-endian, that
+// a plain string ends at or cannot hold: '"', '\\', below 0x20, from
+// 0x80 up. The lowest mark is exact; a borrow out of a marked byte may
+// mark one above it.
+//
+//hmn:noalloc
+func special(w uint64) uint64 {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	q, bs := w^(lo*'"'), w^(lo*'\\')
+	return ((q - lo) | (bs - lo) | (w - lo*0x20) | w) & hi
 }
 
 // Bool scans true or false.
@@ -336,6 +491,69 @@ func (s *Scanner) Int() int {
 	return int(n)
 }
 
+// AppendInts scans an array of integer literals, each of at most 18
+// digits and fitting an int, and appends them to dst: Open, More and Int
+// in one loop, which leaves the input only for blanks.
+//
+//hmn:noalloc
+func (s *Scanner) AppendInts(dst []int) []int {
+	if s.peek() != '[' {
+		s.bad = true
+		return dst
+	}
+	s.pos++
+	if s.peek() == ']' {
+		s.pos++
+		return dst
+	}
+	b, i := s.buf, s.pos
+	for {
+		if i == len(b) || b[i] != '-' && b[i]-'0' > 9 {
+			s.pos = i
+			s.peek()
+			i = s.pos
+		}
+		neg := i < len(b) && b[i] == '-'
+		if neg {
+			i++
+		}
+		var n uint64
+		if i < len(b) && b[i] == '0' {
+			i++
+		} else {
+			j := i
+			for ; i < len(b) && b[i]-'0' <= 9; i++ {
+				n = n*10 + uint64(b[i]-'0')
+			}
+			if d := i - j; d == 0 || d > 18 || int64(int(n)) != int64(n) {
+				s.bad = true
+				break
+			}
+		}
+		v := int(n)
+		if neg {
+			v = -v
+		}
+		dst = append(dst, v) //hmn:allocok the caller's array, grown as append grows it
+		if i == len(b) || b[i] != ',' && b[i] != ']' {
+			s.pos = i
+			s.peek()
+			i = s.pos
+		}
+		if i == len(b) || b[i] != ',' {
+			break
+		}
+		i++
+	}
+	if !s.bad && i < len(b) && b[i] == ']' {
+		s.pos = i + 1
+		return dst
+	}
+	s.pos = i
+	s.bad = true
+	return dst
+}
+
 // Float64 scans a JSON number literal and returns the float64 nearest
 // to it, ties to even — strconv.ParseFloat's result, as encoding/json
 // uses, bit for bit. A literal with no exponent part, at most 19
@@ -382,6 +600,14 @@ func (s *Scanner) Float64() float64 {
 			}
 		}
 		z := i
+		for ; i+8 <= len(b); i += 8 {
+			d, ok := eightDigits(binary.LittleEndian.Uint64(b[i:]))
+			if !ok {
+				break
+			}
+			mant = mant*1e8 + d
+			pow *= 1e8
+		}
 		for ; i < len(b) && b[i]-'0' <= 9; i++ {
 			mant = mant*10 + uint64(b[i]-'0')
 			pow *= 10
@@ -422,6 +648,23 @@ func (s *Scanner) Float64() float64 {
 		s.bad = true
 	}
 	return f
+}
+
+// eightDigits reports whether the eight bytes of w, read little-endian,
+// are all decimal digits, and returns the number they spell.
+//
+//hmn:noalloc
+func eightDigits(w uint64) (uint64, bool) {
+	const zeros, nibbles = 0x3030303030303030, 0xf0f0f0f0f0f0f0f0
+	// A digit's high nibble is 3, and stays 3 when 6 is added.
+	if w&nibbles|((w+0x0606060606060606)&nibbles)>>4 != zeros|zeros>>4 {
+		return 0, false
+	}
+	w -= zeros
+	w = w*10 + w>>8 // every other byte: the two digits from it, as 0..99
+	const pairs = 0x000000ff000000ff
+	w = ((w&pairs)*(100+1000000<<32) + (w>>16&pairs)*(1+10000<<32)) >> 32
+	return uint64(uint32(w)), true
 }
 
 // round returns mant / 10^k rounded to the nearest float64, ties to

@@ -1,9 +1,11 @@
 package jsonx
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -264,9 +266,71 @@ func FuzzScannerFloat64(f *testing.F) {
 	})
 }
 
+// TestNewKeysRejectsUnscannableNames: a key Field would take by its
+// literal must be one that scanning the literal gives back; a quote, a
+// backslash, a control byte or a non-ASCII byte in a name is refused
+// when the Keys are built, not met while decoding.
+func TestNewKeysRejectsUnscannableNames(t *testing.T) {
+	for _, name := range []string{`a"b`, `a\b`, "a\x01", "café", `a":1,"b`} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewKeys(%q) did not panic", name)
+				}
+			}()
+			NewKeys("ok", name)
+		}()
+	}
+	keys := NewKeys("", "proc_mips", "a<b")
+	var s Scanner
+	var f Fields
+	s.Reset([]byte(`{"a<b":1,"":2,"proc_mips" :3}`))
+	var got []int
+	for s.Open('{'); s.More('}'); {
+		got = append(got, s.Field(keys, &f))
+		s.Int64()
+	}
+	if !s.End() || !slices.Equal(got, []int{2, 0, 1}) {
+		t.Fatalf("fields %v, accepted %v; want [2 0 1], true", got, s.End())
+	}
+}
+
+// FuzzScannerInts: on any bytes, AppendInts then End accepts exactly
+// what json.Unmarshal into a []int accepts, with the same values — apart
+// from null and literals of 19 or more digits, which the scanner declines
+// by design. Blanks may stand anywhere between tokens.
+func FuzzScannerInts(f *testing.F) {
+	for _, seed := range []string{"[]", "[0]", "[1,2,3]", " [ -1 , 0 ,\n42\t] ", "[\r]", "[-0]", "[123456789012345678,-123456789012345678]",
+		"[1234567890123456789]", "[1,]", "[,1]", "[01]", "[-]", "[1 2]", "[- 1]", "[1.0]", "[1e2]", "[+1]", "[null]", "null",
+		"[[1]]", "[1]x", `["1"]`, "[", "[1", "[1,", "", "]"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want []int
+		err := json.Unmarshal(data, &want)
+		var s Scanner
+		s.Reset(data)
+		got := s.AppendInts([]int{7})
+		ok := s.End()
+		long := false
+		for _, v := range want {
+			long = long || v >= 1e18 || v <= -1e18
+		}
+		switch {
+		case err == nil && !ok && !long && !bytes.Contains(data, []byte("null")):
+			t.Fatalf("declined %q, which json.Unmarshal takes as %v", data, want)
+		case err != nil && ok:
+			t.Fatalf("accepted %q as %v; json.Unmarshal: %v", data, got[1:], err)
+		case ok && (got[0] != 7 || !slices.Equal(got[1:], want)):
+			t.Fatalf("%q: appended %v to [7], json.Unmarshal %v", data, got, want)
+		}
+	})
+}
+
 // BenchmarkScannerNumbers prices the number scanners on what a spec and
 // a WAL record carry: 17-digit shortest-form floats, 1–3-digit path
-// ints, and the literals that still go to strconv (an exponent part, a
+// ints one at a time and as a mapping's lists of paths (AppendInts),
+// and the literals that still go to strconv (an exponent part, a
 // 20-digit mantissa).
 func BenchmarkScannerNumbers(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -280,10 +344,25 @@ func BenchmarkScannerNumbers(b *testing.B) {
 		}
 		return append(buf, ']')
 	}
+	pathInt := func() string { return strconv.Itoa(rng.Intn(1000)) }
+	// 1000 ints as paths of 1 to 9 nodes, the shape of link_paths.
+	var paths [][]byte
+	for left := 1000; left > 0; {
+		n := min(1+rng.Intn(9), left)
+		paths = append(paths, array(n, pathInt))
+		left -= n
+	}
+	intPaths := append(append([]byte{'['}, bytes.Join(paths, []byte{','})...), ']')
+	floats := func(s *Scanner) (sum float64) {
+		for s.Open('['); s.More(']'); {
+			sum += s.Float64()
+		}
+		return sum
+	}
 	for _, bc := range []struct {
 		name string
 		in   []byte
-		ints bool
+		scan func(*Scanner) float64
 	}{
 		{"float17", array(1000, func() string {
 			for {
@@ -291,27 +370,34 @@ func BenchmarkScannerNumbers(b *testing.B) {
 					return lit
 				}
 			}
-		}), false},
-		{"path_ints", array(1000, func() string { return strconv.Itoa(rng.Intn(1000)) }), true},
+		}), floats},
+		{"path_ints", array(1000, pathInt), func(s *Scanner) (sum float64) {
+			for s.Open('['); s.More(']'); {
+				sum += float64(s.Int64())
+			}
+			return sum
+		}},
+		{"int_paths", intPaths, func(s *Scanner) float64 {
+			ints := intsSink[:0]
+			for s.Open('['); s.More(']'); {
+				ints = s.AppendInts(ints)
+			}
+			intsSink = ints
+			return float64(len(ints))
+		}},
 		{"fallback", array(1000, func() string {
 			if rng.Intn(2) == 0 {
 				return strconv.FormatFloat(rng.Float64()*1e-7, 'g', -1, 64)
 			}
 			return "1234567890." + strconv.FormatUint(1e9+uint64(rng.Int63n(9e9)), 10)
-		}), false},
+		}), floats},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var s Scanner
 			var sum float64
 			for i := 0; i < b.N; i++ {
 				s.Reset(bc.in)
-				for s.Open('['); s.More(']'); {
-					if bc.ints {
-						sum += float64(s.Int64())
-					} else {
-						sum += s.Float64()
-					}
-				}
+				sum += bc.scan(&s)
 				if !s.End() {
 					b.Fatal("declined")
 				}
@@ -321,6 +407,8 @@ func BenchmarkScannerNumbers(b *testing.B) {
 		})
 	}
 }
+
+var intsSink []int
 
 var sink float64
 
@@ -346,7 +434,7 @@ func TestMarkSince(t *testing.T) {
 		s.Reset([]byte(tc.in))
 		s.Open('{')
 		s.More('}')
-		s.Key()
+		s.key()
 		mark := s.Mark()
 		for s.Open('['); s.More(']'); {
 			if s.peek() == '"' {

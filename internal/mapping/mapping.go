@@ -70,19 +70,14 @@ func (m *Mapping) GuestsOn(node graph.NodeID) []virtual.GuestID {
 // rproc(c_i) values of Eq. (11), in host declaration order. Unassigned
 // guests contribute nothing.
 func (m *Mapping) ResidualProc(overhead cluster.VMMOverhead) []float64 {
-	hosts := m.Cluster.Hosts()
-	byNode := make(map[graph.NodeID]int, len(hosts))
-	res := make([]float64, len(hosts))
-	for i, h := range hosts {
-		byNode[h.Node] = i
+	c := m.Cluster
+	res := make([]float64, c.NumHosts())
+	for i, h := range c.Hosts() {
 		res[i] = h.Proc - overhead.Proc
 	}
 	for g, node := range m.GuestHost {
-		if node == Unassigned {
-			continue
-		}
-		if i, ok := byNode[node]; ok {
-			res[i] -= m.Env.Guest(virtual.GuestID(g)).Proc
+		if c.IsHost(node) { // neither Unassigned nor a switch
+			res[c.HostIdx(node)] -= m.Env.Guest(virtual.GuestID(g)).Proc
 		}
 	}
 	return res

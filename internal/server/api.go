@@ -98,6 +98,8 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+var requestKeys = jsonx.NewKeys("env", "plan", "plan_shell")
+
 // ScanJSON is MapEnvRequest's decoding fast path (see
 // spec.DecodeStrict): the whole request or nothing.
 func (r *MapEnvRequest) ScanJSON(s *jsonx.Scanner) bool {
@@ -105,22 +107,17 @@ func (r *MapEnvRequest) ScanJSON(s *jsonx.Scanner) bool {
 	if r.Env.Guests != nil || r.Env.Links != nil || r.Plan || r.PlanShell {
 		return false
 	}
-	var seen uint
+	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
-		switch string(s.Key()) {
-		case "env":
-			s.Once(&seen, 1)
+		switch s.Field(requestKeys, &f) {
+		case 0: // env
 			if !v.Env.ScanJSON(s) {
 				s.Fail()
 			}
-		case "plan":
-			s.Once(&seen, 2)
+		case 1: // plan
 			v.Plan = s.Bool()
-		case "plan_shell":
-			s.Once(&seen, 4)
+		case 2: // plan_shell
 			v.PlanShell = s.Bool()
-		default:
-			s.Fail()
 		}
 	}
 	if !s.OK() {

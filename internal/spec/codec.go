@@ -47,21 +47,25 @@ func (e *EnvSpec) ScanJSON(s *jsonx.Scanner) bool {
 func (e *EnvSpec) ScanReuse(s *jsonx.Scanner) bool {
 	guests, links := e.Guests[:0], e.Links[:0]
 	*e = EnvSpec{}
-	var seen uint
+	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
-		switch string(s.Key()) {
-		case "guests":
-			s.Once(&seen, 1)
+		switch s.Field(envKeys, &f) {
+		case 0: // guests
 			if guests == nil {
 				guests = make([]GuestSpec, 0, firstCap)
 			}
 			for s.Open('['); s.More(']'); {
+				// The name the last scan into e left in this slot: a log
+				// re-admitting one environment names its guests alike.
+				n, last := len(guests), ""
+				if n < cap(guests) {
+					last = guests[:n+1][n].Name
+				}
 				guests = append(guests, GuestSpec{})
-				scanGuest(s, &guests[len(guests)-1])
+				scanGuest(s, &guests[n], last)
 			}
 			e.Guests = guests
-		case "links":
-			s.Once(&seen, 2)
+		case 1: // links
 			if links == nil {
 				links = make([]VLinkSpec, 0, firstCap)
 			}
@@ -70,8 +74,6 @@ func (e *EnvSpec) ScanReuse(s *jsonx.Scanner) bool {
 				scanVLink(s, &links[len(links)-1])
 			}
 			e.Links = links
-		default:
-			s.Fail()
 		}
 	}
 	return s.OK()
@@ -81,46 +83,45 @@ func (e *EnvSpec) ScanReuse(s *jsonx.Scanner) bool {
 // lists at: appending from nothing reallocates four times on the way.
 const firstCap = 16
 
-func scanGuest(s *jsonx.Scanner, g *GuestSpec) {
-	var seen uint
+// The keys of each decoded type, in its fields' (json.Marshal's) order;
+// a decoder's cases are their indices.
+var (
+	envKeys     = jsonx.NewKeys("guests", "links")
+	guestKeys   = jsonx.NewKeys("name", "proc_mips", "mem_mb", "stor_gb")
+	vlinkKeys   = jsonx.NewKeys("from", "to", "bw_mbps", "lat_ms")
+	mappingKeys = jsonx.NewKeys("guest_host", "link_paths", "link_edges", "objective")
+)
+
+// scanGuest decodes one guest into g, taking last for its name when the
+// name is spelled the same.
+func scanGuest(s *jsonx.Scanner, g *GuestSpec, last string) {
+	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
-		switch string(s.Key()) {
-		case "name":
-			s.Once(&seen, 1)
-			g.Name = s.String()
-		case "proc_mips":
-			s.Once(&seen, 2)
+		switch s.Field(guestKeys, &f) {
+		case 0: // name
+			g.Name = s.StringOf(last)
+		case 1: // proc_mips
 			g.Proc = s.Float64()
-		case "mem_mb":
-			s.Once(&seen, 4)
+		case 2: // mem_mb
 			g.Mem = s.Int64()
-		case "stor_gb":
-			s.Once(&seen, 8)
+		case 3: // stor_gb
 			g.Stor = s.Float64()
-		default:
-			s.Fail()
 		}
 	}
 }
 
 func scanVLink(s *jsonx.Scanner, l *VLinkSpec) {
-	var seen uint
+	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
-		switch string(s.Key()) {
-		case "from":
-			s.Once(&seen, 1)
+		switch s.Field(vlinkKeys, &f) {
+		case 0: // from
 			l.From = s.Int()
-		case "to":
-			s.Once(&seen, 2)
+		case 1: // to
 			l.To = s.Int()
-		case "bw_mbps":
-			s.Once(&seen, 4)
+		case 2: // bw_mbps
 			l.BW = s.Float64()
-		case "lat_ms":
-			s.Once(&seen, 8)
+		case 3: // lat_ms
 			l.Lat = s.Float64()
-		default:
-			s.Fail()
 		}
 	}
 }
@@ -152,29 +153,20 @@ type PathArena struct {
 func (m *MappingSpec) ScanReuse(s *jsonx.Scanner, a *PathArena) bool {
 	hosts, paths, edges := m.GuestHost[:0], m.LinkPaths[:0], m.LinkEdges[:0]
 	*m = MappingSpec{}
-	var seen uint
+	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
-		switch string(s.Key()) {
-		case "guest_host":
-			s.Once(&seen, 1)
+		switch s.Field(mappingKeys, &f) {
+		case 0: // guest_host
 			if hosts == nil {
 				hosts = []int{}
 			}
-			for s.Open('['); s.More(']'); {
-				hosts = append(hosts, s.Int())
-			}
-			m.GuestHost = hosts
-		case "link_paths":
-			s.Once(&seen, 2)
+			m.GuestHost = s.AppendInts(hosts)
+		case 1: // link_paths
 			m.LinkPaths = a.scanIntLists(s, &a.paths, paths)
-		case "link_edges":
-			s.Once(&seen, 4)
+		case 2: // link_edges
 			m.LinkEdges = a.scanIntLists(s, &a.edges, edges)
-		case "objective":
-			s.Once(&seen, 8)
+		case 3: // objective
 			m.Objective = s.Float64()
-		default:
-			s.Fail()
 		}
 	}
 	return s.OK()
@@ -190,9 +182,7 @@ func (a *PathArena) scanIntLists(s *jsonx.Scanner, arena *[]int, out [][]int) []
 		ints = []int{} // an empty path is [], never null
 	}
 	for s.Open('['); s.More(']'); {
-		for s.Open('['); s.More(']'); {
-			ints = append(ints, s.Int())
-		}
+		ints = s.AppendInts(ints)
 		ends = append(ends, len(ints))
 	}
 	*arena, a.ends = ints, ends

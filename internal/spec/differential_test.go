@@ -291,6 +291,105 @@ func TestStaleEnvBytesAreNeverEmitted(t *testing.T) {
 	}
 }
 
+// fieldAgrees holds the fast path of one target type to encoding/json
+// with DisallowUnknownFields on one body: it takes the body exactly when
+// fast says, what it takes json.Decoder takes to the same value, and
+// DecodeStrict — fast path or fallback — answers as json.Decoder does.
+func fieldAgrees[T any, P interface {
+	*T
+	ScanJSON(*jsonx.Scanner) bool
+}](t *testing.T, body string, fast bool) {
+	t.Helper()
+	var got, want T
+	var s jsonx.Scanner
+	s.Reset([]byte(body))
+	took := P(&got).ScanJSON(&s)
+	err := stdDecode(strings.NewReader(body), &want)
+	switch {
+	case took != fast:
+		t.Errorf("%T fast path took=%v %s, want %v", got, took, body, fast)
+	case took && err != nil:
+		t.Errorf("%T fast path took %s, which encoding/json rejects: %v", got, body, err)
+	case took && !reflect.DeepEqual(exported(got), exported(want)):
+		t.Errorf("%T from %s:\n fast path: %#v\nencoding/json: %#v", got, body, got, want)
+	}
+	decodeAgrees[T](t, []byte(body))
+}
+
+// TestFieldMatchesEncodingJSON walks the key shapes jsonx.Scanner.Field
+// must get right for every object the request decoder reads: keys in
+// any order and with blanks around ':' and ',' are taken (the predicted
+// order is a short cut, not a rule), an omitted optional key is taken,
+// and a repeated, differently-cased or unknown key is declined — all to
+// the values encoding/json decodes.
+func TestFieldMatchesEncodingJSON(t *testing.T) {
+	envs := []struct {
+		body string
+		fast bool
+	}{
+		// EnvSpec, GuestSpec, VLinkSpec.
+		{`{"guests":[{"name":"a","proc_mips":1,"mem_mb":2,"stor_gb":3}],"links":[{"from":0,"to":1,"bw_mbps":4,"lat_ms":5}]}`, true},
+		{`{"links":[{"lat_ms":5,"bw_mbps":4,"to":1,"from":0}],"guests":[{"stor_gb":3,"mem_mb":2,"proc_mips":1,"name":"a"}]}`, true},
+		{`{"guests":[{"mem_mb":2,"name":"a","stor_gb":3,"proc_mips":1},{"proc_mips":1,"mem_mb":2,"stor_gb":3}]}`, true},
+		{`{"guests":[{"proc_mips":1,"mem_mb":2,"stor_gb":3}],"links":[{"to":1,"bw_mbps":4}]}`, true},
+		{"{ \"guests\" : [ { \"name\" : \"a\" , \"proc_mips\" :1,\"mem_mb\": 2 ,\n\"stor_gb\"\t:\t3 } ] , \"links\":[{\"from\" :0}] }", true},
+		{`{"guests":[{"name":"a","proc_mips":1,"proc_mips":2}]}`, false},
+		{`{"guests":[],"links":[],"guests":[{"proc_mips":1}]}`, false},
+		{`{"links":[{"from":0,"to":1,"from":2}]}`, false},
+		{`{"guests":[{"Name":"a"}]}`, false},
+		{`{"guests":[{"PROC_MIPS":1}]}`, false},
+		{`{"Links":[]}`, false},
+		{`{"links":[{"From":0}]}`, false},
+		{`{"guests":[{"proc_mips":1,"cores":2}]}`, false},
+		{`{"guests":[{"proc":1}]}`, false},
+		{`{"guests":[{"proc_mips_x":1}]}`, false},
+		{`{"links":[{"bw":1}]}`, false},
+		{`{"guests":[],"extra":null}`, false},
+		{`{"guests":[{"n\u0061me":"a"}]}`, false},
+		{`{"":1}`, false},
+	}
+	for _, tc := range envs {
+		fieldAgrees[spec.EnvSpec](t, tc.body, tc.fast)
+		fieldAgrees[server.MapEnvRequest](t, `{"env":`+tc.body+`}`, tc.fast)
+	}
+	for _, tc := range []struct {
+		body string
+		fast bool
+	}{
+		// MapEnvRequest.
+		{`{"env":{"guests":[{"proc_mips":1}]},"plan":true,"plan_shell":false}`, true},
+		{`{"plan_shell":true,"plan":false,"env":{"links":[],"guests":[]}}`, true},
+		{`{"plan":true}`, true},
+		{` { "plan" : true , "env" : { } } `, true},
+		{`{"plan":true,"plan":false}`, false},
+		{`{"env":{},"env":{}}`, false},
+		{`{"Env":{}}`, false},
+		{`{"PLAN":true}`, false},
+		{`{"env":{},"planx":true}`, false},
+		{`{"plan_":true}`, false},
+	} {
+		fieldAgrees[server.MapEnvRequest](t, tc.body, tc.fast)
+	}
+	for _, tc := range []struct {
+		body string
+		fast bool
+	}{
+		// MappingSpec.
+		{`{"guest_host":[0,1],"link_paths":[[0,1],[1]],"link_edges":[[0],[]],"objective":1.5}`, true},
+		{`{"objective":1.5,"link_edges":[[0]],"link_paths":[[0,1]],"guest_host":[0,1]}`, true},
+		{`{"guest_host":[0],"link_paths":[[0]],"objective":1}`, true},
+		{"{ \"guest_host\" : [ 0 , 1 ] ,\"link_paths\":[ [0 ,1] , [ 2 ] ],\n\"objective\" : 0 }", true},
+		{`{"guest_host":[0],"guest_host":[1]}`, false},
+		{`{"objective":1,"link_paths":[],"objective":2}`, false},
+		{`{"Guest_Host":[0]}`, false},
+		{`{"link_Edges":[]}`, false},
+		{`{"guest_host":[0],"paths":[]}`, false},
+		{`{"guest_hosts":[0]}`, false},
+	} {
+		fieldAgrees[spec.MappingSpec](t, tc.body, tc.fast)
+	}
+}
+
 // FuzzDecodeStrictDifferential is the proof the hand-written decoder
 // ships with: on arbitrary bytes, DecodeStrict into each fast-path
 // target and a plain json.Decoder with DisallowUnknownFields agree on
@@ -342,6 +441,12 @@ func FuzzDecodeStrictDifferential(f *testing.F) {
 		`{"plan":truex}`,
 		`{"bogus":1,"env":{"guests":[{"proc_mips":1}]}}`,
 		` { "guests" : [ { "proc_mips" : 1 } ] , "links" : [ ] } `,
+		// Keys out of json.Marshal's order, and blanks where the
+		// scanner's compact short cuts do not reach.
+		`{"plan":true,"env":{"links":[{"lat_ms":1,"to":1,"from":0,"bw_mbps":2}],"guests":[{"stor_gb":1,"name":"g","mem_mb":2,"proc_mips":3}]}}`,
+		`{"objective":1,"link_edges":[[3,4]],"guest_host":[2],"link_paths":[[0,1,2]]}`,
+		"{\"guest_host\" :[ 0 ,\t1 ],\"link_paths\":[ [ 0 , 1 ] ,[2]\n],\"objective\" : 2}",
+		"{ \"env\" :{ \"guests\":[ {\"name\" : \"g\",\"proc_mips\" :1 } ,{ } ] } ,\"plan\":false }",
 		`{"guest_host":[0,2],"link_paths":[[0,1,2],[]],"link_edges":[[0,1],[]],"objective":12.5}`,
 		`{"guest_host":[],"link_paths":[[]],"objective":-0.0}`,
 		`{"guest_host":[1.5]}`,

@@ -275,20 +275,32 @@ func (s MappingSpec) ToMapping(c *cluster.Cluster, v *virtual.Env) (*mapping.Map
 	for g, n := range s.GuestHost {
 		m.GuestHost[g] = graph.NodeID(n)
 	}
+	// Every path's nodes and edges are carved from two arrays of exactly
+	// the size all of them take (a path of n nodes has n-1 edges), each
+	// capped at its length: two allocations per mapping, not per link.
+	total, hops := 0, 0
+	for _, nodes := range s.LinkPaths {
+		total += len(nodes)
+		hops += max(len(nodes)-1, 0)
+	}
+	nodeArena := make([]graph.NodeID, total)
+	edgeArena := make([]int, hops)
 	net := c.Net()
 	for l, nodes := range s.LinkPaths {
 		if len(nodes) == 0 {
 			return nil, fmt.Errorf("spec: link %d has an empty path", l)
 		}
-		p := graph.Path{Nodes: make([]graph.NodeID, len(nodes))}
-		for i, n := range nodes {
-			p.Nodes[i] = graph.NodeID(n)
+		n := len(nodes)
+		p := graph.Path{Nodes: nodeArena[:n:n], Edges: edgeArena[: n-1 : n-1]}
+		nodeArena, edgeArena = nodeArena[n:], edgeArena[n-1:]
+		for i, id := range nodes {
+			p.Nodes[i] = graph.NodeID(id)
 		}
 		if s.LinkEdges != nil {
 			// Exact edges recorded (WAL replay): validate each against
 			// its node pair instead of re-resolving.
 			edges := s.LinkEdges[l]
-			if len(edges) != len(nodes)-1 {
+			if len(edges) != n-1 {
 				return nil, fmt.Errorf("spec: link %d has %d edges for %d path nodes", l, len(edges), len(nodes))
 			}
 			for i, eid := range edges {
@@ -304,23 +316,22 @@ func (s MappingSpec) ToMapping(c *cluster.Cluster, v *virtual.Env) (*mapping.Map
 				if !ok {
 					return nil, fmt.Errorf("spec: link %d edge %d does not join nodes %d-%d", l, eid, nodes[i], nodes[i+1])
 				}
+				p.Edges[i] = eid
 			}
-			p.Edges = append([]int{}, edges...)
-			m.LinkPath[l] = p
-			continue
-		}
-		for i := 0; i+1 < len(nodes); i++ {
-			eid := -1
-			for _, cand := range net.Incident(p.Nodes[i]) {
-				if net.Edge(cand).Other(p.Nodes[i]) == p.Nodes[i+1] {
-					eid = cand
-					break
+		} else {
+			for i := 0; i+1 < len(nodes); i++ {
+				eid := -1
+				for _, cand := range net.Incident(p.Nodes[i]) {
+					if net.Edge(cand).Other(p.Nodes[i]) == p.Nodes[i+1] {
+						eid = cand
+						break
+					}
 				}
+				if eid == -1 {
+					return nil, fmt.Errorf("spec: link %d path has no physical edge %d-%d", l, nodes[i], nodes[i+1])
+				}
+				p.Edges[i] = eid
 			}
-			if eid == -1 {
-				return nil, fmt.Errorf("spec: link %d path has no physical edge %d-%d", l, nodes[i], nodes[i+1])
-			}
-			p.Edges = append(p.Edges, eid)
 		}
 		m.LinkPath[l] = p
 	}

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/mapping"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -100,6 +102,58 @@ func TestMappingRoundTripValidates(t *testing.T) {
 	for g := range m.GuestHost {
 		if m.GuestHost[g] != m2.GuestHost[g] {
 			t.Fatalf("guest %d host changed", g)
+		}
+	}
+}
+
+// toMappingAllocBudget is what ToMapping allocates, whatever the link
+// count: the Mapping, its per-guest and per-link arrays, and the two
+// arrays every path's nodes and edges are carved from. Recovery builds
+// one mapping per admit record; two allocations per virtual link made
+// 5 000 of them for a 500-guest record.
+const toMappingAllocBudget = 5
+
+// TestToMappingAllocsBudget builds a 50- and a 500-guest low-level
+// mapping on the 8x8 torus back from their JSON form, with recorded
+// edges (the WAL's shape) and with node paths only: the same constant
+// number of allocations for each, and the same paths as the mapping
+// rendered.
+func TestToMappingAllocsBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := workload.PaperClusterParams()
+	p.Hosts = 64
+	c, err := topology.Torus2D(workload.GenerateHosts(p, rng), 8, 8, 10000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, guests := range []int{50, 500} {
+		v := workload.GenerateEnv(workload.LowLevelParams(guests, 0.02), rng)
+		m, err := (&core.HMN{}).Map(c, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := FromMapping(m, cluster.VMMOverhead{})
+		nodesOnly := exact
+		nodesOnly.LinkEdges = nil
+		for name, s := range map[string]MappingSpec{"link_edges": exact, "link_paths only": nodesOnly} {
+			var back *mapping.Mapping
+			allocs := testing.AllocsPerRun(10, func() {
+				if back, err = s.ToMapping(c, v); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%d guests, %d links, %s: %.0f allocations (budget %d)", guests, v.NumLinks(), name, allocs, toMappingAllocBudget)
+			if allocs > toMappingAllocBudget {
+				t.Errorf("%d guests, %s: ToMapping makes %.0f allocations, budget %d", guests, name, allocs, toMappingAllocBudget)
+			}
+			for l, p := range back.LinkPath {
+				want := m.LinkPath[l]
+				if !slices.Equal(p.Nodes, want.Nodes) || !slices.Equal(p.Edges, want.Edges) ||
+					cap(p.Nodes) != len(p.Nodes) || cap(p.Edges) != len(p.Edges) {
+					t.Fatalf("%d guests, %s: link %d read back as %v / %v (caps %d, %d), rendered %v / %v",
+						guests, name, l, p.Nodes, p.Edges, cap(p.Nodes), cap(p.Edges), want.Nodes, want.Edges)
+				}
+			}
 		}
 	}
 }

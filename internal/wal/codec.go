@@ -135,6 +135,9 @@ type decoder struct {
 	admit   AdmitRec
 	release ReleaseRec
 	arena   spec.PathArena
+	// sid is the session ID of the last record, which the next one
+	// most likely shares.
+	sid string
 }
 
 // decode decodes one frame payload. The record is valid until the next
@@ -162,68 +165,62 @@ func (d *decoder) decode(payload []byte) (*Record, error) {
 func (d *decoder) scan(s *jsonx.Scanner) bool {
 	r := &d.rec
 	*r = Record{}
-	var seen uint
+	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
-		switch string(s.Key()) {
-		case "kind":
-			s.Once(&seen, 1)
-			r.Kind = s.String()
-		case "sid":
-			s.Once(&seen, 2)
-			r.SID = s.String()
-		case "index":
-			s.Once(&seen, 4)
+		switch s.Field(recordKeys, &f) {
+		case 0: // kind
+			r.Kind = s.StringOf(KindAdmit, KindRelease)
+		case 1: // sid
+			r.SID = s.StringOf(d.sid)
+			d.sid = r.SID
+		case 2: // index
 			r.Index = s.Uint64()
-		case "admit":
-			s.Once(&seen, 8)
+		case 3: // admit
 			r.Admit = &d.admit
 			d.scanAdmit(s)
-		case "release":
-			s.Once(&seen, 16)
+		case 4: // release
 			r.Release = &d.release
 			d.release = ReleaseRec{}
-			var rseen uint
+			var rf jsonx.Fields
 			for s.Open('{'); s.More('}'); {
-				if string(s.Key()) != "seq" {
-					s.Fail()
+				if s.Field(releaseKeys, &rf) == 0 {
+					r.Release.Seq = s.Uint64()
 				}
-				s.Once(&rseen, 1)
-				r.Release.Seq = s.Uint64()
 			}
-		default:
-			s.Fail()
 		}
 	}
 	return s.End()
 }
 
+// The keys the scanner takes in a record, an admit body and a release
+// body, in json.Marshal's order; every other key declines.
+var (
+	recordKeys  = jsonx.NewKeys("kind", "sid", "index", "admit", "release")
+	admitKeys   = jsonx.NewKeys("seq", "tag", "env", "mapping")
+	releaseKeys = jsonx.NewKeys("seq")
+)
+
 func (d *decoder) scanAdmit(s *jsonx.Scanner) {
 	a := &d.admit
 	a.Seq, a.Tag = 0, ""
 	env, m := false, false
-	var seen uint
+	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
-		switch string(s.Key()) {
-		case "seq":
-			s.Once(&seen, 1)
+		switch s.Field(admitKeys, &f) {
+		case 0: // seq
 			a.Seq = s.Uint64()
-		case "tag":
-			s.Once(&seen, 2)
+		case 1: // tag
 			a.Tag = s.String()
-		case "env":
-			s.Once(&seen, 4)
+		case 2: // env
 			env = true
 			if !a.Env.ScanReuse(s) {
 				s.Fail()
 			}
-		case "mapping":
-			s.Once(&seen, 8)
+		case 3: // mapping
 			m = true
 			if !a.M.ScanReuse(s, &d.arena) {
 				s.Fail()
 			}
-		default:
-			s.Fail()
 		}
 	}
 	// A missing key leaves the zero value, not the last record's.

@@ -179,6 +179,60 @@ func TestFastPathTakesChurnRecords(t *testing.T) {
 	}
 }
 
+// TestFieldMatchesEncodingJSON walks the key shapes the record scanner
+// reads through jsonx.Scanner.Field in a record, an admit body and a
+// release body: keys in any order, with blanks around ':' and ',', or
+// an omitted optional one are taken; a repeated, differently-cased or
+// unknown key is declined. What the scanner takes, json.Decoder with
+// DisallowUnknownFields takes to the same record, and the frame reader
+// answers every body as json.Unmarshal does.
+func TestFieldMatchesEncodingJSON(t *testing.T) {
+	const env = `{"guests":[{"name":"g","proc_mips":1,"mem_mb":2,"stor_gb":3},{"proc_mips":1}],"links":[]}`
+	const mapping = `{"guest_host":[0,0],"link_paths":[],"objective":0}`
+	for _, tc := range []struct {
+		payload string
+		fast    bool
+	}{
+		{`{"kind":"release","sid":"s1","index":3,"release":{"seq":1}}`, true},
+		{`{"release":{"seq":1},"index":3,"sid":"s1","kind":"release"}`, true},
+		{`{"kind":"release","sid":"s1","release":{"seq":1}}`, true},
+		{`{"kind":"admit","sid":"s1","index":2,"admit":{"seq":1,"tag":"e1","env":` + env + `,"mapping":` + mapping + `}}`, true},
+		{`{"admit":{"mapping":` + mapping + `,"env":` + env + `,"seq":1},"kind":"admit","sid":"s1"}`, true},
+		{"{ \"kind\" : \"release\" ,\"sid\":\"s1\" ,\n\"release\" :{ \"seq\" : 1 } }", true},
+		{"{\"kind\":\"admit\",\"admit\":{ \"seq\" :1 , \"env\" : " + env + " }}", true},
+		{`{"kind":"release","kind":"release","sid":"s1","release":{"seq":1}}`, false},
+		{`{"kind":"release","release":{"seq":1,"seq":2}}`, false},
+		{`{"kind":"admit","admit":{"seq":1,"tag":"a","tag":"b"}}`, false},
+		{`{"Kind":"release","sid":"s1","release":{"seq":1}}`, false},
+		{`{"kind":"release","SID":"s1"}`, false},
+		{`{"kind":"release","release":{"Seq":1}}`, false},
+		{`{"kind":"admit","admit":{"Env":{}}}`, false},
+		{`{"kind":"release","sid":"s1","release":{"seq":1},"extra":1}`, false},
+		{`{"kind":"release","release":{"seq":1,"old":2}}`, false},
+		{`{"kind":"admit","admit":{"seq":1,"envs":{}}}`, false},
+		{`{"kind":"admit","admit":{"env":{"guests":[{"proc_mips":1,"proc_mips":2}]}}}`, false},
+		{`{"kind":"close","sid":"s1","fail":{"fail_kind":"host","target":1}}`, false},
+	} {
+		var d decoder
+		var s jsonx.Scanner
+		s.Reset([]byte(tc.payload))
+		took := d.scan(&s)
+		var want Record
+		dec := json.NewDecoder(bytes.NewReader([]byte(tc.payload)))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&want)
+		switch {
+		case took != tc.fast:
+			t.Errorf("scan took=%v %s, want %v", took, tc.payload, tc.fast)
+		case took && err != nil:
+			t.Errorf("scan took %s, which encoding/json rejects: %v", tc.payload, err)
+		case took && !reflect.DeepEqual(d.rec, want):
+			t.Errorf("%s:\n     scan: %#v\nencoding/json: %#v", tc.payload, d.rec, want)
+		}
+		readAgrees(t, []byte(tc.payload))
+	}
+}
+
 // FuzzWALDecode feeds readFrame arbitrary checksummed payloads: it must
 // never panic and must equal json.Unmarshal — on the error and on the
 // record — whether the hand-written scanner or the fallback decoded it.
@@ -203,6 +257,11 @@ func FuzzWALDecode(f *testing.F) {
 		`{"kind":"admit","sid":"s1","index":1,"admit":{"seq":1,"env":{"guests":[],"links":[]},"mapping":{"guest_host":[],"link_paths":[],"objective":0}}}`,
 		`{"kind":"admit","admit":{"env":{"guests":[{"bogus":1}]}}}`,
 		`{"kind":"admit","admit":{"mapping":{"objective":1e999}}}`,
+		// Keys out of json.Marshal's order, and blanks where the
+		// scanner's compact short cuts do not reach.
+		`{"release":{"seq":2},"sid":"s1","kind":"release","index":4}`,
+		`{"admit":{"mapping":{"objective":0,"link_paths":[[1]],"guest_host":[1]},"env":{"links":[],"guests":[{"proc_mips":1,"name":"g"}]},"tag":"e1","seq":1},"kind":"admit","sid":"s1"}`,
+		"{ \"kind\" :\"admit\",\"admit\" : { \"seq\":1 ,\"mapping\":{\"guest_host\" :[ 0 ,1 ] ,\"link_paths\":[ [ 0 ] ,[0\t,1]\n] } } }",
 		`{"kind":7}`, `[]`, `null`, ``, `{`, "{\"kind\":\"\xff\"}",
 	} {
 		f.Add([]byte(s))
