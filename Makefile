@@ -1,6 +1,6 @@
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test loc lint lint-fix-check vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase replay-smoke rebalance-smoke federation-smoke
+.PHONY: build test loc lint lint-fix-check vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase fma-ratchet replay-smoke rebalance-smoke federation-smoke
 
 # Relative drift (percent) bench-compare tolerates on deterministic
 # metrics before failing. Timings never gate.
@@ -51,7 +51,10 @@ vet:
 ## carries a request's own bytes: whatever the fast path accepted
 ## replays as the environment that was mapped; then the scanner's own
 ## number conversion against json.Unmarshal into a float64, and its
-## one-loop int arrays against json.Unmarshal into a []int.
+## one-loop int arrays against json.Unmarshal into a []int; then logs of
+## arbitrary records replayed by the one pass, which replays admissions
+## as effects, and by Scan + Replay, which builds them (the minimizer gets
+## 3 s an input: each run writes and recovers a log).
 fuzz:
 	go test -run '^$$' -fuzz 'FuzzDecodeSpec$$' -fuzztime 45s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzDecodeStrictDifferential$$' -fuzztime 20s ./internal/spec
@@ -59,14 +62,15 @@ fuzz:
 	go test -run '^$$' -fuzz 'FuzzAdmitEnvBytesReplay$$' -fuzztime 20s ./internal/wal
 	go test -run '^$$' -fuzz 'FuzzScannerFloat64$$' -fuzztime 20s ./internal/jsonx
 	go test -run '^$$' -fuzz 'FuzzScannerInts$$' -fuzztime 20s ./internal/jsonx
+	go test -run '^$$' -fuzz 'FuzzReplayRecords$$' -fuzztime 20s -fuzzminimizetime 3s ./internal/wal
 
 ## bench-allocs gates the allocation budgets of one admission: the
 ## steady-state Map+Release cycle and the failure-repair reroute cycle
 ## (internal/core/allocs_test.go), and the JSON around them — request
 ## decode, reply and WAL-record encode (internal/server/codec_test.go) —
 ## and the memory budget of recovery: live heap independent of the log's
-## length, bytes per record within a constant of the Env and Mapping it
-## builds (internal/wal/recover_test.go), the Mapping in a constant
+## length, a constant number of bytes per admit+release pair whatever the
+## environment's size (internal/wal/recover_test.go), the Mapping in a constant
 ## number of allocations whatever its link count
 ## (internal/spec/spec_test.go).
 bench-allocs:
@@ -100,6 +104,13 @@ bench-compare:
 REV ?= HEAD
 bench-phase:
 	./scripts/bench_phase.sh $(REV)
+
+## fma-ratchet cross-compiles cmd/hmnd for arm64, ppc64le and riscv64
+## and fails if the fused multiply-adds in repro/ code rise above their
+## ceilings (21 / 9 / 21): off amd64 a fused x*y + z rounds once, so the
+## placement digests are an amd64 promise until the count reaches zero.
+fma-ratchet:
+	./scripts/fma_ratchet.sh
 
 ## replay-smoke is the end-to-end crash/recovery check: boot hmnd with a
 ## data directory, admit one indented and one compact body (a rendered

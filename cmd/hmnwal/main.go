@@ -100,7 +100,8 @@ func verify(dir string) error {
 		}
 		fmt.Printf("session %s: ok (active=%d objective=%.6g)\n", rs.SID, cs.Active(), cs.ObjectiveStdDev())
 	}
-	fmt.Printf("verified: %d session(s), %d record(s) replayed", len(rec.Sessions), replayed)
+	fmt.Printf("verified: %d session(s), %d record(s) replayed, %d admission(s) replayed as effects, %d built",
+		len(rec.Sessions), replayed, rec.Effects, rec.Built)
 	if rec.TruncatedBytes > 0 {
 		fmt.Printf(", torn tail of %d byte(s) would be truncated on recovery", rec.TruncatedBytes)
 	}

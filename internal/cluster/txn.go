@@ -92,8 +92,12 @@ func (t *Txn) AddGuest(node graph.NodeID, proc float64, mem int64, stor float64)
 
 // AddPath records bw Mbps on every edge of path. The trivial (intra-host)
 // path records nothing.
-func (t *Txn) AddPath(p graph.Path, bw float64) {
-	for _, eid := range p.Edges {
+func (t *Txn) AddPath(p graph.Path, bw float64) { t.AddEdges(p.Edges, bw) }
+
+// AddEdges records bw Mbps on every edge of a path given by its edge IDs
+// alone.
+func (t *Txn) AddEdges(edges []int, bw float64) {
+	for _, eid := range edges {
 		if t.edgeEpoch[eid] != t.epoch {
 			t.edgeEpoch[eid] = t.epoch
 			t.ebw[eid] = 0

@@ -284,8 +284,8 @@ func migrateTxn(led *cluster.Ledger, envs []*migrateEnvState) *cluster.Txn {
 		}
 		for _, l := range es.links {
 			bw := env.Link(l).BW
-			txn.AddPath(es.nm.LinkPath[l], bw)
-			txn.AddPath(es.old.LinkPath[l], -bw)
+			txn.AddEdges(es.nm.LinkPath[l].Edges, bw)
+			txn.AddEdges(es.old.LinkPath[l].Edges, -bw)
 		}
 	}
 	return txn

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -193,25 +194,15 @@ func FromEnv(v *virtual.Env) EnvSpec {
 
 // ToEnv builds a virtual environment from its JSON form.
 func (s EnvSpec) ToEnv() (*virtual.Env, error) {
+	if err := s.check(); err != nil {
+		return nil, err
+	}
 	guests := make([]virtual.Guest, len(s.Guests))
 	for i, g := range s.Guests {
-		if g.Proc < 0 || g.Mem < 0 || g.Stor < 0 {
-			return nil, fmt.Errorf("spec: guest %d has negative demands", i)
-		}
 		guests[i] = virtual.Guest{Name: g.Name, Proc: g.Proc, Mem: g.Mem, Stor: g.Stor}
 	}
-	n := len(s.Guests)
 	links := make([]virtual.Link, len(s.Links))
 	for i, l := range s.Links {
-		if l.From < 0 || l.From >= n || l.To < 0 || l.To >= n {
-			return nil, fmt.Errorf("spec: virtual link %d endpoints (%d,%d) outside %d guests", i, l.From, l.To, n)
-		}
-		if l.From == l.To {
-			return nil, fmt.Errorf("spec: virtual link %d is a self-link on guest %d", i, l.From)
-		}
-		if l.BW < 0 || l.Lat < 0 {
-			return nil, fmt.Errorf("spec: virtual link %d has negative requirements", i)
-		}
 		links[i] = virtual.Link{From: virtual.GuestID(l.From), To: virtual.GuestID(l.To), BW: l.BW, Lat: l.Lat}
 	}
 	env := virtual.Build(guests, links)
@@ -219,6 +210,30 @@ func (s EnvSpec) ToEnv() (*virtual.Env, error) {
 		env.SetSource(s.src)
 	}
 	return env, nil
+}
+
+// check is the validation of an environment — ToEnv's and Effect's:
+// demands and requirements are not negative, and every virtual link
+// joins two distinct guests of the environment.
+func (s *EnvSpec) check() error {
+	for i, g := range s.Guests {
+		if g.Proc < 0 || g.Mem < 0 || g.Stor < 0 {
+			return fmt.Errorf("spec: guest %d has negative demands", i)
+		}
+	}
+	n := len(s.Guests)
+	for i, l := range s.Links {
+		if l.From < 0 || l.From >= n || l.To < 0 || l.To >= n {
+			return fmt.Errorf("spec: virtual link %d endpoints (%d,%d) outside %d guests", i, l.From, l.To, n)
+		}
+		if l.From == l.To {
+			return fmt.Errorf("spec: virtual link %d is a self-link on guest %d", i, l.From)
+		}
+		if l.BW < 0 || l.Lat < 0 {
+			return fmt.Errorf("spec: virtual link %d has negative requirements", i)
+		}
+	}
+	return nil
 }
 
 // verbatim reports whether s still is what src was decoded to.
@@ -262,80 +277,153 @@ func FromMapping(m *mapping.Mapping, overhead cluster.VMMOverhead) MappingSpec {
 // the first edge between each node pair; specs cannot distinguish
 // parallel physical links).
 func (s MappingSpec) ToMapping(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping, error) {
-	if len(s.GuestHost) != v.NumGuests() {
-		return nil, fmt.Errorf("spec: mapping has %d guest entries for %d guests", len(s.GuestHost), v.NumGuests())
-	}
-	if len(s.LinkPaths) != v.NumLinks() {
-		return nil, fmt.Errorf("spec: mapping has %d path entries for %d links", len(s.LinkPaths), v.NumLinks())
-	}
-	if s.LinkEdges != nil && len(s.LinkEdges) != len(s.LinkPaths) {
-		return nil, fmt.Errorf("spec: mapping has %d edge lists for %d paths", len(s.LinkEdges), len(s.LinkPaths))
+	// Every path's nodes and edges are carved from two arrays of exactly
+	// the size all of them take (a path of n nodes has n-1 edges), each
+	// capped at its length: two allocations per mapping, not per link.
+	total, hops := s.size()
+	edgeArena := make([]int, hops)
+	ends := func(l int) (int, int) { k := v.Link(l); return int(k.From), int(k.To) }
+	if err := s.check(c, v.NumGuests(), v.NumLinks(), ends, edgeArena); err != nil {
+		return nil, err
 	}
 	m := mapping.New(c, v)
 	for g, n := range s.GuestHost {
 		m.GuestHost[g] = graph.NodeID(n)
 	}
-	// Every path's nodes and edges are carved from two arrays of exactly
-	// the size all of them take (a path of n nodes has n-1 edges), each
-	// capped at its length: two allocations per mapping, not per link.
-	total, hops := 0, 0
-	for _, nodes := range s.LinkPaths {
-		total += len(nodes)
-		hops += max(len(nodes)-1, 0)
-	}
 	nodeArena := make([]graph.NodeID, total)
-	edgeArena := make([]int, hops)
-	net := c.Net()
 	for l, nodes := range s.LinkPaths {
-		if len(nodes) == 0 {
-			return nil, fmt.Errorf("spec: link %d has an empty path", l)
-		}
 		n := len(nodes)
 		p := graph.Path{Nodes: nodeArena[:n:n], Edges: edgeArena[: n-1 : n-1]}
 		nodeArena, edgeArena = nodeArena[n:], edgeArena[n-1:]
 		for i, id := range nodes {
 			p.Nodes[i] = graph.NodeID(id)
 		}
+		m.LinkPath[l] = p
+	}
+	return m, nil
+}
+
+// Effect validates an admission — env as ToEnv does, m as ToMapping does
+// against it: one validation, so a record either path accepts the other
+// accepts too — and writes the admission's effect on a ledger to out,
+// reusing out's storage. It builds neither the environment nor the
+// mapping: recovery commits a logged admission as its effect and builds
+// the two only for the admissions the log does not release.
+func Effect(c *cluster.Cluster, env *EnvSpec, m *MappingSpec, out *mapping.Effect) error {
+	if err := env.check(); err != nil {
+		return err
+	}
+	_, hops := m.size()
+	out.Edges = slices.Grow(out.Edges[:0], hops)[:hops]
+	links := env.Links
+	ends := func(l int) (int, int) { return links[l].From, links[l].To }
+	if err := m.check(c, len(env.Guests), len(links), ends, out.Edges); err != nil {
+		return err
+	}
+	out.Guests = slices.Grow(out.Guests[:0], len(env.Guests))
+	for g, host := range m.GuestHost {
+		d := &env.Guests[g]
+		out.Guests = append(out.Guests, mapping.GuestEffect{Host: graph.NodeID(host), Proc: d.Proc, Mem: d.Mem, Stor: d.Stor})
+	}
+	out.Links = slices.Grow(out.Links[:0], len(links))
+	end := 0
+	for l, nodes := range m.LinkPaths {
+		end += len(nodes) - 1
+		out.Links = append(out.Links, mapping.LinkEffect{BW: links[l].BW, End: end})
+	}
+	return nil
+}
+
+// size counts the nodes and the edges of every path together.
+func (s *MappingSpec) size() (nodes, hops int) {
+	for _, path := range s.LinkPaths {
+		nodes += len(path)
+		hops += max(len(path)-1, 0)
+	}
+	return nodes, hops
+}
+
+// check is the validation of a mapping — ToMapping's and Effect's — for
+// an environment of nGuests guests and nLinks virtual links, link l
+// joining guests ends(l) (already checked to be in range). Every guest
+// must be placed on a host of c, and every link must have a path of c
+// from the host of its from guest to the host of its to guest: along its
+// recorded edges, each of which must join its two nodes, or, without
+// link_edges, along the first edge between each pair of nodes. It writes
+// every path's edges to edges, path after path; edges is as long as
+// size's hops.
+func (s *MappingSpec) check(c *cluster.Cluster, nGuests, nLinks int, ends func(l int) (from, to int), edges []int) error {
+	if len(s.GuestHost) != nGuests {
+		return fmt.Errorf("spec: mapping has %d guest entries for %d guests", len(s.GuestHost), nGuests)
+	}
+	if len(s.LinkPaths) != nLinks {
+		return fmt.Errorf("spec: mapping has %d path entries for %d links", len(s.LinkPaths), nLinks)
+	}
+	if s.LinkEdges != nil && len(s.LinkEdges) != len(s.LinkPaths) {
+		return fmt.Errorf("spec: mapping has %d edge lists for %d paths", len(s.LinkEdges), len(s.LinkPaths))
+	}
+	for g, n := range s.GuestHost {
+		if !c.IsHost(graph.NodeID(n)) {
+			return fmt.Errorf("spec: guest %d is placed on node %d, which is not a host", g, n)
+		}
+	}
+	net := c.Net()
+	for l, nodes := range s.LinkPaths {
+		if len(nodes) == 0 {
+			return fmt.Errorf("spec: link %d has an empty path", l)
+		}
+		n := len(nodes)
+		out := edges[: n-1 : n-1]
+		edges = edges[n-1:]
 		if s.LinkEdges != nil {
 			// Exact edges recorded (WAL replay): validate each against
 			// its node pair instead of re-resolving.
-			edges := s.LinkEdges[l]
-			if len(edges) != n-1 {
-				return nil, fmt.Errorf("spec: link %d has %d edges for %d path nodes", l, len(edges), len(nodes))
+			recorded := s.LinkEdges[l]
+			if len(recorded) != n-1 {
+				return fmt.Errorf("spec: link %d has %d edges for %d path nodes", l, len(recorded), len(nodes))
 			}
-			for i, eid := range edges {
+			for i, eid := range recorded {
 				if eid < 0 || eid >= net.NumEdges() {
-					return nil, fmt.Errorf("spec: link %d edge %d out of range", l, eid)
+					return fmt.Errorf("spec: link %d edge %d out of range", l, eid)
 				}
 				// Check both endpoints explicitly: Edge.Other panics on a
 				// node the edge does not touch, and a hostile spec can
 				// name any edge here.
 				e := net.Edge(eid)
-				ok := (e.A == p.Nodes[i] && e.B == p.Nodes[i+1]) ||
-					(e.B == p.Nodes[i] && e.A == p.Nodes[i+1])
-				if !ok {
-					return nil, fmt.Errorf("spec: link %d edge %d does not join nodes %d-%d", l, eid, nodes[i], nodes[i+1])
+				a, b := graph.NodeID(nodes[i]), graph.NodeID(nodes[i+1])
+				if !(e.A == a && e.B == b) && !(e.B == a && e.A == b) {
+					return fmt.Errorf("spec: link %d edge %d does not join nodes %d-%d", l, eid, nodes[i], nodes[i+1])
 				}
-				p.Edges[i] = eid
+				out[i] = eid
 			}
 		} else {
-			for i := 0; i+1 < len(nodes); i++ {
+			for i := 0; i+1 < n; i++ {
+				if nodes[i] < 0 || nodes[i] >= net.NumNodes() {
+					return fmt.Errorf("spec: link %d path node %d outside %d nodes", l, nodes[i], net.NumNodes())
+				}
+				a, b := graph.NodeID(nodes[i]), graph.NodeID(nodes[i+1])
 				eid := -1
-				for _, cand := range net.Incident(p.Nodes[i]) {
-					if net.Edge(cand).Other(p.Nodes[i]) == p.Nodes[i+1] {
+				for _, cand := range net.Incident(a) {
+					if net.Edge(cand).Other(a) == b {
 						eid = cand
 						break
 					}
 				}
 				if eid == -1 {
-					return nil, fmt.Errorf("spec: link %d path has no physical edge %d-%d", l, nodes[i], nodes[i+1])
+					return fmt.Errorf("spec: link %d path has no physical edge %d-%d", l, nodes[i], nodes[i+1])
 				}
-				p.Edges[i] = eid
+				out[i] = eid
 			}
 		}
-		m.LinkPath[l] = p
+		from, to := ends(l)
+		if src := s.GuestHost[from]; nodes[0] != src {
+			return fmt.Errorf("spec: link %d path starts at node %d, not at host %d of guest %d", l, nodes[0], src, from)
+		}
+		if dst := s.GuestHost[to]; nodes[n-1] != dst {
+			return fmt.Errorf("spec: link %d path ends at node %d, not at host %d of guest %d", l, nodes[n-1], dst, to)
+		}
 	}
-	return m, nil
+	return nil
 }
 
 // AppendJSON appends v's compact JSON and a newline to dst — the bytes

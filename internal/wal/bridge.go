@@ -171,6 +171,9 @@ func OpenSession(rec *Record) (*core.Session, *cluster.Cluster, error) {
 //hmn:walreplayer
 func ReplayRecord(cs *core.Session, rec *Record) error {
 	c := cs.Cluster()
+	if !rec.hasBody() {
+		return fmt.Errorf("wal: session %s %s record has no body", rec.SID, rec.Kind)
+	}
 	switch rec.Kind {
 	case KindAdmit:
 		env, m, err := decodeAdmit(c, rec.Admit)
@@ -241,6 +244,32 @@ func ReplayRecord(cs *core.Session, rec *Record) error {
 	default:
 		return fmt.Errorf("wal: session %s: unknown record kind %q", rec.SID, rec.Kind)
 	}
+}
+
+// hasBody reports whether an operation record carries the body its kind
+// is replayed from. A CRC-valid record may still lack it: the checksum
+// guards torn writes, not what was written.
+func (rec *Record) hasBody() bool {
+	switch rec.Kind {
+	case KindAdmit:
+		return rec.Admit != nil
+	case KindRelease:
+		return rec.Release != nil
+	case KindFail:
+		if rec.Fail == nil {
+			return false
+		}
+		for _, rr := range rec.Fail.Repairs {
+			if rr.M != nil && rr.Env == nil {
+				return false
+			}
+		}
+	case KindRestore:
+		return rec.Restore != nil
+	case KindMigrate:
+		return rec.Migrate != nil
+	}
+	return true
 }
 
 // EachTag calls fn with every caller tag an operation record introduces

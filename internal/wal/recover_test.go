@@ -41,23 +41,30 @@ type dirState struct {
 	Files map[string]int64
 }
 
+// stateOfSession is what recovery must reproduce of s: the writer's live
+// session or a recovered one.
+func stateOfSession(t *testing.T, s *core.Session, overhead cluster.VMMOverhead) sessionState {
+	t.Helper()
+	exp := s.Export()
+	var specs []spec.MappingSpec
+	for _, a := range exp.Active {
+		specs = append(specs, spec.FromMapping(a.M, overhead))
+	}
+	ms, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sessionState{
+		Ledger: string(ledgerJSON(t, s)), Active: activeSummary(s),
+		Mappings: string(ms), NextSeq: exp.NextSeq, OpCount: exp.OpCount,
+	}
+}
+
 func stateOf(t *testing.T, dir string, sessions []*Replayed, maxSession int, truncated int64) dirState {
 	t.Helper()
 	st := dirState{Sessions: map[string]sessionState{}, MaxSession: maxSession, Truncated: truncated, Files: map[string]int64{}}
 	for _, rs := range sessions {
-		exp := rs.Session.Export()
-		var specs []spec.MappingSpec
-		for _, a := range exp.Active {
-			specs = append(specs, spec.FromMapping(a.M, rs.Overhead))
-		}
-		ms, err := json.Marshal(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Sessions[rs.SID] = sessionState{
-			Ledger: string(ledgerJSON(t, rs.Session)), Active: activeSummary(rs.Session),
-			Mappings: string(ms), NextSeq: exp.NextSeq, OpCount: exp.OpCount,
-		}
+		st.Sessions[rs.SID] = stateOfSession(t, rs.Session, rs.Overhead)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -372,13 +379,19 @@ func TestOnePassAgreesOnChurnLog(t *testing.T) {
 	tearLastFrame(t, dir)
 
 	// The recovered sessions are the live ones.
-	got := agree(t, dir, "whole log")
-	for sid, s := range sess {
-		if want := string(ledgerJSON(t, s)); got.Sessions[sid].Ledger != want {
-			t.Errorf("session %s recovered ledger diverges from the live one:\n got %s\nwant %s", sid, got.Sessions[sid].Ledger, want)
-		}
-		if want := activeSummary(s); !reflect.DeepEqual(got.Sessions[sid].Active, want) {
-			t.Errorf("session %s recovered active set %v, want %v", sid, got.Sessions[sid].Active, want)
+	sameAsWriter(t, agree(t, dir, "whole log"), sess)
+}
+
+// sameAsWriter compares recovered sessions with the writer's live ones:
+// ledger bytes, deployed (seq, tag, mapping bytes) and counters.
+func sameAsWriter(t *testing.T, got dirState, live map[string]*core.Session) {
+	t.Helper()
+	if len(got.Sessions) != len(live) {
+		t.Errorf("recovered %d sessions, the writer has %d", len(got.Sessions), len(live))
+	}
+	for sid, s := range live {
+		if want := stateOfSession(t, s, cluster.VMMOverhead{}); !reflect.DeepEqual(got.Sessions[sid], want) {
+			t.Errorf("session %s recovered as\n%+v\nthe writer's is\n%+v", sid, got.Sessions[sid], want)
 		}
 	}
 }
@@ -476,20 +489,23 @@ func TestFrameReaderWindow(t *testing.T) {
 }
 
 // recoveryBudget is what one-pass recovery may allocate per admit+release
-// pair on top of the Env and Mapping it has to build for the session:
-// the guest names and the tag (strings are copied out of the read
-// window), the session's commit and release bookkeeping, and the
-// amortised growth of the reused decode storage — about 1 KB as
-// measured. A pass that kept the decoded records, or decoded each into
-// fresh storage, adds the whole decoded admit record: 17 KB for the
-// 40-guest environment below.
+// pair, whatever the size of the environment: an admission the log
+// releases is committed and undone as its effect, in storage recycled
+// from the last one, and never built as an Env and a Mapping. What is
+// left is the tag (strings are copied out of the read window) and the
+// pass's fixed cost — the session it opens, the growth of the reused
+// decode and effect storage — spread over the pairs: 165 to 607 bytes as
+// measured. Building each admission adds its Env and Mapping
+// (24 KB for the 40-guest environment below); a pass that kept the
+// decoded records, or decoded each into fresh storage, adds the whole
+// decoded admit record on top (17 KB).
 const recoveryBudget = 4 << 10
 
 // TestRecoverMemoryIndependentOfLogLength replays N and 4N admit+release
 // pairs of a 40-guest environment. The live heap, sampled after a
 // collection eight times during the pass and once after it, must not
 // depend on the length of the log, and the bytes allocated per pair must
-// stay within recoveryBudget of building the Env and the Mapping.
+// stay within recoveryBudget.
 func TestRecoverMemoryIndependentOfLogLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c, err := topology.Switched(workload.GenerateHosts(workload.PaperClusterParams(), rng), workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
@@ -498,31 +514,6 @@ func TestRecoverMemoryIndependentOfLogLength(t *testing.T) {
 	}
 	cs := spec.FromCluster(c)
 	env := workload.GenerateEnv(workload.HighLevelParams(40, 0.02), rng)
-
-	// What the session must be handed per admission, measured the same way.
-	var m0 runtime.MemStats
-	build := func() uint64 {
-		envSpec := spec.FromEnv(env)
-		m, err := (&core.HMN{}).Map(c, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mSpec := spec.FromMapping(m, cluster.VMMOverhead{})
-		const rounds = 64
-		runtime.ReadMemStats(&m0)
-		before := m0.TotalAlloc
-		for i := 0; i < rounds; i++ {
-			e, err := envSpec.ToEnv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := mSpec.ToMapping(c, e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&m0)
-		return (m0.TotalAlloc - before) / rounds
-	}()
 
 	measure := func(pairs int) (live, perPair uint64) {
 		dir := t.TempDir()
@@ -565,8 +556,9 @@ func TestRecoverMemoryIndependentOfLogLength(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		perPair = (ms.TotalAlloc - allocBefore) / uint64(pairs)
 		sample()
-		if res.Records != 2*pairs+1 || replayed != 2*pairs {
-			t.Fatalf("read %d records and replayed %d, want %d and %d", res.Records, replayed, 2*pairs+1, 2*pairs)
+		if res.Records != 2*pairs+1 || replayed != 2*pairs || res.Effects != pairs || res.Built != 0 {
+			t.Fatalf("read %d records and replayed %d, %d admissions as effects and %d built; want %d, %d, %d and 0",
+				res.Records, replayed, res.Effects, res.Built, 2*pairs+1, 2*pairs, pairs)
 		}
 		runtime.KeepAlive(res)
 		return live - min(live, base), perPair
@@ -575,14 +567,14 @@ func TestRecoverMemoryIndependentOfLogLength(t *testing.T) {
 	const n = 200
 	liveN, perN := measure(n)
 	live4N, per4N := measure(4 * n)
-	t.Logf("Env+Mapping %d B; %d pairs: live %d B, %d B/pair; %d pairs: live %d B, %d B/pair",
-		build, n, liveN, perN, 4*n, live4N, per4N)
+	t.Logf("%d pairs: live %d B, %d B/pair; %d pairs: live %d B, %d B/pair (budget %d B/pair)",
+		n, liveN, perN, 4*n, live4N, per4N, recoveryBudget)
 	if diff := int64(live4N) - int64(liveN); diff > 1<<20 || diff < -(1<<20) {
 		t.Errorf("live heap during recovery: %d B over %d pairs, %d B over %d — it follows the log", liveN, n, live4N, 4*n)
 	}
 	for _, per := range []uint64{perN, per4N} {
-		if per > build+recoveryBudget {
-			t.Errorf("recovery allocated %d B per admit+release pair; building the Env and Mapping takes %d B, the budget on top is %d B", per, build, recoveryBudget)
+		if per > recoveryBudget {
+			t.Errorf("recovery allocated %d B per admit+release pair, budget %d B", per, recoveryBudget)
 		}
 	}
 }
