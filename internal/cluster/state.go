@@ -84,7 +84,7 @@ func RestoreLedger(c *Cluster, st LedgerState) (*Ledger, error) {
 	}
 	for _, p := range l.proc {
 		l.sumProc.add(p)
-		l.sumProcSq.add(p * p)
+		l.sumProcSq.add(float64(p * p))
 	}
 	return l, nil
 }

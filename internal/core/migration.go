@@ -139,8 +139,6 @@ func (d *descent) end() {
 
 // load is a host's load under the descent's metric; larger means more
 // loaded under both.
-//
-//hmn:noalloc
 func (d *descent) load(node graph.NodeID) float64 {
 	if d.metric == LoadUtilization {
 		h, _ := d.led.Cluster().HostAt(node)
@@ -158,8 +156,6 @@ func (d *descent) load(node graph.NodeID) float64 {
 // after all) and reports false — the scan then goes on to the next
 // destination, then the next donor. It returns whether a move was made;
 // false ends the descent: no donor in scope has an improving move left.
-//
-//hmn:noalloc
 func (d *descent) step(try func(candidate) bool) bool {
 	current := d.led.ObjectiveStdDev()
 	for _, origin := range d.order() {
@@ -223,8 +219,6 @@ func (d *descent) order() []graph.NodeID {
 // smallest total bandwidth to co-located guests of its environment,
 // ties to the lower (seq, guest) — envs is seq ascending, so the lower
 // env index.
-//
-//hmn:noalloc
 func (d *descent) victim(origin graph.NodeID) rosterRef {
 	refs := d.onHost[d.led.Cluster().HostIdx(origin)]
 	e := &d.envs[refs[0].env]
@@ -290,8 +284,6 @@ func mustReserve(led *cluster.Ledger, node graph.NodeID, g virtual.Guest) {
 
 // coLocatedBW sums the bandwidth of g's virtual links whose other
 // endpoint currently shares g's host — the migration cost metric of §4.2.
-//
-//hmn:noalloc
 func coLocatedBW(v *virtual.Env, assign []graph.NodeID, g virtual.GuestID) float64 {
 	node := assign[g]
 	total := 0.0

@@ -185,10 +185,9 @@ func (s *Session) Map(v *virtual.Env) (*mapping.Mapping, error) {
 // done with it.
 //
 //hmn:locked mu
-//hmn:noalloc
 func (s *Session) scratchLocked() *cluster.Ledger {
 	if s.snap == nil {
-		s.snap = s.led.Snapshot() //hmn:allocok once per session
+		s.snap = s.led.Snapshot()
 	}
 	s.snap.SyncFrom(s.led)
 	return s.snap
@@ -202,8 +201,6 @@ func (s *Session) scratchLocked() *cluster.Ledger {
 // It is one lock-hold around mapLocked, so its verdict is the serial
 // execution's: contention can never reject an environment the residuals
 // can hold, nor admit one onto hosts Hosting would no longer choose.
-//
-//hmn:noalloc
 func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, AdmitStats, error) {
 	var st AdmitStats
 	s.mu.Lock()
@@ -226,12 +223,11 @@ func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, Admit
 // the live state for the whole attempt (the caller holds s.mu), so a
 // mapper error is final and the commit cannot lose a race.
 //
-// Annotated allocation-free: the per-attempt allocations live in the
-// designated constructors it calls (mapping.New, the scratch pools), so
-// any new allocating construct added here is a hotpathalloc diagnostic.
+// The per-attempt allocations live in the constructors it calls
+// (mapping.New, the scratch pools); TestAdmissionAllocsBudget holds the
+// total.
 //
 //hmn:locked mu
-//hmn:noalloc
 func (s *Session) mapLocked(v *virtual.Env, tag string, st *AdmitStats) (*mapping.Mapping, uint64, error) {
 	start := time.Now() //hmn:wallclock
 	snap := s.scratchLocked()
@@ -261,8 +257,6 @@ func (s *Session) mapLocked(v *virtual.Env, tag string, st *AdmitStats) (*mappin
 // Intermediate moves the Migration stage made cancel out by
 // construction, so validating the transaction is validating Eq. (2),
 // (3) and (9) for the mapping as committed.
-//
-//hmn:noalloc
 func fillAdmissionTxn(txn *cluster.Txn, v *virtual.Env, m *mapping.Mapping) {
 	for g, node := range m.GuestHost {
 		guest := v.Guest(virtual.GuestID(g))
@@ -277,8 +271,6 @@ func fillAdmissionTxn(txn *cluster.Txn, v *virtual.Env, m *mapping.Mapping) {
 // effect: the same demands and bandwidths, added in the same order, so
 // the transaction — and the ledger it commits to — is the same to the
 // bit.
-//
-//hmn:noalloc
 func fillEffectTxn(txn *cluster.Txn, e *mapping.Effect) {
 	for _, g := range e.Guests {
 		txn.AddGuest(g.Host, g.Proc, g.Mem, g.Stor)
@@ -302,7 +294,6 @@ func fillEffectTxn(txn *cluster.Txn, e *mapping.Effect) {
 // reproduces the residual vectors bit-for-bit. Callers hold s.mu.
 //
 //hmn:locked mu
-//hmn:noalloc
 func (s *Session) commitTxnLocked(v *virtual.Env, m *mapping.Mapping, tag string) (uint64, error) {
 	if s.txn == nil {
 		s.txn = s.led.NewTxn()
@@ -321,20 +312,18 @@ func (s *Session) commitTxnLocked(v *virtual.Env, m *mapping.Mapping, tag string
 // either way (see emitLocked). Callers hold s.mu.
 //
 //hmn:locked mu
-//hmn:noalloc
 func (s *Session) emitAdmitLocked(seq uint64, tag string, v *virtual.Env, m *mapping.Mapping) {
 	if s.hook == nil {
 		s.opCount++
 		return
 	}
-	s.emitLocked(Event{Type: EventAdmit, Admit: &AdmitInfo{Seq: seq, Tag: tag, Env: v, M: m}}) //hmn:allocok built only when a hook is listening; the early return above covers steady state
+	s.emitLocked(Event{Type: EventAdmit, Admit: &AdmitInfo{Seq: seq, Tag: tag, Env: v, M: m}})
 }
 
 // admitLocked registers m as active and bumps the version. Callers hold
 // s.mu and have already applied m's reservations to s.led.
 //
 //hmn:locked mu
-//hmn:noalloc
 func (s *Session) admitLocked(m *mapping.Mapping, tag string) uint64 {
 	s.version++
 	s.nextSeq++
@@ -347,7 +336,7 @@ type SessionStats struct {
 	// Conflicts and Fallbacks are always zero: they counted the lost
 	// races and serialized retries of optimistic admission, which is
 	// gone. They survive only because the frozen benchmark/hmnperf reads
-	// them; the next [benchmark] PR deletes both (ROADMAP item 8).
+	// them; the next [benchmark] PR deletes both (ROADMAP item 5(c)).
 	Conflicts uint64
 	Fallbacks uint64
 	// ARCacheHits and ARCacheMisses count Dijkstra latency-table

@@ -151,8 +151,6 @@ func (s *Scanner) Fail() { s.bad = true }
 
 // peek skips whitespace and returns the next byte without consuming it;
 // 0 at the end of the input or when the scanner is bad.
-//
-//hmn:noalloc
 func (s *Scanner) peek() byte {
 	if s.pos < len(s.buf) && !s.bad {
 		if c := s.buf[s.pos]; c > ' ' {
@@ -163,8 +161,6 @@ func (s *Scanner) peek() byte {
 }
 
 // skip is peek once the next byte may be a blank.
-//
-//hmn:noalloc
 func (s *Scanner) skip() byte {
 	if s.bad {
 		return 0
@@ -214,8 +210,6 @@ func (s *Scanner) Open(c byte) {
 // More steps to the next element of the array or object that end
 // closes: it consumes the comma due between elements and reports true,
 // or consumes end and reports false.
-//
-//hmn:noalloc
 func (s *Scanner) More(end byte) bool {
 	if s.pos < len(s.buf) && !s.bad {
 		switch c := s.buf[s.pos]; {
@@ -237,8 +231,6 @@ func (s *Scanner) More(end byte) bool {
 }
 
 // more is More once the next byte may be a blank or out of place.
-//
-//hmn:noalloc
 func (s *Scanner) more(end byte) bool {
 	c := s.peek()
 	first := s.first
@@ -304,8 +296,6 @@ type Fields struct {
 // are tried against the input as it stands, from the one f expects
 // next, and only when none is there — a blank before the colon, a key
 // not in k — is the key scanned and looked up.
-//
-//hmn:noalloc
 func (s *Scanner) Field(k *Keys, f *Fields) int {
 	if s.peek() == '"' {
 		rest := s.buf[s.pos:]
@@ -333,8 +323,6 @@ func (s *Scanner) Field(k *Keys, f *Fields) int {
 }
 
 // take records key i as seen and returns it, or declines a repeat.
-//
-//hmn:noalloc
 func (f *Fields) take(s *Scanner, i int) int {
 	if f.seen&(1<<i) != 0 {
 		s.bad = true
@@ -346,8 +334,6 @@ func (f *Fields) take(s *Scanner, i int) int {
 }
 
 // key scans an object key and its colon. The result aliases the input.
-//
-//hmn:noalloc
 func (s *Scanner) key() []byte {
 	k := s.str()
 	s.expect(':')
@@ -362,8 +348,6 @@ func (s *Scanner) String() string { return string(s.str()) }
 // record — a log's kinds and session IDs, the guest names of one
 // environment admitted again and again — hands them on without copying
 // each once more.
-//
-//hmn:noalloc
 func (s *Scanner) StringOf(known ...string) string {
 	b := s.str()
 	for _, k := range known {
@@ -371,13 +355,11 @@ func (s *Scanner) StringOf(known ...string) string {
 			return k
 		}
 	}
-	return string(b) //hmn:allocok a string not seen before is copied out, as String does
+	return string(b)
 }
 
 // str scans a string and returns its contents, which alias the input.
 // It looks for the closing quote eight bytes at a time.
-//
-//hmn:noalloc
 func (s *Scanner) str() []byte {
 	s.expect('"')
 	if s.bad {
@@ -408,8 +390,6 @@ func (s *Scanner) str() []byte {
 // a plain string ends at or cannot hold: '"', '\\', below 0x20, from
 // 0x80 up. The lowest mark is exact; a borrow out of a marked byte may
 // mark one above it.
-//
-//hmn:noalloc
 func special(w uint64) uint64 {
 	const lo, hi = 0x0101010101010101, 0x8080808080808080
 	q, bs := w^(lo*'"'), w^(lo*'\\')
@@ -434,8 +414,6 @@ func (s *Scanner) Bool() bool {
 
 // natural consumes 0|[1-9][0-9]* where the scanner stands and returns
 // its value; more than 18 digits decline.
-//
-//hmn:noalloc
 func (s *Scanner) natural() uint64 {
 	b, i := s.buf, s.pos
 	if i < len(b) && b[i] == '0' {
@@ -457,8 +435,6 @@ func (s *Scanner) natural() uint64 {
 // Uint64 scans a non-negative integer literal of at most 18 digits.
 // Whatever follows it — a fraction, an exponent, more digits after a
 // leading zero — is not a separator, so More declines the value.
-//
-//hmn:noalloc
 func (s *Scanner) Uint64() uint64 {
 	if c := s.peek(); c == 0 || c == '-' {
 		s.bad = true
@@ -468,8 +444,6 @@ func (s *Scanner) Uint64() uint64 {
 }
 
 // Int64 scans an integer literal of at most 18 digits.
-//
-//hmn:noalloc
 func (s *Scanner) Int64() int64 {
 	switch s.peek() {
 	case 0:
@@ -494,8 +468,6 @@ func (s *Scanner) Int() int {
 // AppendInts scans an array of integer literals, each of at most 18
 // digits and fitting an int, and appends them to dst: Open, More and Int
 // in one loop, which leaves the input only for blanks.
-//
-//hmn:noalloc
 func (s *Scanner) AppendInts(dst []int) []int {
 	if s.peek() != '[' {
 		s.bad = true
@@ -534,7 +506,7 @@ func (s *Scanner) AppendInts(dst []int) []int {
 		if neg {
 			v = -v
 		}
-		dst = append(dst, v) //hmn:allocok the caller's array, grown as append grows it
+		dst = append(dst, v)
 		if i == len(b) || b[i] != ',' && b[i] != ']' {
 			s.pos = i
 			s.peek()
@@ -561,8 +533,6 @@ func (s *Scanner) AppendInts(dst []int) []int {
 // digits fit in 53 bits) is converted in the same pass that scans it,
 // by round; every other one goes to strconv.ParseFloat over the same
 // bytes, and a range error declines.
-//
-//hmn:noalloc
 func (s *Scanner) Float64() float64 {
 	c := s.peek()
 	if c == 0 {
@@ -652,8 +622,6 @@ func (s *Scanner) Float64() float64 {
 
 // eightDigits reports whether the eight bytes of w, read little-endian,
 // are all decimal digits, and returns the number they spell.
-//
-//hmn:noalloc
 func eightDigits(w uint64) (uint64, bool) {
 	const zeros, nibbles = 0x3030303030303030, 0xf0f0f0f0f0f0f0f0
 	// A digit's high nibble is 3, and stays 3 when 6 is added.
@@ -670,8 +638,6 @@ func eightDigits(w uint64) (uint64, bool) {
 // round returns mant / 10^k rounded to the nearest float64, ties to
 // even, for mant < 10^19; pow is 10^k when k ≤ 19. It reports false when
 // neither exact method applies and strconv must decide.
-//
-//hmn:noalloc
 func round(mant, pow uint64, k int) (float64, bool) {
 	switch {
 	case mant < 1<<53 && k <= 22:

@@ -1,7 +1,6 @@
 // Package lint is hmnlint: a static-analysis suite that enforces the
-// repo's determinism, lock-discipline, sentinel-mapping, metrics
-// hygiene, WAL/replay coverage, hot-path allocation and lock-order
-// invariants at compile time (DESIGN.md §11).
+// repo's determinism, lock-discipline and lock-order invariants at
+// compile time (DESIGN.md §11).
 //
 // The suite is modelled on golang.org/x/tools/go/analysis — each check
 // is an *Analyzer with a Run(*Pass) function and the drivers feed it
@@ -67,10 +66,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		LockDisciplineAnalyzer,
-		SentinelHTTPAnalyzer,
-		MetricsNamesAnalyzer,
-		WALCoverageAnalyzer,
-		HotPathAllocAnalyzer,
 		LockOrderAnalyzer,
 	}
 }
@@ -107,10 +102,9 @@ func analyzerNames(as []*Analyzer) string {
 // runAnalyzers applies as to one loaded package and returns the
 // findings sorted by position. Diagnostics inside _test.go files are
 // dropped: the invariants the suite guards (seeded replay, lock
-// discipline, stable exposition names) bind production code; tests are
-// free to read the wall clock or build ad-hoc registries. Whatever the
-// analyzer selection, a //hmn: directive no analyzer knows is reported
-// once per package.
+// discipline, lock order) bind production code; tests are free to read
+// the wall clock. Whatever the analyzer selection, a //hmn: directive no
+// analyzer knows is reported once per package.
 func runAnalyzers(pkg *Package, as []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	reportAs := func(name string) func(Diagnostic) {

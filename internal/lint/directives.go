@@ -12,11 +12,6 @@ import (
 //	//hmn:orderinvariant            this map iteration's effect is order-free
 //	//hmn:guardedby <mutex>         struct field guarded by the named mutex
 //	//hmn:locked <mutex>            function requires the caller to hold <mutex>
-//	//hmn:sentineltable             the package's one sentinel→HTTP-status table
-//	//hmn:walencoder                the one event→record conversion (walcoverage)
-//	//hmn:walreplayer               the one record→Replay* dispatch (walcoverage)
-//	//hmn:noalloc                   function must not heap-allocate (hotpathalloc)
-//	//hmn:allocok <reason>          deliberate allocation inside a noalloc function
 //	//hmn:lockorder <first> <second> declared acquisition order: first before second
 //
 // A directive written on its own line annotates the line below it; a
@@ -28,11 +23,6 @@ const (
 	dirOrderInvariant = "orderinvariant"
 	dirGuardedBy      = "guardedby"
 	dirLocked         = "locked"
-	dirSentinelTable  = "sentineltable"
-	dirWALEncoder     = "walencoder"
-	dirWALReplayer    = "walreplayer"
-	dirNoAlloc        = "noalloc"
-	dirAllocOK        = "allocok"
 	dirLockOrder      = "lockorder"
 )
 
@@ -41,9 +31,7 @@ const (
 // otherwise annotate nothing without anyone noticing.
 var knownDirectives = map[string]bool{
 	dirWallclock: true, dirOrderInvariant: true, dirGuardedBy: true,
-	dirLocked: true, dirSentinelTable: true, dirWALEncoder: true,
-	dirWALReplayer: true, dirNoAlloc: true, dirAllocOK: true,
-	dirLockOrder: true,
+	dirLocked: true, dirLockOrder: true,
 }
 
 // directive is one parsed //hmn: comment.

@@ -7,11 +7,10 @@ import (
 	"repro/internal/lint"
 )
 
-// TestRepoClean is the regression gate of ISSUE 4: every analyzer runs
-// over the whole module and must report nothing. A new wall-clock read,
-// global rand call, unguarded access, out-of-table sentinel comparison
-// or malformed metric name fails this test before it ever reaches CI's
-// vettool step.
+// TestRepoClean runs every analyzer over the whole module and requires
+// that it report nothing. A new wall-clock read, global rand call,
+// unguarded access or out-of-order lock acquisition fails this test
+// before it ever reaches CI's vettool step.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,6 +26,39 @@ var contractFamilies = []string{
 	"hmnd_active_envs",
 	"hmnd_wal_records_total", "hmnd_replay_records_total", "hmnd_recovery_seconds",
 	"hmnd_wal_fsync_seconds", "hmnd_snapshot_seconds",
+}
+
+var (
+	familyName = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+	// scaledUnit is a unit suffix other than the base _seconds and _bytes.
+	scaledUnit = regexp.MustCompile(`_(ms|millis|milliseconds|us|micros|microseconds|ns|nanos|nanoseconds|minutes|hours|[kmg]i?b|kilobytes|megabytes|gigabytes)$`)
+)
+
+// checkFamilyNames holds every family a scrape exposes to the naming
+// rules: a Prometheus identifier, counters ending in _total, histograms
+// in the base units _seconds or _bytes, gauges not posing as counters,
+// and no scaled unit anywhere.
+func checkFamilyNames(t *testing.T, text string) {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		name, kind, _ := strings.Cut(rest, " ")
+		switch {
+		case !familyName.MatchString(name):
+			t.Errorf("family %q is not a Prometheus identifier", name)
+		case scaledUnit.MatchString(name):
+			t.Errorf("family %q is in a scaled unit; record _seconds or _bytes", name)
+		case kind == "counter" && !strings.HasSuffix(name, "_total"):
+			t.Errorf("counter %q does not end in _total", name)
+		case kind == "histogram" && !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes"):
+			t.Errorf("histogram %q does not end in _seconds or _bytes", name)
+		case kind == "gauge" && strings.HasSuffix(name, "_total"):
+			t.Errorf("gauge %q ends in the counter suffix _total", name)
+		}
+	}
 }
 
 // contractStep is one request of the contract script as the client saw
@@ -248,6 +282,7 @@ func TestBothModesHTTPContract(t *testing.T) {
 				t.Errorf("indented admission: status %d, %v map attempts, %v verbatim; want %d, 3, 1", resp.StatusCode,
 					metricValue(t, text, "hmnd_map_latency_seconds_count"), metricValue(t, text, "hmnd_admit_env_verbatim_total"), mode.admitted)
 			}
+			checkFamilyNames(t, text)
 
 			// Draining: Close has begun, /healthz says so.
 			if err := s.Close(); err != nil {

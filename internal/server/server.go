@@ -530,11 +530,9 @@ func (e errNotFound) Error() string { return string(e) }
 //
 // This is the package's single sentinel→status table: every exported
 // core, cluster and shard sentinel gets its status decided here and
-// nowhere else (hmnlint's sentinelhttp analyzer rejects inline
-// comparisons and sentinels this table misses), so the 404/409 contract
-// of PR 2 cannot drift one handler — or one mode — at a time.
-//
-//hmn:sentineltable
+// nowhere else (TestSentinelStatusTable rejects a sentinel this table
+// misses and one named by any other function), so the 404/409 contract
+// cannot drift one handler — or one mode — at a time.
 func failureStatus(err error) (code int, msg string, ok bool) {
 	var missing errNotFound
 	switch {

@@ -151,7 +151,6 @@ func newRouter(sums []core.ResidualSummary, gw *Gateway) *Router {
 // bypassed.
 //
 //hmn:locked mu
-//hmn:noalloc
 func (r *Router) pickLocked(hashed int, need float64) (pick int, fallback bool) {
 	if r.resProc[hashed] >= need {
 		return hashed, false
@@ -172,7 +171,6 @@ func (r *Router) pickLocked(hashed int, need float64) (pick int, fallback bool) 
 // reserveLocked charges a pending admission against a shard.
 //
 //hmn:locked mu
-//hmn:noalloc
 func (r *Router) reserveLocked(k int, proc float64) {
 	r.resProc[k] -= proc
 	r.outstanding[k] += proc

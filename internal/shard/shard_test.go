@@ -489,6 +489,27 @@ func TestRouterBestFitFallback(t *testing.T) {
 	}
 }
 
+// TestRouterAllocsBudget holds the shard pick and its reservation, both
+// under the router lock on every federation admission, to zero
+// allocations.
+func TestRouterAllocsBudget(t *testing.T) {
+	r := newRouter([]core.ResidualSummary{{TotalProc: 100}, {TotalProc: 50}, {TotalProc: 80}}, nil)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, hashed := range []int{0, 1, 2} {
+			// Shard 1 lacks room for 60: its pick takes the best-fit scan.
+			if k, _ := r.pickLocked(hashed, 60); k >= 0 {
+				r.reserveLocked(k, 60)
+				r.reserveLocked(k, -60)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("pick and reserve allocate %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestRingDeterministicAndStable(t *testing.T) {
 	a, b := buildRing(8), buildRing(8)
 	if len(a.points) != len(b.points) || len(a.points) != 8*ringVnodes {

@@ -36,10 +36,13 @@ func PopStdDev(xs []float64) float64 {
 		return 0
 	}
 	m := Mean(xs)
-	ss := 0.0
+	// The conversion keeps d*d unfused on every architecture (Eq. (10)
+	// decides placements); declaring ss with var instead of := 0.0 pays
+	// for it in the inliner's budget, which mapping.Objective sits at.
+	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(xs)))
 }
@@ -54,7 +57,7 @@ func SampleStdDev(xs []float64) float64 {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(xs)-1))
 }

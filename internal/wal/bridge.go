@@ -27,8 +27,6 @@ import (
 // It runs inside the commit hook — under the session lock — so it only
 // serializes (spec conversions) and allocates; overhead parameterizes
 // the MappingSpec objective.
-//
-//hmn:walencoder
 func RecordFromEvent(sid string, overhead cluster.VMMOverhead, ev core.Event) *Record {
 	rec := &Record{SID: sid, Index: ev.Index}
 	switch ev.Type {
@@ -167,8 +165,6 @@ func OpenSession(rec *Record) (*core.Session, *cluster.Cluster, error) {
 // Replay is the recovery loop around it: open/close records create and
 // retire sessions there, and records whose Index is at or below the
 // session's snapshot OpCount never reach this function.
-//
-//hmn:walreplayer
 func ReplayRecord(cs *core.Session, rec *Record) error {
 	c := cs.Cluster()
 	if !rec.hasBody() {

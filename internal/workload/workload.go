@@ -160,7 +160,7 @@ func GenerateEnv(p VirtualParams, rng *rand.Rand) *virtual.Env {
 		return env
 	}
 	pairs := m * (m - 1) / 2
-	want := int(p.Density*float64(pairs) + 0.5)
+	want := int(float64(p.Density*float64(pairs)) + 0.5)
 	if want < m-1 {
 		want = m - 1
 	}
@@ -213,23 +213,23 @@ func drawDist(rng *rand.Rand, d Dist, lo, hi float64) float64 {
 		return lo
 	}
 	if d == TruncNormal {
-		mid := (lo + hi) / 2
+		mid := float64((lo + hi) / 2) // /2 compiles to *0.5, fusable with the add below
 		sigma := (hi - lo) / 6
 		for {
-			x := rng.NormFloat64()*sigma + mid
+			x := float64(rng.NormFloat64()*sigma) + mid
 			if x >= lo && x < hi {
 				return x
 			}
 		}
 	}
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }
 
 func uniform(rng *rand.Rand, lo, hi float64) float64 {
 	if hi <= lo {
 		return lo
 	}
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }
 
 func uniformInt(rng *rand.Rand, lo, hi int64) int64 {
