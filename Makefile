@@ -1,6 +1,6 @@
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test loc lint lint-fix-check vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase fma-ratchet replay-smoke rebalance-smoke federation-smoke
+.PHONY: build test loc lint lint-fix-check vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase fma-ratchet crash-smoke
 
 # Relative drift (percent) bench-compare tolerates on deterministic
 # metrics before failing. Timings never gate.
@@ -117,26 +117,13 @@ bench-phase:
 fma-ratchet:
 	./scripts/fma_ratchet.sh
 
-## replay-smoke is the end-to-end crash/recovery check: boot hmnd with a
-## data directory, admit one indented and one compact body (a rendered
-## and a verbatim admit record), kill -9 mid-session, verify the WAL with
-## hmnwal, and restart with -replay asserting byte-identical residuals.
-replay-smoke:
-	./scripts/replay_smoke.sh
-
-## rebalance-smoke crash-tests the background rebalancer: churn a
-## session with the rebalancer on, drain it to a local optimum over the
-## one-shot endpoint, kill -9, verify the migrate records with hmnwal,
-## and restart with -replay asserting byte-identical residuals.
-rebalance-smoke:
-	./scripts/rebalance_smoke.sh
-
-## federation-smoke crash-tests the sharded daemon: churn environments
-## across four tenants on `hmnd -shards 4`, kill -9, verify each
-## shard's WAL independently with hmnwal, and restart with -replay
-## asserting every shard answers byte-identical residuals.
-federation-smoke:
-	./scripts/federation_smoke.sh
+## crash-smoke is the end-to-end crash/recovery check of both modes:
+## churn a classic session (an indented and a compact admit, a release,
+## rebalancing rounds drained to zero moves) and then `hmnd -shards 4`
+## across eight tenants, kill -9, verify every WAL directory with hmnwal,
+## and restart asserting byte-identical residuals and fresh IDs.
+crash-smoke:
+	./scripts/crash_smoke.sh
 
 clean:
 	go clean ./...

@@ -43,8 +43,7 @@ func main() {
 		scale        = flag.Bool("scale", false, "use the hot-path scaling matrix (500/1000/2000 guests)")
 		topoFlag     = flag.String("topology", "both", "torus, switched or both")
 		heurFlag     = flag.String("heuristics", "HMN,R,RA,HS", "comma-separated heuristic subset")
-		workers      = flag.Int("workers", 0, "parallel repetitions (0 = GOMAXPROCS)")
-		parallel     = flag.Int("parallel", 0, "worker-pool width for every experiment (alias of -workers; results are identical for any value)")
+		workers      = flag.Int("workers", 0, "worker-pool width for every experiment (0 = GOMAXPROCS; results are identical for any value)")
 		csvPath      = flag.String("csv", "", "also write every run as CSV to this file")
 		jsonPath     = flag.String("json", "", "also write the results matrix and mapping-time percentiles as JSON to this file ('-' = stdout)")
 		gap          = flag.Bool("gap", false, "measure HMN's optimality gap against the exact solver on tiny instances")
@@ -81,10 +80,6 @@ func main() {
 	if *fedGateway != 0 {
 		fmt.Fprintln(os.Stderr, "hmnbench: -gateway-bw needs -shards")
 		os.Exit(2)
-	}
-
-	if *parallel != 0 {
-		*workers = *parallel
 	}
 
 	if !*all && *table == 0 && *figure == 0 && !*correlation && !*gap && !*reservations && !*churn {

@@ -6,14 +6,14 @@
 //
 // Usage:
 //
-//	hmnd -addr :8080 -workers 8 -queue 128 -timeout 30s
+//	hmnd -addr :8080 -queue 128 -timeout 30s
 //
-// Mutating requests pass through a bounded admission queue drained by a
-// fixed worker pool; when the queue is full the daemon answers 503 with
-// Retry-After instead of queueing unboundedly. SIGINT/SIGTERM starts a
-// graceful drain: in-flight maps finish, new work is refused, and the
-// process exits once the listener and the pool are idle (or the -drain
-// budget runs out).
+// Mutating requests pass through a bounded admission queue drained by
+// one worker per GOMAXPROCS (the startup line reports how many); when
+// the queue is full the daemon answers 503 with Retry-After instead of
+// queueing unboundedly. SIGINT/SIGTERM starts a graceful drain:
+// in-flight maps finish, new work is refused, and the process exits once
+// the listener and the pool are idle (or the -drain budget runs out).
 //
 // Failure handling: POST /v1/sessions/{id}/hosts/{node}/fail (and the
 // /links/{edge}/fail twin) quarantines capacity, evicts the
@@ -27,26 +27,20 @@
 // Durability: -data-dir enables the write-ahead log (internal/wal).
 // Every mutating request is logged and fsynced before its success
 // response, periodic snapshots (-snapshot-interval) bound the log, and
-// on startup the daemon replays snapshot+log back into memory before
-// the /v1 API stops answering 503 "replaying". -replay additionally
+// on startup the daemon replays snapshot+log back into memory, and
 // cross-checks every recovered session (objective recompute, registry
-// consistency) before serving:
+// consistency), before the /v1 API stops answering 503 "replaying":
 //
 //	hmnd -addr :8080 -data-dir /var/lib/hmnd
-//	hmnd -addr :8080 -data-dir /var/lib/hmnd -replay
 //
-// Rebalancing: -rebalance-interval runs, per session and on that
-// cadence, a round of the paper's Migration stage (§4.2) over every
-// deployed environment against the live residual-CPU vector: cheapest
-// victim off the most loaded host, least loaded destination first, one
-// move scored and committed per hold of the session lock — so an
-// admission waits behind one move at most, and no move is ever stale —
-// and every committed move is WAL-logged like any other operation.
-// -rebalance-max-moves caps each round. The one-shot
-// POST /v1/sessions/{id}/rebalance endpoint runs a round on demand even
-// with the background rounds disabled:
-//
-//	hmnd -addr :8080 -rebalance-interval 5s -rebalance-max-moves 8
+// Rebalancing: POST /v1/sessions/{id}/rebalance runs, on demand, a round
+// of the paper's Migration stage (§4.2) over every deployed environment
+// against the live residual-CPU vector: cheapest victim off the most
+// loaded host, least loaded destination first, one move scored and
+// committed per hold of the session lock — so an admission waits behind
+// one move at most, and no move is ever stale — and every committed move
+// is WAL-logged like any other operation. -rebalance-max-moves caps each
+// round (default 8).
 //
 // Profiling: -pprof-addr (off by default) serves net/http/pprof on its
 // own listener, kept away from the service port so profiling endpoints
@@ -62,16 +56,16 @@
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/mutex
 //
 // Federation: -shards N switches the daemon into sharded multi-cluster
-// mode — N fully independent shards (each its own session, ledger, WAL
-// directory and rebalance cadence) behind a router that places each
-// environment by consistent hashing with a best-fit fallback, admitting
-// on per-shard workers so unrelated environments never contend on a
-// lock or an fsync. -shard-cluster names a cluster-spec JSON file
-// instantiated once per shard; -gateway-bw budgets the inter-shard
-// bandwidth that split admissions may charge. The durability and
-// rebalancing flags apply per shard (-data-dir holds one WAL directory
-// per shard plus the tenant registry, and a restart recovers every
-// shard before serving):
+// mode — N fully independent shards (each its own session, ledger and
+// WAL directory) behind a router that places each environment by
+// consistent hashing with a best-fit fallback, admitting on per-shard
+// workers so unrelated environments never contend on a lock or an
+// fsync. -shard-cluster names a cluster-spec JSON file instantiated once
+// per shard; -gateway-bw budgets the inter-shard bandwidth that split
+// admissions may charge. -queue bounds each shard's operation queue,
+// and the durability and rebalancing flags apply per shard (-data-dir
+// holds one WAL directory per shard plus the tenant registry, and a
+// restart recovers every shard before serving):
 //
 //	hmnd -addr :8080 -shards 4 -shard-cluster cluster.json -gateway-bw 100 -data-dir /var/lib/hmnd
 //
@@ -89,6 +83,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -116,16 +111,13 @@ func configure(args []string) (func() error, error) {
 	fs := flag.NewFlagSet("hmnd", flag.ExitOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 64, "admission queue depth (with -shards: each shard's operation queue)")
 		timeout   = fs.Duration("timeout", 30*time.Second, "per-request timeout (queue wait included)")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		dataDir   = fs.String("data-dir", "", "durability directory: WAL + snapshots (empty = in-memory only)")
 		snapEvery = fs.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot interval when -data-dir is set (0 = shutdown snapshot only)")
-		replay    = fs.Bool("replay", false, "verify every recovered session against a recompute before serving (needs -data-dir)")
-		rebEvery  = fs.Duration("rebalance-interval", 0, "background rebalancing round interval per session (0 = disabled; one-shot endpoint always available)")
-		rebMoves  = fs.Int("rebalance-max-moves", 8, "guest moves per rebalancing round (0 = unbounded)")
+		rebMoves  = fs.Int("rebalance-max-moves", 8, "guest moves per POST .../rebalance round (0 = unbounded)")
 		mutexFrac = fs.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction for /debug/pprof/mutex (0 = disabled)")
 		blockRate = fs.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns for /debug/pprof/block (0 = disabled)")
 		shards    = fs.Int("shards", 0, "federation mode: independent shard count (0 = single-session daemon)")
@@ -137,20 +129,12 @@ func configure(args []string) (func() error, error) {
 	err := profileConfig(*mutexFrac, *blockRate)
 	var cfg server.Config
 	if err == nil {
-		cfg, err = buildConfig(*workers, *queue, *timeout)
-	}
-	if err == nil {
-		err = durabilityConfig(&cfg, *dataDir, *snapEvery, *replay)
-	}
-	if err == nil {
-		err = rebalanceConfig(&cfg, *rebEvery, *rebMoves)
+		cfg, err = buildConfig(*queue, *timeout, *rebMoves, *dataDir, *snapEvery)
 	}
 	switch {
 	case err != nil:
 	case *shards <= 0 && (*gatewayBW != 0 || *shardSpec != ""):
 		err = errors.New("-gateway-bw and -shard-cluster need -shards")
-	case *shards > 0 && flagSet(fs, "workers"):
-		err = errors.New("-workers does not apply with -shards: each shard runs one worker")
 	case *shards > 0:
 		err = federationConfig(&cfg, *shards, *gatewayBW, *shardSpec)
 	}
@@ -160,56 +144,24 @@ func configure(args []string) (func() error, error) {
 	return func() error { return run(*addr, cfg, *shards > 0, *drain, *pprofAddr) }, nil
 }
 
-// flagSet reports whether the command line named the flag, whatever
-// value it gave it.
-func flagSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-	return set
-}
-
-// buildConfig validates the flag values into a server config.
-func buildConfig(workers, queue int, timeout time.Duration) (server.Config, error) {
-	if workers < 0 {
-		return server.Config{}, fmt.Errorf("-workers must be >= 0, got %d", workers)
+// buildConfig validates the flags both modes share into a server
+// config. -snapshot-interval means nothing without -data-dir.
+func buildConfig(queue int, timeout time.Duration, maxMoves int, dataDir string, snapEvery time.Duration) (server.Config, error) {
+	var err error
+	switch {
+	case queue <= 0:
+		err = fmt.Errorf("-queue must be positive, got %d", queue)
+	case timeout <= 0:
+		err = fmt.Errorf("-timeout must be positive, got %v", timeout)
+	case maxMoves < 0:
+		err = fmt.Errorf("-rebalance-max-moves must be >= 0, got %d", maxMoves)
+	case dataDir != "" && snapEvery < 0:
+		err = fmt.Errorf("-snapshot-interval must be >= 0, got %v", snapEvery)
 	}
-	if queue <= 0 {
-		return server.Config{}, fmt.Errorf("-queue must be positive, got %d", queue)
-	}
-	if timeout <= 0 {
-		return server.Config{}, fmt.Errorf("-timeout must be positive, got %v", timeout)
-	}
-	return server.Config{Workers: workers, QueueDepth: queue, RequestTimeout: timeout}, nil
-}
-
-// durabilityConfig validates the WAL flags into cfg.
-func durabilityConfig(cfg *server.Config, dataDir string, snapEvery time.Duration, replay bool) error {
-	if dataDir == "" {
-		if replay {
-			return fmt.Errorf("-replay needs -data-dir")
-		}
-		return nil
-	}
-	if snapEvery < 0 {
-		return fmt.Errorf("-snapshot-interval must be >= 0, got %v", snapEvery)
-	}
-	cfg.DataDir = dataDir
-	cfg.SnapshotInterval = snapEvery
-	cfg.VerifyReplay = replay
-	return nil
-}
-
-// rebalanceConfig validates the rebalancer flags into cfg.
-func rebalanceConfig(cfg *server.Config, interval time.Duration, maxMoves int) error {
-	if interval < 0 {
-		return fmt.Errorf("-rebalance-interval must be >= 0, got %v", interval)
-	}
-	if maxMoves < 0 {
-		return fmt.Errorf("-rebalance-max-moves must be >= 0, got %d", maxMoves)
-	}
-	cfg.RebalanceInterval = interval
-	cfg.RebalanceMaxMoves = maxMoves
-	return nil
+	return server.Config{
+		QueueDepth: queue, RequestTimeout: timeout, RebalanceMaxMoves: maxMoves,
+		DataDir: dataDir, SnapshotInterval: snapEvery,
+	}, err
 }
 
 // profileConfig validates the profiling flags and arms the runtime's
@@ -303,9 +255,13 @@ func run(addr string, cfg server.Config, federation bool, drain time.Duration, p
 		defer pprofSrv.Close()
 	}
 
+	workers := "1 per shard"
+	if !federation {
+		workers = strconv.Itoa(runtime.GOMAXPROCS(0))
+	}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (queue=%d timeout=%v)", addr, cfg.QueueDepth, cfg.RequestTimeout)
+		logger.Printf("listening on %s (workers=%s queue=%d timeout=%v)", addr, workers, cfg.QueueDepth, cfg.RequestTimeout)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

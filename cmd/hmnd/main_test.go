@@ -7,53 +7,49 @@ import (
 )
 
 func TestBuildConfig(t *testing.T) {
-	cfg, err := buildConfig(4, 16, 5*time.Second)
+	cfg, err := buildConfig(16, 5*time.Second, 3, "data", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 4 || cfg.QueueDepth != 16 || cfg.RequestTimeout != 5*time.Second {
+	if cfg.QueueDepth != 16 || cfg.RequestTimeout != 5*time.Second || cfg.RebalanceMaxMoves != 3 ||
+		cfg.DataDir != "data" || cfg.SnapshotInterval != time.Minute {
 		t.Fatalf("config = %+v", cfg)
 	}
-	// 0 workers means "default" (GOMAXPROCS), resolved by server.New.
-	if _, err := buildConfig(0, 16, time.Second); err != nil {
+	// Without a data directory the snapshot interval is never read.
+	if _, err := buildConfig(16, time.Second, 0, "", -time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []struct {
-		workers, queue int
-		timeout        time.Duration
+		queue     int
+		timeout   time.Duration
+		maxMoves  int
+		snapEvery time.Duration
 	}{
-		{-1, 16, time.Second},
-		{4, 0, time.Second},
-		{4, 16, 0},
+		{0, time.Second, 0, 0},
+		{16, 0, 0, 0},
+		{16, time.Second, -1, 0},
+		{16, time.Second, 0, -time.Second},
 	} {
-		if _, err := buildConfig(bad.workers, bad.queue, bad.timeout); err == nil {
+		if _, err := buildConfig(bad.queue, bad.timeout, bad.maxMoves, "data", bad.snapEvery); err == nil {
 			t.Fatalf("buildConfig(%+v) must error", bad)
 		}
 	}
 }
 
 // TestFlagsOfTheOtherModeAreUsageErrors pins the flags that mean
-// nothing in one of the two modes: given there, they used to be accepted
-// and ignored. -workers sizes the classic pool only (each federation
-// shard runs one worker), whatever value it is given; -gateway-bw and
-// -shard-cluster need -shards.
+// nothing without -shards: given there, they used to be accepted and
+// ignored.
 func TestFlagsOfTheOtherModeAreUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-shards", "2", "-shard-cluster", "cluster.json", "-workers", "4"}, "-workers does not apply with -shards"},
-		{[]string{"-shards", "2", "-shard-cluster", "cluster.json", "-workers", "0"}, "-workers does not apply with -shards"},
 		{[]string{"-gateway-bw", "50"}, "-gateway-bw and -shard-cluster need -shards"},
 		{[]string{"-shard-cluster", "cluster.json"}, "-gateway-bw and -shard-cluster need -shards"},
 	} {
 		if _, err := configure(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("configure(%v) = %v, want the usage error %q", tc.args, err, tc.want)
 		}
-	}
-	// Without -shards, -workers is the pool size it always was.
-	if _, err := configure([]string{"-workers", "4"}); err != nil {
-		t.Errorf("configure(-workers 4) = %v", err)
 	}
 }
 
@@ -84,9 +80,7 @@ func TestSharedFlagsValidateTheSameInBothModes(t *testing.T) {
 	}{
 		{[]string{"-timeout", "0s"}, "-timeout must be positive, got 0s"},
 		{[]string{"-queue", "0"}, "-queue must be positive, got 0"},
-		{[]string{"-replay"}, "-replay needs -data-dir"},
 		{[]string{"-data-dir", "x", "-snapshot-interval", "-1s"}, "-snapshot-interval must be >= 0, got -1s"},
-		{[]string{"-rebalance-interval", "-1s"}, "-rebalance-interval must be >= 0, got -1s"},
 		{[]string{"-rebalance-max-moves", "-1"}, "-rebalance-max-moves must be >= 0, got -1"},
 	} {
 		_, classic := configure(tc.args)

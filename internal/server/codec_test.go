@@ -65,7 +65,7 @@ func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
 // the 400 encoding/json made of it.
 func TestOversizeBodyIsRejectedAsBefore(t *testing.T) {
 	_, cs := testbed(t)
-	_, ts := startServer(t, Config{Workers: 1, MaxBodyBytes: 16 << 10})
+	_, ts := startServer(t, Config{MaxBodyBytes: 16 << 10})
 	sid := openSession(t, ts.Client(), ts.URL, cs, "")
 	code, raw, _ := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(1, 300))})
@@ -84,7 +84,7 @@ func TestOversizeBodyIsRejectedAsBefore(t *testing.T) {
 // their series exist (at zero) from the moment the session opens.
 func TestMapCountersResolvedWithSession(t *testing.T) {
 	_, cs := testbed(t)
-	_, ts := startServer(t, Config{Workers: 1})
+	_, ts := startServer(t, Config{})
 	openSession(t, ts.Client(), ts.URL, cs, "HMN-C")
 	text := scrape(t, ts.Client(), ts.URL)
 	for _, outcome := range []string{"attempted", "succeeded", "failed", "rejected"} {

@@ -108,7 +108,7 @@ func TestBothModesHTTPContract(t *testing.T) {
 	for i, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			s := mode.build(Config{
-				Workers: 2, QueueDepth: 8, MaxBodyBytes: 16 << 10,
+				QueueDepth: 8, MaxBodyBytes: 16 << 10,
 				DataDir: t.TempDir(), ClusterSpecs: []spec.ClusterSpec{cs}, Logf: t.Logf,
 			})
 			ts := httptest.NewServer(s.Handler())

@@ -160,9 +160,9 @@ func (s *Server) handleRestore(resolve resolver, kind, pathKey string) http.Hand
 	}
 }
 
-// handleRebalance runs one synchronous rebalancing round — the one-shot
-// counterpart of the background loop, for operators and tests that want
-// a round exactly now (e.g. right after a burst of releases).
+// handleRebalance runs one synchronous rebalancing round, the daemon's
+// only way to start one: an operator asks for a round exactly when it is
+// worth its moves (e.g. right after a burst of releases).
 func (s *Server) handleRebalance(resolve resolver) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		d, ok := resolve(w, r)

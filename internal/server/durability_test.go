@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/shard"
 	"repro/internal/spec"
 	"repro/internal/wal"
 )
@@ -16,11 +17,9 @@ import (
 // durableConfig is the standard test config with a data directory.
 func durableConfig(t *testing.T, dir string) Config {
 	return Config{
-		Workers:      2,
-		QueueDepth:   16,
-		DataDir:      dir,
-		VerifyReplay: true,
-		Logf:         t.Logf,
+		QueueDepth: 16,
+		DataDir:    dir,
+		Logf:       t.Logf,
 	}
 }
 
@@ -508,6 +507,46 @@ func TestRecoverBumpsNextEnvFromActiveTags(t *testing.T) {
 	}
 	if existing[out.ID] {
 		t.Fatalf("recovered daemon re-issued live environment ID %s", out.ID)
+	}
+}
+
+// TestRecoverRefusesRegistryMismatch: a classic log whose admission
+// carries no tag recovers an environment the daemon has no ID for, and
+// Recover refuses to serve it, with no option asking it to check. The
+// refused directory is left as it was: the Close that follows (hmnd's
+// exit path) takes no shutdown snapshot of a half-recovered daemon.
+func TestRecoverRefusesRegistryMismatch(t *testing.T) {
+	dir := t.TempDir()
+	c, cs := testbed(t)
+	w, _, _, err := shard.Replay(shard.Config{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := shard.Open(shard.Config{Mapper: "HMN"}, "s1", c, cs, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Session().Map(smallEnv(70, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{DataDir: dir})
+	err = s.Recover()
+	if want := "recovered 0 environment records for 1 active environments"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Recover() = %v, want an error containing %q", err, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Scan(dir, wal.Hooks{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 2 || rec.Records[1].Kind != wal.KindAdmit {
+		t.Fatalf("the refused directory now holds %d log records, want its open and admit", len(rec.Records))
 	}
 }
 

@@ -195,7 +195,7 @@ func TestFederationKeepsShardQueueDefault(t *testing.T) {
 	if got := NewFederation(Config{}).domainCfg.QueueDepth; got != 0 {
 		t.Fatalf("a zero Config hands the shards a queue depth of %d; the shard layer's own default must apply", got)
 	}
-	if got := New(Config{Workers: 1}); cap(got.queue) != 64 {
+	if got := New(Config{}); cap(got.queue) != 64 {
 		t.Fatalf("classic admission queue defaults to %d, want 64", cap(got.queue))
 	} else {
 		got.Close()
@@ -289,7 +289,7 @@ func TestFederationHTTPRecover(t *testing.T) {
 
 	// ClusterSpecs are deliberately dropped: recovery must rebuild the
 	// shards from their own WALs.
-	s2, ts2 := startFedServer(t, FedConfig{DataDir: dir, VerifyReplay: true})
+	s2, ts2 := startFedServer(t, FedConfig{DataDir: dir})
 	if s2.Federation().Shards() != 2 {
 		t.Fatalf("recovered %d shards", s2.Federation().Shards())
 	}
@@ -320,7 +320,7 @@ func TestFederationHTTPRecover(t *testing.T) {
 // rejects what the classic session (where CPU is no constraint) admits.
 func TestClassicAndOneShardFederationAgree(t *testing.T) {
 	_, cs := testbed(t)
-	_, cts := startServer(t, Config{Workers: 1, QueueDepth: 8})
+	_, cts := startServer(t, Config{QueueDepth: 8})
 	_, fts := startFedServer(t, FedConfig{ClusterSpecs: []spec.ClusterSpec{cs}})
 	client := cts.Client()
 

@@ -3,15 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/virtual"
+	"repro/internal/wal"
 )
 
 // rebalanceTestbed builds a 4-host cluster engineered so that admission
@@ -99,7 +100,7 @@ func residualStdDev(t *testing.T, client *http.Client, base string) float64 {
 
 func TestRebalanceEndpoint(t *testing.T) {
 	cs := rebalanceTestbed(t)
-	_, ts := startServer(t, Config{Workers: 2, QueueDepth: 16})
+	_, ts := startServer(t, Config{QueueDepth: 16})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 	base := ts.URL + "/v1/sessions/" + sid
@@ -157,7 +158,7 @@ func TestRebalanceEndpoint(t *testing.T) {
 // search), and the round's one move pulls the link across the fabric.
 func TestRebalanceCountsItsRouting(t *testing.T) {
 	cs := rebalanceTestbed(t)
-	_, ts := startServer(t, Config{Workers: 2, QueueDepth: 16})
+	_, ts := startServer(t, Config{QueueDepth: 16})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 	base := ts.URL + "/v1/sessions/" + sid
@@ -186,45 +187,6 @@ func TestRebalanceCountsItsRouting(t *testing.T) {
 	}
 	if got := metricValue(t, after, "hmnd_rebalance_aborts_total"); got != 0 {
 		t.Errorf("hmnd_rebalance_aborts_total = %v, want 0", got)
-	}
-}
-
-// TestRebalanceBackgroundLoop runs the background cadence: after the
-// release unbalances the session, the loop must converge it without any
-// endpoint call, and the environment registry must follow the moved
-// mapping (releasing B afterwards restores the primed baseline).
-func TestRebalanceBackgroundLoop(t *testing.T) {
-	cs := rebalanceTestbed(t)
-	_, ts := startServer(t, Config{
-		Workers: 2, QueueDepth: 16,
-		RebalanceInterval: 2 * time.Millisecond,
-	})
-	client := ts.Client()
-	sid := openSession(t, client, ts.URL, cs, "")
-	base := ts.URL + "/v1/sessions/" + sid
-	baseline := residualStdDev(t, client, base)
-	pair := unbalance(t, client, base)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if sd := residualStdDev(t, client, base); math.Abs(sd-200) < 1e-9 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background rebalancer never balanced the session: stddev %v",
-				residualStdDev(t, client, base))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The registry tracked the migration: releasing B under its original
-	// ID must free the guests where they live NOW, restoring the primed
-	// residuals exactly.
-	if code, raw, _ := doJSON(t, client, "DELETE", base+"/envs/"+pair, nil); code != http.StatusNoContent {
-		t.Fatalf("release after rebalance: %d %s", code, raw)
-	}
-	if sd := residualStdDev(t, client, base); math.Abs(sd-baseline) > 1e-12 {
-		t.Fatalf("release after rebalance left stddev %v, want baseline %v", sd, baseline)
 	}
 }
 
@@ -264,7 +226,7 @@ func TestRebalanceKillRestart(t *testing.T) {
 	ts1.Close()
 	// No s1.Close(): simulate a kill mid-flight. The acknowledged
 	// migrate record is fsynced; recovery replays it from the log alone
-	// (VerifyReplay cross-checks the objective accumulators too).
+	// and cross-checks the objective accumulators.
 
 	s2 := New(cfg)
 	if err := s2.Recover(); err != nil {
@@ -296,7 +258,7 @@ func TestRebalanceKillRestart(t *testing.T) {
 func overtakenByMigrateCommit(t *testing.T) (client *http.Client, base, pair string, sess *session) {
 	t.Helper()
 	cs := rebalanceTestbed(t)
-	s, ts := startServer(t, Config{Workers: 2, QueueDepth: 16})
+	s, ts := startServer(t, Config{QueueDepth: 16})
 	client = ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 	base = ts.URL + "/v1/sessions/" + sid
@@ -311,11 +273,12 @@ func overtakenByMigrateCommit(t *testing.T) (client *http.Client, base, pair str
 	return client, base, pair, sess
 }
 
-// TestReleaseOvertakenByMigrateCommit parks a DELETE behind a background
-// round's commit: core has already swapped the environment's mapping for
-// the migrated one, and nothing has told the daemon. The test gets there
-// by running the round straight on the core session, as the background
-// cadence's goroutine does. A registry that remembered the
+// TestReleaseOvertakenByMigrateCommit parks a DELETE behind a round's
+// commit: core has already swapped the environment's mapping for the
+// migrated one, and nothing has told the daemon. The test gets there by
+// running the round straight on the core session, as POST …/rebalance
+// does on its handler's goroutine, outside the admission queue. A
+// registry that remembered the
 // mapping it was handed at admission asked core to release a pointer no
 // longer active: the client got 404, the ID was forgotten, and the
 // reservations stayed in the ledger with nothing left to name them.
@@ -356,17 +319,15 @@ func TestFailOvertakenByMigrateCommit(t *testing.T) {
 	}
 }
 
-// TestRebalanceKillDuringChurn crashes the daemon while the background
-// rebalancer is actively migrating between admissions and releases, then
-// requires recovery to reproduce the exact surviving state. The final
-// read happens after the scheduler quiesces, so the comparison is
-// deterministic even though the kill point relative to the last round is
-// not.
+// TestRebalanceKillDuringChurn crashes the daemon after POST …/rebalance
+// rounds from a second goroutine raced its admissions and releases, then
+// requires recovery to reproduce the exact surviving state. Rounds run
+// on after the churn until one moves nothing, so the state read before
+// the kill is the state of record, with migrate records in the log.
 func TestRebalanceKillDuringChurn(t *testing.T) {
 	dir := t.TempDir()
 	cs := rebalanceTestbed(t)
 	cfg := durableConfig(t, dir)
-	cfg.RebalanceInterval = time.Millisecond
 
 	s1 := New(cfg)
 	if err := s1.Recover(); err != nil {
@@ -377,7 +338,30 @@ func TestRebalanceKillDuringChurn(t *testing.T) {
 	sid := openSession(t, client, ts1.URL, cs, "")
 	base := ts1.URL + "/v1/sessions/" + sid
 
-	// Churn: the rebalancer races these admissions and releases.
+	// Churn: rounds race these admissions and releases.
+	stop := make(chan struct{})
+	rounds := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				rounds <- nil
+				return
+			default:
+			}
+			resp, err := client.Post(base+"/rebalance", "application/json", nil)
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("rebalance during churn: status %d", resp.StatusCode)
+				}
+			}
+			if err != nil {
+				rounds <- err
+				return
+			}
+		}
+	}()
 	for i := 0; i < 5; i++ {
 		pinned := mapOne(t, client, base, pinEnv())
 		pair := mapOne(t, client, base, pairEnv())
@@ -389,21 +373,42 @@ func TestRebalanceKillDuringChurn(t *testing.T) {
 		}
 	}
 	final := unbalance(t, client, base)
+	close(stop)
+	if err := <-rounds; err != nil {
+		t.Fatal(err)
+	}
 
-	// Wait for the loop to finish balancing, then read the state of
-	// record and kill.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if sd := residualStdDev(t, client, base); math.Abs(sd-200) < 1e-9 {
+	for round := 0; ; round++ {
+		code, raw, _ := doJSON(t, client, "POST", base+"/rebalance", nil)
+		var out RebalanceResponse
+		if err := json.Unmarshal(raw, &out); err != nil || code != http.StatusOK {
+			t.Fatalf("rebalance: %d %s (%v)", code, raw, err)
+		}
+		if out.Moves == 0 {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebalancer never converged: stddev %v", residualStdDev(t, client, base))
+		if round == 50 {
+			t.Fatal("rounds never converged")
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if sd := residualStdDev(t, client, base); math.Abs(sd-200) > 1e-9 {
+		t.Fatalf("converged rounds left stddev %v, want 200", sd)
 	}
 	_, residuals1, _ := doJSON(t, client, "GET", base+"/residuals", nil)
 	ts1.Close() // kill: no drain, no snapshot
+	rec, err := wal.Scan(dir, wal.Hooks{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrates := 0
+	for i := range rec.Records {
+		if rec.Records[i].Kind == wal.KindMigrate {
+			migrates++
+		}
+	}
+	if migrates == 0 {
+		t.Fatal("the log holds no migrate record to replay")
+	}
 
 	s2 := New(cfg)
 	if err := s2.Recover(); err != nil {

@@ -8,14 +8,14 @@
 //   - core.Session holds the residual-resource ledger and runs the HMN /
 //     HMN-C mapper incrementally; it is the only layer that mutates
 //     testbed state.
-//   - shard.Shard is one lock domain: a session, the write-ahead log its
-//     commits go to and its rebalance cadence. Creating one, adopting
-//     one from a replayed log and snapshotting one are shard functions;
-//     this package never touches a commit hook or a scheduler.
+//   - shard.Shard is one lock domain: a session and the write-ahead log
+//     its commits go to. Creating one, adopting one from a replayed log
+//     and snapshotting one are shard functions; this package never
+//     touches a commit hook.
 //   - Server is the one daemon type. New serves clients who bring their
 //     own cluster per session: every session is a domain on the daemon's
 //     one WAL, and every mutating request passes a bounded admission
-//     queue drained by a fixed worker pool — when it is full, or the
+//     queue drained by one worker per GOMAXPROCS — when it is full, or the
 //     server is draining, the request is rejected at once with 503 +
 //     Retry-After. NewFederation serves a shard.Federation: the lock
 //     domains are its N shards, fixed at startup, and tenants' requests
@@ -60,7 +60,9 @@
 // durable before its client hears about it — a crash can lose
 // unacknowledged work, never acknowledged work. Recover rebuilds the
 // domains from snapshot plus log suffix before the daemon serves; the
-// /v1 API answers 503 "replaying" until it returns.
+// /v1 API answers 503 "replaying" until it returns, and refuses to
+// serve a domain whose incremental objective or environment registry
+// disagrees with a recompute.
 //
 // Request bodies are decoded strictly (spec.DecodeStrict): unknown
 // fields are a 400, not a silent no-op.
@@ -90,9 +92,6 @@ import (
 // Config sizes the daemon, either mode. The zero value gets sensible
 // defaults.
 type Config struct {
-	// Workers is the size of the pool draining the classic admission
-	// queue; defaults to GOMAXPROCS. A federation shard runs one worker.
-	Workers int
 	// QueueDepth bounds the classic admission queue (a full queue
 	// rejects with 503; default 64) or, on a federation, each shard's
 	// operation queue (default 256).
@@ -118,33 +117,21 @@ type Config struct {
 	// (which truncate the log). 0 snapshots only on graceful shutdown.
 	// Ignored without DataDir.
 	SnapshotInterval time.Duration
-	// VerifyReplay makes Recover cross-check every recovered domain
-	// (incremental objective vs recompute, environment registry vs
-	// active set) before the daemon serves.
-	VerifyReplay bool
-	// RebalanceInterval enables background rebalancing: every lock domain
-	// periodically runs a round of the §4.2 descent over its deployed
-	// environments (core.Session.Rebalance), one committed move per
-	// lock-hold. 0 disables it; the one-shot rebalance endpoint works
-	// either way.
-	RebalanceInterval time.Duration
-	// RebalanceMaxMoves caps guest moves per rebalancing round. <= 0 means
-	// unbounded: a round runs until no move improves the objective.
+	// RebalanceMaxMoves caps guest moves per round of POST …/rebalance.
+	// <= 0 means unbounded: a round runs until no move improves the
+	// objective.
 	RebalanceMaxMoves int
 	// Logf receives durability warnings and recovery progress; nil
 	// discards them.
 	Logf func(format string, args ...interface{})
 
 	// The remaining fields describe a federation's shards, which exist
-	// from startup; a classic session brings the same three per
-	// POST /v1/sessions instead. ClusterSpecs holds one physical cluster
-	// per shard (ignored when DataDir already holds federation state:
-	// recovery rebuilds the clusters from the per-shard WALs), Mapper the
-	// wire name applied to every shard ("" = HMN), Overhead the per-host
-	// VMM overhead.
+	// from startup and run HMN with no VMM overhead. ClusterSpecs holds
+	// one physical cluster per shard (ignored when DataDir already holds
+	// federation state: recovery rebuilds the clusters from the per-shard
+	// WALs); a classic session brings its cluster, mapper and overhead
+	// per POST /v1/sessions instead.
 	ClusterSpecs []spec.ClusterSpec
-	Mapper       string
-	Overhead     cluster.VMMOverhead
 	// GatewayBW is the inter-shard gateway budget in Mbps (0 disables
 	// split admissions).
 	GatewayBW float64
@@ -268,7 +255,7 @@ func newServer(cfg Config) *Server {
 		snapshotLatency = reg.Histogram("hmnd_snapshot_seconds",
 			"Wall time of full-state snapshots (rotate, export, publish, prune).", nil)
 		rebalRounds = reg.Counter("hmnd_rebalance_rounds_total",
-			"Rebalancing rounds executed (background and one-shot).")
+			"Rebalancing rounds executed.")
 		rebalPlanned = reg.Counter("hmnd_rebalance_planned_units_total",
 			"Guest moves rebalancing rounds scored improving against the live residuals and tried to commit.")
 		rebalMoves = reg.Counter("hmnd_rebalance_moves_total",
@@ -281,14 +268,10 @@ func newServer(cfg Config) *Server {
 			"Time a rebalancing round held its session's lock, all its one-move lock-holds together.", nil)
 	)
 	s.domainCfg = shard.Config{
-		Mapper:            cfg.Mapper,
-		Overhead:          cfg.Overhead,
 		GatewayBW:         cfg.GatewayBW,
 		DataDir:           cfg.DataDir,
 		SnapshotInterval:  cfg.SnapshotInterval,
-		RebalanceInterval: cfg.RebalanceInterval,
 		RebalanceMaxMoves: cfg.RebalanceMaxMoves,
-		VerifyReplay:      cfg.VerifyReplay,
 		QueueDepth:        cfg.QueueDepth,
 		Logf:              cfg.Logf,
 		Hooks: shard.Hooks{
@@ -395,13 +378,13 @@ func (s *Server) Recover() error {
 }
 
 // Close drains the daemon: /healthz turns 503 and new mutating work is
-// refused, every lock domain's rebalancer stops, every operation
-// already accepted runs to completion, a final snapshot is taken — after
-// the drain, so queued-but-unacknowledged admissions that committed
-// during it are captured, not lost — and the logs are sealed. It
-// returns the first error of that last step. Safe to call more than
-// once. Callers shutting down an http.Server should call its Shutdown
-// first, so no handler is left waiting on an operation.
+// refused, every operation already accepted runs to completion, a final
+// snapshot is taken — after the drain, so queued-but-unacknowledged
+// admissions that committed during it are captured, not lost — and the
+// logs are sealed. It returns the first error of that last step. Safe
+// to call more than once. Callers shutting down an http.Server should
+// call its Shutdown first, so no handler is left waiting on an
+// operation.
 func (s *Server) Close() error {
 	s.admitMu.Lock()
 	first := !s.draining
@@ -413,11 +396,24 @@ func (s *Server) Close() error {
 	if s.fed != nil {
 		return s.fed.Close()
 	}
-	if !first {
-		s.wg.Wait()
+	s.wg.Wait()
+	if !first || s.wal == nil {
 		return nil
 	}
-	return s.closeSessions()
+	if s.stopSnapshots != nil {
+		s.stopSnapshots()
+	}
+	err := s.writeSnapshot()
+	if err != nil {
+		s.logf("hmnd: shutdown snapshot: %v", err)
+	}
+	if cerr := s.wal.Close(); cerr != nil {
+		s.logf("hmnd: wal close: %v", cerr)
+		if err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // logf reports housekeeping through the configured logger.

@@ -129,7 +129,7 @@ func scrape(t *testing.T, client *http.Client, base string) string {
 // confirm the residuals return to the primed baseline.
 func TestEndToEnd(t *testing.T) {
 	c, cs := testbed(t)
-	_, ts := startServer(t, Config{Workers: 4, QueueDepth: 32})
+	_, ts := startServer(t, Config{QueueDepth: 32})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 
@@ -317,25 +317,53 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
+// pinWorkers occupies every worker of s's pool, one per GOMAXPROCS, with
+// a task that blocks until release is called, and returns once all of
+// them are running. The tasks are submitted one at a time, so a queue of
+// depth 1 never overflows.
+func pinWorkers(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	block := make(chan struct{})
+	pinned := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.submit(context.Background(), func() {
+				pinned <- struct{}{}
+				<-block
+			}); err != nil {
+				t.Error(err)
+				close(pinned)
+			}
+		}()
+		if _, ok := <-pinned; !ok {
+			t.FailNow()
+		}
+	}
+	return func() {
+		close(block)
+		wg.Wait()
+	}
+}
+
 // TestOverloadRejectsWith503 pins the worker pool and fills the queue,
 // then proves a map request is rejected immediately with 503 and
 // Retry-After rather than waiting.
 func TestOverloadRejectsWith503(t *testing.T) {
 	_, cs := testbed(t)
-	s, ts := startServer(t, Config{Workers: 1, QueueDepth: 1})
+	s, ts := startServer(t, Config{QueueDepth: 1})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 
-	block := make(chan struct{})
-	var wg sync.WaitGroup
-	// One task occupies the single worker, one fills the queue slot.
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = s.submit(context.Background(), func() { <-block })
-		}()
-	}
+	// Every worker is busy and one more task fills the queue slot.
+	release := pinWorkers(t, s)
+	queued := make(chan struct{})
+	go func() {
+		defer close(queued)
+		_ = s.submit(context.Background(), func() {})
+	}()
 	waitFor(t, func() bool { return len(s.queue) == 1 })
 
 	code, raw, hdr := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
@@ -351,8 +379,8 @@ func TestOverloadRejectsWith503(t *testing.T) {
 		t.Fatalf("rejected = %v, want 1", got)
 	}
 	// Unsaturate: the same request must now succeed.
-	close(block)
-	wg.Wait()
+	release()
+	<-queued
 	code, raw, _ = doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(7, 5))})
 	if code != http.StatusOK {
@@ -366,31 +394,16 @@ func TestGracefulShutdown(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	c, cs := testbed(t)
-	s := New(Config{Workers: 2, QueueDepth: 8})
+	s := New(Config{QueueDepth: 8})
 	ts := httptest.NewServer(s.Handler())
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 
-	// Pin both workers so the next map stays in the queue when Close
-	// begins: it is the in-flight work the drain must finish. Each
-	// blocker reports from inside its task, and the map is posted only
-	// once both have: a request that reached the queue ahead of a blocker
-	// would be mapped by the free worker and never wait.
-	block := make(chan struct{})
-	pinned := make(chan struct{}, 2) // one send per blocker
-	var blockers sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		blockers.Add(1)
-		go func() {
-			defer blockers.Done()
-			_ = s.submit(context.Background(), func() {
-				pinned <- struct{}{}
-				<-block
-			})
-		}()
-	}
-	<-pinned
-	<-pinned
+	// Pin every worker so the next map stays in the queue when Close
+	// begins: it is the in-flight work the drain must finish. The map is
+	// posted only once all are pinned: a request that reached the queue
+	// ahead of a blocker would be mapped by a free worker and never wait.
+	release := pinWorkers(t, s)
 	env := smallEnv(42, 10)
 	type mapResult struct {
 		code int
@@ -427,8 +440,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 
 	// Unpin: the queued map must complete successfully.
-	close(block)
-	blockers.Wait()
+	release()
 	res := <-inflight
 	if res.code != http.StatusOK {
 		t.Fatalf("in-flight map: status %d: %s", res.code, res.raw)
@@ -462,7 +474,7 @@ func TestGracefulShutdown(t *testing.T) {
 // environments among them) are in TestBothModesHTTPContract.
 func TestHandlerErrors(t *testing.T) {
 	_, cs := testbed(t)
-	_, ts := startServer(t, Config{Workers: 2, QueueDepth: 8})
+	_, ts := startServer(t, Config{QueueDepth: 8})
 	client := ts.Client()
 
 	// Unknown field in the request body: strict decoding is a 400.
@@ -499,7 +511,7 @@ func TestHandlerErrors(t *testing.T) {
 
 func TestMapWithPlanAndSessionClose(t *testing.T) {
 	_, cs := testbed(t)
-	_, ts := startServer(t, Config{Workers: 2, QueueDepth: 8})
+	_, ts := startServer(t, Config{QueueDepth: 8})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "HMN")
 
@@ -550,30 +562,24 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached within 5s")
 }
 
-// TestBatchedAdmission piles a batch of map requests up behind a pinned
-// worker. Nothing coalesces them: the worker admits the queued requests
+// TestQueuedMapsLogOneAdmitEach piles map requests up behind the pinned
+// workers. Nothing coalesces them: the workers admit the queued requests
 // one at a time, each gets its own correct response, and the log holds
 // one admit record per request under consecutive sequence numbers.
 // Environment IDs are assigned before queuing, so which request got
 // which seq is not asserted.
-func TestBatchedAdmission(t *testing.T) {
+func TestQueuedMapsLogOneAdmitEach(t *testing.T) {
 	c, cs := testbed(t)
 	dir := t.TempDir()
-	srv, ts := startServer(t, Config{Workers: 1, QueueDepth: 32, DataDir: dir, Logf: t.Logf})
+	srv, ts := startServer(t, Config{QueueDepth: 32, DataDir: dir, Logf: t.Logf})
 	if err := srv.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 
-	// Pin the worker so the map requests pile up in the queue.
-	release := make(chan struct{})
-	blocked := make(chan struct{})
-	go srv.submit(context.Background(), func() {
-		close(blocked)
-		<-release
-	})
-	<-blocked
+	// Pin the workers so the map requests pile up in the queue.
+	release := pinWorkers(t, srv)
 
 	const n = 5
 	envs := make([]*virtual.Env, n)
@@ -601,7 +607,7 @@ func TestBatchedAdmission(t *testing.T) {
 		}(i)
 	}
 
-	// All n requests must be queued before the worker wakes up again.
+	// All n requests must be queued before a worker wakes up again.
 	deadline := time.Now().Add(5 * time.Second)
 	for len(srv.queue) < n {
 		if time.Now().After(deadline) {
@@ -609,7 +615,7 @@ func TestBatchedAdmission(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(release)
+	release()
 	wg.Wait()
 
 	for i, code := range results {

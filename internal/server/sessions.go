@@ -23,12 +23,11 @@ import (
 // their own cluster, every session is a lock domain on the daemon's one
 // WAL, and mutating requests pass a bounded admission queue.
 
-// New builds a classic daemon and starts its worker pool. With a data
-// directory the /v1 API answers 503 until Recover has run.
+// New builds a classic daemon and starts its worker pool, one worker per
+// GOMAXPROCS: a worker is CPU-bound (the fsync barrier runs on the
+// handler's goroutine), so more would buy nothing. With a data directory
+// the /v1 API answers 503 until Recover has run.
 func New(cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
@@ -47,7 +46,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("DELETE /v1/sessions/{sid}/envs/{eid}", s.handleReleaseEnv)
 	s.routeDomains("/v1/sessions/{sid}", s.sessionDomain)
 
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
@@ -263,9 +262,6 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		refused(w, err)
 		return
 	}
-	// The session is durable; the background loop (if configured) may
-	// migrate its guests from here on.
-	sess.Start()
 	writeJSON(w, http.StatusCreated, OpenSessionResponse{
 		ID:     id,
 		Mapper: cfg.Mapper,
@@ -469,10 +465,6 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
 		return
 	}
-	// Stop the rebalancer first: its commits would race the teardown's
-	// releases, and a migrate record after the close record would poison
-	// a later replay.
-	sess.Stop()
 	sess.mu.Lock()
 	sess.closed = true
 	envs := sess.envs
@@ -492,9 +484,9 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 
 // recoverSessions opens the data directory, if there is one, rebuilds
 // every session from the latest snapshot plus the log suffix, and starts
-// the snapshot cadence. With Config.VerifyReplay every recovered session is checked
-// before it serves: the incremental objective against a recompute, the
-// environment registry against the session's active count.
+// the snapshot cadence. Every recovered session is checked before it
+// serves: the incremental objective against a recompute (shard.Replay),
+// the environment registry against the session's active count.
 func (s *Server) recoverSessions() error {
 	if s.cfg.DataDir == "" {
 		return nil
@@ -503,13 +495,13 @@ func (s *Server) recoverSessions() error {
 	if err != nil {
 		return err
 	}
-	s.wal = w
 
 	// The environment registry is rebuilt from each session's final
 	// active set — tags are hmnd's environment IDs, and they survive
 	// snapshots, admissions and repairs.
+	sessions := make([]*session, len(domains))
 	totalEnvs := 0
-	for _, sh := range domains {
+	for i, sh := range domains {
 		sess := s.newSession(sh)
 		sess.nextEnv = sh.EnvHigh
 		for _, a := range sh.Session().Export().Active {
@@ -517,18 +509,20 @@ func (s *Server) recoverSessions() error {
 				sess.envs[a.Tag] = struct{}{}
 			}
 		}
-		if got, want := len(sess.envs), sh.Session().Active(); s.cfg.VerifyReplay && got != want {
+		if got, want := len(sess.envs), sh.Session().Active(); got != want {
+			// Nothing is published, so Close cannot snapshot the
+			// sessions recovered so far over the log it refused.
+			w.Close()
 			return fmt.Errorf("server: session %s recovered %d environment records for %d active environments", sh.SID(), got, want)
 		}
+		sessions[i] = sess
 		totalEnvs += len(sess.envs)
-		s.mu.Lock()
-		s.sessions[sh.SID()] = sess
-		s.mu.Unlock()
-		// The session is fully replayed and durable; the background loop
-		// (if configured) may migrate its guests from here on.
-		sess.Start()
 	}
+	s.wal = w
 	s.mu.Lock()
+	for _, sess := range sessions {
+		s.sessions[sess.SID()] = sess
+	}
 	s.nextSession = max(s.nextSession, maxSession)
 	s.mu.Unlock()
 	s.mSessions.Set(float64(len(domains)))
@@ -568,32 +562,4 @@ func (s *Server) exportAll() ([]wal.SessionSnap, error) {
 		sess.mu.Unlock()
 	}
 	return out, nil
-}
-
-// closeSessions is the classic half of Close, after the queue closed.
-func (s *Server) closeSessions() error {
-	// Rebalancing stops for good during drain: stop every scheduler
-	// (waiting out in-flight rounds) before the queue empties and the
-	// final snapshot exports state.
-	for _, sh := range s.sessionDomains() {
-		sh.Stop()
-	}
-	s.wg.Wait()
-	if s.wal == nil {
-		return nil
-	}
-	if s.stopSnapshots != nil {
-		s.stopSnapshots()
-	}
-	err := s.writeSnapshot()
-	if err != nil {
-		s.logf("hmnd: shutdown snapshot: %v", err)
-	}
-	if cerr := s.wal.Close(); cerr != nil {
-		s.logf("hmnd: wal close: %v", cerr)
-		if err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

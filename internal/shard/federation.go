@@ -36,6 +36,14 @@ type Federation struct {
 	nextEnv int                //hmn:guardedby mu
 	closed  bool               //hmn:guardedby mu
 
+	// sendMu excludes a send to a shard worker vs Close closing the
+	// workers' queues: a caller holds it shared while it sends, so a call
+	// that races Close is refused instead of sending on a closed channel.
+	// A send may wait on a full queue while holding it; the wait ends,
+	// because no worker ever takes sendMu.
+	sendMu  sync.RWMutex
+	stopped bool //hmn:guardedby sendMu
+
 	stopSnapshots func() // nil without a snapshot cadence
 }
 
@@ -155,8 +163,7 @@ func (f *Federation) openShard(k int, c *cluster.Cluster) error {
 }
 
 // start builds the router over the shards as they stand, launches the
-// workers and the configured rebalancers, and starts the snapshot
-// cadence. Called once by New/Recover.
+// workers and starts the snapshot cadence. Called once by New/Recover.
 func (f *Federation) start() {
 	sums := make([]core.ResidualSummary, len(f.shards))
 	for k, sh := range f.shards {
@@ -165,7 +172,6 @@ func (f *Federation) start() {
 		sh.ops = make(chan func(), f.cfg.QueueDepth)
 		sh.done = make(chan struct{})
 		go sh.loop()
-		sh.Start()
 	}
 	f.router = newRouter(sums, f.gw)
 	if f.cfg.DataDir != "" && f.cfg.SnapshotInterval > 0 {
@@ -201,6 +207,32 @@ func (f *Federation) Shard(k int) (*Shard, error) {
 
 // Gateway returns the inter-shard gateway (nil when GatewayBW is 0).
 func (f *Federation) Gateway() *Gateway { return f.gw }
+
+// send hands fn to sh's worker, blocking while its queue is full, unless
+// Close has begun: then fn never runs and the error is ErrClosed. Work
+// sent before Close still drains.
+func (f *Federation) send(sh *Shard, fn func()) error {
+	f.sendMu.RLock()
+	defer f.sendMu.RUnlock()
+	if f.stopped {
+		return ErrClosed
+	}
+	sh.ops <- fn
+	return nil
+}
+
+// run sends fn to sh's worker and waits for it to finish.
+func (f *Federation) run(sh *Shard, fn func()) error {
+	done := make(chan struct{})
+	if err := f.send(sh, func() {
+		defer close(done)
+		fn()
+	}); err != nil {
+		return err
+	}
+	<-done
+	return nil
+}
 
 // envTag and fragTag build the durable environment identities.
 func envTag(sid, eid string) string { return sid + "/" + eid }
@@ -303,7 +335,7 @@ func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error
 		}
 		frags[i] = frag{shard: g.shard, tag: tag, proc: g.proc}
 		idx, sh := i, f.shards[g.shard]
-		sh.enqueue(func() {
+		if err := f.send(sh, func() {
 			start := time.Now() //hmn:wallclock
 			m, st, err := sh.sess.MapTagged(g.env, tag)
 			if f.cfg.Hooks.OnAdmit != nil {
@@ -318,7 +350,9 @@ func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error
 			}
 			f.router.commit(sh.Index, err == nil, g.proc, sh.sess.ResidualSummary())
 			results <- fragOutcome{i: idx, m: m, err: err}
-		})
+		}); err != nil {
+			results <- fragOutcome{i: idx, err: err}
+		}
 	}
 
 	p := Placement{Fragments: make([]Fragment, n), CutBW: pl.cutBW, Fallback: pl.fallback, Split: pl.split}
@@ -357,11 +391,12 @@ func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error
 
 // submitFragRelease refunds the fragment's reservation and enqueues
 // its teardown on the owning shard. errs, when non-nil, receives the
-// release outcome.
+// release outcome. A release refused because Close has begun leaves the
+// fragment on its shard for recovery's orphan sweep.
 func (f *Federation) submitFragRelease(fr frag, errs chan<- error) {
 	f.router.releaseSubmitted(fr.shard, fr.proc)
 	sh := f.shards[fr.shard]
-	sh.enqueue(func() {
+	if err := f.send(sh, func() {
 		// A fragment no longer active — an unrecoverable repair evicted
 		// it — counts as released.
 		err := sh.sess.ReleaseTagged(fr.tag)
@@ -375,7 +410,9 @@ func (f *Federation) submitFragRelease(fr frag, errs chan<- error) {
 		if errs != nil {
 			errs <- err
 		}
-	})
+	}); err != nil && errs != nil {
+		errs <- err
+	}
 }
 
 // Release tears an environment down: every fragment released on its
@@ -489,11 +526,13 @@ func (f *Federation) Mutate(k int, op func(*core.Session) ([]core.RepairResult, 
 		return nil, err
 	}
 	var results []core.RepairResult
-	sh.run(func() {
+	if serr := f.run(sh, func() {
 		if results, err = op(sh.sess); err == nil {
 			err = sh.barrier()
 		}
-	})
+	}); serr != nil {
+		return nil, serr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -509,10 +548,12 @@ func (f *Federation) RebalanceOnce(k int) (res core.RebalanceResult, err error) 
 	if err != nil {
 		return res, err
 	}
-	sh.run(func() {
+	if serr := f.run(sh, func() {
 		res = sh.Rebalance()
 		err = sh.barrier()
-	})
+	}); serr != nil {
+		return res, serr
+	}
 	return res, err
 }
 
@@ -620,9 +661,9 @@ func (f *Federation) Stats() Stats {
 	return st
 }
 
-// Close stops the workers (draining their queues), the rebalancers and
-// the snapshot loop, takes a final snapshot of every shard, and closes
-// the WALs.
+// Close refuses new work, stops the workers (draining what they were
+// sent) and the snapshot loop, takes a final snapshot of every shard,
+// and closes the WALs.
 func (f *Federation) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -631,12 +672,16 @@ func (f *Federation) Close() error {
 	}
 	f.closed = true
 	f.mu.Unlock()
+	f.sendMu.Lock()
+	f.stopped = true
+	f.sendMu.Unlock()
 	if f.stopSnapshots != nil {
 		f.stopSnapshots()
 	}
 	var firstErr error
 	for _, sh := range f.shards {
-		sh.Stop()
+		close(sh.ops)
+		<-sh.done
 		if sh.w != nil {
 			if err := f.snapshotShard(sh); err != nil && firstErr == nil {
 				firstErr = err

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -49,8 +47,6 @@ func TestShardRebalanceRound(t *testing.T) {
 		RebalanceMaxMoves: 2,
 		Hooks:             Hooks{OnRebalance: func(res core.RebalanceResult) { seen = append(seen, res) }},
 	})
-	defer sh.Stop()
-	sh.Start() // no cadence configured: nothing runs in the background
 
 	first := sh.Rebalance()
 	if first.Moves != 2 || first.Scored != 2 || first.ObjectiveAfter >= first.ObjectiveBefore {
@@ -66,44 +62,5 @@ func TestShardRebalanceRound(t *testing.T) {
 	}
 	if len(seen) != 3 || seen[0] != first || seen[1] != second {
 		t.Fatalf("OnRebalance saw %+v, want the three rounds as returned", seen)
-	}
-}
-
-// TestShardBackgroundRebalance: with a cadence, Start runs rounds on
-// their own goroutine until Stop, which waits the last one out.
-func TestShardBackgroundRebalance(t *testing.T) {
-	var mu sync.Mutex
-	rounds, moves := 0, 0
-	balanced := make(chan struct{})
-	sh := piledDomain(t, Config{
-		RebalanceInterval: 2 * time.Millisecond,
-		Hooks: Hooks{OnRebalance: func(res core.RebalanceResult) {
-			mu.Lock()
-			defer mu.Unlock()
-			rounds++
-			if moves += res.Moves; moves == 3 && res.Moves > 0 {
-				close(balanced)
-			}
-		}},
-	})
-	sh.Start()
-	select {
-	case <-balanced:
-	case <-time.After(5 * time.Second):
-		sh.Stop()
-		t.Fatal("the background rounds never balanced the domain")
-	}
-	sh.Stop()
-	mu.Lock()
-	stopped := rounds
-	mu.Unlock()
-	if sd := sh.Session().ObjectiveStdDev(); sd > 1e-9 {
-		t.Fatalf("background rounds left stddev %g", sd)
-	}
-	time.Sleep(10 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if rounds != stopped {
-		t.Fatalf("%d rounds ran after Stop returned", rounds-stopped)
 	}
 }

@@ -73,7 +73,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Recover(Config{DataDir: dir, VerifyReplay: true})
+	r, err := Recover(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRecoverReleasesOrphanFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Recover(Config{DataDir: dir, VerifyReplay: true})
+	r, err := Recover(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 // Package shard is the federation layer: N fully independent shards —
-// each its own core.Session, ledger, WAL directory and rebalance
-// cadence — behind a front-end router that places every incoming
-// environment on a shard. Unrelated environments therefore never
-// contend on a lock, a snapshot or an fsync: each shard serializes its
-// own operations on one worker goroutine, and the only shared state is
-// the router's reservation ledger (a handful of floats under one
-// mutex) and the inter-shard gateway budget.
+// each its own core.Session, ledger and WAL directory — behind a
+// front-end router that places every incoming environment on a shard.
+// Unrelated environments therefore never contend on a lock, a snapshot
+// or an fsync: each shard serializes its own operations on one worker
+// goroutine, and the only shared state is the router's reservation
+// ledger (a handful of floats under one mutex) and the inter-shard
+// gateway budget.
 //
 // Placement is consistent hashing on the tenant session ID for the
 // fast path, best-fit on the router's reservation-exact headroom view
@@ -27,11 +27,11 @@
 // what keeps routing deterministic while commits complete in the
 // background.
 //
-// The package also owns the lock domain as such. A Shard is a session,
-// the WAL its commits are logged to and its rebalance cadence; Open
-// creates one, Replay recovers the ones a WAL directory holds, Snap
-// exports one for a snapshot. A federation's shards are domains with a
-// WAL directory and a worker each; the sessions of a classic daemon
+// The package also owns the lock domain as such. A Shard is a session
+// and the WAL its commits are logged to; Open creates one, Replay
+// recovers the ones a WAL directory holds, Snap exports one for a
+// snapshot. A federation's shards are domains with a WAL directory and
+// a worker each; the sessions of a classic daemon
 // (internal/server) are domains too, sharing the daemon's one WAL —
 // there is one copy of the commit hook, the open record, the rebalance
 // round and the recovery step, whoever asks.
@@ -71,8 +71,8 @@ var (
 )
 
 // Config parameterizes a federation, and the lock domains of either
-// daemon mode (Open and Replay read Mapper, Overhead, the rebalance
-// pair, VerifyReplay, Logf and Hooks).
+// daemon mode (Open and Replay read Mapper, Overhead, RebalanceMaxMoves,
+// Logf and Hooks).
 type Config struct {
 	// Mapper is the session mapper wire name ("", "HMN" or "HMN-C"),
 	// applied to every shard.
@@ -91,13 +91,9 @@ type Config struct {
 	// every shard on this cadence; a final snapshot is always taken on
 	// a clean Close.
 	SnapshotInterval time.Duration
-	// RebalanceInterval, when positive, runs a rebalancing round on every
-	// domain on this cadence. RebalanceMaxMoves caps guest moves per
-	// round (0 = unbounded).
-	RebalanceInterval time.Duration
+	// RebalanceMaxMoves caps guest moves per rebalancing round (0 =
+	// unbounded).
 	RebalanceMaxMoves int
-	// VerifyReplay cross-checks every recovered shard before serving.
-	VerifyReplay bool
 	// QueueDepth bounds each shard's operation queue (default 256).
 	QueueDepth int
 	// Logf reports housekeeping; nil discards.
@@ -120,8 +116,7 @@ type Hooks struct {
 	// attempt, committed or not, with the attempt's funnel counters and
 	// the wall time of its MapTagged call.
 	OnAdmit func(st core.AdmitStats, seconds float64)
-	// OnRebalance fires after every rebalancing round, background or
-	// one-shot, with what it did.
+	// OnRebalance fires after every rebalancing round with what it did.
 	OnRebalance func(res core.RebalanceResult)
 }
 
@@ -140,7 +135,7 @@ func (cfg Config) logf(format string, args ...interface{}) {
 	}
 }
 
-// walHooks adapts the durability hooks for wal.Open.
+// walHooks adapts the durability hooks for wal.Recover.
 func (cfg Config) walHooks() wal.Hooks {
 	return wal.Hooks{
 		OnAppend:   cfg.Hooks.OnWALRecord,
@@ -154,10 +149,10 @@ func (cfg Config) walHooks() wal.Hooks {
 // under; it never collides with tenant IDs ("s1", "s2", ...).
 func shardSID(k int) string { return fmt.Sprintf("shard-%d", k) }
 
-// Shard is one lock domain: a session on its own cluster, the WAL its
-// commits are logged to and its rebalance cadence. A federation shard
-// logs to a WAL of its own and runs one worker goroutine that executes
-// its operations in submission order; the sessions of a classic daemon
+// Shard is one lock domain: a session on its own cluster and the WAL its
+// commits are logged to. A federation shard logs to a WAL of its own and
+// runs one worker goroutine that executes its operations in submission
+// order; the sessions of a classic daemon
 // are domains too, sharing one WAL and the daemon's admission queue.
 type Shard struct {
 	// Index is the shard's position in the federation, in [0, Shards).
@@ -176,8 +171,6 @@ type Shard struct {
 	sess        *core.Session
 	w           *wal.WAL // nil without a data directory
 	cfg         Config
-	// stopRebalance stops the background rounds; nil while they are off.
-	stopRebalance func()
 
 	// The worker plumbing of a federation shard; nil for a domain whose
 	// owner serializes its operations itself.
@@ -187,11 +180,9 @@ type Shard struct {
 
 // Open creates a lock domain: a fresh session for cfg.Mapper and
 // cfg.Overhead on c, its open record appended to w (nil: no log) ahead
-// of anything its commit hook will write; background rebalancing waits
-// for Start.
-// clusterSpec is c as it goes into the log. The caller makes the open
-// record durable with a barrier on w before it tells anyone the domain
-// exists.
+// of anything its commit hook will write. clusterSpec is c as it goes
+// into the log. The caller makes the open record durable with a barrier
+// on w before it tells anyone the domain exists.
 func Open(cfg Config, sid string, c *cluster.Cluster, clusterSpec spec.ClusterSpec, w *wal.WAL) (*Shard, error) {
 	mapper, err := core.MapperByName(cfg.Mapper, cfg.Overhead)
 	if err != nil {
@@ -259,9 +250,9 @@ func envOrdinal(tag string) int {
 // initializes) dir and, in one pass over its log (wal.Recover), rebuilds
 // every session the snapshot plus log suffix hold as a lock domain
 // logging to the returned WAL, in SID order, EnvHigh set. maxSession is
-// the highest session ordinal the directory ever named. With
-// cfg.VerifyReplay each domain's incremental objective is cross-checked
-// against a recompute.
+// the highest session ordinal the directory ever named. Each domain's
+// incremental objective is cross-checked against a recompute, O(hosts)
+// a session.
 func Replay(cfg Config, dir string) (w *wal.WAL, domains []*Shard, maxSession int, err error) {
 	start := time.Now() //hmn:wallclock
 	// Replayed records can name environment IDs the final active sets no
@@ -278,11 +269,9 @@ func Replay(cfg Config, dir string) (w *wal.WAL, domains []*Shard, maxSession in
 		return nil, nil, 0, err
 	}
 	for _, rs := range rec.Sessions {
-		if cfg.VerifyReplay {
-			if err := wal.VerifyObjective(rs.Session); err != nil {
-				w.Close()
-				return nil, nil, 0, fmt.Errorf("shard: session %s %w", rs.SID, err)
-			}
+		if err := wal.VerifyObjective(rs.Session); err != nil {
+			w.Close()
+			return nil, nil, 0, fmt.Errorf("shard: session %s %w", rs.SID, err)
 		}
 		sh := adopt(cfg, rs, w)
 		sh.EnvHigh = max(int(rs.NextEnv), high[rs])
@@ -323,18 +312,8 @@ func (sh *Shard) Snap(nextEnv int) wal.SessionSnap {
 	return wal.ExportSession(sh.sid, sh.clusterSpec, sh.mapper, sh.overhead, uint64(nextEnv), sh.sess)
 }
 
-// Start launches the background rebalancing rounds when a cadence is
-// configured. Call it once, when the domain is durable, so a round never
-// migrates guests of a domain a crash would un-create.
-func (sh *Shard) Start() {
-	if sh.cfg.RebalanceInterval > 0 {
-		sh.stopRebalance = Every(sh.cfg.RebalanceInterval, func() { sh.Rebalance() })
-	}
-}
-
-// Rebalance runs one rebalancing round now (core.Session.Rebalance),
-// whether or not the background rounds are on. The moves it committed
-// are durable by the time it returns.
+// Rebalance runs one rebalancing round now (core.Session.Rebalance). The
+// moves it committed are durable by the time it returns.
 func (sh *Shard) Rebalance() core.RebalanceResult {
 	res := sh.sess.Rebalance(sh.cfg.RebalanceMaxMoves)
 	if res.Moves > 0 {
@@ -348,18 +327,6 @@ func (sh *Shard) Rebalance() core.RebalanceResult {
 	return res
 }
 
-// Stop stops the background rounds, waiting out one in flight, and
-// drains and stops the worker if the domain runs one. Safe once.
-func (sh *Shard) Stop() {
-	if sh.stopRebalance != nil {
-		sh.stopRebalance()
-	}
-	if sh.ops != nil {
-		close(sh.ops)
-		<-sh.done
-	}
-}
-
 // loop is the shard's worker goroutine: operations run one at a time,
 // in submission order — the property the router's reservation ledger
 // and the bench's determinism guarantee both rest on.
@@ -368,21 +335,6 @@ func (sh *Shard) loop() {
 	for fn := range sh.ops {
 		fn()
 	}
-}
-
-// enqueue submits fn to the worker, blocking while the queue is full.
-func (sh *Shard) enqueue(fn func()) {
-	sh.ops <- fn
-}
-
-// run submits fn and waits for it to finish.
-func (sh *Shard) run(fn func()) {
-	done := make(chan struct{})
-	sh.ops <- func() {
-		defer close(done)
-		fn()
-	}
-	<-done
 }
 
 // barrier makes the domain's appended records durable; free without a
@@ -396,8 +348,7 @@ func (sh *Shard) barrier() error {
 
 // Every runs fn on a fixed cadence on its own goroutine until the
 // returned stop is called; stop waits for the goroutine to exit. It is
-// the snapshot loop of both daemon modes and every domain's rebalance
-// cadence.
+// the snapshot loop of both daemon modes.
 func Every(interval time.Duration, fn func()) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {

@@ -51,6 +51,17 @@ func newTestFederation(t *testing.T, shards int, cfg Config) *Federation {
 	return f
 }
 
+// run has a federation shard's worker run fn and waits for it: every
+// operation sent before it has finished.
+func (sh *Shard) run(fn func()) {
+	done := make(chan struct{})
+	sh.ops <- func() {
+		defer close(done)
+		fn()
+	}
+	<-done
+}
+
 // genEnv draws a seeded workload environment.
 func genEnv(seed int64, guests int) *virtual.Env {
 	rng := rand.New(rand.NewSource(seed))
@@ -463,6 +474,59 @@ func TestConcurrentTenants(t *testing.T) {
 		sh.run(func() {})
 		if sh.Session().Active() != 0 {
 			t.Fatalf("shard %d keeps %d envs", k, sh.Session().Active())
+		}
+	}
+}
+
+// TestCloseRacingOperations: admissions, releases and rebalancing rounds
+// racing Close either finish or are refused with ErrClosed. A call that
+// passed the closed check and then sent to a worker queue Close had just
+// closed used to panic.
+func TestCloseRacingOperations(t *testing.T) {
+	for round := 0; round < 300; round++ {
+		f, err := New(testClusters(t, 2), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sid, err := f.OpenTenant()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Close once every goroutine is looping, so calls are in flight.
+		var wg, looping sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			looping.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					eid, _, err := f.Admit(sid, genEnv(int64(g*1000+i), 4))
+					if err == nil {
+						err = f.Release(sid, eid)
+					}
+					if err == nil {
+						_, err = f.RebalanceOnce(g % 2)
+					}
+					if i == 0 {
+						looping.Done()
+					}
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("round %d, goroutine %d: %v", round, g, err)
+						return
+					}
+				}
+			}(g)
+		}
+		looping.Wait()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
 		}
 	}
 }

@@ -1,0 +1,176 @@
+#!/usr/bin/env bash
+# crash_smoke.sh — end-to-end crash/recovery smoke for hmnd, both modes.
+#
+# Classic phase: boots hmnd with a data directory, opens a session, maps
+# an indented and a compact environment (a rendered and a verbatim admit
+# record) and a third, releases one, drains POST .../rebalance to zero
+# moves, kills the daemon with SIGKILL, checks the data directory with
+# hmnwal, restarts, and asserts byte-identical residuals, a fresh
+# environment ID and a release of a recovered environment.
+#
+# Federation phase: the same cycle on `hmnd -shards 4` across eight
+# tenants; every shard's WAL directory is checked on its own and the
+# restart names no -shard-cluster (the shards rebuild themselves from
+# their directories).
+#
+# Each phase ends with a graceful shutdown (drain, final snapshot) and
+# checks the directories again. Recovery cross-checks every session
+# before the daemon reports "serving".
+#
+# Run from the repo root (or via `make crash-smoke`).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+workdir=$(mktemp -d)
+pid=""
+cleanup() {
+    [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null
+    rm -rf "$workdir"
+    return 0
+}
+trap cleanup EXIT
+
+addr=127.0.0.1:18472
+base=http://$addr
+
+# start_daemon boots hmnd with the given flags and waits for "serving".
+start_daemon() {
+    "$workdir/hmnd" -addr "$addr" "$@" &
+    pid=$!
+    for _ in $(seq 1 100); do
+        body=$(curl -fsS "$base/v1/healthz" 2>/dev/null || true)
+        if [ "$body" = "serving" ]; then
+            return 0
+        fi
+        sleep 0.1
+    done
+    echo "daemon never reached 'serving'" >&2
+    exit 1
+}
+
+# stop_daemon sends the signal given (KILL or TERM) and waits it out.
+stop_daemon() {
+    kill "-$1" "$pid"
+    wait "$pid" 2>/dev/null || true
+    pid=""
+}
+
+# verify_dirs checks each WAL directory read-only; with "dump" first,
+# it also dumps each.
+verify_dirs() {
+    local dump=$1
+    shift
+    for dir in "$@"; do
+        [ "$dump" = dump ] && "$workdir/hmnwal" dump "$dir" >/dev/null
+        "$workdir/hmnwal" verify "$dir"
+    done
+}
+
+# map_env POSTs env file $2 (compact when $4 is "compact") to session $1
+# and expects environment ID $3.
+map_env() {
+    local env
+    if [ "${4:-}" = compact ]; then
+        env=$(tr -d ' \n' <"$2")
+    else
+        env=$(cat "$2")
+    fi
+    curl -fsS -X POST "$base/v1/sessions/$1/envs" -d "{\"env\": $env}" |
+        grep -q "\"id\": *\"$3\""
+}
+
+# release expects DELETE of environment $2 in session $1 to answer 204.
+release() {
+    local code
+    code=$(curl -sS -X DELETE "$base/v1/sessions/$1/envs/$2" -o /dev/null -w '%{http_code}')
+    [ "$code" = "204" ] || { echo "release of $1/$2: HTTP $code" >&2; exit 1; }
+}
+
+echo "--- build hmnd, hmnwal and the specs"
+go build -o "$workdir/hmnd" ./cmd/hmnd
+go build -o "$workdir/hmnwal" ./cmd/hmnwal
+go run ./cmd/hmngen -cluster "$workdir/cluster.json" -topology torus -hosts 40
+go run ./cmd/hmngen -env "$workdir/env-a.json" -class high -guests 30
+go run ./cmd/hmngen -env "$workdir/env-b.json" -class high -guests 20 -seed 7
+go run ./cmd/hmngen -cluster "$workdir/shard.json" -topology torus -hosts 16
+go run ./cmd/hmngen -env "$workdir/env-f.json" -class high -guests 10
+
+echo "=== classic"
+data=$workdir/data
+echo "--- boot, open a session, churn it"
+start_daemon -data-dir "$data"
+curl -fsS -X POST "$base/v1/sessions" \
+    -d "{\"cluster\": $(cat "$workdir/cluster.json"), \"mapper\": \"HMN\"}" |
+    grep -q '"id": *"s1"'
+map_env s1 "$workdir/env-a.json" e1
+map_env s1 "$workdir/env-b.json" e2
+# env-a again as a marshalling client sends it, compact: its admit record
+# carries these bytes verbatim (e1's, indented, was rendered), so the
+# crash image holds one record of each kind.
+map_env s1 "$workdir/env-a.json" e3 compact
+curl -fsS "$base/metrics" | grep -q '^hmnd_admit_env_verbatim_total 1$'
+release s1 e2
+
+echo "--- drain the rebalance endpoint to a local optimum"
+total=0
+for _ in $(seq 1 50); do
+    moves=$(curl -fsS -X POST "$base/v1/sessions/s1/rebalance" |
+        sed -n 's/.*"moves": *\([0-9]*\).*/\1/p')
+    [ -n "$moves" ] || { echo "rebalance response had no move count" >&2; exit 1; }
+    total=$((total + moves))
+    [ "$moves" = "0" ] && break
+done
+[ "$moves" = "0" ] || { echo "rebalancing never converged in 50 rounds" >&2; exit 1; }
+echo "    rebalancing committed $total moves"
+curl -fsS "$base/v1/sessions/s1/residuals" >"$workdir/residuals.before"
+
+echo "--- kill -9, inspect the directory, restart, compare"
+stop_daemon KILL
+verify_dirs dump "$data"
+start_daemon -data-dir "$data"
+curl -fsS "$base/v1/sessions/s1/residuals" | cmp "$workdir/residuals.before" -
+map_env s1 "$workdir/env-b.json" e4
+release s1 e1
+
+echo "--- graceful shutdown and re-verify"
+stop_daemon TERM
+verify_dirs - "$data"
+
+echo "=== federation"
+data=$workdir/fed
+shards=4
+dirs=()
+for k in $(seq 0 $((shards - 1))); do
+    dirs+=("$data/shard-$k")
+done
+echo "--- boot 4 shards, churn environments across 8 tenants"
+start_daemon -shards "$shards" -gateway-bw 50 -data-dir "$data" -shard-cluster "$workdir/shard.json"
+# Eight tenants cover all four shards through the consistent-hash fast
+# path, so every shard's WAL sees real records before the crash.
+for t in $(seq 1 8); do
+    curl -fsS -X POST "$base/v1/sessions" | grep -q "\"id\": *\"s$t\""
+done
+# Environment IDs are a federation-wide counter: eight admissions in
+# tenant order take e1..e8, one per tenant.
+for t in $(seq 1 8); do
+    map_env "s$t" "$workdir/env-f.json" "e$t"
+done
+release s2 e2
+for k in $(seq 0 $((shards - 1))); do
+    curl -fsS "$base/v1/shards/$k/residuals" >"$workdir/residuals.$k.before"
+done
+
+echo "--- kill -9, inspect every shard directory, restart, compare"
+stop_daemon KILL
+verify_dirs dump "${dirs[@]}"
+start_daemon -shards "$shards" -gateway-bw 50 -data-dir "$data"
+for k in $(seq 0 $((shards - 1))); do
+    curl -fsS "$base/v1/shards/$k/residuals" | cmp "$workdir/residuals.$k.before" -
+done
+map_env s1 "$workdir/env-f.json" e9
+release s5 e5
+
+echo "--- graceful shutdown and re-verify"
+stop_daemon TERM
+verify_dirs - "${dirs[@]}"
+echo "crash smoke OK"
