@@ -1,6 +1,6 @@
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test loc lint lint-fix-check vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase fma-ratchet crash-smoke
+.PHONY: build test examples loc lint lint-fix-check vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase fma-ratchet crash-smoke
 
 # Relative drift (percent) bench-compare tolerates on deterministic
 # metrics before failing. Timings never gate.
@@ -11,6 +11,14 @@ build:
 
 test:
 	go test -race -shuffle=on ./...
+
+## examples runs every program under examples/ and fails on the first
+## non-zero exit: compiling them is not enough to keep them working.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		go run "./$$d" >/dev/null || exit 1; \
+	done
 
 ## loc prints non-test Go lines per internal/* package and per cmd/*
 ## binary with a total — the number ROADMAP aim 2 ("the least code") is

@@ -9,10 +9,6 @@
 //   - BenchmarkFigure1 measures HMN's mapping time as the number of
 //     virtual links grows on the torus (and, for contrast, the switched)
 //     cluster — the Figure 1 series; the links metric carries the x-axis.
-//   - BenchmarkAblation* quantify the design choices DESIGN.md §7 calls
-//     out: the Migration stage, the host re-sort in Hosting, the
-//     networking link order, the Migration load metric and A*Prune's
-//     dominance pruning.
 //   - BenchmarkAStarPrune and BenchmarkDijkstra measure the routing
 //     primitives in isolation.
 //
@@ -203,8 +199,9 @@ func BenchmarkFigure1(b *testing.B) {
 	}
 }
 
-// ablationInstance prepares the shared workload of the ablation benches.
-func ablationInstance(b *testing.B) (*Cluster, *virtual.Env) {
+// paperInstance is a 200-guest high-level environment on the paper's
+// 8x5 torus.
+func paperInstance(b *testing.B) (*Cluster, *virtual.Env) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(3))
 	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
@@ -214,79 +211,6 @@ func ablationInstance(b *testing.B) (*Cluster, *virtual.Env) {
 	}
 	env := workload.GenerateEnv(workload.HighLevelParams(200, 0.02), rng)
 	return c, env
-}
-
-func runHMNVariant(b *testing.B, h *core.HMN, c *Cluster, env *virtual.Env) {
-	b.Helper()
-	obj := -1.0
-	for i := 0; i < b.N; i++ {
-		m, err := h.Map(c, env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		obj = m.Objective(VMMOverhead{})
-	}
-	b.ReportMetric(obj, "objective")
-}
-
-// BenchmarkAblationMigration isolates stage 2: HMN with and without the
-// Migration stage (DESIGN.md §7).
-func BenchmarkAblationMigration(b *testing.B) {
-	c, env := ablationInstance(b)
-	b.Run("with_migration", func(b *testing.B) { runHMNVariant(b, &core.HMN{}, c, env) })
-	b.Run("without_migration", func(b *testing.B) {
-		runHMNVariant(b, &core.HMN{DisableMigration: true}, c, env)
-	})
-}
-
-// BenchmarkAblationHostResort isolates the Hosting stage's re-sort of the
-// host list after every placement.
-func BenchmarkAblationHostResort(b *testing.B) {
-	c, env := ablationInstance(b)
-	b.Run("resort", func(b *testing.B) { runHMNVariant(b, &core.HMN{}, c, env) })
-	b.Run("no_resort", func(b *testing.B) {
-		runHMNVariant(b, &core.HMN{DisableHostResort: true}, c, env)
-	})
-}
-
-// BenchmarkAblationLoadMetric compares the Migration stage's two load
-// rankings: absolute residual MIPS (paper) vs utilisation fraction.
-func BenchmarkAblationLoadMetric(b *testing.B) {
-	c, env := ablationInstance(b)
-	b.Run("residual_mips", func(b *testing.B) { runHMNVariant(b, &core.HMN{}, c, env) })
-	b.Run("utilization", func(b *testing.B) {
-		runHMNVariant(b, &core.HMN{Metric: core.LoadUtilization}, c, env)
-	})
-}
-
-// BenchmarkAblationNetworkOrder compares the Networking stage's link
-// orders: descending bandwidth (paper), ascending, random.
-func BenchmarkAblationNetworkOrder(b *testing.B) {
-	c, env := ablationInstance(b)
-	orders := []struct {
-		name  string
-		order core.LinkOrder
-	}{
-		{"descending_bw", core.OrderDescendingBW},
-		{"ascending_bw", core.OrderAscendingBW},
-		{"random", core.OrderRandom},
-	}
-	for _, o := range orders {
-		b.Run(o.name, func(b *testing.B) {
-			runHMNVariant(b, &core.HMN{NetworkOrder: o.order, Rand: rand.New(rand.NewSource(1))}, c, env)
-		})
-	}
-}
-
-// BenchmarkAblationAStarDominance quantifies A*Prune's dominance pruning
-// on the torus (it does not change results — see the graph tests — only
-// the candidate-set size).
-func BenchmarkAblationAStarDominance(b *testing.B) {
-	c, env := ablationInstance(b)
-	b.Run("dominance", func(b *testing.B) { runHMNVariant(b, &core.HMN{}, c, env) })
-	b.Run("no_dominance", func(b *testing.B) {
-		runHMNVariant(b, &core.HMN{AStar: graph.AStarPruneOptions{DisableDominance: true}}, c, env)
-	})
 }
 
 // BenchmarkAStarPrune measures the modified A*Prune search in the regimes
@@ -897,7 +821,7 @@ func BenchmarkDFSTreeVsAStar(b *testing.B) {
 // instance, reporting the objective it reaches (compare the HMN rows of
 // BenchmarkTable2).
 func BenchmarkGAMapper(b *testing.B) {
-	c, env := ablationInstance(b)
+	c, env := paperInstance(b)
 	obj := -1.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,10 +9,11 @@
 //	hmnmap -cluster c.json -env e.json -vmm-mem 256 -vmm-stor 10
 //	hmngen -env - -guests 50 | hmnmap -cluster c.json -env - -out -
 //
-// -cluster, -env and -out accept "-" for stdin/stdout so the tool
-// composes in pipelines with hmngen and the hmnd tooling (at most one
-// of -cluster/-env may read stdin); with -out - the status lines move
-// to stderr, leaving stdout pure JSON.
+// -cluster, -env, -out and -plan accept "-" for stdin/stdout so the tool
+// composes in pipelines with hmngen and the hmnd tooling. At most one of
+// -cluster/-env may read stdin, and at most one of -out -, -plan - and
+// -plan-shell may write stdout; whichever does owns it, and the status
+// lines move to stderr, so a JSON document on stdout is pure JSON.
 //
 // The output mapping is validated against the formal constraints
 // Eq. (1)-(9) before being written; the exit status is non-zero when no
@@ -20,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,31 +43,27 @@ func main() {
 		clusterPath = flag.String("cluster", "", "cluster spec (JSON), required")
 		envPath     = flag.String("env", "", "virtual environment spec (JSON), required")
 		outPath     = flag.String("out", "", "write the mapping to this file (JSON)")
-		heuristic   = flag.String("heuristic", "HMN", "HMN, HMN-C, R, RA or HS")
+		heuristic   = flag.String("heuristic", "HMN", "HMN, R, RA or HS")
 		seed        = flag.Int64("seed", 1, "seed for the randomized heuristics")
 		maxTries    = flag.Int("maxtries", baseline.DefaultMaxTries, "retry budget of the random baselines")
 		vmmProc     = flag.Float64("vmm-proc", 0, "VMM CPU overhead per host (MIPS)")
 		vmmMem      = flag.Int64("vmm-mem", 0, "VMM memory overhead per host (MB)")
 		vmmStor     = flag.Float64("vmm-stor", 0, "VMM storage overhead per host (GB)")
 		simulate    = flag.Bool("simulate", false, "also run the emulated experiment on the mapping")
-		planPath    = flag.String("plan", "", "write the per-host deployment plan (JSON) to this file")
+		planPath    = flag.String("plan", "", "write the per-host deployment plan (JSON) to this file (- for stdout)")
 		dotPath     = flag.String("dot", "", "write a Graphviz rendering of the mapping to this file")
 		usagePath   = flag.String("dot-usage", "", "write a Graphviz link-utilisation rendering to this file")
 		planShell   = flag.Bool("plan-shell", false, "print the rendered per-host provisioning commands")
 	)
 	flag.Parse()
 
-	if *clusterPath == "" || *envPath == "" {
-		fmt.Fprintln(os.Stderr, "hmnmap: -cluster and -env are required")
+	if err := checkUsage(*clusterPath, *envPath, *outPath, *planPath, *planShell); err != nil {
+		fmt.Fprintf(os.Stderr, "hmnmap: %v\n", err)
 		os.Exit(2)
 	}
-	if *clusterPath == "-" && *envPath == "-" {
-		fmt.Fprintln(os.Stderr, "hmnmap: only one of -cluster/-env can read stdin")
-		os.Exit(2)
-	}
-	// With -out - the mapping owns stdout; status lines move to stderr.
+	// A document on stdout owns it; status lines move to stderr.
 	infoW := io.Writer(os.Stdout)
-	if *outPath == "-" {
+	if *outPath == "-" || *planPath == "-" || *planShell {
 		infoW = os.Stderr
 	}
 
@@ -146,15 +144,33 @@ func main() {
 			fatal(err)
 		}
 		if *planPath != "" {
-			if err := spec.SaveJSON(*planPath, plan); err != nil {
+			if err := saveOutput(*planPath, plan); err != nil {
 				fatal(err)
 			}
-			fmt.Fprintf(infoW, "hmnmap: wrote %s (%d hosts, %d VMs)\n", *planPath, len(plan.Hosts), plan.TotalVMs())
+			if *planPath != "-" {
+				fmt.Fprintf(infoW, "hmnmap: wrote %s (%d hosts, %d VMs)\n", *planPath, len(plan.Hosts), plan.TotalVMs())
+			}
 		}
 		if *planShell {
 			fmt.Print(plan.RenderShell())
 		}
 	}
+}
+
+// checkUsage enforces the rules no single flag can: both inputs named,
+// at most one of them read from stdin, and at most one of -out -, -plan -
+// and -plan-shell writing to stdout.
+func checkUsage(clusterPath, envPath, outPath, planPath string, planShell bool) error {
+	if clusterPath == "" || envPath == "" {
+		return errors.New("-cluster and -env are required")
+	}
+	if clusterPath == "-" && envPath == "-" {
+		return errors.New("only one of -cluster/-env can read stdin")
+	}
+	if (outPath == "-" && planPath == "-") || (planShell && (outPath == "-" || planPath == "-")) {
+		return errors.New("only one of -out -, -plan - and -plan-shell can write stdout")
+	}
+	return nil
 }
 
 // newMapper builds the mapper named by the -heuristic flag.
@@ -163,8 +179,6 @@ func newMapper(name string, overhead cluster.VMMOverhead, seed int64, maxTries i
 	switch name {
 	case "HMN":
 		return &core.HMN{Overhead: overhead}, nil
-	case "HMN-C":
-		return &core.Consolidator{Overhead: overhead}, nil
 	case "R":
 		return &baseline.Random{Overhead: overhead, Rand: rng, MaxTries: maxTries}, nil
 	case "RA":
@@ -172,7 +186,7 @@ func newMapper(name string, overhead cluster.VMMOverhead, seed int64, maxTries i
 	case "HS":
 		return &baseline.HostingSearch{Overhead: overhead, Rand: rng, MaxTries: maxTries}, nil
 	}
-	return nil, fmt.Errorf("unknown -heuristic %q (want HMN, HMN-C, R, RA or HS)", name)
+	return nil, fmt.Errorf("unknown -heuristic %q (want HMN, R, RA or HS)", name)
 }
 
 // saveOutput writes a spec to a file, or to stdout when path is "-";

@@ -10,7 +10,7 @@ import (
 )
 
 func TestNewMapper(t *testing.T) {
-	for _, name := range []string{"HMN", "HMN-C", "R", "RA", "HS"} {
+	for _, name := range []string{"HMN", "R", "RA", "HS"} {
 		m, err := newMapper(name, cluster.VMMOverhead{}, 1, 10)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -19,8 +19,41 @@ func TestNewMapper(t *testing.T) {
 			t.Fatalf("mapper for %q reports name %q", name, m.Name())
 		}
 	}
-	if _, err := newMapper("bogus", cluster.VMMOverhead{}, 1, 10); err == nil {
-		t.Fatal("unknown heuristic must error")
+	for _, name := range []string{"bogus", "HMN-C"} {
+		if _, err := newMapper(name, cluster.VMMOverhead{}, 1, 10); err == nil {
+			t.Fatalf("unknown heuristic %q must error", name)
+		}
+	}
+}
+
+// TestCheckUsage: stdin has at most one reader and stdout at most one
+// writer, so a JSON document written to stdout is never followed by
+// another document or by shell lines.
+func TestCheckUsage(t *testing.T) {
+	for _, tc := range []struct {
+		cluster, env, out, plan string
+		planShell               bool
+		ok                      bool
+	}{
+		{"c.json", "e.json", "", "", false, true},
+		{"c.json", "e.json", "-", "", false, true},
+		{"c.json", "e.json", "", "-", false, true},
+		{"c.json", "e.json", "", "", true, true},
+		{"-", "e.json", "-", "p.json", false, true},
+		{"c.json", "e.json", "m.json", "p.json", true, true},
+		{"", "e.json", "", "", false, false},
+		{"c.json", "", "", "", false, false},
+		{"-", "-", "", "", false, false},
+		{"c.json", "e.json", "-", "-", false, false},
+		{"c.json", "e.json", "-", "", true, false},
+		{"c.json", "e.json", "", "-", true, false},
+		{"c.json", "e.json", "-", "-", true, false},
+	} {
+		err := checkUsage(tc.cluster, tc.env, tc.out, tc.plan, tc.planShell)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkUsage(%q, %q, -out %q, -plan %q, -plan-shell=%v) = %v, want ok=%v",
+				tc.cluster, tc.env, tc.out, tc.plan, tc.planShell, err, tc.ok)
+		}
 	}
 }
 

@@ -127,12 +127,10 @@ func TestAllMappersAgreeOnValidity(t *testing.T) {
 
 	mappers := []repro.Mapper{
 		repro.NewHMN(),
-		&repro.Consolidator{},
 		&repro.GA{Rand: rand.New(rand.NewSource(9)), Generations: 20},
 		repro.NewRandom(rand.New(rand.NewSource(1))),
 		repro.NewRandomAStar(rand.New(rand.NewSource(2))),
 		repro.NewHostingSearch(rand.New(rand.NewSource(3))),
-		&repro.Pool{Members: []repro.Mapper{repro.NewHMN(), &repro.Consolidator{}}},
 	}
 	for _, mk := range mappers {
 		m, err := mk.Map(cl, env)

@@ -53,8 +53,6 @@ type Random struct {
 	// UseAStar switches link routing from randomized DFS to the modified
 	// A*Prune, turning R into RA.
 	UseAStar bool
-	// AStar tunes A*Prune when UseAStar is set.
-	AStar graph.AStarPruneOptions
 }
 
 // Name implements core.Mapper.
@@ -86,7 +84,7 @@ func (r *Random) Map(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping, erro
 		}
 		var ok bool
 		if r.UseAStar {
-			ok = routeAStar(led, v, m.GuestHost, m.LinkPath, r.AStar)
+			ok = routeAStar(led, v, m.GuestHost, m.LinkPath)
 		} else {
 			ok = routeDFS(led, v, m.GuestHost, m.LinkPath, rng)
 		}
@@ -197,7 +195,7 @@ func routeDFS(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths 
 // routeAStar routes every link with the modified A*Prune in descending
 // bandwidth order, as HMN's Networking stage does — RA is exactly
 // "random placement + HMN networking".
-func routeAStar(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, astar graph.AStarPruneOptions) bool {
+func routeAStar(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path) bool {
 	net := led.Cluster().Net()
 	bw := led.BandwidthFunc()
 
@@ -221,9 +219,7 @@ func routeAStar(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 			ar = graph.DijkstraLatency(net, dst)
 			arCache[dst] = ar
 		}
-		opts := astar
-		opts.AR = ar
-		p, found := graph.AStarPrune(net, src, dst, link.BW, link.Lat, bw, &opts)
+		p, found := graph.AStarPrune(net, src, dst, link.BW, link.Lat, bw, &graph.AStarPruneOptions{AR: ar})
 		if !found {
 			return false
 		}

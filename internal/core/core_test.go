@@ -26,7 +26,7 @@ func uniformSpecs(n int, proc float64, mem int64, stor float64) []topology.HostS
 // testIndex attaches a live host index to led, as the Hosting stage
 // leaves one for the stage after it.
 func testIndex(led *cluster.Ledger) *hostIndex {
-	return newHostIndex(led, true, &mapScratch{})
+	return newHostIndex(led, &mapScratch{})
 }
 
 // migrationStage runs HMN's Migration stage (§4.2) alone on a ledger
@@ -35,7 +35,7 @@ func testIndex(led *cluster.Ledger) *hostIndex {
 func migrationStage(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID) int {
 	ms := getMapScratch()
 	defer putMapScratch(ms)
-	hi := newHostIndex(led, true, ms)
+	hi := newHostIndex(led, ms)
 	defer led.SetProcHook(nil)
 	var st MigrationStats
 	(&HMN{}).stage2(led, v, assign, hi, ms, &st)
@@ -236,41 +236,6 @@ func TestMigrationImprovesObjective(t *testing.T) {
 	}
 }
 
-func TestMigrationDisabledSkipsStage(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
-	c := mustTorus(t, specs, 8, 5)
-	v := workload.GenerateEnv(workload.HighLevelParams(120, 0.02), rng)
-
-	h := &HMN{DisableMigration: true}
-	m, st, err := h.MapWithStats(c, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Migration.Moves != 0 || st.MigrationSeconds != 0 {
-		t.Fatal("DisableMigration must skip stage 2")
-	}
-	if err := m.Validate(cluster.VMMOverhead{}); err != nil {
-		t.Fatalf("mapping invalid without migration: %v", err)
-	}
-}
-
-func TestMigrationRespectsMaxMoves(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
-	c := mustTorus(t, specs, 8, 5)
-	v := workload.GenerateEnv(workload.HighLevelParams(120, 0.02), rng)
-
-	h := &HMN{MaxMigrations: 3}
-	_, st, err := h.MapWithStats(c, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Migration.Moves > 3 {
-		t.Fatalf("MaxMigrations=3 but %d moves accepted", st.Migration.Moves)
-	}
-}
-
 func TestMigrationKeepsMappingValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
@@ -311,12 +276,20 @@ func TestNetworkingIntraHostLinksAreTrivial(t *testing.T) {
 	v.AddGuest("b", 10, 128, 10)
 	v.AddLink(0, 1, 500, 60)
 
-	// Migration is disabled: stage 2 may legitimately split a co-located
+	// Stages 1 and 3 alone: stage 2 may legitimately split a co-located
 	// pair to improve CPU balance (it only considers bandwidth when
-	// choosing the cheapest victim), and this test pins stage 1+3
-	// behaviour.
-	m, err := (&HMN{DisableMigration: true}).Map(c, v)
+	// choosing the cheapest victim), and this test pins Hosting followed
+	// by Networking.
+	led, err := cluster.NewLedger(c, cluster.VMMOverhead{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	m := mapping.New(c, v)
+	if err := HostingStage(led, v, m.GuestHost); err != nil {
+		t.Fatal(err)
+	}
+	ms := &mapScratch{astar: graph.NewAStarScratch(), arena: graph.NewPathArena()}
+	if err := routeLinks(led, v, m.GuestHost, m.LinkPath, sortLinksByBW(v, nil, ms), newARCache(), ms); err != nil {
 		t.Fatal(err)
 	}
 	// Hosting co-locates the pair, so the path must be trivial even
@@ -374,24 +347,6 @@ func TestNetworkingFailsOnLatencyBudget(t *testing.T) {
 		t.Fatalf("want ErrNoPath for want of latency budget, got %v", err)
 	}
 	_ = v
-}
-
-func TestNetworkOrderAblationsStillValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
-	c := mustTorus(t, specs, 8, 5)
-	v := workload.GenerateEnv(workload.HighLevelParams(150, 0.02), rng)
-
-	for _, order := range []LinkOrder{OrderDescendingBW, OrderAscendingBW, OrderRandom} {
-		h := &HMN{NetworkOrder: order, Rand: rand.New(rand.NewSource(1))}
-		m, err := h.Map(c, v)
-		if err != nil {
-			t.Fatalf("order %v failed: %v", order, err)
-		}
-		if err := m.Validate(cluster.VMMOverhead{}); err != nil {
-			t.Fatalf("order %v produced invalid mapping: %v", order, err)
-		}
-	}
 }
 
 func TestHMNWithVMMOverhead(t *testing.T) {

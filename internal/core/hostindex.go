@@ -13,7 +13,7 @@ import (
 // descending residual CPU, ties broken by node ID (§4.1) — incrementally
 // instead of re-sorting after every placement. It registers itself as the
 // ledger's proc hook, so *any* residual-CPU mutation (a Hosting
-// placement, a Migration move, a consolidation repack, a repair re-map)
+// placement, a Migration move, a repair re-map)
 // repositions exactly the host that changed: one binary search plus a
 // block shift, O(log H + d) for displacement d, against the seed's
 // O(H log H) full resort per placement.
@@ -36,16 +36,13 @@ type hostIndex struct {
 	// nodeOf maps dense host index -> graph node, so hook callbacks need
 	// no cluster lookup.
 	nodeOf []graph.NodeID
-	// track false freezes the initial order (the DisableHostResort
-	// ablation): the hook is never registered and order never moves.
-	track bool
 }
 
-// newHostIndex builds the order from the ledger's current residuals and,
-// when track is true, attaches the index to the ledger's proc hook. The
-// order/pos/nodeOf arrays come from ms, so repeated admissions reuse
-// them; the hostIndex struct itself is one small allocation per attempt.
-func newHostIndex(led *cluster.Ledger, track bool, ms *mapScratch) *hostIndex {
+// newHostIndex builds the order from the ledger's current residuals and
+// attaches the index to the ledger's proc hook. The order/pos/nodeOf
+// arrays come from ms, so repeated admissions reuse them; the hostIndex
+// struct itself is one small allocation per attempt.
+func newHostIndex(led *cluster.Ledger, ms *mapScratch) *hostIndex {
 	c := led.Cluster()
 	ms.hiOrder = sized(ms.hiOrder, c.NumHosts())
 	ms.hiPos = sized(ms.hiPos, c.NumHosts())
@@ -54,7 +51,7 @@ func newHostIndex(led *cluster.Ledger, track bool, ms *mapScratch) *hostIndex {
 		ms.hiOrder[i] = h.Node
 		ms.hiNode[i] = h.Node
 	}
-	hi := &hostIndex{led: led, order: ms.hiOrder, pos: ms.hiPos, nodeOf: ms.hiNode, track: track}
+	hi := &hostIndex{led: led, order: ms.hiOrder, pos: ms.hiPos, nodeOf: ms.hiNode}
 	slices.SortFunc(hi.order, func(a, b graph.NodeID) int {
 		ra, rb := led.ResidualProc(a), led.ResidualProc(b)
 		if ra != rb {
@@ -68,9 +65,7 @@ func newHostIndex(led *cluster.Ledger, track bool, ms *mapScratch) *hostIndex {
 	for p, n := range hi.order {
 		hi.pos[c.HostIdx(n)] = p
 	}
-	if track {
-		led.SetProcHook(hi.fix)
-	}
+	led.SetProcHook(hi.fix)
 	return hi
 }
 

@@ -13,11 +13,10 @@ import (
 // hosts that co-locates the endpoints of high-bandwidth virtual links.
 // links is every virtual link of v in descending bandwidth order
 // (sortLinksByBW); the host index keeps the hosts in descending
-// residual-CPU order across every placement (frozen at the initial order
-// under the DisableHostResort ablation). Guests touched by no virtual
-// link are placed afterwards by the same first-fit rule. assign entries
-// must start as mapping.Unassigned; on success every entry holds a host
-// node and the ledger reflects all reservations.
+// residual-CPU order across every placement. Guests touched by no
+// virtual link are placed afterwards by the same first-fit rule. assign
+// entries must start as mapping.Unassigned; on success every entry holds
+// a host node and the ledger reflects all reservations.
 func hosting(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, hi *hostIndex, links []virtual.Link) error {
 	for _, link := range links {
 		a, b := v.Guest(link.From), v.Guest(link.To)

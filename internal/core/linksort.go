@@ -15,17 +15,17 @@ type linkKV struct {
 }
 
 // sortLinksByBW returns the links of v named by ids — every link when
-// ids is nil — ordered by bandwidth, descending when desc, else
-// ascending, with ID-ascending tie-breaks: the strict total orders the
-// Hosting and Networking stages process links in. It sorts compact
-// (packed key, ID) pairs and gathers once instead of comparing and
-// swapping the multi-word Link structs directly; at 2000 guests the
-// per-Map link sorts were ~40% of the whole mapping in profiles. The
-// sign-adjusted IEEE-754 bit pattern is order-isomorphic to the float
-// order, so the pair key realises exactly the comparator's total order
-// and the resulting permutation is the one a stable sort of the structs
-// gives. The result lives in ms.links until the next call.
-func sortLinksByBW(v *virtual.Env, ids []int, desc bool, ms *mapScratch) []virtual.Link {
+// ids is nil — ordered by bandwidth descending with ID-ascending
+// tie-breaks: the strict total order the Hosting and Networking stages
+// process links in (§4.1, §4.3). It sorts compact (packed key, ID) pairs
+// and gathers once instead of comparing and swapping the multi-word Link
+// structs directly; at 2000 guests the per-Map link sorts were ~40% of
+// the whole mapping in profiles. The complemented, sign-adjusted IEEE-754
+// bit pattern is order-isomorphic to descending float order, so the pair
+// key realises exactly the comparator's total order and the resulting
+// permutation is the one a stable sort of the structs gives. The result
+// lives in ms.links until the next call.
+func sortLinksByBW(v *virtual.Env, ids []int, ms *mapScratch) []virtual.Link {
 	n := len(ids)
 	if ids == nil {
 		n = v.NumLinks()
@@ -37,11 +37,7 @@ func sortLinksByBW(v *virtual.Env, ids []int, desc bool, ms *mapScratch) []virtu
 		if ids != nil {
 			id = ids[i]
 		}
-		k := floatOrderKey(v.Link(id).BW)
-		if desc {
-			k = ^k
-		}
-		kvs[i] = linkKV{key: k, id: int32(id)}
+		kvs[i] = linkKV{key: ^floatOrderKey(v.Link(id).BW), id: int32(id)}
 	}
 	slices.SortFunc(kvs, func(a, b linkKV) int {
 		if a.key != b.key {

@@ -80,7 +80,7 @@ func (s *Session) commitMigrateLocked(norm []GuestMove, envs []*migrateEnvState,
 			}
 			nm.GuestHost[mv.Guest] = mv.To
 		}
-		if rerr := reroute(s.mapper, snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms); rerr != nil {
+		if rerr := reroute(snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms); rerr != nil {
 			return 0, fmt.Errorf("core: migrate re-route for seq %d: %w", es.seq, rerr)
 		}
 		es.nm = nm
@@ -176,7 +176,7 @@ func (s *Session) rebalanceStep(res *RebalanceResult, skipped map[skippedMove]bo
 		d.envs = append(d.envs, descentEnv{seq: e.seq, v: m.Env, assign: m.GuestHost})
 	}
 	sort.Slice(d.envs, func(i, j int) bool { return d.envs[i].seq < d.envs[j].seq })
-	d.begin(s.led, LoadResidualMIPS, ScopeAllHosts, nil)
+	d.begin(s.led, ScopeAllHosts, nil)
 	moved := d.step(func(c candidate) bool {
 		// The roster aliases the committed mappings' placements, which are
 		// immutable: the move is committed as a replacement mapping, and

@@ -85,12 +85,10 @@ type candidate struct {
 // (mapScratch.mig): begin re-sizes its buffers in place, so the admission
 // hot path allocates none of them once warm.
 type descent struct {
-	led    *cluster.Ledger
-	metric LoadMetric
-	scope  MigrationScope
-	// hi, when it tracks the paper's residual-MIPS order, already holds
-	// "ascending load" as (residual desc, node asc) and replaces the
-	// per-step destination sort outright.
+	led   *cluster.Ledger
+	scope MigrationScope
+	// hi, when set, already holds "ascending load" as (residual desc,
+	// node asc) and replaces the per-step destination sort outright.
 	hi *hostIndex
 
 	// envs is the roster's environments, seq ascending; callers fill it
@@ -106,13 +104,10 @@ type descent struct {
 
 // begin points the descent at led and builds the per-host rosters from
 // d.envs.
-func (d *descent) begin(led *cluster.Ledger, metric LoadMetric, scope MigrationScope, hi *hostIndex) {
+func (d *descent) begin(led *cluster.Ledger, scope MigrationScope, hi *hostIndex) {
 	c := led.Cluster()
 	nh := c.NumHosts()
-	d.led, d.metric, d.scope, d.hi = led, metric, scope, nil
-	if hi != nil && hi.track && metric != LoadUtilization {
-		d.hi = hi
-	}
+	d.led, d.scope, d.hi = led, scope, hi
 	d.hosts = sized(d.hosts, nh)
 	for i, h := range c.Hosts() {
 		d.hosts[i] = h.Node
@@ -137,17 +132,9 @@ func (d *descent) end() {
 	d.led, d.hi = nil, nil
 }
 
-// load is a host's load under the descent's metric; larger means more
-// loaded under both.
+// load is a host's load as Eq. (10) measures it: the most loaded host is
+// the one with the least residual CPU, so larger means more loaded.
 func (d *descent) load(node graph.NodeID) float64 {
-	if d.metric == LoadUtilization {
-		h, _ := d.led.Cluster().HostAt(node)
-		if h.Proc <= 0 {
-			return 0
-		}
-		return 1 - d.led.ResidualProc(node)/h.Proc
-	}
-	// Most loaded == least residual CPU.
 	return -d.led.ResidualProc(node)
 }
 
@@ -255,9 +242,8 @@ func (d *descent) relocate(c candidate) bool {
 // stage2 is HMN's Migration stage (§4.2): the descent over the one
 // environment being admitted, repeated while the load-balance factor
 // improves; under the paper's donor scope (see MigrationScope) the stage
-// ends when no move from the most loaded host helps. MaxMigrations > 0
-// caps the number of accepted moves (ablation). hi is the Hosting stage's
-// live host index; the descent's working sets are ms.mig.
+// ends when no move from the most loaded host helps. hi is the Hosting
+// stage's live host index; the descent's working sets are ms.mig.
 //
 // The stage mutates assign and the ledger in place. It cannot fail: a
 // migration either strictly improves the objective or is not performed.
@@ -268,8 +254,8 @@ func (h *HMN) stage2(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID,
 	st.ObjectiveBefore = led.ObjectiveStdDev()
 	d := &ms.mig
 	d.envs = append(d.envs[:0], descentEnv{v: v, assign: assign})
-	d.begin(led, h.Metric, h.Scope, hi)
-	for (h.MaxMigrations <= 0 || st.Moves < h.MaxMigrations) && d.step(d.relocate) {
+	d.begin(led, h.Scope, hi)
+	for d.step(d.relocate) {
 		st.Moves++
 	}
 	d.end()
@@ -303,8 +289,10 @@ func removeRef(refs []rosterRef, r rosterRef) []rosterRef {
 	return refs
 }
 
-// MigrationStats reports what stage 2 did; exposed for the ablation
-// benchmarks through HMN.MapWithStats.
+// MigrationStats reports what stage 2 did, through HMN.MapWithStats:
+// ObjectiveBefore is the Eq. (10) objective Hosting left — what a run
+// without Migration would end at — and ObjectiveAfter the one Migration
+// hands to Networking.
 type MigrationStats struct {
 	Moves           int
 	ObjectiveBefore float64

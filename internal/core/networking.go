@@ -2,47 +2,17 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/virtual"
 )
 
-// orderLinks returns the links of v named by ids (nil: every link) in
-// the order Networking routes them: descending bandwidth is the paper's
-// choice (§4.3) — and the order Hosting walks them in (§4.1) — the other
-// two exist for the ablations. (BW, ID) is a strict total order, so the
-// packed-key sorts produce the permutations a stable sort would. The
-// result lives in ms.links until the next call.
-func orderLinks(v *virtual.Env, ids []int, order LinkOrder, rng *rand.Rand, ms *mapScratch) []virtual.Link {
-	switch order {
-	case OrderAscendingBW:
-		return sortLinksByBW(v, ids, false, ms)
-	case OrderRandom:
-		if ids == nil {
-			ms.links = append(ms.links[:0], v.Links()...)
-		} else {
-			ms.links = sized(ms.links, len(ids))
-			for i, id := range ids {
-				ms.links[i] = v.Link(id)
-			}
-		}
-		links := ms.links
-		if rng == nil {
-			rng = rand.New(rand.NewSource(1))
-		}
-		rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-		return links
-	}
-	return sortLinksByBW(v, ids, true, ms)
-}
-
 // routeLinks is HMN stage 3 (§4.3) over links, in the order given
-// (orderLinks): each is routed with the modified 1-constrained A*Prune,
-// which maximises bottleneck bandwidth subject to the latency budget,
-// its path written into paths[link.ID] and its bandwidth reserved before
-// the next link is considered. Links whose guests share a host are
+// (descending bandwidth, sortLinksByBW): each is routed with the
+// modified 1-constrained A*Prune, which maximises bottleneck bandwidth
+// subject to the latency budget, its path written into paths[link.ID]
+// and its bandwidth reserved before the next link is considered. Links whose guests share a host are
 // handled inside the host (§5.2) and consume nothing. Guest placements
 // (assign) are fixed; reservations already on led — including the paths
 // of links not being routed — are respected. It is the whole Networking
@@ -55,7 +25,7 @@ func orderLinks(v *virtual.Env, ids []int, order LinkOrder, rng *rand.Rand, ms *
 // the Networking stage to calculate the shortest path of each host to the
 // link destination", and the cache is what keeps large instances
 // tractable without changing any result.
-func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, links []virtual.Link, astar graph.AStarPruneOptions, arc *arCache, ms *mapScratch) error {
+func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, links []virtual.Link, arc *arCache, ms *mapScratch) error {
 	net := led.Cluster().Net()
 	bw := led.BandwidthFunc()
 	tables := arTables(led, links, assign, arc, ms)
@@ -64,13 +34,7 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 	// reservation changes the residual bandwidth the next search must
 	// see — so every A*Prune search reuses the same open/closed
 	// structures instead of allocating per link.
-	opts := astar
-	if opts.Scratch == nil {
-		opts.Scratch = ms.astar
-	}
-	if opts.Arena == nil {
-		opts.Arena = ms.arena
-	}
+	opts := graph.AStarPruneOptions{Scratch: ms.astar, Arena: ms.arena}
 	// The scratch counts its searches in plain fields; the stage folds
 	// what it added into the attempt's tally on every exit.
 	before := opts.Scratch.Stats()
@@ -86,7 +50,7 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 		p, ok := graph.AStarPrune(net, src, dst, link.BW, link.Lat, bw, &opts)
 		if !ok {
 			return fmt.Errorf("%w: link %d (%s-%s, %.3fMbps within %.1fms) between hosts %d and %d",
-				noPathCause(net, src, dst, link.BW, bw, astar.MaxExpansions), link.ID,
+				noPathCause(net, src, dst, link.BW, bw), link.ID,
 				v.Guest(link.From).Name, v.Guest(link.To).Name, link.BW, link.Lat, src, dst)
 		}
 		if err := led.ReserveBandwidth(p, link.BW); err != nil {
@@ -99,30 +63,24 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 	return nil
 }
 
-// reroute re-runs only the Networking stage, with mp's options, for the
-// virtual links named by linkIDs, keeping guest placements fixed — the
-// repair engine's cheap path after a link failure, and what a committed
-// migration does for the links its guests drag along.
-func reroute(mp stagedMapper, led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
+// reroute re-runs only the Networking stage for the virtual links named
+// by linkIDs, keeping guest placements fixed — the repair engine's cheap
+// path after a link failure, and what a committed migration does for the
+// links its guests drag along.
+func reroute(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
 	if len(linkIDs) == 0 {
 		return nil
 	}
-	o := mp.stageOptions()
-	return routeLinks(led, v, assign, paths, orderLinks(v, linkIDs, o.order, o.rng, ms), o.astar, arc, ms)
+	return routeLinks(led, v, assign, paths, sortLinksByBW(v, linkIDs, ms), arc, ms)
 }
 
 // noPathCause says why A*Prune found nothing for a link, on the failure
 // path only: if even the widest src-dst path under the current residuals
 // is narrower than the demand, no latency budget would have helped;
-// otherwise the bandwidth is there and the budget ruled it out — unless
-// an expansion cap was set, which may have ended the search first, and
-// then the cause stays open.
-func noPathCause(net *graph.Graph, src, dst graph.NodeID, demand float64, bw graph.BandwidthFunc, maxExpansions int) error {
-	switch {
-	case graph.WidestBottleneck(net, src, dst, bw) < demand:
+// otherwise the bandwidth is there and the budget ruled it out.
+func noPathCause(net *graph.Graph, src, dst graph.NodeID, demand float64, bw graph.BandwidthFunc) error {
+	if graph.WidestBottleneck(net, src, dst, bw) < demand {
 		return ErrNoPathBandwidth
-	case maxExpansions > 0:
-		return ErrNoPath
 	}
 	return ErrNoPathLatency
 }

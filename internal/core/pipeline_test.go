@@ -48,60 +48,57 @@ func pipelineTestbeds(t *testing.T) []struct {
 // cluster and the first admission of a fresh Session on it run the same
 // stages body on the same residuals, so they must place every guest on
 // the same host and route every link over the same path, node for node
-// and edge for edge — for both staged mappers, on both testbeds. The
-// one-shot path's fresh AR cache, on its uncut ledger, must hold exactly
-// graph.DijkstraLatency's tables: the bound one-shot mappers always
-// searched under.
+// and edge for edge, on both testbeds. The one-shot path's fresh AR
+// cache, on its uncut ledger, must hold exactly graph.DijkstraLatency's
+// tables: the bound one-shot mappers always searched under.
 func TestOneShotEqualsFirstAdmission(t *testing.T) {
-	mappers := []stagedMapper{&HMN{}, &Consolidator{}}
 	for _, tb := range pipelineTestbeds(t) {
-		for _, mp := range mappers {
-			t.Run(tb.name+"/"+mp.Name(), func(t *testing.T) {
-				mapped := 0
-				for seed := int64(1); seed <= 10; seed++ {
-					v := workload.GenerateEnv(tb.env, rand.New(rand.NewSource(seed)))
-					arc := newARCache()
-					one, _, errOne := mapOnce(mp, cluster.VMMOverhead{}, tb.c, v, arc)
+		t.Run(tb.name+"/HMN", func(t *testing.T) {
+			h := &HMN{}
+			mapped := 0
+			for seed := int64(1); seed <= 10; seed++ {
+				v := workload.GenerateEnv(tb.env, rand.New(rand.NewSource(seed)))
+				arc := newARCache()
+				one, _, errOne := mapOnce(h, tb.c, v, arc)
 
-					s, err := NewSession(tb.c, cluster.VMMOverhead{}, mp)
-					if err != nil {
-						t.Fatal(err)
+				s, err := NewSession(tb.c, cluster.VMMOverhead{}, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, _, errFirst := s.MapTagged(v, "")
+				if fmt.Sprint(errOne) != fmt.Sprint(errFirst) {
+					t.Fatalf("seed %d: one-shot says %v, first admission %v", seed, errOne, errFirst)
+				}
+				if errOne != nil {
+					continue
+				}
+				mapped++
+				if !slices.Equal(one.GuestHost, first.GuestHost) {
+					t.Fatalf("seed %d: placements differ:\n one-shot %v\n session  %v", seed, one.GuestHost, first.GuestHost)
+				}
+				for l := range one.LinkPath {
+					a, b := one.LinkPath[l], first.LinkPath[l]
+					if !slices.Equal(a.Nodes, b.Nodes) || !slices.Equal(a.Edges, b.Edges) {
+						t.Fatalf("seed %d: link %d routed %v one-shot, %v in the session", seed, l, a, b)
 					}
-					first, _, errFirst := s.MapTagged(v, "")
-					if fmt.Sprint(errOne) != fmt.Sprint(errFirst) {
-						t.Fatalf("seed %d: one-shot says %v, first admission %v", seed, errOne, errFirst)
-					}
-					if errOne != nil {
-						continue
-					}
-					mapped++
-					if !slices.Equal(one.GuestHost, first.GuestHost) {
-						t.Fatalf("seed %d: placements differ:\n one-shot %v\n session  %v", seed, one.GuestHost, first.GuestHost)
-					}
-					for l := range one.LinkPath {
-						a, b := one.LinkPath[l], first.LinkPath[l]
-						if !slices.Equal(a.Nodes, b.Nodes) || !slices.Equal(a.Edges, b.Edges) {
-							t.Fatalf("seed %d: link %d routed %v one-shot, %v in the session", seed, l, a, b)
-						}
-					}
+				}
 
-					arc.mu.Lock()
-					if len(arc.tab) != 0 || len(arc.pristine) == 0 {
-						t.Fatalf("seed %d: one-shot cache holds %d cut-topology and %d pristine tables", seed, len(arc.tab), len(arc.pristine))
-					}
-					for dest, got := range arc.pristine {
-						want := graph.DijkstraLatency(tb.c.Net(), dest)
-						if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
-							t.Fatalf("seed %d: one-shot table towards %d is not DijkstraLatency's", seed, dest)
-						}
-					}
-					arc.mu.Unlock()
+				arc.mu.Lock()
+				if len(arc.tab) != 0 || len(arc.pristine) == 0 {
+					t.Fatalf("seed %d: one-shot cache holds %d cut-topology and %d pristine tables", seed, len(arc.tab), len(arc.pristine))
 				}
-				if mapped < 5 {
-					t.Fatalf("%d of 10 seeds mapped: the comparison hardly ran", mapped)
+				for dest, got := range arc.pristine {
+					want := graph.DijkstraLatency(tb.c.Net(), dest)
+					if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+						t.Fatalf("seed %d: one-shot table towards %d is not DijkstraLatency's", seed, dest)
+					}
 				}
-			})
-		}
+				arc.mu.Unlock()
+			}
+			if mapped < 5 {
+				t.Fatalf("%d of 10 seeds mapped: the comparison hardly ran", mapped)
+			}
+		})
 	}
 }
 

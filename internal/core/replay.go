@@ -91,14 +91,14 @@ func RestoreSession(c *cluster.Cluster, overhead cluster.VMMOverhead, mapper Map
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	sm, err := sessionMapperFor(mapper, overhead)
+	h, err := sessionHMN(mapper, overhead)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{
 		c:       c,
 		led:     led,
-		mapper:  sm,
+		mapper:  h,
 		active:  make(map[*mapping.Mapping]activeEntry, len(exp.Active)),
 		nextSeq: exp.NextSeq,
 		opCount: exp.OpCount,

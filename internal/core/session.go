@@ -21,10 +21,8 @@ import (
 //
 // The paper assumes "the entire cluster is available for a single tester
 // per time" (§3.2); a session generalises that to the multi-tester
-// testbed its §6 envisions (and to the HMN-C consolidation use case,
-// where freed hosts host the next experiment). Each environment is still
-// mapped by a plain Mapper — HMN by default — against a ledger primed
-// with the current residuals.
+// testbed its §6 envisions. Each environment is still mapped by HMN
+// against a ledger primed with the current residuals.
 //
 // A Session is safe for concurrent use, one lock-hold per operation: Map,
 // Repair and Rebalance's moves each take the session lock, copy the live
@@ -40,7 +38,7 @@ type Session struct {
 	// guarded state and must not be touched off-lock.
 	c      *cluster.Cluster
 	led    *cluster.Ledger //hmn:guardedby mu
-	mapper stagedMapper
+	mapper *HMN
 	// active maps each deployed environment to its admission sequence
 	// number and caller tag. The sequence is the session's only ordering
 	// authority: eviction and repair process environments oldest-first,
@@ -81,52 +79,49 @@ type activeEntry struct {
 }
 
 // NewSession opens a session on c with the VMM overhead deducted once.
-// mapper selects the placement algorithm for every environment; nil
-// means a default HMN. Only HMN and Consolidator values are accepted.
+// mapper is the HMN every environment is mapped with; nil means a
+// default HMN. No other Mapper can run incrementally (the retrying
+// baselines rebuild their ledgers internally), so any other is refused.
 func NewSession(c *cluster.Cluster, overhead cluster.VMMOverhead, mapper Mapper) (*Session, error) {
 	led, err := cluster.NewLedger(c, overhead)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	sm, err := sessionMapperFor(mapper, overhead)
+	h, err := sessionHMN(mapper, overhead)
 	if err != nil {
 		return nil, err
 	}
 	return &Session{
 		c:      c,
 		led:    led,
-		mapper: sm,
+		mapper: h,
 		active: make(map[*mapping.Mapping]activeEntry),
 		ar:     newARCache(),
 	}, nil
 }
 
-// MapperByName resolves the wire name of a session-capable mapper —
-// "HMN" (also the default for an empty name) or "HMN-C" — shared by the
-// HTTP layer and WAL recovery so a logged session reopens with exactly
-// the mapper it ran with.
+// MapperByName resolves the wire name of the session mapper — "HMN", also
+// the default for an empty name — shared by the HTTP layer and WAL
+// recovery so a logged session reopens with exactly the mapper it ran
+// with.
 func MapperByName(name string, overhead cluster.VMMOverhead) (Mapper, error) {
-	switch name {
-	case "", "HMN":
-		return &HMN{Overhead: overhead}, nil
-	case "HMN-C":
-		return &Consolidator{Overhead: overhead}, nil
-	default:
-		return nil, fmt.Errorf("unknown mapper %q (want HMN or HMN-C)", name)
+	if name != "" && name != "HMN" {
+		return nil, fmt.Errorf("unknown mapper %q (want HMN)", name)
 	}
+	return &HMN{Overhead: overhead}, nil
 }
 
-// sessionMapperFor validates that mapper can drive a session
-// incrementally; nil selects the default HMN.
-func sessionMapperFor(mapper Mapper, overhead cluster.VMMOverhead) (stagedMapper, error) {
-	switch m := mapper.(type) {
-	case nil:
+// sessionHMN is the HMN a session runs for mapper: mapper itself, or a
+// default one with the session's overhead when mapper is nil.
+func sessionHMN(mapper Mapper, overhead cluster.VMMOverhead) (*HMN, error) {
+	if mapper == nil {
 		return &HMN{Overhead: overhead}, nil
-	case stagedMapper:
-		return m, nil
-	default:
-		return nil, fmt.Errorf("session: mapper %s cannot run incrementally (needs a ledger-driven mapper such as HMN or HMN-C)", mapper.Name())
 	}
+	h, ok := mapper.(*HMN)
+	if !ok {
+		return nil, fmt.Errorf("session: mapper %s cannot run incrementally (only HMN can)", mapper.Name())
+	}
+	return h, nil
 }
 
 // Cluster returns the session's cluster.

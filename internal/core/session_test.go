@@ -193,23 +193,6 @@ func TestSessionReleaseUnknownMapping(t *testing.T) {
 	}
 }
 
-func TestSessionWithConsolidator(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
-	c := mustTorus(t, specs, 8, 5)
-	s, err := NewSession(c, cluster.VMMOverhead{}, &Consolidator{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Map(smallEnv(7, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(cluster.VMMOverhead{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSessionRejectsRetryingMapper(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)

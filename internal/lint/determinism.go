@@ -27,7 +27,7 @@ import (
 // stats.PopStdDev calls inside loops or closures: the ledger maintains
 // the Eq. (10) objective incrementally (Ledger.ObjectiveStdDev,
 // Ledger.DeltaStdDev, both O(1)), so an O(hosts) recompute per
-// migration or consolidation candidate is a quadratic regression
+// migration candidate is a quadratic regression
 // waiting to happen. There is no escape: the one deliberate exact
 // recompute left is the test-side reference of the migration tests,
 // which computes it in a function of its own.
@@ -108,8 +108,8 @@ func runDeterminism(pass *Pass) (interface{}, error) {
 }
 
 // checkExactRecompute flags stats.PopStdDev calls that sit inside a
-// loop or a closure (migration and consolidation evaluate candidates
-// through closures called per attempt): each such call recomputes the
+// loop or a closure (migration evaluates candidates through closures
+// called per attempt): each such call recomputes the
 // Eq. (10) objective in O(hosts) where Ledger.ObjectiveStdDev and
 // Ledger.DeltaStdDev are O(1). No directive admits one.
 func checkExactRecompute(pass *Pass, file *ast.File) {

@@ -427,9 +427,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 }
 
 // Handler serves the exposition over HTTP.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+func (r *Registry) Handler() http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WriteText(w)
-	})
+	}
 }

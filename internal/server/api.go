@@ -16,7 +16,8 @@ type OverheadSpec struct {
 
 // OpenSessionRequest is the body of POST /v1/sessions: the physical
 // cluster the session manages, the mapper that places every environment
-// ("HMN", the default, or "HMN-C"), and the VMM overhead.
+// ("HMN", also the default; any other name is a 400), and the VMM
+// overhead.
 type OpenSessionRequest struct {
 	Cluster  spec.ClusterSpec `json:"cluster"`
 	Mapper   string           `json:"mapper,omitempty"`

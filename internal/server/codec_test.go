@@ -85,10 +85,10 @@ func TestOversizeBodyIsRejectedAsBefore(t *testing.T) {
 func TestMapCountersResolvedWithSession(t *testing.T) {
 	_, cs := testbed(t)
 	_, ts := startServer(t, Config{})
-	openSession(t, ts.Client(), ts.URL, cs, "HMN-C")
+	openSession(t, ts.Client(), ts.URL, cs, "HMN")
 	text := scrape(t, ts.Client(), ts.URL)
 	for _, outcome := range []string{"attempted", "succeeded", "failed", "rejected"} {
-		if v := metricValue(t, text, `hmnd_maps_`+outcome+`_total{mapper="HMN-C"}`); v != 0 {
+		if v := metricValue(t, text, `hmnd_maps_`+outcome+`_total{mapper="HMN"}`); v != 0 {
 			t.Fatalf("%s counter starts at %v", outcome, v)
 		}
 	}

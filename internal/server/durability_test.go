@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -548,6 +550,66 @@ func TestRecoverRefusesRegistryMismatch(t *testing.T) {
 	if len(rec.Records) != 2 || rec.Records[1].Kind != wal.KindAdmit {
 		t.Fatalf("the refused directory now holds %d log records, want its open and admit", len(rec.Records))
 	}
+}
+
+// TestRecoverRefusesHMNC: HMN is the only session mapper, so a classic
+// log whose open record names the consolidating variant HMN-C — the
+// record an older build wrote for it — cannot be recovered, and Recover
+// says which mapper it does not know. Nothing is published: after Close
+// the directory holds exactly the bytes it held before.
+func TestRecoverRefusesHMNC(t *testing.T) {
+	dir := t.TempDir()
+	_, cs := testbed(t)
+	w, _, _, err := shard.Replay(shard.Config{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(&wal.Record{Kind: wal.KindOpen, SID: "s1", Open: &wal.OpenRec{Cluster: cs, Mapper: "HMN-C"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+
+	s := New(Config{DataDir: dir})
+	err = s.Recover()
+	if want := `unknown mapper "HMN-C"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Recover() = %v, want an error containing %q", err, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := dirBytes(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("the refused directory holds %d files, had %d", len(after), len(before))
+	}
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Fatalf("the refused directory's %s changed", name)
+		}
+	}
+}
+
+// dirBytes reads every regular file directly in dir, by name.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
 }
 
 // TestOpenSessionBarrierFailure pins two contracts at once: a failed

@@ -26,7 +26,6 @@ var sentinelStatuses = map[string]struct {
 }{
 	"cluster.ErrOverheadExceedsCapacity": {cluster.ErrOverheadExceedsCapacity, http.StatusBadRequest},
 	"core.ErrAlreadyFailed":              {core.ErrAlreadyFailed, http.StatusConflict},
-	"core.ErrEmptyPool":                  {core.ErrEmptyPool, http.StatusConflict},
 	"core.ErrMigrateConflict":            {core.ErrMigrateConflict, http.StatusConflict},
 	"core.ErrNoHostFits":                 {core.ErrNoHostFits, http.StatusConflict},
 	"core.ErrNoPath":                     {core.ErrNoPath, http.StatusConflict},

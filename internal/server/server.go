@@ -5,9 +5,9 @@
 //
 // Layering (bottom up):
 //
-//   - core.Session holds the residual-resource ledger and runs the HMN /
-//     HMN-C mapper incrementally; it is the only layer that mutates
-//     testbed state.
+//   - core.Session holds the residual-resource ledger and runs the HMN
+//     mapper incrementally; it is the only layer that mutates testbed
+//     state.
 //   - shard.Shard is one lock domain: a session and the write-ahead log
 //     its commits go to. Creating one, adopting one from a replayed log
 //     and snapshotting one are shard functions; this package never
@@ -323,7 +323,7 @@ func newServer(cfg Config) *Server {
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.Handle("GET /metrics", reg.Handler())
+	s.mux.HandleFunc("GET /metrics", reg.Handler())
 	return s
 }
 
@@ -550,7 +550,7 @@ func failureStatus(err error) (code int, msg string, ok bool) {
 		// A migrate plan that does not match the live state (a guest is
 		// not where the plan says). Retry against fresh state.
 		return http.StatusConflict, err.Error(), false
-	case errors.Is(err, core.ErrNoHostFits), errors.Is(err, core.ErrEmptyPool), errors.Is(err, core.ErrNoPath),
+	case errors.Is(err, core.ErrNoHostFits), errors.Is(err, core.ErrNoPath),
 		errors.Is(err, core.ErrNoPathBandwidth), errors.Is(err, core.ErrNoPathLatency), // ErrNoPath's two causes
 		errors.Is(err, shard.ErrNoShardFits), errors.Is(err, shard.ErrGatewayExhausted):
 		// Mapping infeasible against the current residuals: the request

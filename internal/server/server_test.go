@@ -489,20 +489,27 @@ func TestHandlerErrors(t *testing.T) {
 		t.Fatalf("typo body: status %d, want 400", resp.StatusCode)
 	}
 
-	// Unknown mapper.
-	code, _, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
-		OpenSessionRequest{Cluster: cs, Mapper: "R"})
-	if code != http.StatusBadRequest {
-		t.Fatalf("mapper R: status %d, want 400 (not session-capable)", code)
+	// Unknown mapper: HMN is the only session mapper, so a baseline and
+	// the deleted consolidating variant are refused alike.
+	for _, mapper := range []string{"R", "HMN-C"} {
+		code, raw, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions",
+			OpenSessionRequest{Cluster: cs, Mapper: mapper})
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), `unknown mapper`) {
+			t.Fatalf("mapper %s: status %d %s, want 400 unknown mapper", mapper, code, raw)
+		}
 	}
 
 	// Unknown session / environment.
-	code, _, _ = doJSON(t, client, "POST", ts.URL+"/v1/sessions/nope/envs",
+	code, _, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions/nope/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(1, 3))})
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown session: status %d, want 404", code)
 	}
-	sid := openSession(t, client, ts.URL, cs, "HMN-C")
+	// No refused open burned a session ID.
+	sid := openSession(t, client, ts.URL, cs, "HMN")
+	if sid != "s1" {
+		t.Fatalf("the first open after refused ones is %s, want s1", sid)
+	}
 	code, _, _ = doJSON(t, client, "DELETE", ts.URL+"/v1/sessions/"+sid+"/envs/e99", nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown env: status %d, want 404", code)

@@ -74,8 +74,8 @@ var (
 // daemon mode (Open and Replay read Mapper, Overhead, RebalanceMaxMoves,
 // Logf and Hooks).
 type Config struct {
-	// Mapper is the session mapper wire name ("", "HMN" or "HMN-C"),
-	// applied to every shard.
+	// Mapper is the session mapper wire name ("" or "HMN"; Open refuses
+	// any other), applied to every shard.
 	Mapper string
 	// Overhead is the per-host VMM overhead, applied to every shard.
 	Overhead cluster.VMMOverhead

@@ -95,12 +95,6 @@ type (
 	HMN = core.HMN
 	// StageStats breaks an HMN run down by stage.
 	StageStats = core.StageStats
-	// Consolidator is the §6 future-work variant that minimises the
-	// number of hosts used instead of balancing load.
-	Consolidator = core.Consolidator
-	// Pool runs several mappers and returns the best valid mapping —
-	// the §6 "pool of different heuristics" vision.
-	Pool = core.Pool
 	// GA is the memetic genetic-algorithm mapper after the related work
 	// the paper cites (Liu et al. [9]); seeded with HMN's placement, it
 	// never does worse and closes most of the optimality gap on small
@@ -157,9 +151,9 @@ var (
 // Unassigned marks a guest that has not been placed yet.
 const Unassigned = mapping.Unassigned
 
-// NewHMN returns the paper's heuristic with its default (paper-faithful)
-// configuration. Tune the exported fields of the returned struct for the
-// ablation variants (DisableMigration, NetworkOrder, ...).
+// NewHMN returns the paper's heuristic with no VMM overhead. Its two
+// fields set the overhead and widen Migration's donor scope; every
+// choice the paper fixes stays fixed.
 func NewHMN() *HMN { return &core.HMN{} }
 
 // NewRandom returns the R baseline: random placement plus randomized
@@ -256,8 +250,7 @@ func QuickScenarios() []Scenario { return exp.QuickScenarios() }
 type Session = core.Session
 
 // NewSession opens a multi-tenant session on c. mapper selects the
-// per-environment algorithm (nil = HMN); only ledger-driven mappers (HMN,
-// Consolidator) are accepted.
+// per-environment algorithm (nil = HMN); only an *HMN is accepted.
 func NewSession(c *Cluster, overhead VMMOverhead, mapper Mapper) (*Session, error) {
 	return core.NewSession(c, overhead, mapper)
 }
