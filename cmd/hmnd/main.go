@@ -26,7 +26,9 @@
 //
 // Durability: -data-dir enables the write-ahead log (internal/wal).
 // Every mutating request is logged and fsynced before its success
-// response, periodic snapshots (-snapshot-interval) bound the log, and
+// response, a checkpoint lands whenever the log outgrows the last
+// snapshot eightfold (so a restart reads a bounded suffix), periodic
+// compactions (-snapshot-interval) also delete the log they cover, and
 // on startup the daemon replays snapshot+log back into memory, and
 // cross-checks every recovered session (objective recompute, registry
 // consistency), before the /v1 API stops answering 503 "replaying":
@@ -116,7 +118,7 @@ func configure(args []string) (func() error, error) {
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		dataDir   = fs.String("data-dir", "", "durability directory: WAL + snapshots (empty = in-memory only)")
-		snapEvery = fs.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot interval when -data-dir is set (0 = shutdown snapshot only)")
+		snapEvery = fs.Duration("snapshot-interval", 5*time.Minute, "periodic compaction (snapshot, then delete the log it covers) interval when -data-dir is set (0 = at shutdown only; checkpoints land by log growth either way)")
 		rebMoves  = fs.Int("rebalance-max-moves", 8, "guest moves per POST .../rebalance round (0 = unbounded)")
 		mutexFrac = fs.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction for /debug/pprof/mutex (0 = disabled)")
 		blockRate = fs.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns for /debug/pprof/block (0 = disabled)")

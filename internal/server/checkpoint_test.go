@@ -1,0 +1,212 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/spec"
+	"repro/internal/wal"
+)
+
+// checkpointOffset reads the position dir's snapshot resumes the log at;
+// 0 without a snapshot or after a compaction.
+func checkpointOffset(t *testing.T, dir string) int64 {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if os.IsNotExist(err) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap wal.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.FirstOff
+}
+
+// churnPastCheckpoint admits environments through base, releasing the
+// oldest once three are deployed, until dir holds a checkpoint, and then
+// for ten operations more.
+func churnPastCheckpoint(t *testing.T, client *http.Client, base, dir string, admitted int) {
+	t.Helper()
+	var live []string
+	extra := -1
+	for i := 0; extra != 0; i++ {
+		if i > 5000 {
+			t.Fatal("no checkpoint after 5000 operations")
+		}
+		if extra > 0 {
+			extra--
+		}
+		if len(live) < 3 {
+			code, raw, _ := doJSON(t, client, "POST", base+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(int64(i), 8))})
+			if code != admitted {
+				t.Fatalf("admit %d: %d %s", i, code, raw)
+			}
+			var out struct{ ID string }
+			if err := json.Unmarshal(raw, &out); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, out.ID)
+		} else {
+			if code, raw, _ := doJSON(t, client, "DELETE", base+"/envs/"+live[0], nil); code != http.StatusNoContent {
+				t.Fatalf("release %s: %d %s", live[0], code, raw)
+			}
+			live = live[1:]
+		}
+		if extra < 0 && i%10 == 0 && checkpointOffset(t, dir) > 0 {
+			extra = 10
+		}
+	}
+}
+
+// logRecords counts the records of a WAL directory.
+func logRecords(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	if _, _, err := wal.Each(dir, wal.Hooks{}, func(*wal.Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestDaemonCheckpointsByGrowth churns a classic daemon and a one-shard
+// federation until their logs outgrow the checkpoint limit, kills them,
+// and restarts each on its directory: a checkpoint landed with nothing
+// deleted, the restart replays only the log after it, and the residuals
+// come back byte-identical.
+func TestDaemonCheckpointsByGrowth(t *testing.T) {
+	_, cs := testbed(t)
+	for _, mode := range []string{"classic", "federation"} {
+		t.Run(mode, func(t *testing.T) {
+			root := t.TempDir()
+			cfg := durableConfig(t, root)
+			start := New
+			walDir, residuals := root, "/v1/sessions/s1/residuals"
+			if mode == "federation" {
+				cfg.ClusterSpecs = []spec.ClusterSpec{cs}
+				start = NewFederation
+				walDir, residuals = filepath.Join(root, "shard-0"), "/v1/shards/0/residuals"
+			}
+			s1 := start(cfg)
+			if err := s1.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			ts1 := httptest.NewServer(s1.Handler())
+			client := ts1.Client()
+			admitted := http.StatusCreated
+			if mode == "classic" {
+				openSession(t, client, ts1.URL, cs, "")
+				admitted = http.StatusOK
+			} else if code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions", nil); code != http.StatusCreated {
+				t.Fatalf("open tenant: %d %s", code, raw)
+			}
+			churnPastCheckpoint(t, client, ts1.URL+"/v1/sessions/s1", walDir, admitted)
+			_, before, _ := doJSON(t, client, "GET", ts1.URL+residuals, nil)
+			ts1.Close() // kill
+
+			if segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.log")); len(segs) != 1 {
+				t.Fatalf("segments after checkpoints: %v", segs)
+			}
+			all := logRecords(t, walDir)
+			s2 := start(cfg)
+			t.Cleanup(func() {
+				s2.Close()
+				s1.Close()
+			})
+			if err := s2.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if replayed := int(s2.mReplayRecords.Value()); replayed == 0 || replayed >= all/4 {
+				t.Errorf("restart replayed %d of the log's %d records", replayed, all)
+			}
+			ts2 := httptest.NewServer(s2.Handler())
+			defer ts2.Close()
+			if _, after, _ := doJSON(t, ts2.Client(), "GET", ts2.URL+residuals, nil); string(after) != string(before) {
+				t.Errorf("residuals diverge across the restart:\n before %s\n after  %s", before, after)
+			}
+		})
+	}
+}
+
+// TestSnapshotInsideSessionClose takes a snapshot while a session close
+// is half done — out of the table, its first release logged, the rest
+// and its close record still to come — and restarts from it: the
+// restart must not meet the releases naming a session no snapshot or
+// open record declares.
+func TestSnapshotInsideSessionClose(t *testing.T) {
+	dir := t.TempDir()
+	_, cs := testbed(t)
+	cfg := durableConfig(t, dir)
+	s1 := New(cfg)
+	if err := s1.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	client := ts1.Client()
+	keeper := openSession(t, client, ts1.URL, cs, "")
+	victim := openSession(t, client, ts1.URL, cs, "")
+	for i, sid := range []string{keeper, victim, victim, victim} {
+		if code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions/"+sid+"/envs",
+			MapEnvRequest{Env: spec.FromEnv(smallEnv(int64(40+i), 8))}); code != http.StatusOK {
+			t.Fatalf("map into %s: %d %s", sid, code, raw)
+		}
+	}
+	s1.mu.Lock()
+	sess := s1.sessions[victim]
+	s1.mu.Unlock()
+	snapped := make(chan error, 1)
+	var once sync.Once
+	sess.Session().SetCommitHook(func(ev core.Event) {
+		if err := s1.wal.Append(wal.RecordFromEvent(victim, sess.Overhead(), ev)); err != nil {
+			t.Error(err)
+		}
+		if ev.Type == core.EventRelease {
+			once.Do(func() {
+				go func() { snapped <- s1.writeSnapshot() }()
+				time.Sleep(50 * time.Millisecond)
+			})
+		}
+	})
+	if code, raw, _ := doJSON(t, client, "DELETE", ts1.URL+"/v1/sessions/"+victim, nil); code != http.StatusNoContent {
+		t.Fatalf("close %s: %d %s", victim, code, raw)
+	}
+	if err := <-snapped; err != nil {
+		t.Fatal(err)
+	}
+	_, before, _ := doJSON(t, client, "GET", ts1.URL+"/v1/sessions/"+keeper+"/residuals", nil)
+	ts1.Close() // kill
+
+	s2 := New(cfg)
+	t.Cleanup(func() {
+		s2.Close()
+		s1.Close()
+	})
+	if err := s2.Recover(); err != nil {
+		t.Fatalf("restart after a snapshot inside a session close: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	client2 := ts2.Client()
+	if _, after, _ := doJSON(t, client2, "GET", ts2.URL+"/v1/sessions/"+keeper+"/residuals", nil); string(after) != string(before) {
+		t.Errorf("keeper residuals diverge:\n before %s\n after  %s", before, after)
+	}
+	if code, _, _ := doJSON(t, client2, "GET", ts2.URL+"/v1/sessions/"+victim+"/residuals", nil); code != http.StatusNotFound {
+		t.Errorf("closed session %s resolves after the restart: %d", victim, code)
+	}
+	n, _ := strconv.Atoi(victim[1:])
+	if fresh := openSession(t, client2, ts2.URL, cs, ""); fresh != fmt.Sprintf("s%d", n+1) {
+		t.Errorf("next session %s, want s%d", fresh, n+1)
+	}
+}

@@ -364,6 +364,46 @@ func TestClosedSessionIDNotReusedAcrossRestarts(t *testing.T) {
 	}
 }
 
+// TestSessionClosedBeforeSnapshotIDNotReused is the same invariant when
+// the snapshot comes after the close: the compaction deletes every record
+// that named the victim, so only the snapshot's high-water mark keeps its
+// ID retired across the restart.
+func TestSessionClosedBeforeSnapshotIDNotReused(t *testing.T) {
+	dir := t.TempDir()
+	_, cs := testbed(t)
+	cfg := durableConfig(t, dir)
+
+	s1 := New(cfg)
+	if err := s1.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	client := ts1.Client()
+	keeper := openSession(t, client, ts1.URL, cs, "")
+	victim := openSession(t, client, ts1.URL, cs, "")
+	if code, _, _ := doJSON(t, client, "DELETE", ts1.URL+"/v1/sessions/"+victim, nil); code != http.StatusNoContent {
+		t.Fatalf("close victim: %d", code)
+	}
+	if err := s1.writeSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close() // kill
+
+	s2 := New(cfg)
+	if err := s2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		s2.Close()
+		s1.Close()
+	})
+	if fresh := openSession(t, ts2.Client(), ts2.URL, cs, ""); fresh == victim || fresh == keeper {
+		t.Fatalf("recovered daemon reused session ID %s (victim %s, keeper %s)", fresh, victim, keeper)
+	}
+}
+
 // TestCloseClearsSnapshotBoundary pins the defense-in-depth half of the
 // same invariant at the log level: even against an on-disk history in
 // which a snapshotted session is closed and its ID reopened (the shape

@@ -113,9 +113,10 @@ type Config struct {
 	// shard beside the tenant registry. Empty disables durability
 	// (state dies with the process).
 	DataDir string
-	// SnapshotInterval is the cadence of periodic full-state snapshots
-	// (which truncate the log). 0 snapshots only on graceful shutdown.
-	// Ignored without DataDir.
+	// SnapshotInterval is the cadence of periodic compactions: full-state
+	// snapshots that delete the log they cover. 0 compacts only on
+	// graceful shutdown. Checkpoints, which bound what a restart reads,
+	// land by log growth either way. Ignored without DataDir.
 	SnapshotInterval time.Duration
 	// RebalanceMaxMoves caps guest moves per round of POST …/rebalance.
 	// <= 0 means unbounded: a round runs until no move improves the
@@ -184,6 +185,13 @@ type Server struct {
 	sessions    map[string]*session //hmn:guardedby mu
 	nextSession int                 //hmn:guardedby mu
 	wal         *wal.WAL
+	// cutMu keeps a session's teardown whole on one side of a snapshot's
+	// cut: a close holds it shared from the moment the session leaves the
+	// table until its close record is appended, a snapshot exclusively
+	// while it takes its cut and exports. Otherwise a snapshot between the
+	// two would leave out a session whose release records follow its cut,
+	// and recovery would meet them naming an unknown session.
+	cutMu sync.RWMutex
 
 	// A federation daemon's state: nil on a classic daemon, and until
 	// Recover has built or rebuilt it.
@@ -253,7 +261,7 @@ func newServer(cfg Config) *Server {
 		fsyncLatency = reg.Histogram("hmnd_wal_fsync_seconds",
 			"Wall time of write-ahead log fsyncs (group commits).", nil)
 		snapshotLatency = reg.Histogram("hmnd_snapshot_seconds",
-			"Wall time of full-state snapshots (rotate, export, publish, prune).", nil)
+			"Wall time of full-state snapshots: checkpoints (fsync, export, publish) and compactions (rotate, export, publish, prune).", nil)
 		rebalRounds = reg.Counter("hmnd_rebalance_rounds_total",
 			"Rebalancing rounds executed.")
 		rebalPlanned = reg.Counter("hmnd_rebalance_planned_units_total",

@@ -193,10 +193,20 @@ func (s *Server) queued(ctx context.Context, op func() error) error {
 
 // ackBarrier makes every WAL record appended so far durable. Mutating
 // handlers pass it after their operation commits and before they write
-// a success response; with no data directory it is free.
+// a success response; with no data directory it is free. The operation
+// whose records made a checkpoint due writes it here first, so the log
+// a recovery must read stays within a few times the live state.
 func (s *Server) ackBarrier() error {
 	if s.wal == nil {
 		return nil
+	}
+	if s.wal.CheckpointDue() {
+		s.cutMu.Lock()
+		err := s.wal.Checkpoint(s.exportAll)
+		s.cutMu.Unlock()
+		if err != nil {
+			s.logf("hmnd: checkpoint: %v", err)
+		}
 	}
 	if err := s.wal.Barrier(); err != nil {
 		return fmt.Errorf("%w: %w", errNotDurable, err)
@@ -252,6 +262,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		// serving session a 500-retrying client will never address. The
 		// close record is best-effort (the barrier just failed), but if
 		// the open did reach disk it keeps a later replay consistent.
+		s.cutMu.RLock()
 		s.mu.Lock()
 		delete(s.sessions, id)
 		s.mu.Unlock()
@@ -259,6 +270,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		sess.closed = true
 		sess.mu.Unlock()
 		s.retire(sess)
+		s.cutMu.RUnlock()
 		refused(w, err)
 		return
 	}
@@ -273,7 +285,8 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 // retire finishes off a closed session already taken out of the table:
 // its close record lands after whatever its teardown logged — so a
 // replayed log tears the session down the same way before retiring it —
-// and its series leave /metrics.
+// and its series leave /metrics. The caller holds cutMu shared from the
+// table removal on.
 func (s *Server) retire(sess *session) {
 	if s.wal != nil {
 		if err := s.wal.Append(&wal.Record{Kind: wal.KindClose, SID: sess.SID()}); err != nil {
@@ -457,11 +470,13 @@ func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("sid")
+	s.cutMu.RLock()
 	s.mu.Lock()
 	sess := s.sessions[id]
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	if sess == nil {
+		s.cutMu.RUnlock()
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
 		return
 	}
@@ -474,6 +489,7 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		_ = sess.Session().ReleaseTagged(eid)
 	}
 	s.retire(sess)
+	s.cutMu.RUnlock()
 	if refused(w, s.ackBarrier()) {
 		return
 	}
@@ -540,7 +556,11 @@ func (s *Server) recoverSessions() error {
 }
 
 // writeSnapshot takes one full-state snapshot and truncates the log.
-func (s *Server) writeSnapshot() error { return s.wal.WriteSnapshot(s.exportAll) }
+func (s *Server) writeSnapshot() error {
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	return s.wal.WriteSnapshot(s.exportAll)
+}
 
 // exportAll captures every open session for a snapshot, in session-ID
 // order for deterministic snapshot bytes.

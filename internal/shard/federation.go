@@ -171,6 +171,9 @@ func (f *Federation) start() {
 		sh.Index = k
 		sh.ops = make(chan func(), f.cfg.QueueDepth)
 		sh.done = make(chan struct{})
+		if sh.w != nil {
+			sh.export = f.exportShard(sh)
+		}
 		go sh.loop()
 	}
 	f.router = newRouter(sums, f.gw)

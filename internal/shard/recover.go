@@ -84,17 +84,22 @@ func readMeta(dataDir string) (*fedMeta, error) {
 	return &meta, nil
 }
 
-// snapshotShard takes one full-state snapshot of sh and truncates its
-// log. Safe concurrently with the shard worker: the session export
-// runs under the session lock, and the WAL serializes the segment
-// rotation against appends.
-func (f *Federation) snapshotShard(sh *Shard) error {
-	return sh.w.WriteSnapshot(func() ([]wal.SessionSnap, error) {
+// exportShard captures sh for a snapshot of its WAL, with the
+// federation's environment-ID counter. Safe concurrently with the shard
+// worker: the session export runs under the session lock.
+func (f *Federation) exportShard(sh *Shard) func() ([]wal.SessionSnap, error) {
+	return func() ([]wal.SessionSnap, error) {
 		f.mu.Lock()
 		nextEnv := f.nextEnv
 		f.mu.Unlock()
 		return []wal.SessionSnap{sh.Snap(nextEnv)}, nil
-	})
+	}
+}
+
+// snapshotShard takes one full-state snapshot of sh and truncates its
+// log; the WAL serializes the segment rotation against appends.
+func (f *Federation) snapshotShard(sh *Shard) error {
+	return sh.w.WriteSnapshot(f.exportShard(sh))
 }
 
 // pendingEnv accumulates one environment's fragments during recovery

@@ -87,9 +87,9 @@ type Config struct {
 	// the tenant registry persists in DataDir/federation.json. Empty
 	// keeps the federation in memory.
 	DataDir string
-	// SnapshotInterval, when positive and DataDir is set, snapshots
-	// every shard on this cadence; a final snapshot is always taken on
-	// a clean Close.
+	// SnapshotInterval, when positive and DataDir is set, compacts
+	// every shard's log on this cadence; a final compaction is always
+	// taken on a clean Close. Checkpoints land by log growth either way.
 	SnapshotInterval time.Duration
 	// RebalanceMaxMoves caps guest moves per rebalancing round (0 =
 	// unbounded).
@@ -176,6 +176,10 @@ type Shard struct {
 	// owner serializes its operations itself.
 	ops  chan func()
 	done chan struct{}
+	// export captures a federation shard for a snapshot of its own WAL,
+	// which the shard's barrier checkpoints when due; nil for a domain
+	// whose owner snapshots a WAL it shares.
+	export func() ([]wal.SessionSnap, error)
 }
 
 // Open creates a lock domain: a fresh session for cfg.Mapper and
@@ -337,11 +341,16 @@ func (sh *Shard) loop() {
 	}
 }
 
-// barrier makes the domain's appended records durable; free without a
-// data directory.
+// barrier makes the domain's appended records durable, checkpointing
+// its WAL first when that is due; free without a data directory.
 func (sh *Shard) barrier() error {
 	if sh.w == nil {
 		return nil
+	}
+	if sh.export != nil {
+		if err := sh.w.Checkpoint(sh.export); err != nil {
+			sh.cfg.logf("shard %d: checkpoint: %v", sh.Index, err)
+		}
 	}
 	return sh.w.Barrier()
 }

@@ -20,13 +20,16 @@
 // where the payload is one JSON-encoded Record. A torn tail — a partial
 // frame or a checksum mismatch with nothing valid after it in the final
 // segment — is truncated on open with a warning; an invalid frame
-// anywhere else is corruption and open refuses. The snapshot protocol
-// rotates to a fresh segment first, exports every session, writes the
-// snapshot to a temporary file, renames it over the old one (fsyncing
-// the directory), and only then deletes the segments the rotation
-// sealed. Recovery therefore always sees a snapshot plus a log suffix;
-// records whose per-session operation index is at or below the
-// snapshot's recorded index are skipped as already applied.
+// anywhere else is corruption and open refuses. A snapshot notes the
+// log position it was cut at — a checkpoint the end of the active
+// segment once the log has grown eightfold past the last snapshot, a
+// compaction the start of the fresh segment it rotates to — exports
+// every session, writes the snapshot to a temporary file and renames it
+// over the old one (fsyncing the directory); only a compaction then
+// deletes the segments before its position. Recovery restores the
+// snapshot and reads the log from its position; records whose
+// per-session operation index is at or below the snapshot's recorded
+// index are skipped as already applied.
 package wal
 
 import (
@@ -241,11 +244,15 @@ type frameReader struct {
 
 // reset points the reader at the start of a segment of the given size,
 // keeping the window.
-func (fr *frameReader) reset(r io.Reader, size int64) {
+func (fr *frameReader) reset(r io.Reader, size int64) { fr.resetAt(r, 0, size) }
+
+// resetAt points the reader at offset off of a segment of the given
+// size, r reading from there, keeping the window.
+func (fr *frameReader) resetAt(r io.Reader, off, size int64) {
 	if fr.buf == nil {
 		fr.buf = make([]byte, frameWindow)
 	}
-	fr.r, fr.size, fr.off, fr.lo, fr.hi = io.LimitReader(r, size), size, 0, 0, 0
+	fr.r, fr.size, fr.off, fr.lo, fr.hi = io.LimitReader(r, size-off), size, off, 0, 0
 }
 
 // fill reads ahead until n unconsumed bytes are in the window. The

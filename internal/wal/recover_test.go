@@ -119,12 +119,12 @@ func streamed(t *testing.T, dir string, repair bool, window int) (dirState, erro
 	case window != frameWindow:
 		var snap *Snapshot
 		var segs []uint64
-		if snap, segs, err = load(dir, Hooks{}, repair); err != nil {
+		if snap, segs, err = load(dir, repair); err != nil {
 			break
 		}
 		p := logPass{dir: dir, repair: repair, fr: frameReader{buf: make([]byte, window)}}
 		if res, err = p.replay(snap, segs, scribble); err == nil && repair {
-			w, err = resume(dir, Hooks{}, snap, segs)
+			w, err = resume(dir, Hooks{}, snap, segs, res.Bytes, res.MaxSession)
 		}
 	case repair:
 		w, res, err = Recover(dir, Hooks{}, scribble)

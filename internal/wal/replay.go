@@ -97,6 +97,7 @@ func newReplayer(snap *Snapshot, onRecord func(*Replayed, *Record)) (*replayer, 
 	if snap == nil {
 		return rp, nil
 	}
+	rp.maxSession = snap.MaxSession
 	for _, sn := range snap.Sessions {
 		cs, c, err := RestoreSnap(sn)
 		if err != nil {
@@ -325,6 +326,9 @@ func (p *logPass) replay(snap *Snapshot, segs []uint64, onRecord func(*Replayed,
 	rp.pass, rp.frames.dir = p, p.dir
 	defer rp.frames.close()
 	p.reuse, p.fn = true, rp.apply
+	if snap != nil {
+		p.fromSeg, p.fromOff = snap.FirstSeg, snap.FirstOff
+	}
 	if err := p.run(segs); err != nil {
 		return nil, err
 	}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/cluster"
+	"repro/internal/jsonx"
 	"repro/internal/spec"
 )
 
@@ -18,18 +20,29 @@ const (
 	tmpSuffix    = ".tmp"
 )
 
-// Snapshot is the full daemon state at one log boundary: every open
+// Snapshot is the full daemon state at one log position: every open
 // session, exported at its own operation index. Recovery loads the
-// snapshot, rebuilds the sessions, and replays the log suffix, skipping
-// records whose Index is at or below the owning session's OpCount.
+// snapshot, rebuilds the sessions, and replays the log from the
+// position on, skipping records whose Index is at or below the owning
+// session's OpCount.
 type Snapshot struct {
-	// FirstSeg is the first log segment the snapshot does NOT cover:
-	// the segment that became active when the snapshot's rotation
-	// sealed its predecessors. Older segments are deleted after the
-	// snapshot lands; recovery prunes any a crash left behind.
+	// FirstSeg and FirstOff are the position of the first frame the
+	// snapshot does NOT cover. A compaction (WriteSnapshot) rotates
+	// first, so its position is the start of a fresh segment and the
+	// segments before it are deleted; a checkpoint (Checkpoint) takes the
+	// end of the active segment as it stands and deletes nothing, so the
+	// log before the position stays on disk as the daemon's history.
 	FirstSeg uint64 `json:"first_seg"`
+	FirstOff int64  `json:"first_off,omitempty"`
+	// MaxSession is the highest session ordinal the log had named when
+	// the snapshot was cut, so a session closed before it keeps its ID
+	// retired although recovery never reads its records again.
+	MaxSession int `json:"max_session,omitempty"`
 	// Sessions are the open sessions, in session-ID order.
 	Sessions []SessionSnap `json:"sessions"`
+
+	// size is the snapshot file's length, as loaded.
+	size int64
 }
 
 // SessionSnap is one session's exported state.
@@ -55,7 +68,8 @@ type SessionSnap struct {
 	Active []ActiveRec `json:"active,omitempty"`
 }
 
-// ActiveRec is one deployed environment in a session snapshot.
+// ActiveRec is one deployed environment in a session snapshot: the
+// fields, and the bytes, of the admit record that deployed it.
 type ActiveRec struct {
 	Seq uint64           `json:"seq"`
 	Tag string           `json:"tag,omitempty"`
@@ -78,7 +92,168 @@ func loadSnapshot(dir string) (*Snapshot, error) {
 	if err := json.Unmarshal(buf, &snap); err != nil {
 		return nil, fmt.Errorf("wal: decode snapshot: %w", err)
 	}
+	if snap.FirstOff < 0 {
+		return nil, fmt.Errorf("wal: snapshot resumes the log at offset %d", snap.FirstOff)
+	}
+	snap.size = int64(len(buf))
 	return &snap, nil
+}
+
+// appendJSON appends the snapshot's encoding — json.Marshal's bytes,
+// through the record codec's appenders where it can and encoding/json
+// where they decline.
+func (s *Snapshot) appendJSON(dst []byte) ([]byte, error) {
+	start := len(dst)
+	ok := true
+	dst = append(dst, `{"first_seg":`...)
+	dst = strconv.AppendUint(dst, s.FirstSeg, 10)
+	if s.FirstOff != 0 {
+		dst = append(dst, `,"first_off":`...)
+		dst = strconv.AppendInt(dst, s.FirstOff, 10)
+	}
+	if s.MaxSession != 0 {
+		dst = append(dst, `,"max_session":`...)
+		dst = strconv.AppendInt(dst, int64(s.MaxSession), 10)
+	}
+	dst = append(dst, `,"sessions":`...)
+	if s.Sessions == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range s.Sessions {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = s.Sessions[i].appendJSON(dst, &ok); err != nil {
+				return dst[:start], err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, '}')
+	if ok {
+		return dst, nil
+	}
+	buf, err := json.Marshal(s)
+	if err != nil {
+		return dst[:start], fmt.Errorf("wal: encode snapshot: %w", err)
+	}
+	return append(dst[:start], buf...), nil
+}
+
+func (sn *SessionSnap) appendJSON(dst []byte, ok *bool) ([]byte, error) {
+	dst = append(dst, `{"sid":`...)
+	dst = jsonx.AppendString(dst, sn.SID, ok)
+	dst = append(dst, `,"cluster":`...)
+	cl, err := json.Marshal(&sn.Cluster)
+	if err != nil {
+		return dst, fmt.Errorf("wal: encode snapshot: %w", err)
+	}
+	dst = append(dst, cl...)
+	dst = append(dst, `,"mapper":`...)
+	dst = jsonx.AppendString(dst, sn.Mapper, ok)
+	dst = append(dst, `,"overhead_proc":`...)
+	dst = jsonx.AppendFloat(dst, sn.Proc, ok)
+	dst = append(dst, `,"overhead_mem":`...)
+	dst = strconv.AppendInt(dst, sn.Mem, 10)
+	dst = append(dst, `,"overhead_stor":`...)
+	dst = jsonx.AppendFloat(dst, sn.Stor, ok)
+	dst = append(dst, `,"next_env":`...)
+	dst = strconv.AppendUint(dst, sn.NextEnv, 10)
+	dst = append(dst, `,"next_seq":`...)
+	dst = strconv.AppendUint(dst, sn.NextSeq, 10)
+	dst = append(dst, `,"op_count":`...)
+	dst = strconv.AppendUint(dst, sn.OpCount, 10)
+	dst = append(dst, `,"ledger":`...)
+	dst = appendLedger(dst, &sn.Ledger, ok)
+	if len(sn.Active) > 0 {
+		dst = append(dst, `,"active":[`...)
+		for i := range sn.Active {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = (*AdmitRec)(&sn.Active[i]).appendJSON(dst, ok)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+func appendLedger(dst []byte, l *cluster.LedgerState, ok *bool) []byte {
+	dst = append(dst, `{"proc":`...)
+	dst = appendFloats(dst, l.Proc, ok)
+	dst = append(dst, `,"mem":`...)
+	if l.Mem == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, m := range l.Mem {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, m, 10)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"stor":`...)
+	dst = appendFloats(dst, l.Stor, ok)
+	dst = append(dst, `,"bw":`...)
+	dst = appendFloats(dst, l.BW, ok)
+	if len(l.Quarantined) > 0 {
+		dst = append(dst, `,"quarantined":`...)
+		dst = appendBools(dst, l.Quarantined)
+	}
+	if len(l.CutEdges) > 0 {
+		dst = append(dst, `,"cut_edges":`...)
+		dst = appendBools(dst, l.CutEdges)
+	}
+	if l.TopoGen != 0 {
+		dst = append(dst, `,"topo_gen":`...)
+		dst = strconv.AppendUint(dst, l.TopoGen, 10)
+	}
+	if l.CutCount != 0 {
+		dst = append(dst, `,"cut_count":`...)
+		dst = strconv.AppendInt(dst, int64(l.CutCount), 10)
+	}
+	if l.GenSeq != 0 {
+		dst = append(dst, `,"gen_seq":`...)
+		dst = strconv.AppendUint(dst, l.GenSeq, 10)
+	}
+	if l.SumProc != nil {
+		dst = append(dst, `,"sum_proc":`...)
+		dst = appendFloats(dst, l.SumProc[:], ok)
+	}
+	if l.SumProcSq != nil {
+		dst = append(dst, `,"sum_proc_sq":`...)
+		dst = appendFloats(dst, l.SumProcSq[:], ok)
+	}
+	return append(dst, '}')
+}
+
+func appendFloats(dst []byte, a []float64, ok *bool) []byte {
+	if a == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, f := range a {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonx.AppendFloat(dst, f, ok)
+	}
+	return append(dst, ']')
+}
+
+func appendBools(dst []byte, a []bool) []byte {
+	dst = append(dst, '[')
+	for i, b := range a {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendBool(dst, b)
+	}
+	return append(dst, ']')
 }
 
 // PublishFile lands data as dir/name atomically: write to name.tmp,

@@ -1,26 +1,50 @@
 package wal
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // WAL is the open write-ahead log of one data directory. It is safe for
 // concurrent use: appends serialize internally, barriers share fsyncs
-// (group commit), and WriteSnapshot coordinates rotation so no record
-// is lost between a snapshot and the segments it replaces.
+// (group commit), and snapshots take their cut so no record is lost
+// between a snapshot and the log it resumes.
 type WAL struct {
 	dir   string
 	hooks Hooks
 	log   *log
+
+	// limit is the log growth past the last snapshot's position that
+	// makes a checkpoint due (checkpointLimit of that snapshot's size).
+	limit atomic.Int64
+	// snapMu serializes snapshots, checkpoints and compactions alike;
+	// buf is the encoding buffer they share.
+	snapMu sync.Mutex
+	buf    []byte //hmn:guardedby snapMu
+}
+
+// A checkpoint is due once the log has grown past the last snapshot's
+// position by checkpointRatio times the larger of that snapshot's size
+// and checkpointFloor (the rule of Raft §7). So writing snapshots costs
+// at most 1/checkpointRatio of what writing the log does, and a recovery
+// reads at most checkpointRatio times the live state's size of log.
+const (
+	checkpointRatio = 8
+	checkpointFloor = 64 << 10
+)
+
+func checkpointLimit(snapshotSize int64) int64 {
+	return checkpointRatio * max(snapshotSize, checkpointFloor)
 }
 
 // Recovered is what Open found on disk: the latest snapshot (nil before
-// the first one lands) and the log suffix to replay on top of it, in
-// append order. TruncatedBytes reports a torn tail Open dropped; the
+// the first one lands) and every log record, in append order — the
+// ones before the snapshot's position too, which replay onto it as
+// already applied. TruncatedBytes reports a torn tail Open dropped; the
 // caller should surface it as a warning (the bytes were never
 // acknowledged — see the ack-after-log guarantee — but an operator
 // should know a crash tore a write).
@@ -30,11 +54,13 @@ type Recovered struct {
 	TruncatedBytes int64
 }
 
-// load reads the directory's snapshot and lists the segments that hold
-// its log suffix. With repair set — recovery, not inspection — it first
-// creates the directory, removes a snapshot temp file a crash left and
-// prunes the segments the snapshot supersedes.
-func load(dir string, hooks Hooks, repair bool) (*Snapshot, []uint64, error) {
+// load reads the directory's snapshot and lists its segments. With
+// repair set — recovery, not inspection — it first creates the
+// directory and removes a snapshot temp file a crash left. It never
+// deletes a segment: those before the snapshot's position are the log a
+// checkpoint keeps, or those a compaction that crashed before deleting
+// them left, which the next compaction deletes; recovery skips both.
+func load(dir string, repair bool) (*Snapshot, []uint64, error) {
 	if repair {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("wal: create data dir: %w", err)
@@ -53,51 +79,38 @@ func load(dir string, hooks Hooks, repair bool) (*Snapshot, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// A crash between publishing a snapshot and deleting the segments
-	// it covers leaves stale segments behind; prune them now. (Replay
-	// would skip their records anyway — indices at or below the
-	// snapshot boundary — but unbounded stale segments are a disk leak.)
-	if repair && snap != nil {
-		kept := segs[:0]
-		for _, n := range segs {
-			if n < snap.FirstSeg {
-				hooks.logf("wal: pruning segment %s superseded by snapshot", segName(n))
-				if err := os.Remove(filepath.Join(dir, segName(n))); err != nil {
-					return nil, nil, fmt.Errorf("wal: prune segment: %w", err)
-				}
-				continue
-			}
-			kept = append(kept, n)
-		}
-		if len(kept) < len(segs) {
-			if err := syncDir(dir); err != nil {
-				return nil, nil, err
-			}
-		}
-		segs = kept
-	}
 	return snap, segs, nil
 }
 
 // resume opens the log for appending, on a fresh segment numbered after
 // everything on disk (and after the snapshot boundary, when the
 // directory holds only a snapshot), so recovery artifacts are never
-// mixed with new records mid-segment.
-func resume(dir string, hooks Hooks, snap *Snapshot, segs []uint64) (*WAL, error) {
+// mixed with new records mid-segment. grown is the log recovery read
+// past the snapshot's position, and maxSession the highest session
+// ordinal it found: the growth count and the high-water mark go on
+// from them.
+func resume(dir string, hooks Hooks, snap *Snapshot, segs []uint64, grown int64, maxSession int) (*WAL, error) {
 	next := uint64(1)
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
 	} else if snap != nil && snap.FirstSeg > next {
 		next = snap.FirstSeg
 	}
-	l := &log{dir: dir, hooks: hooks}
+	l := &log{dir: dir, hooks: hooks, maxSession: maxSession}
 	if err := l.openSegment(next); err != nil {
 		return nil, err
 	}
 	if err := syncDir(dir); err != nil {
 		return nil, err
 	}
-	return &WAL{dir: dir, hooks: hooks, log: l}, nil
+	l.grown.Store(grown)
+	w := &WAL{dir: dir, hooks: hooks, log: l}
+	var size int64
+	if snap != nil {
+		size = snap.size
+	}
+	w.limit.Store(checkpointLimit(size))
+	return w, nil
 }
 
 // collect reads the whole log into a Recovered: the materialising form
@@ -119,7 +132,7 @@ func collect(dir string, hooks Hooks, snap *Snapshot, segs []uint64, repair bool
 // into memory; the returned WAL appends to a fresh segment. A daemon
 // recovers through Recover, which never holds the log.
 func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
-	snap, segs, err := load(dir, hooks, true)
+	snap, segs, err := load(dir, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -127,7 +140,16 @@ func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := resume(dir, hooks, snap, segs)
+	maxSession := 0
+	if snap != nil {
+		maxSession = snap.MaxSession
+	}
+	for i := range rec.Records {
+		if n, ok := SessionOrdinal(rec.Records[i].SID); ok {
+			maxSession = max(maxSession, n)
+		}
+	}
+	w, err := resume(dir, hooks, snap, segs, 0, maxSession)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -135,14 +157,15 @@ func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
 }
 
 // Recover opens (or initializes) the data directory and rebuilds its
-// sessions in one pass: each log record is decoded, replayed and
-// forgotten as it is read, and a torn tail is truncated on the way.
-// onRecord, when non-nil, is called after each operation record actually
-// re-applied; its record is valid only until it returns. On any error —
-// a corrupt sealed segment, a record that diverges — nothing is
-// returned and no segment is created.
+// sessions in one pass: the snapshot is restored, and each log record
+// from the snapshot's position on is decoded, replayed and forgotten as
+// it is read, a torn tail truncated on the way. onRecord, when non-nil,
+// is called after each operation record actually re-applied; its record
+// is valid only until it returns. On any error — a corrupt sealed
+// segment, a record that diverges, a snapshot position the log does not
+// have — nothing is returned and no segment is created.
 func Recover(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*WAL, *Recovery, error) {
-	snap, segs, err := load(dir, hooks, true)
+	snap, segs, err := load(dir, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -151,7 +174,7 @@ func Recover(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*WAL, 
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := resume(dir, hooks, snap, segs)
+	w, err := resume(dir, hooks, snap, segs, res.Bytes, res.MaxSession)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -167,27 +190,21 @@ func (w *WAL) Append(rec *Record) error { return w.log.append(rec) }
 // fsyncs between concurrent callers.
 func (w *WAL) Barrier() error { return w.log.barrier() }
 
-// WriteSnapshot takes a full-state snapshot: it rotates to a fresh
-// segment, calls export to capture the state (export runs after the
-// rotation, so every record in the sealed segments is covered by the
-// exported operation indices), publishes the snapshot atomically, and
-// deletes the sealed segments. export must not append to the WAL on the
-// calling goroutine (other goroutines may, freely).
+// WriteSnapshot compacts the log: it rotates to a fresh segment, calls
+// export to capture the state (export runs after the rotation, so every
+// record in the sealed segments is covered by the exported operation
+// indices), publishes the snapshot atomically, and deletes the sealed
+// segments. export must not append to the WAL on the calling goroutine
+// (other goroutines may, freely).
 func (w *WAL) WriteSnapshot(export func() ([]SessionSnap, error)) error {
+	w.snapMu.Lock()
+	defer w.snapMu.Unlock()
 	start := time.Now() //hmn:wallclock
-	sealed, err := w.log.rotate()
+	at, err := w.log.rotate()
 	if err != nil {
 		return err
 	}
-	sessions, err := export()
-	if err != nil {
-		return fmt.Errorf("wal: export for snapshot: %w", err)
-	}
-	buf, err := json.Marshal(&Snapshot{FirstSeg: sealed + 1, Sessions: sessions})
-	if err != nil {
-		return fmt.Errorf("wal: encode snapshot: %w", err)
-	}
-	if err := PublishFile(w.dir, snapshotName, buf); err != nil {
+	if err := w.publish(at, export); err != nil {
 		return err
 	}
 	// The snapshot is durable; the sealed segments are now redundant.
@@ -197,7 +214,7 @@ func (w *WAL) WriteSnapshot(export func() ([]SessionSnap, error)) error {
 	}
 	removed := false
 	for _, n := range segs {
-		if n <= sealed {
+		if n < at.seg {
 			if err := os.Remove(filepath.Join(w.dir, segName(n))); err != nil {
 				return fmt.Errorf("wal: remove sealed segment: %w", err)
 			}
@@ -215,6 +232,64 @@ func (w *WAL) WriteSnapshot(export func() ([]SessionSnap, error)) error {
 	return nil
 }
 
+// CheckpointDue reports whether the log has grown past the checkpoint
+// limit since the last snapshot's position. It costs two atomic loads,
+// for callers that must prepare before Checkpoint.
+func (w *WAL) CheckpointDue() bool { return w.log.grown.Load() > w.limit.Load() }
+
+// Checkpoint writes a snapshot at the end of the log as it stands, if
+// one is due: every frame appended so far is made durable, the position
+// after them noted, export called (as for WriteSnapshot) and the
+// snapshot published to resume the log there. It neither rotates nor
+// deletes a segment, so the directory keeps the whole log; recovery
+// starts reading at the position. The daemon calls it on the ack path of
+// the operation whose append made it due, before the ack.
+func (w *WAL) Checkpoint(export func() ([]SessionSnap, error)) error {
+	if !w.CheckpointDue() {
+		return nil
+	}
+	w.snapMu.Lock()
+	defer w.snapMu.Unlock()
+	if !w.CheckpointDue() {
+		return nil
+	}
+	start := time.Now() //hmn:wallclock
+	at, err := w.log.mark()
+	if err != nil {
+		return err
+	}
+	if err := w.publish(at, export); err != nil {
+		// Still due: the next acknowledged operation tries again.
+		w.log.grown.Add(at.grown)
+		return err
+	}
+	if w.hooks.OnSnapshot != nil {
+		w.hooks.OnSnapshot(time.Since(start).Seconds()) //hmn:wallclock
+	}
+	return nil
+}
+
+// publish exports the state and lands it as the snapshot that resumes
+// the log at the cut; the next checkpoint falls due once the log has
+// grown by checkpointLimit of its size. The caller holds snapMu.
+//
+//hmn:locked snapMu
+func (w *WAL) publish(at cut, export func() ([]SessionSnap, error)) error {
+	sessions, err := export()
+	if err != nil {
+		return fmt.Errorf("wal: export for snapshot: %w", err)
+	}
+	snap := Snapshot{FirstSeg: at.seg, FirstOff: at.off, MaxSession: at.maxSession, Sessions: sessions}
+	if w.buf, err = snap.appendJSON(w.buf[:0]); err != nil {
+		return err
+	}
+	if err := PublishFile(w.dir, snapshotName, w.buf); err != nil {
+		return err
+	}
+	w.limit.Store(checkpointLimit(int64(len(w.buf))))
+	return nil
+}
+
 // Close seals the log. The WAL must not be used afterwards.
 func (w *WAL) Close() error { return w.log.close() }
 
@@ -222,7 +297,7 @@ func (w *WAL) Close() error { return w.log.close() }
 // snapshot, every decodable record, and the size of any torn tail
 // (reported, not truncated).
 func Scan(dir string, hooks Hooks) (*Recovered, error) {
-	snap, segs, err := load(dir, hooks, false)
+	snap, segs, err := load(dir, false)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +310,7 @@ func Scan(dir string, hooks Hooks) (*Recovered, error) {
 // inspecting a live or crashed directory never races the daemon or
 // destroys evidence.
 func Verify(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*Recovery, error) {
-	snap, segs, err := load(dir, hooks, false)
+	snap, segs, err := load(dir, false)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +323,7 @@ func Verify(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*Recove
 // an error from fn ends the pass. It returns the snapshot and the size
 // of any torn tail.
 func Each(dir string, hooks Hooks, fn func(*Record) error) (*Snapshot, int64, error) {
-	snap, segs, err := load(dir, hooks, false)
+	snap, segs, err := load(dir, false)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -4,14 +4,20 @@
 # Classic phase: boots hmnd with a data directory, opens a session, maps
 # an indented and a compact environment (a rendered and a verbatim admit
 # record) and a third, releases one, drains POST .../rebalance to zero
-# moves, kills the daemon with SIGKILL, checks the data directory with
-# hmnwal, restarts, and asserts byte-identical residuals, a fresh
+# moves, churns a second session until the log has outgrown its first
+# checkpoint, kills the daemon with SIGKILL, checks the data directory
+# with hmnwal, restarts, and asserts byte-identical residuals, a fresh
 # environment ID and a release of a recovered environment.
 #
 # Federation phase: the same cycle on `hmnd -shards 4` across eight
-# tenants; every shard's WAL directory is checked on its own and the
-# restart names no -shard-cluster (the shards rebuild themselves from
-# their directories).
+# tenants, churned until every shard has checkpointed; every shard's WAL
+# directory is checked on its own and the restart names no
+# -shard-cluster (the shards rebuild themselves from their directories).
+#
+# A checkpoint is a snapshot.json whose first_off is past 0: recovery
+# starts reading the log there. The check after each kill asserts one
+# landed in every WAL directory and that hmnwal verify replays fewer
+# records than the directory's log holds.
 #
 # Each phase ends with a graceful shutdown (drain, final snapshot) and
 # checks the directories again. Recovery cross-checks every session
@@ -66,6 +72,44 @@ verify_dirs() {
     done
 }
 
+# checkpointed succeeds when every WAL directory named holds a
+# checkpoint: a snapshot whose first_off is past 0.
+checkpointed() {
+    for dir in "$@"; do
+        grep -q '"first_off":[1-9]' "$dir/snapshot.json" 2>/dev/null || return 1
+    done
+}
+
+# verify_suffix asserts, per WAL directory, a checkpoint and a dry-run
+# recovery that replays some of the log but fewer records than it holds.
+verify_suffix() {
+    local dir total replayed
+    for dir in "$@"; do
+        checkpointed "$dir" || { echo "$dir: no checkpoint" >&2; exit 1; }
+        total=$("$workdir/hmnwal" dump "$dir" | sed -n 's/^log: \([0-9]*\) record.*/\1/p')
+        replayed=$("$workdir/hmnwal" verify "$dir" | sed -n 's/^verified: .*, \([0-9]*\) record(s) replayed.*/\1/p')
+        echo "    $dir: verify replays $replayed of $total records"
+        [ -n "$total" ] && [ -n "$replayed" ] && [ "$replayed" -gt 0 ] && [ "$replayed" -lt "$total" ] ||
+            { echo "$dir: replayed '$replayed' of '$total' records" >&2; exit 1; }
+    done
+}
+
+# churn admits request file $2 to each session of the list $1 in turn and
+# releases it at once, $4 times over one keep-alive connection; the
+# environments take the IDs e$3, e$(($3 + 1)), ...
+churn() {
+    local sids=($1) first=$3 n=$4 args=() i sid codes
+    for ((i = 0; i < n; i++)); do
+        sid=${sids[i % ${#sids[@]}]}
+        args+=(-sS -o /dev/null -w '%{http_code} ' -X POST "$base/v1/sessions/$sid/envs" -d "@$2" --next
+            -sS -o /dev/null -w '%{http_code} ' -X DELETE "$base/v1/sessions/$sid/envs/e$((first + i))" --next)
+    done
+    codes=$(curl "${args[@]}" -sS -o /dev/null "$base/v1/healthz")
+    for c in $codes; do
+        case $c in 200 | 201 | 204) ;; *) echo "churn: HTTP $c" >&2; exit 1 ;; esac
+    done
+}
+
 # map_env POSTs env file $2 (compact when $4 is "compact") to session $1
 # and expects environment ID $3.
 map_env() {
@@ -94,6 +138,9 @@ go run ./cmd/hmngen -env "$workdir/env-a.json" -class high -guests 30
 go run ./cmd/hmngen -env "$workdir/env-b.json" -class high -guests 20 -seed 7
 go run ./cmd/hmngen -cluster "$workdir/shard.json" -topology torus -hosts 16
 go run ./cmd/hmngen -env "$workdir/env-f.json" -class high -guests 10
+for e in a f; do
+    echo "{\"env\": $(cat "$workdir/env-$e.json")}" >"$workdir/req-$e.json"
+done
 
 echo "=== classic"
 data=$workdir/data
@@ -122,13 +169,30 @@ for _ in $(seq 1 50); do
 done
 [ "$moves" = "0" ] || { echo "rebalancing never converged in 50 rounds" >&2; exit 1; }
 echo "    rebalancing committed $total moves"
-curl -fsS "$base/v1/sessions/s1/residuals" >"$workdir/residuals.before"
+
+echo "--- churn a second session past the log's first checkpoint"
+curl -fsS -X POST "$base/v1/sessions" \
+    -d "{\"cluster\": $(cat "$workdir/cluster.json"), \"mapper\": \"HMN\"}" |
+    grep -q '"id": *"s2"'
+next=1
+until checkpointed "$data"; do
+    [ "$next" -lt 2000 ] || { echo "no checkpoint after $next admissions" >&2; exit 1; }
+    churn s2 "$workdir/req-a.json" "$next" 50
+    next=$((next + 50))
+done
+churn s2 "$workdir/req-a.json" "$next" 10
+for sid in s1 s2; do
+    curl -fsS "$base/v1/sessions/$sid/residuals" >"$workdir/residuals.$sid.before"
+done
 
 echo "--- kill -9, inspect the directory, restart, compare"
 stop_daemon KILL
 verify_dirs dump "$data"
+verify_suffix "$data"
 start_daemon -data-dir "$data"
-curl -fsS "$base/v1/sessions/s1/residuals" | cmp "$workdir/residuals.before" -
+for sid in s1 s2; do
+    curl -fsS "$base/v1/sessions/$sid/residuals" | cmp "$workdir/residuals.$sid.before" -
+done
 map_env s1 "$workdir/env-b.json" e4
 release s1 e1
 
@@ -156,6 +220,15 @@ for t in $(seq 1 8); do
     map_env "s$t" "$workdir/env-f.json" "e$t"
 done
 release s2 e2
+echo "--- churn all eight tenants past every shard's first checkpoint"
+next=9
+until checkpointed "${dirs[@]}"; do
+    [ "$next" -lt 8000 ] || { echo "no checkpoint on every shard after $next admissions" >&2; exit 1; }
+    churn "s1 s2 s3 s4 s5 s6 s7 s8" "$workdir/req-f.json" "$next" 200
+    next=$((next + 200))
+done
+churn "s1 s2 s3 s4 s5 s6 s7 s8" "$workdir/req-f.json" "$next" 40
+next=$((next + 40))
 for k in $(seq 0 $((shards - 1))); do
     curl -fsS "$base/v1/shards/$k/residuals" >"$workdir/residuals.$k.before"
 done
@@ -163,11 +236,12 @@ done
 echo "--- kill -9, inspect every shard directory, restart, compare"
 stop_daemon KILL
 verify_dirs dump "${dirs[@]}"
+verify_suffix "${dirs[@]}"
 start_daemon -shards "$shards" -gateway-bw 50 -data-dir "$data"
 for k in $(seq 0 $((shards - 1))); do
     curl -fsS "$base/v1/shards/$k/residuals" | cmp "$workdir/residuals.$k.before" -
 done
-map_env s1 "$workdir/env-f.json" e9
+map_env s1 "$workdir/env-f.json" "e$next"
 release s5 e5
 
 echo "--- graceful shutdown and re-verify"
