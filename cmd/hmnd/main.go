@@ -26,12 +26,13 @@
 //
 // Durability: -data-dir enables the write-ahead log (internal/wal).
 // Every mutating request is logged and fsynced before its success
-// response, a checkpoint lands whenever the log outgrows the last
-// snapshot eightfold (so a restart reads a bounded suffix), periodic
-// compactions (-snapshot-interval) also delete the log they cover, and
-// on startup the daemon replays snapshot+log back into memory, and
-// cross-checks every recovered session (objective recompute, registry
-// consistency), before the /v1 API stops answering 503 "replaying":
+// response. Every snapshot starts a fresh log segment: a checkpoint
+// lands whenever the log outgrows the last snapshot eightfold (so a
+// restart reads a bounded suffix) and keeps the segments before it,
+// periodic compactions (-snapshot-interval) and the one at shutdown
+// delete them. On startup the daemon replays snapshot+log back into
+// memory, and cross-checks every recovered session's objective against a
+// recompute, before the /v1 API stops answering 503 "replaying":
 //
 //	hmnd -addr :8080 -data-dir /var/lib/hmnd
 //
@@ -118,7 +119,7 @@ func configure(args []string) (func() error, error) {
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		dataDir   = fs.String("data-dir", "", "durability directory: WAL + snapshots (empty = in-memory only)")
-		snapEvery = fs.Duration("snapshot-interval", 5*time.Minute, "periodic compaction (snapshot, then delete the log it covers) interval when -data-dir is set (0 = at shutdown only; checkpoints land by log growth either way)")
+		snapEvery = fs.Duration("snapshot-interval", 5*time.Minute, "periodic compaction interval when -data-dir is set: a snapshot on a fresh log segment, then the segments before it deleted (0 = at shutdown only; checkpoints, the same snapshot deleting nothing, land by log growth either way)")
 		rebMoves  = fs.Int("rebalance-max-moves", 8, "guest moves per POST .../rebalance round (0 = unbounded)")
 		mutexFrac = fs.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction for /debug/pprof/mutex (0 = disabled)")
 		blockRate = fs.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns for /debug/pprof/block (0 = disabled)")

@@ -63,7 +63,7 @@ func dump(dir string) error {
 		return err
 	}
 	if snap != nil {
-		fmt.Printf("snapshot: %d session(s), log resumes at segment %d offset %d\n", len(snap.Sessions), snap.FirstSeg, snap.FirstOff)
+		fmt.Printf("snapshot: %d session(s), log resumes at segment %d\n", len(snap.Sessions), snap.FirstSeg)
 		for _, sn := range snap.Sessions {
 			fmt.Printf("  session %s: mapper=%s active=%d next_seq=%d op_count=%d\n",
 				sn.SID, sn.Mapper, len(sn.Active), sn.NextSeq, sn.OpCount)

@@ -60,6 +60,9 @@ const (
 	// relocated atomically, with their environments' mappings replaced in
 	// place (same seq, same tag).
 	EventMigrate
+	// EventClose is the session's last event (Close): its environments
+	// stay where they are, and nothing commits after it.
+	EventClose
 )
 
 // String names the event type for logs and the hmnwal inspector.
@@ -75,6 +78,8 @@ func (t EventType) String() string {
 		return "restore"
 	case EventMigrate:
 		return "migrate"
+	case EventClose:
+		return "close"
 	default:
 		return "unknown"
 	}

@@ -140,7 +140,8 @@ type RebalanceResult struct {
 // admission never waits behind more than one move. A scored move whose
 // re-route fails is skipped with the ledger untouched — the scan goes on
 // to the next destination, then the next donor, within the lock-hold —
-// and is not proposed again this round.
+// and is not proposed again this round. A closed session's round commits
+// nothing.
 func (s *Session) Rebalance(maxMoves int) RebalanceResult {
 	var res RebalanceResult
 	skipped := make(map[skippedMove]bool)
@@ -164,6 +165,9 @@ type skippedMove struct {
 func (s *Session) rebalanceStep(res *RebalanceResult, skipped map[skippedMove]bool, first bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
 	start := time.Now() //hmn:wallclock
 	if first {
 		res.ObjectiveBefore = s.led.ObjectiveStdDev()

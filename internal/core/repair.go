@@ -6,8 +6,8 @@ import (
 	"repro/internal/virtual"
 )
 
-// This file is the session's self-healing layer: after FailHost or
-// FailLink evicts the environments a failure touched, Repair re-maps
+// This file is the session's self-healing layer: FailHostAndRepair and
+// FailLinkAndRepair evict the environments a failure touched and re-map
 // them against the degraded cluster in deterministic admission order.
 // For each environment the engine first tries the cheap path — keep
 // every guest placement and re-run only the Networking stage for the
@@ -53,7 +53,7 @@ type RepairResult struct {
 	// Env is the environment the repair concerned.
 	Env *virtual.Env
 	// Tag is the tag the environment was admitted under and, unless
-	// unrecoverable, stays active under; empty from a standalone Repair.
+	// unrecoverable, stays active under.
 	Tag string
 	// Old is the evicted mapping (no longer active).
 	Old *mapping.Mapping
@@ -70,30 +70,6 @@ type RepairResult struct {
 	// Stages is the full re-map's stage times, as AdmitStats.Stages; zero
 	// when re-routing sufficed.
 	Stages StageStats
-}
-
-// Repair re-maps evicted environments against the session's current
-// (degraded) resources, in the order given — FailHost/FailLink return
-// the evicted set already sorted by admission sequence, which makes the
-// whole fail-and-repair cycle deterministic. Each result reports the
-// environment as repaired (placements kept, broken paths re-routed),
-// replaced (fully re-mapped) or unrecoverable (still evicted).
-//
-// Standalone repairs log each successful re-admission as a plain admit
-// event: state-wise, a repair commit is an admission. The atomic
-// FailHostAndRepair/FailLinkAndRepair fold the outcomes into their
-// single fail event instead.
-func (s *Session) Repair(evicted []*mapping.Mapping) []RepairResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	results := s.repairLocked(evicted, nil)
-	for _, res := range results {
-		if res.New != nil {
-			entry := s.active[res.New]
-			s.emitLocked(Event{Type: EventAdmit, Admit: &AdmitInfo{Seq: entry.seq, Tag: entry.tag, Env: res.Env, M: res.New}})
-		}
-	}
-	return results
 }
 
 // FailHostAndRepair fails the host and repairs the evicted environments
@@ -146,22 +122,16 @@ func (s *Session) repairInfosLocked(entries []activeEntry, results []RepairResul
 	return infos
 }
 
-// repairLocked repairs the evicted mappings in order. evicted, when
-// non-nil, holds the admission entries the mappings had before eviction,
-// captured by the fail paths; their tags carry over to the replacement
-// mappings so a recovered daemon keeps its environment IDs. Standalone
-// Repair passes nil (the eviction already erased the bookkeeping) and
-// replacements are untagged. Callers hold s.mu.
+// repairLocked repairs the evicted mappings in order. evicted holds the
+// admission entries the mappings had before eviction, captured by the
+// fail paths; their tags carry over to the replacement mappings so a
+// recovered daemon keeps its environment IDs. Callers hold s.mu.
 //
 //hmn:locked mu
 func (s *Session) repairLocked(ms []*mapping.Mapping, evicted []activeEntry) []RepairResult {
 	results := make([]RepairResult, 0, len(ms))
 	for i, old := range ms {
-		tag := ""
-		if evicted != nil {
-			tag = evicted[i].tag
-		}
-		results = append(results, s.repairOne(old, tag))
+		results = append(results, s.repairOne(old, evicted[i].tag))
 	}
 	return results
 }

@@ -69,6 +69,8 @@ type Session struct {
 	// index the events are stamped with.
 	hook    func(Event) //hmn:guardedby mu
 	opCount uint64      //hmn:guardedby mu
+	// closed is set by Close; every later operation is refused.
+	closed bool //hmn:guardedby mu
 }
 
 // activeEntry is the session-side bookkeeping of one deployed
@@ -200,6 +202,9 @@ func (s *Session) MapTagged(v *virtual.Env, tag string) (*mapping.Mapping, Admit
 	var st AdmitStats
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, st, ErrSessionClosed
+	}
 	m, seq, err := s.mapLocked(v, tag, &st)
 	if err != nil {
 		return nil, st, err
@@ -403,6 +408,27 @@ var ErrAlreadyFailed = errors.New("core: target is already failed")
 // and mask the still-failed one.
 var ErrNotFailed = errors.New("core: target is not failed")
 
+// ErrSessionClosed is returned by every operation that would commit to a
+// session after Close, and by Close itself the second time.
+var ErrSessionClosed = errors.New("core: session is closed")
+
+// Close ends the session in one commit: it emits EventClose, the
+// session's last event, and refuses every admission, release, failure,
+// restoration and rebalancing move after it. The deployed environments
+// are not released one by one — the session, ledger and all, is
+// discarded — so an operation that queued behind the close can neither
+// commit nor emit an event after it.
+func (s *Session) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrSessionClosed
+	}
+	s.closed = true
+	s.emitLocked(Event{Type: EventClose})
+	return nil
+}
+
 // FailHost models the failure (or administrative draining) of one host:
 // no future deployment will place guests on it, and every currently
 // active environment that has guests there is evicted from the session —
@@ -423,6 +449,9 @@ func (s *Session) FailHost(node graph.NodeID) ([]*mapping.Mapping, error) {
 
 //hmn:locked mu
 func (s *Session) failHostLocked(node graph.NodeID) ([]*mapping.Mapping, []activeEntry, error) {
+	if s.closed {
+		return nil, nil, ErrSessionClosed
+	}
 	if !s.led.Cluster().IsHost(node) {
 		return nil, nil, fmt.Errorf("%w: node %d is not a host", ErrUnknownTarget, node)
 	}
@@ -501,6 +530,9 @@ func (s *Session) FailLink(edgeID int) ([]*mapping.Mapping, error) {
 
 //hmn:locked mu
 func (s *Session) failLinkLocked(edgeID int) ([]*mapping.Mapping, []activeEntry, error) {
+	if s.closed {
+		return nil, nil, ErrSessionClosed
+	}
 	if edgeID < 0 || edgeID >= s.led.Cluster().Net().NumEdges() {
 		return nil, nil, fmt.Errorf("%w: edge %d out of range", ErrUnknownTarget, edgeID)
 	}
@@ -542,6 +574,9 @@ func (s *Session) sortByAdmission(ms []*mapping.Mapping) {
 func (s *Session) RestoreLink(edgeID int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrSessionClosed
+	}
 	if edgeID < 0 || edgeID >= s.led.Cluster().Net().NumEdges() {
 		return fmt.Errorf("%w: edge %d out of range", ErrUnknownTarget, edgeID)
 	}
@@ -559,6 +594,9 @@ func (s *Session) RestoreLink(edgeID int) error {
 func (s *Session) RestoreHost(node graph.NodeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrSessionClosed
+	}
 	if !s.led.Cluster().IsHost(node) {
 		return fmt.Errorf("%w: node %d is not a host", ErrUnknownTarget, node)
 	}
@@ -579,6 +617,9 @@ var ErrNotActive = errors.New("core: mapping is not active in this session")
 func (s *Session) Release(m *mapping.Mapping) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrSessionClosed
+	}
 	entry, ok := s.active[m]
 	if !ok {
 		return ErrNotActive
@@ -600,6 +641,9 @@ func (s *Session) Release(m *mapping.Mapping) error {
 func (s *Session) ReleaseTagged(tag string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrSessionClosed
+	}
 	if tag != "" {
 		for m, entry := range s.active {
 			if entry.tag == tag {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -423,5 +424,53 @@ func TestSessionFailLink(t *testing.T) {
 	}
 	if err := s.RestoreLink(999999); err == nil {
 		t.Fatal("out-of-range restore must error")
+	}
+}
+
+// TestSessionCloseRefusesLaterOperations closes a session with an
+// environment deployed and a host failed: Close emits one EventClose and
+// nothing else, and every later operation — and a second Close — is
+// refused with ErrSessionClosed, committing and emitting nothing.
+func TestSessionCloseRefusesLaterOperations(t *testing.T) {
+	c, s := sessionFixture(t)
+	m, err := s.Map(smallEnv(1, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := c.HostNodes()
+	if _, err := s.FailHost(hosts[len(hosts)-1]); err != nil {
+		t.Fatal(err)
+	}
+	var events []EventType
+	s.SetCommitHook(func(ev Event) { events = append(events, ev.Type) })
+	before := s.ResidualProc()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, mapErr := s.MapTagged(smallEnv(2, 4), "late")
+	_, failErr := s.FailHostAndRepair(hosts[0])
+	_, cutErr := s.FailLink(0)
+	for name, err := range map[string]error{
+		"map":          mapErr,
+		"release":      s.Release(m),
+		"release tag":  s.ReleaseTagged("late"),
+		"fail host":    failErr,
+		"cut link":     cutErr,
+		"restore host": s.RestoreHost(hosts[len(hosts)-1]),
+		"restore link": s.RestoreLink(0),
+		"close":        s.Close(),
+	} {
+		if !errors.Is(err, ErrSessionClosed) {
+			t.Errorf("%s after Close: %v, want ErrSessionClosed", name, err)
+		}
+	}
+	if res := s.Rebalance(0); res.Moves != 0 || res.Scored != 0 {
+		t.Errorf("a rebalance after Close scored %d moves and committed %d", res.Scored, res.Moves)
+	}
+	if len(events) != 1 || events[0] != EventClose {
+		t.Errorf("events %v, want one close", events)
+	}
+	if after := s.ResidualProc(); !slices.Equal(before, after) || s.Active() != 1 {
+		t.Errorf("Close changed the ledger or the active set: %d active", s.Active())
 	}
 }

@@ -17,9 +17,9 @@ import (
 	"repro/internal/wal"
 )
 
-// checkpointOffset reads the position dir's snapshot resumes the log at;
-// 0 without a snapshot or after a compaction.
-func checkpointOffset(t *testing.T, dir string) int64 {
+// snapshotSegment reads the segment dir's snapshot resumes the log at;
+// 0 without a snapshot.
+func snapshotSegment(t *testing.T, dir string) uint64 {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
 	if os.IsNotExist(err) {
@@ -32,7 +32,7 @@ func checkpointOffset(t *testing.T, dir string) int64 {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	return snap.FirstOff
+	return snap.FirstSeg
 }
 
 // churnPastCheckpoint admits environments through base, releasing the
@@ -65,7 +65,7 @@ func churnPastCheckpoint(t *testing.T, client *http.Client, base, dir string, ad
 			}
 			live = live[1:]
 		}
-		if extra < 0 && i%10 == 0 && checkpointOffset(t, dir) > 0 {
+		if extra < 0 && i%10 == 0 && snapshotSegment(t, dir) > 1 {
 			extra = 10
 		}
 	}
@@ -83,9 +83,10 @@ func logRecords(t *testing.T, dir string) int {
 
 // TestDaemonCheckpointsByGrowth churns a classic daemon and a one-shard
 // federation until their logs outgrow the checkpoint limit, kills them,
-// and restarts each on its directory: a checkpoint landed with nothing
-// deleted, the restart replays only the log after it, and the residuals
-// come back byte-identical.
+// and restarts each on its directory: a checkpoint landed on a fresh
+// segment with every segment before it still on disk, the restart
+// replays only the log after it, and the residuals come back
+// byte-identical.
 func TestDaemonCheckpointsByGrowth(t *testing.T) {
 	_, cs := testbed(t)
 	for _, mode := range []string{"classic", "federation"} {
@@ -116,8 +117,8 @@ func TestDaemonCheckpointsByGrowth(t *testing.T) {
 			_, before, _ := doJSON(t, client, "GET", ts1.URL+residuals, nil)
 			ts1.Close() // kill
 
-			if segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.log")); len(segs) != 1 {
-				t.Fatalf("segments after checkpoints: %v", segs)
+			if segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.log")); len(segs) < 2 || uint64(len(segs)) != snapshotSegment(t, walDir) {
+				t.Fatalf("segments after checkpoints: %v, the last snapshot at segment %d", segs, snapshotSegment(t, walDir))
 			}
 			all := logRecords(t, walDir)
 			s2 := start(cfg)
@@ -140,11 +141,10 @@ func TestDaemonCheckpointsByGrowth(t *testing.T) {
 	}
 }
 
-// TestSnapshotInsideSessionClose takes a snapshot while a session close
-// is half done — out of the table, its first release logged, the rest
-// and its close record still to come — and restarts from it: the
-// restart must not meet the releases naming a session no snapshot or
-// open record declares.
+// TestSnapshotInsideSessionClose takes a snapshot from inside a session's
+// close — its close record just appended, the session lock still held —
+// and restarts from it: the closed session must stay closed and keep its
+// ID retired, and the other session must come back byte-identical.
 func TestSnapshotInsideSessionClose(t *testing.T) {
 	dir := t.TempDir()
 	_, cs := testbed(t)
@@ -172,7 +172,7 @@ func TestSnapshotInsideSessionClose(t *testing.T) {
 		if err := s1.wal.Append(wal.RecordFromEvent(victim, sess.Overhead(), ev)); err != nil {
 			t.Error(err)
 		}
-		if ev.Type == core.EventRelease {
+		if ev.Type == core.EventClose {
 			once.Do(func() {
 				go func() { snapped <- s1.writeSnapshot() }()
 				time.Sleep(50 * time.Millisecond)

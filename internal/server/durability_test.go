@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -552,46 +553,6 @@ func TestRecoverBumpsNextEnvFromActiveTags(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesRegistryMismatch: a classic log whose admission
-// carries no tag recovers an environment the daemon has no ID for, and
-// Recover refuses to serve it, with no option asking it to check. The
-// refused directory is left as it was: the Close that follows (hmnd's
-// exit path) takes no shutdown snapshot of a half-recovered daemon.
-func TestRecoverRefusesRegistryMismatch(t *testing.T) {
-	dir := t.TempDir()
-	c, cs := testbed(t)
-	w, _, _, err := shard.Replay(shard.Config{}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := shard.Open(shard.Config{Mapper: "HMN"}, "s1", c, cs, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.Session().Map(smallEnv(70, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s := New(Config{DataDir: dir})
-	err = s.Recover()
-	if want := "recovered 0 environment records for 1 active environments"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Recover() = %v, want an error containing %q", err, want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := wal.Scan(dir, wal.Hooks{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) != 2 || rec.Records[1].Kind != wal.KindAdmit {
-		t.Fatalf("the refused directory now holds %d log records, want its open and admit", len(rec.Records))
-	}
-}
-
 // TestRecoverRefusesHMNC: HMN is the only session mapper, so a classic
 // log whose open record names the consolidating variant HMN-C — the
 // record an older build wrote for it — cannot be recovered, and Recover
@@ -727,4 +688,69 @@ func TestSnapshotLoop(t *testing.T) {
 	}
 	ts1.Close()
 	s1.Close()
+}
+
+// TestOperationsQueuedBeforeCloseRecover queues an admission and a host
+// failure on a session, closes the session while they wait, and lets
+// them run: both are refused, nothing reaches the log after the close
+// record, and the directory recovers. The daemon is killed, not closed,
+// since a graceful shutdown's compaction would hide a log that cannot be
+// replayed.
+func TestOperationsQueuedBeforeCloseRecover(t *testing.T) {
+	dir := t.TempDir()
+	c, cs := testbed(t)
+	cfg := durableConfig(t, dir)
+	s1 := New(cfg)
+	if err := s1.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	client := ts1.Client()
+	victim := openSession(t, client, ts1.URL, cs, "")
+	base := ts1.URL + "/v1/sessions/" + victim
+	if code, raw, _ := doJSON(t, client, "POST", base+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(71, 8))}); code != http.StatusOK {
+		t.Fatalf("map: %d %s", code, raw)
+	}
+
+	release := pinWorkers(t, s1)
+	codes := make(chan int, 2)
+	go func() {
+		code, _, _ := doJSON(t, client, "POST", base+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(72, 8))})
+		codes <- code
+	}()
+	waitFor(t, func() bool { return len(s1.queue) == 1 })
+	go func() {
+		code, _, _ := doJSON(t, client, "POST", fmt.Sprintf("%s/hosts/%d/fail", base, c.HostNodes()[0]), nil)
+		codes <- code
+	}()
+	waitFor(t, func() bool { return len(s1.queue) == 2 })
+	if code, raw, _ := doJSON(t, client, "DELETE", base, nil); code != http.StatusNoContent {
+		t.Fatalf("close %s: %d %s", victim, code, raw)
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusNotFound {
+			t.Errorf("an operation queued before the close answered %d, want 404", code)
+		}
+	}
+	// Make whatever the queued operations logged durable, as the next
+	// acknowledged request would, then kill the daemon.
+	if err := s1.wal.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+
+	s2 := New(cfg)
+	t.Cleanup(func() {
+		s2.Close()
+		s1.Close()
+	})
+	if err := s2.Recover(); err != nil {
+		t.Fatalf("restart after operations queued before a close: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	if code, _, _ := doJSON(t, ts2.Client(), "GET", ts2.URL+"/v1/sessions/"+victim+"/residuals", nil); code != http.StatusNotFound {
+		t.Errorf("closed session %s resolves after the restart: %d", victim, code)
+	}
 }

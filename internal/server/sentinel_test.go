@@ -34,6 +34,7 @@ var sentinelStatuses = map[string]struct {
 	"core.ErrNotActive":                  {core.ErrNotActive, http.StatusNotFound},
 	"core.ErrNotFailed":                  {core.ErrNotFailed, http.StatusConflict},
 	"core.ErrReplayDiverged":             {core.ErrReplayDiverged, http.StatusInternalServerError},
+	"core.ErrSessionClosed":              {core.ErrSessionClosed, http.StatusNotFound},
 	"core.ErrUnknownTarget":              {core.ErrUnknownTarget, http.StatusNotFound},
 	"shard.ErrBadShard":                  {shard.ErrBadShard, http.StatusNotFound},
 	"shard.ErrClosed":                    {shard.ErrClosed, http.StatusServiceUnavailable},

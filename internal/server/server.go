@@ -30,7 +30,7 @@
 // the other:
 //
 //	POST   /v1/sessions                       open a session (classic: cluster + mapper + overhead; federation: no body)
-//	DELETE /v1/sessions/{sid}                 close it, releasing every environment
+//	DELETE /v1/sessions/{sid}                 close it, with every environment on it
 //	POST   /v1/sessions/{sid}/envs            map an environment (classic: optionally return the deploy plan; federation: routed, reports fragments)
 //	DELETE /v1/sessions/{sid}/envs/{eid}      release an environment
 //	GET    /v1/shards                         federation only: the census across lock domains
@@ -61,8 +61,8 @@
 // unacknowledged work, never acknowledged work. Recover rebuilds the
 // domains from snapshot plus log suffix before the daemon serves; the
 // /v1 API answers 503 "replaying" until it returns, and refuses to
-// serve a domain whose incremental objective or environment registry
-// disagrees with a recompute.
+// serve a domain whose incremental objective disagrees with a
+// recompute.
 //
 // Request bodies are decoded strictly (spec.DecodeStrict): unknown
 // fields are a 400, not a silent no-op.
@@ -113,9 +113,10 @@ type Config struct {
 	// shard beside the tenant registry. Empty disables durability
 	// (state dies with the process).
 	DataDir string
-	// SnapshotInterval is the cadence of periodic compactions: full-state
-	// snapshots that delete the log they cover. 0 compacts only on
-	// graceful shutdown. Checkpoints, which bound what a restart reads,
+	// SnapshotInterval is the cadence of periodic compactions: a
+	// full-state snapshot on a fresh log segment, then the segments before
+	// it deleted. 0 compacts only on graceful shutdown. Checkpoints — the
+	// same snapshot, deleting nothing — bound what a restart reads and
 	// land by log growth either way. Ignored without DataDir.
 	SnapshotInterval time.Duration
 	// RebalanceMaxMoves caps guest moves per round of POST …/rebalance.
@@ -185,13 +186,6 @@ type Server struct {
 	sessions    map[string]*session //hmn:guardedby mu
 	nextSession int                 //hmn:guardedby mu
 	wal         *wal.WAL
-	// cutMu keeps a session's teardown whole on one side of a snapshot's
-	// cut: a close holds it shared from the moment the session leaves the
-	// table until its close record is appended, a snapshot exclusively
-	// while it takes its cut and exports. Otherwise a snapshot between the
-	// two would leave out a session whose release records follow its cut,
-	// and recovery would meet them naming an unknown session.
-	cutMu sync.RWMutex
 
 	// A federation daemon's state: nil on a classic daemon, and until
 	// Recover has built or rebuilt it.
@@ -261,7 +255,7 @@ func newServer(cfg Config) *Server {
 		fsyncLatency = reg.Histogram("hmnd_wal_fsync_seconds",
 			"Wall time of write-ahead log fsyncs (group commits).", nil)
 		snapshotLatency = reg.Histogram("hmnd_snapshot_seconds",
-			"Wall time of full-state snapshots: checkpoints (fsync, export, publish) and compactions (rotate, export, publish, prune).", nil)
+			"Wall time of full-state snapshots (rotate to a fresh segment, export, publish), a compaction's deletion of the segments before it included.", nil)
 		rebalRounds = reg.Counter("hmnd_rebalance_rounds_total",
 			"Rebalancing rounds executed.")
 		rebalPlanned = reg.Counter("hmnd_rebalance_planned_units_total",
@@ -523,12 +517,6 @@ var (
 	errNotDurable = errors.New("durability barrier")
 )
 
-// errNotFound is a name one of the daemon's own registries does not
-// hold (core's and shard's are sentinels).
-type errNotFound string
-
-func (e errNotFound) Error() string { return string(e) }
-
 // failureStatus maps an operation's error onto its HTTP status. ok
 // means no error at all.
 //
@@ -538,7 +526,6 @@ func (e errNotFound) Error() string { return string(e) }
 // misses and one named by any other function), so the 404/409 contract
 // cannot drift one handler — or one mode — at a time.
 func failureStatus(err error) (code int, msg string, ok bool) {
-	var missing errNotFound
 	switch {
 	case err == nil:
 		return 0, "", true
@@ -547,8 +534,7 @@ func failureStatus(err error) (code int, msg string, ok bool) {
 		return http.StatusServiceUnavailable, err.Error(), false
 	case errors.Is(err, errNotDurable):
 		return http.StatusInternalServerError, err.Error(), false
-	case errors.As(err, &missing),
-		errors.Is(err, core.ErrUnknownTarget), errors.Is(err, core.ErrNotActive),
+	case errors.Is(err, core.ErrUnknownTarget), errors.Is(err, core.ErrNotActive), errors.Is(err, core.ErrSessionClosed),
 		errors.Is(err, shard.ErrUnknownTenant), errors.Is(err, shard.ErrUnknownEnv), errors.Is(err, shard.ErrBadShard):
 		// Nothing by that name in this daemon, domain or session.
 		return http.StatusNotFound, err.Error(), false

@@ -53,27 +53,22 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// session is a lock domain a client opened, plus the registry of the
-// environments deployed on it.
+// session is a lock domain a client opened. Its environments are core's
+// active set: an environment's ID is the tag it was admitted under, and
+// every call into core names an environment by it, since a rebalance or
+// a repair replaces the mapping without asking.
 type session struct {
 	*shard.Shard
 	// The session's hmnd_maps_*_total{mapper} series, resolved once:
 	// handleMapEnv used to format and look up all four per request.
 	attempted, succeeded, failed, rejected *metrics.Counter
 
-	mu sync.Mutex
-	// envs holds the IDs of the deployed environments. An ID is the tag
-	// its environment was admitted under, and that is all the registry
-	// keeps: core owns the mappings, which a rebalance or a repair
-	// replaces without asking, so every call into core names an
-	// environment by tag.
-	envs    map[string]struct{} //hmn:guardedby mu
-	nextEnv int                 //hmn:guardedby mu
-	closed  bool                //hmn:guardedby mu
+	mu      sync.Mutex
+	nextEnv int //hmn:guardedby mu
 }
 
-// newSession wraps a domain, opened or recovered, as a session: its
-// metrics series and an empty environment registry.
+// newSession wraps a domain, opened or recovered, as a session with its
+// metrics series.
 func (s *Server) newSession(sh *shard.Shard) *session {
 	s.reg.GaugeFunc(fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", sh.SID()),
 		"Stddev of residual CPU per host (the Eq. 10 objective) per session.",
@@ -84,7 +79,6 @@ func (s *Server) newSession(sh *shard.Shard) *session {
 		succeeded: s.mapCounter("succeeded", sh.Mapper()),
 		failed:    s.mapCounter("failed", sh.Mapper()),
 		rejected:  s.mapCounter("rejected", sh.Mapper()),
-		envs:      make(map[string]struct{}),
 	}
 }
 
@@ -116,13 +110,11 @@ func (s *Server) sessionDomains() []*shard.Shard {
 	return domains
 }
 
-// sessionEnvs counts the environments registered across the sessions.
+// sessionEnvs counts the environments deployed across the sessions.
 func (s *Server) sessionEnvs() int {
 	envs := 0
 	for _, sess := range s.openSessions() {
-		sess.mu.Lock()
-		envs += len(sess.envs)
-		sess.mu.Unlock()
+		envs += sess.Session().Active()
 	}
 	return envs
 }
@@ -200,13 +192,8 @@ func (s *Server) ackBarrier() error {
 	if s.wal == nil {
 		return nil
 	}
-	if s.wal.CheckpointDue() {
-		s.cutMu.Lock()
-		err := s.wal.Checkpoint(s.exportAll)
-		s.cutMu.Unlock()
-		if err != nil {
-			s.logf("hmnd: checkpoint: %v", err)
-		}
+	if err := s.wal.Checkpoint(s.exportAll); err != nil {
+		s.logf("hmnd: checkpoint: %v", err)
 	}
 	if err := s.wal.Barrier(); err != nil {
 		return fmt.Errorf("%w: %w", errNotDurable, err)
@@ -262,15 +249,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		// serving session a 500-retrying client will never address. The
 		// close record is best-effort (the barrier just failed), but if
 		// the open did reach disk it keeps a later replay consistent.
-		s.cutMu.RLock()
-		s.mu.Lock()
-		delete(s.sessions, id)
-		s.mu.Unlock()
-		sess.mu.Lock()
-		sess.closed = true
-		sess.mu.Unlock()
-		s.retire(sess)
-		s.cutMu.RUnlock()
+		s.retire(id)
 		refused(w, err)
 		return
 	}
@@ -282,19 +261,26 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// retire finishes off a closed session already taken out of the table:
-// its close record lands after whatever its teardown logged — so a
-// replayed log tears the session down the same way before retiring it —
-// and its series leave /metrics. The caller holds cutMu shared from the
-// table removal on.
-func (s *Server) retire(sess *session) {
-	if s.wal != nil {
-		if err := s.wal.Append(&wal.Record{Kind: wal.KindClose, SID: sess.SID()}); err != nil {
-			s.logf("hmnd: wal append (close %s): %v", sess.SID(), err)
-		}
+// retire closes session id, or reports false when the table does not
+// hold it. The session leaves the table first and closes in core after
+// (core.Session.Close: one close record, under the session lock, and
+// every later operation refused), so a snapshot that still finds it in
+// the table exports it before its close record; one that does not may
+// follow records it committed after the cut, which recovery skips as
+// the records of a session the snapshot had closed. Its series leave
+// /metrics.
+func (s *Server) retire(id string) bool {
+	s.mu.Lock()
+	sess := s.sessions[id]
+	delete(s.sessions, id)
+	s.mu.Unlock()
+	if sess == nil {
+		return false
 	}
+	_ = sess.Session().Close()
 	s.mSessions.Dec()
-	s.reg.Unregister(fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", sess.SID()))
+	s.reg.Unregister(fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", id))
+	return true
 }
 
 // lookupSession resolves {sid} or writes a 404.
@@ -309,9 +295,8 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session 
 	return sess
 }
 
-// sessionDomain resolves /v1/sessions/{sid}/… to the session's domain:
-// operations run through the admission queue, and a failure's
-// unrecoverable environments leave the session's registry.
+// sessionDomain resolves /v1/sessions/{sid}/… to the session's domain,
+// whose operations run through the admission queue.
 func (s *Server) sessionDomain(w http.ResponseWriter, r *http.Request) (domain, bool) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
@@ -323,19 +308,8 @@ func (s *Server) sessionDomain(w http.ResponseWriter, r *http.Request) (domain, 
 			var results []core.RepairResult
 			err := s.queued(ctx, func() error {
 				var err error
-				if results, err = op(sess.Session()); err != nil {
-					return err
-				}
-				// Repaired and replaced environments keep their IDs under
-				// the new mapping; unrecoverable ones are gone.
-				sess.mu.Lock()
-				for _, res := range results {
-					if res.Outcome == core.RepairUnrecoverable {
-						delete(sess.envs, res.Tag)
-					}
-				}
-				sess.mu.Unlock()
-				return nil
+				results, err = op(sess.Session())
+				return err
 			})
 			if err != nil {
 				return nil, err
@@ -369,11 +343,6 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 	// ID the response would have carried. A failed admission burns the
 	// ID (IDs are not dense).
 	sess.mu.Lock()
-	if sess.closed {
-		sess.mu.Unlock()
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", sess.SID()))
-		return
-	}
 	sess.nextEnv++
 	envID := fmt.Sprintf("e%d", sess.nextEnv)
 	sess.mu.Unlock()
@@ -385,12 +354,11 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		m, admit, err := sess.Session().MapTagged(env, envID)
 		s.observeAdmit(admit, time.Since(t0).Seconds())
-		if err == nil {
-			if err = sess.register(ctx, envID); err != nil {
-				// Mapped, but nobody is left to own it: roll back so no
-				// orphan environment holds resources.
-				_ = sess.Session().ReleaseTagged(envID)
-			}
+		if err == nil && ctx.Err() != nil {
+			// Mapped, but the client gave up meanwhile and will never learn
+			// the ID: roll back so no orphan environment holds resources.
+			_ = sess.Session().ReleaseTagged(envID)
+			err = ctx.Err()
 		}
 		if err != nil {
 			sess.failed.Inc()
@@ -422,46 +390,15 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// register records a freshly admitted environment, unless the session
-// closed or the request timed out while it was being mapped.
-func (sess *session) register(ctx context.Context, envID string) error {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed {
-		return fmt.Errorf("session %s closed", sess.SID())
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sess.envs[envID] = struct{}{}
-	return nil
-}
-
 func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
 		return
 	}
 	envID := r.PathValue("eid")
-	err := s.queued(r.Context(), func() error {
-		sess.mu.Lock()
-		_, known := sess.envs[envID]
-		sess.mu.Unlock()
-		if !known {
-			return errNotFound(fmt.Sprintf("no environment %q in session %s", envID, sess.SID()))
-		}
-		// By ID, which is the tag it was admitted under: the rebalancer
-		// may have replaced the environment's mapping a moment ago. And
-		// the registry entry goes only once core has let go, so an ID is
-		// never forgotten while it still holds reservations.
-		if err := sess.Session().ReleaseTagged(envID); err != nil {
-			return err
-		}
-		sess.mu.Lock()
-		delete(sess.envs, envID)
-		sess.mu.Unlock()
-		return nil
-	})
+	// By ID, which is the tag it was admitted under: the rebalancer may
+	// have replaced the environment's mapping a moment ago.
+	err := s.queued(r.Context(), func() error { return sess.Session().ReleaseTagged(envID) })
 	if refused(w, err) {
 		return
 	}
@@ -470,26 +407,10 @@ func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("sid")
-	s.cutMu.RLock()
-	s.mu.Lock()
-	sess := s.sessions[id]
-	delete(s.sessions, id)
-	s.mu.Unlock()
-	if sess == nil {
-		s.cutMu.RUnlock()
+	if !s.retire(id) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
 		return
 	}
-	sess.mu.Lock()
-	sess.closed = true
-	envs := sess.envs
-	sess.envs = make(map[string]struct{})
-	sess.mu.Unlock()
-	for eid := range envs {
-		_ = sess.Session().ReleaseTagged(eid)
-	}
-	s.retire(sess)
-	s.cutMu.RUnlock()
 	if refused(w, s.ackBarrier()) {
 		return
 	}
@@ -500,9 +421,8 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 
 // recoverSessions opens the data directory, if there is one, rebuilds
 // every session from the latest snapshot plus the log suffix, and starts
-// the snapshot cadence. Every recovered session is checked before it
-// serves: the incremental objective against a recompute (shard.Replay),
-// the environment registry against the session's active count.
+// the snapshot cadence. Every recovered session's incremental objective
+// is checked against a recompute before it serves (shard.Replay).
 func (s *Server) recoverSessions() error {
 	if s.cfg.DataDir == "" {
 		return nil
@@ -511,39 +431,18 @@ func (s *Server) recoverSessions() error {
 	if err != nil {
 		return err
 	}
-
-	// The environment registry is rebuilt from each session's final
-	// active set — tags are hmnd's environment IDs, and they survive
-	// snapshots, admissions and repairs.
-	sessions := make([]*session, len(domains))
-	totalEnvs := 0
-	for i, sh := range domains {
-		sess := s.newSession(sh)
-		sess.nextEnv = sh.EnvHigh
-		for _, a := range sh.Session().Export().Active {
-			if a.Tag != "" {
-				sess.envs[a.Tag] = struct{}{}
-			}
-		}
-		if got, want := len(sess.envs), sh.Session().Active(); got != want {
-			// Nothing is published, so Close cannot snapshot the
-			// sessions recovered so far over the log it refused.
-			w.Close()
-			return fmt.Errorf("server: session %s recovered %d environment records for %d active environments", sh.SID(), got, want)
-		}
-		sessions[i] = sess
-		totalEnvs += len(sess.envs)
-	}
 	s.wal = w
 	s.mu.Lock()
-	for _, sess := range sessions {
-		s.sessions[sess.SID()] = sess
+	for _, sh := range domains {
+		sess := s.newSession(sh)
+		sess.nextEnv = sh.EnvHigh
+		s.sessions[sh.SID()] = sess
 	}
 	s.nextSession = max(s.nextSession, maxSession)
 	s.mu.Unlock()
 	s.mSessions.Set(float64(len(domains)))
 	s.logf("hmnd: recovered %d sessions, %d environments, replayed %d records",
-		len(domains), totalEnvs, int(s.mReplayRecords.Value()))
+		len(domains), s.sessionEnvs(), int(s.mReplayRecords.Value()))
 
 	if s.cfg.SnapshotInterval > 0 {
 		s.stopSnapshots = shard.Every(s.cfg.SnapshotInterval, func() {
@@ -555,15 +454,14 @@ func (s *Server) recoverSessions() error {
 	return nil
 }
 
-// writeSnapshot takes one full-state snapshot and truncates the log.
-func (s *Server) writeSnapshot() error {
-	s.cutMu.Lock()
-	defer s.cutMu.Unlock()
-	return s.wal.WriteSnapshot(s.exportAll)
-}
+// writeSnapshot compacts the log: one snapshot, and the segments before
+// it deleted.
+func (s *Server) writeSnapshot() error { return s.wal.WriteSnapshot(s.exportAll) }
 
-// exportAll captures every open session for a snapshot, in session-ID
-// order for deterministic snapshot bytes.
+// exportAll captures every session in the table for a snapshot, in
+// session-ID order for deterministic snapshot bytes. It lists the table
+// after the snapshot's cut, so a session it finds there had not closed
+// by the cut: its close record, if any, follows the cut.
 func (s *Server) exportAll() ([]wal.SessionSnap, error) {
 	sessions := s.openSessions()
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].SID() < sessions[j].SID() })
@@ -576,9 +474,7 @@ func (s *Server) exportAll() ([]wal.SessionSnap, error) {
 		// (Lock order is sess.mu → core's lock; the commit hook, which
 		// runs under core's lock, never takes sess.mu.)
 		sess.mu.Lock()
-		if !sess.closed {
-			out = append(out, sess.Snap(sess.nextEnv))
-		}
+		out = append(out, sess.Snap(sess.nextEnv))
 		sess.mu.Unlock()
 	}
 	return out, nil

@@ -88,8 +88,10 @@ type Config struct {
 	// keeps the federation in memory.
 	DataDir string
 	// SnapshotInterval, when positive and DataDir is set, compacts
-	// every shard's log on this cadence; a final compaction is always
-	// taken on a clean Close. Checkpoints land by log growth either way.
+	// every shard's log on this cadence — a snapshot on a fresh segment,
+	// then the segments before it deleted; a final compaction is always
+	// taken on a clean Close. Checkpoints, the same snapshot deleting
+	// nothing, land by log growth either way.
 	SnapshotInterval time.Duration
 	// RebalanceMaxMoves caps guest moves per rebalancing round (0 =
 	// unbounded).

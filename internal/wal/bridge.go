@@ -64,6 +64,8 @@ func RecordFromEvent(sid string, overhead cluster.VMMOverhead, ev core.Event) *R
 			mr.Envs = append(mr.Envs, MigrateEnvRec{Seq: e.Seq, Tag: e.Tag, M: spec.FromMapping(e.M, overhead)})
 		}
 		rec.Migrate = mr
+	case core.EventClose:
+		rec.Kind = KindClose
 	}
 	return rec
 }

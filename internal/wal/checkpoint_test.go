@@ -2,12 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -15,9 +16,9 @@ import (
 	"repro/internal/spec"
 )
 
-// This file holds the checkpoint: a snapshot at the log's end as it
-// stands, due by growth, that neither rotates nor prunes, and the
-// recovery that seeks to it.
+// This file holds the checkpoint: a snapshot due by growth, which starts
+// a fresh segment like every snapshot and deletes nothing, and the
+// recovery that starts reading at that segment.
 
 // exportOne is the export of a one-session daemon.
 func exportOne(cs spec.ClusterSpec, s *core.Session) func() ([]SessionSnap, error) {
@@ -39,19 +40,9 @@ func forceCheckpoint(t *testing.T, w *WAL, export func() ([]SessionSnap, error))
 	}
 }
 
-// segmentSize is the length of segment n of dir.
-func segmentSize(t *testing.T, dir string, n uint64) int64 {
-	t.Helper()
-	st, err := os.Stat(filepath.Join(dir, segName(n)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st.Size()
-}
-
 // TestCheckpointDueByGrowth appends until the log has grown past eight
 // times the 64 KiB floor: only then is a checkpoint due, and taking it
-// fsyncs, publishes a snapshot at the end of the active segment, deletes
+// fsyncs, publishes a snapshot at the start of a fresh segment, deletes
 // nothing, reports through the hooks and sets the next limit from the
 // snapshot's size.
 func TestCheckpointDueByGrowth(t *testing.T) {
@@ -90,12 +81,11 @@ func TestCheckpointDueByGrowth(t *testing.T) {
 	if err != nil || snap == nil {
 		t.Fatalf("no snapshot: %v", err)
 	}
-	if snap.FirstSeg != 1 || snap.FirstOff != segmentSize(t, dir, 1) {
-		t.Errorf("snapshot resumes at %s offset %d; the log ends at offset %d of %s",
-			segName(snap.FirstSeg), snap.FirstOff, segmentSize(t, dir, 1), segName(1))
+	if snap.FirstSeg != 2 {
+		t.Errorf("snapshot resumes at %s, want the fresh %s", segName(snap.FirstSeg), segName(2))
 	}
-	if segs, _ := listSegments(dir); !reflect.DeepEqual(segs, []uint64{1}) {
-		t.Errorf("segments after a checkpoint: %v", segs)
+	if segs, _ := listSegments(dir); !reflect.DeepEqual(segs, []uint64{1, 2}) {
+		t.Errorf("segments after a checkpoint: %v, want the sealed one and the fresh one", segs)
 	}
 	if got, want := w.limit.Load(), checkpointLimit(snap.size); got != want || want < checkpointRatio*checkpointFloor {
 		t.Errorf("next limit %d, want %d", got, want)
@@ -118,9 +108,10 @@ func TestCheckpointDueByGrowth(t *testing.T) {
 
 // TestRecoverThroughCheckpoints churns two sessions with a checkpoint
 // every 40 operations and a compaction, a rotation and a session closed
-// and opened again between them: recovery, which seeks to the last
-// checkpoint, rebuilds the writer's sessions, agrees with a replay of
-// the whole log onto the same snapshot, reads only the log after the
+// and opened again between them: every segment since the compaction
+// stays on disk, and recovery, which starts at the last checkpoint's
+// segment, rebuilds the writer's sessions, agrees with a replay of the
+// whole log onto the same snapshot, reads only the log after the
 // checkpoint, and survives the last frame torn at every byte.
 func TestRecoverThroughCheckpoints(t *testing.T) {
 	dir := t.TempDir()
@@ -140,6 +131,7 @@ func TestRecoverThroughCheckpoints(t *testing.T) {
 		}, nil
 	}
 	sids := []string{"s1", "s2"}
+	var compacted uint64
 	for i := 0; i < 330; i++ {
 		s := sess[sids[i%2]]
 		if i%16 >= 14 {
@@ -152,6 +144,11 @@ func TestRecoverThroughCheckpoints(t *testing.T) {
 			if err := w.WriteSnapshot(export); err != nil {
 				t.Fatal(err)
 			}
+			snap, err := loadSnapshot(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compacted = snap.FirstSeg
 		case i == 150:
 			if err := w.Append(&Record{Kind: KindClose, SID: "s1"}); err != nil {
 				t.Fatal(err)
@@ -177,11 +174,17 @@ func TestRecoverThroughCheckpoints(t *testing.T) {
 	}
 
 	snap, err := loadSnapshot(dir)
-	if err != nil || snap == nil || snap.FirstOff == 0 {
-		t.Fatalf("the last snapshot is not a checkpoint: %+v, %v", snap, err)
+	if err != nil || snap == nil {
+		t.Fatalf("no snapshot: %+v, %v", snap, err)
 	}
-	if segs, _ := listSegments(dir); len(segs) < 2 || segs[0] >= snap.FirstSeg {
-		t.Fatalf("segments %v: the log before the checkpoint at %s is gone", segs, segName(snap.FirstSeg))
+	// The compaction deleted the segments before its own; every later
+	// snapshot started one and deleted none.
+	var want []uint64
+	for n := compacted; n <= snap.FirstSeg; n++ {
+		want = append(want, n)
+	}
+	if segs, _ := listSegments(dir); len(want) < 3 || !reflect.DeepEqual(segs, want) {
+		t.Fatalf("segments %v, want %v: from the compaction's to the last checkpoint's", segs, want)
 	}
 	all := 0
 	if _, _, err := Each(dir, Hooks{}, func(*Record) error { all++; return nil }); err != nil {
@@ -321,102 +324,6 @@ func TestCheckpointCrashAtEachStep(t *testing.T) {
 	}
 }
 
-// TestCheckpointFirstFrameTorn tears the first frame after a checkpoint
-// at every byte, down to the checkpoint's own offset: a torn tail there
-// is a crash, not a bad position.
-func TestCheckpointFirstFrameTorn(t *testing.T) {
-	dir := t.TempDir()
-	c, cs := testCluster(t)
-	w, _, err := Recover(dir, testHooks(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := loggedSession(t, w, c, cs)
-	for i := 0; i < 20; i++ {
-		applyOp(t, s, c, i)
-	}
-	forceCheckpoint(t, w, exportOne(cs, s))
-	if exp := s.Export(); len(exp.Active) > 0 {
-		if err := s.Release(exp.Active[0].M); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		applyOp(t, s, c, 20)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := loadSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := tearLastFrame(t, dir)
-	if snap.FirstOff+int64(n) != segmentSize(t, dir, snap.FirstSeg) {
-		t.Fatalf("the torn frame (%d bytes) is not the first after the checkpoint at %d", n, snap.FirstOff)
-	}
-}
-
-// TestSnapshotPositionRefused points a checkpoint's snapshot past the end
-// of its segment, inside a frame, and at a segment that is not there:
-// recovery and its dry run refuse each with an error that says so, and
-// the refused recovery changes nothing on disk.
-func TestSnapshotPositionRefused(t *testing.T) {
-	dir := t.TempDir()
-	c, cs := testCluster(t)
-	w, _, err := Recover(dir, testHooks(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := loggedSession(t, w, c, cs)
-	for i := 0; i < 12; i++ {
-		applyOp(t, s, c, i)
-	}
-	forceCheckpoint(t, w, exportOne(cs, s))
-	for i := 12; i < 16; i++ {
-		applyOp(t, s, c, i)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := loadSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := segmentSize(t, dir, snap.FirstSeg)
-	for _, tc := range []struct {
-		seg  uint64
-		off  int64
-		want string
-	}{
-		{snap.FirstSeg, size + 10, "past its end"},
-		{snap.FirstSeg, snap.FirstOff + 3, "not a frame boundary"},
-		{snap.FirstSeg, snap.FirstOff - 1, "not a frame boundary"},
-		{snap.FirstSeg + 5, 8, "which is missing"},
-	} {
-		bad := t.TempDir()
-		copyDir(t, dir, bad)
-		moved := *snap
-		moved.FirstSeg, moved.FirstOff = tc.seg, tc.off
-		raw, err := json.Marshal(&moved)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(bad, snapshotName), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := stateOf(t, bad, nil, 0, 0)
-		if _, err := Verify(bad, Hooks{}, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Verify of a snapshot at %s offset %d: %v, want %q", segName(tc.seg), tc.off, err, tc.want)
-		}
-		if _, _, err := Recover(bad, Hooks{}, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Recover of a snapshot at %s offset %d: %v, want %q", segName(tc.seg), tc.off, err, tc.want)
-		}
-		if after := stateOf(t, bad, nil, 0, 0); !reflect.DeepEqual(after, before) {
-			t.Errorf("a refused recovery changed the directory: %v -> %v", before.Files, after.Files)
-		}
-	}
-}
-
 // TestClosedSessionHighWaterSurvivesCompaction closes a session and then
 // compacts the log, deleting every record that named it: the snapshot
 // still carries its ordinal, so recovery reports it.
@@ -485,8 +392,8 @@ func TestSnapshotEncodingMatchesMarshal(t *testing.T) {
 	declined.SID = "s<4>"
 	for _, snap := range []Snapshot{
 		{FirstSeg: 1},
-		{FirstSeg: 3, FirstOff: 123456, MaxSession: 7, Sessions: []SessionSnap{}},
-		{FirstSeg: 2, FirstOff: 99, MaxSession: 3, Sessions: []SessionSnap{full, ExportSession("s4", cs, "", cluster.VMMOverhead{}, 0, s)}},
+		{FirstSeg: 3, MaxSession: 7, Sessions: []SessionSnap{}},
+		{FirstSeg: 2, MaxSession: 3, Sessions: []SessionSnap{full, ExportSession("s4", cs, "", cluster.VMMOverhead{}, 0, s)}},
 		{FirstSeg: 2, Sessions: []SessionSnap{declined}},
 	} {
 		want, err := json.Marshal(&snap)
@@ -500,5 +407,128 @@ func TestSnapshotEncodingMatchesMarshal(t *testing.T) {
 		if !bytes.Equal(got[len("prefix"):], want) {
 			t.Errorf("snapshot encodes as\n%s\nencoding/json writes\n%s", got[len("prefix"):], want)
 		}
+	}
+}
+
+// TestSnapshotFsyncFailureFaultsLog fails the fsync a snapshot's rotation
+// makes: the log faults, so no later barrier can acknowledge a frame the
+// failed fsync may have dropped.
+func TestSnapshotFsyncFailureFaultsLog(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := Recover(dir, testHooks(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(&Record{Kind: KindOpen, SID: "s1", Open: &OpenRec{}}); err != nil {
+		t.Fatal(err)
+	}
+	closed, err := os.Open(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	w.log.mu.Lock()
+	f := w.log.f
+	w.log.f = closed
+	w.log.mu.Unlock()
+	if err := w.WriteSnapshot(func() ([]SessionSnap, error) { return nil, nil }); err == nil {
+		t.Fatal("a snapshot whose fsync failed was published")
+	}
+	w.log.mu.Lock()
+	w.log.f = f
+	w.log.mu.Unlock()
+	if err := w.Barrier(); err == nil {
+		t.Fatal("a barrier after the failed fsync acknowledged the log")
+	}
+}
+
+// checkpointFixture is a directory a build that checkpointed without
+// rotating wrote: one segment, and a snapshot cut inside it at
+// "first_off". Session s2 closed before the cut, s1 lives across it, s3
+// opened after it.
+const checkpointFixture = "testdata/checkpoint-785029c"
+
+// TestSnapshotInsideSegmentRecovers recovers checkpointFixture, whose
+// snapshot's first_off is no longer read: the segment is replayed from
+// its start onto the snapshot, and the residuals come back as the
+// writing build recovered them, to the byte (the digest is of each
+// session's ledger encoding, as that build computed it).
+func TestSnapshotInsideSegmentRecovers(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(checkpointFixture, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"first_off":39078`)) {
+		t.Fatal("the fixture's snapshot lost its first_off")
+	}
+	const want = "7715bdf651e9e9dad54d56597295ae7f90895004c4a068c4b86e73437701d466"
+	st := agree(t, checkpointFixture, "snapshot inside a segment")
+	if st.MaxSession != 3 {
+		t.Errorf("high-water mark %d, want 3", st.MaxSession)
+	}
+	dir := t.TempDir()
+	copyDir(t, checkpointFixture, dir)
+	w, res, err := Recover(dir, testHooks(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	h := sha256.New()
+	var sids []string
+	for _, rs := range res.Sessions {
+		sids = append(sids, rs.SID)
+		h.Write([]byte(rs.SID + "\n"))
+		h.Write(ledgerJSON(t, rs.Session))
+		h.Write([]byte("\n"))
+	}
+	if !reflect.DeepEqual(sids, []string{"s1", "s3"}) {
+		t.Errorf("recovered sessions %v, want [s1 s3]", sids)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("recovered residuals digest %s, want %s", got, want)
+	}
+}
+
+// TestSnapshotLeavesOutSessionClosedAfterCut closes a session between a
+// snapshot's cut and its export, after the session committed records
+// past the cut: the export leaves the session out, and recovery skips
+// its records as those of a session the snapshot had closed.
+func TestSnapshotLeavesOutSessionClosedAfterCut(t *testing.T) {
+	dir := t.TempDir()
+	c, cs := testCluster(t)
+	w, _, err := Recover(dir, testHooks(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := loggedSessionAs(t, w, c, cs, "s1")
+	s2 := loggedSessionAs(t, w, c, cs, "s2")
+	for i := 0; i < 10; i++ {
+		applyOp(t, s1, c, i)
+		applyOp(t, s2, c, 50+i)
+	}
+	if err := w.WriteSnapshot(func() ([]SessionSnap, error) {
+		done := make(chan error)
+		go func() {
+			for i := 10; i < 14; i++ {
+				applyOp(t, s2, c, 50+i)
+			}
+			done <- s2.Close()
+		}()
+		if err := <-done; err != nil {
+			return nil, err
+		}
+		return []SessionSnap{ExportSession("s1", cs, "", cluster.VMMOverhead{}, 0, s1)}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	applyOp(t, s1, c, 14)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := agree(t, dir, "session closed after the cut")
+	sameAsWriter(t, st, map[string]*core.Session{"s1": s1})
+	if st.MaxSession != 2 {
+		t.Errorf("high-water mark %d, want 2", st.MaxSession)
 	}
 }

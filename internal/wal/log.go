@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,13 +77,10 @@ type log struct {
 	dir   string
 	hooks Hooks
 
-	mu  sync.Mutex    // guards f, w, seg, off, appendSeq, maxSession
+	mu  sync.Mutex    // guards f, w, seg, appendSeq, maxSession
 	f   *os.File      //hmn:guardedby mu
 	w   *bufio.Writer //hmn:guardedby mu
 	seg uint64        //hmn:guardedby mu
-	// off is the active segment's length, buffered frames included: the
-	// offset the next frame lands at.
-	off int64 //hmn:guardedby mu
 	// appendSeq numbers appended records; barrier targets are expressed
 	// in it.
 	appendSeq uint64 //hmn:guardedby mu
@@ -122,14 +118,9 @@ func (l *log) openSegment(n uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: open segment: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("wal: open segment: %w", err)
-	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
-	l.seg, l.off = n, st.Size()
+	l.seg = n
 	return nil
 }
 
@@ -177,7 +168,6 @@ func (l *log) append(rec *Record) error {
 		return l.faultLocked(fmt.Errorf("wal: append: %w", err))
 	}
 	l.appendSeq++
-	l.off += int64(len(frame))
 	l.grown.Add(int64(len(frame)))
 	if rec.Kind == KindOpen {
 		if n, ok := SessionOrdinal(rec.SID); ok && n > l.maxSession {
@@ -210,71 +200,57 @@ func (l *log) barrier() error {
 	if l.syncedSeq.Load() >= target {
 		return nil
 	}
-	_, err := l.syncLocked(false)
-	return err
-}
-
-// cut is a snapshot's position in the log: the segment and offset of the
-// first frame it does not cover, the growth the log had reached since the
-// previous position, and the session high-water mark at the cut.
-type cut struct {
-	seg        uint64
-	off        int64
-	grown      int64
-	maxSession int
+	return l.syncLocked()
 }
 
 // syncLocked flushes the buffered frames and fsyncs the active segment,
 // holding mu for the flush only, so appends continue during the fsync.
-// It returns the position the flush ended at; with restart set, the
-// growth count restarts there, under the same hold of mu. The caller
-// holds syncMu.
-func (l *log) syncLocked(restart bool) (cut, error) {
+// The caller holds syncMu.
+func (l *log) syncLocked() error {
 	l.mu.Lock()
 	if l.w == nil {
 		l.mu.Unlock()
-		return cut{}, fmt.Errorf("wal: log is closed")
+		return fmt.Errorf("wal: log is closed")
 	}
 	if l.fault != nil {
 		err := l.fault
 		l.mu.Unlock()
-		return cut{}, fmt.Errorf("wal: log faulted: %w", err)
+		return fmt.Errorf("wal: log faulted: %w", err)
 	}
 	flushed := l.appendSeq
 	err := l.w.Flush()
 	f := l.f
-	at := cut{seg: l.seg, off: l.off, maxSession: l.maxSession}
-	if err == nil && restart {
-		at.grown = l.grown.Swap(0)
-	}
 	l.mu.Unlock()
 	if err != nil {
-		return cut{}, l.faultBarrier(fmt.Errorf("wal: flush: %w", err))
+		return l.faultBarrier(fmt.Errorf("wal: flush: %w", err))
 	}
 	start := time.Now() //hmn:wallclock
 	if err := f.Sync(); err != nil {
-		return cut{}, l.faultBarrier(fmt.Errorf("wal: fsync: %w", err))
+		return l.faultBarrier(fmt.Errorf("wal: fsync: %w", err))
 	}
 	if l.hooks.OnFsync != nil {
 		l.hooks.OnFsync(time.Since(start).Seconds()) //hmn:wallclock
 	}
 	l.syncedSeq.Store(flushed)
-	return at, nil
+	return nil
 }
 
-// mark makes every frame appended so far durable and returns the
-// position after them, where the growth count restarts: a checkpoint's
-// cut, which rotate would take at the start of a fresh segment instead.
-func (l *log) mark() (cut, error) {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	return l.syncLocked(true)
+// cut is a snapshot's position in the log — the segment it starts, whose
+// frames it does not cover — with the growth the log had reached since
+// the previous position and the session high-water mark at the cut.
+type cut struct {
+	seg        uint64
+	grown      int64
+	maxSession int
 }
 
 // rotate seals the active segment (flush, fsync, close) and opens the
-// next one, where the growth count restarts: a compaction's cut, at
-// offset 0 of the fresh segment. Holding syncMu for the duration keeps
-// rotation atomic with respect to barriers.
+// next one, where the growth count restarts: every snapshot's cut.
+// Holding syncMu for the duration keeps rotation atomic with respect to
+// barriers. A failure faults the log as a barrier's would: after a
+// failed fsync the kernel may have dropped frames a later fsync would
+// then seem to make durable, and after a failed reopen there is no
+// segment to append to.
 func (l *log) rotate() (cut, error) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -284,26 +260,26 @@ func (l *log) rotate() (cut, error) {
 		return cut{}, fmt.Errorf("wal: log is closed")
 	}
 	if err := l.w.Flush(); err != nil {
-		return cut{}, fmt.Errorf("wal: flush on rotate: %w", err)
+		return cut{}, l.faultLocked(fmt.Errorf("wal: flush on rotate: %w", err))
 	}
 	start := time.Now() //hmn:wallclock
 	if err := l.f.Sync(); err != nil {
-		return cut{}, fmt.Errorf("wal: fsync on rotate: %w", err)
+		return cut{}, l.faultLocked(fmt.Errorf("wal: fsync on rotate: %w", err))
 	}
 	if l.hooks.OnFsync != nil {
 		l.hooks.OnFsync(time.Since(start).Seconds()) //hmn:wallclock
 	}
 	l.syncedSeq.Store(l.appendSeq)
 	if err := l.f.Close(); err != nil {
-		return cut{}, fmt.Errorf("wal: close segment: %w", err)
+		return cut{}, l.faultLocked(fmt.Errorf("wal: close segment: %w", err))
 	}
 	if err := l.openSegment(l.seg + 1); err != nil {
-		return cut{}, err
+		return cut{}, l.faultLocked(err)
 	}
 	if err := syncDir(l.dir); err != nil {
-		return cut{}, err
+		return cut{}, l.faultLocked(err)
 	}
-	return cut{seg: l.seg, off: l.off, grown: l.grown.Swap(0), maxSession: l.maxSession}, nil
+	return cut{seg: l.seg, grown: l.grown.Swap(0), maxSession: l.maxSession}, nil
 }
 
 // close flushes, fsyncs and closes the active segment.
@@ -362,10 +338,9 @@ type logPass struct {
 	// segment's number and its offset there.
 	seg uint64
 	at  int64
-	// fromSeg and fromOff are where the pass starts: the position of the
+	// fromSeg is the segment the pass starts at: the position of the
 	// snapshot it replays onto. Zero reads the whole log.
 	fromSeg uint64
-	fromOff int64
 
 	// bytes counts the valid frames read, truncated the torn tail
 	// dropped or measured.
@@ -424,34 +399,25 @@ func (a *frameAt) close() {
 }
 
 // run walks segs, which is the directory's whole log, ascending, from
-// the pass's starting position on.
+// the pass's starting segment on.
 func (p *logPass) run(segs []uint64) error {
-	if p.fromOff > 0 && !slices.Contains(segs, p.fromSeg) {
-		return fmt.Errorf("wal: snapshot resumes the log at offset %d of %s, which is missing", p.fromOff, segName(p.fromSeg))
-	}
 	for i, n := range segs {
 		if n < p.fromSeg {
 			continue
 		}
-		start := int64(0)
-		if n == p.fromSeg {
-			start = p.fromOff
-		}
-		if err := p.segment(n, start, i == len(segs)-1); err != nil {
+		if err := p.segment(n, i == len(segs)-1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// segment walks segment n from offset start. final marks the log's last
-// segment: there, an invalid frame with nothing after it is a torn tail
-// — truncated to the last valid record when repair is set, measured
-// either way. An invalid frame in a non-final segment, or a record that
-// fails to decode anywhere, is corruption and returns an error; so does
-// fn, and so does a start that lies past the segment's end or inside a
-// frame.
-func (p *logPass) segment(n uint64, start int64, final bool) error {
+// segment walks segment n. final marks the log's last segment: there,
+// an invalid frame with nothing after it is a torn tail — truncated to
+// the last valid record when repair is set, measured either way. An
+// invalid frame in a non-final segment, or a record that fails to decode
+// anywhere, is corruption and returns an error; so does fn.
+func (p *logPass) segment(n uint64, final bool) error {
 	path := filepath.Join(p.dir, segName(n))
 	f, err := os.Open(path)
 	if err != nil {
@@ -463,13 +429,7 @@ func (p *logPass) segment(n uint64, start int64, final bool) error {
 		return fmt.Errorf("wal: read segment: %w", err)
 	}
 	size := st.Size()
-	if start > size {
-		return fmt.Errorf("wal: snapshot resumes the log at offset %d of %s, past its end (%d bytes)", start, segName(n), size)
-	}
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: read segment: %w", err)
-	}
-	p.fr.resetAt(f, start, size)
+	p.fr.reset(f, size)
 	p.seg = n
 	for {
 		off := p.fr.off
@@ -493,13 +453,6 @@ func (p *logPass) segment(n uint64, start int64, final bool) error {
 			return nil
 		}
 		torn, ok := err.(errTorn)
-		if ok && off == start && start > 0 {
-			// The first frame at a snapshot's position does not read: a
-			// crash tore it, or the position is not a frame boundary.
-			if err := onBoundary(f, n, start, size); err != nil {
-				return err
-			}
-		}
 		if !ok || !final {
 			return fmt.Errorf("wal: segment %s at offset %d: %w", segName(n), off, err)
 		}
@@ -521,25 +474,6 @@ func (p *logPass) segment(n uint64, start int64, final bool) error {
 		}
 		return syncFile(path)
 	}
-}
-
-// onBoundary walks segment n's frames from its start and refuses unless
-// one of them begins at off.
-func onBoundary(f *os.File, n uint64, off, size int64) error {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: read segment: %w", err)
-	}
-	var fr frameReader
-	fr.reset(f, size)
-	for fr.off < off {
-		if _, err := fr.next(); err != nil {
-			break
-		}
-	}
-	if fr.off != off {
-		return fmt.Errorf("wal: snapshot resumes the log at offset %d of %s, which is not a frame boundary", off, segName(n))
-	}
-	return nil
 }
 
 // syncDir fsyncs a directory so renames and unlinks inside it are

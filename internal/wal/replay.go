@@ -55,7 +55,12 @@ func (rs *Replayed) pendingAt(seq uint64) int {
 // applied one record at a time, in append order. Operation records at or
 // below the owning session's boundary were already applied by the
 // snapshot and are skipped; an open record for a live session is an
-// idempotent no-op; a close record retires the session.
+// idempotent no-op; a close record retires the session. A session the
+// snapshot counted (its ordinal at or below the snapshot's MaxSession)
+// but does not hold had closed by the export, and its records are
+// skipped too: a snapshot exports each session after the cut, so one
+// that closed in between may have committed records past the cut that
+// the snapshot already says how they ended.
 //
 // Fed by a one-pass recovery (pass set), it replays an admission as its
 // effect: the numbers the record holds are committed to the session's
@@ -69,6 +74,10 @@ func (rs *Replayed) pendingAt(seq uint64) int {
 type replayer struct {
 	live     map[string]*Replayed
 	boundary map[string]uint64
+	// closedBelow is the snapshot's MaxSession, -1 without a snapshot: a
+	// session at or below it that is not live had closed by the
+	// snapshot's export.
+	closedBelow int
 	// maxSession is the highest session ordinal the directory has ever
 	// named — snapshotted, opened or closed — so a restarted daemon never
 	// reuses a session ID: a reused ID would alias the retired session's
@@ -93,11 +102,11 @@ type replayer struct {
 }
 
 func newReplayer(snap *Snapshot, onRecord func(*Replayed, *Record)) (*replayer, error) {
-	rp := &replayer{live: make(map[string]*Replayed), boundary: make(map[string]uint64), onRecord: onRecord}
+	rp := &replayer{live: make(map[string]*Replayed), boundary: make(map[string]uint64), closedBelow: -1, onRecord: onRecord}
 	if snap == nil {
 		return rp, nil
 	}
-	rp.maxSession = snap.MaxSession
+	rp.maxSession, rp.closedBelow = snap.MaxSession, snap.MaxSession
 	for _, sn := range snap.Sessions {
 		cs, c, err := RestoreSnap(sn)
 		if err != nil {
@@ -155,6 +164,9 @@ func (rp *replayer) apply(r *Record) error {
 	default:
 		rs := rp.live[r.SID]
 		if rs == nil {
+			if n, ok := SessionOrdinal(r.SID); ok && n <= rp.closedBelow {
+				return nil
+			}
 			return fmt.Errorf("wal: record %d (%s) names unknown session %s", i, r.Kind, r.SID)
 		}
 		if r.Index <= rp.boundary[r.SID] {
@@ -327,7 +339,7 @@ func (p *logPass) replay(snap *Snapshot, segs []uint64, onRecord func(*Replayed,
 	defer rp.frames.close()
 	p.reuse, p.fn = true, rp.apply
 	if snap != nil {
-		p.fromSeg, p.fromOff = snap.FirstSeg, snap.FirstOff
+		p.fromSeg = snap.FirstSeg
 	}
 	if err := p.run(segs); err != nil {
 		return nil, err

@@ -26,14 +26,15 @@ const (
 // position on, skipping records whose Index is at or below the owning
 // session's OpCount.
 type Snapshot struct {
-	// FirstSeg and FirstOff are the position of the first frame the
-	// snapshot does NOT cover. A compaction (WriteSnapshot) rotates
-	// first, so its position is the start of a fresh segment and the
-	// segments before it are deleted; a checkpoint (Checkpoint) takes the
-	// end of the active segment as it stands and deletes nothing, so the
-	// log before the position stays on disk as the daemon's history.
+	// FirstSeg is the snapshot's position: every snapshot rotates first,
+	// so the log it does not cover starts at offset 0 of segment FirstSeg.
+	// A snapshot cut inside a segment, by a build that checkpointed
+	// without rotating, also carries "first_off", the offset it was cut
+	// at; that field is not read. Recovery replays FirstSeg from its start
+	// all the same: a record before the offset is at or below its
+	// session's OpCount, or names a session the snapshot had already
+	// closed, and is skipped either way.
 	FirstSeg uint64 `json:"first_seg"`
-	FirstOff int64  `json:"first_off,omitempty"`
 	// MaxSession is the highest session ordinal the log had named when
 	// the snapshot was cut, so a session closed before it keeps its ID
 	// retired although recovery never reads its records again.
@@ -92,9 +93,6 @@ func loadSnapshot(dir string) (*Snapshot, error) {
 	if err := json.Unmarshal(buf, &snap); err != nil {
 		return nil, fmt.Errorf("wal: decode snapshot: %w", err)
 	}
-	if snap.FirstOff < 0 {
-		return nil, fmt.Errorf("wal: snapshot resumes the log at offset %d", snap.FirstOff)
-	}
 	snap.size = int64(len(buf))
 	return &snap, nil
 }
@@ -107,10 +105,6 @@ func (s *Snapshot) appendJSON(dst []byte) ([]byte, error) {
 	ok := true
 	dst = append(dst, `{"first_seg":`...)
 	dst = strconv.AppendUint(dst, s.FirstSeg, 10)
-	if s.FirstOff != 0 {
-		dst = append(dst, `,"first_off":`...)
-		dst = strconv.AppendInt(dst, s.FirstOff, 10)
-	}
 	if s.MaxSession != 0 {
 		dst = append(dst, `,"max_session":`...)
 		dst = strconv.AppendInt(dst, int64(s.MaxSession), 10)

@@ -162,8 +162,8 @@ func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
 // it is read, a torn tail truncated on the way. onRecord, when non-nil,
 // is called after each operation record actually re-applied; its record
 // is valid only until it returns. On any error — a corrupt sealed
-// segment, a record that diverges, a snapshot position the log does not
-// have — nothing is returned and no segment is created.
+// segment, a record that diverges — nothing is returned and no segment
+// is created.
 func Recover(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*WAL, *Recovery, error) {
 	snap, segs, err := load(dir, true)
 	if err != nil {
@@ -190,38 +190,71 @@ func (w *WAL) Append(rec *Record) error { return w.log.append(rec) }
 // fsyncs between concurrent callers.
 func (w *WAL) Barrier() error { return w.log.barrier() }
 
-// WriteSnapshot compacts the log: it rotates to a fresh segment, calls
-// export to capture the state (export runs after the rotation, so every
-// record in the sealed segments is covered by the exported operation
-// indices), publishes the snapshot atomically, and deletes the sealed
-// segments. export must not append to the WAL on the calling goroutine
-// (other goroutines may, freely).
+// WriteSnapshot compacts the log: it takes a snapshot and then deletes
+// the segments before the snapshot's position, which it covers. The
+// daemon compacts on its -snapshot-interval cadence and at shutdown.
+// export must not append to the WAL on the calling goroutine (other
+// goroutines may, freely).
 func (w *WAL) WriteSnapshot(export func() ([]SessionSnap, error)) error {
 	w.snapMu.Lock()
 	defer w.snapMu.Unlock()
+	return w.snapshot(export, true)
+}
+
+// CheckpointDue reports whether the log has grown past the checkpoint
+// limit since the last snapshot's position. It costs two atomic loads,
+// for callers that must prepare before Checkpoint.
+func (w *WAL) CheckpointDue() bool { return w.log.grown.Load() > w.limit.Load() }
+
+// Checkpoint takes a snapshot if one is due, and deletes nothing: the
+// directory keeps the whole log, and a recovery reads only the segments
+// from the snapshot's position on. The daemon calls it on the ack path
+// of the operation whose append made it due, before the ack.
+func (w *WAL) Checkpoint(export func() ([]SessionSnap, error)) error {
+	if !w.CheckpointDue() {
+		return nil
+	}
+	w.snapMu.Lock()
+	defer w.snapMu.Unlock()
+	if !w.CheckpointDue() {
+		return nil
+	}
+	return w.snapshot(export, false)
+}
+
+// snapshot is the one way a snapshot is taken. It rotates to a fresh
+// segment (flush and fsync the active one, open the next, fsync the
+// directory); calls export to capture the state — after the rotation, so
+// every record in the sealed segments is covered by the exported
+// operation indices; and publishes the snapshot atomically at offset 0
+// of the fresh segment. With prune set it then deletes the segments
+// before that one. The next checkpoint falls due once the log has grown
+// by checkpointLimit of the snapshot's size. The caller holds snapMu.
+//
+//hmn:locked snapMu
+func (w *WAL) snapshot(export func() ([]SessionSnap, error), prune bool) error {
 	start := time.Now() //hmn:wallclock
 	at, err := w.log.rotate()
 	if err != nil {
 		return err
 	}
 	if err := w.publish(at, export); err != nil {
+		// Still due: the next acknowledged operation tries again.
+		w.log.grown.Add(at.grown)
 		return err
 	}
-	// The snapshot is durable; the sealed segments are now redundant.
-	segs, err := listSegments(w.dir)
-	if err != nil {
-		return err
-	}
-	removed := false
-	for _, n := range segs {
-		if n < at.seg {
-			if err := os.Remove(filepath.Join(w.dir, segName(n))); err != nil {
-				return fmt.Errorf("wal: remove sealed segment: %w", err)
-			}
-			removed = true
+	if prune {
+		segs, err := listSegments(w.dir)
+		if err != nil {
+			return err
 		}
-	}
-	if removed {
+		for _, n := range segs {
+			if n < at.seg {
+				if err := os.Remove(filepath.Join(w.dir, segName(n))); err != nil {
+					return fmt.Errorf("wal: remove sealed segment: %w", err)
+				}
+			}
+		}
 		if err := syncDir(w.dir); err != nil {
 			return err
 		}
@@ -232,46 +265,8 @@ func (w *WAL) WriteSnapshot(export func() ([]SessionSnap, error)) error {
 	return nil
 }
 
-// CheckpointDue reports whether the log has grown past the checkpoint
-// limit since the last snapshot's position. It costs two atomic loads,
-// for callers that must prepare before Checkpoint.
-func (w *WAL) CheckpointDue() bool { return w.log.grown.Load() > w.limit.Load() }
-
-// Checkpoint writes a snapshot at the end of the log as it stands, if
-// one is due: every frame appended so far is made durable, the position
-// after them noted, export called (as for WriteSnapshot) and the
-// snapshot published to resume the log there. It neither rotates nor
-// deletes a segment, so the directory keeps the whole log; recovery
-// starts reading at the position. The daemon calls it on the ack path of
-// the operation whose append made it due, before the ack.
-func (w *WAL) Checkpoint(export func() ([]SessionSnap, error)) error {
-	if !w.CheckpointDue() {
-		return nil
-	}
-	w.snapMu.Lock()
-	defer w.snapMu.Unlock()
-	if !w.CheckpointDue() {
-		return nil
-	}
-	start := time.Now() //hmn:wallclock
-	at, err := w.log.mark()
-	if err != nil {
-		return err
-	}
-	if err := w.publish(at, export); err != nil {
-		// Still due: the next acknowledged operation tries again.
-		w.log.grown.Add(at.grown)
-		return err
-	}
-	if w.hooks.OnSnapshot != nil {
-		w.hooks.OnSnapshot(time.Since(start).Seconds()) //hmn:wallclock
-	}
-	return nil
-}
-
 // publish exports the state and lands it as the snapshot that resumes
-// the log at the cut; the next checkpoint falls due once the log has
-// grown by checkpointLimit of its size. The caller holds snapMu.
+// the log at the cut. The caller holds snapMu.
 //
 //hmn:locked snapMu
 func (w *WAL) publish(at cut, export func() ([]SessionSnap, error)) error {
@@ -279,7 +274,7 @@ func (w *WAL) publish(at cut, export func() ([]SessionSnap, error)) error {
 	if err != nil {
 		return fmt.Errorf("wal: export for snapshot: %w", err)
 	}
-	snap := Snapshot{FirstSeg: at.seg, FirstOff: at.off, MaxSession: at.maxSession, Sessions: sessions}
+	snap := Snapshot{FirstSeg: at.seg, MaxSession: at.maxSession, Sessions: sessions}
 	if w.buf, err = snap.appendJSON(w.buf[:0]); err != nil {
 		return err
 	}

@@ -14,10 +14,12 @@
 # directory is checked on its own and the restart names no
 # -shard-cluster (the shards rebuild themselves from their directories).
 #
-# A checkpoint is a snapshot.json whose first_off is past 0: recovery
-# starts reading the log there. The check after each kill asserts one
-# landed in every WAL directory and that hmnwal verify replays fewer
-# records than the directory's log holds.
+# Every snapshot starts a fresh segment, and a checkpoint deletes none:
+# a checkpoint shows as a snapshot.json whose first_seg is past 1 with
+# every earlier segment still on disk, and recovery starts reading the
+# log at first_seg. The check after each kill asserts one landed in every
+# WAL directory and that hmnwal verify replays fewer records than the
+# directory's log holds.
 #
 # Each phase ends with a graceful shutdown (drain, final snapshot) and
 # checks the directories again. Recovery cross-checks every session
@@ -73,10 +75,16 @@ verify_dirs() {
 }
 
 # checkpointed succeeds when every WAL directory named holds a
-# checkpoint: a snapshot whose first_off is past 0.
+# checkpoint: a snapshot whose first_seg is past 1, with every segment
+# before it still on disk.
 checkpointed() {
+    local dir seg n
     for dir in "$@"; do
-        grep -q '"first_off":[1-9]' "$dir/snapshot.json" 2>/dev/null || return 1
+        seg=$(sed -n 's/^{"first_seg":\([0-9]*\).*/\1/p' "$dir/snapshot.json" 2>/dev/null)
+        [ -n "$seg" ] && [ "$seg" -gt 1 ] || return 1
+        for ((n = 1; n < seg; n++)); do
+            [ -f "$dir/$(printf 'wal-%020d.log' "$n")" ] || return 1
+        done
     done
 }
 
