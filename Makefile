@@ -44,7 +44,8 @@ vet:
 ## carries a request's own bytes: whatever the fast path accepted
 ## replays as the environment that was mapped; then the scanner's own
 ## number conversion against json.Unmarshal into a float64, and its
-## one-loop int arrays against json.Unmarshal into a []int; then logs of
+## one-loop int arrays against json.Unmarshal into a []int; then the
+## snapshot file's decoder against json.Unmarshal; then logs of
 ## arbitrary records replayed by the one pass, which replays admissions
 ## as effects, and by Scan + Replay, which builds them (the minimizer gets
 ## 3 s an input: each run writes and recovers a log).
@@ -55,6 +56,7 @@ fuzz:
 	go test -run '^$$' -fuzz 'FuzzAdmitEnvBytesReplay$$' -fuzztime 20s ./internal/wal
 	go test -run '^$$' -fuzz 'FuzzScannerFloat64$$' -fuzztime 20s ./internal/jsonx
 	go test -run '^$$' -fuzz 'FuzzScannerInts$$' -fuzztime 20s ./internal/jsonx
+	go test -run '^$$' -fuzz 'FuzzSnapshotDecode$$' -fuzztime 20s -fuzzminimizetime 3s ./internal/wal
 	go test -run '^$$' -fuzz 'FuzzReplayRecords$$' -fuzztime 20s -fuzzminimizetime 3s ./internal/wal
 
 ## bench-allocs runs every allocation gate, the hot path's only guard:

@@ -961,7 +961,10 @@ func BenchmarkSpecCodec(b *testing.B) {
 // records/s and MB/s of log. The log itself is never held, and an
 // admission the log releases is replayed as its effect and never built,
 // so B/op is the four survivors' Env and Mapping plus the pass's own
-// storage, whatever the length of the log.
+// storage, whatever the length of the log. The …/snapshot case logs the
+// same churn into a second directory that is compacted before the last
+// eighth of it: recovery restores a snapshot of the four live
+// environments, whose size it reports, and replays that eighth.
 func BenchmarkRecover(b *testing.B) {
 	const live = 4
 	for _, tc := range codecTestbeds {
@@ -970,26 +973,44 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatal(err)
 		}
 		admits := 200_000 / (env.NumGuests() + env.NumLinks()) // ≈ 20 MB of log either way
-		dir := b.TempDir()
-		w, _, err := wal.Recover(dir, wal.Hooks{}, nil)
-		if err != nil {
-			b.Fatal(err)
+		logDir, snapDir := b.TempDir(), b.TempDir()
+		var wals []*wal.WAL
+		for _, dir := range []string{logDir, snapDir} {
+			w, _, err := wal.Recover(dir, wal.Hooks{}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wals = append(wals, w)
 		}
 		sess, err := core.NewSession(c, VMMOverhead{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		open := &wal.Record{Kind: wal.KindOpen, SID: "s1", Open: &wal.OpenRec{Cluster: spec.FromCluster(c)}}
-		if err := w.Append(open); err != nil {
-			b.Fatal(err)
+		cs := spec.FromCluster(c)
+		open := &wal.Record{Kind: wal.KindOpen, SID: "s1", Open: &wal.OpenRec{Cluster: cs}}
+		for _, w := range wals {
+			if err := w.Append(open); err != nil {
+				b.Fatal(err)
+			}
 		}
 		sess.SetCommitHook(func(ev core.Event) {
-			if err := w.Append(wal.RecordFromEvent("s1", VMMOverhead{}, ev)); err != nil {
-				b.Error(err)
+			rec := wal.RecordFromEvent("s1", VMMOverhead{}, ev)
+			for _, w := range wals {
+				if err := w.Append(rec); err != nil {
+					b.Error(err)
+				}
 			}
 		})
+		export := func() ([]wal.SessionSnap, error) {
+			return []wal.SessionSnap{wal.ExportSession("s1", cs, "", VMMOverhead{}, 0, sess)}, nil
+		}
 		var held []*mapping.Mapping
 		for i := 0; i < admits; i++ {
+			if i == admits-admits/8 {
+				if err := wals[1].WriteSnapshot(export); err != nil {
+					b.Fatal(err)
+				}
+			}
 			if len(held) == live {
 				if err := sess.Release(held[0]); err != nil {
 					b.Fatal(err)
@@ -1002,22 +1023,29 @@ func BenchmarkRecover(b *testing.B) {
 			}
 			held = append(held, m)
 		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
+		for _, w := range wals {
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var rec *wal.Recovery
-			for i := 0; i < b.N; i++ {
-				if rec, err = wal.Verify(dir, wal.Hooks{}, nil); err != nil {
-					b.Fatal(err)
+		for _, run := range []struct{ name, dir string }{{tc.name, logDir}, {tc.name + "/snapshot", snapDir}} {
+			b.Run(run.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var rec *wal.Recovery
+				for i := 0; i < b.N; i++ {
+					if rec, err = wal.Verify(run.dir, wal.Hooks{}, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			if len(rec.Sessions) != 1 || rec.Sessions[0].Session.Active() != live {
-				b.Fatalf("recovered %d sessions, want one with %d live", len(rec.Sessions), live)
-			}
-			b.SetBytes(rec.Bytes)
-			b.ReportMetric(float64(rec.Records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
+				if len(rec.Sessions) != 1 || rec.Sessions[0].Session.Active() != live {
+					b.Fatalf("recovered %d sessions, want one with %d live", len(rec.Sessions), live)
+				}
+				b.SetBytes(rec.Bytes)
+				b.ReportMetric(float64(rec.Records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+				if rec.SnapshotBytes > 0 {
+					b.ReportMetric(float64(rec.SnapshotBytes), "snapshot-B")
+				}
+			})
+		}
 	}
 }

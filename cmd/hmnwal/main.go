@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -89,10 +90,12 @@ func dump(dir string) error {
 // recompute.
 func verify(dir string) error {
 	replayed := 0
+	start := time.Now()
 	rec, err := wal.Verify(dir, wal.Hooks{Logf: warnf}, func(*wal.Replayed, *wal.Record) { replayed++ })
 	if err != nil {
 		return err
 	}
+	took := time.Since(start)
 	for _, rs := range rec.Sessions {
 		cs := rs.Session
 		if err := wal.VerifyObjective(cs); err != nil {
@@ -102,6 +105,10 @@ func verify(dir string) error {
 	}
 	fmt.Printf("verified: %d session(s), %d record(s) replayed, %d admission(s) replayed as effects, %d built",
 		len(rec.Sessions), replayed, rec.Effects, rec.Built)
+	if rec.SnapshotBytes > 0 {
+		fmt.Printf("; snapshot of %d byte(s) restored in %.4f s, log pass %.4f s",
+			rec.SnapshotBytes, rec.SnapshotTime.Seconds(), (took - rec.SnapshotTime).Seconds())
+	}
 	if rec.TruncatedBytes > 0 {
 		fmt.Printf(", torn tail of %d byte(s) would be truncated on recovery", rec.TruncatedBytes)
 	}

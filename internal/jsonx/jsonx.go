@@ -526,6 +526,15 @@ func (s *Scanner) AppendInts(dst []int) []int {
 	return dst
 }
 
+// List scans an array, each element by next; [] is empty, not nil.
+func List[T any](s *Scanner, next func() T) []T {
+	out := []T{}
+	for s.Open('['); s.More(']'); {
+		out = append(out, next())
+	}
+	return out
+}
+
 // Float64 scans a JSON number literal and returns the float64 nearest
 // to it, ties to even — strconv.ParseFloat's result, as encoding/json
 // uses, bit for bit. A literal with no exponent part, at most 19

@@ -90,6 +90,9 @@ var (
 	guestKeys   = jsonx.NewKeys("name", "proc_mips", "mem_mb", "stor_gb")
 	vlinkKeys   = jsonx.NewKeys("from", "to", "bw_mbps", "lat_ms")
 	mappingKeys = jsonx.NewKeys("guest_host", "link_paths", "link_edges", "objective")
+	clusterKeys = jsonx.NewKeys("nodes", "hosts", "links")
+	hostKeys    = jsonx.NewKeys("node", "name", "proc_mips", "mem_mb", "stor_gb")
+	linkKeys    = jsonx.NewKeys("a", "b", "bw_mbps", "lat_ms")
 )
 
 // scanGuest decodes one guest into g, taking last for its name when the
@@ -118,6 +121,55 @@ func scanVLink(s *jsonx.Scanner, l *VLinkSpec) {
 			l.From = s.Int()
 		case 1: // to
 			l.To = s.Int()
+		case 2: // bw_mbps
+			l.BW = s.Float64()
+		case 3: // lat_ms
+			l.Lat = s.Float64()
+		}
+	}
+}
+
+// Scan decodes a WAL snapshot's ClusterSpec into c, the zero value, or fails s.
+func (c *ClusterSpec) Scan(s *jsonx.Scanner) {
+	var f jsonx.Fields
+	for s.Open('{'); s.More('}'); {
+		switch s.Field(clusterKeys, &f) {
+		case 0: // nodes
+			c.Nodes = s.Int()
+		case 1: // hosts
+			c.Hosts = jsonx.List(s, func() (h HostSpec) { scanHost(s, &h); return h })
+		case 2: // links
+			c.Links = jsonx.List(s, func() (l LinkSpec) { scanLink(s, &l); return l })
+		}
+	}
+}
+
+func scanHost(s *jsonx.Scanner, h *HostSpec) {
+	var f jsonx.Fields
+	for s.Open('{'); s.More('}'); {
+		switch s.Field(hostKeys, &f) {
+		case 0: // node
+			h.Node = s.Int()
+		case 1: // name
+			h.Name = s.String()
+		case 2: // proc_mips
+			h.Proc = s.Float64()
+		case 3: // mem_mb
+			h.Mem = s.Int64()
+		case 4: // stor_gb
+			h.Stor = s.Float64()
+		}
+	}
+}
+
+func scanLink(s *jsonx.Scanner, l *LinkSpec) {
+	var f jsonx.Fields
+	for s.Open('{'); s.More('}'); {
+		switch s.Field(linkKeys, &f) {
+		case 0: // a
+			l.A = s.Int()
+		case 1: // b
+			l.B = s.Int()
 		case 2: // bw_mbps
 			l.BW = s.Float64()
 		case 3: // lat_ms

@@ -9,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/jsonx"
 	"repro/internal/spec"
 )
 
@@ -410,6 +412,157 @@ func TestSnapshotEncodingMatchesMarshal(t *testing.T) {
 	}
 }
 
+// snapCase is one snapshot file the decoder is held to json.Unmarshal
+// on: whether the scanner takes it, and whether its bytes are the
+// encoder's, which a decoded value must re-encode to.
+type snapCase struct {
+	name             string
+	data             []byte
+	scanned, encoded bool
+}
+
+// decodeCases returns the snapshots TestSnapshotEncodingMatchesMarshal
+// encodes, after ops operations rather than its 40 (null sessions and
+// an escaped session ID decline), the checkpoint fixture (its first_off
+// declines), and edits of the full snapshot: null sessions, blanks, a
+// repeated key and a three-number sum_proc, which json.Unmarshal
+// truncates, decline; a ledger float with an exponent does not.
+func decodeCases(t testing.TB, ops int) []snapCase {
+	c, cs := testCluster(t)
+	s, err := core.NewSession(c, cluster.VMMOverhead{Proc: 12.5, Mem: 64, Stor: 1.25}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ops; i++ {
+		applyOp(t, s, c, i)
+	}
+	if _, err := s.FailLink(0); err != nil {
+		t.Fatal(err)
+	}
+	full := ExportSession("s3", cs, "HMN", cluster.VMMOverhead{Proc: 12.5, Mem: 64, Stor: 1.25}, 9, s)
+	if len(full.Active) == 0 || len(full.Ledger.CutEdges) == 0 {
+		t.Fatal("the export has no deployments or no cut link")
+	}
+	declined := full
+	declined.SID = "s<4>"
+	var cases []snapCase
+	for i, snap := range []Snapshot{
+		{FirstSeg: 1},
+		{FirstSeg: 3, MaxSession: 7, Sessions: []SessionSnap{}},
+		{FirstSeg: 2, MaxSession: 3, Sessions: []SessionSnap{full, ExportSession("s4", cs, "", cluster.VMMOverhead{}, 0, s)}},
+		{FirstSeg: 2, Sessions: []SessionSnap{declined}},
+	} {
+		b, err := snap.appendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, snapCase{fmt.Sprintf("encoded %d", i), b, i == 1 || i == 2, true})
+	}
+	fullJSON := cases[2].data
+	fixture, err := os.ReadFile(filepath.Join(checkpointFixture, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, fullJSON, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	edit := func(old, new string) []byte {
+		if !bytes.Contains(fullJSON, []byte(old)) {
+			t.Fatalf("the full snapshot has no %s", old)
+		}
+		return bytes.Replace(fullJSON, []byte(old), []byte(new), 1)
+	}
+	return append(cases,
+		snapCase{name: "first_off", data: fixture},
+		snapCase{name: "null sessions", data: []byte(`{"first_seg":4,"max_session":1,"sessions":null}`)},
+		snapCase{name: "indented", data: indented.Bytes()},
+		snapCase{name: "repeated key", data: []byte(`{"first_seg":2,"first_seg":5,"sessions":[]}`)},
+		snapCase{name: "exponent", data: edit(`"ledger":{"proc":[`, `"ledger":{"proc":[1.25e3,`), scanned: true},
+		snapCase{name: "three-number sum_proc", data: edit(`"sum_proc":[`, `"sum_proc":[7,`)},
+	)
+}
+
+// decodeAgrees holds decodeSnapshot to json.Unmarshal on one snapshot
+// file: where the scanner accepts, its value is json.Unmarshal's but for
+// the compact bytes an environment keeps of itself; where it declines,
+// decodeSnapshot answers json.Unmarshal's value or error. It reports
+// whether the scanner accepted.
+func decodeAgrees(t *testing.T, data []byte) bool {
+	t.Helper()
+	var want Snapshot
+	wantErr := json.Unmarshal(data, &want)
+	var s jsonx.Scanner
+	s.Reset(data)
+	scanned := new(Snapshot).scan(&s)
+	if scanned && wantErr != nil {
+		t.Fatalf("the scanner took %q, which json.Unmarshal refuses: %v", data, wantErr)
+	}
+	got, err := decodeSnapshot(data)
+	if wantErr != nil {
+		if err == nil || err.Error() != "wal: decode snapshot: "+wantErr.Error() {
+			t.Fatalf("decoding %q: %v, json.Unmarshal: %v", data, err, wantErr)
+		}
+		return false
+	}
+	if err != nil {
+		t.Fatalf("decoding %q: %v, json.Unmarshal took it", data, err)
+	}
+	if g, w := withoutEnvBytes(*got), withoutEnvBytes(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%q decodes as\n%#v\njson.Unmarshal decodes\n%#v", data, g, w)
+	}
+	return scanned
+}
+
+// withoutEnvBytes is snap without the bytes an environment the scanner
+// decoded keeps of its input, which json.Unmarshal cannot fill.
+func withoutEnvBytes(snap Snapshot) Snapshot {
+	snap.size, snap.took = 0, 0
+	snap.Sessions = slices.Clone(snap.Sessions)
+	for i := range snap.Sessions {
+		sn := &snap.Sessions[i]
+		sn.Active = slices.Clone(sn.Active)
+		for j := range sn.Active {
+			e := &sn.Active[j].Env
+			*e = spec.EnvSpec{Guests: e.Guests, Links: e.Links}
+		}
+	}
+	return snap
+}
+
+// TestSnapshotDecodeMatchesUnmarshal holds the snapshot decoder to
+// json.Unmarshal on decodeCases: the scanner takes what it should, every
+// value is json.Unmarshal's, and a snapshot the encoder wrote re-encodes
+// from its decoded value to the same bytes.
+func TestSnapshotDecodeMatchesUnmarshal(t *testing.T) {
+	for _, tc := range decodeCases(t, 40) {
+		if got := decodeAgrees(t, tc.data); got != tc.scanned {
+			t.Errorf("%s: scanner accepted %v, want %v", tc.name, got, tc.scanned)
+		}
+		if !tc.encoded {
+			continue
+		}
+		snap, err := decodeSnapshot(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := snap.appendJSON(nil); err != nil || !bytes.Equal(again, tc.data) {
+			t.Errorf("%s re-encodes as\n%s\nnot\n%s", tc.name, again, tc.data)
+		}
+	}
+}
+
+// FuzzSnapshotDecode is decodeAgrees on arbitrary bytes, seeded with
+// decodeCases of a shorter history: the engine minimizes every input
+// that finds new coverage, which on a large seed takes most of a short
+// run. CI runs it for a short burst; `make fuzz` for longer.
+func FuzzSnapshotDecode(f *testing.F) {
+	for _, tc := range decodeCases(f, 8) {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { decodeAgrees(t, data) })
+}
+
 // TestSnapshotFsyncFailureFaultsLog fails the fsync a snapshot's rotation
 // makes: the log faults, so no later barrier can acknowledge a frame the
 // failed fsync may have dropped.
@@ -474,6 +627,9 @@ func TestSnapshotInsideSegmentRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	if res.SnapshotBytes != int64(len(raw)) || res.SnapshotTime <= 0 {
+		t.Errorf("recovery restored a snapshot of %d bytes in %v, want %d bytes in some time", res.SnapshotBytes, res.SnapshotTime, len(raw))
+	}
 	h := sha256.New()
 	var sids []string
 	for _, rs := range res.Sessions {

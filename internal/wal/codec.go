@@ -177,7 +177,7 @@ func (d *decoder) scan(s *jsonx.Scanner) bool {
 			r.Index = s.Uint64()
 		case 3: // admit
 			r.Admit = &d.admit
-			d.scanAdmit(s)
+			scanAdmit(s, &d.admit, &d.arena)
 		case 4: // release
 			r.Release = &d.release
 			d.release = ReleaseRec{}
@@ -200,8 +200,10 @@ var (
 	releaseKeys = jsonx.NewKeys("seq")
 )
 
-func (d *decoder) scanAdmit(s *jsonx.Scanner) {
-	a := &d.admit
+// scanAdmit decodes an admit body into a: a log record's into reused
+// storage, paths in arena, or (arena nil) a snapshot entry's into a fresh
+// one that keeps its env's compact bytes for the next snapshot to write.
+func scanAdmit(s *jsonx.Scanner, a *AdmitRec, arena *spec.PathArena) {
 	a.Seq, a.Tag = 0, ""
 	env, m := false, false
 	var f jsonx.Fields
@@ -213,12 +215,15 @@ func (d *decoder) scanAdmit(s *jsonx.Scanner) {
 			a.Tag = s.String()
 		case 2: // env
 			env = true
-			if !a.Env.ScanReuse(s) {
+			mark := s.Mark() // ScanJSON marks here too: Since sees the env's blanks
+			if arena != nil && !a.Env.ScanReuse(s) || arena == nil && !a.Env.ScanJSON(s) {
 				s.Fail()
+			} else if _, compact := s.Since(mark); arena == nil && !compact {
+				s.Fail() // no snapshot writes blanks
 			}
 		case 3: // mapping
 			m = true
-			if !a.M.ScanReuse(s, &d.arena) {
+			if arena != nil && !a.M.ScanReuse(s, arena) || arena == nil && !a.M.ScanJSON(s) {
 				s.Fail()
 			}
 		}

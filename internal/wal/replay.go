@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -323,6 +324,10 @@ type Recovery struct {
 	// when a fail or migrate record of their session came, and every one
 	// replayed after its session's first fail or migrate record.
 	Effects, Built int
+	// SnapshotBytes is the size of the snapshot the pass started from and
+	// SnapshotTime what loading and restoring it took, apart from the log.
+	SnapshotBytes int64
+	SnapshotTime  time.Duration
 }
 
 // replay runs p as the one pass of recovery: every record of segs is
@@ -331,10 +336,12 @@ type Recovery struct {
 // log. A record that diverges, names an unknown session or fails to
 // decode aborts the pass with nothing published.
 func (p *logPass) replay(snap *Snapshot, segs []uint64, onRecord func(*Replayed, *Record)) (*Recovery, error) {
+	start := time.Now() //hmn:wallclock
 	rp, err := newReplayer(snap, onRecord)
 	if err != nil {
 		return nil, err
 	}
+	restored := time.Since(start) //hmn:wallclock
 	rp.pass, rp.frames.dir = p, p.dir
 	defer rp.frames.close()
 	p.reuse, p.fn = true, rp.apply
@@ -350,9 +357,13 @@ func (p *logPass) replay(snap *Snapshot, segs []uint64, onRecord func(*Replayed,
 			return nil, err
 		}
 	}
-	return &Recovery{
+	res := &Recovery{
 		Sessions: sessions, MaxSession: rp.maxSession,
 		Records: rp.seen, Bytes: p.bytes, TruncatedBytes: p.truncated,
 		Effects: rp.effects, Built: rp.built,
-	}, nil
+	}
+	if snap != nil {
+		res.SnapshotBytes, res.SnapshotTime = snap.size, snap.took+restored
+	}
+	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/jsonx"
@@ -42,8 +43,9 @@ type Snapshot struct {
 	// Sessions are the open sessions, in session-ID order.
 	Sessions []SessionSnap `json:"sessions"`
 
-	// size is the snapshot file's length, as loaded.
+	// size and took are the file's length and the time loading it took.
 	size int64
+	took time.Duration
 }
 
 // SessionSnap is one session's exported state.
@@ -82,6 +84,7 @@ type ActiveRec struct {
 // nil) — a log-only directory is valid (the daemon may die before its
 // first snapshot).
 func loadSnapshot(dir string) (*Snapshot, error) {
+	start := time.Now() //hmn:wallclock
 	buf, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -89,12 +92,125 @@ func loadSnapshot(dir string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: read snapshot: %w", err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf, &snap); err != nil {
+	snap, err := decodeSnapshot(buf)
+	if err != nil {
+		return nil, err
+	}
+	snap.size, snap.took = int64(len(buf)), time.Since(start) //hmn:wallclock
+	return snap, nil
+}
+
+// decodeSnapshot decodes a snapshot file under decoder.decode's contract;
+// the scanner declines an unknown or repeated key, null, blanks inside an
+// environment and a sum_proc that is not two numbers.
+func decodeSnapshot(buf []byte) (*Snapshot, error) {
+	snap := new(Snapshot)
+	var s jsonx.Scanner
+	s.Reset(buf)
+	if snap.scan(&s) {
+		return snap, nil
+	}
+	*snap = Snapshot{}
+	if err := json.Unmarshal(buf, snap); err != nil {
 		return nil, fmt.Errorf("wal: decode snapshot: %w", err)
 	}
-	snap.size = int64(len(buf))
-	return &snap, nil
+	return snap, nil
+}
+
+// The keys of a snapshot, a session and a ledger, in json.Marshal's order.
+var (
+	snapshotKeys = jsonx.NewKeys("first_seg", "max_session", "sessions")
+	sessionKeys  = jsonx.NewKeys("sid", "cluster", "mapper", "overhead_proc", "overhead_mem",
+		"overhead_stor", "next_env", "next_seq", "op_count", "ledger", "active")
+	ledgerKeys = jsonx.NewKeys("proc", "mem", "stor", "bw", "quarantined", "cut_edges",
+		"topo_gen", "cut_count", "gen_seq", "sum_proc", "sum_proc_sq")
+)
+
+// scan decodes the whole input into snap, which must be the zero value,
+// and reports whether it accepted it.
+func (snap *Snapshot) scan(s *jsonx.Scanner) bool {
+	var f jsonx.Fields
+	for s.Open('{'); s.More('}'); {
+		switch s.Field(snapshotKeys, &f) {
+		case 0: // first_seg
+			snap.FirstSeg = s.Uint64()
+		case 1: // max_session
+			snap.MaxSession = s.Int()
+		case 2: // sessions
+			snap.Sessions = jsonx.List(s, func() (sn SessionSnap) { sn.scan(s); return sn })
+		}
+	}
+	return s.End()
+}
+
+func (sn *SessionSnap) scan(s *jsonx.Scanner) {
+	var f jsonx.Fields
+	for s.Open('{'); s.More('}'); {
+		switch s.Field(sessionKeys, &f) {
+		case 0: // sid
+			sn.SID = s.String()
+		case 1: // cluster
+			sn.Cluster.Scan(s)
+		case 2: // mapper
+			sn.Mapper = s.String()
+		case 3: // overhead_proc
+			sn.Proc = s.Float64()
+		case 4: // overhead_mem
+			sn.Mem = s.Int64()
+		case 5: // overhead_stor
+			sn.Stor = s.Float64()
+		case 6: // next_env
+			sn.NextEnv = s.Uint64()
+		case 7: // next_seq
+			sn.NextSeq = s.Uint64()
+		case 8: // op_count
+			sn.OpCount = s.Uint64()
+		case 9: // ledger
+			scanLedger(s, &sn.Ledger)
+		case 10: // active
+			sn.Active = jsonx.List(s, func() (a ActiveRec) { scanAdmit(s, (*AdmitRec)(&a), nil); return a })
+		}
+	}
+}
+
+func scanLedger(s *jsonx.Scanner, l *cluster.LedgerState) {
+	var f jsonx.Fields
+	for s.Open('{'); s.More('}'); {
+		switch s.Field(ledgerKeys, &f) {
+		case 0: // proc
+			l.Proc = jsonx.List(s, s.Float64)
+		case 1: // mem
+			l.Mem = jsonx.List(s, s.Int64)
+		case 2: // stor
+			l.Stor = jsonx.List(s, s.Float64)
+		case 3: // bw
+			l.BW = jsonx.List(s, s.Float64)
+		case 4: // quarantined
+			l.Quarantined = jsonx.List(s, s.Bool)
+		case 5: // cut_edges
+			l.CutEdges = jsonx.List(s, s.Bool)
+		case 6: // topo_gen
+			l.TopoGen = s.Uint64()
+		case 7: // cut_count
+			l.CutCount = s.Int()
+		case 8: // gen_seq
+			l.GenSeq = s.Uint64()
+		case 9: // sum_proc
+			l.SumProc = scanPair(s)
+		case 10: // sum_proc_sq
+			l.SumProcSq = scanPair(s)
+		}
+	}
+}
+
+// scanPair decodes an array of exactly two numbers: json.Unmarshal
+// zero-fills a shorter one and drops the rest of a longer one.
+func scanPair(s *jsonx.Scanner) *[2]float64 {
+	if p := jsonx.List(s, s.Float64); len(p) == 2 {
+		return (*[2]float64)(p)
+	}
+	s.Fail()
+	return nil
 }
 
 // appendJSON appends the snapshot's encoding — json.Marshal's bytes,

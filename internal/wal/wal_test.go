@@ -24,7 +24,7 @@ const testSID = "s1"
 
 // testCluster is a 12-host 4x3 torus drawn from the paper's capacity
 // distribution — small enough for many full-recovery cycles per test.
-func testCluster(t *testing.T) (*cluster.Cluster, spec.ClusterSpec) {
+func testCluster(t testing.TB) (*cluster.Cluster, spec.ClusterSpec) {
 	t.Helper()
 	p := workload.PaperClusterParams()
 	p.Hosts = 12
@@ -81,7 +81,7 @@ func loggedSessionAs(t *testing.T, w *WAL, c *cluster.Cluster, cs spec.ClusterSp
 // fail/repair/restore pairs. The schedule is a pure function of i
 // and the session state, so a reference run and a crash-recovered run
 // fed the same indices perform identical operations.
-func applyOp(t *testing.T, s *core.Session, c *cluster.Cluster, i int) {
+func applyOp(t testing.TB, s *core.Session, c *cluster.Cluster, i int) {
 	t.Helper()
 	hosts := c.HostNodes()
 	switch i % 8 {
