@@ -61,14 +61,15 @@
 // Federation: -shards N switches the daemon into sharded multi-cluster
 // mode — N fully independent shards (each its own session, ledger and
 // WAL directory) behind a router that places each environment by
-// consistent hashing with a best-fit fallback, admitting on per-shard
-// workers so unrelated environments never contend on a lock or an
-// fsync. -shard-cluster names a cluster-spec JSON file instantiated once
-// per shard; -gateway-bw budgets the inter-shard bandwidth that split
-// admissions may charge. -queue bounds each shard's operation queue,
-// and the durability and rebalancing flags apply per shard (-data-dir
-// holds one WAL directory per shard plus the tenant registry, and a
-// restart recovers every shard before serving):
+// consistent hashing with a best-fit fallback. A request runs on its
+// own goroutine, serialized per shard by the shard's session lock, so
+// unrelated environments never contend on a lock or an fsync.
+// -shard-cluster names a cluster-spec JSON file instantiated once per
+// shard; -gateway-bw budgets the inter-shard bandwidth that split
+// admissions may charge. There is no admission queue, so -queue is a
+// usage error; the durability and rebalancing flags apply per shard
+// (-data-dir holds one WAL directory per shard plus the tenant
+// registry, and a restart recovers every shard before serving):
 //
 //	hmnd -addr :8080 -shards 4 -shard-cluster cluster.json -gateway-bw 100 -data-dir /var/lib/hmnd
 //
@@ -86,7 +87,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -114,7 +114,7 @@ func configure(args []string) (func() error, error) {
 	fs := flag.NewFlagSet("hmnd", flag.ExitOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		queue     = fs.Int("queue", 64, "admission queue depth (with -shards: each shard's operation queue)")
+		queue     = fs.Int("queue", 64, "admission queue depth")
 		timeout   = fs.Duration("timeout", 30*time.Second, "per-request timeout (queue wait included)")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -128,6 +128,8 @@ func configure(args []string) (func() error, error) {
 		shardSpec = fs.String("shard-cluster", "", "cluster spec JSON instantiated once per shard (needs -shards; optional when -data-dir holds recoverable state)")
 	)
 	fs.Parse(args) // ExitOnError: a malformed command line never returns
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	err := profileConfig(*mutexFrac, *blockRate)
 	var cfg server.Config
@@ -138,6 +140,8 @@ func configure(args []string) (func() error, error) {
 	case err != nil:
 	case *shards <= 0 && (*gatewayBW != 0 || *shardSpec != ""):
 		err = errors.New("-gateway-bw and -shard-cluster need -shards")
+	case *shards > 0 && set["queue"]:
+		err = errors.New("-queue bounds the classic admission queue; -shards has none")
 	case *shards > 0:
 		err = federationConfig(&cfg, *shards, *gatewayBW, *shardSpec)
 	}
@@ -258,13 +262,13 @@ func run(addr string, cfg server.Config, federation bool, drain time.Duration, p
 		defer pprofSrv.Close()
 	}
 
-	workers := "1 per shard"
-	if !federation {
-		workers = strconv.Itoa(runtime.GOMAXPROCS(0))
+	listening := fmt.Sprintf("listening on %s (workers=%d queue=%d timeout=%v)", addr, runtime.GOMAXPROCS(0), cfg.QueueDepth, cfg.RequestTimeout)
+	if federation {
+		listening = fmt.Sprintf("listening on %s (timeout=%v)", addr, cfg.RequestTimeout)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (workers=%s queue=%d timeout=%v)", addr, workers, cfg.QueueDepth, cfg.RequestTimeout)
+		logger.Print(listening)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

@@ -37,7 +37,8 @@ func TestBuildConfig(t *testing.T) {
 }
 
 // TestFlagsOfTheOtherModeAreUsageErrors pins the flags that mean
-// nothing without -shards: given there, they used to be accepted and
+// nothing in the other mode — -gateway-bw and -shard-cluster without
+// -shards, -queue with it: given there, they used to be accepted and
 // ignored.
 func TestFlagsOfTheOtherModeAreUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
@@ -46,6 +47,7 @@ func TestFlagsOfTheOtherModeAreUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-gateway-bw", "50"}, "-gateway-bw and -shard-cluster need -shards"},
 		{[]string{"-shard-cluster", "cluster.json"}, "-gateway-bw and -shard-cluster need -shards"},
+		{[]string{"-shards", "2", "-shard-cluster", "cluster.json", "-queue", "8"}, "-queue bounds the classic admission queue; -shards has none"},
 	} {
 		if _, err := configure(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("configure(%v) = %v, want the usage error %q", tc.args, err, tc.want)
@@ -73,20 +75,26 @@ func TestProfileFlagsValidatedInFederationMode(t *testing.T) {
 // and timeout flags mean the same thing with and without -shards, so a
 // bad value is the same usage error in both modes — raised before the
 // federation's cluster spec (a file that does not exist here) is read.
+// A classic-only row checks the classic mode alone.
 func TestSharedFlagsValidateTheSameInBothModes(t *testing.T) {
 	for _, tc := range []struct {
-		args []string
-		want string
+		args        []string
+		want        string
+		classicOnly bool
 	}{
-		{[]string{"-timeout", "0s"}, "-timeout must be positive, got 0s"},
-		{[]string{"-queue", "0"}, "-queue must be positive, got 0"},
-		{[]string{"-data-dir", "x", "-snapshot-interval", "-1s"}, "-snapshot-interval must be >= 0, got -1s"},
-		{[]string{"-rebalance-max-moves", "-1"}, "-rebalance-max-moves must be >= 0, got -1"},
+		{[]string{"-timeout", "0s"}, "-timeout must be positive, got 0s", false},
+		{[]string{"-queue", "0"}, "-queue must be positive, got 0", true},
+		{[]string{"-data-dir", "x", "-snapshot-interval", "-1s"}, "-snapshot-interval must be >= 0, got -1s", false},
+		{[]string{"-rebalance-max-moves", "-1"}, "-rebalance-max-moves must be >= 0, got -1", false},
 	} {
-		_, classic := configure(tc.args)
-		_, fed := configure(append([]string{"-shards", "2", "-shard-cluster", "cluster.json"}, tc.args...))
-		if classic == nil || fed == nil || classic.Error() != tc.want || fed.Error() != tc.want {
-			t.Errorf("configure(%v) = %v, with -shards %v; want the usage error %q from both", tc.args, classic, fed, tc.want)
+		if _, classic := configure(tc.args); classic == nil || classic.Error() != tc.want {
+			t.Errorf("configure(%v) = %v, want the usage error %q", tc.args, classic, tc.want)
+		}
+		if tc.classicOnly {
+			continue
+		}
+		if _, fed := configure(append([]string{"-shards", "2", "-shard-cluster", "cluster.json"}, tc.args...)); fed == nil || fed.Error() != tc.want {
+			t.Errorf("configure(%v) with -shards = %v, want the usage error %q", tc.args, fed, tc.want)
 		}
 	}
 }

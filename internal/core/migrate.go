@@ -99,7 +99,6 @@ func (s *Session) commitMigrateLocked(norm []GuestMove, envs []*migrateEnvState,
 		s.active[es.nm] = activeEntry{seq: es.seq, tag: es.tag}
 		info.Envs = append(info.Envs, MigrateEnvInfo{Seq: es.seq, Tag: es.tag, Env: es.old.Env, M: es.nm})
 	}
-	s.version++
 	s.emitLocked(Event{Type: EventMigrate, Migrate: info})
 	return cur - after, nil
 }
@@ -369,7 +368,6 @@ func (s *Session) ReplayMigrate(moves []GuestMove, envs []ReplayMigrateEnv) erro
 		s.active[es.nm] = activeEntry{seq: es.seq, tag: es.tag}
 		info.Envs = append(info.Envs, MigrateEnvInfo{Seq: es.seq, Tag: es.tag, Env: es.old.Env, M: es.nm})
 	}
-	s.version++
 	s.emitLocked(Event{Type: EventMigrate, Migrate: info})
 	return nil
 }

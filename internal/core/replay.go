@@ -144,9 +144,9 @@ func (s *Session) replayAdmitLocked(v *virtual.Env, m *mapping.Mapping, tag stri
 
 // ReplayAdmitEffect re-applies one logged admission as its effect: e is
 // committed through the canonical funnel, as ReplayAdmit commits the
-// mapping e is the effect of, and must receive wantSeq — the ledger, the
-// sequence and operation counters and the version move exactly as they
-// would — but no mapping is registered. The admission is pending until
+// mapping e is the effect of, and must receive wantSeq — the ledger and
+// the sequence and operation counters move exactly as they would — but
+// no mapping is registered. The admission is pending until
 // ReplayReleaseEffect undoes it or ReplayAdoptEffect registers the
 // mapping built for it. Nothing that reads the deployed environments
 // (a failure, a migrate, Export, Release) sees a pending admission, so a
@@ -169,7 +169,6 @@ func (s *Session) ReplayAdmitEffect(e *mapping.Effect, wantSeq uint64) error {
 	if err := s.led.Commit(s.txn); err != nil {
 		return fmt.Errorf("%w: logged admission seq %d no longer fits: %v", ErrReplayDiverged, wantSeq, err)
 	}
-	s.version++
 	s.nextSeq++
 	s.opCount++
 	return nil
@@ -190,7 +189,6 @@ func (s *Session) ReplayReleaseEffect(e *mapping.Effect) {
 		s.led.ReleaseEdges(e.Edges[start:l.End], l.BW)
 		start = l.End
 	}
-	s.version++
 	s.opCount++
 }
 

@@ -49,10 +49,6 @@ type Session struct {
 	// can re-bind its HTTP identifiers; repairs carry it over.
 	active  map[*mapping.Mapping]activeEntry //hmn:guardedby mu
 	nextSeq uint64                           //hmn:guardedby mu
-	// version counts committed state changes (admissions, releases,
-	// failures, restorations, migrations): the epoch a ResidualSummary is
-	// stamped with.
-	version uint64 //hmn:guardedby mu
 	// ar caches Dijkstra latency tables across admissions; see arCache.
 	ar *arCache
 	// snap is the scratch copy of led every attempt speculates on: a
@@ -320,12 +316,11 @@ func (s *Session) emitAdmitLocked(seq uint64, tag string, v *virtual.Env, m *map
 	s.emitLocked(Event{Type: EventAdmit, Admit: &AdmitInfo{Seq: seq, Tag: tag, Env: v, M: m}})
 }
 
-// admitLocked registers m as active and bumps the version. Callers hold
-// s.mu and have already applied m's reservations to s.led.
+// admitLocked registers m as active. Callers hold s.mu and have already
+// applied m's reservations to s.led.
 //
 //hmn:locked mu
 func (s *Session) admitLocked(m *mapping.Mapping, tag string) uint64 {
-	s.version++
 	s.nextSeq++
 	s.active[m] = activeEntry{seq: s.nextSeq, tag: tag}
 	return s.nextSeq
@@ -476,7 +471,6 @@ func (s *Session) failHostLocked(node graph.NodeID) ([]*mapping.Mapping, []activ
 		s.releaseLocked(m)
 	}
 	s.led.Quarantine(node)
-	s.version++
 	return affected, entries, nil
 }
 
@@ -557,7 +551,6 @@ func (s *Session) failLinkLocked(edgeID int) ([]*mapping.Mapping, []activeEntry,
 		s.releaseLocked(m)
 	}
 	s.led.CutEdge(edgeID)
-	s.version++
 	return affected, entries, nil
 }
 
@@ -584,7 +577,6 @@ func (s *Session) RestoreLink(edgeID int) error {
 		return fmt.Errorf("%w: edge %d", ErrNotFailed, edgeID)
 	}
 	s.led.RestoreEdge(edgeID)
-	s.version++
 	s.emitLocked(Event{Type: EventRestore, Restore: &RestoreInfo{Kind: "link", Target: edgeID}})
 	return nil
 }
@@ -604,7 +596,6 @@ func (s *Session) RestoreHost(node graph.NodeID) error {
 		return fmt.Errorf("%w: host %d", ErrNotFailed, node)
 	}
 	s.led.Unquarantine(node)
-	s.version++
 	s.emitLocked(Event{Type: EventRestore, Restore: &RestoreInfo{Kind: "host", Target: int(node)}})
 	return nil
 }
@@ -666,5 +657,4 @@ func (s *Session) releaseLocked(m *mapping.Mapping) {
 		s.led.ReleaseBandwidth(p, m.Env.Link(l).BW)
 	}
 	delete(s.active, m)
-	s.version++
 }

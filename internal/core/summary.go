@@ -1,78 +1,34 @@
 package core
 
-// ResidualSummary is the compact headroom digest a federation router
-// keeps per shard: enough to pick a destination without touching the
-// shard's ledger again until the epoch moves. It is a consistent cut of
-// the session under one lock acquisition, stamped with the session's
-// version counter so a router can tell a stale summary from a fresh one
-// without comparing any of the payload fields.
+// ResidualSummary is a shard's headroom census: the residual CPU the
+// federation router re-centers its view on after a capacity change,
+// and the host and guest counts the census endpoint reports.
 type ResidualSummary struct {
-	// Epoch is the session's committed-change counter at capture time.
-	// Two summaries with equal epochs describe identical ledger states.
-	Epoch uint64
-	// TotalProc and MaxProc are the sum and maximum of residual CPU
-	// (MIPS) across non-quarantined hosts — the shard's aggregate
-	// headroom and the largest single environment fragment it could
-	// still host.
+	// TotalProc is the sum of residual CPU (MIPS) across
+	// non-quarantined hosts.
 	TotalProc float64
-	MaxProc   float64
-	// MinLinkBW and MaxLinkBW bound the residual bandwidth (Mbps)
-	// across un-cut physical links: the bottleneck link's headroom and
-	// the best single-link headroom.
-	MinLinkBW float64
-	MaxLinkBW float64
-	// Hosts counts non-quarantined hosts; Envs and Guests count the
-	// deployed environments and their guests.
+	// Hosts counts non-quarantined hosts and Guests the guests of the
+	// deployed environments.
 	Hosts  int
-	Envs   int
 	Guests int
 }
 
-// ResidualSummary captures the shard-routing digest in one O(H+E+G)
-// pass under the session lock.
+// ResidualSummary captures the census in one pass over the hosts and
+// the deployed environments, under the session lock.
 func (s *Session) ResidualSummary() ResidualSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sum := ResidualSummary{Epoch: s.version, Envs: len(s.active)}
+	var sum ResidualSummary
 	for _, node := range s.c.HostNodes() {
 		if s.led.Quarantined(node) {
 			continue
 		}
-		r := s.led.ResidualProc(node)
-		sum.TotalProc += r
-		if r > sum.MaxProc {
-			sum.MaxProc = r
-		}
+		sum.TotalProc += s.led.ResidualProc(node)
 		sum.Hosts++
-	}
-	net := s.c.Net()
-	firstEdge := true
-	for e := 0; e < net.NumEdges(); e++ {
-		if s.led.EdgeCut(e) {
-			continue
-		}
-		bw := s.led.ResidualBandwidth(e)
-		if firstEdge || bw < sum.MinLinkBW {
-			sum.MinLinkBW = bw
-		}
-		if firstEdge || bw > sum.MaxLinkBW {
-			sum.MaxLinkBW = bw
-		}
-		firstEdge = false
 	}
 	//hmn:orderinvariant
 	for m := range s.active {
 		sum.Guests += len(m.GuestHost)
 	}
 	return sum
-}
-
-// Version returns the session's committed-change counter. It moves on
-// every admission, release, failure, restore and migration commit, so
-// an unchanged version between two reads proves no state change
-// happened in between — the epoch a ResidualSummary is stamped with.
-func (s *Session) Version() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
 }

@@ -25,7 +25,8 @@ type domain struct {
 	// mutate runs op — a failure, a restore — on the domain's session,
 	// serialized and made durable the way the mode does it (the admission
 	// queue, then the ack barrier on the handler's goroutine, for a
-	// classic session; the shard's worker for a federation's), and
+	// classic session; the federation, on the handler's goroutine under
+	// the shard's session lock, for a shard), and
 	// reconciles the owner's environment registry with the repair results
 	// op returned.
 	mutate func(ctx context.Context, op func(*core.Session) ([]core.RepairResult, error)) ([]core.RepairResult, error)

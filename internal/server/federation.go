@@ -119,8 +119,8 @@ func (s *Server) tenantEnvs() int {
 	return s.fed.Stats().Envs
 }
 
-// shardDomain resolves /v1/shards/{k}/… to shard k: operations run on
-// the shard's worker, and the federation reconciles its own registry.
+// shardDomain resolves /v1/shards/{k}/… to shard k: operations run
+// through the federation, which reconciles its own registry.
 func (s *Server) shardDomain(w http.ResponseWriter, r *http.Request) (domain, bool) {
 	k, ok := pathInt(w, r, "shard")
 	if !ok {
@@ -285,13 +285,15 @@ func (s *Server) handleShards(w http.ResponseWriter, _ *http.Request) {
 		Tenants:         st.Tenants,
 	}
 	for k, sh := range st.Shards {
+		d, _ := s.fed.Shard(k)
+		sum := d.Session().ResidualSummary()
 		resp.Shards = append(resp.Shards, ShardReport{
 			Shard:        k,
 			Admissions:   sh.Admissions,
 			ActiveEnvs:   sh.ActiveEnvs,
 			ResidualProc: sh.ResidualProc,
-			Hosts:        sh.Summary.Hosts,
-			Guests:       sh.Summary.Guests,
+			Hosts:        sum.Hosts,
+			Guests:       sum.Guests,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -188,20 +188,6 @@ func TestFederationHTTPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFederationKeepsShardQueueDefault: the classic admission queue's
-// default depth (64) belongs to New; a federation built from a zero
-// Config leaves the depth to the shard layer, whose default is 256.
-func TestFederationKeepsShardQueueDefault(t *testing.T) {
-	if got := NewFederation(Config{}).domainCfg.QueueDepth; got != 0 {
-		t.Fatalf("a zero Config hands the shards a queue depth of %d; the shard layer's own default must apply", got)
-	}
-	if got := New(Config{}); cap(got.queue) != 64 {
-		t.Fatalf("classic admission queue defaults to %d, want 64", cap(got.queue))
-	} else {
-		got.Close()
-	}
-}
-
 // TestFederationHTTPErrors covers the errors only a federation can
 // answer; the ones it shares with the classic daemon are in
 // TestBothModesHTTPContract.

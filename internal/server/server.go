@@ -93,8 +93,7 @@ import (
 // defaults.
 type Config struct {
 	// QueueDepth bounds the classic admission queue (a full queue
-	// rejects with 503; default 64) or, on a federation, each shard's
-	// operation queue (default 256).
+	// rejects with 503; default 64).
 	QueueDepth int
 	// BatchSize is ignored. It sized the batched admission rounds PR 20
 	// deleted and survives only because the frozen benchmark harness
@@ -274,7 +273,6 @@ func newServer(cfg Config) *Server {
 		DataDir:           cfg.DataDir,
 		SnapshotInterval:  cfg.SnapshotInterval,
 		RebalanceMaxMoves: cfg.RebalanceMaxMoves,
-		QueueDepth:        cfg.QueueDepth,
 		Logf:              cfg.Logf,
 		Hooks: shard.Hooks{
 			OnWALRecord: walRecords.Inc,
@@ -448,7 +446,7 @@ func (s *Server) isDraining() bool {
 }
 
 // observeAdmit feeds one map attempt — a classic admission, or one
-// fragment on a shard worker — into the admission families.
+// fragment of a routed one — into the admission families.
 func (s *Server) observeAdmit(admit core.AdmitStats, seconds float64) {
 	s.mLatency.Observe(seconds)
 	s.mCommitLatency.Observe(admit.CommitSeconds)

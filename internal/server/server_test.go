@@ -388,6 +388,16 @@ func TestOverloadRejectsWith503(t *testing.T) {
 	}
 }
 
+// TestClassicQueueDefault: a zero Config gets the classic admission
+// queue's default depth.
+func TestClassicQueueDefault(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	if got := cap(s.queue); got != 64 {
+		t.Fatalf("classic admission queue defaults to %d, want 64", got)
+	}
+}
+
 // TestGracefulShutdown proves Close finishes in-flight maps, refuses
 // new work, and leaks no goroutines.
 func TestGracefulShutdown(t *testing.T) {

@@ -35,14 +35,10 @@ type Federation struct {
 	nextSID int                //hmn:guardedby mu
 	nextEnv int                //hmn:guardedby mu
 	closed  bool               //hmn:guardedby mu
-
-	// sendMu excludes a send to a shard worker vs Close closing the
-	// workers' queues: a caller holds it shared while it sends, so a call
-	// that races Close is refused instead of sending on a closed channel.
-	// A send may wait on a full queue while holding it; the wait ends,
-	// because no worker ever takes sendMu.
-	sendMu  sync.RWMutex
-	stopped bool //hmn:guardedby sendMu
+	// inflight counts the operations running on their callers: one
+	// enters only while the federation is open, and Close waits for
+	// every one before its final snapshots.
+	inflight sync.WaitGroup
 
 	stopSnapshots func() // nil without a snapshot cadence
 }
@@ -98,20 +94,12 @@ type Placement struct {
 	Split    bool
 }
 
-// fragOutcome is one fragment admission's outcome on its shard worker.
-type fragOutcome struct {
-	i   int
-	m   *mapping.Mapping
-	err error
-}
-
 // New builds a fresh federation of len(clusters) shards. The clusters
 // may share a *cluster.Cluster (sessions own their ledgers) or be
 // disjoint partitions of one fabric. With cfg.DataDir set, every shard
 // gets its own WAL directory and the tenant registry its meta file; a
 // directory that already holds state is refused — use Recover.
 func New(clusters []*cluster.Cluster, cfg Config) (*Federation, error) {
-	cfg = cfg.withDefaults()
 	if len(clusters) == 0 {
 		return nil, errors.New("shard: federation needs at least one cluster")
 	}
@@ -162,21 +150,18 @@ func (f *Federation) openShard(k int, c *cluster.Cluster) error {
 	return err
 }
 
-// start builds the router over the shards as they stand, launches the
-// workers and starts the snapshot cadence. Called once by New/Recover.
+// start builds the router over the shards as they stand and starts the
+// snapshot cadence. Called once by New/Recover.
 func (f *Federation) start() {
-	sums := make([]core.ResidualSummary, len(f.shards))
+	resProc := make([]float64, len(f.shards))
 	for k, sh := range f.shards {
-		sums[k] = sh.sess.ResidualSummary()
+		resProc[k] = sh.sess.ResidualSummary().TotalProc
 		sh.Index = k
-		sh.ops = make(chan func(), f.cfg.QueueDepth)
-		sh.done = make(chan struct{})
 		if sh.w != nil {
 			sh.export = f.exportShard(sh)
 		}
-		go sh.loop()
 	}
-	f.router = newRouter(sums, f.gw)
+	f.router = newRouter(resProc, f.gw)
 	if f.cfg.DataDir != "" && f.cfg.SnapshotInterval > 0 {
 		f.stopSnapshots = Every(f.cfg.SnapshotInterval, func() {
 			for _, sh := range f.shards {
@@ -211,29 +196,15 @@ func (f *Federation) Shard(k int) (*Shard, error) {
 // Gateway returns the inter-shard gateway (nil when GatewayBW is 0).
 func (f *Federation) Gateway() *Gateway { return f.gw }
 
-// send hands fn to sh's worker, blocking while its queue is full, unless
-// Close has begun: then fn never runs and the error is ErrClosed. Work
-// sent before Close still drains.
-func (f *Federation) send(sh *Shard, fn func()) error {
-	f.sendMu.RLock()
-	defer f.sendMu.RUnlock()
-	if f.stopped {
+// enter registers an operation unless Close has begun; the caller
+// calls f.inflight.Done when the operation returns.
+func (f *Federation) enter() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
 		return ErrClosed
 	}
-	sh.ops <- fn
-	return nil
-}
-
-// run sends fn to sh's worker and waits for it to finish.
-func (f *Federation) run(sh *Shard, fn func()) error {
-	done := make(chan struct{})
-	if err := f.send(sh, func() {
-		defer close(done)
-		fn()
-	}); err != nil {
-		return err
-	}
-	<-done
+	f.inflight.Add(1)
 	return nil
 }
 
@@ -302,19 +273,18 @@ func (f *Federation) HasTenant(sid string) bool {
 	return t != nil && !t.closing
 }
 
-// Admit routes v for tenant sid, admits its fragments on their shard
-// workers and waits for every one. The environment ID is assigned
-// first (and never reused, even if the admission fails); the plan
-// settles all-or-nothing: every fragment committed registers the
-// environment, any failure releases the committed siblings and refunds
-// the gateway. Routing runs on the calling goroutine: callers that
-// need deterministic placement submit from one goroutine.
+// Admit routes v for tenant sid and admits its fragments, in plan
+// order, on the calling goroutine. The environment ID is assigned first
+// (and never reused, even if the admission fails); the plan settles
+// all-or-nothing: every fragment committed registers the environment,
+// any failure releases the committed siblings and refunds the gateway.
+// Callers that need deterministic placement submit from one goroutine.
 func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return "", Placement{}, ErrClosed
+	if err := f.enter(); err != nil {
+		return "", Placement{}, err
 	}
+	defer f.inflight.Done()
+	f.mu.Lock()
 	if t := f.tenants[sid]; t == nil || t.closing {
 		f.mu.Unlock()
 		return "", Placement{}, fmt.Errorf("%w: %s", ErrUnknownTenant, sid)
@@ -329,44 +299,21 @@ func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error
 	}
 	n := len(pl.groups)
 	frags := make([]frag, n)
-	results := make(chan fragOutcome, n)
-	for i := range pl.groups {
-		g := pl.groups[i]
+	p := Placement{Fragments: make([]Fragment, n), CutBW: pl.cutBW, Fallback: pl.fallback, Split: pl.split}
+	var firstErr error
+	// Every fragment is attempted, even after one failed: each shard
+	// sees the same operations whichever fragment fails.
+	for i, g := range pl.groups {
 		tag := envTag(sid, eid)
 		if pl.split {
 			tag = fragTag(sid, eid, i+1, n, pl.cutBW)
 		}
 		frags[i] = frag{shard: g.shard, tag: tag, proc: g.proc}
-		idx, sh := i, f.shards[g.shard]
-		if err := f.send(sh, func() {
-			start := time.Now() //hmn:wallclock
-			m, st, err := sh.sess.MapTagged(g.env, tag)
-			if f.cfg.Hooks.OnAdmit != nil {
-				f.cfg.Hooks.OnAdmit(st, time.Since(start).Seconds()) //hmn:wallclock
-			}
-			if err == nil {
-				if berr := sh.barrier(); berr != nil {
-					// Committed but not durable: undo, never acknowledge.
-					_ = sh.sess.ReleaseTagged(tag)
-					m, err = nil, fmt.Errorf("shard %d durability barrier: %w", sh.Index, berr)
-				}
-			}
-			f.router.commit(sh.Index, err == nil, g.proc, sh.sess.ResidualSummary())
-			results <- fragOutcome{i: idx, m: m, err: err}
-		}); err != nil {
-			results <- fragOutcome{i: idx, err: err}
+		m, err := f.admitFrag(f.shards[g.shard], g, tag)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-	}
-
-	p := Placement{Fragments: make([]Fragment, n), CutBW: pl.cutBW, Fallback: pl.fallback, Split: pl.split}
-	var firstErr error
-	for range pl.groups {
-		o := <-results
-		if o.err != nil && firstErr == nil {
-			firstErr = o.err
-		}
-		g := pl.groups[o.i]
-		p.Fragments[o.i] = Fragment{Shard: g.shard, Guests: g.orig, Env: g.env, M: o.m, Tag: frags[o.i].tag}
+		p.Fragments[i] = Fragment{Shard: g.shard, Guests: g.orig, Env: g.env, M: m, Tag: tag}
 	}
 	if firstErr == nil {
 		f.mu.Lock()
@@ -383,7 +330,7 @@ func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error
 	}
 	for i, fr := range frags {
 		if p.Fragments[i].M != nil {
-			f.submitFragRelease(fr, nil)
+			f.releaseFrag(fr)
 		}
 	}
 	if pl.cutBW > 0 && f.gw != nil {
@@ -392,41 +339,70 @@ func (f *Federation) Admit(sid string, v *virtual.Env) (string, Placement, error
 	return eid, Placement{}, firstErr
 }
 
-// submitFragRelease refunds the fragment's reservation and enqueues
-// its teardown on the owning shard. errs, when non-nil, receives the
-// release outcome. A release refused because Close has begun leaves the
-// fragment on its shard for recovery's orphan sweep.
-func (f *Federation) submitFragRelease(fr frag, errs chan<- error) {
-	f.router.releaseSubmitted(fr.shard, fr.proc)
-	sh := f.shards[fr.shard]
-	if err := f.send(sh, func() {
-		// A fragment no longer active — an unrecoverable repair evicted
-		// it — counts as released.
-		err := sh.sess.ReleaseTagged(fr.tag)
-		if errors.Is(err, core.ErrNotActive) {
-			err = nil
-		}
-		if err == nil {
-			err = sh.barrier()
-		}
-		f.router.releaseExecuted(fr.shard, fr.proc, sh.sess.ResidualSummary())
-		if errs != nil {
-			errs <- err
-		}
-	}); err != nil && errs != nil {
-		errs <- err
+// admitFrag admits one fragment of a plan on sh under tag, makes it
+// durable and settles its reservation with the router.
+func (f *Federation) admitFrag(sh *Shard, g group, tag string) (*mapping.Mapping, error) {
+	start := time.Now() //hmn:wallclock
+	m, st, err := sh.sess.MapTagged(g.env, tag)
+	if f.cfg.Hooks.OnAdmit != nil {
+		f.cfg.Hooks.OnAdmit(st, time.Since(start).Seconds()) //hmn:wallclock
 	}
+	if err == nil {
+		if berr := sh.barrier(); berr != nil {
+			// Committed but not durable: undo, never acknowledge.
+			_ = sh.sess.ReleaseTagged(tag)
+			m, err = nil, fmt.Errorf("shard %d durability barrier: %w", sh.Index, berr)
+		}
+	}
+	f.router.commit(sh.Index, err == nil, g.proc)
+	return m, err
+}
+
+// releaseFrag tears one fragment down on its shard, makes that durable
+// and refunds its reservation. A fragment no longer active — an
+// unrecoverable repair evicted it — counts as released.
+func (f *Federation) releaseFrag(fr frag) error {
+	sh := f.shards[fr.shard]
+	err := sh.sess.ReleaseTagged(fr.tag)
+	if errors.Is(err, core.ErrNotActive) {
+		err = nil
+	}
+	if err == nil {
+		err = sh.barrier()
+	}
+	f.router.release(fr.shard, fr.proc)
+	return err
+}
+
+// releaseEnv releases every fragment of rec, in order, and refunds the
+// gateway; the first error is reported.
+func (f *Federation) releaseEnv(rec *envRec) error {
+	var first error
+	for _, fr := range rec.frags {
+		if err := f.releaseFrag(fr); err != nil && first == nil {
+			first = err
+		}
+	}
+	if rec.cutBW > 0 && f.gw != nil {
+		f.gw.Release(rec.cutBW)
+	}
+	return first
 }
 
 // Release tears an environment down: every fragment released on its
 // shard, the gateway refunded. The registry entry is removed first, so
 // a second release reports ErrUnknownEnv.
 func (f *Federation) Release(sid, eid string) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrClosed
+	if err := f.enter(); err != nil {
+		return err
 	}
+	defer f.inflight.Done()
+	return f.release(sid, eid)
+}
+
+// release is Release inside an operation that has already entered.
+func (f *Federation) release(sid, eid string) error {
+	f.mu.Lock()
 	t := f.tenants[sid]
 	if t == nil {
 		f.mu.Unlock()
@@ -439,21 +415,7 @@ func (f *Federation) Release(sid, eid string) error {
 	}
 	delete(t.envs, eid)
 	f.mu.Unlock()
-
-	errs := make(chan error, len(rec.frags))
-	for _, fr := range rec.frags {
-		f.submitFragRelease(fr, errs)
-	}
-	var first error
-	for range rec.frags {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	if rec.cutBW > 0 && f.gw != nil {
-		f.gw.Release(rec.cutBW)
-	}
-	return first
+	return f.releaseEnv(rec)
 }
 
 // EnvIDs returns a tenant's deployed environment IDs, ordinal-sorted.
@@ -486,11 +448,11 @@ func sortedEnvIDs(t *tenant) []string {
 
 // CloseTenant releases every environment of sid and retires the ID.
 func (f *Federation) CloseTenant(sid string) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrClosed
+	if err := f.enter(); err != nil {
+		return err
 	}
+	defer f.inflight.Done()
+	f.mu.Lock()
 	t := f.tenants[sid]
 	if t == nil || t.closing {
 		f.mu.Unlock()
@@ -502,7 +464,7 @@ func (f *Federation) CloseTenant(sid string) error {
 
 	var firstErr error
 	for _, eid := range eids {
-		if err := f.Release(sid, eid); err != nil && firstErr == nil {
+		if err := f.release(sid, eid); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -516,65 +478,65 @@ func (f *Federation) CloseTenant(sid string) error {
 	return firstErr
 }
 
-// Mutate runs op — a failure, a restore — against shard k's session on
-// the shard worker, makes it durable, then reconciles the registry with
-// the repair results op returned and re-centers the router on the
-// shard's new capacity: repaired and replaced fragments keep their
-// identity; an unrecoverable fragment takes its whole environment down
-// (the sibling fragments are released and the gateway refunded),
-// preserving the all-or-nothing contract.
+// Mutate runs op — a failure, a restore — against shard k's session,
+// makes it durable, then reconciles the registry with the repair
+// results op returned and re-centers the router on the shard's new
+// capacity: repaired and replaced fragments keep their identity; an
+// unrecoverable fragment takes its whole environment down (the sibling
+// fragments are released and the gateway refunded), preserving the
+// all-or-nothing contract.
 func (f *Federation) Mutate(k int, op func(*core.Session) ([]core.RepairResult, error)) ([]core.RepairResult, error) {
 	sh, err := f.Shard(k)
 	if err != nil {
 		return nil, err
 	}
-	var results []core.RepairResult
-	if serr := f.run(sh, func() {
-		if results, err = op(sh.sess); err == nil {
-			err = sh.barrier()
-		}
-	}); serr != nil {
-		return nil, serr
+	if err := f.enter(); err != nil {
+		return nil, err
+	}
+	defer f.inflight.Done()
+	results, err := op(sh.sess)
+	if err == nil {
+		err = sh.barrier()
 	}
 	if err != nil {
 		return nil, err
 	}
-	f.reconcileRepairs(k, results)
-	f.router.resync(k, sh.sess.ResidualSummary())
+	f.reconcileRepairs(results)
+	f.router.resync(k, sh.sess.ResidualSummary().TotalProc)
 	return results, nil
 }
 
-// RebalanceOnce runs one rebalancing round on shard k, on its worker,
-// and returns what it did.
-func (f *Federation) RebalanceOnce(k int) (res core.RebalanceResult, err error) {
+// RebalanceOnce runs one rebalancing round on shard k and returns what
+// it did.
+func (f *Federation) RebalanceOnce(k int) (core.RebalanceResult, error) {
 	sh, err := f.Shard(k)
 	if err != nil {
-		return res, err
+		return core.RebalanceResult{}, err
 	}
-	if serr := f.run(sh, func() {
-		res = sh.Rebalance()
-		err = sh.barrier()
-	}); serr != nil {
-		return res, serr
+	if err := f.enter(); err != nil {
+		return core.RebalanceResult{}, err
 	}
-	return res, err
+	defer f.inflight.Done()
+	res := sh.Rebalance()
+	return res, sh.barrier()
 }
 
-// reconcileRepairs applies one shard's repair outcomes to the registry.
-// A result names its fragment by tag, which names its environment.
-func (f *Federation) reconcileRepairs(k int, results []core.RepairResult) {
+// reconcileRepairs applies one shard's repair outcomes to the registry:
+// the environment of every unrecoverable fragment is taken down. A
+// result names its fragment by tag, which names its environment; the
+// evicted fragment itself is no longer active, so its release is a
+// no-op and the resync after reconciliation re-centers the headroom.
+func (f *Federation) reconcileRepairs(results []core.RepairResult) {
 	type victim struct {
 		sid, eid string
 		rec      *envRec
 	}
 	var dead []victim
-	gone := make(map[string]bool)
 	f.mu.Lock()
 	for _, res := range results {
 		if res.Outcome != core.RepairUnrecoverable {
 			continue
 		}
-		gone[res.Tag] = true
 		sid, eid, _, _, _, _ := parseTag(res.Tag)
 		if t := f.tenants[sid]; t != nil && t.envs[eid] != nil {
 			dead = append(dead, victim{sid: sid, eid: eid, rec: t.envs[eid]})
@@ -591,20 +553,7 @@ func (f *Federation) reconcileRepairs(k int, results []core.RepairResult) {
 		return envOrdinal(dead[i].eid) < envOrdinal(dead[j].eid)
 	})
 	for _, v := range dead {
-		lost := 0
-		for _, fr := range v.rec.frags {
-			if fr.shard == k && gone[fr.tag] {
-				// The evicted fragment itself: nothing to release; the
-				// resync after reconciliation re-centers the headroom.
-				lost++
-				continue
-			}
-			f.submitFragRelease(fr, nil)
-		}
-		f.router.adjustEnvs(k, -lost)
-		if v.rec.cutBW > 0 && f.gw != nil {
-			f.gw.Release(v.rec.cutBW)
-		}
+		f.releaseEnv(v.rec)
 	}
 }
 
@@ -643,14 +592,15 @@ type ShardStats struct {
 	Admissions   uint64
 	ActiveEnvs   int
 	ResidualProc float64
-	// Summary is the last advisory epoch-versioned summary.
-	Summary core.ResidualSummary
 }
 
 // Stats snapshots the federation counters.
 func (f *Federation) Stats() Stats {
 	st := Stats{Shards: make([]ShardStats, len(f.shards))}
 	f.router.snapshotStats(&st)
+	for k, sh := range f.shards {
+		st.Shards[k].ActiveEnvs = sh.sess.Active()
+	}
 	if f.gw != nil {
 		st.GatewayInUse = f.gw.InUse()
 		st.GatewayBudget = f.gw.Budget()
@@ -664,9 +614,9 @@ func (f *Federation) Stats() Stats {
 	return st
 }
 
-// Close refuses new work, stops the workers (draining what they were
-// sent) and the snapshot loop, takes a final snapshot of every shard,
-// and closes the WALs.
+// Close refuses new work, waits for the operations already running,
+// stops the snapshot loop, takes a final snapshot of every shard, and
+// closes the WALs.
 func (f *Federation) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -675,16 +625,12 @@ func (f *Federation) Close() error {
 	}
 	f.closed = true
 	f.mu.Unlock()
-	f.sendMu.Lock()
-	f.stopped = true
-	f.sendMu.Unlock()
+	f.inflight.Wait()
 	if f.stopSnapshots != nil {
 		f.stopSnapshots()
 	}
 	var firstErr error
 	for _, sh := range f.shards {
-		close(sh.ops)
-		<-sh.done
 		if sh.w != nil {
 			if err := f.snapshotShard(sh); err != nil && firstErr == nil {
 				firstErr = err

@@ -85,8 +85,8 @@ func readMeta(dataDir string) (*fedMeta, error) {
 }
 
 // exportShard captures sh for a snapshot of its WAL, with the
-// federation's environment-ID counter. Safe concurrently with the shard
-// worker: the session export runs under the session lock.
+// federation's environment-ID counter. Safe concurrently with the
+// shard's operations: the session export runs under the session lock.
 func (f *Federation) exportShard(sh *Shard) func() ([]wal.SessionSnap, error) {
 	return func() ([]wal.SessionSnap, error) {
 		f.mu.Lock()
@@ -120,7 +120,6 @@ type pendingEnv struct {
 // overhead come from the meta file; cfg's values for those fields are
 // ignored.
 func Recover(cfg Config) (*Federation, error) {
-	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
 		return nil, errors.New("shard: recover needs a data directory")
 	}

@@ -9,13 +9,12 @@ import (
 	"repro/internal/wal"
 )
 
-// residualVectors drains every shard and captures its residual-CPU
-// vector for exact (byte-identical) comparison across a restart.
+// residualVectors captures every shard's residual-CPU vector for exact
+// (byte-identical) comparison across a restart.
 func residualVectors(f *Federation) [][]float64 {
 	out := make([][]float64, f.Shards())
 	for k := 0; k < f.Shards(); k++ {
 		sh, _ := f.Shard(k)
-		sh.run(func() {})
 		out[k] = append([]float64(nil), sh.Session().ResidualProc()...)
 	}
 	return out
@@ -142,7 +141,6 @@ func TestRecoverReleasesOrphanFragments(t *testing.T) {
 	}
 	fr := pl.Fragments[0]
 	sh, _ := f.Shard(fr.Shard)
-	sh.run(func() {})
 	export := sh.Session().Export()
 	var seq uint64
 	found := false
@@ -188,7 +186,6 @@ func TestRecoverReleasesOrphanFragments(t *testing.T) {
 	}
 	for k := 0; k < 2; k++ {
 		sh, _ := r.Shard(k)
-		sh.run(func() {})
 		if sh.Session().Active() != 0 {
 			t.Fatalf("shard %d keeps %d fragments after orphan cleanup", k, sh.Session().Active())
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/virtual"
 )
 
@@ -91,32 +90,23 @@ func mix64(h uint64) uint64 {
 }
 
 // Router owns shard placement. Its headroom view is reservation-exact:
-// every reservation and refund is applied on the submitting goroutine,
-// before the operation is enqueued to its shard, so with each shard
-// executing in submission order the view always agrees with what the
-// shard's ledger will say when the operation runs. Routing decisions
-// read nothing else — the epoch-versioned summaries are refreshed by
-// the shard workers after commits and feed only metrics and
-// introspection, which is what keeps placement deterministic while
-// admissions complete in the background.
+// a reservation is charged on the admitting goroutine before its
+// fragment runs, kept on commit or refunded on failure, and a release
+// refunds once its shard has run it — so under serial submission the
+// view is exactly what each shard's ledger says. Routing reads nothing
+// else, which is what keeps placement a pure function of the
+// submission order.
 type Router struct {
 	ring ring     // immutable
 	gw   *Gateway // shared budget; nil when GatewayBW is 0
 
 	mu sync.Mutex
 	// resProc is the effective residual CPU per shard: the last resync
-	// base minus every live reservation. envs counts deployed
-	// fragments per shard; outstanding tracks reservations whose
-	// admission has not committed yet and pendingRel refunds whose
-	// release has not executed yet — both only so resync can re-center
-	// resProc while operations are in flight.
+	// base minus every live reservation. outstanding tracks
+	// reservations whose admission has not committed yet, only so
+	// resync can re-center resProc while admissions are in flight.
 	resProc     []float64 //hmn:guardedby mu
 	outstanding []float64 //hmn:guardedby mu
-	pendingRel  []float64 //hmn:guardedby mu
-	envs        []int     //hmn:guardedby mu
-	// sums is the advisory epoch-versioned summary cache, one entry
-	// per shard, refreshed by the shard workers after each commit.
-	sums []core.ResidualSummary //hmn:guardedby mu
 	// admissions counts committed fragment admissions per shard;
 	// fallbacks and splits count routing outcomes.
 	admissions []uint64 //hmn:guardedby mu
@@ -124,24 +114,16 @@ type Router struct {
 	splits     uint64   //hmn:guardedby mu
 }
 
-// newRouter builds the router over the shards' initial summaries.
-func newRouter(sums []core.ResidualSummary, gw *Gateway) *Router {
-	n := len(sums)
-	r := &Router{
+// newRouter builds the router over the shards' residual CPU.
+func newRouter(resProc []float64, gw *Gateway) *Router {
+	n := len(resProc)
+	return &Router{
 		ring:        buildRing(n),
 		gw:          gw,
-		resProc:     make([]float64, n),
+		resProc:     append([]float64(nil), resProc...),
 		outstanding: make([]float64, n),
-		pendingRel:  make([]float64, n),
-		envs:        make([]int, n),
-		sums:        append([]core.ResidualSummary(nil), sums...),
 		admissions:  make([]uint64, n),
 	}
-	for k, s := range sums {
-		r.resProc[k] = s.TotalProc
-		r.envs[k] = s.Envs
-	}
-	return r
 }
 
 // pickLocked is the shard-pick hot path: the hashed fast-path shard
@@ -206,72 +188,35 @@ func (r *Router) route(sid string, v *virtual.Env) (plan, error) {
 }
 
 // commit settles a fragment admission's outcome on shard k: a success
-// keeps the reservation as consumption and refreshes the advisory
-// summary; a failure refunds it.
-func (r *Router) commit(k int, ok bool, proc float64, sum core.ResidualSummary) {
+// keeps the reservation as consumption; a failure refunds it.
+func (r *Router) commit(k int, ok bool, proc float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.outstanding[k] -= proc
 	if ok {
 		r.admissions[k]++
-		r.envs[k]++
 	} else {
 		r.resProc[k] += proc
 	}
-	r.refreshLocked(k, sum)
 }
 
-// releaseSubmitted refunds a fragment's reservation at release-submit
-// time: the shard's FIFO guarantees the release executes before any
-// admission routed afterwards, so the headroom is spendable now.
-func (r *Router) releaseSubmitted(k int, proc float64) {
+// release refunds a fragment's reservation once its shard has run the
+// release.
+func (r *Router) release(k int, proc float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.resProc[k] += proc
-	r.pendingRel[k] += proc
-	r.envs[k]--
 }
 
-// releaseExecuted marks a submitted release as applied on the shard's
-// ledger and refreshes the advisory summary.
-func (r *Router) releaseExecuted(k int, proc float64, sum core.ResidualSummary) {
+// resync re-centers shard k's headroom on its residual CPU after an
+// out-of-band capacity change (a failure, a restore, a repair): base
+// minus the reservations still outstanding. In-flight work makes the
+// result approximate for a moment; the shard's own admission checks
+// remain the truth.
+func (r *Router) resync(k int, totalProc float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.pendingRel[k] -= proc
-	r.refreshLocked(k, sum)
-}
-
-// refreshLocked installs a newer advisory summary; stale epochs (a
-// slower worker publishing after a faster one) are dropped.
-//
-//hmn:locked mu
-func (r *Router) refreshLocked(k int, sum core.ResidualSummary) {
-	if sum.Epoch >= r.sums[k].Epoch {
-		r.sums[k] = sum
-	}
-}
-
-// resync re-centers shard k's headroom from a fresh summary after an
-// out-of-band capacity change (a failure, a restore, a repair, a
-// rebalance round): base minus reservations still outstanding plus
-// refunds not yet applied on the ledger. env counts follow the
-// summary. In-flight work makes the result approximate for a moment;
-// the shard's own admission checks remain the truth.
-func (r *Router) resync(k int, sum core.ResidualSummary) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.resProc[k] = sum.TotalProc - r.outstanding[k] + r.pendingRel[k]
-	r.envs[k] = sum.Envs
-	r.refreshLocked(k, sum)
-}
-
-// adjustEnvs bumps shard k's deployed-fragment count by d without
-// touching headroom — repairs change membership but the summary resync
-// carries the capacity side.
-func (r *Router) adjustEnvs(k, d int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.envs[k] += d
+	r.resProc[k] = totalProc - r.outstanding[k]
 }
 
 // snapshotStats copies the router's counters for Stats.
@@ -282,8 +227,6 @@ func (r *Router) snapshotStats(dst *Stats) {
 	dst.SplitAdmissions = r.splits
 	for k := range r.resProc {
 		dst.Shards[k].Admissions = r.admissions[k]
-		dst.Shards[k].ActiveEnvs = r.envs[k]
 		dst.Shards[k].ResidualProc = r.resProc[k]
-		dst.Shards[k].Summary = r.sums[k]
 	}
 }

@@ -2,10 +2,10 @@
 // each its own core.Session, ledger and WAL directory — behind a
 // front-end router that places every incoming environment on a shard.
 // Unrelated environments therefore never contend on a lock, a snapshot
-// or an fsync: each shard serializes its own operations on one worker
-// goroutine, and the only shared state is the router's reservation
-// ledger (a handful of floats under one mutex) and the inter-shard
-// gateway budget.
+// or an fsync: an operation runs on its caller's goroutine, serialized
+// per shard by that shard's session lock, and the only shared state is
+// the router's reservation ledger (a handful of floats under one mutex)
+// and the inter-shard gateway budget.
 //
 // Placement is consistent hashing on the tenant session ID for the
 // fast path, best-fit on the router's reservation-exact headroom view
@@ -17,24 +17,20 @@
 // reservation.
 //
 // The router's decisions are a pure function of the order in which
-// environments are submitted: reservations and refunds are applied on
-// the submitting goroutine, and each shard's single worker executes
-// its operations in submission order, so a fixed submission sequence
-// yields byte-identical placements and per-shard ledgers on every run.
-// The epoch-versioned per-shard residual summaries (core.ResidualSummary)
-// refreshed after each commit are advisory — they feed metrics and the
-// introspection endpoints, never a routing decision — which is exactly
-// what keeps routing deterministic while commits complete in the
-// background.
+// environments are submitted: a reservation is charged before its
+// fragment runs and a refund lands once its release has, both on the
+// submitting goroutine, so a fixed submission sequence yields
+// byte-identical placements, per-shard ledgers and per-shard logs on
+// every run.
 //
 // The package also owns the lock domain as such. A Shard is a session
 // and the WAL its commits are logged to; Open creates one, Replay
 // recovers the ones a WAL directory holds, Snap exports one for a
-// snapshot. A federation's shards are domains with a WAL directory and
-// a worker each; the sessions of a classic daemon
-// (internal/server) are domains too, sharing the daemon's one WAL —
-// there is one copy of the commit hook, the open record, the rebalance
-// round and the recovery step, whoever asks.
+// snapshot. A federation's shards are domains with a WAL directory
+// each; the sessions of a classic daemon (internal/server) are domains
+// too, sharing the daemon's one WAL — there is one copy of the commit
+// hook, the open record, the rebalance round and the recovery step,
+// whoever asks.
 package shard
 
 import (
@@ -96,8 +92,6 @@ type Config struct {
 	// RebalanceMaxMoves caps guest moves per rebalancing round (0 =
 	// unbounded).
 	RebalanceMaxMoves int
-	// QueueDepth bounds each shard's operation queue (default 256).
-	QueueDepth int
 	// Logf reports housekeeping; nil discards.
 	Logf func(format string, args ...interface{})
 	// Hooks observe durability events for metrics.
@@ -114,20 +108,12 @@ type Hooks struct {
 	OnFsync     func(seconds float64)
 	OnSnapshot  func(seconds float64)
 	OnReplay    func()
-	// OnAdmit fires on a shard worker after every fragment admission
-	// attempt, committed or not, with the attempt's funnel counters and
-	// the wall time of its MapTagged call.
+	// OnAdmit fires on the admitting goroutine after every fragment
+	// admission attempt, committed or not, with the attempt's funnel
+	// counters and the wall time of its MapTagged call.
 	OnAdmit func(st core.AdmitStats, seconds float64)
 	// OnRebalance fires after every rebalancing round with what it did.
 	OnRebalance func(res core.RebalanceResult)
-}
-
-// withDefaults fills the zero values.
-func (cfg Config) withDefaults() Config {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 256
-	}
-	return cfg
 }
 
 // logf reports through the configured logger.
@@ -153,9 +139,9 @@ func shardSID(k int) string { return fmt.Sprintf("shard-%d", k) }
 
 // Shard is one lock domain: a session on its own cluster and the WAL its
 // commits are logged to. A federation shard logs to a WAL of its own and
-// runs one worker goroutine that executes its operations in submission
-// order; the sessions of a classic daemon
-// are domains too, sharing one WAL and the daemon's admission queue.
+// runs its operations on their callers under the session lock; the
+// sessions of a classic daemon are domains too, sharing one WAL and the
+// daemon's admission queue.
 type Shard struct {
 	// Index is the shard's position in the federation, in [0, Shards).
 	Index int
@@ -174,10 +160,6 @@ type Shard struct {
 	w           *wal.WAL // nil without a data directory
 	cfg         Config
 
-	// The worker plumbing of a federation shard; nil for a domain whose
-	// owner serializes its operations itself.
-	ops  chan func()
-	done chan struct{}
 	// export captures a federation shard for a snapshot of its own WAL,
 	// which the shard's barrier checkpoints when due; nil for a domain
 	// whose owner snapshots a WAL it shares.
@@ -300,8 +282,8 @@ func Replay(cfg Config, dir string) (w *wal.WAL, domains []*Shard, maxSession in
 func (sh *Shard) SID() string { return sh.sid }
 
 // Session exposes the domain's core session. Mutating a federation
-// shard's directly bypasses the worker's FIFO and the router's
-// accounting; use the Federation methods.
+// shard's directly bypasses the router's accounting and the tenant
+// registry; use the Federation methods.
 func (sh *Shard) Session() *core.Session { return sh.sess }
 
 // Cluster returns the domain's physical cluster.
@@ -331,16 +313,6 @@ func (sh *Shard) Rebalance() core.RebalanceResult {
 		sh.cfg.Hooks.OnRebalance(res)
 	}
 	return res
-}
-
-// loop is the shard's worker goroutine: operations run one at a time,
-// in submission order — the property the router's reservation ledger
-// and the bench's determinism guarantee both rest on.
-func (sh *Shard) loop() {
-	defer close(sh.done)
-	for fn := range sh.ops {
-		fn()
-	}
 }
 
 // barrier makes the domain's appended records durable, checkpointing

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/topology"
 	"repro/internal/virtual"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -49,17 +52,6 @@ func newTestFederation(t *testing.T, shards int, cfg Config) *Federation {
 	}
 	t.Cleanup(func() { f.Close() })
 	return f
-}
-
-// run has a federation shard's worker run fn and waits for it: every
-// operation sent before it has finished.
-func (sh *Shard) run(fn func()) {
-	done := make(chan struct{})
-	sh.ops <- func() {
-		defer close(done)
-		fn()
-	}
-	<-done
 }
 
 // genEnv draws a seeded workload environment.
@@ -103,8 +95,7 @@ func TestFederationAdmitRelease(t *testing.T) {
 	if err := f.Release(sid, eid); !errors.Is(err, ErrUnknownEnv) {
 		t.Fatalf("double release = %v, want ErrUnknownEnv", err)
 	}
-	// Drain the shard worker, then check the ledger is fully restored.
-	sh.run(func() {})
+	// The release has run by the time it returns: the ledger is restored.
 	if sh.Session().Active() != 0 {
 		t.Fatalf("shard %d still has %d active envs after release", k, sh.Session().Active())
 	}
@@ -135,7 +126,6 @@ func placementSignature(t *testing.T, f *Federation, placements []Placement) str
 	}
 	for k := 0; k < f.Shards(); k++ {
 		sh, _ := f.Shard(k)
-		sh.run(func() {}) // drain
 		for _, p := range sh.Session().ResidualProc() {
 			sig += fmt.Sprintf("%.9f,", p)
 		}
@@ -186,6 +176,22 @@ func splitEnv(commBW float64) *virtual.Env {
 	v.AddLink(3, 4, commBW, 1000)
 	v.AddLink(4, 5, commBW, 1000)
 	v.AddLink(0, 3, 1, 1000) // the cut
+	return v
+}
+
+// rollbackEnv is a split whose second fragment fails in the Networking
+// stage: its community links exceed every physical trunk, so the
+// committed sibling is rolled back.
+func rollbackEnv() *virtual.Env {
+	v := virtual.NewEnv()
+	for i := 0; i < 6; i++ {
+		v.AddGuest(fmt.Sprintf("g%d", i), 1600, 256, 100)
+	}
+	v.AddLink(0, 1, 50, 1000)
+	v.AddLink(1, 2, 50, 1000)
+	v.AddLink(3, 4, 50000, 1000)
+	v.AddLink(4, 5, 50000, 1000)
+	v.AddLink(0, 3, 1, 1000)
 	return v
 }
 
@@ -246,22 +252,12 @@ func TestSplitDisabledWithoutGateway(t *testing.T) {
 func TestSplitRollback(t *testing.T) {
 	f := newTestFederation(t, 2, Config{GatewayBW: 100})
 	sid, _ := f.OpenTenant()
-	v := virtual.NewEnv()
-	for i := 0; i < 6; i++ {
-		v.AddGuest(fmt.Sprintf("g%d", i), 1600, 256, 100)
-	}
-	v.AddLink(0, 1, 50, 1000) // feasible community
-	v.AddLink(1, 2, 50, 1000)
-	v.AddLink(3, 4, 50000, 1000) // infeasible: exceeds every trunk
-	v.AddLink(4, 5, 50000, 1000)
-	v.AddLink(0, 3, 1, 1000)
-	_, _, err := f.Admit(sid, v)
+	_, _, err := f.Admit(sid, rollbackEnv())
 	if err == nil {
 		t.Fatal("admit of an infeasible fragment succeeded")
 	}
 	for k := 0; k < 2; k++ {
 		sh, _ := f.Shard(k)
-		sh.run(func() {})
 		if sh.Session().Active() != 0 {
 			t.Fatalf("shard %d keeps %d fragments after rollback", k, sh.Session().Active())
 		}
@@ -291,7 +287,6 @@ func TestCloseTenantReleasesEverything(t *testing.T) {
 	}
 	for k := 0; k < 2; k++ {
 		sh, _ := f.Shard(k)
-		sh.run(func() {})
 		if sh.Session().Active() != 0 {
 			t.Fatalf("shard %d keeps %d envs after tenant close", k, sh.Session().Active())
 		}
@@ -343,7 +338,6 @@ func TestFailHostRepairsAndResyncs(t *testing.T) {
 	if _, err := f.Mutate(k, func(cs *core.Session) ([]core.RepairResult, error) { return nil, cs.RestoreHost(node) }); err != nil {
 		t.Fatal(err)
 	}
-	sh.run(func() {})
 	if sh.Session().Active() != 0 {
 		t.Fatalf("shard %d active = %d after release", k, sh.Session().Active())
 	}
@@ -398,10 +392,9 @@ func TestFailOvertakenByMigrateCommit(t *testing.T) {
 	k := pl.Fragments[0].Shard
 	sh, _ := f.Shard(k)
 
-	// Run a round straight on the core session, as the background cadence
-	// does: nothing tells the federation's registry.
-	var res core.RebalanceResult
-	sh.run(func() { res = sh.sess.Rebalance(0) })
+	// Run a round straight on the core session, past the federation:
+	// nothing tells its registry.
+	res := sh.sess.Rebalance(0)
 	if res.Moves != 1 {
 		t.Fatalf("a round on the unbalanced fixture committed %d moves, want 1: %+v", res.Moves, res)
 	}
@@ -422,7 +415,6 @@ func TestFailOvertakenByMigrateCommit(t *testing.T) {
 	if err := f.Release(sid, eid); err != nil {
 		t.Fatalf("release of the migrated, repaired environment: %v", err)
 	}
-	sh.run(func() {})
 	if st := f.Stats(); sh.Session().Active() != 0 || st.Shards[k].ActiveEnvs != 0 || st.Envs != 0 {
 		t.Fatalf("shard %d keeps %d fragments after the release (census %+v)", k, sh.Session().Active(), st)
 	}
@@ -471,7 +463,6 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 	for k := 0; k < f.Shards(); k++ {
 		sh, _ := f.Shard(k)
-		sh.run(func() {})
 		if sh.Session().Active() != 0 {
 			t.Fatalf("shard %d keeps %d envs", k, sh.Session().Active())
 		}
@@ -531,13 +522,129 @@ func TestCloseRacingOperations(t *testing.T) {
 	}
 }
 
-func TestRouterBestFitFallback(t *testing.T) {
-	sums := []core.ResidualSummary{
-		{TotalProc: 100},
-		{TotalProc: 50},
-		{TotalProc: 80},
+// TestCloseRacingDurableOperations races Close against every kind of
+// operation on a durable federation: admissions (splits included),
+// releases, rebalancing rounds, a host failure and its restore, tenant
+// opens and closes. Every call finishes or is refused with ErrClosed;
+// none appends once Close has sealed the logs; and the directory
+// recovers with every shard's objective matching a recompute and no
+// orphan fragment to sweep.
+func TestCloseRacingDurableOperations(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		var sealed atomic.Bool
+		logf := func(format string, args ...interface{}) {
+			if sealed.Load() {
+				t.Errorf("round %d: logged after Close: %s", round, fmt.Sprintf(format, args...))
+			}
+		}
+		f, err := New(testClusters(t, 2), Config{
+			DataDir: dir, GatewayBW: 100, Logf: logf,
+			Hooks: Hooks{OnWALRecord: func() {
+				if sealed.Load() {
+					t.Errorf("round %d: record appended after Close", round)
+				}
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg, looping sync.WaitGroup
+		loop := func(g int, step func(i int) error) {
+			wg.Add(1)
+			looping.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					err := step(i)
+					if i == 0 {
+						looping.Done()
+					}
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("round %d, goroutine %d, step %d: %v", round, g, i, err)
+						return
+					}
+				}
+			}()
+		}
+		for g := 0; g < 3; g++ {
+			sid, err := f.OpenTenant()
+			if err != nil {
+				t.Fatal(err)
+			}
+			loop(g, func(i int) error {
+				v := genEnv(int64(g*1000+i), 4)
+				if i%4 == 3 {
+					v = splitEnv(50)
+				}
+				eid, _, err := f.Admit(sid, v)
+				if err == nil {
+					err = f.Release(sid, eid)
+				} else if i%4 == 3 && errors.Is(err, ErrNoShardFits) {
+					// Two splits in flight, or one beside the failed host,
+					// can leave no pair of shards with room: a refusal.
+					err = nil
+				}
+				if err == nil {
+					_, err = f.RebalanceOnce(g % 2)
+				}
+				return err
+			})
+		}
+		node := f.shards[1].Cluster().HostNodes()[1]
+		loop(3, func(int) error {
+			if _, err := failHost(f, 1, node); err != nil {
+				return err
+			}
+			_, err := f.Mutate(1, func(cs *core.Session) ([]core.RepairResult, error) { return nil, cs.RestoreHost(node) })
+			return err
+		})
+		loop(4, func(i int) error {
+			sid, err := f.OpenTenant()
+			if err != nil {
+				return err
+			}
+			if _, _, err := f.Admit(sid, genEnv(int64(5000+i), 4)); err != nil {
+				return err
+			}
+			return f.CloseTenant(sid)
+		})
+		looping.Wait()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sealed.Store(true)
+		wg.Wait()
+		sealed.Store(false)
+		if t.Failed() {
+			return
+		}
+
+		r, err := Recover(Config{DataDir: dir, Logf: func(format string, args ...interface{}) {
+			if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "orphan") {
+				t.Errorf("round %d: recovery: %s", round, msg)
+			}
+		}})
+		if err != nil {
+			t.Fatalf("round %d: recover: %v", round, err)
+		}
+		for k := 0; k < r.Shards(); k++ {
+			sh, _ := r.Shard(k)
+			if err := wal.VerifyObjective(sh.Session()); err != nil {
+				t.Errorf("round %d: shard %d: %v", round, k, err)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r := newRouter(sums, nil)
+}
+
+func TestRouterBestFitFallback(t *testing.T) {
+	r := newRouter([]float64{100, 50, 80}, nil)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if k, fb := r.pickLocked(0, 90); k != 0 || fb {
@@ -557,7 +664,7 @@ func TestRouterBestFitFallback(t *testing.T) {
 // under the router lock on every federation admission, to zero
 // allocations.
 func TestRouterAllocsBudget(t *testing.T) {
-	r := newRouter([]core.ResidualSummary{{TotalProc: 100}, {TotalProc: 50}, {TotalProc: 80}}, nil)
+	r := newRouter([]float64{100, 50, 80}, nil)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	allocs := testing.AllocsPerRun(200, func() {

@@ -156,8 +156,9 @@ func (r *Router) splitLocked(v *virtual.Env) (plan, error) {
 	shards = dedupInts(shards)
 	if len(shards) < 2 {
 		// Everything fused onto one shard: its total fits there after
-		// all, so no cut is needed. Can only happen when concurrent
-		// refunds grew a shard between the pick and the split.
+		// all, so no cut is needed. Only rounding gets here — the
+		// components' CPU, summed in another order than v.TotalProc(),
+		// fits where the whole did not.
 		k := shards[0]
 		return plan{groups: []group{{shard: k, env: v, proc: v.TotalProc()}}, fallback: true}, nil
 	}

@@ -297,15 +297,31 @@ func (rec *Record) EachTag(fn func(tag string)) {
 // cluster.LedgerState) and may differ in the last few ulps.
 const objectiveTolerance = 1e-9
 
+// varianceUlps is the same last-few-ulps band on the variance, in units
+// of the mean square's last place. Near a perfect balance σ is the
+// square root of a difference of two nearly equal sums, so one ulp of
+// Σx² — 4.7e-10 on four 2000-MIPS hosts — reads as 2e-5 in σ, far past
+// objectiveTolerance on a ledger that is exactly right.
+const varianceUlps = 16
+
 // VerifyObjective cross-checks a recovered session before it serves:
-// the incremental objective must match a two-pass recompute.
+// the incremental objective must match a two-pass recompute, as σ
+// within objectiveTolerance or as σ² within varianceUlps.
 func VerifyObjective(cs *core.Session) error {
-	inc := cs.ObjectiveStdDev()
-	re := mapping.Objective(cs.ResidualProc())
-	if diff := inc - re; diff > objectiveTolerance || diff < -objectiveTolerance {
-		return fmt.Errorf("recovered objective %.17g diverges from recomputed %.17g", inc, re)
+	res := cs.ResidualProc()
+	inc, re := cs.ObjectiveStdDev(), mapping.Objective(res)
+	if diff := inc - re; diff <= objectiveTolerance && diff >= -objectiveTolerance {
+		return nil
 	}
-	return nil
+	var sq float64
+	for _, x := range res {
+		sq += float64(x * x)
+	}
+	band := varianceUlps * 0x1p-52 * sq / float64(len(res))
+	if diff := float64(inc*inc) - float64(re*re); diff <= band && diff >= -band {
+		return nil
+	}
+	return fmt.Errorf("recovered objective %.17g diverges from recomputed %.17g", inc, re)
 }
 
 // EnvOrdinal parses hmnd's environment IDs ("e7" → 7).
