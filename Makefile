@@ -1,6 +1,6 @@
 GOPATH_BIN := $(shell go env GOPATH)/bin
 
-.PHONY: build test examples loc lint vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase fma-ratchet crash-smoke
+.PHONY: build test examples loc lint vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase bench-pairs fma-ratchet crash-smoke
 
 # Relative drift (percent) bench-compare tolerates on deterministic
 # metrics before failing. Timings never gate.
@@ -102,6 +102,17 @@ bench-compare:
 REV ?= HEAD
 bench-phase:
 	./scripts/bench_phase.sh $(REV)
+
+## bench-pairs runs PAIRS alternating, pinned pairs of one hmnperf
+## WORKLOAD at SEED on the working tree and on REV (refusing unless the
+## two builds are in the same phase), and prints each end-to-end
+## metric's medians and quartiles, the working tree's wins and whether
+## the medians differ by more than REV's interquartile range.
+WORKLOAD ?= torus_route
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	./scripts/bench_pairs.sh $(REV) $(WORKLOAD) $(PAIRS) $(SEED)
 
 ## fma-ratchet cross-compiles cmd/hmnd and cmd/hmnbench for arm64,
 ## ppc64le and riscv64 and fails if the fused multiply-adds in repro/

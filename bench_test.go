@@ -229,6 +229,10 @@ func paperInstance(b *testing.B) (*Cluster, *virtual.Env) {
 //     element and it under-reports the widest-path bound; this row is the
 //     one to read a change to the bound on. It also reports the counts
 //     the kernel's gates are written in, per search.
+//   - torus200_loaded is torus8x8_loaded on the 20x10 torus of the
+//     10 000-guest row of BENCH_scale_seed1.json, where paths are twice
+//     as long and the candidate set is at its largest: the row that
+//     times the sorted candidate list's insertion cost.
 //   - switched40 is the same on the paper's switched cluster, where
 //     nearly every neighbour of the switch is a dead-end leaf.
 //   - cold_nil_opts passes nil options on the unloaded paper torus: each
@@ -250,6 +254,15 @@ func BenchmarkAStarPrune(b *testing.B) {
 			benchAStarLoaded(b, c, churn)
 		})
 	}
+	b.Run("torus200_loaded", func(b *testing.B) {
+		p := workload.PaperClusterParams()
+		p.Hosts = 200
+		c, err := topology.Torus2D(workload.GenerateHosts(p, rand.New(rand.NewSource(5))), 20, 10, 10000, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchAStarLoaded(b, c, false)
+	})
 	b.Run("switched40", func(b *testing.B) {
 		specs := workload.GenerateHosts(workload.PaperClusterParams(), rand.New(rand.NewSource(5)))
 		c, err := topology.Switched(specs, workload.SwitchPorts, workload.PhysLinkBW, workload.PhysLinkLat)
@@ -317,7 +330,6 @@ func benchAStarLoaded(b *testing.B, c *Cluster, churn bool) {
 	for e := range residual {
 		residual[e] = g.Edge(e).Bandwidth
 	}
-	bw := func(e int) float64 { return residual[e] }
 	// reserve takes a path's bandwidth and, given a slot to remember it in,
 	// first gives back the reservation the slot held. The arena never
 	// reuses a path's storage, so the slot keeps its own copy of the edges.
@@ -345,7 +357,7 @@ func benchAStarLoaded(b *testing.B, c *Cluster, churn bool) {
 	for i := 0; i < seeded; i++ {
 		q := draw()
 		opts.AR = ar[q.dst]
-		if path, ok := graph.AStarPrune(g, q.src, q.dst, q.bw, q.lat, bw, opts); ok {
+		if path, ok := graph.AStarPrune(g, q.src, q.dst, q.bw, q.lat, residual, opts); ok {
 			var slot *reservation
 			if churn && i >= seeded-window {
 				slot = &held[i%window]
@@ -363,7 +375,7 @@ func benchAStarLoaded(b *testing.B, c *Cluster, churn bool) {
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
 		opts.AR = ar[q.dst]
-		path, ok := graph.AStarPrune(g, q.src, q.dst, q.bw, q.lat, bw, opts)
+		path, ok := graph.AStarPrune(g, q.src, q.dst, q.bw, q.lat, residual, opts)
 		if !ok {
 			b.Fatalf("query %d (%d->%d, %.3f Mbps within %.1f ms) should be routable", i, q.src, q.dst, q.bw, q.lat)
 		}

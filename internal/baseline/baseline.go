@@ -173,7 +173,7 @@ func randomPlacement(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID,
 // path exists, only that this try did not find one.
 func routeDFS(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, rng *rand.Rand) bool {
 	net := led.Cluster().Net()
-	bw := led.BandwidthFunc()
+	bw := led.Residuals()
 	for _, link := range v.Links() {
 		src, dst := assign[link.From], assign[link.To]
 		if src == dst {
@@ -197,7 +197,7 @@ func routeDFS(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths 
 // "random placement + HMN networking".
 func routeAStar(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path) bool {
 	net := led.Cluster().Net()
-	bw := led.BandwidthFunc()
+	bw := led.Residuals()
 
 	links := append([]virtual.Link(nil), v.Links()...)
 	sort.SliceStable(links, func(i, j int) bool {

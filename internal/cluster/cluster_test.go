@@ -184,19 +184,27 @@ func TestLedgerTrivialPathReservesNothing(t *testing.T) {
 	}
 }
 
-func TestLedgerBandwidthFuncIsLive(t *testing.T) {
+func TestLedgerResidualsAreLive(t *testing.T) {
 	c := twoHostCluster(t)
 	l, _ := NewLedger(c, VMMOverhead{})
-	bw := l.BandwidthFunc()
-	if bw(0) != 100 {
+	bw := l.Residuals()
+	if bw[0] != 100 {
 		t.Fatal("initial view wrong")
 	}
 	p := graph.Path{Nodes: []graph.NodeID{0, 1}, Edges: []int{0}}
 	if err := l.ReserveBandwidth(p, 30); err != nil {
 		t.Fatal(err)
 	}
-	if bw(0) != 70 {
-		t.Fatal("BandwidthFunc must reflect later reservations")
+	if bw[0] != 70 {
+		t.Fatal("Residuals must reflect later reservations")
+	}
+	l.CutEdge(0)
+	if bw[0] != 0 || l.BandwidthFunc()[0] != 0 {
+		t.Fatal("a cut edge must read 0 through Residuals and its alias")
+	}
+	l.RestoreEdge(0)
+	if bw[0] != 70 {
+		t.Fatal("a restored edge must read its residual again")
 	}
 }
 

@@ -39,6 +39,10 @@ type Ledger struct {
 	stor []float64 //hmn:guardedby session
 	// residual bandwidth per edge ID
 	bw []float64 //hmn:guardedby session
+	// routable bandwidth per edge ID: 0 while the edge is cut, bw[e]
+	// otherwise — the vector every path search reads (see Residuals).
+	// Each write of bw or cutEdges rewrites its entries.
+	route []float64 //hmn:guardedby session
 	// per host index: no new guests accepted
 	quarantined []bool //hmn:guardedby session
 	// per edge ID: carries no new traffic
@@ -91,6 +95,7 @@ func NewLedger(c *Cluster, overhead VMMOverhead) (*Ledger, error) {
 		mem:         make([]int64, len(c.hosts)),
 		stor:        make([]float64, len(c.hosts)),
 		bw:          make([]float64, c.net.NumEdges()),
+		route:       make([]float64, c.net.NumEdges()),
 		quarantined: make([]bool, len(c.hosts)),
 		cutEdges:    make([]bool, c.net.NumEdges()),
 	}
@@ -105,6 +110,7 @@ func NewLedger(c *Cluster, overhead VMMOverhead) (*Ledger, error) {
 	for _, e := range c.net.Edges() {
 		l.bw[e.ID] = e.Bandwidth
 	}
+	copy(l.route, l.bw)
 	for _, p := range l.proc {
 		l.sumProc.add(p)
 		l.sumProcSq.add(float64(p * p))
@@ -199,6 +205,7 @@ func (l *Ledger) Clone() *Ledger {
 		mem:         append([]int64(nil), l.mem...),
 		stor:        append([]float64(nil), l.stor...),
 		bw:          append([]float64(nil), l.bw...),
+		route:       append([]float64(nil), l.route...),
 		quarantined: append([]bool(nil), l.quarantined...),
 		cutEdges:    append([]bool(nil), l.cutEdges...),
 		topoGen:     l.topoGen,
@@ -309,15 +316,10 @@ func (l *Ledger) ResidualProcAll() []float64 {
 }
 
 // ResidualBandwidth returns the residual bandwidth of the given edge,
-// or 0 while the edge is cut.
+// or 0 while the edge is cut: Residuals()[edgeID].
 //
 //hmn:locked session
-func (l *Ledger) ResidualBandwidth(edgeID int) float64 {
-	if l.cutEdges[edgeID] {
-		return 0
-	}
-	return l.bw[edgeID]
-}
+func (l *Ledger) ResidualBandwidth(edgeID int) float64 { return l.route[edgeID] }
 
 // CutEdge marks a physical link as carrying no new traffic: its residual
 // bandwidth reads as zero (so every path search routes around it) and
@@ -331,6 +333,7 @@ func (l *Ledger) CutEdge(edgeID int) {
 		return
 	}
 	l.cutEdges[edgeID] = true
+	l.route[edgeID] = 0
 	l.cutCount++
 	l.genSeq++
 	l.topoGen = l.genSeq
@@ -352,6 +355,7 @@ func (l *Ledger) RestoreEdge(edgeID int) {
 		return
 	}
 	l.cutEdges[edgeID] = false
+	l.route[edgeID] = l.bw[edgeID]
 	l.cutCount--
 	if l.cutCount == 0 {
 		l.topoGen = 0
@@ -375,21 +379,22 @@ func (l *Ledger) RestoreEdge(edgeID int) {
 //hmn:locked session
 func (l *Ledger) TopoGen() uint64 { return l.topoGen }
 
-// BandwidthFunc returns a residual-bandwidth view suitable for the search
-// algorithms in internal/graph. The view reads the live ledger: it closes
-// over the ledger's backing arrays (which are mutated in place, never
-// reallocated), so it reflects reservations made after it was obtained.
+// Residuals returns the routable bandwidth of every edge, indexed by edge
+// ID — the residual vector the search algorithms in internal/graph read:
+// an edge's residual bandwidth, or 0 while it is cut. The vector is the
+// ledger's own, never reallocated and rewritten in place by every
+// reservation, release, commit, cut and restore, so it reflects changes
+// made after it was obtained. Callers read it and must not write it.
 //
 //hmn:locked session
-func (l *Ledger) BandwidthFunc() graph.BandwidthFunc {
-	bw, cut := l.bw, l.cutEdges
-	return func(edgeID int) float64 {
-		if cut[edgeID] {
-			return 0
-		}
-		return bw[edgeID]
-	}
-}
+func (l *Ledger) Residuals() []float64 { return l.route }
+
+// BandwidthFunc is Residuals under its old name, kept because the frozen
+// benchmark harness (benchmark/hmnperf) calls it; it goes with the next
+// change to that harness.
+//
+//hmn:locked session
+func (l *Ledger) BandwidthFunc() []float64 { return l.route }
 
 // ReserveBandwidth deducts bw Mbps from every edge of path, checking all
 // edges before modifying any so that a failure leaves the ledger
@@ -407,6 +412,7 @@ func (l *Ledger) ReserveBandwidth(path graph.Path, bw float64) error {
 	}
 	for _, eid := range path.Edges {
 		l.bw[eid] -= bw
+		l.route[eid] = l.bw[eid] // not cut: checked above
 	}
 	return nil
 }
@@ -424,5 +430,8 @@ func (l *Ledger) ReleaseBandwidth(path graph.Path, bw float64) { l.ReleaseEdges(
 func (l *Ledger) ReleaseEdges(edges []int, bw float64) {
 	for _, eid := range edges {
 		l.bw[eid] += bw
+		if !l.cutEdges[eid] {
+			l.route[eid] = l.bw[eid]
+		}
 	}
 }

@@ -141,3 +141,84 @@ func TestQuickLedgerCloneIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: Residuals is the routable vector at every point a search can
+// run — 0 on a cut edge, the accounting residual (what State exports)
+// otherwise — through any sequence of the funnels that write bandwidth or
+// cut state: ReserveBandwidth, ReleaseEdges, a Txn commit, CutEdge,
+// RestoreEdge, Clone, SyncFrom and a State → RestoreLedger round trip.
+// The vector is live: each of the two ledgers' vectors is taken once,
+// when the ledger is made, and read after every later step.
+func TestQuickResidualsTrackCuts(t *testing.T) {
+	c := snapshotFixture(t)
+	edges := c.Net().NumEdges()
+	edgePath := func(e int) graph.Path {
+		ed := c.Net().Edge(e)
+		return graph.Path{Nodes: []graph.NodeID{ed.A, ed.B}, Edges: []int{e}}
+	}
+	f := func(seed int64, opsRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		first, err := NewLedger(c, VMMOverhead{})
+		if err != nil {
+			return false
+		}
+		leds := [2]*Ledger{first, first.Clone()}
+		views := [2][]float64{leds[0].Residuals(), leds[1].Residuals()}
+		ops := 1 + int(opsRaw)%60
+		for i := 0; i < ops; i++ {
+			k := rng.Intn(2)
+			l := leds[k]
+			e := rng.Intn(edges)
+			var op string
+			switch rng.Intn(9) {
+			case 0, 1:
+				op = "ReserveBandwidth"
+				_ = l.ReserveBandwidth(edgePath(e), rng.Float64()*300) // may be refused: cut or short
+			case 2:
+				op = "ReleaseEdges"
+				l.ReleaseEdges([]int{e, rng.Intn(edges)}, rng.Float64()*100)
+			case 3:
+				op = "Commit"
+				txn := l.NewTxn()
+				txn.AddEdges([]int{e, rng.Intn(edges)}, rng.Float64()*150)
+				txn.AddPath(edgePath(e), rng.Float64()*100) // the same edge twice aggregates
+				_ = l.Commit(txn)
+			case 4:
+				op = "CutEdge"
+				l.CutEdge(e)
+			case 5:
+				op = "RestoreEdge"
+				l.RestoreEdge(e)
+			case 6:
+				op = "Clone"
+				leds[k] = leds[1-k].Clone()
+				views[k] = leds[k].Residuals()
+			case 7:
+				op = "SyncFrom"
+				l.SyncFrom(leds[1-k])
+			case 8:
+				op = "RestoreLedger"
+				leds[k] = roundTrip(t, c, l.State())
+				views[k] = leds[k].Residuals()
+			}
+			for j, led := range leds {
+				st := led.State()
+				for e, got := range views[j] {
+					want := st.BW[e]
+					if st.CutEdges[e] {
+						want = 0
+					}
+					if got != want || led.ResidualBandwidth(e) != want {
+						t.Logf("seed %d op %d (%s on ledger %d): ledger %d edge %d reads %v through its vector, %v now; want %v (cut %v)",
+							seed, i, op, k, j, e, got, led.ResidualBandwidth(e), want, st.CutEdges[e])
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

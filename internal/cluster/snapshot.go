@@ -1,7 +1,7 @@
 package cluster
 
 // The flat-copy ledger snapshot a session's attempts speculate on. A
-// snapshot is a Clone whose six arrays are sized once and
+// snapshot is a Clone whose seven arrays are sized once and
 // then overwritten in place by SyncFrom, so the steady-state admission
 // path never allocates. Every resync copies the whole ledger: O(H+E),
 // which on every committed workload is less copying than the write
@@ -34,6 +34,7 @@ func (l *Ledger) SyncFrom(src *Ledger) {
 	copy(l.mem, src.mem)
 	copy(l.stor, src.stor)
 	copy(l.bw, src.bw)
+	copy(l.route, src.route)
 	copy(l.quarantined, src.quarantined)
 	copy(l.cutEdges, src.cutEdges)
 	l.copyScalars(src)

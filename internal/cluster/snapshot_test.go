@@ -67,9 +67,10 @@ func mutateLedger(rng *rand.Rand, led *Ledger) {
 }
 
 // ledgersIdentical reports bit-identity of the full mutable state,
-// including the running Kahan sums (compensation terms and all).
+// including the running Kahan sums (compensation terms and all) and the
+// routable vector the searches read.
 func ledgersIdentical(a, b *Ledger) bool {
-	return reflect.DeepEqual(a.State(), b.State()) &&
+	return reflect.DeepEqual(a.State(), b.State()) && reflect.DeepEqual(a.route, b.route) &&
 		a.sumProc == b.sumProc && a.sumProcSq == b.sumProcSq
 }
 

@@ -87,9 +87,15 @@ func RestoreLedger(c *Cluster, st LedgerState) (*Ledger, error) {
 		bw:          append([]float64(nil), st.BW...),
 		quarantined: append([]bool(nil), quarantined...),
 		cutEdges:    append([]bool(nil), cut...),
+		route:       make([]float64, len(st.BW)),
 		topoGen:     st.TopoGen,
 		cutCount:    st.CutCount,
 		genSeq:      st.GenSeq,
+	}
+	for e, b := range l.bw {
+		if !l.cutEdges[e] {
+			l.route[e] = b
+		}
 	}
 	if st.SumProc != nil {
 		l.sumProc = kahanSum{s: st.SumProc[0], c: st.SumProc[1]}

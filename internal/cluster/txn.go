@@ -166,6 +166,7 @@ func (l *Ledger) Commit(t *Txn) error {
 	for _, ei := range t.edgeList {
 		e := int(ei)
 		l.bw[e] -= t.ebw[e]
+		l.route[e] = l.bw[e] // not cut: checked above
 	}
 	return nil
 }

@@ -27,7 +27,7 @@ import (
 // tractable without changing any result.
 func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, links []virtual.Link, arc *arCache, ms *mapScratch) error {
 	net := led.Cluster().Net()
-	bw := led.BandwidthFunc()
+	bw := led.Residuals()
 	tables := arTables(led, links, assign, arc, ms)
 
 	// One scratch serves the whole stage: routing is sequential — each
@@ -78,7 +78,7 @@ func reroute(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths [
 // path only: if even the widest src-dst path under the current residuals
 // is narrower than the demand, no latency budget would have helped;
 // otherwise the bandwidth is there and the budget ruled it out.
-func noPathCause(net *graph.Graph, src, dst graph.NodeID, demand float64, bw graph.BandwidthFunc) error {
+func noPathCause(net *graph.Graph, src, dst graph.NodeID, demand float64, bw []float64) error {
 	if graph.WidestBottleneck(net, src, dst, bw) < demand {
 		return ErrNoPathBandwidth
 	}

@@ -274,7 +274,7 @@ func (s *solver) route(assign []graph.NodeID, paths []graph.Path) bool {
 func (s *solver) routeGreedy(assign []graph.NodeID, paths []graph.Path) bool {
 	net := s.c.Net()
 	led := s.led.Clone()
-	bw := led.BandwidthFunc()
+	bw := led.Residuals()
 	links := append([]virtual.Link(nil), s.v.Links()...)
 	sort.SliceStable(links, func(i, j int) bool {
 		if links[i].BW != links[j].BW {

@@ -394,7 +394,7 @@ func (e *evaluator) realize(ind individual) (*mapping.Mapping, bool) {
 		out.GuestHost[g] = node
 	}
 	net := e.c.Net()
-	bw := led.BandwidthFunc()
+	bw := led.Residuals()
 	links := append([]virtual.Link(nil), e.v.Links()...)
 	sort.SliceStable(links, func(i, j int) bool {
 		if links[i].BW != links[j].BW {

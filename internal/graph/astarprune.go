@@ -34,7 +34,7 @@ type AStarPruneOptions struct {
 	// a destination pass it in to avoid recomputation.
 	AR []float64
 
-	// Scratch optionally supplies reusable search state (candidate heap,
+	// Scratch optionally supplies reusable search state (candidate list,
 	// partial-path array, dominance sets), so a caller routing many links
 	// in sequence — the Networking stage — allocates it once instead of
 	// per search. When nil a scratch is borrowed from an internal
@@ -51,14 +51,14 @@ type AStarPruneOptions struct {
 }
 
 // AStarScratch is the reusable allocation state of AStarPrune: the
-// candidate heap, the flat array of partial-path nodes the heap entries
+// sorted candidate list, the flat array of partial-path nodes its entries
 // index, the epoch-stamped Pareto-dominance sets and the workspace of the
 // widest-path bound. Reusing one across sequential searches removes every
 // allocation from the routing hot path. The zero value is ready to use; a
 // scratch must not be shared between goroutines running searches
 // concurrently.
 type AStarScratch struct {
-	heap  []apCand
+	cands []apCand // sorted worst-first: the next pop is the last entry
 	nodes []apNode
 	dom   []paretoSet
 	epoch uint64
@@ -120,8 +120,8 @@ type apNode struct {
 	node, edge, parent int32
 }
 
-// apCand is one entry of the candidate heap: the ordering key by value —
-// a comparison reads the heap array and nothing else. bottleneck is the
+// apCand is one entry of the candidate list: the ordering key by value —
+// a comparison reads the list and nothing else. bottleneck is the
 // partial path's bottleneck capped at the widest-path bound, accLat its
 // latency so far, projLat = accLat + ar[node] the least latency any
 // completion of it can have, and idx its last apNode, which doubles as
@@ -142,7 +142,7 @@ var scratchPool = sync.Pool{New: func() interface{} { return &AStarScratch{} }}
 // Dominance sets are invalidated by epoch stamping, not cleared, so reuse
 // is O(1) in the graph size.
 func (sc *AStarScratch) begin(n int, dominance bool) {
-	sc.heap = sc.heap[:0]
+	sc.cands = sc.cands[:0]
 	sc.nodes = sc.nodes[:0]
 	if dominance {
 		if len(sc.dom) < n {
@@ -166,53 +166,30 @@ func (sc *AStarScratch) extend(c apCand, node, edge, parent int32) {
 	sc.push(c)
 }
 
-// push adds a candidate to the heap. apLess is a strict total order, so
-// which candidate pop returns next is a function of the set's contents
-// alone: the heap is an implementation detail (the reference selector of
-// the tests uses a linear scan) and both sifts just move a hole.
+// push adds a candidate to the list, which is kept sorted worst-first:
+// the candidate moves down from the end past every entry apLess puts
+// before it. apLess is a strict total order, so which candidate pop
+// returns next is a function of the set's contents alone (the reference
+// selector of the tests uses a linear scan). A new push is usually the
+// least candidate of the set — ties go to the latest push — so it rarely
+// moves at all.
 func (sc *AStarScratch) push(c apCand) {
-	h := append(sc.heap, c)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !apLess(&c, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	l := append(sc.cands, c)
+	i := len(l) - 1
+	for ; i > 0 && apLess(&l[i-1], &c); i-- {
+		l[i] = l[i-1]
 	}
-	h[i] = c
-	sc.heap = h
+	l[i] = c
+	sc.cands = l
 }
 
-// pop removes and returns the best candidate.
+// pop removes and returns the best candidate, the list's last entry.
 func (sc *AStarScratch) pop() apCand {
 	sc.stats.Pops++
-	h := sc.heap
-	n := len(h) - 1
-	top, c := h[0], h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best, bc := i, &c
-		if l < n && apLess(&h[l], bc) {
-			best, bc = l, &h[l]
-		}
-		if r < n && apLess(&h[r], bc) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	if n > 0 {
-		h[i] = c
-	}
-	sc.heap = h
-	return top
+	n := len(sc.cands) - 1
+	c := sc.cands[n]
+	sc.cands = sc.cands[:n]
+	return c
 }
 
 // apLess is the candidate order: widest capped bottleneck first; among
@@ -222,7 +199,7 @@ func (sc *AStarScratch) pop() apCand {
 // that latency, then the most hops, then the latest push, so that ties go
 // depth-first. No two candidates share a push index, which makes this a
 // strict total order and the pop sequence a function of the query, not of
-// how a heap happens to sift.
+// the structure that holds the candidates.
 func apLess(a, b *apCand) bool {
 	if a.bottleneck != b.bottleneck {
 		return a.bottleneck > b.bottleneck
@@ -277,7 +254,7 @@ func (sc *AStarScratch) pathIn(idx, hops int32, arena *PathArena) Path {
 // under residual, latency ignored: -Inf when the two are disconnected. The
 // cheap bound is tried first (see probe), and the sweep over every edge
 // runs only when the probe cannot prove it exact.
-func (sc *AStarScratch) widest(g *Graph, origin, dest int32, residual BandwidthFunc) float64 {
+func (sc *AStarScratch) widest(g *Graph, origin, dest int32, residual []float64) float64 {
 	if w, exact := sc.probe(g, origin, dest, residual); exact {
 		return w
 	}
@@ -294,14 +271,14 @@ func (sc *AStarScratch) widest(g *Graph, origin, dest int32, residual BandwidthF
 // proves nothing. It reads residuals and writes only its own stack and
 // stamps: the edge order the sweep keeps goes stale for a search longer,
 // which that order, a warm start, is allowed to be.
-func (sc *AStarScratch) probe(g *Graph, origin, dest int32, residual BandwidthFunc) (w float64, exact bool) {
+func (sc *AStarScratch) probe(g *Graph, origin, dest int32, residual []float64) (w float64, exact bool) {
 	half := g.half
 	wo, wd := math.Inf(-1), math.Inf(-1)
 	for _, e := range half[origin] {
-		wo = max(wo, residual(int(e.eid)))
+		wo = max(wo, residual[e.eid])
 	}
 	for _, e := range half[dest] {
-		wd = max(wd, residual(int(e.eid)))
+		wd = max(wd, residual[e.eid])
 	}
 	w, from, to := wo, origin, dest
 	if wd < wo {
@@ -319,7 +296,7 @@ func (sc *AStarScratch) probe(g *Graph, origin, dest int32, residual BandwidthFu
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range half[u] {
-			if seen[e.to] == mark || residual(int(e.eid)) < w {
+			if seen[e.to] == mark || residual[e.eid] < w {
 				continue
 			}
 			if e.to == to {
@@ -342,14 +319,14 @@ func (sc *AStarScratch) probe(g *Graph, origin, dest int32, residual BandwidthFu
 // and finishes sorting before it joins anything, so the result never
 // depends on what the scratch served before. A search's reservation moves
 // a path's worth of edges, which is what makes an insertion pass cheap.
-func (sc *AStarScratch) sweep(g *Graph, origin, dest int32, residual BandwidthFunc) float64 {
+func (sc *AStarScratch) sweep(g *Graph, origin, dest int32, residual []float64) float64 {
 	sc.stats.Sweeps++
 	m := len(g.edges)
 	if len(sc.order) != m { // first use, or another graph: nothing to warm-start from
 		res := make([]float64, m)
 		sc.order, sc.res = make([]int32, m), res
 		for e := range res {
-			sc.order[e], res[e] = int32(e), residual(e)
+			sc.order[e], res[e] = int32(e), residual[e]
 		}
 		// The pass below would be quadratic from an arbitrary order. (res
 		// is by edge ID for this sort only; the pass rewrites it.)
@@ -359,7 +336,7 @@ func (sc *AStarScratch) sweep(g *Graph, origin, dest int32, residual BandwidthFu
 	// below i are sorted, descending.
 	order, res := sc.order, sc.res
 	for i, e := range order {
-		r := residual(int(e))
+		r := residual[e]
 		j := i
 		for ; j > 0 && res[j-1] < r; j-- {
 			order[j], res[j] = order[j-1], res[j-1]
@@ -408,7 +385,7 @@ func (sc *AStarScratch) sweep(g *Graph, origin, dest int32, residual BandwidthFu
 // -Inf when there is none. A virtual link asking for more than this is
 // unroutable for want of bandwidth; one asking for no more, and still
 // unroutable, for want of latency budget.
-func WidestBottleneck(g *Graph, origin, dest NodeID, residual BandwidthFunc) float64 {
+func WidestBottleneck(g *Graph, origin, dest NodeID, residual []float64) float64 {
 	if origin == dest {
 		return math.Inf(1)
 	}
@@ -424,7 +401,9 @@ func WidestBottleneck(g *Graph, origin, dest NodeID, residual BandwidthFunc) flo
 // such paths returns one with the greatest bottleneck (minimum residual)
 // bandwidth — and, among those, the least latency. The rationale (§4.3)
 // is to keep the links with the largest spare capacity available for the
-// virtual links still to be mapped.
+// virtual links still to be mapped. residual[e] is the spare bandwidth of
+// edge e, read in place: a caller that reserves along the returned path
+// by writing the vector routes its next link on the new residuals.
 //
 // The search keeps a set of feasible partial paths ordered by apLess.
 // Algorithm 1 orders them by the bottleneck so far and nothing else, so
@@ -480,7 +459,7 @@ func WidestBottleneck(g *Graph, origin, dest NodeID, residual BandwidthFunc) flo
 // It returns the path and true on success. If origin == dest the trivial
 // path is returned. On failure (no feasible path, or MaxExpansions hit)
 // it returns a zero Path and false.
-func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual BandwidthFunc, opts *AStarPruneOptions) (Path, bool) {
+func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual []float64, opts *AStarPruneOptions) (Path, bool) {
 	if opts == nil {
 		opts = &AStarPruneOptions{}
 	}
@@ -522,7 +501,7 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 // (its path and true), MaxExpansions is exceeded, or the set is empty —
 // exhausted, which with a floor above the demand proves only that no path
 // that wide meets the budget.
-func (sc *AStarScratch) expand(g *Graph, src, dst int32, floor, latency, widest float64, residual BandwidthFunc, ar []float64, opts *AStarPruneOptions) (p Path, ok, exhausted bool) {
+func (sc *AStarScratch) expand(g *Graph, src, dst int32, floor, latency, widest float64, residual []float64, ar []float64, opts *AStarPruneOptions) (p Path, ok, exhausted bool) {
 	dominance := !opts.DisableDominance
 	sc.begin(g.n, dominance)
 	if dominance {
@@ -550,7 +529,7 @@ func (sc *AStarScratch) expand(g *Graph, src, dst int32, floor, latency, widest 
 	var goal apCand
 	reached := false
 	expansions := 0
-	for len(sc.heap) > 0 {
+	for len(sc.cands) > 0 {
 		best := sc.pop()
 		at := sc.nodes[best.idx].node
 		if at == dst {
@@ -575,7 +554,7 @@ func (sc *AStarScratch) expand(g *Graph, src, dst int32, floor, latency, widest 
 				// node.
 				continue
 			}
-			r := residual(int(e.eid))
+			r := residual[e.eid]
 			if r < floor {
 				continue // Eq. 9: not enough spare bandwidth — or, wide-first, narrower than the bound
 			}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -86,7 +87,7 @@ func randomQuery(rng *rand.Rand, g *Graph, discrete bool) (a, b NodeID, demand, 
 }
 
 // infeasible reports why p is not a valid answer to the query, or "".
-func infeasible(g *Graph, p Path, a, b NodeID, demand, budget float64, bw BandwidthFunc) string {
+func infeasible(g *Graph, p Path, a, b NodeID, demand, budget float64, bw []float64) string {
 	if err := p.Validate(g); err != nil {
 		return err.Error() // structure, and Eq. 7: simple
 	}
@@ -126,7 +127,7 @@ func TestQuickAStarPruneMatchesOracle(t *testing.T) {
 			n = 2 + rng.Intn(8) // plain Algorithm 1 enumerates simple paths
 		}
 		g, res := randomMultigraph(rng, n, discrete)
-		bw := func(e int) float64 { return res[e] }
+		bw := res
 		for q := 0; q < 8; q++ {
 			a, b, demand, budget := randomQuery(rng, g, discrete)
 			opts.AR = nil
@@ -294,10 +295,11 @@ func linearScanPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, 
 // node and edge for edge — on multigraphs full of parallel twins, zero-
 // latency edges and integer residuals, where candidates tie on everything
 // but the push index. The pop sequence is therefore a function of apLess
-// and the query alone: neither the binary heap's sift order, nor the
-// warm-started edge order of the widest-path bound, nor the pushes
-// skipped once a destination candidate is in the set, nor the dead-end
-// shortcut, nor what the scratch served before can be seen in a result.
+// and the query alone: neither the order the sorted candidate list keeps
+// equal keys in, nor the warm-started edge order of the widest-path
+// bound, nor the pushes skipped once a destination candidate is in the
+// set, nor the dead-end shortcut, nor what the scratch served before can
+// be seen in a result.
 func TestQuickAStarPruneMatchesLinearScan(t *testing.T) {
 	scratch := NewAStarScratch()
 	var bounded uint64
@@ -310,7 +312,7 @@ func TestQuickAStarPruneMatchesLinearScan(t *testing.T) {
 			n = 2 + rng.Intn(8)
 		}
 		g, res := randomMultigraph(rng, n, discrete)
-		bw := func(e int) float64 { return res[e] }
+		bw := res
 		for q := 0; q < 8; q++ {
 			a, b, demand, budget := randomQuery(rng, g, discrete)
 			if a == b {
@@ -345,6 +347,98 @@ func TestQuickAStarPruneMatchesLinearScan(t *testing.T) {
 	requireBothBranches(t, scratch.Stats(), bounded)
 }
 
+// torusGraph is a rows x cols torus of unit-latency edges with residuals
+// from a handful of integers, as randomMultigraph's discrete ones: the
+// fabric the Networking stage routes on, where every pair has many
+// equally short, equally wide paths.
+func torusGraph(rng *rand.Rand, rows, cols int) (*Graph, []float64) {
+	g := New(rows * cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			g.AddEdge(NodeID(r*cols+c), NodeID(r*cols+(c+1)%cols), 10, 1)
+			g.AddEdge(NodeID(r*cols+c), NodeID(((r+1)%rows)*cols+c), 10, 1)
+		}
+	}
+	res := make([]float64, g.NumEdges())
+	for e := range res {
+		res[e] = float64(6 + rng.Intn(5))
+	}
+	return g, res
+}
+
+// Property: the Networking stage's pattern agrees with linearScanPrune
+// search for search. One scratch and one arena serve the whole run; per
+// graph, one residual vector is routed on a batch of links in descending
+// demand order, with the latency table of each destination computed once
+// and reused, and every path found is reserved by writing the vector in
+// place — the vector AStarPrune is handed is the one the reservations
+// write, so each search warm-starts the widest-path bound from an edge
+// order the previous reservations left stale. Each search must return
+// the path linearScanPrune finds on the vector as those reservations
+// left it.
+func TestQuickAStarPruneNetworkingPattern(t *testing.T) {
+	scratch := NewAStarScratch()
+	opts := AStarPruneOptions{Scratch: scratch, Arena: NewPathArena()}
+	var routed, refused int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var g *Graph
+		var res []float64
+		if rng.Intn(2) == 0 {
+			g, res = torusGraph(rng, 2+rng.Intn(5), 3+rng.Intn(4))
+		} else {
+			g, res = randomMultigraph(rng, 2+rng.Intn(30), true)
+			for e := range res {
+				res[e] += float64(rng.Intn(4)) // room for several reservations
+			}
+		}
+		type link struct {
+			a, b           NodeID
+			demand, budget float64
+		}
+		links := make([]link, 8+rng.Intn(17))
+		for i := range links {
+			l := &links[i]
+			for l.a == l.b {
+				l.a, l.b = NodeID(rng.Intn(g.NumNodes())), NodeID(rng.Intn(g.NumNodes()))
+			}
+			l.demand = float64(1 + rng.Intn(3))
+			l.budget = DijkstraLatency(g, l.b)[l.a] + float64(rng.Intn(4))
+		}
+		slices.SortStableFunc(links, func(x, y link) int { return cmp.Compare(y.demand, x.demand) })
+		ars := make(map[NodeID][]float64)
+		for i, l := range links {
+			if ars[l.b] == nil {
+				ars[l.b] = DijkstraLatency(g, l.b)
+			}
+			opts.AR = ars[l.b]
+			want, wantOK := linearScanPrune(g, l.a, l.b, l.demand, l.budget, res, AStarPruneOptions{})
+			p, ok := AStarPrune(g, l.a, l.b, l.demand, l.budget, res, &opts)
+			if ok != wantOK || ok && !samePath(p, want) {
+				t.Logf("seed %d link %d (%d->%d, %v within %v): %v %v, linear scan %v %v", seed, i, l.a, l.b, l.demand, l.budget, p, ok, want, wantOK)
+				return false
+			}
+			if !ok {
+				refused++
+				continue
+			}
+			routed++
+			for _, e := range p.Edges {
+				res[e] -= l.demand
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 3}); err != nil {
+		t.Fatal(err)
+	}
+	st := scratch.Stats()
+	t.Logf("%d links routed, %d refused: %d searches, %d sweeps, %d second passes", routed, refused, st.Searches, st.Sweeps, st.Restarts)
+	if refused == 0 || st.Sweeps == 0 || st.Sweeps == st.Searches {
+		t.Fatal("the generator no longer reaches refusals, sweeps and probe hits")
+	}
+}
+
 // The second pass, on a case small enough to follow by hand. The widest
 // 0-5 path, 0-1-2-5 at 10 Mbps, takes 22 ms; the 10 ms budget admits
 // 0-3-4-5 (4 Mbps, 9 ms) and 0-1-2-4-5 (3 Mbps, 6 ms). The first pass pops
@@ -364,7 +458,7 @@ func TestAStarPruneSecondPass(t *testing.T) {
 	g.AddEdge(3, 4, 10, 3)
 	g.AddEdge(4, 5, 10, 3)
 	g.AddEdge(2, 4, 10, 1)
-	bw := func(e int) float64 { return res[e] }
+	bw := res
 	for _, tc := range []struct {
 		cap      int
 		found    bool
@@ -412,7 +506,7 @@ func TestWidestBottleneckMatchesBruteForce(t *testing.T) {
 // A warmed-up scratch and arena leave AStarPrune nothing to allocate.
 func TestAStarPruneWarmScratchAllocatesNothing(t *testing.T) {
 	g, res := randomMultigraph(rand.New(rand.NewSource(7)), 40, false)
-	bw := func(e int) float64 { return res[e] }
+	bw := res
 	opts := &AStarPruneOptions{Scratch: NewAStarScratch(), Arena: NewPathArena()}
 	ars := make([][]float64, g.NumNodes())
 	for d := range ars {

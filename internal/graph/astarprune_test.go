@@ -10,7 +10,7 @@ import (
 // bottleneck bandwidth over all simple paths from a to b that satisfy the
 // bandwidth and latency constraints. Returns -1 when no feasible path
 // exists.
-func bruteForceBestBottleneck(g *Graph, a, b NodeID, bandwidth, latency float64, bw BandwidthFunc) float64 {
+func bruteForceBestBottleneck(g *Graph, a, b NodeID, bandwidth, latency float64, bw []float64) float64 {
 	best := -1.0
 	for _, p := range AllSimplePaths(g, a, b, 0) {
 		if p.Latency(g) > latency {
@@ -111,12 +111,8 @@ func TestAStarPruneUsesResidualNotNominal(t *testing.T) {
 	direct := g.AddEdge(0, 2, 10, 1)
 	g.AddEdge(0, 1, 10, 1)
 	g.AddEdge(1, 2, 10, 1)
-	residual := func(eid int) float64 {
-		if eid == direct {
-			return 0.5
-		}
-		return 10
-	}
+	residual := []float64{10, 10, 10}
+	residual[direct] = 0.5
 	p, ok := AStarPrune(g, 0, 2, 1, 100, residual, nil)
 	if !ok {
 		t.Fatal("detour is feasible")

@@ -26,7 +26,7 @@ import (
 // of the differential test: the same found flag, bottleneck and latency
 // as AStarPrune on every query, though not always the same path among
 // several of that value.
-func AStarPruneK(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual BandwidthFunc, k int, opts *AStarPruneOptions) []Path {
+func AStarPruneK(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual []float64, k int, opts *AStarPruneOptions) []Path {
 	if k <= 0 {
 		return nil
 	}
@@ -72,7 +72,7 @@ func AStarPruneK(g *Graph, origin, dest NodeID, bandwidth, latency float64, resi
 			if h != dest && g.Degree(h) == 1 {
 				continue // dead end, as in AStarPrune
 			}
-			if residual(eid) < bandwidth {
+			if residual[eid] < bandwidth {
 				continue
 			}
 			accLat := best.accLat + e.Latency
@@ -80,7 +80,7 @@ func AStarPruneK(g *Graph, origin, dest NodeID, bandwidth, latency float64, resi
 				continue
 			}
 			bn := best.bottleneck
-			if r := residual(eid); r < bn {
+			if r := residual[eid]; r < bn {
 				bn = r
 			}
 			next := &apState{node: h, edge: eid, parent: best, bottleneck: bn, accLat: accLat, hops: best.hops + 1}

@@ -18,7 +18,7 @@ import "math/rand"
 // deterministic.
 //
 // If origin == dest the trivial path is returned.
-func DFSPath(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual BandwidthFunc, rng *rand.Rand) (Path, bool) {
+func DFSPath(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual []float64, rng *rand.Rand) (Path, bool) {
 	if origin == dest {
 		return TrivialPath(origin), true
 	}
@@ -44,7 +44,7 @@ func DFSPath(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual
 			if onPath[v] {
 				continue
 			}
-			if residual(eid) < bandwidth {
+			if residual[eid] < bandwidth {
 				continue
 			}
 			nl := accLat + e.Latency
@@ -88,7 +88,7 @@ func DFSPath(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual
 // Branches are pruned when the edge lacks residual bandwidth or when the
 // accumulated latency would exceed the budget, so any returned path is
 // feasible. rng shuffles the visiting order; nil keeps insertion order.
-func DFSTreePath(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual BandwidthFunc, rng *rand.Rand) (Path, bool) {
+func DFSTreePath(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual []float64, rng *rand.Rand) (Path, bool) {
 	if origin == dest {
 		return TrivialPath(origin), true
 	}
@@ -114,7 +114,7 @@ func DFSTreePath(g *Graph, origin, dest NodeID, bandwidth, latency float64, resi
 			if visited[v] {
 				continue
 			}
-			if residual(eid) < bandwidth {
+			if residual[eid] < bandwidth {
 				continue
 			}
 			nl := accLat + e.Latency

@@ -9,9 +9,9 @@
 //
 // The graph is a pure topology: capacities stored on edges are the nominal
 // (installed) capacities. Residual bandwidth — which shrinks as virtual
-// links are mapped — is supplied to the search algorithms through a
-// BandwidthFunc so that the same topology can be shared by many concurrent
-// mapping attempts, each with its own residual ledger.
+// links are mapped — is supplied to the search algorithms as a vector
+// indexed by edge ID, so that the same topology can be shared by many
+// concurrent mapping attempts, each with its own residual ledger.
 package graph
 
 import (
@@ -46,11 +46,6 @@ func (e Edge) Other(n NodeID) NodeID {
 	}
 	panic(fmt.Sprintf("graph: node %d is not an endpoint of edge %d (%d-%d)", n, e.ID, e.A, e.B))
 }
-
-// BandwidthFunc reports the residual bandwidth of the edge with the given
-// ID. Search algorithms consult it instead of Edge.Bandwidth so that
-// already-reserved capacity is respected (constraint Eq. 9 of the paper).
-type BandwidthFunc func(edgeID int) float64
 
 // Graph is an undirected weighted multigraph. The zero value is an empty
 // graph; use New to create one with a fixed node count and AddEdge to grow
@@ -231,10 +226,15 @@ func (g *Graph) ConnectedSubset(subset []NodeID) bool {
 	return true
 }
 
-// NominalBandwidth is a BandwidthFunc that reports each edge's installed
-// capacity, i.e. a network with nothing reserved yet.
-func (g *Graph) NominalBandwidth() BandwidthFunc {
-	return func(edgeID int) float64 { return g.edges[edgeID].Bandwidth }
+// NominalBandwidth returns a fresh residual vector, indexed by edge ID,
+// holding each edge's installed capacity: a network with nothing reserved
+// yet.
+func (g *Graph) NominalBandwidth() []float64 {
+	bw := make([]float64, len(g.edges))
+	for i, e := range g.edges {
+		bw[i] = e.Bandwidth
+	}
+	return bw
 }
 
 // Inf is the bandwidth value used to model "unlimited" (the paper assigns

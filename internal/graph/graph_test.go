@@ -140,7 +140,7 @@ func TestConnectedSubset(t *testing.T) {
 func TestNominalBandwidth(t *testing.T) {
 	g := New(2)
 	id := g.AddEdge(0, 1, 123, 1)
-	if got := g.NominalBandwidth()(id); got != 123 {
+	if got := g.NominalBandwidth()[id]; got != 123 {
 		t.Fatalf("NominalBandwidth = %v, want 123", got)
 	}
 }

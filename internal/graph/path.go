@@ -55,12 +55,12 @@ func (p Path) Latency(g *Graph) float64 {
 	return total
 }
 
-// Bottleneck returns the smallest residual bandwidth along the path
-// according to bw. The trivial path has infinite bottleneck bandwidth.
-func (p Path) Bottleneck(g *Graph, bw BandwidthFunc) float64 {
+// Bottleneck returns the smallest residual bandwidth along the path,
+// bw[e] being edge e's. The trivial path has infinite bottleneck bandwidth.
+func (p Path) Bottleneck(g *Graph, bw []float64) float64 {
 	min := math.Inf(1)
 	for _, eid := range p.Edges {
-		if b := bw(eid); b < min {
+		if b := bw[eid]; b < min {
 			min = b
 		}
 	}

@@ -40,10 +40,10 @@ type Flow struct {
 // classic water-filling characterisation of max-min fairness; the
 // simulation is event-driven and exact.
 //
-// capacity reports each edge's bandwidth in Mbps. Flows whose path has
+// capacity[e] is edge e's bandwidth in Mbps. Flows whose path has
 // no edges complete after their latency only. A flow crossing a
 // zero-capacity edge never completes (+Inf).
-func SimulateFlows(net *graph.Graph, capacity graph.BandwidthFunc, flows []Flow) []float64 {
+func SimulateFlows(net *graph.Graph, capacity []float64, flows []Flow) []float64 {
 	n := len(flows)
 	done := make([]float64, n)
 	remaining := make([]float64, n)
@@ -111,7 +111,7 @@ func SimulateFlows(net *graph.Graph, capacity graph.BandwidthFunc, flows []Flow)
 // mapping's reserved rates survive fair sharing (every returned rate of
 // a valid mapping is at least its virtual link's vbw, because Eq. 9
 // bounds the aggregate demand on every physical link).
-func FlowRates(net *graph.Graph, capacity graph.BandwidthFunc, flows []Flow) []float64 {
+func FlowRates(net *graph.Graph, capacity []float64, flows []Flow) []float64 {
 	active := make([]bool, len(flows))
 	for i, f := range flows {
 		active[i] = f.Path.Len() > 0
@@ -127,7 +127,7 @@ func FlowRates(net *graph.Graph, capacity graph.BandwidthFunc, flows []Flow) []f
 
 // maxMinRates computes the max-min fair rate allocation for the active
 // flows by progressive filling.
-func maxMinRates(net *graph.Graph, capacity graph.BandwidthFunc, flows []Flow, active []bool) []float64 {
+func maxMinRates(net *graph.Graph, capacity []float64, flows []Flow, active []bool) []float64 {
 	rates := make([]float64, len(flows))
 	fixed := make([]bool, len(flows))
 
@@ -142,7 +142,7 @@ func maxMinRates(net *graph.Graph, capacity graph.BandwidthFunc, flows []Flow, a
 		}
 		for _, eid := range f.Path.Edges {
 			if _, ok := edgeCap[eid]; !ok {
-				edgeCap[eid] = capacity(eid)
+				edgeCap[eid] = capacity[eid]
 			}
 			edgeFlows[eid] = append(edgeFlows[eid], i)
 			unfixedOn[eid]++

@@ -303,9 +303,10 @@ var (
 // Algorithm 1 for callers routing individual flows: it returns a
 // loop-free path from origin to dest with at least bw Mbps of residual
 // bandwidth on every edge and total latency within lat ms, maximising the
-// bottleneck bandwidth. The residual function reports spare capacity per
-// edge (use (*Ledger).BandwidthFunc or (*Graph).NominalBandwidth).
-func AStarPrune(g *Graph, origin, dest NodeID, bw, lat float64, residual func(edgeID int) float64) (Path, bool) {
+// bottleneck bandwidth. residual[e] is the spare capacity of edge e (use
+// (*Ledger).Residuals, or (*Graph).NominalBandwidth for an unloaded
+// network).
+func AStarPrune(g *Graph, origin, dest NodeID, bw, lat float64, residual []float64) (Path, bool) {
 	return graph.AStarPrune(g, origin, dest, bw, lat, residual, nil)
 }
 

@@ -77,7 +77,7 @@ func TestFacadeManualConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := AStarPrune(cl.Net(), 0, 1, 10, 60, led.BandwidthFunc())
+	p, ok := AStarPrune(cl.Net(), 0, 1, 10, 60, led.Residuals())
 	if !ok || p.Len() != 1 {
 		t.Fatalf("AStarPrune = %v, %v", p, ok)
 	}

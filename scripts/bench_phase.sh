@@ -13,29 +13,34 @@
 # it before believing a reference-time delta between the two.
 #
 # REV is exported with git archive into a temporary directory (no
-# worktree metadata is left behind). Usage, from anywhere:
+# worktree metadata is left behind). With a second argument the two
+# binaries are kept there, as DIR/work and DIR/base (scripts/bench_pairs.sh
+# runs them). Usage, from anywhere:
 #
-#   scripts/bench_phase.sh <rev>     (or: make bench-phase REV=<rev>)
+#   scripts/bench_phase.sh <rev> [dir]     (or: make bench-phase REV=<rev>)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-rev=${1:?usage: scripts/bench_phase.sh <rev>}
+rev=${1:?usage: scripts/bench_phase.sh <rev> [dir]}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+out=${2:-$tmp}
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
 mkdir "$tmp/rev"
 git archive "$rev" | tar -x -C "$tmp/rev"
 
 # Built the way benchmark/run.sh builds it.
 export GOTOOLCHAIN=local
-go build -o "$tmp/work" ./benchmark/hmnperf
-(cd "$tmp/rev" && go build -o "$tmp/base" ./benchmark/hmnperf)
+go build -o "$out/work" ./benchmark/hmnperf
+(cd "$tmp/rev" && go build -o "$out/base" ./benchmark/hmnperf)
 
 # kernel BIN prints "symbol address" for the kernel and the heap it uses.
 kernel() {
 	go tool nm "$1" | awk '$3 ~ /^(main\.refKernel|main\.\(\*refHeap\)\..*|container\/heap\..*)$/ { print $3, $1 }' | sort
 }
-kernel "$tmp/work" >"$tmp/work.sym"
-kernel "$tmp/base" >"$tmp/base.sym"
+kernel "$out/work" >"$tmp/work.sym"
+kernel "$out/base" >"$tmp/base.sym"
 
 printf '%-28s %10s %5s   %10s %5s\n' symbol "working" mod64 "$rev" mod64
 status=0
