@@ -10,24 +10,6 @@ import (
 // AStarPruneOptions tunes the modified 1-constrained A*Prune search.
 // The zero value is a valid, paper-faithful configuration.
 type AStarPruneOptions struct {
-	// MaxExpansions bounds the number of partial paths popped from the
-	// candidate set before the search gives up (returning not-found).
-	// 0 means unlimited. A*Prune is worst-case exponential; real mapping
-	// workloads stay far below any sensible bound, so this is a safety
-	// valve, not a tuning knob.
-	MaxExpansions int
-
-	// DisableDominance turns off Pareto-dominance pruning, falling back to
-	// the plain candidate-set behaviour of the paper's Algorithm 1. With
-	// dominance pruning on (the default), a partial path reaching a node
-	// with both a lower-or-equal bottleneck bandwidth and a
-	// higher-or-equal accumulated latency than a previously seen partial
-	// path at the same node is discarded. This is the standard A*Prune
-	// optimisation and does not change the result (verified against
-	// brute-force enumeration in the tests); it only bounds the candidate
-	// set on dense topologies such as the 2-D torus.
-	DisableDominance bool
-
 	// AR optionally supplies the precomputed Dijkstra latency table
 	// towards the destination (the paper's ar[] array). When nil it is
 	// computed internally. Callers mapping many virtual links that share
@@ -141,20 +123,18 @@ var scratchPool = sync.Pool{New: func() interface{} { return &AStarScratch{} }}
 // begin resets the scratch for one search over a graph of n nodes.
 // Dominance sets are invalidated by epoch stamping, not cleared, so reuse
 // is O(1) in the graph size.
-func (sc *AStarScratch) begin(n int, dominance bool) {
+func (sc *AStarScratch) begin(n int) {
 	sc.cands = sc.cands[:0]
 	sc.nodes = sc.nodes[:0]
-	if dominance {
-		if len(sc.dom) < n {
-			sc.dom = make([]paretoSet, n)
+	if len(sc.dom) < n {
+		sc.dom = make([]paretoSet, n)
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stamps are ambiguous, hard-reset
+		for i := range sc.dom {
+			sc.dom[i] = paretoSet{}
 		}
-		sc.epoch++
-		if sc.epoch == 0 { // wrapped: stamps are ambiguous, hard-reset
-			for i := range sc.dom {
-				sc.dom[i] = paretoSet{}
-			}
-			sc.epoch = 1
-		}
+		sc.epoch = 1
 	}
 }
 
@@ -214,17 +194,6 @@ func apLess(a, b *apCand) bool {
 		return a.hops > b.hops
 	}
 	return a.idx > b.idx
-}
-
-// onPath reports whether graph node n lies on the partial path ending at
-// apNode idx.
-func (sc *AStarScratch) onPath(idx, n int32) bool {
-	for ; idx >= 0; idx = sc.nodes[idx].parent {
-		if sc.nodes[idx].node == n {
-			return true
-		}
-	}
-	return false
 }
 
 // pathIn materialises the partial path of hops edges ending at apNode
@@ -442,23 +411,26 @@ func WidestBottleneck(g *Graph, origin, dest NodeID, residual []float64) float64
 // Pareto set, so no U-wide extension is rejected for a narrow one's sake;
 // (3) a narrow destination candidate held as the goal never suppresses a
 // U-wide push, which is less than it, and is replaced by the first U-wide
-// destination candidate; (4) MaxExpansions counts pops, the same pops in
-// the same order, so a capped search gives up at the same pop — the
-// second pass counts from zero, being the whole single-pass search.
+// destination candidate.
 //
 // Extensions are pruned when the extending edge lacks residual bandwidth,
-// when the node is already on the path (Eq. 7 — a test dominance pruning
-// makes implicit, see where the search is seeded), or when the
-// accumulated latency plus the edge latency plus the Dijkstra lower bound
-// ar[h] to the destination exceeds the latency budget — the admissibility
-// test. (The paper's pseudo-code writes the test as lat((d,h)) + ar[h] <=
-// latency, omitting the accumulated term; that form would admit
-// latency-violating paths, so we include the accumulated latency, which
-// is also what the original A*Prune of Liu & Ramakrishnan prescribes.)
+// or when the accumulated latency plus the edge latency plus the Dijkstra
+// lower bound ar[h] to the destination exceeds the latency budget — the
+// admissibility test. (The paper's pseudo-code writes the test as
+// lat((d,h)) + ar[h] <= latency, omitting the accumulated term; that form
+// would admit latency-violating paths, so we include the accumulated
+// latency, which is also what the original A*Prune of Liu & Ramakrishnan
+// prescribes.) An extension is also dropped when a partial path already
+// seen at its node dominates it, being at least as wide (capped) and no
+// slower. That Pareto pruning is the standard A*Prune optimisation: it
+// does not change the result (the tests check it against brute-force
+// enumeration), it bounds the candidate set on dense topologies such as
+// the 2-D torus, and it makes Eq. 7, no node twice on a path, implicit
+// (see where the search is seeded).
 //
 // It returns the path and true on success. If origin == dest the trivial
-// path is returned. On failure (no feasible path, or MaxExpansions hit)
-// it returns a zero Path and false.
+// path is returned. When no path is feasible it returns a zero Path and
+// false.
 func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, residual []float64, opts *AStarPruneOptions) (Path, bool) {
 	if opts == nil {
 		opts = &AStarPruneOptions{}
@@ -487,10 +459,10 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 		}
 		floor = widest
 	}
-	p, ok, exhausted := sc.expand(g, src, dst, floor, latency, widest, residual, ar, opts)
+	p, ok, exhausted := sc.expand(g, src, dst, floor, latency, widest, residual, ar, opts.Arena)
 	if exhausted && floor > bandwidth {
 		sc.stats.Restarts++
-		p, ok, _ = sc.expand(g, src, dst, bandwidth, latency, widest, residual, ar, opts)
+		p, ok, _ = sc.expand(g, src, dst, bandwidth, latency, widest, residual, ar, opts.Arena)
 	}
 	return p, ok
 }
@@ -498,27 +470,21 @@ func AStarPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, resid
 // expand is AStarPrune's one expansion loop: from the origin alone in the
 // candidate set, pop the apLess-least candidate and extend it over every
 // edge with at least floor of residual, until the destination is popped
-// (its path and true), MaxExpansions is exceeded, or the set is empty —
-// exhausted, which with a floor above the demand proves only that no path
-// that wide meets the budget.
-func (sc *AStarScratch) expand(g *Graph, src, dst int32, floor, latency, widest float64, residual []float64, ar []float64, opts *AStarPruneOptions) (p Path, ok, exhausted bool) {
-	dominance := !opts.DisableDominance
-	sc.begin(g.n, dominance)
-	if dominance {
-		// Eq. 7 for free. Along a partial path the capped bottleneck
-		// never rises and the accumulated latency never falls (edge
-		// latencies are non-negative numbers), and every node on it put
-		// its own (bottleneck, latency) pair into its Pareto set — the
-		// origin here, the others when they were pushed — where it stays
-		// until a pair that dominates it replaces it. So an extension
-		// that returns to a node of its own path always finds a
-		// dominating pair there: insert rejects it, before changing
-		// anything, and the walk back along the path that Eq. 7 would
-		// cost is only needed with dominance off.
-		sc.dom[src].insert(widest, 0, sc.epoch)
-	}
-
+// (its path and true) or the set is empty — exhausted, which with a floor
+// above the demand proves only that no path that wide meets the budget.
+func (sc *AStarScratch) expand(g *Graph, src, dst int32, floor, latency, widest float64, residual []float64, ar []float64, arena *PathArena) (p Path, ok, exhausted bool) {
 	half := g.half
+	sc.begin(g.n)
+	// Eq. 7 for free. Along a partial path the capped bottleneck never
+	// rises and the accumulated latency never falls (edge latencies are
+	// non-negative numbers), and every node on it put its own (bottleneck,
+	// latency) pair into its Pareto set — the origin here, the others when
+	// they were pushed — where it stays until a pair that dominates it
+	// replaces it. So an extension that returns to a node of its own path
+	// always finds a dominating pair there: insert rejects it, before
+	// changing anything, and no walk back along the path is needed.
+	sc.dom[src].insert(widest, 0, sc.epoch)
+
 	sc.extend(apCand{bottleneck: widest, projLat: ar[src]}, src, -1, -1)
 	// goal is the best destination candidate pushed so far. The search
 	// ends when it is popped, and under a strict total order everything
@@ -528,22 +494,14 @@ func (sc *AStarScratch) expand(g *Graph, src, dst int32, floor, latency, widest 
 	// are those of a search that pushes everything.)
 	var goal apCand
 	reached := false
-	expansions := 0
 	for len(sc.cands) > 0 {
 		best := sc.pop()
 		at := sc.nodes[best.idx].node
 		if at == dst {
-			return sc.pathIn(best.idx, best.hops, opts.Arena), true, false
-		}
-		expansions++
-		if opts.MaxExpansions > 0 && expansions > opts.MaxExpansions {
-			return Path{}, false, false
+			return sc.pathIn(best.idx, best.hops, arena), true, false
 		}
 		for _, e := range half[at] {
 			h := e.to
-			if !dominance && sc.onPath(best.idx, h) {
-				continue // Eq. 7: no loops
-			}
 			if h != dst && len(half[h]) == 1 {
 				// Dead end: h's only edge is the one we would arrive by, so
 				// no simple path can continue through it. Leaf hosts hanging
@@ -566,7 +524,7 @@ func (sc *AStarScratch) expand(g *Graph, src, dst int32, floor, latency, widest 
 			if r < c.bottleneck {
 				c.bottleneck = r
 			}
-			if dominance && !sc.dom[h].insert(c.bottleneck, c.accLat, sc.epoch) {
+			if !sc.dom[h].insert(c.bottleneck, c.accLat, sc.epoch) {
 				continue // dominated by an already-seen partial path, or a loop
 			}
 			if reached && !apLess(&c, &goal) {

@@ -108,25 +108,19 @@ func infeasible(g *Graph, p Path, a, b NodeID, demand, budget float64, bw []floa
 // same bottleneck and the same latency, and AStarPrune's is feasible.
 // Which of several equally wide, equally short paths comes back is each
 // search's own business (TestQuickAStarPruneMatchesLinearScan pins
-// AStarPrune's choice). With an expansion cap the look-ahead may find
-// what the oracle gives up on, so there the claim is against the
-// uncapped oracle: never found where it says infeasible, and optimal
-// when found. One scratch and one arena serve every search of the run,
-// across graphs of different sizes, as the Networking stage reuses them.
+// AStarPrune's choice). One scratch and one arena serve every search of
+// the run, across graphs of different sizes, as the Networking stage
+// reuses them.
 func TestQuickAStarPruneMatchesOracle(t *testing.T) {
 	scratch := NewAStarScratch()
 	arena := NewPathArena()
-	var same, equalValue, neither, capped int
+	var same, equalValue, neither int
 	var bounded uint64 // searches that got as far as asking for the widest-path bound
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		discrete := rng.Intn(2) == 0
-		opts := AStarPruneOptions{DisableDominance: rng.Intn(3) == 0}
-		n := 2 + rng.Intn(40)
-		if opts.DisableDominance {
-			n = 2 + rng.Intn(8) // plain Algorithm 1 enumerates simple paths
-		}
-		g, res := randomMultigraph(rng, n, discrete)
+		var opts AStarPruneOptions
+		g, res := randomMultigraph(rng, 2+rng.Intn(40), discrete)
 		bw := res
 		for q := 0; q < 8; q++ {
 			a, b, demand, budget := randomQuery(rng, g, discrete)
@@ -134,7 +128,6 @@ func TestQuickAStarPruneMatchesOracle(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				opts.AR = DijkstraLatency(g, b)
 			}
-			opts.MaxExpansions = 0
 			oracle := AStarPruneK(g, a, b, demand, budget, bw, 1, &opts)
 
 			fast := opts
@@ -142,17 +135,11 @@ func TestQuickAStarPruneMatchesOracle(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				fast.Arena = arena
 			}
-			if rng.Intn(3) == 0 {
-				fast.MaxExpansions = 1 + rng.Intn(12)
-			}
 			if asksForBound(g, a, b, budget) {
 				bounded++
 			}
 			p, ok := AStarPrune(g, a, b, demand, budget, bw, &fast)
 			switch {
-			case !ok && fast.MaxExpansions > 0:
-				capped++
-				continue
 			case ok != (len(oracle) == 1):
 				t.Logf("seed %d query %d (%d->%d): found %v, oracle found %d", seed, q, a, b, ok, len(oracle))
 				return false
@@ -180,8 +167,8 @@ func TestQuickAStarPruneMatchesOracle(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 6}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d identical paths, %d different paths of equal value, %d both not-found, %d gave up at the cap", same, equalValue, neither, capped)
-	if equalValue == 0 || neither == 0 || capped == 0 {
+	t.Logf("%d identical paths, %d different paths of equal value, %d both not-found", same, equalValue, neither)
+	if equalValue == 0 || neither == 0 {
 		t.Fatal("the generator no longer reaches every outcome")
 	}
 	requireBothBranches(t, scratch.Stats(), bounded)
@@ -215,7 +202,7 @@ func requireBothBranches(t *testing.T, st SearchStats, bounded uint64) {
 // slice and the next one is the apLess-least by linear scan; the widest-
 // path bound is found by trying every residual as a threshold; nothing is
 // reused between searches and no push is skipped.
-func linearScanPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, res []float64, opts AStarPruneOptions) (Path, bool) {
+func linearScanPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, res []float64) (Path, bool) {
 	reaches := func(floor float64) bool { // origin to dest over edges of residual >= floor
 		seen := map[NodeID]bool{origin: true}
 		for stack := []NodeID{origin}; len(stack) > 0; {
@@ -230,7 +217,7 @@ func linearScanPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, 
 		}
 		return seen[dest]
 	}
-	widest := math.Inf(1) // a forest has no bound to offer: AStarPrune's rule, so that expansion caps bite alike
+	widest := math.Inf(1) // a forest has no bound to offer: AStarPrune's rule, so that both order candidates alike
 	if g.NumEdges() >= g.NumNodes() {
 		widest = math.Inf(-1)
 		for _, r := range res {
@@ -252,7 +239,7 @@ func linearScanPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, 
 	dom := make([]paretoSet, g.NumNodes())
 	dom[origin].insert(widest, 0, 0)
 	pushes := int32(1)
-	for expansions := 0; len(open) > 0; {
+	for len(open) > 0 {
 		at := 0
 		for i := range open {
 			if apLess(&open[i].apCand, &open[at].apCand) {
@@ -265,9 +252,6 @@ func linearScanPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, 
 		if u == dest {
 			return best.path, true
 		}
-		if expansions++; opts.MaxExpansions > 0 && expansions > opts.MaxExpansions {
-			return Path{}, false
-		}
 		for _, eid := range g.Incident(u) {
 			e := g.Edge(eid)
 			h := e.Other(u)
@@ -277,9 +261,9 @@ func linearScanPrune(g *Graph, origin, dest NodeID, bandwidth, latency float64, 
 				continue
 			}
 			if h != dest && g.Degree(h) == 1 {
-				continue // dead end: never a candidate, so never an expansion an expansion cap counts
+				continue // dead end
 			}
-			if !opts.DisableDominance && !dom[h].insert(c.bottleneck, c.accLat, 0) {
+			if !dom[h].insert(c.bottleneck, c.accLat, 0) {
 				continue
 			}
 			pushes++
@@ -306,29 +290,18 @@ func TestQuickAStarPruneMatchesLinearScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		discrete := rng.Intn(4) != 0
-		opts := AStarPruneOptions{DisableDominance: rng.Intn(3) == 0}
-		n := 2 + rng.Intn(30)
-		if opts.DisableDominance {
-			n = 2 + rng.Intn(8)
-		}
-		g, res := randomMultigraph(rng, n, discrete)
+		g, res := randomMultigraph(rng, 2+rng.Intn(30), discrete)
 		bw := res
 		for q := 0; q < 8; q++ {
 			a, b, demand, budget := randomQuery(rng, g, discrete)
 			if a == b {
 				continue
 			}
-			opts.MaxExpansions = 0
-			if rng.Intn(3) == 0 {
-				opts.MaxExpansions = 1 + rng.Intn(12)
-			}
-			want, wantOK := linearScanPrune(g, a, b, demand, budget, res, opts)
+			want, wantOK := linearScanPrune(g, a, b, demand, budget, res)
 			if asksForBound(g, a, b, budget) {
 				bounded++
 			}
-			fast := opts
-			fast.Scratch = scratch
-			p, ok := AStarPrune(g, a, b, demand, budget, bw, &fast)
+			p, ok := AStarPrune(g, a, b, demand, budget, bw, &AStarPruneOptions{Scratch: scratch})
 			if ok != wantOK || ok && !samePath(p, want) {
 				t.Logf("seed %d query %d (%d->%d): %v %v, linear scan %v %v", seed, q, a, b, p, ok, want, wantOK)
 				return false
@@ -412,7 +385,7 @@ func TestQuickAStarPruneNetworkingPattern(t *testing.T) {
 				ars[l.b] = DijkstraLatency(g, l.b)
 			}
 			opts.AR = ars[l.b]
-			want, wantOK := linearScanPrune(g, l.a, l.b, l.demand, l.budget, res, AStarPruneOptions{})
+			want, wantOK := linearScanPrune(g, l.a, l.b, l.demand, l.budget, res)
 			p, ok := AStarPrune(g, l.a, l.b, l.demand, l.budget, res, &opts)
 			if ok != wantOK || ok && !samePath(p, want) {
 				t.Logf("seed %d link %d (%d->%d, %v within %v): %v %v, linear scan %v %v", seed, i, l.a, l.b, l.demand, l.budget, p, ok, want, wantOK)
@@ -445,9 +418,7 @@ func TestQuickAStarPruneNetworkingPattern(t *testing.T) {
 // 0, 1 and 2 — the 10 Mbps prefixes the admissibility test lets through
 // because a narrow completion fits — and runs dry; the second pass pops 0,
 // 1, 2, 3 and 4 before the destination, as a single pass with the demand
-// as the floor always did. An expansion cap therefore bites where it did:
-// under 3 in the first pass, with no second; under 5 in the second pass,
-// which counts from zero.
+// as the floor always did: 3 pops and then 6.
 func TestAStarPruneSecondPass(t *testing.T) {
 	g := New(6)
 	res := []float64{10, 10, 10, 4, 4, 4, 3}
@@ -458,30 +429,27 @@ func TestAStarPruneSecondPass(t *testing.T) {
 	g.AddEdge(3, 4, 10, 3)
 	g.AddEdge(4, 5, 10, 3)
 	g.AddEdge(2, 4, 10, 1)
-	bw := res
-	for _, tc := range []struct {
-		cap      int
-		found    bool
-		restarts uint64
-	}{{0, true, 1}, {5, true, 1}, {4, false, 1}, {3, false, 1}, {2, false, 0}} {
-		opts := AStarPruneOptions{MaxExpansions: tc.cap, Scratch: NewAStarScratch()}
-		p, ok := AStarPrune(g, 0, 5, 2, 10, bw, &opts)
-		want, wantOK := linearScanPrune(g, 0, 5, 2, 10, res, opts)
-		if ok != wantOK || !samePath(p, want) {
-			t.Fatalf("cap %d: %v %v, linear scan %v %v", tc.cap, p, ok, want, wantOK)
-		}
-		if ok != tc.found || ok && !slices.Equal(p.Nodes, []NodeID{0, 3, 4, 5}) {
-			t.Fatalf("cap %d: %v %v, want 0-3-4-5 found = %v", tc.cap, p, ok, tc.found)
-		}
-		if st := opts.Scratch.Stats(); st.Restarts != tc.restarts || st.Sweeps != 0 {
-			t.Fatalf("cap %d: %d second passes and %d sweeps, want %d and 0 (the probe reaches 5 from 0 at 10 Mbps)", tc.cap, st.Restarts, st.Sweeps, tc.restarts)
-		}
+	sc := NewAStarScratch()
+	p, ok := AStarPrune(g, 0, 5, 2, 10, res, &AStarPruneOptions{Scratch: sc})
+	want, wantOK := linearScanPrune(g, 0, 5, 2, 10, res)
+	if ok != wantOK || !samePath(p, want) {
+		t.Fatalf("%v %v, linear scan %v %v", p, ok, want, wantOK)
+	}
+	if !ok || !slices.Equal(p.Nodes, []NodeID{0, 3, 4, 5}) {
+		t.Fatalf("%v %v, want 0-3-4-5", p, ok)
+	}
+	if st := sc.Stats(); st.Pops != 3+6 || st.Restarts != 1 || st.Sweeps != 0 {
+		t.Fatalf("%d pops, %d second passes and %d sweeps, want 3+6, 1 and 0 (the probe reaches 5 from 0 at 10 Mbps)", st.Pops, st.Restarts, st.Sweeps)
 	}
 }
 
 // The widest-path bound is exact on any scratch history: WidestBottleneck
 // (a pooled scratch, whatever it served last) against exhaustive
-// enumeration.
+// enumeration; then one scratch held across a run of searches on a
+// residual vector that every path found is reserved on, as the Networking
+// stage holds it, with the bound it computes after each reservation — a
+// probe hit, or a sweep warm-started from the edge order the vector has
+// since moved away from — against enumeration on the vector as it is.
 func TestWidestBottleneckMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 80; trial++ {
@@ -500,6 +468,44 @@ func TestWidestBottleneckMatchesBruteForce(t *testing.T) {
 	g.AddEdge(0, 1, 10, 1)
 	if got := WidestBottleneck(g, 0, 2, g.NominalBandwidth()); !math.IsInf(got, -1) {
 		t.Fatalf("disconnected pair: %v, want -Inf", got)
+	}
+
+	sc := NewAStarScratch()
+	var probed, swept int
+	for trial := 0; trial < 60; trial++ {
+		discrete := trial%2 == 0
+		g, res := randomMultigraph(rng, 2+rng.Intn(7), discrete)
+		for e := range res {
+			res[e] += float64(rng.Intn(4)) // room for several reservations
+		}
+		for q := 0; q < 10; q++ {
+			a, b, demand, budget := randomQuery(rng, g, discrete)
+			p, ok := AStarPrune(g, a, b, demand, budget, res, &AStarPruneOptions{Scratch: sc})
+			if !ok || p.Len() == 0 {
+				continue
+			}
+			for _, e := range p.Edges {
+				res[e] -= demand
+			}
+			c, d := NodeID(rng.Intn(g.NumNodes())), NodeID(rng.Intn(g.NumNodes()))
+			if c == d {
+				c, d = a, b
+			}
+			sweeps := sc.Stats().Sweeps
+			got := sc.widest(g, int32(c), int32(d), res)
+			if sc.Stats().Sweeps == sweeps {
+				probed++
+			} else {
+				swept++
+			}
+			if want := bruteForceBestBottleneck(g, c, d, math.Inf(-1), math.Inf(1), res); got != want {
+				t.Fatalf("trial %d query %d (%d->%d after reserving %v on %v): widest bottleneck %v, enumeration says %v", trial, q, c, d, demand, p, got, want)
+			}
+		}
+	}
+	t.Logf("after a reservation: %d bounds the probe proved, %d swept", probed, swept)
+	if probed == 0 || swept == 0 {
+		t.Fatal("the run no longer reaches both the probe and the sweep")
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // by lower latency, then fewer hops). The candidate set is shared across
 // the k extractions, so the cost is one search, not k.
 //
-// Dominance pruning is forced off when k > 1: a dominated partial path
-// may still complete into one of the k best paths, so the optimisation is
-// only sound for the single-path query.
+// Dominance pruning is on for k = 1 and off for k > 1: a dominated
+// partial path may still complete into one of the k best paths, so the
+// optimisation is only sound for the single-path query.
 //
 // Nothing but tests and examples calls it, and it is deliberately left
 // as the paper's Algorithm 1 on the plain data structures AStarPrune
@@ -45,23 +45,18 @@ func AStarPruneK(g *Graph, origin, dest NodeID, bandwidth, latency float64, resi
 	}
 
 	var dom []paretoSet
-	if k == 1 && !opts.DisableDominance {
+	if k == 1 {
 		dom = make([]paretoSet, g.NumNodes())
 	}
 
 	var found []Path
 	start := &apState{node: origin, edge: -1, bottleneck: math.Inf(1)}
 	pq := &apHeap{start}
-	expansions := 0
 	for pq.Len() > 0 && len(found) < k {
 		best := heap.Pop(pq).(*apState)
 		if best.node == dest {
 			found = append(found, best.path())
 			continue
-		}
-		expansions++
-		if opts.MaxExpansions > 0 && expansions > opts.MaxExpansions {
-			break
 		}
 		for _, eid := range g.Incident(best.node) {
 			e := g.Edge(eid)

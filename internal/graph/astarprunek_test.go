@@ -110,14 +110,3 @@ func TestAStarPruneKTopKAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
-
-func TestAStarPruneKMaxExpansions(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 10, 1)
-	g.AddEdge(1, 2, 10, 1)
-	g.AddEdge(2, 3, 10, 1)
-	g.AddEdge(3, 4, 10, 1)
-	if got := AStarPruneK(g, 0, 4, 1, 100, g.NominalBandwidth(), 2, &AStarPruneOptions{MaxExpansions: 1}); len(got) != 0 {
-		t.Fatal("expansion budget must truncate the result")
-	}
-}

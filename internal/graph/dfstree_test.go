@@ -75,7 +75,7 @@ func TestDFSTreePathIsIncomplete(t *testing.T) {
 	//   0 -----------(lat 2.5)------------------- 3 is absent;
 	// instead: 0-4 (lat 1), 4-1 (lat 1): DFS dives 0-4-1-2-3 (lat 4) over
 	// budget 3.5; having marked 1 and 2, the direct 0-1-2-3 (lat 3) is
-	// unreachable. The complete DFSPath finds it.
+	// unreachable. Exhaustive enumeration finds it.
 	g := New(5)
 	g.AddEdge(0, 4, 10, 1) // explored first
 	g.AddEdge(4, 1, 10, 1)
@@ -83,8 +83,15 @@ func TestDFSTreePathIsIncomplete(t *testing.T) {
 	g.AddEdge(1, 2, 10, 1)
 	g.AddEdge(2, 3, 10, 1)
 
-	if _, ok := DFSPath(g, 0, 3, 1, 3, g.NominalBandwidth(), nil); !ok {
-		t.Fatal("the complete search must find 0-1-2-3 within budget 3")
+	bw := g.NominalBandwidth()
+	var feasible []Path
+	for _, p := range AllSimplePaths(g, 0, 3, 0) {
+		if p.Bottleneck(g, bw) >= 1 && p.Latency(g) <= 3 {
+			feasible = append(feasible, p)
+		}
+	}
+	if len(feasible) != 1 || feasible[0].String() != "0 -[2]-> 1 -[3]-> 2 -[4]-> 3" {
+		t.Fatalf("feasible paths within budget 3: %v, want only 0-1-2-3", feasible)
 	}
 	if _, ok := DFSTreePath(g, 0, 3, 1, 3, g.NominalBandwidth(), nil); ok {
 		t.Fatal("the tree search should miss the path after marking nodes on its detour")

@@ -44,62 +44,6 @@ func DijkstraLatencyAvoiding(g *Graph, src NodeID, avoid func(edgeID int) bool) 
 	return dist
 }
 
-// DijkstraLatencyPath returns a minimum-latency path from src to dst and
-// true, or a zero Path and false if dst is unreachable. Ties are broken by
-// the order edges were added, making results deterministic.
-func DijkstraLatencyPath(g *Graph, src, dst NodeID) (Path, bool) {
-	dist := make([]float64, g.NumNodes())
-	prevEdge := make([]int, g.NumNodes())
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prevEdge[i] = -1
-	}
-	dist[src] = 0
-	pq := distHeap{{dist: 0, node: int32(src)}}
-	for len(pq) > 0 {
-		item := pq.pop()
-		if item.dist > dist[item.node] {
-			continue
-		}
-		if NodeID(item.node) == dst {
-			break
-		}
-		for _, e := range g.half[item.node] {
-			if nd := item.dist + e.lat; nd < dist[e.to] {
-				dist[e.to] = nd
-				prevEdge[e.to] = int(e.eid)
-				pq.push(distItem{dist: nd, node: e.to})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return Path{}, false
-	}
-	// Reconstruct backwards.
-	var revNodes []NodeID
-	var revEdges []int
-	for at := dst; ; {
-		revNodes = append(revNodes, at)
-		eid := prevEdge[at]
-		if eid == -1 {
-			break
-		}
-		revEdges = append(revEdges, eid)
-		at = g.Edge(eid).Other(at)
-	}
-	p := Path{
-		Nodes: make([]NodeID, len(revNodes)),
-		Edges: make([]int, len(revEdges)),
-	}
-	for i, n := range revNodes {
-		p.Nodes[len(revNodes)-1-i] = n
-	}
-	for i, e := range revEdges {
-		p.Edges[len(revEdges)-1-i] = e
-	}
-	return p, true
-}
-
 // distItem is one tentative distance in Dijkstra's frontier.
 type distItem struct {
 	dist float64
@@ -109,8 +53,7 @@ type distItem struct {
 // distHeap is a typed binary min-heap on dist: no interface{} box per
 // push, unlike container/heap. Its sifts move a hole and make the
 // comparisons container/heap makes, so nodes at equal distance are
-// settled in the order they always were — which is what keeps
-// DijkstraLatencyPath's choice among equal-latency paths stable.
+// settled in the order they always were.
 type distHeap []distItem
 
 func (h *distHeap) push(it distItem) {

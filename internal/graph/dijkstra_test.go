@@ -43,39 +43,6 @@ func TestDijkstraLatencyUnreachable(t *testing.T) {
 	}
 }
 
-func TestDijkstraLatencyPathReconstruction(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1, 1)
-	g.AddEdge(1, 2, 1, 1)
-	g.AddEdge(2, 3, 1, 1)
-	g.AddEdge(0, 3, 1, 10) // slow direct edge
-	p, ok := DijkstraLatencyPath(g, 0, 3)
-	if !ok {
-		t.Fatal("path should exist")
-	}
-	if err := p.Validate(g); err != nil {
-		t.Fatalf("invalid path: %v", err)
-	}
-	if p.Latency(g) != 3 {
-		t.Fatalf("path latency = %v, want 3", p.Latency(g))
-	}
-	if p.Origin() != 0 || p.Destination() != 3 {
-		t.Fatalf("path endpoints wrong: %v", p)
-	}
-}
-
-func TestDijkstraLatencyPathTrivialAndUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1, 1)
-	p, ok := DijkstraLatencyPath(g, 0, 0)
-	if !ok || p.Len() != 0 || p.Origin() != 0 {
-		t.Fatal("src==dst should give the trivial path")
-	}
-	if _, ok := DijkstraLatencyPath(g, 0, 2); ok {
-		t.Fatal("node 2 is unreachable")
-	}
-}
-
 func TestDijkstraSymmetry(t *testing.T) {
 	// Undirected graph: dist(a->b) == dist(b->a).
 	rng := rand.New(rand.NewSource(11))
@@ -124,27 +91,6 @@ func TestDijkstraMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestDijkstraPathLatencyMatchesTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		n := 3 + rng.Intn(8)
-		g := randomConnectedGraph(rng, n, rng.Intn(8))
-		src := NodeID(rng.Intn(n))
-		dst := NodeID(rng.Intn(n))
-		dist := DijkstraLatency(g, src)
-		p, ok := DijkstraLatencyPath(g, src, dst)
-		if !ok {
-			t.Fatal("connected graph: path must exist")
-		}
-		if err := p.Validate(g); err != nil {
-			t.Fatalf("invalid path: %v", err)
-		}
-		if math.Abs(p.Latency(g)-dist[dst]) > 1e-9 {
-			t.Fatalf("path latency %v != table %v", p.Latency(g), dist[dst])
-		}
-	}
-}
-
 // Property: the triangle inequality holds on the Dijkstra distance tables.
 func TestDijkstraTriangleInequality(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -170,8 +116,8 @@ func TestDijkstraTriangleInequality(t *testing.T) {
 
 // refHeap and refDijkstra are the implementation the typed heap and the
 // half-edge adjacency replaced — container/heap over
-// Graph.Incident/Edge/Other — kept as the reference the tables and the
-// tie-breaking of the current one are held to.
+// Graph.Incident/Edge/Other — kept as the reference the tables of the
+// current one are held to.
 type refItem struct {
 	node NodeID
 	dist float64
@@ -190,13 +136,11 @@ func (h *refHeap) Pop() interface{} {
 	return it
 }
 
-// refDijkstra returns the latency table from src and the edge each node
-// was last improved over; it stops at dst when dst >= 0.
-func refDijkstra(g *Graph, src, dst NodeID, avoid func(int) bool) ([]float64, []int) {
+// refDijkstra returns the latency table from src.
+func refDijkstra(g *Graph, src NodeID, avoid func(int) bool) []float64 {
 	dist := make([]float64, g.NumNodes())
-	prev := make([]int, g.NumNodes())
 	for i := range dist {
-		dist[i], prev[i] = math.Inf(1), -1
+		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
 	pq := &refHeap{{node: src}}
@@ -205,9 +149,6 @@ func refDijkstra(g *Graph, src, dst NodeID, avoid func(int) bool) ([]float64, []
 		if item.dist > dist[item.node] {
 			continue
 		}
-		if item.node == dst {
-			break
-		}
 		for _, eid := range g.Incident(item.node) {
 			if avoid != nil && avoid(eid) {
 				continue
@@ -215,18 +156,17 @@ func refDijkstra(g *Graph, src, dst NodeID, avoid func(int) bool) ([]float64, []
 			e := g.Edge(eid)
 			v := e.Other(item.node)
 			if nd := item.dist + e.Latency; nd < dist[v] {
-				dist[v], prev[v] = nd, eid
+				dist[v] = nd
 				heap.Push(pq, refItem{node: v, dist: nd})
 			}
 		}
 	}
-	return dist, prev
+	return dist
 }
 
 // The tables are bit-identical to the reference's, with and without
-// avoided edges, and DijkstraLatencyPath picks the reference's path among
-// equal-latency ones — on multigraphs whose small integer latencies make
-// such ties the rule.
+// avoided edges — on multigraphs whose small integer latencies make ties
+// between equal-latency paths the rule.
 func TestDijkstraMatchesReferenceBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 300; trial++ {
@@ -236,26 +176,14 @@ func TestDijkstraMatchesReferenceBitForBit(t *testing.T) {
 		if trial%3 == 0 {
 			avoid = func(e int) bool { return res[e] < 1 }
 		}
-		src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		src := NodeID(rng.Intn(n))
 
-		want, _ := refDijkstra(g, src, -1, avoid)
+		want := refDijkstra(g, src, avoid)
 		got := DijkstraLatencyAvoiding(g, src, avoid)
 		for v := range want {
 			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
 				t.Fatalf("trial %d: dist[%d] = %v, reference %v", trial, v, got[v], want[v])
 			}
-		}
-
-		dist, prev := refDijkstra(g, src, dst, nil)
-		p, ok := DijkstraLatencyPath(g, src, dst)
-		if ok != !math.IsInf(dist[dst], 1) {
-			t.Fatalf("trial %d: found=%v, reference distance %v", trial, ok, dist[dst])
-		}
-		for at, i := dst, len(p.Edges)-1; ok && at != src; i-- {
-			if i < 0 || p.Edges[i] != prev[at] {
-				t.Fatalf("trial %d: path %v leaves the reference's tree at node %d (edge %d)", trial, p, at, prev[at])
-			}
-			at = g.Edge(prev[at]).Other(at)
 		}
 	}
 }

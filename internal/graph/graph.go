@@ -144,17 +144,6 @@ func (g *Graph) Degree(n NodeID) int {
 	return len(g.adj[n])
 }
 
-// Neighbors returns the nodes adjacent to n. Parallel edges yield repeated
-// entries. The slice is freshly allocated.
-func (g *Graph) Neighbors(n NodeID) []NodeID {
-	g.checkNode(n)
-	out := make([]NodeID, 0, len(g.adj[n]))
-	for _, eid := range g.adj[n] {
-		out = append(out, g.edges[eid].Other(n))
-	}
-	return out
-}
-
 // HasEdgeBetween reports whether at least one edge directly connects a
 // and b.
 func (g *Graph) HasEdgeBetween(a, b NodeID) bool {
@@ -191,39 +180,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return count == g.n
-}
-
-// ConnectedSubset reports whether all nodes in subset are mutually
-// reachable using only edges whose two endpoints both lie in subset. Used
-// by topology builders to validate host-only connectivity claims.
-func (g *Graph) ConnectedSubset(subset []NodeID) bool {
-	if len(subset) <= 1 {
-		return true
-	}
-	in := make(map[NodeID]bool, len(subset))
-	for _, n := range subset {
-		g.checkNode(n)
-		in[n] = true
-	}
-	seen := map[NodeID]bool{subset[0]: true}
-	stack := []NodeID{subset[0]}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, eid := range g.adj[u] {
-			v := g.edges[eid].Other(u)
-			if in[v] && !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	for _, n := range subset {
-		if !seen[n] {
-			return false
-		}
-	}
-	return true
 }
 
 // NominalBandwidth returns a fresh residual vector, indexed by edge ID,

@@ -26,7 +26,7 @@ func ExampleSimulatePS() {
 	finish := sim.SimulatePS(10, []sim.Task{
 		{Work: 10, Demand: 10},
 		{Work: 5, Demand: 10},
-	}, sim.WorkConserving)
+	})
 	fmt.Println(finish)
 	// Output:
 	// [1.5 1]

@@ -15,8 +15,10 @@ import (
 type ExperimentConfig struct {
 	// BaseSeconds is the nominal duration of every guest's CPU task: a
 	// guest demanding vproc MIPS carries vproc*BaseSeconds million
-	// instructions of work, so on an uncontended CappedShare host it
-	// finishes in exactly BaseSeconds. Defaults to 1.
+	// instructions of work, so on a host exactly as large as its guests'
+	// total demand it finishes in exactly BaseSeconds (sooner on an
+	// underloaded host, whose spare capacity the guests share). Defaults
+	// to 1.
 	BaseSeconds float64
 
 	// TransferSeconds sizes the communication phase: every virtual link
@@ -25,10 +27,6 @@ type ExperimentConfig struct {
 	// Intra-host links (infinite bandwidth, zero latency per §3.2)
 	// complete instantly. Zero disables the phase. Defaults to 1.
 	TransferSeconds float64
-
-	// Policy selects the CPU sharing model. The default, WorkConserving,
-	// matches CloudSim's time-shared scheduler.
-	Policy CPUPolicy
 
 	// Network selects the transfer model. The default, Reserved, moves
 	// every virtual link's data at its reserved vbw (what the mapping
@@ -70,7 +68,8 @@ type Result struct {
 
 // RunExperiment deploys the mapped virtual environment and executes the
 // emulated experiment: every guest runs a CPU task of
-// vproc*BaseSeconds MI on its host (processor-sharing per cfg.Policy),
+// vproc*BaseSeconds MI on its host (work-conserving processor sharing,
+// as CloudSim's time-shared scheduler),
 // and every virtual link moves vbw*TransferSeconds Mbit at its reserved
 // bandwidth across its mapped path. The returned makespan is the Table 3
 // quantity, and its correlation with the mapping's objective function is
@@ -107,7 +106,7 @@ func RunExperiment(m *mapping.Mapping, cfg ExperimentConfig) Result {
 		if ok {
 			capacity = h.Proc - cfg.Overhead.Proc
 		}
-		hosts[node] = startPSHost(eng, capacity, ht.tasks, cfg.Policy, nil)
+		hosts[node] = startPSHost(eng, capacity, ht.tasks)
 	}
 
 	// Transfers.

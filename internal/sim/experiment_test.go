@@ -68,18 +68,6 @@ func TestRunExperimentHandComputed(t *testing.T) {
 	}
 }
 
-func TestRunExperimentCappedPolicy(t *testing.T) {
-	m := handMapping(t)
-	res := RunExperiment(m, ExperimentConfig{BaseSeconds: 1, TransferSeconds: 0.1, Policy: CappedShare})
-	// Capped: host 0 demands 100 = capacity -> rates = demands -> 1s.
-	// Host 1 guest capped at its demand 100 on a 200 host -> 1s.
-	for g, f := range res.GuestFinish {
-		if math.Abs(f-1) > 1e-9 {
-			t.Fatalf("guest %d finish = %v, want 1", g, f)
-		}
-	}
-}
-
 func TestRunExperimentTransferDominates(t *testing.T) {
 	m := handMapping(t)
 	res := RunExperiment(m, ExperimentConfig{BaseSeconds: 0.01, TransferSeconds: 5})

@@ -2,26 +2,6 @@ package sim
 
 import "math"
 
-// CPUPolicy selects how a host's CPU capacity is divided among the
-// virtual machines resident on it.
-type CPUPolicy int
-
-const (
-	// WorkConserving models CloudSim's time-shared VM scheduler: the
-	// host's full capacity is always divided among active tasks in
-	// proportion to their demanded MIPS, so VMs run faster than their
-	// nominal demand when the host is underloaded and slower when it is
-	// oversubscribed. This is the policy the Table 3 reproduction uses —
-	// it makes the experiment's makespan track per-host CPU load, which
-	// is what the paper's objective function balances.
-	WorkConserving CPUPolicy = iota
-	// CappedShare also shares proportionally but never grants a task
-	// more than its demanded MIPS — a VM cannot exceed its allocation.
-	// Under this policy underloaded hosts finish in exactly the nominal
-	// task duration.
-	CappedShare
-)
-
 // Task is one CPU workload on a processor-sharing host: Work is its total
 // length in million instructions, Demand its requested rate in MIPS.
 type Task struct {
@@ -29,37 +9,38 @@ type Task struct {
 	Demand float64
 }
 
-// psHost simulates one processor-sharing host inside an Engine. Tasks all
-// start at time 0; the host recomputes rates whenever a task completes
-// and reports each task's finish time.
+// psHost simulates one processor-sharing host inside an Engine, the
+// model of CloudSim's time-shared VM scheduler: the host's full capacity
+// is always divided among active tasks in proportion to their demanded
+// MIPS, so VMs run faster than their nominal demand when the host is
+// underloaded and slower when it is oversubscribed. That work-conserving
+// sharing makes an experiment's makespan track per-host CPU load, which
+// is what the paper's objective function balances. Tasks all start at
+// time 0; the host recomputes rates whenever a task completes and
+// reports each task's finish time.
 type psHost struct {
 	eng      *Engine
 	capacity float64
-	policy   CPUPolicy
 
 	remaining []float64 // MI left per task; <=0 means done
 	demand    []float64
 	active    int
 	last      float64 // time of the last rate recomputation
-	next      *Event
 
 	finish []float64
-	onDone func() // invoked once when every task has finished
 }
 
 // startPSHost launches the host's tasks at the engine's current time.
 // finish times land in the returned slice after the engine runs. Tasks
 // with zero work complete immediately at the start time.
-func startPSHost(eng *Engine, capacity float64, tasks []Task, policy CPUPolicy, onDone func()) *psHost {
+func startPSHost(eng *Engine, capacity float64, tasks []Task) *psHost {
 	h := &psHost{
 		eng:       eng,
 		capacity:  capacity,
-		policy:    policy,
 		remaining: make([]float64, len(tasks)),
 		demand:    make([]float64, len(tasks)),
 		finish:    make([]float64, len(tasks)),
 		last:      eng.Now(),
-		onDone:    onDone,
 	}
 	for i, t := range tasks {
 		h.remaining[i] = t.Work
@@ -73,13 +54,9 @@ func startPSHost(eng *Engine, capacity float64, tasks []Task, policy CPUPolicy, 
 			h.active++
 		}
 	}
-	if h.active == 0 {
-		if onDone != nil {
-			onDone()
-		}
-		return h
+	if h.active > 0 {
+		h.reschedule()
 	}
-	h.reschedule()
 	return h
 }
 
@@ -97,11 +74,7 @@ func (h *psHost) rate(i int) float64 {
 	if totalDemand <= 0 {
 		return 0
 	}
-	share := h.demand[i] * h.capacity / totalDemand
-	if h.policy == CappedShare && share > h.demand[i] {
-		share = h.demand[i]
-	}
-	return share
+	return h.demand[i] * h.capacity / totalDemand
 }
 
 // advance consumes work between the last recomputation and now.
@@ -149,7 +122,7 @@ func (h *psHost) reschedule() {
 	if math.IsInf(soonest, 1) {
 		return // all remaining tasks are starved
 	}
-	h.next = h.eng.Schedule(soonest, h.complete)
+	h.eng.Schedule(soonest, h.complete)
 }
 
 // complete fires at the earliest task completion: it advances all tasks,
@@ -166,22 +139,18 @@ func (h *psHost) complete() {
 			h.active--
 		}
 	}
-	if h.active == 0 {
-		if h.onDone != nil {
-			h.onDone()
-		}
-		return
+	if h.active > 0 {
+		h.reschedule()
 	}
-	h.reschedule()
 }
 
 // SimulatePS runs tasks on one processor-sharing host of the given
 // capacity to completion and returns each task's finish time (seconds
 // from start). Tasks that can never finish (zero capacity with positive
 // work) report +Inf.
-func SimulatePS(capacity float64, tasks []Task, policy CPUPolicy) []float64 {
+func SimulatePS(capacity float64, tasks []Task) []float64 {
 	eng := NewEngine()
-	h := startPSHost(eng, capacity, tasks, policy, nil)
+	h := startPSHost(eng, capacity, tasks)
 	eng.Run()
 	out := make([]float64, len(tasks))
 	for i := range tasks {

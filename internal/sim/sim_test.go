@@ -52,49 +52,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	eng := NewEngine()
-	fired := false
-	ev := eng.Schedule(1, func() { fired = true })
-	eng.Cancel(ev)
-	eng.Cancel(nil) // no-op
-	eng.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if eng.Processed() != 0 {
-		t.Fatal("cancelled events must not count as processed")
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	eng := NewEngine()
-	var fired []float64
-	for _, d := range []float64{1, 2, 3, 4} {
-		d := d
-		eng.Schedule(d, func() { fired = append(fired, d) })
-	}
-	n := eng.RunUntil(2.5)
-	if n != 2 || len(fired) != 2 {
-		t.Fatalf("RunUntil processed %d, want 2", n)
-	}
-	if eng.Now() != 2.5 {
-		t.Fatalf("Now = %v, want 2.5", eng.Now())
-	}
-	eng.Run()
-	if len(fired) != 4 {
-		t.Fatal("remaining events lost")
-	}
-}
-
-func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
-	eng := NewEngine()
-	eng.RunUntil(10)
-	if eng.Now() != 10 {
-		t.Fatalf("Now = %v, want 10", eng.Now())
-	}
-}
-
 func TestEngineNegativeDelayPanics(t *testing.T) {
 	eng := NewEngine()
 	defer func() {
@@ -107,14 +64,9 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 
 func TestSimulatePSSingleTask(t *testing.T) {
 	// Work 100 MI, demand 10 MIPS, capacity 100: WC rate = 100 -> 1s.
-	fin := SimulatePS(100, []Task{{Work: 100, Demand: 10}}, WorkConserving)
+	fin := SimulatePS(100, []Task{{Work: 100, Demand: 10}})
 	if math.Abs(fin[0]-1) > 1e-9 {
 		t.Fatalf("WC finish = %v, want 1", fin[0])
-	}
-	// Capped: rate = 10 -> 10s.
-	fin = SimulatePS(100, []Task{{Work: 100, Demand: 10}}, CappedShare)
-	if math.Abs(fin[0]-10) > 1e-9 {
-		t.Fatalf("capped finish = %v, want 10", fin[0])
 	}
 }
 
@@ -122,37 +74,23 @@ func TestSimulatePSTwoTasksHandComputed(t *testing.T) {
 	// Capacity 10. Tasks: A(10 MI, 10 MIPS), B(5 MI, 10 MIPS).
 	// WC: equal demands -> 5 MIPS each. B drains at t=1. Then A has
 	// 5 MI left at rate 10 -> finishes at 1.5.
-	fin := SimulatePS(10, []Task{{10, 10}, {5, 10}}, WorkConserving)
+	fin := SimulatePS(10, []Task{{10, 10}, {5, 10}})
 	if math.Abs(fin[1]-1) > 1e-9 || math.Abs(fin[0]-1.5) > 1e-9 {
 		t.Fatalf("WC finishes = %v, want [1.5 1]", fin)
-	}
-	// Capped: same until B drains (shares 5,5 <= demand 10). After B,
-	// A's share would be 10 (= demand) -> same schedule.
-	fin = SimulatePS(10, []Task{{10, 10}, {5, 10}}, CappedShare)
-	if math.Abs(fin[1]-1) > 1e-9 || math.Abs(fin[0]-1.5) > 1e-9 {
-		t.Fatalf("capped finishes = %v, want [1.5 1]", fin)
-	}
-}
-
-func TestSimulatePSCappedUnderload(t *testing.T) {
-	// Capacity 100, two tasks demanding 10 each: capped rates stay at 10.
-	fin := SimulatePS(100, []Task{{20, 10}, {40, 10}}, CappedShare)
-	if math.Abs(fin[0]-2) > 1e-9 || math.Abs(fin[1]-4) > 1e-9 {
-		t.Fatalf("finishes = %v, want [2 4]", fin)
 	}
 }
 
 func TestSimulatePSWeightedShares(t *testing.T) {
 	// Capacity 12, demands 1 and 2 with works 1 and 2: rates 4 and 8,
 	// both finish at 0.25 together; recompute fires once for both.
-	fin := SimulatePS(12, []Task{{1, 1}, {2, 2}}, WorkConserving)
+	fin := SimulatePS(12, []Task{{1, 1}, {2, 2}})
 	if math.Abs(fin[0]-0.25) > 1e-9 || math.Abs(fin[1]-0.25) > 1e-9 {
 		t.Fatalf("finishes = %v, want [0.25 0.25]", fin)
 	}
 }
 
 func TestSimulatePSZeroWork(t *testing.T) {
-	fin := SimulatePS(10, []Task{{0, 5}, {10, 5}}, WorkConserving)
+	fin := SimulatePS(10, []Task{{0, 5}, {10, 5}})
 	if fin[0] != 0 {
 		t.Fatalf("zero-work task finish = %v, want 0", fin[0])
 	}
@@ -162,14 +100,14 @@ func TestSimulatePSZeroWork(t *testing.T) {
 }
 
 func TestSimulatePSStarvation(t *testing.T) {
-	fin := SimulatePS(0, []Task{{10, 5}}, WorkConserving)
+	fin := SimulatePS(0, []Task{{10, 5}})
 	if !math.IsInf(fin[0], 1) {
 		t.Fatalf("zero-capacity host must starve the task, got %v", fin[0])
 	}
 }
 
 func TestSimulatePSEmpty(t *testing.T) {
-	if fin := SimulatePS(10, nil, WorkConserving); len(fin) != 0 {
+	if fin := SimulatePS(10, nil); len(fin) != 0 {
 		t.Fatal("no tasks -> no finishes")
 	}
 }
@@ -178,7 +116,7 @@ func TestSimulatePSConservation(t *testing.T) {
 	// Under WC the host is fully utilised until the last completion:
 	// makespan == total work / capacity.
 	tasks := []Task{{30, 3}, {20, 7}, {50, 1}, {10, 9}}
-	fin := SimulatePS(10, tasks, WorkConserving)
+	fin := SimulatePS(10, tasks)
 	want := (30.0 + 20 + 50 + 10) / 10
 	last := 0.0
 	for _, f := range fin {

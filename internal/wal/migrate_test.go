@@ -197,7 +197,7 @@ func TestTwoMoveMigrateRecordRecovery(t *testing.T) {
 	xz2, y2 := s.MappingBySeq(1).Clone(), s.MappingBySeq(2).Clone()
 	xz2.GuestHost[0], y2.GuestHost[0] = h[1], h[0]
 	var routed bool
-	if xz2.LinkPath[0], routed = graph.DijkstraLatencyPath(c.Net(), h[1], h[0]); !routed || xz2.LinkPath[0].Len() == 0 {
+	if xz2.LinkPath[0], routed = graph.AStarPrune(c.Net(), h[1], h[0], 10, 100, c.Net().NominalBandwidth(), nil); !routed || xz2.LinkPath[0].Len() == 0 {
 		t.Fatalf("no route for the x-z link across the fabric: %v", xz2.LinkPath[0])
 	}
 	err = s.ReplayMigrate([]core.GuestMove{

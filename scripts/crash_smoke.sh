@@ -118,6 +118,17 @@ churn() {
     done
 }
 
+# expect_reply runs curl -fsS with the arguments after $1 and matches the
+# reply against grep pattern $1. The reply is read whole before grep sees
+# it: piped into grep -q, which exits at its match, curl can fail writing
+# the rest (error 23) and fail the step under pipefail.
+expect_reply() {
+    local pattern=$1 reply
+    shift
+    reply=$(curl -fsS "$@")
+    grep -q "$pattern" <<<"$reply" || { echo "reply does not match '$pattern': $reply" >&2; exit 1; }
+}
+
 # map_env POSTs env file $2 (compact when $4 is "compact") to session $1
 # and expects environment ID $3.
 map_env() {
@@ -127,8 +138,7 @@ map_env() {
     else
         env=$(cat "$2")
     fi
-    curl -fsS -X POST "$base/v1/sessions/$1/envs" -d "{\"env\": $env}" |
-        grep -q "\"id\": *\"$3\""
+    expect_reply "\"id\": *\"$3\"" -X POST "$base/v1/sessions/$1/envs" -d "{\"env\": $env}"
 }
 
 # release expects DELETE of environment $2 in session $1 to answer 204.
@@ -154,16 +164,15 @@ echo "=== classic"
 data=$workdir/data
 echo "--- boot, open a session, churn it"
 start_daemon -data-dir "$data"
-curl -fsS -X POST "$base/v1/sessions" \
-    -d "{\"cluster\": $(cat "$workdir/cluster.json"), \"mapper\": \"HMN\"}" |
-    grep -q '"id": *"s1"'
+expect_reply '"id": *"s1"' -X POST "$base/v1/sessions" \
+    -d "{\"cluster\": $(cat "$workdir/cluster.json"), \"mapper\": \"HMN\"}"
 map_env s1 "$workdir/env-a.json" e1
 map_env s1 "$workdir/env-b.json" e2
 # env-a again as a marshalling client sends it, compact: its admit record
 # carries these bytes verbatim (e1's, indented, was rendered), so the
 # crash image holds one record of each kind.
 map_env s1 "$workdir/env-a.json" e3 compact
-curl -fsS "$base/metrics" | grep -q '^hmnd_admit_env_verbatim_total 1$'
+expect_reply '^hmnd_admit_env_verbatim_total 1$' "$base/metrics"
 release s1 e2
 
 echo "--- drain the rebalance endpoint to a local optimum"
@@ -179,9 +188,8 @@ done
 echo "    rebalancing committed $total moves"
 
 echo "--- churn a second session past the log's first checkpoint"
-curl -fsS -X POST "$base/v1/sessions" \
-    -d "{\"cluster\": $(cat "$workdir/cluster.json"), \"mapper\": \"HMN\"}" |
-    grep -q '"id": *"s2"'
+expect_reply '"id": *"s2"' -X POST "$base/v1/sessions" \
+    -d "{\"cluster\": $(cat "$workdir/cluster.json"), \"mapper\": \"HMN\"}"
 next=1
 until checkpointed "$data"; do
     [ "$next" -lt 2000 ] || { echo "no checkpoint after $next admissions" >&2; exit 1; }
@@ -220,7 +228,7 @@ start_daemon -shards "$shards" -gateway-bw 50 -data-dir "$data" -shard-cluster "
 # Eight tenants cover all four shards through the consistent-hash fast
 # path, so every shard's WAL sees real records before the crash.
 for t in $(seq 1 8); do
-    curl -fsS -X POST "$base/v1/sessions" | grep -q "\"id\": *\"s$t\""
+    expect_reply "\"id\": *\"s$t\"" -X POST "$base/v1/sessions"
 done
 # Environment IDs are a federation-wide counter: eight admissions in
 # tenant order take e1..e8, one per tenant.
