@@ -127,7 +127,9 @@ fma-ratchet:
 ## churn a classic session (an indented and a compact admit, a release,
 ## rebalancing rounds drained to zero moves) and then `hmnd -shards 4`
 ## across eight tenants, kill -9, verify every WAL directory with hmnwal,
-## and restart asserting byte-identical residuals and fresh IDs.
+## and restart asserting byte-identical residuals and fresh IDs; after
+## each phase's graceful shutdown, hmnwal compact every WAL directory and
+## restart once more on the compacted state.
 crash-smoke:
 	./scripts/crash_smoke.sh
 

@@ -974,8 +974,8 @@ func BenchmarkSpecCodec(b *testing.B) {
 // admission the log releases is replayed as its effect and never built,
 // so B/op is the four survivors' Env and Mapping plus the pass's own
 // storage, whatever the length of the log. The …/snapshot case logs the
-// same churn into a second directory that is compacted before the last
-// eighth of it: recovery restores a snapshot of the four live
+// same churn into a second directory that takes a snapshot before the
+// last eighth of it: recovery restores a snapshot of the four live
 // environments, whose size it reports, and replays that eighth.
 func BenchmarkRecover(b *testing.B) {
 	const live = 4
@@ -1019,7 +1019,7 @@ func BenchmarkRecover(b *testing.B) {
 		var held []*mapping.Mapping
 		for i := 0; i < admits; i++ {
 			if i == admits-admits/8 {
-				if err := wals[1].WriteSnapshot(export); err != nil {
+				if err := wals[1].Snapshot(export); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,14 +6,15 @@
 //
 // Usage:
 //
-//	hmnd -addr :8080 -queue 128 -timeout 30s
+//	hmnd -addr :8080 -timeout 30s
 //
-// Mutating requests pass through a bounded admission queue drained by
-// one worker per GOMAXPROCS (the startup line reports how many); when
-// the queue is full the daemon answers 503 with Retry-After instead of
-// queueing unboundedly. SIGINT/SIGTERM starts a graceful drain:
-// in-flight maps finish, new work is refused, and the process exits once
-// the listener and the pool are idle (or the -drain budget runs out).
+// A request runs on its own goroutine, serialized per session by the
+// session's lock; the daemon starts no goroutine of its own. A request
+// still waiting for the lock at its -timeout answers 503 with
+// Retry-After once it gets the lock, any admission it made rolled back.
+// SIGINT/SIGTERM starts a graceful drain: in-flight operations finish,
+// new work is refused, and the process exits once the listener is idle
+// (or the -drain budget runs out).
 //
 // Failure handling: POST /v1/sessions/{id}/hosts/{node}/fail (and the
 // /links/{edge}/fail twin) quarantines capacity, evicts the
@@ -28,11 +29,13 @@
 // Every mutating request is logged and fsynced before its success
 // response. Every snapshot starts a fresh log segment: a checkpoint
 // lands whenever the log outgrows the last snapshot eightfold (so a
-// restart reads a bounded suffix) and keeps the segments before it,
-// periodic compactions (-snapshot-interval) and the one at shutdown
-// delete them. On startup the daemon replays snapshot+log back into
-// memory, and cross-checks every recovered session's objective against a
-// recompute, before the /v1 API stops answering 503 "replaying":
+// restart reads a bounded suffix), and a graceful shutdown takes one
+// more. No snapshot deletes a segment, so the directory holds the whole
+// operation trace; `hmnwal compact <data-dir>` reclaims the segments
+// before the last snapshot, and is safe against the running daemon. On
+// startup the daemon replays snapshot+log back into memory, and
+// cross-checks every recovered session's objective against a recompute,
+// before the /v1 API stops answering 503 "replaying":
 //
 //	hmnd -addr :8080 -data-dir /var/lib/hmnd
 //
@@ -66,9 +69,8 @@
 // unrelated environments never contend on a lock or an fsync.
 // -shard-cluster names a cluster-spec JSON file instantiated once per
 // shard; -gateway-bw budgets the inter-shard bandwidth that split
-// admissions may charge. There is no admission queue, so -queue is a
-// usage error; the durability and rebalancing flags apply per shard
-// (-data-dir holds one WAL directory per shard plus the tenant
+// admissions may charge. The durability and rebalancing flags apply per
+// shard (-data-dir holds one WAL directory per shard plus the tenant
 // registry, and a restart recovers every shard before serving):
 //
 //	hmnd -addr :8080 -shards 4 -shard-cluster cluster.json -gateway-bw 100 -data-dir /var/lib/hmnd
@@ -114,12 +116,10 @@ func configure(args []string) (func() error, error) {
 	fs := flag.NewFlagSet("hmnd", flag.ExitOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		queue     = fs.Int("queue", 64, "admission queue depth")
-		timeout   = fs.Duration("timeout", 30*time.Second, "per-request timeout (queue wait included)")
+		timeout   = fs.Duration("timeout", 30*time.Second, "per-request timeout; a request still waiting for its session's lock then answers 503 once it gets the lock, any admission it made rolled back")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		dataDir   = fs.String("data-dir", "", "durability directory: WAL + snapshots (empty = in-memory only)")
-		snapEvery = fs.Duration("snapshot-interval", 5*time.Minute, "periodic compaction interval when -data-dir is set: a snapshot on a fresh log segment, then the segments before it deleted (0 = at shutdown only; checkpoints, the same snapshot deleting nothing, land by log growth either way)")
 		rebMoves  = fs.Int("rebalance-max-moves", 8, "guest moves per POST .../rebalance round (0 = unbounded)")
 		mutexFrac = fs.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction for /debug/pprof/mutex (0 = disabled)")
 		blockRate = fs.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns for /debug/pprof/block (0 = disabled)")
@@ -127,21 +127,30 @@ func configure(args []string) (func() error, error) {
 		gatewayBW = fs.Float64("gateway-bw", 0, "inter-shard gateway bandwidth budget in Mbps for split admissions (needs -shards; 0 = splits disabled)")
 		shardSpec = fs.String("shard-cluster", "", "cluster spec JSON instantiated once per shard (needs -shards; optional when -data-dir holds recoverable state)")
 	)
+	// Removed flags are usage errors that name what replaced them.
+	var err error
+	for name, replacement := range map[string]string{
+		"queue":             "a request waits for its session's lock, bounded by -timeout",
+		"snapshot-interval": "checkpoints land by log growth; reclaim disk with hmnwal compact <data-dir>",
+	} {
+		fs.Func(name, "removed: "+replacement, func(string) error {
+			err = fmt.Errorf("-%s was removed: %s", name, replacement)
+			return nil
+		})
+	}
 	fs.Parse(args) // ExitOnError: a malformed command line never returns
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	err := profileConfig(*mutexFrac, *blockRate)
+	if err == nil {
+		err = profileConfig(*mutexFrac, *blockRate)
+	}
 	var cfg server.Config
 	if err == nil {
-		cfg, err = buildConfig(*queue, *timeout, *rebMoves, *dataDir, *snapEvery)
+		cfg, err = buildConfig(*timeout, *rebMoves, *dataDir)
 	}
 	switch {
 	case err != nil:
 	case *shards <= 0 && (*gatewayBW != 0 || *shardSpec != ""):
 		err = errors.New("-gateway-bw and -shard-cluster need -shards")
-	case *shards > 0 && set["queue"]:
-		err = errors.New("-queue bounds the classic admission queue; -shards has none")
 	case *shards > 0:
 		err = federationConfig(&cfg, *shards, *gatewayBW, *shardSpec)
 	}
@@ -152,23 +161,16 @@ func configure(args []string) (func() error, error) {
 }
 
 // buildConfig validates the flags both modes share into a server
-// config. -snapshot-interval means nothing without -data-dir.
-func buildConfig(queue int, timeout time.Duration, maxMoves int, dataDir string, snapEvery time.Duration) (server.Config, error) {
+// config.
+func buildConfig(timeout time.Duration, maxMoves int, dataDir string) (server.Config, error) {
 	var err error
 	switch {
-	case queue <= 0:
-		err = fmt.Errorf("-queue must be positive, got %d", queue)
 	case timeout <= 0:
 		err = fmt.Errorf("-timeout must be positive, got %v", timeout)
 	case maxMoves < 0:
 		err = fmt.Errorf("-rebalance-max-moves must be >= 0, got %d", maxMoves)
-	case dataDir != "" && snapEvery < 0:
-		err = fmt.Errorf("-snapshot-interval must be >= 0, got %v", snapEvery)
 	}
-	return server.Config{
-		QueueDepth: queue, RequestTimeout: timeout, RebalanceMaxMoves: maxMoves,
-		DataDir: dataDir, SnapshotInterval: snapEvery,
-	}, err
+	return server.Config{RequestTimeout: timeout, RebalanceMaxMoves: maxMoves, DataDir: dataDir}, err
 }
 
 // profileConfig validates the profiling flags and arms the runtime's
@@ -262,13 +264,9 @@ func run(addr string, cfg server.Config, federation bool, drain time.Duration, p
 		defer pprofSrv.Close()
 	}
 
-	listening := fmt.Sprintf("listening on %s (workers=%d queue=%d timeout=%v)", addr, runtime.GOMAXPROCS(0), cfg.QueueDepth, cfg.RequestTimeout)
-	if federation {
-		listening = fmt.Sprintf("listening on %s (timeout=%v)", addr, cfg.RequestTimeout)
-	}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Print(listening)
+		logger.Printf("listening on %s (timeout=%v)", addr, cfg.RequestTimeout)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

@@ -1,20 +1,25 @@
-// Command hmnwal inspects an hmnd data directory (write-ahead log +
-// snapshot) without mutating it. It reads through wal.Each and
-// wal.Verify, which never truncate torn tails or prune segments, so
-// pointing it at a live or crashed directory is always safe; both stream
-// the log, so its size does not matter either.
+// Command hmnwal inspects and compacts an hmnd data directory
+// (write-ahead log + snapshot). dump and verify read through wal.Each
+// and wal.Verify, which never truncate torn tails or delete segments, so
+// pointing them at a live or crashed directory is always safe; both
+// stream the log, so its size does not matter either.
 //
 // Usage:
 //
-//	hmnwal dump <data-dir>    print the snapshot summary and every log
-//	                          record, one JSON object per line
-//	hmnwal verify <data-dir>  rebuild every session from snapshot+log
-//	                          and cross-check objectives; exit non-zero
-//	                          on corruption or divergence
+//	hmnwal dump <data-dir>     print the snapshot summary and every log
+//	                           record, one JSON object per line
+//	hmnwal verify <data-dir>   rebuild every session from snapshot+log
+//	                           and cross-check objectives; exit non-zero
+//	                           on corruption or divergence
+//	hmnwal compact <data-dir>  delete the log segments before the
+//	                           snapshot's, which no recovery reads
 //
 // dump is for eyeballing what a daemon logged ("which admissions landed
 // before the crash?"); verify answers "will this directory recover?"
-// before restarting the daemon on it.
+// before restarting the daemon on it. The daemon never deletes a
+// segment — the directory is the whole trace of what it did — so
+// compact is how an operator reclaims the disk; it is safe against a
+// running daemon (wal.Compact).
 package main
 
 import (
@@ -38,6 +43,11 @@ func main() {
 		err = dump(dir)
 	case "verify":
 		err = verify(dir)
+	case "compact":
+		var removed []uint64
+		if removed, err = wal.Compact(dir); err == nil {
+			fmt.Printf("compacted: %d segment(s) deleted\n", len(removed))
+		}
 	default:
 		usage()
 		os.Exit(2)
@@ -49,7 +59,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hmnwal dump|verify <data-dir>")
+	fmt.Fprintln(os.Stderr, "usage: hmnwal dump|verify|compact <data-dir>")
 }
 
 // dump prints the directory contents: a one-line snapshot summary per

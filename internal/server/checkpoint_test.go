@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,15 +37,16 @@ func snapshotSegment(t *testing.T, dir string) uint64 {
 }
 
 // churnPastCheckpoint admits environments through base, releasing the
-// oldest once three are deployed, until dir holds a checkpoint, and then
-// for ten operations more.
-func churnPastCheckpoint(t *testing.T, client *http.Client, base, dir string, admitted int) {
+// oldest once three are deployed, until dir holds a snapshot past
+// segment seg — a checkpoint, for seg 1 — and then for ten operations
+// more.
+func churnPastCheckpoint(t *testing.T, client *http.Client, base, dir string, admitted int, seg uint64) {
 	t.Helper()
 	var live []string
 	extra := -1
 	for i := 0; extra != 0; i++ {
-		if i > 5000 {
-			t.Fatal("no checkpoint after 5000 operations")
+		if i > 5000*int(seg) {
+			t.Fatalf("no snapshot past segment %d after %d operations", seg, i)
 		}
 		if extra > 0 {
 			extra--
@@ -65,7 +67,7 @@ func churnPastCheckpoint(t *testing.T, client *http.Client, base, dir string, ad
 			}
 			live = live[1:]
 		}
-		if extra < 0 && i%10 == 0 && snapshotSegment(t, dir) > 1 {
+		if extra < 0 && i%10 == 0 && snapshotSegment(t, dir) > seg {
 			extra = 10
 		}
 	}
@@ -113,7 +115,7 @@ func TestDaemonCheckpointsByGrowth(t *testing.T) {
 			} else if code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions", nil); code != http.StatusCreated {
 				t.Fatalf("open tenant: %d %s", code, raw)
 			}
-			churnPastCheckpoint(t, client, ts1.URL+"/v1/sessions/s1", walDir, admitted)
+			churnPastCheckpoint(t, client, ts1.URL+"/v1/sessions/s1", walDir, admitted, 1)
 			_, before, _ := doJSON(t, client, "GET", ts1.URL+residuals, nil)
 			ts1.Close() // kill
 
@@ -136,6 +138,100 @@ func TestDaemonCheckpointsByGrowth(t *testing.T) {
 			defer ts2.Close()
 			if _, after, _ := doJSON(t, ts2.Client(), "GET", ts2.URL+residuals, nil); string(after) != string(before) {
 				t.Errorf("residuals diverge across the restart:\n before %s\n after  %s", before, after)
+			}
+		})
+	}
+}
+
+// TestCompactingALiveDaemon runs hmnwal compact's function over and
+// over against the directory of a classic daemon and of a one-shard
+// federation while each churns through several checkpoints, then takes
+// a crash image — a copy of the directory — and recovers it: the
+// compactions deleted segments as they went, and the image still
+// recovers to exactly what the live daemon acknowledged, residuals
+// byte-identical.
+func TestCompactingALiveDaemon(t *testing.T) {
+	_, cs := testbed(t)
+	for _, mode := range []string{"classic", "federation"} {
+		t.Run(mode, func(t *testing.T) {
+			root := t.TempDir()
+			cfg := durableConfig(t, root)
+			start := New
+			walDir, residuals := root, "/v1/sessions/s1/residuals"
+			if mode == "federation" {
+				cfg.ClusterSpecs = []spec.ClusterSpec{cs}
+				start = NewFederation
+				walDir, residuals = filepath.Join(root, "shard-0"), "/v1/shards/0/residuals"
+			}
+			s1 := start(cfg)
+			if err := s1.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			ts1 := httptest.NewServer(s1.Handler())
+			client := ts1.Client()
+			t.Cleanup(func() {
+				ts1.Close()
+				s1.Close()
+			})
+			admitted := http.StatusCreated
+			if mode == "classic" {
+				openSession(t, client, ts1.URL, cs, "")
+				admitted = http.StatusOK
+			} else if code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions", nil); code != http.StatusCreated {
+				t.Fatalf("open tenant: %d %s", code, raw)
+			}
+
+			stop, done := make(chan struct{}), make(chan int)
+			go func() {
+				deleted := 0
+				for {
+					removed, err := wal.Compact(walDir)
+					if err != nil {
+						t.Error(err)
+					}
+					deleted += len(removed)
+					select {
+					case <-stop:
+						done <- deleted
+						return
+					case <-time.After(time.Millisecond):
+					}
+				}
+			}()
+			churnPastCheckpoint(t, client, ts1.URL+"/v1/sessions/s1", walDir, admitted, 3)
+			close(stop)
+			if deleted := <-done; deleted < 2 {
+				t.Fatalf("the compactions deleted %d segments over three checkpoints", deleted)
+			}
+			_, live, _ := doJSON(t, client, "GET", ts1.URL+residuals, nil)
+
+			// The crash image: every file of the directory as it stands.
+			image := t.TempDir()
+			dirs := []string{root}
+			if walDir != root {
+				dirs = append(dirs, walDir)
+			}
+			for _, dir := range dirs {
+				to := filepath.Join(image, strings.TrimPrefix(dir, root))
+				if err := os.MkdirAll(to, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				for name, b := range dirBytes(t, dir) {
+					if err := os.WriteFile(filepath.Join(to, name), b, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			cfg.DataDir = image
+			s2 := start(cfg)
+			t.Cleanup(func() { s2.Close() })
+			if err := s2.Recover(); err != nil {
+				t.Fatalf("recovering a directory compacted under the daemon: %v", err)
+			}
+			ts2 := httptest.NewServer(s2.Handler())
+			defer ts2.Close()
+			if _, after, _ := doJSON(t, ts2.Client(), "GET", ts2.URL+residuals, nil); string(after) != string(live) {
+				t.Errorf("residuals diverge from the live daemon's:\n live    %s\n crashed %s", live, after)
 			}
 		})
 	}
@@ -174,7 +270,7 @@ func TestSnapshotInsideSessionClose(t *testing.T) {
 		}
 		if ev.Type == core.EventClose {
 			once.Do(func() {
-				go func() { snapped <- s1.writeSnapshot() }()
+				go func() { snapped <- s1.wal.Snapshot(s1.exportAll) }()
 				time.Sleep(50 * time.Millisecond)
 			})
 		}

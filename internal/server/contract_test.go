@@ -108,8 +108,7 @@ func TestBothModesHTTPContract(t *testing.T) {
 	for i, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			s := mode.build(Config{
-				QueueDepth: 8, MaxBodyBytes: 16 << 10,
-				DataDir: t.TempDir(), ClusterSpecs: []spec.ClusterSpec{cs}, Logf: t.Logf,
+				MaxBodyBytes: 16 << 10, DataDir: t.TempDir(), ClusterSpecs: []spec.ClusterSpec{cs}, Logf: t.Logf,
 			})
 			ts := httptest.NewServer(s.Handler())
 			t.Cleanup(func() {

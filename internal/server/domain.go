@@ -23,10 +23,9 @@ import (
 type domain struct {
 	*shard.Shard
 	// mutate runs op — a failure, a restore — on the domain's session,
-	// serialized and made durable the way the mode does it (the admission
-	// queue, then the ack barrier on the handler's goroutine, for a
-	// classic session; the federation, on the handler's goroutine under
-	// the shard's session lock, for a shard), and
+	// on the handler's goroutine under the session lock, behind the
+	// owner's drain gate and made durable by its barrier (the daemon's,
+	// for a classic session; the federation's, for a shard), and
 	// reconciles the owner's environment registry with the repair results
 	// op returned.
 	mutate func(ctx context.Context, op func(*core.Session) ([]core.RepairResult, error)) ([]core.RepairResult, error)

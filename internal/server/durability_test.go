@@ -3,14 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/shard"
 	"repro/internal/spec"
@@ -19,11 +17,7 @@ import (
 
 // durableConfig is the standard test config with a data directory.
 func durableConfig(t *testing.T, dir string) Config {
-	return Config{
-		QueueDepth: 16,
-		DataDir:    dir,
-		Logf:       t.Logf,
-	}
+	return Config{DataDir: dir, Logf: t.Logf}
 }
 
 // TestHealthzReadiness covers the replaying/serving gate: with a data
@@ -141,8 +135,8 @@ func TestAckAfterLog(t *testing.T) {
 }
 
 // TestRestartRoundTrip is the full lifecycle: serve traffic, shut down
-// (queue drains, final snapshot lands), start a second daemon on the
-// same directory, and check the recovered state answers every read
+// (in-flight work drains, final snapshot lands), start a second daemon
+// on the same directory, and check the recovered state answers every read
 // exactly as the first daemon did — same residual bytes, same tenants
 // under the same IDs — and that new work gets fresh IDs.
 func TestRestartRoundTrip(t *testing.T) {
@@ -312,7 +306,7 @@ func TestClosedSessionIDNotReusedAcrossRestarts(t *testing.T) {
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(21, 8))}); code != http.StatusOK {
 		t.Fatalf("map into victim: %d %s", code, raw)
 	}
-	if err := s1.writeSnapshot(); err != nil {
+	if err := s1.wal.Snapshot(s1.exportAll); err != nil {
 		t.Fatal(err)
 	}
 	if code, _, _ := doJSON(t, client, "DELETE", ts1.URL+"/v1/sessions/"+victim, nil); code != http.StatusNoContent {
@@ -366,9 +360,9 @@ func TestClosedSessionIDNotReusedAcrossRestarts(t *testing.T) {
 }
 
 // TestSessionClosedBeforeSnapshotIDNotReused is the same invariant when
-// the snapshot comes after the close: the compaction deletes every record
-// that named the victim, so only the snapshot's high-water mark keeps its
-// ID retired across the restart.
+// the snapshot comes after the close and an operator's compaction then
+// deletes every record that named the victim, so only the snapshot's
+// high-water mark keeps its ID retired across the restart.
 func TestSessionClosedBeforeSnapshotIDNotReused(t *testing.T) {
 	dir := t.TempDir()
 	_, cs := testbed(t)
@@ -385,8 +379,11 @@ func TestSessionClosedBeforeSnapshotIDNotReused(t *testing.T) {
 	if code, _, _ := doJSON(t, client, "DELETE", ts1.URL+"/v1/sessions/"+victim, nil); code != http.StatusNoContent {
 		t.Fatalf("close victim: %d", code)
 	}
-	if err := s1.writeSnapshot(); err != nil {
+	if err := s1.wal.Snapshot(s1.exportAll); err != nil {
 		t.Fatal(err)
+	}
+	if removed, err := wal.Compact(dir); err != nil || len(removed) == 0 {
+		t.Fatalf("compaction removed segments %v, %v", removed, err)
 	}
 	ts1.Close() // kill
 
@@ -433,8 +430,8 @@ func TestCloseClearsSnapshotBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Capture the open and admit records before the snapshot truncates
-	// them, then snapshot so the session's boundary covers the admit.
+	// Capture the open and admit records, then snapshot so the session's
+	// boundary covers the admit.
 	scan, err := wal.Scan(dir, wal.Hooks{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +449,7 @@ func TestCloseClearsSnapshotBoundary(t *testing.T) {
 	if openRec == nil || admitRec == nil {
 		t.Fatalf("log missing open/admit records for %s", sid)
 	}
-	if err := s1.writeSnapshot(); err != nil {
+	if err := s1.wal.Snapshot(s1.exportAll); err != nil {
 		t.Fatal(err)
 	}
 
@@ -514,7 +511,7 @@ func TestRecoverBumpsNextEnvFromActiveTags(t *testing.T) {
 	}
 	// A doctored snapshot: the state is right, but the ID counter lags
 	// the active set it describes.
-	if err := s1.wal.WriteSnapshot(func() ([]wal.SessionSnap, error) {
+	if err := s1.wal.Snapshot(func() ([]wal.SessionSnap, error) {
 		sns, err := s1.exportAll()
 		if err != nil {
 			return nil, err
@@ -652,105 +649,5 @@ func TestOpenSessionBarrierFailure(t *testing.T) {
 	}
 	if got := s.mSessions.Value(); got != 1 {
 		t.Fatalf("hmnd_active_sessions = %v after failed open, want 1", got)
-	}
-}
-
-// TestSnapshotLoop lets the background snapshotter run and checks a
-// later recovery comes from the snapshot, not a full-log replay.
-func TestSnapshotLoop(t *testing.T) {
-	dir := t.TempDir()
-	_, cs := testbed(t)
-	cfg := durableConfig(t, dir)
-	cfg.SnapshotInterval = 10 * time.Millisecond
-
-	s1 := New(cfg)
-	if err := s1.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
-	client := ts1.Client()
-	sid := openSession(t, client, ts1.URL, cs, "")
-	code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions/"+sid+"/envs",
-		MapEnvRequest{Env: spec.FromEnv(smallEnv(11, 8))})
-	if code != http.StatusOK {
-		t.Fatalf("map: %d %s", code, raw)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rec, err := wal.Scan(dir, wal.Hooks{})
-		if err == nil && rec.Snapshot != nil && len(rec.Snapshot.Sessions) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background snapshot never captured the session")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ts1.Close()
-	s1.Close()
-}
-
-// TestOperationsQueuedBeforeCloseRecover queues an admission and a host
-// failure on a session, closes the session while they wait, and lets
-// them run: both are refused, nothing reaches the log after the close
-// record, and the directory recovers. The daemon is killed, not closed,
-// since a graceful shutdown's compaction would hide a log that cannot be
-// replayed.
-func TestOperationsQueuedBeforeCloseRecover(t *testing.T) {
-	dir := t.TempDir()
-	c, cs := testbed(t)
-	cfg := durableConfig(t, dir)
-	s1 := New(cfg)
-	if err := s1.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
-	client := ts1.Client()
-	victim := openSession(t, client, ts1.URL, cs, "")
-	base := ts1.URL + "/v1/sessions/" + victim
-	if code, raw, _ := doJSON(t, client, "POST", base+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(71, 8))}); code != http.StatusOK {
-		t.Fatalf("map: %d %s", code, raw)
-	}
-
-	release := pinWorkers(t, s1)
-	codes := make(chan int, 2)
-	go func() {
-		code, _, _ := doJSON(t, client, "POST", base+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(72, 8))})
-		codes <- code
-	}()
-	waitFor(t, func() bool { return len(s1.queue) == 1 })
-	go func() {
-		code, _, _ := doJSON(t, client, "POST", fmt.Sprintf("%s/hosts/%d/fail", base, c.HostNodes()[0]), nil)
-		codes <- code
-	}()
-	waitFor(t, func() bool { return len(s1.queue) == 2 })
-	if code, raw, _ := doJSON(t, client, "DELETE", base, nil); code != http.StatusNoContent {
-		t.Fatalf("close %s: %d %s", victim, code, raw)
-	}
-	release()
-	for i := 0; i < 2; i++ {
-		if code := <-codes; code != http.StatusNotFound {
-			t.Errorf("an operation queued before the close answered %d, want 404", code)
-		}
-	}
-	// Make whatever the queued operations logged durable, as the next
-	// acknowledged request would, then kill the daemon.
-	if err := s1.wal.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-
-	s2 := New(cfg)
-	t.Cleanup(func() {
-		s2.Close()
-		s1.Close()
-	})
-	if err := s2.Recover(); err != nil {
-		t.Fatalf("restart after operations queued before a close: %v", err)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	if code, _, _ := doJSON(t, ts2.Client(), "GET", ts2.URL+"/v1/sessions/"+victim+"/residuals", nil); code != http.StatusNotFound {
-		t.Errorf("closed session %s resolves after the restart: %d", victim, code)
 	}
 }

@@ -306,7 +306,7 @@ func TestFederationHTTPRecover(t *testing.T) {
 // rejects what the classic session (where CPU is no constraint) admits.
 func TestClassicAndOneShardFederationAgree(t *testing.T) {
 	_, cs := testbed(t)
-	_, cts := startServer(t, Config{QueueDepth: 8})
+	_, cts := startServer(t, Config{})
 	_, fts := startFedServer(t, FedConfig{ClusterSpecs: []spec.ClusterSpec{cs}})
 	client := cts.Client()
 

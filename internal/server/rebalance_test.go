@@ -100,7 +100,7 @@ func residualStdDev(t *testing.T, client *http.Client, base string) float64 {
 
 func TestRebalanceEndpoint(t *testing.T) {
 	cs := rebalanceTestbed(t)
-	_, ts := startServer(t, Config{QueueDepth: 16})
+	_, ts := startServer(t, Config{})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 	base := ts.URL + "/v1/sessions/" + sid
@@ -158,7 +158,7 @@ func TestRebalanceEndpoint(t *testing.T) {
 // search), and the round's one move pulls the link across the fabric.
 func TestRebalanceCountsItsRouting(t *testing.T) {
 	cs := rebalanceTestbed(t)
-	_, ts := startServer(t, Config{QueueDepth: 16})
+	_, ts := startServer(t, Config{})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 	base := ts.URL + "/v1/sessions/" + sid
@@ -258,7 +258,7 @@ func TestRebalanceKillRestart(t *testing.T) {
 func overtakenByMigrateCommit(t *testing.T) (client *http.Client, base, pair string, sess *session) {
 	t.Helper()
 	cs := rebalanceTestbed(t)
-	s, ts := startServer(t, Config{QueueDepth: 16})
+	s, ts := startServer(t, Config{})
 	client = ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 	base = ts.URL + "/v1/sessions/" + sid
@@ -277,8 +277,7 @@ func overtakenByMigrateCommit(t *testing.T) (client *http.Client, base, pair str
 // commit: core has already swapped the environment's mapping for the
 // migrated one, and nothing has told the daemon. The test gets there by
 // running the round straight on the core session, as POST …/rebalance
-// does on its handler's goroutine, outside the admission queue. A
-// registry that remembered the
+// does on its handler's goroutine. A registry that remembered the
 // mapping it was handed at admission asked core to release a pointer no
 // longer active: the client got 404, the ID was forgotten, and the
 // reservations stayed in the ledger with nothing left to name them.

@@ -19,7 +19,7 @@ import (
 // with the observed outcomes, then restore and release back to baseline.
 func TestFailRepairEndpoints(t *testing.T) {
 	c, cs := testbed(t)
-	_, ts := startServer(t, Config{QueueDepth: 32})
+	_, ts := startServer(t, Config{})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 	base := ts.URL + "/v1/sessions/" + sid

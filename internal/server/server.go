@@ -14,12 +14,12 @@
 //     touches a commit hook.
 //   - Server is the one daemon type. New serves clients who bring their
 //     own cluster per session: every session is a domain on the daemon's
-//     one WAL, and every mutating request passes a bounded admission
-//     queue drained by one worker per GOMAXPROCS — when it is full, or the
-//     server is draining, the request is rejected at once with 503 +
-//     Retry-After. NewFederation serves a shard.Federation: the lock
-//     domains are its N shards, fixed at startup, and tenants' requests
-//     are routed onto them.
+//     one WAL. NewFederation serves a shard.Federation: the lock domains
+//     are its N shards, fixed at startup, and tenants' requests are
+//     routed onto them. Either way an operation runs on its request's
+//     goroutine, serialized per domain by the domain's session lock —
+//     the daemon starts no goroutine of its own — and once Close has
+//     begun a mutating request is refused with 503 + Retry-After.
 //   - An internal/metrics Registry instruments both modes with the same
 //     families and serves the text exposition on /metrics.
 //
@@ -92,16 +92,15 @@ import (
 // Config sizes the daemon, either mode. The zero value gets sensible
 // defaults.
 type Config struct {
-	// QueueDepth bounds the classic admission queue (a full queue
-	// rejects with 503; default 64).
-	QueueDepth int
 	// BatchSize is ignored. It sized the batched admission rounds PR 20
 	// deleted and survives only because the frozen benchmark harness
 	// still sets it (to 1, which never batched); the next PR allowed to
 	// touch benchmark/ removes the field with that assignment.
 	BatchSize int
-	// RequestTimeout bounds each request end to end (queue wait
-	// included). Defaults to 30s.
+	// RequestTimeout bounds each request end to end. A request still
+	// waiting for its session's lock at the deadline answers 503 once it
+	// gets the lock, with any admission it made rolled back. Defaults to
+	// 30s.
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds request bodies. Defaults to 32 MiB.
 	MaxBodyBytes int64
@@ -112,12 +111,6 @@ type Config struct {
 	// shard beside the tenant registry. Empty disables durability
 	// (state dies with the process).
 	DataDir string
-	// SnapshotInterval is the cadence of periodic compactions: a
-	// full-state snapshot on a fresh log segment, then the segments before
-	// it deleted. 0 compacts only on graceful shutdown. Checkpoints — the
-	// same snapshot, deleting nothing — bound what a restart reads and
-	// land by log growth either way. Ignored without DataDir.
-	SnapshotInterval time.Duration
 	// RebalanceMaxMoves caps guest moves per round of POST …/rebalance.
 	// <= 0 means unbounded: a round runs until no move improves the
 	// objective.
@@ -173,14 +166,15 @@ type Server struct {
 	domains func() []*shard.Shard
 	envs    func() int
 
-	admitMu  sync.RWMutex // excludes submit vs Close's queue close
-	draining bool         //hmn:guardedby admitMu
+	// A classic daemon's drain gate: an operation enters only while the
+	// daemon is not draining, and Close waits for every one that did
+	// before its final snapshot.
+	admitMu  sync.RWMutex
+	draining bool //hmn:guardedby admitMu
+	inflight sync.WaitGroup
 
-	// A classic daemon's state: the admission queue and its workers, the
-	// sessions clients opened, and the one WAL they share (nil without
-	// Config.DataDir).
-	queue       chan *task
-	wg          sync.WaitGroup
+	// A classic daemon's state: the sessions clients opened and the one
+	// WAL they share (nil without Config.DataDir).
 	mu          sync.Mutex
 	sessions    map[string]*session //hmn:guardedby mu
 	nextSession int                 //hmn:guardedby mu
@@ -190,11 +184,10 @@ type Server struct {
 	// Recover has built or rebuilt it.
 	fed *shard.Federation
 
-	// wal, fed and stopSnapshots are written once by Recover before it
-	// flips replaying to false, and the /v1 readiness gate keeps every
-	// handler out until then, so none of them needs a lock.
-	replaying     atomic.Bool
-	stopSnapshots func()
+	// wal and fed are written once by Recover before it flips replaying
+	// to false, and the /v1 readiness gate keeps every handler out until
+	// then, so neither needs a lock.
+	replaying atomic.Bool
 
 	mLatency       *metrics.Histogram
 	mStage         [3]*metrics.Histogram // hosting, migration, networking
@@ -207,10 +200,9 @@ type Server struct {
 	mReplayRecords *metrics.Counter
 	mRecovery      *metrics.Gauge
 
-	// Mode-specific series: the classic queue's depth and open-session
-	// count (a federation reports its tenants with the shard census), the
-	// federation's routed admission latency.
-	mQueue        *metrics.Gauge
+	// Mode-specific series: the classic open-session count (a federation
+	// reports its tenants with the shard census), the federation's routed
+	// admission latency.
 	mSessions     *metrics.Gauge
 	mAdmitLatency *metrics.Histogram
 }
@@ -254,7 +246,7 @@ func newServer(cfg Config) *Server {
 		fsyncLatency = reg.Histogram("hmnd_wal_fsync_seconds",
 			"Wall time of write-ahead log fsyncs (group commits).", nil)
 		snapshotLatency = reg.Histogram("hmnd_snapshot_seconds",
-			"Wall time of full-state snapshots (rotate to a fresh segment, export, publish), a compaction's deletion of the segments before it included.", nil)
+			"Wall time of full-state snapshots (rotate to a fresh segment, export, publish).", nil)
 		rebalRounds = reg.Counter("hmnd_rebalance_rounds_total",
 			"Rebalancing rounds executed.")
 		rebalPlanned = reg.Counter("hmnd_rebalance_planned_units_total",
@@ -271,7 +263,6 @@ func newServer(cfg Config) *Server {
 	s.domainCfg = shard.Config{
 		GatewayBW:         cfg.GatewayBW,
 		DataDir:           cfg.DataDir,
-		SnapshotInterval:  cfg.SnapshotInterval,
 		RebalanceMaxMoves: cfg.RebalanceMaxMoves,
 		Logf:              cfg.Logf,
 		Hooks: shard.Hooks{
@@ -378,42 +369,33 @@ func (s *Server) Recover() error {
 }
 
 // Close drains the daemon: /healthz turns 503 and new mutating work is
-// refused, every operation already accepted runs to completion, a final
-// snapshot is taken — after the drain, so queued-but-unacknowledged
-// admissions that committed during it are captured, not lost — and the
-// logs are sealed. It returns the first error of that last step. Safe
-// to call more than once. Callers shutting down an http.Server should
-// call its Shutdown first, so no handler is left waiting on an
-// operation.
+// refused, every operation already running completes, a final snapshot
+// is taken — after the drain, so admissions that committed during it are
+// captured, not lost; a checkpoint, deleting nothing — and the logs are
+// sealed. It returns the errors of that last step, joined. Safe to call
+// more than once. Callers shutting down an http.Server should call its
+// Shutdown first, so no handler is left waiting on an operation.
 func (s *Server) Close() error {
 	s.admitMu.Lock()
 	first := !s.draining
 	s.draining = true
-	if first && s.queue != nil {
-		close(s.queue)
-	}
 	s.admitMu.Unlock()
 	if s.fed != nil {
 		return s.fed.Close()
 	}
-	s.wg.Wait()
+	s.inflight.Wait()
 	if !first || s.wal == nil {
 		return nil
 	}
-	if s.stopSnapshots != nil {
-		s.stopSnapshots()
-	}
-	err := s.writeSnapshot()
+	err := s.wal.Snapshot(s.exportAll)
 	if err != nil {
 		s.logf("hmnd: shutdown snapshot: %v", err)
 	}
-	if cerr := s.wal.Close(); cerr != nil {
+	cerr := s.wal.Close()
+	if cerr != nil {
 		s.logf("hmnd: wal close: %v", cerr)
-		if err == nil {
-			err = cerr
-		}
 	}
-	return err
+	return errors.Join(err, cerr)
 }
 
 // logf reports housekeeping through the configured logger.
@@ -443,6 +425,19 @@ func (s *Server) isDraining() bool {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	return s.draining
+}
+
+// enter registers a classic mutating operation unless Close has begun;
+// the caller calls s.inflight.Done when the operation, its ack barrier
+// included, returns.
+func (s *Server) enter() error {
+	s.admitMu.RLock()
+	defer s.admitMu.RUnlock()
+	if s.draining {
+		return errDraining
+	}
+	s.inflight.Add(1)
+	return nil
 }
 
 // observeAdmit feeds one map attempt — a classic admission, or one
@@ -503,13 +498,8 @@ func decodeMapEnv(w http.ResponseWriter, r *http.Request) (req MapEnvRequest, en
 
 // Errors the daemon raises itself; failureStatus gives each its status.
 var (
-	// errOverloaded rejects a request when the admission queue is full.
-	errOverloaded = errors.New("server: admission queue full")
 	// errDraining rejects mutating work during shutdown.
 	errDraining = errors.New("server: draining")
-	// errTimedOut reports a request whose deadline passed while its
-	// operation sat in the admission queue.
-	errTimedOut = errors.New("request timed out")
 	// errNotDurable reports a committed operation whose log barrier
 	// failed: it is never acknowledged.
 	errNotDurable = errors.New("durability barrier")
@@ -527,8 +517,7 @@ func failureStatus(err error) (code int, msg string, ok bool) {
 	switch {
 	case err == nil:
 		return 0, "", true
-	case errors.Is(err, errOverloaded), errors.Is(err, errDraining), errors.Is(err, errTimedOut),
-		errors.Is(err, shard.ErrClosed):
+	case errors.Is(err, errDraining), errors.Is(err, shard.ErrClosed):
 		return http.StatusServiceUnavailable, err.Error(), false
 	case errors.Is(err, errNotDurable):
 		return http.StatusInternalServerError, err.Error(), false

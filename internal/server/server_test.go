@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -129,7 +128,7 @@ func scrape(t *testing.T, client *http.Client, base string) string {
 // confirm the residuals return to the primed baseline.
 func TestEndToEnd(t *testing.T) {
 	c, cs := testbed(t)
-	_, ts := startServer(t, Config{QueueDepth: 32})
+	_, ts := startServer(t, Config{})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 
@@ -317,123 +316,35 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// pinWorkers occupies every worker of s's pool, one per GOMAXPROCS, with
-// a task that blocks until release is called, and returns once all of
-// them are running. The tasks are submitted one at a time, so a queue of
-// depth 1 never overflows.
-func pinWorkers(t *testing.T, s *Server) (release func()) {
-	t.Helper()
-	block := make(chan struct{})
-	pinned := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := s.submit(context.Background(), func() {
-				pinned <- struct{}{}
-				<-block
-			}); err != nil {
-				t.Error(err)
-				close(pinned)
-			}
-		}()
-		if _, ok := <-pinned; !ok {
-			t.FailNow()
-		}
-	}
-	return func() {
-		close(block)
-		wg.Wait()
-	}
-}
-
-// TestOverloadRejectsWith503 pins the worker pool and fills the queue,
-// then proves a map request is rejected immediately with 503 and
-// Retry-After rather than waiting.
-func TestOverloadRejectsWith503(t *testing.T) {
-	_, cs := testbed(t)
-	s, ts := startServer(t, Config{QueueDepth: 1})
-	client := ts.Client()
-	sid := openSession(t, client, ts.URL, cs, "")
-
-	// Every worker is busy and one more task fills the queue slot.
-	release := pinWorkers(t, s)
-	queued := make(chan struct{})
-	go func() {
-		defer close(queued)
-		_ = s.submit(context.Background(), func() {})
-	}()
-	waitFor(t, func() bool { return len(s.queue) == 1 })
-
-	code, raw, hdr := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
-		MapEnvRequest{Env: spec.FromEnv(smallEnv(7, 5))})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d (%s), want 503", code, raw)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("503 must carry Retry-After")
-	}
-	text := scrape(t, client, ts.URL)
-	if got := metricValue(t, text, `hmnd_maps_rejected_total{mapper="HMN"}`); got != 1 {
-		t.Fatalf("rejected = %v, want 1", got)
-	}
-	// Unsaturate: the same request must now succeed.
-	release()
-	<-queued
-	code, raw, _ = doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
-		MapEnvRequest{Env: spec.FromEnv(smallEnv(7, 5))})
-	if code != http.StatusOK {
-		t.Fatalf("post-overload map: %d %s", code, raw)
-	}
-}
-
-// TestClassicQueueDefault: a zero Config gets the classic admission
-// queue's default depth.
-func TestClassicQueueDefault(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	if got := cap(s.queue); got != 64 {
-		t.Fatalf("classic admission queue defaults to %d, want 64", got)
-	}
-}
-
-// TestGracefulShutdown proves Close finishes in-flight maps, refuses
-// new work, and leaks no goroutines.
+// TestGracefulShutdown proves Close finishes the operation in flight,
+// refuses new work meanwhile — at every one of the seven mutating
+// handlers, against a session the held operation does not lock — and
+// leaks no goroutines.
 func TestGracefulShutdown(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	c, cs := testbed(t)
-	s := New(Config{QueueDepth: 8})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
-
-	// Pin every worker so the next map stays in the queue when Close
-	// begins: it is the in-flight work the drain must finish. The map is
-	// posted only once all are pinned: a request that reached the queue
-	// ahead of a blocker would be mapped by a free worker and never wait.
-	release := pinWorkers(t, s)
-	env := smallEnv(42, 10)
-	type mapResult struct {
-		code int
-		raw  []byte
+	other := "/v1/sessions/" + openSession(t, client, ts.URL, cs, "")
+	if code, raw, _ := doJSON(t, client, "POST", ts.URL+other+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(41, 4))}); code != http.StatusOK {
+		t.Fatalf("map into %s: %d %s", other, code, raw)
 	}
-	inflight := make(chan mapResult, 1)
-	go func() {
-		code, raw, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
-			MapEnvRequest{Env: spec.FromEnv(env)})
-		inflight <- mapResult{code, raw}
-	}()
-	waitFor(t, func() bool { return len(s.queue) == 1 })
+
+	// An admission holds the session's lock when Close begins: it is the
+	// in-flight work the drain must finish.
+	env := smallEnv(42, 10)
+	release := holdSession(t, s, sid, env)
 
 	closed := make(chan struct{})
 	go func() {
 		s.Close()
 		close(closed)
 	}()
-	// Draining must be observable (healthz flips to 503) while the
-	// pinned workers keep Close waiting.
+	// Draining must be observable (healthz flips to 503) while the held
+	// admission keeps Close waiting.
 	waitFor(t, func() bool {
 		resp, err := client.Get(ts.URL + "/healthz")
 		if err != nil {
@@ -442,21 +353,38 @@ func TestGracefulShutdown(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode == http.StatusServiceUnavailable
 	})
-	// New mutating work is refused while draining.
-	code, _, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
-		MapEnvRequest{Env: spec.FromEnv(smallEnv(43, 10))})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("map during drain: status %d, want 503", code)
+	// New mutating work is refused while draining, by every handler.
+	host := c.HostNodes()[0]
+	for _, call := range []struct {
+		method, path string
+		body         interface{}
+	}{
+		{"POST", "/v1/sessions", OpenSessionRequest{Cluster: cs}},
+		{"POST", "/v1/sessions/" + sid + "/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(43, 10))}},
+		{"POST", other + "/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(44, 4))}},
+		{"DELETE", other + "/envs/e1", nil},
+		{"POST", fmt.Sprintf("%s/hosts/%d/fail", other, host), nil},
+		{"POST", fmt.Sprintf("%s/hosts/%d/restore", other, host), nil},
+		{"POST", other + "/rebalance", nil},
+		{"DELETE", other, nil},
+	} {
+		if code, raw, _ := doJSON(t, client, call.method, ts.URL+call.path, call.body); code != http.StatusServiceUnavailable || !strings.Contains(string(raw), "draining") {
+			t.Fatalf("%s %s during drain: %d %s, want 503 draining", call.method, call.path, code, raw)
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admission was in flight")
+	default:
 	}
 
-	// Unpin: the queued map must complete successfully.
-	release()
-	res := <-inflight
-	if res.code != http.StatusOK {
-		t.Fatalf("in-flight map: status %d: %s", res.code, res.raw)
+	// Let go: the held map must complete successfully.
+	res := release()
+	if res.Code != http.StatusOK {
+		t.Fatalf("in-flight map: status %d: %s", res.Code, res.Body.Bytes())
 	}
 	var out MapEnvResponse
-	if err := json.Unmarshal(res.raw, &out); err != nil {
+	if err := json.Unmarshal(res.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
 	m, err := out.Mapping.ToMapping(c, env)
@@ -475,7 +403,7 @@ func TestGracefulShutdown(t *testing.T) {
 	s.Close() // idempotent
 	ts.Close()
 
-	// No goroutine leak: the pool and the listener are gone.
+	// No goroutine leak: the listener is gone.
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseGoroutines+2 })
 }
 
@@ -484,7 +412,7 @@ func TestGracefulShutdown(t *testing.T) {
 // environments among them) are in TestBothModesHTTPContract.
 func TestHandlerErrors(t *testing.T) {
 	_, cs := testbed(t)
-	_, ts := startServer(t, Config{QueueDepth: 8})
+	_, ts := startServer(t, Config{})
 	client := ts.Client()
 
 	// Unknown field in the request body: strict decoding is a 400.
@@ -528,7 +456,7 @@ func TestHandlerErrors(t *testing.T) {
 
 func TestMapWithPlanAndSessionClose(t *testing.T) {
 	_, cs := testbed(t)
-	_, ts := startServer(t, Config{QueueDepth: 8})
+	_, ts := startServer(t, Config{})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "HMN")
 
@@ -579,24 +507,26 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached within 5s")
 }
 
-// TestQueuedMapsLogOneAdmitEach piles map requests up behind the pinned
-// workers. Nothing coalesces them: the workers admit the queued requests
-// one at a time, each gets its own correct response, and the log holds
-// one admit record per request under consecutive sequence numbers.
-// Environment IDs are assigned before queuing, so which request got
-// which seq is not asserted.
+// TestQueuedMapsLogOneAdmitEach piles map requests up behind an
+// admission that holds the session's lock. Nothing coalesces them: they
+// are admitted one at a time as the lock frees, each gets its own
+// correct response, and the log holds one admit record per request
+// under consecutive sequence numbers. Environment IDs are assigned
+// before the lock is taken, so which request got which seq is not
+// asserted.
 func TestQueuedMapsLogOneAdmitEach(t *testing.T) {
 	c, cs := testbed(t)
 	dir := t.TempDir()
-	srv, ts := startServer(t, Config{QueueDepth: 32, DataDir: dir, Logf: t.Logf})
+	srv, ts := startServer(t, Config{DataDir: dir, Logf: t.Logf})
 	if err := srv.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 
-	// Pin the workers so the map requests pile up in the queue.
-	release := pinWorkers(t, srv)
+	// Hold the session's lock so the map requests pile up behind it.
+	held := smallEnv(299, 12)
+	release := holdSession(t, srv, sid, held)
 
 	const n = 5
 	envs := make([]*virtual.Env, n)
@@ -624,15 +554,11 @@ func TestQueuedMapsLogOneAdmitEach(t *testing.T) {
 		}(i)
 	}
 
-	// All n requests must be queued before a worker wakes up again.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.queue) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %d of %d", len(srv.queue), n)
-		}
-		time.Sleep(time.Millisecond)
+	// All n requests must be waiting before the lock frees.
+	waitForMappers(t, n+1)
+	if res := release(); res.Code != http.StatusOK {
+		t.Fatalf("held request: status %d: %s", res.Code, res.Body.Bytes())
 	}
-	release()
 	wg.Wait()
 
 	for i, code := range results {
@@ -644,12 +570,13 @@ func TestQueuedMapsLogOneAdmitEach(t *testing.T) {
 			t.Fatalf("request %d: ToMapping: %v", i, err)
 		}
 		if err := m.Validate(cluster.VMMOverhead{}); err != nil {
-			t.Fatalf("request %d: queued mapping invalid: %v", i, err)
+			t.Fatalf("request %d: mapping invalid: %v", i, err)
 		}
 	}
 
 	// Every request was acknowledged, so every record is durable: one
-	// admit per request, seqs 1..n with no gap, and no other kind.
+	// admit per request, the held one's included, seqs 1..n+1 with no
+	// gap, and no other kind.
 	rec, err := wal.Scan(dir, wal.Hooks{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -664,7 +591,7 @@ func TestQueuedMapsLogOneAdmitEach(t *testing.T) {
 			t.Fatalf("record %d is a %s record; a burst of maps writes admits only", i, r.Kind)
 		}
 	}
-	if want := []uint64{1, 2, 3, 4, 5}; !reflect.DeepEqual(seqs, want) {
+	if want := []uint64{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(seqs, want) {
 		t.Fatalf("admit records carry seqs %v, want %v", seqs, want)
 	}
 
@@ -672,15 +599,15 @@ func TestQueuedMapsLogOneAdmitEach(t *testing.T) {
 	if strings.Contains(text, "hmnd_map_batch") {
 		t.Fatal("a hmnd_map_batch* series is still registered")
 	}
-	if got := metricValue(t, text, `hmnd_maps_succeeded_total{mapper="HMN"}`); int(got) != n {
-		t.Fatalf("succeeded = %v, want %d", got, n)
+	if got := metricValue(t, text, `hmnd_maps_succeeded_total{mapper="HMN"}`); int(got) != n+1 {
+		t.Fatalf("succeeded = %v, want %d", got, n+1)
 	}
-	if got := metricValue(t, text, "hmnd_active_envs"); int(got) != n {
-		t.Fatalf("active envs = %v, want %d", got, n)
+	if got := metricValue(t, text, "hmnd_active_envs"); int(got) != n+1 {
+		t.Fatalf("active envs = %v, want %d", got, n+1)
 	}
 	// Admission accounting covers the whole burst.
-	if got := metricValue(t, text, "hmnd_commit_latency_seconds_count"); int(got) != n {
-		t.Fatalf("commit latency count = %v, want %d", got, n)
+	if got := metricValue(t, text, "hmnd_commit_latency_seconds_count"); int(got) != n+1 {
+		t.Fatalf("commit latency count = %v, want %d", got, n+1)
 	}
 	if got := metricValue(t, text, "hmnd_route_searches_total"); got <= 0 {
 		t.Fatalf("route searches = %v: the burst's A*Prune work went uncounted", got)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -21,21 +20,14 @@ import (
 
 // This file is the classic mode: clients open sessions that each bring
 // their own cluster, every session is a lock domain on the daemon's one
-// WAL, and mutating requests pass a bounded admission queue.
+// WAL, and a mutating request runs on its handler's goroutine under its
+// session's lock, behind the drain gate (enter).
 
-// New builds a classic daemon and starts its worker pool, one worker per
-// GOMAXPROCS: a worker is CPU-bound (the fsync barrier runs on the
-// handler's goroutine), so more would buy nothing. With a data directory
-// the /v1 API answers 503 until Recover has run.
+// New builds a classic daemon. With a data directory the /v1 API
+// answers 503 until Recover has run.
 func New(cfg Config) *Server {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	s := newServer(cfg)
 	s.replaying.Store(cfg.DataDir != "")
-	s.queue = make(chan *task, cfg.QueueDepth)
-	s.mQueue = s.reg.Gauge("hmnd_queue_depth",
-		"Requests waiting in the admission queue.")
 	s.mSessions = s.reg.Gauge("hmnd_active_sessions",
 		"Sessions currently open.")
 	s.rebuild, s.domains, s.envs = s.recoverSessions, s.sessionDomains, s.sessionEnvs
@@ -45,11 +37,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/sessions/{sid}/envs", s.handleMapEnv)
 	s.mux.HandleFunc("DELETE /v1/sessions/{sid}/envs/{eid}", s.handleReleaseEnv)
 	s.routeDomains("/v1/sessions/{sid}", s.sessionDomain)
-
-	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -119,66 +106,20 @@ func (s *Server) sessionEnvs() int {
 	return envs
 }
 
-// --- the admission queue ---
-
-// task is one unit of queued work. run executes on a worker; the
-// submitter waits on done (or its context).
-type task struct {
-	run  func()
-	done chan struct{}
-}
-
-// worker drains the admission queue until Close, one task per wakeup.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for t := range s.queue {
-		s.mQueue.Set(float64(len(s.queue)))
-		t.run()
-		close(t.done)
-	}
-}
-
-// submit queues fn and waits for it to run. It returns errOverloaded /
-// errDraining without queuing when the daemon has no room, and
-// errTimedOut if ctx expires while the task waits (the task itself
-// checks ctx and becomes a no-op, or rolls back, when it finally runs).
-func (s *Server) submit(ctx context.Context, fn func()) error {
-	t := &task{run: fn, done: make(chan struct{})}
-	s.admitMu.RLock()
-	if s.draining {
-		s.admitMu.RUnlock()
-		return errDraining
-	}
-	select {
-	case s.queue <- t:
-		s.mQueue.Set(float64(len(s.queue)))
-		s.admitMu.RUnlock()
-	default:
-		s.admitMu.RUnlock()
-		return errOverloaded
-	}
-	select {
-	case <-t.done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("%w: %w", errTimedOut, ctx.Err())
-	}
-}
-
-// queued runs op through the admission queue — unless the client gave
-// up while it waited — and then passes the ack barrier, here on the
-// handler's goroutine, so that concurrent requests share an fsync.
-func (s *Server) queued(ctx context.Context, op func() error) error {
-	var opErr error
-	if err := s.submit(ctx, func() {
-		if opErr = ctx.Err(); opErr == nil {
-			opErr = op()
-		}
-	}); err != nil {
+// operate runs op on the handler's goroutine — serialized with the
+// session's other operations by its lock — unless the daemon is draining
+// or the client gave up before it began, and then passes the ack
+// barrier, where concurrent requests share an fsync.
+func (s *Server) operate(ctx context.Context, op func() error) error {
+	if err := s.enter(); err != nil {
 		return err
 	}
-	if opErr != nil {
-		return opErr
+	defer s.inflight.Done()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := op(); err != nil {
+		return err
 	}
 	return s.ackBarrier()
 }
@@ -219,10 +160,10 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	if cfg.Mapper = req.Mapper; cfg.Mapper == "" {
 		cfg.Mapper = "HMN"
 	}
-	if s.isDraining() {
-		writeFailure(w, http.StatusServiceUnavailable, errDraining.Error())
+	if refused(w, s.enter()) {
 		return
 	}
+	defer s.inflight.Done()
 
 	// The domain is opened — its open record appended, its commit hook
 	// attached — under the lock that publishes it, with the ID it will
@@ -296,7 +237,7 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session 
 }
 
 // sessionDomain resolves /v1/sessions/{sid}/… to the session's domain,
-// whose operations run through the admission queue.
+// whose operations run behind the drain gate.
 func (s *Server) sessionDomain(w http.ResponseWriter, r *http.Request) (domain, bool) {
 	sess := s.lookupSession(w, r)
 	if sess == nil {
@@ -306,7 +247,7 @@ func (s *Server) sessionDomain(w http.ResponseWriter, r *http.Request) (domain, 
 		Shard: sess.Shard,
 		mutate: func(ctx context.Context, op func(*core.Session) ([]core.RepairResult, error)) ([]core.RepairResult, error) {
 			var results []core.RepairResult
-			err := s.queued(ctx, func() error {
+			err := s.operate(ctx, func() error {
 				var err error
 				results, err = op(sess.Session())
 				return err
@@ -317,9 +258,10 @@ func (s *Server) sessionDomain(w http.ResponseWriter, r *http.Request) (domain, 
 			return results, nil
 		},
 		rebalance: func() (core.RebalanceResult, error) {
-			if s.isDraining() {
-				return core.RebalanceResult{}, errDraining
+			if err := s.enter(); err != nil {
+				return core.RebalanceResult{}, err
 			}
+			defer s.inflight.Done()
 			// The round already passed the barrier if it committed
 			// anything; this one covers the zero-move path for free.
 			return sess.Rebalance(), s.ackBarrier()
@@ -349,7 +291,7 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	var resp MapEnvResponse
-	err := s.queued(ctx, func() error {
+	err := s.operate(ctx, func() error {
 		sess.attempted.Inc()
 		t0 := time.Now()
 		m, admit, err := sess.Session().MapTagged(env, envID)
@@ -398,7 +340,7 @@ func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
 	envID := r.PathValue("eid")
 	// By ID, which is the tag it was admitted under: the rebalancer may
 	// have replaced the environment's mapping a moment ago.
-	err := s.queued(r.Context(), func() error { return sess.Session().ReleaseTagged(envID) })
+	err := s.operate(r.Context(), func() error { return sess.Session().ReleaseTagged(envID) })
 	if refused(w, err) {
 		return
 	}
@@ -406,6 +348,10 @@ func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
+	if refused(w, s.enter()) {
+		return
+	}
+	defer s.inflight.Done()
 	id := r.PathValue("sid")
 	if !s.retire(id) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
@@ -419,10 +365,10 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 
 // --- durability ---
 
-// recoverSessions opens the data directory, if there is one, rebuilds
-// every session from the latest snapshot plus the log suffix, and starts
-// the snapshot cadence. Every recovered session's incremental objective
-// is checked against a recompute before it serves (shard.Replay).
+// recoverSessions opens the data directory, if there is one, and
+// rebuilds every session from the latest snapshot plus the log suffix.
+// Every recovered session's incremental objective is checked against a
+// recompute before it serves (shard.Replay).
 func (s *Server) recoverSessions() error {
 	if s.cfg.DataDir == "" {
 		return nil
@@ -443,20 +389,8 @@ func (s *Server) recoverSessions() error {
 	s.mSessions.Set(float64(len(domains)))
 	s.logf("hmnd: recovered %d sessions, %d environments, replayed %d records",
 		len(domains), s.sessionEnvs(), int(s.mReplayRecords.Value()))
-
-	if s.cfg.SnapshotInterval > 0 {
-		s.stopSnapshots = shard.Every(s.cfg.SnapshotInterval, func() {
-			if err := s.writeSnapshot(); err != nil {
-				s.logf("hmnd: periodic snapshot: %v", err)
-			}
-		})
-	}
 	return nil
 }
-
-// writeSnapshot compacts the log: one snapshot, and the segments before
-// it deleted.
-func (s *Server) writeSnapshot() error { return s.wal.WriteSnapshot(s.exportAll) }
 
 // exportAll captures every session in the table for a snapshot, in
 // session-ID order for deterministic snapshot bytes. It lists the table

@@ -39,8 +39,6 @@ type Federation struct {
 	// enters only while the federation is open, and Close waits for
 	// every one before its final snapshots.
 	inflight sync.WaitGroup
-
-	stopSnapshots func() // nil without a snapshot cadence
 }
 
 // tenant is one tenant session. closing blocks new admissions while
@@ -150,8 +148,8 @@ func (f *Federation) openShard(k int, c *cluster.Cluster) error {
 	return err
 }
 
-// start builds the router over the shards as they stand and starts the
-// snapshot cadence. Called once by New/Recover.
+// start builds the router over the shards as they stand. Called once
+// by New/Recover.
 func (f *Federation) start() {
 	resProc := make([]float64, len(f.shards))
 	for k, sh := range f.shards {
@@ -162,15 +160,6 @@ func (f *Federation) start() {
 		}
 	}
 	f.router = newRouter(resProc, f.gw)
-	if f.cfg.DataDir != "" && f.cfg.SnapshotInterval > 0 {
-		f.stopSnapshots = Every(f.cfg.SnapshotInterval, func() {
-			for _, sh := range f.shards {
-				if err := f.snapshotShard(sh); err != nil {
-					f.cfg.logf("shard %d: snapshot: %v", sh.Index, err)
-				}
-			}
-		})
-	}
 }
 
 // abortBuild tears down a partially built federation.
@@ -615,8 +604,8 @@ func (f *Federation) Stats() Stats {
 }
 
 // Close refuses new work, waits for the operations already running,
-// stops the snapshot loop, takes a final snapshot of every shard, and
-// closes the WALs.
+// takes a final snapshot of every shard — a checkpoint, deleting
+// nothing — and closes the WALs.
 func (f *Federation) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -626,13 +615,10 @@ func (f *Federation) Close() error {
 	f.closed = true
 	f.mu.Unlock()
 	f.inflight.Wait()
-	if f.stopSnapshots != nil {
-		f.stopSnapshots()
-	}
 	var firstErr error
 	for _, sh := range f.shards {
 		if sh.w != nil {
-			if err := f.snapshotShard(sh); err != nil && firstErr == nil {
+			if err := sh.w.Snapshot(sh.export); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			if err := sh.w.Close(); err != nil && firstErr == nil {

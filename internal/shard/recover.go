@@ -13,7 +13,7 @@ import (
 
 // This file is the federation's durability layer beyond the per-shard
 // WALs themselves: the tenant registry's meta file, the per-shard
-// snapshot cadence, and Recover — the crash-restart path that rebuilds
+// snapshot export, and Recover — the crash-restart path that rebuilds
 // every shard from its own snapshot-plus-log-suffix and the registry
 // from the fragment tags the shards' active sets carry.
 
@@ -94,12 +94,6 @@ func (f *Federation) exportShard(sh *Shard) func() ([]wal.SessionSnap, error) {
 		f.mu.Unlock()
 		return []wal.SessionSnap{sh.Snap(nextEnv)}, nil
 	}
-}
-
-// snapshotShard takes one full-state snapshot of sh and truncates its
-// log; the WAL serializes the segment rotation against appends.
-func (f *Federation) snapshotShard(sh *Shard) error {
-	return sh.w.WriteSnapshot(f.exportShard(sh))
 }
 
 // pendingEnv accumulates one environment's fragments during recovery

@@ -83,12 +83,6 @@ type Config struct {
 	// the tenant registry persists in DataDir/federation.json. Empty
 	// keeps the federation in memory.
 	DataDir string
-	// SnapshotInterval, when positive and DataDir is set, compacts
-	// every shard's log on this cadence — a snapshot on a fresh segment,
-	// then the segments before it deleted; a final compaction is always
-	// taken on a clean Close. Checkpoints, the same snapshot deleting
-	// nothing, land by log growth either way.
-	SnapshotInterval time.Duration
 	// RebalanceMaxMoves caps guest moves per rebalancing round (0 =
 	// unbounded).
 	RebalanceMaxMoves int
@@ -138,10 +132,9 @@ func (cfg Config) walHooks() wal.Hooks {
 func shardSID(k int) string { return fmt.Sprintf("shard-%d", k) }
 
 // Shard is one lock domain: a session on its own cluster and the WAL its
-// commits are logged to. A federation shard logs to a WAL of its own and
-// runs its operations on their callers under the session lock; the
-// sessions of a classic daemon are domains too, sharing one WAL and the
-// daemon's admission queue.
+// commits are logged to. Its operations run on their callers under the
+// session lock. A federation shard logs to a WAL of its own; the
+// sessions of a classic daemon are domains too, sharing one WAL.
 type Shard struct {
 	// Index is the shard's position in the federation, in [0, Shards).
 	Index int
@@ -161,8 +154,8 @@ type Shard struct {
 	cfg         Config
 
 	// export captures a federation shard for a snapshot of its own WAL,
-	// which the shard's barrier checkpoints when due; nil for a domain
-	// whose owner snapshots a WAL it shares.
+	// which the shard's barrier checkpoints when due and Close takes at
+	// shutdown; nil for a domain whose owner snapshots a WAL it shares.
 	export func() ([]wal.SessionSnap, error)
 }
 
@@ -327,28 +320,4 @@ func (sh *Shard) barrier() error {
 		}
 	}
 	return sh.w.Barrier()
-}
-
-// Every runs fn on a fixed cadence on its own goroutine until the
-// returned stop is called; stop waits for the goroutine to exit. It is
-// the snapshot loop of both daemon modes.
-func Every(interval time.Duration, fn func()) (stop func()) {
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				fn()
-			case <-quit:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(quit)
-		<-done
-	}
 }

@@ -109,9 +109,9 @@ func TestCheckpointDueByGrowth(t *testing.T) {
 }
 
 // TestRecoverThroughCheckpoints churns two sessions with a checkpoint
-// every 40 operations and a compaction, a rotation and a session closed
-// and opened again between them: every segment since the compaction
-// stays on disk, and recovery, which starts at the last checkpoint's
+// every 40 operations and a snapshot, a compaction of the live
+// directory, a rotation and a session closed and opened again between
+// them: every segment since the compaction stays on disk, and recovery, which starts at the last checkpoint's
 // segment, rebuilds the writer's sessions, agrees with a replay of the
 // whole log onto the same snapshot, reads only the log after the
 // checkpoint, and survives the last frame torn at every byte.
@@ -143,7 +143,10 @@ func TestRecoverThroughCheckpoints(t *testing.T) {
 		}
 		switch {
 		case i == 100:
-			if err := w.WriteSnapshot(export); err != nil {
+			if err := w.Snapshot(export); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Compact(dir); err != nil {
 				t.Fatal(err)
 			}
 			snap, err := loadSnapshot(dir)
@@ -344,11 +347,14 @@ func TestClosedSessionHighWaterSurvivesCompaction(t *testing.T) {
 	export := func() ([]SessionSnap, error) {
 		return []SessionSnap{ExportSession("s1", cs, "", cluster.VMMOverhead{}, 0, s)}, nil
 	}
-	if err := w.WriteSnapshot(export); err != nil {
+	if err := w.Snapshot(export); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if removed, err := Compact(dir); err != nil || len(removed) == 0 {
+		t.Fatalf("compaction removed segments %v, %v", removed, err)
 	}
 	w, res, err := Recover(dir, testHooks(t), nil)
 	if err != nil {
@@ -359,7 +365,7 @@ func TestClosedSessionHighWaterSurvivesCompaction(t *testing.T) {
 	}
 	// The mark carries on into the next snapshot, although this run saw no
 	// record of s2 either.
-	if err := w.WriteSnapshot(export); err != nil {
+	if err := w.Snapshot(export); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -585,7 +591,7 @@ func TestSnapshotFsyncFailureFaultsLog(t *testing.T) {
 	f := w.log.f
 	w.log.f = closed
 	w.log.mu.Unlock()
-	if err := w.WriteSnapshot(func() ([]SessionSnap, error) { return nil, nil }); err == nil {
+	if err := w.Snapshot(func() ([]SessionSnap, error) { return nil, nil }); err == nil {
 		t.Fatal("a snapshot whose fsync failed was published")
 	}
 	w.log.mu.Lock()
@@ -663,7 +669,7 @@ func TestSnapshotLeavesOutSessionClosedAfterCut(t *testing.T) {
 		applyOp(t, s1, c, i)
 		applyOp(t, s2, c, 50+i)
 	}
-	if err := w.WriteSnapshot(func() ([]SessionSnap, error) {
+	if err := w.Snapshot(func() ([]SessionSnap, error) {
 		done := make(chan error)
 		go func() {
 			for i := 10; i < 14; i++ {

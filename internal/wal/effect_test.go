@@ -63,7 +63,7 @@ func TestEffectReplayMatchesWriter(t *testing.T) {
 		churnOp(t, live["s1"], i)
 		churnOp(t, live["s2"], i)
 	}
-	err = w.WriteSnapshot(func() ([]SessionSnap, error) {
+	err = w.Snapshot(func() ([]SessionSnap, error) {
 		return []SessionSnap{
 			ExportSession("s1", cs, "", cluster.VMMOverhead{}, 0, live["s1"]),
 			ExportSession("s2", cs, "", cluster.VMMOverhead{}, 0, live["s2"]),

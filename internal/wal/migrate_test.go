@@ -75,7 +75,7 @@ func TestMigrateRecordRecovery(t *testing.T) {
 	if err := w.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	err = w.WriteSnapshot(func() ([]SessionSnap, error) {
+	err = w.Snapshot(func() ([]SessionSnap, error) {
 		return []SessionSnap{ExportSession(testSID, cs, "", cluster.VMMOverhead{}, 0, s)}, nil
 	})
 	if err != nil {

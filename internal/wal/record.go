@@ -20,14 +20,14 @@
 // where the payload is one JSON-encoded Record. A torn tail — a partial
 // frame or a checksum mismatch with nothing valid after it in the final
 // segment — is truncated on open with a warning; an invalid frame
-// anywhere else is corruption and open refuses. A snapshot notes the
-// log position it was cut at — a checkpoint the end of the active
-// segment once the log has grown eightfold past the last snapshot, a
-// compaction the start of the fresh segment it rotates to — exports
-// every session, writes the snapshot to a temporary file and renames it
-// over the old one (fsyncing the directory); only a compaction then
-// deletes the segments before its position. Recovery restores the
-// snapshot and reads the log from its position; records whose
+// anywhere else is corruption and open refuses. A snapshot — a
+// checkpoint once the log has grown eightfold past the last one, and
+// one at shutdown — rotates to a fresh segment, notes that segment as
+// its position, exports every session, writes the snapshot to a
+// temporary file and renames it over the old one (fsyncing the
+// directory). No snapshot deletes a segment: the directory keeps the
+// whole log until an operator compacts it (Compact). Recovery restores
+// the snapshot and reads the log from its position; records whose
 // per-session operation index is at or below the snapshot's recorded
 // index are skipped as already applied.
 package wal

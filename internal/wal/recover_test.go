@@ -328,7 +328,7 @@ func TestOnePassAgreesOnChurnLog(t *testing.T) {
 		}
 		switch i {
 		case 300:
-			err := w.WriteSnapshot(func() ([]SessionSnap, error) {
+			err := w.Snapshot(func() ([]SessionSnap, error) {
 				return []SessionSnap{
 					ExportSession("s1", cs, "", cluster.VMMOverhead{}, 0, sess["s1"]),
 					ExportSession("s2", cs, "", cluster.VMMOverhead{}, 0, sess["s2"]),

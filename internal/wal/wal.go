@@ -21,7 +21,7 @@ type WAL struct {
 	// limit is the log growth past the last snapshot's position that
 	// makes a checkpoint due (checkpointLimit of that snapshot's size).
 	limit atomic.Int64
-	// snapMu serializes snapshots, checkpoints and compactions alike;
+	// snapMu serializes snapshots, checkpoints and shutdown ones alike;
 	// buf is the encoding buffer they share.
 	snapMu sync.Mutex
 	buf    []byte //hmn:guardedby snapMu
@@ -57,9 +57,9 @@ type Recovered struct {
 // load reads the directory's snapshot and lists its segments. With
 // repair set — recovery, not inspection — it first creates the
 // directory and removes a snapshot temp file a crash left. It never
-// deletes a segment: those before the snapshot's position are the log a
-// checkpoint keeps, or those a compaction that crashed before deleting
-// them left, which the next compaction deletes; recovery skips both.
+// deletes a segment: those before the snapshot's position are the log
+// every snapshot keeps until Compact deletes them, and recovery skips
+// them.
 func load(dir string, repair bool) (*Snapshot, []uint64, error) {
 	if repair {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -190,15 +190,14 @@ func (w *WAL) Append(rec *Record) error { return w.log.append(rec) }
 // fsyncs between concurrent callers.
 func (w *WAL) Barrier() error { return w.log.barrier() }
 
-// WriteSnapshot compacts the log: it takes a snapshot and then deletes
-// the segments before the snapshot's position, which it covers. The
-// daemon compacts on its -snapshot-interval cadence and at shutdown.
-// export must not append to the WAL on the calling goroutine (other
-// goroutines may, freely).
-func (w *WAL) WriteSnapshot(export func() ([]SessionSnap, error)) error {
+// Snapshot takes a snapshot now and deletes nothing, whether or not
+// one is due: the checkpoint a daemon takes at shutdown, so the next
+// start reads no log. export must not append to the WAL on the calling
+// goroutine (other goroutines may, freely).
+func (w *WAL) Snapshot(export func() ([]SessionSnap, error)) error {
 	w.snapMu.Lock()
 	defer w.snapMu.Unlock()
-	return w.snapshot(export, true)
+	return w.snapshot(export)
 }
 
 // CheckpointDue reports whether the log has grown past the checkpoint
@@ -219,7 +218,7 @@ func (w *WAL) Checkpoint(export func() ([]SessionSnap, error)) error {
 	if !w.CheckpointDue() {
 		return nil
 	}
-	return w.snapshot(export, false)
+	return w.snapshot(export)
 }
 
 // snapshot is the one way a snapshot is taken. It rotates to a fresh
@@ -227,12 +226,13 @@ func (w *WAL) Checkpoint(export func() ([]SessionSnap, error)) error {
 // directory); calls export to capture the state — after the rotation, so
 // every record in the sealed segments is covered by the exported
 // operation indices; and publishes the snapshot atomically at offset 0
-// of the fresh segment. With prune set it then deletes the segments
-// before that one. The next checkpoint falls due once the log has grown
-// by checkpointLimit of the snapshot's size. The caller holds snapMu.
+// of the fresh segment. It deletes nothing: the segments before it stay
+// until an operator runs Compact. The next checkpoint falls due once the
+// log has grown by checkpointLimit of the snapshot's size. The caller
+// holds snapMu.
 //
 //hmn:locked snapMu
-func (w *WAL) snapshot(export func() ([]SessionSnap, error), prune bool) error {
+func (w *WAL) snapshot(export func() ([]SessionSnap, error)) error {
 	start := time.Now() //hmn:wallclock
 	at, err := w.log.rotate()
 	if err != nil {
@@ -242,22 +242,6 @@ func (w *WAL) snapshot(export func() ([]SessionSnap, error), prune bool) error {
 		// Still due: the next acknowledged operation tries again.
 		w.log.grown.Add(at.grown)
 		return err
-	}
-	if prune {
-		segs, err := listSegments(w.dir)
-		if err != nil {
-			return err
-		}
-		for _, n := range segs {
-			if n < at.seg {
-				if err := os.Remove(filepath.Join(w.dir, segName(n))); err != nil {
-					return fmt.Errorf("wal: remove sealed segment: %w", err)
-				}
-			}
-		}
-		if err := syncDir(w.dir); err != nil {
-			return err
-		}
 	}
 	if w.hooks.OnSnapshot != nil {
 		w.hooks.OnSnapshot(time.Since(start).Seconds()) //hmn:wallclock
@@ -327,4 +311,35 @@ func Each(dir string, hooks Hooks, fn func(*Record) error) (*Snapshot, int64, er
 		return nil, 0, err
 	}
 	return snap, p.truncated, nil
+}
+
+// Compact reclaims disk: it deletes the segments before the published
+// snapshot's first segment, which no recovery reads, and keeps the rest;
+// it returns the numbers of the segments it deleted. A snapshot's first
+// segment only moves forward and a running daemon never reopens a
+// sealed segment, so compacting the directory of a live daemon is as
+// safe as compacting a stopped one. Without a snapshot there is nothing
+// to delete. The directory is the experiment's trace until compacted:
+// Compact is the operator's call, never the daemon's.
+func Compact(dir string) ([]uint64, error) {
+	snap, segs, err := load(dir, false)
+	if err != nil || snap == nil {
+		return nil, err
+	}
+	var removed []uint64
+	for _, n := range segs {
+		if n >= snap.FirstSeg {
+			break
+		}
+		if err := os.Remove(filepath.Join(dir, segName(n))); err != nil {
+			return removed, fmt.Errorf("wal: remove sealed segment: %w", err)
+		}
+		removed = append(removed, n)
+	}
+	if len(removed) > 0 {
+		if err := syncDir(dir); err != nil {
+			return removed, err
+		}
+	}
+	return removed, nil
 }

@@ -379,7 +379,7 @@ func TestSnapshotSuffixEquivalence(t *testing.T) {
 	if err := w.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	err = w.WriteSnapshot(func() ([]SessionSnap, error) {
+	err = w.Snapshot(func() ([]SessionSnap, error) {
 		return []SessionSnap{ExportSession(testSID, cs, "", cluster.VMMOverhead{}, 0, s)}, nil
 	})
 	if err != nil {
@@ -485,7 +485,7 @@ func TestLegacyBatchRecordKeepsItsOneIndex(t *testing.T) {
 	if exp := rs.Session.Export(); exp.OpCount != 3 || exp.NextSeq != 3 {
 		t.Fatalf("after admit·batch·release: op=%d seq=%d, want 3 and 3", exp.OpCount, exp.NextSeq)
 	}
-	err = w.WriteSnapshot(func() ([]SessionSnap, error) {
+	err = w.Snapshot(func() ([]SessionSnap, error) {
 		return []SessionSnap{ExportSession(rs.SID, rs.ClusterSpec, rs.Mapper, rs.Overhead, 0, rs.Session)}, nil
 	})
 	if err != nil {
@@ -495,6 +495,9 @@ func TestLegacyBatchRecordKeepsItsOneIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compact(dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -571,7 +574,7 @@ func TestChaosKillRestart(t *testing.T) {
 					t.Fatal(err)
 				}
 				if crash >= 4 && i == crash/2 {
-					err := w.WriteSnapshot(func() ([]SessionSnap, error) {
+					err := w.Snapshot(func() ([]SessionSnap, error) {
 						return []SessionSnap{ExportSession(testSID, cs, "", cluster.VMMOverhead{}, 0, s)}, nil
 					})
 					if err != nil {
@@ -624,10 +627,11 @@ func TestChaosKillRestart(t *testing.T) {
 	}
 }
 
-// TestSnapshotPrunesSegments checks the log is actually bounded: after
-// a snapshot the sealed segments are gone and recovery reads only the
-// snapshot plus the fresh suffix.
-func TestSnapshotPrunesSegments(t *testing.T) {
+// TestCompactDeletesSegmentsBeforeSnapshot checks the log is bounded
+// only by an operator's compaction: a snapshot deletes nothing, Compact
+// then deletes the sealed segments before it and keeps the fresh one,
+// and recovery reads only the snapshot plus the fresh suffix.
+func TestCompactDeletesSegmentsBeforeSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	c, cs := testCluster(t)
 	w, _, err := Open(dir, testHooks(t))
@@ -641,18 +645,23 @@ func TestSnapshotPrunesSegments(t *testing.T) {
 	if err := w.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	err = w.WriteSnapshot(func() ([]SessionSnap, error) {
+	if removed, err := Compact(dir); err != nil || removed != nil {
+		t.Fatalf("compacting before any snapshot removed %v, %v", removed, err)
+	}
+	err = w.Snapshot(func() ([]SessionSnap, error) {
 		return []SessionSnap{ExportSession(testSID, cs, "", cluster.VMMOverhead{}, 0, s)}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
+	if segs, err := listSegments(dir); err != nil || !reflect.DeepEqual(segs, []uint64{1, 2}) {
+		t.Fatalf("a snapshot left segments %v, %v; want it to delete none", segs, err)
 	}
-	if len(segs) != 1 {
-		t.Fatalf("want exactly the fresh segment after snapshot, have %v", segs)
+	if removed, err := Compact(dir); err != nil || !reflect.DeepEqual(removed, []uint64{1}) {
+		t.Fatalf("compaction removed %v, %v; want the sealed segment 1", removed, err)
+	}
+	if segs, err := listSegments(dir); err != nil || !reflect.DeepEqual(segs, []uint64{2}) {
+		t.Fatalf("want exactly the fresh segment after compaction, have %v, %v", segs, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -663,6 +672,6 @@ func TestSnapshotPrunesSegments(t *testing.T) {
 	}
 	defer w2.Close()
 	if rec.Snapshot == nil || len(rec.Records) != 0 {
-		t.Fatalf("recovery after snapshot: snapshot=%v records=%d", rec.Snapshot != nil, len(rec.Records))
+		t.Fatalf("recovery after compaction: snapshot=%v records=%d", rec.Snapshot != nil, len(rec.Records))
 	}
 }

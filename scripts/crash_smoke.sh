@@ -14,16 +14,18 @@
 # directory is checked on its own and the restart names no
 # -shard-cluster (the shards rebuild themselves from their directories).
 #
-# Every snapshot starts a fresh segment, and a checkpoint deletes none:
-# a checkpoint shows as a snapshot.json whose first_seg is past 1 with
+# Every snapshot starts a fresh segment, and none deletes a segment: a
+# checkpoint shows as a snapshot.json whose first_seg is past 1 with
 # every earlier segment still on disk, and recovery starts reading the
 # log at first_seg. The check after each kill asserts one landed in every
 # WAL directory and that hmnwal verify replays fewer records than the
 # directory's log holds.
 #
 # Each phase ends with a graceful shutdown (drain, final snapshot) and
-# checks the directories again. Recovery cross-checks every session
-# before the daemon reports "serving".
+# checks the directories again, then runs hmnwal compact on every WAL
+# directory: exactly the segments before first_seg go, hmnwal verify
+# still passes, and a restart reads byte-identical residuals. Recovery
+# cross-checks every session before the daemon reports "serving".
 #
 # Run from the repo root (or via `make crash-smoke`).
 set -euo pipefail
@@ -99,6 +101,27 @@ verify_suffix() {
         echo "    $dir: verify replays $replayed of $total records"
         [ -n "$total" ] && [ -n "$replayed" ] && [ "$replayed" -gt 0 ] && [ "$replayed" -lt "$total" ] ||
             { echo "$dir: replayed '$replayed' of '$total' records" >&2; exit 1; }
+    done
+}
+
+# compact_dirs runs hmnwal compact on each WAL directory named and checks
+# that it deleted the segments before the snapshot's first_seg — at
+# least one — and kept the rest, and that hmnwal verify still passes.
+compact_dirs() {
+    local dir seg before want after f
+    for dir in "$@"; do
+        seg=$(sed -n 's/^{"first_seg":\([0-9]*\).*/\1/p' "$dir/snapshot.json")
+        before=$(cd "$dir" && ls wal-*.log)
+        want=""
+        for f in $before; do
+            [ "$((10#${f:4:20}))" -ge "$seg" ] && want+="$f "
+        done
+        "$workdir/hmnwal" compact "$dir" >/dev/null
+        after=$(cd "$dir" && echo wal-*.log)
+        [ "$after " = "$want" ] || { echo "$dir: compaction left [$after], want [$want] (first_seg $seg)" >&2; exit 1; }
+        [ "$(wc -w <<<"$before")" -gt "$(wc -w <<<"$after")" ] || { echo "$dir: compaction deleted nothing" >&2; exit 1; }
+        "$workdir/hmnwal" verify "$dir" >/dev/null
+        echo "    $dir: $(wc -w <<<"$before") segment(s) compacted to $(wc -w <<<"$after"), from segment $seg"
     done
 }
 
@@ -211,10 +234,21 @@ for sid in s1 s2; do
 done
 map_env s1 "$workdir/env-b.json" e4
 release s1 e1
+for sid in s1 s2; do
+    curl -fsS "$base/v1/sessions/$sid/residuals" >"$workdir/residuals.$sid.final"
+done
 
 echo "--- graceful shutdown and re-verify"
 stop_daemon TERM
 verify_dirs - "$data"
+
+echo "--- compact, restart, compare"
+compact_dirs "$data"
+start_daemon -data-dir "$data"
+for sid in s1 s2; do
+    curl -fsS "$base/v1/sessions/$sid/residuals" | cmp "$workdir/residuals.$sid.final" -
+done
+stop_daemon TERM
 
 echo "=== federation"
 data=$workdir/fed
@@ -259,8 +293,19 @@ for k in $(seq 0 $((shards - 1))); do
 done
 map_env s1 "$workdir/env-f.json" "e$next"
 release s5 e5
+for k in $(seq 0 $((shards - 1))); do
+    curl -fsS "$base/v1/shards/$k/residuals" >"$workdir/residuals.$k.final"
+done
 
 echo "--- graceful shutdown and re-verify"
 stop_daemon TERM
 verify_dirs - "${dirs[@]}"
+
+echo "--- compact every shard directory, restart, compare"
+compact_dirs "${dirs[@]}"
+start_daemon -shards "$shards" -gateway-bw 50 -data-dir "$data"
+for k in $(seq 0 $((shards - 1))); do
+    curl -fsS "$base/v1/shards/$k/residuals" | cmp "$workdir/residuals.$k.final" -
+done
+stop_daemon TERM
 echo "crash smoke OK"
