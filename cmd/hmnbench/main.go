@@ -10,6 +10,7 @@
 //	hmnbench -figure 1                # Figure 1 series (torus by default)
 //	hmnbench -correlation             # pooled Pearson r
 //	hmnbench -churn -churn-ops 500    # admission churn, bare vs rebalanced (deterministic)
+//	hmnbench -gap -gap-instances 50   # optimality gap against the exact solver (deterministic)
 //	hmnbench -all -reps 5 -quick      # everything on the reduced matrix
 //
 // The retry budget of the random baselines defaults to 300 (the paper
@@ -46,7 +47,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "worker-pool width for every experiment (0 = GOMAXPROCS; results are identical for any value)")
 		csvPath      = flag.String("csv", "", "also write every run as CSV to this file")
 		jsonPath     = flag.String("json", "", "also write the results matrix and mapping-time percentiles as JSON to this file ('-' = stdout)")
-		gap          = flag.Bool("gap", false, "measure HMN's optimality gap against the exact solver on tiny instances")
+		gap          = flag.Bool("gap", false, "measure HMN's optimality gap against the exact solver on tiny instances; with -json its block joins the document")
 		gapN         = flag.Int("gap-instances", 30, "instances for the -gap experiment")
 		reservations = flag.Bool("reservations", false, "run the bandwidth-reservation ablation (reserved vs best-effort transfers)")
 		churn        = flag.Bool("churn", false, "run the admission churn benchmark, bare vs a rebalancing round after every second operation; with -json its block joins the document")
@@ -104,8 +105,15 @@ func main() {
 			return
 		}
 	}
+	var gapRes *exp.GapJSON
 	if *gap {
-		fmt.Print(exp.RunGap(exp.GapConfig{Instances: *gapN, Seed: *seed, Workers: *workers}))
+		r := exp.RunGap(exp.GapConfig{Instances: *gapN, Seed: *seed, Workers: *workers})
+		gapRes = r.JSON()
+		if *jsonPath == "-" {
+			fmt.Fprint(os.Stderr, r) // '-json -' promises pure JSON on stdout
+		} else {
+			fmt.Print(r)
+		}
 		if !*all && *table == 0 && *figure == 0 && !*correlation {
 			return
 		}
@@ -155,7 +163,8 @@ func main() {
 		len(cfg.Scenarios), cfg.Reps, len(cfg.Topologies), len(cfg.Heuristics), cfg.Seed, cfg.MaxTries)
 	start := time.Now()
 	res := exp.RunSweep(cfg)
-	res.Churn = churnRes // with -churn, the JSON document carries its block
+	res.Churn = churnRes // with -churn or -gap, the JSON document carries its block
+	res.Gap = gapRes
 	fmt.Fprintf(os.Stderr, "hmnbench: sweep finished in %.1fs (%d runs)\n",
 		time.Since(start).Seconds(), len(res.Runs))
 

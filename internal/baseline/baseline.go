@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -84,7 +83,8 @@ func (r *Random) Map(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping, erro
 		}
 		var ok bool
 		if r.UseAStar {
-			ok = routeAStar(led, v, m.GuestHost, m.LinkPath)
+			// RA is exactly "random placement + HMN networking".
+			ok = core.RouteLinks(led, v, m.GuestHost, m.LinkPath) == nil
 		} else {
 			ok = routeDFS(led, v, m.GuestHost, m.LinkPath, rng)
 		}
@@ -186,45 +186,6 @@ func routeDFS(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths 
 		}
 		if err := led.ReserveBandwidth(p, link.BW); err != nil {
 			return false // unreachable: DFS checked the same ledger view
-		}
-		paths[link.ID] = p
-	}
-	return true
-}
-
-// routeAStar routes every link with the modified A*Prune in descending
-// bandwidth order, as HMN's Networking stage does — RA is exactly
-// "random placement + HMN networking".
-func routeAStar(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path) bool {
-	net := led.Cluster().Net()
-	bw := led.Residuals()
-
-	links := append([]virtual.Link(nil), v.Links()...)
-	sort.SliceStable(links, func(i, j int) bool {
-		if links[i].BW != links[j].BW {
-			return links[i].BW > links[j].BW
-		}
-		return links[i].ID < links[j].ID
-	})
-
-	arCache := make(map[graph.NodeID][]float64)
-	for _, link := range links {
-		src, dst := assign[link.From], assign[link.To]
-		if src == dst {
-			paths[link.ID] = graph.TrivialPath(src)
-			continue
-		}
-		ar, ok := arCache[dst]
-		if !ok {
-			ar = graph.DijkstraLatency(net, dst)
-			arCache[dst] = ar
-		}
-		p, found := graph.AStarPrune(net, src, dst, link.BW, link.Lat, bw, &graph.AStarPruneOptions{AR: ar})
-		if !found {
-			return false
-		}
-		if err := led.ReserveBandwidth(p, link.BW); err != nil {
-			return false // unreachable: A*Prune checked the same view
 		}
 		paths[link.ID] = p
 	}

@@ -112,7 +112,7 @@ func TestRerouteAllocsBudget(t *testing.T) {
 			snap.ReleaseBandwidth(m.LinkPath[l], env.Link(l).BW)
 		}
 		ms := getMapScratch()
-		rErr := reroute(snap, env, m.GuestHost, paths, links, s.ar, ms)
+		rErr := reroute(snap, env, m.GuestHost, paths, links, &s.ar, ms)
 		putMapScratch(ms)
 		if rErr != nil {
 			t.Fatal(rErr)

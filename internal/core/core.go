@@ -97,15 +97,10 @@ type StageStats struct {
 }
 
 // MapWithStats is Map plus per-stage wall times and migration counters.
-// On error the stats cover the stages that ran before the failure.
+// On error the stats cover the stages that ran before the failure. It
+// runs the pipeline on a fresh ledger of c's full capacity less h's VMM
+// overhead, with latency tables of its own.
 func (h *HMN) MapWithStats(c *cluster.Cluster, v *virtual.Env) (*mapping.Mapping, StageStats, error) {
-	return mapOnce(h, c, v, newARCache())
-}
-
-// mapOnce is a one-shot Mapper.Map: the pipeline on a fresh ledger of
-// c's full capacity less h's VMM overhead. arc is a fresh cache; on the
-// uncut ledger it fills with exactly graph.DijkstraLatency's tables.
-func mapOnce(h *HMN, c *cluster.Cluster, v *virtual.Env, arc *arCache) (*mapping.Mapping, StageStats, error) {
 	var st StageStats
 	led, err := cluster.NewLedger(c, h.Overhead)
 	if err != nil {
@@ -113,7 +108,7 @@ func mapOnce(h *HMN, c *cluster.Cluster, v *virtual.Env, arc *arCache) (*mapping
 	}
 	m := mapping.New(c, v)
 	ms := getMapScratch()
-	err = stages(h, led, v, m, arc, ms, &st)
+	err = stages(h, led, v, m, new(latencyTables), ms, &st)
 	putMapScratch(ms)
 	if err != nil {
 		return nil, st, err
@@ -136,7 +131,7 @@ func mapOnce(h *HMN, c *cluster.Cluster, v *virtual.Env, arc *arCache) (*mapping
 // detached before returning so the ledger outlives the attempt hook-free.
 // Hosting and Networking walk the links in the same strict order
 // (bandwidth descending, ID ascending), so they are sorted once.
-func stages(h *HMN, led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc *arCache, ms *mapScratch, st *StageStats) error {
+func stages(h *HMN, led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, lt *latencyTables, ms *mapScratch, st *StageStats) error {
 	t0 := time.Now() //hmn:wallclock
 	hi := newHostIndex(led, ms)
 	defer led.SetProcHook(nil)
@@ -153,7 +148,7 @@ func stages(h *HMN, led *cluster.Ledger, v *virtual.Env, m *mapping.Mapping, arc
 	st.MigrationSeconds = t2.Sub(t1).Seconds()
 
 	before := ms.route
-	err = routeLinks(led, v, m.GuestHost, m.LinkPath, links, arc, ms)
+	err = routeLinks(led, v, m.GuestHost, m.LinkPath, links, lt, ms)
 	st.NetworkingSeconds = time.Since(t2).Seconds() //hmn:wallclock
 	st.Route = ms.route.Sub(before)
 	if err != nil {

@@ -289,7 +289,7 @@ func TestNetworkingIntraHostLinksAreTrivial(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := &mapScratch{astar: graph.NewAStarScratch(), arena: graph.NewPathArena()}
-	if err := routeLinks(led, v, m.GuestHost, m.LinkPath, sortLinksByBW(v, nil, ms), newARCache(), ms); err != nil {
+	if err := routeLinks(led, v, m.GuestHost, m.LinkPath, sortLinksByBW(v, nil, ms), new(latencyTables), ms); err != nil {
 		t.Fatal(err)
 	}
 	// Hosting co-locates the pair, so the path must be trivial even

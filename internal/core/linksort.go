@@ -55,6 +55,13 @@ func sortLinksByBW(v *virtual.Env, ids []int, ms *mapScratch) []virtual.Link {
 	return ms.links
 }
 
+// LinksByBandwidth returns a copy of v's links in the order the Hosting
+// and Networking stages walk them: bandwidth descending, ID ascending.
+func LinksByBandwidth(v *virtual.Env) []virtual.Link {
+	var ms mapScratch // not pooled: the result is the caller's
+	return sortLinksByBW(v, nil, &ms)
+}
+
 // floatOrderKey maps a float64 to a uint64 whose unsigned order matches
 // the float order, negatives included. Link bandwidths are never NaN.
 func floatOrderKey(f float64) uint64 {

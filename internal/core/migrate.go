@@ -80,7 +80,7 @@ func (s *Session) commitMigrateLocked(norm []GuestMove, envs []*migrateEnvState,
 			}
 			nm.GuestHost[mv.Guest] = mv.To
 		}
-		if rerr := reroute(snap, env, nm.GuestHost, nm.LinkPath, es.links, s.ar, ms); rerr != nil {
+		if rerr := reroute(snap, env, nm.GuestHost, nm.LinkPath, es.links, &s.ar, ms); rerr != nil {
 			return 0, fmt.Errorf("core: migrate re-route for seq %d: %w", es.seq, rerr)
 		}
 		es.nm = nm

@@ -8,6 +8,19 @@ import (
 	"repro/internal/virtual"
 )
 
+// RouteLinks is HMN's Networking stage (§4.3) on its own: every link of
+// v, in descending bandwidth order, routed by routeLinks onto led with
+// the guest placements in assign fixed, its paths written into paths.
+// The latency tables are computed for this call and dropped after it.
+// It is how the mappers that place guests their own way — RA, the GA
+// and the exact solver's greedy routing check — route them as HMN does;
+// on failure led holds the reservations of the links routed so far.
+func RouteLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path) error {
+	ms := getMapScratch()
+	defer putMapScratch(ms)
+	return routeLinks(led, v, assign, paths, sortLinksByBW(v, nil, ms), new(latencyTables), ms)
+}
+
 // routeLinks is HMN stage 3 (§4.3) over links, in the order given
 // (descending bandwidth, sortLinksByBW): each is routed with the
 // modified 1-constrained A*Prune, which maximises bottleneck bandwidth
@@ -21,14 +34,14 @@ import (
 //
 // The Dijkstra latency table towards each destination host (the ar[]
 // array of Algorithm 1) is gathered once per distinct destination, from
-// arc: the paper observes that "most part of mapping time is spent in
+// lt: the paper observes that "most part of mapping time is spent in
 // the Networking stage to calculate the shortest path of each host to the
-// link destination", and the cache is what keeps large instances
-// tractable without changing any result.
-func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, links []virtual.Link, arc *arCache, ms *mapScratch) error {
+// link destination", and keeping the tables is what keeps large
+// instances tractable without changing any result.
+func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, links []virtual.Link, lt *latencyTables, ms *mapScratch) error {
 	net := led.Cluster().Net()
 	bw := led.Residuals()
-	tables := arTables(led, links, assign, arc, ms)
+	tables := arTables(led, links, assign, lt, ms)
 
 	// One scratch serves the whole stage: routing is sequential — each
 	// reservation changes the residual bandwidth the next search must
@@ -67,11 +80,11 @@ func routeLinks(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, path
 // by linkIDs, keeping guest placements fixed — the repair engine's cheap
 // path after a link failure, and what a committed migration does for the
 // links its guests drag along.
-func reroute(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, arc *arCache, ms *mapScratch) error {
+func reroute(led *cluster.Ledger, v *virtual.Env, assign []graph.NodeID, paths []graph.Path, linkIDs []int, lt *latencyTables, ms *mapScratch) error {
 	if len(linkIDs) == 0 {
 		return nil
 	}
-	return routeLinks(led, v, assign, paths, sortLinksByBW(v, linkIDs, ms), arc, ms)
+	return routeLinks(led, v, assign, paths, sortLinksByBW(v, linkIDs, ms), lt, ms)
 }
 
 // noPathCause says why A*Prune found nothing for a link, on the failure
@@ -87,32 +100,61 @@ func noPathCause(net *graph.Graph, src, dst graph.NodeID, demand float64, bw []f
 
 // arTables gathers the Dijkstra latency table towards every distinct
 // destination host of the inter-host links, indexed by node, in a slice
-// ms keeps between attempts: from arc when it holds the table for the
-// ledger's topology generation, computing and storing it otherwise — at
-// most once per host per generation, so the steady state only looks up.
-// Tables are computed cut-aware, so an entry is exact for the generation
-// that keys it; on an uncut ledger (generation 0, every one-shot mapping)
-// that is graph.DijkstraLatency's table. They are pure functions of the
-// topology: neither the order of computation nor the cache's state can
-// affect a result.
-func arTables(led *cluster.Ledger, links []virtual.Link, assign []graph.NodeID, arc *arCache, ms *mapScratch) [][]float64 {
-	net := led.Cluster().Net()
-	ms.arOut = sized(ms.arOut, net.NumNodes())
+// ms keeps between attempts, each from lt. The tables are pure functions
+// of the topology: neither the order of computation nor what lt already
+// holds can affect a result.
+func arTables(led *cluster.Ledger, links []virtual.Link, assign []graph.NodeID, lt *latencyTables, ms *mapScratch) [][]float64 {
+	ms.arOut = sized(ms.arOut, led.Cluster().Net().NumNodes())
 	out := ms.arOut
 	clear(out) // drop the last attempt's tables
-	gen := led.TopoGen()
 	for _, link := range links {
 		src, dst := assign[link.From], assign[link.To]
-		if src == dst || out[dst] != nil {
-			continue
+		if src != dst && out[dst] == nil {
+			out[dst] = lt.table(led, dst)
 		}
-		if out[dst] = arc.lookup(gen, dst); out[dst] != nil {
-			arc.hits.Add(1)
-			continue
-		}
-		arc.misses.Add(1)
-		out[dst] = graph.DijkstraLatencyAvoiding(net, dst, led.EdgeCut)
-		arc.store(gen, dst, out[dst])
 	}
 	return out
+}
+
+// latencyTables keeps the Networking stage's latency tables between
+// calls, indexed by destination node. A table is a pure function of the
+// routable topology — the physical graph less its cut links — which
+// Ledger.TopoGen names: generation 0 is the cut-free topology, which
+// never changes, so its tables (pristine) are kept for good, across
+// failure epochs too; every cut set gets a fresh generation, so the
+// tables of the current one (cut) are dropped when it moves. A Session
+// keeps one under its lock for every admission, repair and migration;
+// a one-shot mapping starts from an empty one. The tables are shared
+// and read-only.
+type latencyTables struct {
+	pristine [][]float64
+	cut      [][]float64
+	cutGen   uint64
+	// hits and misses count the tables served from, respectively
+	// computed into, the kept ones (Session.AdmissionStats).
+	hits, misses uint64
+}
+
+// table returns the latency table towards dst on led's routable
+// topology, computing it — cut-aware, so on an uncut ledger it is
+// graph.DijkstraLatency's — the first time this generation asks.
+func (lt *latencyTables) table(led *cluster.Ledger, dst graph.NodeID) []float64 {
+	net := led.Cluster().Net()
+	tabs := &lt.pristine
+	if gen := led.TopoGen(); gen != 0 {
+		if gen != lt.cutGen {
+			lt.cutGen = gen
+			clear(lt.cut)
+		}
+		tabs = &lt.cut
+	}
+	*tabs = sized(*tabs, net.NumNodes())
+	if t := (*tabs)[dst]; t != nil {
+		lt.hits++
+		return t
+	}
+	lt.misses++
+	t := graph.DijkstraLatencyAvoiding(net, dst, led.EdgeCut)
+	(*tabs)[dst] = t
+	return t
 }

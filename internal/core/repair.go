@@ -192,7 +192,7 @@ func (s *Session) tryReroute(old *mapping.Mapping, tag string, route *graph.Sear
 	}
 	if len(broken) > 0 {
 		ms := getMapScratch()
-		err := reroute(attempt, env, nm.GuestHost, nm.LinkPath, broken, s.ar, ms)
+		err := reroute(attempt, env, nm.GuestHost, nm.LinkPath, broken, &s.ar, ms)
 		route.Add(ms.route)
 		putMapScratch(ms)
 		if err != nil {

@@ -102,7 +102,6 @@ func RestoreSession(c *cluster.Cluster, overhead cluster.VMMOverhead, mapper Map
 		active:  make(map[*mapping.Mapping]activeEntry, len(exp.Active)),
 		nextSeq: exp.NextSeq,
 		opCount: exp.OpCount,
-		ar:      newARCache(),
 	}
 	for _, a := range exp.Active {
 		if a.Seq == 0 || a.Seq > exp.NextSeq {

@@ -32,6 +32,12 @@ import (
 // therefore the serial execution of its commit order — the paper's one
 // environment at a time (§3.2) — and a failed attempt leaves the ledger
 // untouched. Concurrency is across sessions, each with its own lock.
+//
+// Besides the ledger and its deployments, the session owns three pieces
+// of state it reuses from one operation to the next, all under the same
+// lock: the scratch snapshot every attempt runs on (snap), the
+// transaction every commit goes through (txn) and the Networking
+// stage's latency tables (ar).
 type Session struct {
 	mu sync.Mutex
 	// c is the immutable cluster, readable without the lock; s.led is
@@ -49,8 +55,9 @@ type Session struct {
 	// can re-bind its HTTP identifiers; repairs carry it over.
 	active  map[*mapping.Mapping]activeEntry //hmn:guardedby mu
 	nextSeq uint64                           //hmn:guardedby mu
-	// ar caches Dijkstra latency tables across admissions; see arCache.
-	ar *arCache
+	// ar keeps the Networking stage's latency tables for every
+	// admission, repair and migration; see latencyTables.
+	ar latencyTables //hmn:guardedby mu
 	// snap is the scratch copy of led every attempt speculates on: a
 	// cluster.Ledger.Snapshot made on first use, whose arrays SyncFrom
 	// then overwrites in place, so an attempt copies the ledger without
@@ -94,7 +101,6 @@ func NewSession(c *cluster.Cluster, overhead cluster.VMMOverhead, mapper Mapper)
 		led:    led,
 		mapper: h,
 		active: make(map[*mapping.Mapping]activeEntry),
-		ar:     newARCache(),
 	}, nil
 }
 
@@ -231,7 +237,7 @@ func (s *Session) mapLocked(v *virtual.Env, tag string, st *AdmitStats) (*mappin
 
 	m := mapping.New(s.c, v)
 	ms := getMapScratch()
-	err := stages(s.mapper, snap, v, m, s.ar, ms, &st.Stages)
+	err := stages(s.mapper, snap, v, m, &s.ar, ms, &st.Stages)
 	st.Route.Add(st.Stages.Route)
 	putMapScratch(ms)
 	if err != nil {
@@ -334,18 +340,19 @@ type SessionStats struct {
 	// them; the next [benchmark] PR deletes both (ROADMAP item 5(c)).
 	Conflicts uint64
 	Fallbacks uint64
-	// ARCacheHits and ARCacheMisses count Dijkstra latency-table
-	// lookups served from, respectively filled into, the session cache.
+	// ARCacheHits and ARCacheMisses count the latency tables an
+	// attempt took from, respectively computed into, the session's
+	// kept ones: one per distinct destination host per routing pass.
 	ARCacheHits   uint64
 	ARCacheMisses uint64
 }
 
 // AdmissionStats returns the session's admission counters.
 func (s *Session) AdmissionStats() SessionStats {
-	return SessionStats{
-		ARCacheHits:   s.ar.hits.Load(),
-		ARCacheMisses: s.ar.misses.Load(),
-	}
+	s.mu.Lock()
+	st := SessionStats{ARCacheHits: s.ar.hits, ARCacheMisses: s.ar.misses}
+	s.mu.Unlock()
+	return st
 }
 
 // ActiveMappings returns the currently deployed mappings in admission

@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/stats"
@@ -35,9 +36,10 @@ import (
 type RoutingMode int
 
 const (
-	// RouteGreedy routes links in descending bandwidth order with
-	// A*Prune, as HMN's Networking stage does. Fast; may reject a
-	// placement that an exhaustive routing could realise.
+	// RouteGreedy routes the links with HMN's Networking stage
+	// (core.RouteLinks): descending bandwidth order, A*Prune per link.
+	// Fast; may reject a placement that an exhaustive routing could
+	// realise.
 	RouteGreedy RoutingMode = iota
 	// RouteExact backtracks over every simple path per link: complete
 	// but exponential — tiny physical graphs only.
@@ -269,35 +271,9 @@ func (s *solver) route(assign []graph.NodeID, paths []graph.Path) bool {
 	}
 }
 
-// routeGreedy is HMN's Networking pass: descending-bandwidth order,
-// A*Prune per link, reservations as it goes.
+// routeGreedy is HMN's Networking stage, run on a copy of the ledger.
 func (s *solver) routeGreedy(assign []graph.NodeID, paths []graph.Path) bool {
-	net := s.c.Net()
-	led := s.led.Clone()
-	bw := led.Residuals()
-	links := append([]virtual.Link(nil), s.v.Links()...)
-	sort.SliceStable(links, func(i, j int) bool {
-		if links[i].BW != links[j].BW {
-			return links[i].BW > links[j].BW
-		}
-		return links[i].ID < links[j].ID
-	})
-	for _, link := range links {
-		src, dst := assign[link.From], assign[link.To]
-		if src == dst {
-			paths[link.ID] = graph.TrivialPath(src)
-			continue
-		}
-		p, ok := graph.AStarPrune(net, src, dst, link.BW, link.Lat, bw, nil)
-		if !ok {
-			return false
-		}
-		if err := led.ReserveBandwidth(p, link.BW); err != nil {
-			return false
-		}
-		paths[link.ID] = p
-	}
-	return true
+	return core.RouteLinks(s.led.Clone(), s.v, assign, paths) == nil
 }
 
 // routeExact backtracks over every feasible simple path per link —

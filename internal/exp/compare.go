@@ -150,7 +150,47 @@ func CompareDocs(base, cur JSONDocument, thresholdPct float64) CompareReport {
 	}
 	compareFederation(base.Federation, cur.Federation, &rep)
 	compareChurn(base.Churn, cur.Churn, thresholdPct, &rep)
+	compareGap(base.Gap, cur.Gap, thresholdPct, &rep)
 	return rep
+}
+
+// compareGap gates the gap block: the instance and optimum counts must
+// not move and every ratio must agree within thresholdPct. A baseline
+// without the block gates nothing.
+func compareGap(base, cur *GapJSON, thresholdPct float64, rep *CompareReport) {
+	if base == nil {
+		return
+	}
+	problem := func(format string, args ...interface{}) {
+		rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
+	}
+	if cur == nil {
+		problem("gap block present in the baseline but missing from the current run")
+		return
+	}
+	if base.Instances != cur.Instances {
+		problem("gap: %d solved instances -> %d (deterministic counts must not move)", base.Instances, cur.Instances)
+	}
+	for _, h := range []struct {
+		name      string
+		base, cur GapRatios
+	}{{"HMN", base.HMN, cur.HMN}, {"HMN+", base.HMNPlus, cur.HMNPlus}, {"GA", base.GA, cur.GA}} {
+		if h.base.Optimal != h.cur.Optimal {
+			problem("gap: %s optimal on %d -> %d (deterministic counts must not move)", h.name, h.base.Optimal, h.cur.Optimal)
+		}
+		for _, f := range []struct {
+			name      string
+			base, cur float64
+		}{
+			{"ratio mean", h.base.RatioMean, h.cur.RatioMean},
+			{"ratio median", h.base.RatioMedian, h.cur.RatioMedian},
+			{"ratio max", h.base.RatioMax, h.cur.RatioMax},
+		} {
+			if d := relDeltaPct(f.base, f.cur); d > thresholdPct {
+				problem("gap: %s %s %.6g -> %.6g (%.3f%% > %.3f%%)", h.name, f.name, f.base, f.cur, d, thresholdPct)
+			}
+		}
+	}
 }
 
 // compareChurn gates the churn block: the counts must not move and the

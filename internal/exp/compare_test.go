@@ -91,3 +91,41 @@ func TestCompareDocsFlagsDrift(t *testing.T) {
 		t.Fatal("missing series passed")
 	}
 }
+
+// TestCompareDocsGapGate: the gap block's counts and ratios gate, and
+// only against a baseline that carries it.
+func TestCompareDocsGapGate(t *testing.T) {
+	gap := RunGap(GapConfig{Instances: 4, Hosts: 3, Guests: 5, Seed: 2}).JSON()
+	base := JSONDocument{Hosts: 16, Seed: 3, Gap: gap}
+	if rep := CompareDocs(base, base, 0.5); !rep.OK() {
+		t.Fatalf("a gap block drifted from itself: %v", rep.Problems)
+	}
+	for name, drift := range map[string]func(*GapJSON){
+		"instances":    func(g *GapJSON) { g.Instances++ },
+		"HMN optimal":  func(g *GapJSON) { g.HMN.Optimal++ },
+		"HMN+ median":  func(g *GapJSON) { g.HMNPlus.RatioMedian *= 1.01 },
+		"GA worst":     func(g *GapJSON) { g.GA.RatioMax *= 0.99 },
+		"HMN mean":     func(g *GapJSON) { g.HMN.RatioMean *= 1.01 },
+		"GA optimal":   func(g *GapJSON) { g.GA.Optimal-- },
+		"HMN+ worst":   func(g *GapJSON) { g.HMNPlus.RatioMax *= 1.01 },
+		"HMN median":   func(g *GapJSON) { g.HMN.RatioMedian *= 0.99 },
+		"GA mean":      func(g *GapJSON) { g.GA.RatioMean *= 1.01 },
+		"HMN+ optimal": func(g *GapJSON) { g.HMNPlus.Optimal++ },
+		"HMN worst":    func(g *GapJSON) { g.HMN.RatioMax *= 1.01 },
+		"GA median":    func(g *GapJSON) { g.GA.RatioMedian *= 1.01 },
+		"HMN+ mean":    func(g *GapJSON) { g.HMNPlus.RatioMean *= 0.99 },
+	} {
+		cur := *gap
+		drift(&cur)
+		if CompareDocs(base, JSONDocument{Hosts: 16, Seed: 3, Gap: &cur}, 0.5).OK() {
+			t.Errorf("%s drift passed the gate", name)
+		}
+	}
+	without := JSONDocument{Hosts: 16, Seed: 3}
+	if CompareDocs(base, without, 0.5).OK() {
+		t.Error("dropped gap block passed the gate")
+	}
+	if rep := CompareDocs(without, base, 0.5); !rep.OK() {
+		t.Errorf("new gap block against an old baseline drifted: %v", rep.Problems)
+	}
+}

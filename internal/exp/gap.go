@@ -12,6 +12,7 @@ import (
 	"repro/internal/ga"
 	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/virtual"
 	"repro/internal/workload"
 )
 
@@ -64,6 +65,40 @@ func (g GapResult) MedianRatio() float64 { return stats.Percentile(g.Ratios, 50)
 
 // MeanAbsGap returns the average absolute objective excess in MIPS.
 func (g GapResult) MeanAbsGap() float64 { return stats.Mean(g.AbsGaps) }
+
+// GapJSON is the gap experiment's block of the JSON document: every
+// field is a pure function of the seed and the instance count.
+type GapJSON struct {
+	Instances int       `json:"instances"`
+	HMN       GapRatios `json:"hmn"`
+	HMNPlus   GapRatios `json:"hmn_plus"`
+	GA        GapRatios `json:"ga"`
+}
+
+// GapRatios is one heuristic's objective against the optimum over the
+// solved instances: how often it hit the optimum, and the mean, median
+// and worst ratio.
+type GapRatios struct {
+	Optimal     int     `json:"optimal"`
+	RatioMean   float64 `json:"ratio_mean"`
+	RatioMedian float64 `json:"ratio_median"`
+	RatioMax    float64 `json:"ratio_max"`
+}
+
+func gapRatios(optimal int, ratios []float64) GapRatios {
+	return GapRatios{Optimal: optimal, RatioMean: stats.Mean(ratios),
+		RatioMedian: stats.Percentile(ratios, 50), RatioMax: stats.Max(ratios)}
+}
+
+// JSON summarises the result for the JSON document.
+func (g GapResult) JSON() *GapJSON {
+	return &GapJSON{
+		Instances: g.Instances,
+		HMN:       gapRatios(g.Optimal, g.Ratios),
+		HMNPlus:   gapRatios(g.OptimalPlus, g.RatiosPlus),
+		GA:        gapRatios(g.OptimalGA, g.RatiosGA),
+	}
+}
 
 // String renders the result for the CLI.
 func (g GapResult) String() string {
@@ -171,31 +206,9 @@ const (
 // share no stream with any other experiment family.
 const gapStream = 0x6A70
 
-// gapInstance draws and solves one tiny instance. Everything random is
-// derived from (cfg.Seed, i), never from a stream shared across
-// instances, so instances are independent of execution order.
+// gapInstance draws and solves one tiny instance.
 func gapInstance(cfg GapConfig, i int) gapOutcome {
-	rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, gapStream, int64(i))))
-	specs := workload.GenerateHosts(workload.ClusterParams{
-		Hosts:   cfg.Hosts,
-		ProcMin: 1000, ProcMax: 3000,
-		MemMin: 1024, MemMax: 3072,
-		StorMin: 1000, StorMax: 3000,
-	}, rng)
-	c, err := topology.Ring(specs, workload.PhysLinkBW, workload.PhysLinkLat)
-	if err != nil {
-		panic(err) // Hosts >= 3 enforced by defaults
-	}
-	env := workload.GenerateEnv(workload.VirtualParams{
-		Guests:  cfg.Guests,
-		Density: 0.3,
-		ProcMin: 100, ProcMax: 400,
-		MemMin: 256, MemMax: 1024,
-		StorMin: 100, StorMax: 400,
-		BWMin: 0.5, BWMax: 2,
-		LatMin: 20, LatMax: 60,
-	}, rng)
-
+	c, env := gapTestbed(cfg, i)
 	res, exErr := exact.Solve(c, env, exact.Options{})
 	m, hmnErr := (&core.HMN{}).Map(c, env)
 	switch {
@@ -238,4 +251,32 @@ func gapInstance(cfg GapConfig, i int) gapOutcome {
 		// possible on a budget trip, which tiny instances never hit.
 		panic("exp: exact solver failed where HMN succeeded: " + exErr.Error())
 	}
+}
+
+// gapTestbed draws tiny instance i: a heterogeneous ring cluster and
+// mid-weight guests. Everything random is derived from (cfg.Seed, i),
+// never from a stream shared across instances, so instances are
+// independent of execution order.
+func gapTestbed(cfg GapConfig, i int) (*cluster.Cluster, *virtual.Env) {
+	rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, gapStream, int64(i))))
+	specs := workload.GenerateHosts(workload.ClusterParams{
+		Hosts:   cfg.Hosts,
+		ProcMin: 1000, ProcMax: 3000,
+		MemMin: 1024, MemMax: 3072,
+		StorMin: 1000, StorMax: 3000,
+	}, rng)
+	c, err := topology.Ring(specs, workload.PhysLinkBW, workload.PhysLinkLat)
+	if err != nil {
+		panic(err) // Hosts >= 3 enforced by defaults
+	}
+	env := workload.GenerateEnv(workload.VirtualParams{
+		Guests:  cfg.Guests,
+		Density: 0.3,
+		ProcMin: 100, ProcMax: 400,
+		MemMin: 256, MemMax: 1024,
+		StorMin: 100, StorMax: 400,
+		BWMin: 0.5, BWMax: 2,
+		LatMin: 20, LatMax: 60,
+	}, rng)
+	return c, env
 }

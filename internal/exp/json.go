@@ -87,6 +87,9 @@ type JSONDocument struct {
 	// ran with -churn; gated like Federation, only against a baseline that
 	// carries it.
 	Churn *ChurnResult `json:"churn,omitempty"`
+	// Gap holds the optimality gap against the exact solver when the
+	// bench ran with -gap; gated like Churn.
+	Gap *GapJSON `json:"gap,omitempty"`
 }
 
 // JSON assembles the document for a sweep. Runs keep the deterministic
@@ -98,6 +101,7 @@ func (r *Results) JSON() JSONDocument {
 		Seed:     r.Config.Seed,
 		MaxTries: r.Config.MaxTries,
 		Churn:    r.Churn,
+		Gap:      r.Gap,
 	}
 	for _, t := range r.Config.Topologies {
 		doc.Topologies = append(doc.Topologies, t.String())

@@ -94,6 +94,9 @@ type Results struct {
 	// Churn, when the caller also ran the churn benchmark on the sweep's
 	// hosts and seed, rides into the JSON document beside the series.
 	Churn *ChurnResult
+	// Gap, when the caller also ran the gap experiment at the sweep's
+	// seed, rides in the same way.
+	Gap *GapJSON
 }
 
 // Run executes the sweep described by cfg. Repetitions execute in

@@ -380,8 +380,7 @@ func (e *evaluator) localImprove(ind individual, maxSteps int) individual {
 }
 
 // realize turns a feasible individual into a full mapping by replaying
-// the reservations and routing every link with A*Prune in descending
-// bandwidth order.
+// the reservations and running HMN's Networking stage on them.
 func (e *evaluator) realize(ind individual) (*mapping.Mapping, bool) {
 	led := e.base.Clone()
 	out := mapping.New(e.c, e.v)
@@ -393,35 +392,8 @@ func (e *evaluator) realize(ind individual) (*mapping.Mapping, bool) {
 		}
 		out.GuestHost[g] = node
 	}
-	net := e.c.Net()
-	bw := led.Residuals()
-	links := append([]virtual.Link(nil), e.v.Links()...)
-	sort.SliceStable(links, func(i, j int) bool {
-		if links[i].BW != links[j].BW {
-			return links[i].BW > links[j].BW
-		}
-		return links[i].ID < links[j].ID
-	})
-	arCache := map[graph.NodeID][]float64{}
-	for _, link := range links {
-		src, dst := out.GuestHost[link.From], out.GuestHost[link.To]
-		if src == dst {
-			out.LinkPath[link.ID] = graph.TrivialPath(src)
-			continue
-		}
-		ar, ok := arCache[dst]
-		if !ok {
-			ar = graph.DijkstraLatency(net, dst)
-			arCache[dst] = ar
-		}
-		p, found := graph.AStarPrune(net, src, dst, link.BW, link.Lat, bw, &graph.AStarPruneOptions{AR: ar})
-		if !found {
-			return nil, false
-		}
-		if err := led.ReserveBandwidth(p, link.BW); err != nil {
-			return nil, false
-		}
-		out.LinkPath[link.ID] = p
+	if err := core.RouteLinks(led, e.v, out.GuestHost, out.LinkPath); err != nil {
+		return nil, false
 	}
 	return out, true
 }

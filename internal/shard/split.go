@@ -3,6 +3,7 @@ package shard
 import (
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/virtual"
 )
 
@@ -77,14 +78,7 @@ func (r *Router) splitLocked(v *virtual.Env) (plan, error) {
 			return plan{}, ErrNoShardFits
 		}
 	}
-	links := append([]virtual.Link(nil), v.Links()...)
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].BW != links[j].BW {
-			return links[i].BW > links[j].BW
-		}
-		return links[i].ID < links[j].ID
-	})
-	for _, l := range links {
+	for _, l := range core.LinksByBandwidth(v) {
 		a, b := uf.find(int(l.From)), uf.find(int(l.To))
 		if a == b {
 			continue
