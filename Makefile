@@ -46,9 +46,9 @@ vet:
 ## number conversion against json.Unmarshal into a float64, and its
 ## one-loop int arrays against json.Unmarshal into a []int; then the
 ## snapshot file's decoder against json.Unmarshal; then logs of
-## arbitrary records replayed by the one pass, which replays admissions
-## as effects, and by Scan + Replay, which builds them (the minimizer gets
-## 3 s an input: each run writes and recovers a log).
+## arbitrary records replayed by the one pass and by Scan + Replay: same
+## error or same sessions (the minimizer gets 3 s an input: each run
+## writes and recovers a log).
 fuzz:
 	go test -run '^$$' -fuzz 'FuzzDecodeSpec$$' -fuzztime 45s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzDecodeStrictDifferential$$' -fuzztime 20s ./internal/spec
@@ -66,10 +66,11 @@ fuzz:
 ## (internal/server/codec_test.go); the zero budgets of a snapshot sync
 ## (internal/cluster), a warmed-up A*Prune sweep (internal/graph) and the
 ## federation router's pick (internal/shard); and the memory budget of
-## recovery: live heap independent of the log's length, a constant
-## number of bytes per admit+release pair whatever the environment's
-## size (internal/wal/recover_test.go), the Mapping in a constant number
-## of allocations whatever its link count (internal/spec/spec_test.go).
+## recovery: live heap independent of the log's length, bytes per
+## admit+release pair within a constant of the Env and Mapping each admit
+## record builds (internal/wal/recover_test.go), the Mapping in a
+## constant number of allocations whatever its link count
+## (internal/spec/spec_test.go).
 bench-allocs:
 	go test -run 'AllocsBudget|DoesNotAllocate|AllocatesNothing|TestRecoverMemoryIndependentOfLogLength' -v \
 		./internal/core/ ./internal/server/ ./internal/wal/ ./internal/spec/ ./internal/cluster/ ./internal/graph/ ./internal/shard/

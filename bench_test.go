@@ -970,10 +970,9 @@ func BenchmarkSpecCodec(b *testing.B) {
 // same directory) over a churn log of each hmnperf shape, written once:
 // the same environment admitted and released over and over with four
 // live, as a commit hook logged it. Next to B/op and allocs/op it reports
-// records/s and MB/s of log. The log itself is never held, and an
-// admission the log releases is replayed as its effect and never built,
-// so B/op is the four survivors' Env and Mapping plus the pass's own
-// storage, whatever the length of the log. The …/snapshot case logs the
+// records/s and MB/s of log. The log itself is never held: B/op is the
+// Env and Mapping every admit record builds, live or later released,
+// plus the pass's own storage. The …/snapshot case logs the
 // same churn into a second directory that takes a snapshot before the
 // last eighth of it: recovery restores a snapshot of the four live
 // environments, whose size it reports, and replays that eighth.

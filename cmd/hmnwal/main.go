@@ -20,42 +20,71 @@
 // segment — the directory is the whole trace of what it did — so
 // compact is how an operator reclaims the disk; it is safe against a
 // running daemon (wal.Compact).
+//
+// Each command refuses a directory that holds neither a log segment nor
+// a snapshot. A federation's data directory (hmnd -shards N) is such a
+// directory: every shard keeps its own WAL in shard-0 … shard-N-1, and
+// the error names them.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
 func main() {
-	if len(os.Args) != 3 {
+	if len(os.Args) != 3 || !slices.Contains([]string{"dump", "verify", "compact"}, os.Args[1]) {
 		usage()
 		os.Exit(2)
 	}
-	dir := os.Args[2]
-	var err error
-	switch os.Args[1] {
-	case "dump":
-		err = dump(dir)
-	case "verify":
-		err = verify(dir)
-	case "compact":
-		var removed []uint64
-		if removed, err = wal.Compact(dir); err == nil {
-			fmt.Printf("compacted: %d segment(s) deleted\n", len(removed))
-		}
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := run(os.Stdout, os.Args[1], os.Args[2]); err != nil {
 		fmt.Fprintf(os.Stderr, "hmnwal: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// run runs the command cmd — dump, verify or compact — on dir, printing
+// to out.
+func run(out io.Writer, cmd, dir string) error {
+	if err := checkDir(dir); err != nil {
+		return err
+	}
+	switch cmd {
+	case "dump":
+		return dump(out, dir)
+	case "verify":
+		return verify(out, dir)
+	}
+	removed, err := wal.Compact(dir)
+	if err == nil {
+		fmt.Fprintf(out, "compacted: %d segment(s) deleted\n", len(removed))
+	}
+	return err
+}
+
+// checkDir refuses a directory that is not a WAL directory, naming the
+// shard directories to run on when it is a federation's.
+func checkDir(dir string) error {
+	ok, err := wal.HasState(dir)
+	if err != nil || ok {
+		return err
+	}
+	if shard.HasState(dir) {
+		dirs, err := shard.Dirs(dir)
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("%s is a federation's data directory, not a WAL directory: run on each shard's, %s", dir, strings.Join(dirs, " "))
+	}
+	return fmt.Errorf("%s is not a WAL directory: it holds no log segment and no snapshot", dir)
 }
 
 func usage() {
@@ -67,29 +96,29 @@ func usage() {
 // printed ahead of the records and nothing is held in memory, so the log
 // is read twice: once to count, once to print (and to warn of a torn
 // tail — once).
-func dump(dir string) error {
+func dump(out io.Writer, dir string) error {
 	records := 0
 	snap, _, err := wal.Each(dir, wal.Hooks{}, func(*wal.Record) error { records++; return nil })
 	if err != nil {
 		return err
 	}
 	if snap != nil {
-		fmt.Printf("snapshot: %d session(s), log resumes at segment %d\n", len(snap.Sessions), snap.FirstSeg)
+		fmt.Fprintf(out, "snapshot: %d session(s), log resumes at segment %d\n", len(snap.Sessions), snap.FirstSeg)
 		for _, sn := range snap.Sessions {
-			fmt.Printf("  session %s: mapper=%s active=%d next_seq=%d op_count=%d\n",
+			fmt.Fprintf(out, "  session %s: mapper=%s active=%d next_seq=%d op_count=%d\n",
 				sn.SID, sn.Mapper, len(sn.Active), sn.NextSeq, sn.OpCount)
 		}
 	} else {
-		fmt.Println("snapshot: none")
+		fmt.Fprintln(out, "snapshot: none")
 	}
-	fmt.Printf("log: %d record(s)\n", records)
-	enc := json.NewEncoder(os.Stdout)
+	fmt.Fprintf(out, "log: %d record(s)\n", records)
+	enc := json.NewEncoder(out)
 	_, truncated, err := wal.Each(dir, wal.Hooks{Logf: warnf}, func(r *wal.Record) error { return enc.Encode(r) })
 	if err != nil {
 		return err
 	}
 	if truncated > 0 {
-		fmt.Printf("torn tail: %d byte(s) after the last valid record (unacknowledged; recovery will truncate)\n", truncated)
+		fmt.Fprintf(out, "torn tail: %d byte(s) after the last valid record (unacknowledged; recovery will truncate)\n", truncated)
 	}
 	return nil
 }
@@ -98,7 +127,7 @@ func dump(dir string) error {
 // (wal.Verify: wal.Recover without the repairs) and cross-checks each
 // surviving session's incremental objective against a two-pass
 // recompute.
-func verify(dir string) error {
+func verify(out io.Writer, dir string) error {
 	replayed := 0
 	start := time.Now()
 	rec, err := wal.Verify(dir, wal.Hooks{Logf: warnf}, func(*wal.Replayed, *wal.Record) { replayed++ })
@@ -111,18 +140,17 @@ func verify(dir string) error {
 		if err := wal.VerifyObjective(cs); err != nil {
 			return fmt.Errorf("session %s: %w", rs.SID, err)
 		}
-		fmt.Printf("session %s: ok (active=%d objective=%.6g)\n", rs.SID, cs.Active(), cs.ObjectiveStdDev())
+		fmt.Fprintf(out, "session %s: ok (active=%d objective=%.6g)\n", rs.SID, cs.Active(), cs.ObjectiveStdDev())
 	}
-	fmt.Printf("verified: %d session(s), %d record(s) replayed, %d admission(s) replayed as effects, %d built",
-		len(rec.Sessions), replayed, rec.Effects, rec.Built)
+	fmt.Fprintf(out, "verified: %d session(s), %d record(s) replayed", len(rec.Sessions), replayed)
 	if rec.SnapshotBytes > 0 {
-		fmt.Printf("; snapshot of %d byte(s) restored in %.4f s, log pass %.4f s",
+		fmt.Fprintf(out, "; snapshot of %d byte(s) restored in %.4f s, log pass %.4f s",
 			rec.SnapshotBytes, rec.SnapshotTime.Seconds(), (took - rec.SnapshotTime).Seconds())
 	}
 	if rec.TruncatedBytes > 0 {
-		fmt.Printf(", torn tail of %d byte(s) would be truncated on recovery", rec.TruncatedBytes)
+		fmt.Fprintf(out, ", torn tail of %d byte(s) would be truncated on recovery", rec.TruncatedBytes)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	return nil
 }
 

@@ -421,14 +421,8 @@ func (l *Ledger) ReserveBandwidth(path graph.Path, bw float64) error {
 // ReserveBandwidth.
 //
 //hmn:locked session
-func (l *Ledger) ReleaseBandwidth(path graph.Path, bw float64) { l.ReleaseEdges(path.Edges, bw) }
-
-// ReleaseEdges returns bw Mbps to every edge of a path given by its edge
-// IDs alone.
-//
-//hmn:locked session
-func (l *Ledger) ReleaseEdges(edges []int, bw float64) {
-	for _, eid := range edges {
+func (l *Ledger) ReleaseBandwidth(path graph.Path, bw float64) {
+	for _, eid := range path.Edges {
 		l.bw[eid] += bw
 		if !l.cutEdges[eid] {
 			l.route[eid] = l.bw[eid]

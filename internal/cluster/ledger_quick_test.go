@@ -145,7 +145,7 @@ func TestQuickLedgerCloneIndependence(t *testing.T) {
 // Property: Residuals is the routable vector at every point a search can
 // run — 0 on a cut edge, the accounting residual (what State exports)
 // otherwise — through any sequence of the funnels that write bandwidth or
-// cut state: ReserveBandwidth, ReleaseEdges, a Txn commit, CutEdge,
+// cut state: ReserveBandwidth, ReleaseBandwidth, a Txn commit, CutEdge,
 // RestoreEdge, Clone, SyncFrom and a State → RestoreLedger round trip.
 // The vector is live: each of the two ledgers' vectors is taken once,
 // when the ledger is made, and read after every later step.
@@ -175,8 +175,8 @@ func TestQuickResidualsTrackCuts(t *testing.T) {
 				op = "ReserveBandwidth"
 				_ = l.ReserveBandwidth(edgePath(e), rng.Float64()*300) // may be refused: cut or short
 			case 2:
-				op = "ReleaseEdges"
-				l.ReleaseEdges([]int{e, rng.Intn(edges)}, rng.Float64()*100)
+				op = "ReleaseBandwidth"
+				l.ReleaseBandwidth(graph.Path{Edges: []int{e, rng.Intn(edges)}}, rng.Float64()*100)
 			case 3:
 				op = "Commit"
 				txn := l.NewTxn()

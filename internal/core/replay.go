@@ -141,70 +141,6 @@ func (s *Session) replayAdmitLocked(v *virtual.Env, m *mapping.Mapping, tag stri
 	return nil
 }
 
-// ReplayAdmitEffect re-applies one logged admission as its effect: e is
-// committed through the canonical funnel, as ReplayAdmit commits the
-// mapping e is the effect of, and must receive wantSeq — the ledger and
-// the sequence and operation counters move exactly as they would — but
-// no mapping is registered. The admission is pending until
-// ReplayReleaseEffect undoes it or ReplayAdoptEffect registers the
-// mapping built for it. Nothing that reads the deployed environments
-// (a failure, a migrate, Export, Release) sees a pending admission, so a
-// replayer resolves its pending admissions before any of those.
-//
-// Neither effect method reaches the commit hook: an event carries the
-// environment and the mapping, which a pending admission does not have,
-// and a session under recovery has no hook.
-func (s *Session) ReplayAdmitEffect(e *mapping.Effect, wantSeq uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.nextSeq+1 != wantSeq {
-		return fmt.Errorf("%w: admit would get seq %d, log recorded %d", ErrReplayDiverged, s.nextSeq+1, wantSeq)
-	}
-	if s.txn == nil {
-		s.txn = s.led.NewTxn()
-	}
-	s.txn.Reset()
-	fillEffectTxn(s.txn, e)
-	if err := s.led.Commit(s.txn); err != nil {
-		return fmt.Errorf("%w: logged admission seq %d no longer fits: %v", ErrReplayDiverged, wantSeq, err)
-	}
-	s.nextSeq++
-	s.opCount++
-	return nil
-}
-
-// ReplayReleaseEffect re-applies the logged release of a pending
-// admission committed as e: every demand and bandwidth returns in the
-// order releaseLocked returns a mapping's — guests, then links — so the
-// ledger ends bit for bit where ReplayRelease would leave it.
-func (s *Session) ReplayReleaseEffect(e *mapping.Effect) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, g := range e.Guests {
-		s.led.ReleaseGuest(g.Host, g.Proc, g.Mem, g.Stor)
-	}
-	start := 0
-	for _, l := range e.Links {
-		s.led.ReleaseEdges(e.Edges[start:l.End], l.BW)
-		start = l.End
-	}
-	s.opCount++
-}
-
-// ReplayAdoptEffect registers m, built for the pending admission
-// committed as e under seq, as deployed under seq and tag. The ledger
-// and the counters already hold the admission; m must be exactly what
-// was committed, or the log is not the one the effect came from.
-func (s *Session) ReplayAdoptEffect(m *mapping.Mapping, tag string, seq uint64, e *mapping.Effect) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq == 0 || seq > s.nextSeq || !e.Matches(m) {
-		return fmt.Errorf("%w: admission seq %d builds a mapping other than the effect committed for it", ErrReplayDiverged, seq)
-	}
-	s.active[m] = activeEntry{seq: seq, tag: tag}
-	return nil
-}
-
 // ReplayBatch re-applies one logged batch entry, a record kind only
 // daemons up to PR 18 wrote (hmnd -batch K > 1 committed several
 // admissions under one lock acquisition and logged them as one

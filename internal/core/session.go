@@ -269,21 +269,6 @@ func fillAdmissionTxn(txn *cluster.Txn, v *virtual.Env, m *mapping.Mapping) {
 	}
 }
 
-// fillEffectTxn is fillAdmissionTxn for an admission known only by its
-// effect: the same demands and bandwidths, added in the same order, so
-// the transaction — and the ledger it commits to — is the same to the
-// bit.
-func fillEffectTxn(txn *cluster.Txn, e *mapping.Effect) {
-	for _, g := range e.Guests {
-		txn.AddGuest(g.Host, g.Proc, g.Mem, g.Stor)
-	}
-	start := 0
-	for _, l := range e.Links {
-		txn.AddEdges(e.Edges[start:l.End], l.BW)
-		start = l.End
-	}
-}
-
 // commitTxnLocked is the single canonical commit funnel: it collapses m
 // into its net transaction, validates it against the live residuals and
 // applies it atomically (cluster.Ledger.Commit applies per-host

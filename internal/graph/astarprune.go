@@ -196,7 +196,7 @@ func apLess(a, b *apCand) bool {
 	return a.idx > b.idx
 }
 
-// pathIn materialises the partial path of hops edges ending at apNode
+// pathIn builds the partial path of hops edges ending at apNode
 // idx, carving the backing arrays from arena when one is supplied.
 func (sc *AStarScratch) pathIn(idx, hops int32, arena *PathArena) Path {
 	var nodes []NodeID

@@ -108,7 +108,7 @@ func (s *apState) contains(n NodeID) bool {
 	return false
 }
 
-// path materialises the parent-linked partial path.
+// path builds the parent-linked partial path.
 func (s *apState) path() Path {
 	nodes := make([]NodeID, s.hops+1)
 	edges := make([]int, s.hops)

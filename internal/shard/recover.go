@@ -42,6 +42,20 @@ func HasState(dir string) bool {
 	return err == nil
 }
 
+// Dirs returns the WAL directories of the federation whose data
+// directory is dataDir, one per shard, in shard order.
+func Dirs(dataDir string) ([]string, error) {
+	meta, err := readMeta(dataDir)
+	if err != nil {
+		return nil, err
+	}
+	dirs := make([]string, meta.Shards)
+	for k := range dirs {
+		dirs[k] = filepath.Join(dataDir, shardSID(k))
+	}
+	return dirs, nil
+}
+
 // writeMetaLocked lands the tenant registry atomically — a crash leaves
 // the old registry or the new one, never a torn file. Caller holds
 // f.mu; a federation without a data directory is a no-op.

@@ -266,8 +266,8 @@ func Replay(cfg Config, dir string) (w *wal.WAL, domains []*Shard, maxSession in
 		domains = append(domains, sh)
 	}
 	// Torn bytes were a write the crash interrupted: never acknowledged.
-	cfg.logf("hmnd: %s: recovered %d sessions from %d log records (%d bytes) in %.3fs, %d torn bytes truncated; %d admissions replayed as effects, %d built",
-		dir, len(domains), rec.Records, rec.Bytes, time.Since(start).Seconds(), rec.TruncatedBytes, rec.Effects, rec.Built) //hmn:wallclock
+	cfg.logf("hmnd: %s: recovered %d sessions from %d log records (%d bytes) in %.3fs, %d torn bytes truncated",
+		dir, len(domains), rec.Records, rec.Bytes, time.Since(start).Seconds(), rec.TruncatedBytes) //hmn:wallclock
 	return w, domains, rec.MaxSession, nil
 }
 

@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -212,8 +211,7 @@ func (s EnvSpec) ToEnv() (*virtual.Env, error) {
 	return env, nil
 }
 
-// check is the validation of an environment — ToEnv's and Effect's:
-// demands and requirements are not negative, and every virtual link
+// check is ToEnv's validation of an environment: demands and requirements are not negative, and every virtual link
 // joins two distinct guests of the environment.
 func (s *EnvSpec) check() error {
 	for i, g := range s.Guests {
@@ -282,8 +280,7 @@ func (s MappingSpec) ToMapping(c *cluster.Cluster, v *virtual.Env) (*mapping.Map
 	// capped at its length: two allocations per mapping, not per link.
 	total, hops := s.size()
 	edgeArena := make([]int, hops)
-	ends := func(l int) (int, int) { k := v.Link(l); return int(k.From), int(k.To) }
-	if err := s.check(c, v.NumGuests(), v.NumLinks(), ends, edgeArena); err != nil {
+	if err := s.check(c, v, edgeArena); err != nil {
 		return nil, err
 	}
 	m := mapping.New(c, v)
@@ -303,37 +300,6 @@ func (s MappingSpec) ToMapping(c *cluster.Cluster, v *virtual.Env) (*mapping.Map
 	return m, nil
 }
 
-// Effect validates an admission — env as ToEnv does, m as ToMapping does
-// against it: one validation, so a record either path accepts the other
-// accepts too — and writes the admission's effect on a ledger to out,
-// reusing out's storage. It builds neither the environment nor the
-// mapping: recovery commits a logged admission as its effect and builds
-// the two only for the admissions the log does not release.
-func Effect(c *cluster.Cluster, env *EnvSpec, m *MappingSpec, out *mapping.Effect) error {
-	if err := env.check(); err != nil {
-		return err
-	}
-	_, hops := m.size()
-	out.Edges = slices.Grow(out.Edges[:0], hops)[:hops]
-	links := env.Links
-	ends := func(l int) (int, int) { return links[l].From, links[l].To }
-	if err := m.check(c, len(env.Guests), len(links), ends, out.Edges); err != nil {
-		return err
-	}
-	out.Guests = slices.Grow(out.Guests[:0], len(env.Guests))
-	for g, host := range m.GuestHost {
-		d := &env.Guests[g]
-		out.Guests = append(out.Guests, mapping.GuestEffect{Host: graph.NodeID(host), Proc: d.Proc, Mem: d.Mem, Stor: d.Stor})
-	}
-	out.Links = slices.Grow(out.Links[:0], len(links))
-	end := 0
-	for l, nodes := range m.LinkPaths {
-		end += len(nodes) - 1
-		out.Links = append(out.Links, mapping.LinkEffect{BW: links[l].BW, End: end})
-	}
-	return nil
-}
-
 // size counts the nodes and the edges of every path together.
 func (s *MappingSpec) size() (nodes, hops int) {
 	for _, path := range s.LinkPaths {
@@ -343,21 +309,19 @@ func (s *MappingSpec) size() (nodes, hops int) {
 	return nodes, hops
 }
 
-// check is the validation of a mapping — ToMapping's and Effect's — for
-// an environment of nGuests guests and nLinks virtual links, link l
-// joining guests ends(l) (already checked to be in range). Every guest
+// check is ToMapping's validation of a mapping of v. Every guest
 // must be placed on a host of c, and every link must have a path of c
 // from the host of its from guest to the host of its to guest: along its
 // recorded edges, each of which must join its two nodes, or, without
 // link_edges, along the first edge between each pair of nodes. It writes
 // every path's edges to edges, path after path; edges is as long as
 // size's hops.
-func (s *MappingSpec) check(c *cluster.Cluster, nGuests, nLinks int, ends func(l int) (from, to int), edges []int) error {
-	if len(s.GuestHost) != nGuests {
-		return fmt.Errorf("spec: mapping has %d guest entries for %d guests", len(s.GuestHost), nGuests)
+func (s *MappingSpec) check(c *cluster.Cluster, v *virtual.Env, edges []int) error {
+	if len(s.GuestHost) != v.NumGuests() {
+		return fmt.Errorf("spec: mapping has %d guest entries for %d guests", len(s.GuestHost), v.NumGuests())
 	}
-	if len(s.LinkPaths) != nLinks {
-		return fmt.Errorf("spec: mapping has %d path entries for %d links", len(s.LinkPaths), nLinks)
+	if len(s.LinkPaths) != v.NumLinks() {
+		return fmt.Errorf("spec: mapping has %d path entries for %d links", len(s.LinkPaths), v.NumLinks())
 	}
 	if s.LinkEdges != nil && len(s.LinkEdges) != len(s.LinkPaths) {
 		return fmt.Errorf("spec: mapping has %d edge lists for %d paths", len(s.LinkEdges), len(s.LinkPaths))
@@ -415,7 +379,7 @@ func (s *MappingSpec) check(c *cluster.Cluster, nGuests, nLinks int, ends func(l
 				out[i] = eid
 			}
 		}
-		from, to := ends(l)
+		from, to := v.Link(l).From, v.Link(l).To
 		if src := s.GuestHost[from]; nodes[0] != src {
 			return fmt.Errorf("spec: link %d path starts at node %d, not at host %d of guest %d", l, nodes[0], src, from)
 		}

@@ -329,6 +329,79 @@ func TestCheckpointCrashAtEachStep(t *testing.T) {
 	}
 }
 
+// TestRecoveryReadsAtMostTheCheckpointLimit holds the promise recovery
+// is sized by: a restart reads at most checkpointRatio times the live
+// state of log. A session churns through three checkpoints, each taken
+// as the daemon takes it — after the operation whose records made it
+// due — and a crash image is copied at five points of every cycle: just
+// after the checkpoint, at a quarter, a half and three quarters of the
+// limit, and once a checkpoint is due but not yet taken. Recovering an
+// image reads at most checkpointLimit of its snapshot's size plus the
+// records of the one operation that crossed the limit, and rebuilds the
+// writer's session.
+func TestRecoveryReadsAtMostTheCheckpointLimit(t *testing.T) {
+	dir := t.TempDir()
+	c, cs := testCluster(t)
+	w, _, err := Recover(dir, testHooks(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := loggedSession(t, w, c, cs)
+	// step is the most log one operation has appended so far.
+	var step int64
+	cycle, images := 0, 0
+	take := func(point string) {
+		t.Helper()
+		if err := w.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		img := t.TempDir()
+		copyDir(t, dir, img)
+		res, err := Verify(img, Hooks{}, nil)
+		if err != nil {
+			t.Fatalf("cycle %d, %s: %v", cycle, point, err)
+		}
+		if limit := checkpointLimit(res.SnapshotBytes); res.Bytes > limit+step {
+			t.Errorf("cycle %d, %s: recovery read %d bytes of log; a snapshot of %d bytes sets the limit at %d, and one operation appends at most %d",
+				cycle, point, res.Bytes, res.SnapshotBytes, limit, step)
+		}
+		if len(res.Sessions) != 1 {
+			t.Fatalf("cycle %d, %s: recovered %d sessions", cycle, point, len(res.Sessions))
+		}
+		got, want := stateOfSession(t, res.Sessions[0].Session, cluster.VMMOverhead{}), stateOfSession(t, s, cluster.VMMOverhead{})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d, %s: recovered\n%+v\nthe writer's is\n%+v", cycle, point, got, want)
+		}
+		images++
+	}
+	quarter := 1
+	for i := 0; cycle < 3; i++ {
+		before := w.log.grown.Load()
+		applyOp(t, s, c, i)
+		step = max(step, w.log.grown.Load()-before)
+		if w.CheckpointDue() {
+			take("due, not yet taken")
+			if err := w.Checkpoint(exportOne(cs, s)); err != nil {
+				t.Fatal(err)
+			}
+			cycle, quarter = cycle+1, 1
+			take("after the checkpoint")
+			continue
+		}
+		if quarter < 4 && 4*w.log.grown.Load() >= int64(quarter)*w.limit.Load() {
+			take(fmt.Sprintf("%d/4 of the limit", quarter))
+			quarter++
+		}
+	}
+	if images != 3*5 {
+		t.Errorf("%d crash images, want %d", images, 3*5)
+	}
+	t.Logf("%d crash images; one operation appends at most %d bytes", images, step)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClosedSessionHighWaterSurvivesCompaction closes a session and then
 // compacts the log, deleting every record that named it: the snapshot
 // still carries its ordinal, so recovery reports it.

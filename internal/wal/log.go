@@ -334,10 +334,6 @@ type logPass struct {
 
 	fr  frameReader
 	dec *decoder
-	// seg and at are the position of the frame fn is handed: its
-	// segment's number and its offset there.
-	seg uint64
-	at  int64
 	// fromSeg is the segment the pass starts at: the position of the
 	// snapshot it replays onto. Zero reads the whole log.
 	fromSeg uint64
@@ -346,56 +342,6 @@ type logPass struct {
 	// dropped or measured.
 	bytes     int64
 	truncated int64
-}
-
-// frameAt reads single frames back by their position, for a pass that
-// has moved past a record and later needs it whole.
-type frameAt struct {
-	dir  string
-	f    *os.File
-	seg  uint64
-	size int64
-	fr   frameReader
-	dec  decoder
-}
-
-// read decodes the frame at offset off of segment seg again, checksum
-// and all, into storage of its own: the record is valid until the next
-// read.
-func (a *frameAt) read(seg uint64, off int64) (*Record, error) {
-	if a.f == nil || a.seg != seg {
-		a.close()
-		f, err := os.Open(filepath.Join(a.dir, segName(seg)))
-		if err != nil {
-			return nil, fmt.Errorf("wal: read segment: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: read segment: %w", err)
-		}
-		a.f, a.seg, a.size = f, seg, st.Size()
-	}
-	if a.fr.buf == nil {
-		// Grown to the largest frame read back, not to a read-ahead window.
-		a.fr.buf = make([]byte, frameHeaderSize)
-	}
-	if _, err := a.f.Seek(off, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("wal: read segment: %w", err)
-	}
-	a.fr.resetAt(a.f, off, a.size)
-	payload, err := a.fr.next()
-	if err != nil {
-		return nil, fmt.Errorf("wal: segment %s at offset %d: %w", segName(seg), off, err)
-	}
-	return a.dec.decode(payload)
-}
-
-func (a *frameAt) close() {
-	if a.f != nil {
-		a.f.Close()
-		a.f = nil
-	}
 }
 
 // run walks segs, which is the directory's whole log, ascending, from
@@ -430,10 +376,8 @@ func (p *logPass) segment(n uint64, final bool) error {
 	}
 	size := st.Size()
 	p.fr.reset(f, size)
-	p.seg = n
 	for {
 		off := p.fr.off
-		p.at = off
 		payload, err := p.fr.next()
 		var rec *Record
 		if err == nil {

@@ -244,15 +244,11 @@ type frameReader struct {
 
 // reset points the reader at the start of a segment of the given size,
 // keeping the window.
-func (fr *frameReader) reset(r io.Reader, size int64) { fr.resetAt(r, 0, size) }
-
-// resetAt points the reader at offset off of a segment of the given
-// size, r reading from there, keeping the window.
-func (fr *frameReader) resetAt(r io.Reader, off, size int64) {
+func (fr *frameReader) reset(r io.Reader, size int64) {
 	if fr.buf == nil {
 		fr.buf = make([]byte, frameWindow)
 	}
-	fr.r, fr.size, fr.off, fr.lo, fr.hi = io.LimitReader(r, size-off), size, off, 0, 0
+	fr.r, fr.size, fr.off, fr.lo, fr.hi = io.LimitReader(r, size), size, 0, 0, 0
 }
 
 // fill reads ahead until n unconsumed bytes are in the window. The

@@ -2,13 +2,11 @@ package wal
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/mapping"
 	"repro/internal/spec"
 )
 
@@ -24,31 +22,6 @@ type Replayed struct {
 	// NextEnv is the environment-ID counter of the session's snapshot
 	// entry; zero for a session opened after the snapshot.
 	NextEnv uint64
-
-	// pending lists the admissions a one-pass replay has committed as
-	// effects and not built, in seq order: the order they are admitted in.
-	pending []*pending
-	// eager is set by the session's first fail or migrate record: its
-	// later admissions are built as they are replayed.
-	eager bool
-}
-
-// pending is one admission committed as its effect: its seq, the numbers
-// it committed, and where its frame is, to build it from if it survives.
-type pending struct {
-	seq    uint64
-	effect mapping.Effect
-	seg    uint64
-	off    int64
-}
-
-// pendingAt returns the index of the pending admission seq, or -1.
-func (rs *Replayed) pendingAt(seq uint64) int {
-	i := sort.Search(len(rs.pending), func(i int) bool { return rs.pending[i].seq >= seq })
-	if i < len(rs.pending) && rs.pending[i].seq == seq {
-		return i
-	}
-	return -1
 }
 
 // replayer is the recovery state machine: the snapshotted sessions
@@ -61,17 +34,9 @@ func (rs *Replayed) pendingAt(seq uint64) int {
 // but does not hold had closed by the export, and its records are
 // skipped too: a snapshot exports each session after the cut, so one
 // that closed in between may have committed records past the cut that
-// the snapshot already says how they ended.
-//
-// Fed by a one-pass recovery (pass set), it replays an admission as its
-// effect: the numbers the record holds are committed to the session's
-// ledger, the frame's position is kept, and the Env and the Mapping are
-// built — by reading the frame again — only if the admission is still
-// deployed at the end of the pass or a fail or migrate record is about to
-// read the session's deployments. A release of a pending admission undoes
-// its effect. From a session's first fail or migrate record on, its
-// admissions are built as they come, so a log that fails hosts often
-// does not read each admission twice.
+// the snapshot already says how they ended. Every operation record it
+// applies goes through ReplayRecord, whether Replay or a one-pass
+// recovery feeds it.
 type replayer struct {
 	live     map[string]*Replayed
 	boundary map[string]uint64
@@ -90,16 +55,6 @@ type replayer struct {
 	// onRecord, when non-nil, is called after each operation record
 	// actually re-applied.
 	onRecord func(*Replayed, *Record)
-
-	// pass is the one-pass recovery feeding the replayer, nil for Replay;
-	// frames reads its frames back, and free recycles the effects of
-	// released admissions.
-	pass   *logPass
-	frames frameAt
-	free   []*pending
-	// effects counts the admissions replayed as effects alone, built the
-	// admissions built as an Env and a Mapping.
-	effects, built int
 }
 
 func newReplayer(snap *Snapshot, onRecord func(*Replayed, *Record)) (*replayer, error) {
@@ -156,10 +111,6 @@ func (rp *replayer) apply(r *Record) error {
 		// record for the same SID starts a fresh session at index 0,
 		// and a stale boundary would skip its records as if the old
 		// snapshot had covered them.
-		if rs := rp.live[r.SID]; rs != nil {
-			rp.effects += len(rs.pending)
-			rp.free = append(rp.free, rs.pending...)
-		}
 		delete(rp.live, r.SID)
 		delete(rp.boundary, r.SID)
 	default:
@@ -173,105 +124,13 @@ func (rp *replayer) apply(r *Record) error {
 		if r.Index <= rp.boundary[r.SID] {
 			return nil
 		}
-		if err := rp.replay(rs, r); err != nil {
+		if err := ReplayRecord(rs.Session, r); err != nil {
 			return err
 		}
 		if rp.onRecord != nil {
 			rp.onRecord(rs, r)
 		}
 	}
-	return nil
-}
-
-// replay applies one operation record to its session: as an effect where
-// the pass allows it, through ReplayRecord otherwise.
-func (rp *replayer) replay(rs *Replayed, r *Record) error {
-	switch r.Kind {
-	case KindAdmit:
-		if rp.pass != nil && !rs.eager && r.Admit != nil {
-			return rp.admitEffect(rs, r)
-		}
-		rp.built++
-	case KindBatch:
-		rp.built += len(r.Batch)
-	case KindRelease:
-		if r.Release == nil {
-			break
-		}
-		if i := rs.pendingAt(r.Release.Seq); i >= 0 {
-			rs.Session.ReplayReleaseEffect(&rs.pending[i].effect)
-			rp.free = append(rp.free, rs.pending[i])
-			rs.pending = slices.Delete(rs.pending, i, i+1)
-			rp.effects++
-			return nil
-		}
-	case KindFail, KindMigrate:
-		// Both read the session's deployments.
-		if err := rp.materialise(rs); err != nil {
-			return err
-		}
-		rs.eager = true
-		if r.Fail != nil {
-			for _, rr := range r.Fail.Repairs {
-				if rr.M != nil {
-					rp.built++
-				}
-			}
-		}
-	}
-	return ReplayRecord(rs.Session, r)
-}
-
-// admitEffect commits an admit record as its effect and keeps the
-// admission pending. The record is validated exactly as building it
-// would validate it, and refused with the same error.
-func (rp *replayer) admitEffect(rs *Replayed, r *Record) error {
-	a := r.Admit
-	var pa *pending
-	if n := len(rp.free); n > 0 {
-		pa, rp.free = rp.free[n-1], rp.free[:n-1]
-	} else {
-		pa = new(pending)
-	}
-	if err := spec.Effect(rs.Cluster, &a.Env, &a.M, &pa.effect); err != nil {
-		rp.free = append(rp.free, pa)
-		return fmt.Errorf("wal: session %s admit seq %d: %w", r.SID, a.Seq, err)
-	}
-	if err := rs.Session.ReplayAdmitEffect(&pa.effect, a.Seq); err != nil {
-		rp.free = append(rp.free, pa)
-		return err
-	}
-	pa.seq, pa.seg, pa.off = a.Seq, rp.pass.seg, rp.pass.at
-	rs.pending = append(rs.pending, pa)
-	return nil
-}
-
-// materialise builds the session's pending admissions, in seq order,
-// from their frames: the Env and the Mapping they would have been built
-// as had they not been replayed as effects, adopted by the session under
-// their seqs and tags.
-func (rp *replayer) materialise(rs *Replayed) error {
-	for _, pa := range rs.pending {
-		seq := pa.seq
-		r, err := rp.frames.read(pa.seg, pa.off)
-		if err != nil {
-			return err
-		}
-		if r.Kind != KindAdmit || r.SID != rs.SID || r.Admit == nil || r.Admit.Seq != seq {
-			return fmt.Errorf("wal: session %s admit seq %d: frame at offset %d of %s reads back as another record: %w",
-				rs.SID, seq, pa.off, segName(pa.seg), core.ErrReplayDiverged)
-		}
-		_, m, err := decodeAdmit(rs.Cluster, r.Admit)
-		if err != nil {
-			return fmt.Errorf("wal: session %s admit seq %d: %w", rs.SID, seq, err)
-		}
-		if err := rs.Session.ReplayAdoptEffect(m, r.Admit.Tag, seq, &pa.effect); err != nil {
-			return err
-		}
-		rp.built++
-	}
-	rp.free = append(rp.free, rs.pending...)
-	rs.pending = rs.pending[:0]
 	return nil
 }
 
@@ -285,7 +144,7 @@ func (rp *replayer) sessions() []*Replayed {
 	return out
 }
 
-// Replay rebuilds the sessions of a materialised Recovered: the
+// Replay rebuilds the sessions of a Recovered held in memory: the
 // replayer over rec.Records. onRecord, when non-nil, is called after each
 // operation record actually re-applied. The surviving sessions come back
 // in SID order, with the highest session ordinal the directory has ever
@@ -317,13 +176,6 @@ type Recovery struct {
 	Bytes   int64
 	// TruncatedBytes is the torn tail, as in Recovered.
 	TruncatedBytes int64
-	// Effects counts the log's admissions replayed as effects alone:
-	// committed as numbers, then undone by their release record or dropped
-	// with their closed session, never built. Built counts those built as
-	// an Env and a Mapping: the ones still deployed when the pass ended or
-	// when a fail or migrate record of their session came, and every one
-	// replayed after its session's first fail or migrate record.
-	Effects, Built int
 	// SnapshotBytes is the size of the snapshot the pass started from and
 	// SnapshotTime what loading and restoring it took, apart from the log.
 	SnapshotBytes int64
@@ -342,8 +194,6 @@ func (p *logPass) replay(snap *Snapshot, segs []uint64, onRecord func(*Replayed,
 		return nil, err
 	}
 	restored := time.Since(start) //hmn:wallclock
-	rp.pass, rp.frames.dir = p, p.dir
-	defer rp.frames.close()
 	p.reuse, p.fn = true, rp.apply
 	if snap != nil {
 		p.fromSeg = snap.FirstSeg
@@ -351,16 +201,9 @@ func (p *logPass) replay(snap *Snapshot, segs []uint64, onRecord func(*Replayed,
 	if err := p.run(segs); err != nil {
 		return nil, err
 	}
-	sessions := rp.sessions()
-	for _, rs := range sessions {
-		if err := rp.materialise(rs); err != nil {
-			return nil, err
-		}
-	}
 	res := &Recovery{
-		Sessions: sessions, MaxSession: rp.maxSession,
+		Sessions: rp.sessions(), MaxSession: rp.maxSession,
 		Records: rp.seen, Bytes: p.bytes, TruncatedBytes: p.truncated,
-		Effects: rp.effects, Built: rp.built,
 	}
 	if snap != nil {
 		res.SnapshotBytes, res.SnapshotTime = snap.size, snap.took+restored

@@ -113,8 +113,8 @@ func resume(dir string, hooks Hooks, snap *Snapshot, segs []uint64, grown int64,
 	return w, nil
 }
 
-// collect reads the whole log into a Recovered: the materialising form
-// of the pass, for callers that want the records themselves.
+// collect reads the whole log into a Recovered: the form of the pass that
+// keeps every record, for callers that want the records themselves.
 func collect(dir string, hooks Hooks, snap *Snapshot, segs []uint64, repair bool) (*Recovered, error) {
 	rec := &Recovered{Snapshot: snap}
 	p := logPass{dir: dir, hooks: hooks, repair: repair, fn: func(r *Record) error {
@@ -295,6 +295,20 @@ func Verify(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*Recove
 	}
 	p := logPass{dir: dir, hooks: hooks}
 	return p.replay(snap, segs, onRecord)
+}
+
+// HasState reports whether dir holds a log segment or a snapshot: whether
+// it is a data directory Recover would restore rather than start afresh.
+func HasState(dir string) (bool, error) {
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) > 0 {
+		return len(segs) > 0, err
+	}
+	_, err = os.Stat(filepath.Join(dir, snapshotName))
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // Each reads a data directory without mutating it, handing fn every log
