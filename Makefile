@@ -78,21 +78,22 @@ bench-allocs:
 ## bench-baselines regenerates the committed benchmark baselines. Run it
 ## when a change legitimately moves the seeded sweep (new scenarios, new
 ## heuristics) and commit the result; timing fields update for free.
-## The quick sweep carries the churn and optimality-gap blocks.
+## The quick sweep carries the churn, optimality-gap and reservation
+## blocks.
 bench-baselines:
-	go run ./cmd/hmnbench -quick -churn -gap -gap-instances 50 -reps 3 -json BENCH_quick_seed1.json -table 2 >/dev/null
+	go run ./cmd/hmnbench -quick -churn -gap -gap-instances 50 -reservations -reps 3 -json BENCH_quick_seed1.json -table 2 >/dev/null
 	go run ./cmd/hmnbench -scale -heuristics HMN -reps 3 -json BENCH_scale_seed1.json -table 2 >/dev/null
 
 ## bench-compare re-runs both committed sweeps and diffs them against
-## BENCH_quick_seed1.json / BENCH_scale_seed1.json: deterministic metrics
-## (run/valid counts, objective statistics, the quick sweep's churn
-## block: moves, rounds, objective bare vs rebalanced, and its gap
-## block: optima hit and objective ratios of HMN, HMN+ and the GA) must
-## agree within BENCH_THRESHOLD percent, mapping times and operation
-## latencies are reported as advisory deltas only.
+## BENCH_quick_seed1.json / BENCH_scale_seed1.json with hmncompare's one
+## rule, read from each field's gate tag (internal/exp/json.go): counts
+## and digests must be equal, moments (objective and makespan
+## statistics, gap ratios, reservation makespans) must agree within
+## BENCH_THRESHOLD percent, and timings are printed as advisory deltas
+## only.
 bench-compare:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	go run ./cmd/hmnbench -quick -churn -gap -gap-instances 50 -reps 3 -json "$$tmp/quick.json" -table 2 >/dev/null && \
+	go run ./cmd/hmnbench -quick -churn -gap -gap-instances 50 -reservations -reps 3 -json "$$tmp/quick.json" -table 2 >/dev/null && \
 	go run ./cmd/hmnbench -scale -heuristics HMN -reps 3 -json "$$tmp/scale.json" -table 2 >/dev/null && \
 	go run ./cmd/hmncompare -threshold $(BENCH_THRESHOLD) BENCH_quick_seed1.json "$$tmp/quick.json" && \
 	go run ./cmd/hmncompare -threshold $(BENCH_THRESHOLD) BENCH_scale_seed1.json "$$tmp/scale.json"

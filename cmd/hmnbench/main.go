@@ -11,7 +11,13 @@
 //	hmnbench -correlation             # pooled Pearson r
 //	hmnbench -churn -churn-ops 500    # admission churn, bare vs rebalanced (deterministic)
 //	hmnbench -gap -gap-instances 50   # optimality gap against the exact solver (deterministic)
-//	hmnbench -all -reps 5 -quick      # everything on the reduced matrix
+//	hmnbench -reservations            # reserved vs best-effort transfers (deterministic)
+//	hmnbench -shards 4 -hosts 64      # federation throughput, one shard vs four
+//	hmnbench -all -reps 5 -quick      # every table and figure on the reduced matrix
+//
+// With -json, one document carries every experiment the flags ran (the
+// sweep's series and runs, and a block per other experiment); with
+// -json - it is the only thing on stdout, and the text goes to stderr.
 //
 // The retry budget of the random baselines defaults to 300 (the paper
 // uses 100000); raise it with -maxtries to taste. Every run is
@@ -19,9 +25,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -31,97 +37,56 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is hmnbench with its arguments and output streams; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hmnbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table        = flag.Int("table", 0, "render table 1, 2 or 3")
-		figure       = flag.Int("figure", 0, "render figure 1")
-		correlation  = flag.Bool("correlation", false, "report the objective/execution-time correlation (§5.2)")
-		all          = flag.Bool("all", false, "render every table and figure")
-		reps         = flag.Int("reps", 5, "repetitions per scenario (the paper uses 30)")
-		hosts        = flag.Int("hosts", 40, "cluster size")
-		seed         = flag.Int64("seed", 1, "sweep seed")
-		maxTries     = flag.Int("maxtries", 300, "retry budget of the random baselines (paper: 100000)")
-		quick        = flag.Bool("quick", false, "use the reduced scenario matrix")
-		scale        = flag.Bool("scale", false, "use the hot-path scaling matrix (500/1000/2000 guests)")
-		topoFlag     = flag.String("topology", "both", "torus, switched or both")
-		heurFlag     = flag.String("heuristics", "HMN,R,RA,HS", "comma-separated heuristic subset")
-		workers      = flag.Int("workers", 0, "worker-pool width for every experiment (0 = GOMAXPROCS; results are identical for any value)")
-		csvPath      = flag.String("csv", "", "also write every run as CSV to this file")
-		jsonPath     = flag.String("json", "", "also write the results matrix and mapping-time percentiles as JSON to this file ('-' = stdout)")
-		gap          = flag.Bool("gap", false, "measure HMN's optimality gap against the exact solver on tiny instances; with -json its block joins the document")
-		gapN         = flag.Int("gap-instances", 30, "instances for the -gap experiment")
-		reservations = flag.Bool("reservations", false, "run the bandwidth-reservation ablation (reserved vs best-effort transfers)")
-		churn        = flag.Bool("churn", false, "run the admission churn benchmark, bare vs a rebalancing round after every second operation; with -json its block joins the document")
-		churnOps     = flag.Int("churn-ops", 200, "churn operations for the -churn benchmark")
-		fedShards    = flag.Int("shards", 0, "run the federation aggregate-throughput benchmark: -hosts total hosts as one cluster vs partitioned across this many shards")
-		fedOps       = flag.Int("fed-ops", 120, "admissions per federation run (needs -shards)")
-		fedGateway   = flag.Float64("gateway-bw", 0, "inter-shard gateway budget in Mbps for the federation benchmark (0 = splits disabled)")
+		table        = fs.Int("table", 0, "render table 1, 2 or 3")
+		figure       = fs.Int("figure", 0, "render figure 1")
+		correlation  = fs.Bool("correlation", false, "report the objective/execution-time correlation (§5.2)")
+		all          = fs.Bool("all", false, "render every table and figure")
+		reps         = fs.Int("reps", 5, "repetitions per scenario (the paper uses 30)")
+		hosts        = fs.Int("hosts", 40, "cluster size")
+		seed         = fs.Int64("seed", 1, "sweep seed")
+		maxTries     = fs.Int("maxtries", 300, "retry budget of the random baselines (paper: 100000)")
+		quick        = fs.Bool("quick", false, "use the reduced scenario matrix")
+		scale        = fs.Bool("scale", false, "use the hot-path scaling matrix (500/1000/2000 guests)")
+		topoFlag     = fs.String("topology", "both", "torus, switched or both")
+		heurFlag     = fs.String("heuristics", "HMN,R,RA,HS", "comma-separated heuristic subset")
+		workers      = fs.Int("workers", 0, "worker-pool width for every experiment (0 = GOMAXPROCS; results are identical for any value)")
+		csvPath      = fs.String("csv", "", "also write every run as CSV to this file")
+		jsonPath     = fs.String("json", "", "also write every experiment that ran as one JSON document to this file ('-' = stdout)")
+		gap          = fs.Bool("gap", false, "measure HMN's optimality gap against the exact solver on tiny instances")
+		gapN         = fs.Int("gap-instances", 30, "instances for the -gap experiment")
+		reservations = fs.Bool("reservations", false, "run the bandwidth-reservation ablation (reserved vs best-effort transfers)")
+		churn        = fs.Bool("churn", false, "run the admission churn benchmark, bare vs a rebalancing round after every second operation")
+		churnOps     = fs.Int("churn-ops", 200, "churn operations for the -churn benchmark")
+		fedShards    = fs.Int("shards", 0, "run the federation aggregate-throughput benchmark: -hosts total hosts as one cluster vs partitioned across this many shards")
+		fedOps       = fs.Int("fed-ops", 120, "admissions per federation run (needs -shards)")
+		fedGateway   = fs.Float64("gateway-bw", 0, "inter-shard gateway budget in Mbps for the federation benchmark (0 = splits disabled)")
 	)
-	flag.Parse()
-
-	if *fedShards > 0 {
-		cfg := exp.FederationConfig{Hosts: *hosts, Shards: *fedShards, Ops: *fedOps,
-			Seed: *seed, GatewayBW: *fedGateway}
-		res := exp.RunFederation(cfg)
-		if *jsonPath == "-" {
-			// '-json -' promises pure JSON on stdout, same as the sweep
-			// path; the human-readable table moves to stderr.
-			fmt.Fprint(os.Stderr, res)
-		} else {
-			fmt.Print(res)
-		}
-		if *jsonPath != "" {
-			doc := exp.JSONDocument{Hosts: *hosts, Seed: *seed, Federation: &res}
-			if err := writeFedJSON(doc, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "hmnbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *fedGateway != 0 {
-		fmt.Fprintln(os.Stderr, "hmnbench: -gateway-bw needs -shards")
-		os.Exit(2)
+	usage := func(format string, a ...interface{}) int {
+		fmt.Fprintf(stderr, "hmnbench: "+format+"\n", a...)
+		return 2
 	}
-
-	if !*all && *table == 0 && *figure == 0 && !*correlation && !*gap && !*reservations && !*churn {
+	if *fedGateway != 0 && *fedShards <= 0 {
+		return usage("-gateway-bw needs -shards")
+	}
+	if *table < 0 || *table > 3 || *figure < 0 || *figure > 1 {
+		return usage("nothing selected (use -table 1, 2 or 3, -figure 1, -correlation or -all)")
+	}
+	if !*all && *table == 0 && *figure == 0 && !*correlation && !*gap && !*reservations && !*churn && *fedShards <= 0 {
 		*all = true
 	}
-	var churnRes *exp.ChurnResult
-	if *churn {
-		r := exp.RunChurn(exp.ChurnConfig{Hosts: *hosts, Ops: *churnOps, Seed: *seed})
-		churnRes = &r
-		if *jsonPath == "-" {
-			fmt.Fprint(os.Stderr, r) // '-json -' promises pure JSON on stdout
-		} else {
-			fmt.Print(r)
-		}
-		if !*all && *table == 0 && *figure == 0 && !*correlation && !*gap && !*reservations {
-			return
-		}
-	}
-	if *reservations {
-		fmt.Print(exp.RunReservations(exp.ReservationConfig{Seed: *seed, Workers: *workers}))
-		if !*all && *table == 0 && *figure == 0 && !*correlation && !*gap {
-			return
-		}
-	}
-	var gapRes *exp.GapJSON
-	if *gap {
-		r := exp.RunGap(exp.GapConfig{Instances: *gapN, Seed: *seed, Workers: *workers})
-		gapRes = r.JSON()
-		if *jsonPath == "-" {
-			fmt.Fprint(os.Stderr, r) // '-json -' promises pure JSON on stdout
-		} else {
-			fmt.Print(r)
-		}
-		if !*all && *table == 0 && *figure == 0 && !*correlation {
-			return
-		}
-	}
-	if *table == 1 {
-		fmt.Print(exp.Table1(*hosts))
-		return
-	}
+	sweep := *all || *table >= 2 || *figure == 1 || *correlation
 
 	cfg := exp.DefaultConfig()
 	cfg.Hosts = *hosts
@@ -142,8 +107,7 @@ func main() {
 		cfg.Topologies = []exp.Topology{exp.Switched}
 	case "both":
 	default:
-		fmt.Fprintf(os.Stderr, "hmnbench: unknown -topology %q\n", *topoFlag)
-		os.Exit(2)
+		return usage("unknown -topology %q", *topoFlag)
 	}
 	if *heurFlag != "" {
 		cfg.Heuristics = nil
@@ -153,69 +117,100 @@ func main() {
 			case "HMN", "R", "RA", "HS":
 				cfg.Heuristics = append(cfg.Heuristics, h)
 			default:
-				fmt.Fprintf(os.Stderr, "hmnbench: unknown heuristic %q\n", h)
-				os.Exit(2)
+				return usage("unknown heuristic %q", h)
 			}
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "hmnbench: %d scenarios x %d reps x %d topologies x %d heuristics (seed %d, maxtries %d)\n",
-		len(cfg.Scenarios), cfg.Reps, len(cfg.Topologies), len(cfg.Heuristics), cfg.Seed, cfg.MaxTries)
-	start := time.Now()
-	res := exp.RunSweep(cfg)
-	res.Churn = churnRes // with -churn or -gap, the JSON document carries its block
-	res.Gap = gapRes
-	fmt.Fprintf(os.Stderr, "hmnbench: sweep finished in %.1fs (%d runs)\n",
-		time.Since(start).Seconds(), len(res.Runs))
+	// '-json -' promises pure JSON on stdout: the text moves to stderr.
+	out := stdout
+	if *jsonPath == "-" {
+		out = stderr
+	}
+	doc := exp.JSONDocument{Hosts: *hosts, Seed: *seed}
+	if *fedShards > 0 {
+		r := exp.RunFederation(exp.FederationConfig{Hosts: *hosts, Shards: *fedShards, Ops: *fedOps,
+			Seed: *seed, GatewayBW: *fedGateway})
+		fmt.Fprint(out, r)
+		doc.Federation = &r
+	}
+	if *churn {
+		r := exp.RunChurn(exp.ChurnConfig{Hosts: *hosts, Ops: *churnOps, Seed: *seed})
+		fmt.Fprint(out, r)
+		doc.Churn = &r
+	}
+	if *reservations {
+		r := exp.RunReservations(exp.ReservationConfig{Seed: *seed, Workers: *workers})
+		fmt.Fprint(out, r)
+		doc.Reservations = &r
+	}
+	if *gap {
+		r := exp.RunGap(exp.GapConfig{Instances: *gapN, Seed: *seed, Workers: *workers})
+		fmt.Fprint(out, r)
+		doc.Gap = r.JSON()
+	}
+	if *table == 1 {
+		fmt.Fprint(out, exp.Table1(*hosts))
+	}
+	if sweep {
+		fmt.Fprintf(stderr, "hmnbench: %d scenarios x %d reps x %d topologies x %d heuristics (seed %d, maxtries %d)\n",
+			len(cfg.Scenarios), cfg.Reps, len(cfg.Topologies), len(cfg.Heuristics), cfg.Seed, cfg.MaxTries)
+		start := time.Now()
+		res := exp.RunSweep(cfg)
+		fmt.Fprintf(stderr, "hmnbench: sweep finished in %.1fs (%d runs)\n",
+			time.Since(start).Seconds(), len(res.Runs))
+		if *csvPath != "" {
+			if err := writeFile(*csvPath, res.WriteCSV); err != nil {
+				fmt.Fprintf(stderr, "hmnbench: %v\n", err)
+				return 1
+			}
+			fmt.Fprintf(stderr, "hmnbench: wrote %s\n", *csvPath)
+		}
+		sd := res.JSON()
+		sd.Federation, sd.Churn, sd.Reservations, sd.Gap = doc.Federation, doc.Churn, doc.Reservations, doc.Gap
+		doc = sd
+		printSweep(out, res, *all, *table, *figure, *correlation)
+	}
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hmnbench: %v\n", err)
-			os.Exit(1)
+	switch *jsonPath {
+	case "":
+	case "-":
+		if err := doc.Write(stdout); err != nil {
+			fmt.Fprintf(stderr, "hmnbench: writing JSON: %v\n", err)
+			return 1
 		}
-		if err := res.WriteCSV(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hmnbench: writing CSV: %v\n", err)
-			os.Exit(1)
+	default:
+		if err := writeFile(*jsonPath, doc.Write); err != nil {
+			fmt.Fprintf(stderr, "hmnbench: %v\n", err)
+			return 1
 		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hmnbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "hmnbench: wrote %s\n", *csvPath)
+		fmt.Fprintf(stderr, "hmnbench: wrote %s\n", *jsonPath)
 	}
-	if *jsonPath != "" {
-		if err := writeJSON(res, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hmnbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *jsonPath == "-" {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "hmnbench: wrote %s\n", *jsonPath)
-	}
+	return 0
+}
 
-	printed := false
-	if *all || *table == 2 {
-		fmt.Println(res.Table2())
-		printed = true
+// printSweep renders the sweep's selected tables and figures.
+func printSweep(out io.Writer, res *exp.Results, all bool, table, figure int, correlation bool) {
+	if all || table == 2 {
+		fmt.Fprintln(out, res.Table2())
 	}
-	if *all || *table == 3 {
-		fmt.Println(res.Table3())
-		printed = true
+	if all || table == 3 {
+		fmt.Fprintln(out, res.Table3())
 	}
-	if *all || *figure == 1 {
-		for _, topo := range cfg.Topologies {
-			fmt.Println(res.Figure1Table(topo))
+	if all || figure == 1 {
+		for _, topo := range res.Config.Topologies {
+			fmt.Fprintln(out, res.Figure1Table(topo))
 		}
-		fmt.Println(res.MappingTimeTable())
-		printed = true
+		fmt.Fprintln(out, res.MappingTimeTable())
 	}
-	if *all || *correlation {
-		fmt.Printf("Objective/execution-time correlation (pooled over %d valid runs): r = %.3f\n",
+	if all || correlation {
+		fmt.Fprintf(out, "Objective/execution-time correlation (pooled over %d valid runs): r = %.3f\n",
 			validRuns(res), res.Correlation())
-		for class, r := range res.CorrelationByClass() {
-			fmt.Printf("  within the %s class: r = %.3f\n", class, r)
+		byClass := res.CorrelationByClass()
+		for _, class := range []exp.Class{exp.HighLevel, exp.LowLevel} {
+			if r, ok := byClass[class]; ok {
+				fmt.Fprintf(out, "  within the %s class: r = %.3f\n", class, r)
+			}
 		}
 		byScenario := res.CorrelationByScenario()
 		labels := make([]string, 0, len(byScenario))
@@ -224,53 +219,22 @@ func main() {
 		}
 		sort.Strings(labels)
 		for _, l := range labels {
-			fmt.Printf("  within scenario %-14s r = %.3f\n", l+":", byScenario[l])
+			fmt.Fprintf(out, "  within scenario %-14s r = %.3f\n", l+":", byScenario[l])
 		}
-		printed = true
-	}
-	if !printed {
-		fmt.Fprintln(os.Stderr, "hmnbench: nothing selected (use -table, -figure, -correlation or -all)")
-		os.Exit(2)
 	}
 }
 
-// writeJSON renders the sweep as JSON to path, or to stdout for "-".
-func writeJSON(res *exp.Results, path string) error {
-	if path == "-" {
-		return res.WriteJSON(os.Stdout)
-	}
+// writeFile creates path and writes it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := res.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
-		return fmt.Errorf("writing JSON: %w", err)
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-// writeFedJSON renders a federation-only document to path ("-" =
-// stdout) for the hmncompare gate.
-func writeFedJSON(doc exp.JSONDocument, path string) error {
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("writing JSON: %w", err)
-	}
-	if path != "-" {
-		fmt.Fprintf(os.Stderr, "hmnbench: wrote %s\n", path)
-	}
-	return nil
 }
 
 func validRuns(res *exp.Results) int {

@@ -1,9 +1,9 @@
-// Command hmncompare diffs a fresh hmnbench JSON sweep against a
-// committed BENCH_*.json baseline. Deterministic outputs — run/valid
-// counts and the seeded objective statistics — must agree within the
-// threshold or the command exits non-zero; mapping times are printed as
-// advisory deltas only, since they measure the machine as much as the
-// code.
+// Command hmncompare diffs a fresh hmnbench JSON document against a
+// committed baseline (a BENCH_*.json file or the paper-tables golden)
+// with one rule read from each field's gate tag: counts and digests
+// must be equal, moments must agree within the threshold, and advisory
+// fields — wall-clock times — are printed and never gate. Any drift
+// exits non-zero.
 //
 // Usage:
 //
@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 0.5, "maximum relative drift of deterministic metrics, in percent")
+	threshold := flag.Float64("threshold", 0.5, "maximum relative drift of moments, in percent")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: hmncompare [-threshold PCT] baseline.json current.json")

@@ -38,31 +38,31 @@ type ChurnConfig struct {
 // ChurnResult aggregates both churn runs. Everything but the four
 // latencies repeats exactly from the seed.
 type ChurnResult struct {
-	Ops    int `json:"ops"`
-	Failed int `json:"failed"`
+	Ops    int `json:"ops" gate:"count"`
+	Failed int `json:"failed" gate:"count"`
 	// Moves and Rounds count the rebalancer's committed migrations and
 	// its committing rounds during the churn (the final drain included),
 	// Aborted the scored moves it skipped because their links could not
 	// be re-routed.
-	Moves   int `json:"moves"`
-	Rounds  int `json:"rounds"`
-	Aborted int `json:"aborted"`
+	Moves   int `json:"moves" gate:"count"`
+	Rounds  int `json:"rounds" gate:"count"`
+	Aborted int `json:"aborted" gate:"count"`
 	// ImprovementPerMove is the realized Eq. (10) objective drop per
 	// committed guest move, averaged over every commit.
-	ImprovementPerMove float64 `json:"improvement_per_move"`
+	ImprovementPerMove float64 `json:"improvement_per_move" gate:"moment"`
 	// Objective trajectories: the mean over per-op samples and the final
 	// value, bare vs rebalanced (the rebalanced run is drained to a local
 	// optimum after the churn ends).
-	ObjectiveMeanBase  float64 `json:"objective_mean_bare"`
-	ObjectiveMeanReb   float64 `json:"objective_mean_rebalanced"`
-	ObjectiveFinalBase float64 `json:"objective_final_bare"`
-	ObjectiveFinalReb  float64 `json:"objective_final_rebalanced"`
+	ObjectiveMeanBase  float64 `json:"objective_mean_bare" gate:"moment"`
+	ObjectiveMeanReb   float64 `json:"objective_mean_rebalanced" gate:"moment"`
+	ObjectiveFinalBase float64 `json:"objective_final_bare" gate:"moment"`
+	ObjectiveFinalReb  float64 `json:"objective_final_rebalanced" gate:"moment"`
 	// Latency percentiles of one operation — the admission plus, when one
 	// is due, the round behind it — in seconds, bare vs rebalanced.
-	OpP50Base float64 `json:"op_p50_seconds_bare"`
-	OpP99Base float64 `json:"op_p99_seconds_bare"`
-	OpP50Reb  float64 `json:"op_p50_seconds_rebalanced"`
-	OpP99Reb  float64 `json:"op_p99_seconds_rebalanced"`
+	OpP50Base float64 `json:"op_p50_seconds_bare" gate:"advisory"`
+	OpP99Base float64 `json:"op_p99_seconds_bare" gate:"advisory"`
+	OpP50Reb  float64 `json:"op_p50_seconds_rebalanced" gate:"advisory"`
+	OpP99Reb  float64 `json:"op_p99_seconds_rebalanced" gate:"advisory"`
 }
 
 // String renders the result for the CLI.

@@ -153,33 +153,6 @@ func TestRunSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestHMNWinsOnObjective(t *testing.T) {
-	// The Table 2 headline on a small sweep: HMN's mean objective is the
-	// lowest of the four heuristics at the easy 2.5:1 scenario.
-	cfg := smallConfig()
-	cfg.Scenarios = cfg.Scenarios[:1]
-	cfg.Reps = 3
-	res := RunSweep(cfg)
-	cells := res.cells()
-	label := cfg.Scenarios[0].Label()
-	for _, topo := range cfg.Topologies {
-		hmn := cells[cellKey{label, topo, "HMN"}]
-		if hmn == nil || hmn.objective.N() == 0 {
-			t.Fatalf("HMN produced no valid mapping on %v", topo)
-		}
-		for _, h := range []string{"R", "RA", "HS"} {
-			c := cells[cellKey{label, topo, h}]
-			if c == nil || c.objective.N() == 0 {
-				continue
-			}
-			if hmn.objective.Mean() >= c.objective.Mean() {
-				t.Fatalf("%v: HMN mean %.1f not below %s mean %.1f",
-					topo, hmn.objective.Mean(), h, c.objective.Mean())
-			}
-		}
-	}
-}
-
 func TestTableRenderers(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Reps = 1
@@ -225,15 +198,6 @@ func TestFigure1SortedByMappedLinks(t *testing.T) {
 		if p.NetworkShare < 0 || p.NetworkShare > 1 {
 			t.Fatalf("network share out of range: %+v", p)
 		}
-	}
-}
-
-func TestCorrelationPositive(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Reps = 3
-	res := RunSweep(cfg)
-	if r := res.Correlation(); r <= 0 {
-		t.Fatalf("pooled correlation %v, want positive", r)
 	}
 }
 

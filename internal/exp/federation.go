@@ -73,18 +73,18 @@ func (cfg FederationConfig) withDefaults() FederationConfig {
 
 // FederationRun is one shard count's measurements.
 type FederationRun struct {
-	Shards          int     `json:"shards"`
-	Hosts           int     `json:"hosts"`
-	Ops             int     `json:"ops"`
-	Admitted        int     `json:"admitted"`
-	Failed          int     `json:"failed"`
-	Splits          int     `json:"splits"`
-	Fallbacks       int     `json:"fallbacks"`
-	Seconds         float64 `json:"seconds"`
-	AdmitsPerSec    float64 `json:"admits_per_sec"`
-	AdmitP50        float64 `json:"admit_p50_seconds"`
-	AdmitP99        float64 `json:"admit_p99_seconds"`
-	PlacementDigest string  `json:"placement_digest"`
+	Shards          int     `json:"shards" gate:"key"`
+	Hosts           int     `json:"hosts" gate:"key"`
+	Ops             int     `json:"ops" gate:"key"`
+	Admitted        int     `json:"admitted" gate:"count"`
+	Failed          int     `json:"failed" gate:"count"`
+	Splits          int     `json:"splits" gate:"count"`
+	Fallbacks       int     `json:"fallbacks" gate:"count"`
+	Seconds         float64 `json:"seconds" gate:"advisory"`
+	AdmitsPerSec    float64 `json:"admits_per_sec" gate:"advisory"`
+	AdmitP50        float64 `json:"admit_p50_seconds" gate:"advisory"`
+	AdmitP99        float64 `json:"admit_p99_seconds" gate:"advisory"`
+	PlacementDigest string  `json:"placement_digest" gate:"digest"`
 }
 
 // FederationResult compares the shard counts on the same workload.

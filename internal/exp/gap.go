@@ -69,7 +69,7 @@ func (g GapResult) MeanAbsGap() float64 { return stats.Mean(g.AbsGaps) }
 // GapJSON is the gap experiment's block of the JSON document: every
 // field is a pure function of the seed and the instance count.
 type GapJSON struct {
-	Instances int       `json:"instances"`
+	Instances int       `json:"instances" gate:"count"`
 	HMN       GapRatios `json:"hmn"`
 	HMNPlus   GapRatios `json:"hmn_plus"`
 	GA        GapRatios `json:"ga"`
@@ -79,10 +79,10 @@ type GapJSON struct {
 // solved instances: how often it hit the optimum, and the mean, median
 // and worst ratio.
 type GapRatios struct {
-	Optimal     int     `json:"optimal"`
-	RatioMean   float64 `json:"ratio_mean"`
-	RatioMedian float64 `json:"ratio_median"`
-	RatioMax    float64 `json:"ratio_max"`
+	Optimal     int     `json:"optimal" gate:"count"`
+	RatioMean   float64 `json:"ratio_mean" gate:"moment"`
+	RatioMedian float64 `json:"ratio_median" gate:"moment"`
+	RatioMax    float64 `json:"ratio_max" gate:"moment"`
 }
 
 func gapRatios(optimal int, ratios []float64) GapRatios {

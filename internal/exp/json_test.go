@@ -12,7 +12,7 @@ func TestWriteJSON(t *testing.T) {
 	res := RunSweep(cfg)
 
 	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
+	if err := res.JSON().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc JSONDocument

@@ -67,7 +67,7 @@ func TestRunSweepParallelJSONByteIdentical(t *testing.T) {
 			st.HostingSeconds, st.MigrationSeconds, st.NetworkingSeconds = 0, 0, 0
 		}
 		var buf bytes.Buffer
-		if err := res.WriteJSON(&buf); err != nil {
+		if err := res.JSON().Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -31,20 +31,25 @@ type ReservationConfig struct {
 	Workers int
 }
 
-// ReservationResult aggregates the ablation.
+// ReservationResult aggregates the ablation. Every field repeats
+// exactly from the seed, for any worker count.
 type ReservationResult struct {
-	Instances int
+	Instances int `json:"instances" gate:"count"`
 	// Mean transfer makespans (seconds) per (mapper, network mode).
-	HMNReserved, HMNBestEffort float64
-	RAReserved, RABestEffort   float64
+	HMNReserved   float64 `json:"hmn_reserved_seconds" gate:"moment"`
+	HMNBestEffort float64 `json:"hmn_best_effort_seconds" gate:"moment"`
+	RAReserved    float64 `json:"ra_reserved_seconds" gate:"moment"`
+	RABestEffort  float64 `json:"ra_best_effort_seconds" gate:"moment"`
 	// Mean inter-host flow counts per mapper.
-	HMNFlows, RAFlows float64
+	HMNFlows float64 `json:"hmn_flows" gate:"moment"`
+	RAFlows  float64 `json:"ra_flows" gate:"moment"`
 	// Worst fair-share-to-reserved rate ratio observed across all flows
 	// and instances, per mapper. A value >= 1 certifies that even under
 	// best-effort max-min sharing every virtual link would receive at
 	// least its emulated bandwidth — the guarantee Eq. 9's admission
 	// control encodes.
-	HMNMinRateRatio, RAMinRateRatio float64
+	HMNMinRateRatio float64 `json:"hmn_min_rate_ratio" gate:"moment"`
+	RAMinRateRatio  float64 `json:"ra_min_rate_ratio" gate:"moment"`
 }
 
 // String renders the result for the CLI.

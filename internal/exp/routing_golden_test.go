@@ -9,7 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/exact"
 	"repro/internal/ga"
-	"repro/internal/mapping"
 	"repro/internal/topology"
 	"repro/internal/virtual"
 	"repro/internal/workload"
@@ -31,25 +30,6 @@ const (
 // digestPut hashes x as four little-endian bytes.
 func digestPut(h hash.Hash64, x int) {
 	h.Write([]byte{byte(x), byte(x >> 8), byte(x >> 16), byte(x >> 24)})
-}
-
-// digestMapping hashes m's placement and every path's edges, a
-// separator before each path so trivial paths count too; a failed
-// mapping hashes its error text instead.
-func digestMapping(h hash.Hash64, m *mapping.Mapping, err error) {
-	if err != nil {
-		h.Write([]byte(err.Error()))
-		return
-	}
-	for _, n := range m.GuestHost {
-		digestPut(h, int(n))
-	}
-	for _, p := range m.LinkPath {
-		digestPut(h, -1)
-		for _, e := range p.Edges {
-			digestPut(h, e)
-		}
-	}
 }
 
 // TestGoldenRADigest maps the quick sweep's first repetition — both

@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/mapping"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/virtual"
@@ -85,18 +89,15 @@ type Run struct {
 	InterHostLinks int // links actually routed over physical paths
 
 	Stages core.StageStats // populated for HMN only
+	// Digest is FNV-64a over the mapping's placements and routed edges,
+	// or over the error text of a failed run (digestMapping).
+	Digest uint64
 }
 
 // Results is the outcome of a sweep.
 type Results struct {
 	Config Config
 	Runs   []Run
-	// Churn, when the caller also ran the churn benchmark on the sweep's
-	// hosts and seed, rides into the JSON document beside the series.
-	Churn *ChurnResult
-	// Gap, when the caller also ran the gap experiment at the sweep's
-	// seed, rides in the same way.
-	Gap *GapJSON
 }
 
 // Run executes the sweep described by cfg. Repetitions execute in
@@ -236,26 +237,20 @@ func execute(cfg Config, sc Scenario, topo Topology, name string, rep int, c *cl
 	expCfg := cfg.Experiment
 	expCfg.Overhead = cfg.Overhead
 
+	var (
+		m   *mapping.Mapping
+		err error
+	)
 	start := time.Now() //hmn:wallclock
 	if name == "HMN" {
-		h := &core.HMN{Overhead: cfg.Overhead}
-		m, st, err := h.MapWithStats(c, env)
-		r.MapSeconds = time.Since(start).Seconds() //hmn:wallclock
-		r.Stages = st
-		if err != nil {
-			r.Err = err.Error()
-			return r
-		}
-		r.OK = true
-		r.Objective = m.Objective(cfg.Overhead)
-		r.InterHostLinks = m.Summarize(cfg.Overhead).InterHostLinks
-		r.ExpSeconds = sim.RunExperiment(m, expCfg).Makespan
-		return r
+		m, r.Stages, err = (&core.HMN{Overhead: cfg.Overhead}).MapWithStats(c, env)
+	} else {
+		m, err = newBaseline(name, cfg, seed).Map(c, env)
 	}
-
-	mapper := newBaseline(name, cfg, seed)
-	m, err := mapper.Map(c, env)
 	r.MapSeconds = time.Since(start).Seconds() //hmn:wallclock
+	h := fnv.New64a()
+	digestMapping(h, m, err)
+	r.Digest = h.Sum64()
 	if err != nil {
 		r.Err = err.Error()
 		return r
@@ -265,6 +260,28 @@ func execute(cfg Config, sc Scenario, topo Topology, name string, rep int, c *cl
 	r.InterHostLinks = m.Summarize(cfg.Overhead).InterHostLinks
 	r.ExpSeconds = sim.RunExperiment(m, expCfg).Makespan
 	return r
+}
+
+// digestMapping hashes m's placement and every path's edges, each as
+// four little-endian bytes, with a separator (-1) before each path so
+// trivial paths count too; a failed mapping hashes its error text
+// instead.
+func digestMapping(h hash.Hash64, m *mapping.Mapping, err error) {
+	if err != nil {
+		h.Write([]byte(err.Error()))
+		return
+	}
+	var buf []byte
+	for _, n := range m.GuestHost {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	}
+	for _, p := range m.LinkPath {
+		buf = binary.LittleEndian.AppendUint32(buf, ^uint32(0))
+		for _, e := range p.Edges {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(e))
+		}
+	}
+	h.Write(buf)
 }
 
 func newBaseline(name string, cfg Config, seed int64) core.Mapper {

@@ -324,12 +324,6 @@ func (r *Results) FailureCount(topo Topology, heuristic string) int {
 	return count
 }
 
-// Table1 renders the simulation-setup summary (the paper's Table 1) for
-// the configured cluster size.
-func (r *Results) Table1() string {
-	return Table1(r.Config.Hosts)
-}
-
 // Table1 renders the experiment setup exactly as Table 1 of the paper
 // summarises it.
 func Table1(hosts int) string {
