@@ -78,22 +78,23 @@ bench-allocs:
 ## bench-baselines regenerates the committed benchmark baselines. Run it
 ## when a change legitimately moves the seeded sweep (new scenarios, new
 ## heuristics) and commit the result; timing fields update for free.
-## The quick sweep carries the churn, optimality-gap and reservation
-## blocks.
+## The quick sweep carries the churn, optimality-gap, reservation and
+## federation blocks (the federation's three rows take about 4 s of it).
 bench-baselines:
-	go run ./cmd/hmnbench -quick -churn -gap -gap-instances 50 -reservations -reps 3 -json BENCH_quick_seed1.json -table 2 >/dev/null
+	go run ./cmd/hmnbench -quick -churn -gap -gap-instances 50 -reservations -federation -reps 3 -json BENCH_quick_seed1.json -table 2 >/dev/null
 	go run ./cmd/hmnbench -scale -heuristics HMN -reps 3 -json BENCH_scale_seed1.json -table 2 >/dev/null
 
 ## bench-compare re-runs both committed sweeps and diffs them against
 ## BENCH_quick_seed1.json / BENCH_scale_seed1.json with hmncompare's one
 ## rule, read from each field's gate tag (internal/exp/json.go): counts
 ## and digests must be equal, moments (objective and makespan
-## statistics, gap ratios, reservation makespans) must agree within
-## BENCH_THRESHOLD percent, and timings are printed as advisory deltas
-## only.
+## statistics, gap ratios, reservation makespans, the federation's
+## Eq. (10) mean and routing work) must agree within BENCH_THRESHOLD
+## percent, and timings are summed up as one advisory line per block,
+## never gating.
 bench-compare:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	go run ./cmd/hmnbench -quick -churn -gap -gap-instances 50 -reservations -reps 3 -json "$$tmp/quick.json" -table 2 >/dev/null && \
+	go run ./cmd/hmnbench -quick -churn -gap -gap-instances 50 -reservations -federation -reps 3 -json "$$tmp/quick.json" -table 2 >/dev/null && \
 	go run ./cmd/hmnbench -scale -heuristics HMN -reps 3 -json "$$tmp/scale.json" -table 2 >/dev/null && \
 	go run ./cmd/hmncompare -threshold $(BENCH_THRESHOLD) BENCH_quick_seed1.json "$$tmp/quick.json" && \
 	go run ./cmd/hmncompare -threshold $(BENCH_THRESHOLD) BENCH_scale_seed1.json "$$tmp/scale.json"
@@ -120,7 +121,7 @@ bench-pairs:
 
 ## fma-ratchet cross-compiles cmd/hmnd and cmd/hmnbench for arm64,
 ## ppc64le and riscv64 and fails if the fused multiply-adds in repro/
-## code rise above their ceilings (hmnd 0 / 0 / 0, hmnbench 22 / 18 / 22,
+## code rise above their ceilings (hmnd 0 / 0 / 0, hmnbench 21 / 17 / 21,
 ## all in offline comparison code): off amd64 a fused x*y + z rounds
 ## once, so an unfused decision path is what lets the placement digests
 ## hold there too.

@@ -12,7 +12,7 @@
 //	hmnbench -churn -churn-ops 500    # admission churn, bare vs rebalanced (deterministic)
 //	hmnbench -gap -gap-instances 50   # optimality gap against the exact solver (deterministic)
 //	hmnbench -reservations            # reserved vs best-effort transfers (deterministic)
-//	hmnbench -shards 4 -hosts 64      # federation throughput, one shard vs four
+//	hmnbench -federation              # one host pool as one cluster, four shards, four shards split (deterministic)
 //	hmnbench -all -reps 5 -quick      # every table and figure on the reduced matrix
 //
 // With -json, one document carries every experiment the flags ran (the
@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -66,9 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reservations = fs.Bool("reservations", false, "run the bandwidth-reservation ablation (reserved vs best-effort transfers)")
 		churn        = fs.Bool("churn", false, "run the admission churn benchmark, bare vs a rebalancing round after every second operation")
 		churnOps     = fs.Int("churn-ops", 200, "churn operations for the -churn benchmark")
-		fedShards    = fs.Int("shards", 0, "run the federation aggregate-throughput benchmark: -hosts total hosts as one cluster vs partitioned across this many shards")
-		fedOps       = fs.Int("fed-ops", 120, "admissions per federation run (needs -shards)")
-		fedGateway   = fs.Float64("gateway-bw", 0, "inter-shard gateway budget in Mbps for the federation benchmark (0 = splits disabled)")
+		federation   = fs.Bool("federation", false, "run the federation experiment: one 64-host pool as one cluster, as four shards, and as four shards with split admission")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -77,13 +76,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hmnbench: "+format+"\n", a...)
 		return 2
 	}
-	if *fedGateway != 0 && *fedShards <= 0 {
-		return usage("-gateway-bw needs -shards")
-	}
 	if *table < 0 || *table > 3 || *figure < 0 || *figure > 1 {
 		return usage("nothing selected (use -table 1, 2 or 3, -figure 1, -correlation or -all)")
 	}
-	if !*all && *table == 0 && *figure == 0 && !*correlation && !*gap && !*reservations && !*churn && *fedShards <= 0 {
+	if !*all && *table == 0 && *figure == 0 && !*correlation && !*gap && !*reservations && !*churn && !*federation {
 		*all = true
 	}
 	sweep := *all || *table >= 2 || *figure == 1 || *correlation
@@ -113,12 +109,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Heuristics = nil
 		for _, h := range strings.Split(*heurFlag, ",") {
 			h = strings.TrimSpace(h)
-			switch h {
-			case "HMN", "R", "RA", "HS":
-				cfg.Heuristics = append(cfg.Heuristics, h)
-			default:
+			if !slices.Contains(exp.HeuristicNames, h) {
 				return usage("unknown heuristic %q", h)
 			}
+			cfg.Heuristics = append(cfg.Heuristics, h)
 		}
 	}
 
@@ -128,9 +122,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = stderr
 	}
 	doc := exp.JSONDocument{Hosts: *hosts, Seed: *seed}
-	if *fedShards > 0 {
-		r := exp.RunFederation(exp.FederationConfig{Hosts: *hosts, Shards: *fedShards, Ops: *fedOps,
-			Seed: *seed, GatewayBW: *fedGateway})
+	if *federation {
+		r := exp.RunFederation(*seed)
 		fmt.Fprint(out, r)
 		doc.Federation = &r
 	}

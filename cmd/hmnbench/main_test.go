@@ -53,8 +53,8 @@ func TestJSONStdoutIsOneDocument(t *testing.T) {
 			func(d exp.JSONDocument) bool { return d.Gap != nil }},
 		{"reservations_and_sweep", []string{"-reservations", "-quick", "-reps", "1", "-hosts", "16", "-heuristics", "HMN", "-table", "2"},
 			func(d exp.JSONDocument) bool { return d.Reservations != nil && len(d.Series) > 0 }},
-		{"federation", []string{"-shards", "2", "-hosts", "16", "-fed-ops", "12"},
-			func(d exp.JSONDocument) bool { return d.Federation != nil }},
+		{"federation", []string{"-federation"},
+			func(d exp.JSONDocument) bool { return d.Federation != nil && len(d.Federation.Runs) == 3 }},
 		{"table1", []string{"-table", "1"},
 			func(d exp.JSONDocument) bool { return d.Hosts == 40 }},
 	} {

@@ -2,8 +2,9 @@
 // committed baseline (a BENCH_*.json file or the paper-tables golden)
 // with one rule read from each field's gate tag: counts and digests
 // must be equal, moments must agree within the threshold, and advisory
-// fields — wall-clock times — are printed and never gate. Any drift
-// exits non-zero.
+// fields — wall-clock times — never gate: one line per block says how
+// many rows moved and names the largest move. Drifts print last, and
+// any drift exits non-zero.
 //
 // Usage:
 //

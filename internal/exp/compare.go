@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -31,7 +32,9 @@ type CompareReport struct {
 	// block or row, a count or digest that moved, or a moment that moved
 	// by more than the threshold. Empty means the comparison passed.
 	Problems []string
-	// Advisory lists the advisory fields, one line per row that has any.
+	// Advisory summarizes the advisory fields, one line per block that
+	// has any: how many of its rows moved and the largest relative move
+	// with its row.
 	Advisory []string
 }
 
@@ -73,16 +76,43 @@ func relDeltaPct(base, cur float64) float64 {
 // block the baseline carries must be in cur, every row of it must pair
 // with a row of cur by its keys (and cur may add none), counts and
 // digests must be equal, and moments must agree within thresholdPct
-// percent. Advisory fields are reported and never gate.
+// percent. Advisory fields are summed up per block and never gate.
 func CompareDocs(base, cur JSONDocument, thresholdPct float64) CompareReport {
 	c := comparer{threshold: thresholdPct}
 	c.row("", reflect.ValueOf(base), reflect.ValueOf(cur))
+	for _, a := range c.advisory {
+		line := fmt.Sprintf("advisory: %s: %d of %d rows moved", a.block, a.moved, a.rows)
+		if a.moved > 0 {
+			line += ", most " + a.most
+		}
+		c.rep.Advisory = append(c.rep.Advisory, line)
+	}
 	return c.rep
 }
 
 type comparer struct {
 	threshold float64
 	rep       CompareReport
+	advisory  []*advisory // one per block, in walk order
+}
+
+// advisory sums up one block's advisory fields: the rows carrying one,
+// the rows where one moved, and the largest relative move.
+type advisory struct {
+	block       string
+	rows, moved int
+	most        string
+	pct         float64
+}
+
+// advisoryFor is the summary of the block that the row at hangs from.
+func (c *comparer) advisoryFor(at string) *advisory {
+	block, _, _ := strings.Cut(strings.Split(at, "[")[0], ".")
+	if i := slices.IndexFunc(c.advisory, func(a *advisory) bool { return a.block == block }); i >= 0 {
+		return c.advisory[i]
+	}
+	c.advisory = append(c.advisory, &advisory{block: block})
+	return c.advisory[len(c.advisory)-1]
 }
 
 func (c *comparer) problem(format string, args ...interface{}) {
@@ -115,7 +145,8 @@ func (c *comparer) row(at string, base, cur reflect.Value) {
 			return
 		}
 	}
-	var advisory []string
+	var adv *advisory
+	moved := false
 	for i := 0; i < base.NumField(); i++ {
 		f := base.Type().Field(i)
 		name, b, v := fieldName(f), base.Field(i), cur.Field(i)
@@ -130,15 +161,27 @@ func (c *comparer) row(at string, base, cur reflect.Value) {
 				c.problem("%s%s %.6g -> %.6g (%.3f%% > %.3f%%)", at, name, b.Float(), v.Float(), d, c.threshold)
 			}
 		case "advisory":
-			if b.Float() != 0 || v.Float() != 0 {
-				advisory = append(advisory, fmt.Sprintf("%s %.4g -> %.4g", name, b.Float(), v.Float()))
+			if b.Float() == 0 && v.Float() == 0 {
+				continue
+			}
+			if adv == nil {
+				adv = c.advisoryFor(at)
+				adv.rows++
+			}
+			if d := relDeltaPct(b.Float(), v.Float()); d > 0 {
+				moved = true
+				if d > adv.pct {
+					adv.pct = d
+					adv.most = fmt.Sprintf("%s %.4g -> %.4g (%+.1f%%) at %s", name, b.Float(), v.Float(),
+						math.Copysign(d, v.Float()-b.Float()), strings.TrimSuffix(at, "."))
+				}
 			}
 		default:
 			c.block(at+name, b, v)
 		}
 	}
-	if len(advisory) > 0 {
-		c.rep.Advisory = append(c.rep.Advisory, fmt.Sprintf("advisory: %s %s", strings.TrimSuffix(at, "."), strings.Join(advisory, ", ")))
+	if moved {
+		adv.moved++
 	}
 }
 

@@ -60,7 +60,7 @@ func gateFixture(t *testing.T) JSONDocument {
 	cfg.Heuristics = []string{"HMN", "R"}
 	doc := RunSweep(cfg).JSON()
 	churn := RunChurn(ChurnConfig{Hosts: 16, Ops: 12, Guests: 8, Active: 4, Seed: 3})
-	fed := RunFederation(smallFedConfig())
+	fed := runFederation(1, fedTestOps)
 	res := RunReservations(ReservationConfig{Instances: 1, Hosts: 12, Guests: 40, Seed: 3})
 	doc.Churn, doc.Federation, doc.Reservations = &churn, &fed, &res
 	doc.Gap = RunGap(GapConfig{Instances: 3, Hosts: 3, Guests: 5, Seed: 2}).JSON()
@@ -224,14 +224,30 @@ func TestCompareDocsFlagsDrift(t *testing.T) {
 	}
 
 	// Mapping-time changes never gate, only inform.
-	cur = sweepDoc(t)
+	cur = copyDoc(t, base)
 	cur.Series[0].MapSecondsMean *= 10
 	rep = CompareDocs(base, cur, 0.5)
 	if !rep.OK() {
 		t.Fatalf("timing-only change gated: %v", rep.Problems)
 	}
-	if len(rep.Advisory) == 0 {
-		t.Fatal("timing deltas missing from the report")
+	// One summary line per block: the series block names the one row
+	// that moved and its largest move; the runs block moved nowhere.
+	k, _ := rowKey(reflect.ValueOf(cur.Series[0]))
+	want := []string{
+		fmt.Sprintf("advisory: series: 1 of %d rows moved, most map_seconds_mean %.4g -> %.4g (+900.0%%) at series[%s]",
+			len(cur.Series), base.Series[0].MapSecondsMean, cur.Series[0].MapSecondsMean, k),
+		fmt.Sprintf("advisory: runs: 0 of %d rows moved", len(cur.Runs)),
+	}
+	if !reflect.DeepEqual(rep.Advisory, want) {
+		t.Fatalf("advisory summary:\n%s\nwant:\n%s", strings.Join(rep.Advisory, "\n"), strings.Join(want, "\n"))
+	}
+	cur.Runs[0].MapSeconds *= 2
+	cur.Runs[1].MapSeconds *= 0.5
+	rep = CompareDocs(base, cur, 0.5)
+	k, _ = rowKey(reflect.ValueOf(cur.Runs[0]))
+	if got, want := rep.Advisory[1], fmt.Sprintf("advisory: runs: 2 of %d rows moved, most map_seconds %.4g -> %.4g (+100.0%%) at runs[%s]",
+		len(cur.Runs), base.Runs[0].MapSeconds, cur.Runs[0].MapSeconds, k); got != want {
+		t.Fatalf("advisory summary %q, want %q", got, want)
 	}
 
 	// Different sweep configurations are incomparable.

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -336,7 +337,7 @@ func TestRunGap(t *testing.T) {
 		}
 	}
 	if g.Instances > 0 {
-		if g.MeanRatio() < 1 || g.MaxRatio() < g.MedianRatio() {
+		if j := g.JSON().HMN; j.RatioMean < 1 || j.RatioMax < j.RatioMedian {
 			t.Fatalf("ratio summary inconsistent: %+v", g)
 		}
 		if !strings.Contains(g.String(), "Optimality gap") {
@@ -369,5 +370,44 @@ func TestRunReservations(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "reservation ablation") {
 		t.Fatal("String render broken")
+	}
+}
+
+// TestHeuristicSubsetReproducesItsCells: a sweep of a subset of the
+// heuristics, listed in another order, gives those heuristics' runs and
+// series exactly as the full sweep does.
+func TestHeuristicSubsetReproducesItsCells(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Reps = 1
+	full := RunSweep(cfg).JSON()
+	cfg.Heuristics = []string{"RA", "HMN"}
+	sub := RunSweep(cfg).JSON()
+
+	fullRuns := map[string]JSONRun{}
+	for _, r := range full.Runs {
+		k, _ := rowKey(reflect.ValueOf(r))
+		fullRuns[k] = r
+	}
+	for _, r := range sub.Runs {
+		k, _ := rowKey(reflect.ValueOf(r))
+		f := fullRuns[k]
+		if f.OK != r.OK || f.Err != r.Err || f.Objective != r.Objective || f.ExpSeconds != r.ExpSeconds || f.InterHostLinks != r.InterHostLinks {
+			t.Errorf("run %s: subset %+v, full sweep %+v", k, r, f)
+		}
+	}
+	fullSeries := map[string]JSONSeries{}
+	for _, s := range full.Series {
+		k, _ := rowKey(reflect.ValueOf(s))
+		fullSeries[k] = s
+	}
+	if len(sub.Series) == 0 {
+		t.Fatal("the subset sweep has no series")
+	}
+	for _, s := range sub.Series {
+		k, _ := rowKey(reflect.ValueOf(s))
+		f := fullSeries[k]
+		if f.PlacementDigest != s.PlacementDigest || f.Valid != s.Valid || f.ObjectiveMean != s.ObjectiveMean {
+			t.Errorf("series %s: subset digest %s valid %d, full sweep %s valid %d", k, s.PlacementDigest, s.Valid, f.PlacementDigest, f.Valid)
+		}
 	}
 }

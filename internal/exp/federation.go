@@ -6,9 +6,10 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -16,120 +17,89 @@ import (
 	"repro/internal/workload"
 )
 
-// The federation scenario measures what sharding buys a multi-tester
-// testbed: the same TOTAL host pool is served either as one big cluster
-// (one lock domain, one ledger) or partitioned into N independent shard
-// clusters behind the consistent-hash router. The workload — a churn of
-// link-dense environments with a rolling release window — is identical
-// in either case. Per-admission mapping cost is superlinear in cluster
-// size (every virtual link pays a shortest-path search over the whole
-// host graph), so N shards of H/N hosts admit the same stream several
-// times faster than one shard of H hosts, on top of the lock-domain
-// separation a concurrent front end exploits.
+// The federation experiment asks what partitioning one host pool into
+// shards costs in packing, and how much of that split admission and the
+// router's best-fit fallback buy back. One seeded tenant trace is
+// submitted in order to three testbeds built from the same 64 hosts:
+// one 8x8 torus, four 4x4 shards without a gateway, and the same four
+// shards with a gateway that carries split admissions. Every field of a
+// row is a count, a moment of the trace or a digest: the experiment is a
+// pure function of the seed, and throughput is hmnperf's fed_churn.
 
-// federationStream tags the scenario's seed derivations.
+// federationStream tags the experiment's seed derivations.
 const federationStream = 0x4645
 
-// FederationConfig parameterises the sharded-throughput scenario.
-type FederationConfig struct {
-	Hosts  int   // TOTAL hosts across all shards; default 64
-	Shards int   // shard count to compare against 1; default 4
-	Ops    int   // admissions per run; default 120
-	Guests int   // guests per environment; default 20
-	Active int   // live environments the churn sustains; default 24
-	Seed   int64 // default 1
-	// Density is the virtual-link density of the generated environments;
-	// default 0.06, dense enough that routing dominates admission cost.
-	Density float64
-	// GatewayBW budgets split admissions (0 = splits disabled, the
-	// default: the scenario measures routed whole-environment admission).
-	GatewayBW float64
-}
+// The scenario, fixed: hmnperf's fed_churn trace on 64 hosts.
+const (
+	federationHosts   = 64
+	federationOps     = 1000 // admissions per row: fed_churn's pool, once
+	federationTenants = 8    // tenants submitting round-robin
+	federationLive    = 12   // environments the FIFO window keeps live
+	federationGateway = 2000 // row (iii)'s gateway budget in Mbps
+)
 
-func (cfg FederationConfig) withDefaults() FederationConfig {
-	if cfg.Hosts <= 0 {
-		cfg.Hosts = 64
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 120
-	}
-	if cfg.Guests <= 0 {
-		cfg.Guests = 20
-	}
-	if cfg.Active <= 0 {
-		cfg.Active = 24
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Density <= 0 {
-		cfg.Density = 0.06
-	}
-	return cfg
-}
-
-// FederationRun is one shard count's measurements.
+// FederationRun is one testbed's row.
 type FederationRun struct {
-	Shards          int     `json:"shards" gate:"key"`
-	Hosts           int     `json:"hosts" gate:"key"`
-	Ops             int     `json:"ops" gate:"key"`
-	Admitted        int     `json:"admitted" gate:"count"`
-	Failed          int     `json:"failed" gate:"count"`
-	Splits          int     `json:"splits" gate:"count"`
-	Fallbacks       int     `json:"fallbacks" gate:"count"`
-	Seconds         float64 `json:"seconds" gate:"advisory"`
-	AdmitsPerSec    float64 `json:"admits_per_sec" gate:"advisory"`
-	AdmitP50        float64 `json:"admit_p50_seconds" gate:"advisory"`
-	AdmitP99        float64 `json:"admit_p99_seconds" gate:"advisory"`
-	PlacementDigest string  `json:"placement_digest" gate:"digest"`
+	Shards int `json:"shards" gate:"key"`
+	// GatewayBW is the gateway budget in Mbps; 0 disables split
+	// admission.
+	GatewayBW float64 `json:"gateway_bw" gate:"key"`
+	Ops       int     `json:"ops" gate:"key"`
+	Admitted  int     `json:"admitted" gate:"count"`
+	Failed    int     `json:"failed" gate:"count"`
+	// FirstReject is the number of operations before the first reject
+	// (Ops when none was rejected).
+	FirstReject int `json:"ops_to_first_reject" gate:"count"`
+	// Splits counts split admissions and Fallbacks the admissions the
+	// router did not send to the tenant's hashed shard.
+	Splits    int `json:"splits" gate:"count"`
+	Fallbacks int `json:"fallbacks" gate:"count"`
+	// GatewayHeld is the gateway bandwidth the live environments hold
+	// when the trace ends and GatewayPeak the most they held after any
+	// operation, in Mbps.
+	GatewayHeld float64 `json:"gateway_held" gate:"moment"`
+	GatewayPeak float64 `json:"gateway_peak" gate:"moment"`
+	// ObjectiveMean is Eq. (10) across all 64 hosts, averaged over the
+	// states after each operation.
+	ObjectiveMean float64 `json:"objective_mean" gate:"moment"`
+	// SearchesPerAdmit and PopsPerAdmit are the A*Prune searches and
+	// candidates popped by every admission attempt, per admitted
+	// environment: the routing work, counted rather than timed.
+	SearchesPerAdmit float64 `json:"searches_per_admit" gate:"moment"`
+	PopsPerAdmit     float64 `json:"pops_per_admit" gate:"moment"`
+	PlacementDigest  string  `json:"placement_digest" gate:"digest"`
 }
 
-// FederationResult compares the shard counts on the same workload.
+// FederationResult is the three rows, in the order above.
 type FederationResult struct {
 	Runs []FederationRun `json:"runs"`
 }
 
-// Speedup is the aggregate-throughput ratio of the last run (the
-// sharded one) over the first (the single-shard baseline).
-func (r FederationResult) Speedup() float64 {
-	if len(r.Runs) < 2 || r.Runs[0].AdmitsPerSec == 0 {
-		return 0
-	}
-	return r.Runs[len(r.Runs)-1].AdmitsPerSec / r.Runs[0].AdmitsPerSec
-}
-
-// String renders the comparison for the CLI.
+// String renders the rows for the CLI.
 func (r FederationResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Federation benchmark: fixed host pool partitioned across shards\n")
-	fmt.Fprintf(&b, "  shards   hosts/shard   admitted   admits/s   p50 (ms)   p99 (ms)   fallbacks   placement digest\n")
+	fmt.Fprintf(&b, "Federation: one %d-host pool, %d tenants, FIFO window of %d\n", federationHosts, federationTenants, federationLive)
+	fmt.Fprintf(&b, "  shards  gateway   ops  admitted  first reject  splits  fallbacks  held / peak (Mbps)  Eq.(10) mean  searches/admit  pops/admit  placement digest\n")
 	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "  %6d   %11d   %8d   %8.1f   %8.3f   %8.3f   %9d   %s\n",
-			run.Shards, run.Hosts/run.Shards, run.Admitted, run.AdmitsPerSec,
-			1e3*run.AdmitP50, 1e3*run.AdmitP99, run.Fallbacks, run.PlacementDigest)
-	}
-	if sp := r.Speedup(); sp > 0 {
-		fmt.Fprintf(&b, "  aggregate speedup at %d shards: %.2fx\n", r.Runs[len(r.Runs)-1].Shards, sp)
+		fmt.Fprintf(&b, "  %6d  %7.0f  %4d  %8d  %12d  %6d  %9d  %7.1f / %7.1f  %12.2f  %14.2f  %10.1f  %s\n",
+			run.Shards, run.GatewayBW, run.Ops, run.Admitted, run.FirstReject, run.Splits, run.Fallbacks,
+			run.GatewayHeld, run.GatewayPeak, run.ObjectiveMean, run.SearchesPerAdmit, run.PopsPerAdmit, run.PlacementDigest)
 	}
 	return b.String()
 }
 
-// RunFederation plays the same admission churn at one shard and at
-// cfg.Shards shards over the same total host pool.
-func RunFederation(cfg FederationConfig) FederationResult {
-	cfg = cfg.withDefaults()
-	counts := []int{1}
-	if cfg.Shards > 1 {
-		counts = append(counts, cfg.Shards)
-	}
-	var res FederationResult
-	for _, n := range counts {
-		res.Runs = append(res.Runs, federationRun(cfg, n))
-	}
-	return res
+// RunFederation plays the trace seeded from seed on the three testbeds.
+func RunFederation(seed int64) FederationResult {
+	return runFederation(seed, federationOps)
+}
+
+// runFederation is RunFederation with a trace of ops admissions.
+func runFederation(seed int64, ops int) FederationResult {
+	return FederationResult{Runs: []FederationRun{
+		federationRun(seed, ops, 1, 0),
+		federationRun(seed, ops, 4, 0),
+		federationRun(seed, ops, 4, federationGateway),
+	}}
 }
 
 // federationClusters partitions one fixed host pool into n equal torus
@@ -138,14 +108,15 @@ func RunFederation(cfg FederationConfig) FederationResult {
 // varies across the paper's range while memory and storage are
 // deliberately ample — the router reserves CPU only, and the testbed
 // must keep CPU the binding resource.
-func federationClusters(cfg FederationConfig, n int) []*cluster.Cluster {
-	per := cfg.Hosts / n
-	rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, federationStream)))
-	pool := make([]topology.HostSpec, n*per)
+func federationClusters(seed int64, n int) []*cluster.Cluster {
+	per := federationHosts / n
+	rng := rand.New(rand.NewSource(deriveSeed(seed, federationStream)))
+	pool := make([]topology.HostSpec, federationHosts)
 	for i := range pool {
 		pool[i] = topology.HostSpec{
 			Name: fmt.Sprintf("h%d", i),
-			Proc: 1000 + 2000*rng.Float64(),
+			// Unfused, so the committed digests hold off amd64 too.
+			Proc: 1000 + float64(2000*rng.Float64()),
 			Mem:  65536,
 			Stor: 100000,
 		}
@@ -162,78 +133,89 @@ func federationClusters(cfg FederationConfig, n int) []*cluster.Cluster {
 	return out
 }
 
-// federationRun plays the deterministic churn on an n-shard federation.
-// The schedule is a pure function of cfg.Seed: environment i comes from
-// (Seed, federationStream, i), the release order is FIFO once the
-// active window fills, and admissions are submitted serially — routing
-// happens on the submitting goroutine and each shard executes its
-// operations in submission order, so the placement digest is
-// byte-identical across reruns of the same seed and shard count.
-func federationRun(cfg FederationConfig, n int) FederationRun {
-	f, err := shard.New(federationClusters(cfg, n), shard.Config{GatewayBW: cfg.GatewayBW})
+// federationEnv is the trace's i-th environment, fed_churn's: 20-80
+// guests, and 300-340 for every 10th, at link density 0.06.
+func federationEnv(seed int64, i int) *virtual.Env {
+	rng := rand.New(rand.NewSource(deriveSeed(seed, federationStream, int64(i))))
+	guests := 20 + rng.Intn(61)
+	if i%10 == 9 {
+		guests = 300 + rng.Intn(41)
+	}
+	return workload.GenerateEnv(workload.HighLevelParams(guests, 0.06), rng)
+}
+
+// federationRun plays the trace on n shards behind a gateway of gateway
+// Mbps. Tenant i mod 8 submits admission i; once more than 12
+// environments are live, each admission releases the oldest. The
+// operations run serially, so routing and every shard's mapping — and
+// with them every field of the row — repeat exactly from the seed.
+func federationRun(seed int64, ops, n int, gateway float64) FederationRun {
+	var route graph.SearchStats
+	f, err := shard.New(federationClusters(seed, n), shard.Config{
+		GatewayBW: gateway,
+		Hooks:     shard.Hooks{OnAdmit: func(st core.AdmitStats, _ float64) { route.Add(st.Route) }},
+	})
 	if err != nil {
 		panic(err)
 	}
 	defer f.Close()
-	sid, err := f.OpenTenant()
-	if err != nil {
-		panic(err)
+	tenants := make([]string, federationTenants)
+	for i := range tenants {
+		if tenants[i], err = f.OpenTenant(); err != nil {
+			panic(err)
+		}
 	}
 
-	// Generate the whole environment stream outside the timed loop: the
-	// scenario measures admission, not workload synthesis.
-	envs := make([]*virtual.Env, cfg.Ops)
-	for i := range envs {
-		envs[i] = workload.GenerateEnv(workload.HighLevelParams(cfg.Guests, cfg.Density),
-			rand.New(rand.NewSource(deriveSeed(cfg.Seed, federationStream, int64(i)))))
-	}
-
-	run := FederationRun{Shards: n, Hosts: (cfg.Hosts / n) * n, Ops: cfg.Ops}
+	run := FederationRun{Shards: n, GatewayBW: gateway, Ops: ops, FirstReject: ops}
 	digest := fnv.New64a()
-	admitSecs := make([]float64, 0, cfg.Ops)
-	var window []string
-
-	start := time.Now() //hmn:wallclock
-	for i, env := range envs {
-		admitStart := time.Now() //hmn:wallclock
-		eid, pl, err := f.Admit(sid, env)
-		admitSecs = append(admitSecs, time.Since(admitStart).Seconds()) //hmn:wallclock
-		if err != nil {
-			if !errors.Is(err, shard.ErrNoShardFits) && !errors.Is(err, shard.ErrGatewayExhausted) {
-				panic(err)
-			}
+	type live struct{ sid, eid string }
+	var window []live
+	residuals := make([]float64, 0, federationHosts)
+	objSum := 0.0
+	for i := 0; i < ops; i++ {
+		sid := tenants[i%federationTenants]
+		eid, pl, err := f.Admit(sid, federationEnv(seed, i))
+		switch {
+		case errors.Is(err, shard.ErrUnknownTenant), errors.Is(err, shard.ErrClosed):
+			panic(err)
+		case err != nil:
 			run.Failed++
-			continue
-		}
-		run.Admitted++
-		fmt.Fprintf(digest, "%d:%s", i, eid)
-		for _, fr := range pl.Fragments {
-			fmt.Fprintf(digest, "|s%d", fr.Shard)
-			for g, node := range fr.M.GuestHost {
-				fmt.Fprintf(digest, " %d=%d", g, node)
+			run.FirstReject = min(run.FirstReject, i)
+			fmt.Fprintf(digest, "%d:", i)
+			digestMapping(digest, nil, err)
+		default:
+			run.Admitted++
+			fmt.Fprintf(digest, "%d:%s", i, eid)
+			for _, fr := range pl.Fragments {
+				fmt.Fprintf(digest, "|s%d", fr.Shard)
+				digestMapping(digest, fr.M, nil)
+			}
+			window = append(window, live{sid, eid})
+			if len(window) > federationLive {
+				if err := f.Release(window[0].sid, window[0].eid); err != nil {
+					panic(err)
+				}
+				window = window[1:]
 			}
 		}
-		window = append(window, eid)
-		// Structure-driven churn: once the window is full, every
-		// admission retires the oldest tenant, keeping the federation at
-		// a steady occupancy without any wall-clock dependence.
-		if len(window) > cfg.Active {
-			if err := f.Release(sid, window[0]); err != nil {
-				panic(err)
-			}
-			window = window[1:]
+		residuals = residuals[:0]
+		for k := 0; k < n; k++ {
+			sh, _ := f.Shard(k) // k < n: the shard exists
+			residuals = append(residuals, sh.Session().ResidualProc()...)
 		}
+		objSum += stats.PopStdDev(residuals)
+		run.GatewayPeak = max(run.GatewayPeak, f.Stats().GatewayInUse)
 	}
-	run.Seconds = time.Since(start).Seconds() //hmn:wallclock
 
 	st := f.Stats()
 	run.Splits = int(st.SplitAdmissions)
 	run.Fallbacks = int(st.RouterFallbacks)
-	if run.Seconds > 0 {
-		run.AdmitsPerSec = float64(run.Admitted) / run.Seconds
+	run.GatewayHeld = st.GatewayInUse
+	run.ObjectiveMean = objSum / float64(ops)
+	if run.Admitted > 0 {
+		run.SearchesPerAdmit = float64(route.Searches) / float64(run.Admitted)
+		run.PopsPerAdmit = float64(route.Pops) / float64(run.Admitted)
 	}
-	run.AdmitP50 = stats.Percentile(admitSecs, 50)
-	run.AdmitP99 = stats.Percentile(admitSecs, 99)
 	run.PlacementDigest = fmt.Sprintf("%016x", digest.Sum64())
 	return run
 }

@@ -53,19 +53,6 @@ type GapResult struct {
 	RatiosGA  []float64
 }
 
-// MeanRatio returns the average HMN/optimal objective ratio (1 = always
-// optimal). Returns 0 with no data.
-func (g GapResult) MeanRatio() float64 { return stats.Mean(g.Ratios) }
-
-// MaxRatio returns the worst observed ratio.
-func (g GapResult) MaxRatio() float64 { return stats.Max(g.Ratios) }
-
-// MedianRatio returns the median ratio.
-func (g GapResult) MedianRatio() float64 { return stats.Percentile(g.Ratios, 50) }
-
-// MeanAbsGap returns the average absolute objective excess in MIPS.
-func (g GapResult) MeanAbsGap() float64 { return stats.Mean(g.AbsGaps) }
-
 // GapJSON is the gap experiment's block of the JSON document: every
 // field is a pure function of the seed and the instance count.
 type GapJSON struct {
@@ -103,18 +90,19 @@ func (g GapResult) JSON() *GapJSON {
 // String renders the result for the CLI.
 func (g GapResult) String() string {
 	var b strings.Builder
+	j := g.JSON()
 	fmt.Fprintf(&b, "Optimality gap: HMN vs exact branch-and-bound on %d solved instances\n", g.Instances)
 	fmt.Fprintf(&b, "  HMN optimal on %d/%d; objective ratio mean %.3f, median %.3f, worst %.3f\n",
-		g.Optimal, g.Instances, g.MeanRatio(), g.MedianRatio(), g.MaxRatio())
+		g.Optimal, g.Instances, j.HMN.RatioMean, j.HMN.RatioMedian, j.HMN.RatioMax)
 	fmt.Fprintf(&b, "  absolute gap mean %.1f MIPS against optima averaging %.1f MIPS\n",
-		g.MeanAbsGap(), stats.Mean(g.Optima))
+		stats.Mean(g.AbsGaps), stats.Mean(g.Optima))
 	if len(g.RatiosPlus) > 0 {
 		fmt.Fprintf(&b, "  HMN+ (all-hosts migration): optimal on %d/%d, ratio mean %.3f, worst %.3f\n",
-			g.OptimalPlus, len(g.RatiosPlus), stats.Mean(g.RatiosPlus), stats.Max(g.RatiosPlus))
+			g.OptimalPlus, len(g.RatiosPlus), j.HMNPlus.RatioMean, j.HMNPlus.RatioMax)
 	}
 	if len(g.RatiosGA) > 0 {
 		fmt.Fprintf(&b, "  memetic GA: optimal on %d/%d, ratio mean %.3f, worst %.3f\n",
-			g.OptimalGA, len(g.RatiosGA), stats.Mean(g.RatiosGA), stats.Max(g.RatiosGA))
+			g.OptimalGA, len(g.RatiosGA), j.GA.RatioMean, j.GA.RatioMax)
 	}
 	if g.HMNMissed > 0 || g.Infeasible > 0 {
 		fmt.Fprintf(&b, "  (%d instances infeasible for both, %d solved exactly but missed by HMN)\n",

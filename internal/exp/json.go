@@ -26,7 +26,7 @@ import (
 //	count     an integer, flag or label that must not move
 //	digest    a placement hash that must not move
 //	moment    a float statistic of seeded runs: within the threshold
-//	advisory  a wall-clock reading, printed and never gating
+//	advisory  a wall-clock reading, summed up per block, never gating
 //
 // A field without a tag is a block: a struct, a pointer to one (absent
 // from a document that did not run it) or a slice of rows.
@@ -104,8 +104,8 @@ type JSONDocument struct {
 	Heuristics []string     `json:"heuristics" gate:"key"`
 	Series     []JSONSeries `json:"series"`
 	Runs       []JSONRun    `json:"runs,omitempty"`
-	// Federation holds the sharded aggregate-throughput comparison
-	// (-shards).
+	// Federation holds one host pool as one cluster, four shards and
+	// four shards with split admission (-federation).
 	Federation *FederationResult `json:"federation,omitempty"`
 	// Churn holds the admission churn, bare vs rebalanced (-churn).
 	Churn *ChurnResult `json:"churn,omitempty"`

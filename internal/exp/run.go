@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -184,7 +185,11 @@ func runOne(cfg Config, si, rep int) []Run {
 		if err != nil {
 			panic(fmt.Sprintf("exp: cannot build %v cluster: %v", topo, err))
 		}
-		for hi, name := range cfg.Heuristics {
+		for _, name := range cfg.Heuristics {
+			// A mapper's seed follows its name, not its place in the
+			// list, so a subset of the heuristics reproduces their cells
+			// of the full sweep.
+			hi := slices.Index(HeuristicNames, name)
 			mapperSeed := deriveSeed(cfg.Seed, int64(si), int64(rep), int64(100+hi+int(topo)*10))
 			out = append(out, execute(cfg, sc, topo, name, rep, c, env, mapperSeed))
 		}

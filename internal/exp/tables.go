@@ -21,8 +21,6 @@ type cell struct {
 	expSeconds stats.Welford
 	mapSeconds stats.Welford
 	interLinks stats.Welford
-	failures   int
-	total      int
 }
 
 func (r *Results) cells() map[cellKey]*cell {
@@ -34,9 +32,7 @@ func (r *Results) cells() map[cellKey]*cell {
 			c = &cell{}
 			out[k] = c
 		}
-		c.total++
 		if !run.OK {
-			c.failures++
 			continue
 		}
 		c.objective.Add(run.Objective)
@@ -70,7 +66,7 @@ func (r *Results) scenarioLabels() []Scenario {
 	return out
 }
 
-func (r *Results) renderMetricTable(title string, metric func(*cell) (float64, bool), format string) string {
+func (r *Results) renderMetricTable(title string, metric func(*cell) float64, format string) string {
 	cells := r.cells()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
@@ -108,12 +104,7 @@ func (r *Results) renderMetricTable(title string, metric func(*cell) (float64, b
 					fmt.Fprintf(&b, "%-9s", "-")
 					continue
 				}
-				v, ok := metric(c)
-				if !ok {
-					fmt.Fprintf(&b, "%-9s", "-")
-					continue
-				}
-				fmt.Fprintf(&b, format, v)
+				fmt.Fprintf(&b, format, metric(c))
 			}
 		}
 		b.WriteString("\n")
@@ -129,24 +120,16 @@ func (r *Results) renderMetricTable(title string, metric func(*cell) (float64, b
 func (r *Results) Table2() string {
 	out := r.renderMetricTable(
 		"Table 2. Objective function and failures.",
-		func(c *cell) (float64, bool) { return c.objective.Mean(), true },
+		func(c *cell) float64 { return c.objective.Mean() },
 		"%-9.1f",
 	)
-	// Failures row.
-	cells := r.cells()
 	var b strings.Builder
 	b.WriteString(out)
 	fmt.Fprintf(&b, "%-14s", "Failures")
 	for _, topo := range r.Config.Topologies {
 		b.WriteString("| ")
 		for _, h := range r.Config.Heuristics {
-			count := 0
-			for _, sc := range r.scenarioLabels() {
-				if c := cells[cellKey{sc.Label(), topo, h}]; c != nil {
-					count += c.failures
-				}
-			}
-			fmt.Fprintf(&b, "%-9d", count)
+			fmt.Fprintf(&b, "%-9d", r.FailureCount(topo, h))
 		}
 	}
 	b.WriteString("\n")
@@ -158,7 +141,7 @@ func (r *Results) Table2() string {
 func (r *Results) Table3() string {
 	return r.renderMetricTable(
 		"Table 3. Emulated experiment execution time (seconds).",
-		func(c *cell) (float64, bool) { return c.expSeconds.Mean(), true },
+		func(c *cell) float64 { return c.expSeconds.Mean() },
 		"%-9.3f",
 	)
 }
@@ -169,7 +152,7 @@ func (r *Results) Table3() string {
 func (r *Results) MappingTimeTable() string {
 	return r.renderMetricTable(
 		"Mapping wall time (seconds).",
-		func(c *cell) (float64, bool) { return c.mapSeconds.Mean(), true },
+		func(c *cell) float64 { return c.mapSeconds.Mean() },
 		"%-9.4f",
 	)
 }

@@ -47,7 +47,7 @@ ppc='FMADD|FMSUB|FNMADD|FNMSUB|XS[A-Z]*M(ADD|SUB)[A-Z]*DP'
 ratchet hmnd arm64 0 "$arm"
 ratchet hmnd ppc64le 0 "$ppc"
 ratchet hmnd riscv64 0 "$arm"
-ratchet hmnbench arm64 22 "$arm"
-ratchet hmnbench ppc64le 18 "$ppc"
-ratchet hmnbench riscv64 22 "$arm"
+ratchet hmnbench arm64 21 "$arm"
+ratchet hmnbench ppc64le 17 "$ppc"
+ratchet hmnbench riscv64 21 "$arm"
 exit "$status"
