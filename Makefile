@@ -1,5 +1,3 @@
-GOPATH_BIN := $(shell go env GOPATH)/bin
-
 .PHONY: build test examples loc lint vet fuzz clean bench-allocs bench-baselines bench-compare bench-phase bench-pairs fma-ratchet crash-smoke
 
 # Relative drift (percent) bench-compare tolerates on deterministic
@@ -26,12 +24,12 @@ examples:
 loc:
 	@./scripts/loc.sh
 
-## lint runs the repo's own analyzers (cmd/hmnlint) standalone, then as
-## a cmd/go vettool — the exact invocation CI gates on.
+## lint runs the repo's own analyzers (internal/lint) over every package
+## of the module through their one runner, TestRepoClean, printing each
+## finding as file:line:col: message [analyzer] and failing on any.
+## `go test ./...` runs the same test.
 lint:
-	go run ./cmd/hmnlint ./...
-	go install ./cmd/hmnlint
-	go vet -vettool="$(GOPATH_BIN)/hmnlint" ./...
+	go test -count=1 -run '^TestRepoClean$$' -v ./internal/lint
 
 vet:
 	go vet ./...

@@ -265,6 +265,28 @@ func TestCompareDocsFlagsDrift(t *testing.T) {
 	}
 }
 
+// TestCompareDocsExtraRowsInKeyOrder: rows only the current document
+// has are listed in key order, whatever order the per-key map hands
+// them out in. Eight extra rows, fifty comparisons: Go's map order
+// varies between them, so without the key sort some report comes out
+// shuffled.
+func TestCompareDocsExtraRowsInKeyOrder(t *testing.T) {
+	base := JSONDocument{Federation: &FederationResult{Runs: []FederationRun{{Shards: 1}}}}
+	cur := JSONDocument{Federation: &FederationResult{}}
+	var want []string
+	for s := 9; s >= 1; s-- {
+		cur.Federation.Runs = append(cur.Federation.Runs, FederationRun{Shards: s})
+	}
+	for s := 2; s <= 9; s++ {
+		want = append(want, fmt.Sprintf("federation.runs[%d / 0 / 0]: present in the current run but missing from the baseline", s))
+	}
+	for call := 0; call < 50; call++ {
+		if got := CompareDocs(base, cur, 0).Problems; !reflect.DeepEqual(got, want) {
+			t.Fatalf("comparison %d listed:\n%s\nwant key order:\n%s", call, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
 // TestCompareDocsGapGate: the gap block's counts and ratios gate, and
 // only against a baseline that carries it.
 func TestCompareDocsGapGate(t *testing.T) {

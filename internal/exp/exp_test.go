@@ -202,6 +202,31 @@ func TestFigure1SortedByMappedLinks(t *testing.T) {
 	}
 }
 
+// TestFigure1TiesInLabelOrder: scenarios that map the same number of
+// links keep label order, whatever order the per-label map hands them
+// out in. Eight tied scenarios, fifty calls: Go's map order varies
+// between calls, so without the label sort some call comes out
+// shuffled.
+func TestFigure1TiesInLabelOrder(t *testing.T) {
+	var res Results
+	var want []string
+	for r := 1; r <= 8; r++ {
+		sc := Scenario{Ratio: float64(r), Density: 0.1, Class: HighLevel}
+		want = append(want, sc.Label())
+		res.Runs = append(res.Runs, Run{Scenario: sc, Topology: Torus, Heuristic: "HMN",
+			OK: true, MapSeconds: 0.01, Links: 9, InterHostLinks: 5})
+	}
+	for call := 0; call < 50; call++ {
+		var got []string
+		for _, p := range res.Figure1(Torus) {
+			got = append(got, p.Scenario.Label())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: tied Figure 1 rows in order %q, want label order %q", call, got, want)
+		}
+	}
+}
+
 func TestCorrelationByClass(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Scenarios = QuickScenarios() // both classes

@@ -1,15 +1,15 @@
-// Package lint is hmnlint: a static-analysis suite that enforces the
-// repo's determinism, lock-discipline and lock-order invariants at
-// compile time (DESIGN.md §11).
+// Package lint is the repo's static-analysis suite: three analyzers
+// that enforce its determinism, lock-discipline and lock-order
+// invariants (DESIGN.md §11). TestRepoClean is their one runner: it
+// applies them to every package of the module under `go test`, and
+// `make lint` runs just that test.
 //
 // The suite is modelled on golang.org/x/tools/go/analysis — each check
-// is an *Analyzer with a Run(*Pass) function and the drivers feed it
+// is an *Analyzer with a Run(*Pass) function and the loader feeds it
 // parsed, type-checked packages — but is implemented entirely on the
 // standard library so the module stays dependency-free: this package
-// defines the Analyzer/Pass/Diagnostic surface, load.go is the
-// go/packages-shaped loader (go list -export + the gc importer), and
-// unitchecker.go speaks cmd/go's vet.cfg protocol so the same binary
-// runs under `go vet -vettool=`.
+// defines the Analyzer/Pass/Diagnostic surface, and load.go is the
+// go/packages-shaped loader (go list -export + the gc importer).
 package lint
 
 import (
@@ -23,13 +23,11 @@ import (
 // Analyzer describes one analysis pass: a named invariant and the
 // function that checks a single package for violations of it.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and on the command
-	// line. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid
+	// Go identifier.
 	Name string
-	// Doc is the one-paragraph description printed by `hmnlint help`.
-	Doc string
 	// Run inspects a package and reports diagnostics via pass.Report.
-	// The result value is unused by hmnlint's analyzers and exists only
+	// The result value is unused by the suite's analyzers and exists only
 	// to keep the signature compatible with go/analysis.
 	Run func(pass *Pass) (interface{}, error)
 }
@@ -43,7 +41,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report delivers one diagnostic. The drivers install it.
+	// Report delivers one diagnostic. runAnalyzers installs it.
 	Report func(Diagnostic)
 
 	// directives caches the parsed //hmn: directives per file.
@@ -61,7 +59,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Analyzers is the hmnlint suite in the order the drivers run it.
+// Analyzers is the suite in the order runAnalyzers applies it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
@@ -70,40 +68,11 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated analyzer selection ("" means all).
-func ByName(sel string) ([]*Analyzer, error) {
-	all := Analyzers()
-	if sel == "" {
-		return all, nil
-	}
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(sel, ",") {
-		a := byName[strings.TrimSpace(name)]
-		if a == nil {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, analyzerNames(all))
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func analyzerNames(as []*Analyzer) string {
-	names := make([]string, len(as))
-	for i, a := range as {
-		names[i] = a.Name
-	}
-	return strings.Join(names, ", ")
-}
-
 // runAnalyzers applies as to one loaded package and returns the
 // findings sorted by position. Diagnostics inside _test.go files are
 // dropped: the invariants the suite guards (seeded replay, lock
 // discipline, lock order) bind production code; tests are free to read
-// the wall clock. Whatever the analyzer selection, a //hmn: directive no
+// the wall clock. Whatever analyzers run, a //hmn: directive no
 // analyzer knows is reported once per package.
 func runAnalyzers(pkg *Package, as []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic

@@ -1,4 +1,4 @@
-// Package analysistest runs hmnlint analyzers against fixture packages
+// Package analysistest runs the repo's analyzers against fixture packages
 // under internal/lint/testdata/src and checks their diagnostics against
 // // want expectations written in the fixture sources — the stdlib-only
 // counterpart of golang.org/x/tools/go/analysis/analysistest.

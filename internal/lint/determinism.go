@@ -23,6 +23,9 @@ import (
 //     slice — avoids the report; a loop whose effect is genuinely
 //     order-free carries //hmn:orderinvariant.
 //
+// Outside those packages it reports the two directives themselves:
+// there they waive nothing.
+//
 // In the mapping hot path (internal/core) it additionally flags
 // stats.PopStdDev calls inside loops or closures: the ledger maintains
 // the Eq. (10) objective incrementally (Ledger.ObjectiveStdDev,
@@ -33,9 +36,7 @@ import (
 // which computes it in a function of its own.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc: "flag unseeded randomness, wall-clock reads and map-order dependent " +
-		"output in the deterministic packages",
-	Run: runDeterminism,
+	Run:  runDeterminism,
 }
 
 // deterministicPkgs are the packages whose output must be a pure
@@ -87,6 +88,7 @@ var exactObjectivePkgs = map[string]bool{
 
 func runDeterminism(pass *Pass) (interface{}, error) {
 	if !analyzerInScope(pass.Pkg.Path(), "determinism", func(p string) bool { return deterministicPkgs[p] }) {
+		reportOutOfScope(pass)
 		return nil, nil
 	}
 	hotPath := analyzerInScope(pass.Pkg.Path(), "determinism", func(p string) bool { return exactObjectivePkgs[p] })
@@ -105,6 +107,20 @@ func runDeterminism(pass *Pass) (interface{}, error) {
 		}
 	}
 	return nil, nil
+}
+
+// reportOutOfScope reports every //hmn:wallclock and //hmn:orderinvariant
+// in a package outside deterministicPkgs. Nothing is checked there, so
+// such a directive waives nothing, yet `grep -rn hmn:` would list it as
+// an exception.
+func reportOutOfScope(pass *Pass) {
+	for _, name := range []string{dirWallclock, dirOrderInvariant} {
+		for _, d := range pass.packageDirectives(name) {
+			pass.Reportf(d.pos,
+				"//hmn:%s waives nothing: %s is not a deterministic package; delete the directive",
+				name, pass.Pkg.Path())
+		}
+	}
 }
 
 // checkExactRecompute flags stats.PopStdDev calls that sit inside a

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// hmnlint directives are line comments of the form
+// The suite's directives are line comments of the form
 //
 //	//hmn:wallclock                 this line legitimately reads the wall clock
 //	//hmn:orderinvariant            this map iteration's effect is order-free

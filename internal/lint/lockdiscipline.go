@@ -35,7 +35,6 @@ import (
 // the obligation it inherits.
 var LockDisciplineAnalyzer = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "flag reads/writes of //hmn:guardedby fields on paths that do not hold the named mutex",
 	Run:  runLockDiscipline,
 }
 

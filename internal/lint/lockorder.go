@@ -33,7 +33,6 @@ import (
 // are skipped: the analyzer cannot distinguish instances.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
-	Doc:  "report lock-acquisition cycles and violations of declared //hmn:lockorder contracts",
 	Run:  runLockOrder,
 }
 

@@ -14,9 +14,11 @@ import (
 )
 
 // TestRepoClean runs every analyzer over the whole module and requires
-// that it report nothing. A new wall-clock read, global rand call,
-// unguarded access or out-of-order lock acquisition fails this test
-// before it ever reaches CI's vettool step.
+// that it report nothing. It is the analyzers' only runner: `go test
+// ./...` runs it, and `make lint` runs it alone. A new wall-clock read,
+// global rand call, unguarded access, out-of-order lock acquisition or
+// directive that waives nothing fails it, one file:line:col: message
+// [analyzer] line per finding.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

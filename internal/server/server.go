@@ -359,11 +359,11 @@ func (s *Server) Handler() http.Handler {
 // (or concurrently with) serving traffic. A classic daemon without a
 // data directory has nothing to recover and serves from the start.
 func (s *Server) Recover() error {
-	start := time.Now() //hmn:wallclock
+	start := time.Now()
 	if err := s.rebuild(); err != nil {
 		return err
 	}
-	s.mRecovery.Set(time.Since(start).Seconds()) //hmn:wallclock
+	s.mRecovery.Set(time.Since(start).Seconds())
 	s.replaying.Store(false)
 	return nil
 }

@@ -224,12 +224,12 @@ func (l *log) syncLocked() error {
 	if err != nil {
 		return l.faultBarrier(fmt.Errorf("wal: flush: %w", err))
 	}
-	start := time.Now() //hmn:wallclock
+	start := time.Now()
 	if err := f.Sync(); err != nil {
 		return l.faultBarrier(fmt.Errorf("wal: fsync: %w", err))
 	}
 	if l.hooks.OnFsync != nil {
-		l.hooks.OnFsync(time.Since(start).Seconds()) //hmn:wallclock
+		l.hooks.OnFsync(time.Since(start).Seconds())
 	}
 	l.syncedSeq.Store(flushed)
 	return nil
@@ -262,12 +262,12 @@ func (l *log) rotate() (cut, error) {
 	if err := l.w.Flush(); err != nil {
 		return cut{}, l.faultLocked(fmt.Errorf("wal: flush on rotate: %w", err))
 	}
-	start := time.Now() //hmn:wallclock
+	start := time.Now()
 	if err := l.f.Sync(); err != nil {
 		return cut{}, l.faultLocked(fmt.Errorf("wal: fsync on rotate: %w", err))
 	}
 	if l.hooks.OnFsync != nil {
-		l.hooks.OnFsync(time.Since(start).Seconds()) //hmn:wallclock
+		l.hooks.OnFsync(time.Since(start).Seconds())
 	}
 	l.syncedSeq.Store(l.appendSeq)
 	if err := l.f.Close(); err != nil {

@@ -188,12 +188,12 @@ type Recovery struct {
 // log. A record that diverges, names an unknown session or fails to
 // decode aborts the pass with nothing published.
 func (p *logPass) replay(snap *Snapshot, segs []uint64, onRecord func(*Replayed, *Record)) (*Recovery, error) {
-	start := time.Now() //hmn:wallclock
+	start := time.Now()
 	rp, err := newReplayer(snap, onRecord)
 	if err != nil {
 		return nil, err
 	}
-	restored := time.Since(start) //hmn:wallclock
+	restored := time.Since(start)
 	p.reuse, p.fn = true, rp.apply
 	if snap != nil {
 		p.fromSeg = snap.FirstSeg

@@ -84,7 +84,7 @@ type ActiveRec struct {
 // nil) — a log-only directory is valid (the daemon may die before its
 // first snapshot).
 func loadSnapshot(dir string) (*Snapshot, error) {
-	start := time.Now() //hmn:wallclock
+	start := time.Now()
 	buf, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -96,7 +96,7 @@ func loadSnapshot(dir string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap.size, snap.took = int64(len(buf)), time.Since(start) //hmn:wallclock
+	snap.size, snap.took = int64(len(buf)), time.Since(start)
 	return snap, nil
 }
 

@@ -233,7 +233,7 @@ func (w *WAL) Checkpoint(export func() ([]SessionSnap, error)) error {
 //
 //hmn:locked snapMu
 func (w *WAL) snapshot(export func() ([]SessionSnap, error)) error {
-	start := time.Now() //hmn:wallclock
+	start := time.Now()
 	at, err := w.log.rotate()
 	if err != nil {
 		return err
@@ -244,7 +244,7 @@ func (w *WAL) snapshot(export func() ([]SessionSnap, error)) error {
 		return err
 	}
 	if w.hooks.OnSnapshot != nil {
-		w.hooks.OnSnapshot(time.Since(start).Seconds()) //hmn:wallclock
+		w.hooks.OnSnapshot(time.Since(start).Seconds())
 	}
 	return nil
 }
