@@ -1,6 +1,8 @@
 package server
 
 import (
+	"strconv"
+
 	"repro/internal/deploy"
 	"repro/internal/jsonx"
 	"repro/internal/spec"
@@ -42,12 +44,32 @@ type MapEnvRequest struct {
 	PlanShell bool         `json:"plan_shell,omitempty"`
 }
 
-// MapEnvResponse reports a successful mapping.
-type MapEnvResponse struct {
+// AdmitResponse reports an admission in either mode: its fragments (one
+// when the environment landed whole; on shard 0 of a classic daemon),
+// the gateway bandwidth a split charged, and the routing outcome flags.
+type AdmitResponse struct {
 	ID        string           `json:"id"`
+	Fragments []FragmentReport `json:"fragments"`
+	CutBW     float64          `json:"cut_bw,omitempty"`
+	Split     bool             `json:"split,omitempty"`
+	Fallback  bool             `json:"fallback,omitempty"`
+}
+
+// FragmentReport is one committed fragment of an admission, with, on
+// request, its deployment plan and the plan's shell rendering.
+type FragmentReport struct {
+	Shard     int              `json:"shard"`
+	Guests    []int            `json:"guests,omitempty"`
 	Mapping   spec.MappingSpec `json:"mapping"`
 	Plan      *deploy.Plan     `json:"plan,omitempty"`
 	PlanShell string           `json:"plan_shell,omitempty"`
+}
+
+// MapEnvResponse was the classic admit reply before a classic admission
+// became one fragment; the frozen benchmark harness still encodes it.
+type MapEnvResponse struct {
+	ID      string           `json:"id"`
+	Mapping spec.MappingSpec `json:"mapping"`
 }
 
 // ResidualsResponse is the body of GET /v1/sessions/{sid}/residuals: the
@@ -128,20 +150,60 @@ func (r *MapEnvRequest) ScanJSON(s *jsonx.Scanner) bool {
 	return true
 }
 
-// AppendJSON implements jsonx.Appender. A reply carrying a deployment
-// plan is left to encoding/json.
+// AppendJSON implements jsonx.Appender.
 func (r MapEnvResponse) AppendJSON(dst []byte) ([]byte, bool) {
-	if r.Plan != nil {
-		return dst, false
-	}
 	ok := true
 	dst = append(dst, `{"id":`...)
 	dst = jsonx.AppendString(dst, r.ID, &ok)
 	dst = append(dst, `,"mapping":`...)
 	dst, mok := r.Mapping.AppendJSON(dst)
-	if r.PlanShell != "" {
-		dst = append(dst, `,"plan_shell":`...)
-		dst = jsonx.AppendString(dst, r.PlanShell, &ok)
-	}
 	return append(dst, '}'), ok && mok
+}
+
+// AppendJSON implements jsonx.Appender. A reply carrying a deployment
+// plan, or no fragment list, is left to encoding/json.
+func (r AdmitResponse) AppendJSON(dst []byte) ([]byte, bool) {
+	if r.Fragments == nil {
+		return dst, false
+	}
+	ok := true
+	dst = append(dst, `{"id":`...)
+	dst = jsonx.AppendString(dst, r.ID, &ok)
+	dst = append(dst, `,"fragments":[`...)
+	for i := range r.Fragments {
+		fr := &r.Fragments[i]
+		if fr.Plan != nil {
+			return dst, false
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"shard":`...)
+		dst = strconv.AppendInt(dst, int64(fr.Shard), 10)
+		if len(fr.Guests) > 0 {
+			dst = append(dst, `,"guests":`...)
+			dst = jsonx.AppendInts(dst, fr.Guests)
+		}
+		dst = append(dst, `,"mapping":`...)
+		var mok bool
+		dst, mok = fr.Mapping.AppendJSON(dst)
+		ok = ok && mok
+		if fr.PlanShell != "" {
+			dst = append(dst, `,"plan_shell":`...)
+			dst = jsonx.AppendString(dst, fr.PlanShell, &ok)
+		}
+		dst = append(dst, '}')
+	}
+	dst = append(dst, ']')
+	if r.CutBW != 0 {
+		dst = append(dst, `,"cut_bw":`...)
+		dst = jsonx.AppendFloat(dst, r.CutBW, &ok)
+	}
+	if r.Split {
+		dst = append(dst, `,"split":true`...)
+	}
+	if r.Fallback {
+		dst = append(dst, `,"fallback":true`...)
+	}
+	return append(dst, '}'), ok
 }

@@ -40,7 +40,7 @@ func snapshotSegment(t *testing.T, dir string) uint64 {
 // oldest once three are deployed, until dir holds a snapshot past
 // segment seg — a checkpoint, for seg 1 — and then for ten operations
 // more.
-func churnPastCheckpoint(t *testing.T, client *http.Client, base, dir string, admitted int, seg uint64) {
+func churnPastCheckpoint(t *testing.T, client *http.Client, base, dir string, seg uint64) {
 	t.Helper()
 	var live []string
 	extra := -1
@@ -53,7 +53,7 @@ func churnPastCheckpoint(t *testing.T, client *http.Client, base, dir string, ad
 		}
 		if len(live) < 3 {
 			code, raw, _ := doJSON(t, client, "POST", base+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(int64(i), 8))})
-			if code != admitted {
+			if code != http.StatusCreated {
 				t.Fatalf("admit %d: %d %s", i, code, raw)
 			}
 			var out struct{ ID string }
@@ -108,14 +108,12 @@ func TestDaemonCheckpointsByGrowth(t *testing.T) {
 			}
 			ts1 := httptest.NewServer(s1.Handler())
 			client := ts1.Client()
-			admitted := http.StatusCreated
 			if mode == "classic" {
 				openSession(t, client, ts1.URL, cs, "")
-				admitted = http.StatusOK
 			} else if code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions", nil); code != http.StatusCreated {
 				t.Fatalf("open tenant: %d %s", code, raw)
 			}
-			churnPastCheckpoint(t, client, ts1.URL+"/v1/sessions/s1", walDir, admitted, 1)
+			churnPastCheckpoint(t, client, ts1.URL+"/v1/sessions/s1", walDir, 1)
 			_, before, _ := doJSON(t, client, "GET", ts1.URL+residuals, nil)
 			ts1.Close() // kill
 
@@ -173,10 +171,8 @@ func TestCompactingALiveDaemon(t *testing.T) {
 				ts1.Close()
 				s1.Close()
 			})
-			admitted := http.StatusCreated
 			if mode == "classic" {
 				openSession(t, client, ts1.URL, cs, "")
-				admitted = http.StatusOK
 			} else if code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions", nil); code != http.StatusCreated {
 				t.Fatalf("open tenant: %d %s", code, raw)
 			}
@@ -198,7 +194,7 @@ func TestCompactingALiveDaemon(t *testing.T) {
 					}
 				}
 			}()
-			churnPastCheckpoint(t, client, ts1.URL+"/v1/sessions/s1", walDir, admitted, 3)
+			churnPastCheckpoint(t, client, ts1.URL+"/v1/sessions/s1", walDir, 3)
 			close(stop)
 			if deleted := <-done; deleted < 2 {
 				t.Fatalf("the compactions deleted %d segments over three checkpoints", deleted)
@@ -255,7 +251,7 @@ func TestSnapshotInsideSessionClose(t *testing.T) {
 	victim := openSession(t, client, ts1.URL, cs, "")
 	for i, sid := range []string{keeper, victim, victim, victim} {
 		if code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions/"+sid+"/envs",
-			MapEnvRequest{Env: spec.FromEnv(smallEnv(int64(40+i), 8))}); code != http.StatusOK {
+			MapEnvRequest{Env: spec.FromEnv(smallEnv(int64(40+i), 8))}); code != http.StatusCreated {
 			t.Fatalf("map into %s: %d %s", sid, code, raw)
 		}
 	}

@@ -29,8 +29,8 @@ func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
 	big := spec.MappingSpec{GuestHost: make([]int, 4000), LinkPaths: [][]int{}, Objective: 1.5}
 	replies := map[string]interface{}{
 		"/nan-std":  ResidualsResponse{ResidualProcMIPS: []float64{1}, StdDev: math.NaN()},
-		"/nan-fast": MapEnvResponse{ID: "e1", Mapping: spec.MappingSpec{Objective: math.Inf(1)}},
-		"/ok":       MapEnvResponse{ID: "e1", Mapping: big},
+		"/nan-fast": AdmitResponse{ID: "e1", Fragments: []FragmentReport{{Mapping: spec.MappingSpec{Objective: math.Inf(1)}}}},
+		"/ok":       AdmitResponse{ID: "e1", Fragments: []FragmentReport{{Mapping: big}}},
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, replies[r.URL.Path])
@@ -46,8 +46,8 @@ func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
 			t.Fatalf("%s: body is not one line: %q", path, raw)
 		}
 		if path == "/ok" {
-			var back MapEnvResponse
-			if err := json.Unmarshal(raw, &back); code != http.StatusOK || err != nil || len(back.Mapping.GuestHost) != 4000 {
+			var back AdmitResponse
+			if err := json.Unmarshal(raw, &back); code != http.StatusOK || err != nil || len(back.Fragments) != 1 || len(back.Fragments[0].Mapping.GuestHost) != 4000 {
 				t.Fatalf("%s: status %d, %v: %.80q", path, code, err, raw)
 			}
 			continue
@@ -74,7 +74,7 @@ func TestOversizeBodyIsRejectedAsBefore(t *testing.T) {
 	}
 	code, raw, _ = doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(1, 4))})
-	if code != http.StatusOK {
+	if code != http.StatusCreated {
 		t.Fatalf("body under the limit: status %d: %s", code, raw)
 	}
 }
@@ -124,7 +124,7 @@ func TestAdmitCodecAllocsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := MapEnvResponse{ID: "e1", Mapping: spec.FromMapping(m, cluster.VMMOverhead{})}
+	resp := AdmitResponse{ID: "e1", Fragments: []FragmentReport{{Mapping: spec.FromMapping(m, cluster.VMMOverhead{})}}}
 	var admitted *virtual.Env
 	rd := bytes.NewReader(nil)
 	decode := testing.AllocsPerRun(200, func() {
@@ -138,7 +138,7 @@ func TestAdmitCodecAllocsBudget(t *testing.T) {
 		}
 	})
 	rec := &wal.Record{Kind: wal.KindAdmit, SID: "s1", Index: 1,
-		Admit: &wal.AdmitRec{Seq: 1, Tag: "e1", Env: spec.FromEnv(admitted), M: resp.Mapping}}
+		Admit: &wal.AdmitRec{Seq: 1, Tag: "e1", Env: spec.FromEnv(admitted), M: resp.Fragments[0].Mapping}}
 	var out bytes.Buffer
 	encode := testing.AllocsPerRun(200, func() {
 		out.Reset()

@@ -2,15 +2,20 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/spec"
+	"repro/internal/wal"
 )
 
 // contractFamilies are the metric families both modes register once and
@@ -73,10 +78,8 @@ type contractStep struct {
 // daemon and a 1-shard federation on the same cluster. The two URL
 // shapes differ only by the prefix naming the lock domain —
 // /v1/sessions/{sid} or /v1/shards/{k} — so the two transcripts must
-// agree on every status and every error string, apart from the two
-// places the modes differ by design: how an unknown domain is named, and
-// the success status of an admission (200 with a mapping, 201 with a
-// fragment list).
+// agree on every status and every error string, apart from the one
+// place the modes differ by design: how an unknown domain is named.
 func TestBothModesHTTPContract(t *testing.T) {
 	_, cs := testbed(t)
 	modes := []struct {
@@ -84,14 +87,13 @@ func TestBothModesHTTPContract(t *testing.T) {
 		build func(Config) *Server
 		// open opens a session and returns the prefix of the daemon's one
 		// lock domain; nowhere is a prefix naming no domain.
-		open     func(t *testing.T, client *http.Client, base string) (session, domain string)
-		nowhere  string
-		admitted int
+		open    func(t *testing.T, client *http.Client, base string) (session, domain string)
+		nowhere string
 	}{
 		{"classic", New, func(t *testing.T, client *http.Client, base string) (string, string) {
 			sid := openSession(t, client, base, cs, "")
 			return "/v1/sessions/" + sid, "/v1/sessions/" + sid
-		}, "/v1/sessions/nope", http.StatusOK},
+		}, "/v1/sessions/nope"},
 		{"federation", NewFederation, func(t *testing.T, client *http.Client, base string) (string, string) {
 			code, raw, _ := doJSON(t, client, "POST", base+"/v1/sessions", nil)
 			if code != http.StatusCreated {
@@ -102,7 +104,7 @@ func TestBothModesHTTPContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			return "/v1/sessions/" + out.ID, "/v1/shards/0"
-		}, "/v1/shards/9", http.StatusCreated},
+		}, "/v1/shards/9"},
 	}
 	transcripts := make([][]contractStep, len(modes))
 	for i, mode := range modes {
@@ -195,21 +197,15 @@ func TestBothModesHTTPContract(t *testing.T) {
 			// One admission, then the fail/restore state machine on a host
 			// it uses: failing a failed host and restoring a healthy one
 			// are conflicts.
-			code, raw, _ := doJSON(t, client, "POST", ts.URL+session+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(7, 8))})
-			if code != mode.admitted {
-				t.Fatalf("admit: status %d: %s", code, raw)
-			}
-			var admitted struct {
-				Mapping   *spec.MappingSpec `json:"mapping"`
-				Fragments []FragmentReport  `json:"fragments"`
-			}
+			raw, _ := do("admit", "POST", session+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(7, 8))}, http.StatusCreated)
+			var admitted AdmitResponse
 			if err := json.Unmarshal(raw, &admitted); err != nil {
 				t.Fatal(err)
 			}
-			if admitted.Mapping == nil {
-				admitted.Mapping = &admitted.Fragments[0].Mapping
+			if len(admitted.Fragments) != 1 || admitted.Fragments[0].Shard != 0 || admitted.Fragments[0].Guests != nil {
+				t.Fatalf("admit: %s, want one whole fragment on shard 0", raw)
 			}
-			host := domain + "/hosts/" + strconv.Itoa(admitted.Mapping.GuestHost[0])
+			host := domain + "/hosts/" + strconv.Itoa(admitted.Fragments[0].Mapping.GuestHost[0])
 			raw, _ = do("fail host", "POST", host+"/fail", nil, http.StatusOK)
 			var failed FailTargetResponse
 			if err := json.Unmarshal(raw, &failed); err != nil {
@@ -276,10 +272,10 @@ func TestBothModesHTTPContract(t *testing.T) {
 			}
 			resp.Body.Close()
 			text = scrape(t, client, ts.URL)
-			if resp.StatusCode != mode.admitted || metricValue(t, text, "hmnd_map_latency_seconds_count") != 3 ||
+			if resp.StatusCode != http.StatusCreated || metricValue(t, text, "hmnd_map_latency_seconds_count") != 3 ||
 				metricValue(t, text, "hmnd_admit_env_verbatim_total") != 1 {
-				t.Errorf("indented admission: status %d, %v map attempts, %v verbatim; want %d, 3, 1", resp.StatusCode,
-					metricValue(t, text, "hmnd_map_latency_seconds_count"), metricValue(t, text, "hmnd_admit_env_verbatim_total"), mode.admitted)
+				t.Errorf("indented admission: status %d, %v map attempts, %v verbatim; want 201, 3, 1", resp.StatusCode,
+					metricValue(t, text, "hmnd_map_latency_seconds_count"), metricValue(t, text, "hmnd_admit_env_verbatim_total"))
 			}
 			checkFamilyNames(t, text)
 
@@ -303,4 +299,166 @@ func TestBothModesHTTPContract(t *testing.T) {
 			t.Errorf("the modes disagree:\nclassic    %+v\nfederation %+v", classic[i], fed[i])
 		}
 	}
+}
+
+// daemonMode is how to build a daemon of one mode and what opens a
+// session on it.
+type daemonMode struct {
+	name  string
+	build func(Config) *Server
+	open  interface{}
+}
+
+// bothModes lists the classic mode, with sessions on cluster cs, and the
+// federation mode.
+func bothModes(cs spec.ClusterSpec) []daemonMode {
+	return []daemonMode{{"classic", New, OpenSessionRequest{Cluster: cs}}, {"federation", NewFederation, nil}}
+}
+
+// TestAdmitPlansInBothModes: a request for the deployment plan and its
+// shell rendering gets both with every fragment, in either mode — the
+// federation used to drop the two fields and answer without a plan. A
+// classic daemon and a 1-shard federation on one cluster answer the
+// same reply; a split admission carries one plan per fragment, in the
+// host names and node IDs of the shard it landed on.
+func TestAdmitPlansInBothModes(t *testing.T) {
+	_, cs := testbed(t)
+	req := MapEnvRequest{Env: spec.FromEnv(smallEnv(5, 10)), Plan: true, PlanShell: true}
+	var replies [2]AdmitResponse
+	for i, mode := range bothModes(cs) {
+		s := mode.build(Config{ClusterSpecs: []spec.ClusterSpec{cs}})
+		if err := s.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		servedID(t, serve(t, s, "POST", "/v1/sessions", mode.open))
+		rec := serve(t, s, "POST", "/v1/sessions/s1/envs", req)
+		if err := json.Unmarshal(rec.Body.Bytes(), &replies[i]); rec.Code != http.StatusCreated || err != nil {
+			t.Fatalf("admit: %d %s", rec.Code, rec.Body.Bytes())
+		}
+		s.Close()
+	}
+	for i, mode := range bothModes(cs) {
+		if fr := replies[i].Fragments; len(fr) != 1 || fr[0].Plan == nil || fr[0].Plan.TotalVMs() != 10 || !strings.Contains(fr[0].PlanShell, "vm create") {
+			t.Fatalf("%s: plan missing, wrong size or not rendered: %+v", mode.name, replies[i])
+		}
+	}
+	if !reflect.DeepEqual(replies[0], replies[1]) {
+		t.Fatalf("the modes answer differently:\nclassic    %+v\nfederation %+v", replies[0], replies[1])
+	}
+
+	// Two CPU-heavy communities joined by one thin link: no one shard
+	// holds both, so the environment splits at the thin link.
+	specs := fedSpecs(t, 2)
+	s := NewFederation(Config{ClusterSpecs: specs, GatewayBW: 10})
+	defer s.Close()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	servedID(t, serve(t, s, "POST", "/v1/sessions", nil))
+	split := spec.EnvSpec{}
+	for g := 0; g < 6; g++ {
+		split.Guests = append(split.Guests, spec.GuestSpec{Name: "g" + strconv.Itoa(g), Proc: 1600, Mem: 256, Stor: 100})
+	}
+	for _, l := range [][3]int{{0, 1, 50}, {1, 2, 50}, {3, 4, 50}, {4, 5, 50}, {0, 3, 1}} {
+		split.Links = append(split.Links, spec.VLinkSpec{From: l[0], To: l[1], BW: float64(l[2]), Lat: 1000})
+	}
+	rec := serve(t, s, "POST", "/v1/sessions/s1/envs", MapEnvRequest{Env: split, Plan: true, PlanShell: true})
+	var out AdmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusCreated || err != nil || !out.Split || len(out.Fragments) != 2 {
+		t.Fatalf("split admit: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	for _, fr := range out.Fragments {
+		if fr.Plan == nil || fr.Plan.TotalVMs() != len(fr.Guests) || !strings.Contains(fr.PlanShell, "vm create") {
+			t.Fatalf("fragment on shard %d: plan missing, wrong size or not rendered: %+v", fr.Shard, fr)
+		}
+		names := map[string]bool{}
+		for _, h := range specs[fr.Shard].Hosts {
+			names[h.Name] = true
+		}
+		for _, hp := range fr.Plan.Hosts {
+			if !names[hp.Name] {
+				t.Errorf("fragment on shard %d plans host %q of another shard", fr.Shard, hp.Name)
+			}
+			for _, vm := range hp.VMs {
+				if fr.Mapping.GuestHost[vm.Guest] != int(hp.Node) {
+					t.Errorf("fragment on shard %d: guest %d planned on node %d, mapped on %d", fr.Shard, vm.Guest, hp.Node, fr.Mapping.GuestHost[vm.Guest])
+				}
+			}
+		}
+	}
+}
+
+// TestCancelledAdmissionsLeaveNothing: in either mode, an admission
+// whose client has already gone is refused before it is admitted, and in
+// federation mode one whose client gives up while it is being admitted
+// is released again, both halves in the log: either way the reply is a
+// 503 and no environment is left deployed under an ID no client learned.
+func TestCancelledAdmissionsLeaveNothing(t *testing.T) {
+	_, cs := testbed(t)
+	req := MapEnvRequest{Env: spec.FromEnv(smallEnv(5, 6))}
+	// admit posts req to session s1 of s on ctx.
+	admit := func(s *Server, ctx context.Context) *httptest.ResponseRecorder {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/s1/envs", bytes.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+	// refusedAndEmpty requires rec to be the timeout's 503 and s to hold
+	// no environment.
+	refusedAndEmpty := func(t *testing.T, s *Server, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "request timed out") {
+			t.Errorf("cancelled admit: %d %s, want 503 request timed out", rec.Code, rec.Body.Bytes())
+		}
+		if got := metricValue(t, serve(t, s, "GET", "/metrics", nil).Body.String(), "hmnd_active_envs"); got != 0 {
+			t.Errorf("hmnd_active_envs = %v after a cancelled admit, want 0", got)
+		}
+	}
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, mode := range bothModes(cs) {
+		t.Run(mode.name+"/gone before", func(t *testing.T) {
+			s := mode.build(Config{ClusterSpecs: []spec.ClusterSpec{cs}})
+			defer s.Close()
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			servedID(t, serve(t, s, "POST", "/v1/sessions", mode.open))
+			refusedAndEmpty(t, s, admit(s, gone))
+			if got := metricValue(t, serve(t, s, "GET", "/metrics", nil).Body.String(), "hmnd_map_latency_seconds_count"); got != 0 {
+				t.Errorf("%v map attempts for an admission refused before it began", got)
+			}
+		})
+	}
+
+	t.Run("federation/gone while admitting", func(t *testing.T) {
+		dir := t.TempDir()
+		s := NewFederation(Config{DataDir: dir, ClusterSpecs: []spec.ClusterSpec{cs}})
+		defer s.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		observe := s.domainCfg.Hooks.OnAdmit
+		s.domainCfg.Hooks.OnAdmit = func(st core.AdmitStats, seconds float64) {
+			observe(st, seconds)
+			cancel() // the client gives up once the fragment is mapped
+		}
+		if err := s.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		servedID(t, serve(t, s, "POST", "/v1/sessions", nil))
+		refusedAndEmpty(t, s, admit(s, ctx))
+		var kinds []string
+		if _, _, err := wal.Each(filepath.Join(dir, "shard-0"), wal.Hooks{}, func(r *wal.Record) error {
+			kinds = append(kinds, r.Kind)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{wal.KindOpen, wal.KindAdmit, wal.KindRelease}; !reflect.DeepEqual(kinds, want) {
+			t.Fatalf("shard log holds %v, want %v", kinds, want)
+		}
+	})
 }

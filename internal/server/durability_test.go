@@ -105,10 +105,10 @@ func TestAckAfterLog(t *testing.T) {
 	sid := openSession(t, client, ts.URL, cs, "")
 	code, raw, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(42, 8))})
-	if code != http.StatusOK {
+	if code != http.StatusCreated {
 		t.Fatalf("map: %d %s", code, raw)
 	}
-	var out MapEnvResponse
+	var out AdmitResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -158,16 +158,16 @@ func TestRestartRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		code, raw, _ := doJSON(t, client, "POST", base+"/envs",
 			MapEnvRequest{Env: spec.FromEnv(smallEnv(int64(500+i), 10))})
-		if code != http.StatusOK {
+		if code != http.StatusCreated {
 			t.Fatalf("map %d: %d %s", i, code, raw)
 		}
-		var out MapEnvResponse
+		var out AdmitResponse
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatal(err)
 		}
 		envIDs = append(envIDs, out.ID)
 		if victim == -1 {
-			victim = out.Mapping.GuestHost[0]
+			victim = out.Fragments[0].Mapping.GuestHost[0]
 		}
 	}
 	// Exercise every record kind: a failure with repairs, a restore, a
@@ -214,10 +214,10 @@ func TestRestartRoundTrip(t *testing.T) {
 	// New work continues: fresh env IDs, fresh session IDs, no reuse.
 	code, raw, _ := doJSON(t, client2, "POST", base2+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(900, 6))})
-	if code != http.StatusOK {
+	if code != http.StatusCreated {
 		t.Fatalf("map after restart: %d %s", code, raw)
 	}
-	var out MapEnvResponse
+	var out AdmitResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRestartWithoutSnapshot(t *testing.T) {
 	dead := openSession(t, client, ts1.URL, cs, "")
 	code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions/"+sid+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(7, 8))})
-	if code != http.StatusOK {
+	if code != http.StatusCreated {
 		t.Fatalf("map: %d %s", code, raw)
 	}
 	if code, _, _ := doJSON(t, client, "DELETE", ts1.URL+"/v1/sessions/"+dead, nil); code != http.StatusNoContent {
@@ -303,7 +303,7 @@ func TestClosedSessionIDNotReusedAcrossRestarts(t *testing.T) {
 	keeper := openSession(t, client, ts1.URL, cs, "")
 	victim := openSession(t, client, ts1.URL, cs, "")
 	if code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions/"+victim+"/envs",
-		MapEnvRequest{Env: spec.FromEnv(smallEnv(21, 8))}); code != http.StatusOK {
+		MapEnvRequest{Env: spec.FromEnv(smallEnv(21, 8))}); code != http.StatusCreated {
 		t.Fatalf("map into victim: %d %s", code, raw)
 	}
 	if err := s1.wal.Snapshot(s1.exportAll); err != nil {
@@ -329,10 +329,10 @@ func TestClosedSessionIDNotReusedAcrossRestarts(t *testing.T) {
 	}
 	code, raw, _ := doJSON(t, client2, "POST", ts2.URL+"/v1/sessions/"+fresh+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(22, 8))})
-	if code != http.StatusOK {
+	if code != http.StatusCreated {
 		t.Fatalf("map into fresh session: %d %s", code, raw)
 	}
-	var out MapEnvResponse
+	var out AdmitResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -422,10 +422,10 @@ func TestCloseClearsSnapshotBoundary(t *testing.T) {
 	sid := openSession(t, client, ts1.URL, cs, "")
 	code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions/"+sid+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(33, 8))})
-	if code != http.StatusOK {
+	if code != http.StatusCreated {
 		t.Fatalf("map: %d %s", code, raw)
 	}
-	var out MapEnvResponse
+	var out AdmitResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -500,10 +500,10 @@ func TestRecoverBumpsNextEnvFromActiveTags(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		code, raw, _ := doJSON(t, client, "POST", ts1.URL+"/v1/sessions/"+sid+"/envs",
 			MapEnvRequest{Env: spec.FromEnv(smallEnv(int64(50+i), 6))})
-		if code != http.StatusOK {
+		if code != http.StatusCreated {
 			t.Fatalf("map %d: %d %s", i, code, raw)
 		}
-		var out MapEnvResponse
+		var out AdmitResponse
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -538,10 +538,10 @@ func TestRecoverBumpsNextEnvFromActiveTags(t *testing.T) {
 	client2 := ts2.Client()
 	code, raw, _ := doJSON(t, client2, "POST", ts2.URL+"/v1/sessions/"+sid+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(60, 6))})
-	if code != http.StatusOK {
+	if code != http.StatusCreated {
 		t.Fatalf("map after restart: %d %s", code, raw)
 	}
-	var out MapEnvResponse
+	var out AdmitResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/jsonx"
 	"repro/internal/shard"
-	"repro/internal/spec"
+	"repro/internal/virtual"
 )
 
 // This file is the federation mode (hmnd -shards N): the lock domains
@@ -29,9 +28,9 @@ func NewFederation(cfg Config) *Server {
 	s.rebuild, s.domains, s.envs = s.recoverFederation, s.shards, s.tenantEnvs
 
 	s.mux.HandleFunc("POST /v1/sessions", s.handleOpenTenant)
-	s.mux.HandleFunc("DELETE /v1/sessions/{sid}", s.handleCloseTenant)
-	s.mux.HandleFunc("POST /v1/sessions/{sid}/envs", s.handleAdmit)
-	s.mux.HandleFunc("DELETE /v1/sessions/{sid}/envs/{eid}", s.handleRelease)
+	s.routeSessions(s.admitRouted,
+		func(_ context.Context, sid, eid string) error { return s.fed.Release(sid, eid) },
+		func(_ context.Context, sid string) error { return s.fed.CloseTenant(sid) })
 	s.mux.HandleFunc("GET /v1/shards", s.handleShards)
 	s.routeDomains("/v1/shards/{shard}", s.shardDomain)
 	return s
@@ -155,104 +154,14 @@ func (s *Server) handleOpenTenant(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusCreated, OpenTenantResponse{ID: sid, Shards: s.fed.Shards()})
 }
 
-func (s *Server) handleCloseTenant(w http.ResponseWriter, r *http.Request) {
-	if refused(w, s.fed.CloseTenant(r.PathValue("sid"))) {
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// FragmentReport is one committed fragment of a routed admission.
-type FragmentReport struct {
-	Shard   int              `json:"shard"`
-	Guests  []int            `json:"guests,omitempty"`
-	Mapping spec.MappingSpec `json:"mapping"`
-}
-
-// FedMapEnvResponse reports a routed admission: the fragment set (one
-// entry when the environment landed whole), the gateway bandwidth a
-// split charged, and the routing outcome flags.
-type FedMapEnvResponse struct {
-	ID        string           `json:"id"`
-	Fragments []FragmentReport `json:"fragments"`
-	CutBW     float64          `json:"cut_bw,omitempty"`
-	Split     bool             `json:"split,omitempty"`
-	Fallback  bool             `json:"fallback,omitempty"`
-}
-
-// AppendJSON implements jsonx.Appender.
-func (r FedMapEnvResponse) AppendJSON(dst []byte) ([]byte, bool) {
-	ok := true
-	dst = append(dst, `{"id":`...)
-	dst = jsonx.AppendString(dst, r.ID, &ok)
-	dst = append(dst, `,"fragments":`...)
-	if r.Fragments == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range r.Fragments {
-			fr := &r.Fragments[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"shard":`...)
-			dst = strconv.AppendInt(dst, int64(fr.Shard), 10)
-			if len(fr.Guests) > 0 {
-				dst = append(dst, `,"guests":`...)
-				dst = jsonx.AppendInts(dst, fr.Guests)
-			}
-			dst = append(dst, `,"mapping":`...)
-			var mok bool
-			dst, mok = fr.Mapping.AppendJSON(dst)
-			ok = ok && mok
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	if r.CutBW != 0 {
-		dst = append(dst, `,"cut_bw":`...)
-		dst = jsonx.AppendFloat(dst, r.CutBW, &ok)
-	}
-	if r.Split {
-		dst = append(dst, `,"split":true`...)
-	}
-	if r.Fallback {
-		dst = append(dst, `,"fallback":true`...)
-	}
-	return append(dst, '}'), ok
-}
-
-func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
-	_, env, ok := decodeMapEnv(w, r)
-	if !ok {
-		return
-	}
+// admitRouted routes env for tenant sid onto the shards, split across
+// them when no one shard fits it.
+func (s *Server) admitRouted(_ context.Context, sid string, env *virtual.Env) (string, shard.Placement, cluster.VMMOverhead, error) {
 	start := time.Now()
-	eid, pl, err := s.fed.Admit(r.PathValue("sid"), env)
+	eid, pl, err := s.fed.Admit(sid, env)
 	s.mAdmitLatency.Observe(time.Since(start).Seconds())
-	if refused(w, err) {
-		return
-	}
-	// A split admission's fragments are built in code: none is verbatim.
-	s.observeVerbatim(pl.Fragments[0].Env)
-	resp := FedMapEnvResponse{ID: eid, CutBW: pl.CutBW, Split: pl.Split, Fallback: pl.Fallback}
-	for _, fr := range pl.Fragments {
-		sh, _ := s.fed.Shard(fr.Shard)
-		rep := FragmentReport{Shard: fr.Shard, Mapping: spec.FromMapping(fr.M, sh.Overhead())}
-		for _, g := range fr.Guests {
-			rep.Guests = append(rep.Guests, int(g))
-		}
-		resp.Fragments = append(resp.Fragments, rep)
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	err := s.fed.Release(r.PathValue("sid"), r.PathValue("eid"))
-	if refused(w, err) {
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	sh, _ := s.fed.Shard(0)
+	return eid, pl, sh.Overhead(), err
 }
 
 // ShardReport is one shard's row of GET /v1/shards.

@@ -77,7 +77,7 @@ func TestFederationHTTPRoundTrip(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("admit: status %d: %s", code, raw)
 	}
-	var admitted FedMapEnvResponse
+	var admitted AdmitResponse
 	if err := json.Unmarshal(raw, &admitted); err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +299,10 @@ func TestFederationHTTPRecover(t *testing.T) {
 // TestClassicAndOneShardFederationAgree is the safety net under the
 // ROADMAP's "one daemon" collapse: a classic Server session and a
 // 1-shard FedServer over the same cluster, fed the same seeded
-// admit/release stream over HTTP, must place every guest of every
-// environment on the same host and answer byte-identical residuals
-// after every operation. At most four 4–12-guest environments are live
+// admit/release stream over HTTP, must answer every admission with the
+// same reply — ID, shard, guests and the whole mapping, paths and
+// objective included — and byte-identical residuals after every
+// operation. At most four 4–12-guest environments are live
 // on the 40-host paper cluster, so the router's CPU-headroom view never
 // rejects what the classic session (where CPU is no constraint) admits.
 func TestClassicAndOneShardFederationAgree(t *testing.T) {
@@ -321,39 +322,31 @@ func TestClassicAndOneShardFederationAgree(t *testing.T) {
 	}
 	fed := fts.URL + "/v1/sessions/" + tenant.ID
 
-	type envIDs struct{ classic, fed string }
-	var live []envIDs
+	var live []string
 	rng := rand.New(rand.NewSource(16))
 	for op := 0; op < 60; op++ {
 		if len(live) < 4 && (len(live) == 0 || rng.Intn(3) > 0) {
 			req := MapEnvRequest{Env: spec.FromEnv(smallEnv(rng.Int63(), 4+rng.Intn(9)))}
-			code, raw, _ := doJSON(t, client, "POST", classic+"/envs", req)
-			if code != http.StatusOK {
-				t.Fatalf("op %d: classic admit: status %d: %s", op, code, raw)
+			var replies [2]AdmitResponse
+			for i, base := range []string{classic, fed} {
+				code, raw, _ := doJSON(t, client, "POST", base+"/envs", req)
+				if code != http.StatusCreated {
+					t.Fatalf("op %d: admit through %s: status %d: %s", op, base, code, raw)
+				}
+				if err := json.Unmarshal(raw, &replies[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			var c MapEnvResponse
-			if err := json.Unmarshal(raw, &c); err != nil {
-				t.Fatal(err)
+			if c, f := replies[0], replies[1]; len(c.Fragments) != 1 || !reflect.DeepEqual(c, f) {
+				t.Fatalf("op %d: replies differ:\nclassic    %+v\nfederation %+v", op, c, f)
 			}
-			code, raw, _ = doJSON(t, client, "POST", fed+"/envs", req)
-			if code != http.StatusCreated {
-				t.Fatalf("op %d: federation admit: status %d: %s", op, code, raw)
-			}
-			var f FedMapEnvResponse
-			if err := json.Unmarshal(raw, &f); err != nil {
-				t.Fatal(err)
-			}
-			if len(f.Fragments) != 1 || !reflect.DeepEqual(f.Fragments[0].Mapping.GuestHost, c.Mapping.GuestHost) {
-				t.Fatalf("op %d: placements differ:\nclassic    %v\nfederation %+v", op, c.Mapping.GuestHost, f.Fragments)
-			}
-			live = append(live, envIDs{classic: c.ID, fed: f.ID})
+			live = append(live, replies[0].ID)
 		} else {
 			i := rng.Intn(len(live))
-			if code, raw, _ := doJSON(t, client, "DELETE", classic+"/envs/"+live[i].classic, nil); code != http.StatusNoContent {
-				t.Fatalf("op %d: classic release: status %d: %s", op, code, raw)
-			}
-			if code, raw, _ := doJSON(t, client, "DELETE", fed+"/envs/"+live[i].fed, nil); code != http.StatusNoContent {
-				t.Fatalf("op %d: federation release: status %d: %s", op, code, raw)
+			for _, base := range []string{classic, fed} {
+				if code, raw, _ := doJSON(t, client, "DELETE", base+"/envs/"+live[i], nil); code != http.StatusNoContent {
+					t.Fatalf("op %d: release through %s: status %d: %s", op, base, code, raw)
+				}
 			}
 			live = append(live[:i], live[i+1:]...)
 		}

@@ -97,9 +97,9 @@ func waitForMappers(t *testing.T, n int) {
 // TestRequestsWaitingOnASessionLockTimeOut pins what a burst against a
 // busy session gets, now that no queue bounds it: one session's lock is
 // held past a short RequestTimeout while more admissions than the
-// deleted queue's default depth (64) wait for it. Every reply is 200 or
+// deleted queue's default depth (64) wait for it. Every reply is 201 or
 // 503 "request timed out" — none is refused for want of room — and the
-// ledger afterwards holds exactly the admissions answered 200: one whose
+// ledger afterwards holds exactly the admissions answered 201: one whose
 // client gave up while it waited was rolled back, not orphaned.
 func TestRequestsWaitingOnASessionLockTimeOut(t *testing.T) {
 	_, cs := testbed(t)
@@ -126,7 +126,7 @@ func TestRequestsWaitingOnASessionLockTimeOut(t *testing.T) {
 	for i := 0; i <= burst; i++ {
 		rec := <-replies
 		switch body := rec.Body.String(); {
-		case rec.Code == http.StatusOK:
+		case rec.Code == http.StatusCreated:
 			admitted[servedID(t, rec)] = true
 		case rec.Code == http.StatusServiceUnavailable && strings.Contains(body, `"request timed out"`):
 			timedOut++
@@ -134,7 +134,7 @@ func TestRequestsWaitingOnASessionLockTimeOut(t *testing.T) {
 				t.Error("a 503 without Retry-After")
 			}
 		default:
-			t.Errorf("reply %d %s, want 200 or 503 request timed out", rec.Code, body)
+			t.Errorf("reply %d %s, want 201 or 503 request timed out", rec.Code, body)
 		}
 	}
 	if timedOut == 0 {
@@ -149,7 +149,7 @@ func TestRequestsWaitingOnASessionLockTimeOut(t *testing.T) {
 	s.mu.Unlock()
 	active := sess.Session().Export().Active
 	if len(active) != len(admitted) {
-		t.Fatalf("ledger holds %d environments, %d were answered 200 (%d timed out)", len(active), len(admitted), timedOut)
+		t.Fatalf("ledger holds %d environments, %d were answered 201 (%d timed out)", len(active), len(admitted), timedOut)
 	}
 	for _, a := range active {
 		if !admitted[a.Tag] {
@@ -216,7 +216,7 @@ func TestClassicCloseRacingOperations(t *testing.T) {
 					} else if fine && !drained {
 						base := "/v1/sessions/" + servedID(t, rec)
 						env := MapEnvRequest{Env: spec.FromEnv(smallEnv(int64(g*1000+i), 4))}
-						if rec, fine, drained = do(call{"POST", base + "/envs", env, http.StatusOK}); fine && !drained {
+						if rec, fine, drained = do(call{"POST", base + "/envs", env, http.StatusCreated}); fine && !drained {
 							for _, c := range []call{
 								{"DELETE", base + "/envs/" + servedID(t, rec), nil, http.StatusNoContent},
 								{"POST", fmt.Sprintf("%s/hosts/%d/fail", base, node), nil, http.StatusOK},
@@ -272,14 +272,7 @@ func TestClassicCloseRacingOperations(t *testing.T) {
 // caller, and nothing ticks in the background.
 func TestDaemonStartsNoGoroutine(t *testing.T) {
 	_, cs := testbed(t)
-	for _, mode := range []struct {
-		name  string
-		build func(Config) *Server
-		open  interface{}
-	}{
-		{"classic", New, OpenSessionRequest{Cluster: cs}},
-		{"federation", NewFederation, nil},
-	} {
+	for _, mode := range bothModes(cs) {
 		t.Run(mode.name, func(t *testing.T) {
 			// Let whatever earlier tests left behind wind down first.
 			base := -1

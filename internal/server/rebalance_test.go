@@ -63,10 +63,10 @@ func mapOne(t *testing.T, client *http.Client, base string, env *virtual.Env) st
 	t.Helper()
 	code, raw, _ := doJSON(t, client, "POST", base+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(env)})
-	if code != http.StatusOK {
+	if code != http.StatusCreated {
 		t.Fatalf("map: %d %s", code, raw)
 	}
-	var out MapEnvResponse
+	var out AdmitResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -37,16 +37,16 @@ func TestFailRepairEndpoints(t *testing.T) {
 		env := smallEnv(int64(300+i), 12)
 		code, raw, _ := doJSON(t, client, "POST", base+"/envs",
 			MapEnvRequest{Env: spec.FromEnv(env)})
-		if code != http.StatusOK {
+		if code != http.StatusCreated {
 			t.Fatalf("map %d: %d %s", i, code, raw)
 		}
-		var out MapEnvResponse
+		var out AdmitResponse
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatal(err)
 		}
 		envs[out.ID] = env
 		if victim == -1 {
-			victim = out.Mapping.GuestHost[0]
+			victim = out.Fragments[0].Mapping.GuestHost[0]
 		}
 	}
 

@@ -24,14 +24,15 @@
 //     families and serves the text exposition on /metrics.
 //
 // The two modes differ in who opens a session and how an environment
-// reaches a domain; what can be done to a domain — read its residuals,
-// fail or restore a host or link, run a rebalancing round — is one
-// handler set, addressed by session in one mode and by shard index in
-// the other:
+// reaches a domain: admit, release and close are one handler each over
+// the mode's function for it (routeSessions), and what can be done to a
+// domain — read its residuals, fail or restore a host or link, run a
+// rebalancing round — is one handler set, addressed by session in one
+// mode and by shard index in the other:
 //
 //	POST   /v1/sessions                       open a session (classic: cluster + mapper + overhead; federation: no body)
 //	DELETE /v1/sessions/{sid}                 close it, with every environment on it
-//	POST   /v1/sessions/{sid}/envs            map an environment (classic: optionally return the deploy plan; federation: routed, reports fragments)
+//	POST   /v1/sessions/{sid}/envs            map an environment: 201 with its fragments, each with its deploy plan on request
 //	DELETE /v1/sessions/{sid}/envs/{eid}      release an environment
 //	GET    /v1/shards                         federation only: the census across lock domains
 //	GET    {domain}/residuals                 residual CPU vector + stddev
@@ -85,7 +86,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/spec"
-	"repro/internal/virtual"
 	"repro/internal/wal"
 )
 
@@ -131,12 +131,13 @@ type Config struct {
 	GatewayBW float64
 }
 
-// FedConfig and FedServer are the names the federation mode had while
-// it was a type of its own; the frozen benchmark harness still spells
-// them.
+// FedConfig, FedServer and FedMapEnvResponse are the names the
+// federation mode's types had while it was a daemon of its own; the
+// frozen benchmark harness still spells them.
 type (
-	FedConfig = Config
-	FedServer = Server
+	FedConfig         = Config
+	FedServer         = Server
+	FedMapEnvResponse = AdmitResponse
 )
 
 func (c Config) withDefaults() Config {
@@ -449,17 +450,6 @@ func (s *Server) observeAdmit(admit core.AdmitStats, seconds float64) {
 	s.observeRoute(admit.Route)
 }
 
-// observeVerbatim counts a successful admission of admitted — the
-// request's environment, or the fragment a federation mapped in its
-// place — if it still carries the bytes it arrived in
-// (spec.EnvSpec.ScanJSON), which its admit record then holds instead of
-// a rendering.
-func (s *Server) observeVerbatim(admitted *virtual.Env) {
-	if admitted.Source() != nil {
-		s.mEnvVerbatim.Inc()
-	}
-}
-
 // observeStages adds the stage times of one run of the mapper's pipeline
 // — a map attempt's, or a repair's full re-map's — to the per-stage
 // histograms. A stage the attempt never reached counts as zero.
@@ -477,29 +467,12 @@ func (s *Server) observeRoute(route graph.SearchStats) {
 	s.mRouteSweeps.Add(route.Sweeps)
 }
 
-// decodeMapEnv reads the body of POST /v1/sessions/{sid}/envs, in
-// either mode, or writes the 400.
-func decodeMapEnv(w http.ResponseWriter, r *http.Request) (req MapEnvRequest, env *virtual.Env, ok bool) {
-	if err := spec.DecodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return req, nil, false
-	}
-	env, err := req.Env.ToEnv()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return req, nil, false
-	}
-	if env.NumGuests() == 0 {
-		writeError(w, http.StatusBadRequest, "environment has no guests")
-		return req, nil, false
-	}
-	return req, env, true
-}
-
 // Errors the daemon raises itself; failureStatus gives each its status.
 var (
 	// errDraining rejects mutating work during shutdown.
 	errDraining = errors.New("server: draining")
+	// errNoSession names a classic session the daemon does not hold.
+	errNoSession = errors.New("no session")
 	// errNotDurable reports a committed operation whose log barrier
 	// failed: it is never acknowledged.
 	errNotDurable = errors.New("durability barrier")
@@ -522,7 +495,7 @@ func failureStatus(err error) (code int, msg string, ok bool) {
 	case errors.Is(err, errNotDurable):
 		return http.StatusInternalServerError, err.Error(), false
 	case errors.Is(err, core.ErrUnknownTarget), errors.Is(err, core.ErrNotActive), errors.Is(err, core.ErrSessionClosed),
-		errors.Is(err, shard.ErrUnknownTenant), errors.Is(err, shard.ErrUnknownEnv), errors.Is(err, shard.ErrBadShard):
+		errors.Is(err, errNoSession), errors.Is(err, shard.ErrUnknownTenant), errors.Is(err, shard.ErrUnknownEnv), errors.Is(err, shard.ErrBadShard):
 		// Nothing by that name in this daemon, domain or session.
 		return http.StatusNotFound, err.Error(), false
 	case errors.Is(err, core.ErrAlreadyFailed), errors.Is(err, core.ErrNotFailed):

@@ -161,14 +161,14 @@ func TestEndToEnd(t *testing.T) {
 			code, raw, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
 				MapEnvRequest{Env: spec.FromEnv(envs[i])})
 			results[i].code = code
-			if code == http.StatusOK {
-				var out MapEnvResponse
+			if code == http.StatusCreated {
+				var out AdmitResponse
 				if err := json.Unmarshal(raw, &out); err != nil {
 					t.Error(err)
 					return
 				}
 				results[i].envID = out.ID
-				results[i].ms = out.Mapping
+				results[i].ms = out.Fragments[0].Mapping
 			}
 		}(i)
 	}
@@ -177,7 +177,7 @@ func TestEndToEnd(t *testing.T) {
 	succeeded, failed := 0, 0
 	for i, r := range results {
 		switch r.code {
-		case http.StatusOK:
+		case http.StatusCreated:
 			succeeded++
 			// Every 2xx mapping must survive the spec round-trip and the
 			// formal constraint validation of Eq. (1)-(9).
@@ -329,7 +329,7 @@ func TestGracefulShutdown(t *testing.T) {
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "")
 	other := "/v1/sessions/" + openSession(t, client, ts.URL, cs, "")
-	if code, raw, _ := doJSON(t, client, "POST", ts.URL+other+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(41, 4))}); code != http.StatusOK {
+	if code, raw, _ := doJSON(t, client, "POST", ts.URL+other+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(41, 4))}); code != http.StatusCreated {
 		t.Fatalf("map into %s: %d %s", other, code, raw)
 	}
 
@@ -380,14 +380,14 @@ func TestGracefulShutdown(t *testing.T) {
 
 	// Let go: the held map must complete successfully.
 	res := release()
-	if res.Code != http.StatusOK {
+	if res.Code != http.StatusCreated {
 		t.Fatalf("in-flight map: status %d: %s", res.Code, res.Body.Bytes())
 	}
-	var out MapEnvResponse
+	var out AdmitResponse
 	if err := json.Unmarshal(res.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	m, err := out.Mapping.ToMapping(c, env)
+	m, err := out.Fragments[0].Mapping.ToMapping(c, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,18 +462,15 @@ func TestMapWithPlanAndSessionClose(t *testing.T) {
 
 	code, raw, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
 		MapEnvRequest{Env: spec.FromEnv(smallEnv(5, 10)), Plan: true, PlanShell: true})
-	if code != http.StatusOK {
+	if code != http.StatusCreated {
 		t.Fatalf("map: %d %s", code, raw)
 	}
-	var out MapEnvResponse
+	var out AdmitResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Plan == nil || out.Plan.TotalVMs() != 10 {
-		t.Fatalf("plan missing or wrong size: %+v", out.Plan)
-	}
-	if !strings.Contains(out.PlanShell, "vm create") {
-		t.Fatalf("plan shell rendering missing: %q", out.PlanShell)
+	if fr := out.Fragments[0]; fr.Plan == nil || fr.Plan.TotalVMs() != 10 || !strings.Contains(fr.PlanShell, "vm create") {
+		t.Fatalf("plan missing, wrong size or not rendered: %s", raw)
 	}
 
 	// Closing the session releases its environments and retires its
@@ -543,26 +540,26 @@ func TestQueuedMapsLogOneAdmitEach(t *testing.T) {
 			code, raw, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
 				MapEnvRequest{Env: spec.FromEnv(envs[i])})
 			results[i] = code
-			if code == http.StatusOK {
-				var out MapEnvResponse
+			if code == http.StatusCreated {
+				var out AdmitResponse
 				if err := json.Unmarshal(raw, &out); err != nil {
 					t.Error(err)
 					return
 				}
-				specs[i] = out.Mapping
+				specs[i] = out.Fragments[0].Mapping
 			}
 		}(i)
 	}
 
 	// All n requests must be waiting before the lock frees.
 	waitForMappers(t, n+1)
-	if res := release(); res.Code != http.StatusOK {
+	if res := release(); res.Code != http.StatusCreated {
 		t.Fatalf("held request: status %d: %s", res.Code, res.Body.Bytes())
 	}
 	wg.Wait()
 
 	for i, code := range results {
-		if code != http.StatusOK {
+		if code != http.StatusCreated {
 			t.Fatalf("request %d: status %d", i, code)
 		}
 		m, err := specs[i].ToMapping(c, envs[i])

@@ -10,11 +10,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/deploy"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/spec"
+	"repro/internal/virtual"
 	"repro/internal/wal"
 )
 
@@ -33,9 +33,7 @@ func New(cfg Config) *Server {
 	s.rebuild, s.domains, s.envs = s.recoverSessions, s.sessionDomains, s.sessionEnvs
 
 	s.mux.HandleFunc("POST /v1/sessions", s.handleOpenSession)
-	s.mux.HandleFunc("DELETE /v1/sessions/{sid}", s.handleCloseSession)
-	s.mux.HandleFunc("POST /v1/sessions/{sid}/envs", s.handleMapEnv)
-	s.mux.HandleFunc("DELETE /v1/sessions/{sid}/envs/{eid}", s.handleReleaseEnv)
+	s.routeSessions(s.admitToSession, s.releaseFromSession, s.closeSession)
 	s.routeDomains("/v1/sessions/{sid}", s.sessionDomain)
 	return s
 }
@@ -47,7 +45,7 @@ func New(cfg Config) *Server {
 type session struct {
 	*shard.Shard
 	// The session's hmnd_maps_*_total{mapper} series, resolved once:
-	// handleMapEnv used to format and look up all four per request.
+	// admissions used to format and look up all four per request.
 	attempted, succeeded, failed, rejected *metrics.Counter
 
 	mu      sync.Mutex
@@ -190,7 +188,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		// serving session a 500-retrying client will never address. The
 		// close record is best-effort (the barrier just failed), but if
 		// the open did reach disk it keeps a later replay consistent.
-		s.retire(id)
+		_ = s.retire(id)
 		refused(w, err)
 		return
 	}
@@ -202,83 +200,73 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// retire closes session id, or reports false when the table does not
-// hold it. The session leaves the table first and closes in core after
+// retire closes session id, or reports that the table does not hold
+// it. The session leaves the table first and closes in core after
 // (core.Session.Close: one close record, under the session lock, and
 // every later operation refused), so a snapshot that still finds it in
 // the table exports it before its close record; one that does not may
 // follow records it committed after the cut, which recovery skips as
 // the records of a session the snapshot had closed. Its series leave
 // /metrics.
-func (s *Server) retire(id string) bool {
+func (s *Server) retire(id string) error {
 	s.mu.Lock()
 	sess := s.sessions[id]
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	if sess == nil {
-		return false
+		return fmt.Errorf("%w %q", errNoSession, id)
 	}
 	_ = sess.Session().Close()
 	s.mSessions.Dec()
 	s.reg.Unregister(fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", id))
-	return true
+	return nil
 }
 
-// lookupSession resolves {sid} or writes a 404.
-func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request) *session {
-	id := r.PathValue("sid")
+// lookupSession finds session id.
+func (s *Server) lookupSession(id string) (*session, error) {
 	s.mu.Lock()
 	sess := s.sessions[id]
 	s.mu.Unlock()
 	if sess == nil {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
+		return nil, fmt.Errorf("%w %q", errNoSession, id)
 	}
-	return sess
+	return sess, nil
 }
 
 // sessionDomain resolves /v1/sessions/{sid}/… to the session's domain,
 // whose operations run behind the drain gate.
 func (s *Server) sessionDomain(w http.ResponseWriter, r *http.Request) (domain, bool) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
+	sess, err := s.lookupSession(r.PathValue("sid"))
+	if refused(w, err) {
 		return domain{}, false
 	}
 	return domain{
 		Shard: sess.Shard,
-		mutate: func(ctx context.Context, op func(*core.Session) ([]core.RepairResult, error)) ([]core.RepairResult, error) {
-			var results []core.RepairResult
-			err := s.operate(ctx, func() error {
-				var err error
+		mutate: func(ctx context.Context, op func(*core.Session) ([]core.RepairResult, error)) (results []core.RepairResult, err error) {
+			err = s.operate(ctx, func() error {
 				results, err = op(sess.Session())
 				return err
 			})
-			if err != nil {
-				return nil, err
-			}
-			return results, nil
+			return results, err
 		},
-		rebalance: func() (core.RebalanceResult, error) {
-			if err := s.enter(); err != nil {
-				return core.RebalanceResult{}, err
-			}
-			defer s.inflight.Done()
-			// The round already passed the barrier if it committed
-			// anything; this one covers the zero-move path for free.
-			return sess.Rebalance(), s.ackBarrier()
+		// The round already passed the barrier if it committed anything;
+		// operate's covers the zero-move path for free.
+		rebalance: func() (res core.RebalanceResult, err error) {
+			err = s.operate(context.Background(), func() error {
+				res = sess.Rebalance()
+				return nil
+			})
+			return res, err
 		},
 	}, true
 }
 
-func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
+// admitToSession admits env to session sid as one fragment on shard 0.
+func (s *Server) admitToSession(ctx context.Context, sid string, env *virtual.Env) (string, shard.Placement, cluster.VMMOverhead, error) {
+	sess, err := s.lookupSession(sid)
+	if err != nil {
+		return "", shard.Placement{}, cluster.VMMOverhead{}, err
 	}
-	req, env, ok := decodeMapEnv(w, r)
-	if !ok {
-		return
-	}
-
 	// The environment ID is assigned before the admission runs, because
 	// it is the admission's tag: it rides the WAL record, so a logged
 	// admission the daemon died before acknowledging recovers under the
@@ -289,78 +277,39 @@ func (s *Server) handleMapEnv(w http.ResponseWriter, r *http.Request) {
 	envID := fmt.Sprintf("e%d", sess.nextEnv)
 	sess.mu.Unlock()
 
-	ctx := r.Context()
-	var resp MapEnvResponse
-	err := s.operate(ctx, func() error {
+	pl := shard.Placement{Fragments: []shard.Fragment{{Env: env, Tag: envID}}}
+	err = s.operate(ctx, func() error {
 		sess.attempted.Inc()
 		t0 := time.Now()
 		m, admit, err := sess.Session().MapTagged(env, envID)
 		s.observeAdmit(admit, time.Since(t0).Seconds())
-		if err == nil && ctx.Err() != nil {
-			// Mapped, but the client gave up meanwhile and will never learn
-			// the ID: roll back so no orphan environment holds resources.
-			_ = sess.Session().ReleaseTagged(envID)
-			err = ctx.Err()
-		}
 		if err != nil {
 			sess.failed.Inc()
 			return err
 		}
 		sess.succeeded.Inc()
-		s.observeVerbatim(env)
-
-		resp = MapEnvResponse{ID: envID, Mapping: spec.FromMapping(m, sess.Overhead())}
-		if req.Plan || req.PlanShell {
-			if plan, err := deploy.Build(m, sess.Overhead()); err == nil {
-				if req.Plan {
-					resp.Plan = plan
-				}
-				if req.PlanShell {
-					resp.PlanShell = plan.RenderShell()
-				}
-			}
-		}
+		pl.Fragments[0].M = m
 		return nil
 	})
-	if code, msg, ok := failureStatus(err); !ok {
-		if code == http.StatusServiceUnavailable {
-			sess.rejected.Inc()
-		}
-		writeFailure(w, code, msg)
-		return
+	if code, _, _ := failureStatus(err); code == http.StatusServiceUnavailable {
+		sess.rejected.Inc()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return envID, pl, sess.Overhead(), err
 }
 
-func (s *Server) handleReleaseEnv(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
+// releaseFromSession releases environment eid of session sid by its tag:
+// the rebalancer may have replaced its mapping a moment ago.
+func (s *Server) releaseFromSession(ctx context.Context, sid, eid string) error {
+	sess, err := s.lookupSession(sid)
+	if err != nil {
+		return err
 	}
-	envID := r.PathValue("eid")
-	// By ID, which is the tag it was admitted under: the rebalancer may
-	// have replaced the environment's mapping a moment ago.
-	err := s.operate(r.Context(), func() error { return sess.Session().ReleaseTagged(envID) })
-	if refused(w, err) {
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	return s.operate(ctx, func() error { return sess.Session().ReleaseTagged(eid) })
 }
 
-func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
-	if refused(w, s.enter()) {
-		return
-	}
-	defer s.inflight.Done()
-	id := r.PathValue("sid")
-	if !s.retire(id) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
-		return
-	}
-	if refused(w, s.ackBarrier()) {
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+// closeSession closes session sid with every environment on it.
+func (s *Server) closeSession(ctx context.Context, sid string) error {
+	return s.operate(ctx, func() error { return s.retire(sid) })
 }
 
 // --- durability ---

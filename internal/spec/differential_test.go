@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/jsonx"
 	"repro/internal/server"
 	"repro/internal/spec"
@@ -594,8 +595,9 @@ func TestQuickAppendJSONMatchesEncodingJSON(t *testing.T) {
 	err := quick.Check(func(q quickSpecs) bool {
 		return check(q.Env) && check(q.Map) &&
 			check(server.MapEnvResponse{ID: hardStrings[len(q.Map.GuestHost)%len(hardStrings)], Mapping: q.Map}) &&
-			check(server.FedMapEnvResponse{ID: "e1", CutBW: q.Map.Objective, Split: len(q.Map.LinkPaths) > 1, Fallback: len(q.Map.LinkEdges) > 1,
-				Fragments: []server.FragmentReport{{Shard: 3, Guests: q.Map.GuestHost, Mapping: q.Map}, {Mapping: q.Map}}})
+			check(server.AdmitResponse{ID: "e1", CutBW: q.Map.Objective, Split: len(q.Map.LinkPaths) > 1, Fallback: len(q.Map.LinkEdges) > 1,
+				Fragments: []server.FragmentReport{{Shard: 3, Guests: q.Map.GuestHost, Mapping: q.Map},
+					{Mapping: q.Map, PlanShell: hardStrings[len(q.Map.LinkPaths)%len(hardStrings)]}}})
 	}, &quick.Config{MaxCount: 3000})
 	if err != nil {
 		t.Fatal(err)
@@ -605,7 +607,8 @@ func TestQuickAppendJSONMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("objective %v", bad)
 		}
 	}
-	if !check(server.FedMapEnvResponse{}) || !check(server.MapEnvResponse{PlanShell: "echo"}) {
+	if !check(server.AdmitResponse{}) || !check(server.MapEnvResponse{}) ||
+		!check(server.AdmitResponse{Fragments: []server.FragmentReport{{PlanShell: "echo"}, {Plan: &deploy.Plan{}}}}) {
 		t.Fatal("zero responses")
 	}
 }

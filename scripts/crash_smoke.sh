@@ -137,7 +137,7 @@ churn() {
     done
     codes=$(curl "${args[@]}" -sS -o /dev/null "$base/v1/healthz")
     for c in $codes; do
-        case $c in 200 | 201 | 204) ;; *) echo "churn: HTTP $c" >&2; exit 1 ;; esac
+        case $c in 201 | 204) ;; *) echo "churn: HTTP $c" >&2; exit 1 ;; esac
     done
 }
 
@@ -153,7 +153,7 @@ expect_reply() {
 }
 
 # map_env POSTs env file $2 (compact when $4 is "compact") to session $1
-# and expects environment ID $3.
+# and expects the fragment reply under environment ID $3.
 map_env() {
     local env
     if [ "${4:-}" = compact ]; then
@@ -161,7 +161,7 @@ map_env() {
     else
         env=$(cat "$2")
     fi
-    expect_reply "\"id\": *\"$3\"" -X POST "$base/v1/sessions/$1/envs" -d "{\"env\": $env}"
+    expect_reply "\"id\": *\"$3\", *\"fragments\"" -X POST "$base/v1/sessions/$1/envs" -d "{\"env\": $env}"
 }
 
 # release expects DELETE of environment $2 in session $1 to answer 204.
