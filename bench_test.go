@@ -973,9 +973,11 @@ func BenchmarkSpecCodec(b *testing.B) {
 // records/s and MB/s of log. The log itself is never held: B/op is the
 // Env and Mapping every admit record builds, live or later released,
 // plus the pass's own storage. The …/snapshot case logs the
-// same churn into a second directory that takes a snapshot before the
-// last eighth of it: recovery restores a snapshot of the four live
-// environments, whose size it reports, and replays that eighth.
+// same churn into a second directory that checkpoints the way the
+// daemon does — WAL.Checkpoint after every operation, a snapshot once
+// one is due: recovery restores the last snapshot of the four live
+// environments, whose size it reports, and replays the suffix the
+// checkpoint rule left behind it.
 func BenchmarkRecover(b *testing.B) {
 	const live = 4
 	for _, tc := range codecTestbeds {
@@ -1017,22 +1019,23 @@ func BenchmarkRecover(b *testing.B) {
 		}
 		var held []*mapping.Mapping
 		for i := 0; i < admits; i++ {
-			if i == admits-admits/8 {
-				if err := wals[1].Snapshot(export); err != nil {
-					b.Fatal(err)
-				}
-			}
 			if len(held) == live {
 				if err := sess.Release(held[0]); err != nil {
 					b.Fatal(err)
 				}
 				held = held[1:]
+				if err := wals[1].Checkpoint(export); err != nil {
+					b.Fatal(err)
+				}
 			}
 			m, err := sess.Map(env)
 			if err != nil {
 				b.Fatal(err)
 			}
 			held = append(held, m)
+			if err := wals[1].Checkpoint(export); err != nil {
+				b.Fatal(err)
+			}
 		}
 		for _, w := range wals {
 			if err := w.Close(); err != nil {

@@ -28,7 +28,7 @@
 // Durability: -data-dir enables the write-ahead log (internal/wal).
 // Every mutating request is logged and fsynced before its success
 // response. Every snapshot starts a fresh log segment: a checkpoint
-// lands whenever the log outgrows the last snapshot eightfold (so a
+// lands whenever the log outgrows the last snapshot twofold (so a
 // restart reads a bounded suffix), and a graceful shutdown takes one
 // more. No snapshot deletes a segment, so the directory holds the whole
 // operation trace; `hmnwal compact <data-dir>` reclaims the segments

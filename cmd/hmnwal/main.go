@@ -142,7 +142,7 @@ func verify(out io.Writer, dir string) error {
 		}
 		fmt.Fprintf(out, "session %s: ok (active=%d objective=%.6g)\n", rs.SID, cs.Active(), cs.ObjectiveStdDev())
 	}
-	fmt.Fprintf(out, "verified: %d session(s), %d record(s) replayed", len(rec.Sessions), replayed)
+	fmt.Fprintf(out, "verified: %d session(s), %d record(s) replayed from %d byte(s) of log", len(rec.Sessions), replayed, rec.Bytes)
 	if rec.SnapshotBytes > 0 {
 		fmt.Fprintf(out, "; snapshot of %d byte(s) restored in %.4f s, log pass %.4f s",
 			rec.SnapshotBytes, rec.SnapshotTime.Seconds(), (took - rec.SnapshotTime).Seconds())

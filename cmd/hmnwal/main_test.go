@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -79,7 +80,8 @@ func TestRefusesAFederationRoot(t *testing.T) {
 
 // TestRunsOnAClassicDirectory: a directory with one session opened and
 // one admission logged dumps two records, verifies one session from one
-// replayed record, and compacts nothing.
+// replayed record, read from the whole of the one segment's bytes, and
+// compacts nothing.
 func TestRunsOnAClassicDirectory(t *testing.T) {
 	dir := t.TempDir()
 	c := smallCluster(t, 1)
@@ -106,9 +108,17 @@ func TestRunsOnAClassicDirectory(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v: want one", segs, err)
+	}
+	seg, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	for cmd, want := range map[string]string{
 		"dump":    "log: 2 record(s)",
-		"verify":  "verified: 1 session(s), 1 record(s) replayed",
+		"verify":  fmt.Sprintf("verified: 1 session(s), 1 record(s) replayed from %d byte(s) of log\n", seg.Size()),
 		"compact": "compacted: 0 segment(s) deleted",
 	} {
 		var out bytes.Buffer

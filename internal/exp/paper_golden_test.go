@@ -83,7 +83,13 @@ func TestGoldenPaperTables(t *testing.T) {
 	}
 
 	// Table 2: HMN's Eq. (10) mean is the lowest of the four in every row
-	// it maps.
+	// it maps. Each mean is over the runs its own heuristic mapped, so two
+	// means can average different instances, and this holds only at seed 1
+	// with 3 reps: at seed 2, HS reads 352.63 against HMN's 353.22 on the
+	// torus at 2.5:1 0.02, and at seed 1 with 30 reps RA reads 570.82
+	// against 577.75 at 10:1 0.02, where HMN maps about 4 of 30 instances
+	// and RA about 7. hmn_lowest_objective_paired is the comparison that
+	// holds across seeds.
 	t.Run("hmn_lowest_objective", func(t *testing.T) {
 		for c, row := range series {
 			hmn := row["HMN"]
@@ -94,6 +100,52 @@ func TestGoldenPaperTables(t *testing.T) {
 				if s.Valid > 0 && s.ObjectiveMean < hmn.ObjectiveMean {
 					t.Errorf("%s / %s: %s mean %.2f below HMN's %.2f", c.scenario, c.topology, h, s.ObjectiveMean, hmn.ObjectiveMean)
 				}
+			}
+		}
+	})
+
+	// Table 2, paired: over the instances (scenario, topology, rep) that
+	// both HMN and another heuristic mapped, HMN's Eq. (10) mean is the
+	// lower of the two in every row.
+	t.Run("hmn_lowest_objective_paired", func(t *testing.T) {
+		type instance struct {
+			scenario, topology string
+			rep                int
+		}
+		type pair struct {
+			scenario, topology, heuristic string
+		}
+		hmn := map[instance]float64{}
+		for _, r := range doc.Runs {
+			if r.OK && r.Heuristic == "HMN" {
+				hmn[instance{r.Scenario, r.Topology, r.Rep}] = r.Objective
+			}
+		}
+		type sums struct {
+			hmn, other float64
+			n          int
+		}
+		paired := map[pair]*sums{}
+		for _, r := range doc.Runs {
+			h, ok := hmn[instance{r.Scenario, r.Topology, r.Rep}]
+			if !r.OK || !ok || r.Heuristic == "HMN" {
+				continue
+			}
+			p := pair{r.Scenario, r.Topology, r.Heuristic}
+			if paired[p] == nil {
+				paired[p] = &sums{}
+			}
+			paired[p].hmn += h
+			paired[p].other += r.Objective
+			paired[p].n++
+		}
+		if len(paired) == 0 {
+			t.Fatal("no instance was mapped by HMN and another heuristic")
+		}
+		for p, s := range paired {
+			if s.other < s.hmn {
+				t.Errorf("%s / %s over %d paired runs: %s mean %.2f below HMN's %.2f",
+					p.scenario, p.topology, s.n, p.heuristic, s.other/float64(s.n), s.hmn/float64(s.n))
 			}
 		}
 	})

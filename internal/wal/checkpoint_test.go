@@ -42,8 +42,8 @@ func forceCheckpoint(t *testing.T, w *WAL, export func() ([]SessionSnap, error))
 	}
 }
 
-// TestCheckpointDueByGrowth appends until the log has grown past eight
-// times the 64 KiB floor: only then is a checkpoint due, and taking it
+// TestCheckpointDueByGrowth appends until the log has grown past twice
+// the 64 KiB floor: only then is a checkpoint due, and taking it
 // fsyncs, publishes a snapshot at the start of a fresh segment, deletes
 // nothing, reports through the hooks and sets the next limit from the
 // snapshot's size.

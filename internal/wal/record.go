@@ -21,7 +21,7 @@
 // frame or a checksum mismatch with nothing valid after it in the final
 // segment — is truncated on open with a warning; an invalid frame
 // anywhere else is corruption and open refuses. A snapshot — a
-// checkpoint once the log has grown eightfold past the last one, and
+// checkpoint once the log has grown twofold past the last one, and
 // one at shutdown — rotates to a fresh segment, notes that segment as
 // its position, exports every session, writes the snapshot to a
 // temporary file and renames it over the old one (fsyncing the

@@ -31,9 +31,10 @@ type WAL struct {
 // position by checkpointRatio times the larger of that snapshot's size
 // and checkpointFloor (the rule of Raft §7). So writing snapshots costs
 // at most 1/checkpointRatio of what writing the log does, and a recovery
-// reads at most checkpointRatio times the live state's size of log.
+// reads at most checkpointRatio times the live state's size of log, plus
+// the records of the one operation that made the checkpoint due.
 const (
-	checkpointRatio = 8
+	checkpointRatio = 2
 	checkpointFloor = 64 << 10
 )
 
