@@ -129,10 +129,10 @@ fma-ratchet:
 ## crash-smoke is the end-to-end crash/recovery check of both modes:
 ## churn a classic session (an indented and a compact admit, a release,
 ## rebalancing rounds drained to zero moves) and then `hmnd -shards 4`
-## across eight tenants, kill -9, verify every WAL directory with hmnwal,
-## and restart asserting byte-identical residuals and fresh IDs; after
-## each phase's graceful shutdown, hmnwal compact every WAL directory and
-## restart once more on the compacted state.
+## across eight tenants, kill -9, verify the data directory's one WAL
+## with hmnwal, and restart asserting byte-identical residuals and fresh
+## IDs; after each phase's graceful shutdown, hmnwal compact the
+## directory and restart once more on the compacted state.
 crash-smoke:
 	./scripts/crash_smoke.sh
 

@@ -62,16 +62,18 @@
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/mutex
 //
 // Federation: -shards N switches the daemon into sharded multi-cluster
-// mode — N fully independent shards (each its own session, ledger and
-// WAL directory) behind a router that places each environment by
-// consistent hashing with a best-fit fallback. A request runs on its
-// own goroutine, serialized per shard by the shard's session lock, so
-// unrelated environments never contend on a lock or an fsync.
-// -shard-cluster names a cluster-spec JSON file instantiated once per
-// shard; -gateway-bw budgets the inter-shard bandwidth that split
-// admissions may charge. The durability and rebalancing flags apply per
-// shard (-data-dir holds one WAL directory per shard plus the tenant
-// registry, and a restart recovers every shard before serving):
+// mode — N independent shards (each its own session and ledger) behind
+// a router that places each environment by consistent hashing with a
+// best-fit fallback. A request runs on its own goroutine, serialized per
+// shard by the shard's session lock, so unrelated environments never
+// contend on a session lock; they share the one WAL's group-commit
+// fsyncs. -shard-cluster names a cluster-spec JSON file instantiated
+// once per shard; -gateway-bw budgets the inter-shard bandwidth that
+// split admissions may charge. The durability and rebalancing flags mean
+// what they mean in the classic mode (-data-dir holds one WAL, the
+// shards its sessions shard-0 … shard-N-1, plus the tenant registry, and
+// a restart recovers every shard before serving; a data directory
+// written with a WAL per shard-k directory is refused):
 //
 //	hmnd -addr :8080 -shards 4 -shard-cluster cluster.json -gateway-bw 100 -data-dir /var/lib/hmnd
 //

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 func TestBuildConfig(t *testing.T) {
@@ -82,5 +87,41 @@ func TestSharedFlagsValidateTheSameInBothModes(t *testing.T) {
 		if _, fed := configure(append([]string{"-shards", "2", "-shard-cluster", "cluster.json"}, tc.args...)); fed == nil || fed.Error() != tc.want {
 			t.Errorf("configure(%v) with -shards = %v, want the usage error %q", tc.args, fed, tc.want)
 		}
+	}
+}
+
+// TestRefusesAFederationInThePerShardLayout: hmnd -shards N on a data
+// directory from before the shards shared one log — federation.json
+// beside a WAL directory per shard, no log at the root — fails with the
+// error that names the layout, and starts no shard over it. The refusal
+// reads no shard log, so each holds just an open record.
+func TestRefusesAFederationInThePerShardLayout(t *testing.T) {
+	dir := t.TempDir()
+	for k := 0; k < 2; k++ {
+		sid := fmt.Sprintf("shard-%d", k)
+		w, _, err := wal.Recover(filepath.Join(dir, sid), wal.Hooks{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(&wal.Record{Kind: wal.KindOpen, SID: sid, Open: &wal.OpenRec{}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta := `{"shards": 2, "gateway_bw": 0, "mapper": "", "proc": 0, "mem": 0, "stor": 0, "next_session": 0, "tenants": []}`
+	if err := os.WriteFile(filepath.Join(dir, "federation.json"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	serve, err := configure([]string{"-addr", "127.0.0.1:0", "-shards", "2", "-data-dir", dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serve(); err == nil || !strings.Contains(err.Error(), "per-shard layout") {
+		t.Fatalf("hmnd -shards 2 on a per-shard layout: %v, want it refused by name", err)
+	}
+	if ok, err := wal.HasState(dir); ok || err != nil {
+		t.Fatalf("the refused directory has a log at its root (%v, %v)", ok, err)
 	}
 }

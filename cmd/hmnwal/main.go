@@ -22,9 +22,10 @@
 // running daemon (wal.Compact).
 //
 // Each command refuses a directory that holds neither a log segment nor
-// a snapshot. A federation's data directory (hmnd -shards N) is such a
-// directory: every shard keeps its own WAL in shard-0 … shard-N-1, and
-// the error names them.
+// a snapshot. Both daemon modes keep one log per data directory, so each
+// command runs on any of them: a federation's (hmnd -shards N) holds the
+// sessions shard-0 … shard-N-1, one per shard, beside its tenant
+// registry.
 package main
 
 import (
@@ -33,10 +34,8 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strings"
 	"time"
 
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -70,19 +69,11 @@ func run(out io.Writer, cmd, dir string) error {
 	return err
 }
 
-// checkDir refuses a directory that is not a WAL directory, naming the
-// shard directories to run on when it is a federation's.
+// checkDir refuses a directory that is not a WAL directory.
 func checkDir(dir string) error {
 	ok, err := wal.HasState(dir)
 	if err != nil || ok {
 		return err
-	}
-	if shard.HasState(dir) {
-		dirs, err := shard.Dirs(dir)
-		if err != nil {
-			return err
-		}
-		return fmt.Errorf("%s is a federation's data directory, not a WAL directory: run on each shard's, %s", dir, strings.Join(dirs, " "))
 	}
 	return fmt.Errorf("%s is not a WAL directory: it holds no log segment and no snapshot", dir)
 }

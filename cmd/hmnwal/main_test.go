@@ -48,11 +48,10 @@ func TestRefusesADirectoryWithoutALog(t *testing.T) {
 	}
 }
 
-// TestRefusesAFederationRoot: a federation's data directory holds
-// federation.json and one WAL directory per shard. Every command fails
-// on it with an error that names each shard's directory, and runs on
-// those.
-func TestRefusesAFederationRoot(t *testing.T) {
+// TestRunsOnAFederationDirectory: a federation's data directory holds
+// its tenant registry beside the one log its shards share. Every command
+// runs on it, and verify recovers every shard's session.
+func TestRunsOnAFederationDirectory(t *testing.T) {
 	dir := t.TempDir()
 	f, err := shard.New([]*cluster.Cluster{smallCluster(t, 1), smallCluster(t, 2), smallCluster(t, 3)}, shard.Config{DataDir: dir})
 	if err != nil {
@@ -62,18 +61,20 @@ func TestRefusesAFederationRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cmd := range commands {
-		err := run(&bytes.Buffer{}, cmd, dir)
-		if err == nil {
-			t.Fatalf("%s of a federation root succeeded", cmd)
+		var out bytes.Buffer
+		if err := run(&out, cmd, dir); err != nil {
+			t.Fatalf("%s of a federation's data directory: %v", cmd, err)
+		}
+		if cmd != "verify" {
+			continue
 		}
 		for k := 0; k < 3; k++ {
-			shardDir := filepath.Join(dir, fmt.Sprintf("shard-%d", k))
-			if !strings.Contains(err.Error(), shardDir) {
-				t.Errorf("%s of a federation root: %q does not name %s", cmd, err, shardDir)
+			if want := fmt.Sprintf("session shard-%d: ok", k); !strings.Contains(out.String(), want) {
+				t.Errorf("verify printed %q, want a line with %q", out.String(), want)
 			}
-			if err := run(&bytes.Buffer{}, cmd, shardDir); err != nil {
-				t.Errorf("%s of %s: %v", cmd, shardDir, err)
-			}
+		}
+		if want := "verified: 3 session(s)"; !strings.Contains(out.String(), want) {
+			t.Errorf("verify printed %q, want a line with %q", out.String(), want)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -93,14 +92,12 @@ func TestDaemonCheckpointsByGrowth(t *testing.T) {
 	_, cs := testbed(t)
 	for _, mode := range []string{"classic", "federation"} {
 		t.Run(mode, func(t *testing.T) {
-			root := t.TempDir()
-			cfg := durableConfig(t, root)
-			start := New
-			walDir, residuals := root, "/v1/sessions/s1/residuals"
+			walDir := t.TempDir()
+			cfg := durableConfig(t, walDir)
+			start, residuals := New, "/v1/sessions/s1/residuals"
 			if mode == "federation" {
 				cfg.ClusterSpecs = []spec.ClusterSpec{cs}
-				start = NewFederation
-				walDir, residuals = filepath.Join(root, "shard-0"), "/v1/shards/0/residuals"
+				start, residuals = NewFederation, "/v1/shards/0/residuals"
 			}
 			s1 := start(cfg)
 			if err := s1.Recover(); err != nil {
@@ -152,14 +149,12 @@ func TestCompactingALiveDaemon(t *testing.T) {
 	_, cs := testbed(t)
 	for _, mode := range []string{"classic", "federation"} {
 		t.Run(mode, func(t *testing.T) {
-			root := t.TempDir()
-			cfg := durableConfig(t, root)
-			start := New
-			walDir, residuals := root, "/v1/sessions/s1/residuals"
+			walDir := t.TempDir()
+			cfg := durableConfig(t, walDir)
+			start, residuals := New, "/v1/sessions/s1/residuals"
 			if mode == "federation" {
 				cfg.ClusterSpecs = []spec.ClusterSpec{cs}
-				start = NewFederation
-				walDir, residuals = filepath.Join(root, "shard-0"), "/v1/shards/0/residuals"
+				start, residuals = NewFederation, "/v1/shards/0/residuals"
 			}
 			s1 := start(cfg)
 			if err := s1.Recover(); err != nil {
@@ -203,19 +198,9 @@ func TestCompactingALiveDaemon(t *testing.T) {
 
 			// The crash image: every file of the directory as it stands.
 			image := t.TempDir()
-			dirs := []string{root}
-			if walDir != root {
-				dirs = append(dirs, walDir)
-			}
-			for _, dir := range dirs {
-				to := filepath.Join(image, strings.TrimPrefix(dir, root))
-				if err := os.MkdirAll(to, 0o755); err != nil {
+			for name, b := range dirBytes(t, walDir) {
+				if err := os.WriteFile(filepath.Join(image, name), b, 0o644); err != nil {
 					t.Fatal(err)
-				}
-				for name, b := range dirBytes(t, dir) {
-					if err := os.WriteFile(filepath.Join(to, name), b, 0o644); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 			cfg.DataDir = image

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -451,7 +450,7 @@ func TestCancelledAdmissionsLeaveNothing(t *testing.T) {
 		servedID(t, serve(t, s, "POST", "/v1/sessions", nil))
 		refusedAndEmpty(t, s, admit(s, ctx))
 		var kinds []string
-		if _, _, err := wal.Each(filepath.Join(dir, "shard-0"), wal.Hooks{}, func(r *wal.Record) error {
+		if _, _, err := wal.Each(dir, wal.Hooks{}, func(r *wal.Record) error {
 			kinds = append(kinds, r.Kind)
 			return nil
 		}); err != nil {

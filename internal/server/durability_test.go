@@ -589,6 +589,12 @@ func TestRecoverRefusesHMNC(t *testing.T) {
 	}
 }
 
+// exportAll is a classic daemon's snapshot export: the one exporter
+// both modes' barriers use, over the open sessions.
+func (s *Server) exportAll() ([]wal.SessionSnap, error) {
+	return shard.Export(s.sessionDomains())
+}
+
 // dirBytes reads every regular file directly in dir, by name.
 func dirBytes(t *testing.T, dir string) map[string][]byte {
 	t.Helper()

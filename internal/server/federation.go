@@ -37,7 +37,7 @@ func NewFederation(cfg Config) *Server {
 }
 
 // recoverFederation builds the federation: a data directory that
-// already holds federation state is recovered shard by shard; otherwise
+// already holds federation state is recovered from its one log; otherwise
 // the shards are built fresh from ClusterSpecs.
 func (s *Server) recoverFederation() error {
 	var (

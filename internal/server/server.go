@@ -8,15 +8,17 @@
 //   - core.Session holds the residual-resource ledger and runs the HMN
 //     mapper incrementally; it is the only layer that mutates testbed
 //     state.
-//   - shard.Shard is one lock domain: a session and the write-ahead log
-//     its commits go to. Creating one, adopting one from a replayed log
-//     and snapshotting one are shard functions; this package never
-//     touches a commit hook.
+//   - shard.Shard is one lock domain: a session whose commits go to its
+//     owner's write-ahead log. Creating one, adopting one from a
+//     replayed log, snapshotting the domains on a log and the ack
+//     barrier are shard functions; this package never touches a commit
+//     hook.
 //   - Server is the one daemon type. New serves clients who bring their
 //     own cluster per session: every session is a domain on the daemon's
 //     one WAL. NewFederation serves a shard.Federation: the lock domains
-//     are its N shards, fixed at startup, and tenants' requests are
-//     routed onto them. Either way an operation runs on its request's
+//     are its N shards, fixed at startup, on the federation's one WAL,
+//     and tenants' requests are routed onto them. Either way a data
+//     directory holds one WAL, and an operation runs on its request's
 //     goroutine, serialized per domain by the domain's session lock —
 //     the daemon starts no goroutine of its own — and once Close has
 //     begun a mutating request is refused with 503 + Retry-After.
@@ -56,14 +58,14 @@
 // released; repaired/replaced ones keep their IDs.
 //
 // Durability (Config.DataDir): every committed operation is appended to
-// its domain's WAL inside the session lock, and every mutating handler
-// passes a barrier before it writes a success response, so a record is
-// durable before its client hears about it — a crash can lose
-// unacknowledged work, never acknowledged work. Recover rebuilds the
-// domains from snapshot plus log suffix before the daemon serves; the
-// /v1 API answers 503 "replaying" until it returns, and refuses to
-// serve a domain whose incremental objective disagrees with a
-// recompute.
+// the data directory's one WAL inside the session lock, and every
+// mutating handler passes a barrier before it writes a success
+// response, so a record is durable before its client hears about it —
+// a crash can lose unacknowledged work, never acknowledged work.
+// Recover rebuilds the domains from snapshot plus log suffix before the
+// daemon serves; the /v1 API answers 503 "replaying" until it returns,
+// and refuses to serve a domain whose incremental objective disagrees
+// with a recompute.
 //
 // Request bodies are decoded strictly (spec.DecodeStrict): unknown
 // fields are a 400, not a silent no-op.
@@ -105,11 +107,11 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies. Defaults to 32 MiB.
 	MaxBodyBytes int64
 	// DataDir enables durability: every mutating operation is logged to
-	// a write-ahead log under this directory before its response is
-	// acknowledged, and Recover rebuilds state from it on startup. A
-	// classic daemon keeps one log at its root, a federation one per
-	// shard beside the tenant registry. Empty disables durability
-	// (state dies with the process).
+	// the one write-ahead log at this directory's root before its
+	// response is acknowledged, and Recover rebuilds state from it on
+	// startup. A classic daemon's sessions and a federation's shards are
+	// the log's sessions alike; a federation keeps its tenant registry
+	// beside it. Empty disables durability (state dies with the process).
 	DataDir string
 	// RebalanceMaxMoves caps guest moves per round of POST …/rebalance.
 	// <= 0 means unbounded: a round runs until no move improves the
@@ -122,9 +124,9 @@ type Config struct {
 	// The remaining fields describe a federation's shards, which exist
 	// from startup and run HMN with no VMM overhead. ClusterSpecs holds
 	// one physical cluster per shard (ignored when DataDir already holds
-	// federation state: recovery rebuilds the clusters from the per-shard
-	// WALs); a classic session brings its cluster, mapper and overhead
-	// per POST /v1/sessions instead.
+	// federation state: recovery rebuilds the clusters from the log); a
+	// classic session brings its cluster, mapper and overhead per POST
+	// /v1/sessions instead.
 	ClusterSpecs []spec.ClusterSpec
 	// GatewayBW is the inter-shard gateway budget in Mbps (0 disables
 	// split admissions).
@@ -175,7 +177,8 @@ type Server struct {
 	inflight sync.WaitGroup
 
 	// A classic daemon's state: the sessions clients opened and the one
-	// WAL they share (nil without Config.DataDir).
+	// WAL they share (nil without Config.DataDir; a federation's is its
+	// own).
 	mu          sync.Mutex
 	sessions    map[string]*session //hmn:guardedby mu
 	nextSession int                 //hmn:guardedby mu
@@ -385,18 +388,10 @@ func (s *Server) Close() error {
 		return s.fed.Close()
 	}
 	s.inflight.Wait()
-	if !first || s.wal == nil {
+	if !first {
 		return nil
 	}
-	err := s.wal.Snapshot(s.exportAll)
-	if err != nil {
-		s.logf("hmnd: shutdown snapshot: %v", err)
-	}
-	cerr := s.wal.Close()
-	if cerr != nil {
-		s.logf("hmnd: wal close: %v", cerr)
-	}
-	return errors.Join(err, cerr)
+	return shard.Seal(s.wal, s.sessionDomains)
 }
 
 // logf reports housekeeping through the configured logger.

@@ -4,8 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/spec"
 	"repro/internal/virtual"
-	"repro/internal/wal"
 )
 
 // This file is the classic mode: clients open sessions that each bring
@@ -47,9 +45,10 @@ type session struct {
 	// The session's hmnd_maps_*_total{mapper} series, resolved once:
 	// admissions used to format and look up all four per request.
 	attempted, succeeded, failed, rejected *metrics.Counter
-
-	mu      sync.Mutex
-	nextEnv int //hmn:guardedby mu
+	// nextEnv is the session's environment-ID counter; an admission takes
+	// its ID before it commits, so a snapshot that reads the counter
+	// after the session's export covers every admission it captured.
+	nextEnv atomic.Int64
 }
 
 // newSession wraps a domain, opened or recovered, as a session with its
@@ -58,13 +57,15 @@ func (s *Server) newSession(sh *shard.Shard) *session {
 	s.reg.GaugeFunc(fmt.Sprintf("hmnd_session_residual_stddev{session=%q}", sh.SID()),
 		"Stddev of residual CPU per host (the Eq. 10 objective) per session.",
 		func() float64 { return mapping.Objective(sh.Session().ResidualProc()) })
-	return &session{
+	sess := &session{
 		Shard:     sh,
 		attempted: s.mapCounter("attempted", sh.Mapper()),
 		succeeded: s.mapCounter("succeeded", sh.Mapper()),
 		failed:    s.mapCounter("failed", sh.Mapper()),
 		rejected:  s.mapCounter("rejected", sh.Mapper()),
 	}
+	sh.NextEnv = func() int { return int(sess.nextEnv.Load()) }
+	return sess
 }
 
 // mapCounter returns the per-mapper counter for one outcome.
@@ -122,19 +123,12 @@ func (s *Server) operate(ctx context.Context, op func() error) error {
 	return s.ackBarrier()
 }
 
-// ackBarrier makes every WAL record appended so far durable. Mutating
-// handlers pass it after their operation commits and before they write
-// a success response; with no data directory it is free. The operation
-// whose records made a checkpoint due writes it here first, so the log
-// a recovery must read stays within a few times the live state.
+// ackBarrier makes every WAL record appended so far durable, through
+// the one barrier both modes share (shard.Barrier). Mutating handlers
+// pass it after their operation commits and before they write a success
+// response; with no data directory it is free.
 func (s *Server) ackBarrier() error {
-	if s.wal == nil {
-		return nil
-	}
-	if err := s.wal.Checkpoint(s.exportAll); err != nil {
-		s.logf("hmnd: checkpoint: %v", err)
-	}
-	if err := s.wal.Barrier(); err != nil {
+	if err := shard.Barrier(s.domainCfg, s.wal, s.sessionDomains); err != nil {
 		return fmt.Errorf("%w: %w", errNotDurable, err)
 	}
 	return nil
@@ -249,8 +243,7 @@ func (s *Server) sessionDomain(w http.ResponseWriter, r *http.Request) (domain, 
 			})
 			return results, err
 		},
-		// The round already passed the barrier if it committed anything;
-		// operate's covers the zero-move path for free.
+		// operate's barrier makes the round's moves durable.
 		rebalance: func() (res core.RebalanceResult, err error) {
 			err = s.operate(context.Background(), func() error {
 				res = sess.Rebalance()
@@ -272,10 +265,7 @@ func (s *Server) admitToSession(ctx context.Context, sid string, env *virtual.En
 	// admission the daemon died before acknowledging recovers under the
 	// ID the response would have carried. A failed admission burns the
 	// ID (IDs are not dense).
-	sess.mu.Lock()
-	sess.nextEnv++
-	envID := fmt.Sprintf("e%d", sess.nextEnv)
-	sess.mu.Unlock()
+	envID := fmt.Sprintf("e%d", sess.nextEnv.Add(1))
 
 	pl := shard.Placement{Fragments: []shard.Fragment{{Env: env, Tag: envID}}}
 	err = s.operate(ctx, func() error {
@@ -330,7 +320,7 @@ func (s *Server) recoverSessions() error {
 	s.mu.Lock()
 	for _, sh := range domains {
 		sess := s.newSession(sh)
-		sess.nextEnv = sh.EnvHigh
+		sess.nextEnv.Store(int64(sh.EnvHigh))
 		s.sessions[sh.SID()] = sess
 	}
 	s.nextSession = max(s.nextSession, maxSession)
@@ -339,26 +329,4 @@ func (s *Server) recoverSessions() error {
 	s.logf("hmnd: recovered %d sessions, %d environments, replayed %d records",
 		len(domains), s.sessionEnvs(), int(s.mReplayRecords.Value()))
 	return nil
-}
-
-// exportAll captures every session in the table for a snapshot, in
-// session-ID order for deterministic snapshot bytes. It lists the table
-// after the snapshot's cut, so a session it finds there had not closed
-// by the cut: its close record, if any, follows the cut.
-func (s *Server) exportAll() ([]wal.SessionSnap, error) {
-	sessions := s.openSessions()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].SID() < sessions[j].SID() })
-	out := make([]wal.SessionSnap, 0, len(sessions))
-	for _, sess := range sessions {
-		// The export runs under sess.mu so NextEnv and the core state are
-		// one consistent cut: an admission assigns its environment ID
-		// under sess.mu *before* it commits in core, so any admission the
-		// core export captures already bumped the counter we snapshot.
-		// (Lock order is sess.mu → core's lock; the commit hook, which
-		// runs under core's lock, never takes sess.mu.)
-		sess.mu.Lock()
-		out = append(out, sess.Snap(sess.nextEnv))
-		sess.mu.Unlock()
-	}
-	return out, nil
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,12 +22,15 @@ import (
 // their environments live on whichever shards the router placed them,
 // addressed by tags of the form "sid/eid" (whole environments) or
 // "sid/eid#iofN@cutBW" (split fragments), which is also how recovery
-// rebuilds the registry from the per-shard WALs.
+// rebuilds the registry from the shards' recovered active sets.
 type Federation struct {
 	cfg    Config
 	shards []*Shard
 	router *Router
 	gw     *Gateway
+	// w is the one WAL every shard logs to; nil without a data
+	// directory.
+	w *wal.WAL
 
 	mu      sync.Mutex
 	tenants map[string]*tenant //hmn:guardedby mu
@@ -37,7 +39,7 @@ type Federation struct {
 	closed  bool               //hmn:guardedby mu
 	// inflight counts the operations running on their callers: one
 	// enters only while the federation is open, and Close waits for
-	// every one before its final snapshots.
+	// every one before its final snapshot.
 	inflight sync.WaitGroup
 }
 
@@ -94,9 +96,10 @@ type Placement struct {
 
 // New builds a fresh federation of len(clusters) shards. The clusters
 // may share a *cluster.Cluster (sessions own their ledgers) or be
-// disjoint partitions of one fabric. With cfg.DataDir set, every shard
-// gets its own WAL directory and the tenant registry its meta file; a
-// directory that already holds state is refused — use Recover.
+// disjoint partitions of one fabric. With cfg.DataDir set, the shards
+// open on one WAL at the directory's root and the tenant registry gets
+// its meta file beside it; a directory that already holds state is
+// refused — use Recover.
 func New(clusters []*cluster.Cluster, cfg Config) (*Federation, error) {
 	if len(clusters) == 0 {
 		return nil, errors.New("shard: federation needs at least one cluster")
@@ -105,15 +108,30 @@ func New(clusters []*cluster.Cluster, cfg Config) (*Federation, error) {
 	if cfg.GatewayBW > 0 {
 		f.gw = NewGateway(cfg.GatewayBW)
 	}
+	if cfg.DataDir != "" {
+		if logged, _ := wal.HasState(cfg.DataDir); logged || HasState(cfg.DataDir) {
+			return nil, errors.New("shard: data dir already holds state; recover instead of creating")
+		}
+		w, _, _, err := Replay(cfg, cfg.DataDir)
+		if err != nil {
+			return nil, err
+		}
+		f.w = w
+	}
 	for k, c := range clusters {
-		if err := f.openShard(k, c); err != nil {
+		sh, err := Open(cfg, shardSID(k), c, spec.FromCluster(c), f.w)
+		if err != nil {
 			f.abortBuild()
 			return nil, err
 		}
+		f.add(sh)
 	}
-	f.mu.Lock()
-	err := f.writeMetaLocked()
-	f.mu.Unlock()
+	err := f.barrier()
+	if err == nil {
+		f.mu.Lock()
+		err = f.writeMetaLocked()
+		f.mu.Unlock()
+	}
 	if err != nil {
 		f.abortBuild()
 		return nil, err
@@ -122,31 +140,26 @@ func New(clusters []*cluster.Cluster, cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// openShard opens shard k on c, logging to its own empty WAL directory
-// when the federation is durable. A directory that already recovers a
-// session means the caller wanted Recover.
-func (f *Federation) openShard(k int, c *cluster.Cluster) error {
-	var w *wal.WAL
-	if f.cfg.DataDir != "" {
-		opened, found, _, err := Replay(f.cfg, filepath.Join(f.cfg.DataDir, shardSID(k)))
-		if err != nil {
-			return err
-		}
-		if len(found) > 0 {
-			opened.Close()
-			return fmt.Errorf("shard: data dir already holds shard %d state; recover instead of creating", k)
-		}
-		w = opened
-	}
-	sh, err := Open(f.cfg, shardSID(k), c, spec.FromCluster(c), w)
-	if err == nil {
-		f.shards = append(f.shards, sh)
-		err = sh.barrier()
-	} else if w != nil {
-		w.Close()
-	}
-	return err
+// add makes sh the federation's next shard, its snapshots recording the
+// federation-wide environment-ID counter.
+func (f *Federation) add(sh *Shard) {
+	sh.Index, sh.NextEnv = len(f.shards), f.envCounter
+	f.shards = append(f.shards, sh)
 }
+
+// envCounter reads the federation-wide environment-ID counter.
+func (f *Federation) envCounter() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.nextEnv
+}
+
+// domains lists the shards, the lock domains on the federation's WAL.
+func (f *Federation) domains() []*Shard { return f.shards }
+
+// barrier makes every record the shards appended durable, checkpointing
+// the WAL first when that is due (Barrier).
+func (f *Federation) barrier() error { return Barrier(f.cfg, f.w, f.domains) }
 
 // start builds the router over the shards as they stand. Called once
 // by New/Recover.
@@ -154,20 +167,14 @@ func (f *Federation) start() {
 	resProc := make([]float64, len(f.shards))
 	for k, sh := range f.shards {
 		resProc[k] = sh.sess.ResidualSummary().TotalProc
-		sh.Index = k
-		if sh.w != nil {
-			sh.export = f.exportShard(sh)
-		}
 	}
 	f.router = newRouter(resProc, f.gw)
 }
 
 // abortBuild tears down a partially built federation.
 func (f *Federation) abortBuild() {
-	for _, sh := range f.shards {
-		if sh.w != nil {
-			sh.w.Close()
-		}
+	if f.w != nil {
+		f.w.Close()
 	}
 }
 
@@ -337,7 +344,7 @@ func (f *Federation) admitFrag(sh *Shard, g group, tag string) (*mapping.Mapping
 		f.cfg.Hooks.OnAdmit(st, time.Since(start).Seconds()) //hmn:wallclock
 	}
 	if err == nil {
-		if berr := sh.barrier(); berr != nil {
+		if berr := f.barrier(); berr != nil {
 			// Committed but not durable: undo, never acknowledge.
 			_ = sh.sess.ReleaseTagged(tag)
 			m, err = nil, fmt.Errorf("shard %d durability barrier: %w", sh.Index, berr)
@@ -357,7 +364,7 @@ func (f *Federation) releaseFrag(fr frag) error {
 		err = nil
 	}
 	if err == nil {
-		err = sh.barrier()
+		err = f.barrier()
 	}
 	f.router.release(fr.shard, fr.proc)
 	return err
@@ -485,7 +492,7 @@ func (f *Federation) Mutate(k int, op func(*core.Session) ([]core.RepairResult, 
 	defer f.inflight.Done()
 	results, err := op(sh.sess)
 	if err == nil {
-		err = sh.barrier()
+		err = f.barrier()
 	}
 	if err != nil {
 		return nil, err
@@ -507,7 +514,7 @@ func (f *Federation) RebalanceOnce(k int) (core.RebalanceResult, error) {
 	}
 	defer f.inflight.Done()
 	res := sh.Rebalance()
-	return res, sh.barrier()
+	return res, f.barrier()
 }
 
 // reconcileRepairs applies one shard's repair outcomes to the registry:
@@ -605,7 +612,7 @@ func (f *Federation) Stats() Stats {
 
 // Close refuses new work, waits for the operations already running,
 // takes a final snapshot of every shard — a checkpoint, deleting
-// nothing — and closes the WALs.
+// nothing — and seals the WAL (Seal).
 func (f *Federation) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -615,16 +622,5 @@ func (f *Federation) Close() error {
 	f.closed = true
 	f.mu.Unlock()
 	f.inflight.Wait()
-	var firstErr error
-	for _, sh := range f.shards {
-		if sh.w != nil {
-			if err := sh.w.Snapshot(sh.export); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err := sh.w.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
+	return Seal(f.w, f.domains)
 }

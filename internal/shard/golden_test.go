@@ -2,30 +2,37 @@ package shard
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
+	"hash"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 )
 
 // goldenFederationFiles pins the bytes a seeded serial trace leaves in a
-// durable 3-shard federation's data directory: every shard's log and
-// the tenant registry, hashed before Close compacts them. Any change to
-// a routing, split, rollback, repair or rebalance decision — or to the
-// order a shard sees its operations in — changes a shard's log. Update
-// the table only for a change meant to move decisions, from the test's
-// failure output.
+// durable 3-shard federation's data directory, hashed before Close
+// snapshots it: the tenant registry, and every shard's frames — its
+// session's records, in log order, each framed as the log frames it.
+// Any change to a routing, split, rollback, repair or rebalance decision
+// — or to the order a shard sees its operations in — changes a shard's
+// frames. A shard's frames are what its own log file held while every
+// shard kept one, so the hashes carry over from then. Update the table
+// only for a change meant to move decisions, from the test's failure
+// output.
 var goldenFederationFiles = map[string]string{
-	"federation.json":                      "7ed84844ce680bcf9c48943fa1e606e4f8a7224d330f97e1fa550faf7dc92cd1",
-	"shard-0/wal-00000000000000000001.log": "2466460c4ec9206cb9bd5666de883f1ca9ac65d2c9e4b5fbe397a3e1bc78053e",
-	"shard-1/wal-00000000000000000001.log": "3d1ec5ca5dd01e931d63af321fd5e4516b1c5cdde5194d4313764da85b0ee548",
-	"shard-2/wal-00000000000000000001.log": "a3f03c77a6c4d2c9dc1215b0f3ef39928bc6d10cd7badaabf799920f48492584",
+	"federation.json": "7ed84844ce680bcf9c48943fa1e606e4f8a7224d330f97e1fa550faf7dc92cd1",
+	"shard-0":         "2466460c4ec9206cb9bd5666de883f1ca9ac65d2c9e4b5fbe397a3e1bc78053e",
+	"shard-1":         "3d1ec5ca5dd01e931d63af321fd5e4516b1c5cdde5194d4313764da85b0ee548",
+	"shard-2":         "a3f03c77a6c4d2c9dc1215b0f3ef39928bc6d10cd7badaabf799920f48492584",
 }
 
 // goldenTrace drives the seeded serial trace on f and returns what each
@@ -125,8 +132,9 @@ func goldenTrace(t *testing.T, f *Federation) []string {
 }
 
 // TestGoldenFederationLog runs the trace on a durable 3-shard federation
-// with a gateway and compares the sha256 of every file in its data
-// directory with the pinned table.
+// with a gateway and compares the sha256 of the tenant registry and of
+// every shard's frames, read across the log's segments, with the pinned
+// table.
 func TestGoldenFederationLog(t *testing.T) {
 	dir := t.TempDir()
 	f, err := New(testClusters(t, 3), Config{DataDir: dir, GatewayBW: 20})
@@ -136,23 +144,44 @@ func TestGoldenFederationLog(t *testing.T) {
 	defer f.Close()
 	trace := goldenTrace(t, f)
 
-	got := make(map[string]string)
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
+	frames := make(map[string]hash.Hash)
+	var buf []byte
+	_, _, err = wal.Each(dir, wal.Hooks{}, func(r *wal.Record) error {
+		// The frame the log wrote: [u32le length][u32le CRC-32C][payload],
+		// the payload the record's own encoding, json.Marshal where that
+		// declines.
+		payload, ok := r.AppendJSON(buf[:0])
+		if !ok {
+			var err error
+			if payload, err = json.Marshal(r); err != nil {
+				return err
+			}
 		}
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return err
+		buf = payload
+		if frames[r.SID] == nil {
+			frames[r.SID] = sha256.New()
 		}
-		rel, _ := filepath.Rel(dir, path)
-		sum := sha256.Sum256(buf)
-		got[filepath.ToSlash(rel)] = hex.EncodeToString(sum[:])
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+		frames[r.SID].Write(hdr[:])
+		frames[r.SID].Write(payload)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := make(map[string]string)
+	for sid, h := range frames {
+		got[sid] = hex.EncodeToString(h.Sum(nil))
+	}
+	meta, err := os.ReadFile(filepath.Join(dir, metaName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(meta)
+	got[metaName] = hex.EncodeToString(sum[:])
+
 	var diff []string
 	for name, sum := range got {
 		if goldenFederationFiles[name] != sum {

@@ -6,23 +6,24 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/wal"
 )
 
-// This file is the federation's durability layer beyond the per-shard
-// WALs themselves: the tenant registry's meta file, the per-shard
-// snapshot export, and Recover — the crash-restart path that rebuilds
-// every shard from its own snapshot-plus-log-suffix and the registry
-// from the fragment tags the shards' active sets carry.
+// This file is the federation's durability layer beyond the WAL itself:
+// the tenant registry's meta file and Recover — the crash-restart path
+// that rebuilds every shard from the data directory's one snapshot plus
+// log suffix and the registry from the fragment tags the shards' active
+// sets carry.
 
 // metaName is the tenant registry file inside the data directory.
 const metaName = "federation.json"
 
 // fedMeta is the durable tenant registry. It changes only on tenant
 // open and close — environment membership is recovered from the
-// fragment tags in the shard WALs, never duplicated here.
+// fragment tags the shards' sessions carry, never duplicated here.
 type fedMeta struct {
 	Shards      int      `json:"shards"`
 	GatewayBW   float64  `json:"gateway_bw"`
@@ -40,20 +41,6 @@ type fedMeta struct {
 func HasState(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, metaName))
 	return err == nil
-}
-
-// Dirs returns the WAL directories of the federation whose data
-// directory is dataDir, one per shard, in shard order.
-func Dirs(dataDir string) ([]string, error) {
-	meta, err := readMeta(dataDir)
-	if err != nil {
-		return nil, err
-	}
-	dirs := make([]string, meta.Shards)
-	for k := range dirs {
-		dirs[k] = filepath.Join(dataDir, shardSID(k))
-	}
-	return dirs, nil
 }
 
 // writeMetaLocked lands the tenant registry atomically — a crash leaves
@@ -98,18 +85,6 @@ func readMeta(dataDir string) (*fedMeta, error) {
 	return &meta, nil
 }
 
-// exportShard captures sh for a snapshot of its WAL, with the
-// federation's environment-ID counter. Safe concurrently with the
-// shard's operations: the session export runs under the session lock.
-func (f *Federation) exportShard(sh *Shard) func() ([]wal.SessionSnap, error) {
-	return func() ([]wal.SessionSnap, error) {
-		f.mu.Lock()
-		nextEnv := f.nextEnv
-		f.mu.Unlock()
-		return []wal.SessionSnap{sh.Snap(nextEnv)}, nil
-	}
-}
-
 // pendingEnv accumulates one environment's fragments during recovery
 // until the set is known complete or orphaned.
 type pendingEnv struct {
@@ -119,20 +94,23 @@ type pendingEnv struct {
 }
 
 // Recover rebuilds a federation from cfg.DataDir: the tenant registry
-// from the meta file, each shard from its own snapshot plus log
-// suffix, and every deployed environment from the fragment tags the
-// recovered active sets carry. Fragment sets a crash left incomplete —
-// a split admission that never finished committing — are released
-// shard-side (logged, so the cleanup is itself durable), preserving
-// the all-or-nothing contract across restarts. Shard count, mapper and
-// overhead come from the meta file; cfg's values for those fields are
-// ignored.
+// from the meta file, every shard from the one WAL's snapshot plus log
+// suffix (Replay), and every deployed environment from the fragment
+// tags the recovered active sets carry. Fragment sets a crash left
+// incomplete — a split admission that never finished committing — are
+// released shard-side (logged, so the cleanup is itself durable),
+// preserving the all-or-nothing contract across restarts. Shard count,
+// mapper and overhead come from the meta file; cfg's values for those
+// fields are ignored.
 func Recover(cfg Config) (*Federation, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("shard: recover needs a data directory")
 	}
 	meta, err := readMeta(cfg.DataDir)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkLog(cfg.DataDir); err != nil {
 		return nil, err
 	}
 	cfg.Mapper = meta.Mapper
@@ -151,22 +129,30 @@ func Recover(cfg Config) (*Federation, error) {
 		}
 	}
 
-	for k := 0; k < meta.Shards; k++ {
-		// Shard k's directory must replay to exactly one session, its own.
-		sid := shardSID(k)
-		w, found, _, err := Replay(cfg, filepath.Join(cfg.DataDir, sid))
-		if err == nil && (len(found) != 1 || found[0].sid != sid) {
-			w.Close()
-			err = fmt.Errorf("shard: %s directory recovers %d sessions (want exactly %q)", sid, len(found), sid)
-		}
-		if err != nil {
-			f.abortBuild()
-			return nil, err
-		}
-		f.shards = append(f.shards, found[0])
-		f.nextEnv = max(f.nextEnv, found[0].EnvHigh)
+	w, found, _, err := Replay(cfg, cfg.DataDir)
+	if err != nil {
+		return nil, err
 	}
-	if err := f.rebuildRegistry(); err != nil {
+	f.w = w
+	// The log must recover to exactly the sessions shard-0 … shard-N-1.
+	for k := 0; k < meta.Shards && len(found) == meta.Shards; k++ {
+		i := slices.IndexFunc(found, func(sh *Shard) bool { return sh.sid == shardSID(k) })
+		if i < 0 {
+			break
+		}
+		f.add(found[i])
+		f.nextEnv = max(f.nextEnv, found[i].EnvHigh)
+	}
+	if len(f.shards) != meta.Shards {
+		f.abortBuild()
+		return nil, fmt.Errorf("shard: %s recovers %d sessions, want exactly shard-0 … %s", cfg.DataDir, len(found), shardSID(meta.Shards-1))
+	}
+	released, err := f.rebuildRegistry()
+	if err == nil && released {
+		// The orphan releases go to the log; make them durable.
+		err = f.barrier()
+	}
+	if err != nil {
 		f.abortBuild()
 		return nil, err
 	}
@@ -174,11 +160,27 @@ func Recover(cfg Config) (*Federation, error) {
 	return f, nil
 }
 
+// checkLog refuses a data directory whose tenant registry has no log
+// beside it. A federation written before its shards shared one log is
+// such a directory, with a WAL in each shard-k subdirectory instead:
+// recovered as it stands it would start every shard empty over them.
+func checkLog(dir string) error {
+	ok, err := wal.HasState(dir)
+	if err != nil || ok {
+		return err
+	}
+	if _, err := os.Stat(filepath.Join(dir, shardSID(0))); err == nil {
+		return fmt.Errorf("shard: %s is a federation in the per-shard layout (a WAL in each shard-k directory, none at the root), which this build does not recover: serve it with the hmnd that wrote it, or start this one on a fresh data directory", dir)
+	}
+	return fmt.Errorf("shard: %s holds %s but no log", dir, metaName)
+}
+
 // rebuildRegistry reconstructs every tenant's environment records from
 // the fragment tags in the recovered shards' active sets, releasing
 // the fragments of any set the crash left incomplete and re-charging
-// the gateway for the complete splits.
-func (f *Federation) rebuildRegistry() error {
+// the gateway for the complete splits. released reports whether it
+// released any fragment: the log holds records to make durable.
+func (f *Federation) rebuildRegistry() (released bool, err error) {
 	// Recovery is single-threaded — the federation is unpublished — but
 	// the registry fields carry the lock discipline regardless.
 	f.mu.Lock()
@@ -190,10 +192,10 @@ func (f *Federation) rebuildRegistry() error {
 		for _, a := range sh.sess.Export().Active {
 			sid, eid, fragI, fragN, cut, ok := parseTag(a.Tag)
 			if !ok {
-				return fmt.Errorf("shard: shard %d active mapping carries unparseable tag %q", k, a.Tag)
+				return false, fmt.Errorf("shard: shard %d active mapping carries unparseable tag %q", k, a.Tag)
 			}
 			if f.tenants[sid] == nil {
-				return fmt.Errorf("shard: shard %d fragment %q names tenant %s absent from the registry", k, a.Tag, sid)
+				return false, fmt.Errorf("shard: shard %d fragment %q names tenant %s absent from the registry", k, a.Tag, sid)
 			}
 			key := envKey{sid: sid, eid: eid}
 			p := pending[key]
@@ -203,7 +205,7 @@ func (f *Federation) rebuildRegistry() error {
 				order = append(order, key)
 			}
 			if _, dup := p.frags[fragI]; dup || p.fragN != fragN {
-				return fmt.Errorf("shard: environment %s/%s has conflicting fragment sets", sid, eid)
+				return false, fmt.Errorf("shard: environment %s/%s has conflicting fragment sets", sid, eid)
 			}
 			p.frags[fragI] = frag{shard: k, tag: a.Tag, proc: a.M.Env.TotalProc()}
 		}
@@ -222,31 +224,30 @@ func (f *Federation) rebuildRegistry() error {
 		return a < b
 	})
 
-	touched := make(map[int]bool)
 	for _, key := range order {
 		p := pending[key]
 		if len(p.frags) < p.fragN {
 			// The crash interrupted a split admission mid-commit: the
 			// router never acknowledged it, so the committed fragments are
 			// orphans. Release them through their sessions — the commit
-			// hook logs each release, and the barrier below makes the
+			// hook logs each release, and Recover's barrier makes the
 			// cleanup itself durable.
 			f.cfg.logf("shard: releasing %d orphan fragments of %s/%s (split never completed)", len(p.frags), key.sid, key.eid)
 			for _, i := range sortedFragOrdinals(p.frags) {
 				fr := p.frags[i]
 				if err := f.shards[fr.shard].sess.ReleaseTagged(fr.tag); err != nil {
-					return fmt.Errorf("shard: release orphan fragment %s: %w", fr.tag, err)
+					return false, fmt.Errorf("shard: release orphan fragment %s: %w", fr.tag, err)
 				}
-				touched[fr.shard] = true
+				released = true
 			}
 			continue
 		}
 		if p.fragN > 1 {
 			if f.gw == nil {
-				return fmt.Errorf("shard: environment %s/%s is split but the recovered gateway budget is zero", key.sid, key.eid)
+				return false, fmt.Errorf("shard: environment %s/%s is split but the recovered gateway budget is zero", key.sid, key.eid)
 			}
 			if err := f.gw.Reserve(p.cutBW); err != nil {
-				return fmt.Errorf("shard: environment %s/%s cut (%g Mbps): %w", key.sid, key.eid, p.cutBW, err)
+				return false, fmt.Errorf("shard: environment %s/%s cut (%g Mbps): %w", key.sid, key.eid, p.cutBW, err)
 			}
 		}
 		rec := &envRec{cutBW: p.cutBW}
@@ -256,14 +257,7 @@ func (f *Federation) rebuildRegistry() error {
 		owner := f.tenants[key.sid]
 		owner.envs[key.eid] = rec
 	}
-	for k := 0; k < len(f.shards); k++ {
-		if touched[k] {
-			if err := f.shards[k].barrier(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return released, nil
 }
 
 // sortedFragOrdinals lists a fragment map's keys ascending.

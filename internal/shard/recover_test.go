@@ -3,9 +3,12 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/spec"
 	"repro/internal/wal"
 )
 
@@ -125,7 +128,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 }
 
 // TestRecoverReleasesOrphanFragments simulates a crash mid-split: one
-// fragment's release is forged into its shard's log after close, so on
+// fragment's release is forged into the log after close, so on
 // recovery the sibling fragment has an incomplete set and must be
 // cleaned up, gateway included.
 func TestRecoverReleasesOrphanFragments(t *testing.T) {
@@ -156,7 +159,7 @@ func TestRecoverReleasesOrphanFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, _, err := wal.Open(filepath.Join(dir, shardSID(fr.Shard)), wal.Hooks{})
+	w, _, err := wal.Open(dir, wal.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +222,42 @@ func TestRecoverMissingMeta(t *testing.T) {
 	_, err := Recover(Config{DataDir: t.TempDir()})
 	if err == nil || errors.Is(err, ErrClosed) {
 		t.Fatalf("Recover on an empty directory = %v", err)
+	}
+}
+
+// TestRecoverRefusesThePerShardLayout builds by hand the data directory
+// a durable two-shard federation left before its shards shared one log
+// — the tenant registry at the root, each shard's WAL in a shard-k
+// directory of its own — and checks that Recover refuses it with an
+// error naming the layout and what to do, that New refuses it too, and
+// that neither leaves a log at its root.
+func TestRecoverRefusesThePerShardLayout(t *testing.T) {
+	dir := t.TempDir()
+	for k, c := range testClusters(t, 2) {
+		w, _, err := wal.Recover(filepath.Join(dir, shardSID(k)), wal.Hooks{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(&wal.Record{Kind: wal.KindOpen, SID: shardSID(k), Open: &wal.OpenRec{Cluster: spec.FromCluster(c)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta := `{"shards": 2, "gateway_bw": 0, "mapper": "", "proc": 0, "mem": 0, "stor": 0, "next_session": 0, "tenants": []}`
+	if err := os.WriteFile(filepath.Join(dir, metaName), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err := Recover(Config{DataDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "per-shard layout") || !strings.Contains(err.Error(), "fresh data directory") {
+		t.Fatalf("Recover of a per-shard layout = %v, want it refused by name, with what to do", err)
+	}
+	if _, err := New(testClusters(t, 2), Config{DataDir: dir}); err == nil {
+		t.Fatal("New started a federation over a per-shard layout")
+	}
+	if ok, err := wal.HasState(dir); err != nil || ok {
+		t.Fatalf("refusing the directory left a log at its root (%v, %v)", ok, err)
 	}
 }

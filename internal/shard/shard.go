@@ -1,11 +1,12 @@
-// Package shard is the federation layer: N fully independent shards —
-// each its own core.Session, ledger and WAL directory — behind a
-// front-end router that places every incoming environment on a shard.
-// Unrelated environments therefore never contend on a lock, a snapshot
-// or an fsync: an operation runs on its caller's goroutine, serialized
-// per shard by that shard's session lock, and the only shared state is
-// the router's reservation ledger (a handful of floats under one mutex)
-// and the inter-shard gateway budget.
+// Package shard is the federation layer: N independent shards — each
+// its own core.Session and ledger — behind a front-end router that
+// places every incoming environment on a shard. Unrelated environments
+// never contend on a session lock: an operation runs on its caller's
+// goroutine, serialized per shard by that shard's session lock. What the
+// shards share is the router's reservation ledger (a handful of floats
+// under one mutex), the inter-shard gateway budget and, with a data
+// directory, the one write-ahead log they all append to — its append
+// mutex, its group-commit fsyncs and its snapshots.
 //
 // Placement is consistent hashing on the tenant session ID for the
 // fast path, best-fit on the router's reservation-exact headroom view
@@ -20,22 +21,25 @@
 // environments are submitted: a reservation is charged before its
 // fragment runs and a refund lands once its release has, both on the
 // submitting goroutine, so a fixed submission sequence yields
-// byte-identical placements, per-shard ledgers and per-shard logs on
-// every run.
+// byte-identical placements, per-shard ledgers and per-shard record
+// streams on every run.
 //
 // The package also owns the lock domain as such. A Shard is a session
-// and the WAL its commits are logged to; Open creates one, Replay
-// recovers the ones a WAL directory holds, Snap exports one for a
-// snapshot. A federation's shards are domains with a WAL directory
-// each; the sessions of a classic daemon (internal/server) are domains
-// too, sharing the daemon's one WAL — there is one copy of the commit
-// hook, the open record, the rebalance round and the recovery step,
-// whoever asks.
+// whose commits are logged to a WAL; Open creates one, Replay recovers
+// the ones a data directory holds, Barrier acknowledges through their
+// WAL and Seal shuts it down. Either daemon mode keeps one WAL per data
+// directory: a federation's shards are the sessions shard-0 … shard-N-1
+// of its log, and the sessions of a classic daemon (internal/server)
+// are the sessions of its — there is one copy of the commit hook, the
+// open record, the rebalance round, the recovery step, the snapshot
+// export and the ack barrier, whoever asks.
 package shard
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -79,9 +83,10 @@ type Config struct {
 	// Zero disables split admissions: an environment that fits no
 	// single shard is rejected with ErrNoShardFits.
 	GatewayBW float64
-	// DataDir enables durability: shard k logs to DataDir/shard-k and
-	// the tenant registry persists in DataDir/federation.json. Empty
-	// keeps the federation in memory.
+	// DataDir enables durability: every shard logs to the one WAL at
+	// the directory's root, shard k as session shard-k, and the tenant
+	// registry persists beside it in federation.json. Empty keeps the
+	// federation in memory.
 	DataDir string
 	// RebalanceMaxMoves caps guest moves per rebalancing round (0 =
 	// unbounded).
@@ -131,10 +136,10 @@ func (cfg Config) walHooks() wal.Hooks {
 // under; it never collides with tenant IDs ("s1", "s2", ...).
 func shardSID(k int) string { return fmt.Sprintf("shard-%d", k) }
 
-// Shard is one lock domain: a session on its own cluster and the WAL its
-// commits are logged to. Its operations run on their callers under the
-// session lock. A federation shard logs to a WAL of its own; the
-// sessions of a classic daemon are domains too, sharing one WAL.
+// Shard is one lock domain: a session on its own cluster whose commits
+// are logged to its owner's WAL. Its operations run on their callers
+// under the session lock. A federation's shards and a classic daemon's
+// sessions are domains alike, on their owner's one WAL.
 type Shard struct {
 	// Index is the shard's position in the federation, in [0, Shards).
 	Index int
@@ -143,6 +148,10 @@ type Shard struct {
 	// active tag — so an ID counter seeded past it never reissues one.
 	// Zero for a domain opened fresh.
 	EnvHigh int
+	// NextEnv reads the owner's environment-ID counter, which the session
+	// does not know about, for a snapshot of the domain. The owner sets
+	// it before the domain serves.
+	NextEnv func() int
 
 	sid         string
 	c           *cluster.Cluster
@@ -150,13 +159,7 @@ type Shard struct {
 	mapper      string
 	overhead    cluster.VMMOverhead
 	sess        *core.Session
-	w           *wal.WAL // nil without a data directory
 	cfg         Config
-
-	// export captures a federation shard for a snapshot of its own WAL,
-	// which the shard's barrier checkpoints when due and Close takes at
-	// shutdown; nil for a domain whose owner snapshots a WAL it shares.
-	export func() ([]wal.SessionSnap, error)
 }
 
 // Open creates a lock domain: a fresh session for cfg.Mapper and
@@ -198,7 +201,7 @@ func Open(cfg Config, sid string, c *cluster.Cluster, clusterSpec spec.ClusterSp
 func adopt(cfg Config, rs *wal.Replayed, w *wal.WAL) *Shard {
 	sh := &Shard{
 		sid: rs.SID, c: rs.Cluster, clusterSpec: rs.ClusterSpec,
-		mapper: rs.Mapper, overhead: rs.Overhead, sess: rs.Session, w: w, cfg: cfg,
+		mapper: rs.Mapper, overhead: rs.Overhead, sess: rs.Session, cfg: cfg,
 	}
 	if w != nil {
 		// The hook runs under the session lock: it serializes the event
@@ -227,13 +230,13 @@ func envOrdinal(tag string) int {
 	return n
 }
 
-// Replay is the recovery step of one WAL directory: it opens (or
-// initializes) dir and, in one pass over its log (wal.Recover), rebuilds
-// every session the snapshot plus log suffix hold as a lock domain
-// logging to the returned WAL, in SID order, EnvHigh set. maxSession is
-// the highest session ordinal the directory ever named. Each domain's
-// incremental objective is cross-checked against a recompute, O(hosts)
-// a session.
+// Replay is the recovery step of a data directory, either mode's: it
+// opens (or initializes) the WAL at dir's root and, in one pass over its
+// log (wal.Recover), rebuilds every session the snapshot plus log suffix
+// hold as a lock domain logging to the returned WAL, in SID order,
+// EnvHigh set. maxSession is the highest session ordinal the directory
+// ever named. Each domain's incremental objective is cross-checked
+// against a recompute, O(hosts) a session.
 func Replay(cfg Config, dir string) (w *wal.WAL, domains []*Shard, maxSession int, err error) {
 	start := time.Now() //hmn:wallclock
 	// Replayed records can name environment IDs the final active sets no
@@ -287,37 +290,62 @@ func (sh *Shard) Cluster() *cluster.Cluster { return sh.c }
 func (sh *Shard) Mapper() string                { return sh.mapper }
 func (sh *Shard) Overhead() cluster.VMMOverhead { return sh.overhead }
 
-// Snap exports the domain for a snapshot; nextEnv is its owner's
-// environment-ID counter, which the session does not know about.
-func (sh *Shard) Snap(nextEnv int) wal.SessionSnap {
-	return wal.ExportSession(sh.sid, sh.clusterSpec, sh.mapper, sh.overhead, uint64(nextEnv), sh.sess)
-}
-
-// Rebalance runs one rebalancing round now (core.Session.Rebalance). The
-// moves it committed are durable by the time it returns.
+// Rebalance runs one rebalancing round now (core.Session.Rebalance).
+// The owner's barrier makes the moves it committed durable.
 func (sh *Shard) Rebalance() core.RebalanceResult {
 	res := sh.sess.Rebalance(sh.cfg.RebalanceMaxMoves)
-	if res.Moves > 0 {
-		if err := sh.barrier(); err != nil {
-			sh.cfg.logf("hmnd: wal barrier after a rebalancing round (%s): %v", sh.sid, err)
-		}
-	}
 	if sh.cfg.Hooks.OnRebalance != nil {
 		sh.cfg.Hooks.OnRebalance(res)
 	}
 	return res
 }
 
-// barrier makes the domain's appended records durable, checkpointing
-// its WAL first when that is due; free without a data directory.
-func (sh *Shard) barrier() error {
-	if sh.w == nil {
+// Export captures domains, the lock domains logged to one WAL, for a
+// snapshot of it, in SID order for deterministic snapshot bytes. Each
+// domain's counter (NextEnv) is read after its session's export: an
+// admission the export captured took its ID before it committed, so the
+// counter covers it.
+func Export(domains []*Shard) ([]wal.SessionSnap, error) {
+	domains = slices.Clone(domains)
+	sort.Slice(domains, func(i, j int) bool { return domains[i].sid < domains[j].sid })
+	out := make([]wal.SessionSnap, len(domains))
+	for i, sh := range domains {
+		out[i] = wal.ExportSession(sh.sid, sh.clusterSpec, sh.mapper, sh.overhead, 0, sh.sess)
+		out[i].NextEnv = uint64(sh.NextEnv())
+	}
+	return out, nil
+}
+
+// Barrier is the acknowledgement step of either daemon mode: it makes
+// every record appended to w so far durable. The operation whose records
+// made a checkpoint due writes it here first — a snapshot of every
+// domain domains lists, the WAL's whole state — so the log a recovery
+// must read stays within a few times the live state. Free without a
+// data directory (w nil).
+func Barrier(cfg Config, w *wal.WAL, domains func() []*Shard) error {
+	if w == nil {
 		return nil
 	}
-	if sh.export != nil {
-		if err := sh.w.Checkpoint(sh.export); err != nil {
-			sh.cfg.logf("shard %d: checkpoint: %v", sh.Index, err)
-		}
+	if err := w.Checkpoint(exporter(domains)); err != nil {
+		cfg.logf("hmnd: checkpoint: %v", err)
 	}
-	return sh.w.Barrier()
+	return w.Barrier()
+}
+
+// Seal shuts w down, either mode's: a final snapshot of every domain
+// domains lists — a checkpoint, deleting nothing, so the next start
+// reads no log — and the log sealed. It returns both steps' errors,
+// joined; free without a data directory (w nil).
+func Seal(w *wal.WAL, domains func() []*Shard) error {
+	if w == nil {
+		return nil
+	}
+	return errors.Join(w.Snapshot(exporter(domains)), w.Close())
+}
+
+// exporter is Export over the domains listed when a snapshot is cut.
+// The list is taken after the cut, so a domain found there had not
+// closed by it: its close record, if any, follows the cut.
+func exporter(domains func() []*Shard) func() ([]wal.SessionSnap, error) {
+	return func() ([]wal.SessionSnap, error) { return Export(domains()) }
 }

@@ -304,8 +304,13 @@ func (l *log) close() error {
 }
 
 // listSegments returns the data directory's segment numbers, ascending.
+// A directory that does not exist holds none, as a missing snapshot file
+// is no snapshot: reading it finds no log.
 func listSegments(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: list segments: %w", err)
 	}

@@ -361,6 +361,28 @@ func TestScanReportsWithoutRepair(t *testing.T) {
 	}
 }
 
+// TestMissingDirectoryHoldsNoLog: reading a directory that does not
+// exist finds no log, as reading one without a snapshot file finds no
+// snapshot — and creates nothing.
+func TestMissingDirectoryHoldsNoLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "absent")
+	if ok, err := HasState(dir); ok || err != nil {
+		t.Fatalf("HasState = %v, %v", ok, err)
+	}
+	if rec, err := Scan(dir, testHooks(t)); err != nil || rec.Snapshot != nil || len(rec.Records) != 0 {
+		t.Fatalf("Scan = %+v, %v", rec, err)
+	}
+	if rec, err := Verify(dir, testHooks(t), nil); err != nil || len(rec.Sessions) != 0 || rec.Records != 0 {
+		t.Fatalf("Verify = %+v, %v", rec, err)
+	}
+	if removed, err := Compact(dir); err != nil || len(removed) != 0 {
+		t.Fatalf("Compact = %v, %v", removed, err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("reading the directory created it: %v", err)
+	}
+}
+
 // TestSnapshotSuffixEquivalence drives a session, snapshots mid-stream,
 // keeps going, and recovers from snapshot+suffix: the recovered session
 // must match the live one bit for bit (residual ledger), including its

@@ -10,22 +10,23 @@
 # environment ID and a release of a recovered environment.
 #
 # Federation phase: the same cycle on `hmnd -shards 4` across eight
-# tenants, churned until every shard has checkpointed; every shard's WAL
-# directory is checked on its own and the restart names no
-# -shard-cluster (the shards rebuild themselves from their directories).
+# tenants, churned until the log has checkpointed. The four shards are
+# the sessions shard-0 … shard-3 of the data directory's one WAL, which
+# is checked like the classic one (hmnwal verify must name every shard),
+# and the restart names no -shard-cluster (the shards rebuild themselves
+# from the log).
 #
 # Every snapshot starts a fresh segment, and none deletes a segment: a
 # checkpoint shows as a snapshot.json whose first_seg is past 1 with
 # every earlier segment still on disk, and recovery starts reading the
-# log at first_seg. The check after each kill asserts one landed in every
-# WAL directory and that hmnwal verify replays fewer records than the
-# directory's log holds.
+# log at first_seg. The check after each kill asserts one landed and
+# that hmnwal verify replays fewer records than the log holds.
 #
 # Each phase ends with a graceful shutdown (drain, final snapshot) and
-# checks the directories again, then runs hmnwal compact on every WAL
-# directory: exactly the segments before first_seg go, hmnwal verify
-# still passes, and a restart reads byte-identical residuals. Recovery
-# cross-checks every session before the daemon reports "serving".
+# checks the directory again, then runs hmnwal compact on it: exactly
+# the segments before first_seg go, hmnwal verify still passes, and a
+# restart reads byte-identical residuals. Recovery cross-checks every
+# session before the daemon reports "serving".
 #
 # Run from the repo root (or via `make crash-smoke`).
 set -euo pipefail
@@ -65,64 +66,55 @@ stop_daemon() {
     pid=""
 }
 
-# verify_dirs checks each WAL directory read-only; with "dump" first,
-# it also dumps each.
-verify_dirs() {
-    local dump=$1
-    shift
-    for dir in "$@"; do
-        [ "$dump" = dump ] && "$workdir/hmnwal" dump "$dir" >/dev/null
-        "$workdir/hmnwal" verify "$dir"
-    done
+# verify_dir checks WAL directory $2 read-only; with "dump" as $1, it
+# also dumps it.
+verify_dir() {
+    [ "$1" = dump ] && "$workdir/hmnwal" dump "$2" >/dev/null
+    "$workdir/hmnwal" verify "$2"
 }
 
-# checkpointed succeeds when every WAL directory named holds a
-# checkpoint: a snapshot whose first_seg is past 1, with every segment
-# before it still on disk.
+# checkpointed succeeds when WAL directory $1 holds a checkpoint: a
+# snapshot whose first_seg is past 1, with every segment before it still
+# on disk.
 checkpointed() {
-    local dir seg n
-    for dir in "$@"; do
-        seg=$(sed -n 's/^{"first_seg":\([0-9]*\).*/\1/p' "$dir/snapshot.json" 2>/dev/null)
-        [ -n "$seg" ] && [ "$seg" -gt 1 ] || return 1
-        for ((n = 1; n < seg; n++)); do
-            [ -f "$dir/$(printf 'wal-%020d.log' "$n")" ] || return 1
-        done
+    local seg n
+    seg=$(sed -n 's/^{"first_seg":\([0-9]*\).*/\1/p' "$1/snapshot.json" 2>/dev/null)
+    [ -n "$seg" ] && [ "$seg" -gt 1 ] || return 1
+    for ((n = 1; n < seg; n++)); do
+        [ -f "$1/$(printf 'wal-%020d.log' "$n")" ] || return 1
     done
 }
 
-# verify_suffix asserts, per WAL directory, a checkpoint and a dry-run
-# recovery that replays some of the log but fewer records than it holds.
+# verify_suffix asserts that WAL directory $1 holds a checkpoint and that
+# a dry-run recovery replays some of the log but fewer records than it
+# holds.
 verify_suffix() {
-    local dir total replayed
-    for dir in "$@"; do
-        checkpointed "$dir" || { echo "$dir: no checkpoint" >&2; exit 1; }
-        total=$("$workdir/hmnwal" dump "$dir" | sed -n 's/^log: \([0-9]*\) record.*/\1/p')
-        replayed=$("$workdir/hmnwal" verify "$dir" | sed -n 's/^verified: .*, \([0-9]*\) record(s) replayed.*/\1/p')
-        echo "    $dir: verify replays $replayed of $total records"
-        [ -n "$total" ] && [ -n "$replayed" ] && [ "$replayed" -gt 0 ] && [ "$replayed" -lt "$total" ] ||
-            { echo "$dir: replayed '$replayed' of '$total' records" >&2; exit 1; }
-    done
+    local total replayed
+    checkpointed "$1" || { echo "$1: no checkpoint" >&2; exit 1; }
+    total=$("$workdir/hmnwal" dump "$1" | sed -n 's/^log: \([0-9]*\) record.*/\1/p')
+    replayed=$("$workdir/hmnwal" verify "$1" | sed -n 's/^verified: .*, \([0-9]*\) record(s) replayed.*/\1/p')
+    echo "    $1: verify replays $replayed of $total records"
+    [ -n "$total" ] && [ -n "$replayed" ] && [ "$replayed" -gt 0 ] && [ "$replayed" -lt "$total" ] ||
+        { echo "$1: replayed '$replayed' of '$total' records" >&2; exit 1; }
 }
 
-# compact_dirs runs hmnwal compact on each WAL directory named and checks
-# that it deleted the segments before the snapshot's first_seg — at
-# least one — and kept the rest, and that hmnwal verify still passes.
-compact_dirs() {
-    local dir seg before want after f
-    for dir in "$@"; do
-        seg=$(sed -n 's/^{"first_seg":\([0-9]*\).*/\1/p' "$dir/snapshot.json")
-        before=$(cd "$dir" && ls wal-*.log)
-        want=""
-        for f in $before; do
-            [ "$((10#${f:4:20}))" -ge "$seg" ] && want+="$f "
-        done
-        "$workdir/hmnwal" compact "$dir" >/dev/null
-        after=$(cd "$dir" && echo wal-*.log)
-        [ "$after " = "$want" ] || { echo "$dir: compaction left [$after], want [$want] (first_seg $seg)" >&2; exit 1; }
-        [ "$(wc -w <<<"$before")" -gt "$(wc -w <<<"$after")" ] || { echo "$dir: compaction deleted nothing" >&2; exit 1; }
-        "$workdir/hmnwal" verify "$dir" >/dev/null
-        echo "    $dir: $(wc -w <<<"$before") segment(s) compacted to $(wc -w <<<"$after"), from segment $seg"
+# compact_dir runs hmnwal compact on WAL directory $1 and checks that it
+# deleted the segments before the snapshot's first_seg — at least one —
+# and kept the rest, and that hmnwal verify still passes.
+compact_dir() {
+    local seg before want after f
+    seg=$(sed -n 's/^{"first_seg":\([0-9]*\).*/\1/p' "$1/snapshot.json")
+    before=$(cd "$1" && ls wal-*.log)
+    want=""
+    for f in $before; do
+        [ "$((10#${f:4:20}))" -ge "$seg" ] && want+="$f "
     done
+    "$workdir/hmnwal" compact "$1" >/dev/null
+    after=$(cd "$1" && echo wal-*.log)
+    [ "$after " = "$want" ] || { echo "$1: compaction left [$after], want [$want] (first_seg $seg)" >&2; exit 1; }
+    [ "$(wc -w <<<"$before")" -gt "$(wc -w <<<"$after")" ] || { echo "$1: compaction deleted nothing" >&2; exit 1; }
+    "$workdir/hmnwal" verify "$1" >/dev/null
+    echo "    $1: $(wc -w <<<"$before") segment(s) compacted to $(wc -w <<<"$after"), from segment $seg"
 }
 
 # churn admits request file $2 to each session of the list $1 in turn and
@@ -226,7 +218,7 @@ done
 
 echo "--- kill -9, inspect the directory, restart, compare"
 stop_daemon KILL
-verify_dirs dump "$data"
+verify_dir dump "$data"
 verify_suffix "$data"
 start_daemon -data-dir "$data"
 for sid in s1 s2; do
@@ -240,10 +232,10 @@ done
 
 echo "--- graceful shutdown and re-verify"
 stop_daemon TERM
-verify_dirs - "$data"
+verify_dir - "$data"
 
 echo "--- compact, restart, compare"
-compact_dirs "$data"
+compact_dir "$data"
 start_daemon -data-dir "$data"
 for sid in s1 s2; do
     curl -fsS "$base/v1/sessions/$sid/residuals" | cmp "$workdir/residuals.$sid.final" -
@@ -253,14 +245,10 @@ stop_daemon TERM
 echo "=== federation"
 data=$workdir/fed
 shards=4
-dirs=()
-for k in $(seq 0 $((shards - 1))); do
-    dirs+=("$data/shard-$k")
-done
 echo "--- boot 4 shards, churn environments across 8 tenants"
 start_daemon -shards "$shards" -gateway-bw 50 -data-dir "$data" -shard-cluster "$workdir/shard.json"
 # Eight tenants cover all four shards through the consistent-hash fast
-# path, so every shard's WAL sees real records before the crash.
+# path, so every shard's session sees real records before the crash.
 for t in $(seq 1 8); do
     expect_reply "\"id\": *\"s$t\"" -X POST "$base/v1/sessions"
 done
@@ -270,10 +258,10 @@ for t in $(seq 1 8); do
     map_env "s$t" "$workdir/env-f.json" "e$t"
 done
 release s2 e2
-echo "--- churn all eight tenants past every shard's first checkpoint"
+echo "--- churn all eight tenants past the log's first checkpoint"
 next=9
-until checkpointed "${dirs[@]}"; do
-    [ "$next" -lt 8000 ] || { echo "no checkpoint on every shard after $next admissions" >&2; exit 1; }
+until checkpointed "$data"; do
+    [ "$next" -lt 8000 ] || { echo "no checkpoint after $next admissions" >&2; exit 1; }
     churn "s1 s2 s3 s4 s5 s6 s7 s8" "$workdir/req-f.json" "$next" 200
     next=$((next + 200))
 done
@@ -283,10 +271,14 @@ for k in $(seq 0 $((shards - 1))); do
     curl -fsS "$base/v1/shards/$k/residuals" >"$workdir/residuals.$k.before"
 done
 
-echo "--- kill -9, inspect every shard directory, restart, compare"
+echo "--- kill -9, inspect the directory, restart, compare"
 stop_daemon KILL
-verify_dirs dump "${dirs[@]}"
-verify_suffix "${dirs[@]}"
+verified=$(verify_dir dump "$data")
+echo "$verified"
+for k in $(seq 0 $((shards - 1))); do
+    grep -q "^session shard-$k: ok" <<<"$verified" || { echo "hmnwal verify names no session shard-$k" >&2; exit 1; }
+done
+verify_suffix "$data"
 start_daemon -shards "$shards" -gateway-bw 50 -data-dir "$data"
 for k in $(seq 0 $((shards - 1))); do
     curl -fsS "$base/v1/shards/$k/residuals" | cmp "$workdir/residuals.$k.before" -
@@ -299,10 +291,10 @@ done
 
 echo "--- graceful shutdown and re-verify"
 stop_daemon TERM
-verify_dirs - "${dirs[@]}"
+verify_dir - "$data"
 
-echo "--- compact every shard directory, restart, compare"
-compact_dirs "${dirs[@]}"
+echo "--- compact, restart, compare"
+compact_dir "$data"
 start_daemon -shards "$shards" -gateway-bw 50 -data-dir "$data"
 for k in $(seq 0 $((shards - 1))); do
     curl -fsS "$base/v1/shards/$k/residuals" | cmp "$workdir/residuals.$k.final" -
