@@ -36,17 +36,19 @@ vet:
 
 ## fuzz explores the strict spec decoder, seeded with the link_edges
 ## exact-edge replay corpus alongside the cluster/env shapes, then the
-## two differentials that hold the hand-written codec to encoding/json:
-## DecodeStrict's fast path against a plain strict json.Decoder, and the
-## WAL's frame decoder against json.Unmarshal; then the admit record that
-## carries a request's own bytes: whatever the fast path accepted
-## replays as the environment that was mapped; then the scanner's own
-## number conversion against json.Unmarshal into a float64, and its
-## one-loop int arrays against json.Unmarshal into a []int; then the
+## two differentials that hold the hand-written codec — compact JSON,
+## keys in json.Marshal's order, admit and release records; everything
+## else declines — to encoding/json: DecodeStrict's fast path against a
+## plain strict json.Decoder, and the WAL's frame decoder against
+## json.Unmarshal; then the admit record that carries a request's own
+## bytes: whatever the fast path accepted replays as the environment
+## that was mapped; then the scanner's own number conversion against
+## json.Unmarshal into a float64, and its one-loop int arrays against
+## json.Unmarshal into a []int, blanks declined by design; then the
 ## snapshot file's decoder against json.Unmarshal; then logs of
 ## arbitrary records replayed by the one pass and by Scan + Replay: same
 ## error or same sessions (the minimizer gets 3 s an input: each run
-## writes and recovers a log).
+## writes and recovers a log). CI runs this target as its fuzz smoke.
 fuzz:
 	go test -run '^$$' -fuzz 'FuzzDecodeSpec$$' -fuzztime 45s ./internal/spec
 	go test -run '^$$' -fuzz 'FuzzDecodeStrictDifferential$$' -fuzztime 20s ./internal/spec

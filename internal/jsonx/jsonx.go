@@ -1,28 +1,29 @@
 // Package jsonx is the reflection-free half of the JSON codec for the
 // closed schema one admission serializes: the request's EnvSpec, the
-// reply's MappingSpec and the WAL's admit/release/migrate records. It
+// reply's MappingSpec and the WAL's admit and release records. It
 // never decides what is valid JSON or how a value is spelled — that
-// stays with encoding/json. Both directions handle only a plain subset
-// and *decline* everything else, and every caller answers a decline by
-// running encoding/json over the same input:
+// stays with encoding/json. Both directions handle only the subset the
+// daemon's own writers and its clients produce and *decline* everything
+// else, and every caller answers a decline by running encoding/json
+// over the same input:
 //
-//   - Scanner accepts objects, arrays, unescaped ASCII strings,
-//     integer literals of at most 18 digits, number literals
-//     strconv.ParseFloat takes without a range error, true and false.
-//     null, string escapes, bytes outside 0x20..0x7f inside strings and
-//     malformed syntax decline. Schema rules are the caller's: a decoder
-//     reads every key through Field against its type's Keys, which
-//     declines an unknown, repeated or differently-cased key, and a
-//     value it cannot use through Fail. Who scans a key or converts a
-//     number changes nothing in that set: Field first compares the
-//     input with the literal the key order json.Marshal writes predicts
-//     and scans the key in general only when that misses; AppendInts
-//     reads a whole int array in one loop; Int64 and Uint64 accumulate
-//     the digits they check, and Float64 rounds a plain decimal of at
-//     most 19 significant digits itself, exactly, in the pass that
-//     checks its grammar, leaving strconv.ParseFloat every literal with
-//     an exponent part or more digits — so every accepted number has
-//     strconv's bits.
+//   - Scanner accepts compact JSON — no whitespace between tokens —
+//     made of objects, arrays, unescaped ASCII strings, integer literals
+//     of at most 18 digits, number literals strconv.ParseFloat takes
+//     without a range error, true and false. Blanks, null, string
+//     escapes, bytes outside 0x20..0x7f inside strings and malformed
+//     syntax decline. Schema rules are the caller's: a decoder reads
+//     every key through Field against its type's Keys, and keys must
+//     come in the order json.Marshal writes them, any of them omitted; a
+//     key out of that order — repeated, unknown or differently cased
+//     included — declines, and so does a value the decoder cannot use,
+//     through Fail. Who converts a number changes nothing in that set:
+//     AppendInts reads a whole int array in one loop; Int64 and Uint64
+//     accumulate the digits they check, and Float64 rounds a plain
+//     decimal of at most 19 significant digits and 19 fraction digits
+//     itself, exactly, in the pass that checks its grammar, leaving
+//     strconv.ParseFloat every other literal — so every accepted number
+//     has strconv's bits.
 //   - The Append helpers emit what json.Marshal emits for finite floats
 //     and for strings it would not escape; NaN, ±Inf and any other
 //     string decline.
@@ -125,9 +126,9 @@ func (b *Buffer) Put() {
 	}
 }
 
-// Scanner walks one JSON value in a byte slice. The first construct
-// outside the plain subset makes it sticky-bad: every later call is a
-// no-op returning a zero value and More returns false, so a decoder
+// Scanner walks one compact JSON value in a byte slice. The first
+// construct outside the subset makes it sticky-bad: every later call is
+// a no-op returning a zero value and More returns false, so a decoder
 // reads straight through and asks OK once at the end.
 type Scanner struct {
 	buf []byte
@@ -136,8 +137,6 @@ type Scanner struct {
 	// where no comma is due.
 	first bool
 	bad   bool
-	// blank is set by every skipped whitespace byte and cleared by Mark.
-	blank bool
 }
 
 // Reset points the scanner at the start of b.
@@ -149,50 +148,24 @@ func (s *Scanner) OK() bool { return !s.bad }
 // Fail declines the input on the caller's behalf.
 func (s *Scanner) Fail() { s.bad = true }
 
-// peek skips whitespace and returns the next byte without consuming it;
-// 0 at the end of the input or when the scanner is bad.
+// peek returns the next byte without consuming it; 0 at the end of the
+// input or when the scanner is bad.
 func (s *Scanner) peek() byte {
 	if s.pos < len(s.buf) && !s.bad {
-		if c := s.buf[s.pos]; c > ' ' {
-			return c
-		}
-	}
-	return s.skip()
-}
-
-// skip is peek once the next byte may be a blank.
-func (s *Scanner) skip() byte {
-	if s.bad {
-		return 0
-	}
-	for s.pos < len(s.buf) {
-		switch c := s.buf[s.pos]; c {
-		case ' ', '\t', '\r', '\n':
-			s.pos++
-			s.blank = true
-		default:
-			return c
-		}
+		return s.buf[s.pos]
 	}
 	return 0
 }
 
-// Mark skips to the next value and returns its offset, for Since. One
-// mark is live at a time: a second one forgets the blanks the first saw.
-func (s *Scanner) Mark() int {
-	s.peek()
-	s.blank = false
-	return s.pos
-}
+// Mark returns the offset of the next value, for Since.
+func (s *Scanner) Mark() int { return s.pos }
 
 // Since returns the input from mark to the end of the value just
-// scanned, aliasing it, and whether that span is compact: accepted so
-// far and free of whitespace between its tokens.
-func (s *Scanner) Since(mark int) (span []byte, compact bool) {
-	return s.buf[mark:s.pos], !s.bad && !s.blank
-}
+// scanned, aliasing it. Once the scan is accepted, those are the
+// value's own compact bytes.
+func (s *Scanner) Since(mark int) []byte { return s.buf[mark:s.pos] }
 
-// expect consumes c, which must be the next non-blank byte.
+// expect consumes c, which must be the next byte.
 func (s *Scanner) expect(c byte) {
 	if s.peek() != c {
 		s.bad = true
@@ -211,36 +184,14 @@ func (s *Scanner) Open(c byte) {
 // closes: it consumes the comma due between elements and reports true,
 // or consumes end and reports false.
 func (s *Scanner) More(end byte) bool {
-	if s.pos < len(s.buf) && !s.bad {
-		switch c := s.buf[s.pos]; {
-		case c == end:
-			s.pos++
-			s.first = false
-			return false
-		case s.first:
-			if c > ' ' {
-				s.first = false
-				return true
-			}
-		case c == ',':
-			s.pos++
-			return true
-		}
-	}
-	return s.more(end)
-}
-
-// more is More once the next byte may be a blank or out of place.
-func (s *Scanner) more(end byte) bool {
-	c := s.peek()
-	first := s.first
-	s.first = false
-	switch {
+	switch c := s.peek(); {
 	case c == end:
 		s.pos++
+		s.first = false
 		return false
-	case first:
-		return !s.bad
+	case s.first && c != 0:
+		s.first = false
+		return true
 	case c == ',':
 		s.pos++
 		return true
@@ -249,20 +200,17 @@ func (s *Scanner) more(end byte) bool {
 	return false
 }
 
-// End reports whether the scan succeeded and only whitespace is left.
-func (s *Scanner) End() bool { return s.peek() == 0 && !s.bad && s.pos == len(s.buf) }
+// End reports whether the scan succeeded and consumed the whole input.
+func (s *Scanner) End() bool { return !s.bad && s.pos == len(s.buf) }
 
 // Keys is the key list of one object type in the order json.Marshal
 // writes it, each kept as the literal that spells it with its colon.
 type Keys struct{ lits []string }
 
 // NewKeys returns the Keys of an object type whose fields json.Marshal
-// writes under names, in that order: at most 64 names, each one the
-// scanner reads unescaped.
+// writes under names, in that order, each one the scanner reads
+// unescaped.
 func NewKeys(names ...string) *Keys {
-	if len(names) > 64 {
-		panic("jsonx: more than 64 keys")
-	}
 	k := &Keys{lits: make([]string, len(names))}
 	for i, n := range names {
 		// Field may take a literal in place of scanning the key only if
@@ -270,7 +218,8 @@ func NewKeys(names ...string) *Keys {
 		lit := `"` + n + `":`
 		var s Scanner
 		s.Reset([]byte(lit))
-		if string(s.key()) != n || !s.End() {
+		key := s.str()
+		if s.expect(':'); string(key) != n || !s.End() {
 			panic("jsonx: key " + strconv.Quote(n) + " does not scan as itself")
 		}
 		k.lits[i] = lit
@@ -278,66 +227,28 @@ func NewKeys(names ...string) *Keys {
 	return k
 }
 
-// Fields is what Field knows of one object being scanned: the keys seen
-// so far and the one expected next. The zero value starts an object.
-type Fields struct {
-	seen uint64
-	next int
-}
+// Fields is what Field knows of one object being scanned: the index of
+// the first key that may still come. The zero value starts an object.
+type Fields struct{ next int }
 
-// Field scans the key of the object member the scanner stands at, and
-// its colon, and returns the key's index in k. A key that is not in k —
-// differently cased included — or that f has seen before declines the
-// input and returns -1: encoding/json matches keys case-insensitively
-// and lets the last duplicate win, merging into the first, which is not
-// worth imitating.
-//
-// The key json.Marshal writes next costs one compare: the literals of k
-// are tried against the input as it stands, from the one f expects
-// next, and only when none is there — a blank before the colon, a key
-// not in k — is the key scanned and looked up.
+// Field consumes the key of the object member the scanner stands at,
+// and its colon, and returns the key's index in k. Keys must come in k's
+// order, any of them omitted: one that is not in k after the keys f has
+// seen — unknown, differently cased or repeated — declines the input
+// and returns -1. encoding/json also takes keys in any order, matches
+// them case-insensitively and lets the last duplicate win, merging into
+// the first; none of that is worth imitating.
 func (s *Scanner) Field(k *Keys, f *Fields) int {
-	if s.peek() == '"' {
-		rest := s.buf[s.pos:]
-		for j, i := 0, f.next; j < len(k.lits); j, i = j+1, i+1 {
-			if i == len(k.lits) {
-				i = 0
-			}
-			if lit := k.lits[i]; len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
-				s.pos += len(lit)
-				return f.take(s, i)
-			}
-		}
-	}
-	key := s.key()
-	if s.bad {
-		return -1
-	}
-	for i, lit := range k.lits {
-		if len(lit) == len(key)+3 && lit[1:len(lit)-2] == string(key) {
-			return f.take(s, i)
+	rest := s.buf[s.pos:]
+	for i := f.next; i < len(k.lits) && !s.bad; i++ {
+		if lit := k.lits[i]; len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
+			s.pos += len(lit)
+			f.next = i + 1
+			return i
 		}
 	}
 	s.bad = true
 	return -1
-}
-
-// take records key i as seen and returns it, or declines a repeat.
-func (f *Fields) take(s *Scanner, i int) int {
-	if f.seen&(1<<i) != 0 {
-		s.bad = true
-		return -1
-	}
-	f.seen |= 1 << i
-	f.next = i + 1
-	return i
-}
-
-// key scans an object key and its colon. The result aliases the input.
-func (s *Scanner) key() []byte {
-	k := s.str()
-	s.expect(':')
-	return k
 }
 
 // String scans a string value, copied out of the input.
@@ -467,24 +378,18 @@ func (s *Scanner) Int() int {
 
 // AppendInts scans an array of integer literals, each of at most 18
 // digits and fitting an int, and appends them to dst: Open, More and Int
-// in one loop, which leaves the input only for blanks.
+// in one loop.
 func (s *Scanner) AppendInts(dst []int) []int {
 	if s.peek() != '[' {
 		s.bad = true
 		return dst
 	}
-	s.pos++
-	if s.peek() == ']' {
-		s.pos++
+	b, i := s.buf, s.pos+1
+	if i < len(b) && b[i] == ']' {
+		s.pos = i + 1
 		return dst
 	}
-	b, i := s.buf, s.pos
 	for {
-		if i == len(b) || b[i] != '-' && b[i]-'0' > 9 {
-			s.pos = i
-			s.peek()
-			i = s.pos
-		}
 		neg := i < len(b) && b[i] == '-'
 		if neg {
 			i++
@@ -498,7 +403,6 @@ func (s *Scanner) AppendInts(dst []int) []int {
 				n = n*10 + uint64(b[i]-'0')
 			}
 			if d := i - j; d == 0 || d > 18 || int64(int(n)) != int64(n) {
-				s.bad = true
 				break
 			}
 		}
@@ -507,19 +411,14 @@ func (s *Scanner) AppendInts(dst []int) []int {
 			v = -v
 		}
 		dst = append(dst, v)
-		if i == len(b) || b[i] != ',' && b[i] != ']' {
-			s.pos = i
-			s.peek()
-			i = s.pos
-		}
 		if i == len(b) || b[i] != ',' {
+			if i < len(b) && b[i] == ']' {
+				s.pos = i + 1
+				return dst
+			}
 			break
 		}
 		i++
-	}
-	if !s.bad && i < len(b) && b[i] == ']' {
-		s.pos = i + 1
-		return dst
 	}
 	s.pos = i
 	s.bad = true
@@ -538,10 +437,9 @@ func List[T any](s *Scanner, next func() T) []T {
 // Float64 scans a JSON number literal and returns the float64 nearest
 // to it, ties to even — strconv.ParseFloat's result, as encoding/json
 // uses, bit for bit. A literal with no exponent part, at most 19
-// significant digits and at most 19 digits after the point (22 when its
-// digits fit in 53 bits) is converted in the same pass that scans it,
-// by round; every other one goes to strconv.ParseFloat over the same
-// bytes, and a range error declines.
+// significant digits and at most 19 digits after the point is converted
+// in the same pass that scans it, by round; every other one goes to
+// strconv.ParseFloat over the same bytes, and a range error declines.
 func (s *Scanner) Float64() float64 {
 	c := s.peek()
 	if c == 0 {
@@ -646,43 +544,36 @@ func eightDigits(w uint64) (uint64, bool) {
 
 // round returns mant / 10^k rounded to the nearest float64, ties to
 // even, for mant < 10^19; pow is 10^k when k ≤ 19. It reports false when
-// neither exact method applies and strconv must decide.
+// k is larger and strconv must decide.
 func round(mant, pow uint64, k int) (float64, bool) {
-	switch {
-	case mant < 1<<53 && k <= 22:
-		// Clinger: both operands are exact, so the quotient is rounded
-		// once. 10^20..10^22 are exact products of exact factors.
-		p := float64(pow)
-		if k > 19 {
-			p = 1e19
-			for ; k > 19; k-- {
-				p *= 10
-			}
-		}
-		return float64(mant) / p, true
-	case k <= 19:
-		// q = ⌊mant·2^sh / 10^k⌋ lies in [2^62, 2^64), so it holds the
-		// 53 bits kept, the rounding bit and more; the remainder r is
-		// the sticky bit below them.
-		sh := uint(63 - bits.Len64(mant) + bits.Len64(pow))
-		var hi, lo uint64
-		if sh < 64 {
-			hi, lo = mant>>(64-sh), mant<<sh
-		} else {
-			hi = mant << (sh - 64)
-		}
-		q, r := bits.Div64(hi, lo, pow)
-		drop := uint(bits.Len64(q) - 53)
-		m, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
-		if rest > half || rest == half && (r != 0 || m&1 != 0) {
-			m++
-		}
-		// The value is m·2^(drop−sh), m in [2^52, 2^53]: always a normal
-		// float64, since 10^-19 ≤ mant / 10^k < 10^19. m's leading bit
-		// adds one to the exponent field, two when rounding carried it
-		// to 2^53.
-		e := uint64(int(drop) - int(sh) + 52 + 1022)
-		return math.Float64frombits(e<<52 + m), true
+	if k > 19 {
+		return 0, false
 	}
-	return 0, false
+	if mant < 1<<53 {
+		// Clinger: both operands are exact, so the quotient is rounded
+		// once.
+		return float64(mant) / float64(pow), true
+	}
+	// q = ⌊mant·2^sh / 10^k⌋ lies in [2^62, 2^64), so it holds the
+	// 53 bits kept, the rounding bit and more; the remainder r is
+	// the sticky bit below them.
+	sh := uint(63 - bits.Len64(mant) + bits.Len64(pow))
+	var hi, lo uint64
+	if sh < 64 {
+		hi, lo = mant>>(64-sh), mant<<sh
+	} else {
+		hi = mant << (sh - 64)
+	}
+	q, r := bits.Div64(hi, lo, pow)
+	drop := uint(bits.Len64(q) - 53)
+	m, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if rest > half || rest == half && (r != 0 || m&1 != 0) {
+		m++
+	}
+	// The value is m·2^(drop−sh), m in [2^52, 2^53]: always a normal
+	// float64, since 10^-19 ≤ mant / 10^k < 10^19. m's leading bit
+	// adds one to the exponent field, two when rounding carried it
+	// to 2^53.
+	e := uint64(int(drop) - int(sh) + 52 + 1022)
+	return math.Float64frombits(e<<52 + m), true
 }

@@ -61,7 +61,8 @@ func TestAppendStringDeclinesWhatJSONEscapes(t *testing.T) {
 }
 
 // TestScannerNumbers holds the number scanners to the JSON grammar and
-// to the conversions encoding/json applies for each target kind.
+// to the conversions encoding/json applies for each target kind. A blank
+// before or after a literal declines by design.
 func TestScannerNumbers(t *testing.T) {
 	for _, lit := range []string{"0", "-0", "7", "-12", "123456789012345678", "1234567890123456789", "9223372036854775807",
 		"01", "-", "+1", "1.", ".5", "1.5", "1e3", "1E+3", "1e", "1e+", "-1.25e-3", "1e400", "-1e400", "1e-400",
@@ -73,6 +74,7 @@ func TestScannerNumbers(t *testing.T) {
 		"1.2345678901234567891", "99999999999999999999", "-123456789012345678",
 		"0.0000000000000000001", "0.00000000000000000001", "0.0000000000000000000000001", "0.00000000000000000000001",
 		"0.1234567890123456789", "0.12345678901234567890", "0.00000000000000000000000", "0.000000000000000000000001"} {
+		plain := strings.TrimSpace(lit) == lit
 		var wantF float64
 		errF := json.Unmarshal([]byte(lit), &wantF)
 		var s Scanner
@@ -81,8 +83,12 @@ func TestScannerNumbers(t *testing.T) {
 		if s.End() && (errF != nil || math.Float64bits(gotF) != math.Float64bits(wantF)) {
 			t.Errorf("Float64(%q) accepted %v; encoding/json: %v, %v", lit, gotF, wantF, errF)
 		}
-		if !s.End() && errF == nil && len(lit) < 30 {
+		if !s.End() && errF == nil && len(lit) < 30 && plain {
 			t.Errorf("Float64(%q) declined a plain literal encoding/json takes as %v", lit, wantF)
+		}
+
+		if s.End() && !plain {
+			t.Errorf("Float64(%q) accepted a blank", lit)
 		}
 
 		var wantI int64
@@ -92,8 +98,12 @@ func TestScannerNumbers(t *testing.T) {
 		if s.End() && (errI != nil || gotI != wantI) {
 			t.Errorf("Int64(%q) accepted %d; encoding/json: %d, %v", lit, gotI, wantI, errI)
 		}
-		if !s.End() && errI == nil && len(lit) <= 18 {
+		if !s.End() && errI == nil && len(lit) <= 18 && plain {
 			t.Errorf("Int64(%q) declined a plain literal encoding/json takes as %d", lit, wantI)
+		}
+
+		if s.End() && !plain {
+			t.Errorf("Int64(%q) accepted a blank", lit)
 		}
 
 		var wantU uint64
@@ -102,6 +112,9 @@ func TestScannerNumbers(t *testing.T) {
 		gotU := s.Uint64()
 		if s.End() && (errU != nil || gotU != wantU) {
 			t.Errorf("Uint64(%q) accepted %d; encoding/json: %d, %v", lit, gotU, wantU, errU)
+		}
+		if s.End() && !plain {
+			t.Errorf("Uint64(%q) accepted a blank", lit)
 		}
 	}
 }
@@ -242,8 +255,9 @@ func TestFloat64MatchesParseFloat(t *testing.T) {
 }
 
 // FuzzScannerFloat64: on any bytes, Float64 then End accepts exactly
-// what json.Unmarshal into a float64 accepts — apart from null, which
-// the scanner declines by design — with the same bits.
+// what json.Unmarshal into a float64 accepts — apart from null and
+// blanks around the literal, which the scanner declines by design — with
+// the same bits.
 func FuzzScannerFloat64(f *testing.F) {
 	for _, seed := range []string{"0", "-0", "1.5", "123.45678901234567", "9007199254740993.0", "0.0000000000000000001",
 		"1e400", "1e-400", "5e-324", "12345678901234567890", " -7.25 ", "01", "1.", "null", `"1"`} {
@@ -256,7 +270,7 @@ func FuzzScannerFloat64(f *testing.F) {
 		s.Reset(data)
 		got := s.Float64()
 		switch ok := s.End(); {
-		case err == nil && !ok && strings.TrimSpace(string(data)) != "null":
+		case err == nil && !ok && !bytes.ContainsAny(data, blanks) && string(data) != "null":
 			t.Fatalf("declined %q, which json.Unmarshal takes as %v", data, want)
 		case err != nil && ok:
 			t.Fatalf("accepted %q as %v; json.Unmarshal: %v", data, got, err)
@@ -282,23 +296,37 @@ func TestNewKeysRejectsUnscannableNames(t *testing.T) {
 		}()
 	}
 	keys := NewKeys("", "proc_mips", "a<b")
-	var s Scanner
-	var f Fields
-	s.Reset([]byte(`{"a<b":1,"":2,"proc_mips" :3}`))
-	var got []int
-	for s.Open('{'); s.More('}'); {
-		got = append(got, s.Field(keys, &f))
-		s.Int64()
-	}
-	if !s.End() || !slices.Equal(got, []int{2, 0, 1}) {
-		t.Fatalf("fields %v, accepted %v; want [2 0 1], true", got, s.End())
+	for _, tc := range []struct {
+		in   string
+		want []int
+	}{
+		{`{"":1,"proc_mips":2,"a<b":3}`, []int{0, 1, 2}},
+		{`{"":1,"a<b":3}`, []int{0, 2}},
+		{`{}`, []int{}},
+		// Out of json.Marshal's order, repeated, or a blank before the
+		// colon: declined.
+		{`{"a<b":1,"":2,"proc_mips":3}`, nil},
+		{`{"":1,"":2}`, nil},
+		{`{"":1,"proc_mips" :3}`, nil},
+	} {
+		var s Scanner
+		var f Fields
+		s.Reset([]byte(tc.in))
+		var got []int
+		for s.Open('{'); s.More('}'); {
+			got = append(got, s.Field(keys, &f))
+			s.Int64()
+		}
+		if took := tc.want != nil; s.End() != took || took && !slices.Equal(got, tc.want) {
+			t.Errorf("%s: fields %v, accepted %v; want %v, %v", tc.in, got, s.End(), tc.want, took)
+		}
 	}
 }
 
 // FuzzScannerInts: on any bytes, AppendInts then End accepts exactly
 // what json.Unmarshal into a []int accepts, with the same values — apart
-// from null and literals of 19 or more digits, which the scanner declines
-// by design. Blanks may stand anywhere between tokens.
+// from null, blanks and literals of 19 or more digits, which the scanner
+// declines by design.
 func FuzzScannerInts(f *testing.F) {
 	for _, seed := range []string{"[]", "[0]", "[1,2,3]", " [ -1 , 0 ,\n42\t] ", "[\r]", "[-0]", "[123456789012345678,-123456789012345678]",
 		"[1234567890123456789]", "[1,]", "[,1]", "[01]", "[-]", "[1 2]", "[- 1]", "[1.0]", "[1e2]", "[+1]", "[null]", "null",
@@ -317,7 +345,7 @@ func FuzzScannerInts(f *testing.F) {
 			long = long || v >= 1e18 || v <= -1e18
 		}
 		switch {
-		case err == nil && !ok && !long && !bytes.Contains(data, []byte("null")):
+		case err == nil && !ok && !long && !bytes.Contains(data, []byte("null")) && !bytes.ContainsAny(data, blanks):
 			t.Fatalf("declined %q, which json.Unmarshal takes as %v", data, want)
 		case err != nil && ok:
 			t.Fatalf("accepted %q as %v; json.Unmarshal: %v", data, got[1:], err)
@@ -408,33 +436,38 @@ func BenchmarkScannerNumbers(b *testing.B) {
 	}
 }
 
+// blanks are the bytes JSON allows between tokens, all of which the
+// scanner declines.
+const blanks = " \t\r\n"
+
 var intsSink []int
 
 var sink float64
 
 // TestMarkSince: Since returns exactly the bytes of the value scanned
-// after Mark, and calls it compact only when no whitespace was skipped
-// inside it — blanks before the mark, after the value or inside a string
-// do not count.
+// after Mark, and a value with whitespace between its tokens, or around
+// it, is declined.
 func TestMarkSince(t *testing.T) {
+	keys := NewKeys("k")
 	for _, tc := range []struct {
 		in, span string
-		compact  bool
+		ok       bool
 	}{
 		{`{"k":[1,2.5e3,"a b"]}`, `[1,2.5e3,"a b"]`, true},
-		{"{\"k\" : \t[1,2.5e3,\"a b\"] \n}", `[1,2.5e3,"a b"]`, true},
-		{`{"k":[1, 2]}`, `[1, 2]`, false},
-		{`{"k":[ 1,2]}`, `[ 1,2]`, false},
-		{`{"k":[1,2 ]}`, `[1,2 ]`, false},
-		{"{\"k\":[1,\n2]}", "[1,\n2]", false},
 		{`{"k":[]}`, `[]`, true},
+		{"{\"k\" : \t[1,2.5e3,\"a b\"] \n}", ``, false},
+		{`{"k":[1, 2]}`, ``, false},
+		{`{"k":[ 1,2]}`, ``, false},
+		{`{"k":[1,2 ]}`, ``, false},
+		{"{\"k\":[1,\n2]}", ``, false},
 		{`{"k":[1,,2]}`, ``, false},
 	} {
 		var s Scanner
+		var f Fields
 		s.Reset([]byte(tc.in))
 		s.Open('{')
 		s.More('}')
-		s.key()
+		s.Field(keys, &f)
 		mark := s.Mark()
 		for s.Open('['); s.More(']'); {
 			if s.peek() == '"' {
@@ -443,9 +476,8 @@ func TestMarkSince(t *testing.T) {
 				s.Float64()
 			}
 		}
-		span, compact := s.Since(mark)
-		if compact != tc.compact || (s.OK() && string(span) != tc.span) {
-			t.Errorf("%q: Since = %q, %v; want %q, %v", tc.in, span, compact, tc.span, tc.compact)
+		if span := s.Since(mark); s.OK() != tc.ok || tc.ok && string(span) != tc.span {
+			t.Errorf("%q: Since = %q, accepted %v; want %q, %v", tc.in, span, s.OK(), tc.span, tc.ok)
 		}
 	}
 }

@@ -56,8 +56,9 @@ func (s *Server) handleAdmit(admit admitFunc, release func(ctx context.Context, 
 		if refused(w, err) {
 			return
 		}
-		// The admit record holds the request's bytes if they arrived compact
-		// (spec.EnvSpec.ScanJSON); a split's fragments are built in code.
+		// The admit record holds the request's bytes if the decoding fast
+		// path took them (spec.EnvSpec.ScanJSON); a split's fragments are
+		// built in code.
 		if pl.Fragments[0].Env.Source() != nil {
 			s.mEnvVerbatim.Inc()
 		}

@@ -228,7 +228,7 @@ func newServer(cfg Config) *Server {
 		mCommitLatency: reg.Histogram("hmnd_commit_latency_seconds",
 			"Time an admission spent outside the mapper while holding the session lock (snapshot + validate-and-commit).", nil),
 		mEnvVerbatim: reg.Counter("hmnd_admit_env_verbatim_total",
-			"Admissions whose environment went to the log as the bytes the request carried, not rendered again; divided by the successful admissions, the share of traffic that arrives as compact JSON."),
+			"Admissions whose environment went to the log as the bytes the request carried, not rendered again; divided by the successful admissions, the share of traffic that arrives as compact JSON with its keys in json.Marshal's order."),
 		mRouteSearches: reg.Counter("hmnd_route_searches_total",
 			"A*Prune searches run by map and repair attempts and rebalancing rounds (one per inter-host virtual link routed)."),
 		mRoutePops: reg.Counter("hmnd_route_pops_total",

@@ -10,20 +10,21 @@ import (
 // This file is the hand-written codec for the two specs every admission
 // carries, EnvSpec in and MappingSpec out (and both again inside the
 // WAL's admit record). Each ScanJSON accepts a subset of what
-// encoding/json accepts and each AppendJSON emits json.Marshal's exact
-// bytes or declines; see package jsonx for the subset and DecodeStrict /
-// AppendJSON for the fallback.
+// encoding/json accepts — compact, keys in json.Marshal's order — and
+// each AppendJSON emits json.Marshal's exact bytes or declines; see
+// package jsonx for the subset and DecodeStrict / AppendJSON for the
+// fallback.
 
 // ScanJSON decodes one EnvSpec into e, which must be the zero value:
 // encoding/json merges into whatever the target already holds, and the
 // fast path does not imitate that. It reports whether it accepted the
 // input; when it did not, e is untouched.
 //
-// An accepted value that arrived compact — no whitespace between its
-// tokens — also keeps a private copy of its own bytes, which ToEnv hands
-// to the environment and AppendJSON appends in place of a rendering: the
-// admit record of a request logs the description the tester sent. The
-// bytes decode, by this scanner or by encoding/json, to exactly e.
+// An accepted value also keeps a private copy of its own compact bytes,
+// which ToEnv hands to the environment and AppendJSON appends in place
+// of a rendering: the admit record of a request logs the description the
+// tester sent. The bytes decode, by this scanner or by encoding/json, to
+// exactly e.
 func (e *EnvSpec) ScanJSON(s *jsonx.Scanner) bool {
 	if e.Guests != nil || e.Links != nil || e.src != nil {
 		return false
@@ -33,9 +34,7 @@ func (e *EnvSpec) ScanJSON(s *jsonx.Scanner) bool {
 		*e = EnvSpec{} // as it was: ScanReuse leaves garbage behind a decline
 		return false
 	}
-	if span, compact := s.Since(mark); compact {
-		e.src, e.sum = bytes.Clone(span), e.fingerprint()
-	}
+	e.src, e.sum = bytes.Clone(s.Since(mark)), e.fingerprint()
 	return true
 }
 
@@ -250,7 +249,7 @@ func (a *PathArena) scanIntLists(s *jsonx.Scanner, arena *[]int, out [][]int) []
 }
 
 // AppendJSON implements jsonx.Appender. A value still carrying the
-// compact JSON it was decoded from appends that.
+// JSON it was decoded from appends that.
 func (e EnvSpec) AppendJSON(dst []byte) ([]byte, bool) {
 	if e.verbatim() {
 		return append(dst, e.src...), true

@@ -161,12 +161,13 @@ func envBytes(t *testing.T, body []byte) []byte {
 }
 
 // TestCompactEnvIsCarriedVerbatim: an environment the fast path decoded
-// from compact JSON is rendered, for as long as nothing changes it, as
-// the bytes it arrived in — however the client spelled them — through
-// ToEnv and FromEnv and into AppendJSON; the short cut fires for every
-// body the workload generator and a json.Encoder produce (hmnperf, the
-// smoke scripts), where those bytes are json.Marshal's own; and
-// everything else is rendered from its fields as before.
+// — compact, keys in json.Marshal's order — is rendered, for as long as
+// nothing changes it, as the bytes it arrived in — however the client
+// spelled them — through ToEnv and FromEnv and into AppendJSON; the
+// short cut fires for every body the workload generator and a
+// json.Encoder produce (hmnperf, the smoke scripts), where those bytes
+// are json.Marshal's own; and everything else is rendered from its
+// fields as before.
 func TestCompactEnvIsCarriedVerbatim(t *testing.T) {
 	carried := func(body string) (server.MapEnvRequest, []byte) {
 		t.Helper()
@@ -204,10 +205,10 @@ func TestCompactEnvIsCarriedVerbatim(t *testing.T) {
 		}
 	}
 	for _, body := range []string{
-		// Spellings json.Marshal never writes, keys out of order or
-		// missing, a name it would escape: all compact, all kept.
-		`{"plan":false,"env":{"links":[{"to":1,"from":0,"lat_ms":0.50,"bw_mbps":1e2}],"guests":[{"stor_gb":-0,"name":"a<b&c","proc_mips":1E0},{"mem_mb":123456789012345678}]}}`,
-		` { "plan_shell" : false , "env" :{"guests":[{"proc_mips":1e-400,"mem_mb":-0}]} } `,
+		// Spellings json.Marshal never writes, keys missing, a name it
+		// would escape: all compact and in order, all kept.
+		`{"env":{"guests":[{"name":"a<b&c","proc_mips":1E0,"stor_gb":-0},{"mem_mb":123456789012345678}],"links":[{"from":0,"to":1,"bw_mbps":1e2,"lat_ms":0.50}]},"plan":false}`,
+		`{"env":{"guests":[{"proc_mips":1e-400,"mem_mb":-0}]},"plan_shell":false}`,
 		`{"env":{"guests":[{"name":"two words"}]}}`,
 		`{"env":{}}`,
 	} {
@@ -216,10 +217,14 @@ func TestCompactEnvIsCarriedVerbatim(t *testing.T) {
 		}
 	}
 	for _, body := range []string{
-		// A blank between tokens, an escape the scanner declines, a body
-		// the scanner declines elsewhere: rendered from the fields.
+		// A blank between tokens or around the environment, keys out of
+		// order, an escape the scanner declines, a body the scanner
+		// declines elsewhere: rendered from the fields.
 		`{"env":{"guests":[{"proc_mips":1.50}], "links":[]}}`,
 		"{\"env\":{\"guests\":[{\"proc_mips\":1.50}]\n}}",
+		` { "plan_shell" : false , "env" :{"guests":[{"proc_mips":1e-400,"mem_mb":-0}]} } `,
+		`{"plan":false,"env":{"links":[{"to":1,"from":0,"lat_ms":0.50,"bw_mbps":1e2}],"guests":[{"stor_gb":-0,"name":"a<b&c","proc_mips":1E0},{"mem_mb":123456789012345678}]}}`,
+		`{"env":{"links":[],"guests":[{"proc_mips":1.50}]}}`,
 		`{"env":{"guests":[{"name":"caf\u00e9","proc_mips":1.50}]}}`,
 		`{"env":{"guests":[{"proc_mips":1.50}]},"plan":null}`,
 	} {
@@ -319,10 +324,9 @@ func fieldAgrees[T any, P interface {
 
 // TestFieldMatchesEncodingJSON walks the key shapes jsonx.Scanner.Field
 // must get right for every object the request decoder reads: keys in
-// any order and with blanks around ':' and ',' are taken (the predicted
-// order is a short cut, not a rule), an omitted optional key is taken,
-// and a repeated, differently-cased or unknown key is declined — all to
-// the values encoding/json decodes.
+// json.Marshal's order, any of them omitted, are taken to the values
+// encoding/json decodes; keys out of that order, blanks around ':' and
+// ',', and a repeated, differently-cased or unknown key are declined.
 func TestFieldMatchesEncodingJSON(t *testing.T) {
 	envs := []struct {
 		body string
@@ -330,10 +334,12 @@ func TestFieldMatchesEncodingJSON(t *testing.T) {
 	}{
 		// EnvSpec, GuestSpec, VLinkSpec.
 		{`{"guests":[{"name":"a","proc_mips":1,"mem_mb":2,"stor_gb":3}],"links":[{"from":0,"to":1,"bw_mbps":4,"lat_ms":5}]}`, true},
-		{`{"links":[{"lat_ms":5,"bw_mbps":4,"to":1,"from":0}],"guests":[{"stor_gb":3,"mem_mb":2,"proc_mips":1,"name":"a"}]}`, true},
-		{`{"guests":[{"mem_mb":2,"name":"a","stor_gb":3,"proc_mips":1},{"proc_mips":1,"mem_mb":2,"stor_gb":3}]}`, true},
 		{`{"guests":[{"proc_mips":1,"mem_mb":2,"stor_gb":3}],"links":[{"to":1,"bw_mbps":4}]}`, true},
-		{"{ \"guests\" : [ { \"name\" : \"a\" , \"proc_mips\" :1,\"mem_mb\": 2 ,\n\"stor_gb\"\t:\t3 } ] , \"links\":[{\"from\" :0}] }", true},
+		{`{"links":[{"from":0,"lat_ms":5}]}`, true},
+		{`{"links":[{"lat_ms":5,"bw_mbps":4,"to":1,"from":0}],"guests":[{"stor_gb":3,"mem_mb":2,"proc_mips":1,"name":"a"}]}`, false},
+		{`{"guests":[{"mem_mb":2,"name":"a","stor_gb":3,"proc_mips":1},{"proc_mips":1,"mem_mb":2,"stor_gb":3}]}`, false},
+		{"{ \"guests\" : [ { \"name\" : \"a\" , \"proc_mips\" :1,\"mem_mb\": 2 ,\n\"stor_gb\"\t:\t3 } ] , \"links\":[{\"from\" :0}] }", false},
+		{`{"guests":[{"name":"a","proc_mips":1} ]}`, false},
 		{`{"guests":[{"name":"a","proc_mips":1,"proc_mips":2}]}`, false},
 		{`{"guests":[],"links":[],"guests":[{"proc_mips":1}]}`, false},
 		{`{"links":[{"from":0,"to":1,"from":2}]}`, false},
@@ -359,9 +365,11 @@ func TestFieldMatchesEncodingJSON(t *testing.T) {
 	}{
 		// MapEnvRequest.
 		{`{"env":{"guests":[{"proc_mips":1}]},"plan":true,"plan_shell":false}`, true},
-		{`{"plan_shell":true,"plan":false,"env":{"links":[],"guests":[]}}`, true},
 		{`{"plan":true}`, true},
-		{` { "plan" : true , "env" : { } } `, true},
+		{`{"env":{},"plan_shell":true}`, true},
+		{`{"plan_shell":true,"plan":false,"env":{"links":[],"guests":[]}}`, false},
+		{` { "plan" : true , "env" : { } } `, false},
+		{`{"env": {}}`, false},
 		{`{"plan":true,"plan":false}`, false},
 		{`{"env":{},"env":{}}`, false},
 		{`{"Env":{}}`, false},
@@ -377,9 +385,11 @@ func TestFieldMatchesEncodingJSON(t *testing.T) {
 	}{
 		// MappingSpec.
 		{`{"guest_host":[0,1],"link_paths":[[0,1],[1]],"link_edges":[[0],[]],"objective":1.5}`, true},
-		{`{"objective":1.5,"link_edges":[[0]],"link_paths":[[0,1]],"guest_host":[0,1]}`, true},
 		{`{"guest_host":[0],"link_paths":[[0]],"objective":1}`, true},
-		{"{ \"guest_host\" : [ 0 , 1 ] ,\"link_paths\":[ [0 ,1] , [ 2 ] ],\n\"objective\" : 0 }", true},
+		{`{"link_edges":[[0]],"objective":1}`, true},
+		{`{"objective":1.5,"link_edges":[[0]],"link_paths":[[0,1]],"guest_host":[0,1]}`, false},
+		{"{ \"guest_host\" : [ 0 , 1 ] ,\"link_paths\":[ [0 ,1] , [ 2 ] ],\n\"objective\" : 0 }", false},
+		{`{"guest_host":[0, 1],"objective":0}`, false},
 		{`{"guest_host":[0],"guest_host":[1]}`, false},
 		{`{"objective":1,"link_paths":[],"objective":2}`, false},
 		{`{"Guest_Host":[0]}`, false},
@@ -442,8 +452,8 @@ func FuzzDecodeStrictDifferential(f *testing.F) {
 		`{"plan":truex}`,
 		`{"bogus":1,"env":{"guests":[{"proc_mips":1}]}}`,
 		` { "guests" : [ { "proc_mips" : 1 } ] , "links" : [ ] } `,
-		// Keys out of json.Marshal's order, and blanks where the
-		// scanner's compact short cuts do not reach.
+		// Keys out of json.Marshal's order, and blanks: the scanner
+		// declines them, encoding/json decodes them.
 		`{"plan":true,"env":{"links":[{"lat_ms":1,"to":1,"from":0,"bw_mbps":2}],"guests":[{"stor_gb":1,"name":"g","mem_mb":2,"proc_mips":3}]}}`,
 		`{"objective":1,"link_edges":[[3,4]],"guest_host":[2],"link_paths":[[0,1,2]]}`,
 		"{\"guest_host\" :[ 0 ,\t1 ],\"link_paths\":[ [ 0 , 1 ] ,[2]\n],\"objective\" : 2}",

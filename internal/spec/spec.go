@@ -53,8 +53,8 @@ type EnvSpec struct {
 	Guests []GuestSpec `json:"guests"`
 	Links  []VLinkSpec `json:"links"`
 
-	// src is the JSON this value was decoded from, when it arrived
-	// compact (see ScanJSON), and sum the fingerprint of Guests and Links
+	// src is the JSON this value was decoded from, when the fast path
+	// took it (see ScanJSON), and sum the fingerprint of Guests and Links
 	// as decoded. ToEnv, FromEnv and AppendJSON carry src along in place
 	// of a second rendering, each only while the fingerprint still holds:
 	// a value changed since it was decoded is rendered from its fields.

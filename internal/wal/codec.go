@@ -9,19 +9,19 @@ import (
 	"repro/internal/spec"
 )
 
-// This file is the hand-written codec for the records an admission
-// workload writes and recovery reads back: admit, release and migrate
-// out (and the legacy batch kind, which only a re-encoded old log still
-// carries), admit and release in (all but the open record of a churn
-// log). It changes no byte on disk — AppendJSON emits json.Marshal's
-// exact payload or declines, decoder.scan accepts a subset of what
-// json.Unmarshal accepts or declines — and appendFrame/decode answer a
-// decline with encoding/json, which also still owns open, close, fail
-// and restore records.
+// This file is the hand-written codec for the two records an admission
+// workload writes and recovery reads back, admit and release, in both
+// directions. It changes no byte on disk — AppendJSON emits
+// json.Marshal's exact payload or declines, decoder.scan accepts a
+// subset of what json.Unmarshal accepts or declines — and
+// appendFrame/decode answer a decline with encoding/json, which owns
+// every other kind of record both ways.
 
-// AppendJSON implements jsonx.Appender.
+// AppendJSON implements jsonx.Appender for admit and release records;
+// it declines every other kind.
 func (r *Record) AppendJSON(dst []byte) ([]byte, bool) {
-	if r.Open != nil || r.Fail != nil || r.Restore != nil {
+	if r.Open != nil || len(r.Batch) > 0 || r.Fail != nil || r.Restore != nil || r.Migrate != nil ||
+		r.Admit == nil && r.Release == nil {
 		return dst, false
 	}
 	ok := true
@@ -37,91 +37,26 @@ func (r *Record) AppendJSON(dst []byte) ([]byte, bool) {
 		dst = append(dst, `,"admit":`...)
 		dst = r.Admit.appendJSON(dst, &ok)
 	}
-	if len(r.Batch) > 0 {
-		dst = append(dst, `,"batch":[`...)
-		for i := range r.Batch {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = r.Batch[i].appendJSON(dst, &ok)
-		}
-		dst = append(dst, ']')
-	}
 	if r.Release != nil {
 		dst = append(dst, `,"release":{"seq":`...)
 		dst = strconv.AppendUint(dst, r.Release.Seq, 10)
 		dst = append(dst, '}')
 	}
-	if r.Migrate != nil {
-		dst = append(dst, `,"migrate":`...)
-		dst = r.Migrate.appendJSON(dst, &ok)
-	}
 	return append(dst, '}'), ok
 }
 
-// appendTagged appends the `{"seq":N,"tag":"T",` opening that admit
-// records and migrated environments share (tag omitted when empty).
-func appendTagged(dst []byte, seq uint64, tag string, ok *bool) []byte {
-	dst = append(dst, `{"seq":`...)
-	dst = strconv.AppendUint(dst, seq, 10)
-	if tag != "" {
-		dst = append(dst, `,"tag":`...)
-		dst = jsonx.AppendString(dst, tag, ok)
-	}
-	return append(dst, ',')
-}
-
 func (a *AdmitRec) appendJSON(dst []byte, ok *bool) []byte {
-	dst = appendTagged(dst, a.Seq, a.Tag, ok)
-	dst = append(dst, `"env":`...)
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, a.Seq, 10)
+	if a.Tag != "" {
+		dst = append(dst, `,"tag":`...)
+		dst = jsonx.AppendString(dst, a.Tag, ok)
+	}
+	dst = append(dst, `,"env":`...)
 	dst, eok := a.Env.AppendJSON(dst)
 	dst = append(dst, `,"mapping":`...)
 	dst, mok := a.M.AppendJSON(dst)
 	*ok = *ok && eok && mok
-	return append(dst, '}')
-}
-
-func (m *MigrateRec) appendJSON(dst []byte, ok *bool) []byte {
-	dst = append(dst, `{"moves":`...)
-	if m.Moves == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, mv := range m.Moves {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"seq":`...)
-			dst = strconv.AppendUint(dst, mv.Seq, 10)
-			dst = append(dst, `,"guest":`...)
-			dst = strconv.AppendInt(dst, int64(mv.Guest), 10)
-			dst = append(dst, `,"from":`...)
-			dst = strconv.AppendInt(dst, int64(mv.From), 10)
-			dst = append(dst, `,"to":`...)
-			dst = strconv.AppendInt(dst, int64(mv.To), 10)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"envs":`...)
-	if m.Envs == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range m.Envs {
-			e := &m.Envs[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendTagged(dst, e.Seq, e.Tag, ok)
-			dst = append(dst, `"mapping":`...)
-			var mok bool
-			dst, mok = e.M.AppendJSON(dst)
-			*ok = *ok && mok
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
 	return append(dst, '}')
 }
 
@@ -161,7 +96,7 @@ func (d *decoder) decode(payload []byte) (*Record, error) {
 
 // scan decodes an admit or release record into d.rec. It reports false,
 // leaving d.rec half-filled, for any other kind of record and for any
-// input outside the scanner's plain subset.
+// input outside the scanner's subset.
 func (d *decoder) scan(s *jsonx.Scanner) bool {
 	r := &d.rec
 	*r = Record{}
@@ -189,7 +124,7 @@ func (d *decoder) scan(s *jsonx.Scanner) bool {
 			}
 		}
 	}
-	return s.End()
+	return s.End() && (r.Admit != nil || r.Release != nil)
 }
 
 // The keys the scanner takes in a record, an admit body and a release
@@ -202,7 +137,7 @@ var (
 
 // scanAdmit decodes an admit body into a: a log record's into reused
 // storage, paths in arena, or (arena nil) a snapshot entry's into a fresh
-// one that keeps its env's compact bytes for the next snapshot to write.
+// one that keeps its env's bytes for the next snapshot to write.
 func scanAdmit(s *jsonx.Scanner, a *AdmitRec, arena *spec.PathArena) {
 	a.Seq, a.Tag = 0, ""
 	env, m := false, false
@@ -215,11 +150,8 @@ func scanAdmit(s *jsonx.Scanner, a *AdmitRec, arena *spec.PathArena) {
 			a.Tag = s.String()
 		case 2: // env
 			env = true
-			mark := s.Mark() // ScanJSON marks here too: Since sees the env's blanks
 			if arena != nil && !a.Env.ScanReuse(s) || arena == nil && !a.Env.ScanJSON(s) {
 				s.Fail()
-			} else if _, compact := s.Since(mark); arena == nil && !compact {
-				s.Fail() // no snapshot writes blanks
 			}
 		case 3: // mapping
 			m = true

@@ -124,8 +124,9 @@ func TestParentSegmentRoundTrips(t *testing.T) {
 	}
 }
 
-// churnRecords runs the chaos schedule against a logged session and
-// returns the records it wrote.
+// churnRecords runs the chaos schedule, with a rebalancing round every
+// 16 operations, against a logged session and returns the records it
+// wrote.
 func churnRecords(t *testing.T, ops int) []Record {
 	t.Helper()
 	c, _ := testCluster(t)
@@ -138,14 +139,20 @@ func churnRecords(t *testing.T, ops int) []Record {
 		recs = append(recs, *RecordFromEvent(testSID, cluster.VMMOverhead{}, ev))
 	})
 	for i := 0; i < ops; i++ {
-		applyOp(t, s, c, i)
+		if i%16 == 15 {
+			s.Rebalance(2)
+		} else {
+			applyOp(t, s, c, i)
+		}
 	}
 	return recs
 }
 
-// TestFastPathTakesChurnRecords keeps the WAL fast path from quietly
-// degrading into always-decline: every admit and release record of a
-// churn schedule is encoded and decoded by hand.
+// TestFastPathTakesChurnRecords pins the codec's boundary on a churn
+// schedule: every admit and release record is encoded and decoded by
+// hand — the fast path has not quietly degraded into always-decline —
+// and every other record, migrate included, is declined both ways and
+// framed as json.Marshal's bytes.
 func TestFastPathTakesChurnRecords(t *testing.T) {
 	counts := map[string]int{}
 	for _, rec := range churnRecords(t, 48) {
@@ -162,6 +169,9 @@ func TestFastPathTakesChurnRecords(t *testing.T) {
 		if ok && !bytes.Equal(got, want) {
 			t.Fatalf("%s record:\n got %s\nwant %s", rec.Kind, got, want)
 		}
+		if frame, err := appendFrame(nil, &rec); err != nil || !bytes.Equal(frame, frameOf(want)) {
+			t.Fatalf("%s record: frame %q (%v), want json.Marshal's %s", rec.Kind, frame, err, want)
+		}
 		var back decoder
 		var s jsonx.Scanner
 		s.Reset(want)
@@ -172,7 +182,7 @@ func TestFastPathTakesChurnRecords(t *testing.T) {
 		}
 		counts[rec.Kind]++
 	}
-	for _, k := range []string{KindAdmit, KindRelease, KindFail, KindRestore} {
+	for _, k := range []string{KindAdmit, KindRelease, KindFail, KindRestore, KindMigrate} {
 		if counts[k] == 0 {
 			t.Fatalf("schedule wrote no %s record: %v", k, counts)
 		}
@@ -181,11 +191,12 @@ func TestFastPathTakesChurnRecords(t *testing.T) {
 
 // TestFieldMatchesEncodingJSON walks the key shapes the record scanner
 // reads through jsonx.Scanner.Field in a record, an admit body and a
-// release body: keys in any order, with blanks around ':' and ',', or
-// an omitted optional one are taken; a repeated, differently-cased or
-// unknown key is declined. What the scanner takes, json.Decoder with
-// DisallowUnknownFields takes to the same record, and the frame reader
-// answers every body as json.Unmarshal does.
+// release body: keys in json.Marshal's order, an optional one omitted,
+// are taken; keys out of that order, blanks around ':' and ',', and a
+// repeated, differently-cased or unknown key are declined. What the
+// scanner takes, json.Decoder with DisallowUnknownFields takes to the
+// same record, and the frame reader answers every body as json.Unmarshal
+// does.
 func TestFieldMatchesEncodingJSON(t *testing.T) {
 	const env = `{"guests":[{"name":"g","proc_mips":1,"mem_mb":2,"stor_gb":3},{"proc_mips":1}],"links":[]}`
 	const mapping = `{"guest_host":[0,0],"link_paths":[],"objective":0}`
@@ -194,12 +205,19 @@ func TestFieldMatchesEncodingJSON(t *testing.T) {
 		fast    bool
 	}{
 		{`{"kind":"release","sid":"s1","index":3,"release":{"seq":1}}`, true},
-		{`{"release":{"seq":1},"index":3,"sid":"s1","kind":"release"}`, true},
 		{`{"kind":"release","sid":"s1","release":{"seq":1}}`, true},
 		{`{"kind":"admit","sid":"s1","index":2,"admit":{"seq":1,"tag":"e1","env":` + env + `,"mapping":` + mapping + `}}`, true},
-		{`{"admit":{"mapping":` + mapping + `,"env":` + env + `,"seq":1},"kind":"admit","sid":"s1"}`, true},
-		{"{ \"kind\" : \"release\" ,\"sid\":\"s1\" ,\n\"release\" :{ \"seq\" : 1 } }", true},
-		{"{\"kind\":\"admit\",\"admit\":{ \"seq\" :1 , \"env\" : " + env + " }}", true},
+		{`{"kind":"admit","sid":"s1","admit":{"seq":1,"env":` + env + `,"mapping":` + mapping + `}}`, true},
+		{`{"kind":"admit","admit":{"seq":1,"env":` + env + `}}`, true},
+		// Out of json.Marshal's order, or with blanks: encoding/json's.
+		{`{"release":{"seq":1},"index":3,"sid":"s1","kind":"release"}`, false},
+		{`{"admit":{"mapping":` + mapping + `,"env":` + env + `,"seq":1},"kind":"admit","sid":"s1"}`, false},
+		{`{"kind":"admit","sid":"s1","admit":{"env":` + env + `,"seq":1}}`, false},
+		{"{ \"kind\" : \"release\" ,\"sid\":\"s1\" ,\n\"release\" :{ \"seq\" : 1 } }", false},
+		{"{\"kind\":\"admit\",\"admit\":{ \"seq\" :1 , \"env\" : " + env + " }}", false},
+		{`{"kind":"release","sid":"s1","release":{"seq":1}} `, false},
+		// Neither an admit nor a release: encoding/json's.
+		{`{"kind":"close","sid":"s1"}`, false},
 		{`{"kind":"release","kind":"release","sid":"s1","release":{"seq":1}}`, false},
 		{`{"kind":"release","release":{"seq":1,"seq":2}}`, false},
 		{`{"kind":"admit","admit":{"seq":1,"tag":"a","tag":"b"}}`, false},
@@ -257,8 +275,8 @@ func FuzzWALDecode(f *testing.F) {
 		`{"kind":"admit","sid":"s1","index":1,"admit":{"seq":1,"env":{"guests":[],"links":[]},"mapping":{"guest_host":[],"link_paths":[],"objective":0}}}`,
 		`{"kind":"admit","admit":{"env":{"guests":[{"bogus":1}]}}}`,
 		`{"kind":"admit","admit":{"mapping":{"objective":1e999}}}`,
-		// Keys out of json.Marshal's order, and blanks where the
-		// scanner's compact short cuts do not reach.
+		// Keys out of json.Marshal's order, and blanks: the scanner
+		// declines them, encoding/json decodes them.
 		`{"release":{"seq":2},"sid":"s1","kind":"release","index":4}`,
 		`{"admit":{"mapping":{"objective":0,"link_paths":[[1]],"guest_host":[1]},"env":{"links":[],"guests":[{"proc_mips":1,"name":"g"}]},"tag":"e1","seq":1},"kind":"admit","sid":"s1"}`,
 		"{ \"kind\" :\"admit\",\"admit\" : { \"seq\":1 ,\"mapping\":{\"guest_host\" :[ 0 ,1 ] ,\"link_paths\":[ [ 0 ] ,[0\t,1]\n] } } }",

@@ -80,6 +80,7 @@ func FuzzAdmitEnvBytesReplay(f *testing.F) {
 		// The environments of FuzzDecodeStrictDifferential's corpus.
 		`{"guests":[{"name":"g","proc_mips":1,"mem_mb":2,"stor_gb":3}],"links":[]}`,
 		`{"guests":[{"proc_mips":1},{}],"links":[{"from":0,"to":1,"bw_mbps":1e2,"lat_ms":0.5E-1}]}`,
+		`{"guests":[{"proc_mips":1e-400,"stor_gb":-0},{"mem_mb":123456789012345678}],"links":[{"from":1,"to":0,"bw_mbps":4.9e-324,"lat_ms":1.7976931348623157e308}]}`,
 		`{"links":[{"lat_ms":1.7976931348623157e308,"bw_mbps":4.9e-324,"to":0,"from":1}],"guests":[{"stor_gb":-0,"proc_mips":1e-400},{"mem_mb":123456789012345678}]}`,
 		`{"guests":[{"name":"a<b&c>","proc_mips":0.0,"mem_mb":-0},{"name":"two words","stor_gb":2.2250738585072014e-308}],"links":[{"from":1,"to":0}]}`,
 		` { "guests" : [ { "proc_mips" : 1 } ] , "links" : [ ] } `,

@@ -6,7 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -305,22 +305,29 @@ func (l *log) close() error {
 
 // listSegments returns the data directory's segment numbers, ascending.
 // A directory that does not exist holds none, as a missing snapshot file
-// is no snapshot: reading it finds no log.
+// is no snapshot: reading it finds no log. The names are read unsorted —
+// os.ReadDir would build and name-sort an entry per file — and the
+// numbers sorted.
 func listSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+	d, err := os.Open(dir)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: list segments: %w", err)
 	}
+	names, err := d.Readdirnames(-1)
+	d.Close()
+	if err != nil {
+		return nil, fmt.Errorf("wal: list segments: %w", err)
+	}
 	var segs []uint64
-	for _, e := range entries {
-		if n, ok := parseSegName(e.Name()); ok {
+	for _, name := range names {
+		if n, ok := parseSegName(name); ok {
 			segs = append(segs, n)
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	slices.Sort(segs)
 	return segs, nil
 }
 

@@ -101,8 +101,8 @@ func loadSnapshot(dir string) (*Snapshot, error) {
 }
 
 // decodeSnapshot decodes a snapshot file under decoder.decode's contract;
-// the scanner declines an unknown or repeated key, null, blanks inside an
-// environment and a sum_proc that is not two numbers.
+// the scanner declines blanks, a key out of json.Marshal's order, null
+// and a sum_proc that is not two numbers.
 func decodeSnapshot(buf []byte) (*Snapshot, error) {
 	snap := new(Snapshot)
 	var s jsonx.Scanner

@@ -383,6 +383,26 @@ func TestMissingDirectoryHoldsNoLog(t *testing.T) {
 	}
 }
 
+// TestListSegmentsSortsAndFilters: the segment numbers come back
+// ascending whatever order the directory yields its names in, and every
+// name that is not a segment — the snapshot, a temporary file, a number
+// of the wrong width, a directory named like none — is left out.
+func TestListSegmentsSortsAndFilters(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{segName(12), segName(3), segName(100), segName(1), "snapshot.json", "snapshot.json.tmp",
+		"wal-12.log", "wal-0000000000000000000x.log", segName(7) + ".tmp", "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "shard-0"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := listSegments(dir); err != nil || !reflect.DeepEqual(segs, []uint64{1, 3, 12, 100}) {
+		t.Fatalf("listSegments = %v, %v; want [1 3 12 100]", segs, err)
+	}
+}
+
 // TestSnapshotSuffixEquivalence drives a session, snapshots mid-stream,
 // keeps going, and recovers from snapshot+suffix: the recovered session
 // must match the live one bit for bit (residual ledger), including its

@@ -153,7 +153,7 @@ map_env() {
     else
         env=$(cat "$2")
     fi
-    expect_reply "\"id\": *\"$3\", *\"fragments\"" -X POST "$base/v1/sessions/$1/envs" -d "{\"env\": $env}"
+    expect_reply "\"id\": *\"$3\", *\"fragments\"" -X POST "$base/v1/sessions/$1/envs" -d "{\"env\":$env}"
 }
 
 # release expects DELETE of environment $2 in session $1 to answer 204.
