@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/deploy"
 	"repro/internal/exact"
 	"repro/internal/exp"
 	"repro/internal/ga"
@@ -502,28 +501,6 @@ func BenchmarkExactSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkDeployPlan measures turning a 2000-guest mapping into its
-// per-host deployment artifacts.
-func BenchmarkDeployPlan(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	specs := workload.GenerateHosts(workload.PaperClusterParams(), rng)
-	c, err := topology.Torus2D(specs, 8, 5, workload.PhysLinkBW, workload.PhysLinkLat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := workload.GenerateEnv(workload.LowLevelParams(2000, 0.01), rng)
-	m, err := (&core.HMN{}).Map(c, env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := deploy.Build(m, VMMOverhead{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSessionMapRelease measures one tenant's deploy+teardown cycle
 // on a shared cluster.
 func BenchmarkSessionMapRelease(b *testing.B) {
@@ -771,26 +748,6 @@ func meanEq10(b *testing.B, c *Cluster, history []core.Event, admit func(*core.S
 		}
 	}
 	return sum / float64(n)
-}
-
-// BenchmarkFatTreeMapping measures HMN on a k=8 fat-tree (128 hosts) —
-// a modern multipath fabric far denser than the paper's topologies.
-func BenchmarkFatTreeMapping(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	params := workload.PaperClusterParams()
-	params.Hosts = 128
-	specs := workload.GenerateHosts(params, rng)
-	c, err := topology.FatTree(specs, 8, workload.PhysLinkBW, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := workload.GenerateEnv(workload.HighLevelParams(512, 0.01), rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&core.HMN{}).Map(c, env); err != nil {
-			b.Skipf("instance infeasible: %v", err)
-		}
-	}
 }
 
 // BenchmarkDFSTreeVsAStar contrasts the baseline's uninformed tree

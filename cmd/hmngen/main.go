@@ -31,7 +31,7 @@ func main() {
 	var (
 		clusterPath = flag.String("cluster", "", "write a cluster spec to this file")
 		envPath     = flag.String("env", "", "write a virtual-environment spec to this file")
-		topoFlag    = flag.String("topology", "torus", "torus, switched, ring, line, star, mesh, tree, fattree or random")
+		topoFlag    = flag.String("topology", "torus", "torus, switched, ring, line, star, mesh, tree or random")
 		hosts       = flag.Int("hosts", 40, "number of hosts")
 		ports       = flag.Int("ports", workload.SwitchPorts, "ports per switch (switched topology)")
 		fanout      = flag.Int("fanout", 8, "children per switch (tree topology)")
@@ -109,15 +109,6 @@ func buildTopology(kind string, specs []topology.HostSpec, ports, fanout, extra 
 		return topology.FullMesh(specs, bw, lat)
 	case "tree":
 		return topology.SwitchTree(specs, fanout, bw, lat)
-	case "fattree":
-		// Pick the smallest even arity whose (k^3)/4 hosts fit the spec
-		// count exactly; callers pass e.g. -hosts 16 for k=4.
-		for k := 2; k <= 64; k += 2 {
-			if k*k*k/4 == len(specs) {
-				return topology.FatTree(specs, k, bw, lat)
-			}
-		}
-		return nil, fmt.Errorf("fattree needs (k^3)/4 hosts for an even k; %d does not match", len(specs))
 	case "random":
 		return topology.RandomConnected(specs, extra, bw, lat, rng)
 	default:

@@ -40,28 +40,10 @@ func TestBuildTopologyKinds(t *testing.T) {
 			t.Fatalf("%s: disconnected", kind)
 		}
 	}
-	if _, err := buildTopology("bogus", specs, 16, 4, 5, rng); err == nil {
-		t.Fatal("unknown topology must error")
-	}
-}
-
-func TestBuildTopologyFatTree(t *testing.T) {
-	// A fat-tree needs (k^3)/4 hosts: 16 hosts give k=4.
-	specs16 := make([]topology.HostSpec, 16)
-	for i := range specs16 {
-		specs16[i] = topology.HostSpec{Proc: 2000, Mem: 2048, Stor: 2000}
-	}
-	c, err := buildTopology("fattree", specs16, 16, 4, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumHosts() != 16 || !c.Net().Connected() {
-		t.Fatal("fat-tree shape wrong")
-	}
-	// 8 hosts match no even arity: must error.
-	specs8 := make([]topology.HostSpec, 8)
-	if _, err := buildTopology("fattree", specs8, 16, 4, 5, nil); err == nil {
-		t.Fatal("8 hosts match no fat-tree arity")
+	for _, kind := range []string{"bogus", "fattree"} {
+		if _, err := buildTopology(kind, specs, 16, 4, 5, rng); err == nil {
+			t.Fatalf("unknown topology %q must error", kind)
+		}
 	}
 }
 

@@ -9,11 +9,10 @@
 //	hmnmap -cluster c.json -env e.json -vmm-mem 256 -vmm-stor 10
 //	hmngen -env - -guests 50 | hmnmap -cluster c.json -env - -out -
 //
-// -cluster, -env, -out and -plan accept "-" for stdin/stdout so the tool
+// -cluster, -env and -out accept "-" for stdin/stdout so the tool
 // composes in pipelines with hmngen and the hmnd tooling. At most one of
-// -cluster/-env may read stdin, and at most one of -out -, -plan - and
-// -plan-shell may write stdout; whichever does owns it, and the status
-// lines move to stderr, so a JSON document on stdout is pure JSON.
+// -cluster/-env may read stdin; with -out - the mapping owns stdout and
+// the status lines move to stderr, so stdout is pure JSON.
 //
 // The output mapping is validated against the formal constraints
 // Eq. (1)-(9) before being written; the exit status is non-zero when no
@@ -32,10 +31,8 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/deploy"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/viz"
 )
 
 func main() {
@@ -50,20 +47,16 @@ func main() {
 		vmmMem      = flag.Int64("vmm-mem", 0, "VMM memory overhead per host (MB)")
 		vmmStor     = flag.Float64("vmm-stor", 0, "VMM storage overhead per host (GB)")
 		simulate    = flag.Bool("simulate", false, "also run the emulated experiment on the mapping")
-		planPath    = flag.String("plan", "", "write the per-host deployment plan (JSON) to this file (- for stdout)")
-		dotPath     = flag.String("dot", "", "write a Graphviz rendering of the mapping to this file")
-		usagePath   = flag.String("dot-usage", "", "write a Graphviz link-utilisation rendering to this file")
-		planShell   = flag.Bool("plan-shell", false, "print the rendered per-host provisioning commands")
 	)
 	flag.Parse()
 
-	if err := checkUsage(*clusterPath, *envPath, *outPath, *planPath, *planShell); err != nil {
+	if err := checkUsage(*clusterPath, *envPath); err != nil {
 		fmt.Fprintf(os.Stderr, "hmnmap: %v\n", err)
 		os.Exit(2)
 	}
-	// A document on stdout owns it; status lines move to stderr.
+	// A mapping on stdout owns it; status lines move to stderr.
 	infoW := io.Writer(os.Stdout)
-	if *outPath == "-" || *planPath == "-" || *planShell {
+	if *outPath == "-" {
 		infoW = os.Stderr
 	}
 
@@ -124,51 +117,16 @@ func main() {
 			fmt.Fprintf(infoW, "hmnmap: wrote %s\n", *outPath)
 		}
 	}
-
-	if *dotPath != "" {
-		if err := writeDOT(*dotPath, func(w io.Writer) error { return viz.WriteMappingDOT(w, m) }); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(infoW, "hmnmap: wrote %s\n", *dotPath)
-	}
-	if *usagePath != "" {
-		if err := writeDOT(*usagePath, func(w io.Writer) error { return viz.WriteUsageDOT(w, m) }); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(infoW, "hmnmap: wrote %s\n", *usagePath)
-	}
-
-	if *planPath != "" || *planShell {
-		plan, err := deploy.Build(m, overhead)
-		if err != nil {
-			fatal(err)
-		}
-		if *planPath != "" {
-			if err := saveOutput(*planPath, plan); err != nil {
-				fatal(err)
-			}
-			if *planPath != "-" {
-				fmt.Fprintf(infoW, "hmnmap: wrote %s (%d hosts, %d VMs)\n", *planPath, len(plan.Hosts), plan.TotalVMs())
-			}
-		}
-		if *planShell {
-			fmt.Print(plan.RenderShell())
-		}
-	}
 }
 
 // checkUsage enforces the rules no single flag can: both inputs named,
-// at most one of them read from stdin, and at most one of -out -, -plan -
-// and -plan-shell writing to stdout.
-func checkUsage(clusterPath, envPath, outPath, planPath string, planShell bool) error {
+// and at most one of them read from stdin.
+func checkUsage(clusterPath, envPath string) error {
 	if clusterPath == "" || envPath == "" {
 		return errors.New("-cluster and -env are required")
 	}
 	if clusterPath == "-" && envPath == "-" {
 		return errors.New("only one of -cluster/-env can read stdin")
-	}
-	if (outPath == "-" && planPath == "-") || (planShell && (outPath == "-" || planPath == "-")) {
-		return errors.New("only one of -out -, -plan - and -plan-shell can write stdout")
 	}
 	return nil
 }
@@ -207,18 +165,6 @@ func loadInput(path string, out interface{}) error {
 		return nil
 	}
 	return spec.LoadJSON(path, out)
-}
-
-func writeDOT(path string, render func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -26,33 +26,23 @@ func TestNewMapper(t *testing.T) {
 	}
 }
 
-// TestCheckUsage: stdin has at most one reader and stdout at most one
-// writer, so a JSON document written to stdout is never followed by
-// another document or by shell lines.
+// TestCheckUsage: both inputs are required, and stdin has at most one
+// reader.
 func TestCheckUsage(t *testing.T) {
 	for _, tc := range []struct {
-		cluster, env, out, plan string
-		planShell               bool
-		ok                      bool
+		cluster, env string
+		ok           bool
 	}{
-		{"c.json", "e.json", "", "", false, true},
-		{"c.json", "e.json", "-", "", false, true},
-		{"c.json", "e.json", "", "-", false, true},
-		{"c.json", "e.json", "", "", true, true},
-		{"-", "e.json", "-", "p.json", false, true},
-		{"c.json", "e.json", "m.json", "p.json", true, true},
-		{"", "e.json", "", "", false, false},
-		{"c.json", "", "", "", false, false},
-		{"-", "-", "", "", false, false},
-		{"c.json", "e.json", "-", "-", false, false},
-		{"c.json", "e.json", "-", "", true, false},
-		{"c.json", "e.json", "", "-", true, false},
-		{"c.json", "e.json", "-", "-", true, false},
+		{"c.json", "e.json", true},
+		{"-", "e.json", true},
+		{"c.json", "-", true},
+		{"", "e.json", false},
+		{"c.json", "", false},
+		{"", "", false},
+		{"-", "-", false},
 	} {
-		err := checkUsage(tc.cluster, tc.env, tc.out, tc.plan, tc.planShell)
-		if (err == nil) != tc.ok {
-			t.Errorf("checkUsage(%q, %q, -out %q, -plan %q, -plan-shell=%v) = %v, want ok=%v",
-				tc.cluster, tc.env, tc.out, tc.plan, tc.planShell, err, tc.ok)
+		if err := checkUsage(tc.cluster, tc.env); (err == nil) != tc.ok {
+			t.Errorf("checkUsage(%q, %q) = %v, want ok=%v", tc.cluster, tc.env, err, tc.ok)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 // Multi-tenant testbed: the paper assumes one tester owns the whole
 // cluster (§3.2); its §6 envisions a shared facility. This example runs a
-// Session on a fat-tree cluster: three testers deploy their environments
+// Session on a switched cluster: three testers deploy their environments
 // one after another against the residual resources, the middle one tears
-// down, and a fourth deployment reuses the freed capacity. For the first
-// tenant it also renders the per-host deployment plan — the artifacts an
-// emulation controller would push to the hosts.
+// down, and a fourth deployment reuses the freed capacity.
 //
 //	go run ./examples/multitenant
 package main
@@ -13,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"strings"
 
 	"repro"
 )
@@ -21,15 +18,15 @@ import (
 func main() {
 	rng := rand.New(rand.NewSource(3))
 
-	// 16 heterogeneous hosts in a 4-ary fat-tree fabric.
+	// 16 heterogeneous hosts on a cascade of 8-port switches.
 	params := repro.PaperClusterParams()
 	params.Hosts = 16
 	hosts := repro.GenerateHosts(params, rng)
-	cl, err := repro.FatTree(hosts, 4, 1000, 1)
+	cl, err := repro.SwitchedCluster(hosts, 8, 1000, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fat-tree cluster: %d hosts, %d switches, %d links\n\n",
+	fmt.Printf("switched cluster: %d hosts, %d switches, %d links\n\n",
 		cl.NumHosts(), cl.Net().NumNodes()-cl.NumHosts(), cl.Net().NumEdges())
 
 	sess, err := repro.NewSession(cl, repro.VMMOverhead{Proc: 50, Mem: 128, Stor: 10}, nil)
@@ -50,9 +47,9 @@ func main() {
 		return m
 	}
 
-	a := tenant("tester-A", 40)
+	tenant("tester-A", 40)
 	b := tenant("tester-B", 40)
-	c := tenant("tester-C", 30)
+	tenant("tester-C", 30)
 
 	fmt.Println("\ntester-B finishes; releasing its environment...")
 	if err := sess.Release(b); err != nil {
@@ -61,29 +58,5 @@ func main() {
 	fmt.Printf("released: %d tenants active, objective %.1f\n\n",
 		sess.Active(), repro.Objective(sess.ResidualProc()))
 
-	d := tenant("tester-D", 50) // reuses B's freed capacity
-
-	// Deployment artifacts for tester-A: what each host must apply.
-	if a != nil {
-		plan, err := repro.BuildDeployPlan(a, repro.VMMOverhead{Proc: 50, Mem: 128, Stor: 10})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\ntester-A deployment plan: %d hosts involved, %d VMs\n",
-			len(plan.Hosts), plan.TotalVMs())
-		// Show the first host's provisioning commands.
-		first := plan.Hosts[0].RenderShell()
-		lines := strings.SplitN(first, "\n", 6)
-		fmt.Println(strings.Join(lines[:min(5, len(lines))], "\n"))
-		fmt.Println("  ...")
-	}
-	_ = c
-	_ = d
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	tenant("tester-D", 50) // reuses B's freed capacity
 }

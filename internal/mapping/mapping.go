@@ -12,7 +12,6 @@ package mapping
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -248,35 +247,4 @@ func (m *Mapping) Clone() *Mapping {
 		cp.LinkPath[i] = p.Clone()
 	}
 	return cp
-}
-
-// MaxHostLoad returns the largest CPU oversubscription ratio across hosts:
-// the total vproc demand on a host divided by its post-overhead capacity.
-// Used by the emulation simulator and by reporting. Returns 0 for an
-// empty cluster; hosts with zero capacity and nonzero demand yield +Inf.
-func (m *Mapping) MaxHostLoad(overhead cluster.VMMOverhead) float64 {
-	demand := map[graph.NodeID]float64{}
-	for g, node := range m.GuestHost {
-		if node != Unassigned {
-			demand[node] += m.Env.Guest(virtual.GuestID(g)).Proc
-		}
-	}
-	worst := 0.0
-	for _, h := range m.Cluster.Hosts() {
-		cap := h.Proc - overhead.Proc
-		d := demand[h.Node]
-		var load float64
-		switch {
-		case d == 0:
-			load = 0
-		case cap <= 0:
-			load = math.Inf(1)
-		default:
-			load = d / cap
-		}
-		if load > worst {
-			worst = load
-		}
-	}
-	return worst
 }

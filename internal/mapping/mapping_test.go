@@ -271,18 +271,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestMaxHostLoad(t *testing.T) {
-	m := validMapping(t)
-	// h0 demand 300 / cap 2000; h1 demand 300 / 1500 = 0.2 — the max.
-	if got := m.MaxHostLoad(cluster.VMMOverhead{}); math.Abs(got-0.2) > 1e-9 {
-		t.Fatalf("MaxHostLoad = %v, want 0.2", got)
-	}
-	// Overhead shrinks capacity: h1 300/(1500-500) = 0.3.
-	if got := m.MaxHostLoad(cluster.VMMOverhead{Proc: 500}); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("MaxHostLoad with overhead = %v, want 0.3", got)
-	}
-}
-
 func TestValidateSizeMismatch(t *testing.T) {
 	c, v := fixture(t)
 	m := New(c, v)

@@ -101,38 +101,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the p-quantile from the buckets, returning the
-// upper bound of the bucket the quantile falls in (+Inf when it lands
-// past the last bound, 0 when empty). p is clamped to [0, 1] — and NaN
-// to 0 — so an out-of-range request yields the nearest well-defined
-// quantile instead of +Inf (p > 1) or first-bucket aliasing (p < 0).
-// Coarse, but enough to sanity-check latency percentiles in tests and
-// dashboards.
-func (h *Histogram) Quantile(p float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if math.IsNaN(p) || p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			return b
-		}
-	}
-	return math.Inf(1)
-}
-
 // kind tags a family for the TYPE exposition line.
 type kind int
 

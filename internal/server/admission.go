@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"repro/internal/cluster"
-	"repro/internal/deploy"
 	"repro/internal/shard"
 	"repro/internal/spec"
 	"repro/internal/virtual"
@@ -33,14 +32,14 @@ func (s *Server) routeSessions(admit admitFunc, release func(ctx context.Context
 	})
 }
 
-// handleAdmit maps an environment and answers 201 with its fragments,
-// with their deployment plans if asked. A request whose client has gone
-// is refused before it is admitted; an admission that completes after
-// its client gave up is released through the mode's release, both
-// records in the log, so no orphan holds resources under an unknown ID.
+// handleAdmit maps an environment and answers 201 with its fragments.
+// A request whose client has gone is refused before it is admitted; an
+// admission that completes after its client gave up is released through
+// the mode's release, both records in the log, so no orphan holds
+// resources under an unknown ID.
 func (s *Server) handleAdmit(admit admitFunc, release func(ctx context.Context, sid, eid string) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req, env, ok := decodeMapEnv(w, r)
+		env, ok := decodeMapEnv(w, r)
 		if !ok {
 			return
 		}
@@ -70,17 +69,6 @@ func (s *Server) handleAdmit(admit admitFunc, release func(ctx context.Context, 
 			for _, g := range fr.Guests {
 				rep.Guests = append(rep.Guests, int(g))
 			}
-			if !req.Plan && !req.PlanShell {
-				continue
-			}
-			if plan, err := deploy.Build(fr.M, overhead); err == nil {
-				if req.Plan {
-					rep.Plan = plan
-				}
-				if req.PlanShell {
-					rep.PlanShell = plan.RenderShell()
-				}
-			}
 		}
 		writeJSON(w, http.StatusCreated, resp)
 	}
@@ -88,19 +76,20 @@ func (s *Server) handleAdmit(admit admitFunc, release func(ctx context.Context, 
 
 // decodeMapEnv reads the body of POST /v1/sessions/{sid}/envs, or
 // writes the 400.
-func decodeMapEnv(w http.ResponseWriter, r *http.Request) (req MapEnvRequest, env *virtual.Env, ok bool) {
+func decodeMapEnv(w http.ResponseWriter, r *http.Request) (*virtual.Env, bool) {
+	var req MapEnvRequest
 	if err := spec.DecodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return req, nil, false
+		return nil, false
 	}
 	env, err := req.Env.ToEnv()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return req, nil, false
+		return nil, false
 	}
 	if env.NumGuests() == 0 {
 		writeError(w, http.StatusBadRequest, "environment has no guests")
-		return req, nil, false
+		return nil, false
 	}
-	return req, env, true
+	return env, true
 }

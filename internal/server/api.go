@@ -3,7 +3,6 @@ package server
 import (
 	"strconv"
 
-	"repro/internal/deploy"
 	"repro/internal/jsonx"
 	"repro/internal/spec"
 )
@@ -35,13 +34,9 @@ type OpenSessionResponse struct {
 }
 
 // MapEnvRequest is the body of POST /v1/sessions/{sid}/envs: the virtual
-// environment to deploy against the session's residual resources.
-// Plan/PlanShell additionally return the per-host deployment plan and
-// its shell rendering.
+// environment to map against the session's residual resources.
 type MapEnvRequest struct {
-	Env       spec.EnvSpec `json:"env"`
-	Plan      bool         `json:"plan,omitempty"`
-	PlanShell bool         `json:"plan_shell,omitempty"`
+	Env spec.EnvSpec `json:"env"`
 }
 
 // AdmitResponse reports an admission in either mode: its fragments (one
@@ -55,14 +50,12 @@ type AdmitResponse struct {
 	Fallback  bool             `json:"fallback,omitempty"`
 }
 
-// FragmentReport is one committed fragment of an admission, with, on
-// request, its deployment plan and the plan's shell rendering.
+// FragmentReport is one committed fragment of an admission: its shard,
+// the environment's guests it holds (a split's), and their mapping.
 type FragmentReport struct {
-	Shard     int              `json:"shard"`
-	Guests    []int            `json:"guests,omitempty"`
-	Mapping   spec.MappingSpec `json:"mapping"`
-	Plan      *deploy.Plan     `json:"plan,omitempty"`
-	PlanShell string           `json:"plan_shell,omitempty"`
+	Shard   int              `json:"shard"`
+	Guests  []int            `json:"guests,omitempty"`
+	Mapping spec.MappingSpec `json:"mapping"`
 }
 
 // MapEnvResponse was the classic admit reply before a classic admission
@@ -121,26 +114,19 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-var requestKeys = jsonx.NewKeys("env", "plan", "plan_shell")
+var requestKeys = jsonx.NewKeys("env")
 
 // ScanJSON is MapEnvRequest's decoding fast path (see
 // spec.DecodeStrict): the whole request or nothing.
 func (r *MapEnvRequest) ScanJSON(s *jsonx.Scanner) bool {
 	var v MapEnvRequest
-	if r.Env.Guests != nil || r.Env.Links != nil || r.Plan || r.PlanShell {
+	if r.Env.Guests != nil || r.Env.Links != nil {
 		return false
 	}
 	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
-		switch s.Field(requestKeys, &f) {
-		case 0: // env
-			if !v.Env.ScanJSON(s) {
-				s.Fail()
-			}
-		case 1: // plan
-			v.Plan = s.Bool()
-		case 2: // plan_shell
-			v.PlanShell = s.Bool()
+		if s.Field(requestKeys, &f) == 0 && !v.Env.ScanJSON(s) {
+			s.Fail()
 		}
 	}
 	if !s.OK() {
@@ -160,8 +146,8 @@ func (r MapEnvResponse) AppendJSON(dst []byte) ([]byte, bool) {
 	return append(dst, '}'), ok && mok
 }
 
-// AppendJSON implements jsonx.Appender. A reply carrying a deployment
-// plan, or no fragment list, is left to encoding/json.
+// AppendJSON implements jsonx.Appender. A reply with no fragment list is
+// left to encoding/json.
 func (r AdmitResponse) AppendJSON(dst []byte) ([]byte, bool) {
 	if r.Fragments == nil {
 		return dst, false
@@ -170,11 +156,7 @@ func (r AdmitResponse) AppendJSON(dst []byte) ([]byte, bool) {
 	dst = append(dst, `{"id":`...)
 	dst = jsonx.AppendString(dst, r.ID, &ok)
 	dst = append(dst, `,"fragments":[`...)
-	for i := range r.Fragments {
-		fr := &r.Fragments[i]
-		if fr.Plan != nil {
-			return dst, false
-		}
+	for i, fr := range r.Fragments {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -188,10 +170,6 @@ func (r AdmitResponse) AppendJSON(dst []byte) ([]byte, bool) {
 		var mok bool
 		dst, mok = fr.Mapping.AppendJSON(dst)
 		ok = ok && mok
-		if fr.PlanShell != "" {
-			dst = append(dst, `,"plan_shell":`...)
-			dst = jsonx.AppendString(dst, fr.PlanShell, &ok)
-		}
 		dst = append(dst, '}')
 	}
 	dst = append(dst, ']')

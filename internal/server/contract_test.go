@@ -176,12 +176,17 @@ func TestBothModesHTTPContract(t *testing.T) {
 				}
 			}
 
-			// Environments the daemon must refuse: no guests and an oversize
-			// body are the request's fault (400), a guest no host can hold
-			// conflicts with the testbed's state (409).
+			// Environments the daemon must refuse: no guests, an unknown
+			// option and an oversize body are the request's fault (400), a
+			// guest no host can hold conflicts with the testbed's state (409).
 			do("zero-guest env", "POST", session+"/envs", MapEnvRequest{}, http.StatusBadRequest)
 			if last().err != "environment has no guests" {
 				t.Fatalf("zero-guest env: %+v", last())
+			}
+			do("unknown option", "POST", session+"/envs",
+				json.RawMessage(`{"env":{"guests":[{"name":"g","proc_mips":1,"mem_mb":1,"stor_gb":1}]},"plan":true}`), http.StatusBadRequest)
+			if !strings.Contains(last().err, `unknown field "plan"`) {
+				t.Fatalf("unknown option: %+v", last())
 			}
 			do("oversize body", "POST", session+"/envs", MapEnvRequest{Env: spec.FromEnv(smallEnv(1, 300))}, http.StatusBadRequest)
 			if !strings.Contains(last().err, "request body too large") {
@@ -314,15 +319,13 @@ func bothModes(cs spec.ClusterSpec) []daemonMode {
 	return []daemonMode{{"classic", New, OpenSessionRequest{Cluster: cs}}, {"federation", NewFederation, nil}}
 }
 
-// TestAdmitPlansInBothModes: a request for the deployment plan and its
-// shell rendering gets both with every fragment, in either mode — the
-// federation used to drop the two fields and answer without a plan. A
-// classic daemon and a 1-shard federation on one cluster answer the
-// same reply; a split admission carries one plan per fragment, in the
-// host names and node IDs of the shard it landed on.
-func TestAdmitPlansInBothModes(t *testing.T) {
+// TestAdmitRepliesAgreeInBothModes: a classic daemon and a 1-shard
+// federation on one cluster answer an admission with the same reply; a
+// split admission reports one fragment per shard, each holding its own
+// community's guests mapped onto hosts of the shard it landed on.
+func TestAdmitRepliesAgreeInBothModes(t *testing.T) {
 	_, cs := testbed(t)
-	req := MapEnvRequest{Env: spec.FromEnv(smallEnv(5, 10)), Plan: true, PlanShell: true}
+	req := MapEnvRequest{Env: spec.FromEnv(smallEnv(5, 10))}
 	var replies [2]AdmitResponse
 	for i, mode := range bothModes(cs) {
 		s := mode.build(Config{ClusterSpecs: []spec.ClusterSpec{cs}})
@@ -337,8 +340,8 @@ func TestAdmitPlansInBothModes(t *testing.T) {
 		s.Close()
 	}
 	for i, mode := range bothModes(cs) {
-		if fr := replies[i].Fragments; len(fr) != 1 || fr[0].Plan == nil || fr[0].Plan.TotalVMs() != 10 || !strings.Contains(fr[0].PlanShell, "vm create") {
-			t.Fatalf("%s: plan missing, wrong size or not rendered: %+v", mode.name, replies[i])
+		if fr := replies[i].Fragments; len(fr) != 1 || len(fr[0].Mapping.GuestHost) != 10 {
+			t.Fatalf("%s: want one fragment mapping 10 guests: %+v", mode.name, replies[i])
 		}
 	}
 	if !reflect.DeepEqual(replies[0], replies[1]) {
@@ -361,28 +364,29 @@ func TestAdmitPlansInBothModes(t *testing.T) {
 	for _, l := range [][3]int{{0, 1, 50}, {1, 2, 50}, {3, 4, 50}, {4, 5, 50}, {0, 3, 1}} {
 		split.Links = append(split.Links, spec.VLinkSpec{From: l[0], To: l[1], BW: float64(l[2]), Lat: 1000})
 	}
-	rec := serve(t, s, "POST", "/v1/sessions/s1/envs", MapEnvRequest{Env: split, Plan: true, PlanShell: true})
+	rec := serve(t, s, "POST", "/v1/sessions/s1/envs", MapEnvRequest{Env: split})
 	var out AdmitResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusCreated || err != nil || !out.Split || len(out.Fragments) != 2 {
 		t.Fatalf("split admit: %d %s", rec.Code, rec.Body.Bytes())
 	}
+	if out.Fragments[0].Shard == out.Fragments[1].Shard {
+		t.Fatalf("both fragments on shard %d", out.Fragments[0].Shard)
+	}
 	for _, fr := range out.Fragments {
-		if fr.Plan == nil || fr.Plan.TotalVMs() != len(fr.Guests) || !strings.Contains(fr.PlanShell, "vm create") {
-			t.Fatalf("fragment on shard %d: plan missing, wrong size or not rendered: %+v", fr.Shard, fr)
+		if len(fr.Guests) != 3 || len(fr.Mapping.GuestHost) != 3 || fr.Guests[0]/3 != fr.Guests[2]/3 {
+			t.Fatalf("fragment on shard %d does not hold one community: %+v", fr.Shard, fr)
 		}
-		names := map[string]bool{}
+		hosts := map[int]bool{}
 		for _, h := range specs[fr.Shard].Hosts {
-			names[h.Name] = true
+			hosts[h.Node] = true
 		}
-		for _, hp := range fr.Plan.Hosts {
-			if !names[hp.Name] {
-				t.Errorf("fragment on shard %d plans host %q of another shard", fr.Shard, hp.Name)
+		// 1 600 MIPS a guest on 2 000 MIPS hosts: one guest a host.
+		used := map[int]bool{}
+		for g, node := range fr.Mapping.GuestHost {
+			if !hosts[node] || used[node] {
+				t.Errorf("fragment on shard %d maps guest %d onto node %d: not a free host of its shard", fr.Shard, fr.Guests[g], node)
 			}
-			for _, vm := range hp.VMs {
-				if fr.Mapping.GuestHost[vm.Guest] != int(hp.Node) {
-					t.Errorf("fragment on shard %d: guest %d planned on node %d, mapped on %d", fr.Shard, vm.Guest, hp.Node, fr.Mapping.GuestHost[vm.Guest])
-				}
-			}
+			used[node] = true
 		}
 	}
 }

@@ -34,7 +34,7 @@
 //
 //	POST   /v1/sessions                       open a session (classic: cluster + mapper + overhead; federation: no body)
 //	DELETE /v1/sessions/{sid}                 close it, with every environment on it
-//	POST   /v1/sessions/{sid}/envs            map an environment: 201 with its fragments, each with its deploy plan on request
+//	POST   /v1/sessions/{sid}/envs            map an environment: 201 with its fragments and their mappings
 //	DELETE /v1/sessions/{sid}/envs/{eid}      release an environment
 //	GET    /v1/shards                         federation only: the census across lock domains
 //	GET    {domain}/residuals                 residual CPU vector + stddev

@@ -454,14 +454,14 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
-func TestMapWithPlanAndSessionClose(t *testing.T) {
+func TestMapAndSessionClose(t *testing.T) {
 	_, cs := testbed(t)
 	_, ts := startServer(t, Config{})
 	client := ts.Client()
 	sid := openSession(t, client, ts.URL, cs, "HMN")
 
 	code, raw, _ := doJSON(t, client, "POST", ts.URL+"/v1/sessions/"+sid+"/envs",
-		MapEnvRequest{Env: spec.FromEnv(smallEnv(5, 10)), Plan: true, PlanShell: true})
+		MapEnvRequest{Env: spec.FromEnv(smallEnv(5, 10))})
 	if code != http.StatusCreated {
 		t.Fatalf("map: %d %s", code, raw)
 	}
@@ -469,8 +469,8 @@ func TestMapWithPlanAndSessionClose(t *testing.T) {
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if fr := out.Fragments[0]; fr.Plan == nil || fr.Plan.TotalVMs() != 10 || !strings.Contains(fr.PlanShell, "vm create") {
-		t.Fatalf("plan missing, wrong size or not rendered: %s", raw)
+	if len(out.Fragments) != 1 || len(out.Fragments[0].Mapping.GuestHost) != 10 {
+		t.Fatalf("want one fragment mapping 10 guests: %s", raw)
 	}
 
 	// Closing the session releases its environments and retires its

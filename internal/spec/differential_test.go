@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/deploy"
 	"repro/internal/jsonx"
 	"repro/internal/server"
 	"repro/internal/spec"
@@ -207,8 +206,8 @@ func TestCompactEnvIsCarriedVerbatim(t *testing.T) {
 	for _, body := range []string{
 		// Spellings json.Marshal never writes, keys missing, a name it
 		// would escape: all compact and in order, all kept.
-		`{"env":{"guests":[{"name":"a<b&c","proc_mips":1E0,"stor_gb":-0},{"mem_mb":123456789012345678}],"links":[{"from":0,"to":1,"bw_mbps":1e2,"lat_ms":0.50}]},"plan":false}`,
-		`{"env":{"guests":[{"proc_mips":1e-400,"mem_mb":-0}]},"plan_shell":false}`,
+		`{"env":{"guests":[{"name":"a<b&c","proc_mips":1E0,"stor_gb":-0},{"mem_mb":123456789012345678}],"links":[{"from":0,"to":1,"bw_mbps":1e2,"lat_ms":0.50}]}}`,
+		`{"env":{"guests":[{"proc_mips":1e-400,"mem_mb":-0}]}}`,
 		`{"env":{"guests":[{"name":"two words"}]}}`,
 		`{"env":{}}`,
 	} {
@@ -222,11 +221,10 @@ func TestCompactEnvIsCarriedVerbatim(t *testing.T) {
 		// declines elsewhere: rendered from the fields.
 		`{"env":{"guests":[{"proc_mips":1.50}], "links":[]}}`,
 		"{\"env\":{\"guests\":[{\"proc_mips\":1.50}]\n}}",
-		` { "plan_shell" : false , "env" :{"guests":[{"proc_mips":1e-400,"mem_mb":-0}]} } `,
-		`{"plan":false,"env":{"links":[{"to":1,"from":0,"lat_ms":0.50,"bw_mbps":1e2}],"guests":[{"stor_gb":-0,"name":"a<b&c","proc_mips":1E0},{"mem_mb":123456789012345678}]}}`,
+		` { "env" :{"guests":[{"proc_mips":1e-400,"mem_mb":-0}]} } `,
+		`{"env":{"links":[{"to":1,"from":0,"lat_ms":0.50,"bw_mbps":1e2}],"guests":[{"stor_gb":-0,"name":"a<b&c","proc_mips":1E0},{"mem_mb":123456789012345678}]}}`,
 		`{"env":{"links":[],"guests":[{"proc_mips":1.50}]}}`,
 		`{"env":{"guests":[{"name":"caf\u00e9","proc_mips":1.50}]}}`,
-		`{"env":{"guests":[{"proc_mips":1.50}]},"plan":null}`,
 	} {
 		req, got := carried(body)
 		env, _ := req.Env.ToEnv()
@@ -364,9 +362,11 @@ func TestFieldMatchesEncodingJSON(t *testing.T) {
 		fast bool
 	}{
 		// MapEnvRequest.
-		{`{"env":{"guests":[{"proc_mips":1}]},"plan":true,"plan_shell":false}`, true},
-		{`{"plan":true}`, true},
-		{`{"env":{},"plan_shell":true}`, true},
+		{`{"env":{"links":[{"from":0,"to":1}]}}`, true},
+		{`{}`, true},
+		{`{"env":{"guests":[{"proc_mips":1}]},"plan":true,"plan_shell":false}`, false},
+		{`{"plan":true}`, false},
+		{`{"env":{},"plan_shell":true}`, false},
 		{`{"plan_shell":true,"plan":false,"env":{"links":[],"guests":[]}}`, false},
 		{` { "plan" : true , "env" : { } } `, false},
 		{`{"env": {}}`, false},
@@ -498,7 +498,7 @@ func TestDecodeStrictReadErrors(t *testing.T) {
 		}
 	}
 	// A target that already holds data is encoding/json's to merge into.
-	got := server.MapEnvRequest{Plan: true, Env: spec.EnvSpec{Links: []spec.VLinkSpec{{From: 3}}}}
+	got := server.MapEnvRequest{Env: spec.EnvSpec{Links: []spec.VLinkSpec{{From: 3}}}}
 	want := got
 	if err := spec.DecodeStrict(bytes.NewReader(body), &got); err != nil {
 		t.Fatal(err)
@@ -506,7 +506,7 @@ func TestDecodeStrictReadErrors(t *testing.T) {
 	if err := stdDecode(bytes.NewReader(body), &want); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Plan || !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decode into a non-zero target diverged from encoding/json")
 	}
 }
@@ -605,9 +605,9 @@ func TestQuickAppendJSONMatchesEncodingJSON(t *testing.T) {
 	err := quick.Check(func(q quickSpecs) bool {
 		return check(q.Env) && check(q.Map) &&
 			check(server.MapEnvResponse{ID: hardStrings[len(q.Map.GuestHost)%len(hardStrings)], Mapping: q.Map}) &&
-			check(server.AdmitResponse{ID: "e1", CutBW: q.Map.Objective, Split: len(q.Map.LinkPaths) > 1, Fallback: len(q.Map.LinkEdges) > 1,
+			check(server.AdmitResponse{ID: hardStrings[len(q.Map.LinkPaths)%len(hardStrings)], CutBW: q.Map.Objective, Split: len(q.Map.LinkPaths) > 1, Fallback: len(q.Map.LinkEdges) > 1,
 				Fragments: []server.FragmentReport{{Shard: 3, Guests: q.Map.GuestHost, Mapping: q.Map},
-					{Mapping: q.Map, PlanShell: hardStrings[len(q.Map.LinkPaths)%len(hardStrings)]}}})
+					{Mapping: q.Map}}})
 	}, &quick.Config{MaxCount: 3000})
 	if err != nil {
 		t.Fatal(err)
@@ -618,7 +618,7 @@ func TestQuickAppendJSONMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 	if !check(server.AdmitResponse{}) || !check(server.MapEnvResponse{}) ||
-		!check(server.AdmitResponse{Fragments: []server.FragmentReport{{PlanShell: "echo"}, {Plan: &deploy.Plan{}}}}) {
+		!check(server.AdmitResponse{Fragments: []server.FragmentReport{{}, {Shard: 1}}}) {
 		t.Fatal("zero responses")
 	}
 }

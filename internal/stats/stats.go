@@ -62,12 +62,6 @@ func SampleStdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// Variance returns the population variance of xs, or 0 for empty input.
-func Variance(xs []float64) float64 {
-	s := PopStdDev(xs)
-	return s * s
-}
-
 // Pearson returns the Pearson product-moment correlation coefficient
 // between xs and ys. It returns 0 when the slices differ in length, hold
 // fewer than two points, or either series is constant (correlation
@@ -88,20 +82,6 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Min returns the smallest element of xs, or 0 for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the largest element of xs, or 0 for empty input.

@@ -33,7 +33,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/deploy"
 	"repro/internal/exact"
 	"repro/internal/exp"
 	"repro/internal/ga"
@@ -42,7 +41,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/virtual"
-	"repro/internal/viz"
 	"repro/internal/workload"
 )
 
@@ -205,8 +203,6 @@ var (
 	FullMesh = topology.FullMesh
 	// SwitchTree hangs hosts off a balanced switch tree.
 	SwitchTree = topology.SwitchTree
-	// FatTree builds a k-ary fat-tree fabric ((k^3)/4 hosts).
-	FatTree = topology.FatTree
 	// RandomConnected wires hosts with a random connected graph.
 	RandomConnected = topology.RandomConnected
 )
@@ -255,23 +251,6 @@ func NewSession(c *Cluster, overhead VMMOverhead, mapper Mapper) (*Session, erro
 	return core.NewSession(c, overhead, mapper)
 }
 
-// Deployment plan types: the per-host artifacts (VM definitions, traffic
-// shaping, forwarding entries) that realise a mapping on a real testbed.
-type (
-	// DeployPlan is the full per-host deployment of a mapping.
-	DeployPlan = deploy.Plan
-	// HostPlan is one host's share of a deployment.
-	HostPlan = deploy.HostPlan
-)
-
-// BuildDeployPlan converts a validated mapping into per-host deployment
-// artifacts: VM specs with overlay IPs, shaping rules imposing each
-// virtual link's emulated bandwidth and latency, and forwarding entries
-// for multi-hop paths.
-func BuildDeployPlan(m *Mapping, overhead VMMOverhead) (*DeployPlan, error) {
-	return deploy.Build(m, overhead)
-}
-
 // Exact-solver types (internal/exact): the optimality yardstick for
 // small instances.
 type (
@@ -287,17 +266,6 @@ type (
 func SolveOptimal(c *Cluster, env *Env, opts ExactOptions) (*ExactResult, error) {
 	return exact.Solve(c, env, opts)
 }
-
-// Visualization: Graphviz DOT renderings.
-var (
-	// WriteClusterDOT renders the physical topology.
-	WriteClusterDOT = viz.WriteClusterDOT
-	// WriteMappingDOT renders guests grouped into hosts with their
-	// virtual links.
-	WriteMappingDOT = viz.WriteMappingDOT
-	// WriteUsageDOT renders per-link bandwidth reservations.
-	WriteUsageDOT = viz.WriteUsageDOT
-)
 
 // AStarPrune exposes the modified 1-constrained A*Prune path search of
 // Algorithm 1 for callers routing individual flows: it returns a
