@@ -45,7 +45,9 @@ vet:
 ## that was mapped; then the scanner's own number conversion against
 ## json.Unmarshal into a float64, and its one-loop int arrays against
 ## json.Unmarshal into a []int, blanks declined by design; then the
-## snapshot file's decoder against json.Unmarshal; then logs of
+## snapshot file's decoder against json.Unmarshal, and its restore —
+## scanned and converted in one pass — against json.Unmarshal and a
+## restore of its value; then logs of
 ## arbitrary records replayed by the one pass and by Scan + Replay: same
 ## error or same sessions (the minimizer gets 3 s an input: each run
 ## writes and recovers a log). CI runs this target as its fuzz smoke.
@@ -68,8 +70,9 @@ fuzz:
 ## federation router's pick (internal/shard); and the memory budget of
 ## recovery: live heap independent of the log's length, bytes per
 ## admit+release pair within a constant of the Env and Mapping each admit
-## record builds (internal/wal/recover_test.go), the Mapping in a
-## constant number of allocations whatever its link count
+## record builds, and a snapshot's restore within a constant of the file
+## plus what the restored sessions keep (internal/wal/recover_test.go),
+## the Mapping in a constant number of allocations whatever its link count
 ## (internal/spec/spec_test.go).
 bench-allocs:
 	go test -run 'AllocsBudget|DoesNotAllocate|AllocatesNothing|TestRecoverMemoryIndependentOfLogLength' -v \

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -23,8 +22,6 @@ import (
 func NewFederation(cfg Config) *Server {
 	s := newServer(cfg)
 	s.replaying.Store(true)
-	s.mAdmitLatency = s.reg.Histogram("hmnd_shard_admit_latency_seconds",
-		"Wall time of routed environment admissions (routing plus shard commit).", nil)
 	s.rebuild, s.domains, s.envs = s.recoverFederation, s.shards, s.tenantEnvs
 
 	s.mux.HandleFunc("POST /v1/sessions", s.handleOpenTenant)
@@ -157,9 +154,7 @@ func (s *Server) handleOpenTenant(w http.ResponseWriter, _ *http.Request) {
 // admitRouted routes env for tenant sid onto the shards, split across
 // them when no one shard fits it.
 func (s *Server) admitRouted(_ context.Context, sid string, env *virtual.Env) (string, shard.Placement, cluster.VMMOverhead, error) {
-	start := time.Now()
 	eid, pl, err := s.fed.Admit(sid, env)
-	s.mAdmitLatency.Observe(time.Since(start).Seconds())
 	sh, _ := s.fed.Shard(0)
 	return eid, pl, sh.Overhead(), err
 }

@@ -204,11 +204,9 @@ type Server struct {
 	mReplayRecords *metrics.Counter
 	mRecovery      *metrics.Gauge
 
-	// Mode-specific series: the classic open-session count (a federation
-	// reports its tenants with the shard census), the federation's routed
-	// admission latency.
-	mSessions     *metrics.Gauge
-	mAdmitLatency *metrics.Histogram
+	// The classic open-session count: a federation reports its tenants
+	// with the shard census.
+	mSessions *metrics.Gauge
 }
 
 // newServer builds what both modes share: the registry with the one

@@ -29,12 +29,26 @@ func (e *EnvSpec) ScanJSON(s *jsonx.Scanner) bool {
 	if e.Guests != nil || e.Links != nil || e.src != nil {
 		return false
 	}
-	mark := s.Mark()
-	if !e.ScanReuse(s) {
+	if !e.ScanInPlace(s) {
 		*e = EnvSpec{} // as it was: ScanReuse leaves garbage behind a decline
 		return false
 	}
-	e.src, e.sum = bytes.Clone(s.Since(mark)), e.fingerprint()
+	e.src = bytes.Clone(e.src)
+	return true
+}
+
+// ScanInPlace is ScanReuse keeping the bytes it scanned, as ScanJSON
+// does, but as a slice of the scanner's input rather than a copy: for an
+// input that nothing writes again and that may live as long as the
+// environments built from it (WAL recovery's snapshot file). The slice
+// is capped at its length, so appending to it never reaches the input.
+func (e *EnvSpec) ScanInPlace(s *jsonx.Scanner) bool {
+	mark := s.Mark()
+	if !e.ScanReuse(s) {
+		return false
+	}
+	src := s.Since(mark)
+	e.src, e.sum = src[:len(src):len(src)], e.fingerprint()
 	return true
 }
 

@@ -107,38 +107,80 @@ func ExportSession(sid string, clusterSpec spec.ClusterSpec, mapperName string, 
 	return sn
 }
 
-// RestoreSnap rebuilds a session from its snapshot entry.
+// RestoreSnap rebuilds a session from its snapshot entry as
+// encoding/json decoded it: the form a declined snapshot file and
+// Replay restore from.
 func RestoreSnap(sn SessionSnap) (*core.Session, *cluster.Cluster, error) {
-	c, err := sn.Cluster.ToCluster()
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: session %s snapshot cluster: %w", sn.SID, err)
+	r := sessionRestore{sn: sn}
+	if err := r.begin(); err != nil {
+		return nil, nil, err
 	}
-	overhead := cluster.VMMOverhead{Proc: sn.Proc, Mem: sn.Mem, Stor: sn.Stor}
-	mapper, err := core.MapperByName(sn.Mapper, overhead)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: session %s snapshot: %w", sn.SID, err)
-	}
-	exp := core.SessionExport{
-		Ledger:  sn.Ledger,
-		NextSeq: sn.NextSeq,
-		OpCount: sn.OpCount,
-	}
-	for _, a := range sn.Active {
-		env, err := a.Env.ToEnv()
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: session %s snapshot seq %d: %w", sn.SID, a.Seq, err)
+	for i := range sn.Active {
+		if err := r.add((*AdmitRec)(&sn.Active[i])); err != nil {
+			return nil, nil, err
 		}
-		m, err := a.M.ToMapping(c, env)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wal: session %s snapshot seq %d: %w", sn.SID, a.Seq, err)
-		}
-		exp.Active = append(exp.Active, core.ActiveExport{Seq: a.Seq, Tag: a.Tag, M: m})
 	}
-	cs, err := core.RestoreSession(c, overhead, mapper, exp)
+	cs, err := r.finish()
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: session %s: %w", sn.SID, err)
+		return nil, nil, err
 	}
-	return cs, c, nil
+	return cs, r.c, nil
+}
+
+// sessionRestore rebuilds one session from its snapshot entry in three
+// steps: begin, from the entry's configuration; add, once per active
+// environment, in file order; finish. The snapshot scanner feeds it each
+// environment as it reads it, RestoreSnap those encoding/json decoded,
+// and both convert them by decodeAdmit, as a log admit record is.
+type sessionRestore struct {
+	// sn is the entry; its Active is not read.
+	sn       SessionSnap
+	c        *cluster.Cluster
+	overhead cluster.VMMOverhead
+	mapper   core.Mapper
+	active   []core.ActiveExport
+}
+
+func (r *sessionRestore) begin() error {
+	c, err := r.sn.Cluster.ToCluster()
+	if err != nil {
+		return fmt.Errorf("wal: session %s snapshot cluster: %w", r.sn.SID, err)
+	}
+	r.overhead = cluster.VMMOverhead{Proc: r.sn.Proc, Mem: r.sn.Mem, Stor: r.sn.Stor}
+	if r.mapper, err = core.MapperByName(r.sn.Mapper, r.overhead); err != nil {
+		return fmt.Errorf("wal: session %s snapshot: %w", r.sn.SID, err)
+	}
+	r.c = c
+	return nil
+}
+
+func (r *sessionRestore) add(a *AdmitRec) error {
+	_, m, err := decodeAdmit(r.c, a)
+	if err != nil {
+		return fmt.Errorf("wal: session %s snapshot seq %d: %w", r.sn.SID, a.Seq, err)
+	}
+	r.active = append(r.active, core.ActiveExport{Seq: a.Seq, Tag: a.Tag, M: m})
+	return nil
+}
+
+// finish restores the session, beginning it first when no environment
+// was added.
+func (r *sessionRestore) finish() (*core.Session, error) {
+	if r.c == nil {
+		if err := r.begin(); err != nil {
+			return nil, err
+		}
+	}
+	cs, err := core.RestoreSession(r.c, r.overhead, r.mapper, core.SessionExport{
+		Ledger:  r.sn.Ledger,
+		Active:  r.active,
+		NextSeq: r.sn.NextSeq,
+		OpCount: r.sn.OpCount,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("wal: session %s: %w", r.sn.SID, err)
+	}
+	return cs, nil
 }
 
 // OpenSession rebuilds a fresh session from an open record (for

@@ -6,10 +6,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/cluster"
@@ -552,28 +554,158 @@ func decodeCases(t testing.TB, ops int) []snapCase {
 		}
 		return bytes.Replace(fullJSON, []byte(old), []byte(new), 1)
 	}
+	// The ledger's first residual, spelled with an exponent.
+	proc := fullJSON[bytes.Index(fullJSON, []byte(`"ledger":{"proc":[`))+len(`"ledger":{"proc":[`):]
+	first := proc[:bytes.IndexByte(proc, ',')]
+	v, err := strconv.ParseFloat(string(first), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exponent := edit(`"ledger":{"proc":[`+string(first)+",", `"ledger":{"proc":[`+strconv.FormatFloat(v, 'e', -1, 64)+",")
 	return append(cases,
 		snapCase{name: "first_off", data: fixture},
 		snapCase{name: "null sessions", data: []byte(`{"first_seg":4,"max_session":1,"sessions":null}`)},
 		snapCase{name: "indented", data: indented.Bytes()},
 		snapCase{name: "repeated key", data: []byte(`{"first_seg":2,"first_seg":5,"sessions":[]}`)},
-		snapCase{name: "exponent", data: edit(`"ledger":{"proc":[`, `"ledger":{"proc":[1.25e3,`), scanned: true},
+		snapCase{name: "exponent", data: exponent, scanned: true},
 		snapCase{name: "three-number sum_proc", data: edit(`"sum_proc":[`, `"sum_proc":[7,`)},
 	)
 }
 
-// decodeAgrees holds decodeSnapshot to json.Unmarshal on one snapshot
-// file: where the scanner accepts, its value is json.Unmarshal's but for
-// the compact bytes an environment keeps of itself; where it declines,
-// decodeSnapshot answers json.Unmarshal's value or error. It reports
-// whether the scanner accepted.
+// restoredEnv is one active environment of a restored session, as the
+// session holds it.
+type restoredEnv struct {
+	Seq  uint64
+	Tag  string
+	Env  spec.EnvSpec
+	M    spec.MappingSpec
+	Kept bool // the environment keeps the bytes it was restored from
+}
+
+// restoredSession is what recovery restored of one snapshot entry: its
+// configuration, its counters, its residual vectors bit for bit and
+// every active environment and mapping.
+type restoredSession struct {
+	SID, Mapper               string
+	ClusterSpec               spec.ClusterSpec
+	Overhead                  cluster.VMMOverhead
+	NextEnv, NextSeq, OpCount uint64
+	Ledger                    cluster.LedgerState
+	Residuals                 [][]uint64
+	Active                    []restoredEnv
+}
+
+// restoredState is what a snapshot restored into a replayer.
+type restoredState struct {
+	FirstSeg                uint64
+	MaxSession, ClosedBelow int
+	Sessions                []restoredSession
+}
+
+func floatBits(a []float64) []uint64 {
+	out := make([]uint64, len(a))
+	for i, f := range a {
+		out[i] = math.Float64bits(f)
+	}
+	return out
+}
+
+func restoredOf(rp *replayer, firstSeg uint64) restoredState {
+	st := restoredState{FirstSeg: firstSeg, MaxSession: rp.maxSession, ClosedBelow: rp.closedBelow}
+	for _, rs := range rp.sessions() {
+		exp := rs.Session.Export()
+		l := exp.Ledger
+		got := restoredSession{
+			SID: rs.SID, Mapper: rs.Mapper, ClusterSpec: rs.ClusterSpec, Overhead: rs.Overhead,
+			NextEnv: rs.NextEnv, NextSeq: exp.NextSeq, OpCount: exp.OpCount, Ledger: l,
+			Residuals: [][]uint64{floatBits(l.Proc), floatBits(l.Stor), floatBits(l.BW)},
+		}
+		for _, a := range exp.Active {
+			e := spec.FromEnv(a.M.Env)
+			got.Active = append(got.Active, restoredEnv{
+				Seq: a.Seq, Tag: a.Tag, Env: spec.EnvSpec{Guests: e.Guests, Links: e.Links},
+				M: spec.FromMapping(a.M, rs.Overhead), Kept: a.M.Env.Source() != nil,
+			})
+		}
+		st.Sessions = append(st.Sessions, got)
+	}
+	return st
+}
+
+// withoutKept is st without whether each environment kept its bytes,
+// which only the scanner's restore does.
+func withoutKept(st restoredState) restoredState {
+	st.Sessions = slices.Clone(st.Sessions)
+	for i := range st.Sessions {
+		sn := &st.Sessions[i]
+		sn.Active = slices.Clone(sn.Active)
+		for j := range sn.Active {
+			sn.Active[j].Kept = false
+		}
+	}
+	return st
+}
+
+// smallClusters reports whether every cluster data declares, as the
+// scanner or encoding/json would read it, has at most limit nodes:
+// restoring a snapshot builds each session's cluster, and an entry may
+// declare one of any size.
+func smallClusters(data []byte, limit int) bool {
+	var probe struct {
+		Sessions []struct{ Cluster struct{ Nodes int } }
+	}
+	if json.Unmarshal(data, &probe) == nil {
+		for _, sn := range probe.Sessions {
+			if sn.Cluster.Nodes > limit {
+				return false
+			}
+		}
+	}
+	const key = `"nodes":`
+	for rest := data; ; {
+		i := bytes.Index(rest, []byte(key))
+		if i < 0 {
+			return true
+		}
+		rest = rest[i+len(key):]
+		var s jsonx.Scanner
+		s.Reset(rest)
+		if s.Int() > limit {
+			return false
+		}
+	}
+}
+
+// withoutEnvBytes is snap without the bytes an environment the scanner
+// decoded keeps of its input, which json.Unmarshal cannot fill.
+func withoutEnvBytes(snap Snapshot) Snapshot {
+	snap.size = 0
+	snap.Sessions = slices.Clone(snap.Sessions)
+	for i := range snap.Sessions {
+		sn := &snap.Sessions[i]
+		sn.Active = slices.Clone(sn.Active)
+		for j := range sn.Active {
+			e := &sn.Active[j].Env
+			*e = spec.EnvSpec{Guests: e.Guests, Links: e.Links}
+		}
+	}
+	return snap
+}
+
+// decodeAgrees holds decodeSnapshot, the value the inspection passes
+// hand out, to json.Unmarshal on one snapshot file: where the value
+// scanner accepts, json.Unmarshal takes the file too and decodes the
+// same value but for the bytes an environment keeps of its input; where
+// it declines, decodeSnapshot answers json.Unmarshal's value or error.
+// It reports whether the value scanner accepted.
 func decodeAgrees(t *testing.T, data []byte) bool {
 	t.Helper()
 	var want Snapshot
 	wantErr := json.Unmarshal(data, &want)
 	var s jsonx.Scanner
 	s.Reset(data)
-	scanned := new(Snapshot).scan(&s)
+	var scannedSnap Snapshot
+	scanned := scannedSnap.scan(&s, func() { scannedSnap.Sessions = append(scannedSnap.Sessions, scanSessionValue(&s)) })
 	if scanned && wantErr != nil {
 		t.Fatalf("the scanner took %q, which json.Unmarshal refuses: %v", data, wantErr)
 	}
@@ -593,53 +725,132 @@ func decodeAgrees(t *testing.T, data []byte) bool {
 	return scanned
 }
 
-// withoutEnvBytes is snap without the bytes an environment the scanner
-// decoded keeps of its input, which json.Unmarshal cannot fill.
-func withoutEnvBytes(snap Snapshot) Snapshot {
-	snap.size, snap.took = 0, 0
-	snap.Sessions = slices.Clone(snap.Sessions)
-	for i := range snap.Sessions {
-		sn := &snap.Sessions[i]
-		sn.Active = slices.Clone(sn.Active)
-		for j := range sn.Active {
-			e := &sn.Active[j].Env
-			*e = spec.EnvSpec{Guests: e.Guests, Links: e.Links}
+// restoreAgrees holds recovery's restore of one snapshot file to the
+// encoding/json path — json.Unmarshal, then RestoreSnap per entry — on
+// the state it builds: where the scanner accepts, that path restores the
+// same sessions, residual vectors bit for bit, every active environment
+// and mapping, NextEnv, NextSeq and OpCount; and restore, fallback
+// included, answers that path's state or error. It returns the
+// scanner's restored state and whether it accepted. The file is written
+// to dir.
+func restoreAgrees(t *testing.T, dir string, data []byte) (restoredState, bool) {
+	t.Helper()
+	want, wantErr := func() (restoredState, error) {
+		snap, err := unmarshalSnapshot(data)
+		if err != nil {
+			return restoredState{}, err
+		}
+		rp := newReplayer(nil)
+		if err := rp.restoreValues(snap); err != nil {
+			return restoredState{}, err
+		}
+		return restoredOf(rp, snap.FirstSeg), nil
+	}()
+	rp := newReplayer(nil)
+	var s jsonx.Scanner
+	s.Reset(data)
+	firstSeg, scanned := rp.scanSnapshot(&s, new(decoder))
+	var fast restoredState
+	if scanned {
+		if wantErr != nil {
+			t.Fatalf("the scanner restored %q, which the encoding/json path refuses: %v", data, wantErr)
+		}
+		fast = restoredOf(rp, firstSeg)
+		if !reflect.DeepEqual(withoutKept(fast), want) {
+			t.Fatalf("%q restores as\n%+v\nthe encoding/json path restores\n%+v", data, fast, want)
 		}
 	}
-	return snap
+
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rp = newReplayer(nil)
+	firstSeg, size, err := rp.restore(dir, new(decoder))
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("restoring %q: %v, the encoding/json path: %v", data, err, wantErr)
+		}
+		return fast, false
+	}
+	if err != nil {
+		t.Fatalf("restoring %q: %v, the encoding/json path restored it", data, err)
+	}
+	if got := restoredOf(rp, firstSeg); size != int64(len(data)) || !reflect.DeepEqual(withoutKept(got), want) {
+		t.Fatalf("%q restores as\n%+v (%d bytes)\nthe encoding/json path restores\n%+v", data, got, size, want)
+	}
+	return fast, scanned
 }
 
-// TestSnapshotDecodeMatchesUnmarshal holds the snapshot decoder to
-// json.Unmarshal on decodeCases: the scanner takes what it should, every
-// value is json.Unmarshal's, and a snapshot the encoder wrote re-encodes
-// from its decoded value to the same bytes.
+// TestSnapshotDecodeMatchesUnmarshal holds recovery's restore and the
+// snapshot decoder to the encoding/json path on decodeCases: both
+// scanners take what they should, every restored state and decoded
+// value is that path's, a value decoded from a snapshot the encoder
+// wrote re-encodes to the same bytes, and so does a snapshot taken
+// right after restoring it, every environment the scanner restored
+// re-encoded from the bytes it kept.
 func TestSnapshotDecodeMatchesUnmarshal(t *testing.T) {
+	dir := t.TempDir()
 	for _, tc := range decodeCases(t, 40) {
-		if got := decodeAgrees(t, tc.data); got != tc.scanned {
-			t.Errorf("%s: scanner accepted %v, want %v", tc.name, got, tc.scanned)
+		if scanned := decodeAgrees(t, tc.data); scanned != tc.scanned {
+			t.Errorf("%s: the value scanner accepted %v, want %v", tc.name, scanned, tc.scanned)
+		}
+		st, scanned := restoreAgrees(t, dir, tc.data)
+		if scanned != tc.scanned {
+			t.Errorf("%s: the restoring scanner accepted %v, want %v", tc.name, scanned, tc.scanned)
 		}
 		if !tc.encoded {
 			continue
 		}
-		snap, err := decodeSnapshot(tc.data)
-		if err != nil {
+		if snap, err := decodeSnapshot(tc.data); err != nil {
 			t.Fatal(err)
-		}
-		if again, err := snap.appendJSON(nil); err != nil || !bytes.Equal(again, tc.data) {
+		} else if again, err := snap.appendJSON(nil); err != nil || !bytes.Equal(again, tc.data) {
 			t.Errorf("%s re-encodes as\n%s\nnot\n%s", tc.name, again, tc.data)
+		}
+		if !scanned {
+			continue
+		}
+		rp := newReplayer(nil)
+		var s jsonx.Scanner
+		s.Reset(tc.data)
+		if _, ok := rp.scanSnapshot(&s, new(decoder)); !ok {
+			t.Fatalf("%s: the scanner declined it the second time", tc.name)
+		}
+		again := Snapshot{FirstSeg: st.FirstSeg, MaxSession: st.ClosedBelow, Sessions: []SessionSnap{}}
+		for _, rs := range rp.sessions() {
+			again.Sessions = append(again.Sessions, ExportSession(rs.SID, rs.ClusterSpec, rs.Mapper, rs.Overhead, rs.NextEnv, rs.Session))
+		}
+		if b, err := again.appendJSON(nil); err != nil || !bytes.Equal(b, tc.data) {
+			t.Errorf("%s: a snapshot of the restored state encodes as\n%s\nnot\n%s", tc.name, b, tc.data)
+		}
+		for _, sn := range st.Sessions {
+			for _, a := range sn.Active {
+				if !a.Kept {
+					t.Errorf("%s: session %s seq %d lost the bytes it was restored from", tc.name, sn.SID, a.Seq)
+				}
+			}
 		}
 	}
 }
 
-// FuzzSnapshotDecode is decodeAgrees on arbitrary bytes, seeded with
-// decodeCases of a shorter history: the engine minimizes every input
-// that finds new coverage, which on a large seed takes most of a short
-// run. CI runs it for a short burst; `make fuzz` for longer.
+// FuzzSnapshotDecode is decodeAgrees and restoreAgrees on arbitrary
+// bytes, seeded with decodeCases of a shorter history: the engine
+// minimizes every input that finds new coverage, which on a large seed
+// takes most of a short run. Only the restore builds each session's
+// cluster, and an input may declare one of any size, so an input that
+// declares one over 4 096 nodes is decoded but not restored. CI runs it
+// for a short burst; `make fuzz` for longer.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, tc := range decodeCases(f, 8) {
 		f.Add(tc.data)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { decodeAgrees(t, data) })
+	// One directory per fuzzing process, its snapshot rewritten per input.
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeAgrees(t, data)
+		if smallClusters(data, 1<<12) {
+			restoreAgrees(t, dir, data)
+		}
+	})
 }
 
 // TestSnapshotFsyncFailureFaultsLog fails the fsync a snapshot's rotation

@@ -63,8 +63,9 @@ func (a *AdmitRec) appendJSON(dst []byte, ok *bool) []byte {
 // decoder decodes one record at a time into storage it owns. A pass
 // that hands each record on and forgets it keeps one decoder for the
 // whole log, and every admit record refills the same AdmitRec, guest,
-// link and path arrays; a collector takes a fresh decoder per record
-// and may keep what it returns.
+// link and path arrays, which recovery's pass fills with the snapshot's
+// environments first (replayer.scanSnapshot); a collector takes a fresh
+// decoder per record and may keep what it returns.
 type decoder struct {
 	rec     Record
 	admit   AdmitRec
@@ -112,7 +113,7 @@ func (d *decoder) scan(s *jsonx.Scanner) bool {
 			r.Index = s.Uint64()
 		case 3: // admit
 			r.Admit = &d.admit
-			scanAdmit(s, &d.admit, &d.arena)
+			scanAdmit(s, &d.admit, &d.arena, false)
 		case 4: // release
 			r.Release = &d.release
 			d.release = ReleaseRec{}
@@ -135,10 +136,11 @@ var (
 	releaseKeys = jsonx.NewKeys("seq")
 )
 
-// scanAdmit decodes an admit body into a: a log record's into reused
-// storage, paths in arena, or (arena nil) a snapshot entry's into a fresh
-// one that keeps its env's bytes for the next snapshot to write.
-func scanAdmit(s *jsonx.Scanner, a *AdmitRec, arena *spec.PathArena) {
+// scanAdmit decodes an admit body into a, reusing its storage, its paths
+// in arena: a log record's, whose env keeps nothing of the read window,
+// or (inPlace) a snapshot entry's, whose env keeps its bytes as a slice
+// of the snapshot file, for the next snapshot to write.
+func scanAdmit(s *jsonx.Scanner, a *AdmitRec, arena *spec.PathArena, inPlace bool) {
 	a.Seq, a.Tag = 0, ""
 	env, m := false, false
 	var f jsonx.Fields
@@ -150,12 +152,12 @@ func scanAdmit(s *jsonx.Scanner, a *AdmitRec, arena *spec.PathArena) {
 			a.Tag = s.String()
 		case 2: // env
 			env = true
-			if arena != nil && !a.Env.ScanReuse(s) || arena == nil && !a.Env.ScanJSON(s) {
+			if inPlace && !a.Env.ScanInPlace(s) || !inPlace && !a.Env.ScanReuse(s) {
 				s.Fail()
 			}
 		case 3: // mapping
 			m = true
-			if arena != nil && !a.M.ScanReuse(s, arena) || arena == nil && !a.M.ScanJSON(s) {
+			if !a.M.ScanReuse(s, arena) {
 				s.Fail()
 			}
 		}

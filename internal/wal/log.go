@@ -108,13 +108,16 @@ type log struct {
 	syncedSeq atomic.Uint64
 }
 
-// openSegment opens segment n for appending, creating it when absent.
-// Callers either hold mu (rotate) or own the log exclusively because it
-// is not yet published (Open).
+// openSegment creates segment n and opens it for appending. The number
+// must be new: a segment that already exists is a stale one past a hole
+// recovery did not see (follow reads up to the first missing number), and
+// appending to it would bury its records under the new ones, so creating
+// it fails instead. Callers either hold mu (rotate) or own the log
+// exclusively because it is not yet published (resume).
 //
 //hmn:locked mu
 func (l *log) openSegment(n uint64) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(n)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.dir, segName(n)), os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: open segment: %w", err)
 	}
@@ -346,9 +349,6 @@ type logPass struct {
 
 	fr  frameReader
 	dec *decoder
-	// fromSeg is the segment the pass starts at: the position of the
-	// snapshot it replays onto. Zero reads the whole log.
-	fromSeg uint64
 
 	// bytes counts the valid frames read, truncated the torn tail
 	// dropped or measured.
@@ -356,32 +356,77 @@ type logPass struct {
 	truncated int64
 }
 
-// run walks segs, which is the directory's whole log, ascending, from
-// the pass's starting segment on.
+// run walks segs, which is the directory's whole log, ascending.
 func (p *logPass) run(segs []uint64) error {
 	for i, n := range segs {
-		if n < p.fromSeg {
-			continue
+		f, err := os.Open(filepath.Join(p.dir, segName(n)))
+		if err != nil {
+			return fmt.Errorf("wal: read segment: %w", err)
 		}
-		if err := p.segment(n, i == len(segs)-1); err != nil {
+		err = p.segment(f, n, i == len(segs)-1)
+		f.Close()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// segment walks segment n. final marks the log's last segment: there,
+// follow walks the log by number — segment n, n+1, … up to the first
+// number with no file — and returns that number, where the log resumes.
+// It lists no directory, so a recovery costs the log it replays, not the
+// history before it: the segments from a snapshot's position on are
+// consecutive by construction (rotate and resume open the number after
+// the last, and Compact deletes only below the position). A missing
+// number with a segment right after it is a hole in the log, and
+// refused. A wider hole is not seen here; the log then resumes at the
+// first missing number, and openSegment refuses to append to a segment
+// that already exists, so the rotation that reaches a stale segment
+// faults the log rather than writing into it.
+func (p *logPass) follow(n uint64) (uint64, error) {
+	f, err := openSegmentFile(p.dir, n)
+	for ; f != nil && err == nil; n++ {
+		var next *os.File
+		if next, err = openSegmentFile(p.dir, n+1); err == nil {
+			err = p.segment(f, n, next == nil)
+		}
+		f.Close()
+		if err != nil && next != nil {
+			next.Close()
+		}
+		f = next
+	}
+	if err != nil {
+		return 0, err
+	}
+	if _, err := os.Stat(filepath.Join(p.dir, segName(n+1))); !os.IsNotExist(err) {
+		if err != nil {
+			return 0, fmt.Errorf("wal: read segment: %w", err)
+		}
+		return 0, fmt.Errorf("wal: segment %s is missing and %s follows it: the log has a hole", segName(n), segName(n+1))
+	}
+	return n, nil
+}
+
+// openSegmentFile opens segment n for reading: nil, with no error, when
+// it does not exist.
+func openSegmentFile(dir string, n uint64) (*os.File, error) {
+	f, err := os.Open(filepath.Join(dir, segName(n)))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wal: read segment: %w", err)
+	}
+	return f, nil
+}
+
+// segment walks f, segment n. final marks the log's last segment: there,
 // an invalid frame with nothing after it is a torn tail — truncated to
 // the last valid record when repair is set, measured either way. An
 // invalid frame in a non-final segment, or a record that fails to decode
 // anywhere, is corruption and returns an error; so does fn.
-func (p *logPass) segment(n uint64, final bool) error {
-	path := filepath.Join(p.dir, segName(n))
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: read segment: %w", err)
-	}
-	defer f.Close()
+func (p *logPass) segment(f *os.File, n uint64, final bool) error {
 	st, err := f.Stat()
 	if err != nil {
 		return fmt.Errorf("wal: read segment: %w", err)
@@ -425,6 +470,7 @@ func (p *logPass) segment(n uint64, final bool) error {
 		}
 		p.hooks.logf("wal: truncating torn tail of %s: %d bytes after offset %d (%s)",
 			segName(n), p.truncated, off, torn.reason)
+		path := filepath.Join(p.dir, segName(n))
 		if err := os.Truncate(path, off); err != nil {
 			return fmt.Errorf("wal: truncate torn tail: %w", err)
 		}

@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -117,14 +120,11 @@ func streamed(t *testing.T, dir string, repair bool, window int) (dirState, erro
 	)
 	switch {
 	case window != frameWindow:
-		var snap *Snapshot
-		var segs []uint64
-		if snap, segs, err = load(dir, repair); err != nil {
-			break
-		}
 		p := logPass{dir: dir, repair: repair, fr: frameReader{buf: make([]byte, window)}}
-		if res, err = p.replay(snap, segs, scribble); err == nil && repair {
-			w, err = resume(dir, Hooks{}, snap, segs, res.Bytes, res.MaxSession)
+		if repair {
+			w, res, err = p.recover(scribble)
+		} else {
+			res, _, err = p.replay(scribble)
 		}
 	case repair:
 		w, res, err = Recover(dir, Hooks{}, scribble)
@@ -445,6 +445,169 @@ func TestUnknownSessionIndexCountsAcrossSegments(t *testing.T) {
 	}
 }
 
+// restartOne closes w and recovers dir, wiring its one session to the
+// new log the way loggedSessionAs does.
+func restartOne(t *testing.T, dir string, w *WAL) (*WAL, *core.Session) {
+	t.Helper()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, res, err := Recover(dir, testHooks(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Sessions[0].Session
+	s.SetCommitHook(func(ev core.Event) {
+		if err := w.Append(RecordFromEvent(testSID, cluster.VMMOverhead{}, ev)); err != nil {
+			t.Errorf("append: %v", err)
+		}
+	})
+	return w, s
+}
+
+// segmentsAcrossRestarts logs one session over len(ops) segments, one
+// restart between each two: ops[i] runs on segment i+1.
+func segmentsAcrossRestarts(t *testing.T, dir string, ops ...func(*core.Session) error) {
+	t.Helper()
+	c, cs := testCluster(t)
+	w, _, err := Recover(dir, testHooks(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := loggedSessionAs(t, w, c, cs, testSID)
+	for i, op := range ops {
+		if i > 0 {
+			w, s = restartOne(t, dir, w)
+		}
+		if err := op(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, len(ops))
+	for i := range want {
+		want[i] = uint64(i + 1)
+	}
+	if segs, _ := listSegments(dir); !reflect.DeepEqual(segs, want) {
+		t.Fatalf("segments %v, want %v", segs, want)
+	}
+}
+
+func admitOp(seed int64, tag string) func(*core.Session) error {
+	return func(s *core.Session) error {
+		_, _, err := s.MapTagged(testEnv(seed), tag)
+		return err
+	}
+}
+
+func releaseOp(seq uint64) func(*core.Session) error {
+	return func(s *core.Session) error { return s.Release(s.MappingBySeq(seq)) }
+}
+
+// TestRecoverRefusesHoleInLog loses a sealed segment between two that
+// survive: admit e1, restart, release e1, restart, admit e2, and the
+// segment holding only the release is gone. Replaying past the hole
+// would undo an acknowledged release; recovery refuses the directory
+// without creating a segment, and a replay of the whole log refuses the
+// admit that skips the release's operation index.
+func TestRecoverRefusesHoleInLog(t *testing.T) {
+	dir := t.TempDir()
+	segmentsAcrossRestarts(t, dir, admitOp(1, "e1"), releaseOp(1), admitOp(2, "e2"))
+	if err := os.Remove(filepath.Join(dir, segName(2))); err != nil {
+		t.Fatal(err)
+	}
+
+	hole := fmt.Sprintf("wal: segment %s is missing and %s follows it: the log has a hole", segName(2), segName(3))
+	if _, err := Verify(dir, Hooks{}, nil); err == nil || err.Error() != hole {
+		t.Errorf("Verify: %v, want %q", err, hole)
+	}
+	if w, _, err := Recover(dir, Hooks{}, nil); err == nil || err.Error() != hole {
+		t.Errorf("Recover: %v (wal %v), want %q", err, w != nil, hole)
+	}
+	if segs, _ := listSegments(dir); !reflect.DeepEqual(segs, []uint64{1, 3}) {
+		t.Errorf("refused recovery left segments %v, want [1 3]", segs)
+	}
+	rec, err := Scan(dir, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const skip = "wal: record 2 (admit) of session s1 has operation index 3, the session's next is 2: " +
+		"core: replay diverged from the log"
+	if _, _, err := Replay(rec, nil); err == nil || err.Error() != skip {
+		t.Errorf("Replay: %v, want %q", err, skip)
+	}
+}
+
+// TestRecoverWiderHoleFaultsRotation loses two consecutive segments,
+// 2 and 3 of 1-5. Recovery reads up to the first missing number, so it
+// does not see the hole: it restores segment 1's state and resumes on
+// segment 2. The log must never write into the stale segments after the
+// hole: the rotation that reaches segment 4 fails to create it and
+// faults the log, which acknowledges nothing more, segments 4 and 5 keep
+// their bytes, and the next recovery, reading across into segment 4,
+// refuses the first stale record by its operation index.
+func TestRecoverWiderHoleFaultsRotation(t *testing.T) {
+	dir := t.TempDir()
+	segmentsAcrossRestarts(t, dir, admitOp(1, "e1"), releaseOp(1), admitOp(2, "e2"), admitOp(3, "e3"), releaseOp(2))
+	stale := map[uint64][]byte{}
+	for _, n := range []uint64{4, 5} {
+		b, err := os.ReadFile(filepath.Join(dir, segName(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale[n] = b
+	}
+	for _, n := range []uint64{2, 3} {
+		if err := os.Remove(filepath.Join(dir, segName(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w, res, err := Recover(dir, testHooks(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Sessions[0].Session
+	if got := s.Active(); got != 1 || s.MappingBySeq(1) == nil {
+		t.Fatalf("recovered %d environments, want segment 1's e1 alone", got)
+	}
+	s.SetCommitHook(func(ev core.Event) {
+		if err := w.Append(RecordFromEvent(testSID, cluster.VMMOverhead{}, ev)); err != nil {
+			t.Errorf("append: %v", err)
+		}
+	})
+	if _, _, err := s.MapTagged(testEnv(4), "e4"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	cs := res.Sessions[0].ClusterSpec
+	if err := w.Snapshot(exportOne(cs, s)); err != nil {
+		t.Fatalf("rotating onto the new segment 3: %v", err)
+	}
+	if err := w.Snapshot(exportOne(cs, s)); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("rotating onto the stale segment 4: %v, want %v", err, fs.ErrExist)
+	}
+	if err := w.Barrier(); err == nil {
+		t.Error("a barrier succeeded after the rotation onto a stale segment failed")
+	}
+	w.Close()
+	for n, want := range stale {
+		if got, err := os.ReadFile(filepath.Join(dir, segName(n))); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("segment %d changed: %d bytes, was %d (%v)", n, len(got), len(want), err)
+		}
+	}
+
+	const skip = "wal: record 0 (admit) of session s1 has operation index 4, the session's next is 3: " +
+		"core: replay diverged from the log"
+	if _, _, err := Recover(dir, Hooks{}, nil); err == nil || err.Error() != skip {
+		t.Errorf("Recover: %v, want %q", err, skip)
+	}
+}
+
 // TestFrameReaderWindow walks one byte stream under windows from the
 // header size up: the payloads must not depend on where the window's
 // edge falls, and the window must end no larger than the largest frame
@@ -596,5 +759,78 @@ func TestRecoverMemoryIndependentOfLogLength(t *testing.T) {
 		if per > build+recoveryBudget {
 			t.Errorf("recovery allocated %d B per admit+release pair; building the Env and Mapping takes %d B, the budget on top is %d B", per, build, recoveryBudget)
 		}
+	}
+}
+
+// restoreBudget is what restoring a snapshot may allocate on top of the
+// file it reads and of what the restored sessions keep — what RestoreSnap
+// allocates for the same entry held in memory: the reused decode
+// storage, grown once to the largest environment, and the replayer. A
+// restore that decoded every entry into storage of its own before
+// converting it adds the decoded entry, and the copy of its bytes, per
+// environment: about 400 KB for each below.
+const restoreBudget = 512 << 10
+
+// TestSnapshotRestoreAllocsBudget restores a snapshot of eight
+// 250-guest environments mapped on an 8x8 torus: the bytes allocated
+// must stay within restoreBudget of the file plus what the restored
+// session keeps, whatever the number of environments.
+func TestSnapshotRestoreAllocsBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p := workload.PaperClusterParams()
+	p.Hosts = 64
+	c, err := topology.Torus2D(workload.GenerateHosts(p, rng), 8, 8, 10000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := spec.FromCluster(c)
+	s, err := core.NewSession(c, cluster.VMMOverhead{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const envs = 8
+	for i := 1; i <= envs; i++ {
+		if _, _, err := s.MapTagged(workload.GenerateEnv(workload.LowLevelParams(250, 0.02), rng), fmt.Sprintf("e%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn := ExportSession("s1", cs, "", cluster.VMMOverhead{}, envs, s)
+	snap := Snapshot{FirstSeg: 1, MaxSession: 1, Sessions: []SessionSnap{sn}}
+	buf, err := snap.appendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	allocated := func(fn func()) uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		fn()
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	keep := allocated(func() {
+		if _, _, err := RestoreSnap(sn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var res *Recovery
+	total := allocated(func() {
+		if res, err = Verify(dir, Hooks{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(res.Sessions) != 1 || res.Sessions[0].Session.Active() != envs {
+		t.Fatalf("restored %d sessions, want one with %d environments", len(res.Sessions), envs)
+	}
+	t.Logf("snapshot %d B, the session keeps %d B, restoring it allocated %d B (%d B over both)",
+		len(buf), keep, total, int64(total)-int64(keep)-int64(len(buf)))
+	if limit := keep + uint64(len(buf)) + restoreBudget; total > limit {
+		t.Errorf("restoring a %d-byte snapshot allocated %d B; the session keeps %d B, the budget on top of both is %d B",
+			len(buf), total, keep, restoreBudget)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/jsonx"
 	"repro/internal/spec"
 )
 
@@ -28,7 +29,8 @@ type Replayed struct {
 // restored at their own operation boundaries, then the log suffix
 // applied one record at a time, in append order. Operation records at or
 // below the owning session's boundary were already applied by the
-// snapshot and are skipped; an open record for a live session is an
+// snapshot and are skipped, and each one past it must carry the
+// session's next operation index; an open record for a live session is an
 // idempotent no-op; a close record retires the session. A session the
 // snapshot counted (its ordinal at or below the snapshot's MaxSession)
 // but does not hold had closed by the export, and its records are
@@ -57,26 +59,62 @@ type replayer struct {
 	onRecord func(*Replayed, *Record)
 }
 
-func newReplayer(snap *Snapshot, onRecord func(*Replayed, *Record)) (*replayer, error) {
-	rp := &replayer{live: make(map[string]*Replayed), boundary: make(map[string]uint64), closedBelow: -1, onRecord: onRecord}
-	if snap == nil {
-		return rp, nil
+func newReplayer(onRecord func(*Replayed, *Record)) *replayer {
+	return &replayer{live: make(map[string]*Replayed), boundary: make(map[string]uint64), closedBelow: -1, onRecord: onRecord}
+}
+
+// restore rebuilds the sessions of dir's snapshot into rp, which holds
+// nothing yet, and returns the snapshot's position and size: zero
+// without one. The scanner restores the file as it reads it, each active
+// environment decoded into d, the storage the log pass then reads the
+// records into; a file it declines is decoded by encoding/json and
+// restored from that value, whose entries convert the same way.
+func (rp *replayer) restore(dir string, d *decoder) (firstSeg uint64, size int64, err error) {
+	buf, found, err := readSnapshot(dir)
+	if !found || err != nil {
+		return 0, 0, err
 	}
+	var s jsonx.Scanner
+	s.Reset(buf)
+	if firstSeg, ok := rp.scanSnapshot(&s, d); ok {
+		return firstSeg, int64(len(buf)), nil
+	}
+	snap, err := unmarshalSnapshot(buf)
+	if err != nil {
+		return 0, 0, err
+	}
+	*rp = *newReplayer(rp.onRecord)
+	if err := rp.restoreValues(snap); err != nil {
+		return 0, 0, err
+	}
+	return snap.FirstSeg, snap.size, nil
+}
+
+// restoreValues rebuilds the sessions of a decoded snapshot into rp,
+// which holds nothing yet.
+func (rp *replayer) restoreValues(snap *Snapshot) error {
 	rp.maxSession, rp.closedBelow = snap.MaxSession, snap.MaxSession
-	for _, sn := range snap.Sessions {
-		cs, c, err := RestoreSnap(sn)
+	for i := range snap.Sessions {
+		sn := &snap.Sessions[i]
+		cs, c, err := RestoreSnap(*sn)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rp.live[sn.SID] = &Replayed{
-			SID: sn.SID, Session: cs, Cluster: c, ClusterSpec: sn.Cluster, Mapper: sn.Mapper,
-			Overhead: cluster.VMMOverhead{Proc: sn.Proc, Mem: sn.Mem, Stor: sn.Stor},
-			NextEnv:  sn.NextEnv,
-		}
-		rp.boundary[sn.SID] = sn.OpCount
-		rp.noteSID(sn.SID)
+		rp.add(sn, cs, c)
 	}
-	return rp, nil
+	return nil
+}
+
+// add makes cs, restored from sn onto c, a live session at sn's
+// operation boundary.
+func (rp *replayer) add(sn *SessionSnap, cs *core.Session, c *cluster.Cluster) {
+	rp.live[sn.SID] = &Replayed{
+		SID: sn.SID, Session: cs, Cluster: c, ClusterSpec: sn.Cluster, Mapper: sn.Mapper,
+		Overhead: cluster.VMMOverhead{Proc: sn.Proc, Mem: sn.Mem, Stor: sn.Stor},
+		NextEnv:  sn.NextEnv,
+	}
+	rp.boundary[sn.SID] = sn.OpCount
+	rp.noteSID(sn.SID)
 }
 
 func (rp *replayer) noteSID(sid string) {
@@ -124,6 +162,14 @@ func (rp *replayer) apply(r *Record) error {
 		if r.Index <= rp.boundary[r.SID] {
 			return nil
 		}
+		// Past the boundary the log is the session's every operation, one
+		// index after the other: a record that skips one follows a hole —
+		// a lost segment, say — and applying it would undo what the lost
+		// records did.
+		if next := rs.Session.OpCount() + 1; r.Index != next {
+			return fmt.Errorf("wal: record %d (%s) of session %s has operation index %d, the session's next is %d: %w",
+				i, r.Kind, r.SID, r.Index, next, core.ErrReplayDiverged)
+		}
 		if err := ReplayRecord(rs.Session, r); err != nil {
 			return err
 		}
@@ -150,9 +196,11 @@ func (rp *replayer) sessions() []*Replayed {
 // in SID order, with the highest session ordinal the directory has ever
 // named.
 func Replay(rec *Recovered, onRecord func(*Replayed, *Record)) (sessions []*Replayed, maxSession int, err error) {
-	rp, err := newReplayer(rec.Snapshot, onRecord)
-	if err != nil {
-		return nil, 0, err
+	rp := newReplayer(onRecord)
+	if rec.Snapshot != nil {
+		if err := rp.restoreValues(rec.Snapshot); err != nil {
+			return nil, 0, err
+		}
 	}
 	for i := range rec.Records {
 		if err := rp.apply(&rec.Records[i]); err != nil {
@@ -182,31 +230,34 @@ type Recovery struct {
 	SnapshotTime  time.Duration
 }
 
-// replay runs p as the one pass of recovery: every record of segs is
-// decoded into one reused Record, applied to the replayer and forgotten,
+// replay runs p as the one pass of recovery: the snapshot is restored,
+// its environments decoded into the decoder the pass then decodes every
+// log record into; the log is followed by number from the snapshot's
+// position, and each record is applied to the replayer and forgotten,
 // so the pass holds the largest record and the live sessions, never the
 // log. A record that diverges, names an unknown session or fails to
-// decode aborts the pass with nothing published.
-func (p *logPass) replay(snap *Snapshot, segs []uint64, onRecord func(*Replayed, *Record)) (*Recovery, error) {
+// decode aborts the pass with nothing published. It returns the number
+// of the first segment past the log, where the log resumes.
+func (p *logPass) replay(onRecord func(*Replayed, *Record)) (*Recovery, uint64, error) {
 	start := time.Now()
-	rp, err := newReplayer(snap, onRecord)
+	rp := newReplayer(onRecord)
+	p.dec, p.reuse, p.fn = new(decoder), true, rp.apply
+	firstSeg, size, err := rp.restore(p.dir, p.dec)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	restored := time.Since(start)
-	p.reuse, p.fn = true, rp.apply
-	if snap != nil {
-		p.fromSeg = snap.FirstSeg
-	}
-	if err := p.run(segs); err != nil {
-		return nil, err
+	next, err := p.follow(max(firstSeg, 1))
+	if err != nil {
+		return nil, 0, err
 	}
 	res := &Recovery{
 		Sessions: rp.sessions(), MaxSession: rp.maxSession,
 		Records: rp.seen, Bytes: p.bytes, TruncatedBytes: p.truncated,
+		SnapshotBytes: size,
 	}
-	if snap != nil {
-		res.SnapshotBytes, res.SnapshotTime = snap.size, snap.took+restored
+	if size > 0 {
+		res.SnapshotTime = restored
 	}
-	return res, nil
+	return res, next, nil
 }

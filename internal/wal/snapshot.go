@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/jsonx"
@@ -43,9 +42,8 @@ type Snapshot struct {
 	// Sessions are the open sessions, in session-ID order.
 	Sessions []SessionSnap `json:"sessions"`
 
-	// size and took are the file's length and the time loading it took.
+	// size is the file's length.
 	size int64
-	took time.Duration
 }
 
 // SessionSnap is one session's exported state.
@@ -80,37 +78,62 @@ type ActiveRec struct {
 	M   spec.MappingSpec `json:"mapping"`
 }
 
-// loadSnapshot reads the snapshot file; a missing file returns (nil,
-// nil) — a log-only directory is valid (the daemon may die before its
-// first snapshot).
-func loadSnapshot(dir string) (*Snapshot, error) {
-	start := time.Now()
-	buf, err := os.ReadFile(filepath.Join(dir, snapshotName))
+// readSnapshot reads the snapshot file; found is false, with no error,
+// when there is none — a log-only directory is valid (the daemon may die
+// before its first snapshot).
+func readSnapshot(dir string) (buf []byte, found bool, err error) {
+	buf, err = os.ReadFile(filepath.Join(dir, snapshotName))
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, false, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("wal: read snapshot: %w", err)
+		return nil, false, fmt.Errorf("wal: read snapshot: %w", err)
 	}
-	snap, err := decodeSnapshot(buf)
-	if err != nil {
-		return nil, err
-	}
-	snap.size, snap.took = int64(len(buf)), time.Since(start)
-	return snap, nil
+	return buf, true, nil
 }
 
-// decodeSnapshot decodes a snapshot file under decoder.decode's contract;
+// loadSnapshot reads and decodes the snapshot file for the passes that
+// hand it out (Scan, Open, Each, Compact); nil without one. Recovery
+// never holds the decoded value: it restores the file as it scans it
+// (replayer.restore).
+func loadSnapshot(dir string) (*Snapshot, error) {
+	buf, found, err := readSnapshot(dir)
+	if !found || err != nil {
+		return nil, err
+	}
+	return decodeSnapshot(buf)
+}
+
+// decodeSnapshot decodes a snapshot file under decoder.decode's contract:
 // the scanner declines blanks, a key out of json.Marshal's order, null
-// and a sum_proc that is not two numbers.
+// and a sum_proc that is not two numbers, and encoding/json decodes what
+// it declines. Each active entry is scanned into storage of its own, its
+// environment keeping its bytes as a slice of buf.
 func decodeSnapshot(buf []byte) (*Snapshot, error) {
-	snap := new(Snapshot)
+	snap := &Snapshot{size: int64(len(buf))}
 	var s jsonx.Scanner
 	s.Reset(buf)
-	if snap.scan(&s) {
+	if snap.scan(&s, func() { snap.Sessions = append(snap.Sessions, scanSessionValue(&s)) }) {
 		return snap, nil
 	}
-	*snap = Snapshot{}
+	return unmarshalSnapshot(buf)
+}
+
+// scanSessionValue decodes one session entry, each active environment
+// into storage of its own.
+func scanSessionValue(s *jsonx.Scanner) (sn SessionSnap) {
+	sn.scan(s, func() {
+		sn.Active = jsonx.List(s, func() (a ActiveRec) {
+			scanAdmit(s, (*AdmitRec)(&a), new(spec.PathArena), true)
+			return a
+		})
+	})
+	return sn
+}
+
+// unmarshalSnapshot decodes a snapshot file with encoding/json.
+func unmarshalSnapshot(buf []byte) (*Snapshot, error) {
+	snap := &Snapshot{size: int64(len(buf))}
 	if err := json.Unmarshal(buf, snap); err != nil {
 		return nil, fmt.Errorf("wal: decode snapshot: %w", err)
 	}
@@ -127,8 +150,9 @@ var (
 )
 
 // scan decodes the whole input into snap, which must be the zero value,
-// and reports whether it accepted it.
-func (snap *Snapshot) scan(s *jsonx.Scanner) bool {
+// but for the sessions: session reads each element of that array. It
+// reports whether the scanner accepted the input.
+func (snap *Snapshot) scan(s *jsonx.Scanner, session func()) bool {
 	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
 		switch s.Field(snapshotKeys, &f) {
@@ -137,13 +161,18 @@ func (snap *Snapshot) scan(s *jsonx.Scanner) bool {
 		case 1: // max_session
 			snap.MaxSession = s.Int()
 		case 2: // sessions
-			snap.Sessions = jsonx.List(s, func() (sn SessionSnap) { sn.scan(s); return sn })
+			snap.Sessions = []SessionSnap{}
+			for s.Open('['); s.More(']'); {
+				session()
+			}
 		}
 	}
 	return s.End()
 }
 
-func (sn *SessionSnap) scan(s *jsonx.Scanner) {
+// scan decodes one session entry into sn, the zero value, but for its
+// active environments: active reads that array, after every other key.
+func (sn *SessionSnap) scan(s *jsonx.Scanner, active func()) {
 	var f jsonx.Fields
 	for s.Open('{'); s.More('}'); {
 		switch s.Field(sessionKeys, &f) {
@@ -168,9 +197,46 @@ func (sn *SessionSnap) scan(s *jsonx.Scanner) {
 		case 9: // ledger
 			scanLedger(s, &sn.Ledger)
 		case 10: // active
-			sn.Active = jsonx.List(s, func() (a ActiveRec) { scanAdmit(s, (*AdmitRec)(&a), nil); return a })
+			active()
 		}
 	}
+}
+
+// scanSnapshot restores a snapshot file into rp, which holds nothing yet,
+// as it scans it, and reports whether the scanner accepted the file —
+// under decodeSnapshot's contract — and every session in it converted.
+// Each active environment is scanned into d's reused storage and
+// converted there by sessionRestore.add, the decodeAdmit a log admit
+// record goes through: the file is read once, and no entry outlives its
+// conversion. A decline leaves rp half-filled.
+func (rp *replayer) scanSnapshot(s *jsonx.Scanner, d *decoder) (firstSeg uint64, ok bool) {
+	var snap Snapshot
+	ok = snap.scan(s, func() {
+		var r sessionRestore
+		r.sn.scan(s, func() {
+			// Every other key comes before it: the cluster the
+			// environments map onto is known.
+			if s.OK() && r.begin() != nil {
+				s.Fail()
+			}
+			for s.Open('['); s.More(']'); {
+				if scanAdmit(s, &d.admit, &d.arena, true); s.OK() && r.add(&d.admit) != nil {
+					s.Fail()
+				}
+			}
+		})
+		if !s.OK() {
+			return
+		}
+		cs, err := r.finish()
+		if err != nil {
+			s.Fail()
+			return
+		}
+		rp.add(&r.sn, cs, r.c)
+	})
+	rp.maxSession, rp.closedBelow = max(rp.maxSession, snap.MaxSession), snap.MaxSession
+	return snap.FirstSeg, ok
 }
 
 func scanLedger(s *jsonx.Scanner, l *cluster.LedgerState) {

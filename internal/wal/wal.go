@@ -55,23 +55,25 @@ type Recovered struct {
 	TruncatedBytes int64
 }
 
-// load reads the directory's snapshot and lists its segments. With
-// repair set — recovery, not inspection — it first creates the
-// directory and removes a snapshot temp file a crash left. It never
-// deletes a segment: those before the snapshot's position are the log
-// every snapshot keeps until Compact deletes them, and recovery skips
-// them.
-func load(dir string, repair bool) (*Snapshot, []uint64, error) {
-	if repair {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("wal: create data dir: %w", err)
-		}
-		// A crash during snapshot writing can leave the tmp file; it was
-		// never published, so it is garbage.
-		if err := os.Remove(filepath.Join(dir, snapshotTmp)); err != nil && !os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("wal: remove stale snapshot tmp: %w", err)
-		}
+// prepare creates the data directory and removes a snapshot temp file a
+// crash left: what recovery does before it reads, and inspection never.
+func prepare(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("wal: create data dir: %w", err)
 	}
+	// A crash during snapshot writing can leave the tmp file; it was
+	// never published, so it is garbage.
+	if err := os.Remove(filepath.Join(dir, snapshotTmp)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("wal: remove stale snapshot tmp: %w", err)
+	}
+	return nil
+}
+
+// load reads the directory's snapshot and lists its segments, for the
+// passes that read the whole log (Scan, Open, Each) or delete part of it
+// (Compact). It never deletes a segment: those before the snapshot's
+// position are the log every snapshot keeps until Compact deletes them.
+func load(dir string) (*Snapshot, []uint64, error) {
 	snap, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, nil, err
@@ -83,20 +85,14 @@ func load(dir string, repair bool) (*Snapshot, []uint64, error) {
 	return snap, segs, nil
 }
 
-// resume opens the log for appending, on a fresh segment numbered after
-// everything on disk (and after the snapshot boundary, when the
-// directory holds only a snapshot), so recovery artifacts are never
-// mixed with new records mid-segment. grown is the log recovery read
-// past the snapshot's position, and maxSession the highest session
-// ordinal it found: the growth count and the high-water mark go on
-// from them.
-func resume(dir string, hooks Hooks, snap *Snapshot, segs []uint64, grown int64, maxSession int) (*WAL, error) {
-	next := uint64(1)
-	if len(segs) > 0 {
-		next = segs[len(segs)-1] + 1
-	} else if snap != nil && snap.FirstSeg > next {
-		next = snap.FirstSeg
-	}
+// resume opens the log for appending on segment next, a fresh one
+// numbered after everything the log holds (or the snapshot's position,
+// when it holds nothing past it), so recovery artifacts are never mixed
+// with new records mid-segment. snapSize is the size of the snapshot
+// the log resumes from, grown the log read past its position, and
+// maxSession the highest session ordinal found: the checkpoint limit,
+// the growth count and the high-water mark go on from them.
+func resume(dir string, hooks Hooks, next uint64, snapSize, grown int64, maxSession int) (*WAL, error) {
 	l := &log{dir: dir, hooks: hooks, maxSession: maxSession}
 	if err := l.openSegment(next); err != nil {
 		return nil, err
@@ -106,11 +102,7 @@ func resume(dir string, hooks Hooks, snap *Snapshot, segs []uint64, grown int64,
 	}
 	l.grown.Store(grown)
 	w := &WAL{dir: dir, hooks: hooks, log: l}
-	var size int64
-	if snap != nil {
-		size = snap.size
-	}
-	w.limit.Store(checkpointLimit(size))
+	w.limit.Store(checkpointLimit(snapSize))
 	return w, nil
 }
 
@@ -133,7 +125,10 @@ func collect(dir string, hooks Hooks, snap *Snapshot, segs []uint64, repair bool
 // into memory; the returned WAL appends to a fresh segment. A daemon
 // recovers through Recover, which never holds the log.
 func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
-	snap, segs, err := load(dir, true)
+	if err := prepare(dir); err != nil {
+		return nil, nil, err
+	}
+	snap, segs, err := load(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -141,16 +136,19 @@ func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	maxSession := 0
+	next, size, maxSession := uint64(1), int64(0), 0
 	if snap != nil {
-		maxSession = snap.MaxSession
+		next, size, maxSession = max(next, snap.FirstSeg), snap.size, snap.MaxSession
+	}
+	if len(segs) > 0 {
+		next = segs[len(segs)-1] + 1
 	}
 	for i := range rec.Records {
 		if n, ok := SessionOrdinal(rec.Records[i].SID); ok {
 			maxSession = max(maxSession, n)
 		}
 	}
-	w, err := resume(dir, hooks, snap, segs, 0, maxSession)
+	w, err := resume(dir, hooks, next, size, 0, maxSession)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -158,24 +156,29 @@ func Open(dir string, hooks Hooks) (*WAL, *Recovered, error) {
 }
 
 // Recover opens (or initializes) the data directory and rebuilds its
-// sessions in one pass: the snapshot is restored, and each log record
-// from the snapshot's position on is decoded, replayed and forgotten as
-// it is read, a torn tail truncated on the way. onRecord, when non-nil,
-// is called after each operation record actually re-applied; its record
-// is valid only until it returns. On any error — a corrupt sealed
-// segment, a record that diverges — nothing is returned and no segment
-// is created.
+// sessions in one pass: the snapshot is restored as it is read, and each
+// log record from the snapshot's position on is decoded, replayed and
+// forgotten as it is read, a torn tail truncated on the way. The log is
+// found by number from that position, not by listing the directory: a
+// recovery reads what it replays, not the history before it. onRecord,
+// when non-nil, is called after each operation record actually
+// re-applied; its record is valid only until it returns. On any error —
+// a corrupt sealed segment, a hole in the log, a record that diverges —
+// nothing is returned and no segment is created.
 func Recover(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*WAL, *Recovery, error) {
-	snap, segs, err := load(dir, true)
+	return (&logPass{dir: dir, hooks: hooks, repair: true}).recover(onRecord)
+}
+
+// recover is Recover on p, a repairing pass.
+func (p *logPass) recover(onRecord func(*Replayed, *Record)) (*WAL, *Recovery, error) {
+	if err := prepare(p.dir); err != nil {
+		return nil, nil, err
+	}
+	res, next, err := p.replay(onRecord)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := logPass{dir: dir, hooks: hooks, repair: true}
-	res, err := p.replay(snap, segs, onRecord)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := resume(dir, hooks, snap, segs, res.Bytes, res.MaxSession)
+	w, err := resume(p.dir, p.hooks, next, res.SnapshotBytes, res.Bytes, res.MaxSession)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -277,7 +280,7 @@ func (w *WAL) Close() error { return w.log.close() }
 // snapshot, every decodable record, and the size of any torn tail
 // (reported, not truncated).
 func Scan(dir string, hooks Hooks) (*Recovered, error) {
-	snap, segs, err := load(dir, false)
+	snap, segs, err := load(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -290,26 +293,21 @@ func Scan(dir string, hooks Hooks) (*Recovered, error) {
 // inspecting a live or crashed directory never races the daemon or
 // destroys evidence.
 func Verify(dir string, hooks Hooks, onRecord func(*Replayed, *Record)) (*Recovery, error) {
-	snap, segs, err := load(dir, false)
-	if err != nil {
-		return nil, err
-	}
 	p := logPass{dir: dir, hooks: hooks}
-	return p.replay(snap, segs, onRecord)
+	res, _, err := p.replay(onRecord)
+	return res, err
 }
 
-// HasState reports whether dir holds a log segment or a snapshot: whether
+// HasState reports whether dir holds a snapshot or a log segment: whether
 // it is a data directory Recover would restore rather than start afresh.
+// A directory with a snapshot has state; only one without is listed.
 func HasState(dir string) (bool, error) {
+	_, err := os.Stat(filepath.Join(dir, snapshotName))
+	if err == nil || !os.IsNotExist(err) {
+		return err == nil, err
+	}
 	segs, err := listSegments(dir)
-	if err != nil || len(segs) > 0 {
-		return len(segs) > 0, err
-	}
-	_, err = os.Stat(filepath.Join(dir, snapshotName))
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	return err == nil, err
+	return len(segs) > 0, err
 }
 
 // Each reads a data directory without mutating it, handing fn every log
@@ -317,7 +315,7 @@ func HasState(dir string) (bool, error) {
 // an error from fn ends the pass. It returns the snapshot and the size
 // of any torn tail.
 func Each(dir string, hooks Hooks, fn func(*Record) error) (*Snapshot, int64, error) {
-	snap, segs, err := load(dir, false)
+	snap, segs, err := load(dir)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -337,7 +335,7 @@ func Each(dir string, hooks Hooks, fn func(*Record) error) (*Snapshot, int64, er
 // to delete. The directory is the experiment's trace until compacted:
 // Compact is the operator's call, never the daemon's.
 func Compact(dir string) ([]uint64, error) {
-	snap, segs, err := load(dir, false)
+	snap, segs, err := load(dir)
 	if err != nil || snap == nil {
 		return nil, err
 	}
